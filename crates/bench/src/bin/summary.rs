@@ -72,7 +72,6 @@ impl Row {
 
 fn main() {
     let opts = BenchOpts::from_args();
-    let json = std::env::args().any(|a| a == "--json");
     header(
         "Summary (§5)",
         "best-case hardware speedups over the software baseline",
@@ -118,7 +117,7 @@ fn main() {
         });
     }
 
-    if json {
+    if opts.json {
         let body: Vec<String> = rows
             .iter()
             .map(|r| format!("    {}", r.to_json()))

@@ -9,6 +9,9 @@
 //! * `--seed <u64>` — generator seed (default 42);
 //! * `--queries <n>` — cap on selection queries (default: all 31).
 //!
+//! The command line is strict: an unknown flag or a missing or
+//! unparseable value prints the usage text and exits 2.
+//!
 //! Reported wall-clock numbers are averages over the workload, like the
 //! paper's "average cost per query". Hardware counters (pixels written,
 //! fragments, scans) are printed alongside: they are deterministic and
@@ -54,6 +57,9 @@ pub struct BenchOpts {
     /// balanced degradation ledger, and areas within the DESIGN.md §14
     /// quantization envelope of the exact clipped-polygon oracle.
     pub aggregate: bool,
+    /// `--json`: additionally write the results as `BENCH_<bin>.json`
+    /// (summary binary only).
+    pub json: bool,
 }
 
 impl Default for BenchOpts {
@@ -67,57 +73,53 @@ impl Default for BenchOpts {
             service: false,
             chaos: false,
             aggregate: false,
+            json: false,
         }
     }
 }
 
+const USAGE: &str = "usage: [--scale <f64>] [--seed <u64>] [--queries <n>] \
+[--faults] [--partition] [--service] [--chaos] [--aggregate] [--json]";
+
 impl BenchOpts {
-    /// Parses `--scale`, `--seed`, `--queries`, `--faults`,
-    /// `--partition`, `--service`, `--chaos`, `--aggregate` from
-    /// `std::env::args`.
+    /// Parses `std::env::args`; on a malformed command line prints the
+    /// reason and the usage text and exits 2, so a typo'd flag can never
+    /// silently run the (slow) defaults.
     pub fn from_args() -> Self {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        let args: Vec<&str> = args.iter().map(String::as_str).collect();
+        Self::parse(&args).unwrap_or_else(|reason| {
+            eprintln!("{reason}\n{USAGE}");
+            std::process::exit(2)
+        })
+    }
+
+    /// Parses `--scale`, `--seed`, `--queries` (each followed by its
+    /// value) and the `--faults`, `--partition`, `--service`, `--chaos`,
+    /// `--aggregate`, `--json` switches. Anything else is an error.
+    pub fn parse(args: &[&str]) -> Result<Self, String> {
+        fn value<T: std::str::FromStr>(flag: &str, raw: Option<&&str>) -> Result<T, String> {
+            let raw = raw.ok_or_else(|| format!("{flag} needs a value"))?;
+            raw.parse()
+                .map_err(|_| format!("{flag}: cannot parse {raw:?}"))
+        }
         let mut opts = BenchOpts::default();
-        let args: Vec<String> = std::env::args().collect();
-        let mut i = 1;
-        while i < args.len() {
-            let take = |i: usize| -> Option<&str> { args.get(i + 1).map(|s| s.as_str()) };
-            match args[i].as_str() {
-                "--scale" => {
-                    opts.scale = take(i).and_then(|v| v.parse().ok()).unwrap_or(opts.scale);
-                    i += 2;
-                }
-                "--seed" => {
-                    opts.seed = take(i).and_then(|v| v.parse().ok()).unwrap_or(opts.seed);
-                    i += 2;
-                }
-                "--queries" => {
-                    opts.queries = take(i).and_then(|v| v.parse().ok()).unwrap_or(opts.queries);
-                    i += 2;
-                }
-                "--faults" => {
-                    opts.faults = true;
-                    i += 1;
-                }
-                "--partition" => {
-                    opts.partition = true;
-                    i += 1;
-                }
-                "--service" => {
-                    opts.service = true;
-                    i += 1;
-                }
-                "--chaos" => {
-                    opts.chaos = true;
-                    i += 1;
-                }
-                "--aggregate" => {
-                    opts.aggregate = true;
-                    i += 1;
-                }
-                _ => i += 1,
+        let mut args = args.iter();
+        while let Some(&flag) = args.next() {
+            match flag {
+                "--scale" => opts.scale = value(flag, args.next())?,
+                "--seed" => opts.seed = value(flag, args.next())?,
+                "--queries" => opts.queries = value(flag, args.next())?,
+                "--faults" => opts.faults = true,
+                "--partition" => opts.partition = true,
+                "--service" => opts.service = true,
+                "--chaos" => opts.chaos = true,
+                "--aggregate" => opts.aggregate = true,
+                "--json" => opts.json = true,
+                _ => return Err(format!("unknown argument {flag:?}")),
             }
         }
-        opts
+        Ok(opts)
     }
 }
 
@@ -241,16 +243,35 @@ mod tests {
     }
 
     #[test]
+    fn parse_accepts_the_documented_flags() {
+        let o = BenchOpts::parse(&["--scale", "0.01", "--queries", "5", "--chaos", "--json"])
+            .expect("valid command line");
+        assert_eq!((o.scale, o.queries, o.seed), (0.01, 5, 42));
+        assert!(o.chaos && o.json && !o.faults);
+    }
+
+    /// A malformed command line is an error, never a silent fall-back
+    /// to the slow defaults.
+    #[test]
+    fn parse_rejects_typos_and_bad_values() {
+        for (args, needle) in [
+            (&["--scal", "0.01"][..], "unknown argument \"--scal\""),
+            (&["--scale", "x"][..], "--scale: cannot parse \"x\""),
+            (&["--queries", "5", "--seed"][..], "--seed needs a value"),
+            (&["0.01"][..], "unknown argument"),
+        ] {
+            let err = BenchOpts::parse(args).expect_err("must be rejected");
+            assert!(err.contains(needle), "{args:?}: {err}");
+        }
+    }
+
+    #[test]
     fn workloads_generate_at_tiny_scale() {
         let opts = BenchOpts {
             scale: 0.002,
             seed: 1,
             queries: 2,
-            faults: false,
-            partition: false,
-            service: false,
-            chaos: false,
-            aggregate: false,
+            ..BenchOpts::default()
         };
         let w = Workloads::generate(opts);
         assert!(w.landc.len() >= 12);
@@ -264,11 +285,7 @@ mod tests {
             scale: 0.002,
             seed: 1,
             queries: 2,
-            faults: false,
-            partition: false,
-            service: false,
-            chaos: false,
-            aggregate: false,
+            ..BenchOpts::default()
         };
         let w = Workloads::generate(opts);
         let mut e = software_engine();

@@ -1,28 +1,26 @@
-//! The query engine: a thin wrapper that instantiates the unified
-//! [`StagedExecutor`] for each of the paper's four pipelines — intersection
-//! selection, containment selection, intersection join, within-distance
+//! The query engine: a thin wrapper that runs the unified staged executor
+//! for each of the five pipelines — intersection selection, containment
+//! selection, intersection join, within-distance join, area-of-overlap
 //! join (Fig. 8's **MBR filtering → intermediate filtering → geometry
 //! comparison**, with per-stage cost accounting).
 //!
-//! The engine's job is declarative: pick the stage-1 candidate enumeration,
-//! the intermediate filter chain and the predicate, then hand the loop to
-//! the executor. The refinement backend (software sweep, hardware
-//! Algorithm 3.1, or the hybrid threshold mix), batched hardware
+//! The engine's job is declarative: name the query as a
+//! [`QuerySpec`] — which owns the stage-1 candidate enumeration, the
+//! intermediate filter chain and the predicate — execute it, shape the
+//! rows. The refinement backend (software sweep, or hardware
+//! Algorithm 3.1 with its software threshold), batched hardware
 //! submission and parallel refinement all live behind
 //! [`crate::pipeline`]; the benches drive each figure of §4 by sweeping
 //! one [`EngineConfig`] knob.
 
 use crate::config::HwConfig;
+use crate::pipeline::spec::{area_rows, join_rows, selection_rows};
 use crate::pipeline::{
-    CandidateFilter, HardwareBackend, HybridBackend, InteriorFilterStage, ObjectFilterStage,
-    Predicate, RecoveryPolicy, RefinementBackend, SoftwareBackend, StagedExecutor,
+    Cand, HardwareBackend, QuerySpec, RecoveryPolicy, RefinementBackend, SoftwareBackend, Verdict,
 };
 use crate::stats::CostBreakdown;
-use spatial_geom::{Polygon, Rect};
-use spatial_index::{
-    join_intersecting_with, join_within_distance_with, FilterConfig, FilterStats, RTree,
-    SpatialGrid,
-};
+use spatial_geom::Polygon;
+use spatial_index::{FilterConfig, RTree};
 use spatial_raster::DeviceKind;
 use std::fmt;
 
@@ -364,7 +362,12 @@ impl PreparedDataset {
     }
 }
 
-fn build_backend(config: &EngineConfig) -> Box<dyn RefinementBackend> {
+pub(crate) fn build_backend(config: &EngineConfig) -> Box<dyn RefinementBackend> {
+    let hw = match config.geometry_test {
+        GeometryTest::Software => return Box::new(SoftwareBackend),
+        GeometryTest::Hardware => config.hw,
+        GeometryTest::Hybrid { sw_threshold } => config.hw.with_threshold(sw_threshold),
+    };
     // With K > 1 shards the configured device (fault wrapper included)
     // becomes the template every shard instantiates; partition p's
     // submissions route to shard p % K.
@@ -373,19 +376,19 @@ fn build_backend(config: &EngineConfig) -> Box<dyn RefinementBackend> {
     } else {
         config.device.clone()
     };
-    match config.geometry_test {
-        GeometryTest::Software => Box::new(SoftwareBackend),
-        GeometryTest::Hardware => Box::new(HardwareBackend::with_device_and_policy(
-            config.hw,
-            device,
-            config.recovery,
-        )),
-        GeometryTest::Hybrid { sw_threshold } => Box::new(HybridBackend::with_device_and_policy(
-            config.hw,
-            sw_threshold,
-            device,
-            config.recovery,
-        )),
+    Box::new(HardwareBackend::with_device_and_policy(
+        hw,
+        device,
+        config.recovery,
+    ))
+}
+
+/// The stage-1 knobs in the index crate's terms.
+pub(crate) fn filter_config(config: &EngineConfig) -> FilterConfig {
+    FilterConfig {
+        threads: config.filter_threads,
+        simd: config.filter_simd,
+        ..FilterConfig::default()
     }
 }
 
@@ -425,30 +428,10 @@ impl SpatialEngine {
         self.config = config;
     }
 
-    fn executor(&self) -> StagedExecutor {
-        let grid = self.config.partition.grid.max(1);
-        StagedExecutor {
-            batch: self.config.hw_batch,
-            threads: self.config.refine_threads,
-            partitions: grid * grid,
-            shards: self.config.partition.shards.max(1),
-        }
-    }
-
-    /// The partitioning grid for a query over `universe` — the n×n PBSM
-    /// grid whose reference-point rule bins every candidate into exactly
-    /// one partition.
-    fn partition_grid(&self, universe: Rect) -> SpatialGrid {
-        SpatialGrid::new(self.config.partition.grid.max(1), universe)
-    }
-
-    /// The stage-1 knobs in the index crate's terms.
-    fn filter_config(&self) -> FilterConfig {
-        FilterConfig {
-            threads: self.config.filter_threads,
-            simd: self.config.filter_simd,
-            ..FilterConfig::default()
-        }
+    /// Runs `spec` end to end: stage 1 once, then stages 2–3 on it.
+    fn execute<O: Verdict>(&mut self, spec: QuerySpec<'_>) -> (Vec<(Cand, O)>, CostBreakdown) {
+        let stage1 = spec.stage1(&filter_config(&self.config));
+        spec.execute(&self.config, self.backend.as_mut(), stage1)
     }
 
     /// Intersection selection: all objects of `ds` intersecting `query`.
@@ -457,31 +440,8 @@ impl SpatialEngine {
         ds: &PreparedDataset,
         query: &Polygon,
     ) -> (Vec<usize>, CostBreakdown) {
-        let filters: Vec<Box<dyn CandidateFilter<usize>>> = match self.config.interior_filter_level
-        {
-            Some(level) => vec![Box::new(InteriorFilterStage::new(query, level, ds))],
-            None => Vec::new(),
-        };
-        let simd = self.config.filter_simd;
-        let qmbr = query.mbr();
-        let grid = self.partition_grid(ds.tree.mbr().union(&qmbr));
-        self.executor().run(
-            self.backend.as_mut(),
-            Predicate::Intersects,
-            || {
-                let mut fs = FilterStats::default();
-                let cands = ds
-                    .tree
-                    .search_intersects_stats(&qmbr, simd, &mut fs)
-                    .into_iter()
-                    .copied()
-                    .collect();
-                (cands, fs)
-            },
-            filters,
-            |&i| grid.assign_pair(&qmbr, &ds.polygon(i).mbr()),
-            |i| (query, ds.polygon(i)),
-        )
+        let (kept, cost) = self.execute(QuerySpec::intersection_selection(ds, query));
+        (selection_rows(kept), cost)
     }
 
     /// Containment selection: all objects of `ds` lying strictly inside
@@ -493,34 +453,8 @@ impl SpatialEngine {
         ds: &PreparedDataset,
         query: &Polygon,
     ) -> (Vec<usize>, CostBreakdown) {
-        let filters: Vec<Box<dyn CandidateFilter<usize>>> = match self.config.interior_filter_level
-        {
-            Some(level) => vec![Box::new(InteriorFilterStage::new(query, level, ds))],
-            None => Vec::new(),
-        };
-        let simd = self.config.filter_simd;
-        let qmbr = query.mbr();
-        let grid = self.partition_grid(ds.tree.mbr().union(&qmbr));
-        self.executor().run(
-            self.backend.as_mut(),
-            Predicate::ContainedIn,
-            || {
-                // Only objects whose MBR lies inside the query MBR can
-                // qualify.
-                let mut fs = FilterStats::default();
-                let cands = ds
-                    .tree
-                    .search_intersects_stats(&qmbr, simd, &mut fs)
-                    .into_iter()
-                    .copied()
-                    .filter(|&i| qmbr.contains_rect(&ds.polygon(i).mbr()))
-                    .collect();
-                (cands, fs)
-            },
-            filters,
-            |&i| grid.assign_pair(&qmbr, &ds.polygon(i).mbr()),
-            |i| (ds.polygon(i), query),
-        )
+        let (kept, cost) = self.execute(QuerySpec::containment_selection(ds, query));
+        (selection_rows(kept), cost)
     }
 
     /// Intersection join: all pairs `(i, j)` with `a[i]` intersecting `b[j]`.
@@ -529,23 +463,8 @@ impl SpatialEngine {
         a: &PreparedDataset,
         b: &PreparedDataset,
     ) -> (Vec<(usize, usize)>, CostBreakdown) {
-        let fcfg = self.filter_config();
-        let grid = self.partition_grid(a.tree.mbr().union(&b.tree.mbr()));
-        self.executor().run(
-            self.backend.as_mut(),
-            Predicate::Intersects,
-            || {
-                let mut fs = FilterStats::default();
-                let cands = join_intersecting_with(&a.tree, &b.tree, &fcfg, &mut fs)
-                    .into_iter()
-                    .map(|(x, y)| (*x, *y))
-                    .collect();
-                (cands, fs)
-            },
-            Vec::new(),
-            |&(i, j)| grid.assign_pair(&a.polygon(i).mbr(), &b.polygon(j).mbr()),
-            |(i, j)| (a.polygon(i), b.polygon(j)),
-        )
+        let (kept, cost) = self.execute(QuerySpec::intersection_join(a, b));
+        (join_rows(kept), cost)
     }
 
     /// Within-distance join (buffer query): pairs within distance `d`.
@@ -555,29 +474,8 @@ impl SpatialEngine {
         b: &PreparedDataset,
         d: f64,
     ) -> (Vec<(usize, usize)>, CostBreakdown) {
-        let filters: Vec<Box<dyn CandidateFilter<(usize, usize)>>> =
-            if self.config.use_object_filters {
-                vec![Box::new(ObjectFilterStage::new(a, b, d))]
-            } else {
-                Vec::new()
-            };
-        let fcfg = self.filter_config();
-        let grid = self.partition_grid(a.tree.mbr().union(&b.tree.mbr()));
-        self.executor().run(
-            self.backend.as_mut(),
-            Predicate::WithinDistance(d),
-            || {
-                let mut fs = FilterStats::default();
-                let cands = join_within_distance_with(&a.tree, &b.tree, d, &fcfg, &mut fs)
-                    .into_iter()
-                    .map(|(x, y)| (*x, *y))
-                    .collect();
-                (cands, fs)
-            },
-            filters,
-            |&(i, j)| grid.assign_pair_within(&a.polygon(i).mbr(), &b.polygon(j).mbr(), d),
-            |(i, j)| (a.polygon(i), b.polygon(j)),
-        )
+        let (kept, cost) = self.execute(QuerySpec::within_distance_join(a, b, d));
+        (join_rows(kept), cost)
     }
 
     /// Area-of-overlap aggregation join: every pair `(i, j)` whose
@@ -597,28 +495,8 @@ impl SpatialEngine {
         b: &PreparedDataset,
         resolution: usize,
     ) -> (Vec<(usize, usize, f64)>, CostBreakdown) {
-        let fcfg = self.filter_config();
-        let grid = self.partition_grid(a.tree.mbr().union(&b.tree.mbr()));
-        let (rows, cost) = self.executor().run_measure(
-            self.backend.as_mut(),
-            resolution,
-            || {
-                let mut fs = FilterStats::default();
-                let cands = join_intersecting_with(&a.tree, &b.tree, &fcfg, &mut fs)
-                    .into_iter()
-                    .map(|(x, y)| (*x, *y))
-                    .collect();
-                (cands, fs)
-            },
-            |&(i, j)| grid.assign_pair(&a.polygon(i).mbr(), &b.polygon(j).mbr()),
-            |(i, j)| (a.polygon(i), b.polygon(j)),
-        );
-        (
-            rows.into_iter()
-                .map(|((i, j), area)| (i, j, area))
-                .collect(),
-            cost,
-        )
+        let (kept, cost) = self.execute(QuerySpec::overlap_area_join(a, b, resolution));
+        (area_rows(kept), cost)
     }
 }
 

@@ -12,9 +12,10 @@
 //! * [`config`] — window resolution, `sw_threshold` (§4.3), overlap
 //!   strategy;
 //! * [`engine`] — the three-stage query pipelines of Fig. 8 (MBR filter →
-//!   intermediate filter → geometry comparison) for intersection
-//!   selections, intersection joins and within-distance joins, with
-//!   per-stage wall-clock and hardware-counter breakdowns;
+//!   intermediate filter → geometry comparison) for intersection and
+//!   containment selections, intersection, within-distance and
+//!   area-of-overlap joins, with per-stage wall-clock and
+//!   hardware-counter breakdowns;
 //! * [`ablation`] — the filled-polygon variant (Hoff et al.) that the
 //!   paper rejects: requires triangulation and is *not* exact; kept to
 //!   quantify that design decision;
@@ -50,8 +51,8 @@ pub use hw_intersect::HwTester;
 pub use hw_overlap::overlap_cell_area;
 pub use nn::{sw_nearest, VoronoiNn};
 pub use pipeline::{
-    CandidateFilter, Decision, HardwareBackend, HybridBackend, Predicate, RecoveryPolicy,
-    RefinementBackend, SoftwareBackend, StagedExecutor,
+    CandidateFilter, Decision, HardwareBackend, Predicate, QuerySpec, RecoveryPolicy, RefineOp,
+    RefinementBackend, SoftwareBackend, Stage1, StagedExecutor,
 };
 pub use service::{
     BrownoutConfig, BrownoutRung, PlanChoice, PlannerConfig, PlannerMode, QueryBudget, QueryEngine,

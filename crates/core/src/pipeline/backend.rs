@@ -1,7 +1,7 @@
 //! Pluggable refinement backends: who decides the candidates the filters
 //! could not.
 //!
-//! All three backends answer the same [`Predicate`] exactly — the paper's
+//! Both backends answer the same [`Predicate`] exactly — the paper's
 //! exactness invariant — and differ only in *how*: which pairs touch the
 //! simulated hardware and what that costs. `fork` hands each parallel
 //! refinement worker an independent instance (its own rendering context),
@@ -106,7 +106,10 @@ impl RefinementBackend for SoftwareBackend {
 
 /// Hardware-assisted refinement: Algorithm 3.1 and the §3.1 distance test,
 /// honoring the `sw_threshold` of its [`HwConfig`] (§4.3 treats the
-/// threshold as part of the algorithm). Owns the rendering contexts.
+/// threshold as part of the algorithm): `0` is pure hardware routing,
+/// `usize::MAX` degenerates to all-software testing (with the hardware
+/// path's prologue), anything between splits pairs by combined vertex
+/// count. Owns the rendering contexts.
 #[derive(Debug)]
 pub struct HardwareBackend {
     tester: HwTester,
@@ -196,94 +199,6 @@ impl RefinementBackend for HardwareBackend {
     }
 }
 
-/// The generalized `sw_threshold` mix: hardware refinement with an
-/// *engine-level* threshold override. §4.3 ties the threshold to the
-/// hardware configuration; the hybrid backend lifts it to a pipeline knob,
-/// so one engine can express the whole spectrum — `0` is pure hardware
-/// routing, `usize::MAX` degenerates to all-software testing (with the
-/// hardware path's prologue), and anything between splits pairs by
-/// combined vertex count exactly like [`HardwareBackend`] does.
-#[derive(Debug)]
-pub struct HybridBackend {
-    inner: HardwareBackend,
-}
-
-impl HybridBackend {
-    pub fn new(hw: HwConfig, sw_threshold: usize) -> Self {
-        Self::with_device(hw, sw_threshold, spatial_raster::DeviceKind::default())
-    }
-
-    /// A hybrid backend executing on the selected device.
-    pub fn with_device(
-        hw: HwConfig,
-        sw_threshold: usize,
-        device: spatial_raster::DeviceKind,
-    ) -> Self {
-        Self::with_device_and_policy(hw, sw_threshold, device, super::RecoveryPolicy::default())
-    }
-
-    /// Like [`HybridBackend::with_device`] with an explicit
-    /// retry/quarantine policy.
-    pub fn with_device_and_policy(
-        hw: HwConfig,
-        sw_threshold: usize,
-        device: spatial_raster::DeviceKind,
-        policy: super::RecoveryPolicy,
-    ) -> Self {
-        HybridBackend {
-            inner: HardwareBackend::with_device_and_policy(
-                HwConfig { sw_threshold, ..hw },
-                device,
-                policy,
-            ),
-        }
-    }
-}
-
-impl RefinementBackend for HybridBackend {
-    fn test(&mut self, pred: Predicate, p: &Polygon, q: &Polygon, stats: &mut TestStats) -> bool {
-        self.inner.test(pred, p, q, stats)
-    }
-
-    fn test_batch(
-        &mut self,
-        pred: Predicate,
-        pairs: &[(&Polygon, &Polygon)],
-        stats: &mut TestStats,
-    ) -> Vec<bool> {
-        self.inner.test_batch(pred, pairs, stats)
-    }
-
-    fn measure_overlap(
-        &mut self,
-        p: &Polygon,
-        q: &Polygon,
-        resolution: usize,
-        stats: &mut TestStats,
-    ) -> f64 {
-        self.inner.measure_overlap(p, q, resolution, stats)
-    }
-
-    fn select_shard(&mut self, shard: usize) {
-        self.inner.select_shard(shard);
-    }
-
-    fn fork(&self) -> Box<dyn RefinementBackend> {
-        let hw = self.inner.tester.config();
-        let mut b = HybridBackend::with_device_and_policy(
-            hw,
-            hw.sw_threshold,
-            self.inner.tester.device_kind(),
-            self.inner.tester.recovery_policy(),
-        );
-        // Same inheritance as `HardwareBackend::fork`: the worker adopts
-        // the parent's per-shard verdicts instead of re-earning them.
-        b.inner.tester.inherit_supervision(&self.inner.tester);
-        b.inner.tester.select_shard(self.inner.tester.route());
-        Box::new(b)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -297,8 +212,12 @@ mod tests {
         vec![
             Box::new(SoftwareBackend),
             Box::new(HardwareBackend::new(HwConfig::at_resolution(8))),
-            Box::new(HybridBackend::new(HwConfig::at_resolution(8), 6)),
-            Box::new(HybridBackend::new(HwConfig::at_resolution(8), usize::MAX)),
+            Box::new(HardwareBackend::new(
+                HwConfig::at_resolution(8).with_threshold(6),
+            )),
+            Box::new(HardwareBackend::new(
+                HwConfig::at_resolution(8).with_threshold(usize::MAX),
+            )),
         ]
     }
 
@@ -523,12 +442,13 @@ mod tests {
         // the test reaches the threshold branch.
         let horiz = Polygon::from_coords(&[(0.0, 2.0), (6.0, 2.0), (6.0, 4.0), (0.0, 4.0)]);
         let vert = Polygon::from_coords(&[(2.0, 0.0), (4.0, 0.0), (4.0, 6.0), (2.0, 6.0)]);
-        let mut all_sw = HybridBackend::new(HwConfig::at_resolution(8), usize::MAX);
+        let mut all_sw =
+            HardwareBackend::new(HwConfig::at_resolution(8).with_threshold(usize::MAX));
         let mut st = TestStats::default();
         assert!(all_sw.test(Predicate::Intersects, &horiz, &vert, &mut st));
         assert_eq!(st.hw_tests, 0);
         assert_eq!(st.skipped_by_threshold, 1);
-        let mut all_hw = HybridBackend::new(HwConfig::at_resolution(8), 0);
+        let mut all_hw = HardwareBackend::new(HwConfig::at_resolution(8).with_threshold(0));
         let mut st = TestStats::default();
         assert!(all_hw.test(Predicate::Intersects, &horiz, &vert, &mut st));
         assert_eq!(st.hw_tests, 1);

@@ -40,7 +40,7 @@
 
 use super::backend::RefinementBackend;
 use super::filter::{CandidateFilter, Decision};
-use super::Predicate;
+use super::RefineOp;
 use crate::stats::{CostBreakdown, TestStats};
 use spatial_geom::Polygon;
 use spatial_index::FilterStats;
@@ -56,6 +56,96 @@ pub(crate) fn adjusted(measured: Duration, tests: &TestStats) -> Duration {
     measured.saturating_sub(tests.sim_wall)
         + tests.gpu_modeled
         + Duration::from_nanos(tests.recovery_ns)
+}
+
+/// Stage 1's output as a value: the candidate stream in the MBR filter's
+/// deterministic order, its work counters, and what the enumeration cost.
+/// Whoever ran the filter — the engine, or the query service that also
+/// budgets and plans on it — hands it to [`StagedExecutor::run`], so the
+/// stream is produced exactly once per query.
+#[derive(Debug)]
+pub struct Stage1<C> {
+    pub candidates: Vec<C>,
+    pub stats: FilterStats,
+    /// Wall-clock of the enumeration alone — tree traversal and join
+    /// scheduling; lands in `cost.mbr_filter`.
+    pub elapsed: Duration,
+}
+
+/// What a kept candidate carries out of stage 3: `()` under
+/// [`RefineOp::Test`], the positive area under [`RefineOp::Measure`].
+/// Pairing an output type with the other operation is a bug in the
+/// caller and panics.
+pub trait Verdict: Copy + Send {
+    /// What an intermediate filter's `Confirm` settles without
+    /// refinement: a boolean verdict entirely, an area not at all (the
+    /// pair is a result, but it still has to be measured).
+    const CONFIRMED: Option<Self>;
+
+    /// Refines one contiguous span of resolved candidates — `None`
+    /// drops the candidate — submitting `batch` pairs per round where
+    /// the operation supports it.
+    fn refine(
+        op: RefineOp,
+        batch: usize,
+        backend: &mut dyn RefinementBackend,
+        pairs: &[(&Polygon, &Polygon)],
+        tests: &mut TestStats,
+    ) -> Vec<Option<Self>>;
+}
+
+impl Verdict for () {
+    const CONFIRMED: Option<()> = Some(());
+
+    fn refine(
+        op: RefineOp,
+        batch: usize,
+        backend: &mut dyn RefinementBackend,
+        pairs: &[(&Polygon, &Polygon)],
+        tests: &mut TestStats,
+    ) -> Vec<Option<()>> {
+        let RefineOp::Test(predicate) = op else {
+            panic!("{op:?} yields areas, not boolean verdicts");
+        };
+        let kept: Vec<Option<()>> = if batch > 1 {
+            pairs
+                .chunks(batch)
+                .flat_map(|group| backend.test_batch(predicate, group, tests))
+                .map(|keep| keep.then_some(()))
+                .collect()
+        } else {
+            pairs
+                .iter()
+                .map(|&(p, q)| backend.test(predicate, p, q, tests).then_some(()))
+                .collect()
+        };
+        debug_assert_eq!(kept.len(), pairs.len());
+        kept
+    }
+}
+
+impl Verdict for f64 {
+    const CONFIRMED: Option<f64> = None;
+
+    /// Aggregations are per-pair submissions (no atlas batching), so
+    /// `batch` only shapes the thread units.
+    fn refine(
+        op: RefineOp,
+        _batch: usize,
+        backend: &mut dyn RefinementBackend,
+        pairs: &[(&Polygon, &Polygon)],
+        tests: &mut TestStats,
+    ) -> Vec<Option<f64>> {
+        let RefineOp::Measure { resolution } = op else {
+            panic!("{op:?} yields boolean verdicts, not areas");
+        };
+        pairs
+            .iter()
+            .map(|&(p, q)| {
+                Some(backend.measure_overlap(p, q, resolution, tests)).filter(|&a| a > 0.0)
+            })
+            .collect()
+    }
 }
 
 /// Stage-3 execution parameters, copied from the engine configuration.
@@ -79,42 +169,45 @@ pub struct StagedExecutor {
 }
 
 impl StagedExecutor {
-    /// Runs one query: `stage1` enumerates candidates (returning its MBR
-    /// work counters alongside them), the `filters` chain settles what it
-    /// can, the backend refines the rest. Stage-1 time — tree traversal
-    /// and join scheduling included — lands in `cost.mbr_filter`.
+    /// Runs one query over an already-enumerated [`Stage1`]: the `filters`
+    /// chain settles what it can, the backend refines the rest under
+    /// `op`, and the kept candidates come back sorted, each with its
+    /// [`Verdict`] — `()` for a boolean test, the positive area for a
+    /// measurement (DESIGN.md §14).
     ///
     /// When `partitions > 1` the candidate stream is first binned by
     /// `assign` — a pure function of the candidate, so every candidate
     /// belongs to exactly one partition and the binning is a permutation
     /// of the stream, never a change to its contents. Stage 2 decisions
-    /// are per-candidate pure and stage-3 counters are per-pair pure at
-    /// `batch ≤ 1`, so the partitioned run's results and deterministic
-    /// counters are bit-identical to the unpartitioned run's; only
+    /// are per-candidate pure and stage-3 outputs and counters are
+    /// per-pair pure at `batch ≤ 1` (a measurement is a pure function of
+    /// its pair and the resolution on every backend, shard and fallback
+    /// path), so the partitioned run's results and deterministic counters
+    /// are bit-identical to the unpartitioned run's; only
     /// submission-grouping diagnostics can move at `batch > 1`, because
     /// batches then form within partitions.
-    pub fn run<'p, C, R>(
+    pub fn run<'p, C, O, R>(
         &self,
         backend: &mut dyn RefinementBackend,
-        predicate: Predicate,
-        stage1: impl FnOnce() -> (Vec<C>, FilterStats),
+        op: RefineOp,
+        stage1: Stage1<C>,
         mut filters: Vec<Box<dyn CandidateFilter<C> + '_>>,
         assign: impl Fn(&C) -> usize,
         resolve: R,
-    ) -> (Vec<C>, CostBreakdown)
+    ) -> (Vec<(C, O)>, CostBreakdown)
     where
         C: Copy + Ord + Send + Sync,
+        O: Verdict,
         R: Fn(C) -> (&'p Polygon, &'p Polygon) + Sync,
     {
-        let mut cost = CostBreakdown::default();
-
-        let t0 = Instant::now();
-        let (candidates, filter_stats) = stage1();
-        cost.mbr_filter = t0.elapsed();
-        cost.candidates = candidates.len();
-        cost.node_tests = filter_stats.node_tests;
-        cost.simd_node_tests = filter_stats.simd_node_tests;
-        cost.filter_work_units = filter_stats.work_units;
+        let mut cost = CostBreakdown {
+            mbr_filter: stage1.elapsed,
+            candidates: stage1.candidates.len(),
+            node_tests: stage1.stats.node_tests,
+            simd_node_tests: stage1.stats.simd_node_tests,
+            filter_work_units: stage1.stats.work_units,
+            ..CostBreakdown::default()
+        };
 
         let t1 = Instant::now();
         // Bin the stream into partitions (one bin = the unpartitioned
@@ -123,19 +216,19 @@ impl StagedExecutor {
         let bins: Vec<Vec<C>> = if parts > 1 {
             let mut bins: Vec<Vec<C>> = Vec::new();
             bins.resize_with(parts, Vec::new);
-            for c in candidates {
+            for c in stage1.candidates {
                 bins[assign(&c) % parts].push(c);
             }
             bins
         } else {
-            vec![candidates]
+            vec![stage1.candidates]
         };
         cost.partitions_used = bins.iter().filter(|b| !b.is_empty()).count();
 
         // Stage 2 per partition, ascending partition order. Filter
         // decisions are per-candidate pure, so reordering examinations by
         // partition changes no outcome.
-        let mut results: Vec<C> = Vec::new();
+        let mut results: Vec<(C, O)> = Vec::new();
         let mut rests: Vec<Vec<C>> = Vec::with_capacity(bins.len());
         for bin in &bins {
             let mut rest: Vec<C> = Vec::new();
@@ -143,8 +236,11 @@ impl StagedExecutor {
                 for f in filters.iter_mut() {
                     match f.examine(&c) {
                         Decision::Confirm => {
-                            results.push(c);
-                            continue 'candidates;
+                            if let Some(settled) = O::CONFIRMED {
+                                results.push((c, settled));
+                                continue 'candidates;
+                            }
+                            break;
                         }
                         Decision::Reject => continue 'candidates,
                         Decision::Refine => {}
@@ -169,88 +265,7 @@ impl StagedExecutor {
                 }
                 backend.select_shard(p % self.shards.max(1));
             }
-            self.refine(
-                backend,
-                predicate,
-                rest,
-                &resolve,
-                &mut results,
-                &mut cost.tests,
-            );
-        }
-        cost.geometry_comparison = adjusted(t2.elapsed(), &cost.tests);
-        results.sort_unstable();
-        cost.results = results.len();
-        (results, cost)
-    }
-
-    /// Runs one *aggregation* query: `stage1` enumerates candidate pairs,
-    /// stage 3 measures each pair's quantized area of overlap at
-    /// `resolution` (DESIGN.md §14) and keeps the pairs with a positive
-    /// area. There is no intermediate filter stage — a boolean filter
-    /// cannot settle an area — and no atlas batching: aggregations are
-    /// per-pair submissions, so `batch` only shapes the thread units.
-    ///
-    /// Determinism matches [`StagedExecutor::run`]: binning is a
-    /// permutation, each measurement is a pure function of its pair and
-    /// the resolution (identical on every backend, shard and fallback
-    /// path), counters merge by addition in fixed order, and the final
-    /// sort by candidate erases the partition permutation — so the rows,
-    /// their areas and every deterministic counter are bit-identical
-    /// across partition grids, shard counts, thread counts and seeded
-    /// fault plans.
-    pub fn run_measure<'p, C, R>(
-        &self,
-        backend: &mut dyn RefinementBackend,
-        resolution: usize,
-        stage1: impl FnOnce() -> (Vec<C>, FilterStats),
-        assign: impl Fn(&C) -> usize,
-        resolve: R,
-    ) -> (Vec<(C, f64)>, CostBreakdown)
-    where
-        C: Copy + Ord + Send + Sync,
-        R: Fn(C) -> (&'p Polygon, &'p Polygon) + Sync,
-    {
-        let mut cost = CostBreakdown::default();
-
-        let t0 = Instant::now();
-        let (candidates, filter_stats) = stage1();
-        cost.mbr_filter = t0.elapsed();
-        cost.candidates = candidates.len();
-        cost.node_tests = filter_stats.node_tests;
-        cost.simd_node_tests = filter_stats.simd_node_tests;
-        cost.filter_work_units = filter_stats.work_units;
-
-        let parts = self.partitions.max(1);
-        let bins: Vec<Vec<C>> = if parts > 1 {
-            let mut bins: Vec<Vec<C>> = Vec::new();
-            bins.resize_with(parts, Vec::new);
-            for c in candidates {
-                bins[assign(&c) % parts].push(c);
-            }
-            bins
-        } else {
-            vec![candidates]
-        };
-        cost.partitions_used = bins.iter().filter(|b| !b.is_empty()).count();
-
-        let t2 = Instant::now();
-        let mut results: Vec<(C, f64)> = Vec::new();
-        for (p, bin) in bins.iter().enumerate() {
-            if parts > 1 {
-                if bin.is_empty() {
-                    continue;
-                }
-                backend.select_shard(p % self.shards.max(1));
-            }
-            self.measure(
-                backend,
-                resolution,
-                bin,
-                &resolve,
-                &mut results,
-                &mut cost.tests,
-            );
+            self.refine(backend, op, rest, &resolve, &mut results, &mut cost.tests);
         }
         cost.geometry_comparison = adjusted(t2.elapsed(), &cost.tests);
         results.sort_unstable_by_key(|r| r.0);
@@ -258,90 +273,36 @@ impl StagedExecutor {
         (results, cost)
     }
 
-    /// Stage 3 of the aggregation path: measure `bin`, keeping positive
-    /// areas, honoring `threads` with the same unit/round-robin/merge
-    /// discipline as [`StagedExecutor::refine`].
-    fn measure<'p, C, R>(
-        &self,
-        backend: &mut dyn RefinementBackend,
-        resolution: usize,
-        bin: &[C],
-        resolve: &R,
-        out: &mut Vec<(C, f64)>,
-        tests: &mut TestStats,
-    ) where
-        C: Copy + Ord + Send + Sync,
-        R: Fn(C) -> (&'p Polygon, &'p Polygon) + Sync,
-    {
-        let measure_span = |backend: &mut dyn RefinementBackend,
-                            span: &[C],
-                            out: &mut Vec<(C, f64)>,
-                            tests: &mut TestStats| {
-            for &c in span {
-                let (p, q) = resolve(c);
-                let area = backend.measure_overlap(p, q, resolution, tests);
-                if area > 0.0 {
-                    out.push((c, area));
-                }
-            }
-        };
-
-        let threads = self.threads.max(1);
-        if threads <= 1 || bin.len() < 2 {
-            measure_span(backend, bin, out, tests);
-            return;
-        }
-        let unit = if self.batch > 1 {
-            self.batch
-        } else {
-            bin.len().div_ceil(threads).max(1)
-        };
-        let units: Vec<&[C]> = bin.chunks(unit).collect();
-        let workers = threads.min(units.len());
-        let per_worker: Vec<(Vec<(C, f64)>, TestStats)> = std::thread::scope(|scope| {
-            let units = &units;
-            let measure_span = &measure_span;
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let mut wb = backend.fork();
-                    scope.spawn(move || {
-                        let mut res = Vec::new();
-                        let mut st = TestStats::default();
-                        for u in (w..units.len()).step_by(workers) {
-                            measure_span(wb.as_mut(), units[u], &mut res, &mut st);
-                        }
-                        (res, st)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("measurement worker panicked"))
-                .collect()
-        });
-        for (res, st) in per_worker {
-            out.extend(res);
-            tests.add(&st);
-        }
-    }
-
-    /// Stage 3: decide `rest` with the backend, honoring `batch` and
+    /// Stage 3: refine `rest` with the backend, honoring `batch` and
     /// `threads`.
-    fn refine<'p, C, R>(
+    fn refine<'p, C, O, R>(
         &self,
         backend: &mut dyn RefinementBackend,
-        predicate: Predicate,
+        op: RefineOp,
         rest: &[C],
         resolve: &R,
-        out: &mut Vec<C>,
+        out: &mut Vec<(C, O)>,
         tests: &mut TestStats,
     ) where
         C: Copy + Ord + Send + Sync,
+        O: Verdict,
         R: Fn(C) -> (&'p Polygon, &'p Polygon) + Sync,
     {
+        let refine_span = |backend: &mut dyn RefinementBackend,
+                           span: &[C],
+                           out: &mut Vec<(C, O)>,
+                           tests: &mut TestStats| {
+            let pairs: Vec<(&Polygon, &Polygon)> = span.iter().map(|&c| resolve(c)).collect();
+            let verdicts = O::refine(op, self.batch, backend, &pairs, tests);
+            out.extend(
+                span.iter()
+                    .zip(verdicts)
+                    .filter_map(|(&c, v)| Some((c, v?))),
+            );
+        };
         let threads = self.threads.max(1);
         if threads <= 1 || rest.len() < 2 {
-            self.refine_span(backend, predicate, rest, resolve, out, tests);
+            refine_span(backend, rest, out, tests);
             return;
         }
 
@@ -355,8 +316,8 @@ impl StagedExecutor {
         };
         let units: Vec<&[C]> = rest.chunks(unit).collect();
         let workers = threads.min(units.len());
-        let per_worker: Vec<(Vec<C>, TestStats)> = std::thread::scope(|scope| {
-            let units = &units;
+        let per_worker: Vec<(Vec<(C, O)>, TestStats)> = std::thread::scope(|scope| {
+            let (units, refine_span) = (&units, &refine_span);
             let handles: Vec<_> = (0..workers)
                 .map(|w| {
                     let mut wb = backend.fork();
@@ -364,14 +325,7 @@ impl StagedExecutor {
                         let mut res = Vec::new();
                         let mut st = TestStats::default();
                         for u in (w..units.len()).step_by(workers) {
-                            self.refine_span(
-                                wb.as_mut(),
-                                predicate,
-                                units[u],
-                                resolve,
-                                &mut res,
-                                &mut st,
-                            );
+                            refine_span(wb.as_mut(), units[u], &mut res, &mut st);
                         }
                         (res, st)
                     })
@@ -390,40 +344,6 @@ impl StagedExecutor {
             tests.add(&st);
         }
     }
-
-    /// Decides one contiguous span, batching submissions when configured.
-    fn refine_span<'p, C, R>(
-        &self,
-        backend: &mut dyn RefinementBackend,
-        predicate: Predicate,
-        span: &[C],
-        resolve: &R,
-        out: &mut Vec<C>,
-        tests: &mut TestStats,
-    ) where
-        C: Copy + Ord + Send + Sync,
-        R: Fn(C) -> (&'p Polygon, &'p Polygon) + Sync,
-    {
-        if self.batch > 1 {
-            for group in span.chunks(self.batch) {
-                let pairs: Vec<(&Polygon, &Polygon)> = group.iter().map(|&c| resolve(c)).collect();
-                let verdicts = backend.test_batch(predicate, &pairs, tests);
-                debug_assert_eq!(verdicts.len(), group.len());
-                for (&c, keep) in group.iter().zip(verdicts) {
-                    if keep {
-                        out.push(c);
-                    }
-                }
-            }
-        } else {
-            for &c in span {
-                let (p, q) = resolve(c);
-                if backend.test(predicate, p, q, tests) {
-                    out.push(c);
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -431,6 +351,23 @@ mod tests {
     use super::*;
     use crate::config::HwConfig;
     use crate::pipeline::backend::{HardwareBackend, SoftwareBackend};
+    use crate::pipeline::Predicate;
+
+    const INTERSECTS: RefineOp = RefineOp::Test(Predicate::Intersects);
+
+    /// A hand-built candidate list standing in for the MBR filter.
+    fn stage1<C>(candidates: Vec<C>) -> Stage1<C> {
+        Stage1 {
+            candidates,
+            stats: FilterStats::default(),
+            elapsed: Duration::ZERO,
+        }
+    }
+
+    /// The kept candidates of a boolean run, verdicts dropped.
+    fn kept<C>((rows, cost): (Vec<(C, ())>, CostBreakdown)) -> (Vec<C>, CostBreakdown) {
+        (rows.into_iter().map(|(c, ())| c).collect(), cost)
+    }
 
     fn square(x: f64, y: f64, s: f64) -> Polygon {
         Polygon::from_coords(&[(x, y), (x + s, y), (x + s, y + s), (x, y + s)])
@@ -463,14 +400,14 @@ mod tests {
             shards: 1,
         };
         let mut backend = SoftwareBackend;
-        let (results, cost) = exec.run(
+        let (results, cost) = kept(exec.run(
             &mut backend,
-            Predicate::Intersects,
-            || ((0..10).collect(), FilterStats::default()),
+            INTERSECTS,
+            stage1((0..10).collect()),
             vec![Box::new(ParityFilter)],
             |_| 0,
             |i| (&query, &polys[i]),
-        );
+        ));
         // Confirmed: even non-multiples-of-5 {2,4,6,8}. Refined {1,3,7,9}:
         // none intersects the query. Rejected {0,5} — including the one
         // true geometric intersection, proving Reject short-circuits.
@@ -517,14 +454,14 @@ mod tests {
                 shards: 1,
             };
             let mut backend = HardwareBackend::new(HwConfig::at_resolution(8));
-            exec.run(
+            kept(exec.run(
                 &mut backend,
-                Predicate::Intersects,
-                || (cands.clone(), FilterStats::default()),
+                INTERSECTS,
+                stage1(cands.clone()),
                 Vec::new(),
                 |_| 0,
                 |(i, j)| (&left[i], &right[j]),
-            )
+            ))
         };
 
         let (base_results, base_cost) = run(1, 1);
@@ -567,10 +504,11 @@ mod tests {
                 shards,
             };
             let mut backend = HardwareBackend::new(HwConfig::at_resolution(8));
-            exec.run_measure(
+            exec.run::<_, f64, _>(
                 &mut backend,
-                32,
-                || (cands.clone(), FilterStats::default()),
+                RefineOp::Measure { resolution: 32 },
+                stage1(cands.clone()),
+                Vec::new(),
                 |&(i, _)| i,
                 |(i, j)| (&left[i], &right[j]),
             )
@@ -595,6 +533,69 @@ mod tests {
         }
     }
 
+    /// One binning code path: a measurement and a boolean test over the
+    /// same candidates and partition grid report identical stage-1 and
+    /// partition accounting — and a filter's `Confirm`, which settles a
+    /// boolean, leaves an area to be measured all the same.
+    #[test]
+    fn measure_and_test_share_binning_and_filter_chain() {
+        struct ConfirmAll;
+        impl CandidateFilter<(usize, usize)> for ConfirmAll {
+            fn examine(&mut self, _: &(usize, usize)) -> Decision {
+                Decision::Confirm
+            }
+        }
+        let (left, right) = bars();
+        let cands: Vec<(usize, usize)> = (0..6).flat_map(|i| (0..6).map(move |j| (i, j))).collect();
+        let exec = StagedExecutor {
+            batch: 1,
+            threads: 1,
+            partitions: 4,
+            shards: 2,
+        };
+        let measure = RefineOp::Measure { resolution: 32 };
+        let mut backend = HardwareBackend::new(HwConfig::at_resolution(8));
+        let (tested, tc) = kept(exec.run(
+            &mut backend,
+            INTERSECTS,
+            stage1(cands.clone()),
+            Vec::new(),
+            |&(i, _)| i,
+            |(i, j)| (&left[i], &right[j]),
+        ));
+        let (measured, mc) = exec.run::<_, f64, _>(
+            &mut backend,
+            measure,
+            stage1(cands.clone()),
+            Vec::new(),
+            |&(i, _)| i,
+            |(i, j)| (&left[i], &right[j]),
+        );
+        assert_eq!(tc.candidates, mc.candidates);
+        assert_eq!(tc.partitions_used, mc.partitions_used);
+        assert_eq!(
+            mc.partitions_used, 4,
+            "left indices 0..6 fill all four bins"
+        );
+        assert!(!measured.is_empty());
+        assert!(
+            measured.iter().all(|(c, _)| tested.contains(c)),
+            "positive overlap implies intersection"
+        );
+
+        let (confirmed, cc) = exec.run::<_, f64, _>(
+            &mut backend,
+            measure,
+            stage1(cands.clone()),
+            vec![Box::new(ConfirmAll)],
+            |&(i, _)| i,
+            |(i, j)| (&left[i], &right[j]),
+        );
+        assert_eq!(confirmed, measured, "a confirmed pair is still measured");
+        assert_eq!(cc.filter_hits, 0, "no refinement was skipped");
+        assert_eq!(cc.tests.overlap_tests, mc.tests.overlap_tests);
+    }
+
     #[test]
     fn batching_reduces_submission_rounds() {
         let (left, right) = bars();
@@ -607,14 +608,14 @@ mod tests {
                 shards: 1,
             };
             let mut backend = HardwareBackend::new(HwConfig::at_resolution(8));
-            exec.run(
+            kept(exec.run(
                 &mut backend,
-                Predicate::Intersects,
-                || (cands.clone(), FilterStats::default()),
+                INTERSECTS,
+                stage1(cands.clone()),
                 Vec::new(),
                 |_| 0,
                 |(i, j)| (&left[i], &right[j]),
-            )
+            ))
         };
         let (r1, c1) = run(1);
         let (r2, c2) = run(64);

@@ -23,8 +23,8 @@ pub enum Decision {
     Refine,
 }
 
-/// One intermediate filter over candidates of type `C` (`usize` for
-/// selections, `(usize, usize)` for joins).
+/// One intermediate filter over candidates of type `C` (the pipelines
+/// use `(left, right)` index pairs; a selection's left index is 0).
 ///
 /// `examine` takes `&mut self` because real filters keep state (the
 /// 1-object filter's edge cache); implementations must stay deterministic
@@ -58,9 +58,9 @@ impl<'a> InteriorFilterStage<'a> {
     }
 }
 
-impl CandidateFilter<usize> for InteriorFilterStage<'_> {
-    fn examine(&mut self, &i: &usize) -> Decision {
-        if self.filter.covers(&self.ds.polygon(i).mbr()) {
+impl CandidateFilter<(usize, usize)> for InteriorFilterStage<'_> {
+    fn examine(&mut self, &(_, j): &(usize, usize)) -> Decision {
+        if self.filter.covers(&self.ds.polygon(j).mbr()) {
             Decision::Confirm
         } else {
             Decision::Refine
@@ -156,9 +156,13 @@ mod tests {
         let query = square(0.0, 0.0, 16.0);
         let ds = dataset(vec![square(7.0, 7.0, 1.0), square(-5.0, -5.0, 1.0)]);
         let mut stage = InteriorFilterStage::new(&query, 4, &ds);
-        assert_eq!(stage.examine(&0), Decision::Confirm, "deep-interior MBR");
         assert_eq!(
-            stage.examine(&1),
+            stage.examine(&(0, 0)),
+            Decision::Confirm,
+            "deep-interior MBR"
+        );
+        assert_eq!(
+            stage.examine(&(0, 1)),
             Decision::Refine,
             "outside MBR proves nothing"
         );

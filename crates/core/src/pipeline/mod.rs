@@ -10,7 +10,7 @@
 //!   the interior/tiling filter for selections, the 0/1-object filters for
 //!   distance joins);
 //! * the *refinement backend* deciding survivors ([`RefinementBackend`]:
-//!   pure software, hardware-assisted Algorithm 3.1, or the hybrid
+//!   pure software, or hardware-assisted Algorithm 3.1 with the
 //!   `sw_threshold` mix of §4.3).
 //!
 //! [`StagedExecutor`] owns the loop once: stage timing, the
@@ -18,17 +18,23 @@
 //! hardware submission (`hw_batch` pairs per rendering round) and parallel
 //! candidate refinement (`refine_threads` workers over deterministic,
 //! batch-aligned partitions — results and merged counters are bit-identical
-//! to the sequential run). `SpatialEngine` instantiates it four times.
+//! to the sequential run). [`QuerySpec`] describes each of the five query
+//! kinds as data — the one place that knows how a kind enumerates
+//! candidates, which filters apply, how a candidate resolves to a polygon
+//! pair and which partition owns it — and `SpatialEngine` and the query
+//! service both execute that description.
 
 pub mod backend;
 pub mod executor;
 pub mod filter;
 pub mod recovery;
+pub mod spec;
 
-pub use backend::{HardwareBackend, HybridBackend, RefinementBackend, SoftwareBackend};
-pub use executor::StagedExecutor;
+pub use backend::{HardwareBackend, RefinementBackend, SoftwareBackend};
+pub use executor::{Stage1, StagedExecutor, Verdict};
 pub use filter::{CandidateFilter, Decision, InteriorFilterStage, ObjectFilterStage};
 pub use recovery::RecoveryPolicy;
+pub use spec::{Cand, QuerySpec};
 
 /// The spatial predicate a pipeline refines. Carried by value into the
 /// backend so one backend serves every pipeline.
@@ -40,4 +46,17 @@ pub enum Predicate {
     ContainedIn,
     /// `dist(P, Q) ≤ d` (§3.1 distance test).
     WithinDistance(f64),
+}
+
+/// What stage 3 computes for each candidate the filters left undecided:
+/// a boolean [`Predicate`] (the candidate is kept when it holds) or the
+/// area-of-overlap measurement of DESIGN.md §14 (kept when positive).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum RefineOp {
+    Test(Predicate),
+    /// Area of `P ∩ Q` quantized to a `resolution × resolution` grid over
+    /// the pair's shared MBR.
+    Measure {
+        resolution: usize,
+    },
 }

@@ -3,12 +3,17 @@
 //!
 //! One `QueryEngine` is shared (by `&self`) across any number of client
 //! threads. Each query pins exactly one snapshot epoch for its whole
-//! lifetime, is admitted through a bounded slot counter, probed through
-//! the same deterministic MBR filter the pipelines run, priced by the
-//! replay-cost planner, and executed on the chosen backend. The
-//! [`ServiceStats`] ledger accounts every submission exactly once.
+//! lifetime, is admitted through a bounded slot counter, described once
+//! as a [`QuerySpec`], filtered once, budgeted and priced on that
+//! candidate stream, and refined on the chosen backend from the same
+//! stream. The [`ServiceStats`] ledger accounts every submission exactly
+//! once.
 
-use crate::engine::{ConfigError, EngineConfig, GeometryTest, PreparedDataset, SpatialEngine};
+use crate::engine::{
+    build_backend, filter_config, ConfigError, EngineConfig, GeometryTest, PreparedDataset,
+};
+use crate::pipeline::spec::{area_rows, join_rows, selection_rows};
+use crate::pipeline::QuerySpec;
 use crate::service::admission::AdmissionQueue;
 use crate::service::brownout::{Brownout, BrownoutConfig, BrownoutRung};
 use crate::service::planner::{PlanChoice, Planned, Planner, PlannerConfig, PlannerMode};
@@ -17,10 +22,7 @@ use crate::service::request::{
 };
 use crate::service::stats::ServiceStats;
 use spatial_geom::Polygon;
-use spatial_index::{
-    join_intersecting_with, join_within_distance_with, FilterConfig, FilterStats, Snapshot,
-    SnapshotHandle,
-};
+use spatial_index::{Snapshot, SnapshotHandle};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
@@ -140,18 +142,6 @@ impl ServiceSnapshot {
     }
 }
 
-/// Stage-1 probe output: what the planner prices and budgets are
-/// checked against. `sample` holds the first few candidate pairs in the
-/// filter's deterministic order.
-struct Probe<'a> {
-    candidates: usize,
-    sample: Vec<(&'a Polygon, &'a Polygon)>,
-    distance: Option<f64>,
-    /// `Some` for area-of-overlap aggregations: the contractual grid
-    /// resolution the planner must price at (DESIGN.md §14).
-    overlap_resolution: Option<usize>,
-}
-
 /// The always-on query service (DESIGN.md §12).
 ///
 /// All methods take `&self`; wrap the engine in an `Arc` and share it
@@ -241,7 +231,7 @@ impl QueryEngine {
     }
 
     /// Serves one query: brownout gate → admission → snapshot pin →
-    /// filter probe → budget checks → plan → refine. Every call is
+    /// spec → stage 1 (once) → budget checks → plan → refine. Every call is
     /// accounted exactly once in [`ServiceStats`] (the `balanced`
     /// identity); the brownout controller sees every submission and
     /// every rejection/deadline-abort signal.
@@ -288,6 +278,7 @@ impl QueryEngine {
                 s.probe_reinstates += resp.cost.tests.probe_reinstates as u64;
             }
             Err(ServiceError::UnknownDataset(_)) => s.unknown_dataset += 1,
+            Err(ServiceError::InvalidQuery { .. }) => s.invalid_queries += 1,
             Err(ServiceError::DeadlineExceeded { .. }) => {
                 s.deadline_aborts += 1;
                 drop(s);
@@ -315,16 +306,18 @@ impl QueryEngine {
 
         check_deadline(&budget, start, Stage::Filter)?;
         let filter_t = Instant::now();
-        let probe = self.probe(&request.kind, &snap)?;
+        let spec = query_spec(&request.kind, &snap)?;
+        let stage1 = spec.stage1(&filter_config(&self.config.base));
         self.lock_stats()
             .latencies
             .filter
             .record(filter_t.elapsed());
 
+        let candidates = stage1.candidates.len();
         if let Some(max) = budget.max_candidates {
-            if probe.candidates > max {
+            if candidates > max {
                 return Err(ServiceError::CandidateBudgetExceeded {
-                    candidates: probe.candidates,
+                    candidates,
                     max_candidates: max,
                 });
             }
@@ -337,43 +330,35 @@ impl QueryEngine {
         // is backend-independent, so rows cannot change — invariant
         // 13), `CoarsePlans` caps adaptive pricing to the coarsest
         // window.
-        let planned = if rung >= BrownoutRung::ForceSoftware {
-            Planned {
-                choice: PlanChoice::Software,
-                memo_hit: false,
-                priced: false,
-            }
-        } else {
-            match self.config.planner.mode {
-                PlannerMode::ForceSoftware => Planned {
-                    choice: PlanChoice::Software,
-                    memo_hit: false,
-                    priced: false,
-                },
-                PlannerMode::ForceHardware => Planned {
-                    choice: PlanChoice::Hardware {
-                        resolution: self.config.base.hw.resolution,
-                        batch: self.config.base.hw_batch,
-                    },
-                    memo_hit: false,
-                    priced: false,
-                },
-                PlannerMode::Adaptive => {
-                    let res_limit = if rung == BrownoutRung::CoarsePlans {
-                        1
-                    } else {
-                        usize::MAX
-                    };
-                    let mut planner = self.planner.lock().unwrap_or_else(|p| p.into_inner());
-                    planner.plan_limited(
-                        request.kind.code(),
-                        probe.distance,
-                        probe.overlap_resolution,
-                        probe.candidates,
-                        &probe.sample,
-                        res_limit,
-                    )
-                }
+        let planned = match self.config.planner.mode {
+            _ if rung >= BrownoutRung::ForceSoftware => Planned::unpriced(PlanChoice::Software),
+            PlannerMode::ForceSoftware => Planned::unpriced(PlanChoice::Software),
+            PlannerMode::ForceHardware => Planned::unpriced(PlanChoice::Hardware {
+                resolution: self.config.base.hw.resolution,
+                batch: self.config.base.hw_batch,
+            }),
+            PlannerMode::Adaptive => {
+                let res_limit = if rung == BrownoutRung::CoarsePlans {
+                    1
+                } else {
+                    usize::MAX
+                };
+                // The leading candidate pairs, in the filter's
+                // deterministic order, are the pricing sample.
+                let sample: Vec<(&Polygon, &Polygon)> = stage1
+                    .candidates
+                    .iter()
+                    .take(self.config.planner.sample)
+                    .map(|&c| spec.resolve(c))
+                    .collect();
+                let mut planner = self.planner.lock().unwrap_or_else(|p| p.into_inner());
+                planner.plan_limited(
+                    request.kind.code(),
+                    spec.op(),
+                    candidates,
+                    &sample,
+                    res_limit,
+                )
             }
         };
         {
@@ -408,46 +393,23 @@ impl QueryEngine {
                 cfg.hw_batch = batch;
             }
         }
-        let mut engine = SpatialEngine::new(cfg);
+        // A fresh backend per query: recording caches live one query.
+        let mut backend = build_backend(&cfg);
+        // An aggregation's resolution is the request's contract; the
+        // plan only moves the fragment counting between backends (both
+        // answer the identical quantized area — §14).
         let (rows, cost) = match &request.kind {
-            QueryKind::IntersectionSelection { dataset, query } => {
-                let ds = snap.get(dataset).expect("probe resolved the dataset");
-                let (rows, cost) = engine.intersection_selection(ds, query);
-                (QueryRows::Selection(rows), cost)
+            QueryKind::IntersectionSelection { .. } | QueryKind::ContainmentSelection { .. } => {
+                let (kept, cost) = spec.execute(&cfg, backend.as_mut(), stage1);
+                (QueryRows::Selection(selection_rows(kept)), cost)
             }
-            QueryKind::ContainmentSelection { dataset, query } => {
-                let ds = snap.get(dataset).expect("probe resolved the dataset");
-                let (rows, cost) = engine.containment_selection(ds, query);
-                (QueryRows::Selection(rows), cost)
+            QueryKind::IntersectionJoin { .. } | QueryKind::WithinDistanceJoin { .. } => {
+                let (kept, cost) = spec.execute(&cfg, backend.as_mut(), stage1);
+                (QueryRows::Join(join_rows(kept)), cost)
             }
-            QueryKind::IntersectionJoin { left, right } => {
-                let a = snap.get(left).expect("probe resolved the dataset");
-                let b = snap.get(right).expect("probe resolved the dataset");
-                let (rows, cost) = engine.intersection_join(a, b);
-                (QueryRows::Join(rows), cost)
-            }
-            QueryKind::WithinDistanceJoin {
-                left,
-                right,
-                distance,
-            } => {
-                let a = snap.get(left).expect("probe resolved the dataset");
-                let b = snap.get(right).expect("probe resolved the dataset");
-                let (rows, cost) = engine.within_distance_join(a, b, *distance);
-                (QueryRows::Join(rows), cost)
-            }
-            QueryKind::OverlapArea {
-                left,
-                right,
-                resolution,
-            } => {
-                let a = snap.get(left).expect("probe resolved the dataset");
-                let b = snap.get(right).expect("probe resolved the dataset");
-                // The request's resolution is the contract; the plan
-                // only moves the fragment counting between backends
-                // (both answer the identical quantized area — §14).
-                let (rows, cost) = engine.overlap_area_join(a, b, *resolution);
-                (QueryRows::AreaJoin(rows), cost)
+            QueryKind::OverlapArea { .. } => {
+                let (kept, cost) = spec.execute(&cfg, backend.as_mut(), stage1);
+                (QueryRows::AreaJoin(area_rows(kept)), cost)
             }
         };
         self.lock_stats()
@@ -460,129 +422,51 @@ impl QueryEngine {
             plan: planned.choice,
             plan_cached: planned.memo_hit,
             epoch,
-            candidates: probe.candidates,
+            candidates,
             cost,
         })
     }
+}
 
-    /// Stage-1 probe: runs the same deterministic MBR filter the chosen
-    /// pipeline will run (the flat-near-zero curve of Figure 10, so the
-    /// duplicated work is cheap) and collects the leading candidate
-    /// pairs as the planner's pricing sample.
-    fn probe<'a>(
-        &self,
-        kind: &'a QueryKind,
-        snap: &'a ServiceSnapshot,
-    ) -> Result<Probe<'a>, ServiceError> {
-        let simd = self.config.base.filter_simd;
-        let fcfg = FilterConfig {
-            threads: self.config.base.filter_threads,
-            simd,
-            ..FilterConfig::default()
-        };
-        let sample_size = self
-            .planner
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .sample_size();
-        let mut fs = FilterStats::default();
-        let resolve = |name: &str| -> Result<&'a Arc<PreparedDataset>, ServiceError> {
-            snap.get(name)
-                .ok_or_else(|| ServiceError::UnknownDataset(name.to_string()))
-        };
-        Ok(match kind {
-            QueryKind::IntersectionSelection { dataset, query } => {
-                let ds = resolve(dataset)?;
-                let cands = ds.tree.search_intersects_stats(&query.mbr(), simd, &mut fs);
-                Probe {
-                    candidates: cands.len(),
-                    sample: cands
-                        .iter()
-                        .take(sample_size)
-                        .map(|&&i| (query, ds.polygon(i)))
-                        .collect(),
-                    distance: None,
-                    overlap_resolution: None,
-                }
+/// Describes `kind` against the pinned snapshot — the one place a
+/// request's names are resolved and its parameters validated.
+fn query_spec<'a>(
+    kind: &'a QueryKind,
+    snap: &'a ServiceSnapshot,
+) -> Result<QuerySpec<'a>, ServiceError> {
+    let dataset = |name: &str| -> Result<&'a PreparedDataset, ServiceError> {
+        snap.get(name)
+            .map(|ds| &**ds)
+            .ok_or_else(|| ServiceError::UnknownDataset(name.to_string()))
+    };
+    Ok(match kind {
+        QueryKind::IntersectionSelection { dataset: ds, query } => {
+            QuerySpec::intersection_selection(dataset(ds)?, query)
+        }
+        QueryKind::ContainmentSelection { dataset: ds, query } => {
+            QuerySpec::containment_selection(dataset(ds)?, query)
+        }
+        QueryKind::IntersectionJoin { left, right } => {
+            QuerySpec::intersection_join(dataset(left)?, dataset(right)?)
+        }
+        QueryKind::WithinDistanceJoin {
+            left,
+            right,
+            distance,
+        } => QuerySpec::within_distance_join(dataset(left)?, dataset(right)?, *distance),
+        QueryKind::OverlapArea {
+            left,
+            right,
+            resolution,
+        } => {
+            if *resolution == 0 {
+                return Err(ServiceError::InvalidQuery {
+                    reason: "overlap resolution = 0 (the area grid needs ≥ 1 cell per side)",
+                });
             }
-            QueryKind::ContainmentSelection { dataset, query } => {
-                let ds = resolve(dataset)?;
-                let qmbr = query.mbr();
-                let cands: Vec<usize> = ds
-                    .tree
-                    .search_intersects_stats(&qmbr, simd, &mut fs)
-                    .into_iter()
-                    .copied()
-                    .filter(|&i| qmbr.contains_rect(&ds.polygon(i).mbr()))
-                    .collect();
-                Probe {
-                    candidates: cands.len(),
-                    sample: cands
-                        .iter()
-                        .take(sample_size)
-                        .map(|&i| (ds.polygon(i), query))
-                        .collect(),
-                    distance: None,
-                    overlap_resolution: None,
-                }
-            }
-            QueryKind::IntersectionJoin { left, right } => {
-                let a = resolve(left)?;
-                let b = resolve(right)?;
-                let cands = join_intersecting_with(&a.tree, &b.tree, &fcfg, &mut fs);
-                Probe {
-                    candidates: cands.len(),
-                    sample: cands
-                        .iter()
-                        .take(sample_size)
-                        .map(|&(&i, &j)| (a.polygon(i), b.polygon(j)))
-                        .collect(),
-                    distance: None,
-                    overlap_resolution: None,
-                }
-            }
-            QueryKind::OverlapArea {
-                left,
-                right,
-                resolution,
-            } => {
-                // Same candidate generation as the intersection join —
-                // only MBR-overlapping pairs can have nonzero area.
-                let a = resolve(left)?;
-                let b = resolve(right)?;
-                let cands = join_intersecting_with(&a.tree, &b.tree, &fcfg, &mut fs);
-                Probe {
-                    candidates: cands.len(),
-                    sample: cands
-                        .iter()
-                        .take(sample_size)
-                        .map(|&(&i, &j)| (a.polygon(i), b.polygon(j)))
-                        .collect(),
-                    distance: None,
-                    overlap_resolution: Some(*resolution),
-                }
-            }
-            QueryKind::WithinDistanceJoin {
-                left,
-                right,
-                distance,
-            } => {
-                let a = resolve(left)?;
-                let b = resolve(right)?;
-                let cands = join_within_distance_with(&a.tree, &b.tree, *distance, &fcfg, &mut fs);
-                Probe {
-                    candidates: cands.len(),
-                    sample: cands
-                        .iter()
-                        .take(sample_size)
-                        .map(|&(&i, &j)| (a.polygon(i), b.polygon(j)))
-                        .collect(),
-                    distance: Some(*distance),
-                    overlap_resolution: None,
-                }
-            }
-        })
-    }
+            QuerySpec::overlap_area_join(dataset(left)?, dataset(right)?, *resolution)
+        }
+    })
 }
 
 fn check_deadline(budget: &QueryBudget, start: Instant, stage: Stage) -> Result<(), ServiceError> {
@@ -698,6 +582,39 @@ mod tests {
         assert_eq!(stats.budget_aborts, 1);
     }
 
+    /// Regression: a zero overlap resolution used to panic inside the
+    /// planner (`Viewport::new`) after `admitted += 1` with no terminal
+    /// counter — the ledger stayed unbalanced for the engine's life — or,
+    /// through the convenience constructor, in the constructor itself.
+    #[test]
+    fn zero_overlap_resolution_is_a_typed_error() {
+        let engine = tiny_engine(ServiceConfig::default());
+        for bad in [
+            QueryRequest::overlap_area_join("boxes", "boxes", 0),
+            QueryRequest::new(QueryKind::OverlapArea {
+                left: "boxes".into(),
+                right: "boxes".into(),
+                resolution: 0,
+            }),
+        ] {
+            let err = engine.execute(&bad).unwrap_err();
+            assert!(
+                matches!(err, ServiceError::InvalidQuery { .. }),
+                "unexpected error: {err:?}"
+            );
+            assert!(err.to_string().contains("resolution = 0"), "{err}");
+        }
+        assert_eq!(engine.in_flight(), 0);
+        let stats = engine.stats();
+        assert!(stats.balanced(), "{stats:?}");
+        assert_eq!((stats.admitted, stats.invalid_queries), (2, 2));
+        // The engine keeps serving.
+        assert!(engine.execute(&selection()).is_ok());
+        let stats = engine.stats();
+        assert!(stats.balanced(), "{stats:?}");
+        assert_eq!(stats.completed, 1);
+    }
+
     /// The default budget applies field-by-field when a request carries
     /// none.
     #[test]
@@ -771,7 +688,7 @@ mod tests {
         .is_ok());
     }
 
-    /// A stage-1 probe that finds zero candidates short-circuits to
+    /// A stage-1 pass that finds zero candidates short-circuits to
     /// software without a pricing pass: no choreography is recorded, no
     /// skeleton cache entry is created, and the plan-cache counters do
     /// not move (satellite fix: this used to count a spurious

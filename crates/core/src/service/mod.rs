@@ -37,7 +37,8 @@
 //! * **Accounting** — [`ServiceStats`] balances exactly:
 //!   `submitted == admitted + rejected + overload_sheds` and
 //!   `admitted == completed + deadline_aborts + budget_aborts +
-//!   unknown_dataset`, with per-stage latency histograms.
+//!   unknown_dataset + invalid_queries`, with per-stage latency
+//!   histograms.
 //!
 //! # Example
 //!

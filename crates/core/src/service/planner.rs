@@ -26,6 +26,7 @@
 //! a wrong estimate can never corrupt an answer.
 
 use crate::hw_intersect::HwTester;
+use crate::pipeline::{Predicate, RefineOp};
 use crate::recording::{strategy_code, CacheKey, RecordingCache};
 use spatial_geom::Polygon;
 use spatial_raster::{HwCostModel, ListTemplate, OverlapStrategy, Viewport, MAX_AA_LINE_WIDTH};
@@ -112,6 +113,18 @@ pub(crate) struct Planned {
     pub priced: bool,
 }
 
+impl Planned {
+    /// A decision reached without consulting the memo or pricing
+    /// anything: a forced mode, or nothing to refine.
+    pub(crate) fn unpriced(choice: PlanChoice) -> Self {
+        Planned {
+            choice,
+            memo_hit: false,
+            priced: false,
+        }
+    }
+}
+
 /// Memo key: everything that determines a pricing pass's output.
 /// Candidate counts are bucketed by log2 so "the same query against the
 /// same data" hits while materially different workloads don't.
@@ -152,44 +165,27 @@ impl Planner {
         }
     }
 
-    pub(crate) fn sample_size(&self) -> usize {
-        self.cfg.sample
-    }
-
-    /// Prices the query described by (`kind`, `distance`, `candidates`,
+    /// Prices the query described by (`kind`, `op`, `candidates`,
     /// `sample`) and returns the cheapest plan. `sample` holds up to
     /// [`PlannerConfig::sample`] candidate pairs in the filter stage's
-    /// deterministic order. (The engine always goes through
-    /// [`plan_limited`](Self::plan_limited); this uncapped spelling
-    /// keeps the planner's own tests readable.)
-    #[cfg(test)]
-    pub(crate) fn plan(
-        &mut self,
-        kind: u8,
-        distance: Option<f64>,
-        candidates: usize,
-        sample: &[(&Polygon, &Polygon)],
-    ) -> Planned {
-        self.plan_limited(kind, distance, None, candidates, sample, usize::MAX)
-    }
-
-    /// [`plan`](Self::plan) with a cap on how many of the configured
+    /// deterministic order.
+    ///
+    /// `res_limit` caps how many of the configured
     /// resolutions are priced, coarsest first — the brownout
     /// controller's `CoarsePlans` rung passes 1 so pricing (and the
     /// resulting hardware passes) run at the cheapest window only.
     /// Whatever the cap, the chosen plan is exact (invariant 13).
     ///
-    /// `overlap_resolution` is `Some` for area-of-overlap aggregations:
-    /// their grid resolution is part of the query contract, so the
-    /// planner prices hardware at exactly that resolution (the
-    /// configured resolution ladder and the brownout cap tune *boolean*
-    /// choreographies only) and its choice moves the counting between
-    /// backends without ever changing the quantized answer (§14).
+    /// An area-of-overlap aggregation's grid resolution is part of the
+    /// query contract, so under [`RefineOp::Measure`] the planner prices
+    /// hardware at exactly that resolution (the configured resolution
+    /// ladder and the brownout cap tune *boolean* choreographies only)
+    /// and its choice moves the counting between backends without ever
+    /// changing the quantized answer (§14).
     pub(crate) fn plan_limited(
         &mut self,
         kind: u8,
-        distance: Option<f64>,
-        overlap_resolution: Option<usize>,
+        op: RefineOp,
         candidates: usize,
         sample: &[(&Polygon, &Polygon)],
         res_limit: usize,
@@ -199,12 +195,8 @@ impl Planner {
             // avoids standing up a device. Short-circuit *before*
             // touching the memo or the skeleton cache — no choreography
             // is recorded and the serving ledger must not count this as
-            // a pricing pass (`priced: false`).
-            return Planned {
-                choice: PlanChoice::Software,
-                memo_hit: false,
-                priced: false,
-            };
+            // a pricing pass.
+            return Planned::unpriced(PlanChoice::Software);
         }
 
         let sample_vertices: u64 = sample
@@ -218,9 +210,11 @@ impl Planner {
             // Kind codes disambiguate the reuse: distance bits for
             // within-distance joins, the contractual grid resolution
             // for overlap aggregations, 0 otherwise.
-            width_bits: overlap_resolution
-                .map(|r| r as u64)
-                .unwrap_or_else(|| distance.map_or(0, f64::to_bits)),
+            width_bits: match op {
+                RefineOp::Measure { resolution } => resolution as u64,
+                RefineOp::Test(Predicate::WithinDistance(d)) => d.to_bits(),
+                RefineOp::Test(_) => 0,
+            },
             res_limit: res_limit.min(u8::MAX as usize) as u8,
         };
         if let Some(&choice) = self.memo.get(&key) {
@@ -231,10 +225,7 @@ impl Planner {
             };
         }
 
-        let choice = match overlap_resolution {
-            Some(r) => self.price_overlap(r, candidates, sample, sample_vertices),
-            None => self.price(distance, candidates, sample, sample_vertices, res_limit),
-        };
+        let choice = self.price(op, candidates, sample, sample_vertices, res_limit);
         if self.memo.len() >= self.cfg.memo_entries {
             self.memo.clear();
         }
@@ -247,10 +238,12 @@ impl Planner {
     }
 
     /// The Figure-13 comparison: software sweep estimate vs per-pair and
-    /// batched hardware at every configured resolution.
+    /// batched hardware at every configured resolution. For an
+    /// aggregation the software side prices the exact Sutherland–Hodgman
+    /// clip as a vertex sweep with the same calibrated per-vertex rate.
     fn price(
         &mut self,
-        distance: Option<f64>,
+        op: RefineOp,
         candidates: usize,
         sample: &[(&Polygon, &Polygon)],
         sample_vertices: u64,
@@ -264,23 +257,33 @@ impl Planner {
         // Fixed per-test overhead a batched submission amortizes: two
         // boundary draw calls and one verdict readback per pair.
         let fixed = 2.0 * self.model.draw_call_ns + self.model.minmax_ns;
-        // Under a brownout cap only the coarsest (cheapest) windows are
-        // candidates; sort so "coarsest first" holds for any config.
-        let mut resolutions = self.cfg.resolutions.clone();
-        resolutions.sort_unstable();
-        resolutions.truncate(res_limit.max(1));
+        let resolutions = match op {
+            // The grid resolution is the query's contract: there is no
+            // resolution *choice* to make.
+            RefineOp::Measure { resolution } => vec![resolution],
+            // Under a brownout cap only the coarsest (cheapest) windows
+            // are candidates; sort so "coarsest first" holds for any
+            // config.
+            RefineOp::Test(_) => {
+                let mut resolutions = self.cfg.resolutions.clone();
+                resolutions.sort_unstable();
+                resolutions.truncate(res_limit.max(1));
+                resolutions
+            }
+        };
         for r in resolutions {
             let mut total_ns = 0.0;
             let mut priced = 0usize;
             for &(p, q) in sample {
-                if let Some(pair_ns) = self.price_pair(distance, r, p, q) {
+                if let Some(pair_ns) = self.price_pair(op, r, p, q) {
                     total_ns += pair_ns;
                     priced += 1;
                 }
             }
             if priced == 0 {
                 // Hardware infeasible at this resolution (every sampled
-                // pair hit the width limit or had no projection window).
+                // pair hit the width limit or had no projection window);
+                // disjoint overlap pairs answer their zeros for free.
                 continue;
             }
             let mean_pair = total_ns / priced as f64;
@@ -296,6 +299,11 @@ impl Planner {
                 );
             }
 
+            if matches!(op, RefineOp::Measure { .. }) {
+                // Aggregations submit per pair (DESIGN.md §14): there is
+                // no atlas-batched variant to price.
+                continue;
+            }
             let rounds = (candidates as u64).div_ceil(self.cfg.batch as u64) as f64;
             let batched_total =
                 n * (mean_pair - fixed).max(0.0) + rounds * (fixed + self.model.batch_ns);
@@ -312,88 +320,47 @@ impl Planner {
         best.1
     }
 
-    /// The Figure-13 comparison for area-of-overlap aggregations. Only
-    /// the query's own contractual resolution is priced (there is no
-    /// resolution *choice* to make), and there is no atlas-batched
-    /// variant — aggregations submit per pair (DESIGN.md §14). The
-    /// software side prices the exact Sutherland–Hodgman clip as a
-    /// vertex sweep with the same calibrated per-vertex rate.
-    fn price_overlap(
-        &mut self,
-        resolution: usize,
-        candidates: usize,
-        sample: &[(&Polygon, &Polygon)],
-        sample_vertices: u64,
-    ) -> PlanChoice {
-        let n = candidates as f64;
-        let mean_vertices = sample_vertices as f64 / sample.len() as f64;
-        let sw_total = n * mean_vertices * self.cfg.sweep_ns_per_vertex;
-
-        let mut total_ns = 0.0;
-        let mut priced = 0usize;
-        for &(p, q) in sample {
-            if let Some(pair_ns) = self.price_overlap_pair(resolution, p, q) {
-                total_ns += pair_ns;
-                priced += 1;
-            }
-        }
-        if priced == 0 {
-            // Every sampled pair was disjoint or degenerate: nothing to
-            // render, software answers the zeros for free.
-            return PlanChoice::Software;
-        }
-        if n * (total_ns / priced as f64) < sw_total {
-            PlanChoice::Hardware {
-                resolution,
-                batch: 1,
-            }
-        } else {
-            PlanChoice::Software
-        }
-    }
-
-    /// Prices one sampled overlap pair by recording (or warm-splicing)
-    /// the §14 fragment-counting choreography and replaying it against
-    /// the cost model. `None` when the pair's shared MBR is empty or
-    /// degenerate — such pairs answer `0.0` without touching a device.
-    fn price_overlap_pair(&mut self, resolution: usize, p: &Polygon, q: &Polygon) -> Option<f64> {
-        let region = crate::hw_overlap::overlap_region(p, q)?;
-        let key = CacheKey::Overlap { resolution };
-        let list = match self.skeletons.lookup(&key) {
-            Some((template, _slot)) => template.instantiate_with_polys(
-                &[Viewport::new(region, resolution, resolution)],
-                |_, _| {},
-                |_, _| {},
-                |i, out| out.extend_from_slice(if i == 0 { p.vertices() } else { q.vertices() }),
-            ),
-            None => {
-                let (list, slot) = HwTester::record_overlap_area(
-                    region,
-                    resolution,
-                    p.vertices().iter().copied(),
-                    q.vertices().iter().copied(),
-                );
-                self.skeletons.insert(key, ListTemplate::new(&list), slot);
-                list
-            }
-        };
-        Some(ns(self.model.replay_cost(&list)))
-    }
-
     /// Prices one sampled pair's choreography at `resolution` by
     /// recording (or warm-splicing) its command list and replaying it
     /// against the cost model. `None` means hardware can't take this
     /// pair (no projection window, or the Equation (1) line width
-    /// exceeds the hardware limit) and it would fall back to software.
+    /// exceeds the hardware limit) and it would fall back to software —
+    /// or, for an aggregation, that the pair's shared MBR is empty or
+    /// degenerate and it answers `0.0` without touching a device.
     fn price_pair(
         &mut self,
-        distance: Option<f64>,
+        op: RefineOp,
         resolution: usize,
         p: &Polygon,
         q: &Polygon,
     ) -> Option<f64> {
-        let list = match distance {
-            None => {
+        let list = match op {
+            // The §14 fragment-counting choreography.
+            RefineOp::Measure { .. } => {
+                let region = crate::hw_overlap::overlap_region(p, q)?;
+                let key = CacheKey::Overlap { resolution };
+                match self.skeletons.lookup(&key) {
+                    Some((template, _slot)) => template.instantiate_with_polys(
+                        &[Viewport::new(region, resolution, resolution)],
+                        |_, _| {},
+                        |_, _| {},
+                        |i, out| {
+                            out.extend_from_slice(if i == 0 { p.vertices() } else { q.vertices() })
+                        },
+                    ),
+                    None => {
+                        let (list, slot) = HwTester::record_overlap_area(
+                            region,
+                            resolution,
+                            p.vertices().iter().copied(),
+                            q.vertices().iter().copied(),
+                        );
+                        self.skeletons.insert(key, ListTemplate::new(&list), slot);
+                        list
+                    }
+                }
+            }
+            RefineOp::Test(Predicate::Intersects | Predicate::ContainedIn) => {
                 let region = p.mbr().intersection(&q.mbr())?;
                 let key = CacheKey::Segment {
                     strategy: strategy_code(self.strategy),
@@ -418,7 +385,7 @@ impl Planner {
                     }
                 }
             }
-            Some(d) => {
+            RefineOp::Test(Predicate::WithinDistance(d)) => {
                 // Mirror the distance test's projection-window and
                 // Equation (1) width computation (hw_distance.rs).
                 let (small, large) = if p.mbr().area() <= q.mbr().area() {
@@ -476,6 +443,25 @@ impl Planner {
 mod tests {
     use super::*;
 
+    const INTERSECTS: RefineOp = RefineOp::Test(Predicate::Intersects);
+
+    impl Planner {
+        /// The uncapped spelling of `plan_limited`.
+        fn plan(
+            &mut self,
+            kind: u8,
+            op: RefineOp,
+            candidates: usize,
+            sample: &[(&Polygon, &Polygon)],
+        ) -> Planned {
+            self.plan_limited(kind, op, candidates, sample, usize::MAX)
+        }
+    }
+
+    fn measure(resolution: usize) -> RefineOp {
+        RefineOp::Measure { resolution }
+    }
+
     fn rect_poly(x: f64, y: f64, w: f64, h: f64) -> Polygon {
         Polygon::from_coords(&[(x, y), (x + w, y), (x + w, y + h), (x, y + h)])
     }
@@ -494,7 +480,7 @@ mod tests {
     #[test]
     fn empty_candidate_set_plans_software() {
         let mut pl = Planner::new(PlannerConfig::default(), OverlapStrategy::Accumulation);
-        let planned = pl.plan(0, None, 0, &[]);
+        let planned = pl.plan(0, INTERSECTS, 0, &[]);
         assert_eq!(planned.choice, PlanChoice::Software);
         assert!(!planned.memo_hit);
         // The short-circuit is not a pricing pass: no choreography was
@@ -511,8 +497,8 @@ mod tests {
         let mut pl = Planner::new(PlannerConfig::default(), OverlapStrategy::Accumulation);
         let a = rect_poly(0.0, 0.0, 10.0, 10.0);
         let b = rect_poly(5.0, 5.0, 10.0, 10.0);
-        assert!(pl.plan(0, None, 4, &[(&a, &b)]).priced);
-        assert!(pl.plan(0, None, 4, &[(&a, &b)]).priced);
+        assert!(pl.plan(0, INTERSECTS, 4, &[(&a, &b)]).priced);
+        assert!(pl.plan(0, INTERSECTS, 4, &[(&a, &b)]).priced);
     }
 
     /// Overlap aggregations price hardware at the query's own
@@ -523,7 +509,7 @@ mod tests {
         let mut pl = Planner::new(PlannerConfig::default(), OverlapStrategy::Accumulation);
         let a = ring(5.0, 5.0, 4.0, 600);
         let b = ring(6.0, 5.0, 4.0, 600);
-        let planned = pl.plan_limited(4, None, Some(48), 10_000, &[(&a, &b)], usize::MAX);
+        let planned = pl.plan_limited(4, measure(48), 10_000, &[(&a, &b)], usize::MAX);
         assert!(planned.priced);
         match planned.choice {
             PlanChoice::Hardware { resolution, batch } => {
@@ -535,11 +521,11 @@ mod tests {
         // A repeat plan at the same resolution hits the memo; a
         // different resolution is a different query shape.
         assert!(
-            pl.plan_limited(4, None, Some(48), 10_000, &[(&a, &b)], usize::MAX)
+            pl.plan_limited(4, measure(48), 10_000, &[(&a, &b)], usize::MAX)
                 .memo_hit
         );
         assert!(
-            !pl.plan_limited(4, None, Some(16), 10_000, &[(&a, &b)], usize::MAX)
+            !pl.plan_limited(4, measure(16), 10_000, &[(&a, &b)], usize::MAX)
                 .memo_hit
         );
     }
@@ -551,7 +537,7 @@ mod tests {
         let mut pl = Planner::new(PlannerConfig::default(), OverlapStrategy::Accumulation);
         let a = rect_poly(0.0, 0.0, 1.0, 1.0);
         let b = rect_poly(5.0, 5.0, 1.0, 1.0);
-        let planned = pl.plan_limited(4, None, Some(16), 1_000_000, &[(&a, &b)], usize::MAX);
+        let planned = pl.plan_limited(4, measure(16), 1_000_000, &[(&a, &b)], usize::MAX);
         assert_eq!(planned.choice, PlanChoice::Software);
     }
 
@@ -562,7 +548,7 @@ mod tests {
         let b = rect_poly(5.0, 5.0, 10.0, 10.0);
         // A handful of 4-vertex pairs: the fixed draw/readback overhead
         // can never pay off.
-        let planned = pl.plan(0, None, 4, &[(&a, &b)]);
+        let planned = pl.plan(0, INTERSECTS, 4, &[(&a, &b)]);
         assert_eq!(planned.choice, PlanChoice::Software);
     }
 
@@ -573,7 +559,7 @@ mod tests {
         let b = ring(6.0, 5.0, 4.0, 600);
         // 1200 vertices/pair × 10 ns ≫ the modeled raster cost at a
         // small window.
-        let planned = pl.plan(2, None, 10_000, &[(&a, &b)]);
+        let planned = pl.plan(2, INTERSECTS, 10_000, &[(&a, &b)]);
         assert!(
             planned.choice.is_hardware(),
             "expected hardware, got {:?}",
@@ -586,8 +572,8 @@ mod tests {
         let mut pl = Planner::new(PlannerConfig::default(), OverlapStrategy::Accumulation);
         let a = rect_poly(0.0, 0.0, 10.0, 10.0);
         let b = rect_poly(5.0, 5.0, 10.0, 10.0);
-        let first = pl.plan(0, None, 4, &[(&a, &b)]);
-        let second = pl.plan(0, None, 4, &[(&a, &b)]);
+        let first = pl.plan(0, INTERSECTS, 4, &[(&a, &b)]);
+        let second = pl.plan(0, INTERSECTS, 4, &[(&a, &b)]);
         assert!(!first.memo_hit);
         assert!(second.memo_hit);
         assert_eq!(first.choice, second.choice);
@@ -598,7 +584,7 @@ mod tests {
         let mut pl = Planner::new(PlannerConfig::default(), OverlapStrategy::Accumulation);
         let a = ring(5.0, 5.0, 4.0, 600);
         let b = ring(6.0, 5.0, 4.0, 600);
-        let capped = pl.plan_limited(2, None, None, 10_000, &[(&a, &b)], 1);
+        let capped = pl.plan_limited(2, INTERSECTS, 10_000, &[(&a, &b)], 1);
         match capped.choice {
             PlanChoice::Hardware { resolution, .. } => {
                 assert_eq!(
@@ -610,11 +596,11 @@ mod tests {
         }
         // The capped pass memoizes under its own key: the uncapped plan
         // still runs a fresh pricing pass over every resolution.
-        let uncapped = pl.plan(2, None, 10_000, &[(&a, &b)]);
+        let uncapped = pl.plan(2, INTERSECTS, 10_000, &[(&a, &b)]);
         assert!(!uncapped.memo_hit, "cap must partition the memo");
         // And a repeat capped plan hits the capped entry.
         assert!(
-            pl.plan_limited(2, None, None, 10_000, &[(&a, &b)], 1)
+            pl.plan_limited(2, INTERSECTS, 10_000, &[(&a, &b)], 1)
                 .memo_hit
         );
     }
@@ -632,7 +618,12 @@ mod tests {
         let mut pl = Planner::new(cfg, OverlapStrategy::Accumulation);
         let a = rect_poly(0.0, 0.0, 1.0, 1.0);
         let b = rect_poly(1.5, 0.0, 1.0, 1.0);
-        let planned = pl.plan(3, Some(2.0), 50, &[(&a, &b)]);
+        let planned = pl.plan(
+            3,
+            RefineOp::Test(Predicate::WithinDistance(2.0)),
+            50,
+            &[(&a, &b)],
+        );
         assert_eq!(planned.choice, PlanChoice::Software);
     }
 }

@@ -135,14 +135,14 @@ impl QueryRequest {
     }
 
     /// An area-of-overlap aggregation join at the given grid resolution
-    /// (must be ≥ 1 — it defines the quantization of every reported
-    /// area, see [`QueryKind::OverlapArea`]).
+    /// (it defines the quantization of every reported area, see
+    /// [`QueryKind::OverlapArea`]; a zero resolution is refused at
+    /// `execute` with [`ServiceError::InvalidQuery`]).
     pub fn overlap_area_join(
         left: impl Into<String>,
         right: impl Into<String>,
         resolution: usize,
     ) -> Self {
-        assert!(resolution > 0, "overlap resolution must be >= 1");
         Self::new(QueryKind::OverlapArea {
             left: left.into(),
             right: right.into(),
@@ -248,6 +248,9 @@ pub enum ServiceError {
     Rejected { in_flight: usize, capacity: usize },
     /// The named dataset is not in the current snapshot.
     UnknownDataset(String),
+    /// The query's own parameters describe nothing executable; `reason`
+    /// names the parameter and the value it held.
+    InvalidQuery { reason: &'static str },
     /// The deadline expired before the named stage could start.
     DeadlineExceeded { stage: Stage, elapsed: Duration },
     /// The filter stage produced more candidates than the budget allows.
@@ -275,6 +278,7 @@ impl fmt::Display for ServiceError {
             ServiceError::UnknownDataset(name) => {
                 write!(f, "unknown dataset {name:?} in current snapshot")
             }
+            ServiceError::InvalidQuery { reason } => write!(f, "invalid query: {reason}"),
             ServiceError::DeadlineExceeded { stage, elapsed } => write!(
                 f,
                 "deadline exceeded before {stage} stage ({elapsed:?} elapsed)"

@@ -9,6 +9,7 @@
 //! ```text
 //! submitted == admitted + rejected + overload_sheds
 //! admitted  == completed + deadline_aborts + budget_aborts + unknown_dataset
+//!              + invalid_queries
 //! ```
 //!
 //! `overload_sheds` counts queries the brownout controller (DESIGN.md
@@ -102,7 +103,8 @@ impl Default for LatencyHistogram {
 /// One histogram per pipeline stage of a served query.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StageLatencies {
-    /// MBR filter stage (candidate generation probe).
+    /// Spec construction plus the MBR filter stage (candidate
+    /// generation).
     pub filter: LatencyHistogram,
     /// Replay-cost planning (including memo hits, which record ~0).
     pub plan: LatencyHistogram,
@@ -128,6 +130,9 @@ pub struct ServiceStats {
     pub budget_aborts: u64,
     /// Admitted queries naming a dataset absent from the snapshot.
     pub unknown_dataset: u64,
+    /// Admitted queries whose own parameters were unexecutable (typed
+    /// `ServiceError::InvalidQuery`).
+    pub invalid_queries: u64,
     /// Queries the planner sent to a hardware backend.
     pub planned_hw: u64,
     /// Queries the planner sent to the software backend.
@@ -163,7 +168,11 @@ impl ServiceStats {
     pub fn balanced(&self) -> bool {
         self.submitted == self.admitted + self.rejected + self.overload_sheds
             && self.admitted
-                == self.completed + self.deadline_aborts + self.budget_aborts + self.unknown_dataset
+                == self.completed
+                    + self.deadline_aborts
+                    + self.budget_aborts
+                    + self.unknown_dataset
+                    + self.invalid_queries
     }
 }
 

@@ -4,7 +4,9 @@
 //! and every query distance (DESIGN.md §5, invariants 1–2).
 
 use hwa_core::hw_intersect::HwTester;
-use hwa_core::{FilterStats, HardwareBackend, HwConfig, Predicate, StagedExecutor, TestStats};
+use hwa_core::{
+    FilterStats, HardwareBackend, HwConfig, Predicate, RefineOp, Stage1, StagedExecutor, TestStats,
+};
 use proptest::prelude::*;
 use spatial_geom::{min_dist_brute, polygons_intersect_brute, Point, Polygon};
 use spatial_raster::OverlapStrategy;
@@ -231,10 +233,14 @@ proptest! {
         let run = |threads: usize| {
             let exec = StagedExecutor { batch, threads, partitions: 1, shards: 1 };
             let mut backend = HardwareBackend::new(HwConfig::at_resolution(8));
-            exec.run(
+            exec.run::<_, (), _>(
                 &mut backend,
-                Predicate::Intersects,
-                || (cands.clone(), FilterStats::default()),
+                RefineOp::Test(Predicate::Intersects),
+                Stage1 {
+                    candidates: cands.clone(),
+                    stats: FilterStats::default(),
+                    elapsed: std::time::Duration::ZERO,
+                },
                 Vec::new(),
                 |_| 0,
                 |(i, j)| (&polys[i], &polys[j]),
