@@ -379,12 +379,11 @@ fn main() {
         println!("staged within-distance join verified at BaseD");
     }
 
-    // Device cross-check: every alternative executor — tiled, SIMD, and
-    // SIMD-inside-tiled-bands — must be indistinguishable from the
-    // reference replay: identical result sets AND identical values in
-    // every hardware counter, on all four pipelines, both per-pair and
-    // batched+threaded (the threaded path forks per-worker devices,
-    // exercising fork's device-kind preservation).
+    // Wrapper cross-check: a sharded front over the executor must be
+    // indistinguishable from the bare device: identical result sets AND
+    // identical values in every hardware counter, on all four pipelines,
+    // both per-pair and batched+threaded (the threaded path forks
+    // per-worker devices, exercising fork's device-kind preservation).
     {
         let hw = HwConfig::at_resolution(8).with_threshold(0);
         let make = |device, batch: usize, threads: usize| {
@@ -398,64 +397,45 @@ fn main() {
         };
         let q = &w.states50.polygons[0];
         let d = w.base_d_landc_lando;
-        let alternates = [
-            (
-                "tiled",
-                DeviceKind::Tiled {
-                    tiles: 5,
-                    threads: 3,
-                },
-            ),
-            ("simd", DeviceKind::Simd),
-            (
-                "tiled+simd",
-                DeviceKind::TiledSimd {
-                    tiles: 4,
-                    threads: 2,
-                },
-            ),
-        ];
         for (batch, threads) in [(1usize, 1usize), (64, 2)] {
-            for (dev_name, device) in alternates.clone() {
-                let mut r = make(DeviceKind::Reference, batch, threads);
-                let mut t = make(device, batch, threads);
-                let label = format!("{dev_name} batch {batch} threads {threads}");
-                check_device_pair(
-                    &format!("intersection_selection {label}"),
-                    r.intersection_selection(&w.water, q),
-                    t.intersection_selection(&w.water, q),
-                    &mut failures,
-                );
-                check_device_pair(
-                    &format!("containment_selection {label}"),
-                    r.containment_selection(&w.water, q),
-                    t.containment_selection(&w.water, q),
-                    &mut failures,
-                );
-                check_device_pair(
-                    &format!("intersection_join {label}"),
-                    r.intersection_join(&w.landc, &w.lando),
-                    t.intersection_join(&w.landc, &w.lando),
-                    &mut failures,
-                );
-                check_device_pair(
-                    &format!("within_distance_join {label}"),
-                    r.within_distance_join(&w.landc, &w.lando, d),
-                    t.within_distance_join(&w.landc, &w.lando, d),
-                    &mut failures,
-                );
-            }
+            let mut r = make(DeviceKind::Reference, batch, threads);
+            let mut t = make(DeviceKind::Reference.sharded(3), batch, threads);
+            let label = format!("sharded batch {batch} threads {threads}");
+            check_device_pair(
+                &format!("intersection_selection {label}"),
+                r.intersection_selection(&w.water, q),
+                t.intersection_selection(&w.water, q),
+                &mut failures,
+            );
+            check_device_pair(
+                &format!("containment_selection {label}"),
+                r.containment_selection(&w.water, q),
+                t.containment_selection(&w.water, q),
+                &mut failures,
+            );
+            check_device_pair(
+                &format!("intersection_join {label}"),
+                r.intersection_join(&w.landc, &w.lando),
+                t.intersection_join(&w.landc, &w.lando),
+                &mut failures,
+            );
+            check_device_pair(
+                &format!("within_distance_join {label}"),
+                r.within_distance_join(&w.landc, &w.lando, d),
+                t.within_distance_join(&w.landc, &w.lando, d),
+                &mut failures,
+            );
         }
-        println!("device cross-check verified: tiled/simd/tiled+simd ≡ reference on all pipelines");
+        println!("wrapper cross-check verified: sharded ≡ bare reference on all pipelines");
     }
 
     // Recording cache & fusion cross-check: reusing cached command-list
     // skeletons and fusing uncharged dead state are pure recording-side
     // optimizations, so every pipeline must produce bit-identical results
     // AND bit-identical charged counters with any combination of the two
-    // knobs — on every device kind, per-pair and batched+threaded, and
-    // (under `--faults`) with a fault schedule firing underneath, since
-    // neither knob changes how many times the device executes.
+    // knobs — per-pair and batched+threaded, and (under `--faults`) with
+    // a fault schedule firing underneath, since neither knob changes how
+    // many times the device executes.
     {
         let base_hw = HwConfig::at_resolution(8).with_threshold(0);
         let make = |recording, device, batch: usize, threads: usize| {
@@ -478,32 +458,13 @@ fn main() {
         };
         let mut sweep = vec![
             ("cache+fuse", "reference", DeviceKind::Reference),
-            (
-                "cache+fuse",
-                "tiled",
-                DeviceKind::Tiled {
-                    tiles: 5,
-                    threads: 3,
-                },
-            ),
-            ("cache+fuse", "simd", DeviceKind::Simd),
-            (
-                "cache+fuse",
-                "tiled+simd",
-                DeviceKind::TiledSimd {
-                    tiles: 4,
-                    threads: 2,
-                },
-            ),
-            // The partial knobs only change recording-side behaviour, so
-            // one device kind suffices to pin their counter discipline.
             ("cache-only", "reference", DeviceKind::Reference),
             ("fuse-only", "reference", DeviceKind::Reference),
         ];
         if opts.faults {
             sweep.push((
                 "cache+fuse",
-                "faulty reference",
+                "reference under context loss",
                 DeviceKind::Reference.with_faults(FaultPlan::new(
                     21,
                     FaultKind::ContextLost,
@@ -512,12 +473,8 @@ fn main() {
             ));
             sweep.push((
                 "cache+fuse",
-                "faulty tiled+simd",
-                DeviceKind::TiledSimd {
-                    tiles: 4,
-                    threads: 2,
-                }
-                .with_faults(FaultPlan::new(
+                "reference under bit-flips",
+                DeviceKind::Reference.with_faults(FaultPlan::new(
                     22,
                     FaultKind::ReadbackBitFlip,
                     FaultTrigger::EveryK(2),
@@ -589,12 +546,8 @@ fn main() {
         let mut devices = vec![("reference", DeviceKind::Reference)];
         if opts.faults {
             devices.push((
-                "faulty tiled+simd",
-                DeviceKind::TiledSimd {
-                    tiles: 4,
-                    threads: 2,
-                }
-                .with_faults(FaultPlan::new(
+                "faulty reference",
+                DeviceKind::Reference.with_faults(FaultPlan::new(
                     31,
                     FaultKind::ContextLost,
                     FaultTrigger::EveryK(3),
@@ -702,50 +655,37 @@ fn main() {
                 FaultPlan::new(14, FaultKind::Timeout, FaultTrigger::EveryK(1)),
             ),
         ];
-        let inners = [
-            ("reference", DeviceKind::Reference),
-            (
-                "tiled+simd",
-                DeviceKind::TiledSimd {
-                    tiles: 4,
-                    threads: 2,
-                },
-            ),
-        ];
         let mut faults_seen = 0usize;
         for (batch, threads) in [(1usize, 1usize), (64, 3)] {
-            for (dev_name, inner) in inners.clone() {
-                for (plan_name, plan) in plans {
-                    let mut clean = make(inner.clone(), batch, threads);
-                    let mut faulty = make(inner.clone().with_faults(plan), batch, threads);
-                    let label =
-                        format!("{plan_name} on {dev_name} batch {batch} threads {threads}");
-                    let runs = [
-                        (
-                            "intersection_selection",
-                            lift_selection(clean.intersection_selection(&w.water, q)),
-                            lift_selection(faulty.intersection_selection(&w.water, q)),
-                        ),
-                        (
-                            "containment_selection",
-                            lift_selection(clean.containment_selection(&w.water, q)),
-                            lift_selection(faulty.containment_selection(&w.water, q)),
-                        ),
-                        (
-                            "intersection_join",
-                            clean.intersection_join(&w.landc, &w.lando),
-                            faulty.intersection_join(&w.landc, &w.lando),
-                        ),
-                        (
-                            "within_distance_join",
-                            clean.within_distance_join(&w.landc, &w.lando, d),
-                            faulty.within_distance_join(&w.landc, &w.lando, d),
-                        ),
-                    ];
-                    for (pipeline, c, f) in runs {
-                        faults_seen += f.1.tests.device_faults;
-                        check_fault_pair(&format!("{pipeline} {label}"), &c, &f, &mut failures);
-                    }
+            for (plan_name, plan) in plans {
+                let mut clean = make(DeviceKind::Reference, batch, threads);
+                let mut faulty = make(DeviceKind::Reference.with_faults(plan), batch, threads);
+                let label = format!("{plan_name} batch {batch} threads {threads}");
+                let runs = [
+                    (
+                        "intersection_selection",
+                        lift_selection(clean.intersection_selection(&w.water, q)),
+                        lift_selection(faulty.intersection_selection(&w.water, q)),
+                    ),
+                    (
+                        "containment_selection",
+                        lift_selection(clean.containment_selection(&w.water, q)),
+                        lift_selection(faulty.containment_selection(&w.water, q)),
+                    ),
+                    (
+                        "intersection_join",
+                        clean.intersection_join(&w.landc, &w.lando),
+                        faulty.intersection_join(&w.landc, &w.lando),
+                    ),
+                    (
+                        "within_distance_join",
+                        clean.within_distance_join(&w.landc, &w.lando, d),
+                        faulty.within_distance_join(&w.landc, &w.lando, d),
+                    ),
+                ];
+                for (pipeline, c, f) in runs {
+                    faults_seen += f.1.tests.device_faults;
+                    check_fault_pair(&format!("{pipeline} {label}"), &c, &f, &mut failures);
                 }
             }
         }
@@ -760,8 +700,7 @@ fn main() {
 
     // Partition sweep (`--partition`): PBSM grid partitioning with
     // sharded device execution must be invisible in every observable —
-    // for grid ∈ {1, 2, 4} × shards ∈ {1, 2, 4}, on reference, SIMD and
-    // tiled devices, all four pipelines must return bit-identical results
+    // for grid ∈ {1, 2, 4} × shards ∈ {1, 2, 4}, all four pipelines must return bit-identical results
     // and hardware counters to the unpartitioned engine (per-pair mode,
     // so even the batching diagnostics have nowhere to move). With
     // `--faults` the same matrix runs against per-shard fault schedules
@@ -778,55 +717,42 @@ fn main() {
         };
         let q = &w.states50.polygons[0];
         let d = w.base_d_landc_lando;
-        let devices = [
-            ("reference", DeviceKind::Reference),
-            ("simd", DeviceKind::Simd),
-            (
-                "tiled",
-                DeviceKind::Tiled {
-                    tiles: 3,
-                    threads: 2,
-                },
-            ),
-        ];
         let mut partitions_seen = 0usize;
-        for (dev_name, device) in &devices {
-            let mut flat = make(device.clone(), 1, 1);
-            let ref_sel = flat.intersection_selection(&w.water, q);
-            let ref_con = flat.containment_selection(&w.water, q);
-            let ref_join = flat.intersection_join(&w.landc, &w.lando);
-            let ref_within = flat.within_distance_join(&w.landc, &w.lando, d);
-            for grid in [1usize, 2, 4] {
-                for shards in [1usize, 2, 4] {
-                    let mut e = make(device.clone(), grid, shards);
-                    let label = format!("{dev_name} grid {grid} shards {shards}");
-                    check_device_pair(
-                        &format!("partition intersection_selection {label}"),
-                        ref_sel.clone(),
-                        e.intersection_selection(&w.water, q),
-                        &mut failures,
-                    );
-                    check_device_pair(
-                        &format!("partition containment_selection {label}"),
-                        ref_con.clone(),
-                        e.containment_selection(&w.water, q),
-                        &mut failures,
-                    );
-                    let join = e.intersection_join(&w.landc, &w.lando);
-                    partitions_seen += join.1.partitions_used;
-                    check_device_pair(
-                        &format!("partition intersection_join {label}"),
-                        ref_join.clone(),
-                        join,
-                        &mut failures,
-                    );
-                    check_device_pair(
-                        &format!("partition within_distance_join {label}"),
-                        ref_within.clone(),
-                        e.within_distance_join(&w.landc, &w.lando, d),
-                        &mut failures,
-                    );
-                }
+        let mut flat = make(DeviceKind::Reference, 1, 1);
+        let ref_sel = flat.intersection_selection(&w.water, q);
+        let ref_con = flat.containment_selection(&w.water, q);
+        let ref_join = flat.intersection_join(&w.landc, &w.lando);
+        let ref_within = flat.within_distance_join(&w.landc, &w.lando, d);
+        for grid in [1usize, 2, 4] {
+            for shards in [1usize, 2, 4] {
+                let mut e = make(DeviceKind::Reference, grid, shards);
+                let label = format!("grid {grid} shards {shards}");
+                check_device_pair(
+                    &format!("partition intersection_selection {label}"),
+                    ref_sel.clone(),
+                    e.intersection_selection(&w.water, q),
+                    &mut failures,
+                );
+                check_device_pair(
+                    &format!("partition containment_selection {label}"),
+                    ref_con.clone(),
+                    e.containment_selection(&w.water, q),
+                    &mut failures,
+                );
+                let join = e.intersection_join(&w.landc, &w.lando);
+                partitions_seen += join.1.partitions_used;
+                check_device_pair(
+                    &format!("partition intersection_join {label}"),
+                    ref_join.clone(),
+                    join,
+                    &mut failures,
+                );
+                check_device_pair(
+                    &format!("partition within_distance_join {label}"),
+                    ref_within.clone(),
+                    e.within_distance_join(&w.landc, &w.lando, d),
+                    &mut failures,
+                );
             }
         }
         if partitions_seen == 0 {
@@ -849,44 +775,42 @@ fn main() {
                     FaultPlan::new(42, FaultKind::ReadbackBitFlip, FaultTrigger::EveryK(2)),
                 ),
             ];
-            for (dev_name, device) in &devices {
-                for grid in [2usize, 4] {
-                    for shards in [2usize, 4] {
-                        for (plan_name, plan) in plans {
-                            let mut clean = make(device.clone(), grid, shards);
-                            let mut faulty = make(device.clone().with_faults(plan), grid, shards);
-                            let label =
-                                format!("{plan_name} on {dev_name} grid {grid} shards {shards}");
-                            let runs = [
-                                (
-                                    "intersection_selection",
-                                    lift_selection(clean.intersection_selection(&w.water, q)),
-                                    lift_selection(faulty.intersection_selection(&w.water, q)),
-                                ),
-                                (
-                                    "containment_selection",
-                                    lift_selection(clean.containment_selection(&w.water, q)),
-                                    lift_selection(faulty.containment_selection(&w.water, q)),
-                                ),
-                                (
-                                    "intersection_join",
-                                    clean.intersection_join(&w.landc, &w.lando),
-                                    faulty.intersection_join(&w.landc, &w.lando),
-                                ),
-                                (
-                                    "within_distance_join",
-                                    clean.within_distance_join(&w.landc, &w.lando, d),
-                                    faulty.within_distance_join(&w.landc, &w.lando, d),
-                                ),
-                            ];
-                            for (pipeline, c, f) in runs {
-                                check_fault_pair(
-                                    &format!("partition {pipeline} {label}"),
-                                    &c,
-                                    &f,
-                                    &mut failures,
-                                );
-                            }
+            for grid in [2usize, 4] {
+                for shards in [2usize, 4] {
+                    for (plan_name, plan) in plans {
+                        let mut clean = make(DeviceKind::Reference, grid, shards);
+                        let mut faulty =
+                            make(DeviceKind::Reference.with_faults(plan), grid, shards);
+                        let label = format!("{plan_name} grid {grid} shards {shards}");
+                        let runs = [
+                            (
+                                "intersection_selection",
+                                lift_selection(clean.intersection_selection(&w.water, q)),
+                                lift_selection(faulty.intersection_selection(&w.water, q)),
+                            ),
+                            (
+                                "containment_selection",
+                                lift_selection(clean.containment_selection(&w.water, q)),
+                                lift_selection(faulty.containment_selection(&w.water, q)),
+                            ),
+                            (
+                                "intersection_join",
+                                clean.intersection_join(&w.landc, &w.lando),
+                                faulty.intersection_join(&w.landc, &w.lando),
+                            ),
+                            (
+                                "within_distance_join",
+                                clean.within_distance_join(&w.landc, &w.lando, d),
+                                faulty.within_distance_join(&w.landc, &w.lando, d),
+                            ),
+                        ];
+                        for (pipeline, c, f) in runs {
+                            check_fault_pair(
+                                &format!("partition {pipeline} {label}"),
+                                &c,
+                                &f,
+                                &mut failures,
+                            );
                         }
                     }
                 }
@@ -898,8 +822,8 @@ fn main() {
     }
 
     // Serving-layer sweep (`--service`): the online replay-cost planner
-    // must be invisible in rows (DESIGN.md invariant 13) — for every
-    // device kind, serving all four pipelines under the adaptive planner
+    // must be invisible in rows (DESIGN.md invariant 13) — serving all
+    // four pipelines under the adaptive planner
     // returns bit-identical rows to forcing software and to forcing
     // hardware, and every engine's ServiceStats ledger balances. With
     // `--faults` the same matrix runs on fault-wrapped devices, where
@@ -923,105 +847,83 @@ fn main() {
             .take(opts.queries.min(2))
             .collect();
         let d = w.base_d_landc_lando;
-        let devices = [
-            ("reference", DeviceKind::Reference),
-            ("simd", DeviceKind::Simd),
-            (
-                "tiled",
-                DeviceKind::Tiled {
-                    tiles: 3,
-                    threads: 2,
-                },
-            ),
-        ];
         let modes = [
             ("adaptive", PlannerMode::Adaptive),
             ("forced-sw", PlannerMode::ForceSoftware),
             ("forced-hw", PlannerMode::ForceHardware),
         ];
         let fault_plan = FaultPlan::new(73, FaultKind::ContextLost, FaultTrigger::EveryK(3));
-        for (dev_name, device) in &devices {
-            let mut variants = vec![(dev_name.to_string(), device.clone())];
-            if opts.faults {
-                variants.push((
-                    format!("{dev_name}+faults"),
-                    device.clone().with_faults(fault_plan),
-                ));
-            }
-            for (variant_name, dev) in variants {
-                let mut serve = |mode: PlannerMode, mode_name: &str| -> Vec<Vec<(usize, usize)>> {
-                    let engine = QueryEngine::new(
-                        ServiceConfig {
-                            base: EngineConfig {
-                                device: dev.clone(),
-                                use_object_filters: true,
-                                ..EngineConfig::hardware(
-                                    HwConfig::at_resolution(8).with_threshold(0),
-                                )
-                            },
-                            planner: PlannerConfig {
-                                mode,
-                                ..PlannerConfig::default()
-                            },
-                            ..ServiceConfig::default()
+        let mut variants = vec![("reference", DeviceKind::Reference)];
+        if opts.faults {
+            variants.push((
+                "reference+faults",
+                DeviceKind::Reference.with_faults(fault_plan),
+            ));
+        }
+        for (variant_name, dev) in variants {
+            let mut serve = |mode: PlannerMode, mode_name: &str| -> Vec<Vec<(usize, usize)>> {
+                let engine = QueryEngine::new(
+                    ServiceConfig {
+                        base: EngineConfig {
+                            device: dev.clone(),
+                            use_object_filters: true,
+                            ..EngineConfig::hardware(HwConfig::at_resolution(8).with_threshold(0))
                         },
-                        make_snapshot(),
-                    );
-                    let mut rows = Vec::new();
-                    for q in &queries {
-                        let reqs = [
-                            QueryRequest::intersection_selection("landc", (*q).clone()),
-                            QueryRequest::containment_selection("landc", (*q).clone()),
-                            QueryRequest::intersection_join("landc", "lando"),
-                            QueryRequest::within_distance_join("landc", "lando", d),
-                        ];
-                        for req in reqs {
-                            match engine.execute(&req) {
-                                Ok(resp) => rows.push(resp.rows.as_pairs()),
-                                Err(e) => {
-                                    println!(
-                                        "FAIL service {variant_name} {mode_name}: \
-                                         unbudgeted query errored: {e}"
-                                    );
-                                    failures += 1;
-                                    rows.push(Vec::new());
-                                }
+                        planner: PlannerConfig {
+                            mode,
+                            ..PlannerConfig::default()
+                        },
+                        ..ServiceConfig::default()
+                    },
+                    make_snapshot(),
+                );
+                let mut rows = Vec::new();
+                for q in &queries {
+                    let reqs = [
+                        QueryRequest::intersection_selection("landc", (*q).clone()),
+                        QueryRequest::containment_selection("landc", (*q).clone()),
+                        QueryRequest::intersection_join("landc", "lando"),
+                        QueryRequest::within_distance_join("landc", "lando", d),
+                    ];
+                    for req in reqs {
+                        match engine.execute(&req) {
+                            Ok(resp) => rows.push(resp.rows.as_pairs()),
+                            Err(e) => {
+                                println!(
+                                    "FAIL service {variant_name} {mode_name}: \
+                                     unbudgeted query errored: {e}"
+                                );
+                                failures += 1;
+                                rows.push(Vec::new());
                             }
                         }
                     }
-                    let stats = engine.stats();
-                    if !stats.balanced() {
-                        println!(
-                            "FAIL service {variant_name} {mode_name}: unbalanced ledger {stats:?}"
-                        );
-                        failures += 1;
-                    }
-                    rows
-                };
-                let [adaptive, forced_sw, forced_hw] =
-                    modes.map(|(mode_name, mode)| serve(mode, mode_name));
-                for (i, ((ad, sw), hw)) in
-                    adaptive.iter().zip(&forced_sw).zip(&forced_hw).enumerate()
-                {
-                    let pipeline = ["isect_sel", "contain_sel", "isect_join", "within_join"][i % 4];
-                    if ad != sw {
-                        println!(
-                            "FAIL service {variant_name} {pipeline}: adaptive != forced-software"
-                        );
-                        failures += 1;
-                    }
-                    if ad != hw {
-                        println!(
-                            "FAIL service {variant_name} {pipeline}: adaptive != forced-hardware"
-                        );
-                        failures += 1;
-                    }
+                }
+                let stats = engine.stats();
+                if !stats.balanced() {
+                    println!(
+                        "FAIL service {variant_name} {mode_name}: unbalanced ledger {stats:?}"
+                    );
+                    failures += 1;
+                }
+                rows
+            };
+            let [adaptive, forced_sw, forced_hw] =
+                modes.map(|(mode_name, mode)| serve(mode, mode_name));
+            for (i, ((ad, sw), hw)) in adaptive.iter().zip(&forced_sw).zip(&forced_hw).enumerate() {
+                let pipeline = ["isect_sel", "contain_sel", "isect_join", "within_join"][i % 4];
+                if ad != sw {
+                    println!("FAIL service {variant_name} {pipeline}: adaptive != forced-software");
+                    failures += 1;
+                }
+                if ad != hw {
+                    println!("FAIL service {variant_name} {pipeline}: adaptive != forced-hardware");
+                    failures += 1;
                 }
             }
         }
         println!(
-            "service sweep verified: planner modes ≡ on all pipelines across {} devices{}",
-            devices.len(),
+            "service sweep verified: planner modes ≡ on all pipelines{}",
             if opts.faults {
                 " (clean + faulted)"
             } else {
@@ -1032,7 +934,7 @@ fn main() {
 
     // Chaos sweep (`--chaos`): shard failover, probation and quarantine
     // under seeded per-shard fault schedules (DESIGN.md §13). For every
-    // inner device × shard count × probation config, a sharded engine
+    // shard count × probation config, a sharded engine
     // with one permanently dead shard — and one with every shard dead —
     // must return bit-identical results to the clean sharded engine on
     // all four pipelines, with the failover ledger balanced (invariant
@@ -1056,86 +958,72 @@ fn main() {
         };
         let q = &w.states50.polygons[0];
         let d = w.base_d_landc_lando;
-        let inners = [
-            ("reference", DeviceKind::Reference),
-            ("simd", DeviceKind::Simd),
-            (
-                "tiled",
-                DeviceKind::Tiled {
-                    tiles: 3,
-                    threads: 2,
-                },
-            ),
-        ];
         let probations = [("no-probation", None), ("probation-5us", Some(5_000u64))];
         let mut failovers_seen = 0usize;
         let mut probes_seen = 0usize;
         let mut quarantines_seen = 0usize;
-        for (dev_name, inner) in &inners {
-            for shards in [2usize, 4] {
-                for (prob_name, probation_ns) in probations {
-                    // One permanently dead shard: work routed at it must
-                    // deterministically fail over to the next healthy
-                    // shard (after the breaker opens); with probation,
-                    // ripe breakers are probed and re-opened.
-                    let dead_shard =
-                        FaultPlan::new(91, FaultKind::Timeout, FaultTrigger::EveryK(1)).on_shard(0);
-                    // Every shard dead: the supervisor quarantines the
-                    // whole device and the ladder bottoms out in exact
-                    // software.
-                    let all_dead = FaultPlan::new(92, FaultKind::Timeout, FaultTrigger::EveryK(1));
-                    let cases = [("dead shard 0", dead_shard), ("all shards dead", all_dead)];
-                    for (case_name, plan) in cases {
-                        let mut clean = make(inner.clone().sharded(shards), probation_ns);
-                        let mut chaotic = make(
-                            inner.clone().with_faults(plan).sharded(shards),
-                            probation_ns,
-                        );
-                        let label =
-                            format!("{case_name} on {dev_name} shards {shards} {prob_name}");
-                        let runs = [
-                            (
-                                "intersection_selection",
-                                lift_selection(clean.intersection_selection(&w.water, q)),
-                                lift_selection(chaotic.intersection_selection(&w.water, q)),
-                            ),
-                            (
-                                "containment_selection",
-                                lift_selection(clean.containment_selection(&w.water, q)),
-                                lift_selection(chaotic.containment_selection(&w.water, q)),
-                            ),
-                            (
-                                "intersection_join",
-                                clean.intersection_join(&w.landc, &w.lando),
-                                chaotic.intersection_join(&w.landc, &w.lando),
-                            ),
-                            (
-                                "within_distance_join",
-                                clean.within_distance_join(&w.landc, &w.lando, d),
-                                chaotic.within_distance_join(&w.landc, &w.lando, d),
-                            ),
-                        ];
-                        for (pipeline, c, f) in runs {
-                            let t = &f.1.tests;
-                            failovers_seen += t.shard_failovers;
-                            probes_seen += t.probes;
-                            quarantines_seen += t.shard_quarantined;
-                            if t.probe_reinstates > 0 {
-                                // Both schedules are permanent: a probe
-                                // can never succeed.
-                                println!(
-                                    "FAIL chaos sweep {pipeline} {label}: \
-                                     permanent fault was reinstated"
-                                );
-                                failures += 1;
-                            }
-                            check_fault_pair(
-                                &format!("chaos {pipeline} {label}"),
-                                &c,
-                                &f,
-                                &mut failures,
+        for shards in [2usize, 4] {
+            for (prob_name, probation_ns) in probations {
+                // One permanently dead shard: work routed at it must
+                // deterministically fail over to the next healthy
+                // shard (after the breaker opens); with probation,
+                // ripe breakers are probed and re-opened.
+                let dead_shard =
+                    FaultPlan::new(91, FaultKind::Timeout, FaultTrigger::EveryK(1)).on_shard(0);
+                // Every shard dead: the supervisor quarantines the
+                // whole device and the ladder bottoms out in exact
+                // software.
+                let all_dead = FaultPlan::new(92, FaultKind::Timeout, FaultTrigger::EveryK(1));
+                let cases = [("dead shard 0", dead_shard), ("all shards dead", all_dead)];
+                for (case_name, plan) in cases {
+                    let mut clean = make(DeviceKind::Reference.sharded(shards), probation_ns);
+                    let mut chaotic = make(
+                        DeviceKind::Reference.with_faults(plan).sharded(shards),
+                        probation_ns,
+                    );
+                    let label = format!("{case_name} shards {shards} {prob_name}");
+                    let runs = [
+                        (
+                            "intersection_selection",
+                            lift_selection(clean.intersection_selection(&w.water, q)),
+                            lift_selection(chaotic.intersection_selection(&w.water, q)),
+                        ),
+                        (
+                            "containment_selection",
+                            lift_selection(clean.containment_selection(&w.water, q)),
+                            lift_selection(chaotic.containment_selection(&w.water, q)),
+                        ),
+                        (
+                            "intersection_join",
+                            clean.intersection_join(&w.landc, &w.lando),
+                            chaotic.intersection_join(&w.landc, &w.lando),
+                        ),
+                        (
+                            "within_distance_join",
+                            clean.within_distance_join(&w.landc, &w.lando, d),
+                            chaotic.within_distance_join(&w.landc, &w.lando, d),
+                        ),
+                    ];
+                    for (pipeline, c, f) in runs {
+                        let t = &f.1.tests;
+                        failovers_seen += t.shard_failovers;
+                        probes_seen += t.probes;
+                        quarantines_seen += t.shard_quarantined;
+                        if t.probe_reinstates > 0 {
+                            // Both schedules are permanent: a probe
+                            // can never succeed.
+                            println!(
+                                "FAIL chaos sweep {pipeline} {label}: \
+                                 permanent fault was reinstated"
                             );
+                            failures += 1;
                         }
+                        check_fault_pair(
+                            &format!("chaos {pipeline} {label}"),
+                            &c,
+                            &f,
+                            &mut failures,
+                        );
                     }
                 }
             }
@@ -1282,7 +1170,7 @@ fn main() {
 
     // Aggregation sweep (`--aggregate`): the area-of-overlap pipeline
     // (DESIGN.md §14) is a *measurement*, so it carries two contracts at
-    // once — every backend × partition grid × seeded fault plan must
+    // once — every partition grid × shard count × seeded fault plan must
     // report bit-identical `(i, j, area)` rows with a balanced
     // degradation ledger, and every reported area must sit inside the
     // quantization envelope of the exact clipped-polygon oracle.
@@ -1296,24 +1184,6 @@ fn main() {
                 ..EngineConfig::hardware(hw)
             })
         };
-        let devices = [
-            ("reference", DeviceKind::Reference),
-            ("simd", DeviceKind::Simd),
-            (
-                "tiled",
-                DeviceKind::Tiled {
-                    tiles: 3,
-                    threads: 2,
-                },
-            ),
-            (
-                "tiled+simd",
-                DeviceKind::TiledSimd {
-                    tiles: 4,
-                    threads: 2,
-                },
-            ),
-        ];
         let plans = [
             (
                 "transient context loss",
@@ -1359,51 +1229,49 @@ fn main() {
                 }
                 pairs_checked += 1;
             }
-            for (dev_name, device) in &devices {
-                for grid in [1usize, 2, 4] {
-                    for shards in [1usize, 4] {
-                        let label = format!("res {res} {dev_name} grid {grid} shards {shards}");
-                        let (rows, cost) = make(device.clone(), grid, shards)
-                            .overlap_area_join(&w.landc, &w.lando, res);
-                        check_aggregate_rows(&label, &base, &rows, &mut failures);
-                        if cost.tests.overlap_tests != base_cost.tests.overlap_tests
-                            || cost.tests.hw_tests != base_cost.tests.hw_tests
-                        {
+            for grid in [1usize, 2, 4] {
+                for shards in [1usize, 4] {
+                    let label = format!("res {res} grid {grid} shards {shards}");
+                    let (rows, cost) = make(DeviceKind::Reference, grid, shards)
+                        .overlap_area_join(&w.landc, &w.lando, res);
+                    check_aggregate_rows(&label, &base, &rows, &mut failures);
+                    if cost.tests.overlap_tests != base_cost.tests.overlap_tests
+                        || cost.tests.hw_tests != base_cost.tests.hw_tests
+                    {
+                        println!(
+                            "FAIL aggregate counters {label}: overlap {} hw {} vs \
+                             reference overlap {} hw {}",
+                            cost.tests.overlap_tests,
+                            cost.tests.hw_tests,
+                            base_cost.tests.overlap_tests,
+                            base_cost.tests.hw_tests
+                        );
+                        failures += 1;
+                    }
+                    for (plan_name, plan) in plans {
+                        let flabel = format!("{label} under {plan_name}");
+                        let (frows, fcost) =
+                            make(DeviceKind::Reference.with_faults(plan), grid, shards)
+                                .overlap_area_join(&w.landc, &w.lando, res);
+                        check_aggregate_rows(&flabel, &base, &frows, &mut failures);
+                        if fcost.tests.overlap_tests != base_cost.tests.overlap_tests {
                             println!(
-                                "FAIL aggregate counters {label}: overlap {} hw {} vs \
-                                 reference overlap {} hw {}",
-                                cost.tests.overlap_tests,
-                                cost.tests.hw_tests,
-                                base_cost.tests.overlap_tests,
-                                base_cost.tests.hw_tests
+                                "FAIL aggregate faulted counters {flabel}: overlap {} vs {}",
+                                fcost.tests.overlap_tests, base_cost.tests.overlap_tests
                             );
                             failures += 1;
                         }
-                        for (plan_name, plan) in plans {
-                            let flabel = format!("{label} under {plan_name}");
-                            let (frows, fcost) =
-                                make(device.clone().with_faults(plan), grid, shards)
-                                    .overlap_area_join(&w.landc, &w.lando, res);
-                            check_aggregate_rows(&flabel, &base, &frows, &mut failures);
-                            if fcost.tests.overlap_tests != base_cost.tests.overlap_tests {
-                                println!(
-                                    "FAIL aggregate faulted counters {flabel}: overlap {} vs {}",
-                                    fcost.tests.overlap_tests, base_cost.tests.overlap_tests
-                                );
-                                failures += 1;
-                            }
-                            if fcost.tests.hw_tests + fcost.tests.fallback_tests
-                                != base_cost.tests.hw_tests
-                            {
-                                println!(
-                                    "FAIL aggregate faulted {flabel}: ledger leak — hw {} + \
-                                     fallback {} != clean hw {}",
-                                    fcost.tests.hw_tests,
-                                    fcost.tests.fallback_tests,
-                                    base_cost.tests.hw_tests
-                                );
-                                failures += 1;
-                            }
+                        if fcost.tests.hw_tests + fcost.tests.fallback_tests
+                            != base_cost.tests.hw_tests
+                        {
+                            println!(
+                                "FAIL aggregate faulted {flabel}: ledger leak — hw {} + \
+                                 fallback {} != clean hw {}",
+                                fcost.tests.hw_tests,
+                                fcost.tests.fallback_tests,
+                                base_cost.tests.hw_tests
+                            );
+                            failures += 1;
                         }
                     }
                 }
@@ -1411,7 +1279,7 @@ fn main() {
         }
         println!(
             "aggregate sweep verified: {pairs_checked} areas inside the §14 envelope, \
-             backends × partitions × faults row-identical"
+             partitions × shards × faults row-identical"
         );
     }
 

@@ -34,13 +34,12 @@ pub struct BenchOpts {
     pub faults: bool,
     /// `--partition`: run the PBSM partition sweep (verify harness only) —
     /// grid × shard partitioned engines must match the unpartitioned one
-    /// bit for bit, on every device kind and (with `--faults`) under
-    /// injected fault schedules.
+    /// bit for bit, also (with `--faults`) under injected fault schedules.
     pub partition: bool,
     /// `--service`: run the serving-layer sweep (verify harness only) —
     /// adaptive, forced-software and forced-hardware planner modes must
-    /// return bit-identical rows on every device kind and all four
-    /// pipelines (DESIGN.md invariant 13), with a balanced
+    /// return bit-identical rows on all four pipelines (DESIGN.md
+    /// invariant 13), with a balanced
     /// `ServiceStats` ledger; with `--faults` the same matrix runs on
     /// fault-wrapped devices.
     pub service: bool,
@@ -52,7 +51,7 @@ pub struct BenchOpts {
     /// against an undegraded one.
     pub chaos: bool,
     /// `--aggregate`: run the area-of-overlap aggregation sweep (verify
-    /// harness only) — every device kind × partition grid × seeded
+    /// harness only) — every partition grid × shard count × seeded
     /// fault plan must report bit-identical `(i, j, area)` rows, a
     /// balanced degradation ledger, and areas within the DESIGN.md §14
     /// quantization envelope of the exact clipped-polygon oracle.

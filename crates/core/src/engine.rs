@@ -113,16 +113,13 @@ pub struct EngineConfig {
     /// `node_tests` counter are bit-identical either way; only wall-clock
     /// time and the diagnostic `simd_node_tests` move.
     pub filter_simd: bool,
-    /// Which raster device executes the recorded command lists:
-    /// [`DeviceKind::Reference`] (the default, single-threaded replay),
-    /// [`DeviceKind::Tiled`] (banded multi-threaded execution),
-    /// [`DeviceKind::Simd`] (vectorized scanline kernels), or
-    /// [`DeviceKind::TiledSimd`] (both: lanes inside bands). Results,
-    /// readbacks and hardware counters are bit-identical across devices —
-    /// the knob only moves wall-clock time. [`DeviceKind::Fault`] wraps
-    /// any of them in a seeded deterministic fault injector — results
-    /// still never change (supervised retry + exact software fallback),
-    /// only the recovery counters and the modeled recovery time do.
+    /// Which raster device executes the recorded command lists.
+    /// [`DeviceKind::Reference`] (the default) is the one executor;
+    /// [`DeviceKind::Fault`] wraps it in a seeded deterministic fault
+    /// injector and [`DeviceKind::Sharded`] fans it out behind a routing
+    /// front. Neither wrapper ever changes results (supervised retry +
+    /// exact software fallback; pure routing) — only the recovery
+    /// counters and the modeled recovery time move.
     pub device: DeviceKind,
     /// Retry/quarantine policy for supervised device submission (see
     /// [`RecoveryPolicy`]). Only consulted by hardware-using geometry
@@ -165,17 +162,17 @@ pub enum ConfigError {
     /// `filter_threads` is 0: no worker would ever pull a filter work
     /// unit.
     ZeroFilterThreads,
-    /// A tiled device was configured with 0 bands.
-    ZeroTiles,
     /// The recording cache was enabled with zero capacity: every insert
     /// would be dropped and every test would still pay the miss path.
     ZeroCacheCapacity,
     /// `partition.grid` is 0: there would be no cell to own any
     /// candidate.
     ZeroPartitions,
-    /// `partition.shards` is 0 (or a sharded device was configured with
-    /// 0 inner backends): no shard could ever execute a submission.
+    /// `partition.shards` is 0: no shard could ever execute a submission.
     ZeroShards,
+    /// `device` holds a [`DeviceKind::Sharded`] with 0 inner backends (at
+    /// any nesting depth): routing would have nowhere to land.
+    ZeroDeviceShards,
     /// `ServiceConfig::admission_capacity` is 0: every query would be
     /// rejected at the door.
     ZeroAdmissionCapacity,
@@ -210,10 +207,6 @@ impl fmt::Display for ConfigError {
             ConfigError::ZeroFilterThreads => {
                 write!(f, "invalid EngineConfig: filter_threads = 0 (must be ≥ 1)")
             }
-            ConfigError::ZeroTiles => write!(
-                f,
-                "invalid EngineConfig: device tiles = 0 (a tiled device needs ≥ 1 band)"
-            ),
             ConfigError::ZeroCacheCapacity => write!(
                 f,
                 "invalid EngineConfig: recording.cache_entries = 0 with recording.cache enabled \
@@ -222,10 +215,16 @@ impl fmt::Display for ConfigError {
             ConfigError::ZeroPartitions => {
                 write!(f, "invalid EngineConfig: partition.grid = 0 (must be ≥ 1)")
             }
-            ConfigError::ZeroShards => write!(
+            ConfigError::ZeroShards => {
+                write!(
+                    f,
+                    "invalid EngineConfig: partition.shards = 0 (must be ≥ 1)"
+                )
+            }
+            ConfigError::ZeroDeviceShards => write!(
                 f,
-                "invalid EngineConfig: partition.shards = 0 (a sharded device needs ≥ 1 inner \
-                 backend)"
+                "invalid EngineConfig: device: Sharded {{ shards: 0 }} (a sharded device needs \
+                 ≥ 1 inner backend)"
             ),
             ConfigError::ZeroAdmissionCapacity => write!(
                 f,
@@ -260,14 +259,11 @@ impl std::error::Error for ConfigError {}
 
 fn validate_device(device: &DeviceKind) -> Result<(), ConfigError> {
     match device {
-        DeviceKind::Tiled { tiles: 0, .. } | DeviceKind::TiledSimd { tiles: 0, .. } => {
-            Err(ConfigError::ZeroTiles)
-        }
-        DeviceKind::Sharded { shards: 0, .. } => Err(ConfigError::ZeroShards),
+        DeviceKind::Reference => Ok(()),
+        DeviceKind::Sharded { shards: 0, .. } => Err(ConfigError::ZeroDeviceShards),
         DeviceKind::Fault { inner, .. } | DeviceKind::Sharded { inner, .. } => {
             validate_device(inner)
         }
-        _ => Ok(()),
     }
 }
 
@@ -295,9 +291,9 @@ impl EngineConfig {
     /// Structural validation, run by [`SpatialEngine::new`] /
     /// [`SpatialEngine::try_new`] before any backend is built: zero batch
     /// sizes, zero thread counts, zero partition grids or shard counts,
-    /// and zero-band tiled or zero-shard sharded devices (at any nesting
-    /// depth inside [`DeviceKind::Fault`] / [`DeviceKind::Sharded`]
-    /// wrappers) are configuration bugs, not values to clamp quietly.
+    /// and zero-shard sharded devices (at any nesting depth inside
+    /// [`DeviceKind::Fault`] / [`DeviceKind::Sharded`] wrappers) are
+    /// configuration bugs, not values to clamp quietly.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.hw_batch == 0 {
             return Err(ConfigError::ZeroBatch);
@@ -813,28 +809,34 @@ mod tests {
             zero_filter_threads.validate(),
             Err(ConfigError::ZeroFilterThreads)
         );
-        let zero_tiles = EngineConfig {
-            device: DeviceKind::Tiled {
-                tiles: 0,
-                threads: 2,
-            },
+        // A hand-built zero-shard device is caught, under its own error:
+        // `partition.shards` is 1 here, so `ZeroShards` would misname it.
+        let zero_shard_device = EngineConfig {
+            device: DeviceKind::Reference.sharded(0),
             ..EngineConfig::software()
         };
-        assert_eq!(zero_tiles.validate(), Err(ConfigError::ZeroTiles));
-        // The check recurses through a fault wrapper.
+        assert_eq!(
+            zero_shard_device.validate(),
+            Err(ConfigError::ZeroDeviceShards)
+        );
+        // The check recurses through a fault wrapper...
         let wrapped = EngineConfig {
-            device: DeviceKind::TiledSimd {
-                tiles: 0,
-                threads: 2,
-            }
-            .with_faults(spatial_raster::FaultPlan::new(
-                1,
-                spatial_raster::FaultKind::Timeout,
-                spatial_raster::FaultTrigger::OnExecute(0),
-            )),
+            device: DeviceKind::Reference
+                .sharded(0)
+                .with_faults(spatial_raster::FaultPlan::new(
+                    1,
+                    spatial_raster::FaultKind::Timeout,
+                    spatial_raster::FaultTrigger::OnExecute(0),
+                )),
             ..EngineConfig::software()
         };
-        assert_eq!(wrapped.validate(), Err(ConfigError::ZeroTiles));
+        assert_eq!(wrapped.validate(), Err(ConfigError::ZeroDeviceShards));
+        // ...and through a Sharded wrapper to the inner device.
+        let nested = EngineConfig {
+            device: DeviceKind::Reference.sharded(0).sharded(2),
+            ..EngineConfig::software()
+        };
+        assert_eq!(nested.validate(), Err(ConfigError::ZeroDeviceShards));
         let hollow_cache = EngineConfig {
             hw: HwConfig::recommended().with_recording(crate::RecordingOptions {
                 cache: true,
@@ -860,23 +862,6 @@ mod tests {
             ..EngineConfig::software()
         };
         assert_eq!(zero_shards.validate(), Err(ConfigError::ZeroShards));
-        // A hand-built zero-shard device is caught too...
-        let zero_shard_device = EngineConfig {
-            device: DeviceKind::Reference.sharded(0),
-            ..EngineConfig::software()
-        };
-        assert_eq!(zero_shard_device.validate(), Err(ConfigError::ZeroShards));
-        // ...and the check recurses through a Sharded wrapper to the
-        // inner device, same as through a Fault wrapper.
-        let sharded_zero_tiles = EngineConfig {
-            device: DeviceKind::Tiled {
-                tiles: 0,
-                threads: 2,
-            }
-            .sharded(2),
-            ..EngineConfig::software()
-        };
-        assert_eq!(sharded_zero_tiles.validate(), Err(ConfigError::ZeroTiles));
         // A zero probation cool-down is an error; `None` is the valid
         // "no probation" spelling (and the default).
         let zero_probation = EngineConfig {
@@ -907,13 +892,16 @@ mod tests {
             (ConfigError::ZeroBatch, "hw_batch = 0"),
             (ConfigError::ZeroThreads, "refine_threads = 0"),
             (ConfigError::ZeroFilterThreads, "filter_threads = 0"),
-            (ConfigError::ZeroTiles, "device tiles = 0"),
             (
                 ConfigError::ZeroCacheCapacity,
                 "recording.cache_entries = 0",
             ),
             (ConfigError::ZeroPartitions, "partition.grid = 0"),
             (ConfigError::ZeroShards, "partition.shards = 0"),
+            (
+                ConfigError::ZeroDeviceShards,
+                "device: Sharded { shards: 0 }",
+            ),
             (ConfigError::ZeroAdmissionCapacity, "admission_capacity = 0"),
             (ConfigError::BadPlannerResolutions, "planner.resolutions"),
             (ConfigError::ZeroPlannerSample, "planner.sample = 0"),

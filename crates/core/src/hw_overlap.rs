@@ -308,27 +308,12 @@ mod tests {
         assert_eq!(t.overlap_area(&p, &q, 16, &mut st), 16.0);
     }
 
-    fn all_backends() -> [DeviceKind; 4] {
-        [
-            DeviceKind::Reference,
-            DeviceKind::Tiled {
-                tiles: 4,
-                threads: 2,
-            },
-            DeviceKind::Simd,
-            DeviceKind::TiledSimd {
-                tiles: 4,
-                threads: 2,
-            },
-        ]
-    }
-
     #[test]
-    fn all_backends_agree_bit_for_bit() {
+    fn sharded_wrapper_agrees_bit_for_bit() {
         let p = l_shape();
         let q = square(1.0, 1.0, 5.0);
         let mut reference = None;
-        for kind in all_backends() {
+        for kind in [DeviceKind::Reference, DeviceKind::Reference.sharded(3)] {
             let mut t = HwTester::with_device(HwConfig::recommended(), kind.clone());
             let mut st = TestStats::default();
             let area = t.overlap_area(&p, &q, 32, &mut st);

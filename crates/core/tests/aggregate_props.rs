@@ -1,8 +1,8 @@
 //! The aggregation contract, property-tested (DESIGN.md §14): the
 //! area-of-overlap pipeline's quantized answer sits inside the per-pixel
 //! quantization envelope of the exact clipped-polygon oracle at every
-//! resolution, and is bit-identical across device backends, partition
-//! grids, shard counts, refine-thread counts and seeded fault plans.
+//! resolution, and is bit-identical across partition grids, shard
+//! counts, refine-thread counts and seeded fault plans.
 //!
 //! The envelope is the geometric one from §14: the fill rule emits a
 //! cell iff its center lies inside `P ∩ Q`, so hardware and oracle can
@@ -64,17 +64,6 @@ prop_compose! {
     }
 }
 
-prop_compose! {
-    fn arb_device()(pick in 0usize..4) -> DeviceKind {
-        match pick {
-            0 => DeviceKind::Reference,
-            1 => DeviceKind::Simd,
-            2 => DeviceKind::Tiled { tiles: 3, threads: 2 },
-            _ => DeviceKind::TiledSimd { tiles: 4, threads: 2 },
-        }
-    }
-}
-
 /// The §14 quantization envelope, in world area, for one measured pair.
 fn envelope(p: &Polygon, q: &Polygon, res: usize) -> f64 {
     let region = p
@@ -122,15 +111,16 @@ proptest! {
         }
     }
 
-    /// Device backends are interchangeable bit-for-bit for aggregations,
-    /// including their charged hardware work counters.
+    /// The sharding wrapper is transparent bit-for-bit for aggregations,
+    /// including the charged hardware work counters.
     #[test]
-    fn overlap_area_is_bit_identical_across_devices(
+    fn overlap_area_is_bit_identical_under_sharding(
         p in arb_star(),
         q in arb_star(),
         res in 1usize..33,
-        device in arb_device(),
+        shards in 1usize..5,
     ) {
+        let device = DeviceKind::Reference.sharded(shards);
         let reference = {
             let mut t = HwTester::new(HwConfig::recommended());
             let mut st = TestStats::default();
@@ -152,20 +142,19 @@ proptest! {
         q in arb_star(),
         res in 1usize..33,
         plan in arb_plan(),
-        device in arb_device(),
     ) {
         let (clean_area, clean_st) = {
-            let mut t = HwTester::with_device(HwConfig::recommended(), device.clone());
+            let mut t = HwTester::new(HwConfig::recommended());
             let mut st = TestStats::default();
             (t.overlap_area(&p, &q, res, &mut st), st)
         };
         let mut t = HwTester::with_device(
             HwConfig::recommended(),
-            DeviceKind::Fault { inner: Box::new(device.clone()), plan },
+            DeviceKind::Reference.with_faults(plan),
         );
         let mut st = TestStats::default();
         let area = t.overlap_area(&p, &q, res, &mut st);
-        prop_assert_eq!(area.to_bits(), clean_area.to_bits(), "{:?}", device);
+        prop_assert_eq!(area.to_bits(), clean_area.to_bits());
         prop_assert_eq!(st.overlap_tests, clean_st.overlap_tests);
         prop_assert_eq!(
             st.hw_tests + st.fallback_tests,
@@ -179,8 +168,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// The full aggregation pipeline (invariant 12 extended): partition
-    /// grid, shard count, refine threads, device kind and a seeded fault
-    /// plan may move work anywhere, but every `(i, j, area)` row is
+    /// grid, shard count, refine threads and a seeded fault plan may move
+    /// work anywhere, but every `(i, j, area)` row is
     /// bit-identical to the flat single-threaded clean run.
     #[test]
     fn overlap_join_rows_survive_partitions_shards_threads_and_faults(
@@ -188,7 +177,6 @@ proptest! {
         shards_pick in 0usize..3,
         threads in 1usize..5,
         res_pick in 0usize..3,
-        device in arb_device(),
         plan in arb_plan(),
     ) {
         let grid = [1usize, 2, 4][grid_pick];
@@ -202,7 +190,7 @@ proptest! {
         prop_assert!(!base.is_empty(), "BaseD-scale datasets overlap");
 
         let shaped_cfg = EngineConfig {
-            device: DeviceKind::Fault { inner: Box::new(device.clone()), plan },
+            device: DeviceKind::Reference.with_faults(plan),
             partition: PartitionConfig::grid(grid).with_shards(shards),
             refine_threads: threads,
             ..base_cfg
@@ -213,8 +201,8 @@ proptest! {
             prop_assert_eq!((i, j), (bi, bj));
             prop_assert_eq!(
                 ar.to_bits(), br.to_bits(),
-                "pair ({}, {}) drifted under g{} s{} t{} {:?}",
-                i, j, grid, shards, threads, device
+                "pair ({}, {}) drifted under g{} s{} t{}",
+                i, j, grid, shards, threads
             );
         }
         prop_assert_eq!(cost.tests.overlap_tests, base_cost.tests.overlap_tests);

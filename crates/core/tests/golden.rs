@@ -4,13 +4,18 @@
 //! changes regenerate the files with `UPDATE_GOLDEN=1 cargo test -p
 //! hwa-core --test golden`; accidental ones fail here.
 //!
-//! Each test also executes the stream and pins the readback verdict, so a
-//! stream that still serializes identically but rasterizes differently is
-//! caught too.
+//! Each test also executes the stream and pins the full [`Execution`] by
+//! value — every `HwStats` counter and every readback — so a stream that
+//! still serializes identically but rasterizes or charges differently is
+//! caught too. With one executor there is no second implementation to
+//! agree with: these constants are the only pin on the counters every
+//! modeled GPU time is computed from.
 
 use hwa_core::HwTester;
 use spatial_geom::{Polygon, Rect};
-use spatial_raster::{DeviceKind, OverlapStrategy};
+use spatial_raster::{
+    CommandList, DeviceKind, Execution, HwCostModel, HwStats, OverlapStrategy, Readback,
+};
 use std::path::PathBuf;
 
 fn golden_path(name: &str) -> PathBuf {
@@ -45,47 +50,87 @@ fn fixed_pair() -> (Polygon, Polygon, Rect) {
     (p, q, region)
 }
 
-fn check_strategy(strategy: OverlapStrategy, name: &str) {
+/// Executes `list` and asserts the whole [`Execution`] equals `want`, and
+/// that pricing the list by replay equals pricing the counters it charged.
+fn assert_execution(list: &CommandList, want: &Execution) {
+    let exec = DeviceKind::default()
+        .build()
+        .execute(list)
+        .expect("clean devices never fault");
+    assert_eq!(&exec, want);
+    let model = HwCostModel::default();
+    assert_eq!(model.replay_cost(list), model.time(&exec.stats));
+}
+
+fn check_strategy(strategy: OverlapStrategy, name: &str, want: Execution) {
     let (p, q, region) = fixed_pair();
     let (list, slot) = HwTester::record_segment_test(region, 16, strategy, p.edges(), q.edges());
     assert_golden(name, &list.serialize());
-
-    // Execute on both devices and pin the verdict value itself — the
-    // boundaries cross, so accumulation/blending reach exactly full white
-    // (0.5 + 0.5) and the stencil counts exactly two boundary layers.
-    for device in [
-        DeviceKind::Reference,
-        DeviceKind::Tiled {
-            tiles: 4,
-            threads: 2,
-        },
-    ] {
-        let exec = device
-            .build()
-            .execute(&list)
-            .expect("clean devices never fault");
-        match strategy {
-            OverlapStrategy::Stencil => {
-                assert_eq!(exec.stencil_value(slot), Ok(2), "{device:?}")
-            }
-            _ => assert_eq!(exec.max_red(slot), Ok(1.0), "{device:?}"),
-        }
-    }
+    assert_eq!(slot, 0, "the verdict is the stream's only readback");
+    assert_execution(&list, &want);
 }
+
+// The boundaries cross, so accumulation/blending reach exactly full white
+// (0.5 + 0.5) and the stencil counts exactly two boundary layers.
 
 #[test]
 fn accumulation_stream_is_stable() {
-    check_strategy(OverlapStrategy::Accumulation, "segment_accumulation.txt");
+    check_strategy(
+        OverlapStrategy::Accumulation,
+        "segment_accumulation.txt",
+        Execution {
+            stats: HwStats {
+                pixels_written: 64,
+                fragments_tested: 64,
+                pixels_scanned: 1792,
+                primitives: 8,
+                draw_calls: 2,
+                minmax_queries: 1,
+                batches: 0,
+            },
+            readbacks: vec![Readback::Minmax([0.0; 3], [1.0; 3])],
+        },
+    );
 }
 
 #[test]
 fn blending_stream_is_stable() {
-    check_strategy(OverlapStrategy::Blending, "segment_blending.txt");
+    check_strategy(
+        OverlapStrategy::Blending,
+        "segment_blending.txt",
+        Execution {
+            stats: HwStats {
+                pixels_written: 63,
+                fragments_tested: 64,
+                pixels_scanned: 512,
+                primitives: 8,
+                draw_calls: 2,
+                minmax_queries: 1,
+                batches: 0,
+            },
+            readbacks: vec![Readback::Minmax([0.0; 3], [1.0; 3])],
+        },
+    );
 }
 
 #[test]
 fn stencil_stream_is_stable() {
-    check_strategy(OverlapStrategy::Stencil, "segment_stencil.txt");
+    check_strategy(
+        OverlapStrategy::Stencil,
+        "segment_stencil.txt",
+        Execution {
+            stats: HwStats {
+                pixels_written: 63,
+                fragments_tested: 64,
+                pixels_scanned: 512,
+                primitives: 8,
+                draw_calls: 2,
+                minmax_queries: 1,
+                batches: 0,
+            },
+            readbacks: vec![Readback::StencilMax(2)],
+        },
+    );
 }
 
 /// The atlas batch stream: two pairs rendered as cells of one list. Pins
@@ -110,15 +155,21 @@ fn atlas_batch_stream_is_stable() {
     let (list, slot) = record_batch(&jobs, spatial_raster::aa_line::DIAGONAL_WIDTH, 1.0);
     assert_golden("atlas_batch.txt", &list.serialize());
 
-    let exec = DeviceKind::Reference
-        .build()
-        .execute(&list)
-        .expect("clean devices never fault");
-    let flags: Vec<bool> = exec
-        .cell_max(slot)
-        .expect("record_batch returns its own cell-readback slot")
-        .iter()
-        .map(|&m| m >= 1.0)
-        .collect();
-    assert_eq!(flags, vec![true, false]);
+    assert_eq!(slot, 0, "the cell reduction is the stream's only readback");
+    // First cell overlaps (full white), second holds one boundary only.
+    assert_execution(
+        &list,
+        &Execution {
+            stats: HwStats {
+                pixels_written: 48,
+                fragments_tested: 48,
+                pixels_scanned: 1848,
+                primitives: 16,
+                draw_calls: 2,
+                minmax_queries: 1,
+                batches: 1,
+            },
+            readbacks: vec![Readback::CellMax(vec![1.0, 0.5])],
+        },
+    );
 }

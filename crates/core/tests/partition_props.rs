@@ -1,5 +1,5 @@
 //! The headline partitioning property (DESIGN.md invariant 12): for ANY
-//! grid size, shard count, inner device and seeded fault plan, every
+//! grid size, shard count and seeded fault plan, every
 //! pipeline run over the PBSM-partitioned path returns bit-identical
 //! result sets — each pair exactly once — and identical deterministic
 //! counters to the unpartitioned engine.
@@ -48,19 +48,6 @@ prop_compose! {
     }
 }
 
-prop_compose! {
-    fn arb_inner()(pick in 0usize..3) -> DeviceKind {
-        match pick {
-            0 => DeviceKind::Reference,
-            1 => DeviceKind::Simd,
-            _ => DeviceKind::Tiled {
-                tiles: 3,
-                threads: 2,
-            },
-        }
-    }
-}
-
 /// Runs all four pipelines under one engine config; returns results and
 /// costs in a fixed order (selection results lifted into pair form).
 fn run_all(
@@ -94,7 +81,6 @@ proptest! {
     /// engines, for every grid × shard combination from the pinned matrix.
     #[test]
     fn partitioned_clean_run_is_bit_identical(
-        inner in arb_inner(),
         grid_pick in 0usize..3,
         shards_pick in 0usize..3,
     ) {
@@ -107,7 +93,7 @@ proptest! {
         let d = 0.02;
         let hw = HwConfig::at_resolution(8).with_threshold(0);
         let base = EngineConfig {
-            device: inner,
+            device: DeviceKind::Reference,
             use_object_filters: true,
             ..EngineConfig::hardware(hw)
         };
@@ -149,7 +135,6 @@ proptest! {
     /// to move because partitions batch independently).
     #[test]
     fn partitioned_batched_run_preserves_results_and_counters(
-        inner in arb_inner(),
         grid_pick in 0usize..3,
         shards_pick in 0usize..3,
     ) {
@@ -162,7 +147,7 @@ proptest! {
         let d = 0.02;
         let hw = HwConfig::at_resolution(8).with_threshold(0);
         let base = EngineConfig {
-            device: inner,
+            device: DeviceKind::Reference,
             hw_batch: 16,
             refine_threads: 3,
             use_object_filters: true,
@@ -198,7 +183,6 @@ proptest! {
     #[test]
     fn partitioned_faults_preserve_results_and_balance_the_ledger(
         plan in arb_plan(),
-        inner in arb_inner(),
         grid_pick in 0usize..3,
         shards_pick in 0usize..3,
         batch in 1usize..3,
@@ -217,9 +201,9 @@ proptest! {
             use_object_filters: true,
             ..EngineConfig::hardware(hw)
         };
-        let clean_cfg = EngineConfig { device: inner.clone(), ..base.clone() };
+        let clean_cfg = EngineConfig { device: DeviceKind::Reference, ..base.clone() };
         let faulted_cfg = EngineConfig {
-            device: inner.clone().with_faults(plan),
+            device: DeviceKind::Reference.with_faults(plan),
             ..base
         };
         let clean = run_all(clean_cfg, &a, &b, q, d);

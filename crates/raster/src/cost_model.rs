@@ -87,8 +87,8 @@ impl HwCostModel {
     /// Modeled GPU time of a recorded command stream: replays `list` on a
     /// [`crate::device::ReferenceDevice`] and prices the charged counters.
     /// Because replay is a pure function of the list, so is the returned
-    /// time — the same stream costs the same whichever device (or thread
-    /// count) executed it for real.
+    /// time — the same stream costs the same whichever shard executed it
+    /// for real.
     pub fn replay_cost(&self, list: &crate::device::CommandList) -> Duration {
         let mut device = crate::device::ReferenceDevice::new();
         let exec = crate::device::RasterDevice::execute(&mut device, list)
@@ -197,15 +197,11 @@ mod tests {
         let list = r.finish();
         let m = HwCostModel::default();
         assert_eq!(m.replay_cost(&list), m.replay_cost(&list));
-        // The modeled time is device-independent: a tiled execution's
-        // counters price out to exactly the replay cost.
-        let mut tiled = DeviceKind::Tiled {
-            tiles: 3,
-            threads: 2,
-        }
-        .build();
+        // Pricing an execution's counters and pricing the list by replay
+        // are the same number.
+        let mut device = DeviceKind::default().build();
         assert_eq!(
-            m.time(&tiled.execute(&list).unwrap().stats),
+            m.time(&device.execute(&list).unwrap().stats),
             m.replay_cost(&list)
         );
         assert!(m.replay_cost(&list) > Duration::ZERO);

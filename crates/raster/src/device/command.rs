@@ -7,8 +7,8 @@
 //! record time* — the moment a GL driver would reject the call — instead of
 //! at execution. The list is immutable once finished: executing it twice,
 //! or on two different [`crate::device::RasterDevice`]s, performs exactly
-//! the same work, which is what makes replay-driven cost accounting and
-//! the tiled/reference equivalence property possible.
+//! the same work, which is what makes replay-driven cost accounting
+//! possible.
 //!
 //! Geometry is stored in flat arenas (one per primitive kind) and commands
 //! reference `start/len` runs, so a recorded atlas batch is one contiguous

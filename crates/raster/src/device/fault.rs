@@ -291,7 +291,7 @@ mod tests {
     #[test]
     fn every_k_faults_repeat() {
         let plan = FaultPlan::new(0, FaultKind::OutOfMemory, FaultTrigger::EveryK(2));
-        let mut dev = FaultDevice::new(DeviceKind::Simd.build(), plan);
+        let mut dev = FaultDevice::new(DeviceKind::Reference.build(), plan);
         let (list, _) = minmax_list();
         for i in 0..6u64 {
             let r = dev.execute(&list);
@@ -343,11 +343,7 @@ mod tests {
     #[test]
     fn fault_device_kind_builds_nested() {
         let plan = FaultPlan::new(3, FaultKind::Timeout, FaultTrigger::EveryK(1));
-        let kind = DeviceKind::Tiled {
-            tiles: 4,
-            threads: 2,
-        }
-        .with_faults(plan);
+        let kind = DeviceKind::Reference.with_faults(plan);
         let mut dev = kind.build();
         assert_eq!(dev.name(), "fault");
         let (list, _) = minmax_list();

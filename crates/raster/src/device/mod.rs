@@ -19,7 +19,7 @@
 //! 4. **Replay-cost.** Because execution is a pure function of the list,
 //!    modeled GPU time is too: [`crate::HwCostModel::replay_cost`] prices
 //!    a `CommandList` by replaying it, independent of which device (or
-//!    how many threads, or what lane width) ran it for real.
+//!    shard) ran it for real.
 //!
 //! Between validation and execution two optional, set-preserving
 //! transformations sit on the recording side: [`CommandList::fuse`] elides
@@ -30,58 +30,51 @@
 //! Neither changes what an executor observes being charged: framebuffer,
 //! readbacks and every `HwStats` counter stay bit-identical.
 //!
-//! Three executors ship:
+//! One executor ships: [`ReferenceDevice`] replays the list onto
+//! [`crate::GlContext`] verbatim, bit-identical to driving the context by
+//! hand. It is the only code that interprets a [`Command`] stream into
+//! pixels.
 //!
-//! * [`ReferenceDevice`] replays the list onto [`crate::GlContext`]
-//!   verbatim — the semantics anchor, bit-identical to driving the
-//!   context by hand;
-//! * [`TiledDevice`] partitions the window into horizontal bands and
-//!   executes the *same list* on every band across scoped worker threads,
-//!   merging per-band counters and readbacks deterministically;
-//! * [`SimdDevice`] replays through lane-width-generic kernels that test
-//!   coverage, fill spans and scan buffers [`simd::SIMD_LANES`] pixels
-//!   per step — and composes with the tiled device
-//!   ([`TiledDevice::new_simd`]) for threads × lanes.
+//! Two wrappers compose around it and must be *transparent* — same rows,
+//! same counters, same readbacks as the bare executor:
 //!
-//! A fourth, [`FaultDevice`], is not an executor but a wrapper: it injects
-//! seeded, deterministic failures ([`FaultPlan`]) into any inner device so
-//! the recovery ladder in `core` (retry → software fallback → quarantine)
-//! can be property-tested without real hardware. Execution is fallible
-//! end to end — [`RasterDevice::execute`] returns
+//! * [`FaultDevice`] injects seeded, deterministic failures
+//!   ([`FaultPlan`]) into any inner device so the recovery ladder in `core`
+//!   (retry → software fallback → quarantine) can be property-tested
+//!   without real hardware;
+//! * [`ShardedDevice`] fans one device kind out into independent instances
+//!   behind a routing front, the multi-device dispatch of the partitioned
+//!   query path.
+//!
+//! Execution is fallible end to end — [`RasterDevice::execute`] returns
 //! `Result<Execution, DeviceError>` and callers must treat any `Err` as
 //! "nothing happened": no counters charged, no readbacks usable.
 //!
-//! **The bit-identity invariant.** Every executor must produce the same
-//! [`Execution`] — every readback value *and* every [`HwStats`] counter —
-//! and the same final framebuffer as [`ReferenceDevice`], bit for bit,
-//! for every valid list. Not "close enough": equality is what lets the
-//! staged query pipelines treat the device as a config knob
-//! (`EngineConfig.device`) without re-verifying results, and what makes
-//! the replay cost model device-independent. The invariant is
-//! property-tested in `crates/raster/tests/device_props.rs` and pinned by
-//! the golden command streams in `crates/core/tests/golden/`; see
-//! DESIGN.md §7 for the contract a new backend must uphold.
+//! **The backend contract.** [`RasterDevice`] is the seam a real backend
+//! plugs into. Any implementation must be *pure* (an [`Execution`] is a
+//! function of the list alone — no device history leaks in), must charge
+//! [`HwStats`] by the two-level discipline documented on the trait, and
+//! must produce readbacks that pass [`Execution::validate`]. Purity and
+//! wrapper transparency are property-tested in
+//! `crates/raster/tests/device_props.rs`; the counters and readbacks of
+//! four fixed streams are pinned by value in `crates/core/tests/golden.rs`.
+//! See DESIGN.md §7.
 
 #![warn(missing_docs)]
 
-mod band;
 pub mod command;
 pub mod fault;
 pub mod fuse;
 mod reference;
 pub mod shard;
-pub mod simd;
 pub mod template;
-mod tiled;
 
 pub use crate::context::PixelRect;
 pub use command::{Command, CommandList, RecordError, Recorder};
 pub use fault::{FaultDevice, FaultKind, FaultPlan, FaultTrigger};
 pub use reference::ReferenceDevice;
 pub use shard::{failover_route, ShardedDevice};
-pub use simd::SimdDevice;
 pub use template::ListTemplate;
-pub use tiled::TiledDevice;
 
 use crate::framebuffer::{Color, FrameBuffer};
 use crate::stats::HwStats;
@@ -147,8 +140,8 @@ pub enum Readback {
 /// handed out.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Execution {
-    /// The deterministic work counters this execution charged — identical
-    /// across executors for the same list (the bit-identity invariant).
+    /// The deterministic work counters this execution charged — a pure
+    /// function of the list.
     pub stats: HwStats,
     /// Readback results, one per recorded query, in recording order.
     pub readbacks: Vec<Readback>,
@@ -270,14 +263,14 @@ impl Execution {
 /// * [`RasterDevice::execute`] starts from a cleared window — device
 ///   history must never leak into results (purity: executing the same
 ///   list twice yields equal [`Execution`]s);
-/// * results must be **bit-identical** to [`ReferenceDevice`]: every
-///   readback, every [`HwStats`] counter, and the
-///   [`RasterDevice::snapshot`] framebuffer;
+/// * wrappers ([`FaultDevice`], [`ShardedDevice`]) are **transparent**:
+///   every readback, every [`HwStats`] counter and the
+///   [`RasterDevice::snapshot`] framebuffer equal the wrapped device's;
 /// * counters follow the two-level charging discipline: command-level
 ///   work (`draw_calls`, `primitives`, `minmax_queries`, `batches`) is
 ///   charged once per list, fragment-level work (`fragments_tested`,
-///   `pixels_written`, `pixels_scanned`) exactly as the reference
-///   charges it, however the executor partitions the window.
+///   `pixels_written`, `pixels_scanned`) once per fragment or scanned
+///   pixel, exactly as [`ReferenceDevice`] charges it.
 pub trait RasterDevice: Send + std::fmt::Debug {
     /// A short human-readable backend name for reports.
     fn name(&self) -> &'static str;
@@ -289,7 +282,7 @@ pub trait RasterDevice: Send + std::fmt::Debug {
     /// An `Err` means the execution produced nothing usable — none of its
     /// work may be charged, and a later `execute` on the same device must
     /// still start from a cleared window (failures never leak state into
-    /// subsequent results). The simulated executors are infallible; the
+    /// subsequent results). The simulated executor is infallible; the
     /// fallible signature is the seam real backends (and the fault
     /// injector) plug into.
     fn execute(&mut self, list: &CommandList) -> Result<Execution, DeviceError>;
@@ -317,8 +310,7 @@ pub trait RasterDevice: Send + std::fmt::Debug {
     /// no-op on unsharded executors (the default) — a single-backend
     /// device has nowhere else to send work, so health lives entirely in
     /// the caller's breaker. Health never affects *what* a shard computes,
-    /// only which shard computes it, so the bit-identity invariant is
-    /// untouched.
+    /// only which shard computes it, so results are untouched.
     fn set_shard_health(&mut self, _shard: usize, _healthy: bool) {}
 
     /// The final framebuffer of the most recent [`RasterDevice::execute`],
@@ -331,27 +323,9 @@ pub trait RasterDevice: Send + std::fmt::Debug {
 /// engine exposes (`EngineConfig.device`).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum DeviceKind {
-    /// Single-threaded [`ReferenceDevice`] replay.
+    /// The executor: [`ReferenceDevice`] replay.
     #[default]
     Reference,
-    /// [`TiledDevice`] with `tiles` horizontal bands executed by up to
-    /// `threads` workers.
-    Tiled {
-        /// Horizontal band count (clamped to the window height).
-        tiles: usize,
-        /// Worker-thread cap (clamped to the band count).
-        threads: usize,
-    },
-    /// [`SimdDevice`]: single-threaded, vectorized inner loops.
-    Simd,
-    /// [`TiledDevice::new_simd`]: vectorized inner loops inside each of
-    /// `tiles` bands, executed by up to `threads` workers.
-    TiledSimd {
-        /// Horizontal band count (clamped to the window height).
-        tiles: usize,
-        /// Worker-thread cap (clamped to the band count).
-        threads: usize,
-    },
     /// [`FaultDevice`]: the selected `inner` device wrapped in a seeded,
     /// deterministic fault injector. Carried through `EngineConfig.device`
     /// and backend `fork`, so parallel refinement workers each get an
@@ -381,11 +355,6 @@ impl DeviceKind {
     pub fn build(&self) -> Box<dyn RasterDevice> {
         match self {
             DeviceKind::Reference => Box::new(ReferenceDevice::new()),
-            DeviceKind::Tiled { tiles, threads } => Box::new(TiledDevice::new(*tiles, *threads)),
-            DeviceKind::Simd => Box::new(SimdDevice::new()),
-            DeviceKind::TiledSimd { tiles, threads } => {
-                Box::new(TiledDevice::new_simd(*tiles, *threads))
-            }
             DeviceKind::Fault { inner, plan } => Box::new(FaultDevice::new(inner.build(), *plan)),
             DeviceKind::Sharded { inner, shards } => Box::new(ShardedDevice::new(inner, *shards)),
         }

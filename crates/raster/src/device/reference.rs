@@ -1,11 +1,9 @@
-//! The reference executor: verbatim replay onto [`GlContext`].
+//! The executor: verbatim replay onto [`GlContext`].
 //!
 //! In the record→validate→execute→replay-cost lifecycle this is the
-//! *executor* every other backend is measured against: one context call
-//! per recorded command, nothing reordered, nothing fused. The tiled and
-//! SIMD executors are free to restructure the work however they like —
-//! their obligation (the bit-identity invariant, see [`crate::device`])
-//! is defined as "indistinguishable from this replay".
+//! *execute* station: one context call per recorded command, nothing
+//! reordered, nothing fused. A future backend's obligation (see
+//! [`crate::device`]) is defined against this replay.
 
 use super::command::{Command, CommandList};
 use super::{DeviceError, Execution, RasterDevice, Readback};
@@ -14,9 +12,8 @@ use crate::framebuffer::FrameBuffer;
 use crate::viewport::Viewport;
 use spatial_geom::Rect;
 
-/// Replays command lists onto today's immediate-mode [`GlContext`], one
-/// command per context call — the semantics anchor every other executor is
-/// property-tested against. The context (and its pixel allocation) is kept
+/// Replays command lists onto the immediate-mode [`GlContext`], one
+/// command per context call. The context (and its pixel allocation) is kept
 /// across executions and reused whenever the window size repeats, exactly
 /// like the retarget-based hot paths it replaces.
 #[derive(Debug, Default)]

@@ -22,10 +22,8 @@
 //!
 //! Cross-shard results are combined with [`ShardedDevice::merge`], which
 //! folds a sequence of per-partition executions *in the order given* —
-//! counters summed, readbacks concatenated — exactly the discipline
-//! [`super::TiledDevice`] uses to merge its horizontal bands: a fixed
-//! walk order makes the merged stats independent of which shard finished
-//! first. The staged executor in `core` merges per-partition
+//! counters summed, readbacks concatenated: a fixed walk order makes the
+//! merged stats independent of which shard finished first. The staged executor in `core` merges per-partition
 //! `TestStats`/`CostBreakdown` the same way, in ascending partition
 //! order (invariant 12).
 //!
@@ -128,8 +126,7 @@ impl ShardedDevice {
     }
 
     /// Folds per-partition executions into one, **in the order given**:
-    /// [`HwStats`] counters are summed and readbacks concatenated exactly
-    /// as [`super::TiledDevice`] walks its bands in fixed band order.
+    /// [`HwStats`] counters are summed and readbacks concatenated.
     /// Callers merging partitions must iterate in ascending partition
     /// order so the result is independent of shard completion timing.
     pub fn merge(executions: impl IntoIterator<Item = Execution>) -> Execution {
@@ -201,7 +198,7 @@ mod tests {
     fn every_shard_matches_the_reference() {
         let list = minmax_list();
         let reference = DeviceKind::Reference.build().execute(&list).unwrap();
-        let mut dev = ShardedDevice::new(&DeviceKind::Simd, 3);
+        let mut dev = ShardedDevice::new(&DeviceKind::Reference, 3);
         for shard in 0..7 {
             dev.route(shard);
             assert_eq!(dev.active(), shard % 3);
@@ -291,7 +288,7 @@ mod tests {
 
     #[test]
     fn sharded_kind_builds_and_routes() {
-        let kind = DeviceKind::Simd.sharded(4);
+        let kind = DeviceKind::Reference.sharded(4);
         let mut dev = kind.build();
         assert_eq!(dev.name(), "sharded");
         let list = minmax_list();

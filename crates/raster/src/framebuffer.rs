@@ -190,9 +190,7 @@ impl FrameBuffer {
         stats.pixels_scanned += self.len();
     }
 
-    /// `glAccum(GL_ACCUM, 1.0)`: accum ← accum + color. An elementwise map
-    /// with no dependency chain — see the `scan` module for why it is shared
-    /// by every executor at every lane width.
+    /// `glAccum(GL_ACCUM, 1.0)`: accum ← accum + color.
     #[inline(always)]
     pub fn accum_add(&mut self, stats: &mut HwStats) {
         scan::add_assign(&mut self.accum, &self.color);
@@ -208,77 +206,23 @@ impl FrameBuffer {
 
     /// The hardware Minmax query (§3.2): per-channel minimum and maximum of
     /// the color buffer, computed "on the card" — i.e. without transferring
-    /// pixels back — at the cost of one scan over the window. The serial
-    /// fold; `minmax_lanes` is the same kernel at any lane
-    /// width.
+    /// pixels back — at the cost of one scan over the window.
     pub fn minmax(&self, stats: &mut HwStats) -> (Color, Color) {
-        self.minmax_lanes::<1>(stats)
-    }
-
-    /// [`FrameBuffer::minmax`] with `LANES` independent accumulators (see
-    /// [`crate::scan::minmax_colors`]) — bit-identical results, one scan
-    /// charged either way.
-    #[inline(always)]
-    pub(crate) fn minmax_lanes<const LANES: usize>(&self, stats: &mut HwStats) -> (Color, Color) {
         stats.pixels_scanned += self.len();
-        scan::minmax_colors::<LANES>(&self.color)
+        scan::minmax_colors(&self.color)
     }
 
     /// Maximum stencil value (for the stencil overlap strategy).
     pub fn stencil_max(&self, stats: &mut HwStats) -> u8 {
-        self.stencil_max_lanes::<1>(stats)
-    }
-
-    /// [`FrameBuffer::stencil_max`] with `LANES` independent accumulators —
-    /// identical result (integer max), one scan charged either way.
-    #[inline(always)]
-    pub(crate) fn stencil_max_lanes<const LANES: usize>(&self, stats: &mut HwStats) -> u8 {
         stats.pixels_scanned += self.len();
-        scan::stencil_max::<LANES>(&self.stencil)
+        scan::stencil_max(&self.stencil)
     }
 
     /// Number of pixels whose stencil value is at least `min` — the
     /// fragment-counting readback of the area-of-overlap aggregation.
     pub fn stencil_count_ge(&self, min: u8, stats: &mut HwStats) -> u64 {
-        self.stencil_count_ge_lanes::<1>(min, stats)
-    }
-
-    /// [`FrameBuffer::stencil_count_ge`] with `LANES` independent
-    /// accumulators — identical count (integer sum), one scan charged
-    /// either way.
-    #[inline(always)]
-    pub(crate) fn stencil_count_ge_lanes<const LANES: usize>(
-        &self,
-        min: u8,
-        stats: &mut HwStats,
-    ) -> u64 {
         stats.pixels_scanned += self.len();
-        scan::stencil_count_ge::<LANES>(&self.stencil, min)
-    }
-
-    /// The colors of row `y`, columns `x0 .. x0 + len` — a contiguous slice
-    /// the per-cell reduction feeds through the lane kernels.
-    #[inline]
-    pub(crate) fn row_colors(&self, y: usize, x0: usize, len: usize) -> &[Color] {
-        let i = self.idx(x0, y);
-        &self.color[i..i + len]
-    }
-
-    /// Overwrites `len` pixels of row `y` starting at `x0` without touching
-    /// counters — the polygon fill's bulk span write (the caller charges
-    /// `pixels_written` from the span length).
-    #[inline]
-    pub(crate) fn fill_row_span(&mut self, y: usize, x0: usize, len: usize, c: Color) {
-        let i = self.idx(x0, y);
-        self.color[i..i + len].fill(c);
-    }
-
-    /// Replaces `len` stencil values of row `y` starting at `x0` without
-    /// touching counters — the `StencilReplace` span write.
-    #[inline]
-    pub(crate) fn stencil_fill_row_span(&mut self, y: usize, x0: usize, len: usize, v: u8) {
-        let i = self.idx(x0, y);
-        self.stencil[i..i + len].fill(v);
+        scan::stencil_count_ge(&self.stencil, min)
     }
 
     /// Resets every plane to its cleared state without charging any
@@ -290,21 +234,6 @@ impl FrameBuffer {
         self.accum.fill(BLACK);
         self.depth.fill(1.0);
         self.stencil.fill(0);
-    }
-
-    /// Copies a full-width horizontal band (`src` must span the same width)
-    /// into this buffer starting at row `y_off` — all four planes. The
-    /// tiled device stitches its per-band buffers back into one window
-    /// with this.
-    pub(crate) fn copy_band_from(&mut self, src: &FrameBuffer, y_off: usize) {
-        assert_eq!(src.width, self.width, "band width must match");
-        assert!(y_off + src.height <= self.height, "band exceeds window");
-        let lo = y_off * self.width;
-        let hi = lo + src.height * self.width;
-        self.color[lo..hi].copy_from_slice(&src.color);
-        self.accum[lo..hi].copy_from_slice(&src.accum);
-        self.depth[lo..hi].copy_from_slice(&src.depth);
-        self.stencil[lo..hi].copy_from_slice(&src.stencil);
     }
 
     /// Iterates over `(x, y, color)` for all pixels — used by the PPM dump.

@@ -41,7 +41,7 @@ pub mod stats;
 pub mod viewport;
 pub mod voronoi;
 
-pub use atlas::{AtlasContext, AtlasJob};
+pub use atlas::AtlasJob;
 pub use context::{
     GlContext, OverlapStrategy, PixelRect, WriteMode, MAX_AA_LINE_WIDTH, MAX_POINT_SIZE,
 };
@@ -49,7 +49,7 @@ pub use cost_model::HwCostModel;
 pub use device::{
     failover_route, Command, CommandList, DeviceError, DeviceKind, Execution, FaultDevice,
     FaultKind, FaultPlan, FaultTrigger, ListTemplate, RasterDevice, Readback, RecordError,
-    Recorder, ReferenceDevice, ShardedDevice, SimdDevice, TiledDevice,
+    Recorder, ReferenceDevice, ShardedDevice,
 };
 pub use framebuffer::FrameBuffer;
 pub use stats::HwStats;

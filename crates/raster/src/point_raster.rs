@@ -32,6 +32,7 @@ pub fn rasterize_point(
 /// union of wide lines and wide points covers the full Minkowski expansion
 /// of the boundary — the square end caps of the line rectangles miss the
 /// round corners, the point discs supply them.
+#[inline]
 pub fn rasterize_wide_point(
     p: Point,
     size: f64,
@@ -40,37 +41,17 @@ pub fn rasterize_wide_point(
     stats: &mut HwStats,
     sink: &mut impl FnMut(usize, usize),
 ) {
-    rasterize_wide_point_rows(p, size, width, 0, height as i64 - 1, stats, sink)
-}
-
-/// [`rasterize_wide_point`] restricted to scanlines `row_lo..=row_hi`
-/// (inclusive). Absolute coordinates, clipped candidate loop — row bands
-/// partition the full window's fragments exactly (see
-/// [`crate::aa_line::rasterize_aa_line_rows`]).
-#[inline]
-pub fn rasterize_wide_point_rows(
-    p: Point,
-    size: f64,
-    width: usize,
-    row_lo: i64,
-    row_hi: i64,
-    stats: &mut HwStats,
-    sink: &mut impl FnMut(usize, usize),
-) {
-    let Some(cov) = WidePointCover::new(p, size, width, row_lo, row_hi) else {
+    let Some(cov) = WidePointCover::new(p, size, width, height) else {
         return;
     };
     for j in cov.rows() {
-        stats.fragments_tested += cov.cover_row::<1>(j, &mut |x| sink(x, j as usize));
+        stats.fragments_tested += cov.cover_row(j, &mut |x| sink(x, j as usize));
     }
 }
 
-/// The span-oriented entry point of the smooth-point rasterizer: the hoisted
-/// per-point setup (disc radius and candidate ranges), from which any
-/// executor drives the per-scanline disc test at its own lane width.
-/// [`rasterize_wide_point_rows`] is `cover_row::<1>` over every row; the
-/// SIMD device runs `cover_row::<8>` — the per-pixel math is identical
-/// expression-for-expression, so every lane width emits the same fragments.
+/// The hoisted per-point setup of the smooth-point rasterizer (disc radius
+/// and candidate ranges), from which [`rasterize_wide_point`] drives the
+/// per-scanline disc test.
 #[derive(Debug, Clone, Copy)]
 pub struct WidePointCover {
     x_lo: i64,
@@ -84,15 +65,15 @@ pub struct WidePointCover {
 
 impl WidePointCover {
     /// Coverage setup for the diameter-`size` disc at `p` over the window
-    /// columns `0..width` and scanlines `row_lo..=row_hi` (absolute window
-    /// coordinates). `None` when the clipped candidate range is empty.
-    pub fn new(p: Point, size: f64, width: usize, row_lo: i64, row_hi: i64) -> Option<Self> {
+    /// columns `0..width` and scanlines `0..height`. `None` when the disc
+    /// cannot touch the window.
+    pub fn new(p: Point, size: f64, width: usize, height: usize) -> Option<Self> {
         debug_assert!(size > 0.0);
         let r = size / 2.0;
         let x_lo = ((p.x - r).floor() as i64).max(0);
         let x_hi = ((p.x + r).floor() as i64).min(width as i64 - 1);
-        let y_lo = ((p.y - r).floor() as i64).max(row_lo.max(0));
-        let y_hi = ((p.y + r).floor() as i64).min(row_hi);
+        let y_lo = ((p.y - r).floor() as i64).max(0);
+        let y_hi = ((p.y + r).floor() as i64).min(height as i64 - 1);
         if x_lo > x_hi || y_lo > y_hi {
             return None;
         }
@@ -107,52 +88,24 @@ impl WidePointCover {
         })
     }
 
-    /// The candidate scanlines (inclusive, absolute window coordinates).
+    /// The candidate scanlines (inclusive, window coordinates).
     #[inline]
     pub fn rows(&self) -> std::ops::RangeInclusive<i64> {
         self.y_lo..=self.y_hi
     }
 
-    /// Runs the disc test over scanline `j`'s candidate pixels, `LANES`
-    /// pixels per step, calling `emit(x)` for every covered column in
-    /// ascending order; returns the number of fragments tested (the
-    /// candidate count, identical at every lane width). `LANES = 1` is the
-    /// scalar fallback and shares this exact code.
-    /// `#[inline(always)]` so the band replay's AVX2 instantiation
-    /// recompiles this loop with 256-bit registers (see
-    /// [`crate::aa_line::AaLineCover::cover_row`]).
-    #[inline(always)]
-    pub fn cover_row<const LANES: usize>(&self, j: i64, emit: &mut impl FnMut(usize)) -> usize {
-        debug_assert!(LANES > 0 && self.rows().contains(&j));
+    /// Runs the disc test over scanline `j`'s candidate pixels, calling
+    /// `emit(x)` for every covered column in ascending order; returns the
+    /// number of fragments tested (the candidate count).
+    #[inline]
+    pub fn cover_row(&self, j: i64, emit: &mut impl FnMut(usize)) -> usize {
+        debug_assert!(self.rows().contains(&j));
         // Closest point of the pixel square to the disc center; the y term
-        // is constant along a scanline, hoisting it repeats the identical
-        // multiplication so the sum stays bit-identical to the scalar path.
+        // is constant along a scanline.
         let cy = self.py.clamp(j as f64, j as f64 + 1.0);
         let dy = cy - self.py;
         let dy2 = dy * dy;
-        // One scalar i64 → f64 conversion per chunk (baseline x86-64 has no
-        // packed form); `i as f64 + k as f64` equals `(i + k) as f64`
-        // bit-exactly for in-window columns, so lanes match the scalar tail.
-        let offs: [f64; LANES] = std::array::from_fn(|k| k as f64);
         let mut i = self.x_lo;
-        while i + LANES as i64 - 1 <= self.x_hi {
-            let base = i as f64;
-            let mut keep = [false; LANES];
-            for (keep, off) in keep.iter_mut().zip(offs) {
-                let x = base + off;
-                let cx = self.px.clamp(x, x + 1.0);
-                let dx = cx - self.px;
-                *keep = dx * dx + dy2 <= self.r2;
-            }
-            if keep != [false; LANES] {
-                for (k, &keep) in keep.iter().enumerate() {
-                    if keep {
-                        emit(i as usize + k);
-                    }
-                }
-            }
-            i += LANES as i64;
-        }
         while i <= self.x_hi {
             let x = i as f64;
             let cx = self.px.clamp(x, x + 1.0);
@@ -163,99 +116,6 @@ impl WidePointCover {
             i += 1;
         }
         (self.x_hi - self.x_lo + 1) as usize
-    }
-
-    /// Locates scanline `j`'s covered pixels as one contiguous column span,
-    /// returning `(fragments_tested, Some((first, last)))` — window column
-    /// indices, inclusive — or `None` when the row is empty.
-    ///
-    /// Along a scanline `dx = clamp(px, x, x+1) - px` is a rounded monotone
-    /// map of `x`, so `dx² + dy²` is V-shaped (decreasing, then increasing)
-    /// and the disc test holds on a single contiguous interval. The
-    /// endpoint search reuses the exact per-pixel expressions of
-    /// [`WidePointCover::cover_row`], so the span is exactly the set of
-    /// pixels that method emits (see
-    /// [`crate::aa_line::AaLineCover::cover_row_span`]).
-    #[inline(always)]
-    pub fn cover_row_span<const LANES: usize>(&self, j: i64) -> (usize, Option<(usize, usize)>) {
-        debug_assert!(LANES > 0 && self.rows().contains(&j));
-        let dy2 = self.row_dy2(j);
-        let offs: [f64; LANES] = std::array::from_fn(|k| k as f64);
-        let candidates = (self.x_hi - self.x_lo + 1) as usize;
-        let span = crate::aa_line::find_covered_span::<LANES>(
-            self.x_lo,
-            self.x_hi,
-            |i| self.keep_chunk::<LANES>(dy2, &offs, i),
-            |i| self.keep_at(dy2, i),
-        );
-        (candidates, span)
-    }
-
-    /// Emits every scanline's covered span — `emit(j, first, last)`, window
-    /// coordinates, inclusive — and returns the total fragments tested.
-    /// The point-disc twin of [`crate::aa_line::AaLineCover::cover_spans`],
-    /// seeding each row's endpoint search with the previous row's interval.
-    #[inline(always)]
-    pub fn cover_spans<const LANES: usize>(
-        &self,
-        mut emit: impl FnMut(i64, usize, usize),
-    ) -> usize {
-        let offs: [f64; LANES] = std::array::from_fn(|k| k as f64);
-        let candidates = (self.x_hi - self.x_lo + 1) as usize;
-        let mut tracker = crate::aa_line::SpanTracker::new(self.x_lo);
-        let mut frags = 0usize;
-        for j in self.rows() {
-            let dy2 = self.row_dy2(j);
-            frags += candidates;
-            if let Some((lo, hi)) = tracker.row_span::<LANES>(
-                self.x_lo,
-                self.x_hi,
-                |i| self.keep_chunk::<LANES>(dy2, &offs, i),
-                |i| self.keep_at(dy2, i),
-            ) {
-                emit(j, lo, hi);
-            }
-        }
-        frags
-    }
-
-    /// The scanline-constant term of the disc test: the squared vertical
-    /// distance from the disc center to row `j`'s pixel squares.
-    #[inline(always)]
-    fn row_dy2(&self, j: i64) -> f64 {
-        let cy = self.py.clamp(j as f64, j as f64 + 1.0);
-        let dy = cy - self.py;
-        dy * dy
-    }
-
-    /// The chunk-wide disc verdicts starting at column `i` — the same
-    /// expressions as [`WidePointCover::cover_row`]'s lane body.
-    #[inline(always)]
-    fn keep_chunk<const LANES: usize>(
-        &self,
-        dy2: f64,
-        offs: &[f64; LANES],
-        i: i64,
-    ) -> [bool; LANES] {
-        let base = i as f64;
-        let mut keep = [false; LANES];
-        for (keep, off) in keep.iter_mut().zip(offs) {
-            let x = base + off;
-            let cx = self.px.clamp(x, x + 1.0);
-            let dx = cx - self.px;
-            *keep = dx * dx + dy2 <= self.r2;
-        }
-        keep
-    }
-
-    /// One column's disc verdict — the same expressions as
-    /// [`WidePointCover::cover_row`]'s scalar remainder.
-    #[inline(always)]
-    fn keep_at(&self, dy2: f64, i: i64) -> bool {
-        let x = i as f64;
-        let cx = self.px.clamp(x, x + 1.0);
-        let dx = cx - self.px;
-        dx * dx + dy2 <= self.r2
     }
 }
 
@@ -322,48 +182,6 @@ mod tests {
     fn tiny_point_covers_containing_pixel() {
         let px = collect_wide(Point::new(1.5, 1.5), 0.1, 3, 3);
         assert_eq!(px, vec![(1, 1)]);
-    }
-
-    /// The disc span kernels must reproduce `cover_row`'s emitted set
-    /// exactly, at every lane width, including the coherent tracker.
-    #[test]
-    fn span_kernels_match_per_pixel_coverage() {
-        let cases = [
-            (Point::new(2.5, 2.5), 2.0),
-            (Point::new(0.0, 0.0), 4.0),
-            (Point::new(3.3, 2.7), 3.0),
-            (Point::new(1.5, 1.5), 0.1),
-            (Point::new(7.9, 0.2), 5.5),
-            (Point::new(4.0, 4.0), 7.9),
-        ];
-        for (p, size) in cases {
-            let Some(cov) = WidePointCover::new(p, size, 8, 0, 7) else {
-                continue;
-            };
-            let mut spans: Vec<(i64, usize, usize)> = Vec::new();
-            let tracked = cov.cover_spans::<4>(|j, lo, hi| spans.push((j, lo, hi)));
-            let mut frags = 0usize;
-            for j in cov.rows() {
-                let mut px: Vec<usize> = Vec::new();
-                let row_cands = cov.cover_row::<1>(j, &mut |x| px.push(x));
-                frags += row_cands;
-                let expect = px.first().map(|&lo| (lo, *px.last().unwrap()));
-                if let Some((lo, hi)) = expect {
-                    assert_eq!(px, (lo..=hi).collect::<Vec<_>>(), "row {j} not contiguous");
-                }
-                for (cands, span) in [cov.cover_row_span::<1>(j), cov.cover_row_span::<4>(j)] {
-                    assert_eq!(cands, row_cands, "candidate count diverges at p={p}");
-                    assert_eq!(span, expect, "p={p} size={size} row {j}");
-                }
-                let tracked_row = spans.iter().find(|&&(tj, _, _)| tj == j);
-                assert_eq!(
-                    tracked_row.map(|&(_, lo, hi)| (lo, hi)),
-                    expect,
-                    "tracked span diverges at p={p} size={size} row {j}"
-                );
-            }
-            assert_eq!(tracked, frags, "fragments tested diverge at p={p}");
-        }
     }
 
     #[test]

@@ -14,59 +14,13 @@ use spatial_geom::Point;
 /// center `(i + ½, j + ½)` is inside under the half-open crossing rule
 /// (edges owned downward: a center exactly on a shared edge belongs to
 /// exactly one of the two polygons).
+#[inline]
 pub fn rasterize_polygon(
     vertices: &[Point],
     width: usize,
     height: usize,
     stats: &mut HwStats,
     sink: &mut impl FnMut(usize, usize),
-) {
-    rasterize_polygon_rows(vertices, width, 0, height as i64 - 1, stats, sink)
-}
-
-/// [`rasterize_polygon`] restricted to scanlines `row_lo..=row_hi`
-/// (inclusive). The span/crossing math per scanline is identical to the
-/// full fill — only the scanline loop narrows — so row bands partition the
-/// full window's emitted pixels and fragment counts exactly.
-#[inline]
-pub fn rasterize_polygon_rows(
-    vertices: &[Point],
-    width: usize,
-    row_lo: i64,
-    row_hi: i64,
-    stats: &mut HwStats,
-    sink: &mut impl FnMut(usize, usize),
-) {
-    rasterize_polygon_spans(
-        vertices,
-        width,
-        row_lo,
-        row_hi,
-        stats,
-        &mut |j, i_lo, i_hi| {
-            for i in i_lo..=i_hi {
-                sink(i, j);
-            }
-        },
-    )
-}
-
-/// The span-oriented entry point of the polygon fill, shared by every
-/// executor: crossing detection and span arithmetic happen once per
-/// scanline, and each filled span `[i_lo, i_hi]` (inclusive columns, both
-/// in-window) is handed to `span(j, i_lo, i_hi)` whole. The reference path
-/// ([`rasterize_polygon_rows`]) expands spans pixel-by-pixel; the SIMD
-/// device fills them with bulk row writes — same pixels, same
-/// `fragments_tested` total (charged here, one span at a time), so the two
-/// stay bit-identical by construction.
-#[inline]
-pub fn rasterize_polygon_spans(
-    vertices: &[Point],
-    width: usize,
-    row_lo: i64,
-    row_hi: i64,
-    stats: &mut HwStats,
-    span: &mut impl FnMut(usize, usize, usize),
 ) {
     if vertices.len() < 3 {
         return;
@@ -77,8 +31,8 @@ pub fn rasterize_polygon_spans(
         ymin = ymin.min(p.y);
         ymax = ymax.max(p.y);
     }
-    let j_lo = (ymin.floor() as i64).max(row_lo.max(0));
-    let j_hi = (ymax.ceil() as i64).min(row_hi);
+    let j_lo = (ymin.floor() as i64).max(0);
+    let j_hi = (ymax.ceil() as i64).min(height as i64 - 1);
     if j_lo > j_hi {
         return;
     }
@@ -107,7 +61,9 @@ pub fn rasterize_polygon_spans(
             let i_hi = (((x1 - 0.5).ceil() as i64) - 1).min(width as i64 - 1);
             if i_lo <= i_hi {
                 stats.fragments_tested += (i_hi - i_lo + 1) as usize;
-                span(j as usize, i_lo as usize, i_hi as usize);
+                for i in i_lo..=i_hi {
+                    sink(i as usize, j as usize);
+                }
             }
         }
     }

@@ -1,144 +1,52 @@
-//! Lane-width-generic buffer-scan kernels shared by every executor.
+//! Whole-buffer scan kernels.
 //!
-//! Whole-buffer operations — Minmax reductions, stencil maxima, per-cell
-//! red-channel maxima, accumulation adds — are the device layer's other
-//! hot loop besides rasterization. Two kernel shapes live here:
+//! Whole-buffer operations — Minmax reductions, stencil maxima and counts,
+//! accumulation adds — are the device layer's other hot loop besides
+//! rasterization. Two kernel shapes live here:
 //!
-//! * **Reductions** take a `const LANES` parameter and keep `LANES`
-//!   independent accumulators, folded once at the end. A serial
-//!   `acc = acc.min(x)` chain is a loop-carried dependency the
-//!   autovectorizer must preserve; `LANES` accumulators break the chain
-//!   into fixed-width array arithmetic it reliably turns into SIMD
-//!   min/max. `LANES = 1` degenerates to exactly the serial fold — the
-//!   scalar fallback and the vector path share this one body.
-//! * **Elementwise maps** (accumulation add, clamped return) have no
-//!   dependency chain at all; they are written as flat `f32` zips over
-//!   [`slice::as_flattened`] views, which vectorize as-is at any width.
+//! * **Reductions** are serial folds over the plane.
+//! * **Elementwise maps** (accumulation add, clamped return) are written as
+//!   flat `f32` zips over [`slice::as_flattened`] views, which vectorize
+//!   as-is.
 //!
-//! Reassociating min/max is exact for the values that reach these kernels:
-//! `f32` min/max are associative and commutative over non-NaN inputs, and
-//! no kernel here produces or consumes NaN (colors are built from finite
-//! constants, sums and clamps). That is why a lane-parallel reduction can
-//! promise the bit-identical results the device contract demands.
-//!
-//! With the `simd-intrinsics` feature enabled on x86_64, the color Minmax
-//! reduction additionally routes through explicit SSE2 `min_ps`/`max_ps`
-//! intrinsics (SSE2 is baseline on x86_64 — no runtime dispatch needed);
-//! the portable kernels remain the reference the intrinsics are tested
-//! against.
-//!
-//! Every kernel here carries `#[inline(always)]`: when the caller is the
-//! band replay's AVX2 instantiation (see `crate::device`), the same body
-//! is recompiled inside that region with 256-bit registers available to
-//! the autovectorizer. Rust float semantics are strict IEEE at every
-//! vector width (no fused multiply-add, no reassociation beyond what the
-//! source spells out), so the wider instantiation computes bit-identical
-//! results — it is the same code, only wider.
+//! No kernel here produces or consumes NaN: colors are built from finite
+//! constants, sums and clamps.
 
 use crate::framebuffer::Color;
 
-/// Per-channel (min, max) over a color slice, `LANES` colors per step.
-#[inline(always)]
-pub(crate) fn minmax_colors<const LANES: usize>(colors: &[Color]) -> (Color, Color) {
-    #[cfg(all(feature = "simd-intrinsics", target_arch = "x86_64"))]
-    {
-        return sse2::minmax_colors(colors);
+/// Per-channel (min, max) over a color slice.
+#[inline]
+pub(crate) fn minmax_colors(colors: &[Color]) -> (Color, Color) {
+    let mut mn = [f32::INFINITY; 3];
+    let mut mx = [f32::NEG_INFINITY; 3];
+    for c in colors {
+        for ch in 0..3 {
+            mn[ch] = mn[ch].min(c[ch]);
+            mx[ch] = mx[ch].max(c[ch]);
+        }
     }
-    #[allow(unreachable_code)]
-    minmax_colors_portable::<LANES>(colors)
+    (mn, mx)
 }
 
-/// The portable lane-accumulator Minmax kernel (see module docs).
-#[inline(always)]
-fn minmax_colors_portable<const LANES: usize>(colors: &[Color]) -> (Color, Color) {
-    let mut mn = [[f32::INFINITY; 3]; LANES];
-    let mut mx = [[f32::NEG_INFINITY; 3]; LANES];
-    let mut chunks = colors.chunks_exact(LANES);
-    for chunk in &mut chunks {
-        // Flat 3·LANES elementwise min/max — no loop-carried dependency
-        // between lanes, so this compiles to packed min/max.
-        for (acc, &v) in mn.as_flattened_mut().iter_mut().zip(chunk.as_flattened()) {
-            *acc = acc.min(v);
-        }
-        for (acc, &v) in mx.as_flattened_mut().iter_mut().zip(chunk.as_flattened()) {
-            *acc = acc.max(v);
-        }
-    }
-    let mut out_mn = [f32::INFINITY; 3];
-    let mut out_mx = [f32::NEG_INFINITY; 3];
-    for k in 0..LANES {
-        for ch in 0..3 {
-            out_mn[ch] = out_mn[ch].min(mn[k][ch]);
-            out_mx[ch] = out_mx[ch].max(mx[k][ch]);
-        }
-    }
-    for c in chunks.remainder() {
-        for ch in 0..3 {
-            out_mn[ch] = out_mn[ch].min(c[ch]);
-            out_mx[ch] = out_mx[ch].max(c[ch]);
-        }
-    }
-    (out_mn, out_mx)
-}
-
-/// Maximum stencil value, `LANES` bytes per step.
-#[inline(always)]
-pub(crate) fn stencil_max<const LANES: usize>(vals: &[u8]) -> u8 {
-    let mut acc = [0u8; LANES];
-    let mut chunks = vals.chunks_exact(LANES);
-    for chunk in &mut chunks {
-        for (a, &v) in acc.iter_mut().zip(chunk) {
-            *a = (*a).max(v);
-        }
-    }
-    let mut m = acc.iter().copied().max().unwrap_or(0);
-    for &v in chunks.remainder() {
+/// Maximum stencil value.
+#[inline]
+pub(crate) fn stencil_max(vals: &[u8]) -> u8 {
+    let mut m = 0;
+    for &v in vals {
         m = m.max(v);
     }
     m
 }
 
-/// Number of stencil values ≥ `min`, `LANES` bytes per step — the
-/// fragment-counting readback behind the area-of-overlap aggregation.
-/// Integer addition is associative, so the lane-accumulator sum is exactly
-/// the serial count at every width.
-#[inline(always)]
-pub(crate) fn stencil_count_ge<const LANES: usize>(vals: &[u8], min: u8) -> u64 {
-    let mut acc = [0u64; LANES];
-    let mut chunks = vals.chunks_exact(LANES);
-    for chunk in &mut chunks {
-        for (a, &v) in acc.iter_mut().zip(chunk) {
-            *a += (v >= min) as u64;
-        }
-    }
-    let mut count: u64 = acc.iter().sum();
-    for &v in chunks.remainder() {
+/// Number of stencil values ≥ `min` — the fragment-counting readback
+/// behind the area-of-overlap aggregation.
+#[inline]
+pub(crate) fn stencil_count_ge(vals: &[u8], min: u8) -> u64 {
+    let mut count = 0;
+    for &v in vals {
         count += (v >= min) as u64;
     }
     count
-}
-
-/// Maximum red channel over a row slice, `LANES` colors per step — the
-/// per-cell reduction's inner loop. Returns `NEG_INFINITY` on an empty
-/// slice; the cell fold starts at 0.0 and all colors are ≥ 0, so the
-/// combined result matches the serial scan exactly.
-#[inline(always)]
-pub(crate) fn row_red_max<const LANES: usize>(colors: &[Color]) -> f32 {
-    let mut acc = [f32::NEG_INFINITY; LANES];
-    let mut chunks = colors.chunks_exact(LANES);
-    for chunk in &mut chunks {
-        for (a, c) in acc.iter_mut().zip(chunk) {
-            *a = a.max(c[0]);
-        }
-    }
-    let mut m = f32::NEG_INFINITY;
-    for a in acc {
-        m = m.max(a);
-    }
-    for c in chunks.remainder() {
-        m = m.max(c[0]);
-    }
-    m
 }
 
 /// `acc[i][ch] += src[i][ch]` — the accumulation-buffer add, as a flat
@@ -156,62 +64,6 @@ pub(crate) fn add_assign(acc: &mut [Color], src: &[Color]) {
 pub(crate) fn copy_clamped(dst: &mut [Color], src: &[Color]) {
     for (d, &s) in dst.as_flattened_mut().iter_mut().zip(src.as_flattened()) {
         *d = s.clamp(0.0, 1.0);
-    }
-}
-
-#[cfg(all(feature = "simd-intrinsics", target_arch = "x86_64"))]
-mod sse2 {
-    //! Explicit SSE2 kernels. SSE2 is part of the x86_64 baseline, so the
-    //! intrinsics are always available — no runtime feature detection.
-
-    use super::Color;
-    use core::arch::x86_64::{
-        __m128, _mm_loadu_ps, _mm_max_ps, _mm_min_ps, _mm_set1_ps, _mm_storeu_ps,
-    };
-
-    /// 4-wide min/max over the flattened channel stream. Steps by 12
-    /// floats — lcm(4 lanes, 3 channels) — so each vector position always
-    /// holds the same channel (`position mod 3`), making the final fold a
-    /// static lane→channel mapping. `min_ps`/`max_ps` are exact for the
-    /// non-NaN inputs that reach this kernel, so the result is the same
-    /// set of values the portable reduction produces.
-    pub(super) fn minmax_colors(colors: &[Color]) -> (Color, Color) {
-        let flat = colors.as_flattened();
-        let mut mn = [f32::INFINITY; 3];
-        let mut mx = [f32::NEG_INFINITY; 3];
-        let mut chunks = flat.chunks_exact(12);
-        // SAFETY: SSE2 is unconditionally available on x86_64, and every
-        // unaligned load reads 4 floats inside the current 12-float chunk.
-        unsafe {
-            let mut vmn: [__m128; 3] = [_mm_set1_ps(f32::INFINITY); 3];
-            let mut vmx: [__m128; 3] = [_mm_set1_ps(f32::NEG_INFINITY); 3];
-            for chunk in &mut chunks {
-                for v in 0..3 {
-                    let x = _mm_loadu_ps(chunk.as_ptr().add(v * 4));
-                    vmn[v] = _mm_min_ps(vmn[v], x);
-                    vmx[v] = _mm_max_ps(vmx[v], x);
-                }
-            }
-            for v in 0..3 {
-                let mut mn_l = [0f32; 4];
-                let mut mx_l = [0f32; 4];
-                _mm_storeu_ps(mn_l.as_mut_ptr(), vmn[v]);
-                _mm_storeu_ps(mx_l.as_mut_ptr(), vmx[v]);
-                for lane in 0..4 {
-                    let ch = (v * 4 + lane) % 3;
-                    mn[ch] = mn[ch].min(mn_l[lane]);
-                    mx[ch] = mx[ch].max(mx_l[lane]);
-                }
-            }
-        }
-        // 12 divides evenly into channels, so remainder element `i` is
-        // channel `i mod 3`.
-        for (i, &x) in chunks.remainder().iter().enumerate() {
-            let ch = i % 3;
-            mn[ch] = mn[ch].min(x);
-            mx[ch] = mx[ch].max(x);
-        }
-        (mn, mx)
     }
 }
 
@@ -234,69 +86,38 @@ mod tests {
             .collect()
     }
 
-    fn serial_minmax(colors: &[Color]) -> (Color, Color) {
-        let mut mn = [f32::INFINITY; 3];
-        let mut mx = [f32::NEG_INFINITY; 3];
-        for c in colors {
-            for ch in 0..3 {
-                mn[ch] = mn[ch].min(c[ch]);
-                mx[ch] = mx[ch].max(c[ch]);
-            }
-        }
-        (mn, mx)
-    }
-
     #[test]
-    fn minmax_lane_widths_agree_with_serial() {
-        // Sizes straddling every chunk boundary for LANES ∈ {1, 4, 8}.
+    fn minmax_matches_per_channel_folds() {
         for n in [0, 1, 2, 3, 4, 7, 8, 9, 15, 16, 17, 64, 100] {
             let colors = soup(n);
-            let expect = serial_minmax(&colors);
-            assert_eq!(minmax_colors::<1>(&colors), expect, "n={n} lanes=1");
-            assert_eq!(minmax_colors::<4>(&colors), expect, "n={n} lanes=4");
-            assert_eq!(minmax_colors::<8>(&colors), expect, "n={n} lanes=8");
-            assert_eq!(
-                minmax_colors_portable::<8>(&colors),
-                expect,
-                "portable n={n}"
-            );
+            let (mn, mx) = minmax_colors(&colors);
+            for ch in 0..3 {
+                let vals = colors.iter().map(|c| c[ch]);
+                assert_eq!(mn[ch], vals.clone().fold(f32::INFINITY, f32::min), "n={n}");
+                assert_eq!(mx[ch], vals.fold(f32::NEG_INFINITY, f32::max), "n={n}");
+            }
         }
     }
 
     #[test]
-    fn stencil_max_lane_widths_agree() {
+    fn stencil_max_matches_iterator_max() {
         let vals: Vec<u8> = (0..97u32)
             .map(|i| (i.wrapping_mul(131) % 251) as u8)
             .collect();
-        let expect = vals.iter().copied().max().unwrap();
-        assert_eq!(stencil_max::<1>(&vals), expect);
-        assert_eq!(stencil_max::<8>(&vals), expect);
-        assert_eq!(stencil_max::<16>(&vals), expect);
-        assert_eq!(stencil_max::<8>(&[]), 0);
+        assert_eq!(stencil_max(&vals), vals.iter().copied().max().unwrap());
+        assert_eq!(stencil_max(&[]), 0);
     }
 
     #[test]
-    fn stencil_count_lane_widths_agree() {
+    fn stencil_count_matches_iterator_count() {
         let vals: Vec<u8> = (0..103u32)
             .map(|i| (i.wrapping_mul(197) % 5) as u8)
             .collect();
         for min in 0..4u8 {
             let expect = vals.iter().filter(|&&v| v >= min).count() as u64;
-            assert_eq!(stencil_count_ge::<1>(&vals, min), expect, "min={min}");
-            assert_eq!(stencil_count_ge::<8>(&vals, min), expect, "min={min}");
-            assert_eq!(stencil_count_ge::<16>(&vals, min), expect, "min={min}");
+            assert_eq!(stencil_count_ge(&vals, min), expect, "min={min}");
         }
-        assert_eq!(stencil_count_ge::<8>(&[], 2), 0);
-    }
-
-    #[test]
-    fn row_red_max_lane_widths_agree() {
-        for n in [0usize, 1, 5, 8, 13, 40] {
-            let colors = soup(n);
-            let expect = colors.iter().fold(f32::NEG_INFINITY, |m, c| m.max(c[0]));
-            assert_eq!(row_red_max::<1>(&colors), expect, "n={n}");
-            assert_eq!(row_red_max::<8>(&colors), expect, "n={n}");
-        }
+        assert_eq!(stencil_count_ge(&[], 2), 0);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The device contract, property-tested: for randomized recorded scenes,
-//! every executor — [`TiledDevice`] across several tile counts and thread
-//! counts, [`SimdDevice`] standalone, and the SIMD kernels inside tiled
-//! bands — must produce bit-identical framebuffers, readback results and
-//! [`HwStats`] counters to [`ReferenceDevice`].
+//! [`ReferenceDevice`] execution is pure and self-validating, and the two
+//! wrappers around it — [`FaultDevice`] and `ShardedDevice` — are
+//! transparent: bit-identical framebuffers, readback results and `HwStats`
+//! counters to the bare executor, on every route and health mask.
 //!
 //! The scenes deliberately exercise every command the recorder can emit:
 //! all three overlap-strategy choreographies (accumulation, blending,
@@ -15,7 +15,7 @@ use spatial_geom::{Point, Rect, Segment};
 use spatial_raster::framebuffer::HALF_GRAY;
 use spatial_raster::{
     CommandList, DeviceError, FaultDevice, FaultKind, FaultPlan, FaultTrigger, OverlapStrategy,
-    PixelRect, RasterDevice, Recorder, ReferenceDevice, SimdDevice, TiledDevice, Viewport,
+    PixelRect, RasterDevice, Recorder, ReferenceDevice, Viewport,
 };
 use spatial_raster::{FrameBuffer, WriteMode};
 
@@ -186,149 +186,44 @@ fn reference_run(list: &CommandList) -> (spatial_raster::Execution, FrameBuffer)
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// The tentpole invariant: every executor — scalar tiled at every
-    /// tile/thread configuration, SIMD standalone, and SIMD inside tiled
-    /// bands — is bit-identical to the reference replay: stats, readbacks,
-    /// pixels.
-    #[test]
-    fn executors_are_bit_identical_to_reference(scene in arb_scene()) {
-        let list = record(&scene);
-        let (ref_exec, ref_fb) = reference_run(&list);
-        let mut devices: Vec<Box<dyn RasterDevice>> = vec![Box::new(SimdDevice::new())];
-        for tiles in [2usize, 5] {
-            for threads in [1usize, 2, 4] {
-                devices.push(Box::new(TiledDevice::new(tiles, threads)));
-                devices.push(Box::new(TiledDevice::new_simd(tiles, threads)));
-            }
-        }
-        for dev in &mut devices {
-            let exec = dev.execute(&list).expect("simulated executors are infallible");
-            prop_assert!(exec.validate(&list).is_ok(), "validation failed on {:?}", dev);
-            prop_assert_eq!(
-                &exec.stats, &ref_exec.stats,
-                "stats diverged on {:?}", dev
-            );
-            prop_assert_eq!(
-                &exec.readbacks, &ref_exec.readbacks,
-                "readbacks diverged on {:?}", dev
-            );
-            let fb = dev.snapshot().expect("executed at least once");
-            prop_assert!(fb == ref_fb, "framebuffer diverged on {:?}", dev);
-        }
-    }
-
     /// Executing the same list twice on the same device is idempotent:
-    /// counters are a pure function of the list, not of device history.
+    /// counters are a pure function of the list, not of device history —
+    /// and a clean execution passes its own post-execution validation.
     #[test]
     fn re_execution_is_pure(scene in arb_scene()) {
         let list = record(&scene);
-        let mut devices: Vec<Box<dyn RasterDevice>> = vec![
-            Box::new(TiledDevice::new(3, 2)),
-            Box::new(SimdDevice::new()),
-            Box::new(TiledDevice::new_simd(3, 2)),
-        ];
-        for dev in &mut devices {
-            let first = dev.execute(&list).expect("simulated executors are infallible");
-            let second = dev.execute(&list).expect("simulated executors are infallible");
-            prop_assert_eq!(first, second, "impure execution on {:?}", dev);
-        }
+        let mut dev = ReferenceDevice::new();
+        let first = dev.execute(&list).expect("the simulated executor is infallible");
+        prop_assert!(first.validate(&list).is_ok(), "validation failed");
+        let second = dev.execute(&list).expect("the simulated executor is infallible");
+        prop_assert_eq!(first, second, "impure execution");
     }
 
-    /// More tiles than rows, one tile, or one thread: degenerate shapes
-    /// still match the reference exactly — in both scalar and SIMD mode.
+    /// Fusing a recorded list is set-preserving: the fused list produces
+    /// bit-identical charged stats, readbacks and framebuffer pixels — and
+    /// identical outcome sequences under seeded fault schedules, since
+    /// fusion never changes how often a list executes.
     #[test]
-    fn degenerate_tile_configs_match(scene in arb_scene()) {
-        let list = record(&scene);
-        let (ref_exec, ref_fb) = reference_run(&list);
-        for (tiles, threads) in [(1usize, 1usize), (64, 2), (scene.height + 3, 8)] {
-            for simd in [false, true] {
-                let mut tiled = if simd {
-                    TiledDevice::new_simd(tiles, threads)
-                } else {
-                    TiledDevice::new(tiles, threads)
-                };
-                let exec = tiled.execute(&list).expect("simulated executors are infallible");
-                prop_assert_eq!(&exec.stats, &ref_exec.stats);
-                prop_assert_eq!(&exec.readbacks, &ref_exec.readbacks);
-                prop_assert!(tiled.snapshot().expect("ran") == ref_fb);
-            }
-        }
-    }
-
-    /// Fusing a recorded list is set-preserving on every backend: the
-    /// fused list produces bit-identical charged stats, readbacks and
-    /// framebuffer pixels on the reference, tiled, SIMD and tiled+SIMD
-    /// executors — and identical outcome sequences under seeded fault
-    /// schedules, since fusion never changes how often a list executes.
-    #[test]
-    fn fusion_preserves_execution_on_every_backend(
+    fn fusion_preserves_execution(
         scene in arb_scene(),
         seed in 0u64..u64::MAX,
     ) {
         let list = record(&scene);
         let (fused, _elided) = list.fuse();
         let (ref_exec, ref_fb) = reference_run(&list);
-        let mut devices: Vec<Box<dyn RasterDevice>> = vec![
-            Box::new(ReferenceDevice::new()),
-            Box::new(SimdDevice::new()),
-            Box::new(TiledDevice::new(3, 2)),
-            Box::new(TiledDevice::new_simd(5, 3)),
-        ];
-        for dev in &mut devices {
-            let exec = dev.execute(&fused).expect("simulated executors are infallible");
-            prop_assert_eq!(&exec.stats, &ref_exec.stats, "stats diverged on {:?}", dev);
-            prop_assert_eq!(
-                &exec.readbacks, &ref_exec.readbacks,
-                "readbacks diverged on {:?}", dev
-            );
-            let fb = dev.snapshot().expect("executed at least once");
-            prop_assert!(fb == ref_fb, "framebuffer diverged on {:?}", dev);
-        }
+        let (exec, fb) = reference_run(&fused);
+        prop_assert_eq!(&exec.stats, &ref_exec.stats, "stats diverged");
+        prop_assert_eq!(&exec.readbacks, &ref_exec.readbacks, "readbacks diverged");
+        prop_assert!(fb == ref_fb, "framebuffer diverged");
         // Identically-seeded fault schedules must be indistinguishable
         // between the fused and unfused lists, outcome for outcome.
         for kind in [FaultKind::ContextLost, FaultKind::ReadbackBitFlip] {
             let plan = FaultPlan::new(seed, kind, FaultTrigger::EveryK(2));
             let run = |l: &CommandList| -> Vec<Result<spatial_raster::Execution, DeviceError>> {
-                let mut dev = FaultDevice::new(Box::new(SimdDevice::new()), plan);
+                let mut dev = FaultDevice::new(Box::new(ReferenceDevice::new()), plan);
                 (0..4).map(|_| dev.execute(l)).collect()
             };
             prop_assert_eq!(run(&fused), run(&list), "fault schedule diverged under {:?}", kind);
-        }
-    }
-
-    /// A failed band worker poisons the whole execution with the same
-    /// typed error at every thread count — error reporting is a function
-    /// of the faulted band, never of thread scheduling — and the fault
-    /// does not stick: the next execute on the same device is clean and
-    /// bit-identical to the reference.
-    #[test]
-    fn band_worker_faults_poison_the_merge_deterministically(
-        scene in arb_scene(),
-        band in 0usize..5,
-        simd_pick in 0usize..2,
-    ) {
-        let simd = simd_pick == 1;
-        let list = record(&scene);
-        let (ref_exec, _) = reference_run(&list);
-        let mut outcomes: Vec<Result<(), DeviceError>> = Vec::new();
-        for threads in [1usize, 2, 3, 8] {
-            let mut dev = if simd {
-                TiledDevice::new_simd(5, threads)
-            } else {
-                TiledDevice::new(5, threads)
-            };
-            dev.inject_band_fault(band, DeviceError::OutOfMemory);
-            outcomes.push(dev.execute(&list).map(|_| ()));
-            let retry = dev.execute(&list).expect("injected faults are one-shot");
-            prop_assert_eq!(&retry.stats, &ref_exec.stats, "threads {}", threads);
-            prop_assert_eq!(&retry.readbacks, &ref_exec.readbacks, "threads {}", threads);
-        }
-        for o in &outcomes[1..] {
-            prop_assert_eq!(o, &outcomes[0], "error reporting depends on thread count");
-        }
-        // Band indices inside the partition must actually fault.
-        if band < list.height().min(5) {
-            prop_assert_eq!(outcomes[0], Err(DeviceError::OutOfMemory));
         }
     }
 
@@ -345,7 +240,7 @@ proptest! {
         let (ref_exec, _) = reference_run(&list);
         let plan = FaultPlan::new(seed, FaultKind::ContextLost, FaultTrigger::EveryK(every));
         let run = |n: usize| -> Vec<Result<spatial_raster::Execution, DeviceError>> {
-            let mut dev = FaultDevice::new(Box::new(SimdDevice::new()), plan);
+            let mut dev = FaultDevice::new(Box::new(ReferenceDevice::new()), plan);
             (0..n).map(|_| dev.execute(&list)).collect()
         };
         let first = run(6);
@@ -374,25 +269,22 @@ proptest! {
         use spatial_raster::{DeviceKind, ShardedDevice};
         let list = record(&scene);
         let (ref_exec, ref_fb) = reference_run(&list);
-        for inner in [DeviceKind::Reference, DeviceKind::Simd,
-                      DeviceKind::Tiled { tiles: 3, threads: 2 }] {
-            let mut dev = ShardedDevice::new(&inner, shards);
-            let mut per_route = Vec::new();
-            for &r in &routes {
-                dev.route(r);
-                prop_assert_eq!(dev.active(), r % shards);
-                let exec = dev.execute(&list).expect("simulated executors are infallible");
-                prop_assert_eq!(&exec.stats, &ref_exec.stats, "stats diverged on {:?}", inner);
-                prop_assert_eq!(&exec.readbacks, &ref_exec.readbacks);
-                prop_assert!(dev.snapshot().expect("ran") == ref_fb);
-                per_route.push(exec);
-            }
-            // Fixed-order merge: counters sum, readbacks concatenate.
-            let n = per_route.len();
-            let merged = ShardedDevice::merge(per_route);
-            prop_assert_eq!(merged.readbacks.len(), n * ref_exec.readbacks.len());
-            prop_assert_eq!(merged.stats.draw_calls, n * ref_exec.stats.draw_calls);
+        let mut dev = ShardedDevice::new(&DeviceKind::Reference, shards);
+        let mut per_route = Vec::new();
+        for &r in &routes {
+            dev.route(r);
+            prop_assert_eq!(dev.active(), r % shards);
+            let exec = dev.execute(&list).expect("the simulated executor is infallible");
+            prop_assert_eq!(&exec.stats, &ref_exec.stats, "stats diverged on route {}", r);
+            prop_assert_eq!(&exec.readbacks, &ref_exec.readbacks);
+            prop_assert!(dev.snapshot().expect("ran") == ref_fb);
+            per_route.push(exec);
         }
+        // Fixed-order merge: counters sum, readbacks concatenate.
+        let n = per_route.len();
+        let merged = ShardedDevice::merge(per_route);
+        prop_assert_eq!(merged.readbacks.len(), n * ref_exec.readbacks.len());
+        prop_assert_eq!(merged.stats.draw_calls, n * ref_exec.stats.draw_calls);
     }
 
     /// `failover_route` is a stable rehash: the identity when the
@@ -443,7 +335,7 @@ proptest! {
         let list = record(&scene);
         let (ref_exec, ref_fb) = reference_run(&list);
         for shards in [1usize, 2, 4] {
-            let mut dev = ShardedDevice::new(&DeviceKind::Simd, shards);
+            let mut dev = ShardedDevice::new(&DeviceKind::Reference, shards);
             let dead = dead % shards;
             if shards > 1 {
                 dev.set_shard_health(dead, false);
@@ -456,7 +348,7 @@ proptest! {
                         "route {} landed on the dead shard of {}", r, shards
                     );
                 }
-                let exec = dev.execute(&list).expect("simulated executors are infallible");
+                let exec = dev.execute(&list).expect("the simulated executor is infallible");
                 prop_assert_eq!(&exec.stats, &ref_exec.stats, "stats diverged, {} shards", shards);
                 prop_assert_eq!(&exec.readbacks, &ref_exec.readbacks);
                 prop_assert!(dev.snapshot().expect("ran") == ref_fb);
