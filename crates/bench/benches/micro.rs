@@ -1,7 +1,8 @@
 //! Criterion microbenchmarks for the kernels underneath the figures:
-//! point-in-polygon, the two sweeps, minDist, the AA-line rasterizer, the
-//! R-tree, and one full Algorithm 3.1 call. Kept short (small sample
-//! count) so `cargo bench --workspace` finishes in minutes.
+//! point-in-polygon, the two sweeps, minDist, the AA-line rasterizer and
+//! its clip stage, the polygon fill, the R-tree, and one full Algorithm
+//! 3.1 call. Kept short (small sample count) so `cargo bench --workspace`
+//! finishes in minutes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hwa_core::hw_intersect::HwTester;
@@ -12,8 +13,9 @@ use spatial_datagen::shapes::harmonic_star;
 use spatial_geom::intersect::{polygons_intersect_with, IntersectStats, SweepAlgo};
 use spatial_geom::{point_in_polygon, within_distance, Point, Polygon, Rect, Segment};
 use spatial_index::RTree;
-use spatial_raster::aa_line::{rasterize_aa_line, DIAGONAL_WIDTH};
-use spatial_raster::HwStats;
+use spatial_raster::aa_line::{aa_line_outside_window, rasterize_aa_line, DIAGONAL_WIDTH};
+use spatial_raster::polygon_raster::rasterize_polygon;
+use spatial_raster::{GlContext, HwStats, Viewport};
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -98,6 +100,55 @@ fn bench_aa_line(c: &mut Criterion) {
             })
         });
     }
+    // What a query actually submits: every edge of a 2048-vertex boundary
+    // into an 8×8 window over a sliver of it, so ~1 % of the run touches
+    // the window and the rest must cost the clip compare only.
+    let boundary = star(2048, 5, 0.0, 0.0);
+    let run: Vec<Segment> = boundary.edges().collect();
+    let corner = boundary.vertices()[0];
+    let sliver = Rect::new(
+        corner.x - 4.5,
+        corner.y - 4.5,
+        corner.x + 4.5,
+        corner.y + 4.5,
+    );
+    let vp = Viewport::new(sliver, 8, 8);
+    let live = run
+        .iter()
+        .filter(|s| {
+            !aa_line_outside_window(vp.to_window(s.a), vp.to_window(s.b), DIAGONAL_WIDTH, 8, 8)
+        })
+        .count();
+    assert!((10..=41).contains(&live), "{live} of 2048 segments live");
+    g.bench_function("clipped_run", |b| {
+        let mut gl = GlContext::new(vp);
+        b.iter(|| {
+            gl.draw_segments(black_box(&run));
+            gl.stats().pixels_written
+        })
+    });
+    g.finish();
+}
+
+fn bench_polygon_fill(c: &mut Criterion) {
+    let mut g = c.benchmark_group("polygon_fill");
+    g.sample_size(30);
+    g.warm_up_time(Duration::from_millis(500));
+    g.measurement_time(Duration::from_secs(2));
+    // The overlap-area choreography's fill: a 2048-vertex boundary into a
+    // 32×32 window over its own MBR — every edge is inside the scanline
+    // range, the case the fill's edge filter must not slow down.
+    let poly = star(2048, 6, 0.0, 0.0);
+    let vp = Viewport::new(poly.mbr(), 32, 32);
+    let window: Vec<Point> = poly.vertices().iter().map(|&p| vp.to_window(p)).collect();
+    g.bench_function("2k_vertices_r32", |b| {
+        b.iter(|| {
+            let mut st = HwStats::default();
+            let mut count = 0usize;
+            rasterize_polygon(black_box(&window), 32, 32, &mut st, &mut |_, _| count += 1);
+            count
+        })
+    });
     g.finish();
 }
 
@@ -172,6 +223,7 @@ criterion_group!(
     bench_sweeps,
     bench_mindist,
     bench_aa_line,
+    bench_polygon_fill,
     bench_rtree,
     bench_hw_test,
     bench_segment_kernel

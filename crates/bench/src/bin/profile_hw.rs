@@ -3,8 +3,8 @@
 
 use spatial_bench::BenchOpts;
 use spatial_datagen::shapes::harmonic_star;
-use spatial_geom::intersect::restricted_edges;
 use spatial_geom::{Point, Segment};
+use spatial_raster::aa_line::{aa_line_outside_window, DIAGONAL_WIDTH};
 use spatial_raster::framebuffer::HALF_GRAY;
 use spatial_raster::{GlContext, Viewport};
 use std::time::Instant;
@@ -43,12 +43,26 @@ fn main() {
         &mut rng,
     );
     let region = p.mbr().intersection(&q.mbr()).unwrap();
-    let ep = restricted_edges(&p, &region);
-    let eq = restricted_edges(&q, &region);
-    println!("restricted edges: {} + {}", ep.len(), eq.len());
+    // The lists the testers record: Algorithm 3.1 submits every edge of
+    // both polygons and leaves the region restriction to the clip stage.
+    let ep: Vec<Segment> = p.edges().collect();
+    let eq: Vec<Segment> = q.edges().collect();
+    println!("submitted edges: {} + {}", ep.len(), eq.len());
 
     for res in [8usize, 16, 32] {
         let vp = Viewport::new(region, res, res);
+        let touching = ep
+            .iter()
+            .chain(&eq)
+            .filter(|s| {
+                let (a, b) = (vp.to_window(s.a), vp.to_window(s.b));
+                !aa_line_outside_window(a, b, DIAGONAL_WIDTH, res, res)
+            })
+            .count();
+        println!(
+            "res {res:>2}: {} primitives submitted, {touching} touch the window",
+            ep.len() + eq.len()
+        );
         let mut gl = GlContext::new(vp);
         gl.set_color(HALF_GRAY);
         let n = 2000;

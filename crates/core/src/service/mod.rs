@@ -24,8 +24,9 @@
 //! * **Planning** — the paper's Figure 13 break-even analysis run
 //!   online: the candidate set's choreography is recorded at a few
 //!   resolutions (cached skeletons make repeat shapes free), priced by
-//!   [`HwCostModel::replay_cost`](spatial_raster::HwCostModel) without
-//!   executing, and the cheapest of {software, per-pair hardware,
+//!   [`HwCostModel::replay_cost`](spatial_raster::HwCostModel) — a
+//!   replay of the sample on a private reference device, off the
+//!   query's own ledger — and the cheapest of {software, per-pair hardware,
 //!   batched hardware} wins. Invariant 13: the choice never changes
 //!   results — every backend is exact, so planning is purely a latency
 //!   decision.

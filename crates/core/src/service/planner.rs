@@ -11,8 +11,13 @@
 //!
 //! The planner exploits the retained command-stream architecture
 //! (DESIGN.md §7): recording a test's `CommandList` is pure and cheap,
-//! and [`HwCostModel::replay_cost`] prices a recorded list *without
-//! executing it*. So for each query the planner takes a small sample of
+//! and [`HwCostModel::replay_cost`] prices a recorded list by replaying
+//! it on a private `ReferenceDevice` — touching none of the query's own
+//! devices, ledgers or results — and pricing the counters the replay
+//! charged. A pricing pass therefore costs the wall-clock of executing
+//! its sample once (mostly the rasterizer's clip compare: a sampled
+//! pair submits every edge and few touch the window), which is why the
+//! sample is small. So for each query the planner takes a small sample of
 //! the candidate set, records the sample's choreography at each
 //! configured resolution — reusing a [`RecordingCache`] so repeat
 //! shapes splice instead of re-record — prices per-pair and batched

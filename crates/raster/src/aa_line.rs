@@ -15,11 +15,16 @@
 //! "pixel square ∩ oriented rectangle ≠ ∅" (closed), decided by a
 //! separating-axis test.
 //!
-//! The per-pixel test is the inner loop of every hardware-assisted query,
-//! so it is kept lean: the candidate loop bounds already guarantee overlap
-//! on the window axes, leaving only the rectangle's two edge normals to
-//! check, with all rectangle projections hoisted out of the loop. (This is
-//! the simulation's stand-in for the GPU's parallel coverage evaluation.)
+//! Algorithm 3.1 submits *every* edge of both polygons and leaves it to the
+//! pipeline to clip what falls outside the viewing area, so most segments a
+//! query draws never reach this setup: the inner loop of every
+//! hardware-assisted query is the clip compare [`aa_line_outside_window`],
+//! which `GlContext` runs before [`AaLineCover::new`]. For the segments that
+//! survive, the per-pixel test is kept lean: the candidate loop bounds
+//! already guarantee overlap on the window axes, leaving only the
+//! rectangle's two edge normals to check, with all rectangle projections
+//! hoisted out of the loop. (This is the simulation's stand-in for the GPU's
+//! parallel coverage evaluation.)
 
 use crate::stats::HwStats;
 use spatial_geom::Point;
@@ -34,6 +39,27 @@ pub fn bounding_rectangle(a: Point, b: Point, w: f64) -> Option<[Point; 4]> {
     let dir = (b - a).normalized()?;
     let n = dir.perp() * (w / 2.0);
     Some([a + n, b + n, b - n, a - n])
+}
+
+/// The clip test for the width-`w` line `a→b` (window coordinates) against
+/// the window columns `0..width` and scanlines `0..height`: true only when
+/// [`AaLineCover::new`] would return `None` — and, for `a == b`, when the
+/// diameter-`w` fallback disc at `a` misses the window too — so skipping a
+/// segment on it changes no pixel and no counter.
+///
+/// The bounding rectangle's corners are `a ± n`, `b ± n` with `|n.x|`,
+/// `|n.y|` ≤ `w/2` up to rounding, hence below `w`; floating-point addition
+/// is monotone, so both ends' `x + w < 0` puts every corner's `floor` left
+/// of column 0 and both ends' `x − w ≥ width` puts it at or past `width`.
+/// A NaN coordinate compares false on its axis; such a segment has no
+/// direction and never rasterizes, whatever the other axis says here.
+#[inline]
+pub fn aa_line_outside_window(a: Point, b: Point, w: f64, width: usize, height: usize) -> bool {
+    let (width, height) = (width as f64, height as f64);
+    (a.x + w < 0.0 && b.x + w < 0.0)
+        || (a.x - w >= width && b.x - w >= width)
+        || (a.y + w < 0.0 && b.y + w < 0.0)
+        || (a.y - w >= height && b.y - w >= height)
 }
 
 /// Rasterizes the anti-aliased line `a→b` of width `w` (window

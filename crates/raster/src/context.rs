@@ -2,10 +2,10 @@
 //! so the hardware-assisted algorithms read like the paper's pseudo-code
 //! (Algorithm 3.1: set color, render edges, accumulate, minmax).
 
-use crate::aa_line::rasterize_aa_line;
+use crate::aa_line::{aa_line_outside_window, rasterize_aa_line};
 use crate::framebuffer::{Color, FrameBuffer, BLACK};
 use crate::line_raster::rasterize_line_diamond_exit;
-use crate::point_raster::{rasterize_point, rasterize_wide_point};
+use crate::point_raster::{rasterize_point, rasterize_wide_point, wide_point_outside_window};
 use crate::polygon_raster::rasterize_polygon;
 use crate::stats::HwStats;
 use crate::viewport::Viewport;
@@ -262,65 +262,48 @@ impl GlContext {
     /// logical hardware submission (the atlas's per-pass batching).
     pub fn draw_segments_merged(&mut self, segments: &[Segment]) {
         let (w, h, ox, oy) = self.window();
-        if self.write_mode == WriteMode::Overwrite {
+        let GlContext {
+            ref mut fb,
+            ref mut stats,
+            ref viewport,
+            color,
+            line_width,
+            antialias,
+            write_mode,
+            ..
+        } = *self;
+        if write_mode == WriteMode::Overwrite {
             // Hot path (Algorithm 3.1 renders everything in this mode):
             // fragments go straight into the color buffer, no collection.
-            let GlContext {
-                ref mut fb,
-                ref mut stats,
-                ref viewport,
-                color,
+            let mut written = 0usize;
+            raster_segments(
+                segments,
+                viewport,
                 line_width,
                 antialias,
-                ..
-            } = *self;
-            let mut written = 0usize;
-            for seg in segments {
-                stats.primitives += 1;
-                let a = viewport.to_window(seg.a);
-                let b = viewport.to_window(seg.b);
-                let mut sink = |x: usize, y: usize| {
+                (w, h),
+                stats,
+                &mut |x, y| {
                     fb.write_pixel_uncounted(ox + x, oy + y, color);
                     written += 1;
-                };
-                if antialias {
-                    rasterize_aa_line(a, b, line_width, w, h, stats, &mut sink);
-                    if a == b {
-                        // Degenerate after projection: keep coverage with a
-                        // point.
-                        rasterize_wide_point(a, line_width, w, h, stats, &mut sink);
-                    }
-                } else {
-                    rasterize_line_diamond_exit(a, b, w, h, stats, &mut sink);
-                }
-            }
-            self.stats.pixels_written += written;
+                },
+            );
+            stats.pixels_written += written;
             return;
         }
         // Fragments are collected for the whole batch and written once:
         // blending must not double-add where a boundary's own edges share
         // vertex pixels within one draw call.
         let mut frags: Vec<(usize, usize)> = Vec::new();
-        for seg in segments {
-            self.stats.primitives += 1;
-            let a = self.viewport.to_window(seg.a);
-            let b = self.viewport.to_window(seg.b);
-            if self.antialias {
-                rasterize_aa_line(a, b, self.line_width, w, h, &mut self.stats, &mut |x, y| {
-                    frags.push((ox + x, oy + y))
-                });
-                if a == b {
-                    // Degenerate after projection: keep coverage with a point.
-                    rasterize_wide_point(a, self.line_width, w, h, &mut self.stats, &mut |x, y| {
-                        frags.push((ox + x, oy + y))
-                    });
-                }
-            } else {
-                rasterize_line_diamond_exit(a, b, w, h, &mut self.stats, &mut |x, y| {
-                    frags.push((ox + x, oy + y))
-                });
-            }
-        }
+        raster_segments(
+            segments,
+            viewport,
+            line_width,
+            antialias,
+            (w, h),
+            stats,
+            &mut |x, y| frags.push((ox + x, oy + y)),
+        );
         self.write_fragments(&frags);
     }
 
@@ -340,47 +323,43 @@ impl GlContext {
     /// [`GlContext::draw_segments_merged`]).
     pub fn draw_points_merged(&mut self, points: &[Point]) {
         let (w, h, ox, oy) = self.window();
-        if self.write_mode == WriteMode::Overwrite {
-            let GlContext {
-                ref mut fb,
-                ref mut stats,
-                ref viewport,
-                color,
+        let GlContext {
+            ref mut fb,
+            ref mut stats,
+            ref viewport,
+            color,
+            point_size,
+            antialias,
+            write_mode,
+            ..
+        } = *self;
+        if write_mode == WriteMode::Overwrite {
+            let mut written = 0usize;
+            raster_points(
+                points,
+                viewport,
                 point_size,
                 antialias,
-                ..
-            } = *self;
-            let mut written = 0usize;
-            for &p in points {
-                stats.primitives += 1;
-                let wp = viewport.to_window(p);
-                let mut sink = |x: usize, y: usize| {
+                (w, h),
+                stats,
+                &mut |x, y| {
                     fb.write_pixel_uncounted(ox + x, oy + y, color);
                     written += 1;
-                };
-                if antialias {
-                    rasterize_wide_point(wp, point_size, w, h, stats, &mut sink);
-                } else {
-                    rasterize_point(wp, w, h, stats, &mut sink);
-                }
-            }
-            self.stats.pixels_written += written;
+                },
+            );
+            stats.pixels_written += written;
             return;
         }
         let mut frags: Vec<(usize, usize)> = Vec::new();
-        for &p in points {
-            self.stats.primitives += 1;
-            let wp = self.viewport.to_window(p);
-            if self.antialias {
-                rasterize_wide_point(wp, self.point_size, w, h, &mut self.stats, &mut |x, y| {
-                    frags.push((ox + x, oy + y))
-                });
-            } else {
-                rasterize_point(wp, w, h, &mut self.stats, &mut |x, y| {
-                    frags.push((ox + x, oy + y))
-                });
-            }
-        }
+        raster_points(
+            points,
+            viewport,
+            point_size,
+            antialias,
+            (w, h),
+            stats,
+            &mut |x, y| frags.push((ox + x, oy + y)),
+        );
         self.write_fragments(&frags);
     }
 
@@ -480,6 +459,67 @@ impl GlContext {
                 max
             })
             .collect()
+    }
+}
+
+/// Clip, then rasterize, one run of segments into the `w × h` window
+/// (scissor-local, so an atlas cell clips against its own cell).
+///
+/// The clip stage of §2.1 ("the parts of geometries that are outside the
+/// viewing area are clipped"): Algorithm 3.1 submits every edge of both
+/// polygons, and all but a few percent of them miss the window, so a
+/// submitted segment costs its projection and one rectangle compare here;
+/// only the survivors pay the line setup. Clipping is uncharged and
+/// invisible — `primitives` counts submissions, and the compare skips only
+/// what the setup would itself discard ([`aa_line_outside_window`]).
+fn raster_segments(
+    segments: &[Segment],
+    viewport: &Viewport,
+    line_width: f64,
+    antialias: bool,
+    (w, h): (usize, usize),
+    stats: &mut HwStats,
+    sink: &mut impl FnMut(usize, usize),
+) {
+    stats.primitives += segments.len();
+    for seg in segments {
+        let a = viewport.to_window(seg.a);
+        let b = viewport.to_window(seg.b);
+        if !antialias {
+            rasterize_line_diamond_exit(a, b, w, h, stats, sink);
+            continue;
+        }
+        if aa_line_outside_window(a, b, line_width, w, h) {
+            continue;
+        }
+        rasterize_aa_line(a, b, line_width, w, h, stats, sink);
+        if a == b {
+            // Degenerate after projection: keep coverage with a point.
+            rasterize_wide_point(a, line_width, w, h, stats, sink);
+        }
+    }
+}
+
+/// [`raster_segments`] for one run of points: a smooth point is clipped by
+/// [`wide_point_outside_window`]; an aliased one is a single charged
+/// fragment wherever it lands.
+fn raster_points(
+    points: &[Point],
+    viewport: &Viewport,
+    point_size: f64,
+    antialias: bool,
+    (w, h): (usize, usize),
+    stats: &mut HwStats,
+    sink: &mut impl FnMut(usize, usize),
+) {
+    stats.primitives += points.len();
+    for &p in points {
+        let wp = viewport.to_window(p);
+        if !antialias {
+            rasterize_point(wp, w, h, stats, sink);
+        } else if !wide_point_outside_window(wp, point_size, w, h) {
+            rasterize_wide_point(wp, point_size, w, h, stats, sink);
+        }
     }
 }
 

@@ -85,10 +85,13 @@ impl HwCostModel {
     }
 
     /// Modeled GPU time of a recorded command stream: replays `list` on a
-    /// [`crate::device::ReferenceDevice`] and prices the charged counters.
-    /// Because replay is a pure function of the list, so is the returned
-    /// time — the same stream costs the same whichever shard executed it
-    /// for real.
+    /// private [`crate::device::ReferenceDevice`] and prices the charged
+    /// counters. The list *is* executed — the call costs one execution's
+    /// wall-clock (a clip compare per submitted primitive plus the
+    /// rasterization of the few that touch the window) — only no caller's
+    /// device or ledger sees it. Because replay is a pure function of the
+    /// list, so is the returned time — the same stream costs the same
+    /// whichever shard executed it for real.
     pub fn replay_cost(&self, list: &crate::device::CommandList) -> Duration {
         let mut device = crate::device::ReferenceDevice::new();
         let exec = crate::device::RasterDevice::execute(&mut device, list)

@@ -24,6 +24,18 @@ pub fn rasterize_point(
     }
 }
 
+/// The clip test for the diameter-`size` smooth point at `p` (window
+/// coordinates): true only when [`WidePointCover::new`] would return `None`
+/// — `p.x + r < 0` floors to an `x_hi` left of column 0 and `p.x − r ≥
+/// width` to an `x_lo` at or past `width`, same in y — so skipping a point
+/// on it changes no pixel and no counter. A NaN coordinate compares false:
+/// the setup clamps it into the window and charges its candidates.
+#[inline]
+pub fn wide_point_outside_window(p: Point, size: f64, width: usize, height: usize) -> bool {
+    let r = size / 2.0;
+    p.x + r < 0.0 || p.x - r >= width as f64 || p.y + r < 0.0 || p.y - r >= height as f64
+}
+
 /// Rasterizes an anti-aliased ("smooth") point of diameter `size` at window
 /// coordinates `p`: every pixel whose unit square intersects the disc of
 /// diameter `size` centered at `p` is emitted.

@@ -36,15 +36,22 @@ pub fn rasterize_polygon(
     if j_lo > j_hi {
         return;
     }
+    // Clip the edge list once: an edge with both endpoints above the last
+    // scanline center, or neither above the first, satisfies the crossing
+    // rule below on no scanline (same strict `>`, so NaN drops out the same
+    // way). Crossings are sorted per scanline, so their order is free.
+    let (y_first, y_last) = (j_lo as f64 + 0.5, j_hi as f64 + 0.5);
     let n = vertices.len();
+    let live: Vec<(Point, Point)> = (0..n)
+        .map(|k| (vertices[k], vertices[(k + 1) % n]))
+        .filter(|(a, b)| !(a.y > y_last && b.y > y_last) && (a.y > y_first || b.y > y_first))
+        .collect();
     let mut xs: Vec<f64> = Vec::with_capacity(8);
 
     for j in j_lo..=j_hi {
         let yc = j as f64 + 0.5;
         xs.clear();
-        for k in 0..n {
-            let a = vertices[k];
-            let b = vertices[(k + 1) % n];
+        for &(a, b) in &live {
             // Half-open rule: the edge spans the scanline when exactly one
             // endpoint is strictly above it.
             if (a.y > yc) != (b.y > yc) {
@@ -58,7 +65,11 @@ pub fn rasterize_polygon(
             let (x0, x1) = (pair[0], pair[1]);
             // Smallest i with i + 0.5 >= x0, largest i with i + 0.5 < x1.
             let i_lo = ((x0 - 0.5).ceil() as i64).max(0);
-            let i_hi = (((x1 - 0.5).ceil() as i64) - 1).min(width as i64 - 1);
+            // (Saturating: a crossing below `i64::MIN` must stay left of
+            // the window, not wrap around to its right edge.)
+            let i_hi = ((x1 - 0.5).ceil() as i64)
+                .saturating_sub(1)
+                .min(width as i64 - 1);
             if i_lo <= i_hi {
                 stats.fragments_tested += (i_hi - i_lo + 1) as usize;
                 for i in i_lo..=i_hi {
