@@ -11,7 +11,7 @@ use hwa_core::service::{
 };
 use hwa_core::{
     overlap_cell_area, CostBreakdown, DeviceKind, FaultKind, FaultPlan, FaultTrigger, HwConfig,
-    RecordingOptions, RecoveryPolicy,
+    RecoveryPolicy,
 };
 use spatial_bench::{engine_with, header, software_engine, BenchOpts, Workloads};
 use spatial_geom::overlap_area_exact;
@@ -232,8 +232,6 @@ fn main() {
             let mut hw = engine_with(
                 GeometryTest::Hardware,
                 HwConfig {
-                    resolution: 8,
-                    sw_threshold: 500,
                     strategy,
                     ..HwConfig::recommended()
                 },
@@ -321,7 +319,7 @@ fn main() {
         let mut batched_submissions = usize::MAX;
         for base in [
             EngineConfig::hardware(hw),
-            EngineConfig::hybrid(hw, 40),
+            EngineConfig::hardware(hw.with_threshold(40)),
             EngineConfig::software(),
         ] {
             for (batch, threads) in [(1, 2), (1, 4), (64, 1), (64, 2), (64, 4)] {
@@ -333,12 +331,15 @@ fn main() {
                 let (got, cost) = e.intersection_join(&w.landc, &w.lando);
                 if got != expected {
                     println!(
-                        "FAIL staged executor {:?} batch {batch} threads {threads}",
-                        base.geometry_test
+                        "FAIL staged executor {:?} threshold {} batch {batch} threads {threads}",
+                        base.geometry_test, base.hw.sw_threshold
                     );
                     failures += 1;
                 }
-                if base.geometry_test == GeometryTest::Hardware && batch > 1 {
+                // Compare like with like: the per-pair run's threshold.
+                let same_routing = base.geometry_test == GeometryTest::Hardware
+                    && base.hw.sw_threshold == hw.sw_threshold;
+                if same_routing && batch > 1 {
                     batched_submissions = batched_submissions
                         .min(cost.tests.hw.draw_calls + cost.tests.hw.minmax_queries);
                 }
@@ -427,101 +428,6 @@ fn main() {
             );
         }
         println!("wrapper cross-check verified: sharded ≡ bare reference on all pipelines");
-    }
-
-    // Recording cache & fusion cross-check: reusing cached command-list
-    // skeletons and fusing uncharged dead state are pure recording-side
-    // optimizations, so every pipeline must produce bit-identical results
-    // AND bit-identical charged counters with any combination of the two
-    // knobs — per-pair and batched+threaded, and (under `--faults`) with
-    // a fault schedule firing underneath, since neither knob changes how
-    // many times the device executes.
-    {
-        let base_hw = HwConfig::at_resolution(8).with_threshold(0);
-        let make = |recording, device, batch: usize, threads: usize| {
-            SpatialEngine::new(EngineConfig {
-                device,
-                hw_batch: batch,
-                refine_threads: threads,
-                use_object_filters: true,
-                ..EngineConfig::hardware(base_hw.with_recording(recording))
-            })
-        };
-        let cache_only = RecordingOptions {
-            fuse: false,
-            ..RecordingOptions::recommended()
-        };
-        let fuse_only = RecordingOptions {
-            cache: false,
-            cache_entries: 0,
-            fuse: true,
-        };
-        let mut sweep = vec![
-            ("cache+fuse", "reference", DeviceKind::Reference),
-            ("cache-only", "reference", DeviceKind::Reference),
-            ("fuse-only", "reference", DeviceKind::Reference),
-        ];
-        if opts.faults {
-            sweep.push((
-                "cache+fuse",
-                "reference under context loss",
-                DeviceKind::Reference.with_faults(FaultPlan::new(
-                    21,
-                    FaultKind::ContextLost,
-                    FaultTrigger::EveryK(3),
-                )),
-            ));
-            sweep.push((
-                "cache+fuse",
-                "reference under bit-flips",
-                DeviceKind::Reference.with_faults(FaultPlan::new(
-                    22,
-                    FaultKind::ReadbackBitFlip,
-                    FaultTrigger::EveryK(2),
-                )),
-            ));
-        }
-        let q = &w.states50.polygons[0];
-        let d = w.base_d_landc_lando;
-        for (opt_name, dev_name, device) in &sweep {
-            let recording = match *opt_name {
-                "cache+fuse" => RecordingOptions::recommended(),
-                "cache-only" => cache_only,
-                _ => fuse_only,
-            };
-            for (batch, threads) in [(1usize, 1usize), (64, 2)] {
-                let mut off = make(RecordingOptions::disabled(), device.clone(), batch, threads);
-                let mut on = make(recording, device.clone(), batch, threads);
-                let label = format!("{opt_name} on {dev_name} batch {batch} threads {threads}");
-                check_device_pair(
-                    &format!("intersection_selection {label}"),
-                    off.intersection_selection(&w.water, q),
-                    on.intersection_selection(&w.water, q),
-                    &mut failures,
-                );
-                check_device_pair(
-                    &format!("containment_selection {label}"),
-                    off.containment_selection(&w.water, q),
-                    on.containment_selection(&w.water, q),
-                    &mut failures,
-                );
-                check_device_pair(
-                    &format!("intersection_join {label}"),
-                    off.intersection_join(&w.landc, &w.lando),
-                    on.intersection_join(&w.landc, &w.lando),
-                    &mut failures,
-                );
-                check_device_pair(
-                    &format!("within_distance_join {label}"),
-                    off.within_distance_join(&w.landc, &w.lando, d),
-                    on.within_distance_join(&w.landc, &w.lando, d),
-                    &mut failures,
-                );
-            }
-        }
-        println!(
-            "recording cache & fusion verified: the knobs never change results or charged counters"
-        );
     }
 
     // Filter-config cross-check: the stage-1 knobs (`filter_simd`,

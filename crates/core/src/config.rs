@@ -2,56 +2,6 @@
 
 use spatial_raster::OverlapStrategy;
 
-/// Recording-path knobs: command-stream fusion and the recording cache.
-///
-/// Both are *set-preserving* — results, readbacks and every charged
-/// counter are bit-identical with them on or off; only the uncharged CPU
-/// cost of re-recording identical choreography changes (and the
-/// diagnostic `cache_hits` / `cache_misses` / `commands_elided` counters,
-/// which exist to make that visible).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecordingOptions {
-    /// Reuse recorded command-tape skeletons across tests with the same
-    /// choreography shape, splicing only viewports and geometry.
-    pub cache: bool,
-    /// Capacity of the skeleton cache (LRU-evicted). Must be non-zero
-    /// when `cache` is on; per-pair paths need a handful of entries,
-    /// joins with many distinct batch shapes benefit from more.
-    pub cache_entries: usize,
-    /// Run [`spatial_raster::CommandList::fuse`] on cache misses before
-    /// storing/executing, eliding uncharged dead state from the tape.
-    pub fuse: bool,
-}
-
-impl RecordingOptions {
-    /// Caching and fusion on, with a capacity that comfortably holds the
-    /// handful of per-pair shapes plus a working set of atlas shapes.
-    pub fn recommended() -> Self {
-        RecordingOptions {
-            cache: true,
-            cache_entries: 64,
-            fuse: true,
-        }
-    }
-
-    /// Everything off: every test re-records its full choreography, as
-    /// the pre-cache pipeline did. The baseline for the `recording`
-    /// benchmark and the verify-harness cross-checks.
-    pub fn disabled() -> Self {
-        RecordingOptions {
-            cache: false,
-            cache_entries: 0,
-            fuse: false,
-        }
-    }
-}
-
-impl Default for RecordingOptions {
-    fn default() -> Self {
-        RecordingOptions::recommended()
-    }
-}
-
 /// Configuration for [`crate::hw_intersects`] and
 /// [`crate::hw_within_distance`].
 #[derive(Debug, Clone, Copy)]
@@ -65,8 +15,6 @@ pub struct HwConfig {
     pub sw_threshold: usize,
     /// Overlap-detection implementation (paper: accumulation buffer).
     pub strategy: OverlapStrategy,
-    /// Recording cache and fusion knobs (set-preserving; default on).
-    pub recording: RecordingOptions,
 }
 
 impl HwConfig {
@@ -77,7 +25,6 @@ impl HwConfig {
             resolution: 8,
             sw_threshold: 500,
             strategy: OverlapStrategy::Accumulation,
-            recording: RecordingOptions::recommended(),
         }
     }
 
@@ -88,19 +35,12 @@ impl HwConfig {
             resolution,
             sw_threshold: 0,
             strategy: OverlapStrategy::Accumulation,
-            recording: RecordingOptions::recommended(),
         }
     }
 
     /// Returns `self` with a different software threshold (Figure 13).
     pub fn with_threshold(mut self, t: usize) -> Self {
         self.sw_threshold = t;
-        self
-    }
-
-    /// Returns `self` with different recording-path knobs.
-    pub fn with_recording(mut self, r: RecordingOptions) -> Self {
-        self.recording = r;
         self
     }
 }
@@ -128,8 +68,5 @@ mod tests {
         let c = HwConfig::at_resolution(16).with_threshold(900);
         assert_eq!(c.resolution, 16);
         assert_eq!(c.sw_threshold, 900);
-        assert_eq!(c.recording, RecordingOptions::recommended());
-        let c = c.with_recording(RecordingOptions::disabled());
-        assert!(!c.recording.cache && !c.recording.fuse);
     }
 }

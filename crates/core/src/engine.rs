@@ -14,9 +14,10 @@
 //! one [`EngineConfig`] knob.
 
 use crate::config::HwConfig;
+use crate::hw_intersect::HwTester;
 use crate::pipeline::spec::{area_rows, join_rows, selection_rows};
 use crate::pipeline::{
-    Cand, HardwareBackend, QuerySpec, RecoveryPolicy, RefinementBackend, SoftwareBackend, Verdict,
+    Cand, QuerySpec, RecoveryPolicy, RefinementBackend, SoftwareBackend, Verdict,
 };
 use crate::stats::CostBreakdown;
 use spatial_geom::Polygon;
@@ -32,13 +33,10 @@ pub enum GeometryTest {
     #[default]
     Software,
     /// Hardware-assisted (Algorithm 3.1 / §3.1 distance test), honoring
-    /// the `sw_threshold` of the engine's [`HwConfig`] (§4.3).
+    /// the `sw_threshold` of the engine's [`HwConfig`] (§4.3): pairs with
+    /// combined vertex count ≤ the threshold take the software test, the
+    /// rest take the hardware filter.
     Hardware,
-    /// Hardware-assisted with an engine-level threshold override: pairs
-    /// with combined vertex count ≤ `sw_threshold` take the software
-    /// test, the rest take the hardware filter. Generalizes the §4.3 mix
-    /// without editing the hardware configuration.
-    Hybrid { sw_threshold: usize },
 }
 
 /// PBSM-style spatial partitioning knobs (DESIGN.md §11): an n×n grid
@@ -162,9 +160,6 @@ pub enum ConfigError {
     /// `filter_threads` is 0: no worker would ever pull a filter work
     /// unit.
     ZeroFilterThreads,
-    /// The recording cache was enabled with zero capacity: every insert
-    /// would be dropped and every test would still pay the miss path.
-    ZeroCacheCapacity,
     /// `partition.grid` is 0: there would be no cell to own any
     /// candidate.
     ZeroPartitions,
@@ -207,11 +202,6 @@ impl fmt::Display for ConfigError {
             ConfigError::ZeroFilterThreads => {
                 write!(f, "invalid EngineConfig: filter_threads = 0 (must be ≥ 1)")
             }
-            ConfigError::ZeroCacheCapacity => write!(
-                f,
-                "invalid EngineConfig: recording.cache_entries = 0 with recording.cache enabled \
-                 (an enabled cache needs ≥ 1 entry)"
-            ),
             ConfigError::ZeroPartitions => {
                 write!(f, "invalid EngineConfig: partition.grid = 0 (must be ≥ 1)")
             }
@@ -280,14 +270,6 @@ impl EngineConfig {
         }
     }
 
-    pub fn hybrid(hw: HwConfig, sw_threshold: usize) -> Self {
-        EngineConfig {
-            geometry_test: GeometryTest::Hybrid { sw_threshold },
-            hw,
-            ..Self::default()
-        }
-    }
-
     /// Structural validation, run by [`SpatialEngine::new`] /
     /// [`SpatialEngine::try_new`] before any backend is built: zero batch
     /// sizes, zero thread counts, zero partition grids or shard counts,
@@ -303,9 +285,6 @@ impl EngineConfig {
         }
         if self.filter_threads == 0 {
             return Err(ConfigError::ZeroFilterThreads);
-        }
-        if self.hw.recording.cache && self.hw.recording.cache_entries == 0 {
-            return Err(ConfigError::ZeroCacheCapacity);
         }
         if self.partition.grid == 0 {
             return Err(ConfigError::ZeroPartitions);
@@ -359,11 +338,9 @@ impl PreparedDataset {
 }
 
 pub(crate) fn build_backend(config: &EngineConfig) -> Box<dyn RefinementBackend> {
-    let hw = match config.geometry_test {
-        GeometryTest::Software => return Box::new(SoftwareBackend),
-        GeometryTest::Hardware => config.hw,
-        GeometryTest::Hybrid { sw_threshold } => config.hw.with_threshold(sw_threshold),
-    };
+    if config.geometry_test == GeometryTest::Software {
+        return Box::new(SoftwareBackend);
+    }
     // With K > 1 shards the configured device (fault wrapper included)
     // becomes the template every shard instantiates; partition p's
     // submissions route to shard p % K.
@@ -372,8 +349,8 @@ pub(crate) fn build_backend(config: &EngineConfig) -> Box<dyn RefinementBackend>
     } else {
         config.device.clone()
     };
-    Box::new(HardwareBackend::with_device_and_policy(
-        hw,
+    Box::new(HwTester::with_device_and_policy(
+        config.hw,
         device,
         config.recovery,
     ))
@@ -761,7 +738,7 @@ mod tests {
         for base in [
             EngineConfig::software(),
             EngineConfig::hardware(HwConfig::at_resolution(8)),
-            EngineConfig::hybrid(HwConfig::at_resolution(8), 40),
+            EngineConfig::hardware(HwConfig::at_resolution(8).with_threshold(40)),
         ] {
             let mut plain = SpatialEngine::new(base.clone());
             let mut tuned = SpatialEngine::new(EngineConfig {
@@ -837,21 +814,6 @@ mod tests {
             ..EngineConfig::software()
         };
         assert_eq!(nested.validate(), Err(ConfigError::ZeroDeviceShards));
-        let hollow_cache = EngineConfig {
-            hw: HwConfig::recommended().with_recording(crate::RecordingOptions {
-                cache: true,
-                cache_entries: 0,
-                fuse: true,
-            }),
-            ..EngineConfig::software()
-        };
-        assert_eq!(hollow_cache.validate(), Err(ConfigError::ZeroCacheCapacity));
-        // Cache off with zero entries is the valid "disabled" spelling.
-        let disabled = EngineConfig {
-            hw: HwConfig::recommended().with_recording(crate::RecordingOptions::disabled()),
-            ..EngineConfig::software()
-        };
-        assert!(disabled.validate().is_ok());
         let zero_grid = EngineConfig {
             partition: PartitionConfig::grid(0),
             ..EngineConfig::software()
@@ -892,10 +854,6 @@ mod tests {
             (ConfigError::ZeroBatch, "hw_batch = 0"),
             (ConfigError::ZeroThreads, "refine_threads = 0"),
             (ConfigError::ZeroFilterThreads, "filter_threads = 0"),
-            (
-                ConfigError::ZeroCacheCapacity,
-                "recording.cache_entries = 0",
-            ),
             (ConfigError::ZeroPartitions, "partition.grid = 0"),
             (ConfigError::ZeroShards, "partition.shards = 0"),
             (
@@ -935,7 +893,7 @@ mod tests {
         for base in [
             EngineConfig::software(),
             EngineConfig::hardware(HwConfig::at_resolution(8)),
-            EngineConfig::hybrid(HwConfig::at_resolution(8), 40),
+            EngineConfig::hardware(HwConfig::at_resolution(8).with_threshold(40)),
         ] {
             let mut plain = SpatialEngine::new(base.clone());
             let (s1, sc1) = plain.intersection_selection(&a, q);
@@ -1035,16 +993,18 @@ mod tests {
         }
     }
 
-    /// The hybrid backend sweeps the §4.3 threshold spectrum without
+    /// The hardware backend sweeps the §4.3 threshold spectrum without
     /// changing any result.
     #[test]
-    fn hybrid_engine_is_exact_across_thresholds() {
+    fn hardware_engine_is_exact_across_thresholds() {
         let (a, b) = tiny_pair();
         let mut sw = SpatialEngine::new(EngineConfig::software());
         let (expected, _) = sw.intersection_join(&a, &b);
         let mut e = SpatialEngine::new(EngineConfig::software());
         for t in [0, 40, 500, usize::MAX] {
-            e.set_config(EngineConfig::hybrid(HwConfig::at_resolution(8), t));
+            e.set_config(EngineConfig::hardware(
+                HwConfig::at_resolution(8).with_threshold(t),
+            ));
             let (got, cost) = e.intersection_join(&a, &b);
             assert_eq!(got, expected, "threshold {t}");
             if t == usize::MAX {

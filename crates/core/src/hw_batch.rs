@@ -3,331 +3,83 @@
 //!
 //! The per-pair choreography pays two draw calls and one Minmax query per
 //! candidate — fixed costs that dominate at the paper's recommended 8×8
-//! window (§4.3). These methods run the *software* prologue of each test
-//! unchanged (MBR check, point-in-polygon, `sw_threshold` routing, the
-//! Equation 1 width limit), collect every pair that actually needs the
-//! hardware filter, and record them all as cells of one atlas command
-//! list (`spatial_raster::atlas::record_batch`) — batching is just a
-//! longer command list: two draw calls, one reduction scan, one
-//! submission to the tester's device for the whole group. Pairs the batch
-//! cannot reject run the same software step 3 as the per-pair path.
+//! window (§4.3). [`HwTester::test_batch`] runs the same software
+//! prologue per pair as [`HwTester::test`], collects every pair that
+//! actually needs the hardware filter, and renders them all as cells of
+//! one atlas command list (`spatial_raster::atlas::record_batch`) —
+//! batching is just a longer command list: two draw calls, one reduction
+//! scan, one submission to the tester's device for the whole group. Pairs
+//! the batch cannot reject run the same software step 3.
 //!
-//! Results are bit-identical to the per-pair methods: the atlas rasterizes
+//! Results are bit-identical to the per-pair path: the atlas rasterizes
 //! each cell through the same cell-local window the per-pair test uses, so
 //! every per-cell verdict equals the per-pair verdict (see
 //! `spatial_raster::atlas`). Counters differ only in the submission
 //! figures — `draw_calls`, `minmax_queries`, `pixels_scanned` (the atlas
-//! scans include gutters) and the new `batches`/`hw_batches` — and are a
-//! pure function of the batch contents, which is what makes the parallel
-//! refinement's merged statistics independent of the thread count.
+//! clears, accumulates and scans its gutters too, which is why a one-cell
+//! atlas is *not* the per-pair test and both recordings exist) and
+//! `batches`/`hw_batches` — and are a pure function of the batch
+//! contents, which is what makes the parallel refinement's merged
+//! statistics independent of the thread count.
 //!
 //! Batches always use the accumulation-buffer choreography (the paper's
 //! strategy); the per-pair path remains the place where the
 //! blending/stencil ablations run.
 
-use crate::hw_distance::software_distance_test;
+use crate::choreography::{route, settle, Routed, Tape, Window};
 use crate::hw_intersect::HwTester;
-use crate::recording::CacheKey;
+use crate::pipeline::Predicate;
 use crate::stats::TestStats;
-use spatial_geom::pip::point_in_polygon;
-use spatial_geom::{Point, Polygon, Rect};
-use spatial_raster::aa_line::DIAGONAL_WIDTH;
-use spatial_raster::{AtlasJob, Viewport, MAX_AA_LINE_WIDTH};
-use std::time::Instant;
-
-/// What the software prologue decided for one pair of a batch.
-enum Routed {
-    /// Decided without hardware (PiP, MBR, threshold, width fallback).
-    Done(bool),
-    /// Needs the hardware filter over this shared region, at this line
-    /// width (integral pixels; `DIAGONAL_WIDTH` for intersection tests).
-    Hw { region: Rect, width: f64 },
-}
+use spatial_geom::Polygon;
 
 impl HwTester {
-    /// Batched Algorithm 3.1 over candidate pairs. Same booleans as
-    /// calling [`HwTester::intersects`] per pair; one atlas round instead
-    /// of per-pair submissions for every pair that reaches step 2.
-    pub fn intersects_batch(
+    /// Decides `pred` on every pair — the same booleans as
+    /// [`HwTester::test`] per pair — with one atlas round, instead of
+    /// per-pair submissions, for the pairs that reach the hardware.
+    pub fn test_batch(
         &mut self,
+        pred: Predicate,
         pairs: &[(&Polygon, &Polygon)],
         stats: &mut TestStats,
     ) -> Vec<bool> {
-        let routed: Vec<Routed> = pairs
-            .iter()
-            .map(|&(p, q)| {
-                let region = match p.mbr().intersection(&q.mbr()) {
-                    Some(r) => r,
-                    None => return Routed::Done(false),
-                };
-                if point_in_polygon(p.vertices()[0], q) || point_in_polygon(q.vertices()[0], p) {
-                    stats.decided_by_pip += 1;
-                    return Routed::Done(true);
-                }
-                let nm = p.vertex_count() + q.vertex_count();
-                if nm <= self.config().sw_threshold {
-                    stats.skipped_by_threshold += 1;
-                    stats.software_tests += 1;
-                    return Routed::Done(self.software_segment_test(p, q, &region, stats));
-                }
-                Routed::Hw {
-                    region,
-                    width: DIAGONAL_WIDTH,
-                }
-            })
-            .collect();
-
-        self.finish_batch_with(
-            pairs,
-            routed,
-            stats,
-            false,
-            false,
-            |tester, (p, q), region, stats| tester.software_segment_test(p, q, region, stats),
-        )
-    }
-
-    /// Batched strict containment (`pairs` are `(inner, outer)`), matching
-    /// [`HwTester::contained_in`] pair for pair.
-    pub fn contained_in_batch(
-        &mut self,
-        pairs: &[(&Polygon, &Polygon)],
-        stats: &mut TestStats,
-    ) -> Vec<bool> {
-        let routed: Vec<Routed> = pairs
-            .iter()
-            .map(|&(inner, outer)| {
-                if !outer.mbr().contains_rect(&inner.mbr()) {
-                    return Routed::Done(false);
-                }
-                if !point_in_polygon(inner.vertices()[0], outer) {
-                    stats.decided_by_pip += 1;
-                    return Routed::Done(false);
-                }
-                let region = inner.mbr();
-                let nm = inner.vertex_count() + outer.vertex_count();
-                if nm <= self.config().sw_threshold {
-                    stats.skipped_by_threshold += 1;
-                    stats.software_tests += 1;
-                    return Routed::Done(!self.boundaries_cross(inner, outer, &region));
-                }
-                Routed::Hw {
-                    region,
-                    width: DIAGONAL_WIDTH,
-                }
-            })
-            .collect();
-
-        // Containment inverts the hardware signal: no shared pixel proves
-        // the boundaries disjoint, which (with the vertex inside) proves
-        // containment — so the hardware-reject answer is `true`.
-        self.finish_batch_with(
-            pairs,
-            routed,
-            stats,
-            true,
-            false,
-            |tester, (inner, outer), region, _stats| !tester.boundaries_cross(inner, outer, region),
-        )
-    }
-
-    /// Batched §3.1 within-distance test, matching
-    /// [`HwTester::within_distance`] pair for pair. Jobs are grouped by
-    /// their Equation (1) line width — one draw call renders at one line
-    /// width, so each distinct (integral) width becomes its own atlas
-    /// round; for a fixed query distance the widths of all pairs agree
-    /// except across differently-shaped projection regions.
-    pub fn within_distance_batch(
-        &mut self,
-        pairs: &[(&Polygon, &Polygon)],
-        d: f64,
-        stats: &mut TestStats,
-    ) -> Vec<bool> {
-        debug_assert!(d >= 0.0);
-        let routed: Vec<Routed> = pairs
-            .iter()
-            .map(|&(p, q)| {
-                if p.mbr().min_dist(&q.mbr()) > d {
-                    return Routed::Done(false);
-                }
-                if point_in_polygon(p.vertices()[0], q) || point_in_polygon(q.vertices()[0], p) {
-                    stats.decided_by_pip += 1;
-                    return Routed::Done(true);
-                }
-                let nm = p.vertex_count() + q.vertex_count();
-                if nm <= self.config().sw_threshold {
-                    stats.skipped_by_threshold += 1;
-                    stats.software_tests += 1;
-                    return Routed::Done(software_distance_test(p, q, d));
-                }
-                let (small, large) = if p.mbr().area() <= q.mbr().area() {
-                    (p, q)
-                } else {
-                    (q, p)
-                };
-                let half = d / 2.0;
-                let region = match small
-                    .mbr()
-                    .expanded(half)
-                    .intersection(&large.mbr().expanded(half))
-                {
-                    Some(r) => r,
-                    // Same f64 hazard as the per-pair path: an exact-touch
-                    // gap can pass the `min_dist` gate while the rounded
-                    // half-expansions miss each other. No projection
-                    // window → exact software answer, charged as a
-                    // capability fallback.
-                    None => {
-                        stats.width_limit_fallbacks += 1;
-                        stats.software_tests += 1;
-                        return Routed::Done(software_distance_test(p, q, d));
-                    }
-                };
-                let res = self.config().resolution;
-                let vp = Viewport::uniform(region, res, res);
-                let width = vp.line_width_for_distance(d.max(f64::MIN_POSITIVE));
-                if width > MAX_AA_LINE_WIDTH {
-                    stats.width_limit_fallbacks += 1;
-                    stats.software_tests += 1;
-                    return Routed::Done(software_distance_test(p, q, d));
-                }
-                Routed::Hw { region, width }
-            })
-            .collect();
-
-        self.finish_batch_with(pairs, routed, stats, false, true, |_, (p, q), _, _stats| {
-            software_distance_test(p, q, d)
-        })
-    }
-
-    /// Runs the atlas rounds for every `Routed::Hw` pair and resolves the
-    /// unrejected ones with `confirm` (the software step 3).
-    /// `hw_reject_value` is the predicate's answer when the hardware
-    /// proves the boundaries pixel-disjoint: `false` for intersection and
-    /// distance, `true` for containment. `expanded` selects the distance
-    /// test's rendering — uniform-scale projection (Equation 1 presumes
-    /// it) plus smooth-point vertex caps — versus the plain segment test.
-    fn finish_batch_with(
-        &mut self,
-        pairs: &[(&Polygon, &Polygon)],
-        routed: Vec<Routed>,
-        stats: &mut TestStats,
-        hw_reject_value: bool,
-        expanded: bool,
-        confirm: impl Fn(&mut Self, (&Polygon, &Polygon), &Rect, &mut TestStats) -> bool,
-    ) -> Vec<bool> {
+        let cfg = self.config();
         let mut results = vec![false; pairs.len()];
-        let mut hw_pairs: Vec<(usize, Rect, f64)> = Vec::new();
-        for (k, r) in routed.into_iter().enumerate() {
-            match r {
-                Routed::Done(v) => results[k] = v,
-                Routed::Hw { region, width } => hw_pairs.push((k, region, width)),
+        let mut hw: Vec<(usize, Window)> = Vec::new();
+        for (k, &(p, q)) in pairs.iter().enumerate() {
+            match route(pred, p, q, &cfg, stats) {
+                Routed::Done(verdict) => results[k] = verdict,
+                Routed::Hw(window) => hw.push((k, window)),
             }
         }
-        if hw_pairs.is_empty() {
-            return results;
-        }
 
-        // One atlas round per distinct line width, in ascending width
-        // order — a deterministic grouping that depends only on the batch
-        // contents. Equation (1) widths are whole pixels in [1, 10] and
-        // the intersection width is the single DIAGONAL_WIDTH constant, so
-        // the number of rounds is tiny (usually one).
-        let mut widths: Vec<u64> = hw_pairs.iter().map(|&(_, _, w)| w.to_bits()).collect();
+        // One atlas round per distinct line width (one draw call renders
+        // at one width), in ascending width order — a deterministic
+        // grouping that depends only on the batch contents. Equation (1)
+        // widths are whole pixels in [1, 10] and the segment tests share
+        // one constant, so the number of rounds is tiny (usually one).
+        let mut widths: Vec<u64> = hw.iter().map(|(_, w)| w.width.to_bits()).collect();
         widths.sort_unstable();
         widths.dedup();
-
-        let res = self.config().resolution;
-        let model = self.cost_model();
-        for wbits in widths {
-            let width = f64::from_bits(wbits);
-            // The edge/vertex collects and the rendering are simulated
-            // hardware: wall-excluded and recharged through the model.
-            let wall = Instant::now();
-            let group: Vec<&(usize, Rect, f64)> = hw_pairs
+        for width in widths {
+            let (ks, group): (Vec<usize>, Vec<&Window>) = hw
                 .iter()
-                .filter(|&&(_, _, w)| w.to_bits() == wbits)
-                .collect();
-            let jobs: Vec<AtlasJob> = group
-                .iter()
-                .map(|&&(k, region, _)| {
-                    let (p, q) = pairs[k];
-                    let vp = if expanded {
-                        Viewport::uniform(region, res, res)
-                    } else {
-                        Viewport::new(region, res, res)
-                    };
-                    let points = |poly: &Polygon| -> Vec<Point> {
-                        if expanded {
-                            poly.vertices().to_vec()
-                        } else {
-                            Vec::new()
-                        }
-                    };
-                    AtlasJob {
-                        viewport: vp,
-                        first_segments: p.edges().collect(),
-                        first_points: points(p),
-                        second_segments: q.edges().collect(),
-                        second_points: points(q),
-                    }
-                })
-                .collect();
-            // Atlas skeletons are keyed on everything that fixes the
-            // grid layout and the recorded cell sequence: cell size, line
-            // width, and which jobs have geometry on which side.
-            let key = CacheKey::Atlas {
-                cell: res,
-                width_bits: wbits,
-                shape: spatial_raster::atlas::batch_shape(&jobs),
-            };
-            let (list, slot) = match self.cache_lookup(&key, stats) {
-                Some((template, slot)) => {
-                    (spatial_raster::atlas::splice_batch(&jobs, &template), slot)
-                }
-                None => {
-                    let (list, slot) = spatial_raster::atlas::record_batch(&jobs, width, width);
-                    let list = self.fuse_cold(list, stats);
-                    self.cache_store(key, &list, slot, stats);
-                    (list, slot)
-                }
-            };
-            let outcome = self.execute_list(&list, stats).and_then(|exec| {
-                let flags: Vec<bool> = exec.cell_max(slot)?.iter().map(|&m| m >= 1.0).collect();
-                stats.hw_batches += 1;
-                stats.hw.add(&exec.stats);
-                stats.gpu_modeled += model.time(&exec.stats);
-                Ok(flags)
+                .filter(|(_, w)| w.width.to_bits() == width)
+                .map(|(k, w)| (*k, w))
+                .unzip();
+            let flags = self.submit(Tape::Atlas(&group), stats, |exec, slot| {
+                Ok(exec
+                    .cell_max(slot)?
+                    .iter()
+                    .map(|&max| max >= 1.0)
+                    .collect::<Vec<bool>>())
             });
-            stats.sim_wall += wall.elapsed();
-
-            match outcome {
-                Ok(flags) => {
-                    // Hardware tests are charged per *successful*
-                    // submission: every pair of a faulted round is a
-                    // fallback, not a hardware test, which keeps
-                    // `hw_tests + fallback_tests` equal to the clean run's
-                    // `hw_tests`.
-                    stats.hw_tests += group.len();
-                    for (&&(k, region, _), overlap) in group.iter().zip(flags) {
-                        if !overlap {
-                            stats.rejected_by_hw += 1;
-                            results[k] = hw_reject_value;
-                        } else {
-                            stats.software_tests += 1;
-                            results[k] = confirm(self, pairs[k], &region, stats);
-                        }
-                    }
-                }
-                // The whole round faulted out: every pair in it falls back
-                // to the exact software test (`confirm` alone decides each
-                // predicate exactly — the hardware only ever pre-rejects).
-                Err(_) => {
-                    stats.fallback_tests += group.len();
-                    for &&(k, region, _) in &group {
-                        results[k] = confirm(self, pairs[k], &region, stats);
-                    }
-                }
+            stats.hw_batches += usize::from(flags.is_some());
+            // A faulted round settles every one of its pairs as a
+            // fallback, never as a hardware test.
+            for (cell, k) in ks.into_iter().enumerate() {
+                let (p, q) = pairs[k];
+                let overlap = flags.as_ref().map(|flags| flags[cell]);
+                results[k] = settle(pred, p, q, overlap, stats);
             }
         }
         results

@@ -18,17 +18,13 @@
 //! scaled (Equation (1) presumes an aspect-preserving projection).
 
 use crate::hw_intersect::HwTester;
-use crate::recording::CacheKey;
+use crate::pipeline::Predicate;
 use crate::stats::TestStats;
 use spatial_geom::chains::frontier_clipped;
 use spatial_geom::distance::edges_within_pairwise;
-use spatial_geom::pip::point_in_polygon;
 use spatial_geom::{Polygon, Rect};
 use spatial_raster::framebuffer::HALF_GRAY;
-use spatial_raster::{
-    CommandList, OverlapStrategy, Recorder, Viewport, WriteMode, MAX_AA_LINE_WIDTH,
-};
-use std::time::Instant;
+use spatial_raster::{CommandList, OverlapStrategy, Recorder, Viewport, WriteMode};
 
 impl HwTester {
     /// Records the §3.1 expanded-boundary choreography for one pair: both
@@ -98,143 +94,13 @@ impl HwTester {
         d: f64,
         stats: &mut TestStats,
     ) -> bool {
-        debug_assert!(d >= 0.0);
-        // MBR distance lower-bounds the object distance.
-        if p.mbr().min_dist(&q.mbr()) > d {
-            return false;
-        }
-        // Containment ⇒ distance 0 ≤ d.
-        if point_in_polygon(p.vertices()[0], q) || point_in_polygon(q.vertices()[0], p) {
-            stats.decided_by_pip += 1;
-            return true;
-        }
-
-        let nm = p.vertex_count() + q.vertex_count();
-        if nm <= self.config().sw_threshold {
-            stats.skipped_by_threshold += 1;
-            stats.software_tests += 1;
-            return software_distance_test(p, q, d);
-        }
-
-        // §3.2: project the expanded MBR of the smaller object —
-        // intersected with the other's expansion, since overlap can only
-        // appear where both expanded boundaries are — onto a uniform-scale
-        // window.
-        let (small, large) = if p.mbr().area() <= q.mbr().area() {
-            (p, q)
-        } else {
-            (q, p)
-        };
-        let half = d / 2.0;
-        let region = match small
-            .mbr()
-            .expanded(half)
-            .intersection(&large.mbr().expanded(half))
-        {
-            Some(r) => r,
-            // MBR distance ≤ d *mathematically* guarantees the
-            // half-expansions meet, but not in f64: when the gap equals d
-            // exactly, `min_dist`'s rounding can pass the gate while
-            // `xmin + d/2` rounds below `xmax - d/2`, leaving an empty
-            // intersection. No projection window exists, so treat it like
-            // the width-limit capability fallback: answer exactly in
-            // software and charge the fallback ledger.
-            None => {
-                stats.width_limit_fallbacks += 1;
-                stats.software_tests += 1;
-                return software_distance_test(p, q, d);
-            }
-        };
-        let res = self.config().resolution;
-        let vp = Viewport::uniform(region, res, res);
-
-        // Equation (1): the pixel width that covers data-space distance d.
-        let width = vp.line_width_for_distance(d.max(f64::MIN_POSITIVE));
-        if width > MAX_AA_LINE_WIDTH {
-            // Hardware limit: revert to software (§3.1).
-            stats.width_limit_fallbacks += 1;
-            stats.software_tests += 1;
-            return software_distance_test(p, q, d);
-        }
-
-        // ALL edges and vertices are submitted; the pipeline clips
-        // primitives outside the projected window at vertex rate (§2.1).
-        // Expanded boundaries that never reach the window render nothing,
-        // so far-apart pairs are rejected by the hardware itself — the
-        // software never scans their edge lists. Recording the command
-        // list stands in for the driver streaming the vertex arrays and is
-        // charged through the per-primitive model cost (wall-excluded).
-        let strategy = self.config().strategy;
-        let model = self.cost_model();
-        let wall = Instant::now();
-        let key = CacheKey::Distance {
-            stencil: strategy == OverlapStrategy::Stencil,
-            resolution: res,
-            width_bits: width.to_bits(),
-        };
-        let (list, slot) = match self.cache_lookup(&key, stats) {
-            // Warm path: the tape (including the Equation (1) line and
-            // point widths, which are part of the key) is cached; splice
-            // this pair's projection window, edges and vertex caps.
-            Some((template, slot)) => {
-                let list = template.instantiate(
-                    &[vp],
-                    |i, out| out.extend(if i == 0 { small.edges() } else { large.edges() }),
-                    |i, out| {
-                        out.extend_from_slice(if i == 0 {
-                            small.vertices()
-                        } else {
-                            large.vertices()
-                        })
-                    },
-                );
-                (list, slot)
-            }
-            None => {
-                let (list, slot) =
-                    Self::record_distance_test(region, res, strategy, width, small, large);
-                let list = self.fuse_cold(list, stats);
-                self.cache_store(key, &list, slot, stats);
-                (list, slot)
-            }
-        };
-        let result = self.execute_list(&list, stats).and_then(|exec| {
-            let overlap = match strategy {
-                OverlapStrategy::Stencil => exec.stencil_value(slot)? >= 2,
-                OverlapStrategy::Accumulation | OverlapStrategy::Blending => {
-                    exec.max_red(slot)? >= 1.0
-                }
-            };
-            stats.hw.add(&exec.stats);
-            stats.gpu_modeled += model.time(&exec.stats);
-            Ok(overlap)
-        });
-        stats.sim_wall += wall.elapsed();
-
-        match result {
-            Ok(false) => {
-                stats.hw_tests += 1;
-                stats.rejected_by_hw += 1;
-                false
-            }
-            Ok(true) => {
-                stats.hw_tests += 1;
-                stats.software_tests += 1;
-                software_distance_test(p, q, d)
-            }
-            // Supervised submission gave up: the software distance test is
-            // exact, so only the ledger moves (fallback instead of hw).
-            Err(_) => {
-                stats.fallback_tests += 1;
-                software_distance_test(p, q, d)
-            }
-        }
+        self.test(Predicate::WithinDistance(d), p, q, stats)
     }
 }
 
 /// The software back half of the distance test: frontier chains clipped to
 /// extended MBRs, compared pairwise with early exit (§4.1.1). The MBR and
-/// point-in-polygon prologue has already run in `within_distance` above —
+/// point-in-polygon prologue has already run (`choreography::route`) —
 /// repeating it here would bill the hardware path twice for the same work.
 pub(crate) fn software_distance_test(p: &Polygon, q: &Polygon, d: f64) -> bool {
     let ep = frontier_clipped(p, &q.mbr(), d);
@@ -400,7 +266,7 @@ mod tests {
 
         // The batched path shares the prologue and the fix.
         let mut st = TestStats::default();
-        let flags = t.within_distance_batch(&[(&p, &q)], d, &mut st);
+        let flags = t.test_batch(Predicate::WithinDistance(d), &[(&p, &q)], &mut st);
         assert_eq!(flags, vec![true]);
         assert_eq!(st.width_limit_fallbacks, 1, "{st:?}");
     }
@@ -416,16 +282,16 @@ mod tests {
             square(2.5, 0.0, 1.0),
         ];
         let mut cached = HwTester::new(HwConfig::at_resolution(8));
-        let mut cold = HwTester::new(
-            HwConfig::at_resolution(8).with_recording(crate::RecordingOptions::disabled()),
-        );
         for b in &cases {
             for d in [0.5, 3.0, 4.3] {
+                // A fresh tester records every test cold.
+                let mut cold = HwTester::new(HwConfig::at_resolution(8));
                 let (mut s1, mut s2) = (TestStats::default(), TestStats::default());
                 assert_eq!(
                     cached.within_distance(&a, b, d, &mut s1),
                     cold.within_distance(&a, b, d, &mut s2)
                 );
+                assert_eq!(s2.cache_hits, 0);
                 assert_eq!(s1.hw_tests, s2.hw_tests);
                 assert_eq!(s1.rejected_by_hw, s2.rejected_by_hw);
                 assert_eq!(s1.software_tests, s2.software_tests);

@@ -34,18 +34,18 @@
 //!
 //! Determinism: the count is a pure function of the recorded command
 //! list, and every device backend is bit-identical by the device
-//! contract. When the supervised submission faults out, the fallback
-//! replays the *same list* on a fresh reference executor — producing the
-//! identical count by construction — so seeded fault plans, shard
-//! failover and brownout never change a reported area, only which ledger
-//! (hardware vs fallback) paid for it.
+//! contract. When the supervised submission faults out, the fallback is
+//! the software execution ([`sw_overlap_area`]): the same choreography
+//! replayed on a fresh reference executor — the identical count — so
+//! seeded fault plans, shard failover and brownout never change a
+//! reported area, only which ledger (hardware vs fallback) paid for it.
 
+use crate::choreography::{window, Tape, Window};
 use crate::hw_intersect::HwTester;
-use crate::recording::CacheKey;
+use crate::pipeline::RefineOp;
 use crate::stats::TestStats;
 use spatial_geom::{Point, Polygon, Rect};
-use spatial_raster::{CommandList, DeviceKind, Recorder, Viewport, WriteMode};
-use std::time::Instant;
+use spatial_raster::{CommandList, DeviceKind, OverlapStrategy, Recorder, Viewport, WriteMode};
 
 /// The world-space area of one pixel of `region` projected onto a
 /// `resolution × resolution` window — the quantization unit of the
@@ -55,9 +55,8 @@ pub fn overlap_cell_area(region: Rect, resolution: usize) -> f64 {
 }
 
 /// Replays `list` on a fresh reference executor and returns the covered
-/// count in `slot`. The fault-fallback path: execution is a pure function
-/// of the list, so this returns exactly the count the faulted device
-/// would have produced.
+/// count in `slot`: execution is a pure function of the list, so this is
+/// exactly the count any device produces for it.
 pub(crate) fn replay_overlap_count(list: &CommandList, slot: usize) -> u64 {
     let mut device = DeviceKind::Reference.build();
     let exec = device
@@ -70,8 +69,9 @@ pub(crate) fn replay_overlap_count(list: &CommandList, slot: usize) -> u64 {
 /// The shared-MBR region an overlap measurement projects, or `None` when
 /// the pair's intersection is empty or degenerate (edge/corner contact:
 /// zero interior, and the viewport transform would have to inflate a
-/// zero extent). Both execution paths use this same guard, so "did we
-/// measure" — and every counter hanging off it — is backend-independent.
+/// zero extent). Every execution path measures through this guard, so
+/// "did we measure" — and every counter hanging off it — is
+/// backend-independent.
 pub(crate) fn overlap_region(p: &Polygon, q: &Polygon) -> Option<Rect> {
     let region = p.mbr().intersection(&q.mbr())?;
     if region.width() <= 0.0 || region.height() <= 0.0 {
@@ -87,17 +87,18 @@ pub(crate) fn overlap_region(p: &Polygon, q: &Polygon) -> Option<Rect> {
 /// to software (planner choice, fault fallback, brownout) never changes
 /// its result, exactly like the boolean predicates.
 pub fn sw_overlap_area(p: &Polygon, q: &Polygon, resolution: usize) -> f64 {
-    let region = match overlap_region(p, q) {
-        Some(r) => r,
-        None => return 0.0,
+    let Some(w) = overlap_window(p, q, resolution) else {
+        return 0.0;
     };
-    let (list, slot) = HwTester::record_overlap_area(
-        region,
-        resolution,
-        p.vertices().iter().copied(),
-        q.vertices().iter().copied(),
-    );
-    replay_overlap_count(&list, slot) as f64 * overlap_cell_area(region, resolution)
+    let (list, slot) = w.record();
+    replay_overlap_count(&list, slot) as f64 * overlap_cell_area(w.region, resolution)
+}
+
+/// The overlap count's projection window (the tape has one shape per
+/// resolution: no overlap strategy enters it).
+fn overlap_window<'a>(p: &'a Polygon, q: &'a Polygon, resolution: usize) -> Option<Window<'a>> {
+    let op = RefineOp::Measure { resolution };
+    window(op, p, q, resolution, OverlapStrategy::default())
 }
 
 impl HwTester {
@@ -139,65 +140,23 @@ impl HwTester {
         resolution: usize,
         stats: &mut TestStats,
     ) -> f64 {
-        let region = match overlap_region(p, q) {
-            Some(r) => r,
-            None => return 0.0,
+        let Some(w) = overlap_window(p, q, resolution) else {
+            return 0.0;
         };
-        let cell_area = overlap_cell_area(region, resolution);
-
-        // Simulated hardware from here: recording, splicing and execution
-        // are wall-excluded and re-charged from the replay counters.
-        let wall = Instant::now();
-        let key = CacheKey::Overlap { resolution };
-        let (list, slot) = match self.cache_lookup(&key, stats) {
-            // Warm path: splice this pair's viewport and both vertex
-            // rings into the cached skeleton.
-            Some((template, slot)) => {
-                let list = template.instantiate_with_polys(
-                    &[Viewport::new(region, resolution, resolution)],
-                    |_, _| {},
-                    |_, _| {},
-                    |i, out| {
-                        out.extend_from_slice(if i == 0 { p.vertices() } else { q.vertices() })
-                    },
-                );
-                (list, slot)
-            }
-            None => {
-                let (list, slot) = Self::record_overlap_area(
-                    region,
-                    resolution,
-                    p.vertices().iter().copied(),
-                    q.vertices().iter().copied(),
-                );
-                let list = self.fuse_cold(list, stats);
-                self.cache_store(key, &list, slot, stats);
-                (list, slot)
-            }
-        };
-        let model = self.cost_model();
-        let result = self.execute_list(&list, stats).and_then(|exec| {
-            let count = exec.stencil_count(slot)?;
-            stats.hw.add(&exec.stats);
-            stats.gpu_modeled += model.time(&exec.stats);
-            Ok(count)
-        });
-        stats.sim_wall += wall.elapsed();
         stats.overlap_tests += 1;
-        let count = match result {
-            Ok(count) => {
+        match self.submit(Tape::Pair(&w), stats, |exec, slot| exec.stencil_count(slot)) {
+            Some(count) => {
                 stats.hw_tests += 1;
-                count
+                count as f64 * overlap_cell_area(w.region, resolution)
             }
-            // Supervision gave up: replay the same list on a fresh
-            // reference executor — the identical count, charged to the
-            // fallback ledger (the invariant-14 sum stays balanced).
-            Err(_) => {
+            // Supervision gave up: the software execution answers the
+            // identical area, charged to the fallback ledger (the
+            // invariant-14 sum stays balanced).
+            None => {
                 stats.fallback_tests += 1;
-                replay_overlap_count(&list, slot)
+                sw_overlap_area(p, q, resolution)
             }
-        };
-        count as f64 * cell_area
+        }
     }
 }
 
@@ -314,7 +273,11 @@ mod tests {
         let q = square(1.0, 1.0, 5.0);
         let mut reference = None;
         for kind in [DeviceKind::Reference, DeviceKind::Reference.sharded(3)] {
-            let mut t = HwTester::with_device(HwConfig::recommended(), kind.clone());
+            let mut t = HwTester::with_device_and_policy(
+                HwConfig::recommended(),
+                kind.clone(),
+                Default::default(),
+            );
             let mut st = TestStats::default();
             let area = t.overlap_area(&p, &q, 32, &mut st);
             let hw = st.hw;
@@ -418,12 +381,10 @@ mod tests {
             FaultKind::ReadbackBitFlip,
         ] {
             let plan = FaultPlan::new(7, kind, FaultTrigger::EveryK(1));
-            let mut t = HwTester::with_device(
+            let mut t = HwTester::with_device_and_policy(
                 HwConfig::recommended(),
-                DeviceKind::Fault {
-                    inner: Box::new(DeviceKind::Reference),
-                    plan,
-                },
+                DeviceKind::Reference.with_faults(plan),
+                Default::default(),
             );
             let mut st = TestStats::default();
             let area = t.overlap_area(&p, &q, 32, &mut st);

@@ -9,6 +9,10 @@
 //!   `D` via Equation (1), wide points covering the vertex caps, with the
 //!   software fallback when the required width exceeds the hardware line
 //!   width limit;
+//! * `choreography` (crate-private) — the one place that decides what
+//!   the device runs for a pair: software prologue, §3.2 projection
+//!   window, command list, epilogue. The per-pair tester, the atlas
+//!   batcher ([`hw_batch`]) and the service planner all call it;
 //! * [`config`] — window resolution, `sw_threshold` (§4.3), overlap
 //!   strategy;
 //! * [`engine`] — the three-stage query pipelines of Fig. 8 (MBR filter →
@@ -29,6 +33,7 @@
 //! accuracy guarantee and the cost-model shape.
 
 pub mod ablation;
+pub(crate) mod choreography;
 pub mod config;
 pub mod engine;
 pub mod hw_batch;
@@ -41,7 +46,7 @@ pub(crate) mod recording;
 pub mod service;
 pub mod stats;
 
-pub use config::{HwConfig, RecordingOptions};
+pub use config::HwConfig;
 pub use engine::{
     ConfigError, EngineConfig, GeometryTest, PartitionConfig, PreparedDataset, SpatialEngine,
 };
@@ -51,8 +56,8 @@ pub use hw_intersect::HwTester;
 pub use hw_overlap::overlap_cell_area;
 pub use nn::{sw_nearest, VoronoiNn};
 pub use pipeline::{
-    CandidateFilter, Decision, HardwareBackend, Predicate, QuerySpec, RecoveryPolicy, RefineOp,
-    RefinementBackend, SoftwareBackend, Stage1, StagedExecutor,
+    CandidateFilter, Decision, Predicate, QuerySpec, RecoveryPolicy, RefineOp, RefinementBackend,
+    SoftwareBackend, Stage1, StagedExecutor,
 };
 pub use service::{
     BrownoutConfig, BrownoutRung, PlanChoice, PlannerConfig, PlannerMode, QueryBudget, QueryEngine,

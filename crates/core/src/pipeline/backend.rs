@@ -8,7 +8,6 @@
 //! so workers never contend and per-worker counters merge deterministically.
 
 use super::Predicate;
-use crate::config::HwConfig;
 use crate::hw_intersect::HwTester;
 use crate::stats::TestStats;
 use spatial_geom::intersect::{polygons_intersect_with, IntersectStats, SweepAlgo};
@@ -26,8 +25,8 @@ pub trait RefinementBackend: Send + std::fmt::Debug {
     fn test(&mut self, pred: Predicate, p: &Polygon, q: &Polygon, stats: &mut TestStats) -> bool;
 
     /// Decides a group of candidate pairs in one submission round where
-    /// the backend supports it. The default is the per-pair loop;
-    /// hardware backends override it with atlas-batched rendering.
+    /// the backend supports it. The default is the per-pair loop; the
+    /// hardware tester overrides it with atlas-batched rendering.
     fn test_batch(
         &mut self,
         pred: Predicate,
@@ -105,53 +104,14 @@ impl RefinementBackend for SoftwareBackend {
 }
 
 /// Hardware-assisted refinement: Algorithm 3.1 and the §3.1 distance test,
-/// honoring the `sw_threshold` of its [`HwConfig`] (§4.3 treats the
+/// honoring the `sw_threshold` of the tester's `HwConfig` (§4.3 treats the
 /// threshold as part of the algorithm): `0` is pure hardware routing,
 /// `usize::MAX` degenerates to all-software testing (with the hardware
 /// path's prologue), anything between splits pairs by combined vertex
-/// count. Owns the rendering contexts.
-#[derive(Debug)]
-pub struct HardwareBackend {
-    tester: HwTester,
-}
-
-impl HardwareBackend {
-    pub fn new(hw: HwConfig) -> Self {
-        Self::with_device(hw, spatial_raster::DeviceKind::default())
-    }
-
-    /// A backend whose command lists execute on the selected device (the
-    /// tiled executor turns refinement rendering multi-threaded without
-    /// changing a single result or counter).
-    pub fn with_device(hw: HwConfig, device: spatial_raster::DeviceKind) -> Self {
-        Self::with_device_and_policy(hw, device, super::RecoveryPolicy::default())
-    }
-
-    /// Like [`HardwareBackend::with_device`] with an explicit
-    /// retry/quarantine policy for supervised submission.
-    pub fn with_device_and_policy(
-        hw: HwConfig,
-        device: spatial_raster::DeviceKind,
-        policy: super::RecoveryPolicy,
-    ) -> Self {
-        HardwareBackend {
-            tester: HwTester::with_device_and_policy(hw, device, policy),
-        }
-    }
-
-    /// Overrides the simulated-hardware cost model (sensitivity benches).
-    pub fn set_cost_model(&mut self, model: spatial_raster::HwCostModel) {
-        self.tester.set_cost_model(model);
-    }
-}
-
-impl RefinementBackend for HardwareBackend {
+/// count. The tester owns the rendering context.
+impl RefinementBackend for HwTester {
     fn test(&mut self, pred: Predicate, p: &Polygon, q: &Polygon, stats: &mut TestStats) -> bool {
-        match pred {
-            Predicate::Intersects => self.tester.intersects(p, q, stats),
-            Predicate::ContainedIn => self.tester.contained_in(p, q, stats),
-            Predicate::WithinDistance(d) => self.tester.within_distance(p, q, d, stats),
-        }
+        HwTester::test(self, pred, p, q, stats)
     }
 
     fn test_batch(
@@ -160,11 +120,7 @@ impl RefinementBackend for HardwareBackend {
         pairs: &[(&Polygon, &Polygon)],
         stats: &mut TestStats,
     ) -> Vec<bool> {
-        match pred {
-            Predicate::Intersects => self.tester.intersects_batch(pairs, stats),
-            Predicate::ContainedIn => self.tester.contained_in_batch(pairs, stats),
-            Predicate::WithinDistance(d) => self.tester.within_distance_batch(pairs, d, stats),
-        }
+        HwTester::test_batch(self, pred, pairs, stats)
     }
 
     fn measure_overlap(
@@ -174,34 +130,22 @@ impl RefinementBackend for HardwareBackend {
         resolution: usize,
         stats: &mut TestStats,
     ) -> f64 {
-        self.tester.overlap_area(p, q, resolution, stats)
+        self.overlap_area(p, q, resolution, stats)
     }
 
     fn select_shard(&mut self, shard: usize) {
-        self.tester.select_shard(shard);
+        HwTester::select_shard(self, shard);
     }
 
     fn fork(&self) -> Box<dyn RefinementBackend> {
-        // The fork inherits the parent's full supervision state — policy,
-        // per-shard breaker verdicts, and the modeled probation clock — so
-        // a worker refining pairs for a shard the parent already proved
-        // dead fails over (or falls back) immediately instead of re-paying
-        // the whole retry/backoff ladder per pair.
-        let mut b = HardwareBackend::with_device_and_policy(
-            self.tester.config(),
-            self.tester.device_kind(),
-            self.tester.recovery_policy(),
-        );
-        b.tester.set_cost_model(self.tester.cost_model());
-        b.tester.inherit_supervision(&self.tester);
-        b.tester.select_shard(self.tester.route());
-        Box::new(b)
+        Box::new(HwTester::fork(self))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::HwConfig;
     use spatial_geom::{min_dist_brute, polygons_intersect_brute};
 
     fn square(x: f64, y: f64, s: f64) -> Polygon {
@@ -211,11 +155,9 @@ mod tests {
     fn backends() -> Vec<Box<dyn RefinementBackend>> {
         vec![
             Box::new(SoftwareBackend),
-            Box::new(HardwareBackend::new(HwConfig::at_resolution(8))),
-            Box::new(HardwareBackend::new(
-                HwConfig::at_resolution(8).with_threshold(6),
-            )),
-            Box::new(HardwareBackend::new(
+            Box::new(HwTester::new(HwConfig::at_resolution(8))),
+            Box::new(HwTester::new(HwConfig::at_resolution(8).with_threshold(6))),
+            Box::new(HwTester::new(
                 HwConfig::at_resolution(8).with_threshold(usize::MAX),
             )),
         ]
@@ -325,7 +267,7 @@ mod tests {
         let pairs: Vec<(&Polygon, &Polygon)> =
             (1..polys.len()).map(|i| (&polys[0], &polys[i])).collect();
         let mut orig: Box<dyn RefinementBackend> =
-            Box::new(HardwareBackend::new(HwConfig::at_resolution(8)));
+            Box::new(HwTester::new(HwConfig::at_resolution(8)));
         let mut forked = orig.fork();
         let mut s1 = TestStats::default();
         let mut s2 = TestStats::default();
@@ -334,17 +276,17 @@ mod tests {
         assert_eq!(r1, r2);
         assert_eq!(s1.hw.draw_calls, s2.hw.draw_calls);
         assert_eq!(s1.hw.fragments_tested, s2.hw.fragments_tested);
-        // Recording knobs ride along on the config, so the fork records
-        // and caches exactly like the original — including the cold-start
-        // misses, since forks begin with an empty cache of their own.
+        // The fork records and caches exactly like the original —
+        // including the cold-start misses, since forks begin with an
+        // empty cache of their own.
         assert_eq!(s1.cache_misses, s2.cache_misses);
         assert_eq!(s1.commands_elided, s2.commands_elided);
     }
 
     /// The recording cache never changes what a backend answers or what
-    /// hardware work it charges: the same pairs through a cache-enabled
-    /// and a cache-disabled backend are identical in everything but the
-    /// diagnostic cache counters.
+    /// hardware work it charges: the same pairs through a warm tester and
+    /// through fresh (always cold) testers are identical in everything
+    /// but the diagnostic cache counters.
     #[test]
     fn recording_cache_is_set_preserving_across_backends() {
         // Diagonal slabs: overlapping MBRs, no contained vertices — every
@@ -357,21 +299,20 @@ mod tests {
             .collect();
         let pairs: Vec<(&Polygon, &Polygon)> =
             (1..polys.len()).map(|i| (&polys[0], &polys[i])).collect();
-        let cached_cfg = HwConfig::at_resolution(8);
-        let cold_cfg = cached_cfg.with_recording(crate::RecordingOptions::disabled());
+        let cfg = HwConfig::at_resolution(8);
         for pred in [
             Predicate::Intersects,
             Predicate::ContainedIn,
             Predicate::WithinDistance(1.5),
         ] {
-            let mut warm = HardwareBackend::new(cached_cfg);
-            let mut cold = HardwareBackend::new(cold_cfg);
+            let mut warm = HwTester::new(cfg);
             let (mut s1, mut s2) = (TestStats::default(), TestStats::default());
-            // Run twice so the second round hits the warm cache.
+            // Run twice so the warm tester's second round hits its cache;
+            // every cold round gets a tester that has recorded nothing.
             let _ = warm.test_batch(pred, &pairs, &mut s1);
-            let _ = cold.test_batch(pred, &pairs, &mut s2);
+            let _ = HwTester::new(cfg).test_batch(pred, &pairs, &mut s2);
             let r1 = warm.test_batch(pred, &pairs, &mut s1);
-            let r2 = cold.test_batch(pred, &pairs, &mut s2);
+            let r2 = HwTester::new(cfg).test_batch(pred, &pairs, &mut s2);
             assert_eq!(r1, r2);
             assert_eq!(s1.hw_tests, s2.hw_tests);
             assert_eq!(s1.rejected_by_hw, s2.rejected_by_hw);
@@ -383,7 +324,6 @@ mod tests {
                 assert!(s1.cache_hits > 0, "second round must hit: {s1:?}");
             }
             assert_eq!(s2.cache_hits, 0);
-            assert_eq!(s2.cache_misses, 0);
         }
     }
 
@@ -407,7 +347,7 @@ mod tests {
             quarantine_after: 1,
             probation_ns: None,
         };
-        let mut parent = HardwareBackend::with_device_and_policy(
+        let mut parent = HwTester::with_device_and_policy(
             HwConfig::at_resolution(8),
             DeviceKind::Reference.with_faults(plan).sharded(2),
             policy,
@@ -418,7 +358,7 @@ mod tests {
         assert_eq!(st.shard_quarantined, 1);
         // The fork adopts the open breaker: immediate failover to shard 1,
         // no ladder re-paid, same answer and hardware work as a clean run.
-        let mut forked = parent.fork();
+        let mut forked = RefinementBackend::fork(&parent);
         let mut fst = TestStats::default();
         assert_eq!(
             forked.test(Predicate::Intersects, &p, &q, &mut fst),
@@ -427,7 +367,7 @@ mod tests {
         assert_eq!(fst.device_faults, 0, "fork re-paid the ladder: {fst:?}");
         assert_eq!(fst.fallback_tests, 0);
         assert_eq!(fst.shard_failovers, 1);
-        let mut clean = HardwareBackend::new(HwConfig::at_resolution(8));
+        let mut clean = HwTester::new(HwConfig::at_resolution(8));
         let mut cst = TestStats::default();
         assert_eq!(clean.test(Predicate::Intersects, &p, &q, &mut cst), verdict);
         assert_eq!(
@@ -437,18 +377,17 @@ mod tests {
     }
 
     #[test]
-    fn hybrid_threshold_routes_pairs() {
+    fn threshold_routes_pairs() {
         // A crossing pair whose first vertices are outside each other, so
         // the test reaches the threshold branch.
         let horiz = Polygon::from_coords(&[(0.0, 2.0), (6.0, 2.0), (6.0, 4.0), (0.0, 4.0)]);
         let vert = Polygon::from_coords(&[(2.0, 0.0), (4.0, 0.0), (4.0, 6.0), (2.0, 6.0)]);
-        let mut all_sw =
-            HardwareBackend::new(HwConfig::at_resolution(8).with_threshold(usize::MAX));
+        let mut all_sw = HwTester::new(HwConfig::at_resolution(8).with_threshold(usize::MAX));
         let mut st = TestStats::default();
         assert!(all_sw.test(Predicate::Intersects, &horiz, &vert, &mut st));
         assert_eq!(st.hw_tests, 0);
         assert_eq!(st.skipped_by_threshold, 1);
-        let mut all_hw = HardwareBackend::new(HwConfig::at_resolution(8).with_threshold(0));
+        let mut all_hw = HwTester::new(HwConfig::at_resolution(8).with_threshold(0));
         let mut st = TestStats::default();
         assert!(all_hw.test(Predicate::Intersects, &horiz, &vert, &mut st));
         assert_eq!(st.hw_tests, 1);

@@ -350,7 +350,8 @@ impl StagedExecutor {
 mod tests {
     use super::*;
     use crate::config::HwConfig;
-    use crate::pipeline::backend::{HardwareBackend, SoftwareBackend};
+    use crate::hw_intersect::HwTester;
+    use crate::pipeline::backend::SoftwareBackend;
     use crate::pipeline::Predicate;
 
     const INTERSECTS: RefineOp = RefineOp::Test(Predicate::Intersects);
@@ -453,7 +454,7 @@ mod tests {
                 partitions: 1,
                 shards: 1,
             };
-            let mut backend = HardwareBackend::new(HwConfig::at_resolution(8));
+            let mut backend = HwTester::new(HwConfig::at_resolution(8));
             kept(exec.run(
                 &mut backend,
                 INTERSECTS,
@@ -503,7 +504,7 @@ mod tests {
                 partitions,
                 shards,
             };
-            let mut backend = HardwareBackend::new(HwConfig::at_resolution(8));
+            let mut backend = HwTester::new(HwConfig::at_resolution(8));
             exec.run::<_, f64, _>(
                 &mut backend,
                 RefineOp::Measure { resolution: 32 },
@@ -554,7 +555,7 @@ mod tests {
             shards: 2,
         };
         let measure = RefineOp::Measure { resolution: 32 };
-        let mut backend = HardwareBackend::new(HwConfig::at_resolution(8));
+        let mut backend = HwTester::new(HwConfig::at_resolution(8));
         let (tested, tc) = kept(exec.run(
             &mut backend,
             INTERSECTS,
@@ -607,7 +608,7 @@ mod tests {
                 partitions: 1,
                 shards: 1,
             };
-            let mut backend = HardwareBackend::new(HwConfig::at_resolution(8));
+            let mut backend = HwTester::new(HwConfig::at_resolution(8));
             kept(exec.run(
                 &mut backend,
                 INTERSECTS,

@@ -30,7 +30,7 @@ pub mod filter;
 pub mod recovery;
 pub mod spec;
 
-pub use backend::{HardwareBackend, RefinementBackend, SoftwareBackend};
+pub use backend::{RefinementBackend, SoftwareBackend};
 pub use executor::{Stage1, StagedExecutor, Verdict};
 pub use filter::{CandidateFilter, Decision, InteriorFilterStage, ObjectFilterStage};
 pub use recovery::RecoveryPolicy;

@@ -114,14 +114,14 @@ impl Default for ShardHealth {
 
 /// Wraps a device with the retry/failover/quarantine state machine. One
 /// supervisor lives inside each `HwTester`; forks *inherit* the parent's
-/// per-shard verdicts (`HwTester::inherit_supervision`), so a worker never
+/// per-shard verdicts (`HwTester::fork`), so a worker never
 /// re-pays the retry ladder for a shard its parent already proved dead.
 #[derive(Debug, Clone)]
 pub(crate) struct Supervisor {
     policy: RecoveryPolicy,
     /// The modeled clock probation ripens on, in nanoseconds: advanced by
     /// charged retry backoffs and by the modeled GPU time of successful
-    /// executions (`HwTester::execute_list`). Never wall clock.
+    /// executions (`HwTester::submit`). Never wall clock.
     now_ns: u64,
     /// One entry per device shard, grown on first contact with a device
     /// that reports more shards.

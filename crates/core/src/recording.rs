@@ -11,14 +11,16 @@
 //! The cache is set-preserving by construction: a spliced list executes
 //! the same commands as a cold recording of the same test, so results,
 //! readbacks and every charged counter are bit-identical whether the
-//! cache is on, off, hot or cold (the verify harness cross-checks this on
-//! all four device pipelines). Only the diagnostic `cache_hits` /
-//! `cache_misses` / `commands_elided` counters see the difference.
+//! cache is hot or cold (invariant 10). Only the diagnostic `cache_hits`
+//! / `cache_misses` / `commands_elided` counters see the difference.
 //!
 //! Eviction is LRU over a fixed capacity. The per-pair paths need a
 //! handful of entries (one per strategy × resolution × width in play);
 //! atlas keys include the batch shape, so joins with highly irregular
-//! batches cycle more — the capacity knob exists for them.
+//! batches cycle more.
+//!
+//! [`crate::choreography`] is the only module that builds keys, looks
+//! them up or stores skeletons.
 
 use spatial_raster::{ListTemplate, OverlapStrategy};
 use std::collections::HashMap;
@@ -31,7 +33,10 @@ use std::sync::Arc;
 pub(crate) enum CacheKey {
     /// Per-pair segment-intersection test: the tape depends on the
     /// strategy's choreography and the window resolution.
-    Segment { strategy: u8, resolution: usize },
+    Segment {
+        strategy: OverlapStrategy,
+        resolution: usize,
+    },
     /// Per-pair expanded-boundary distance test. Accumulation and
     /// Blending share one choreography here (see `record_distance_test`),
     /// so the key only distinguishes stencil vs not; the Equation (1)
@@ -54,15 +59,6 @@ pub(crate) enum CacheKey {
         width_bits: u64,
         shape: Vec<[bool; 4]>,
     },
-}
-
-/// `OverlapStrategy` doesn't implement `Hash`; a dense code does.
-pub(crate) fn strategy_code(s: OverlapStrategy) -> u8 {
-    match s {
-        OverlapStrategy::Accumulation => 0,
-        OverlapStrategy::Blending => 1,
-        OverlapStrategy::Stencil => 2,
-    }
 }
 
 #[derive(Debug)]
@@ -100,9 +96,7 @@ impl RecordingCache {
     }
 
     /// Stores a freshly recorded skeleton, evicting the least recently
-    /// used entry when at capacity. A zero-capacity cache stores nothing
-    /// (the engine's config validation rejects that combination up
-    /// front).
+    /// used entry when at capacity. A zero-capacity cache stores nothing.
     pub(crate) fn insert(&mut self, key: CacheKey, template: ListTemplate, slot: usize) {
         if self.capacity == 0 {
             return;
@@ -148,7 +142,7 @@ mod tests {
 
     fn key(resolution: usize) -> CacheKey {
         CacheKey::Segment {
-            strategy: 0,
+            strategy: OverlapStrategy::Accumulation,
             resolution,
         }
     }

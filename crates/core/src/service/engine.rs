@@ -453,7 +453,16 @@ fn query_spec<'a>(
             left,
             right,
             distance,
-        } => QuerySpec::within_distance_join(dataset(left)?, dataset(right)?, *distance),
+        } => {
+            // +∞ is a legal distance (every pair qualifies); NaN and
+            // negatives are not distances at all.
+            if distance.is_nan() || *distance < 0.0 {
+                return Err(ServiceError::InvalidQuery {
+                    reason: "within-distance join distance is NaN or negative (must be ≥ 0)",
+                });
+            }
+            QuerySpec::within_distance_join(dataset(left)?, dataset(right)?, *distance)
+        }
         QueryKind::OverlapArea {
             left,
             right,

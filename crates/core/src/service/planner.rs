@@ -30,11 +30,12 @@
 //! every backend is exact, so planning is purely a latency decision and
 //! a wrong estimate can never corrupt an answer.
 
-use crate::hw_intersect::HwTester;
+use crate::choreography::{list, window, Tape};
 use crate::pipeline::{Predicate, RefineOp};
-use crate::recording::{strategy_code, CacheKey, RecordingCache};
+use crate::recording::RecordingCache;
+use crate::stats::TestStats;
 use spatial_geom::Polygon;
-use spatial_raster::{HwCostModel, ListTemplate, OverlapStrategy, Viewport, MAX_AA_LINE_WIDTH};
+use spatial_raster::{CommandList, HwCostModel, OverlapStrategy};
 use std::collections::HashMap;
 
 /// The backend a query will refine on, as selected by the planner (or
@@ -326,12 +327,12 @@ impl Planner {
     }
 
     /// Prices one sampled pair's choreography at `resolution` by
-    /// recording (or warm-splicing) its command list and replaying it
-    /// against the cost model. `None` means hardware can't take this
-    /// pair (no projection window, or the Equation (1) line width
-    /// exceeds the hardware limit) and it would fall back to software —
-    /// or, for an aggregation, that the pair's shared MBR is empty or
-    /// degenerate and it answers `0.0` without touching a device.
+    /// replaying its command list against the cost model. `None` means
+    /// hardware can't take this pair (no projection window, or the
+    /// Equation (1) line width exceeds the hardware limit) and it would
+    /// fall back to software — or, for an aggregation, that the pair's
+    /// shared MBR is empty or degenerate and it answers `0.0` without
+    /// touching a device.
     fn price_pair(
         &mut self,
         op: RefineOp,
@@ -339,114 +340,44 @@ impl Planner {
         p: &Polygon,
         q: &Polygon,
     ) -> Option<f64> {
-        let list = match op {
-            // The §14 fragment-counting choreography.
-            RefineOp::Measure { .. } => {
-                let region = crate::hw_overlap::overlap_region(p, q)?;
-                let key = CacheKey::Overlap { resolution };
-                match self.skeletons.lookup(&key) {
-                    Some((template, _slot)) => template.instantiate_with_polys(
-                        &[Viewport::new(region, resolution, resolution)],
-                        |_, _| {},
-                        |_, _| {},
-                        |i, out| {
-                            out.extend_from_slice(if i == 0 { p.vertices() } else { q.vertices() })
-                        },
-                    ),
-                    None => {
-                        let (list, slot) = HwTester::record_overlap_area(
-                            region,
-                            resolution,
-                            p.vertices().iter().copied(),
-                            q.vertices().iter().copied(),
-                        );
-                        self.skeletons.insert(key, ListTemplate::new(&list), slot);
-                        list
-                    }
-                }
-            }
-            RefineOp::Test(Predicate::Intersects | Predicate::ContainedIn) => {
-                let region = p.mbr().intersection(&q.mbr())?;
-                let key = CacheKey::Segment {
-                    strategy: strategy_code(self.strategy),
-                    resolution,
-                };
-                match self.skeletons.lookup(&key) {
-                    Some((template, _slot)) => template.instantiate(
-                        &[Viewport::new(region, resolution, resolution)],
-                        |i, out| out.extend(if i == 0 { p.edges() } else { q.edges() }),
-                        |_, _| {},
-                    ),
-                    None => {
-                        let (list, slot) = HwTester::record_segment_test(
-                            region,
-                            resolution,
-                            self.strategy,
-                            p.edges(),
-                            q.edges(),
-                        );
-                        self.skeletons.insert(key, ListTemplate::new(&list), slot);
-                        list
-                    }
-                }
-            }
-            RefineOp::Test(Predicate::WithinDistance(d)) => {
-                // Mirror the distance test's projection-window and
-                // Equation (1) width computation (hw_distance.rs).
-                let (small, large) = if p.mbr().area() <= q.mbr().area() {
-                    (p, q)
-                } else {
-                    (q, p)
-                };
-                let half = d / 2.0;
-                let region = small
-                    .mbr()
-                    .expanded(half)
-                    .intersection(&large.mbr().expanded(half))?;
-                let vp = Viewport::uniform(region, resolution, resolution);
-                let width = vp.line_width_for_distance(d.max(f64::MIN_POSITIVE));
-                if width > MAX_AA_LINE_WIDTH {
-                    return None;
-                }
-                let key = CacheKey::Distance {
-                    stencil: self.strategy == OverlapStrategy::Stencil,
-                    resolution,
-                    width_bits: width.to_bits(),
-                };
-                match self.skeletons.lookup(&key) {
-                    Some((template, _slot)) => template.instantiate(
-                        &[vp],
-                        |i, out| out.extend(if i == 0 { small.edges() } else { large.edges() }),
-                        |i, out| {
-                            out.extend_from_slice(if i == 0 {
-                                small.vertices()
-                            } else {
-                                large.vertices()
-                            })
-                        },
-                    ),
-                    None => {
-                        let (list, slot) = HwTester::record_distance_test(
-                            region,
-                            resolution,
-                            self.strategy,
-                            width,
-                            small,
-                            large,
-                        );
-                        self.skeletons.insert(key, ListTemplate::new(&list), slot);
-                        list
-                    }
-                }
-            }
-        };
+        let list = self.priced_list(op, resolution, p, q)?;
         Some(ns(self.model.replay_cost(&list)))
+    }
+
+    /// The list [`Planner::price_pair`] prices: exactly what a tester at
+    /// `resolution` executes for the pair once its software prologue
+    /// sends it to the device — same window, same (warm-spliced or cold
+    /// and fused) tape. Every sampled pair with a projection window is
+    /// priced; the prologue's point-in-polygon and threshold exits are
+    /// the tester's own.
+    pub(crate) fn priced_list(
+        &mut self,
+        op: RefineOp,
+        resolution: usize,
+        p: &Polygon,
+        q: &Polygon,
+    ) -> Option<CommandList> {
+        let w = window(op, p, q, resolution, self.strategy)?;
+        // The cache diagnostics belong to queries, not to pricing.
+        let (commands, _slot) = list(
+            &mut self.skeletons,
+            Tape::Pair(&w),
+            &mut TestStats::default(),
+        );
+        Some(commands)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::HwConfig;
+    use crate::engine::PreparedDataset;
+    use crate::hw_intersect::HwTester;
+    use crate::pipeline::QuerySpec;
+    use spatial_index::FilterConfig;
+    use spatial_raster::{DeviceError, DeviceKind, Execution, FrameBuffer, RasterDevice};
+    use std::sync::{Arc, Mutex};
 
     const INTERSECTS: RefineOp = RefineOp::Test(Predicate::Intersects);
 
@@ -630,5 +561,105 @@ mod tests {
             &[(&a, &b)],
         );
         assert_eq!(planned.choice, PlanChoice::Software);
+    }
+
+    /// A reference device that also keeps the serialization of every
+    /// list it was handed.
+    #[derive(Debug)]
+    struct Spy {
+        inner: Box<dyn RasterDevice>,
+        seen: Arc<Mutex<Vec<String>>>,
+    }
+
+    impl RasterDevice for Spy {
+        fn name(&self) -> &'static str {
+            "spy"
+        }
+
+        fn execute(&mut self, list: &CommandList) -> Result<Execution, DeviceError> {
+            self.seen.lock().unwrap().push(list.serialize());
+            self.inner.execute(list)
+        }
+
+        fn snapshot(&self) -> Option<FrameBuffer> {
+            self.inner.snapshot()
+        }
+    }
+
+    fn prepare(ds: spatial_datagen::Dataset) -> PreparedDataset {
+        PreparedDataset::new(ds.name, ds.polygons)
+    }
+
+    /// The list the planner prices for a sampled pair is the list the
+    /// tester executes for that pair at the same resolution and strategy
+    /// — cold and warm, for all five query kinds. (The planner prices
+    /// every pair that has a window; the tester's prologue decides some
+    /// of them without the device, and those are skipped here.)
+    #[test]
+    fn the_planner_prices_the_list_the_tester_executes() {
+        let a = prepare(spatial_datagen::landc(0.002, 7));
+        let b = prepare(spatial_datagen::lando(0.002, 7));
+        // A window with undecided candidates under both selections.
+        let window = spatial_datagen::states50(7).polygons[10].clone();
+        let d = 0.5
+            * spatial_datagen::base_distance(
+                &spatial_datagen::landc(0.002, 7),
+                &spatial_datagen::lando(0.002, 7),
+            );
+        let specs = [
+            QuerySpec::intersection_selection(&a, &window),
+            QuerySpec::containment_selection(&a, &window),
+            QuerySpec::intersection_join(&a, &b),
+            QuerySpec::within_distance_join(&a, &b, d),
+            QuerySpec::overlap_area_join(&a, &b, 16),
+        ];
+        for strategy in [
+            OverlapStrategy::Accumulation,
+            OverlapStrategy::Blending,
+            OverlapStrategy::Stencil,
+        ] {
+            for spec in &specs {
+                let resolution = match spec.op() {
+                    RefineOp::Measure { resolution } => resolution,
+                    RefineOp::Test(_) => 8,
+                };
+                let cfg = HwConfig {
+                    strategy,
+                    ..HwConfig::at_resolution(resolution)
+                };
+                let mut planner = Planner::new(PlannerConfig::default(), strategy);
+                let mut tester = HwTester::new(cfg);
+                let seen = Arc::new(Mutex::new(Vec::new()));
+                tester.set_device(Box::new(Spy {
+                    inner: DeviceKind::Reference.build(),
+                    seen: Arc::clone(&seen),
+                }));
+
+                let mut compared = 0;
+                let stage1 = spec.stage1(&FilterConfig::default());
+                for &cand in &stage1.candidates {
+                    if compared == 4 {
+                        break;
+                    }
+                    let (p, q) = spec.resolve(cand);
+                    let priced = planner.priced_list(spec.op(), resolution, p, q);
+                    let mut stats = TestStats::default();
+                    match spec.op() {
+                        RefineOp::Test(pred) => {
+                            tester.test(pred, p, q, &mut stats);
+                        }
+                        RefineOp::Measure { resolution } => {
+                            tester.overlap_area(p, q, resolution, &mut stats);
+                        }
+                    }
+                    if let Some(executed) = seen.lock().unwrap().pop() {
+                        let priced = priced.expect("a pair that reached the device has a window");
+                        assert_eq!(priced.serialize(), executed, "{strategy:?} {:?}", spec.op());
+                        compared += 1;
+                    }
+                }
+                assert!(compared >= 2, "{strategy:?} {:?}: cold and warm", spec.op());
+            }
+        }
     }
 }

@@ -14,7 +14,9 @@
 use hwa_core::engine::{EngineConfig, PartitionConfig, PreparedDataset, SpatialEngine};
 use hwa_core::hw_intersect::HwTester;
 use hwa_core::hw_overlap::{overlap_cell_area, sw_overlap_area};
-use hwa_core::{DeviceKind, FaultKind, FaultPlan, FaultTrigger, HwConfig, TestStats};
+use hwa_core::{
+    DeviceKind, FaultKind, FaultPlan, FaultTrigger, HwConfig, RecoveryPolicy, TestStats,
+};
 use proptest::prelude::*;
 use spatial_geom::{overlap_area_exact, Point, Polygon};
 
@@ -126,7 +128,11 @@ proptest! {
             let mut st = TestStats::default();
             (t.overlap_area(&p, &q, res, &mut st), st.hw)
         };
-        let mut t = HwTester::with_device(HwConfig::recommended(), device.clone());
+        let mut t = HwTester::with_device_and_policy(
+            HwConfig::recommended(),
+            device.clone(),
+            RecoveryPolicy::default(),
+        );
         let mut st = TestStats::default();
         let area = t.overlap_area(&p, &q, res, &mut st);
         prop_assert_eq!(area.to_bits(), reference.0.to_bits(), "{:?}", device);
@@ -134,7 +140,7 @@ proptest! {
     }
 
     /// Seeded fault plans never change a reported area: the fallback
-    /// replays the same recorded list, and the invariant-14 ledger
+    /// replays the same choreography, and the invariant-14 ledger
     /// balances (`hw_tests + fallback_tests` = clean `hw_tests`).
     #[test]
     fn faulted_overlap_area_is_bit_identical_with_balanced_ledger(
@@ -148,9 +154,10 @@ proptest! {
             let mut st = TestStats::default();
             (t.overlap_area(&p, &q, res, &mut st), st)
         };
-        let mut t = HwTester::with_device(
+        let mut t = HwTester::with_device_and_policy(
             HwConfig::recommended(),
             DeviceKind::Reference.with_faults(plan),
+            RecoveryPolicy::default(),
         );
         let mut st = TestStats::default();
         let area = t.overlap_area(&p, &q, res, &mut st);

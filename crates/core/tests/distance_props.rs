@@ -6,7 +6,7 @@
 //! exact software predicate on the geometry they were given.
 
 use hwa_core::hw_intersect::HwTester;
-use hwa_core::{HwConfig, RecordingOptions, TestStats};
+use hwa_core::{HwConfig, Predicate, TestStats};
 use proptest::prelude::*;
 use spatial_geom::Polygon;
 
@@ -64,9 +64,6 @@ proptest! {
         let p = rect_poly(x, y, w, 2.0);
         let q = rect_poly(x + w + gap, y + dy, w, 2.0);
         let mut t = HwTester::new(HwConfig::at_resolution(res));
-        let mut cold = HwTester::new(
-            HwConfig::at_resolution(res).with_recording(RecordingOptions::disabled()),
-        );
         for d in adversarial_distances(&p, &q) {
             let expect = oracle(&p, &q, d);
             let mut st = TestStats::default();
@@ -80,12 +77,14 @@ proptest! {
             );
 
             let mut st = TestStats::default();
-            let batch = t.within_distance_batch(&[(&p, &q), (&q, &p)], d, &mut st);
+            let batch = t.test_batch(Predicate::WithinDistance(d), &[(&p, &q), (&q, &p)], &mut st);
             prop_assert_eq!(batch, vec![expect, expect], "batch, d = {}", d);
 
+            // A fresh tester records cold where `t` splices warm.
+            let mut cold = HwTester::new(HwConfig::at_resolution(res));
             let mut st = TestStats::default();
             prop_assert_eq!(cold.within_distance(&p, &q, d, &mut st), expect,
-                "recording features off, d = {}", d);
+                "cold recording, d = {}", d);
         }
     }
 

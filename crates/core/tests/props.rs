@@ -4,9 +4,7 @@
 //! and every query distance (DESIGN.md §5, invariants 1–2).
 
 use hwa_core::hw_intersect::HwTester;
-use hwa_core::{
-    FilterStats, HardwareBackend, HwConfig, Predicate, RefineOp, Stage1, StagedExecutor, TestStats,
-};
+use hwa_core::{FilterStats, HwConfig, Predicate, RefineOp, Stage1, StagedExecutor, TestStats};
 use proptest::prelude::*;
 use spatial_geom::{min_dist_brute, polygons_intersect_brute, Point, Polygon};
 use spatial_raster::OverlapStrategy;
@@ -72,7 +70,7 @@ proptest! {
             OverlapStrategy::Blending,
             OverlapStrategy::Stencil,
         ] {
-            let cfg = HwConfig { resolution: 8, sw_threshold: 0, strategy, ..HwConfig::recommended() };
+            let cfg = HwConfig { strategy, ..HwConfig::at_resolution(8) };
             let mut t = HwTester::new(cfg);
             let mut st = TestStats::default();
             prop_assert_eq!(t.intersects(&p, &q, &mut st), oracle, "{:?}", strategy);
@@ -165,7 +163,7 @@ proptest! {
             .collect();
         let mut tb = HwTester::new(HwConfig::at_resolution(res));
         let mut sb = TestStats::default();
-        let batched = tb.intersects_batch(&pairs, &mut sb);
+        let batched = tb.test_batch(Predicate::Intersects, &pairs, &mut sb);
         let mut tp = HwTester::new(HwConfig::at_resolution(res));
         let mut sp = TestStats::default();
         let per_pair: Vec<bool> = pairs
@@ -199,7 +197,7 @@ proptest! {
             .collect();
         let mut tb = HwTester::new(HwConfig::at_resolution(res));
         let mut sb = TestStats::default();
-        let batched = tb.within_distance_batch(&pairs, d, &mut sb);
+        let batched = tb.test_batch(Predicate::WithinDistance(d), &pairs, &mut sb);
         let mut tp = HwTester::new(HwConfig::at_resolution(res));
         let mut sp = TestStats::default();
         let per_pair: Vec<bool> = pairs
@@ -232,7 +230,7 @@ proptest! {
             .collect();
         let run = |threads: usize| {
             let exec = StagedExecutor { batch, threads, partitions: 1, shards: 1 };
-            let mut backend = HardwareBackend::new(HwConfig::at_resolution(8));
+            let mut backend = HwTester::new(HwConfig::at_resolution(8));
             exec.run::<_, (), _>(
                 &mut backend,
                 RefineOp::Test(Predicate::Intersects),

@@ -105,7 +105,13 @@ impl Polygon {
     #[inline]
     pub fn edges(&self) -> impl Iterator<Item = Segment> + '_ {
         let n = self.vertices.len();
-        (0..n).map(move |i| Segment::new(self.vertices[i], self.vertices[(i + 1) % n]))
+        // The wrap is a compare, not `% n`: whether the optimizer proves
+        // the division away depends on where the iterator gets inlined,
+        // and every hardware test streams all edges of both polygons.
+        (0..n).map(move |i| {
+            let next = if i + 1 == n { 0 } else { i + 1 };
+            Segment::new(self.vertices[i], self.vertices[next])
+        })
     }
 
     /// The `i`-th edge (`i < vertex_count()`).

@@ -22,7 +22,7 @@ pub const MAX_POINT_SIZE: f64 = 10.0;
 /// How overlapping fragments are detected — the implementation variants
 /// Hoff et al. suggest (§3). The paper's Algorithm 3.1 uses the
 /// accumulation buffer; the others exist for the ablation bench.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum OverlapStrategy {
     /// Render both at half intensity, add via the accumulation buffer,
     /// search for full white (the paper's choice).

@@ -1,0 +1,37 @@
+#!/usr/bin/env bash
+# Non-test source lines: for every product source file, the lines before
+# its first `#[cfg(test)]`, summed per crate — the figure the simplicity
+# PRs in CHANGES.md report. Integration tests, benches and examples are
+# not product source and are not counted.
+#
+#   scripts/src-lines.sh              every file, per-crate totals
+#   scripts/src-lines.sh FILE...      just these files and their total
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+count() { awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$1"; }
+
+if [ "$#" -gt 0 ]; then
+    total=0
+    for f in "$@"; do
+        n=$(count "$f")
+        printf '%6d  %s\n' "$n" "$f"
+        total=$((total + n))
+    done
+    printf '%6d  total\n' "$total"
+    exit
+fi
+
+grand=0
+for dir in crates/*/src vendor/*/src src; do
+    [ -d "$dir" ] || continue
+    subtotal=0
+    while IFS= read -r f; do
+        n=$(count "$f")
+        printf '%6d  %s\n' "$n" "$f"
+        subtotal=$((subtotal + n))
+    done < <(find "$dir" -name '*.rs' | sort)
+    printf '%6d  == %s\n' "$subtotal" "${dir%/src}"
+    grand=$((grand + subtotal))
+done
+printf '%6d  == all crates\n' "$grand"

@@ -45,10 +45,8 @@ fn join_equivalence_across_strategies() {
         OverlapStrategy::Stencil,
     ] {
         let mut hw = SpatialEngine::new(EngineConfig::hardware(HwConfig {
-            resolution: 8,
-            sw_threshold: 0,
             strategy,
-            ..HwConfig::recommended()
+            ..HwConfig::at_resolution(8)
         }));
         let (got, _) = hw.intersection_join(&a, &b);
         assert_eq!(got, expected, "{strategy:?}");
