@@ -45,7 +45,8 @@ impl HwTester {
         let mut rec = Recorder::new(resolution, resolution);
         rec.set_viewport(Viewport::uniform(region, resolution, resolution))
             .expect("window dimensions match the viewport resolution");
-        rec.set_color(HALF_GRAY);
+        rec.set_color(HALF_GRAY)
+            .expect("half gray is a valid intensity");
         rec.set_line_width(width)
             .expect("caller pre-validates the Equation (1) width");
         rec.set_point_size(width)

@@ -213,7 +213,8 @@ impl HwTester {
         let mut rec = Recorder::new(resolution, resolution);
         rec.set_viewport(Viewport::new(region, resolution, resolution))
             .expect("window dimensions match the viewport resolution");
-        rec.set_color(HALF_GRAY);
+        rec.set_color(HALF_GRAY)
+            .expect("half gray is a valid intensity");
         rec.set_line_width(DIAGONAL_WIDTH)
             .expect("DIAGONAL_WIDTH is within the hardware limit");
         rec.set_point_size(1.0)

@@ -40,7 +40,6 @@ pub mod hw_batch;
 pub mod hw_distance;
 pub mod hw_intersect;
 pub mod hw_overlap;
-pub mod nn;
 pub mod pipeline;
 pub(crate) mod recording;
 pub mod service;
@@ -54,7 +53,6 @@ pub use hw_distance::hw_within_distance;
 pub use hw_intersect::hw_intersects;
 pub use hw_intersect::HwTester;
 pub use hw_overlap::overlap_cell_area;
-pub use nn::{sw_nearest, VoronoiNn};
 pub use pipeline::{
     CandidateFilter, Decision, Predicate, QuerySpec, RecoveryPolicy, RefineOp, RefinementBackend,
     SoftwareBackend, Stage1, StagedExecutor,

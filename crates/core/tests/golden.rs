@@ -88,7 +88,7 @@ fn accumulation_stream_is_stable() {
                 minmax_queries: 1,
                 batches: 0,
             },
-            readbacks: vec![Readback::Minmax([0.0; 3], [1.0; 3])],
+            readbacks: vec![Readback::Minmax(0.0, 1.0)],
         },
     );
 }
@@ -108,7 +108,7 @@ fn blending_stream_is_stable() {
                 minmax_queries: 1,
                 batches: 0,
             },
-            readbacks: vec![Readback::Minmax([0.0; 3], [1.0; 3])],
+            readbacks: vec![Readback::Minmax(0.0, 1.0)],
         },
     );
 }

@@ -35,22 +35,6 @@ pub fn point_boundary_min_dist(p: Point, edges: &[Segment]) -> f64 {
         .fold(f64::INFINITY, f64::min)
 }
 
-/// Distance from a point to a polygon *as a region*: 0 when the point is
-/// inside or on the boundary, the boundary distance otherwise.
-pub fn point_polygon_dist(p: Point, poly: &crate::polygon::Polygon) -> f64 {
-    if crate::pip::point_in_polygon(p, poly) {
-        return 0.0;
-    }
-    let mut best = f64::INFINITY;
-    for e in poly.edges() {
-        best = best.min(e.dist_point(p));
-        if best == 0.0 {
-            break;
-        }
-    }
-    best
-}
-
 /// Minimum distance between two edge sets with MBR-based pruning.
 ///
 /// `upper` is an initial upper bound (use `f64::INFINITY` when unknown); the

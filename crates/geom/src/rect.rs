@@ -196,14 +196,6 @@ impl Rect {
         (dx * dx + dy * dy).sqrt()
     }
 
-    /// Minimum distance from a point to the rectangle (0 when inside).
-    #[inline]
-    pub fn min_dist_point(&self, p: Point) -> f64 {
-        let dx = (self.xmin - p.x).max(p.x - self.xmax).max(0.0);
-        let dy = (self.ymin - p.y).max(p.y - self.ymax).max(0.0);
-        (dx * dx + dy * dy).sqrt()
-    }
-
     /// The four corners in counter-clockwise order starting at
     /// `(xmin, ymin)`.
     #[inline]
@@ -318,14 +310,6 @@ mod tests {
         // Farthest corners: (0,0)-(3,1) or (0,1)-(3,0): sqrt(9+1)
         assert!((a.max_dist(&b) - 10.0f64.sqrt()).abs() < 1e-12);
         assert!(a.max_dist(&b) >= a.min_dist(&b));
-    }
-
-    #[test]
-    fn min_dist_point_cases() {
-        let a = r(0.0, 0.0, 2.0, 2.0);
-        assert_eq!(a.min_dist_point(Point::new(1.0, 1.0)), 0.0); // inside
-        assert_eq!(a.min_dist_point(Point::new(3.0, 1.0)), 1.0); // right
-        assert_eq!(a.min_dist_point(Point::new(5.0, 6.0)), 5.0); // corner 3-4-5
     }
 
     #[test]

@@ -20,7 +20,6 @@
 //! traversal.
 
 pub mod join;
-pub mod nearest;
 pub mod partition;
 pub mod rtree;
 pub mod snapshot;

@@ -452,7 +452,7 @@ fn check_soa_mirror<T>(node: &Node<T>) {
     }
 }
 
-// -- crate-internal access for the join and nearest modules ------------------
+// -- crate-internal access for the join module -------------------------------
 
 impl<T> RTree<T> {
     pub(crate) fn root_node(&self) -> Option<&Node<T>> {

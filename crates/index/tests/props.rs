@@ -2,7 +2,7 @@
 //! type, under both construction methods, on arbitrary rectangle soups.
 
 use proptest::prelude::*;
-use spatial_geom::{Point, Rect};
+use spatial_geom::Rect;
 use spatial_index::{
     join_intersecting, join_intersecting_with, join_within_distance, join_within_distance_with,
     FilterConfig, FilterStats, RTree,
@@ -203,26 +203,6 @@ proptest! {
                     );
                 }
             }
-        }
-    }
-
-    /// The nearest iterator yields every entry exactly once, in
-    /// non-decreasing MBR-distance order, matching a sorted scan.
-    #[test]
-    fn nearest_matches_sorted_scan(
-        items in arb_items(100),
-        qx in -150.0f64..150.0,
-        qy in -150.0f64..150.0,
-    ) {
-        let tree = RTree::bulk_load(items.clone());
-        let q = Point::new(qx, qy);
-        let got: Vec<f64> = tree.nearest_iter(q).map(|(_, d)| d).collect();
-        prop_assert_eq!(got.len(), items.len());
-        let mut expected: Vec<f64> =
-            items.iter().map(|(r, _)| r.min_dist_point(q)).collect();
-        expected.sort_by(|a, b| a.total_cmp(b));
-        for (g, e) in got.iter().zip(expected.iter()) {
-            prop_assert!((g - e).abs() < 1e-9, "{} vs {}", g, e);
         }
     }
 }

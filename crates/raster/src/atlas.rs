@@ -119,7 +119,8 @@ pub fn record_batch(jobs: &[AtlasJob], line_width: f64, point_size: f64) -> (Com
     let layout = Layout::new(cell, jobs.len(), line_width.max(point_size));
     let mut rec = Recorder::new(layout.width(), layout.height());
     rec.begin_batch();
-    rec.set_color(HALF_GRAY);
+    rec.set_color(HALF_GRAY)
+        .expect("half gray is a valid intensity");
     rec.set_line_width(line_width)
         .expect("caller pre-validates the line width");
     rec.set_point_size(point_size)
@@ -335,7 +336,6 @@ mod tests {
     /// choreography of Algorithm 3.1.
     fn per_pair_overlap(j: &AtlasJob, width: f64) -> bool {
         let mut gl = GlContext::new(j.viewport);
-        gl.enable_antialias(true);
         gl.set_color(HALF_GRAY);
         gl.set_line_width(width);
         gl.set_point_size(width);
@@ -495,7 +495,6 @@ mod tests {
         let mut per_pair = HwStats::default();
         for j in &jobs {
             let mut gl = GlContext::new(j.viewport);
-            gl.enable_antialias(true);
             gl.set_color(HALF_GRAY);
             gl.set_line_width(DIAGONAL_WIDTH);
             gl.clear_color_buffer();

@@ -3,9 +3,8 @@
 //! (Algorithm 3.1: set color, render edges, accumulate, minmax).
 
 use crate::aa_line::{aa_line_outside_window, rasterize_aa_line};
-use crate::framebuffer::{Color, FrameBuffer, BLACK};
-use crate::line_raster::rasterize_line_diamond_exit;
-use crate::point_raster::{rasterize_point, rasterize_wide_point, wide_point_outside_window};
+use crate::framebuffer::{FrameBuffer, BLACK};
+use crate::point_raster::{rasterize_wide_point, wide_point_outside_window};
 use crate::polygon_raster::rasterize_polygon;
 use crate::stats::HwStats;
 use crate::viewport::Viewport;
@@ -68,10 +67,9 @@ pub struct GlContext {
     fb: FrameBuffer,
     viewport: Viewport,
     stats: HwStats,
-    color: Color,
+    color: f32,
     line_width: f64,
     point_size: f64,
-    antialias: bool,
     write_mode: WriteMode,
     scissor: Option<PixelRect>,
 }
@@ -86,7 +84,6 @@ impl GlContext {
             color: crate::framebuffer::HALF_GRAY,
             line_width: crate::aa_line::DIAGONAL_WIDTH,
             point_size: 1.0,
-            antialias: true,
             write_mode: WriteMode::Overwrite,
             scissor: None,
         }
@@ -123,8 +120,16 @@ impl GlContext {
 
     // -- pipeline state ----------------------------------------------------
 
-    pub fn set_color(&mut self, c: Color) {
-        self.color = c;
+    /// Sets the draw intensity. Anything but a number in `[0, 1]` is
+    /// refused like a `GL_INVALID_VALUE` — the current color stays and
+    /// `false` comes back — because a NaN intensity vanishes from every
+    /// Minmax (`f32::max` drops NaN) and would read as "no overlap".
+    pub fn set_color(&mut self, c: f32) -> bool {
+        let valid = (0.0..=1.0).contains(&c);
+        if valid {
+            self.color = c;
+        }
+        valid
     }
 
     /// Sets the line width in pixels; clamped to [`MAX_AA_LINE_WIDTH`] like
@@ -139,10 +144,6 @@ impl GlContext {
     pub fn set_point_size(&mut self, s: f64) -> f64 {
         self.point_size = s.clamp(1.0, MAX_POINT_SIZE);
         self.point_size
-    }
-
-    pub fn enable_antialias(&mut self, on: bool) {
-        self.antialias = on;
     }
 
     /// Convenience for the common on/off blending toggle.
@@ -203,7 +204,6 @@ impl GlContext {
         self.color = crate::framebuffer::HALF_GRAY;
         self.line_width = crate::aa_line::DIAGONAL_WIDTH;
         self.point_size = 1.0;
-        self.antialias = true;
         self.write_mode = WriteMode::Overwrite;
         self.scissor = None;
     }
@@ -268,7 +268,6 @@ impl GlContext {
             ref viewport,
             color,
             line_width,
-            antialias,
             write_mode,
             ..
         } = *self;
@@ -280,7 +279,6 @@ impl GlContext {
                 segments,
                 viewport,
                 line_width,
-                antialias,
                 (w, h),
                 stats,
                 &mut |x, y| {
@@ -299,7 +297,6 @@ impl GlContext {
             segments,
             viewport,
             line_width,
-            antialias,
             (w, h),
             stats,
             &mut |x, y| frags.push((ox + x, oy + y)),
@@ -307,13 +304,12 @@ impl GlContext {
         self.write_fragments(&frags);
     }
 
-    /// Draws points (data coordinates) with the current point size. With
-    /// anti-aliasing enabled (`GL_POINT_SMOOTH`) a point is a *disc* of the
-    /// given diameter at any size — including 1.0, where the disc can bleed
-    /// into up to four pixels. The distance test's conservativeness depends
-    /// on this: a vertex cap centered just outside the window must still
-    /// color the window pixels its disc reaches. Without anti-aliasing the
-    /// truncation rule of §2.2.1 applies.
+    /// Draws smooth points (`GL_POINT_SMOOTH`, data coordinates) with the
+    /// current point size: a point is a *disc* of the given diameter at any
+    /// size — including 1.0, where the disc can bleed into up to four
+    /// pixels. The distance test's conservativeness depends on this: a
+    /// vertex cap centered just outside the window must still color the
+    /// window pixels its disc reaches.
     pub fn draw_points(&mut self, points: &[Point]) {
         self.stats.draw_calls += 1;
         self.draw_points_merged(points);
@@ -329,37 +325,22 @@ impl GlContext {
             ref viewport,
             color,
             point_size,
-            antialias,
             write_mode,
             ..
         } = *self;
         if write_mode == WriteMode::Overwrite {
             let mut written = 0usize;
-            raster_points(
-                points,
-                viewport,
-                point_size,
-                antialias,
-                (w, h),
-                stats,
-                &mut |x, y| {
-                    fb.write_pixel_uncounted(ox + x, oy + y, color);
-                    written += 1;
-                },
-            );
+            raster_points(points, viewport, point_size, (w, h), stats, &mut |x, y| {
+                fb.write_pixel_uncounted(ox + x, oy + y, color);
+                written += 1;
+            });
             stats.pixels_written += written;
             return;
         }
         let mut frags: Vec<(usize, usize)> = Vec::new();
-        raster_points(
-            points,
-            viewport,
-            point_size,
-            antialias,
-            (w, h),
-            stats,
-            &mut |x, y| frags.push((ox + x, oy + y)),
-        );
+        raster_points(points, viewport, point_size, (w, h), stats, &mut |x, y| {
+            frags.push((ox + x, oy + y))
+        });
         self.write_fragments(&frags);
     }
 
@@ -417,14 +398,14 @@ impl GlContext {
     // -- queries -------------------------------------------------------------
 
     /// The hardware Minmax query over the color buffer.
-    pub fn minmax(&mut self) -> (Color, Color) {
+    pub fn minmax(&mut self) -> (f32, f32) {
         self.stats.minmax_queries += 1;
         self.fb.minmax(&mut self.stats)
     }
 
-    /// Convenience: the maximum red-channel value (all our draws are gray).
+    /// Convenience: the maximum of the Minmax query.
     pub fn max_value(&mut self) -> f32 {
-        self.minmax().1[0]
+        self.minmax().1
     }
 
     /// Maximum stencil count.
@@ -441,7 +422,7 @@ impl GlContext {
         self.fb.stencil_count_ge(min, &mut self.stats)
     }
 
-    /// One whole-buffer scan reducing each of `cells` to the maximum red
+    /// One whole-buffer scan reducing each of `cells` to the maximum
     /// value inside it — the batched stand-in for per-cell Minmax queries
     /// (a histogram/reduction pass over the full buffer).
     pub fn cell_max_scan(&mut self, cells: &[PixelRect]) -> Vec<f32> {
@@ -453,7 +434,7 @@ impl GlContext {
                 let mut max = 0.0f32;
                 for y in c.y..c.y + c.h {
                     for x in c.x..c.x + c.w {
-                        max = max.max(self.fb.read_pixel(x, y)[0]);
+                        max = max.max(self.fb.read_pixel(x, y));
                     }
                 }
                 max
@@ -476,7 +457,6 @@ fn raster_segments(
     segments: &[Segment],
     viewport: &Viewport,
     line_width: f64,
-    antialias: bool,
     (w, h): (usize, usize),
     stats: &mut HwStats,
     sink: &mut impl FnMut(usize, usize),
@@ -485,10 +465,6 @@ fn raster_segments(
     for seg in segments {
         let a = viewport.to_window(seg.a);
         let b = viewport.to_window(seg.b);
-        if !antialias {
-            rasterize_line_diamond_exit(a, b, w, h, stats, sink);
-            continue;
-        }
         if aa_line_outside_window(a, b, line_width, w, h) {
             continue;
         }
@@ -500,14 +476,12 @@ fn raster_segments(
     }
 }
 
-/// [`raster_segments`] for one run of points: a smooth point is clipped by
-/// [`wide_point_outside_window`]; an aliased one is a single charged
-/// fragment wherever it lands.
+/// [`raster_segments`] for one run of smooth points, clipped by
+/// [`wide_point_outside_window`].
 fn raster_points(
     points: &[Point],
     viewport: &Viewport,
     point_size: f64,
-    antialias: bool,
     (w, h): (usize, usize),
     stats: &mut HwStats,
     sink: &mut impl FnMut(usize, usize),
@@ -515,9 +489,7 @@ fn raster_points(
     stats.primitives += points.len();
     for &p in points {
         let wp = viewport.to_window(p);
-        if !antialias {
-            rasterize_point(wp, w, h, stats, sink);
-        } else if !wide_point_outside_window(wp, point_size, w, h) {
+        if !wide_point_outside_window(wp, point_size, w, h) {
             rasterize_wide_point(wp, point_size, w, h, stats, sink);
         }
     }
@@ -536,12 +508,24 @@ mod tests {
         Segment::new(Point::new(ax, ay), Point::new(bx, by))
     }
 
+    /// The `(x, y)` of every pixel with a non-black color.
+    fn lit(gl: &GlContext) -> Vec<(usize, usize)> {
+        let fb = gl.frame_buffer();
+        (0..fb.height())
+            .flat_map(|y| (0..fb.width()).map(move |x| (x, y)))
+            .filter(|&(x, y)| fb.read_pixel(x, y) > 0.0)
+            .collect()
+    }
+
     #[test]
     fn algorithm_31_choreography_detects_overlap() {
         let mut gl = ctx(8);
-        gl.enable_antialias(true);
         gl.enable_blending(false);
-        gl.set_color(crate::framebuffer::HALF_GRAY);
+        assert!(gl.set_color(crate::framebuffer::HALF_GRAY));
+        // Refused, half gray stays: drawn in NaN the crossing below would
+        // read 0.0, "no overlap" (`f32::max` drops NaN in the Minmax scan).
+        assert!(!gl.set_color(f32::NAN));
+        assert!(!gl.set_color(1.5));
         gl.clear_color_buffer();
         gl.clear_accum_buffer();
         gl.draw_segments(&[seg(0.0, 0.0, 8.0, 8.0)]);
@@ -654,25 +638,18 @@ mod tests {
     fn smooth_point_disc_bleeds_across_pixel_rows() {
         // Regression: a size-1 smooth point centered just below the window
         // must still color row 0 (its disc reaches 0.09 into the window).
-        // The aliased truncation rule would clip it entirely — and that
-        // once caused the distance test to drop a vertex cap and reject a
-        // truly-within-distance pair.
+        // Truncating it to its containing pixel clips it entirely — and
+        // that once caused the distance test to drop a vertex cap and
+        // reject a truly-within-distance pair.
         let vp = Viewport::new(Rect::new(0.0, 0.0, 8.0, 8.0), 8, 8);
         let mut gl = GlContext::new(vp);
-        gl.enable_antialias(true);
         gl.set_point_size(1.0);
         // Window coords = data coords here; y = -0.41 is outside.
         gl.draw_points(&[Point::new(3.5, -0.41)]);
         assert!(
-            gl.frame_buffer().read_pixel(3, 0)[0] > 0.0,
+            gl.frame_buffer().read_pixel(3, 0) > 0.0,
             "disc must bleed into row 0"
         );
-        // Aliased: same point colors nothing.
-        let mut gl2 = GlContext::new(vp);
-        gl2.enable_antialias(false);
-        gl2.set_point_size(1.0);
-        gl2.draw_points(&[Point::new(3.5, -0.41)]);
-        assert_eq!(gl2.frame_buffer().read_pixel(3, 0)[0], 0.0);
     }
 
     #[test]
@@ -681,11 +658,7 @@ mod tests {
         gl.set_point_size(4.0);
         gl.draw_points(&[Point::new(4.0, 4.0)]);
         // A 4-pixel disc around window (4,4) must cover several pixels.
-        let covered = gl
-            .frame_buffer()
-            .pixels()
-            .filter(|&(_, _, c)| c[0] > 0.0)
-            .count();
+        let covered = lit(&gl).len();
         assert!(covered >= 4, "got {covered}");
     }
 
@@ -695,11 +668,6 @@ mod tests {
         let vp = Viewport::new(Rect::new(100.0, 100.0, 200.0, 200.0), 8, 8);
         let mut gl = GlContext::new(vp);
         gl.draw_segments(&[seg(150.0, 100.0, 150.0, 200.0)]);
-        let mid_col_covered = gl
-            .frame_buffer()
-            .pixels()
-            .filter(|&(x, _, c)| c[0] > 0.0 && (x == 3 || x == 4))
-            .count();
-        assert!(mid_col_covered > 0);
+        assert!(lit(&gl).iter().any(|&(x, _)| x == 3 || x == 4));
     }
 }

@@ -15,7 +15,6 @@
 //! allocation rather than a tree of boxed draws.
 
 use crate::context::{PixelRect, WriteMode, MAX_AA_LINE_WIDTH, MAX_POINT_SIZE};
-use crate::framebuffer::Color;
 use crate::viewport::Viewport;
 use spatial_geom::{Point, Segment};
 use std::fmt;
@@ -25,9 +24,9 @@ use std::fmt;
 /// result slots in record order.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Command {
-    /// Sets the current draw color. No validation: any finite RGB triple
-    /// the caller hands over is legal.
-    SetColor(Color),
+    /// Sets the current draw intensity, validated to lie in `[0, 1]` at
+    /// record time.
+    SetColor(f32),
     /// Sets the anti-aliased line width in pixels. The recorder validated
     /// it against [`MAX_AA_LINE_WIDTH`] and pre-clamped it to ≥ 1, so
     /// executors apply the stored value directly.
@@ -102,7 +101,7 @@ pub enum Command {
         /// The inclusive stencil threshold a pixel must reach to count.
         min: u8,
     },
-    /// Per-cell maximum red reduction over a run of pixel rectangles
+    /// Per-cell maximum reduction over a run of pixel rectangles
     /// (validated non-empty and in-bounds at record time) → one readback
     /// slot holding one value per rectangle.
     CellMax {
@@ -253,7 +252,7 @@ impl CommandList {
         for cmd in &self.commands {
             match *cmd {
                 Command::SetColor(c) => {
-                    let _ = writeln!(out, "set_color {} {} {}", c[0], c[1], c[2]);
+                    let _ = writeln!(out, "set_color {c}");
                 }
                 Command::SetLineWidth(w) => {
                     let _ = writeln!(out, "set_line_width {w}");
@@ -350,6 +349,8 @@ impl CommandList {
 /// A record-time validation failure — the retained analogue of a GL error.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RecordError {
+    /// Requested draw intensity is non-finite or outside `[0, 1]`.
+    ColorOutOfRange(f32),
     /// Requested line width is non-finite or above [`MAX_AA_LINE_WIDTH`].
     WidthTooLarge(f64),
     /// Requested point size is non-finite or above [`MAX_POINT_SIZE`].
@@ -377,6 +378,7 @@ pub enum RecordError {
 impl fmt::Display for RecordError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            RecordError::ColorOutOfRange(c) => write!(f, "color {c} is not in [0, 1]"),
             RecordError::WidthTooLarge(w) => {
                 write!(
                     f,
@@ -452,9 +454,16 @@ impl Recorder {
         }
     }
 
-    /// Records the current draw color.
-    pub fn set_color(&mut self, c: Color) {
+    /// Validates `c` to be a number in `[0, 1]` and records it as the
+    /// current draw intensity. A NaN would vanish from every Minmax
+    /// (`f32::max` drops NaN) and read back as "no overlap", the one
+    /// verdict the filter must never invent.
+    pub fn set_color(&mut self, c: f32) -> Result<(), RecordError> {
+        if !(0.0..=1.0).contains(&c) {
+            return Err(RecordError::ColorOutOfRange(c));
+        }
         self.list.commands.push(Command::SetColor(c));
+        Ok(())
     }
 
     /// Validates `w` against [`MAX_AA_LINE_WIDTH`] and records the
@@ -672,7 +681,7 @@ impl Recorder {
         self.list.readbacks - 1
     }
 
-    /// Records one per-cell maximum-red reduction scan; returns its
+    /// Records one per-cell maximum reduction scan; returns its
     /// readback slot. Every rectangle must be non-empty and inside the
     /// window.
     pub fn cell_max(
@@ -712,6 +721,16 @@ mod tests {
     #[test]
     fn width_and_size_limits_are_record_time_errors() {
         let mut r = Recorder::new(8, 8);
+        // A NaN intensity would vanish from every Minmax and read as "no
+        // overlap"; nothing outside [0, 1] reaches the command tape.
+        for bad in [f32::NAN, f32::INFINITY, -0.5, 1.5] {
+            assert!(matches!(
+                r.set_color(bad),
+                Err(RecordError::ColorOutOfRange(_))
+            ));
+        }
+        assert_eq!(r.set_color(0.0), Ok(()));
+        assert_eq!(r.set_color(1.0), Ok(()));
         assert_eq!(
             r.set_line_width(MAX_AA_LINE_WIDTH + 0.1),
             Err(RecordError::WidthTooLarge(MAX_AA_LINE_WIDTH + 0.1))
@@ -844,7 +863,7 @@ mod tests {
     fn serialization_is_deterministic_and_complete() {
         let build = || {
             let mut r = Recorder::new(8, 8);
-            r.set_color(HALF_GRAY);
+            r.set_color(HALF_GRAY).unwrap();
             r.set_line_width(1.5).unwrap();
             r.set_viewport(Viewport::new(Rect::new(0.0, 0.0, 8.0, 8.0), 8, 8))
                 .unwrap();

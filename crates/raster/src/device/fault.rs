@@ -19,9 +19,8 @@
 //!   float readback chosen by a seeded hash. The execution *looks*
 //!   successful; only [`super::Execution::validate`] catches it — which
 //!   is precisely the hole that validation exists to close. The flip
-//!   turns any valid (finite, non-negative) value negative or
-//!   non-finite, so on the non-negative color streams the query
-//!   choreographies record, every injected flip is detectable.
+//!   turns any valid value (a number in `[0, 1]`) negative or
+//!   non-finite, so every injected flip is detectable.
 //!
 //! Faults scheduled onto a list with no float readbacks (e.g. the
 //! stencil strategy's streams) surface as an immediate
@@ -128,7 +127,7 @@ fn flip_float(readbacks: &mut [Readback], mut target: u64) -> bool {
     let floats: u64 = readbacks
         .iter()
         .map(|r| match r {
-            Readback::Minmax(..) => 6u64,
+            Readback::Minmax(..) => 2u64,
             Readback::CellMax(v) => v.len() as u64,
             // Integer readbacks carry no floats: scheduled flips on a
             // stencil-only stream surface as ReadbackCorrupt instead.
@@ -143,12 +142,11 @@ fn flip_float(readbacks: &mut [Readback], mut target: u64) -> bool {
     for r in readbacks.iter_mut() {
         match r {
             Readback::Minmax(mn, mx) => {
-                if target < 6 {
-                    let ch = (target % 3) as usize;
-                    corrupt(if target < 3 { &mut mn[ch] } else { &mut mx[ch] });
+                if target < 2 {
+                    corrupt(if target == 0 { mn } else { mx });
                     return true;
                 }
-                target -= 6;
+                target -= 2;
             }
             Readback::CellMax(vals) => {
                 if (target as usize) < vals.len() {
@@ -269,7 +267,7 @@ mod tests {
         let mut rec = Recorder::new(8, 8);
         rec.set_viewport(Viewport::new(Rect::new(0.0, 0.0, 8.0, 8.0), 8, 8))
             .unwrap();
-        rec.set_color(HALF_GRAY);
+        rec.set_color(HALF_GRAY).unwrap();
         rec.clear_color();
         rec.draw_segments([Segment::new((1.0, 1.0).into(), (7.0, 7.0).into())])
             .unwrap();

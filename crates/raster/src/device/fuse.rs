@@ -196,11 +196,11 @@ mod tests {
     fn no_op_repeats_are_elided_but_viewports_never_by_value() {
         let mut r = Recorder::new(8, 8);
         r.set_write_mode(crate::context::WriteMode::Overwrite); // reset-state no-op
-        r.set_color(HALF_GRAY);
+        r.set_color(HALF_GRAY).unwrap();
         r.set_line_width(2.0).unwrap();
         r.set_viewport(vp(8, 8)).unwrap();
         r.draw_segments([seg(0.0, 0.0, 8.0, 8.0)]).unwrap();
-        r.set_color(HALF_GRAY); // repeat
+        r.set_color(HALF_GRAY).unwrap(); // repeat
         r.set_line_width(2.0).unwrap(); // repeat
         r.set_viewport(vp(8, 8)).unwrap(); // same value, but observed: kept
         r.draw_segments([seg(8.0, 0.0, 0.0, 8.0)]).unwrap();
@@ -237,8 +237,8 @@ mod tests {
         // reference device (the cross-backend sweep lives in the
         // device_props property tests).
         let mut r = Recorder::new(16, 16);
-        r.set_color(HALF_GRAY);
-        r.set_color(HALF_GRAY);
+        r.set_color(HALF_GRAY).unwrap();
+        r.set_color(HALF_GRAY).unwrap();
         r.set_line_width(3.0).unwrap();
         r.clear_color();
         r.clear_accum();
@@ -291,8 +291,8 @@ mod tests {
     fn fusing_twice_is_idempotent() {
         let mut r = Recorder::new(8, 8);
         r.set_viewport(vp(8, 8)).unwrap();
-        r.set_color(HALF_GRAY);
-        r.set_color(HALF_GRAY);
+        r.set_color(HALF_GRAY).unwrap();
+        r.set_color(HALF_GRAY).unwrap();
         r.draw_segments([seg(0.0, 0.0, 8.0, 8.0)]).unwrap();
         r.minmax();
         let (once, elided) = r.finish().fuse();

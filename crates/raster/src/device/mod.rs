@@ -76,7 +76,7 @@ pub use reference::ReferenceDevice;
 pub use shard::{failover_route, ShardedDevice};
 pub use template::ListTemplate;
 
-use crate::framebuffer::{Color, FrameBuffer};
+use crate::framebuffer::FrameBuffer;
 use crate::stats::HwStats;
 
 /// A typed device-execution failure — the errors a real command-buffer
@@ -123,15 +123,15 @@ impl std::error::Error for DeviceError {}
 /// One readback result, in the order the queries were recorded.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Readback {
-    /// Per-channel (min, max) of the color buffer.
-    Minmax(Color, Color),
+    /// (min, max) of the color buffer.
+    Minmax(f32, f32),
     /// Maximum stencil value.
     StencilMax(u8),
     /// Number of pixels whose stencil value reached the recorded
     /// threshold — the fragment count the area-of-overlap aggregation
     /// scales to world-space area.
     StencilCount(u64),
-    /// Per-cell maximum red values, one per recorded rectangle.
+    /// Per-cell maximum values, one per recorded rectangle.
     CellMax(Vec<f32>),
 }
 
@@ -148,12 +148,12 @@ pub struct Execution {
 }
 
 impl Execution {
-    /// The maximum red value of the Minmax readback in `slot`, or
+    /// The maximum of the Minmax readback in `slot`, or
     /// [`DeviceError::ReadbackCorrupt`] when the slot is missing or holds
     /// a different readback kind.
     pub fn max_red(&self, slot: usize) -> Result<f32, DeviceError> {
         match self.readbacks.get(slot) {
-            Some(Readback::Minmax(_, mx)) => Ok(mx[0]),
+            Some(Readback::Minmax(_, mx)) => Ok(*mx),
             _ => Err(DeviceError::ReadbackCorrupt { slot }),
         }
     }
@@ -194,11 +194,10 @@ impl Execution {
     /// * the readback count matches the recorded query count (a cell
     ///   readback's value count matches its recorded cell count);
     /// * every slot holds the readback kind its query recorded;
-    /// * every color value is finite and inside the range a valid
-    ///   execution of this list can produce — clears write black, blending
-    ///   and accumulation clamp at 1.0, overwrite writes recorded colors,
-    ///   so the brightest recorded `SetColor` channel (at least 1.0)
-    ///   bounds every Minmax/CellMax value.
+    /// * every color value lies in `[0, 1]`, the range a valid execution
+    ///   can produce — clears write black, blending and accumulation clamp
+    ///   at 1.0, and overwrite writes recorded colors, which the
+    ///   [`Recorder`] refuses outside that range.
     ///
     /// This is how the supervisor catches corrupted readbacks (bit-flips
     /// on the readback path) that a `Result`-returning `execute` alone
@@ -209,25 +208,12 @@ impl Execution {
                 slot: self.readbacks.len().min(list.readback_count()),
             });
         }
-        let mut hi = 1.0f32;
-        let mut nonneg = true;
-        for cmd in list.commands() {
-            if let Command::SetColor(c) = *cmd {
-                for v in c.iter().take(3) {
-                    hi = hi.max(*v);
-                    nonneg &= *v >= 0.0;
-                }
-            }
-        }
-        let lo = if nonneg { 0.0f32 } else { f32::NEG_INFINITY };
-        let in_range = |v: f32| v.is_finite() && v >= lo && v <= hi;
+        let in_range = |v: f32| (0.0..=1.0).contains(&v);
         let mut slot = 0usize;
         for cmd in list.commands() {
             let ok = match *cmd {
                 Command::Minmax => match &self.readbacks[slot] {
-                    Readback::Minmax(mn, mx) => {
-                        (0..3).all(|ch| in_range(mn[ch]) && in_range(mx[ch]) && mn[ch] <= mx[ch])
-                    }
+                    Readback::Minmax(mn, mx) => in_range(*mn) && in_range(*mx) && mn <= mx,
                     _ => false,
                 },
                 Command::StencilMax => {

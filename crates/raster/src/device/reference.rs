@@ -50,7 +50,9 @@ impl RasterDevice for ReferenceDevice {
         let mut readbacks = Vec::with_capacity(list.readback_count());
         for cmd in list.commands() {
             match *cmd {
-                Command::SetColor(c) => gl.set_color(c),
+                Command::SetColor(c) => {
+                    gl.set_color(c);
+                }
                 Command::SetLineWidth(width) => {
                     gl.set_line_width(width);
                 }

@@ -186,7 +186,7 @@ mod tests {
         let mut rec = Recorder::new(8, 8);
         rec.set_viewport(Viewport::new(Rect::new(0.0, 0.0, 8.0, 8.0), 8, 8))
             .unwrap();
-        rec.set_color(HALF_GRAY);
+        rec.set_color(HALF_GRAY).unwrap();
         rec.clear_color();
         rec.draw_segments([Segment::new((1.0, 1.0).into(), (7.0, 7.0).into())])
             .unwrap();

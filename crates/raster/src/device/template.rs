@@ -225,7 +225,7 @@ mod tests {
     fn record_pair(first: &[Segment], second: &[Segment], region: Rect) -> CommandList {
         let mut r = Recorder::new(8, 8);
         r.set_viewport(Viewport::new(region, 8, 8)).unwrap();
-        r.set_color(HALF_GRAY);
+        r.set_color(HALF_GRAY).unwrap();
         r.clear_color();
         r.clear_accum();
         r.draw_segments(first.iter().copied()).unwrap();
@@ -282,8 +282,8 @@ mod tests {
         let region = Rect::new(0.0, 0.0, 8.0, 8.0);
         let mut r = Recorder::new(8, 8);
         r.set_viewport(Viewport::new(region, 8, 8)).unwrap();
-        r.set_color(HALF_GRAY);
-        r.set_color(HALF_GRAY); // fused away
+        r.set_color(HALF_GRAY).unwrap();
+        r.set_color(HALF_GRAY).unwrap(); // fused away
         r.draw_segments([seg(0.0, 0.0, 8.0, 8.0)]).unwrap();
         r.extend_draw_points(std::iter::empty()).unwrap(); // fused away
         r.minmax();

@@ -1,33 +1,32 @@
-//! The frame buffer: color, accumulation, depth and stencil planes, with
-//! the buffer-level operations the paper and Hoff et al. use (§2.1).
+//! The frame buffer: one color plane, one accumulation plane and the
+//! stencil plane, with the buffer-level operations the paper and Hoff et
+//! al. use (§2.1).
 //!
-//! Colors are RGB `f32` triples. The paper's Algorithm 3.1 renders both
-//! polygons at `(0.5, 0.5, 0.5)` and searches for `(1, 1, 1)` after
-//! accumulation, so half-intensity values must add exactly — `f32` holds
-//! 0.5 and 1.0 exactly, as 2003-era 8-bit-per-channel buffers held 128 and
-//! 255.
+//! A color is one `f32` intensity: every choreography draws gray and reads
+//! back one maximum or one stencil count, so a pixel is exactly what its
+//! consumers read — two `f32` planes and one `u8` plane, 9 bytes. The
+//! paper's Algorithm 3.1 renders both polygons at 0.5 and searches for 1.0
+//! after accumulation, so half-intensity values must add exactly — `f32`
+//! holds 0.5 and 1.0 exactly, as 2003-era 8-bit-per-channel buffers held
+//! 128 and 255.
 
 use crate::scan;
 use crate::stats::HwStats;
 
-/// An RGB color.
-pub type Color = [f32; 3];
-
 /// Pure black — the clear color.
-pub const BLACK: Color = [0.0, 0.0, 0.0];
+pub const BLACK: f32 = 0.0;
 /// The half-intensity gray Algorithm 3.1 renders with.
-pub const HALF_GRAY: Color = [0.5, 0.5, 0.5];
+pub const HALF_GRAY: f32 = 0.5;
 /// Full white — the overlap signature Algorithm 3.1 searches for.
-pub const WHITE: Color = [1.0, 1.0, 1.0];
+pub const WHITE: f32 = 1.0;
 
-/// A rectangular array of pixels with all four buffer planes.
+/// A rectangular array of pixels with all three buffer planes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FrameBuffer {
     width: usize,
     height: usize,
-    color: Vec<Color>,
-    accum: Vec<Color>,
-    depth: Vec<f32>,
+    color: Vec<f32>,
+    accum: Vec<f32>,
     stencil: Vec<u8>,
 }
 
@@ -43,7 +42,6 @@ impl FrameBuffer {
             height,
             color: vec![BLACK; width * height],
             accum: vec![BLACK; width * height],
-            depth: vec![1.0; width * height],
             stencil: vec![0; width * height],
         }
     }
@@ -77,7 +75,7 @@ impl FrameBuffer {
 
     /// Writes a color fragment (no blending: overwrite).
     #[inline]
-    pub fn write_pixel(&mut self, x: usize, y: usize, c: Color, stats: &mut HwStats) {
+    pub fn write_pixel(&mut self, x: usize, y: usize, c: f32, stats: &mut HwStats) {
         let i = self.idx(x, y);
         self.color[i] = c;
         stats.pixels_written += 1;
@@ -86,7 +84,7 @@ impl FrameBuffer {
     /// Overwrite without touching counters — the hot rasterization path
     /// counts written pixels in bulk instead of per fragment.
     #[inline]
-    pub(crate) fn write_pixel_uncounted(&mut self, x: usize, y: usize, c: Color) {
+    pub(crate) fn write_pixel_uncounted(&mut self, x: usize, y: usize, c: f32) {
         let i = self.idx(x, y);
         self.color[i] = c;
     }
@@ -94,20 +92,9 @@ impl FrameBuffer {
     /// Additive-blend a color fragment (`glBlendFunc(GL_ONE, GL_ONE)`),
     /// one of Hoff et al.'s overlap-detection variants.
     #[inline]
-    pub fn blend_pixel(&mut self, x: usize, y: usize, c: Color, stats: &mut HwStats) {
+    pub fn blend_pixel(&mut self, x: usize, y: usize, c: f32, stats: &mut HwStats) {
         let i = self.idx(x, y);
-        for (dst, src) in self.color[i].iter_mut().zip(c.iter()) {
-            *dst = (*dst + src).min(1.0);
-        }
-        stats.pixels_written += 1;
-    }
-
-    /// Increments the stencil value of a pixel (saturating), the
-    /// stencil-buffer overlap-counting variant.
-    #[inline]
-    pub fn stencil_incr(&mut self, x: usize, y: usize, stats: &mut HwStats) {
-        let i = self.idx(x, y);
-        self.stencil[i] = self.stencil[i].saturating_add(1);
+        self.color[i] = (self.color[i] + c).min(1.0);
         stats.pixels_written += 1;
     }
 
@@ -133,35 +120,15 @@ impl FrameBuffer {
         stats.pixels_written += 1;
     }
 
-    /// Writes a depth fragment with `GL_LESS` testing; returns whether the
-    /// fragment passed. The depth-buffer overlap variant draws the second
-    /// object at a nearer depth and checks for surviving fragments.
-    #[inline]
-    pub fn depth_test_write(&mut self, x: usize, y: usize, z: f32, stats: &mut HwStats) -> bool {
-        let i = self.idx(x, y);
-        if z < self.depth[i] {
-            self.depth[i] = z;
-            stats.pixels_written += 1;
-            true
-        } else {
-            false
-        }
-    }
-
     /// Reads one pixel's color (CPU-side debug path; real readback is what
     /// the Minmax function exists to avoid).
     #[inline]
-    pub fn read_pixel(&self, x: usize, y: usize) -> Color {
+    pub fn read_pixel(&self, x: usize, y: usize) -> f32 {
         self.color[self.idx(x, y)]
     }
 
-    #[inline]
-    pub fn read_stencil(&self, x: usize, y: usize) -> u8 {
-        self.stencil[self.idx(x, y)]
-    }
-
     /// Clears the color buffer to `c`.
-    pub fn clear_color(&mut self, c: Color, stats: &mut HwStats) {
+    pub fn clear_color(&mut self, c: f32, stats: &mut HwStats) {
         self.color.fill(c);
         stats.pixels_scanned += self.len();
     }
@@ -169,12 +136,6 @@ impl FrameBuffer {
     /// Clears the accumulation buffer to black.
     pub fn clear_accum(&mut self, stats: &mut HwStats) {
         self.accum.fill(BLACK);
-        stats.pixels_scanned += self.len();
-    }
-
-    /// Clears the depth buffer to the far plane (1.0).
-    pub fn clear_depth(&mut self, stats: &mut HwStats) {
-        self.depth.fill(1.0);
         stats.pixels_scanned += self.len();
     }
 
@@ -204,12 +165,12 @@ impl FrameBuffer {
         stats.pixels_scanned += self.len();
     }
 
-    /// The hardware Minmax query (§3.2): per-channel minimum and maximum of
-    /// the color buffer, computed "on the card" — i.e. without transferring
+    /// The hardware Minmax query (§3.2): minimum and maximum of the color
+    /// buffer, computed "on the card" — i.e. without transferring
     /// pixels back — at the cost of one scan over the window.
-    pub fn minmax(&self, stats: &mut HwStats) -> (Color, Color) {
+    pub fn minmax(&self, stats: &mut HwStats) -> (f32, f32) {
         stats.pixels_scanned += self.len();
-        scan::minmax_colors(&self.color)
+        scan::minmax(&self.color)
     }
 
     /// Maximum stencil value (for the stencil overlap strategy).
@@ -232,14 +193,7 @@ impl FrameBuffer {
     pub(crate) fn reset(&mut self) {
         self.color.fill(BLACK);
         self.accum.fill(BLACK);
-        self.depth.fill(1.0);
         self.stencil.fill(0);
-    }
-
-    /// Iterates over `(x, y, color)` for all pixels — used by the PPM dump.
-    pub fn pixels(&self) -> impl Iterator<Item = (usize, usize, Color)> + '_ {
-        (0..self.height)
-            .flat_map(move |y| (0..self.width).map(move |x| (x, y, self.color[y * self.width + x])))
     }
 }
 
@@ -297,7 +251,7 @@ mod tests {
         fb.accum_add(&mut st);
         fb.accum_return(&mut st);
         let (_, mx) = fb.minmax(&mut st);
-        assert_eq!(mx, [1.0, 1.0, 1.0], "overlap pixel must reach full white");
+        assert_eq!(mx, WHITE, "overlap pixel must reach full white");
         assert_eq!(fb.read_pixel(1, 1), WHITE);
         assert_eq!(fb.read_pixel(0, 0), HALF_GRAY);
         assert_eq!(st.minmax_queries, 0, "minmax counter belongs to GlContext");
@@ -314,43 +268,16 @@ mod tests {
         fb.accum_add(&mut st);
         fb.accum_return(&mut st);
         let (_, mx) = fb.minmax(&mut st);
-        assert_eq!(mx, [0.5, 0.5, 0.5]);
+        assert_eq!(mx, HALF_GRAY);
     }
 
     #[test]
     fn blending_saturates() {
         let mut fb = FrameBuffer::new(1, 1);
         let mut st = HwStats::default();
-        fb.blend_pixel(0, 0, [0.7, 0.7, 0.7], &mut st);
-        fb.blend_pixel(0, 0, [0.7, 0.7, 0.7], &mut st);
-        assert_eq!(fb.read_pixel(0, 0), [1.0, 1.0, 1.0]);
-    }
-
-    #[test]
-    fn stencil_counts_overdraw() {
-        let mut fb = FrameBuffer::new(2, 1);
-        let mut st = HwStats::default();
-        fb.stencil_incr(0, 0, &mut st);
-        fb.stencil_incr(0, 0, &mut st);
-        fb.stencil_incr(1, 0, &mut st);
-        assert_eq!(fb.read_stencil(0, 0), 2);
-        assert_eq!(fb.stencil_max(&mut st), 2);
-        fb.clear_stencil(&mut st);
-        assert_eq!(fb.stencil_max(&mut st), 0);
-    }
-
-    #[test]
-    fn depth_test_less() {
-        let mut fb = FrameBuffer::new(1, 1);
-        let mut st = HwStats::default();
-        assert!(fb.depth_test_write(0, 0, 0.5, &mut st));
-        assert!(
-            !fb.depth_test_write(0, 0, 0.7, &mut st),
-            "farther fragment fails"
-        );
-        assert!(fb.depth_test_write(0, 0, 0.2, &mut st));
-        fb.clear_depth(&mut st);
-        assert!(fb.depth_test_write(0, 0, 0.99, &mut st));
+        fb.blend_pixel(0, 0, 0.7, &mut st);
+        fb.blend_pixel(0, 0, 0.7, &mut st);
+        assert_eq!(fb.read_pixel(0, 0), WHITE);
     }
 
     #[test]
@@ -362,11 +289,5 @@ mod tests {
         fb.accum_add(&mut st); // accum = 2.0
         fb.accum_return(&mut st);
         assert_eq!(fb.read_pixel(0, 0), WHITE, "clamped to 1.0");
-    }
-
-    #[test]
-    fn pixels_iterator_covers_window() {
-        let fb = FrameBuffer::new(3, 2);
-        assert_eq!(fb.pixels().count(), 6);
     }
 }

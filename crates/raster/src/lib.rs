@@ -3,21 +3,18 @@
 //! The paper's accuracy guarantee (§2.2) rests entirely on the *OpenGL
 //! specification rasterization rules*, not on any particular GPU:
 //!
-//! * **point rasterization** — window coordinates are truncated to the
-//!   containing pixel ([`point_raster`]);
-//! * **line rasterization** — the diamond-exit rule, including the
-//!   "disappearing segment" behaviour the paper rejects for its purposes
-//!   ([`line_raster`]);
+//! * **smooth point rasterization** — every pixel the diameter-`w` disc
+//!   touches receives the point color ([`point_raster`]);
 //! * **anti-aliased line rasterization** — a width-`w` bounding rectangle;
 //!   with blending disabled, every pixel the rectangle touches receives the
 //!   full line color ([`aa_line`]). This is the load-bearing rule: it makes
 //!   the hardware segment test conservative (no false "disjoint" answers);
 //! * **polygon rasterization** — pixel-center rule with shared edges
 //!   rendered exactly once ([`polygon_raster`]);
-//! * **frame buffers** — color, accumulation, depth and stencil buffers
-//!   with the operations Hoff et al. enumerate for overlap detection, plus
-//!   the Minmax query the paper uses to avoid pixel readback (§3.2)
-//!   ([`framebuffer`]).
+//! * **frame buffers** — one-intensity color and accumulation planes and
+//!   a stencil plane (9 bytes per pixel) with the operations Hoff et al.
+//!   enumerate for overlap detection, plus the Minmax query the paper uses
+//!   to avoid pixel readback (§3.2) ([`framebuffer`]).
 //!
 //! [`context::GlContext`] is a stateful OpenGL-style façade over all of the
 //! above, so the hardware-assisted algorithms in `hwa-core` read like the
@@ -32,14 +29,12 @@ pub mod context;
 pub mod cost_model;
 pub mod device;
 pub mod framebuffer;
-pub mod line_raster;
 pub mod point_raster;
 pub mod polygon_raster;
 pub mod ppm;
 pub(crate) mod scan;
 pub mod stats;
 pub mod viewport;
-pub mod voronoi;
 
 pub use atlas::AtlasJob;
 pub use context::{
@@ -54,4 +49,3 @@ pub use device::{
 pub use framebuffer::FrameBuffer;
 pub use stats::HwStats;
 pub use viewport::Viewport;
-pub use voronoi::VoronoiField;

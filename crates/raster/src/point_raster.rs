@@ -1,28 +1,8 @@
-//! Point rasterization (§2.2.1) — plain and wide (smooth) points.
+//! Smooth (anti-aliased) point rasterization — the vertex caps of the
+//! §3.1 distance test.
 
 use crate::stats::HwStats;
 use spatial_geom::Point;
-
-/// Rasterizes a point at window coordinates `p`: the window coordinates are
-/// truncated and the containing pixel is emitted (if inside the window).
-///
-/// Matches §2.2.1 exactly: "the window coordinates are then truncated to
-/// integers, and the pixel (⌊xw⌋, ⌊yw⌋) is colored" — so distinct data
-/// points may land on the same pixel.
-pub fn rasterize_point(
-    p: Point,
-    width: usize,
-    height: usize,
-    stats: &mut HwStats,
-    sink: &mut impl FnMut(usize, usize),
-) {
-    stats.fragments_tested += 1;
-    let x = p.x.floor();
-    let y = p.y.floor();
-    if x >= 0.0 && y >= 0.0 && (x as usize) < width && (y as usize) < height {
-        sink(x as usize, y as usize);
-    }
-}
 
 /// The clip test for the diameter-`size` smooth point at `p` (window
 /// coordinates): true only when [`WidePointCover::new`] would return `None`
@@ -135,34 +115,12 @@ impl WidePointCover {
 mod tests {
     use super::*;
 
-    fn collect_point(p: Point, w: usize, h: usize) -> Vec<(usize, usize)> {
-        let mut out = Vec::new();
-        let mut st = HwStats::default();
-        rasterize_point(p, w, h, &mut st, &mut |x, y| out.push((x, y)));
-        out
-    }
-
     fn collect_wide(p: Point, size: f64, w: usize, h: usize) -> Vec<(usize, usize)> {
         let mut out = Vec::new();
         let mut st = HwStats::default();
         rasterize_wide_point(p, size, w, h, &mut st, &mut |x, y| out.push((x, y)));
         out.sort_unstable();
         out
-    }
-
-    #[test]
-    fn truncation_rule_from_figure_3b() {
-        // Both (1.1, 1.1) and (1.9, 1.9) color the center pixel of a 3×3
-        // window — the paper's Figure 3(b).
-        assert_eq!(collect_point(Point::new(1.1, 1.1), 3, 3), vec![(1, 1)]);
-        assert_eq!(collect_point(Point::new(1.9, 1.9), 3, 3), vec![(1, 1)]);
-    }
-
-    #[test]
-    fn outside_window_is_clipped() {
-        assert!(collect_point(Point::new(-0.1, 1.0), 3, 3).is_empty());
-        assert!(collect_point(Point::new(3.0, 1.0), 3, 3).is_empty());
-        assert!(collect_point(Point::new(1.0, 5.0), 3, 3).is_empty());
     }
 
     #[test]

@@ -5,19 +5,18 @@ use crate::framebuffer::FrameBuffer;
 use std::io::{self, Write};
 use std::path::Path;
 
-/// Writes the color buffer as a binary PPM (P6). The image is flipped
-/// vertically so row 0 of the file is the *top* of the window (window
-/// coordinates grow upward, image files grow downward).
+/// Writes the color buffer as a binary PPM (P6, the one gray intensity on
+/// all three channels). The image is flipped vertically so row 0 of the
+/// file is the *top* of the window (window coordinates grow upward, image
+/// files grow downward).
 pub fn write_ppm<W: Write>(fb: &FrameBuffer, mut out: W) -> io::Result<()> {
     write!(out, "P6\n{} {}\n255\n", fb.width(), fb.height())?;
     let mut row = Vec::with_capacity(fb.width() * 3);
     for y in (0..fb.height()).rev() {
         row.clear();
         for x in 0..fb.width() {
-            let c = fb.read_pixel(x, y);
-            for ch in c {
-                row.push((ch.clamp(0.0, 1.0) * 255.0).round() as u8);
-            }
+            let gray = (fb.read_pixel(x, y).clamp(0.0, 1.0) * 255.0).round() as u8;
+            row.extend_from_slice(&[gray; 3]);
         }
         out.write_all(&row)?;
     }

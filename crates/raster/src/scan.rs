@@ -5,25 +5,20 @@
 //! rasterization. Two kernel shapes live here:
 //!
 //! * **Reductions** are serial folds over the plane.
-//! * **Elementwise maps** (accumulation add, clamped return) are written as
-//!   flat `f32` zips over [`slice::as_flattened`] views, which vectorize
-//!   as-is.
+//! * **Elementwise maps** (accumulation add, clamped return) are flat
+//!   `f32` zips, which vectorize as-is.
 //!
-//! No kernel here produces or consumes NaN: colors are built from finite
-//! constants, sums and clamps.
+//! No kernel here produces or consumes NaN: colors are intensities
+//! validated into `[0, 1]` where they are set, their sums and clamps.
 
-use crate::framebuffer::Color;
-
-/// Per-channel (min, max) over a color slice.
+/// (min, max) over a color plane.
 #[inline]
-pub(crate) fn minmax_colors(colors: &[Color]) -> (Color, Color) {
-    let mut mn = [f32::INFINITY; 3];
-    let mut mx = [f32::NEG_INFINITY; 3];
-    for c in colors {
-        for ch in 0..3 {
-            mn[ch] = mn[ch].min(c[ch]);
-            mx[ch] = mx[ch].max(c[ch]);
-        }
+pub(crate) fn minmax(colors: &[f32]) -> (f32, f32) {
+    let mut mn = f32::INFINITY;
+    let mut mx = f32::NEG_INFINITY;
+    for &c in colors {
+        mn = mn.min(c);
+        mx = mx.max(c);
     }
     (mn, mx)
 }
@@ -49,20 +44,20 @@ pub(crate) fn stencil_count_ge(vals: &[u8], min: u8) -> u64 {
     count
 }
 
-/// `acc[i][ch] += src[i][ch]` — the accumulation-buffer add, as a flat
-/// elementwise map.
+/// `acc[i] += src[i]` — the accumulation-buffer add, as a flat elementwise
+/// map.
 #[inline(always)]
-pub(crate) fn add_assign(acc: &mut [Color], src: &[Color]) {
-    for (a, &c) in acc.as_flattened_mut().iter_mut().zip(src.as_flattened()) {
+pub(crate) fn add_assign(acc: &mut [f32], src: &[f32]) {
+    for (a, &c) in acc.iter_mut().zip(src) {
         *a += c;
     }
 }
 
-/// `dst[i][ch] = src[i][ch].clamp(0, 1)` — the accumulation return, as a
-/// flat elementwise map.
+/// `dst[i] = src[i].clamp(0, 1)` — the accumulation return, as a flat
+/// elementwise map.
 #[inline(always)]
-pub(crate) fn copy_clamped(dst: &mut [Color], src: &[Color]) {
-    for (d, &s) in dst.as_flattened_mut().iter_mut().zip(src.as_flattened()) {
+pub(crate) fn copy_clamped(dst: &mut [f32], src: &[f32]) {
+    for (d, &s) in dst.iter_mut().zip(src) {
         *d = s.clamp(0.0, 1.0);
     }
 }
@@ -72,30 +67,24 @@ mod tests {
     use super::*;
 
     /// A deterministic pseudo-random color soup (no external RNG).
-    fn soup(n: usize) -> Vec<Color> {
+    fn soup(n: usize) -> Vec<f32> {
         let mut state = 0x9e37u32;
         (0..n)
             .map(|_| {
-                let mut c = [0f32; 3];
-                for ch in &mut c {
-                    state = state.wrapping_mul(48271).wrapping_add(11);
-                    *ch = (state >> 16) as f32 / 65536.0;
-                }
-                c
+                state = state.wrapping_mul(48271).wrapping_add(11);
+                (state >> 16) as f32 / 65536.0
             })
             .collect()
     }
 
     #[test]
-    fn minmax_matches_per_channel_folds() {
+    fn minmax_matches_folds() {
         for n in [0, 1, 2, 3, 4, 7, 8, 9, 15, 16, 17, 64, 100] {
             let colors = soup(n);
-            let (mn, mx) = minmax_colors(&colors);
-            for ch in 0..3 {
-                let vals = colors.iter().map(|c| c[ch]);
-                assert_eq!(mn[ch], vals.clone().fold(f32::INFINITY, f32::min), "n={n}");
-                assert_eq!(mx[ch], vals.fold(f32::NEG_INFINITY, f32::max), "n={n}");
-            }
+            let (mn, mx) = minmax(&colors);
+            let vals = colors.iter().copied();
+            assert_eq!(mn, vals.clone().fold(f32::INFINITY, f32::min), "n={n}");
+            assert_eq!(mx, vals.fold(f32::NEG_INFINITY, f32::max), "n={n}");
         }
     }
 
@@ -127,18 +116,14 @@ mod tests {
         let mut expect = acc.clone();
         add_assign(&mut acc, &src);
         for (a, c) in expect.iter_mut().zip(&src) {
-            for ch in 0..3 {
-                a[ch] += c[ch];
-            }
+            *a += c;
         }
         assert_eq!(acc, expect);
 
-        let mut dst = vec![[0f32; 3]; 37];
+        let mut dst = vec![0f32; 37];
         copy_clamped(&mut dst, &acc);
         for (d, a) in dst.iter().zip(&acc) {
-            for ch in 0..3 {
-                assert_eq!(d[ch], a[ch].clamp(0.0, 1.0));
-            }
+            assert_eq!(*d, a.clamp(0.0, 1.0));
         }
     }
 }

@@ -106,7 +106,7 @@ fn record(scene: &Scene) -> CommandList {
     let mut rec = Recorder::new(scene.width, scene.height);
     rec.set_viewport(Viewport::new(scene.region, scene.width, scene.height))
         .unwrap();
-    rec.set_color(HALF_GRAY);
+    rec.set_color(HALF_GRAY).unwrap();
     rec.set_line_width(scene.line_width).unwrap();
     rec.set_point_size(scene.point_size).unwrap();
     match scene.strategy {

@@ -5,7 +5,6 @@ use proptest::prelude::*;
 use spatial_geom::predicates::segments_intersect;
 use spatial_geom::{Point, Rect, Segment};
 use spatial_raster::aa_line::{rasterize_aa_line, DIAGONAL_WIDTH};
-use spatial_raster::line_raster::rasterize_line_diamond_exit;
 use spatial_raster::point_raster::rasterize_wide_point;
 use spatial_raster::{GlContext, HwStats, Viewport};
 
@@ -84,42 +83,6 @@ proptest! {
         );
         let cell = ((q.x.floor() as usize).min(15), (q.y.floor() as usize).min(15));
         prop_assert!(pixels.contains(&cell), "disc point {} missed pixel {:?}", q, cell);
-    }
-
-    /// Diamond-exit at chain joints (§2.2.2's motivation): the pixel whose
-    /// diamond contains a joint vertex is colored by at most one of the
-    /// two segments meeting there — connected chains never double-color
-    /// their joints. (Chains may legitimately revisit *other* pixels; the
-    /// spec's guarantee is specifically about the shared endpoint.)
-    #[test]
-    fn diamond_exit_joints_color_once(
-        xs in prop::collection::vec(0.0f64..16.0, 3..8),
-        ys in prop::collection::vec(0.0f64..16.0, 3..8),
-    ) {
-        let n = xs.len().min(ys.len());
-        let pts: Vec<Point> = (0..n).map(|i| Point::new(xs[i], ys[i])).collect();
-        prop_assume!(pts.windows(2).all(|w| w[0] != w[1]));
-        let mut st = HwStats::default();
-        for w in pts.windows(3) {
-            let joint = w[1];
-            // The pixel whose diamond contains the joint (if any).
-            let (i, j) = (joint.x.floor() as i64, joint.y.floor() as i64);
-            let center = Point::new(i as f64 + 0.5, j as f64 + 0.5);
-            let in_diamond =
-                (joint.x - center.x).abs() + (joint.y - center.y).abs() < 0.5;
-            prop_assume!(in_diamond);
-            let mut colored = 0usize;
-            for seg in [(w[0], w[1]), (w[1], w[2])] {
-                let mut hit = false;
-                rasterize_line_diamond_exit(seg.0, seg.1, 16, 16, &mut st, &mut |x, y| {
-                    if x as i64 == i && y as i64 == j {
-                        hit = true;
-                    }
-                });
-                colored += hit as usize;
-            }
-            prop_assert!(colored <= 1, "joint diamond pixel colored {} times", colored);
-        }
     }
 
     /// End-to-end context invariant: the full Algorithm 3.1 buffer

@@ -6,17 +6,15 @@
 //! * `demo_boundaries.ppm`   — two polygon boundaries at half intensity
 //! * `demo_overlap.ppm`      — after accumulation: overlap pixels are white
 //! * `demo_expanded.ppm`     — the distance test's widened boundaries
-//! * `demo_voronoi.ppm`      — a hardware Voronoi ownership field
 //!
 //! ```bash
 //! cargo run --release --example raster_demo
 //! ```
 
-use hwspatial::geom::{Point, Polygon, Rect, Segment};
+use hwspatial::geom::{Polygon, Rect, Segment};
 use hwspatial::raster::framebuffer::HALF_GRAY;
 use hwspatial::raster::ppm::save_ppm;
-use hwspatial::raster::voronoi::VoronoiField;
-use hwspatial::raster::{GlContext, HwStats, Viewport};
+use hwspatial::raster::{GlContext, Viewport};
 
 fn polygons() -> (Polygon, Polygon) {
     // A concave C-shape and a blob poking into its pocket without touching.
@@ -86,36 +84,6 @@ fn main() -> std::io::Result<()> {
     gl.accum_return();
     save_ppm(gl.frame_buffer(), "demo_expanded.ppm")?;
 
-    // Frame 4: a Voronoi ownership field over a handful of sites, colored
-    // by site id through a small palette.
-    let mut field = VoronoiField::new(vp);
-    let mut st = HwStats::default();
-    let sites: Vec<Vec<Segment>> = vec![
-        p.edges().collect(),
-        q.edges().collect(),
-        vec![Segment::new(Point::new(20.0, 50.0), Point::new(25.0, 55.0))],
-    ];
-    for (i, segs) in sites.iter().enumerate() {
-        field.render_site(i as u32, segs, &mut st);
-    }
-    let palette = [[0.9f32, 0.3, 0.2], [0.2, 0.5, 0.9], [0.3, 0.8, 0.3]];
-    let mut img = GlContext::new(vp);
-    for j in 0..256usize {
-        for i in 0..256usize {
-            let data = Point::new(
-                (i as f64 + 0.5) / 256.0 * 100.0,
-                (j as f64 + 0.5) / 256.0 * 100.0,
-            );
-            if let Some((id, d)) = field.lookup(data) {
-                let base = palette[id as usize % palette.len()];
-                let fade = (1.0 - (d / 40.0).min(0.8)) as f32;
-                img.set_color([base[0] * fade, base[1] * fade, base[2] * fade]);
-                img.draw_points(&[data]);
-            }
-        }
-    }
-    save_ppm(img.frame_buffer(), "demo_voronoi.ppm")?;
-
-    println!("wrote demo_boundaries.ppm, demo_overlap.ppm, demo_expanded.ppm, demo_voronoi.ppm");
+    println!("wrote demo_boundaries.ppm, demo_overlap.ppm, demo_expanded.ppm");
     Ok(())
 }

@@ -1,16 +1,14 @@
 //! WKT in, queries out: load polygons from Well-Known Text (the exchange
-//! format a DBMS integration would speak), index them, and run the three
-//! query types plus a nearest-neighbor lookup.
+//! format a DBMS integration would speak), index them, and run the
+//! selection queries.
 //!
 //! ```bash
 //! cargo run --release --example wkt_queries
 //! ```
 
 use hwspatial::core::engine::{EngineConfig, PreparedDataset, SpatialEngine};
-use hwspatial::core::nn::sw_nearest;
 use hwspatial::core::HwConfig;
 use hwspatial::geom::wkt::{format_polygon, parse_polygon};
-use hwspatial::geom::Point;
 
 const PARCELS: &[&str] = &[
     "POLYGON ((10 10, 30 12, 28 30, 12 28, 10 10))",
@@ -49,11 +47,4 @@ fn main() {
     for &i in &contained {
         assert!(intersecting.contains(&i), "containment ⊆ intersection");
     }
-
-    let probe = Point::new(50.0, 50.0);
-    let (nearest, dist) = sw_nearest(&ds, probe).unwrap();
-    println!(
-        "nearest parcel to {probe}: #{nearest} at distance {dist:.2} ({})",
-        format_polygon(ds.polygon(nearest))
-    );
 }

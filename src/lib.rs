@@ -11,9 +11,9 @@
 //! |---|---|---|
 //! | [`geom`] | `spatial-geom` | polygons, plane sweep, point-in-polygon, minDist |
 //! | [`raster`] | `spatial-raster` | simulated OpenGL rasterizer, buffers, cost model |
-//! | [`index`] | `spatial-index` | R-tree, spatial joins, nearest-neighbor search |
+//! | [`index`] | `spatial-index` | R-tree, window queries, spatial joins |
 //! | [`filters`] | `spatial-filters` | interior filter, 0/1-object filters |
-//! | [`core`] | `hwa-core` | Algorithm 3.1, distance test, query engine, serving layer, Voronoi NN |
+//! | [`core`] | `hwa-core` | Algorithm 3.1, distance test, query engine, serving layer |
 //! | [`datagen`] | `spatial-datagen` | Table 2 dataset stand-ins |
 //!
 //! ## Sixty-second tour

@@ -3,7 +3,9 @@
 //! each return exactly the clean, unsharded rows (areas bit-for-bit), and
 //! every hardware test the clean run made is accounted for — executed on
 //! some shard or re-run by the exact software fallback (DESIGN.md
-//! invariants 9, 12 and 14).
+//! invariants 9, 12 and 14). The stage-1 filter's knobs are transparent the
+//! same way: scalar or SIMD, one thread or four, the filter emits the same
+//! candidates from the same node tests (invariant 11).
 
 use hwspatial::core::engine::{EngineConfig, PreparedDataset, SpatialEngine};
 use hwspatial::core::{
@@ -12,6 +14,9 @@ use hwspatial::core::{
 use hwspatial::datagen;
 
 const SCALE: f64 = 0.002;
+/// Large enough that the tree join dispenses several page-pair work units,
+/// so four filter threads really do split the traversal.
+const FILTER_SCALE: f64 = 0.02;
 const SEED: u64 = 7;
 const RESOLUTION: usize = 16;
 
@@ -23,19 +28,22 @@ fn prepare(ds: datagen::Dataset) -> PreparedDataset {
     PreparedDataset::new(ds.name, ds.polygons)
 }
 
-/// Intersection, within-distance and overlap-area joins under one engine
-/// configuration. Threshold 0 sends every undecided pair to the hardware.
-fn run_joins(device: DeviceKind, partition: PartitionConfig) -> [(Rows, CostBreakdown); 3] {
-    let landc = datagen::landc(SCALE, SEED);
-    let lando = datagen::lando(SCALE, SEED);
-    let d = datagen::base_distance(&landc, &lando);
-    let (a, b) = (prepare(landc), prepare(lando));
-    let mut engine = SpatialEngine::new(EngineConfig {
-        device,
-        partition,
+/// Threshold 0 sends every undecided pair to the hardware.
+fn base() -> EngineConfig {
+    EngineConfig {
         use_object_filters: true,
         ..EngineConfig::hardware(HwConfig::at_resolution(8).with_threshold(0))
-    });
+    }
+}
+
+/// Intersection, within-distance and overlap-area joins under one engine
+/// configuration.
+fn run_joins(scale: f64, config: EngineConfig) -> [(Rows, CostBreakdown); 3] {
+    let landc = datagen::landc(scale, SEED);
+    let lando = datagen::lando(scale, SEED);
+    let d = datagen::base_distance(&landc, &lando);
+    let (a, b) = (prepare(landc), prepare(lando));
+    let mut engine = SpatialEngine::new(config);
     let flags = |(rows, cost): (Vec<(usize, usize)>, CostBreakdown)| {
         (rows.into_iter().map(|(i, j)| (i, j, 0)).collect(), cost)
     };
@@ -60,19 +68,24 @@ fn fault_and_shard_wrappers_never_change_rows_and_balance_the_ledger() {
     let transient = FaultPlan::new(11, FaultKind::ContextLost, FaultTrigger::EveryK(3));
     let dead_shard = FaultPlan::new(91, FaultKind::Timeout, FaultTrigger::EveryK(1)).on_shard(1);
 
-    let clean = run_joins(DeviceKind::Reference, flat);
+    let wrapped = |device, partition| {
+        let config = EngineConfig {
+            device,
+            partition,
+            ..base()
+        };
+        run_joins(SCALE, config)
+    };
+    let clean = wrapped(DeviceKind::Reference, flat);
     let variants = [
         (
             "seeded faults",
-            run_joins(DeviceKind::Reference.with_faults(transient), flat),
+            wrapped(DeviceKind::Reference.with_faults(transient), flat),
         ),
-        (
-            "grid 2 × shards 2",
-            run_joins(DeviceKind::Reference, sharded),
-        ),
+        ("grid 2 × shards 2", wrapped(DeviceKind::Reference, sharded)),
         (
             "dead shard 1",
-            run_joins(DeviceKind::Reference.with_faults(dead_shard), sharded),
+            wrapped(DeviceKind::Reference.with_faults(dead_shard), sharded),
         ),
     ];
 
@@ -98,6 +111,35 @@ fn fault_and_shard_wrappers_never_change_rows_and_balance_the_ledger() {
             failovers += cost.tests.shard_failovers;
         }
     }
+    // Invariant 11, against the shipped knobs (SIMD kernels, one thread).
+    let shipped = run_joins(FILTER_SCALE, base());
+    for (filter_simd, filter_threads) in [(false, 1), (false, 4), (true, 4)] {
+        let config = EngineConfig {
+            filter_simd,
+            filter_threads,
+            ..base()
+        };
+        let knobs = format!("filter_simd {filter_simd}, filter_threads {filter_threads}");
+        for ((rows, cost), (shipped_rows, shipped_cost)) in
+            run_joins(FILTER_SCALE, config).iter().zip(&shipped)
+        {
+            assert!(
+                cost.filter_work_units > 1,
+                "one work unit: nothing for threads to split"
+            );
+            assert_eq!(rows, shipped_rows, "rows changed under {knobs}");
+            assert_eq!(
+                (cost.candidates, cost.node_tests, cost.tests.hw_tests),
+                (
+                    shipped_cost.candidates,
+                    shipped_cost.node_tests,
+                    shipped_cost.tests.hw_tests
+                ),
+                "stage 1 emitted differently under {knobs}"
+            );
+        }
+    }
+
     // Each wrapper was actually exercised, not merely configured.
     assert!(faults[0] > 0, "the seeded plan never fired");
     assert_eq!(faults[1], 0, "clean shards must not fault");
