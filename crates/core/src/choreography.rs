@@ -14,12 +14,11 @@
 //!   either [`Routed::Done`] or needs the hardware over a [`Window`];
 //! * [`window`] — the §3.2 projection: region, anisotropic vs uniform
 //!   scaling, the Equation (1) line width, which polygon renders first,
-//!   and the recording-cache key of the resulting tape;
+//!   and which recording the resulting tape is;
 //! * [`list`] — the command list for a [`Tape`] (one window, or an atlas
-//!   of windows sharing a line width): splice a cached skeleton, else
-//!   record cold, fuse and cache. The only product caller of the
-//!   `record_*` functions, `ListTemplate::instantiate_with_polys` and
-//!   `splice_batch`;
+//!   of windows sharing a line width), recorded per submission and
+//!   executed verbatim. The only product caller of the `record_*`
+//!   functions;
 //! * [`settle`] — the reject / confirm / fault-fallback epilogue over the
 //!   scan's verdict, with [`confirm`] as the per-predicate software
 //!   step 3.
@@ -32,17 +31,22 @@ use crate::hw_distance::software_distance_test;
 use crate::hw_intersect::HwTester;
 use crate::hw_overlap::overlap_region;
 use crate::pipeline::{Predicate, RefineOp};
-use crate::recording::{CacheKey, RecordingCache};
 use crate::stats::TestStats;
 use spatial_geom::intersect::restricted_edges;
 use spatial_geom::pip::point_in_polygon;
 use spatial_geom::sweep::{tree_sweep_intersects_stats, SweepStats};
 use spatial_geom::{Polygon, Rect};
 use spatial_raster::aa_line::DIAGONAL_WIDTH;
-use spatial_raster::atlas::{batch_shape, record_batch, splice_batch};
-use spatial_raster::{
-    AtlasJob, CommandList, ListTemplate, OverlapStrategy, Viewport, MAX_AA_LINE_WIDTH,
-};
+use spatial_raster::atlas::record_batch;
+use spatial_raster::{AtlasJob, CommandList, OverlapStrategy, Viewport, MAX_AA_LINE_WIDTH};
+
+/// Which `record_*` function draws a window's tape.
+#[derive(Debug, Clone, Copy)]
+enum Recording {
+    Segment(OverlapStrategy),
+    Distance(OverlapStrategy),
+    Overlap,
+}
 
 /// The projection window of one pair's hardware test, and everything
 /// that follows from it.
@@ -63,8 +67,7 @@ pub(crate) struct Window<'a> {
     /// object first (§3.2); the others keep the predicate's order.
     pub first: &'a Polygon,
     pub second: &'a Polygon,
-    /// The tape shape: which recording, at which resolution and state.
-    key: CacheKey,
+    recording: Recording,
 }
 
 /// The hardware projection for `op` on `(p, q)` at `resolution`, or
@@ -83,14 +86,11 @@ pub(crate) fn window<'a>(
         // containment that *is* the inner MBR once the MBR gate passed.
         // The overlap count projects it too, but needs it to have
         // interior.
-        let (region, key) = match op {
-            RefineOp::Measure { .. } => (overlap_region(p, q)?, CacheKey::Overlap { resolution }),
+        let (region, recording) = match op {
+            RefineOp::Measure { .. } => (overlap_region(p, q)?, Recording::Overlap),
             RefineOp::Test(_) => (
                 p.mbr().intersection(&q.mbr())?,
-                CacheKey::Segment {
-                    strategy,
-                    resolution,
-                },
+                Recording::Segment(strategy),
             ),
         };
         return Some(Window {
@@ -99,7 +99,7 @@ pub(crate) fn window<'a>(
             width: DIAGONAL_WIDTH,
             first: p,
             second: q,
-            key,
+            recording,
         });
     };
 
@@ -139,89 +139,46 @@ pub(crate) fn window<'a>(
         width,
         first: small,
         second: large,
-        key: CacheKey::Distance {
-            stencil: strategy == OverlapStrategy::Stencil,
-            resolution,
-            width_bits: width.to_bits(),
-        },
+        recording: Recording::Distance(strategy),
     })
 }
 
 impl Window<'_> {
-    fn side(&self, i: usize) -> &Polygon {
-        if i == 0 {
-            self.first
-        } else {
-            self.second
-        }
-    }
-
-    /// Whether the tape draws vertex caps (the distance test's smooth
-    /// points) on top of the edges.
-    fn capped(&self) -> bool {
-        matches!(self.key, CacheKey::Distance { .. })
-    }
-
-    /// The cold recording of this window's tape and its verdict slot.
-    pub(crate) fn record(&self) -> (CommandList, usize) {
+    /// This window's tape and its verdict slot.
+    fn record(&self) -> (CommandList, usize) {
         let (first, second) = (self.first, self.second);
-        match self.key {
-            CacheKey::Segment {
-                strategy,
-                resolution,
-            } => HwTester::record_segment_test(
+        let resolution = self.viewport.width();
+        match self.recording {
+            Recording::Segment(strategy) => HwTester::record_segment_test(
                 self.region,
                 resolution,
                 strategy,
                 first.edges(),
                 second.edges(),
             ),
-            // Accumulation and Blending share the distance choreography.
-            CacheKey::Distance {
-                stencil,
-                resolution,
-                ..
-            } => HwTester::record_distance_test(
+            Recording::Distance(strategy) => HwTester::record_distance_test(
                 self.region,
                 resolution,
-                if stencil {
-                    OverlapStrategy::Stencil
-                } else {
-                    OverlapStrategy::Accumulation
-                },
+                strategy,
                 self.width,
                 first,
                 second,
             ),
-            CacheKey::Overlap { resolution } => HwTester::record_overlap_area(
+            Recording::Overlap => HwTester::record_overlap_area(
                 self.region,
                 resolution,
                 first.vertices().iter().copied(),
                 second.vertices().iter().copied(),
             ),
-            CacheKey::Atlas { .. } => unreachable!("`window` builds per-pair keys only"),
         }
     }
 
-    /// Splices this pair's viewport, edges, vertex caps and vertex rings
-    /// into a cached skeleton of the same key. A tape only has the slots
-    /// its recording drew, so the unused closures never run.
-    fn splice(&self, template: &ListTemplate) -> CommandList {
-        template.instantiate_with_polys(
-            &[self.viewport],
-            |i, out| out.extend(self.side(i).edges()),
-            |i, out| out.extend_from_slice(self.side(i).vertices()),
-            |i, out| out.extend_from_slice(self.side(i).vertices()),
-        )
-    }
-
     fn atlas_job(&self) -> AtlasJob {
-        let points = |poly: &Polygon| {
-            if self.capped() {
-                poly.vertices().to_vec()
-            } else {
-                Vec::new()
-            }
+        // The distance test draws vertex caps (smooth points) on top of
+        // the edges.
+        let points = |poly: &Polygon| match self.recording {
+            Recording::Distance(_) => poly.vertices().to_vec(),
+            _ => Vec::new(),
         };
         AtlasJob {
             viewport: self.viewport,
@@ -245,58 +202,19 @@ pub(crate) enum Tape<'a> {
     Atlas(&'a [&'a Window<'a>]),
 }
 
-/// The command list for `tape` and its verdict readback slot: a cached
-/// skeleton of the same shape spliced with this tape's viewports and
-/// geometry, else a cold recording, fused, whose skeleton is cached.
-/// Either way the list executes the same charged work (invariant 10).
-pub(crate) fn list(
-    cache: &mut RecordingCache,
-    tape: Tape<'_>,
-    stats: &mut TestStats,
-) -> (CommandList, usize) {
+/// The command list for `tape` and its verdict readback slot, recorded
+/// from scratch: a tape is a dozen pushes plus one copy of the edge
+/// lists, which no cache beats (DESIGN.md §9). The device executes the
+/// list as returned.
+pub(crate) fn list(tape: Tape<'_>) -> (CommandList, usize) {
     match tape {
-        Tape::Pair(w) => cached(cache, &w.key, stats, |t| w.splice(t), || w.record()),
+        Tape::Pair(w) => w.record(),
         Tape::Atlas(windows) => {
             let jobs: Vec<AtlasJob> = windows.iter().map(|w| w.atlas_job()).collect();
             let width = windows[0].width;
-            // Everything that fixes the grid layout and the recorded cell
-            // sequence: cell size, line width, and which jobs have
-            // geometry on which side.
-            let key = CacheKey::Atlas {
-                cell: windows[0].viewport.width(),
-                width_bits: width.to_bits(),
-                shape: batch_shape(&jobs),
-            };
-            cached(
-                cache,
-                &key,
-                stats,
-                |t| splice_batch(&jobs, t),
-                || record_batch(&jobs, width, width),
-            )
+            record_batch(&jobs, width, width)
         }
     }
-}
-
-fn cached(
-    cache: &mut RecordingCache,
-    key: &CacheKey,
-    stats: &mut TestStats,
-    splice: impl FnOnce(&ListTemplate) -> CommandList,
-    record: impl FnOnce() -> (CommandList, usize),
-) -> (CommandList, usize) {
-    if let Some((template, slot)) = cache.lookup(key) {
-        stats.cache_hits += 1;
-        return (splice(&template), slot);
-    }
-    let (cold, slot) = record();
-    // Fusion elides uncharged dead state only, so it never changes
-    // results or charged work.
-    let (list, elided) = cold.fuse();
-    stats.commands_elided += elided;
-    stats.cache_misses += 1;
-    cache.insert(key.clone(), ListTemplate::new(&list), slot);
-    (list, slot)
 }
 
 /// What the software prologue decided for one pair.

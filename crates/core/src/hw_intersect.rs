@@ -30,7 +30,6 @@ use crate::choreography::{list, route, settle, Routed, Tape};
 use crate::config::HwConfig;
 use crate::pipeline::recovery::{RecoveryPolicy, Supervisor};
 use crate::pipeline::Predicate;
-use crate::recording::RecordingCache;
 use crate::stats::TestStats;
 use spatial_geom::{Polygon, Rect, Segment};
 use spatial_raster::aa_line::DIAGONAL_WIDTH;
@@ -40,10 +39,6 @@ use spatial_raster::{
     Recorder, Viewport, WriteMode,
 };
 use std::time::Instant;
-
-/// Skeletons a tester keeps: comfortably the handful of per-pair shapes
-/// plus a working set of atlas shapes.
-const RECORDING_CACHE_ENTRIES: usize = 64;
 
 /// A reusable hardware tester: records each test as a command list and
 /// owns the executing [`RasterDevice`], so repeated tests (thousands per
@@ -62,7 +57,6 @@ pub struct HwTester {
     device: Box<dyn RasterDevice>,
     model: HwCostModel,
     supervisor: Supervisor,
-    cache: RecordingCache,
     /// The device shard subsequent submissions route to (see
     /// [`RasterDevice::route`]); 0 until the partitioned executor selects
     /// one. Preserved across `fork` so parallel refinement workers keep
@@ -90,7 +84,6 @@ impl HwTester {
             device_kind,
             model: HwCostModel::default(),
             supervisor: Supervisor::new(policy),
-            cache: RecordingCache::new(RECORDING_CACHE_ENTRIES),
             route: 0,
         }
     }
@@ -115,8 +108,7 @@ impl HwTester {
     }
 
     /// Replaces the configuration (the `sw_threshold` sweep of Figure 13
-    /// retunes a live tester). Cached skeletons stay: their keys embed
-    /// every configuration input that shapes a tape.
+    /// retunes a live tester).
     pub fn set_config(&mut self, cfg: HwConfig) {
         self.cfg = cfg;
     }
@@ -140,11 +132,10 @@ impl HwTester {
 
     /// An independent tester for a parallel refinement worker: same
     /// configuration, device selection, cost model and shard route, its
-    /// own device and (cold) recording cache. It adopts this tester's
-    /// supervision state — per-shard breaker verdicts and the modeled
-    /// probation clock — and pushes the verdicts into its fresh device's
-    /// health mask, so a worker never re-pays the full retry/backoff
-    /// ladder for a shard its parent already proved dead.
+    /// own device. It adopts this tester's supervision state — per-shard
+    /// breaker verdicts and the modeled probation clock — so a worker
+    /// never re-pays the full retry/backoff ladder for a shard its parent
+    /// already proved dead.
     pub fn fork(&self) -> HwTester {
         let mut t = HwTester::with_device_and_policy(
             self.cfg,
@@ -153,7 +144,6 @@ impl HwTester {
         );
         t.model = self.model;
         t.supervisor = self.supervisor.clone();
-        t.supervisor.sync_device(t.device.as_mut());
         t.select_shard(self.route);
         t
     }
@@ -181,7 +171,7 @@ impl HwTester {
         read: impl FnOnce(&Execution, usize) -> Result<T, DeviceError>,
     ) -> Option<T> {
         let wall = Instant::now();
-        let (commands, slot) = list(&mut self.cache, tape, stats);
+        let (commands, slot) = list(tape);
         let verdict = self
             .supervisor
             .submit_routed(self.device.as_mut(), self.route, &commands, stats)
@@ -459,29 +449,6 @@ mod tests {
             "clears/accum/minmax must be charged"
         );
         assert!(st.hw.primitives > 0);
-    }
-
-    #[test]
-    fn repeated_tests_hit_the_recording_cache() {
-        let (a, b) = parallel_slabs();
-        let mut t = HwTester::new(HwConfig::at_resolution(8));
-        let mut st = TestStats::default();
-        for _ in 0..4 {
-            t.intersects(&a, &b, &mut st);
-        }
-        assert_eq!(st.cache_misses, 1, "one cold recording: {st:?}");
-        assert_eq!(st.cache_hits, 3, "three spliced reuses: {st:?}");
-        assert!(
-            st.commands_elided > 0,
-            "the cold recording's write-mode no-op is fused away: {st:?}"
-        );
-
-        // A retuned tester records the new shape cold (the key embeds the
-        // resolution).
-        t.set_config(HwConfig::at_resolution(16));
-        let mut st = TestStats::default();
-        t.intersects(&a, &b, &mut st);
-        assert_eq!(st.cache_misses, 1);
     }
 
     #[test]

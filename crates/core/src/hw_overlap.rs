@@ -40,7 +40,7 @@
 //! seeded fault plans, shard failover and brownout never change a
 //! reported area, only which ledger (hardware vs fallback) paid for it.
 
-use crate::choreography::{window, Tape, Window};
+use crate::choreography::{list, window, Tape, Window};
 use crate::hw_intersect::HwTester;
 use crate::pipeline::RefineOp;
 use crate::stats::TestStats;
@@ -90,8 +90,8 @@ pub fn sw_overlap_area(p: &Polygon, q: &Polygon, resolution: usize) -> f64 {
     let Some(w) = overlap_window(p, q, resolution) else {
         return 0.0;
     };
-    let (list, slot) = w.record();
-    replay_overlap_count(&list, slot) as f64 * overlap_cell_area(w.region, resolution)
+    let (commands, slot) = list(Tape::Pair(&w));
+    replay_overlap_count(&commands, slot) as f64 * overlap_cell_area(w.region, resolution)
 }
 
 /// The overlap count's projection window (the tape has one shape per
@@ -289,64 +289,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn repeated_queries_hit_the_recording_cache() {
-        let p = square(0.0, 0.0, 4.0);
-        let q = square(1.0, 1.0, 4.0);
-        let mut t = HwTester::new(HwConfig::recommended());
-        let mut st = TestStats::default();
-        let first = t.overlap_area(&p, &q, 16, &mut st);
-        for _ in 0..3 {
-            assert_eq!(t.overlap_area(&p, &q, 16, &mut st), first);
-        }
-        assert_eq!(st.cache_misses, 1, "{st:?}");
-        assert_eq!(st.cache_hits, 3, "{st:?}");
-        // A different resolution is a different tape shape.
-        t.overlap_area(&p, &q, 8, &mut st);
-        assert_eq!(st.cache_misses, 2, "{st:?}");
-    }
-
-    #[test]
-    fn spliced_tape_equals_cold_recording() {
-        // The cache path rebuilds both polygon runs; the spliced list
-        // must equal a cold recording of the second pair command-for-
-        // command (the template-correctness invariant for FillPolygon).
-        let a = (square(0.0, 0.0, 4.0), square(1.0, 1.0, 4.0));
-        let b = (l_shape(), square(1.0, 1.0, 3.0));
-        let region_b = b.0.mbr().intersection(&b.1.mbr()).unwrap();
-        let (cold_a, slot) = HwTester::record_overlap_area(
-            a.0.mbr().intersection(&a.1.mbr()).unwrap(),
-            16,
-            a.0.vertices().iter().copied(),
-            a.1.vertices().iter().copied(),
-        );
-        let template = spatial_raster::ListTemplate::new(&cold_a);
-        assert_eq!(template.poly_slots(), 2);
-        let spliced = template.instantiate_with_polys(
-            &[Viewport::new(region_b, 16, 16)],
-            |_, _| {},
-            |_, _| {},
-            |i, out| {
-                out.extend_from_slice(if i == 0 {
-                    b.0.vertices()
-                } else {
-                    b.1.vertices()
-                })
-            },
-        );
-        let (cold_b, _) = HwTester::record_overlap_area(
-            region_b,
-            16,
-            b.0.vertices().iter().copied(),
-            b.1.vertices().iter().copied(),
-        );
-        assert_eq!(spliced, cold_b);
-        assert_eq!(
-            replay_overlap_count(&spliced, slot),
-            replay_overlap_count(&cold_b, slot)
-        );
     }
 
     #[test]

@@ -41,7 +41,6 @@ pub mod hw_distance;
 pub mod hw_intersect;
 pub mod hw_overlap;
 pub mod pipeline;
-pub(crate) mod recording;
 pub mod service;
 pub mod stats;
 

@@ -276,19 +276,13 @@ mod tests {
         assert_eq!(r1, r2);
         assert_eq!(s1.hw.draw_calls, s2.hw.draw_calls);
         assert_eq!(s1.hw.fragments_tested, s2.hw.fragments_tested);
-        // The fork records and caches exactly like the original —
-        // including the cold-start misses, since forks begin with an
-        // empty cache of their own.
-        assert_eq!(s1.cache_misses, s2.cache_misses);
-        assert_eq!(s1.commands_elided, s2.commands_elided);
     }
 
-    /// The recording cache never changes what a backend answers or what
-    /// hardware work it charges: the same pairs through a warm tester and
-    /// through fresh (always cold) testers are identical in everything
-    /// but the diagnostic cache counters.
+    /// A tester's history never changes what it answers or what hardware
+    /// work it charges: the same batch through a reused tester and
+    /// through fresh testers is identical.
     #[test]
-    fn recording_cache_is_set_preserving_across_backends() {
+    fn a_reused_tester_answers_and_charges_like_a_fresh_one() {
         // Diagonal slabs: overlapping MBRs, no contained vertices — every
         // pair survives the software prologue and reaches the hardware.
         let polys: Vec<Polygon> = (0..5)
@@ -305,13 +299,11 @@ mod tests {
             Predicate::ContainedIn,
             Predicate::WithinDistance(1.5),
         ] {
-            let mut warm = HwTester::new(cfg);
+            let mut reused = HwTester::new(cfg);
             let (mut s1, mut s2) = (TestStats::default(), TestStats::default());
-            // Run twice so the warm tester's second round hits its cache;
-            // every cold round gets a tester that has recorded nothing.
-            let _ = warm.test_batch(pred, &pairs, &mut s1);
+            let _ = reused.test_batch(pred, &pairs, &mut s1);
             let _ = HwTester::new(cfg).test_batch(pred, &pairs, &mut s2);
-            let r1 = warm.test_batch(pred, &pairs, &mut s1);
+            let r1 = reused.test_batch(pred, &pairs, &mut s1);
             let r2 = HwTester::new(cfg).test_batch(pred, &pairs, &mut s2);
             assert_eq!(r1, r2);
             assert_eq!(s1.hw_tests, s2.hw_tests);
@@ -320,10 +312,6 @@ mod tests {
             assert_eq!(s1.hw_batches, s2.hw_batches);
             assert_eq!(s1.hw, s2.hw, "charged hardware work must be identical");
             assert_eq!(s1.gpu_modeled, s2.gpu_modeled);
-            if s1.hw_tests > 0 {
-                assert!(s1.cache_hits > 0, "second round must hit: {s1:?}");
-            }
-            assert_eq!(s2.cache_hits, 0);
         }
     }
 

@@ -164,16 +164,6 @@ impl Supervisor {
         self.now_ns = self.now_ns.saturating_add(ns);
     }
 
-    /// Pushes this supervisor's per-shard verdicts into `device`'s health
-    /// mask, so the device's own failover rehash agrees with ours. Used
-    /// when a fork adopts its parent's supervision state onto a freshly
-    /// built device.
-    pub(crate) fn sync_device(&self, device: &mut dyn RasterDevice) {
-        for (shard, health) in self.shards.iter().enumerate() {
-            device.set_shard_health(shard, matches!(health.breaker, Breaker::Closed));
-        }
-    }
-
     /// Submits `list` to the device's shard 0 — the unsharded entry point
     /// (kept for single-backend callers and tests).
     #[cfg(test)]
@@ -213,11 +203,6 @@ impl Supervisor {
             stats.quarantined += 1;
             return Err(self.open_error(desired));
         };
-        if probing {
-            // Half-open: tentatively re-admit the shard so the device's
-            // own failover rehash lets the probe reach it.
-            device.set_shard_health(target, true);
-        }
         if n > 1 {
             device.route(target);
         }
@@ -270,7 +255,6 @@ impl Supervisor {
                 // Each cool-down period is charged up front, never slept.
                 stats.recovery_ns = stats.recovery_ns.saturating_add(p);
             }
-            device.set_shard_health(target, false);
         }
         Err(last)
     }

@@ -23,7 +23,7 @@
 //!   so stages stay deterministic.
 //! * **Planning** — the paper's Figure 13 break-even analysis run
 //!   online: the candidate set's choreography is recorded at a few
-//!   resolutions (cached skeletons make repeat shapes free), priced by
+//!   resolutions, priced by
 //!   [`HwCostModel::replay_cost`](spatial_raster::HwCostModel) — a
 //!   replay of the sample on a private reference device, off the
 //!   query's own ledger — and the cheapest of {software, per-pair hardware,

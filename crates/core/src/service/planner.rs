@@ -19,10 +19,9 @@
 //! pair submits every edge and few touch the window), which is why the
 //! sample is small. So for each query the planner takes a small sample of
 //! the candidate set, records the sample's choreography at each
-//! configured resolution — reusing a [`RecordingCache`] so repeat
-//! shapes splice instead of re-record — prices per-pair and batched
-//! variants arithmetically from the replayed counters, compares against
-//! a calibrated software sweep estimate, and picks the cheapest plan.
+//! configured resolution, prices per-pair and batched variants
+//! arithmetically from the replayed counters, compares against a
+//! calibrated software sweep estimate, and picks the cheapest plan.
 //! A small memo keyed on the query's shape (pipeline, candidate-count
 //! bucket, sampled complexity) makes repeat queries plan for free.
 //!
@@ -32,8 +31,6 @@
 
 use crate::choreography::{list, window, Tape};
 use crate::pipeline::{Predicate, RefineOp};
-use crate::recording::RecordingCache;
-use crate::stats::TestStats;
 use spatial_geom::Polygon;
 use spatial_raster::{CommandList, HwCostModel, OverlapStrategy};
 use std::collections::HashMap;
@@ -84,9 +81,6 @@ pub struct PlannerConfig {
     /// matches the tree-sweep calibration note in
     /// `spatial_raster::cost_model`.
     pub sweep_ns_per_vertex: f64,
-    /// Capacity of the planner's skeleton `RecordingCache` (the §9
-    /// template cache, reused for pricing).
-    pub cache_entries: usize,
     /// Capacity of the plan memo (cleared wholesale when full — plans
     /// are cheap to recompute and the memo is purely an optimization).
     pub memo_entries: usize,
@@ -100,7 +94,6 @@ impl Default for PlannerConfig {
             batch: 32,
             sample: 16,
             sweep_ns_per_vertex: 10.0,
-            cache_entries: 16,
             memo_entries: 256,
         }
     }
@@ -115,7 +108,7 @@ pub(crate) struct Planned {
     /// pass. False for the zero-candidate short-circuit (and for forced
     /// modes, which skip planning entirely): those decisions must not
     /// count as plan-cache hits *or* misses in the serving ledger —
-    /// nothing was priced, recorded or cached.
+    /// nothing was priced or recorded.
     pub priced: bool,
 }
 
@@ -151,7 +144,6 @@ pub(crate) struct Planner {
     cfg: PlannerConfig,
     strategy: OverlapStrategy,
     model: HwCostModel,
-    skeletons: RecordingCache,
     memo: HashMap<MemoKey, PlanChoice>,
 }
 
@@ -161,12 +153,10 @@ fn ns(d: std::time::Duration) -> f64 {
 
 impl Planner {
     pub(crate) fn new(cfg: PlannerConfig, strategy: OverlapStrategy) -> Self {
-        let skeletons = RecordingCache::new(cfg.cache_entries);
         Planner {
             cfg,
             strategy,
             model: HwCostModel::default(),
-            skeletons,
             memo: HashMap::new(),
         }
     }
@@ -199,9 +189,8 @@ impl Planner {
         if candidates == 0 || sample.is_empty() {
             // Nothing to refine: the backend is irrelevant, software
             // avoids standing up a device. Short-circuit *before*
-            // touching the memo or the skeleton cache — no choreography
-            // is recorded and the serving ledger must not count this as
-            // a pricing pass.
+            // touching the memo — no choreography is recorded and the
+            // serving ledger must not count this as a pricing pass.
             return Planned::unpriced(PlanChoice::Software);
         }
 
@@ -248,7 +237,7 @@ impl Planner {
     /// aggregation the software side prices the exact Sutherland–Hodgman
     /// clip as a vertex sweep with the same calibrated per-vertex rate.
     fn price(
-        &mut self,
+        &self,
         op: RefineOp,
         candidates: usize,
         sample: &[(&Polygon, &Polygon)],
@@ -333,38 +322,25 @@ impl Planner {
     /// fall back to software — or, for an aggregation, that the pair's
     /// shared MBR is empty or degenerate and it answers `0.0` without
     /// touching a device.
-    fn price_pair(
-        &mut self,
-        op: RefineOp,
-        resolution: usize,
-        p: &Polygon,
-        q: &Polygon,
-    ) -> Option<f64> {
+    fn price_pair(&self, op: RefineOp, resolution: usize, p: &Polygon, q: &Polygon) -> Option<f64> {
         let list = self.priced_list(op, resolution, p, q)?;
         Some(ns(self.model.replay_cost(&list)))
     }
 
     /// The list [`Planner::price_pair`] prices: exactly what a tester at
     /// `resolution` executes for the pair once its software prologue
-    /// sends it to the device — same window, same (warm-spliced or cold
-    /// and fused) tape. Every sampled pair with a projection window is
-    /// priced; the prologue's point-in-polygon and threshold exits are
-    /// the tester's own.
+    /// sends it to the device — same window, same tape. Every sampled
+    /// pair with a projection window is priced; the prologue's
+    /// point-in-polygon and threshold exits are the tester's own.
     pub(crate) fn priced_list(
-        &mut self,
+        &self,
         op: RefineOp,
         resolution: usize,
         p: &Polygon,
         q: &Polygon,
     ) -> Option<CommandList> {
         let w = window(op, p, q, resolution, self.strategy)?;
-        // The cache diagnostics belong to queries, not to pricing.
-        let (commands, _slot) = list(
-            &mut self.skeletons,
-            Tape::Pair(&w),
-            &mut TestStats::default(),
-        );
-        Some(commands)
+        Some(list(Tape::Pair(&w)).0)
     }
 }
 
@@ -375,6 +351,7 @@ mod tests {
     use crate::engine::PreparedDataset;
     use crate::hw_intersect::HwTester;
     use crate::pipeline::QuerySpec;
+    use crate::stats::TestStats;
     use spatial_index::FilterConfig;
     use spatial_raster::{DeviceError, DeviceKind, Execution, FrameBuffer, RasterDevice};
     use std::sync::{Arc, Mutex};
@@ -420,8 +397,8 @@ mod tests {
         assert_eq!(planned.choice, PlanChoice::Software);
         assert!(!planned.memo_hit);
         // The short-circuit is not a pricing pass: no choreography was
-        // recorded, nothing entered the memo or the skeleton cache, and
-        // the serving ledger must not count a plan-cache miss for it.
+        // recorded, nothing entered the memo, and the serving ledger
+        // must not count a plan-cache miss for it.
         assert!(!planned.priced);
         assert!(pl.memo.is_empty(), "zero-candidate plans must not memoize");
     }
@@ -590,13 +567,15 @@ mod tests {
         PreparedDataset::new(ds.name, ds.polygons)
     }
 
-    /// The list the planner prices for a sampled pair is the list the
-    /// tester executes for that pair at the same resolution and strategy
-    /// — cold and warm, for all five query kinds. (The planner prices
-    /// every pair that has a window; the tester's prologue decides some
-    /// of them without the device, and those are skipped here.)
-    #[test]
-    fn the_planner_prices_the_list_the_tester_executes() {
+    type Seen = Arc<Mutex<Vec<String>>>;
+
+    /// Runs `check` for all five query kinds × three overlap strategies,
+    /// each with a tester whose device records what it is handed in
+    /// `seen`. Boolean kinds run at resolution 8, the aggregation at its
+    /// own.
+    fn for_each_kind_and_strategy(
+        mut check: impl FnMut(OverlapStrategy, &QuerySpec, usize, &mut HwTester, &Seen),
+    ) {
         let a = prepare(spatial_datagen::landc(0.002, 7));
         let b = prepare(spatial_datagen::lando(0.002, 7));
         // A window with undecided candidates under both selections.
@@ -627,39 +606,147 @@ mod tests {
                     strategy,
                     ..HwConfig::at_resolution(resolution)
                 };
-                let mut planner = Planner::new(PlannerConfig::default(), strategy);
                 let mut tester = HwTester::new(cfg);
-                let seen = Arc::new(Mutex::new(Vec::new()));
+                let seen = Seen::default();
                 tester.set_device(Box::new(Spy {
                     inner: DeviceKind::Reference.build(),
                     seen: Arc::clone(&seen),
                 }));
-
-                let mut compared = 0;
-                let stage1 = spec.stage1(&FilterConfig::default());
-                for &cand in &stage1.candidates {
-                    if compared == 4 {
-                        break;
-                    }
-                    let (p, q) = spec.resolve(cand);
-                    let priced = planner.priced_list(spec.op(), resolution, p, q);
-                    let mut stats = TestStats::default();
-                    match spec.op() {
-                        RefineOp::Test(pred) => {
-                            tester.test(pred, p, q, &mut stats);
-                        }
-                        RefineOp::Measure { resolution } => {
-                            tester.overlap_area(p, q, resolution, &mut stats);
-                        }
-                    }
-                    if let Some(executed) = seen.lock().unwrap().pop() {
-                        let priced = priced.expect("a pair that reached the device has a window");
-                        assert_eq!(priced.serialize(), executed, "{strategy:?} {:?}", spec.op());
-                        compared += 1;
-                    }
-                }
-                assert!(compared >= 2, "{strategy:?} {:?}: cold and warm", spec.op());
+                check(strategy, spec, resolution, &mut tester, &seen);
             }
         }
+    }
+
+    /// Runs the per-pair tester entry point of `op` on one pair.
+    fn test_pair(tester: &mut HwTester, op: RefineOp, p: &Polygon, q: &Polygon) {
+        let mut stats = TestStats::default();
+        match op {
+            RefineOp::Test(pred) => {
+                tester.test(pred, p, q, &mut stats);
+            }
+            RefineOp::Measure { resolution } => {
+                tester.overlap_area(p, q, resolution, &mut stats);
+            }
+        }
+    }
+
+    /// The list the planner prices for a sampled pair is the list the
+    /// tester executes for that pair at the same resolution and strategy,
+    /// for all five query kinds. (The planner prices every pair that has
+    /// a window; the tester's prologue decides some of them without the
+    /// device, and those are skipped here.)
+    #[test]
+    fn the_planner_prices_the_list_the_tester_executes() {
+        for_each_kind_and_strategy(|strategy, spec, resolution, tester, seen| {
+            let planner = Planner::new(PlannerConfig::default(), strategy);
+            let mut compared = 0;
+            let stage1 = spec.stage1(&FilterConfig::default());
+            for &cand in &stage1.candidates {
+                if compared == 4 {
+                    break;
+                }
+                let (p, q) = spec.resolve(cand);
+                let priced = planner.priced_list(spec.op(), resolution, p, q);
+                test_pair(tester, spec.op(), p, q);
+                if let Some(executed) = seen.lock().unwrap().pop() {
+                    let priced = priced.expect("a pair that reached the device has a window");
+                    assert_eq!(priced.serialize(), executed, "{strategy:?} {:?}", spec.op());
+                    compared += 1;
+                }
+            }
+            assert!(compared >= 2, "{strategy:?} {:?}", spec.op());
+        });
+    }
+
+    /// What a tester submits is the `record_*` output itself — the
+    /// functions `tests/golden.rs` pins — for the pair's window: nothing
+    /// rewrites the tape between recorder and device, per pair or batched.
+    #[test]
+    fn testers_submit_the_recorders_list_verbatim() {
+        use crate::choreography::{route, Routed};
+        use spatial_raster::atlas::record_batch;
+        use spatial_raster::AtlasJob;
+
+        for_each_kind_and_strategy(|strategy, spec, resolution, tester, seen| {
+            let what = format!("{strategy:?} {:?}", spec.op());
+            let stage1 = spec.stage1(&FilterConfig::default());
+            let pairs: Vec<(&Polygon, &Polygon)> = stage1
+                .candidates
+                .iter()
+                .take(24)
+                .map(|&cand| spec.resolve(cand))
+                .collect();
+
+            let mut compared = 0;
+            for &(p, q) in &pairs {
+                test_pair(tester, spec.op(), p, q);
+                let Some(submitted) = seen.lock().unwrap().pop() else {
+                    continue;
+                };
+                let w = window(spec.op(), p, q, resolution, strategy)
+                    .expect("a pair that reached the device has a window");
+                let direct = match spec.op() {
+                    RefineOp::Test(Predicate::WithinDistance(_)) => HwTester::record_distance_test(
+                        w.region, resolution, strategy, w.width, w.first, w.second,
+                    ),
+                    RefineOp::Test(_) => HwTester::record_segment_test(
+                        w.region,
+                        resolution,
+                        strategy,
+                        w.first.edges(),
+                        w.second.edges(),
+                    ),
+                    RefineOp::Measure { .. } => HwTester::record_overlap_area(
+                        w.region,
+                        resolution,
+                        w.first.vertices().iter().copied(),
+                        w.second.vertices().iter().copied(),
+                    ),
+                };
+                assert_eq!(submitted, direct.0.serialize(), "{what}");
+                compared += 1;
+            }
+            assert!(compared >= 2, "{what}");
+
+            // Batched: one atlas round per line width, ascending, over
+            // the pairs the prologue routes to the device.
+            let RefineOp::Test(pred) = spec.op() else {
+                return;
+            };
+            let cfg = tester.config();
+            let mut routed = Vec::new();
+            for &(p, q) in &pairs {
+                if let Routed::Hw(w) = route(pred, p, q, &cfg, &mut TestStats::default()) {
+                    routed.push(w);
+                }
+            }
+            routed.sort_by(|a, b| a.width.total_cmp(&b.width));
+            // Only the distance test draws vertex caps.
+            let caps = |poly: &Polygon| match pred {
+                Predicate::WithinDistance(_) => poly.vertices().to_vec(),
+                _ => Vec::new(),
+            };
+            let direct: Vec<String> = routed
+                .chunk_by(|a, b| a.width == b.width)
+                .map(|round| {
+                    let jobs: Vec<AtlasJob> = round
+                        .iter()
+                        .map(|w| AtlasJob {
+                            viewport: w.viewport,
+                            first_segments: w.first.edges().collect(),
+                            first_points: caps(w.first),
+                            second_segments: w.second.edges().collect(),
+                            second_points: caps(w.second),
+                        })
+                        .collect();
+                    record_batch(&jobs, round[0].width, round[0].width)
+                        .0
+                        .serialize()
+                })
+                .collect();
+            tester.test_batch(pred, &pairs, &mut TestStats::default());
+            assert!(!direct.is_empty(), "{what}");
+            assert_eq!(*seen.lock().unwrap(), direct, "{what} batched");
+        });
     }
 }

@@ -60,16 +60,11 @@ pub struct TestStats {
     /// the supervisor instead of sleeping, and added to the reported
     /// geometry time the same way `gpu_modeled` is.
     pub recovery_ns: u64,
-    /// Hardware submissions built by splicing geometry into a cached
-    /// recording skeleton instead of re-recording the choreography.
-    /// Diagnostic: the cache is set-preserving, so every *other* counter
-    /// is independent of hits vs misses.
+    /// Never incremented since the recording cache and the fusion pass
+    /// were removed; the three names stay until the `benchmark/` ledger
+    /// refresh stops reading them (ROADMAP, ledger-refresh item (a)).
     pub cache_hits: usize,
-    /// Hardware submissions that recorded cold and populated the cache
-    /// (only charged when the recording cache is enabled).
     pub cache_misses: usize,
-    /// Commands elided by set-preserving fusion on cold recordings —
-    /// uncharged dead state removed from the tape before execution.
     pub commands_elided: usize,
     /// Simulated-hardware work counters.
     pub hw: HwStats,
@@ -101,9 +96,6 @@ impl TestStats {
         self.probes += o.probes;
         self.probe_reinstates += o.probe_reinstates;
         self.recovery_ns += o.recovery_ns;
-        self.cache_hits += o.cache_hits;
-        self.cache_misses += o.cache_misses;
-        self.commands_elided += o.commands_elided;
         self.hw.add(&o.hw);
         self.gpu_modeled += o.gpu_modeled;
         self.sim_wall += o.sim_wall;
@@ -133,8 +125,7 @@ pub struct CostBreakdown {
     /// the query — independent of `filter_simd` / `filter_threads`.
     pub node_tests: usize,
     /// The subset of `node_tests` routed through the vectorized kernel
-    /// instantiation. Diagnostic (varies with `filter_simd`), like
-    /// `tests.cache_hits`.
+    /// instantiation. Diagnostic (varies with `filter_simd`).
     pub simd_node_tests: usize,
     /// Page-pair work units the join scheduler dispensed (0 for
     /// selections). Diagnostic: varies with `filter_threads` and the unit
@@ -221,9 +212,9 @@ mod tests {
             probes: 3,
             probe_reinstates: 1,
             recovery_ns: 100,
-            cache_hits: 7,
-            cache_misses: 3,
-            commands_elided: 9,
+            cache_hits: 0,
+            cache_misses: 0,
+            commands_elided: 0,
             hw: HwStats::default(),
             gpu_modeled: Duration::from_micros(2),
             sim_wall: Duration::from_micros(7),
@@ -231,9 +222,6 @@ mod tests {
         t.add(&other);
         t.add(&other);
         assert_eq!(t.rejected_by_hw, 4);
-        assert_eq!(t.cache_hits, 14);
-        assert_eq!(t.cache_misses, 6);
-        assert_eq!(t.commands_elided, 18);
         assert_eq!(t.hw_tests, 12);
         assert_eq!(t.overlap_tests, 10);
         assert_eq!(t.fallback_tests, 4);

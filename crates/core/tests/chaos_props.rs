@@ -96,7 +96,7 @@ fn replayable_counters(t: &hwa_core::TestStats) -> String {
     format!(
         "pip {} rej {} sw {} skip {} width {} hw {} batches {} fb {} faults {} \
          retries {} quar {} fo {} shq {} probes {} reinst {} rec_ns {} \
-         cache {}/{} elided {} hwstats {:?} gpu {:?}",
+         hwstats {:?} gpu {:?}",
         t.decided_by_pip,
         t.rejected_by_hw,
         t.software_tests,
@@ -113,9 +113,6 @@ fn replayable_counters(t: &hwa_core::TestStats) -> String {
         t.probes,
         t.probe_reinstates,
         t.recovery_ns,
-        t.cache_hits,
-        t.cache_misses,
-        t.commands_elided,
         t.hw,
         t.gpu_modeled,
     )

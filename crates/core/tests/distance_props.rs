@@ -80,11 +80,11 @@ proptest! {
             let batch = t.test_batch(Predicate::WithinDistance(d), &[(&p, &q), (&q, &p)], &mut st);
             prop_assert_eq!(batch, vec![expect, expect], "batch, d = {}", d);
 
-            // A fresh tester records cold where `t` splices warm.
-            let mut cold = HwTester::new(HwConfig::at_resolution(res));
+            // A fresh tester answers what the reused `t` does.
+            let mut fresh = HwTester::new(HwConfig::at_resolution(res));
             let mut st = TestStats::default();
-            prop_assert_eq!(cold.within_distance(&p, &q, d, &mut st), expect,
-                "cold recording, d = {}", d);
+            prop_assert_eq!(fresh.within_distance(&p, &q, d, &mut st), expect,
+                "fresh tester, d = {}", d);
         }
     }
 

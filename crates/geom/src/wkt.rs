@@ -51,14 +51,21 @@ pub fn parse_polygon(s: &str) -> Result<Polygon, WktError> {
         .ok_or(WktError::BadParens)?
         .trim();
     // Split rings at top level: inner should be "(ring1), (ring2)...".
+    // Outside a ring only whitespace and the one comma between two rings
+    // may appear.
     let mut rings: Vec<&str> = Vec::new();
     let mut depth = 0usize;
-    let mut start = None;
+    let mut start = 0;
+    let mut ring_due = true;
     for (i, c) in inner.char_indices() {
         match c {
             '(' => {
                 if depth == 0 {
-                    start = Some(i + 1);
+                    if !ring_due {
+                        return Err(WktError::BadParens);
+                    }
+                    ring_due = false;
+                    start = i + 1;
                 }
                 depth += 1;
             }
@@ -68,19 +75,19 @@ pub fn parse_polygon(s: &str) -> Result<Polygon, WktError> {
                 }
                 depth -= 1;
                 if depth == 0 {
-                    rings.push(&inner[start.ok_or(WktError::BadParens)?..i]);
+                    rings.push(&inner[start..i]);
                 }
             }
+            ',' if depth == 0 && !ring_due => ring_due = true,
+            c if depth == 0 && !c.is_whitespace() => return Err(WktError::BadParens),
             _ => {}
         }
     }
-    if depth != 0 {
+    if depth != 0 || ring_due {
         return Err(WktError::BadParens);
     }
-    match rings.len() {
-        0 => return Err(WktError::BadParens),
-        1 => {}
-        _ => return Err(WktError::HasInteriorRings),
+    if rings.len() > 1 {
+        return Err(WktError::HasInteriorRings);
     }
     let mut vertices = Vec::new();
     for pair in rings[0].split(',') {
@@ -176,6 +183,21 @@ mod tests {
             parse_polygon("POLYGON ((0 0, 10 0, 10 10), (2 2, 3 2, 3 3))"),
             Err(WktError::HasInteriorRings)
         );
+    }
+
+    #[test]
+    fn rejects_junk_outside_a_ring() {
+        for junk in [
+            "POLYGON ((0 0, 4 0, 4 4) oops)",
+            "POLYGON (junk (0 0, 4 0, 4 4))",
+            "POLYGON ((0 0, 4 0, 4 4), )",
+            "POLYGON (, (0 0, 4 0, 4 4))",
+            "POLYGON ((0 0, 4 0, 4 4) (1 1, 2 1, 2 2))",
+            "POLYGON ((0 0, 4 0, 4 4),, (1 1, 2 1, 2 2))",
+            "POLYGON ()",
+        ] {
+            assert_eq!(parse_polygon(junk), Err(WktError::BadParens), "{junk}");
+        }
     }
 
     #[test]

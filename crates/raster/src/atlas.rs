@@ -145,67 +145,6 @@ pub fn record_batch(jobs: &[AtlasJob], line_width: f64, point_size: f64) -> (Com
     (rec.finish(), slot)
 }
 
-/// The splice shape of a batch: for each job, which of its four geometry
-/// lists (first segments, first points, second segments, second points)
-/// are non-empty. Two batches with equal shapes — plus equal cell
-/// resolution and line state — record identical command skeletons,
-/// differing only in viewport values and geometry runs. This is the
-/// choreography-shape component of the recording cache's key, and the
-/// contract [`splice_batch`] relies on.
-pub fn batch_shape(jobs: &[AtlasJob]) -> Vec<[bool; 4]> {
-    jobs.iter()
-        .map(|j| {
-            [
-                !j.first_segments.is_empty(),
-                !j.first_points.is_empty(),
-                !j.second_segments.is_empty(),
-                !j.second_points.is_empty(),
-            ]
-        })
-        .collect()
-}
-
-/// Re-instantiates a cached batch skeleton with `jobs`' viewports and
-/// geometry, walking the jobs in exactly the order [`record_batch`]
-/// records them (per pass: non-empty segment cells, then non-empty point
-/// cells). `template` must come from a [`record_batch`] list (optionally
-/// fused) of a batch with the same [`batch_shape`], cell resolution and
-/// line state — the cache key guarantees it.
-pub fn splice_batch(jobs: &[AtlasJob], template: &crate::device::ListTemplate) -> CommandList {
-    let mut viewports: Vec<Viewport> = Vec::new();
-    let mut seg_runs: Vec<&[Segment]> = Vec::new();
-    let mut point_runs: Vec<&[Point]> = Vec::new();
-    for pass in [Pass::First, Pass::Second] {
-        for job in jobs {
-            let segments: &[Segment] = match pass {
-                Pass::First => &job.first_segments,
-                Pass::Second => &job.second_segments,
-            };
-            if segments.is_empty() {
-                continue;
-            }
-            viewports.push(job.viewport);
-            seg_runs.push(segments);
-        }
-        for job in jobs {
-            let points: &[Point] = match pass {
-                Pass::First => &job.first_points,
-                Pass::Second => &job.second_points,
-            };
-            if points.is_empty() {
-                continue;
-            }
-            viewports.push(job.viewport);
-            point_runs.push(points);
-        }
-    }
-    template.instantiate(
-        &viewports,
-        |i, out| out.extend_from_slice(seg_runs[i]),
-        |i, out| out.extend_from_slice(point_runs[i]),
-    )
-}
-
 #[derive(Clone, Copy, PartialEq)]
 enum Pass {
     First,
@@ -227,13 +166,10 @@ fn cell_rect(layout: &Layout, i: usize) -> PixelRect {
 /// renders through its own cell-local window — scissor plus cell-sized
 /// viewport — so its fragments are identical to the per-pair path's.
 ///
-/// Cells with no geometry in a loop are skipped entirely: recording their
-/// scissor/viewport churn (and an empty extend-draw) would be exactly the
-/// dead state `CommandList::fuse` elides, so the cold recording is already
-/// the fused form. The first *non-empty* job opens each loop's draw call
-/// — one `draw_calls` charge per loop with work in it, the same total the
-/// old open-unconditionally recording charged whenever any geometry
-/// existed.
+/// Cells with no geometry in a loop are skipped entirely: their
+/// scissor/viewport churn (and an empty extend-draw) is state no draw
+/// observes and nothing charges. The first *non-empty* job opens each
+/// loop's draw call — one `draw_calls` charge per loop with work in it.
 fn record_pass(rec: &mut Recorder, jobs: &[AtlasJob], layout: &Layout, pass: Pass) {
     let mut opened = false;
     for (i, job) in jobs.iter().enumerate() {
@@ -567,28 +503,6 @@ mod tests {
     }
 
     #[test]
-    fn cold_recordings_are_already_fused() {
-        // Geometry-free cells are skipped at record time, so the fusion
-        // pass finds nothing to elide — the dead scissor/viewport churn it
-        // exists for is never recorded in the first place.
-        let r = Rect::new(0.0, 0.0, 8.0, 8.0);
-        let jobs = vec![
-            job(
-                r,
-                8,
-                vec![seg(0.0, 0.0, 8.0, 8.0)],
-                vec![seg(0.0, 8.0, 8.0, 0.0)],
-            ),
-            job(r, 8, vec![seg(1.0, 0.0, 1.0, 8.0)], vec![]),
-            job(r, 8, vec![], vec![seg(2.0, 0.0, 2.0, 8.0)]),
-        ];
-        let (list, _) = record_batch(&jobs, DIAGONAL_WIDTH, 1.0);
-        let (fused, elided) = list.fuse();
-        assert_eq!(elided, 0, "cold atlas recordings must be minimal");
-        assert_eq!(fused, list);
-    }
-
-    #[test]
     fn skipping_empty_cells_preserves_counters_and_flags() {
         // The one-sided jobs of the contamination test, re-checked for
         // counter identity: skipping a cell elides only uncharged state.
@@ -607,40 +521,6 @@ mod tests {
         assert_eq!(flags, vec![true, false, false]);
         assert_eq!(s.draw_calls, 2, "each pass still opens exactly one call");
         assert_eq!(s.minmax_queries, 1);
-    }
-
-    #[test]
-    fn splice_batch_equals_cold_recording() {
-        use crate::device::ListTemplate;
-        let r1 = Rect::new(0.0, 0.0, 8.0, 8.0);
-        let r2 = Rect::new(4.0, 4.0, 12.0, 12.0);
-        let mk = |r: Rect, a: f64| AtlasJob {
-            viewport: Viewport::uniform(r, 8, 8),
-            first_segments: vec![seg(a, 0.0, a, 8.0)],
-            first_points: vec![Point::new(a, 0.0), Point::new(a, 8.0)],
-            second_segments: vec![seg(0.0, a, 8.0, a)],
-            second_points: vec![Point::new(0.0, a), Point::new(8.0, a)],
-        };
-        let batch_a = vec![mk(r1, 1.0), mk(r1, 2.0), mk(r1, 3.0)];
-        let batch_b = vec![mk(r2, 5.0), mk(r2, 6.0), mk(r2, 7.0)];
-        assert_eq!(batch_shape(&batch_a), batch_shape(&batch_b));
-
-        let (cold_a, slot) = record_batch(&batch_a, 3.0, 3.0);
-        let (fused_a, _) = cold_a.fuse();
-        let template = ListTemplate::new(&fused_a);
-
-        // Splicing batch B into A's skeleton equals B's own recording.
-        let spliced = splice_batch(&batch_b, &template);
-        let (cold_b, slot_b) = record_batch(&batch_b, 3.0, 3.0);
-        let (fused_b, _) = cold_b.fuse();
-        assert_eq!(spliced, fused_b);
-        assert_eq!(slot, slot_b);
-
-        let mut dev = DeviceKind::default().build();
-        assert_eq!(
-            dev.execute(&spliced).unwrap(),
-            dev.execute(&cold_b).unwrap()
-        );
     }
 
     #[test]

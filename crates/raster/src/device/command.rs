@@ -165,61 +165,6 @@ impl CommandList {
         self.readbacks
     }
 
-    /// Rebuilds a list from raw parts — the constructor the fusion pass
-    /// ([`CommandList::fuse`]) and [`super::ListTemplate`] use. Callers
-    /// are responsible for keeping every command's run indices inside the
-    /// arenas; the [`Recorder`] invariants are assumed, not re-checked.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn from_parts(
-        width: usize,
-        height: usize,
-        commands: Vec<Command>,
-        segments: Vec<Segment>,
-        points: Vec<Point>,
-        polys: Vec<Point>,
-        cells: Vec<PixelRect>,
-        readbacks: usize,
-    ) -> CommandList {
-        CommandList {
-            width,
-            height,
-            commands,
-            segments,
-            points,
-            polys,
-            cells,
-            readbacks,
-        }
-    }
-
-    /// Same window, arenas and readback count, different command tape —
-    /// how the fusion pass emits its output without copying geometry
-    /// semantics it did not touch.
-    pub(crate) fn with_commands(&self, commands: Vec<Command>) -> CommandList {
-        CommandList {
-            width: self.width,
-            height: self.height,
-            commands,
-            segments: self.segments.clone(),
-            points: self.points.clone(),
-            polys: self.polys.clone(),
-            cells: self.cells.clone(),
-            readbacks: self.readbacks,
-        }
-    }
-
-    /// The whole polygon-vertex arena (template construction).
-    #[inline]
-    pub(crate) fn polys_arena(&self) -> &[Point] {
-        &self.polys
-    }
-
-    /// The whole cell-rectangle arena (template construction).
-    #[inline]
-    pub(crate) fn cells_arena(&self) -> &[PixelRect] {
-        &self.cells
-    }
-
     #[inline]
     pub(crate) fn seg_run(&self, start: usize, len: usize) -> &[Segment] {
         &self.segments[start..start + len]

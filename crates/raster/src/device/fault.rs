@@ -245,11 +245,6 @@ impl RasterDevice for FaultDevice {
         self.inner.shards()
     }
 
-    fn set_shard_health(&mut self, shard: usize, healthy: bool) {
-        // Health bookkeeping is not a submission either: forward verbatim.
-        self.inner.set_shard_health(shard, healthy);
-    }
-
     fn snapshot(&self) -> Option<FrameBuffer> {
         self.inner.snapshot()
     }

@@ -21,14 +21,8 @@
 //!    a `CommandList` by replaying it, independent of which device (or
 //!    shard) ran it for real.
 //!
-//! Between validation and execution two optional, set-preserving
-//! transformations sit on the recording side: [`CommandList::fuse`] elides
-//! uncharged dead state from a recorded tape (see [`fuse`]), and a
-//! [`ListTemplate`] turns a recorded skeleton into a reusable tape that
-//! splices fresh viewports and geometry per instantiation (see
-//! [`template`]) — the machinery behind `hwa-core`'s recording cache.
-//! Neither changes what an executor observes being charged: framebuffer,
-//! readbacks and every `HwStats` counter stay bit-identical.
+//! Nothing sits between the recorder and the device: the list a caller
+//! records is the list an executor runs, command for command.
 //!
 //! One executor ships: [`ReferenceDevice`] replays the list onto
 //! [`crate::GlContext`] verbatim, bit-identical to driving the context by
@@ -64,17 +58,14 @@
 
 pub mod command;
 pub mod fault;
-pub mod fuse;
 mod reference;
 pub mod shard;
-pub mod template;
 
 pub use crate::context::PixelRect;
 pub use command::{Command, CommandList, RecordError, Recorder};
 pub use fault::{FaultDevice, FaultKind, FaultPlan, FaultTrigger};
 pub use reference::ReferenceDevice;
 pub use shard::{failover_route, ShardedDevice};
-pub use template::ListTemplate;
 
 use crate::framebuffer::FrameBuffer;
 use crate::stats::HwStats;
@@ -276,10 +267,12 @@ pub trait RasterDevice: Send + std::fmt::Debug {
     /// Selects which shard subsequent [`RasterDevice::execute`] calls land
     /// on. Single-backend executors have nothing to route — the default is
     /// a no-op — while [`ShardedDevice`] switches its active inner backend
-    /// (modulo its shard count, rehashed over its healthy shards) and
-    /// [`FaultDevice`] forwards to whatever it wraps. Callers route by
-    /// partition index (`partition % shards`), a pure function of the
-    /// partition, so sharded execution stays deterministic.
+    /// (modulo its shard count) and [`FaultDevice`] forwards to whatever it
+    /// wraps. Which shard is *healthy* is the caller's knowledge, not the
+    /// device's: the supervisor in `core` resolves a partition's shard
+    /// through [`shard::failover_route`] over its own breakers and routes
+    /// to the result, a pure function of (partition, breaker state), so
+    /// sharded execution stays deterministic.
     fn route(&mut self, _shard: usize) {}
 
     /// How many independently routable shards this device fans out to.
@@ -289,15 +282,6 @@ pub trait RasterDevice: Send + std::fmt::Debug {
     fn shards(&self) -> usize {
         1
     }
-
-    /// Marks one shard healthy or unhealthy for routing purposes:
-    /// [`ShardedDevice::route`] rehashes submissions aimed at an unhealthy
-    /// shard onto the next healthy one ([`shard::failover_route`]). A
-    /// no-op on unsharded executors (the default) — a single-backend
-    /// device has nowhere else to send work, so health lives entirely in
-    /// the caller's breaker. Health never affects *what* a shard computes,
-    /// only which shard computes it, so results are untouched.
-    fn set_shard_health(&mut self, _shard: usize, _healthy: bool) {}
 
     /// The final framebuffer of the most recent [`RasterDevice::execute`],
     /// if any — for equivalence tests and debugging dumps, not for the

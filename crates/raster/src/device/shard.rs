@@ -12,11 +12,12 @@
 //!
 //! Routing is state the *caller* owns: partition `p` routes to shard
 //! `p % K`, a pure function of the partition index, never of thread
-//! timing. When the caller's breaker marks a shard unhealthy
-//! ([`RasterDevice::set_shard_health`]), the requested index is rehashed
-//! over the healthy set by [`failover_route`] — still a pure function of
-//! (index, mask), so failover is exactly as deterministic as the happy
-//! path (DESIGN.md §13). Each shard is an ordinary [`RasterDevice`] and
+//! timing. So is shard *health*: the supervisor in `core` keeps one
+//! breaker per shard, rehashes a submission aimed at an open one over the
+//! usable set with [`failover_route`] — still a pure function of (index,
+//! mask), so failover is exactly as deterministic as the happy path
+//! (DESIGN.md §13) — and routes to the result; this device lands a route
+//! where it is told. Each shard is an ordinary [`RasterDevice`] and
 //! keeps the purity contract (same list → same [`Execution`]), so the
 //! ensemble is as deterministic as its parts.
 //!
@@ -82,30 +83,19 @@ pub fn failover_route(desired: usize, healthy: &[bool]) -> Option<usize> {
 /// from [`DeviceKind::for_shard`], so an untargeted fault plan salts its
 /// per-fault seed per shard and a [`super::FaultPlan::on_shard`] plan
 /// faults exactly one shard.
-///
-/// Each shard also carries a health bit
-/// ([`RasterDevice::set_shard_health`], all healthy at construction):
-/// [`RasterDevice::route`] resolves the requested shard through
-/// [`failover_route`], so submissions aimed at a shard the caller's
-/// breaker has opened land on the next healthy shard instead. When every
-/// shard is unhealthy, routing falls back to the requested index — the
-/// caller is expected to stop submitting (software fallback) before that
-/// matters.
 #[derive(Debug)]
 pub struct ShardedDevice {
     shards: Vec<Box<dyn RasterDevice>>,
-    healthy: Vec<bool>,
     active: usize,
 }
 
 impl ShardedDevice {
     /// Builds `shards` independent instances of `inner` (clamped to at
-    /// least one), all healthy.
+    /// least one).
     pub fn new(inner: &DeviceKind, shards: usize) -> Self {
         let n = shards.max(1);
         ShardedDevice {
             shards: (0..n).map(|i| inner.for_shard(i).build()).collect(),
-            healthy: vec![true; n],
             active: 0,
         }
     }
@@ -118,11 +108,6 @@ impl ShardedDevice {
     /// The shard index submissions currently execute on.
     pub fn active(&self) -> usize {
         self.active
-    }
-
-    /// The current health mask, in shard order.
-    pub fn healthy(&self) -> &[bool] {
-        &self.healthy
     }
 
     /// Folds per-partition executions into one, **in the order given**:
@@ -152,21 +137,11 @@ impl RasterDevice for ShardedDevice {
     }
 
     fn route(&mut self, shard: usize) {
-        let desired = shard % self.shards.len();
-        self.active = failover_route(desired, &self.healthy).unwrap_or(desired);
+        self.active = shard % self.shards.len();
     }
 
     fn shards(&self) -> usize {
         self.shards.len()
-    }
-
-    fn set_shard_health(&mut self, shard: usize, healthy: bool) {
-        let n = self.shards.len();
-        self.healthy[shard % n] = healthy;
-        // Keep the active shard consistent with the new mask: a submission
-        // routed before the health change must not land on a shard that
-        // just went dark.
-        self.active = failover_route(self.active, &self.healthy).unwrap_or(self.active);
     }
 
     fn snapshot(&self) -> Option<FrameBuffer> {
@@ -239,20 +214,6 @@ mod tests {
     }
 
     #[test]
-    fn unhealthy_shards_are_rehashed_around() {
-        let list = minmax_list();
-        let reference = DeviceKind::Reference.build().execute(&list).unwrap();
-        let mut dev = ShardedDevice::new(&DeviceKind::Reference, 4);
-        dev.set_shard_health(1, false);
-        dev.route(1);
-        assert_eq!(dev.active(), 2, "desired shard is sick: next one serves");
-        assert_eq!(dev.execute(&list).unwrap(), reference);
-        dev.set_shard_health(1, true);
-        dev.route(1);
-        assert_eq!(dev.active(), 1, "re-admitted shard serves again");
-    }
-
-    #[test]
     fn failover_route_is_a_stable_rehash() {
         assert_eq!(failover_route(2, &[true, true, true, true]), Some(2));
         assert_eq!(failover_route(2, &[true, true, false, true]), Some(3));
@@ -261,15 +222,6 @@ mod tests {
         assert_eq!(failover_route(0, &[]), None);
         // Indices past the mask length wrap like route() does.
         assert_eq!(failover_route(6, &[true, false, true]), Some(0));
-    }
-
-    #[test]
-    fn health_change_moves_the_active_shard_off_a_dead_one() {
-        let mut dev = ShardedDevice::new(&DeviceKind::Reference, 3);
-        dev.route(2);
-        assert_eq!(dev.active(), 2);
-        dev.set_shard_health(2, false);
-        assert_eq!(dev.active(), 0, "active shard rehashed after it died");
     }
 
     #[test]

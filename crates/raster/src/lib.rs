@@ -43,8 +43,8 @@ pub use context::{
 pub use cost_model::HwCostModel;
 pub use device::{
     failover_route, Command, CommandList, DeviceError, DeviceKind, Execution, FaultDevice,
-    FaultKind, FaultPlan, FaultTrigger, ListTemplate, RasterDevice, Readback, RecordError,
-    Recorder, ReferenceDevice, ShardedDevice,
+    FaultKind, FaultPlan, FaultTrigger, RasterDevice, Readback, RecordError, Recorder,
+    ReferenceDevice, ShardedDevice,
 };
 pub use framebuffer::FrameBuffer;
 pub use stats::HwStats;

@@ -2,7 +2,7 @@
 //! [`ReferenceDevice`] execution is pure and self-validating, and the two
 //! wrappers around it — [`FaultDevice`] and `ShardedDevice` — are
 //! transparent: bit-identical framebuffers, readback results and `HwStats`
-//! counters to the bare executor, on every route and health mask.
+//! counters to the bare executor, on every route.
 //!
 //! The scenes deliberately exercise every command the recorder can emit:
 //! all three overlap-strategy choreographies (accumulation, blending,
@@ -199,34 +199,6 @@ proptest! {
         prop_assert_eq!(first, second, "impure execution");
     }
 
-    /// Fusing a recorded list is set-preserving: the fused list produces
-    /// bit-identical charged stats, readbacks and framebuffer pixels — and
-    /// identical outcome sequences under seeded fault schedules, since
-    /// fusion never changes how often a list executes.
-    #[test]
-    fn fusion_preserves_execution(
-        scene in arb_scene(),
-        seed in 0u64..u64::MAX,
-    ) {
-        let list = record(&scene);
-        let (fused, _elided) = list.fuse();
-        let (ref_exec, ref_fb) = reference_run(&list);
-        let (exec, fb) = reference_run(&fused);
-        prop_assert_eq!(&exec.stats, &ref_exec.stats, "stats diverged");
-        prop_assert_eq!(&exec.readbacks, &ref_exec.readbacks, "readbacks diverged");
-        prop_assert!(fb == ref_fb, "framebuffer diverged");
-        // Identically-seeded fault schedules must be indistinguishable
-        // between the fused and unfused lists, outcome for outcome.
-        for kind in [FaultKind::ContextLost, FaultKind::ReadbackBitFlip] {
-            let plan = FaultPlan::new(seed, kind, FaultTrigger::EveryK(2));
-            let run = |l: &CommandList| -> Vec<Result<spatial_raster::Execution, DeviceError>> {
-                let mut dev = FaultDevice::new(Box::new(ReferenceDevice::new()), plan);
-                (0..4).map(|_| dev.execute(l)).collect()
-            };
-            prop_assert_eq!(run(&fused), run(&list), "fault schedule diverged under {:?}", kind);
-        }
-    }
-
     /// A fault-wrapped executor is transparent off-schedule and fails with
     /// exactly the planned error on schedule, deterministically across
     /// repeat runs of the same plan.
@@ -317,47 +289,6 @@ proptest! {
                 for k in 0..steps {
                     prop_assert!(!healthy[(d + k) % n]);
                 }
-            }
-        }
-    }
-
-    /// With one shard marked dead, every route still executes — on the
-    /// rehashed shard — and stays bit-identical to the reference across
-    /// shard counts {1, 2, 4}: the health mask moves work, never
-    /// results.
-    #[test]
-    fn dead_shard_rehash_is_bit_identical(
-        scene in arb_scene(),
-        dead in 0usize..4,
-        routes in prop::collection::vec(0usize..8, 1..5),
-    ) {
-        use spatial_raster::{DeviceKind, ShardedDevice};
-        let list = record(&scene);
-        let (ref_exec, ref_fb) = reference_run(&list);
-        for shards in [1usize, 2, 4] {
-            let mut dev = ShardedDevice::new(&DeviceKind::Reference, shards);
-            let dead = dead % shards;
-            if shards > 1 {
-                dev.set_shard_health(dead, false);
-            }
-            for &r in &routes {
-                dev.route(r);
-                if shards > 1 {
-                    prop_assert_ne!(
-                        dev.active(), dead,
-                        "route {} landed on the dead shard of {}", r, shards
-                    );
-                }
-                let exec = dev.execute(&list).expect("the simulated executor is infallible");
-                prop_assert_eq!(&exec.stats, &ref_exec.stats, "stats diverged, {} shards", shards);
-                prop_assert_eq!(&exec.readbacks, &ref_exec.readbacks);
-                prop_assert!(dev.snapshot().expect("ran") == ref_fb);
-            }
-            // Reinstating the shard restores identity routing.
-            if shards > 1 {
-                dev.set_shard_health(dead, true);
-                dev.route(dead);
-                prop_assert_eq!(dev.active(), dead);
             }
         }
     }

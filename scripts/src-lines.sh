@@ -4,7 +4,8 @@
 # PRs in CHANGES.md report. Integration tests, benches and examples are
 # not product source and are not counted.
 #
-#   scripts/src-lines.sh              every file, per-crate totals
+#   scripts/src-lines.sh              every file, per-crate totals, then
+#                                     `== product` and `== vendored`
 #   scripts/src-lines.sh FILE...      just these files and their total
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -22,16 +23,23 @@ if [ "$#" -gt 0 ]; then
     exit
 fi
 
-grand=0
-for dir in crates/*/src vendor/*/src src; do
-    [ -d "$dir" ] || continue
-    subtotal=0
-    while IFS= read -r f; do
-        n=$(count "$f")
-        printf '%6d  %s\n' "$n" "$f"
-        subtotal=$((subtotal + n))
-    done < <(find "$dir" -name '*.rs' | sort)
-    printf '%6d  == %s\n' "$subtotal" "${dir%/src}"
-    grand=$((grand + subtotal))
-done
-printf '%6d  == all crates\n' "$grand"
+# `== product` is this repository's own source (crates + the root facade);
+# `== vendored` the offline stand-ins for published crates under vendor/.
+report() {
+    local label=$1 total=0 dir subtotal f n
+    shift
+    for dir in "$@"; do
+        [ -d "$dir" ] || continue
+        subtotal=0
+        while IFS= read -r f; do
+            n=$(count "$f")
+            printf '%6d  %s\n' "$n" "$f"
+            subtotal=$((subtotal + n))
+        done < <(find "$dir" -name '*.rs' | sort)
+        printf '%6d  == %s\n' "$subtotal" "${dir%/src}"
+        total=$((total + subtotal))
+    done
+    printf '%6d  == %s\n' "$total" "$label"
+}
+report product crates/*/src src
+report vendored vendor/*/src
