@@ -1,8 +1,8 @@
 //! Criterion microbenchmarks for the kernels underneath the figures:
-//! point-in-polygon, the two sweeps, minDist, the AA-line rasterizer and
-//! its clip stage, the polygon fill, the R-tree, and one full Algorithm
-//! 3.1 call. Kept short (small sample count) so `cargo bench --workspace`
-//! finishes in minutes.
+//! point-in-polygon, the two sweeps, minDist and its frontier clip, the
+//! 0/1-object bounds, the AA-line rasterizer and its clip stage, the
+//! polygon fill, the R-tree, and one full Algorithm 3.1 call. Kept short
+//! (small sample count) so `cargo bench --workspace` finishes in minutes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hwa_core::hw_intersect::HwTester;
@@ -10,6 +10,8 @@ use hwa_core::{HwConfig, TestStats};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spatial_datagen::shapes::harmonic_star;
+use spatial_filters::{one_object_upper_bound, zero_object_upper_bound};
+use spatial_geom::chains::frontier_clipped;
 use spatial_geom::intersect::{polygons_intersect_with, IntersectStats, SweepAlgo};
 use spatial_geom::{point_in_polygon, within_distance, Point, Polygon, Rect, Segment};
 use spatial_index::RTree;
@@ -72,6 +74,49 @@ fn bench_mindist(c: &mut Criterion) {
             b.iter(|| within_distance(black_box(&p), black_box(&q), 30.0))
         });
     }
+    g.finish();
+}
+
+/// The frontier clip in its two regimes: MBRs separated by a gap (one
+/// chain between cached extremes is walked) and MBRs overlapping on both
+/// axes (no chain exists; the whole boundary is clipped).
+fn bench_frontier(c: &mut Criterion) {
+    let mut g = c.benchmark_group("frontier_clipped");
+    g.sample_size(20);
+    g.warm_up_time(Duration::from_millis(500));
+    g.measurement_time(Duration::from_secs(2));
+    let p = star(2048, 4, 0.0, 0.0);
+    for (name, other) in [
+        ("chain", star(2048, 5, 150.0, 0.0).mbr()),
+        ("both_axes_overlap", star(2048, 5, 60.0, 20.0).mbr()),
+    ] {
+        assert_eq!(name == "chain", !p.mbr().intersects(&other));
+        g.bench_function(name, |b| {
+            b.iter(|| frontier_clipped(black_box(&p), black_box(&other), 30.0).len())
+        });
+    }
+    g.finish();
+}
+
+/// The 0-object bound of an MBR pair, and the 1-object bound from a
+/// 64-edge boundary sample (the engine's cap) under it.
+fn bench_object_filters(c: &mut Criterion) {
+    let mut g = c.benchmark_group("object_filters");
+    g.sample_size(30);
+    g.warm_up_time(Duration::from_millis(500));
+    g.measurement_time(Duration::from_secs(2));
+    let p = star(2048, 4, 0.0, 0.0);
+    let (r1, r2) = (p.mbr(), star(64, 5, 150.0, 0.0).mbr());
+    g.bench_function("zero", |b| {
+        b.iter(|| zero_object_upper_bound(black_box(&r1), black_box(&r2)))
+    });
+    let ub0 = zero_object_upper_bound(&r1, &r2);
+    g.bench_function("one", |b| {
+        b.iter(|| {
+            let sample = (0..2048).step_by(32).map(|i| p.edge(i));
+            one_object_upper_bound(black_box(sample), black_box(&r2), ub0)
+        })
+    });
     g.finish();
 }
 
@@ -222,6 +267,8 @@ criterion_group!(
     bench_pip,
     bench_sweeps,
     bench_mindist,
+    bench_frontier,
+    bench_object_filters,
     bench_aa_line,
     bench_polygon_fill,
     bench_rtree,

@@ -35,10 +35,10 @@ use crate::stats::TestStats;
 use spatial_geom::intersect::restricted_edges;
 use spatial_geom::pip::point_in_polygon;
 use spatial_geom::sweep::{tree_sweep_intersects_stats, SweepStats};
-use spatial_geom::{Polygon, Rect};
+use spatial_geom::{Point, Polygon, Rect, Segment};
 use spatial_raster::aa_line::DIAGONAL_WIDTH;
 use spatial_raster::atlas::record_batch;
-use spatial_raster::{AtlasJob, CommandList, OverlapStrategy, Viewport, MAX_AA_LINE_WIDTH};
+use spatial_raster::{AtlasCell, CommandList, OverlapStrategy, Viewport, MAX_AA_LINE_WIDTH};
 
 /// Which `record_*` function draws a window's tape.
 #[derive(Debug, Clone, Copy)]
@@ -173,20 +173,35 @@ impl Window<'_> {
         }
     }
 
-    fn atlas_job(&self) -> AtlasJob {
+    /// The polygon rendered first or second.
+    fn side(&self, second: bool) -> &Polygon {
+        if second {
+            self.second
+        } else {
+            self.first
+        }
+    }
+}
+
+/// A window is its own atlas cell: its edges stream from the polygons
+/// into the list's arena, never through a per-cell copy.
+impl AtlasCell for &Window<'_> {
+    fn viewport(&self) -> Viewport {
+        self.viewport
+    }
+
+    fn segments(&self, second: bool) -> impl ExactSizeIterator<Item = Segment> {
+        self.side(second).edges()
+    }
+
+    fn points(&self, second: bool) -> impl ExactSizeIterator<Item = Point> {
         // The distance test draws vertex caps (smooth points) on top of
         // the edges.
-        let points = |poly: &Polygon| match self.recording {
-            Recording::Distance(_) => poly.vertices().to_vec(),
-            _ => Vec::new(),
+        let caps: &[Point] = match self.recording {
+            Recording::Distance(_) => self.side(second).vertices(),
+            _ => &[],
         };
-        AtlasJob {
-            viewport: self.viewport,
-            first_segments: self.first.edges().collect(),
-            first_points: points(self.first),
-            second_segments: self.second.edges().collect(),
-            second_points: points(self.second),
-        }
+        caps.iter().copied()
     }
 }
 
@@ -210,9 +225,8 @@ pub(crate) fn list(tape: Tape<'_>) -> (CommandList, usize) {
     match tape {
         Tape::Pair(w) => w.record(),
         Tape::Atlas(windows) => {
-            let jobs: Vec<AtlasJob> = windows.iter().map(|w| w.atlas_job()).collect();
             let width = windows[0].width;
-            record_batch(&jobs, width, width)
+            record_batch(windows, width, width)
         }
     }
 }

@@ -26,11 +26,11 @@ pub enum Decision {
 /// One intermediate filter over candidates of type `C` (the pipelines
 /// use `(left, right)` index pairs; a selection's left index is 0).
 ///
-/// `examine` takes `&mut self` because real filters keep state (the
-/// 1-object filter's edge cache); implementations must stay deterministic
-/// in candidate order, which the executor keeps identical across
-/// configurations — filtering always runs sequentially, before candidates
-/// are partitioned for parallel refinement. Stage 1 upholds its side of
+/// `examine` takes `&mut self` so a filter may keep state between
+/// candidates; implementations must stay deterministic in candidate
+/// order, which the executor keeps identical across configurations —
+/// filtering always runs sequentially, before candidates are partitioned
+/// for parallel refinement. Stage 1 upholds its side of
 /// the contract even when the MBR filter itself is threaded: the join
 /// scheduler merges work-unit outputs in unit order, so the candidate
 /// sequence reaching this chain is bit-identical to a sequential
@@ -76,9 +76,6 @@ pub struct ObjectFilterStage<'a> {
     a: &'a PreparedDataset,
     b: &'a PreparedDataset,
     d: f64,
-    /// One-slot edge cache keyed on the left object: the tree join emits
-    /// left-consecutive pairs, so consecutive candidates usually reuse it.
-    cached_edges: Option<(usize, Vec<Segment>)>,
 }
 
 /// The 1-object bound stays valid on any boundary *subset* (distances to
@@ -89,17 +86,17 @@ const MAX_FILTER_EDGES: usize = 64;
 
 impl<'a> ObjectFilterStage<'a> {
     pub fn new(a: &'a PreparedDataset, b: &'a PreparedDataset, d: f64) -> Self {
-        ObjectFilterStage {
-            a,
-            b,
-            d,
-            cached_edges: None,
-        }
+        ObjectFilterStage { a, b, d }
     }
 
-    fn sampled(poly: &Polygon) -> Vec<Segment> {
-        let step = poly.vertex_count().div_ceil(MAX_FILTER_EDGES).max(1);
-        poly.edges().step_by(step).collect()
+    /// Every `step`-th edge of `poly`, at most [`MAX_FILTER_EDGES`] of
+    /// them, read in place: the sample is a stride over the vertex array,
+    /// and repeating it per candidate measured no slower than keeping the
+    /// last one in a buffer (EXPERIMENTS.md "Honest software baseline").
+    fn sampled(poly: &Polygon) -> impl Iterator<Item = Segment> + '_ {
+        let n = poly.vertex_count();
+        let step = n.div_ceil(MAX_FILTER_EDGES).max(1);
+        (0..n).step_by(step).map(|i| poly.edge(i))
     }
 }
 
@@ -110,28 +107,13 @@ impl CandidateFilter<(usize, usize)> for ObjectFilterStage<'_> {
         if ub0 <= self.d {
             return Decision::Confirm;
         }
-        // 1-object filter on the larger polygon of the pair; only the left
-        // side repeats consecutively after the tree join, so only left
-        // polygons are worth caching.
-        let (big, other_mbr, cache_key) = if pa.vertex_count() >= pb.vertex_count() {
-            (pa, pb.mbr(), Some(i))
+        // 1-object filter on the larger polygon of the pair.
+        let (big, other_mbr) = if pa.vertex_count() >= pb.vertex_count() {
+            (pa, pb.mbr())
         } else {
-            (pb, pa.mbr(), None)
+            (pb, pa.mbr())
         };
-        let ub1 = match (&self.cached_edges, cache_key) {
-            (Some((k, edges)), Some(key)) if *k == key => {
-                one_object_upper_bound(big, edges, &other_mbr)
-            }
-            _ => {
-                let edges = Self::sampled(big);
-                let ub = one_object_upper_bound(big, &edges, &other_mbr);
-                if let Some(key) = cache_key {
-                    self.cached_edges = Some((key, edges));
-                }
-                ub
-            }
-        };
-        if ub1 <= self.d {
+        if one_object_upper_bound(Self::sampled(big), &other_mbr, ub0) <= self.d {
             Decision::Confirm
         } else {
             Decision::Refine
@@ -169,7 +151,7 @@ mod tests {
     }
 
     #[test]
-    fn object_stage_confirms_close_pairs_and_caches() {
+    fn object_stage_confirms_close_pairs() {
         let a = dataset(vec![square(0.0, 0.0, 4.0)]);
         let b = dataset(vec![square(4.5, 0.0, 4.0), square(100.0, 0.0, 1.0)]);
         let mut stage = ObjectFilterStage::new(&a, &b, 10.0);

@@ -20,44 +20,59 @@
 //!   gives a tighter bound. This is a conservative variant of Chan's
 //!   filter — identical contract, simpler geometry.
 
-use spatial_geom::distance::point_boundary_min_dist;
-use spatial_geom::{Point, Polygon, Rect, Segment};
-
-/// Maximum distance between two segments: the farthest endpoint pair.
-fn seg_max_dist(a: (Point, Point), b: (Point, Point)) -> f64 {
-    a.0.dist(b.0)
-        .max(a.0.dist(b.1))
-        .max(a.1.dist(b.0))
-        .max(a.1.dist(b.1))
-}
+use spatial_geom::{Rect, Segment};
 
 /// The 0-object upper bound on `dist(A, B)` from the MBRs alone.
+///
+/// Works on the 16 corner-pair *squared* distances and takes one root at
+/// the end. `sqrt` is monotone and correctly rounded, so it commutes with
+/// `max` and `min`: the result is bit-for-bit the `f64` that rooting every
+/// endpoint pair of every side pair (64 roots) would return.
 pub fn zero_object_upper_bound(r1: &Rect, r2: &Rect) -> f64 {
+    let (c1, c2) = (r1.corners(), r2.corners());
+    let d2 = c1.map(|p| c2.map(|q| p.dist2(q)));
     let mut best = f64::INFINITY;
-    for s1 in r1.sides() {
-        for s2 in r2.sides() {
-            best = best.min(seg_max_dist(s1, s2));
+    // Side `i` joins corners `i` and `i + 1`; the maximum distance between
+    // two sides is their farthest endpoint pair.
+    for i in 0..4 {
+        let i1 = (i + 1) % 4;
+        for j in 0..4 {
+            let j1 = (j + 1) % 4;
+            let far = d2[i][j].max(d2[i][j1]).max(d2[i1][j]).max(d2[i1][j1]);
+            best = best.min(far);
         }
     }
-    best
+    best.sqrt()
 }
 
-/// The 1-object upper bound: uses the actual boundary of `a` (whose edges
-/// are passed pre-collected, since the engine caches them) against the MBR
-/// of the other object. The Lipschitz cap can exceed the 0-object bound on
-/// skewed sides, so the 0-object bound is applied internally as a floor.
+/// The 1-object upper bound: uses the actual boundary of one object, `A`,
+/// against the MBR `r2` of the other. The Lipschitz cap can exceed the
+/// 0-object bound on skewed sides, so the pair's 0-object bound `ub0` —
+/// which the caller has already computed, the 1-object filter only runs
+/// where the 0-object one failed — is applied as a floor.
 ///
-/// `a_edges` may be any *subset* of `a`'s boundary: distances to a subset
+/// `a_edges` may be any *subset* of `A`'s boundary: distances to a subset
 /// only grow, and the bound stays valid (just weaker). The engine exploits
-/// this by sampling a few hundred edges of huge polygons — an unsampled
+/// this by sampling a few dozen edges of huge polygons — an unsampled
 /// 39k-vertex boundary would make the filter cost more than the geometry
-/// comparison it exists to avoid.
-pub fn one_object_upper_bound(a: &Polygon, a_edges: &[Segment], r2: &Rect) -> f64 {
-    let mut best = zero_object_upper_bound(&a.mbr(), r2);
-    for (q1, q2) in r2.sides() {
-        let d1 = point_boundary_min_dist(q1, a_edges);
-        let d2 = point_boundary_min_dist(q2, a_edges);
-        let side = (d1 + d2 + q1.dist(q2)) / 2.0;
+/// comparison it exists to avoid. The edges are consumed in one pass that
+/// measures all four corners of `r2`, each of which ends two sides.
+pub fn one_object_upper_bound(
+    a_edges: impl IntoIterator<Item = Segment>,
+    r2: &Rect,
+    ub0: f64,
+) -> f64 {
+    let corners = r2.corners();
+    let mut dist = [f64::INFINITY; 4];
+    for e in a_edges {
+        for (best, &q) in dist.iter_mut().zip(&corners) {
+            *best = best.min(e.dist_point(q));
+        }
+    }
+    let mut best = ub0;
+    for i in 0..4 {
+        let i1 = (i + 1) % 4;
+        let side = (dist[i] + dist[i1] + corners[i].dist(corners[i1])) / 2.0;
         best = best.min(side);
     }
     best
@@ -66,10 +81,136 @@ pub fn one_object_upper_bound(a: &Polygon, a_edges: &[Segment], r2: &Rect) -> f6
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spatial_geom::min_dist_brute;
+    use spatial_geom::{min_dist_brute, Point, Polygon};
 
     fn square(x: f64, y: f64, s: f64) -> Polygon {
         Polygon::from_coords(&[(x, y), (x + s, y), (x + s, y + s), (x, y + s)])
+    }
+
+    /// The bounds in their textbook form, kept as oracles: a root per
+    /// endpoint pair of every side pair (64), and two boundary scans per
+    /// side of `r2` (eight) under a 0-object bound computed from scratch.
+    mod reference {
+        use super::*;
+        use spatial_geom::distance::point_boundary_min_dist;
+
+        fn seg_max_dist(a: (Point, Point), b: (Point, Point)) -> f64 {
+            a.0.dist(b.0)
+                .max(a.0.dist(b.1))
+                .max(a.1.dist(b.0))
+                .max(a.1.dist(b.1))
+        }
+
+        pub fn zero_object_upper_bound(r1: &Rect, r2: &Rect) -> f64 {
+            let mut best = f64::INFINITY;
+            for s1 in r1.sides() {
+                for s2 in r2.sides() {
+                    best = best.min(seg_max_dist(s1, s2));
+                }
+            }
+            best
+        }
+
+        pub fn one_object_upper_bound(a: &Polygon, a_edges: &[Segment], r2: &Rect) -> f64 {
+            let mut best = zero_object_upper_bound(&a.mbr(), r2);
+            for (q1, q2) in r2.sides() {
+                let d1 = point_boundary_min_dist(q1, a_edges);
+                let d2 = point_boundary_min_dist(q2, a_edges);
+                let side = (d1 + d2 + q1.dist(q2)) / 2.0;
+                best = best.min(side);
+            }
+            best
+        }
+    }
+
+    /// The 1-object bound of `a` against `r2`, from all of `a`'s edges.
+    fn one_object(a: &Polygon, r2: &Rect) -> f64 {
+        one_object_upper_bound(a.edges(), r2, zero_object_upper_bound(&a.mbr(), r2))
+    }
+
+    /// Squared distances and one root, one scan for four corners: the same
+    /// `f64` bits as the reference on coordinates where sums of squares
+    /// round (thirds, 1e-7 offsets) or overflow to infinity (±1e154), on
+    /// degenerate MBRs, and at every relative placement.
+    #[test]
+    fn bounds_are_bit_identical_to_the_reference() {
+        let coords = [
+            -1e154,
+            -7.0,
+            -1.0 / 3.0,
+            0.0,
+            1e-7,
+            0.1,
+            2.0 / 3.0,
+            5.0,
+            1e154,
+        ];
+        let mut rects = Vec::new();
+        for (i, &x0) in coords.iter().enumerate() {
+            for &x1 in &coords[i..] {
+                // Pair each x-range with two y-ranges, one of them flat.
+                rects.push(Rect::new(x0, -0.3, x1, 0.7));
+                rects.push(Rect::new(x0, x0 / 3.0, x1, x0 / 3.0));
+            }
+        }
+        for r1 in &rects {
+            for r2 in &rects {
+                assert_eq!(
+                    zero_object_upper_bound(r1, r2).to_bits(),
+                    reference::zero_object_upper_bound(r1, r2).to_bits(),
+                    "{r1:?} vs {r2:?}"
+                );
+            }
+        }
+        let shapes = [
+            square(0.0, 0.0, 2.0),
+            Polygon::from_coords(&[(0.1, 0.0), (10.0, 1.0 / 3.0), (0.1, 0.1), (0.0, 10.0)]),
+            Polygon::from_coords(&[(-3.0, 1e-7), (2.0 / 3.0, -5.0), (4.0, 0.1), (0.3, 7.0)]),
+        ];
+        for a in &shapes {
+            let edges: Vec<Segment> = a.edges().collect();
+            for r2 in rects.iter().filter(|r| r.xmin > -1e100 && r.xmax < 1e100) {
+                assert_eq!(
+                    one_object(a, r2).to_bits(),
+                    reference::one_object_upper_bound(a, &edges, r2).to_bits(),
+                    "{a:?} vs {r2:?}"
+                );
+                // ...and on a strided boundary subset, as the engine samples.
+                let sample: Vec<Segment> = edges.iter().copied().step_by(2).collect();
+                let ub0 = zero_object_upper_bound(&a.mbr(), r2);
+                assert_eq!(
+                    one_object_upper_bound(sample.iter().copied(), r2, ub0).to_bits(),
+                    reference::one_object_upper_bound(a, &sample, r2).to_bits(),
+                );
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// The same bit-identity on continuous coordinates: random MBR
+        /// pairs, and random vertex rings (any ring is a valid edge set)
+        /// sampled at a random stride.
+        #[test]
+        fn bounds_match_the_reference_bit_for_bit(
+            (x1, y1, w1, h1) in (-100.0f64..100.0, -100.0f64..100.0, 0.0f64..50.0, 0.0f64..50.0),
+            (x2, y2, w2, h2) in (-100.0f64..100.0, -100.0f64..100.0, 0.0f64..50.0, 0.0f64..50.0),
+            ring in proptest::collection::vec((-100.0f64..100.0, -100.0f64..100.0), 3..40),
+            step in 1usize..5,
+        ) {
+            let r1 = Rect::new(x1, y1, x1 + w1, y1 + h1);
+            let r2 = Rect::new(x2, y2, x2 + w2, y2 + h2);
+            proptest::prop_assert_eq!(
+                zero_object_upper_bound(&r1, &r2).to_bits(),
+                reference::zero_object_upper_bound(&r1, &r2).to_bits()
+            );
+            let a = Polygon::from_coords(&ring);
+            let sample: Vec<Segment> = a.edges().step_by(step).collect();
+            let ub0 = zero_object_upper_bound(&a.mbr(), &r2);
+            proptest::prop_assert_eq!(
+                one_object_upper_bound(sample.iter().copied(), &r2, ub0).to_bits(),
+                reference::one_object_upper_bound(&a, &sample, &r2).to_bits()
+            );
+        }
     }
 
     #[test]
@@ -101,9 +242,8 @@ mod tests {
             (0.0, 10.0),
         ]);
         let other = square(20.0, 0.0, 2.0);
-        let edges: Vec<Segment> = spiky.edges().collect();
         let ub0 = zero_object_upper_bound(&spiky.mbr(), &other.mbr());
-        let ub1 = one_object_upper_bound(&spiky, &edges, &other.mbr());
+        let ub1 = one_object(&spiky, &other.mbr());
         assert!(ub1 <= ub0, "1-object {ub1} must not exceed 0-object {ub0}");
         assert!(
             ub1 >= min_dist_brute(&spiky, &other),
@@ -120,8 +260,7 @@ mod tests {
         let ub0 = zero_object_upper_bound(&a.mbr(), &b.mbr());
         // Shared side: maxDist of the coincident sides is the side length.
         assert!(ub0 <= 2.0f64.sqrt() + 1e-12);
-        let edges: Vec<Segment> = a.edges().collect();
-        let ub1 = one_object_upper_bound(&a, &edges, &b.mbr());
+        let ub1 = one_object(&a, &b.mbr());
         assert!(ub1 <= ub0);
         assert!(ub1 >= 0.0);
     }
@@ -147,8 +286,7 @@ mod tests {
                 let (a, b) = (&shapes[i], &shapes[j]);
                 let true_d = min_dist_brute(a, b);
                 let ub0 = zero_object_upper_bound(&a.mbr(), &b.mbr());
-                let edges: Vec<Segment> = a.edges().collect();
-                let ub1 = one_object_upper_bound(a, &edges, &b.mbr());
+                let ub1 = one_object(a, &b.mbr());
                 assert!(ub0 + 1e-9 >= true_d, "0-object violated: {ub0} < {true_d}");
                 assert!(ub1 + 1e-9 >= true_d, "1-object violated: {ub1} < {true_d}");
                 assert!(ub1 <= ub0 + 1e-9, "1-object must cap at 0-object");

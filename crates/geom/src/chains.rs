@@ -19,6 +19,16 @@
 //! frontier chains to the other MBR *extended by D* (Fig. 9(d)), which
 //! "in practice reduces the computational cost by a factor of 2 to 6".
 //! That clip is [`frontier_clipped`].
+//!
+//! What the clip buys is only kept if *finding* the chain is cheap. The
+//! chain's end points and its facing vertex are extreme vertices of the
+//! polygon — independent of the other object — so [`Polygon`] caches their
+//! indices at construction and a pair pays one walk over its chain.
+//! Rediscovering them per pair (three scans of every vertex, a modulo walk
+//! to place the facing vertex, another to list the chain) measured 5 µs for
+//! a chain that takes 1 µs to walk and clip — a quarter to two fifths of
+//! the whole software distance test on `join-sw`, more than the clip saves
+//! (EXPERIMENTS.md "Honest software baseline").
 
 use crate::polygon::Polygon;
 use crate::rect::Rect;
@@ -58,92 +68,22 @@ fn classify(this: &Rect, other: &Rect) -> Separation {
     best.1
 }
 
-/// Index of the vertex maximizing `key`.
-fn extreme_index(poly: &Polygon, key: impl Fn(crate::point::Point) -> f64) -> usize {
-    let vs = poly.vertices();
-    let mut best = 0;
-    for i in 1..vs.len() {
-        if key(vs[i]) > key(vs[best]) {
-            best = i;
-        }
-    }
-    best
-}
-
-/// Edge indices of the cyclic chain from vertex `from` to vertex `to`
-/// (edge `k` joins vertices `k` and `k+1`).
-fn chain_edge_indices(n: usize, from: usize, to: usize) -> Vec<usize> {
-    let mut out = Vec::new();
-    let mut i = from;
-    while i != to {
-        out.push(i);
-        i = (i + 1) % n;
-    }
-    out
-}
-
-/// True when vertex `v` is strictly inside the cyclic chain `from → to`
-/// (excluding both endpoints).
-fn strictly_inside_chain(n: usize, from: usize, to: usize, v: usize) -> bool {
-    if from == to {
-        return false;
-    }
-    let mut i = (from + 1) % n;
-    while i != to {
-        if i == v {
-            return true;
-        }
-        i = (i + 1) % n;
-    }
-    false
-}
-
 /// The frontier-chain edges of `poly` facing `other_mbr`.
 ///
 /// Falls back to the full boundary when the MBRs overlap in both axes or
 /// the facing extreme vertex coincides with a chain split point.
 pub fn frontier_edges(poly: &Polygon, other_mbr: &Rect) -> Vec<Segment> {
-    let n = poly.vertex_count();
-    let sep = classify(&poly.mbr(), other_mbr);
-
-    // Split vertices (perpendicular extremes) and the facing extreme.
-    let (split_a, split_b, facing) = match sep {
-        Separation::None => return poly.edges().collect(),
-        Separation::Right | Separation::Left => {
-            let top = extreme_index(poly, |p| p.y);
-            let bottom = extreme_index(poly, |p| -p.y);
-            let facing = match sep {
-                Separation::Right => extreme_index(poly, |p| p.x),
-                _ => extreme_index(poly, |p| -p.x),
-            };
-            (top, bottom, facing)
-        }
-        Separation::Above | Separation::Below => {
-            let right = extreme_index(poly, |p| p.x);
-            let left = extreme_index(poly, |p| -p.x);
-            let facing = match sep {
-                Separation::Above => extreme_index(poly, |p| p.y),
-                _ => extreme_index(poly, |p| -p.y),
-            };
-            (right, left, facing)
-        }
-    };
-
-    if split_a == split_b || facing == split_a || facing == split_b {
-        // Degenerate split: be conservative.
-        return poly.edges().collect();
-    }
-    let indices = if strictly_inside_chain(n, split_a, split_b, facing) {
-        chain_edge_indices(n, split_a, split_b)
-    } else {
-        chain_edge_indices(n, split_b, split_a)
-    };
-    indices.into_iter().map(|i| poly.edge(i)).collect()
+    frontier_clipped(poly, other_mbr, f64::INFINITY)
 }
 
 /// Frontier chain clipped to within `d` of the other MBR (the paper's
 /// second `minDist` optimization): only edges whose MBR is within `d` of
 /// `other_mbr` can participate in a within-distance-`d` pair.
+///
+/// One walk over the chosen chain, clipping as edges are produced. The
+/// chain's end points are the polygon's cached extreme vertices
+/// ([`Polygon`] finds them once, at construction), so a pair costs its
+/// chain, not three scans of the whole boundary to find it.
 ///
 /// The filter uses the same [`Rect::min_dist`] kernel as the pipeline's
 /// MBR gates and the pairwise edge prefilter — NOT an
@@ -152,10 +92,47 @@ pub fn frontier_edges(poly: &Polygon, other_mbr: &Rect) -> Vec<Segment> {
 /// drop it, flipping a closed-predicate boundary answer. With one shared
 /// kernel, every layer of the distance test rounds the same way.
 pub fn frontier_clipped(poly: &Polygon, other_mbr: &Rect, d: f64) -> Vec<Segment> {
-    frontier_edges(poly, other_mbr)
-        .into_iter()
-        .filter(|e| e.mbr().min_dist(other_mbr) <= d)
-        .collect()
+    let within = |e: &Segment| e.mbr().min_dist(other_mbr) <= d;
+    let whole_boundary = || poly.edges().filter(within).collect();
+
+    // Split vertices (perpendicular extremes) and the facing extreme.
+    let [max_x, min_x, max_y, min_y] = poly.extremes();
+    let (split_a, split_b, facing) = match classify(&poly.mbr(), other_mbr) {
+        Separation::None => return whole_boundary(),
+        Separation::Right => (max_y, min_y, max_x),
+        Separation::Left => (max_y, min_y, min_x),
+        Separation::Above => (max_x, min_x, max_y),
+        Separation::Below => (max_x, min_x, min_y),
+    };
+    if split_a == split_b || facing == split_a || facing == split_b {
+        // Degenerate split: be conservative.
+        return whole_boundary();
+    }
+    // The chain containing the facing extreme: `split_a → split_b` when it
+    // lies strictly between them in cyclic vertex order, else the other one.
+    let a_to_b = if split_a < split_b {
+        split_a < facing && facing < split_b
+    } else {
+        facing > split_a || facing < split_b
+    };
+    let (from, to) = if a_to_b {
+        (split_a, split_b)
+    } else {
+        (split_b, split_a)
+    };
+
+    let vs = poly.vertices();
+    let mut out = Vec::new();
+    let mut i = from;
+    while i != to {
+        let next = if i + 1 == vs.len() { 0 } else { i + 1 };
+        let e = Segment::new(vs[i], vs[next]);
+        if within(&e) {
+            out.push(e);
+        }
+        i = next;
+    }
+    out
 }
 
 #[cfg(test)]

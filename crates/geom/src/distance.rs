@@ -66,8 +66,13 @@ pub fn edges_min_dist(ep: &[Segment], eq: &[Segment], upper: f64) -> f64 {
 /// pruning by segment-MBR distance and returning as soon as any pair
 /// comes within `d` (the paper's first optimization, §4.1.1).
 ///
-/// Quadratic in the chain lengths for true negatives — which is precisely
-/// the cost profile the hardware distance filter exists to avoid.
+/// Quadratic in the chain lengths for true negatives in the worst case,
+/// but the clipped chains it is handed are short: measured on `join-sw`
+/// (`--bin diag`, EXPERIMENTS.md "Honest software baseline") this kernel
+/// was 4–16 % of the software distance test while *finding* the chains it
+/// is handed was 26–42 %; with the chains found for free it is 8–31 %,
+/// still less than the frontier clip that feeds it. It is not the cost
+/// the hardware distance filter saves.
 pub fn edges_within_pairwise(ep: &[Segment], eq: &[Segment], d: f64) -> bool {
     if ep.is_empty() || eq.is_empty() {
         return false;

@@ -1,10 +1,16 @@
 //! Ray-crossing point-in-polygon test — step 1 of both the software and the
 //! hardware-assisted intersection tests (§3.1).
 //!
-//! The paper stresses that this step is O(n), cache-friendly (sequential
-//! vertex access) and cheap relative to the segment-intersection step, which
-//! is why Algorithm 3.1 keeps it in software and only offloads the segment
-//! test to hardware.
+//! The paper stresses that this step is O(n) and cache-friendly (sequential
+//! vertex access), which is why Algorithm 3.1 keeps it in software and only
+//! offloads the segment test to hardware. "Cheap relative to the
+//! segment-intersection step" does not survive measurement here: both paths
+//! pay it on every candidate the filters pass, over *whole* boundaries,
+//! while the sweep and minDist kernels see only restricted or clipped
+//! edges — on `join-sw` the probes cost about as much as every sweep and
+//! pairwise-kernel call together, three times the pairwise kernel on
+//! LANDC ⋈ LANDO (EXPERIMENTS.md "Honest software baseline"). Hence the
+//! two-compare edge skip in [`locate_point`].
 
 use crate::point::Point;
 use crate::polygon::Polygon;
@@ -28,24 +34,32 @@ pub fn locate_point(p: Point, poly: &Polygon) -> PointLocation {
         return PointLocation::Outside;
     }
     let vs = poly.vertices();
-    let n = vs.len();
     let mut inside = false;
-    for i in 0..n {
-        let a = vs[i];
-        let b = vs[(i + 1) % n];
-        if on_segment(a, b, p) {
-            return PointLocation::OnBoundary;
-        }
-        // Half-open rule: edge crosses the upward ray from p when exactly one
-        // endpoint is strictly above p's y.
-        if (a.y > p.y) != (b.y > p.y) {
-            // x-coordinate of the edge at height p.y.
-            let t = (p.y - a.y) / (b.y - a.y);
-            let x = a.x + t * (b.x - a.x);
-            if x > p.x {
-                inside = !inside;
+    // Each vertex is classified against the horizontal through `p` once,
+    // as the end of one edge, and carried over as the start of the next.
+    let mut a = vs[vs.len() - 1];
+    let (mut a_above, mut a_below) = (a.y > p.y, a.y < p.y);
+    for &b in vs {
+        let (b_above, b_below) = (b.y > p.y, b.y < p.y);
+        // An edge strictly above or strictly below that horizontal can
+        // neither hold `p` nor cross its ray: skip it on the two compares,
+        // before the orientation product `on_segment` starts with.
+        if !(a_above && b_above || a_below && b_below) {
+            if on_segment(a, b, p) {
+                return PointLocation::OnBoundary;
+            }
+            // Half-open rule: edge crosses the upward ray from p when
+            // exactly one endpoint is strictly above p's y.
+            if a_above != b_above {
+                // x-coordinate of the edge at height p.y.
+                let t = (p.y - a.y) / (b.y - a.y);
+                let x = a.x + t * (b.x - a.x);
+                if x > p.x {
+                    inside = !inside;
+                }
             }
         }
+        (a, a_above, a_below) = (b, b_above, b_below);
     }
     if inside {
         PointLocation::Inside

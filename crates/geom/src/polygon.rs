@@ -38,15 +38,53 @@ impl fmt::Display for PolygonError {
 
 impl std::error::Error for PolygonError {}
 
-/// A simple polygon with `f64` vertices and a cached MBR.
+/// A simple polygon with `f64` vertices, a cached MBR and the cached
+/// indices of its four extreme vertices.
 ///
-/// The MBR is computed once at construction: the filtering step touches MBRs
-/// orders of magnitude more often than actual geometry, so it must be free
-/// to read.
+/// Both caches are computed in one pass at construction. The filtering step
+/// touches MBRs orders of magnitude more often than actual geometry, so the
+/// MBR must be free to read; the extreme vertices are where the `minDist`
+/// frontier chains start and end ([`crate::chains`]), a property of the
+/// polygon alone that the software distance test would otherwise rediscover
+/// with three full vertex scans on every candidate pair.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Polygon {
     vertices: Vec<Point>,
     mbr: Rect,
+    /// Indices of the *first* vertex attaining max x, min x, max y, min y,
+    /// in that order. Every method that moves or reorders vertices
+    /// recomputes them: rounding can merge two distinct coordinates into a
+    /// tie, and a reversal turns the first of a tie into the last.
+    extremes: [u32; 4],
+}
+
+/// The MBR and the extreme-vertex indices of a non-empty vertex list, in
+/// one pass.
+fn bounds(vertices: &[Point]) -> (Rect, [u32; 4]) {
+    // Makes the `as u32` below lossless; 2^32 vertices are 64 GiB.
+    assert!(
+        u32::try_from(vertices.len()).is_ok(),
+        "polygon vertex count exceeds u32"
+    );
+    let mut mbr = Rect::EMPTY;
+    let [mut max_x, mut min_x, mut max_y, mut min_y] = [0usize; 4];
+    for (i, &v) in vertices.iter().enumerate() {
+        mbr = mbr.expand_to(v);
+        // Strict compares keep the first vertex of a tie.
+        if v.x > vertices[max_x].x {
+            max_x = i;
+        }
+        if v.x < vertices[min_x].x {
+            min_x = i;
+        }
+        if v.y > vertices[max_y].y {
+            max_y = i;
+        }
+        if v.y < vertices[min_y].y {
+            min_y = i;
+        }
+    }
+    (mbr, [max_x, min_x, max_y, min_y].map(|i| i as u32))
 }
 
 impl Polygon {
@@ -71,8 +109,17 @@ impl Polygon {
                 return Err(PolygonError::DuplicateConsecutiveVertex(i));
             }
         }
-        let mbr = Rect::of_points(&vertices);
-        Ok(Polygon { vertices, mbr })
+        Ok(Polygon::with_bounds(vertices))
+    }
+
+    /// Wraps already-validated vertices, computing both caches.
+    fn with_bounds(vertices: Vec<Point>) -> Self {
+        let (mbr, extremes) = bounds(&vertices);
+        Polygon {
+            vertices,
+            mbr,
+            extremes,
+        }
     }
 
     /// Convenience constructor from coordinate tuples; panics on invalid
@@ -101,9 +148,16 @@ impl Polygon {
         self.mbr
     }
 
+    /// The cached indices of the first vertex attaining max x, min x,
+    /// max y and min y, in that order.
+    #[inline]
+    pub(crate) fn extremes(&self) -> [usize; 4] {
+        self.extremes.map(|i| i as usize)
+    }
+
     /// Iterates over the `n` boundary edges, including the closing edge.
     #[inline]
-    pub fn edges(&self) -> impl Iterator<Item = Segment> + '_ {
+    pub fn edges(&self) -> impl ExactSizeIterator<Item = Segment> + '_ {
         let n = self.vertices.len();
         // The wrap is a compare, not `% n`: whether the optimizer proves
         // the division away depends on where the iterator gets inlined,
@@ -149,6 +203,7 @@ impl Polygon {
     pub fn ccw(mut self) -> Self {
         if !self.is_ccw() {
             self.vertices.reverse();
+            self.extremes = bounds(&self.vertices).1;
         }
         self
     }
@@ -190,21 +245,16 @@ impl Polygon {
     /// The polygon translated by `(dx, dy)`.
     pub fn translated(&self, dx: f64, dy: f64) -> Polygon {
         let d = Point::new(dx, dy);
-        let vertices: Vec<Point> = self.vertices.iter().map(|&v| v + d).collect();
-        let mbr = Rect::new(
-            self.mbr.xmin + dx,
-            self.mbr.ymin + dy,
-            self.mbr.xmax + dx,
-            self.mbr.ymax + dy,
-        );
-        Polygon { vertices, mbr }
+        Polygon::with_bounds(self.vertices.iter().map(|&v| v + d).collect())
     }
 
-    /// The polygon scaled by `s` about a fixed point `c`.
-    pub fn scaled_about(&self, c: Point, s: f64) -> Polygon {
-        let vertices: Vec<Point> = self.vertices.iter().map(|&v| c + (v - c) * s).collect();
-        let mbr = Rect::of_points(&vertices);
-        Polygon { vertices, mbr }
+    /// The polygon scaled by `s` about a fixed point `c`. A negative `s`
+    /// also turns it half way round `c` (winding is kept, every extreme
+    /// swaps with its opposite); `s = 0` and non-finite factors collapse
+    /// or lose the vertices and are rejected like any other invalid vertex
+    /// list.
+    pub fn scaled_about(&self, c: Point, s: f64) -> Result<Polygon, PolygonError> {
+        Polygon::new(self.vertices.iter().map(|&v| c + (v - c) * s).collect())
     }
 
     /// Returns the boundary point at normalized arc length `t ∈ [0, 1)`;
@@ -337,9 +387,54 @@ mod tests {
         let sq = unit_square();
         let t = sq.translated(2.0, 3.0);
         assert_eq!(t.mbr(), Rect::new(2.0, 3.0, 3.0, 4.0));
-        let s = sq.scaled_about(Point::new(0.0, 0.0), 2.0);
+        let s = sq.scaled_about(Point::new(0.0, 0.0), 2.0).unwrap();
         assert_eq!(s.mbr(), Rect::new(0.0, 0.0, 2.0, 2.0));
         assert_eq!(s.area(), 4.0);
+    }
+
+    #[test]
+    fn scaling_is_validated_like_construction() {
+        let sq = unit_square();
+        let c = Point::new(0.25, 0.5);
+        assert_eq!(
+            sq.scaled_about(c, 0.0),
+            Err(PolygonError::DuplicateConsecutiveVertex(0)),
+            "every vertex collapses onto c"
+        );
+        for s in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(
+                sq.scaled_about(c, s),
+                Err(PolygonError::NonFiniteVertex(0)),
+                "factor {s}"
+            );
+        }
+        // A negative factor is a half-turn about c: same vertex order and
+        // winding, every extreme swapped with its opposite.
+        let r = sq.scaled_about(c, -1.0).unwrap();
+        assert_eq!(r.mbr(), Rect::new(-0.5, 0.0, 0.5, 1.0));
+        assert_eq!(r.signed_area(), 1.0);
+        let [max_x, min_x, max_y, min_y] = sq.extremes();
+        assert_eq!(r.extremes(), [min_x, max_x, min_y, max_y]);
+    }
+
+    #[test]
+    fn extremes_keep_the_first_vertex_of_a_tie() {
+        // Every extreme of a square is attained twice.
+        let sq = unit_square();
+        assert_eq!(sq.extremes(), [1, 0, 2, 0]);
+        // Reversal turns the last vertex of each tie into the first.
+        let cw = Polygon::from_coords(&[(0.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, 0.0)]);
+        assert_eq!(cw.extremes(), [2, 0, 1, 0]);
+        let flipped = cw.clone().ccw();
+        assert_eq!(flipped.extremes(), [0, 2, 1, 0]);
+        assert_eq!(flipped, Polygon::new(flipped.vertices().to_vec()).unwrap());
+        // A translation large enough to round distinct coordinates together
+        // creates a tie the source polygon did not have.
+        let p = Polygon::from_coords(&[(0.0, 0.0), (1.0, 0.0), (1.0 + 1e-12, 1.0), (0.0, 1.0)]);
+        assert_eq!(p.extremes()[0], 2);
+        let t = p.translated(1e6, 0.0);
+        assert_eq!(t.extremes()[0], 1);
+        assert_eq!(t, Polygon::new(t.vertices().to_vec()).unwrap());
     }
 
     #[test]

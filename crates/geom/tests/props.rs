@@ -2,12 +2,276 @@
 //! must agree with its brute-force oracle on randomized concave polygons.
 
 use proptest::prelude::*;
+use spatial_geom::chains::{frontier_clipped, frontier_edges};
 use spatial_geom::intersect::{polygons_intersect_with, IntersectStats, SweepAlgo};
 use spatial_geom::pip::{locate_point, PointLocation};
 use spatial_geom::{
     min_dist, min_dist_brute, point_in_polygon, polygons_intersect, polygons_intersect_brute,
-    within_distance, Point, Polygon,
+    within_distance, Point, Polygon, Rect,
 };
+
+/// Reference implementations for the differential tests: the frontier
+/// extraction and the point-location loop as they were before the cached
+/// extremes, the one-pass clip and the two-compare edge skip. Slow on
+/// purpose — three scans of every vertex, two `% n` walks, three `Vec`s, an
+/// orientation product per edge — and independent of every cache.
+mod reference {
+    use spatial_geom::pip::PointLocation;
+    use spatial_geom::predicates::on_segment;
+    use spatial_geom::{Point, Polygon, Rect, Segment};
+
+    /// Which way the chain was chosen; the tests count the arms they hit.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+    pub enum Arm {
+        BothAxesOverlap,
+        Right,
+        Left,
+        Above,
+        Below,
+        DegenerateSplit,
+    }
+
+    fn classify(this: &Rect, other: &Rect) -> Arm {
+        let mut best = (0.0, Arm::BothAxesOverlap);
+        for (gap, arm) in [
+            (other.xmin - this.xmax, Arm::Right),
+            (this.xmin - other.xmax, Arm::Left),
+            (other.ymin - this.ymax, Arm::Above),
+            (this.ymin - other.ymax, Arm::Below),
+        ] {
+            if gap > best.0 {
+                best = (gap, arm);
+            }
+        }
+        best.1
+    }
+
+    fn extreme_index(poly: &Polygon, key: impl Fn(Point) -> f64) -> usize {
+        let vs = poly.vertices();
+        let mut best = 0;
+        for i in 1..vs.len() {
+            if key(vs[i]) > key(vs[best]) {
+                best = i;
+            }
+        }
+        best
+    }
+
+    fn chain_edge_indices(n: usize, from: usize, to: usize) -> Vec<usize> {
+        let mut out = Vec::new();
+        let mut i = from;
+        while i != to {
+            out.push(i);
+            i = (i + 1) % n;
+        }
+        out
+    }
+
+    fn strictly_inside_chain(n: usize, from: usize, to: usize, v: usize) -> bool {
+        if from == to {
+            return false;
+        }
+        let mut i = (from + 1) % n;
+        while i != to {
+            if i == v {
+                return true;
+            }
+            i = (i + 1) % n;
+        }
+        false
+    }
+
+    pub fn frontier_edges(poly: &Polygon, other_mbr: &Rect) -> (Vec<Segment>, Arm) {
+        let n = poly.vertex_count();
+        let arm = classify(&poly.mbr(), other_mbr);
+        let (split_a, split_b, facing) = match arm {
+            Arm::Right | Arm::Left => (
+                extreme_index(poly, |p| p.y),
+                extreme_index(poly, |p| -p.y),
+                if arm == Arm::Right {
+                    extreme_index(poly, |p| p.x)
+                } else {
+                    extreme_index(poly, |p| -p.x)
+                },
+            ),
+            Arm::Above | Arm::Below => (
+                extreme_index(poly, |p| p.x),
+                extreme_index(poly, |p| -p.x),
+                if arm == Arm::Above {
+                    extreme_index(poly, |p| p.y)
+                } else {
+                    extreme_index(poly, |p| -p.y)
+                },
+            ),
+            _ => return (poly.edges().collect(), arm),
+        };
+        if split_a == split_b || facing == split_a || facing == split_b {
+            return (poly.edges().collect(), Arm::DegenerateSplit);
+        }
+        let indices = if strictly_inside_chain(n, split_a, split_b, facing) {
+            chain_edge_indices(n, split_a, split_b)
+        } else {
+            chain_edge_indices(n, split_b, split_a)
+        };
+        (indices.into_iter().map(|i| poly.edge(i)).collect(), arm)
+    }
+
+    pub fn frontier_clipped(poly: &Polygon, other_mbr: &Rect, d: f64) -> Vec<Segment> {
+        frontier_edges(poly, other_mbr)
+            .0
+            .into_iter()
+            .filter(|e| e.mbr().min_dist(other_mbr) <= d)
+            .collect()
+    }
+
+    pub fn locate_point(p: Point, poly: &Polygon) -> PointLocation {
+        if !poly.mbr().contains_point(p) {
+            return PointLocation::Outside;
+        }
+        let vs = poly.vertices();
+        let n = vs.len();
+        let mut inside = false;
+        for i in 0..n {
+            let a = vs[i];
+            let b = vs[(i + 1) % n];
+            if on_segment(a, b, p) {
+                return PointLocation::OnBoundary;
+            }
+            if (a.y > p.y) != (b.y > p.y) {
+                let t = (p.y - a.y) / (b.y - a.y);
+                let x = a.x + t * (b.x - a.x);
+                if x > p.x {
+                    inside = !inside;
+                }
+            }
+        }
+        if inside {
+            PointLocation::Inside
+        } else {
+            PointLocation::Outside
+        }
+    }
+}
+
+/// Every rotation and both windings of a vertex ring: the same point set
+/// with the extreme ties broken at every possible index.
+fn relabelings(ring: &[(f64, f64)]) -> Vec<Polygon> {
+    let mut out = Vec::new();
+    for start in 0..ring.len() {
+        let mut r = ring.to_vec();
+        r.rotate_left(start);
+        out.push(Polygon::from_coords(&r));
+        r.reverse();
+        out.push(Polygon::from_coords(&r));
+    }
+    out
+}
+
+/// Grid-snapped shapes the continuous `arb_star` generator never produces:
+/// axis-aligned rectangles (every extreme attained twice), a triangle whose
+/// top vertex is also its rightmost (a degenerate split), shapes with
+/// horizontal and vertical edges, collinear runs and a concave pocket.
+fn grid_battery() -> Vec<Polygon> {
+    let rings: [&[(f64, f64)]; 6] = [
+        &[(0.0, 0.0), (4.0, 0.0), (4.0, 2.0), (0.0, 2.0)],
+        &[(0.0, 0.0), (3.0, 0.0), (3.0, 3.0)],
+        &[(2.0, 0.0), (4.0, 2.0), (2.0, 4.0), (0.0, 2.0)],
+        &[
+            (0.0, 0.0),
+            (2.0, 0.0),
+            (4.0, 0.0),
+            (4.0, 1.0),
+            (1.0, 1.0),
+            (1.0, 3.0),
+            (4.0, 3.0),
+            (4.0, 4.0),
+            (0.0, 4.0),
+            (0.0, 2.0),
+        ],
+        &[
+            (0.0, 1.0),
+            (1.0, 0.0),
+            (3.0, 0.0),
+            (4.0, 1.0),
+            (3.0, 2.0),
+            (1.0, 2.0),
+        ],
+        &[(0.0, 0.0), (4.0, 1.0), (1.0, 1.0), (2.0, 4.0)],
+    ];
+    rings.iter().flat_map(|r| relabelings(r)).collect()
+}
+
+/// Where the edge skip of `locate_point` could matter: every vertex of
+/// `poly`, every edge midpoint, and the lattice of half-unit points over
+/// `half_units` on both axes — so horizontal edges at the query's height,
+/// rays through vertices and points on collinear runs are all queried.
+fn probe_points(poly: &Polygon, half_units: std::ops::RangeInclusive<i32>) -> Vec<Point> {
+    let mut out: Vec<Point> = poly.vertices().to_vec();
+    out.extend(poly.edges().map(|e| e.midpoint()));
+    for ix in half_units.clone() {
+        for iy in half_units.clone() {
+            out.push(Point::new(0.5 * ix as f64, 0.5 * iy as f64));
+        }
+    }
+    out
+}
+
+/// The distances at which a clip decision can flip, plus the two ends.
+fn clip_distances(p: &Polygon, other: &Rect) -> [f64; 4] {
+    let gap = p.mbr().min_dist(other);
+    [0.0, gap, gap + 1.0, 1e300]
+}
+
+/// The new walk against the reference on the grid battery × a lattice of
+/// other-MBR placements (every `Separation` arm, the degenerate-split
+/// fallback, touching and overlapping MBRs) × `d ∈ {0, exact gap, …, huge}`:
+/// the same edges in the same order.
+#[test]
+fn frontier_walk_matches_three_pass_reference_on_grid_shapes() {
+    let mut arms = std::collections::BTreeMap::new();
+    for p in grid_battery() {
+        for ox in -3..=3 {
+            for oy in -3..=3 {
+                let (x, y) = (3.0 * ox as f64, 3.0 * oy as f64);
+                for other in [
+                    Rect::new(x, y, x + 2.0, y + 1.0),
+                    Rect::new(x, y, x, y), // a point MBR
+                ] {
+                    let (edges, arm) = reference::frontier_edges(&p, &other);
+                    *arms.entry(arm).or_insert(0usize) += 1;
+                    assert_eq!(frontier_edges(&p, &other), edges, "{p:?} vs {other:?}");
+                    for d in clip_distances(&p, &other) {
+                        assert_eq!(
+                            frontier_clipped(&p, &other, d),
+                            reference::frontier_clipped(&p, &other, d),
+                            "{p:?} vs {other:?} at d = {d}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(arms.len(), 6, "every arm must be exercised: {arms:?}");
+}
+
+/// The two-compare edge skip against the reference loop on the grid
+/// battery, probed over each shape's MBR and a margin around it.
+#[test]
+fn point_location_matches_per_edge_reference_on_grid_shapes() {
+    let mut seen = std::collections::BTreeMap::new();
+    for poly in grid_battery() {
+        for q in probe_points(&poly, -2..=10) {
+            let expected = reference::locate_point(q, &poly);
+            assert_eq!(locate_point(q, &poly), expected, "{q:?} in {poly:?}");
+            *seen.entry(format!("{expected:?}")).or_insert(0usize) += 1;
+        }
+    }
+    assert_eq!(
+        seen.len(),
+        3,
+        "all three verdicts must be exercised: {seen:?}"
+    );
+}
 
 /// A star-shaped (hence simple) polygon around `(cx, cy)`: one vertex per
 /// angular step at a radius drawn from `radii`. Star-shaped polygons can be
@@ -23,6 +287,30 @@ fn star_polygon(cx: f64, cy: f64, radii: &[f64]) -> Polygon {
         })
         .collect();
     Polygon::new(vertices).expect("star polygons are structurally valid")
+}
+
+prop_compose! {
+    /// Vertices drawn from a 9 × 9 integer grid, in any order: usually not
+    /// simple, always full of extreme ties, axis-parallel edges and
+    /// collinear runs. The differential tests compare two implementations
+    /// of the same function, so simplicity is not needed. `None` when the
+    /// draw repeats a vertex consecutively.
+    fn arb_grid_ring()(
+        pts in prop::collection::vec((-4i32..=4, -4i32..=4), 3..12),
+    ) -> Option<Polygon> {
+        Polygon::new(pts.iter().map(|&(x, y)| Point::new(x as f64, y as f64)).collect()).ok()
+    }
+}
+
+prop_compose! {
+    fn arb_grid_rect()(
+        x in -12i32..=12,
+        y in -12i32..=12,
+        w in 0i32..=6,
+        h in 0i32..=6,
+    ) -> Rect {
+        Rect::new(x as f64, y as f64, (x + w) as f64, (y + h) as f64)
+    }
 }
 
 prop_compose! {
@@ -209,8 +497,71 @@ proptest! {
         let area = p.area();
         let t = p.translated(dx, dy);
         prop_assert!((t.area() - area).abs() <= 1e-6 * (1.0 + area));
-        let z = p.scaled_about(Point::new(0.0, 0.0), s);
+        let z = p.scaled_about(Point::new(0.0, 0.0), s).expect("a positive finite factor");
         prop_assert!((z.area() - area * s * s).abs() <= 1e-6 * (1.0 + area * s * s));
+    }
+
+    /// The one-walk frontier clip returns the reference's edge sequence on
+    /// random grid rings against random grid MBRs, at the distances where a
+    /// clip decision can flip.
+    #[test]
+    fn frontier_walk_matches_reference_on_grid_rings(
+        ring in arb_grid_ring(),
+        other in arb_grid_rect(),
+    ) {
+        prop_assume!(ring.is_some());
+        let p = ring.unwrap();
+        prop_assert_eq!(frontier_edges(&p, &other), reference::frontier_edges(&p, &other).0);
+        for d in clip_distances(&p, &other) {
+            prop_assert_eq!(
+                frontier_clipped(&p, &other, d),
+                reference::frontier_clipped(&p, &other, d),
+                "d = {}", d
+            );
+        }
+    }
+
+    /// ...and on the continuous stars, facing each other's MBRs as the
+    /// distance test pairs them.
+    #[test]
+    fn frontier_walk_matches_reference_on_stars(
+        p in arb_star(),
+        q in arb_star(),
+        d in 0.0f64..80.0,
+    ) {
+        for (a, b) in [(&p, &q), (&q, &p)] {
+            prop_assert_eq!(
+                frontier_clipped(a, &b.mbr(), d),
+                reference::frontier_clipped(a, &b.mbr(), d)
+            );
+        }
+    }
+
+    /// Point location agrees with the reference loop on random grid rings
+    /// at every grid and half-grid point, vertex and edge midpoint.
+    #[test]
+    fn point_location_matches_reference_on_grid_rings(ring in arb_grid_ring()) {
+        prop_assume!(ring.is_some());
+        let poly = ring.unwrap();
+        for q in probe_points(&poly, -9..=9) {
+            prop_assert_eq!(locate_point(q, &poly), reference::locate_point(q, &poly), "{:?}", q);
+        }
+    }
+
+    /// ...and on the continuous stars, at their own vertices and at random
+    /// points of the MBR.
+    #[test]
+    fn point_location_matches_reference_on_stars(
+        p in arb_star(),
+        u in 0.0f64..1.0,
+        v in 0.0f64..1.0,
+    ) {
+        let m = p.mbr();
+        let q = Point::new(m.xmin + u * m.width(), m.ymin + v * m.height());
+        prop_assert_eq!(locate_point(q, &p), reference::locate_point(q, &p));
+        for &w in p.vertices() {
+            prop_assert_eq!(locate_point(w, &p), reference::locate_point(w, &p));
+        }
     }
 
     /// `polygons_intersect` must agree with the *distance* oracle's notion

@@ -35,11 +35,29 @@ use crate::framebuffer::HALF_GRAY;
 use crate::viewport::Viewport;
 use spatial_geom::{Point, Segment};
 
-/// One candidate pair's rendering work within a batch.
-#[derive(Debug, Clone)]
-pub struct AtlasJob {
+/// One candidate pair's rendering work within a batch, as
+/// [`record_batch`] reads it; `second` picks the boundary rendered
+/// second. The geometry goes from these iterators straight into the
+/// command list's arenas — the one copy a recording needs — so a cell
+/// that can stream its edges (a polygon pair) never materializes them. A
+/// round of 32 cells against a 10 000-edge query window is 10 MB of
+/// segments; a second copy beside the list would be the largest buffer
+/// of the process.
+pub trait AtlasCell {
     /// Cell-local projection: data space onto a `cell × cell` window. Must
     /// match the atlas cell resolution.
+    fn viewport(&self) -> Viewport;
+    /// One boundary's wide anti-aliased segments.
+    fn segments(&self, second: bool) -> impl ExactSizeIterator<Item = Segment>;
+    /// The same boundary's smooth vertex points (the distance test's
+    /// Minkowski expansion). Intersection tests have none.
+    fn points(&self, second: bool) -> impl ExactSizeIterator<Item = Point>;
+}
+
+/// An [`AtlasCell`] that owns its geometry.
+#[derive(Debug, Clone)]
+pub struct AtlasJob {
+    /// See [`AtlasCell::viewport`].
     pub viewport: Viewport,
     /// First boundary: wide anti-aliased segments plus (for the distance
     /// test's Minkowski expansion) smooth vertex points. Intersection
@@ -49,6 +67,30 @@ pub struct AtlasJob {
     /// Second boundary.
     pub second_segments: Vec<Segment>,
     pub second_points: Vec<Point>,
+}
+
+impl AtlasCell for AtlasJob {
+    fn viewport(&self) -> Viewport {
+        self.viewport
+    }
+
+    fn segments(&self, second: bool) -> impl ExactSizeIterator<Item = Segment> {
+        let run = if second {
+            &self.second_segments
+        } else {
+            &self.first_segments
+        };
+        run.iter().copied()
+    }
+
+    fn points(&self, second: bool) -> impl ExactSizeIterator<Item = Point> {
+        let run = if second {
+            &self.second_points
+        } else {
+            &self.first_points
+        };
+        run.iter().copied()
+    }
 }
 
 /// Geometry of one batch's grid layout.
@@ -106,18 +148,31 @@ impl Layout {
 /// `line_width`/`point_size` must respect the hardware limits — callers
 /// take the software fallback before batching, exactly like the per-pair
 /// path.
-pub fn record_batch(jobs: &[AtlasJob], line_width: f64, point_size: f64) -> (CommandList, usize) {
+pub fn record_batch<C: AtlasCell>(
+    jobs: &[C],
+    line_width: f64,
+    point_size: f64,
+) -> (CommandList, usize) {
     assert!(!jobs.is_empty(), "cannot record an empty batch");
-    let cell = jobs[0].viewport.width();
+    let cell = jobs[0].viewport().width();
     for job in jobs {
         assert_eq!(
-            (job.viewport.width(), job.viewport.height()),
+            (job.viewport().width(), job.viewport().height()),
             (cell, cell),
             "all jobs must share one square cell resolution"
         );
     }
     let layout = Layout::new(cell, jobs.len(), line_width.max(point_size));
     let mut rec = Recorder::new(layout.width(), layout.height());
+    // One exact allocation per arena instead of a chain of doublings that
+    // ends up to twice the size: the arenas are the largest transient
+    // buffers of a served query.
+    let total =
+        |len: fn(&C, bool) -> usize| jobs.iter().map(|j| len(j, false) + len(j, true)).sum();
+    rec.reserve(
+        total(|j, second| j.segments(second).len()),
+        total(|j, second| j.points(second).len()),
+    );
     rec.begin_batch();
     rec.set_color(HALF_GRAY)
         .expect("half gray is a valid intensity");
@@ -129,10 +184,10 @@ pub fn record_batch(jobs: &[AtlasJob], line_width: f64, point_size: f64) -> (Com
     // Algorithm 3.1 choreography, whole-buffer ops over the atlas.
     rec.clear_color();
     rec.clear_accum();
-    record_pass(&mut rec, jobs, &layout, Pass::First);
+    record_pass(&mut rec, jobs, &layout, false);
     rec.accum_load();
     rec.clear_color();
-    record_pass(&mut rec, jobs, &layout, Pass::Second);
+    record_pass(&mut rec, jobs, &layout, true);
     rec.accum_add();
     rec.accum_return();
 
@@ -143,12 +198,6 @@ pub fn record_batch(jobs: &[AtlasJob], line_width: f64, point_size: f64) -> (Com
         .cell_max(jobs.iter().enumerate().map(|(i, _)| cell_rect(&layout, i)))
         .expect("cells lie inside the atlas");
     (rec.finish(), slot)
-}
-
-#[derive(Clone, Copy, PartialEq)]
-enum Pass {
-    First,
-    Second,
 }
 
 fn cell_rect(layout: &Layout, i: usize) -> PixelRect {
@@ -170,47 +219,41 @@ fn cell_rect(layout: &Layout, i: usize) -> PixelRect {
 /// scissor/viewport churn (and an empty extend-draw) is state no draw
 /// observes and nothing charges. The first *non-empty* job opens each
 /// loop's draw call — one `draw_calls` charge per loop with work in it.
-fn record_pass(rec: &mut Recorder, jobs: &[AtlasJob], layout: &Layout, pass: Pass) {
+fn record_pass<C: AtlasCell>(rec: &mut Recorder, jobs: &[C], layout: &Layout, second: bool) {
     let mut opened = false;
     for (i, job) in jobs.iter().enumerate() {
-        let segments = match pass {
-            Pass::First => &job.first_segments,
-            Pass::Second => &job.second_segments,
-        };
-        if segments.is_empty() {
+        let segments = job.segments(second);
+        if segments.len() == 0 {
             continue;
         }
         rec.set_scissor(Some(cell_rect(layout, i)))
             .expect("cells lie inside the atlas");
-        rec.set_viewport(job.viewport)
+        rec.set_viewport(job.viewport())
             .expect("job viewport matches the cell");
         let recorded = if opened {
-            rec.extend_draw_segments(segments.iter().copied())
+            rec.extend_draw_segments(segments)
         } else {
             opened = true;
-            rec.draw_segments(segments.iter().copied())
+            rec.draw_segments(segments)
         };
         recorded.expect("viewport recorded above");
     }
 
     let mut opened = false;
     for (i, job) in jobs.iter().enumerate() {
-        let points = match pass {
-            Pass::First => &job.first_points,
-            Pass::Second => &job.second_points,
-        };
-        if points.is_empty() {
+        let points = job.points(second);
+        if points.len() == 0 {
             continue;
         }
         rec.set_scissor(Some(cell_rect(layout, i)))
             .expect("cells lie inside the atlas");
-        rec.set_viewport(job.viewport)
+        rec.set_viewport(job.viewport())
             .expect("job viewport matches the cell");
         let recorded = if opened {
-            rec.extend_draw_points(points.iter().copied())
+            rec.extend_draw_points(points)
         } else {
             opened = true;
-            rec.draw_points(points.iter().copied())
+            rec.draw_points(points)
         };
         recorded.expect("viewport recorded above");
     }
@@ -462,7 +505,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "cannot record an empty batch")]
     fn empty_batch_is_rejected_at_record_time() {
-        let _ = record_batch(&[], 1.0, 1.0);
+        let _ = record_batch::<AtlasJob>(&[], 1.0, 1.0);
     }
 
     #[test]

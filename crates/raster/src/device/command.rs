@@ -647,6 +647,13 @@ impl Recorder {
         Ok(self.list.readbacks - 1)
     }
 
+    /// Sizes the segment and point arenas for a caller that knows its
+    /// totals up front (the atlas).
+    pub(crate) fn reserve(&mut self, segments: usize, points: usize) {
+        self.list.segments.reserve_exact(segments);
+        self.list.points.reserve_exact(points);
+    }
+
     /// Seals the stream.
     pub fn finish(self) -> CommandList {
         self.list

@@ -36,7 +36,7 @@ pub(crate) mod scan;
 pub mod stats;
 pub mod viewport;
 
-pub use atlas::AtlasJob;
+pub use atlas::{AtlasCell, AtlasJob};
 pub use context::{
     GlContext, OverlapStrategy, PixelRect, WriteMode, MAX_AA_LINE_WIDTH, MAX_POINT_SIZE,
 };

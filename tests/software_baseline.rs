@@ -1,0 +1,149 @@
+//! The software refinement path answers from facts a `Polygon` caches at
+//! construction — its MBR and its four extreme vertices. On a small
+//! LANDC ⋈ LANDO candidate set: a polygon derived by any method that moves
+//! or reorders vertices answers exactly like a polygon rebuilt from the same
+//! vertices (the caches never go stale), the paper's within-distance kernel,
+//! its sweep variant and the brute-force distance agree, and the 0/1-object
+//! filters change no row of a software distance join while every candidate
+//! is accounted for as a filter hit or a refinement.
+
+use hwspatial::core::engine::{EngineConfig, PreparedDataset, SpatialEngine};
+use hwspatial::datagen;
+use hwspatial::geom::chains::frontier_clipped;
+use hwspatial::geom::{
+    min_dist_brute, point_in_polygon, within_distance, within_distance_sweep, Polygon,
+};
+use hwspatial::index::{join_within_distance_with, FilterConfig, FilterStats};
+
+const SCALE: f64 = 0.002;
+const SEED: u64 = 7;
+
+fn corpus() -> (PreparedDataset, PreparedDataset, f64) {
+    let (a, b) = (datagen::landc(SCALE, SEED), datagen::lando(SCALE, SEED));
+    let base_d = datagen::base_distance(&a, &b);
+    let prepare = |ds: datagen::Dataset| PreparedDataset::new(ds.name, ds.polygons);
+    (prepare(a), prepare(b), base_d)
+}
+
+/// The stage-1 candidates of the within-`d` join, as polygon pairs.
+fn candidates<'a>(
+    a: &'a PreparedDataset,
+    b: &'a PreparedDataset,
+    d: f64,
+) -> Vec<(&'a Polygon, &'a Polygon)> {
+    let (cfg, mut stats) = (FilterConfig::default(), FilterStats::default());
+    join_within_distance_with(&a.tree, &b.tree, d, &cfg, &mut stats)
+        .into_iter()
+        .map(|(i, j)| (a.polygon(*i), b.polygon(*j)))
+        .collect()
+}
+
+fn distances(base_d: f64) -> [f64; 3] {
+    [0.5 * base_d, base_d, 2.0 * base_d]
+}
+
+/// `p` through every `Polygon` method that yields a polygon with moved or
+/// reordered vertices (and the plain copy). One of `p` and its reversal
+/// winds clockwise, so one of the two `ccw` calls really reverses.
+fn derived(p: &Polygon, shift: f64) -> [Polygon; 5] {
+    let reversed = Polygon::new(p.vertices().iter().rev().copied().collect())
+        .expect("a reversed valid ring is valid");
+    let half_turn = p
+        .scaled_about(p.mbr().center(), -1.0)
+        .expect("a half-turn keeps vertices finite and distinct");
+    [
+        p.clone(),
+        p.clone().ccw(),
+        reversed.ccw(),
+        p.translated(shift, -0.5 * shift),
+        half_turn,
+    ]
+}
+
+#[test]
+fn derived_polygons_answer_like_freshly_built_ones() {
+    let (a, b, base_d) = corpus();
+    let pairs = candidates(&a, &b, 2.0 * base_d);
+    assert!(pairs.len() > 100, "only {} candidates", pairs.len());
+    let (mut chains, mut positives) = (0usize, 0usize);
+    for &(p, q) in &pairs {
+        for dp in derived(p, 0.25 * base_d) {
+            let fresh = Polygon::new(dp.vertices().to_vec()).expect("derived from a valid polygon");
+            assert_eq!(dp, fresh, "MBR and extremes follow the vertices");
+            assert_eq!(
+                point_in_polygon(q.vertices()[0], &dp),
+                point_in_polygon(q.vertices()[0], &fresh)
+            );
+            for d in distances(base_d) {
+                let chain = frontier_clipped(&dp, &q.mbr(), d);
+                assert_eq!(chain, frontier_clipped(&fresh, &q.mbr(), d));
+                chains += usize::from(chain.len() < dp.vertex_count());
+                let within = within_distance(&dp, q, d);
+                assert_eq!(within, within_distance(&fresh, q, d));
+                assert_eq!(within, within_distance(q, &dp, d), "symmetric");
+                positives += usize::from(within);
+            }
+        }
+    }
+    assert!(
+        chains > 0 && positives > 0,
+        "{chains} chains, {positives} positives"
+    );
+}
+
+#[test]
+fn pairwise_sweep_and_brute_force_distance_tests_agree() {
+    let (a, b, base_d) = corpus();
+    let pairs = candidates(&a, &b, 2.0 * base_d);
+    // The brute-force oracle is quadratic: a strided sample of pairs small
+    // enough to keep this test in seconds.
+    let sample: Vec<_> = pairs
+        .iter()
+        .filter(|(p, q)| p.vertex_count() * q.vertex_count() <= 40_000)
+        .step_by(pairs.len().div_ceil(64))
+        .collect();
+    assert!(sample.len() >= 32, "only {} sampled pairs", sample.len());
+    let (mut within, mut beyond) = (0usize, 0usize);
+    for &&(p, q) in &sample {
+        let exact = min_dist_brute(p, q);
+        for d in distances(base_d) {
+            assert_eq!(
+                within_distance(p, q, d),
+                exact <= d,
+                "d = {d}, dist = {exact}"
+            );
+            assert_eq!(within_distance_sweep(p, q, d), exact <= d, "sweep, d = {d}");
+            if exact <= d {
+                within += 1;
+            } else {
+                beyond += 1;
+            }
+        }
+    }
+    assert!(within > 0 && beyond > 0, "{within} within, {beyond} beyond");
+}
+
+#[test]
+fn object_filters_change_no_row_and_account_for_every_candidate() {
+    let (a, b, base_d) = corpus();
+    for d in distances(base_d) {
+        let join = |use_object_filters| {
+            SpatialEngine::new(EngineConfig {
+                use_object_filters,
+                ..EngineConfig::software()
+            })
+            .within_distance_join(&a, &b, d)
+        };
+        let (bare_rows, bare) = join(false);
+        let (rows, cost) = join(true);
+        assert_eq!(rows, bare_rows, "d = {d}");
+        assert_eq!(bare.filter_hits, 0);
+        assert_eq!(bare.tests.software_tests, bare.candidates);
+        assert_eq!(cost.candidates, bare.candidates);
+        assert!(cost.filter_hits > 0, "the filters must confirm something");
+        assert_eq!(
+            cost.filter_hits + cost.tests.software_tests,
+            cost.candidates
+        );
+    }
+}
