@@ -1,6 +1,6 @@
 //! Criterion microbenchmarks for the kernels underneath the figures:
-//! point-in-polygon, the two sweeps, minDist and its frontier clip, the
-//! 0/1-object bounds, the AA-line rasterizer and its clip stage, the
+//! point-in-polygon, the restricted search space, the two sweeps, minDist
+//! and its frontier clip, the 0/1-object bounds, the AA-line rasterizer and its clip stage, the
 //! polygon fill, the R-tree, and one full Algorithm 3.1 call. Kept short
 //! (small sample count) so `cargo bench --workspace` finishes in minutes.
 
@@ -12,7 +12,9 @@ use rand::SeedableRng;
 use spatial_datagen::shapes::harmonic_star;
 use spatial_filters::{one_object_upper_bound, zero_object_upper_bound};
 use spatial_geom::chains::frontier_clipped;
-use spatial_geom::intersect::{polygons_intersect_with, IntersectStats, SweepAlgo};
+use spatial_geom::intersect::{
+    polygons_intersect_with, restricted_edges, IntersectStats, SweepAlgo,
+};
 use spatial_geom::{point_in_polygon, within_distance, Point, Polygon, Rect, Segment};
 use spatial_index::RTree;
 use spatial_raster::aa_line::{aa_line_outside_window, rasterize_aa_line, DIAGONAL_WIDTH};
@@ -31,11 +33,33 @@ fn bench_pip(c: &mut Criterion) {
     g.sample_size(20);
     g.warm_up_time(Duration::from_millis(500));
     g.measurement_time(Duration::from_secs(2));
-    for n in [64usize, 512, 4096] {
+    // 48 vertices: below the 64-vertex line, no run boxes, every edge
+    // visited; the other two walk only the runs the ray can reach.
+    for (name, n) in [("48", 48usize), ("1k", 1_000), ("10k", 10_000)] {
         let poly = star(n, 1, 0.0, 0.0);
         let p = Point::new(10.0, 10.0);
-        g.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
+        g.bench_function(name, |b| {
             b.iter(|| point_in_polygon(black_box(p), black_box(&poly)))
+        });
+    }
+    g.finish();
+}
+
+/// The restricted search space of a pair whose MBRs share a corner: the
+/// runs whose box reaches the shared region, then the per-edge filter.
+fn bench_restricted(c: &mut Criterion) {
+    let mut g = c.benchmark_group("restricted_edges");
+    g.sample_size(20);
+    g.warm_up_time(Duration::from_millis(500));
+    g.measurement_time(Duration::from_secs(2));
+    for (name, n) in [("1k", 1_000usize), ("10k", 10_000)] {
+        let p = star(n, 2, 0.0, 0.0);
+        let region = p
+            .mbr()
+            .intersection(&star(n, 3, 60.0, 40.0).mbr())
+            .expect("the stars' MBRs overlap");
+        g.bench_function(name, |b| {
+            b.iter(|| restricted_edges(black_box(&p), black_box(&region)).len())
         });
     }
     g.finish();
@@ -79,17 +103,20 @@ fn bench_mindist(c: &mut Criterion) {
 
 /// The frontier clip in its two regimes: MBRs separated by a gap (one
 /// chain between cached extremes is walked) and MBRs overlapping on both
-/// axes (no chain exists; the whole boundary is clipped).
+/// axes (no chain exists; the runs of the whole boundary within `d` are
+/// clipped).
 fn bench_frontier(c: &mut Criterion) {
     let mut g = c.benchmark_group("frontier_clipped");
     g.sample_size(20);
     g.warm_up_time(Duration::from_millis(500));
     g.measurement_time(Duration::from_secs(2));
-    let p = star(2048, 4, 0.0, 0.0);
-    for (name, other) in [
-        ("chain", star(2048, 5, 150.0, 0.0).mbr()),
-        ("both_axes_overlap", star(2048, 5, 60.0, 20.0).mbr()),
+    for (name, n, (cx, cy)) in [
+        ("chain", 2048usize, (150.0, 0.0)),
+        ("both_axes_overlap", 2048, (60.0, 20.0)),
+        ("both_axes_overlap_10k", 10_000, (60.0, 20.0)),
     ] {
+        let p = star(n, 4, 0.0, 0.0);
+        let other = star(n, 5, cx, cy).mbr();
         assert_eq!(name == "chain", !p.mbr().intersects(&other));
         g.bench_function(name, |b| {
             b.iter(|| frontier_clipped(black_box(&p), black_box(&other), 30.0).len())
@@ -265,6 +292,7 @@ fn bench_segment_kernel(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_pip,
+    bench_restricted,
     bench_sweeps,
     bench_mindist,
     bench_frontier,

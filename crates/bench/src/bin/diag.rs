@@ -5,17 +5,25 @@
 //! phase-by-phase cost of the *software* refinement every headline ratio
 //! divides by: the plane sweep's phases for the intersection joins, and
 //! object filters · point-in-polygon · frontier clip · pairwise kernel for
-//! the within-distance joins at the Figure 14/16 distances.
+//! the within-distance joins at the Figure 14/16 distances — each boundary
+//! scan with the vertices its polygons have, the run boxes it tests and the
+//! edges it then visits — and what the hardware test submits for the same
+//! candidates: segments before and after the run cull, survivors of the
+//! rasterizer's clip compare, candidate fragments per surviving segment.
 
 use hwa_core::engine::PreparedDataset;
+use hwa_core::hw_intersect::HwTester;
 use hwa_core::pipeline::{CandidateFilter, Decision, ObjectFilterStage};
+use hwa_core::{HwConfig, TestStats};
 use spatial_bench::{header, ms, BenchOpts, Workloads, DISTANCE_FACTORS};
 use spatial_geom::chains::{frontier_clipped, frontier_edges};
 use spatial_geom::distance::edges_within_pairwise;
 use spatial_geom::intersect::{
     polygons_intersect_with, restricted_edges, IntersectStats, SweepAlgo,
 };
-use spatial_geom::{point_in_polygon, Polygon, Segment};
+use spatial_geom::{point_in_polygon, Point, Polygon, Rect, Segment};
+use spatial_raster::aa_line::{aa_line_outside_window, DIAGONAL_WIDTH};
+use spatial_raster::Viewport;
 use std::time::Instant;
 
 fn main() {
@@ -33,16 +41,77 @@ fn main() {
     ] {
         intersection_composition(a, b);
         distance_decomposition(a, b, base_d);
+        hardware_submission(a, b, base_d);
+    }
+}
+
+/// What one boundary scan had before it and did: the vertices of the
+/// polygons it was asked about, the run boxes it tested and the edges of
+/// the runs it then visited ([`Polygon::runs_where`]; a polygon below 64
+/// vertices has no boxes and is visited whole).
+#[derive(Default, Clone, Copy)]
+struct Walk {
+    vertices: usize,
+    runs: usize,
+    edges: usize,
+}
+
+impl Walk {
+    /// Adds a scan of `poly` that visits the runs whose box `accept`s —
+    /// the scanning function's own box test, restated by the caller.
+    fn scan(&mut self, poly: &Polygon, mut accept: impl FnMut(&Rect) -> bool) {
+        let mut tested = 0;
+        let visited: usize = poly
+            .runs_where(|run| {
+                tested += 1;
+                accept(run)
+            })
+            .map(|run| run.len())
+            .sum();
+        self.vertices += poly.vertex_count();
+        self.runs += tested;
+        self.edges += visited;
+    }
+
+    /// `locate_point(p, poly)`: nothing past the MBR test for a point
+    /// outside it, else the runs the point's rightward ray can reach.
+    fn point_in_polygon(&mut self, p: Point, poly: &Polygon) {
+        if poly.mbr().contains_point(p) {
+            self.scan(poly, |run| {
+                run.ymin <= p.y && p.y <= run.ymax && run.xmax >= p.x
+            });
+        } else {
+            self.vertices += poly.vertex_count();
+        }
+    }
+
+    fn per_call(&self, calls: usize) -> String {
+        let per = |x: usize| x as f64 / calls.max(1) as f64;
+        format!(
+            "{:>6.0} vertices {:>6.1} runs tested {:>6.0} edges visited /call",
+            per(self.vertices),
+            per(self.runs),
+            per(self.edges)
+        )
+    }
+}
+
+/// Adds what the probe pair both tests open with walks: the second probe
+/// runs only when the first misses.
+fn pip_pair(p: &Polygon, q: &Polygon, walk: &mut Walk) {
+    walk.point_in_polygon(p.vertices()[0], q);
+    if !point_in_polygon(p.vertices()[0], q) {
+        walk.point_in_polygon(q.vertices()[0], p);
     }
 }
 
 /// One phase of the software distance test: calls, wall-clock, and the
-/// boundary vertices the calls walked (0 where the phase is not a walk).
+/// boundary walk behind the calls (all 0 where the phase is not a walk).
 #[derive(Default, Clone, Copy)]
 struct Phase {
     calls: usize,
     ms: f64,
-    vertices: usize,
+    walk: Walk,
 }
 
 impl Phase {
@@ -55,14 +124,13 @@ impl Phase {
     }
 
     fn row(&self, name: &str, total_ms: f64) {
-        let per_call = |x: f64| x / self.calls.max(1) as f64;
         println!(
-            "  {name:<38} {:>7} calls {:>9.1} ms {:>5.1} % {:>7.2} us/call {:>6.0} vertices/call",
+            "  {name:<38} {:>7} calls {:>9.1} ms {:>5.1} % {:>7.2} us/call {}",
             self.calls,
             self.ms,
             100.0 * self.ms / total_ms,
-            per_call(self.ms * 1e3),
-            per_call(self.vertices as f64),
+            self.ms * 1e3 / self.calls.max(1) as f64,
+            self.walk.per_call(self.calls),
         );
     }
 }
@@ -80,21 +148,30 @@ fn distance_decomposition(a: &PreparedDataset, b: &PreparedDataset, base_d: f64)
                 continue;
             }
             let (p, q) = (a.polygon(i), b.polygon(j));
+            pip_pair(p, q, &mut pip.walk);
             if pip.time(|| {
                 point_in_polygon(p.vertices()[0], q) || point_in_polygon(q.vertices()[0], p)
             }) {
                 continue;
             }
-            // The clip walks the whole boundary when the MBRs overlap on
-            // both axes and one frontier chain when a gap separates them.
+            // The clip walks the runs of the whole boundary within `d`
+            // when the MBRs overlap on both axes, and one frontier chain,
+            // edge by edge, when a gap separates them.
             let mut clip = |poly: &Polygon, other: &Polygon| -> Vec<Segment> {
-                let phase = if poly.mbr().intersects(&other.mbr()) {
+                let other = other.mbr();
+                let phase = if poly.mbr().intersects(&other) {
                     &mut overlap
                 } else {
                     &mut chain
                 };
-                phase.vertices += frontier_edges(poly, &other.mbr()).len();
-                phase.time(|| frontier_clipped(poly, &other.mbr(), d))
+                let frontier = frontier_edges(poly, &other).len();
+                if frontier == poly.vertex_count() {
+                    phase.walk.scan(poly, |run| run.min_dist(&other) <= d);
+                } else {
+                    phase.walk.vertices += poly.vertex_count();
+                    phase.walk.edges += frontier;
+                }
+                phase.time(|| frontier_clipped(poly, &other, d))
             };
             let (ep, eq) = (clip(p, q), clip(q, p));
             results += usize::from(pairwise.time(|| edges_within_pairwise(&ep, &eq, d)));
@@ -132,10 +209,12 @@ fn intersection_composition(a: &PreparedDataset, b: &PreparedDataset) {
     let mut sweep_time_neg = 0.0f64;
     let mut pip_time = 0.0f64;
     let mut rss_time = 0.0f64;
+    let [mut pip_walk, mut rss_walk] = [Walk::default(); 2];
     for &(i, j) in &candidates {
         let p = a.polygon(i);
         let q = b.polygon(j);
         let region = p.mbr().intersection(&q.mbr()).unwrap();
+        pip_pair(p, q, &mut pip_walk);
         let t_pip = Instant::now();
         let pip_hit = point_in_polygon(p.vertices()[0], q) || point_in_polygon(q.vertices()[0], p);
         pip_time += t_pip.elapsed().as_secs_f64() * 1e3;
@@ -143,6 +222,8 @@ fn intersection_composition(a: &PreparedDataset, b: &PreparedDataset) {
             pip_pos += 1;
             continue;
         }
+        rss_walk.scan(p, |run| run.intersects(&region));
+        rss_walk.scan(q, |run| run.intersects(&region));
         let t_rss = Instant::now();
         let ep = restricted_edges(p, &region);
         let eq = restricted_edges(q, &region);
@@ -190,5 +271,76 @@ fn intersection_composition(a: &PreparedDataset, b: &PreparedDataset) {
         rss_time,
         sweep_time_pos / 1e3,
         sweep_time_neg / 1e3
+    );
+    let searched = candidates.len() - pip_pos;
+    println!(
+        "  point-in-polygon pair:   {}",
+        pip_walk.per_call(candidates.len())
+    );
+    println!("  restricted search space: {}", rss_walk.per_call(searched));
+}
+
+/// What the hardware tests submit for the pair's candidates at the
+/// recommended 8×8 window with `sw_threshold = 0` (every pair the probes
+/// leave undecided is submitted): primitives before the run cull (two whole
+/// boundaries a pair, and every vertex again as a cap for the distance
+/// test) and after it (`HwStats::primitives`), and for the segment test the
+/// survivors of the rasterizer's clip compare and the candidate fragments
+/// each of them costs.
+fn hardware_submission(a: &PreparedDataset, b: &PreparedDataset, base_d: f64) {
+    const RESOLUTION: usize = 8;
+    let mut tester = HwTester::new(HwConfig::at_resolution(RESOLUTION).with_threshold(0));
+    println!(
+        "\n{} ⋈ {} hardware submission at {RESOLUTION}×{RESOLUTION}, sw_threshold 0:",
+        a.name, b.name
+    );
+
+    let (mut stats, mut whole, mut survivors) = (TestStats::default(), 0usize, 0usize);
+    for (&i, &j) in spatial_index::join_intersecting(&a.tree, &b.tree) {
+        let (p, q) = (a.polygon(i), b.polygon(j));
+        let tested = stats.hw_tests;
+        tester.intersects(p, q, &mut stats);
+        if stats.hw_tests == tested {
+            continue;
+        }
+        whole += p.vertex_count() + q.vertex_count();
+        // The segment test's window (§3.2) and the clip compare over it.
+        let region = p.mbr().intersection(&q.mbr()).expect("a candidate");
+        let viewport = Viewport::new(region, RESOLUTION, RESOLUTION);
+        survivors += p
+            .edges()
+            .chain(q.edges())
+            .filter(|e| {
+                let (a, b) = (viewport.to_window(e.a), viewport.to_window(e.b));
+                !aa_line_outside_window(a, b, DIAGONAL_WIDTH, RESOLUTION, RESOLUTION)
+            })
+            .count();
+    }
+    println!(
+        "  intersection:         {:>6} tests  {whole:>9} segments before the run cull  \
+         {:>8} after ({:.1} %)  {survivors:>7} survive the clip compare  \
+         {:.1} candidate fragments per survivor",
+        stats.hw_tests,
+        stats.hw.primitives,
+        100.0 * stats.hw.primitives as f64 / whole.max(1) as f64,
+        stats.hw.fragments_tested as f64 / survivors.max(1) as f64,
+    );
+
+    let (mut stats, mut whole) = (TestStats::default(), 0usize);
+    for (&i, &j) in spatial_index::join_within_distance(&a.tree, &b.tree, base_d) {
+        let (p, q) = (a.polygon(i), b.polygon(j));
+        let tested = stats.hw_tests;
+        tester.within_distance(p, q, base_d, &mut stats);
+        if stats.hw_tests > tested {
+            whole += 2 * (p.vertex_count() + q.vertex_count());
+        }
+    }
+    println!(
+        "  within 1.0 × BaseD:   {:>6} tests  {whole:>9} segments and caps before  \
+         {:>8} after ({:.1} %)  {:.1} candidate fragments per submitted primitive",
+        stats.hw_tests,
+        stats.hw.primitives,
+        100.0 * stats.hw.primitives as f64 / whole.max(1) as f64,
+        stats.hw.fragments_tested as f64 / stats.hw.primitives.max(1) as f64,
     );
 }

@@ -14,11 +14,13 @@
 //!   either [`Routed::Done`] or needs the hardware over a [`Window`];
 //! * [`window`] — the §3.2 projection: region, anisotropic vs uniform
 //!   scaling, the Equation (1) line width, which polygon renders first,
-//!   and which recording the resulting tape is;
+//!   which recording the resulting tape is, and — an extension of
+//!   Algorithm 3.1 — which runs of each boundary can reach the window at
+//!   all ([`LiveRuns`]);
 //! * [`list`] — the command list for a [`Tape`] (one window, or an atlas
-//!   of windows sharing a line width), recorded per submission and
-//!   executed verbatim. The only product caller of the `record_*`
-//!   functions;
+//!   of windows sharing a line width), recorded per submission from the
+//!   window's live runs and executed verbatim. The only product caller
+//!   of the `record_*` functions;
 //! * [`settle`] — the reject / confirm / fault-fallback epilogue over the
 //!   scan's verdict, with [`confirm`] as the per-predicate software
 //!   step 3.
@@ -36,9 +38,10 @@ use spatial_geom::intersect::restricted_edges;
 use spatial_geom::pip::point_in_polygon;
 use spatial_geom::sweep::{tree_sweep_intersects_stats, SweepStats};
 use spatial_geom::{Point, Polygon, Rect, Segment};
-use spatial_raster::aa_line::DIAGONAL_WIDTH;
+use spatial_raster::aa_line::{aa_line_outside_window, DIAGONAL_WIDTH};
 use spatial_raster::atlas::record_batch;
 use spatial_raster::{AtlasCell, CommandList, OverlapStrategy, Viewport, MAX_AA_LINE_WIDTH};
+use std::ops::Range;
 
 /// Which `record_*` function draws a window's tape.
 #[derive(Debug, Clone, Copy)]
@@ -68,6 +71,54 @@ pub(crate) struct Window<'a> {
     pub first: &'a Polygon,
     pub second: &'a Polygon,
     recording: Recording,
+    /// What of `first` and `second` is submitted. Unused by the overlap
+    /// count, which fills whole interiors.
+    live: [LiveRuns; 2],
+}
+
+/// The part of one boundary a window submits: the runs of consecutive
+/// edges ([`Polygon::runs_where`]) whose box the rasterizer's clip compare
+/// could not reject, as edge-index ranges in boundary order — never a copy
+/// of the edges — and how many edges they hold.
+///
+/// Algorithm 3.1 renders whole boundaries and lets the pipeline clip; on
+/// real polygons 81–99 % of those segments never reach the window, and the
+/// simulated card still copies, projects and compares every one of them on
+/// every execute and every pricing replay. Dropping a run here costs one
+/// box compare per 32 edges on the CPU clock (the prologue's, outside
+/// `sim_wall`) and is invisible to the device: [`Viewport::to_window`] is
+/// monotone per axis, so the projected box corners bound every projected
+/// end point of the run, and what [`aa_line_outside_window`] rejects for
+/// the corners at the window's line width it rejects for each edge of the
+/// run — and, at half that width, for the distance test's cap on each of
+/// their vertices. Every skipped primitive is one the clip stage would
+/// have discarded before any setup: pixels, fragments, readbacks and rows
+/// are unchanged, only `primitives` (and the modeled time that prices it)
+/// falls.
+#[derive(Debug, Default)]
+struct LiveRuns {
+    runs: Vec<Range<usize>>,
+    edges: usize,
+}
+
+impl LiveRuns {
+    /// The live runs of the boundary rendered first and of the second.
+    fn pair(first: &Polygon, second: &Polygon, viewport: &Viewport, width: f64) -> [LiveRuns; 2] {
+        [first, second].map(|poly| LiveRuns::of(poly, viewport, width))
+    }
+
+    fn of(poly: &Polygon, viewport: &Viewport, width: f64) -> LiveRuns {
+        let (w, h) = (viewport.width(), viewport.height());
+        let runs: Vec<Range<usize>> = poly
+            .runs_where(|run| {
+                let lo = viewport.to_window(Point::new(run.xmin, run.ymin));
+                let hi = viewport.to_window(Point::new(run.xmax, run.ymax));
+                !aa_line_outside_window(lo, hi, width, w, h)
+            })
+            .collect();
+        let edges = runs.iter().map(Range::len).sum();
+        LiveRuns { runs, edges }
+    }
 }
 
 /// The hardware projection for `op` on `(p, q)` at `resolution`, or
@@ -93,13 +144,18 @@ pub(crate) fn window<'a>(
                 Recording::Segment(strategy),
             ),
         };
+        let viewport = Viewport::new(region, resolution, resolution);
         return Some(Window {
             region,
-            viewport: Viewport::new(region, resolution, resolution),
+            viewport,
             width: DIAGONAL_WIDTH,
             first: p,
             second: q,
             recording,
+            live: match recording {
+                Recording::Overlap => Default::default(),
+                _ => LiveRuns::pair(p, q, &viewport, DIAGONAL_WIDTH),
+            },
         });
     };
 
@@ -140,68 +196,95 @@ pub(crate) fn window<'a>(
         first: small,
         second: large,
         recording: Recording::Distance(strategy),
+        live: LiveRuns::pair(small, large, &viewport, width),
     })
 }
 
 impl Window<'_> {
     /// This window's tape and its verdict slot.
     fn record(&self) -> (CommandList, usize) {
-        let (first, second) = (self.first, self.second);
         let resolution = self.viewport.width();
         match self.recording {
             Recording::Segment(strategy) => HwTester::record_segment_test(
                 self.region,
                 resolution,
                 strategy,
-                first.edges(),
-                second.edges(),
+                self.segments(false),
+                self.segments(true),
             ),
-            Recording::Distance(strategy) => HwTester::record_distance_test(
+            Recording::Distance(strategy) => HwTester::record_expanded_boundaries(
                 self.region,
                 resolution,
                 strategy,
                 self.width,
-                first,
-                second,
+                (self.segments(false), self.points(false)),
+                (self.segments(true), self.points(true)),
             ),
             Recording::Overlap => HwTester::record_overlap_area(
                 self.region,
                 resolution,
-                first.vertices().iter().copied(),
-                second.vertices().iter().copied(),
+                self.first.vertices().iter().copied(),
+                self.second.vertices().iter().copied(),
             ),
         }
     }
 
-    /// The polygon rendered first or second.
-    fn side(&self, second: bool) -> &Polygon {
+    /// The polygon rendered first or second and its live runs.
+    fn side(&self, second: bool) -> (&Polygon, &LiveRuns) {
         if second {
-            self.second
+            (self.second, &self.live[1])
         } else {
-            self.first
+            (self.first, &self.live[0])
         }
+    }
+
+    /// One boundary's live edges, streamed from the polygon into a list's
+    /// arena, never through a per-window copy.
+    pub(crate) fn segments(&self, second: bool) -> impl ExactSizeIterator<Item = Segment> + '_ {
+        let (poly, live) = self.side(second);
+        let runs = live.runs.iter();
+        counted(live.edges, runs.flat_map(|run| poly.edges_in(run.clone())))
+    }
+
+    /// The distance test draws vertex caps (smooth points) on top of the
+    /// edges: the start vertex of every live edge. A live run's last end
+    /// point starts the next run — live too, or clipped with its box.
+    pub(crate) fn points(&self, second: bool) -> impl ExactSizeIterator<Item = Point> + '_ {
+        let (poly, live) = self.side(second);
+        let caps = match self.recording {
+            Recording::Distance(_) => live.edges,
+            _ => 0,
+        };
+        let runs = live.runs.iter();
+        counted(
+            caps,
+            runs.flat_map(|run| poly.vertices()[run.clone()].iter().copied()),
+        )
     }
 }
 
-/// A window is its own atlas cell: its edges stream from the polygons
-/// into the list's arena, never through a per-cell copy.
+/// The first `total` of `items` as a stream that knows its length — the
+/// atlas sizes its arena from it before filling it. `items` must hold at
+/// least that many.
+fn counted<'a, T>(
+    total: usize,
+    mut items: impl Iterator<Item = T> + 'a,
+) -> impl ExactSizeIterator<Item = T> + 'a {
+    (0..total).map(move |_| items.next().expect("`total` counts the items"))
+}
+
+/// A window is its own atlas cell.
 impl AtlasCell for &Window<'_> {
     fn viewport(&self) -> Viewport {
         self.viewport
     }
 
     fn segments(&self, second: bool) -> impl ExactSizeIterator<Item = Segment> {
-        self.side(second).edges()
+        Window::segments(self, second)
     }
 
     fn points(&self, second: bool) -> impl ExactSizeIterator<Item = Point> {
-        // The distance test draws vertex caps (smooth points) on top of
-        // the edges.
-        let caps: &[Point] = match self.recording {
-            Recording::Distance(_) => self.side(second).vertices(),
-            _ => &[],
-        };
-        caps.iter().copied()
+        Window::points(self, second)
     }
 }
 
@@ -284,13 +367,15 @@ pub(crate) fn route<'a>(
         return Routed::Done(confirm(pred, p, q));
     }
 
-    // Step 2 runs in hardware. ALL edges are submitted; clipping to the
-    // projected region happens in the pipeline ("the parts of geometries
+    // Step 2 runs in hardware. Algorithm 3.1 submits ALL edges and lets
+    // the pipeline clip to the projected region ("the parts of geometries
     // that are outside the viewing area are clipped", §2.1) at vertex
     // rate, so the hardware also rejects pairs whose boundaries never
-    // reach the window — without the O(n+m) software scan the restricted
-    // search space costs. This is why Figure 11 finds the hardware ahead
-    // even at a 1×1 window.
+    // reach the window without the O(n+m) software scan the restricted
+    // search space costs — which is how Figure 11 finds the hardware
+    // ahead even at a 1×1 window. `window` keeps that, minus the runs of
+    // 32 edges whose cached box the clip compare rejects wholesale
+    // (`LiveRuns`): n/32 box compares, not a scan.
     match window(RefineOp::Test(pred), p, q, cfg.resolution, cfg.strategy) {
         Some(w) => Routed::Hw(w),
         // No projection window: a capability limit, answered exactly in
@@ -367,6 +452,7 @@ pub(crate) fn settle(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spatial_raster::{AtlasJob, DeviceKind, FrameBuffer, HwStats, Readback};
 
     /// The d = ∞ defect: an unbounded region has no projection window.
     #[test]
@@ -388,5 +474,182 @@ mod tests {
         );
         assert!(matches!(routed, Routed::Done(true)), "{routed:?}");
         assert_eq!((stats.width_limit_fallbacks, stats.software_tests), (1, 1));
+    }
+
+    /// What executing `list` leaves behind and charges.
+    fn execute(list: &CommandList) -> (FrameBuffer, Vec<Readback>, HwStats) {
+        let mut device = DeviceKind::Reference.build();
+        let exec = device.execute(list).expect("the reference device");
+        let frame = device.snapshot().expect("a frame after an execution");
+        (frame, exec.readbacks, exec.stats)
+    }
+
+    /// The whole-boundary list Algorithm 3.1 writes for `w`, from the
+    /// public recorders `tests/golden.rs` pins.
+    fn whole_boundaries(w: &Window) -> CommandList {
+        let resolution = w.viewport.width();
+        match w.recording {
+            Recording::Segment(strategy) => HwTester::record_segment_test(
+                w.region,
+                resolution,
+                strategy,
+                w.first.edges(),
+                w.second.edges(),
+            ),
+            Recording::Distance(strategy) => HwTester::record_distance_test(
+                w.region, resolution, strategy, w.width, w.first, w.second,
+            ),
+            Recording::Overlap => unreachable!("the overlap count submits fills"),
+        }
+        .0
+    }
+
+    /// `w` as an atlas cell that owns every edge and, for the distance
+    /// test, every vertex of both polygons.
+    fn whole_job(w: &Window) -> AtlasJob {
+        let caps = |poly: &Polygon| match w.recording {
+            Recording::Distance(_) => poly.vertices().to_vec(),
+            _ => Vec::new(),
+        };
+        AtlasJob {
+            viewport: w.viewport,
+            first_segments: w.first.edges().collect(),
+            first_points: caps(w.first),
+            second_segments: w.second.edges().collect(),
+            second_points: caps(w.second),
+        }
+    }
+
+    /// Draw calls an atlas pass structure opens: one per side per
+    /// primitive kind with anything in it ("an empty pass opens no draw
+    /// call", `record_batch`).
+    fn opened_passes(lens: impl Fn(bool) -> (usize, usize)) -> usize {
+        [false, true]
+            .into_iter()
+            .map(|second| {
+                let (segments, points) = lens(second);
+                usize::from(segments > 0) + usize::from(points > 0)
+            })
+            .sum()
+    }
+
+    /// Large-boundary pairs of a small LANDC ⋈ LANDO draw — what carries
+    /// run boxes — plus one STATES50 window over both datasets.
+    fn corpus() -> (Vec<(Polygon, Polygon)>, f64) {
+        let landc = spatial_datagen::landc(0.002, 7);
+        let lando = spatial_datagen::lando(0.002, 7);
+        let base_d = spatial_datagen::base_distance(&landc, &lando);
+        let state = spatial_datagen::states50(7).polygons[10].clone();
+        let mut pairs = Vec::new();
+        for p in &landc.polygons {
+            for q in lando.polygons.iter().chain([&state]) {
+                let large = p.vertex_count().max(q.vertex_count()) >= 64;
+                if large && p.mbr().min_dist(&q.mbr()) <= base_d {
+                    pairs.push((p.clone(), q.clone()));
+                }
+            }
+        }
+        // Strided: enough pairs to mix cells, few enough for a debug run.
+        let step = pairs.len().div_ceil(20);
+        (pairs.into_iter().step_by(step).collect(), base_d)
+    }
+
+    /// Submitting only a window's live runs is invisible to the device:
+    /// for segment, containment and within-distance windows at every
+    /// resolution, every Equation (1) width up to the 10 px limit and all
+    /// three overlap strategies, the list `window` records and the
+    /// whole-boundary list of the public recorders execute to the same
+    /// frame, the same readbacks and the same counters but `primitives` —
+    /// per pair, and as an atlas of mixed cells, where `draw_calls` may
+    /// also fall by exactly the passes the cull emptied.
+    #[test]
+    fn live_runs_execute_like_whole_boundaries() {
+        let (pairs, base_d) = corpus();
+        assert!(pairs.len() >= 12, "only {} pairs", pairs.len());
+        let mut ops = vec![
+            RefineOp::Test(Predicate::Intersects),
+            RefineOp::Test(Predicate::ContainedIn),
+        ];
+        ops.extend((-6..=8).map(|k| {
+            RefineOp::Test(Predicate::WithinDistance(
+                base_d * 2f64.powf(0.5 * k as f64),
+            ))
+        }));
+        let strategies = [
+            OverlapStrategy::Accumulation,
+            OverlapStrategy::Blending,
+            OverlapStrategy::Stencil,
+        ];
+        let (mut submitted, mut whole, mut fewer_draws) = (0usize, 0usize, 0usize);
+        let mut widths = std::collections::BTreeSet::new();
+        for resolution in [1usize, 4, 8, 16, 32] {
+            for &op in &ops {
+                let windows: Vec<Window> = pairs
+                    .iter()
+                    .filter_map(|(p, q)| window(op, p, q, resolution, strategies[0]))
+                    .collect();
+                for w in &windows {
+                    widths.insert(w.width as u64);
+                    for strategy in strategies {
+                        let (p, q) = (w.first, w.second);
+                        let w = window(op, p, q, resolution, strategy).expect("as above");
+                        let (frame, readbacks, stats) = execute(&list(Tape::Pair(&w)).0);
+                        let (full_frame, full_readbacks, full) = execute(&whole_boundaries(&w));
+                        assert!(frame == full_frame, "{op:?} at {resolution}, {strategy:?}");
+                        assert_eq!(readbacks, full_readbacks, "{op:?} at {resolution}");
+                        assert!(stats.primitives <= full.primitives);
+                        let primitives = full.primitives;
+                        assert_eq!(
+                            HwStats {
+                                primitives,
+                                ..stats
+                            },
+                            full,
+                            "{op:?} at {resolution}"
+                        );
+                        submitted += stats.primitives;
+                        whole += full.primitives;
+                    }
+                }
+
+                // The same windows as atlas rounds, one per line width.
+                let mut cells: Vec<&Window> = windows.iter().collect();
+                cells.sort_by(|a, b| a.width.total_cmp(&b.width));
+                for round in cells.chunk_by(|a, b| a.width == b.width) {
+                    let width = round[0].width;
+                    let (frame, readbacks, stats) = execute(&list(Tape::Atlas(round)).0);
+                    let jobs: Vec<AtlasJob> = round.iter().map(|w| whole_job(w)).collect();
+                    let (full_frame, full_readbacks, full) =
+                        execute(&record_batch(&jobs, width, width).0);
+                    assert!(frame == full_frame, "{op:?} atlas at {resolution}");
+                    assert_eq!(readbacks, full_readbacks, "{op:?} atlas at {resolution}");
+                    let total = |len: fn(&Window, bool) -> usize, second: bool| -> usize {
+                        round.iter().map(|w| len(w, second)).sum()
+                    };
+                    let draw_calls = opened_passes(|second| {
+                        (
+                            total(|w, s| w.segments(s).len(), second),
+                            total(|w, s| w.points(s).len(), second),
+                        )
+                    });
+                    assert_eq!(stats.draw_calls, draw_calls, "{op:?} atlas at {resolution}");
+                    assert!(draw_calls <= full.draw_calls && stats.primitives <= full.primitives);
+                    fewer_draws += full.draw_calls - draw_calls;
+                    let expected = HwStats {
+                        primitives: stats.primitives,
+                        draw_calls,
+                        ..full
+                    };
+                    assert_eq!(stats, expected, "{op:?} atlas at {resolution}");
+                }
+            }
+        }
+        assert!(
+            widths.contains(&1) && widths.contains(&10) && widths.len() >= 6,
+            "{widths:?}"
+        );
+        assert!(2 * submitted < whole, "{submitted} of {whole} primitives");
+        // Some round lost a whole pass to the cull, most did not.
+        assert!(fewer_draws > 0, "no atlas pass was emptied");
     }
 }

@@ -22,7 +22,7 @@ use crate::pipeline::Predicate;
 use crate::stats::TestStats;
 use spatial_geom::chains::frontier_clipped;
 use spatial_geom::distance::edges_within_pairwise;
-use spatial_geom::{Polygon, Rect};
+use spatial_geom::{Point, Polygon, Rect, Segment};
 use spatial_raster::framebuffer::HALF_GRAY;
 use spatial_raster::{CommandList, OverlapStrategy, Recorder, Viewport, WriteMode};
 
@@ -42,6 +42,31 @@ impl HwTester {
         first: &Polygon,
         second: &Polygon,
     ) -> (CommandList, usize) {
+        Self::record_expanded_boundaries(
+            region,
+            resolution,
+            strategy,
+            width,
+            (first.edges(), first.vertices().iter().copied()),
+            (second.edges(), second.vertices().iter().copied()),
+        )
+    }
+
+    /// [`HwTester::record_distance_test`] over explicit lists: each
+    /// boundary is the `(edges, vertex caps)` to draw, which for a pair's
+    /// projection window are those of its live runs only.
+    pub(crate) fn record_expanded_boundaries<S, P>(
+        region: Rect,
+        resolution: usize,
+        strategy: OverlapStrategy,
+        width: f64,
+        first: (S, P),
+        second: (S, P),
+    ) -> (CommandList, usize)
+    where
+        S: IntoIterator<Item = Segment>,
+        P: IntoIterator<Item = Point>,
+    {
         let mut rec = Recorder::new(resolution, resolution);
         rec.set_viewport(Viewport::uniform(region, resolution, resolution))
             .expect("window dimensions match the viewport resolution");
@@ -51,11 +76,9 @@ impl HwTester {
             .expect("caller pre-validates the Equation (1) width");
         rec.set_point_size(width)
             .expect("caller pre-validates the Equation (1) width");
-        let draw_expanded = |rec: &mut Recorder, poly: &Polygon| {
-            rec.draw_segments(poly.edges())
-                .expect("viewport recorded above");
-            rec.draw_points(poly.vertices().iter().copied())
-                .expect("viewport recorded above");
+        let draw_expanded = |rec: &mut Recorder, (edges, caps): (S, P)| {
+            rec.draw_segments(edges).expect("viewport recorded above");
+            rec.draw_points(caps).expect("viewport recorded above");
         };
         let slot = match strategy {
             OverlapStrategy::Accumulation | OverlapStrategy::Blending => {

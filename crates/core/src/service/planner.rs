@@ -659,8 +659,12 @@ mod tests {
     }
 
     /// What a tester submits is the `record_*` output itself — the
-    /// functions `tests/golden.rs` pins — for the pair's window: nothing
-    /// rewrites the tape between recorder and device, per pair or batched.
+    /// functions `tests/golden.rs` pins — for the *live runs* of the
+    /// pair's window: nothing rewrites the tape between recorder and
+    /// device, per pair or batched. (Re-pinned with the boundary runs:
+    /// until then the lists were `w.first.edges()` / `w.second.edges()`
+    /// and every vertex as a cap; `choreography`'s differential test
+    /// holds that the two forms execute alike.)
     #[test]
     fn testers_submit_the_recorders_list_verbatim() {
         use crate::choreography::{route, Routed};
@@ -686,15 +690,22 @@ mod tests {
                 let w = window(spec.op(), p, q, resolution, strategy)
                     .expect("a pair that reached the device has a window");
                 let direct = match spec.op() {
-                    RefineOp::Test(Predicate::WithinDistance(_)) => HwTester::record_distance_test(
-                        w.region, resolution, strategy, w.width, w.first, w.second,
-                    ),
+                    RefineOp::Test(Predicate::WithinDistance(_)) => {
+                        HwTester::record_expanded_boundaries(
+                            w.region,
+                            resolution,
+                            strategy,
+                            w.width,
+                            (w.segments(false), w.points(false)),
+                            (w.segments(true), w.points(true)),
+                        )
+                    }
                     RefineOp::Test(_) => HwTester::record_segment_test(
                         w.region,
                         resolution,
                         strategy,
-                        w.first.edges(),
-                        w.second.edges(),
+                        w.segments(false),
+                        w.segments(true),
                     ),
                     RefineOp::Measure { .. } => HwTester::record_overlap_area(
                         w.region,
@@ -721,11 +732,6 @@ mod tests {
                 }
             }
             routed.sort_by(|a, b| a.width.total_cmp(&b.width));
-            // Only the distance test draws vertex caps.
-            let caps = |poly: &Polygon| match pred {
-                Predicate::WithinDistance(_) => poly.vertices().to_vec(),
-                _ => Vec::new(),
-            };
             let direct: Vec<String> = routed
                 .chunk_by(|a, b| a.width == b.width)
                 .map(|round| {
@@ -733,10 +739,10 @@ mod tests {
                         .iter()
                         .map(|w| AtlasJob {
                             viewport: w.viewport,
-                            first_segments: w.first.edges().collect(),
-                            first_points: caps(w.first),
-                            second_segments: w.second.edges().collect(),
-                            second_points: caps(w.second),
+                            first_segments: w.segments(false).collect(),
+                            first_points: w.points(false).collect(),
+                            second_segments: w.segments(true).collect(),
+                            second_points: w.points(true).collect(),
                         })
                         .collect();
                     record_batch(&jobs, round[0].width, round[0].width)

@@ -29,6 +29,13 @@
 //! a chain that takes 1 µs to walk and clip — a quarter to two fifths of
 //! the whole software distance test on `join-sw`, more than the clip saves
 //! (EXPERIMENTS.md "Honest software baseline").
+//!
+//! Where no chain exists — MBRs that overlap on both axes, the large-polygon
+//! tail of a join — the clip is over the whole boundary, and it walks only
+//! the runs of 32 edges whose cached box ([`Polygon::runs_where`]) is
+//! within `d` of the other MBR: 10–34 % of the calls used to be 55–77 % of
+//! the clip's time, 1 800–3 800 vertices each (EXPERIMENTS.md "Boundary
+//! runs").
 
 use crate::polygon::Polygon;
 use crate::rect::Rect;
@@ -83,7 +90,8 @@ pub fn frontier_edges(poly: &Polygon, other_mbr: &Rect) -> Vec<Segment> {
 /// One walk over the chosen chain, clipping as edges are produced. The
 /// chain's end points are the polygon's cached extreme vertices
 /// ([`Polygon`] finds them once, at construction), so a pair costs its
-/// chain, not three scans of the whole boundary to find it.
+/// chain, not three scans of the whole boundary to find it — and where
+/// there is no chain, the boundary runs within `d`, not the boundary.
 ///
 /// The filter uses the same [`Rect::min_dist`] kernel as the pipeline's
 /// MBR gates and the pairwise edge prefilter — NOT an
@@ -92,8 +100,13 @@ pub fn frontier_edges(poly: &Polygon, other_mbr: &Rect) -> Vec<Segment> {
 /// drop it, flipping a closed-predicate boundary answer. With one shared
 /// kernel, every layer of the distance test rounds the same way.
 pub fn frontier_clipped(poly: &Polygon, other_mbr: &Rect, d: f64) -> Vec<Segment> {
-    let within = |e: &Segment| e.mbr().min_dist(other_mbr) <= d;
-    let whole_boundary = || poly.edges().filter(within).collect();
+    let within = |mbr: &Rect| mbr.min_dist(other_mbr) <= d;
+    // Of the whole boundary, only the runs whose cached box is `within`:
+    // the box contains each of its edges' MBRs and `min_dist` is monotone
+    // under containment — subtractions, `max`, squares of non-negatives, a
+    // sum and a root, each monotone in f64 — so a run the box test skips
+    // holds no edge the per-edge test keeps.
+    let whole_boundary = || poly.edges_near(within);
 
     // Split vertices (perpendicular extremes) and the facing extreme.
     let [max_x, min_x, max_y, min_y] = poly.extremes();
@@ -127,7 +140,7 @@ pub fn frontier_clipped(poly: &Polygon, other_mbr: &Rect, d: f64) -> Vec<Segment
     while i != to {
         let next = if i + 1 == vs.len() { 0 } else { i + 1 };
         let e = Segment::new(vs[i], vs[next]);
-        if within(&e) {
+        if within(&e.mbr()) {
             out.push(e);
         }
         i = next;

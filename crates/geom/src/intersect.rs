@@ -39,10 +39,12 @@ pub struct IntersectStats {
 /// restricted search space. Any boundary-boundary intersection point lies in
 /// both polygons' MBRs, hence in their intersection, hence on edges this
 /// filter keeps; the reduction is therefore lossless.
+///
+/// Only the runs whose cached box intersects `region` are walked: an
+/// edge's MBR lies inside its run's box, so no edge the filter keeps is in
+/// a run it skips.
 pub fn restricted_edges(poly: &Polygon, region: &Rect) -> Vec<Segment> {
-    poly.edges()
-        .filter(|e| e.mbr().intersects(region))
-        .collect()
+    poly.edges_near(|mbr| mbr.intersects(region))
 }
 
 /// The complete software intersection test between two simple polygons,

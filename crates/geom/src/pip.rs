@@ -5,16 +5,21 @@
 //! vertex access), which is why Algorithm 3.1 keeps it in software and only
 //! offloads the segment test to hardware. "Cheap relative to the
 //! segment-intersection step" does not survive measurement here: both paths
-//! pay it on every candidate the filters pass, over *whole* boundaries,
-//! while the sweep and minDist kernels see only restricted or clipped
-//! edges — on `join-sw` the probes cost about as much as every sweep and
-//! pairwise-kernel call together, three times the pairwise kernel on
-//! LANDC ⋈ LANDO (EXPERIMENTS.md "Honest software baseline"). Hence the
-//! two-compare edge skip in [`locate_point`].
+//! pay it on every candidate the filters pass, while the sweep and minDist
+//! kernels see only restricted or clipped edges — on `join-sw` the probes
+//! cost about as much as every sweep and pairwise-kernel call together
+//! (EXPERIMENTS.md "Honest software baseline"), and 15 % of `select-warm`
+//! while they still scanned *whole* boundaries ("Boundary runs"). Hence the
+//! two levels of skipping in [`locate_point`]: a run of 32 edges whose
+//! cached box the ray cannot reach costs one box compare, and within a
+//! visited run an edge strictly above or below the point costs compares
+//! and no arithmetic.
 
 use crate::point::Point;
 use crate::polygon::Polygon;
 use crate::predicates::on_segment;
+use crate::rect::Rect;
+use crate::segment::Segment;
 
 /// Where a point lies relative to a polygon.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,24 +38,28 @@ pub fn locate_point(p: Point, poly: &Polygon) -> PointLocation {
     if !poly.mbr().contains_point(p) {
         return PointLocation::Outside;
     }
-    let vs = poly.vertices();
     let mut inside = false;
-    // Each vertex is classified against the horizontal through `p` once,
-    // as the end of one edge, and carried over as the start of the next.
-    let mut a = vs[vs.len() - 1];
-    let (mut a_above, mut a_below) = (a.y > p.y, a.y < p.y);
-    for &b in vs {
-        let (b_above, b_below) = (b.y > p.y, b.y < p.y);
-        // An edge strictly above or strictly below that horizontal can
-        // neither hold `p` nor cross its ray: skip it on the two compares,
-        // before the orientation product `on_segment` starts with.
-        if !(a_above && b_above || a_below && b_below) {
-            if on_segment(a, b, p) {
-                return PointLocation::OnBoundary;
+    // A run whose box lies strictly above, strictly below or strictly left
+    // of `p` holds no edge the per-edge tests below would act on.
+    let reachable = |run: &Rect| run.ymin <= p.y && p.y <= run.ymax && run.xmax >= p.x;
+    for run in poly.runs_where(reachable) {
+        let on_boundary = poly.edges_in(run).any(|Segment { a, b }| {
+            let (a_above, b_above) = (a.y > p.y, b.y > p.y);
+            // An edge strictly above or strictly below the horizontal
+            // through `p` can neither hold `p` nor cross its ray: skip it
+            // on the compares, before the orientation product `on_segment`
+            // starts with.
+            if a_above && b_above || a.y < p.y && b.y < p.y {
+                return false;
             }
-            // Half-open rule: edge crosses the upward ray from p when
-            // exactly one endpoint is strictly above p's y.
-            if a_above != b_above {
+            if on_segment(a, b, p) {
+                return true;
+            }
+            // Half-open rule: edge crosses the rightward ray from p when
+            // exactly one endpoint is strictly above p's y — and the edge
+            // is not wholly left of `p`, where the rounded crossing below
+            // can land one ulp past the edge's own end.
+            if a_above != b_above && (a.x >= p.x || b.x >= p.x) {
                 // x-coordinate of the edge at height p.y.
                 let t = (p.y - a.y) / (b.y - a.y);
                 let x = a.x + t * (b.x - a.x);
@@ -58,8 +67,11 @@ pub fn locate_point(p: Point, poly: &Polygon) -> PointLocation {
                     inside = !inside;
                 }
             }
+            false
+        });
+        if on_boundary {
+            return PointLocation::OnBoundary;
         }
-        (a, a_above, a_below) = (b, b_above, b_below);
     }
     if inside {
         PointLocation::Inside
@@ -175,6 +187,20 @@ mod tests {
         );
         assert_eq!(
             locate_point(Point::new(3.9, 2.0), &diamond),
+            PointLocation::Inside
+        );
+    }
+
+    #[test]
+    fn an_edge_wholly_left_of_the_point_is_never_crossed() {
+        // At the height of its lower end, the long edge's crossing rounds
+        // to x = 2 — past that end at x = 1.5 (1e16 + 1.5 is not a double).
+        // A point between the two is right of the whole edge and inside the
+        // polygon; counting the rounded crossing would call it outside,
+        // and only below 64 vertices, where no run box hides the edge.
+        let poly = Polygon::from_coords(&[(-1e16, 1.0), (1.5, 0.0), (3.0, -1.0), (3.0, 2.0)]);
+        assert_eq!(
+            locate_point(Point::new(1.75, 0.0), &poly),
             PointLocation::Inside
         );
     }

@@ -10,6 +10,8 @@ use crate::point::Point;
 use crate::rect::Rect;
 use crate::segment::Segment;
 use std::fmt;
+use std::ops::Range;
+use std::sync::Arc;
 
 /// Errors raised by [`Polygon::new`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -38,38 +40,72 @@ impl fmt::Display for PolygonError {
 
 impl std::error::Error for PolygonError {}
 
-/// A simple polygon with `f64` vertices, a cached MBR and the cached
-/// indices of its four extreme vertices.
+/// A simple polygon with `f64` vertices, a cached MBR, the cached indices
+/// of its four extreme vertices and — from 64 vertices up — the cached MBR
+/// of every run of 32 consecutive edges.
 ///
-/// Both caches are computed in one pass at construction. The filtering step
-/// touches MBRs orders of magnitude more often than actual geometry, so the
-/// MBR must be free to read; the extreme vertices are where the `minDist`
-/// frontier chains start and end ([`crate::chains`]), a property of the
-/// polygon alone that the software distance test would otherwise rediscover
-/// with three full vertex scans on every candidate pair.
+/// All three caches are computed in one pass at construction. The filtering
+/// step touches MBRs orders of magnitude more often than actual geometry, so
+/// the MBR must be free to read; the extreme vertices are where the
+/// `minDist` frontier chains start and end ([`crate::chains`]), a property
+/// of the polygon alone that the software distance test would otherwise
+/// rediscover with three full vertex scans on every candidate pair; and the
+/// run boxes let every scan that only wants the edges near a point or a
+/// region ([`Polygon::runs_where`]) skip the rest of a large boundary 32
+/// edges at a compare.
+///
+/// A polygon is immutable, so its clones share one vertex buffer: copying a
+/// dataset copies 72 bytes and the run boxes per polygon, not the boundary.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Polygon {
-    vertices: Vec<Point>,
+    vertices: Arc<[Point]>,
     mbr: Rect,
     /// Indices of the *first* vertex attaining max x, min x, max y, min y,
     /// in that order. Every method that moves or reorders vertices
     /// recomputes them: rounding can merge two distinct coordinates into a
     /// tie, and a reversal turns the first of a tie into the last.
     extremes: [u32; 4],
+    /// Box `k` bounds edges `32k .. min(32k + 32, n)`, both end points of
+    /// each; recomputed with the extremes. Consecutive edges are neighbours
+    /// in space, so a run's box stays small however the boundary winds — a
+    /// bucketing by y-slab does not (a long edge lands in every slab it
+    /// spans; EXPERIMENTS.md "Boundary runs"). A thin pointer, `None` below
+    /// [`MIN_BOXED_VERTICES`]: the 3-vertex majority of a corpus pays 8
+    /// bytes for a structure it would never consult.
+    runs: RunBoxes,
 }
 
-/// The MBR and the extreme-vertex indices of a non-empty vertex list, in
-/// one pass.
-fn bounds(vertices: &[Point]) -> (Rect, [u32; 4]) {
+/// `Box<Vec<_>>` on purpose: a boxed slice is a fat pointer, 16 bytes on
+/// every polygon for a structure one in twenty carries.
+#[allow(clippy::box_collection)]
+type RunBoxes = Option<Box<Vec<Rect>>>;
+
+/// Edges per cached run box: 1 byte of box per vertex, and a rejected run
+/// saves 32 per-edge tests for one box compare.
+const RUN_EDGES: usize = 32;
+
+/// Below two full runs a box compare per run saves nothing over the scan.
+const MIN_BOXED_VERTICES: usize = 2 * RUN_EDGES;
+
+/// The MBR, the extreme-vertex indices and the run boxes of a non-empty
+/// vertex list, in one pass.
+fn bounds(vertices: &[Point]) -> (Rect, [u32; 4], RunBoxes) {
+    let n = vertices.len();
     // Makes the `as u32` below lossless; 2^32 vertices are 64 GiB.
-    assert!(
-        u32::try_from(vertices.len()).is_ok(),
-        "polygon vertex count exceeds u32"
-    );
+    assert!(u32::try_from(n).is_ok(), "polygon vertex count exceeds u32");
     let mut mbr = Rect::EMPTY;
+    let mut runs =
+        (n >= MIN_BOXED_VERTICES).then(|| Box::new(vec![Rect::EMPTY; n.div_ceil(RUN_EDGES)]));
     let [mut max_x, mut min_x, mut max_y, mut min_y] = [0usize; 4];
     for (i, &v) in vertices.iter().enumerate() {
         mbr = mbr.expand_to(v);
+        if let Some(runs) = runs.as_deref_mut() {
+            // `v` starts edge `i` and ends the edge before it.
+            let before = if i == 0 { n - 1 } else { i - 1 };
+            for edge in [i, before] {
+                runs[edge / RUN_EDGES] = runs[edge / RUN_EDGES].expand_to(v);
+            }
+        }
         // Strict compares keep the first vertex of a tie.
         if v.x > vertices[max_x].x {
             max_x = i;
@@ -84,7 +120,7 @@ fn bounds(vertices: &[Point]) -> (Rect, [u32; 4]) {
             min_y = i;
         }
     }
-    (mbr, [max_x, min_x, max_y, min_y].map(|i| i as u32))
+    (mbr, [max_x, min_x, max_y, min_y].map(|i| i as u32), runs)
 }
 
 impl Polygon {
@@ -109,16 +145,17 @@ impl Polygon {
                 return Err(PolygonError::DuplicateConsecutiveVertex(i));
             }
         }
-        Ok(Polygon::with_bounds(vertices))
+        Ok(Polygon::with_bounds(vertices.into()))
     }
 
-    /// Wraps already-validated vertices, computing both caches.
-    fn with_bounds(vertices: Vec<Point>) -> Self {
-        let (mbr, extremes) = bounds(&vertices);
+    /// Wraps already-validated vertices, computing every cache.
+    fn with_bounds(vertices: Arc<[Point]>) -> Self {
+        let (mbr, extremes, runs) = bounds(&vertices);
         Polygon {
             vertices,
             mbr,
             extremes,
+            runs,
         }
     }
 
@@ -158,30 +195,82 @@ impl Polygon {
     /// Iterates over the `n` boundary edges, including the closing edge.
     #[inline]
     pub fn edges(&self) -> impl ExactSizeIterator<Item = Segment> + '_ {
-        let n = self.vertices.len();
-        // The wrap is a compare, not `% n`: whether the optimizer proves
-        // the division away depends on where the iterator gets inlined,
-        // and every hardware test streams all edges of both polygons.
-        (0..n).map(move |i| {
-            let next = if i + 1 == n { 0 } else { i + 1 };
-            Segment::new(self.vertices[i], self.vertices[next])
-        })
+        (0..self.vertices.len()).map(move |i| self.edge(i))
     }
 
     /// The `i`-th edge (`i < vertex_count()`).
     #[inline]
     pub fn edge(&self, i: usize) -> Segment {
+        // The wrap is a compare, not `% n`: whether the optimizer proves
+        // the division away depends on where this gets inlined, and every
+        // boundary walk and strided sample goes through here.
+        let vs = &self.vertices;
+        let next = if i + 1 == vs.len() { 0 } else { i + 1 };
+        Segment::new(vs[i], vs[next])
+    }
+
+    /// The boundary as ranges of edge indices, in boundary order: every
+    /// maximal stretch of runs whose cached boxes `accept` (each box is
+    /// asked once), or — for a polygon too small to carry run boxes — the
+    /// whole boundary as one range that `accept` is never asked about. A
+    /// run's box contains both end points of each of its edges, so a caller
+    /// whose per-edge test can only pass inside the boxes it accepts sees
+    /// exactly the edges it would have kept from a full scan, in the same
+    /// order — and one range, `0..n`, when it accepts everything.
+    pub fn runs_where<'a>(
+        &'a self,
+        accept: impl FnMut(&Rect) -> bool + 'a,
+    ) -> impl Iterator<Item = Range<usize>> + 'a {
         let n = self.vertices.len();
-        Segment::new(self.vertices[i], self.vertices[(i + 1) % n])
+        let boxes = self.runs.as_deref().map_or(&[][..], Vec::as_slice);
+        let mut unboxed = boxes.is_empty();
+        let mut verdicts = boxes.iter().map(accept);
+        let mut asked = 0;
+        std::iter::from_fn(move || {
+            if std::mem::take(&mut unboxed) {
+                return Some(0..n);
+            }
+            // `position` consumes the rejected runs and the first accepted
+            // one; `take_while` the accepted ones after it and the run
+            // that ends the stretch.
+            let first = asked + verdicts.position(|accepted| accepted)?;
+            let end = first + 1 + verdicts.by_ref().take_while(|&accepted| accepted).count();
+            asked = end + 1;
+            Some(first * RUN_EDGES..(end * RUN_EDGES).min(n))
+        })
+    }
+
+    /// The edges with indices `run` (`run.end <= vertex_count()`), in
+    /// boundary order: what a caller of [`Polygon::runs_where`] walks.
+    pub fn edges_in(&self, run: Range<usize>) -> impl Iterator<Item = Segment> + '_ {
+        let vs = &self.vertices;
+        // Only the last edge wraps; the others are neighbours in the slice.
+        let closing =
+            (run.end == vs.len() && !run.is_empty()).then(|| Segment::new(vs[run.end - 1], vs[0]));
+        let open = &vs[run.start..(run.end + 1).min(vs.len())];
+        open.windows(2)
+            .map(|ends| Segment::new(ends[0], ends[1]))
+            .chain(closing)
+    }
+
+    /// The edges whose MBR is `near`, in boundary order, from a walk over
+    /// only the runs whose box is: `near` must hold for every rectangle
+    /// that contains one it holds for — then a run it fails on has no edge
+    /// it holds on, and the result is that of testing every edge.
+    pub(crate) fn edges_near(&self, near: impl Fn(&Rect) -> bool) -> Vec<Segment> {
+        let mut kept = Vec::new();
+        for run in self.runs_where(&near) {
+            kept.extend(self.edges_in(run).filter(|e| near(&e.mbr())));
+        }
+        kept
     }
 
     /// Signed area via the shoelace formula: positive for counter-clockwise
     /// winding.
     pub fn signed_area(&self) -> f64 {
-        let n = self.vertices.len();
         let mut acc = 0.0;
-        for i in 0..n {
-            acc += self.vertices[i].cross(self.vertices[(i + 1) % n]);
+        for e in self.edges() {
+            acc += e.a.cross(e.b);
         }
         acc / 2.0
     }
@@ -202,8 +291,12 @@ impl Polygon {
     /// vertex order if needed). Several algorithms assume a known winding.
     pub fn ccw(mut self) -> Self {
         if !self.is_ccw() {
-            self.vertices.reverse();
-            self.extremes = bounds(&self.vertices).1;
+            match Arc::get_mut(&mut self.vertices) {
+                Some(vertices) => vertices.reverse(),
+                // A clone still reads the buffer in its own order.
+                None => self.vertices = self.vertices.iter().rev().copied().collect(),
+            }
+            (_, self.extremes, self.runs) = bounds(&self.vertices);
         }
         self
     }
@@ -219,9 +312,7 @@ impl Polygon {
         let mut cx = 0.0;
         let mut cy = 0.0;
         let mut a2 = 0.0;
-        for i in 0..n {
-            let p = self.vertices[i];
-            let q = self.vertices[(i + 1) % n];
+        for Segment { a: p, b: q } in self.edges() {
             let w = p.cross(q);
             cx += (p.x + q.x) * w;
             cy += (p.y + q.y) * w;
@@ -435,6 +526,18 @@ mod tests {
         let t = p.translated(1e6, 0.0);
         assert_eq!(t.extremes()[0], 1);
         assert_eq!(t, Polygon::new(t.vertices().to_vec()).unwrap());
+    }
+
+    #[test]
+    fn clones_share_the_vertex_buffer_until_one_is_reversed() {
+        let cw = Polygon::from_coords(&[(0.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, 0.0)]);
+        let copy = cw.clone();
+        assert!(std::ptr::eq(cw.vertices(), copy.vertices()));
+        // Reversing the copy must not reorder the original under it.
+        let flipped = copy.ccw();
+        assert!(flipped.is_ccw() && !cw.is_ccw());
+        assert_eq!(cw.vertices()[1], Point::new(0.0, 1.0));
+        assert_eq!(flipped, Polygon::new(flipped.vertices().to_vec()).unwrap());
     }
 
     #[test]

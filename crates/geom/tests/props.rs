@@ -3,7 +3,9 @@
 
 use proptest::prelude::*;
 use spatial_geom::chains::{frontier_clipped, frontier_edges};
-use spatial_geom::intersect::{polygons_intersect_with, IntersectStats, SweepAlgo};
+use spatial_geom::intersect::{
+    polygons_intersect_with, restricted_edges, IntersectStats, SweepAlgo,
+};
 use spatial_geom::pip::{locate_point, PointLocation};
 use spatial_geom::{
     min_dist, min_dist_brute, point_in_polygon, polygons_intersect, polygons_intersect_brute,
@@ -11,10 +13,11 @@ use spatial_geom::{
 };
 
 /// Reference implementations for the differential tests: the frontier
-/// extraction and the point-location loop as they were before the cached
-/// extremes, the one-pass clip and the two-compare edge skip. Slow on
-/// purpose — three scans of every vertex, two `% n` walks, three `Vec`s, an
-/// orientation product per edge — and independent of every cache.
+/// extraction, the point-location loop and the restricted search space as
+/// they were before the cached extremes, the one-pass clip, the two-compare
+/// edge skip and the run boxes. Slow on purpose — three scans of every
+/// vertex, two `% n` walks, three `Vec`s, an orientation product per edge,
+/// every edge of the boundary visited — and independent of every cache.
 mod reference {
     use spatial_geom::pip::PointLocation;
     use spatial_geom::predicates::on_segment;
@@ -121,6 +124,12 @@ mod reference {
             .0
             .into_iter()
             .filter(|e| e.mbr().min_dist(other_mbr) <= d)
+            .collect()
+    }
+
+    pub fn restricted_edges(poly: &Polygon, region: &Rect) -> Vec<Segment> {
+        poly.edges()
+            .filter(|e| e.mbr().intersects(region))
             .collect()
     }
 
@@ -273,6 +282,209 @@ fn point_location_matches_per_edge_reference_on_grid_shapes() {
     );
 }
 
+/// Vertex counts on both sides of every run-box boundary: no boxes at 63,
+/// exactly two full runs at 64, a closing edge alone in the last run at 65
+/// and 97, a last run one edge short at 95, three full runs at 96.
+const RUN_BOUNDARY_COUNTS: [usize; 6] = [63, 64, 65, 95, 96, 97];
+
+/// The run boxes of `poly`, as [`Polygon::runs_where`] shows them to its
+/// predicate (none for a polygon too small to carry any).
+fn run_boxes(poly: &Polygon) -> Vec<Rect> {
+    let mut boxes = Vec::new();
+    let whole: Vec<_> = poly
+        .runs_where(|run| {
+            boxes.push(*run);
+            false
+        })
+        .collect();
+    assert_eq!(whole.len(), usize::from(boxes.is_empty()), "{whole:?}");
+    boxes
+}
+
+/// An `n`-vertex grid-snapped ring: at least 34 collinear vertices along
+/// `y = 0` — so the first run of 32 edges has a zero-height box — then a
+/// vertical edge and a zigzag back over them between `y = 2` and `y = 3`.
+/// Horizontal edges, collinear runs, rays through vertices at every height.
+fn sawtooth(n: usize) -> Vec<(f64, f64)> {
+    let bottom = n.div_ceil(2).max(34);
+    (0..n)
+        .map(|i| {
+            if i < bottom {
+                (i as f64, 0.0)
+            } else {
+                let j = i - bottom;
+                ((bottom - 1 - j) as f64, 2.0 + (j % 2) as f64)
+            }
+        })
+        .collect()
+}
+
+/// An `n`-vertex comb: every tooth edge runs from `y = 0` to `y = 8`, the
+/// whole height of the MBR. (Closed by an edge along or across the teeth:
+/// not simple, which a differential test does not need.) A bucketing of
+/// edges by y-slab puts every one of these edges into every slab.
+fn comb(n: usize) -> Vec<(f64, f64)> {
+    (0..n).map(|i| (i as f64, 8.0 * (i % 2) as f64)).collect()
+}
+
+/// `ring` started at a few offsets around the run boundary, both windings.
+fn run_relabelings(ring: &[(f64, f64)]) -> Vec<Polygon> {
+    let mut out = Vec::new();
+    for start in [0, 1, 31, 32, 33] {
+        let mut r = ring.to_vec();
+        r.rotate_left(start);
+        out.push(Polygon::from_coords(&r));
+        r.reverse();
+        out.push(Polygon::from_coords(&r));
+    }
+    out
+}
+
+fn run_boundary_battery() -> Vec<Polygon> {
+    RUN_BOUNDARY_COUNTS
+        .iter()
+        .flat_map(|&n| [sawtooth(n), comb(n)])
+        .flat_map(|ring| run_relabelings(&ring))
+        .collect()
+}
+
+/// Rectangles that meet `b` along one side only, at one corner only, not
+/// quite, and squarely.
+fn touching(b: &Rect) -> [Rect; 6] {
+    [
+        Rect::new(b.xmax, b.ymin, b.xmax + 1.0, b.ymax),
+        Rect::new(b.xmin, b.ymax, b.xmax, b.ymax + 1.0),
+        Rect::new(b.xmin - 1.0, b.ymin - 1.0, b.xmin, b.ymin),
+        Rect::new(b.xmax, b.ymax, b.xmax, b.ymax),
+        Rect::new(b.xmax + 0.5, b.ymin, b.xmax + 1.5, b.ymax),
+        Rect::new(b.xmin + 0.25, b.ymin, b.xmin + 0.75, b.ymax + 0.5),
+    ]
+}
+
+/// The structure behind the pruned scans: one box per run of 32 edges from
+/// 64 vertices up, each bounding both ends of each of its edges; no edge
+/// length or direction can add a box (the y-slab regression: a bucketed
+/// edge list held every tooth of the comb once per slab); and a polygon
+/// without boxes pays one thin pointer for the field.
+#[test]
+fn run_boxes_are_one_per_32_edges_whatever_the_edges() {
+    assert!(std::mem::size_of::<Polygon>() <= 80);
+    for n in RUN_BOUNDARY_COUNTS.into_iter().chain([3, 4, 1_000, 10_001]) {
+        for ring in [sawtooth(n.max(40)), comb(n)] {
+            let poly = Polygon::from_coords(&ring);
+            let n = poly.vertex_count();
+            let boxes = run_boxes(&poly);
+            let expected = if n < 64 { 0 } else { n.div_ceil(32) };
+            assert_eq!(boxes.len(), expected, "{n} vertices");
+            for (k, b) in boxes.iter().enumerate() {
+                let run = 32 * k..(32 * k + 32).min(n);
+                let tight = run.fold(Rect::EMPTY, |r, i| r.union(&poly.edge(i).mbr()));
+                assert_eq!(*b, tight, "run {k} of {n} vertices");
+            }
+            // Accepted runs come back as maximal stretches: everything is
+            // one range, every other run is a range of its own.
+            assert!(poly.runs_where(|_| true).eq(std::iter::once(0..n)));
+            let mut k = 0;
+            let odd: Vec<_> = poly
+                .runs_where(|_| {
+                    k += 1;
+                    k % 2 == 0
+                })
+                .collect();
+            if expected > 0 {
+                let expected_odd = (1..expected)
+                    .step_by(2)
+                    .map(|k| 32 * k..(32 * k + 32).min(n));
+                assert!(odd.iter().cloned().eq(expected_odd), "{odd:?}");
+            }
+            for run in odd.into_iter().chain([0..n, n..n, 0..0, n - 1..n]) {
+                let edges = run.clone().map(|i| poly.edge(i));
+                assert!(poly.edges_in(run).eq(edges));
+            }
+        }
+    }
+    // The first run of a sawtooth lies on `y = 0`.
+    let flat = run_boxes(&Polygon::from_coords(&sawtooth(96)))[0];
+    assert_eq!((flat.ymin, flat.ymax), (0.0, 0.0));
+}
+
+/// Point location over run boxes against the linear reference loop, on
+/// both sides of every run boundary: at every vertex, every edge midpoint
+/// and every half-unit lattice point of the MBR and a margin — so points
+/// on horizontal edges, on collinear runs, on the ray through a vertex and
+/// level with a zero-height run box are all asked.
+#[test]
+fn point_location_over_runs_matches_the_linear_reference() {
+    let mut seen = std::collections::BTreeMap::new();
+    for poly in run_boundary_battery() {
+        let m = poly.mbr();
+        let mut probes: Vec<Point> = poly.vertices().to_vec();
+        probes.extend(poly.edges().map(|e| e.midpoint()));
+        for ix in -2..=(2 * m.xmax as i32 + 2) {
+            for iy in -2..=(2 * m.ymax as i32 + 2) {
+                probes.push(Point::new(0.5 * ix as f64, 0.5 * iy as f64));
+            }
+        }
+        for q in probes {
+            let expected = reference::locate_point(q, &poly);
+            assert_eq!(
+                locate_point(q, &poly),
+                expected,
+                "{q:?} in {} vertices",
+                poly.vertex_count()
+            );
+            *seen.entry(format!("{expected:?}")).or_insert(0usize) += 1;
+        }
+    }
+    assert_eq!(seen.len(), 3, "all three verdicts: {seen:?}");
+}
+
+/// The restricted search space and the whole-boundary frontier clip over
+/// run boxes return the linear references' edge *sequence*: for regions
+/// that touch a run box along a side or at a corner only, miss it by half
+/// a unit or cover part of it, and for `d ∈ {0, the exact gap to a run
+/// box, ∞}` against MBRs that overlap the polygon's on both axes.
+#[test]
+fn restricted_search_and_boundary_clip_over_runs_match_the_linear_references() {
+    let (mut kept, mut dropped) = (0usize, 0usize);
+    for poly in run_boundary_battery() {
+        let mut regions = vec![poly.mbr()];
+        regions.extend(run_boxes(&poly).iter().flat_map(touching));
+        regions.extend(touching(&poly.mbr()));
+        for region in &regions {
+            let edges = restricted_edges(&poly, region);
+            assert_eq!(
+                edges,
+                reference::restricted_edges(&poly, region),
+                "{region:?}"
+            );
+            kept += edges.len();
+            dropped += poly.vertex_count() - edges.len();
+        }
+        // Inside the MBR on both axes: the whole-boundary arm of the clip.
+        let m = poly.mbr();
+        let others = [
+            Rect::new(m.xmin + 1.0, m.ymin + 1.0, m.xmin + 1.5, m.ymin + 1.5),
+            Rect::new(m.xmax - 0.5, m.ymin, m.xmax, m.ymin + 0.5),
+            Rect::new(m.xmin, m.ymax, m.xmin, m.ymax),
+        ];
+        for other in &others {
+            let (whole, arm) = reference::frontier_edges(&poly, other);
+            assert_eq!(arm, reference::Arm::BothAxesOverlap);
+            assert_eq!(whole.len(), poly.vertex_count());
+            let gaps = run_boxes(&poly).into_iter().map(|b| b.min_dist(other));
+            for d in gaps.chain([0.0, f64::INFINITY]) {
+                assert_eq!(
+                    frontier_clipped(&poly, other, d),
+                    reference::frontier_clipped(&poly, other, d),
+                    "{other:?} at d = {d}"
+                );
+            }
+        }
+    }
+    assert!(kept > 0 && dropped > 0, "{kept} kept, {dropped} dropped");
+}
+
 /// A star-shaped (hence simple) polygon around `(cx, cy)`: one vertex per
 /// angular step at a radius drawn from `radii`. Star-shaped polygons can be
 /// deeply concave, which is what exercises the pocket cases.
@@ -310,6 +522,20 @@ prop_compose! {
         h in 0i32..=6,
     ) -> Rect {
         Rect::new(x as f64, y as f64, (x + w) as f64, (y + h) as f64)
+    }
+}
+
+prop_compose! {
+    /// A star with enough vertices to carry run boxes: a count from either
+    /// side of a run boundary, or any count up to 400.
+    fn arb_big_star()(
+        cx in -50.0f64..50.0,
+        cy in -50.0f64..50.0,
+        pick in 0usize..12,
+        radii in prop::collection::vec(0.5f64..20.0, 400..401),
+    ) -> Polygon {
+        let n = RUN_BOUNDARY_COUNTS.get(pick).copied().unwrap_or_else(|| 40 * pick - 80);
+        star_polygon(cx, cy, &radii[..n])
     }
 }
 
@@ -562,6 +788,35 @@ proptest! {
         for &w in p.vertices() {
             prop_assert_eq!(locate_point(w, &p), reference::locate_point(w, &p));
         }
+    }
+
+    /// The three run-pruned scans against their linear references on stars
+    /// large enough to carry run boxes: a random point and every vertex, a
+    /// random region, and the whole-boundary clip against an MBR inside the
+    /// star's own.
+    #[test]
+    fn run_pruned_scans_match_linear_references_on_big_stars(
+        p in arb_big_star(),
+        (u, v) in (0.0f64..1.0, 0.0f64..1.0),
+        (w, h) in (0.0f64..0.5, 0.0f64..0.5),
+        d in 0.0f64..20.0,
+    ) {
+        let m = p.mbr();
+        let q = Point::new(m.xmin + u * m.width(), m.ymin + v * m.height());
+        prop_assert_eq!(locate_point(q, &p), reference::locate_point(q, &p));
+        for &vertex in p.vertices() {
+            prop_assert_eq!(locate_point(vertex, &p), PointLocation::OnBoundary);
+        }
+        let region = Rect::new(q.x, q.y, q.x + w * m.width(), q.y + h * m.height());
+        prop_assert_eq!(
+            restricted_edges(&p, &region),
+            reference::restricted_edges(&p, &region)
+        );
+        let other = region.intersection(&m).expect("q lies in the MBR");
+        prop_assert_eq!(
+            frontier_clipped(&p, &other, d),
+            reference::frontier_clipped(&p, &other, d)
+        );
     }
 
     /// `polygons_intersect` must agree with the *distance* oracle's notion

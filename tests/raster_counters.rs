@@ -107,14 +107,24 @@ fn hardware_joins_charge_exactly_the_pinned_ledger() {
         // Taken from commit 28944a5, before the rasterizer had a clip
         // stage. Batching moves fixed costs only: same rows, pixels and
         // fragments, 34 draws and 17 readbacks folded into 4 and 2.
+        //
+        // Re-pinned once, deliberately, when the projection window began
+        // to submit only the boundary runs its clip compare cannot reject
+        // (`choreography::LiveRuns`): `primitives` 55 491 → 3 103 on both
+        // intersection joins and 108 674 → 16 498 on the distance join,
+        // and `gpu_modeled_ns`, which prices them, 36 025 → 25 549,
+        // 20 578 → 10 101 and 55 680 → 37 246. Every other value —
+        // rows, pixels, fragments, scans, draws, readbacks — is the one
+        // pinned at 28944a5; the overlap count submits fills and did not
+        // move.
         [
             (
                 "intersection, per pair",
                 expect(
                     21,
                     15094090820308535126,
-                    [4474, 6380, 7616, 55491, 34, 17, 0],
-                    36025
+                    [4474, 6380, 7616, 3103, 34, 17, 0],
+                    25549
                 )
             ),
             (
@@ -122,8 +132,8 @@ fn hardware_joins_charge_exactly_the_pinned_ledger() {
                 expect(
                     21,
                     15094090820308535126,
-                    [4474, 6380, 13356, 55491, 4, 2, 2],
-                    20578
+                    [4474, 6380, 13356, 3103, 4, 2, 2],
+                    10101
                 )
             ),
             (
@@ -131,8 +141,8 @@ fn hardware_joins_charge_exactly_the_pinned_ledger() {
                 expect(
                     59,
                     8698787990472492212,
-                    [53632, 69421, 6272, 108674, 56, 14, 0],
-                    55680
+                    [53632, 69421, 6272, 16498, 56, 14, 0],
+                    37246
                 )
             ),
             (

@@ -1,15 +1,19 @@
 //! The software refinement path answers from facts a `Polygon` caches at
-//! construction — its MBR and its four extreme vertices. On a small
-//! LANDC ⋈ LANDO candidate set: a polygon derived by any method that moves
-//! or reorders vertices answers exactly like a polygon rebuilt from the same
-//! vertices (the caches never go stale), the paper's within-distance kernel,
-//! its sweep variant and the brute-force distance agree, and the 0/1-object
-//! filters change no row of a software distance join while every candidate
-//! is accounted for as a filter hit or a refinement.
+//! construction — its MBR, its four extreme vertices and, from 64 vertices
+//! up, the box of every run of 32 edges. On a small LANDC ⋈ LANDO candidate
+//! set: a polygon derived by any method that moves or reorders vertices
+//! answers exactly like a polygon rebuilt from the same vertices (the caches
+//! never go stale), the paper's within-distance kernel, its sweep variant
+//! and the brute-force distance agree, the 0/1-object filters change no row
+//! of a software distance join while every candidate is accounted for as a
+//! filter hit or a refinement, and a hardware join that submits only each
+//! window's live boundary runs returns the software join's rows.
 
 use hwspatial::core::engine::{EngineConfig, PreparedDataset, SpatialEngine};
+use hwspatial::core::HwConfig;
 use hwspatial::datagen;
 use hwspatial::geom::chains::frontier_clipped;
+use hwspatial::geom::intersect::restricted_edges;
 use hwspatial::geom::{
     min_dist_brute, point_in_polygon, within_distance, within_distance_sweep, Polygon,
 };
@@ -66,14 +70,32 @@ fn derived_polygons_answer_like_freshly_built_ones() {
     let pairs = candidates(&a, &b, 2.0 * base_d);
     assert!(pairs.len() > 100, "only {} candidates", pairs.len());
     let (mut chains, mut positives) = (0usize, 0usize);
-    for &(p, q) in &pairs {
+    // Derived polygons that carry run boxes (64 vertices up) and ones that
+    // are scanned whole; restricted edges kept and dropped.
+    let (mut boxed, mut unboxed, mut kept, mut dropped) = (0usize, 0usize, 0usize, 0usize);
+    // Both ways round: LANDC's polygons are mostly large, LANDO's small.
+    for (p, q) in pairs.iter().flat_map(|&(p, q)| [(p, q), (q, p)]) {
+        if p.vertex_count() >= 64 {
+            boxed += 1;
+        } else {
+            unboxed += 1;
+        }
         for dp in derived(p, 0.25 * base_d) {
             let fresh = Polygon::new(dp.vertices().to_vec()).expect("derived from a valid polygon");
-            assert_eq!(dp, fresh, "MBR and extremes follow the vertices");
-            assert_eq!(
-                point_in_polygon(q.vertices()[0], &dp),
-                point_in_polygon(q.vertices()[0], &fresh)
-            );
+            assert_eq!(dp, fresh, "MBR, extremes and run boxes follow the vertices");
+            for probe in [q.vertices()[0], q.mbr().center(), dp.mbr().center()] {
+                assert_eq!(
+                    point_in_polygon(probe, &dp),
+                    point_in_polygon(probe, &fresh)
+                );
+            }
+            // A moved polygon no longer shares `q`'s neighbourhood exactly;
+            // any region it still reaches will do.
+            let region = q.mbr().expanded(base_d);
+            let restricted = restricted_edges(&dp, &region);
+            assert_eq!(restricted, restricted_edges(&fresh, &region));
+            kept += restricted.len();
+            dropped += dp.vertex_count() - restricted.len();
             for d in distances(base_d) {
                 let chain = frontier_clipped(&dp, &q.mbr(), d);
                 assert_eq!(chain, frontier_clipped(&fresh, &q.mbr(), d));
@@ -89,6 +111,32 @@ fn derived_polygons_answer_like_freshly_built_ones() {
         chains > 0 && positives > 0,
         "{chains} chains, {positives} positives"
     );
+    assert!(
+        boxed > 20 && unboxed > 20,
+        "{boxed} polygons with run boxes, {unboxed} without"
+    );
+    assert!(kept > 0 && dropped > 0, "{kept} kept, {dropped} dropped");
+}
+
+/// With `sw_threshold = 0` every pair point-in-polygon leaves undecided
+/// goes to the device, as the live boundary runs of its window only: the
+/// hardware intersection join returns the software join's rows.
+#[test]
+fn a_hardware_join_over_live_runs_returns_the_software_rows() {
+    let (a, b, _) = corpus();
+    let (software, _) = SpatialEngine::new(EngineConfig::software()).intersection_join(&a, &b);
+    for hw_batch in [1, 32] {
+        let config = EngineConfig {
+            hw_batch,
+            ..EngineConfig::hardware(HwConfig::at_resolution(8).with_threshold(0))
+        };
+        let (rows, cost) = SpatialEngine::new(config).intersection_join(&a, &b);
+        assert_eq!(rows, software, "hw_batch = {hw_batch}");
+        assert!(cost.tests.hw_tests > 0 && cost.tests.skipped_by_threshold == 0);
+        // Fewer segments submitted than the tested pairs have edges: two
+        // whole boundaries of the corpus's large polygons are thousands.
+        assert!(cost.tests.hw.primitives < 500 * cost.tests.hw_tests);
+    }
 }
 
 #[test]
