@@ -9,14 +9,17 @@
 //! * `--seed <u64>` — generator seed (default 42);
 //! * `--queries <n>` — cap on selection queries (default: all 31).
 //!
-//! The command line is strict: an unknown flag or a missing or
-//! unparseable value prints the usage text and exits 2.
+//! The command line is strict: an unknown flag, a missing or unparseable
+//! value, a scale that is not finite and positive, or zero queries prints
+//! the usage text and exits 2.
 //!
 //! Reported wall-clock numbers are averages over the workload, like the
 //! paper's "average cost per query". Hardware counters (pixels written,
 //! fragments, scans) are printed alongside: they are deterministic and
 //! host-independent, and they are what the resolution/overhead trade-off
 //! arguments of §4.2–4.4 are really about.
+
+#![forbid(unsafe_code)]
 
 use hwa_core::engine::{EngineConfig, GeometryTest, PreparedDataset, SpatialEngine};
 use hwa_core::{CostBreakdown, HwConfig};
@@ -29,33 +32,6 @@ pub struct BenchOpts {
     pub scale: f64,
     pub seed: u64,
     pub queries: usize,
-    /// `--faults`: run the fault-injection sweep (verify harness only) —
-    /// fault-injected engines must match clean ones bit for bit.
-    pub faults: bool,
-    /// `--partition`: run the PBSM partition sweep (verify harness only) —
-    /// grid × shard partitioned engines must match the unpartitioned one
-    /// bit for bit, also (with `--faults`) under injected fault schedules.
-    pub partition: bool,
-    /// `--service`: run the serving-layer sweep (verify harness only) —
-    /// adaptive, forced-software and forced-hardware planner modes must
-    /// return bit-identical rows on all four pipelines (DESIGN.md
-    /// invariant 13), with a balanced
-    /// `ServiceStats` ledger; with `--faults` the same matrix runs on
-    /// fault-wrapped devices.
-    pub service: bool,
-    /// `--chaos`: run the shard-failover chaos sweep (verify harness
-    /// only) — per-shard seeded fault plans × probation configs across
-    /// all four pipelines must match the clean run bit for bit with a
-    /// balanced failover ledger (DESIGN.md invariant 14); with
-    /// `--service` a browned-out engine is cross-checked row-for-row
-    /// against an undegraded one.
-    pub chaos: bool,
-    /// `--aggregate`: run the area-of-overlap aggregation sweep (verify
-    /// harness only) — every partition grid × shard count × seeded
-    /// fault plan must report bit-identical `(i, j, area)` rows, a
-    /// balanced degradation ledger, and areas within the DESIGN.md §14
-    /// quantization envelope of the exact clipped-polygon oracle.
-    pub aggregate: bool,
     /// `--json`: additionally write the results as `BENCH_<bin>.json`
     /// (summary binary only).
     pub json: bool,
@@ -67,18 +43,12 @@ impl Default for BenchOpts {
             scale: 0.05,
             seed: 42,
             queries: usize::MAX,
-            faults: false,
-            partition: false,
-            service: false,
-            chaos: false,
-            aggregate: false,
             json: false,
         }
     }
 }
 
-const USAGE: &str = "usage: [--scale <f64>] [--seed <u64>] [--queries <n>] \
-[--faults] [--partition] [--service] [--chaos] [--aggregate] [--json]";
+const USAGE: &str = "usage: [--scale <f64>] [--seed <u64>] [--queries <n>] [--json]";
 
 impl BenchOpts {
     /// Parses `std::env::args`; on a malformed command line prints the
@@ -93,9 +63,9 @@ impl BenchOpts {
         })
     }
 
-    /// Parses `--scale`, `--seed`, `--queries` (each followed by its
-    /// value) and the `--faults`, `--partition`, `--service`, `--chaos`,
-    /// `--aggregate`, `--json` switches. Anything else is an error.
+    /// Parses `--scale` (finite, > 0), `--seed`, `--queries` (≥ 1) — each
+    /// followed by its value — and the `--json` switch. Anything else is
+    /// an error.
     pub fn parse(args: &[&str]) -> Result<Self, String> {
         fn value<T: std::str::FromStr>(flag: &str, raw: Option<&&str>) -> Result<T, String> {
             let raw = raw.ok_or_else(|| format!("{flag} needs a value"))?;
@@ -109,14 +79,18 @@ impl BenchOpts {
                 "--scale" => opts.scale = value(flag, args.next())?,
                 "--seed" => opts.seed = value(flag, args.next())?,
                 "--queries" => opts.queries = value(flag, args.next())?,
-                "--faults" => opts.faults = true,
-                "--partition" => opts.partition = true,
-                "--service" => opts.service = true,
-                "--chaos" => opts.chaos = true,
-                "--aggregate" => opts.aggregate = true,
                 "--json" => opts.json = true,
                 _ => return Err(format!("unknown argument {flag:?}")),
             }
+        }
+        if !(opts.scale.is_finite() && opts.scale > 0.0) {
+            return Err(format!(
+                "--scale: {} is not a finite factor > 0",
+                opts.scale
+            ));
+        }
+        if opts.queries == 0 {
+            return Err("--queries: at least 1".to_string());
         }
         Ok(opts)
     }
@@ -243,10 +217,10 @@ mod tests {
 
     #[test]
     fn parse_accepts_the_documented_flags() {
-        let o = BenchOpts::parse(&["--scale", "0.01", "--queries", "5", "--chaos", "--json"])
+        let o = BenchOpts::parse(&["--scale", "0.01", "--queries", "5", "--json"])
             .expect("valid command line");
         assert_eq!((o.scale, o.queries, o.seed), (0.01, 5, 42));
-        assert!(o.chaos && o.json && !o.faults);
+        assert!(o.json);
     }
 
     /// A malformed command line is an error, never a silent fall-back
@@ -258,6 +232,12 @@ mod tests {
             (&["--scale", "x"][..], "--scale: cannot parse \"x\""),
             (&["--queries", "5", "--seed"][..], "--seed needs a value"),
             (&["0.01"][..], "unknown argument"),
+            (&["--chaos"][..], "unknown argument \"--chaos\""),
+            (&["--scale", "nan"][..], "--scale: NaN is not"),
+            (&["--scale", "0"][..], "--scale: 0 is not"),
+            (&["--scale", "-1"][..], "--scale: -1 is not"),
+            (&["--scale", "inf"][..], "--scale: inf is not"),
+            (&["--queries", "0"][..], "--queries: at least 1"),
         ] {
             let err = BenchOpts::parse(args).expect_err("must be rejected");
             assert!(err.contains(needle), "{args:?}: {err}");

@@ -106,8 +106,8 @@ pub struct EngineConfig {
     /// thread; selections are single-probe and always do.
     pub filter_threads: usize,
     /// Evaluate the filter stage's node-level MBR kernels at SIMD width
-    /// (AVX2-dispatched under the `simd-intrinsics` feature) instead of
-    /// one lane at a time. Candidates, order and the deterministic
+    /// (eight lanes a step, autovectorized) instead of one lane at a
+    /// time. Candidates, order and the deterministic
     /// `node_tests` counter are bit-identical either way; only wall-clock
     /// time and the diagnostic `simd_node_tests` move.
     pub filter_simd: bool,

@@ -28,9 +28,10 @@
 //! ```
 //!
 //! The exact area comes from the Sutherland–Hodgman clipping oracle
-//! (`spatial_geom::overlap_area_exact`); the verify harness and the
-//! property tests in `aggregate_props.rs` pin the hardware answer inside
-//! that envelope at every supported resolution (DESIGN.md §14).
+//! (`spatial_geom::overlap_area_exact`); the property tests in
+//! `aggregate_props.rs` pin the hardware answer inside that envelope at
+//! every supported resolution, on stars and on generated rows
+//! (DESIGN.md §14).
 //!
 //! Determinism: the count is a pure function of the recorded command
 //! list, and every device backend is bit-identical by the device

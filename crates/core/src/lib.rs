@@ -32,6 +32,8 @@
 //! depends on — see DESIGN.md for why this substitution preserves both the
 //! accuracy guarantee and the cost-model shape.
 
+#![forbid(unsafe_code)]
+
 pub mod ablation;
 pub(crate) mod choreography;
 pub mod config;

@@ -26,7 +26,7 @@
 //! Determinism: the controller is driven purely by submission counts
 //! and counter deltas — no wall-clock reads, no sampling. The same
 //! sequence of submissions and outcomes always walks the same rungs,
-//! which is what lets `verify.rs --chaos --service` cross-check a
+//! which is what lets the engine's brownout tests cross-check a
 //! browned-out engine against a clean one row-for-row.
 //!
 //! [`ServiceError::Overloaded`]: crate::service::ServiceError::Overloaded

@@ -807,8 +807,8 @@ mod tests {
     }
 
     /// Clean windows walk the ladder back down one rung at a time, and
-    /// the queries that complete on the way down return exactly the
-    /// rows an undegraded engine returns (invariant 13).
+    /// the queries that complete on the way down — selections and joins —
+    /// return exactly the rows an undegraded engine returns (invariant 13).
     #[test]
     fn brownout_recovers_on_clean_windows_with_identical_rows() {
         let engine = tiny_engine(ServiceConfig {
@@ -826,10 +826,16 @@ mod tests {
             let _ = engine.execute(&doomed);
         }
         assert_eq!(engine.brownout_rung(), BrownoutRung::Shed);
-        let clean_rows = tiny_engine(ServiceConfig::default())
-            .execute(&selection())
-            .expect("reference engine completes")
-            .rows;
+        let kinds = [
+            selection(),
+            QueryRequest::containment_selection("boxes", square(-1.0, -1.0, 6.0)),
+            QueryRequest::intersection_join("boxes", "boxes"),
+            QueryRequest::within_distance_join("boxes", "boxes", 9.0),
+        ];
+        let reference = tiny_engine(ServiceConfig::default());
+        let clean_rows = kinds
+            .each_ref()
+            .map(|req| reference.execute(req).expect("reference completes").rows);
         // One more shed fills the all-shed (hence clean) window; the
         // following submissions step down a rung per clean window and
         // complete with undegraded rows.
@@ -838,9 +844,10 @@ mod tests {
             ServiceError::Overloaded { .. }
         ));
         let mut completions = 0;
-        for _ in 0..6 {
-            if let Ok(resp) = engine.execute(&selection()) {
-                assert_eq!(resp.rows, clean_rows, "brownout must not change rows");
+        for k in 0..6 {
+            let kind = k % kinds.len();
+            if let Ok(resp) = engine.execute(&kinds[kind]) {
+                assert_eq!(resp.rows, clean_rows[kind], "brownout must not change rows");
                 completions += 1;
             }
         }

@@ -195,6 +195,24 @@ proptest! {
         let (base, base_cost) =
             SpatialEngine::new(base_cfg.clone()).overlap_area_join(&a, &b, res);
         prop_assert!(!base.is_empty(), "BaseD-scale datasets overlap");
+        // The §14 envelope on generated rows, not only on stars. The
+        // oracle triangulates in O(V²), so the rows of the few
+        // multi-thousand-vertex polygons are skipped (seconds each).
+        let mut enveloped = 0;
+        for &(i, j, area) in &base {
+            let (p, q) = (a.polygon(i), b.polygon(j));
+            if p.vertex_count() + q.vertex_count() > 2_000 {
+                continue;
+            }
+            let Some(exact) = overlap_area_exact(p, q) else { continue };
+            prop_assert!(
+                (area - exact).abs() <= envelope(p, q, res),
+                "pair ({}, {}) res {}: hw {} exact {} envelope {}",
+                i, j, res, area, exact, envelope(p, q, res)
+            );
+            enveloped += 1;
+        }
+        prop_assert!(enveloped > 0, "no generated row met its oracle");
 
         let shaped_cfg = EngineConfig {
             device: DeviceKind::Reference.with_faults(plan),

@@ -157,7 +157,7 @@ proptest! {
         let part = run_all(
             EngineConfig {
                 partition: PartitionConfig::grid(grid).with_shards(shards),
-                ..base
+                ..base.clone()
             },
             &a, &b, q, d,
         );
@@ -173,6 +173,21 @@ proptest! {
             prop_assert_eq!(ut.rejected_by_hw, pt.rejected_by_hw, "{}", name);
             prop_assert_eq!(ut.software_tests, pt.software_tests, "{}", name);
             prop_assert_eq!(ut.hw_tests, pt.hw_tests, "{}", name);
+        }
+        // The sharded device front alone (one partition, so batches group
+        // as on the bare device; worker threads fork the front): even the
+        // grouping and the raw hardware work match.
+        let fronted = run_all(
+            EngineConfig {
+                partition: PartitionConfig::grid(1).with_shards(shards),
+                ..base
+            },
+            &a, &b, q, d,
+        );
+        for (name, (u, f)) in PIPELINES.iter().zip(flat.iter().zip(&fronted)) {
+            prop_assert_eq!(&u.0, &f.0, "{}: results changed behind {} shards", name, shards);
+            prop_assert_eq!(u.1.tests.hw_batches, f.1.tests.hw_batches, "{}", name);
+            prop_assert_eq!(&u.1.tests.hw, &f.1.tests.hw, "{}: raw hardware work", name);
         }
     }
 

@@ -18,6 +18,8 @@
 //! complexity, so join workloads shrink quadratically while the
 //! refinement-cost *shape* is preserved.
 
+#![forbid(unsafe_code)]
+
 pub mod datasets;
 pub mod shapes;
 pub mod vertex_dist;

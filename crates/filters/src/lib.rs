@@ -18,6 +18,8 @@
 //!   polygon (it may accept fewer than possible, never wrong ones);
 //! * the 0/1-object bounds are true upper bounds on the polygon distance.
 
+#![forbid(unsafe_code)]
+
 pub mod interior;
 pub mod object_filters;
 

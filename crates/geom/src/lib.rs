@@ -23,6 +23,8 @@
 //! Everything here is exact (up to `f64`), deterministic and free of
 //! graphics-hardware concerns; the simulated GPU lives in `spatial-raster`.
 
+#![forbid(unsafe_code)]
+
 pub mod chains;
 pub mod clip;
 pub mod distance;

@@ -19,6 +19,8 @@
 //! that keeps the candidate sequence bit-identical to the sequential
 //! traversal.
 
+#![forbid(unsafe_code)]
+
 pub mod join;
 pub mod partition;
 pub mod rtree;

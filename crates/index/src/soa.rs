@@ -14,12 +14,10 @@
 //! The kernels follow the same idiom as `spatial_raster::aa_line`: one
 //! implementation, generic over `const LANES`, whose per-lane math is
 //! identical expression-for-expression to the scalar [`Rect`] predicates —
-//! `LANES = 1` *is* the scalar path, `LANES = 8` autovectorizes, and on
-//! x86_64 hosts with the `simd-intrinsics` feature the same body is
-//! recompiled under `#[target_feature(enable = "avx2")]` and dispatched at
-//! runtime. Rust float semantics are strict IEEE at every vector width, so
-//! every lane count produces the same mask bit for bit; the knob only
-//! moves wall-clock time.
+//! `LANES = 1` *is* the scalar path and `LANES = 8` autovectorizes. Rust
+//! float semantics are strict IEEE at every vector width, so every lane
+//! count produces the same mask bit for bit; the knob only moves wall-clock
+//! time.
 //!
 //! # Example
 //!
@@ -116,8 +114,8 @@ impl ChildMbrs {
     /// and returns the hit bitmask (bit `i` = slot `i` passes `pred`).
     ///
     /// `simd` selects the vectorized instantiation (`LANES =`
-    /// [`SIMD_LANES`], AVX2-recompiled where available) over the scalar
-    /// one (`LANES = 1`); the mask is bit-identical either way. Charges
+    /// [`SIMD_LANES`]) over the scalar one (`LANES = 1`); the mask is
+    /// bit-identical either way. Charges
     /// `len` node tests to `stats` — all real lanes are evaluated, never
     /// short-circuited, so the count is a pure function of the tree and
     /// the probe, independent of `simd`, thread count or unit size.
@@ -132,7 +130,7 @@ impl ChildMbrs {
         stats.node_tests += self.len;
         if simd {
             stats.simd_node_tests += self.len;
-            self.mask_simd(pred, probe)
+            self.mask_lanes::<P, SIMD_LANES>(pred, probe)
         } else {
             self.mask_lanes::<P, 1>(pred, probe)
         }
@@ -154,27 +152,6 @@ impl ChildMbrs {
         }
         mask
     }
-
-    /// The vectorized path: AVX2-recompiled where the build and the host
-    /// allow, the portable 8-lane instantiation otherwise.
-    #[inline]
-    fn mask_simd<P: MbrPredicate>(&self, pred: &P, probe: &Rect) -> u32 {
-        #[cfg(all(feature = "simd-intrinsics", target_arch = "x86_64"))]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: reached only when AVX2 is present at runtime.
-            return unsafe { mask_lanes_avx2::<P>(self, pred, probe) };
-        }
-        self.mask_lanes::<P, SIMD_LANES>(pred, probe)
-    }
-}
-
-/// [`ChildMbrs::mask_lanes`] recompiled with AVX2 codegen: every
-/// `#[inline(always)]` chunk kernel lands inside one 256-bit compilation
-/// region. Same expressions, same IEEE semantics, bit-identical mask.
-#[cfg(all(feature = "simd-intrinsics", target_arch = "x86_64"))]
-#[target_feature(enable = "avx2")]
-unsafe fn mask_lanes_avx2<P: MbrPredicate>(soa: &ChildMbrs, pred: &P, probe: &Rect) -> u32 {
-    soa.mask_lanes::<P, SIMD_LANES>(pred, probe)
 }
 
 /// A monotone MBR predicate the filter stage can evaluate a node at a

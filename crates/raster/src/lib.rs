@@ -23,6 +23,8 @@
 //! for GPU time and makes the resolution/overhead trade-off of Figures
 //! 11–13 reproducible on any host.
 
+#![forbid(unsafe_code)]
+
 pub mod aa_line;
 pub mod atlas;
 pub mod context;

@@ -36,6 +36,8 @@
 //! paper-to-code inventory and `EXPERIMENTS.md` for the reproduced
 //! evaluation.
 
+#![forbid(unsafe_code)]
+
 pub use hwa_core as core;
 pub use spatial_datagen as datagen;
 pub use spatial_filters as filters;

@@ -111,32 +111,47 @@ fn fault_and_shard_wrappers_never_change_rows_and_balance_the_ledger() {
             failovers += cost.tests.shard_failovers;
         }
     }
-    // Invariant 11, against the shipped knobs (SIMD kernels, one thread).
-    let shipped = run_joins(FILTER_SCALE, base());
-    for (filter_simd, filter_threads) in [(false, 1), (false, 4), (true, 4)] {
-        let config = EngineConfig {
-            filter_simd,
-            filter_threads,
-            ..base()
-        };
-        let knobs = format!("filter_simd {filter_simd}, filter_threads {filter_threads}");
-        for ((rows, cost), (shipped_rows, shipped_cost)) in
-            run_joins(FILTER_SCALE, config).iter().zip(&shipped)
-        {
-            assert!(
-                cost.filter_work_units > 1,
-                "one work unit: nothing for threads to split"
+    // Invariant 11, against the shipped knobs (SIMD kernels, one thread) —
+    // on the clean device and with the seeded plan firing underneath: the
+    // filter is upstream of the device, so recovery sees the same stream.
+    let emitted = |c: &CostBreakdown| {
+        (
+            c.candidates,
+            c.node_tests,
+            c.tests.hw_tests,
+            c.tests.fallback_tests,
+        )
+    };
+    for device in [
+        DeviceKind::Reference,
+        DeviceKind::Reference.with_faults(transient),
+    ] {
+        let on_device = EngineConfig { device, ..base() };
+        let shipped = run_joins(FILTER_SCALE, on_device.clone());
+        for (filter_simd, filter_threads) in [(false, 1), (false, 4), (true, 4)] {
+            let config = EngineConfig {
+                filter_simd,
+                filter_threads,
+                ..on_device.clone()
+            };
+            let knobs = format!(
+                "filter_simd {filter_simd}, filter_threads {filter_threads} on {:?}",
+                on_device.device
             );
-            assert_eq!(rows, shipped_rows, "rows changed under {knobs}");
-            assert_eq!(
-                (cost.candidates, cost.node_tests, cost.tests.hw_tests),
-                (
-                    shipped_cost.candidates,
-                    shipped_cost.node_tests,
-                    shipped_cost.tests.hw_tests
-                ),
-                "stage 1 emitted differently under {knobs}"
-            );
+            for ((rows, cost), (shipped_rows, shipped_cost)) in
+                run_joins(FILTER_SCALE, config).iter().zip(&shipped)
+            {
+                assert!(
+                    cost.filter_work_units > 1,
+                    "one work unit: nothing for threads to split"
+                );
+                assert_eq!(rows, shipped_rows, "rows changed under {knobs}");
+                assert_eq!(
+                    emitted(cost),
+                    emitted(shipped_cost),
+                    "stage 1, or the recovery under it, moved under {knobs}"
+                );
+            }
         }
     }
 

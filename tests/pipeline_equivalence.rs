@@ -26,7 +26,10 @@ fn selection_equivalence_across_seeds_and_resolutions() {
             for q in queries.polygons.iter().take(6) {
                 let (a, _) = sw.intersection_selection(&ds, q);
                 let (b, _) = hw.intersection_selection(&ds, q);
-                assert_eq!(a, b, "seed {seed} res {res}");
+                assert_eq!(a, b, "intersection: seed {seed} res {res}");
+                let (a, _) = sw.containment_selection(&ds, q);
+                let (b, _) = hw.containment_selection(&ds, q);
+                assert_eq!(a, b, "containment: seed {seed} res {res}");
             }
         }
     }
