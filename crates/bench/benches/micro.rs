@@ -1,11 +1,14 @@
 //! Criterion microbenchmarks for the kernels underneath the figures:
 //! point-in-polygon, the restricted search space, the two sweeps, minDist
-//! and its frontier clip, the 0/1-object bounds, the AA-line rasterizer and its clip stage, the
-//! polygon fill, the R-tree, and one full Algorithm 3.1 call. Kept short
+//! and its frontier clip, the 0/1-object bounds, the AA-line rasterizer, its
+//! setup and its clip stage, the vertex caps' clip stage, the polygon fill
+//! (whole and through a fill ring), the R-tree, and one full Algorithm 3.1
+//! call. Kept short
 //! (small sample count) so `cargo bench --workspace` finishes in minutes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hwa_core::hw_intersect::HwTester;
+use hwa_core::hw_overlap::fill_rings;
 use hwa_core::{HwConfig, TestStats};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -17,9 +20,11 @@ use spatial_geom::intersect::{
 };
 use spatial_geom::{point_in_polygon, within_distance, Point, Polygon, Rect, Segment};
 use spatial_index::RTree;
-use spatial_raster::aa_line::{aa_line_outside_window, rasterize_aa_line, DIAGONAL_WIDTH};
+use spatial_raster::aa_line::{
+    aa_line_outside_window, rasterize_aa_line, SegmentCover, DIAGONAL_WIDTH,
+};
 use spatial_raster::polygon_raster::rasterize_polygon;
-use spatial_raster::{GlContext, HwStats, Viewport};
+use spatial_raster::{GlContext, HwStats, Viewport, WriteMode};
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -199,6 +204,37 @@ fn bench_aa_line(c: &mut Criterion) {
             gl.stats().pixels_written
         })
     });
+    // The per-segment setup alone — direction, candidate ranges, hoisted
+    // projections — for the segments of that run that survive the clip.
+    let survivors: Vec<(Point, Point)> = run
+        .iter()
+        .map(|s| (vp.to_window(s.a), vp.to_window(s.b)))
+        .filter(|&(a, b)| !aa_line_outside_window(a, b, DIAGONAL_WIDTH, 8, 8))
+        .collect();
+    g.bench_function("setup_only", |b| {
+        b.iter(|| {
+            black_box(&survivors)
+                .iter()
+                .filter_map(|&(a, b)| SegmentCover::new(a, b, DIAGONAL_WIDTH, 8, 8))
+                .count()
+        })
+    });
+    g.finish();
+
+    // The distance test's caps over the same sliver: every vertex of the
+    // boundary as a 4-pixel smooth point, all but a few clipped.
+    let mut g = c.benchmark_group("points");
+    g.sample_size(30);
+    g.warm_up_time(Duration::from_millis(500));
+    g.measurement_time(Duration::from_secs(2));
+    g.bench_function("clipped_run", |b| {
+        let mut gl = GlContext::new(vp);
+        gl.set_point_size(4.0);
+        b.iter(|| {
+            gl.draw_points(black_box(boundary.vertices()));
+            gl.stats().pixels_written
+        })
+    });
     g.finish();
 }
 
@@ -217,8 +253,31 @@ fn bench_polygon_fill(c: &mut Criterion) {
         b.iter(|| {
             let mut st = HwStats::default();
             let mut count = 0usize;
-            rasterize_polygon(black_box(&window), 32, 32, &mut st, &mut |_, _| count += 1);
+            let window = black_box(&window).iter().copied();
+            rasterize_polygon(window, 32, 32, &mut st, &mut |_, _| count += 1);
             count
+        })
+    });
+    // What an overlap count submits: the fill ring of a 2048-vertex
+    // boundary for the 8×8 window over the MBR it shares with a neighbour,
+    // drawn through the context (projection and stencil writes included).
+    let neighbour = star(2048, 7, 70.0, 60.0);
+    let region = poly
+        .mbr()
+        .intersection(&neighbour.mbr())
+        .expect("the stars' MBRs overlap");
+    let [ring, _] = fill_rings(&poly, &neighbour, 8).expect("a region with interior");
+    assert!(
+        (3..1024).contains(&ring.len()),
+        "{} ring vertices",
+        ring.len()
+    );
+    g.bench_function("2k_vertices_r8_ring", |b| {
+        let mut gl = GlContext::new(Viewport::new(region, 8, 8));
+        gl.set_write_mode(WriteMode::StencilReplace(1));
+        b.iter(|| {
+            gl.draw_filled_polygon(black_box(&ring));
+            gl.stats().pixels_written
         })
     });
     g.finish();

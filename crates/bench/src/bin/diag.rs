@@ -9,10 +9,13 @@
 //! scan with the vertices its polygons have, the run boxes it tests and the
 //! edges it then visits — and what the hardware test submits for the same
 //! candidates: segments before and after the run cull, survivors of the
-//! rasterizer's clip compare, candidate fragments per surviving segment.
+//! rasterizer's clip compare, candidate fragments per surviving segment,
+//! and for the overlap count the vertices before and after the fill ring
+//! and the scanline crossings a fill is left with.
 
 use hwa_core::engine::PreparedDataset;
 use hwa_core::hw_intersect::HwTester;
+use hwa_core::hw_overlap::fill_rings;
 use hwa_core::pipeline::{CandidateFilter, Decision, ObjectFilterStage};
 use hwa_core::{HwConfig, TestStats};
 use spatial_bench::{header, ms, BenchOpts, Workloads, DISTANCE_FACTORS};
@@ -286,7 +289,10 @@ fn intersection_composition(a: &PreparedDataset, b: &PreparedDataset) {
 /// boundaries a pair, and every vertex again as a cap for the distance
 /// test) and after it (`HwStats::primitives`), and for the segment test the
 /// survivors of the rasterizer's clip compare and the candidate fragments
-/// each of them costs.
+/// each of them costs; and for the overlap count of the intersection
+/// candidates at the same window the vertices of both polygons before and
+/// after the fill ring, and per fill the scanline-center crossings of the
+/// ring's edges — the work the fill itself is about.
 fn hardware_submission(a: &PreparedDataset, b: &PreparedDataset, base_d: f64) {
     const RESOLUTION: usize = 8;
     let mut tester = HwTester::new(HwConfig::at_resolution(RESOLUTION).with_threshold(0));
@@ -324,6 +330,34 @@ fn hardware_submission(a: &PreparedDataset, b: &PreparedDataset, base_d: f64) {
         stats.hw.primitives,
         100.0 * stats.hw.primitives as f64 / whole.max(1) as f64,
         stats.hw.fragments_tested as f64 / survivors.max(1) as f64,
+    );
+
+    let (mut fills, mut whole, mut ring, mut crossings) = (0usize, 0usize, 0usize, 0usize);
+    for (&i, &j) in spatial_index::join_intersecting(&a.tree, &b.tree) {
+        let (p, q) = (a.polygon(i), b.polygon(j));
+        let Some(rings) = fill_rings(p, q, RESOLUTION) else {
+            continue;
+        };
+        let region = p.mbr().intersection(&q.mbr()).expect("a candidate");
+        let viewport = Viewport::new(region, RESOLUTION, RESOLUTION);
+        whole += p.vertex_count() + q.vertex_count();
+        for vertices in rings {
+            fills += 1;
+            ring += vertices.len();
+            let ys: Vec<f64> = vertices.iter().map(|&v| viewport.to_window(v).y).collect();
+            for (k, &y) in ys.iter().enumerate() {
+                let next = ys[(k + 1) % ys.len()];
+                crossings += (0..RESOLUTION)
+                    .filter(|&row| (y > row as f64 + 0.5) != (next > row as f64 + 0.5))
+                    .count();
+            }
+        }
+    }
+    println!(
+        "  overlap count:        {fills:>6} fills  {whole:>9} vertices before the fill ring  \
+         {ring:>8} after ({:.1} %)  {:.1} scanline crossings per fill",
+        100.0 * ring as f64 / whole.max(1) as f64,
+        crossings as f64 / fills.max(1) as f64,
     );
 
     let (mut stats, mut whole) = (TestStats::default(), 0usize);

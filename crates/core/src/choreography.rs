@@ -16,7 +16,8 @@
 //!   scaling, the Equation (1) line width, which polygon renders first,
 //!   which recording the resulting tape is, and — an extension of
 //!   Algorithm 3.1 — which runs of each boundary can reach the window at
-//!   all ([`LiveRuns`]);
+//!   all ([`LiveRuns`]: the live edges of a boundary test, the fill ring
+//!   of an overlap count);
 //! * [`list`] — the command list for a [`Tape`] (one window, or an atlas
 //!   of windows sharing a line width), recorded per submission from the
 //!   window's live runs and executed verbatim. The only product caller
@@ -71,15 +72,15 @@ pub(crate) struct Window<'a> {
     pub first: &'a Polygon,
     pub second: &'a Polygon,
     recording: Recording,
-    /// What of `first` and `second` is submitted. Unused by the overlap
-    /// count, which fills whole interiors.
+    /// What of `first` and `second` is submitted.
     live: [LiveRuns; 2],
 }
 
 /// The part of one boundary a window submits: the runs of consecutive
 /// edges ([`Polygon::runs_where`]) whose box the rasterizer's clip compare
 /// could not reject, as edge-index ranges in boundary order — never a copy
-/// of the edges — and how many edges they hold.
+/// of the edges — and how many edges they hold. For an overlap count, the
+/// fill ring ([`LiveRuns::ring`]) in the same shape.
 ///
 /// Algorithm 3.1 renders whole boundaries and lets the pipeline clip; on
 /// real polygons 81–99 % of those segments never reach the window, and the
@@ -119,6 +120,68 @@ impl LiveRuns {
         let edges = runs.iter().map(Range::len).sum();
         LiveRuns { runs, edges }
     }
+
+    /// The *fill ring* of `poly` for the overlap count's window: the
+    /// vertices a fill over `viewport` needs, as vertex-index ranges. A run
+    /// of 32 edges whose projected box lies at or below the first scanline
+    /// center, above the last, or more than a pixel left or right of the
+    /// window keeps its first vertex and loses the others — it is replaced
+    /// by its chord.
+    ///
+    /// The half-open fill colors a pixel iff an odd number of boundary
+    /// crossings of its scanline lie at or left of its center. Run and
+    /// chord join the same two vertices inside the run's box, so on every
+    /// scanline they cross with the same parity, and ([`Viewport::to_window`]
+    /// being monotone per axis) where the box is, so is every crossing of
+    /// either: none at all for a box above or below every scanline center,
+    /// all at or left of the first pixel center, or all right of the last,
+    /// for a box on one side — the pixel of margin is for the rounding of
+    /// the interpolated crossing, which stays far below it while the
+    /// coordinates stay below `EXACT`. The crossing count at or left of
+    /// any center changes by an even number or not at all: the fill is
+    /// the whole boundary's, pixel for pixel. It is still one primitive —
+    /// what shrinks is the list the simulated card copies, projects and
+    /// scans per fill, on real polygons to the 5–20 % of the boundary the
+    /// window can see. As with the live runs of the boundary tests this is
+    /// an extension of the §14 choreography, which fills whole interiors
+    /// and lets the pipeline clip.
+    fn ring(poly: &Polygon, viewport: &Viewport) -> LiveRuns {
+        /// Window coordinates below this interpolate a crossing to within
+        /// a thousandth of a pixel.
+        const EXACT: f64 = (1u64 << 40) as f64;
+        let (w, h) = (viewport.width() as f64, viewport.height() as f64);
+        let mut ring = LiveRuns::default();
+        let mut keep = |vertices: Range<usize>| {
+            ring.edges += vertices.len();
+            match ring.runs.last_mut() {
+                Some(last) if last.end == vertices.start => last.end = vertices.end,
+                _ => ring.runs.push(vertices),
+            }
+        };
+        let dead = |bounds: &Rect| {
+            let lo = viewport.to_window(Point::new(bounds.xmin, bounds.ymin));
+            let hi = viewport.to_window(Point::new(bounds.xmax, bounds.ymax));
+            hi.y <= 0.5
+                || lo.y > h - 0.5
+                || (hi.x < -1.0 && lo.x > -EXACT)
+                || (lo.x > w + 1.0 && hi.x < EXACT)
+        };
+        // From three runs up, so that a ring keeps three vertices and is a
+        // polygon; below that (and unboxed) the whole boundary.
+        if poly.runs().len() < 3 {
+            keep(0..poly.vertex_count());
+        } else {
+            for (run, bounds) in poly.runs() {
+                keep(if dead(bounds) {
+                    run.start..run.start + 1
+                } else {
+                    run
+                });
+            }
+        }
+        debug_assert!(ring.edges >= 3, "a ring of {} vertices", ring.edges);
+        ring
+    }
 }
 
 /// The hardware projection for `op` on `(p, q)` at `resolution`, or
@@ -153,7 +216,7 @@ pub(crate) fn window<'a>(
             second: q,
             recording,
             live: match recording {
-                Recording::Overlap => Default::default(),
+                Recording::Overlap => [p, q].map(|poly| LiveRuns::ring(poly, &viewport)),
                 _ => LiveRuns::pair(p, q, &viewport, DIAGONAL_WIDTH),
             },
         });
@@ -223,8 +286,8 @@ impl Window<'_> {
             Recording::Overlap => HwTester::record_overlap_area(
                 self.region,
                 resolution,
-                self.first.vertices().iter().copied(),
-                self.second.vertices().iter().copied(),
+                self.points(false),
+                self.points(true),
             ),
         }
     }
@@ -246,14 +309,17 @@ impl Window<'_> {
         counted(live.edges, runs.flat_map(|run| poly.edges_in(run.clone())))
     }
 
-    /// The distance test draws vertex caps (smooth points) on top of the
-    /// edges: the start vertex of every live edge. A live run's last end
-    /// point starts the next run — live too, or clipped with its box.
+    /// The vertices one side submits, streamed like its edges. The distance
+    /// test draws vertex caps (smooth points) on top of the edges: the
+    /// start vertex of every live edge — a live run's last end point
+    /// starts the next run, live too, or clipped with its box. The overlap
+    /// count fills the polygon these are: its fill ring. The segment test
+    /// submits none.
     pub(crate) fn points(&self, second: bool) -> impl ExactSizeIterator<Item = Point> + '_ {
         let (poly, live) = self.side(second);
         let caps = match self.recording {
-            Recording::Distance(_) => live.edges,
-            _ => 0,
+            Recording::Segment(_) => 0,
+            Recording::Distance(_) | Recording::Overlap => live.edges,
         };
         let runs = live.runs.iter();
         counted(
@@ -651,5 +717,122 @@ mod tests {
         assert!(2 * submitted < whole, "{submitted} of {whole} primitives");
         // Some round lost a whole pass to the cull, most did not.
         assert!(fewer_draws > 0, "no atlas pass was emptied");
+    }
+
+    /// Submitting each polygon's fill ring is invisible to the device: for
+    /// the same corpus at every resolution, the list `window` records for
+    /// the overlap count and the whole-vertex list of the public recorder
+    /// execute to the same frame, the same readbacks and the same
+    /// `HwStats`, whole — a fill is one primitive however many vertices it
+    /// has — from under half the vertices.
+    #[test]
+    fn fill_rings_execute_like_whole_polygons() {
+        let (pairs, _) = corpus();
+        let (mut submitted, mut whole, mut covered) = (0usize, 0usize, 0u64);
+        for resolution in [1usize, 4, 8, 16, 32] {
+            let op = RefineOp::Measure { resolution };
+            for (p, q) in &pairs {
+                for (p, q) in [(p, q), (q, p)] {
+                    let Some(w) = window(op, p, q, resolution, OverlapStrategy::default()) else {
+                        continue;
+                    };
+                    covered += assert_ring_fills_like_whole(&w);
+                    submitted += w.points(false).len() + w.points(true).len();
+                    whole += p.vertex_count() + q.vertex_count();
+                }
+            }
+        }
+        assert!(covered > 0, "no pair overlaps");
+        assert!(2 * submitted < whole, "{submitted} of {whole} vertices");
+    }
+
+    /// Executes `w`'s ring list and the whole-vertex list of the same
+    /// window side by side; returns the covered-pixel count.
+    fn assert_ring_fills_like_whole(w: &Window) -> u64 {
+        let resolution = w.viewport.width();
+        let (ring, slot) = list(Tape::Pair(w));
+        let (whole, whole_slot) = HwTester::record_overlap_area(
+            w.region,
+            resolution,
+            w.first.vertices().iter().copied(),
+            w.second.vertices().iter().copied(),
+        );
+        assert_eq!(slot, whole_slot);
+        let (frame, readbacks, stats) = execute(&ring);
+        let (whole_frame, whole_readbacks, whole_stats) = execute(&whole);
+        assert!(frame == whole_frame, "at {resolution}: {:?}", w.region);
+        assert_eq!(readbacks, whole_readbacks, "at {resolution}");
+        assert_eq!(stats, whole_stats, "at {resolution}");
+        match readbacks[slot] {
+            Readback::StencilCount(count) => count,
+            ref other => panic!("{other:?} in the overlap count's slot"),
+        }
+    }
+
+    /// A 128-vertex frame three pixels outside the window `[0, 8]²`, 32
+    /// vertices — one run — a side, every other vertex of a side pulled
+    /// towards the window: the bottom side's up to `y = bottom`, the right
+    /// side's left to `x = right`, the top side's down to `y = top`, the
+    /// left side's right to `x = left`. Pulled far enough the spikes cross
+    /// each other: a fill has a parity rule, not a simplicity requirement.
+    fn spiked_frame(bottom: f64, right: f64, top: f64, left: f64) -> Polygon {
+        let step = |k: usize| 14.0 * k as f64 / 32.0;
+        let pulled = |k: usize, to: f64, from: f64| if k % 2 == 1 { to } else { from };
+        let side = |vertex: &dyn Fn(usize) -> (f64, f64)| (0..32).map(vertex).collect::<Vec<_>>();
+        let coords = [
+            side(&|k| (-3.0 + step(k), pulled(k, bottom, -3.0))),
+            side(&|k| (pulled(k, right, 11.0), -3.0 + step(k))),
+            side(&|k| (11.0 - step(k), pulled(k, top, 11.0))),
+            side(&|k| (pulled(k, left, -3.0), 11.0 - step(k))),
+        ]
+        .concat();
+        Polygon::from_coords(&coords)
+    }
+
+    /// The ring's four compares at their boundaries, on an identity
+    /// projection (the window is `[0, 8]²` at 8×8): a run whose box ends
+    /// exactly on the first scanline center is dropped, one that starts
+    /// exactly on the last is kept (a center is owned from above), one
+    /// exactly a pixel outside a side is kept, a hair further dropped —
+    /// and kept or dropped, the fill is the whole polygon's. A frame with
+    /// no live run at all still fills: its ring is the four chords.
+    #[test]
+    fn fill_ring_boundaries_are_exact() {
+        let square = Polygon::from_coords(&[(0.0, 0.0), (8.0, 0.0), (8.0, 8.0), (0.0, 8.0)]);
+        let hair = 1e-9;
+        // (bottom, right, top, left) and the vertices the ring keeps.
+        let frames = [
+            ((-3.0, 11.0, 11.0, -3.0), 4),
+            ((0.5, 11.0, 11.0, -3.0), 4),
+            ((0.5 + hair, 11.0, 11.0, -3.0), 35),
+            ((-3.0, 11.0, 7.5, -3.0), 35),
+            ((-3.0, 11.0, 7.5 + hair, -3.0), 4),
+            ((-3.0, 9.0, 11.0, -3.0), 35),
+            ((-3.0, 9.0 + hair, 11.0, -3.0), 4),
+            ((-3.0, 11.0, 11.0, -1.0), 35),
+            ((-3.0, 11.0, 11.0, -1.0 - hair), 4),
+            ((0.5, 9.0 + hair, 7.5 + hair, -1.0 - hair), 4),
+            ((2.3, 6.2, 5.1, 3.3), 128),
+            ((2.3, 11.0, 11.0, 3.3), 66),
+        ];
+        for ((bottom, right, top, left), kept) in frames {
+            let frame = spiked_frame(bottom, right, top, left);
+            assert_eq!(frame.runs().len(), 4);
+            for resolution in [1usize, 4, 8, 16, 32] {
+                let op = RefineOp::Measure { resolution };
+                let w = window(op, &frame, &square, resolution, OverlapStrategy::default())
+                    .expect("the square lies inside the frame");
+                assert_eq!(w.region, square.mbr());
+                let covered = assert_ring_fills_like_whole(&w);
+                if resolution == 8 {
+                    let what = format!("{:?}", (bottom, right, top, left));
+                    assert_eq!(w.points(false).len(), kept, "{what}");
+                    assert_eq!(w.points(true).len(), 4, "the square has no runs");
+                    if kept == 4 {
+                        assert_eq!(covered, 64, "{what}: four chords around the window");
+                    }
+                }
+            }
+        }
     }
 }

@@ -95,6 +95,15 @@ pub fn sw_overlap_area(p: &Polygon, q: &Polygon, resolution: usize) -> f64 {
     replay_overlap_count(&commands, slot) as f64 * overlap_cell_area(w.region, resolution)
 }
 
+/// The vertices the overlap count submits for `(p, q)` at `resolution` —
+/// each polygon's fill ring over the pair's window, first and second fill
+/// — or `None` where nothing is measured. For diagnostics: the device only
+/// ever reports a fill as one primitive.
+pub fn fill_rings(p: &Polygon, q: &Polygon, resolution: usize) -> Option<[Vec<Point>; 2]> {
+    let w = overlap_window(p, q, resolution)?;
+    Some([false, true].map(|second| w.points(second).collect()))
+}
+
 /// The overlap count's projection window (the tape has one shape per
 /// resolution: no overlap strategy enters it).
 fn overlap_window<'a>(p: &'a Polygon, q: &'a Polygon, resolution: usize) -> Option<Window<'a>> {

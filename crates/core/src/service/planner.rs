@@ -710,8 +710,8 @@ mod tests {
                     RefineOp::Measure { .. } => HwTester::record_overlap_area(
                         w.region,
                         resolution,
-                        w.first.vertices().iter().copied(),
-                        w.second.vertices().iter().copied(),
+                        w.points(false),
+                        w.points(true),
                     ),
                 };
                 assert_eq!(submitted, direct.0.serialize(), "{what}");

@@ -240,6 +240,20 @@ impl Polygon {
         })
     }
 
+    /// Every cached run box with the indices of the edges it bounds — also
+    /// those of the vertices that start them — in boundary order; nothing
+    /// for a polygon too small to carry run boxes. For a caller that has a
+    /// use for the rejected runs too, where [`Polygon::runs_where`] only
+    /// reports the accepted ones.
+    pub fn runs(&self) -> impl ExactSizeIterator<Item = (Range<usize>, &Rect)> + '_ {
+        let n = self.vertices.len();
+        let boxes = self.runs.as_deref().map_or(&[][..], Vec::as_slice);
+        boxes
+            .iter()
+            .enumerate()
+            .map(move |(k, run)| (k * RUN_EDGES..((k + 1) * RUN_EDGES).min(n), run))
+    }
+
     /// The edges with indices `run` (`run.end <= vertex_count()`), in
     /// boundary order: what a caller of [`Polygon::runs_where`] walks.
     pub fn edges_in(&self, run: Range<usize>) -> impl Iterator<Item = Segment> + '_ {

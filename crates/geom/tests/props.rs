@@ -376,8 +376,10 @@ fn run_boxes_are_one_per_32_edges_whatever_the_edges() {
             let boxes = run_boxes(&poly);
             let expected = if n < 64 { 0 } else { n.div_ceil(32) };
             assert_eq!(boxes.len(), expected, "{n} vertices");
-            for (k, b) in boxes.iter().enumerate() {
+            assert_eq!(poly.runs().len(), expected);
+            for ((k, b), (walked, walked_box)) in boxes.iter().enumerate().zip(poly.runs()) {
                 let run = 32 * k..(32 * k + 32).min(n);
+                assert_eq!((walked, walked_box), (run.clone(), b), "the per-run walk");
                 let tight = run.fold(Rect::EMPTY, |r, i| r.union(&poly.edge(i).mbr()));
                 assert_eq!(*b, tight, "run {k} of {n} vertices");
             }

@@ -22,22 +22,29 @@
 //! window has dropped the runs of 32 edges whose *box* the same compare
 //! rejects (`choreography::LiveRuns`). The inner loop of every
 //! hardware-assisted query is the clip compare [`aa_line_outside_window`],
-//! which `GlContext` runs before [`AaLineCover::new`]. For the segments that
-//! survive, the per-pixel test is kept lean: the candidate loop bounds
-//! already guarantee overlap on the window axes, leaving only the
-//! rectangle's two edge normals to check, with all rectangle projections
-//! hoisted out of the loop. (This is the simulation's stand-in for the GPU's
-//! parallel coverage evaluation.)
+//! which `GlContext` runs before [`SegmentCover::new`]. For the segments that
+//! survive, setup and per-pixel test cost their arithmetic: one root and
+//! two divides for the direction, candidate ranges from truncating casts
+//! (`cover::candidate_range`), and — the candidate loop bounds already
+//! guarantee overlap on the window axes — only the rectangle's two edge
+//! normals to check per pixel, with all rectangle projections hoisted out
+//! of the loop. (This is the simulation's stand-in for the GPU's parallel
+//! coverage evaluation.)
 
+use crate::context::PixelRect;
+use crate::cover::{candidate_range, coordinate, Cover, Footprint};
+use crate::framebuffer::FrameBuffer;
+use crate::point_raster::WidePointCover;
 use crate::stats::HwStats;
 use spatial_geom::Point;
+use std::ops::Range;
 
 /// The paper's default width for intersection tests: the pixel diagonal.
 pub const DIAGONAL_WIDTH: f64 = std::f64::consts::SQRT_2;
 
 /// The four corners of the width-`w` bounding rectangle of segment `a→b`.
-/// Returns `None` for a degenerate (zero-length) segment — callers render a
-/// wide point instead.
+/// Returns `None` for a segment without a direction — it has no rectangle
+/// and renders as a wide point instead ([`SegmentCover`]).
 pub fn bounding_rectangle(a: Point, b: Point, w: f64) -> Option<[Point; 4]> {
     let dir = (b - a).normalized()?;
     let n = dir.perp() * (w / 2.0);
@@ -46,16 +53,16 @@ pub fn bounding_rectangle(a: Point, b: Point, w: f64) -> Option<[Point; 4]> {
 
 /// The clip test for the width-`w` line `a→b` (window coordinates) against
 /// the window columns `0..width` and scanlines `0..height`: true only when
-/// [`AaLineCover::new`] would return `None` — and, for `a == b`, when the
-/// diameter-`w` fallback disc at `a` misses the window too — so skipping a
-/// segment on it changes no pixel and no counter.
+/// [`SegmentCover::new`] would return `None`, so skipping a segment on it
+/// changes no pixel and no counter.
 ///
 /// The bounding rectangle's corners are `a ± n`, `b ± n` with `|n.x|`,
 /// `|n.y|` ≤ `w/2` up to rounding, hence below `w`; floating-point addition
-/// is monotone, so both ends' `x + w < 0` puts every corner's `floor` left
-/// of column 0 and both ends' `x − w ≥ width` puts it at or past `width`.
-/// A NaN coordinate compares false on its axis; such a segment has no
-/// direction and never rasterizes, whatever the other axis says here.
+/// is monotone, so both ends' `x + w < 0` puts every corner left of column
+/// 0 and both ends' `x − w ≥ width` puts every corner's `floor` at or past
+/// `width` — and with them the diameter-`w` disc at `a` that stands in for
+/// a segment without a direction. A NaN coordinate compares false on its
+/// axis and leaves the verdict to the other one.
 #[inline]
 pub fn aa_line_outside_window(a: Point, b: Point, w: f64, width: usize, height: usize) -> bool {
     let (width, height) = (width as f64, height as f64);
@@ -66,8 +73,8 @@ pub fn aa_line_outside_window(a: Point, b: Point, w: f64, width: usize, height: 
 }
 
 /// Rasterizes the anti-aliased line `a→b` of width `w` (window
-/// coordinates), emitting every pixel whose square intersects the bounding
-/// rectangle. Degenerate segments emit nothing.
+/// coordinates), emitting every pixel whose square intersects what the
+/// segment covers ([`SegmentCover`]).
 #[inline]
 pub fn rasterize_aa_line(
     a: Point,
@@ -78,23 +85,64 @@ pub fn rasterize_aa_line(
     stats: &mut HwStats,
     sink: &mut impl FnMut(usize, usize),
 ) {
-    let Some(cov) = AaLineCover::new(a, b, w, width, height) else {
-        return;
-    };
-    for j in cov.rows() {
-        stats.fragments_tested += cov.cover_row(j, &mut |x| sink(x, j as usize));
+    if let Some(cover) = SegmentCover::new(a, b, w, width, height) {
+        stats.fragments_tested += cover.emit(sink);
     }
 }
 
-/// The hoisted per-segment setup of the anti-aliased line rasterizer
-/// (bounding-rectangle projections and candidate ranges), from which
-/// [`rasterize_aa_line`] drives the per-scanline coverage test.
-#[derive(Debug, Clone, Copy)]
+/// What the width-`w` line `a→b` covers: its bounding rectangle — or, when
+/// it has end points but no direction, the diameter-`w` disc at `a`.
+///
+/// "Every pixel that intersects the line segment is colored" has to hold
+/// for a segment a viewport scaled down to nothing, too: `a == b` after
+/// projection, or two distinct end points so close that the squared length
+/// underflows (`(1e-200, 0) → (3e-200, 0)`). Neither has a rectangle; both
+/// lie within their own end cap. (A length that is not a number — a NaN
+/// coordinate — takes the same path: all there is to such a segment is an
+/// end point.)
+#[derive(Debug, Clone)]
+pub enum SegmentCover {
+    Line(AaLineCover),
+    Cap(WidePointCover),
+}
+
+impl SegmentCover {
+    /// Coverage setup for the width-`w` line `a→b` over the window columns
+    /// `0..width` and scanlines `0..height`. `None` when what it covers
+    /// cannot touch the window.
+    #[inline]
+    pub fn new(a: Point, b: Point, w: f64, width: usize, height: usize) -> Option<Self> {
+        match (b - a).normalized() {
+            Some(dir) => AaLineCover::along(dir, a, b, w, width, height).map(SegmentCover::Line),
+            None => WidePointCover::new(a, w, width, height).map(SegmentCover::Cap),
+        }
+    }
+}
+
+impl Cover for SegmentCover {
+    #[inline]
+    fn emit(&self, sink: &mut impl FnMut(usize, usize)) -> usize {
+        match self {
+            SegmentCover::Line(line) => line.emit(sink),
+            SegmentCover::Cap(cap) => cap.emit(sink),
+        }
+    }
+
+    #[inline]
+    fn paint(&self, fb: &mut FrameBuffer, window: PixelRect, color: f32) -> (usize, usize) {
+        match self {
+            SegmentCover::Line(line) => line.paint(fb, window, color),
+            SegmentCover::Cap(cap) => cap.paint(fb, window, color),
+        }
+    }
+}
+
+/// The hoisted per-segment setup of the anti-aliased line rasterizer:
+/// bounding-rectangle projections and candidate ranges.
+#[derive(Debug, Clone)]
 pub struct AaLineCover {
-    x_lo: i64,
-    x_hi: i64,
-    y_lo: i64,
-    y_hi: i64,
+    columns: Range<usize>,
+    rows: Range<usize>,
     dir: Point,
     perp: Point,
     rect_d_lo: f64,
@@ -106,12 +154,13 @@ pub struct AaLineCover {
 }
 
 impl AaLineCover {
-    /// Coverage setup for the width-`w` line `a→b` over the window columns
-    /// `0..width` and scanlines `0..height`. `None` when the segment is
-    /// degenerate or its bounding rectangle cannot touch the window.
-    pub fn new(a: Point, b: Point, w: f64, width: usize, height: usize) -> Option<Self> {
+    /// Coverage setup for the width-`w` line `a→b`, `dir` the unit vector
+    /// from `a` to `b`, over the window columns `0..width` and scanlines
+    /// `0..height`. `None` when the bounding rectangle cannot touch the
+    /// window.
+    #[inline]
+    fn along(dir: Point, a: Point, b: Point, w: f64, width: usize, height: usize) -> Option<Self> {
         debug_assert!(w > 0.0);
-        let dir = (b - a).normalized()?;
         let n = dir.perp() * (w / 2.0);
         let corners = [a + n, b + n, b - n, a - n];
 
@@ -125,13 +174,8 @@ impl AaLineCover {
             ymin = ymin.min(p.y);
             ymax = ymax.max(p.y);
         }
-        let x_lo = (xmin.floor() as i64).max(0);
-        let x_hi = (xmax.floor() as i64).min(width as i64 - 1);
-        let y_lo = (ymin.floor() as i64).max(0);
-        let y_hi = (ymax.floor() as i64).min(height as i64 - 1);
-        if x_lo > x_hi || y_lo > y_hi {
-            return None;
-        }
+        let columns = candidate_range(xmin, xmax, width)?;
+        let rows = candidate_range(ymin, ymax, height)?;
 
         // Separating axes. The candidate loop only visits pixels whose
         // square overlaps the rectangle's AABB, so the window axes
@@ -158,10 +202,8 @@ impl AaLineCover {
         let half_d = (dir.x.abs() + dir.y.abs()) / 2.0;
         let half_p = (perp.x.abs() + perp.y.abs()) / 2.0;
         Some(AaLineCover {
-            x_lo,
-            x_hi,
-            y_lo,
-            y_hi,
+            columns,
+            rows,
             dir,
             perp,
             rect_d_lo,
@@ -172,37 +214,40 @@ impl AaLineCover {
             half_p,
         })
     }
+}
 
-    /// The candidate scanlines (inclusive, window coordinates).
+impl Footprint for AaLineCover {
+    /// The scanline center's share of the projections onto `dir` and
+    /// `perp`.
+    type Row = (f64, f64);
+
     #[inline]
-    pub fn rows(&self) -> std::ops::RangeInclusive<i64> {
-        self.y_lo..=self.y_hi
+    fn rows(&self) -> Range<usize> {
+        self.rows.clone()
     }
 
-    /// Runs the coverage test over scanline `j`'s candidate pixels, calling
-    /// `emit(x)` for every covered column in ascending order; returns the
-    /// number of fragments tested (the candidate count).
     #[inline]
-    pub fn cover_row(&self, j: i64, emit: &mut impl FnMut(usize)) -> usize {
-        debug_assert!(self.rows().contains(&j));
-        let cy = j as f64 + 0.5;
-        let cy_d = cy * self.dir.y;
-        let cy_p = cy * self.perp.y;
-        let mut i = self.x_lo;
-        while i <= self.x_hi {
-            let cx = i as f64 + 0.5;
-            let c_d = cx * self.dir.x + cy_d;
-            let c_p = cx * self.perp.x + cy_p;
-            if !(c_d + self.half_d < self.rect_d_lo
-                || c_d - self.half_d > self.rect_d_hi
-                || c_p + self.half_p < self.rect_p_lo
-                || c_p - self.half_p > self.rect_p_hi)
-            {
-                emit(i as usize);
-            }
-            i += 1;
-        }
-        (self.x_hi - self.x_lo + 1) as usize
+    fn columns(&self) -> Range<usize> {
+        self.columns.clone()
+    }
+
+    #[inline]
+    fn row(&self, j: usize) -> (f64, f64) {
+        let cy = coordinate(j) + 0.5;
+        (cy * self.dir.y, cy * self.perp.y)
+    }
+
+    #[inline]
+    fn covers(&self, (cy_d, cy_p): (f64, f64), i: usize) -> bool {
+        let cx = coordinate(i) + 0.5;
+        let c_d = cx * self.dir.x + cy_d;
+        let c_p = cx * self.perp.x + cy_p;
+        // `|`, not `||`: four compares cost less than one mispredicted
+        // short-circuit.
+        !((c_d + self.half_d < self.rect_d_lo)
+            | (c_d - self.half_d > self.rect_d_hi)
+            | (c_p + self.half_p < self.rect_p_lo)
+            | (c_p - self.half_p > self.rect_p_hi))
     }
 }
 
@@ -289,9 +334,9 @@ mod tests {
         out
     }
 
-    #[test]
-    fn optimized_matches_reference_sat() {
-        let cases = [
+    /// Segments and widths for the reference comparisons.
+    fn sat_cases() -> [(Point, Point, f64); 6] {
+        [
             (Point::new(0.3, 0.7), Point::new(7.6, 5.2), DIAGONAL_WIDTH),
             (Point::new(2.0, 0.0), Point::new(2.0, 8.0), 1.0),
             (Point::new(0.0, 4.0), Point::new(8.0, 4.0), 4.0),
@@ -305,14 +350,71 @@ mod tests {
                 DIAGONAL_WIDTH,
             ),
             (Point::new(0.1, 0.1), Point::new(0.2, 0.15), 0.5),
-        ];
-        for (a, b, w) in cases {
+        ]
+    }
+
+    #[test]
+    fn optimized_matches_reference_sat() {
+        for (a, b, w) in sat_cases() {
             assert_eq!(
                 collect(a, b, w, 8),
                 collect_reference(a, b, w, 8),
                 "a={a} b={b} w={w}"
             );
         }
+    }
+
+    /// The two walks of a cover read one predicate: what `paint` writes
+    /// into the color plane is what `emit` hands to its sink — same pixel
+    /// set, same written and tested counts — for the reference segments at
+    /// their own width and at every Equation (1) width, for the cap a
+    /// segment without a direction gets, and at a scissor-cell offset.
+    #[test]
+    fn painted_rows_equal_emitted_rows() {
+        const N: usize = 8;
+        let cell = PixelRect {
+            x: N,
+            y: 2 * N,
+            w: N,
+            h: N,
+        };
+        let whole = PixelRect { x: 0, y: 0, ..cell };
+        let mut segments: Vec<(Point, Point, f64)> = sat_cases().to_vec();
+        for (a, b, _) in sat_cases() {
+            segments.extend((1..=10).map(|w| (a, b, f64::from(w))));
+            segments.extend((1..=10).map(|w| (a, a, f64::from(w))));
+        }
+        let mut written_total = 0;
+        for (a, b, w) in segments {
+            // (The cap of the segment that starts at (−3, −3) misses.)
+            let Some(cover) = SegmentCover::new(a, b, w, N, N) else {
+                assert!(a == b && a.x < 0.0);
+                continue;
+            };
+            assert_eq!(matches!(cover, SegmentCover::Cap(_)), a == b);
+            let mut emitted = Vec::new();
+            let tested = cover.emit(&mut |x, y| emitted.push((x, y)));
+            for window in [whole, cell] {
+                let mut fb = FrameBuffer::new(3 * N, 3 * N);
+                assert_eq!(
+                    cover.paint(&mut fb, window, 0.5),
+                    (tested, emitted.len()),
+                    "{a} {b} width {w}"
+                );
+                let painted: Vec<(usize, usize)> = (0..3 * N)
+                    .flat_map(|y| (0..3 * N).map(move |x| (x, y)))
+                    .filter(|&(x, y)| fb.read_pixel(x, y) > 0.0)
+                    .map(|(x, y)| (x - window.x, y - window.y))
+                    .collect();
+                // Row by row, ascending columns: the order `emit` promises.
+                let mut by_rows = emitted.clone();
+                by_rows.sort_unstable_by_key(|&(x, y)| (y, x));
+                assert_eq!(emitted, by_rows);
+                assert_eq!(painted, by_rows, "{a} {b} width {w} at {window:?}");
+            }
+            written_total += emitted.len();
+        }
+        assert!(written_total > 2_000, "{written_total}");
     }
 
     #[test]

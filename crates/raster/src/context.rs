@@ -2,9 +2,10 @@
 //! so the hardware-assisted algorithms read like the paper's pseudo-code
 //! (Algorithm 3.1: set color, render edges, accumulate, minmax).
 
-use crate::aa_line::{aa_line_outside_window, rasterize_aa_line};
+use crate::aa_line::{aa_line_outside_window, SegmentCover};
+use crate::cover::Cover;
 use crate::framebuffer::{FrameBuffer, BLACK};
-use crate::point_raster::{rasterize_wide_point, wide_point_outside_window};
+use crate::point_raster::{wide_point_outside_window, WidePointCover};
 use crate::polygon_raster::rasterize_polygon;
 use crate::stats::HwStats;
 use crate::viewport::Viewport;
@@ -208,14 +209,16 @@ impl GlContext {
         self.scissor = None;
     }
 
-    /// The active rasterization window: scissor-local dimensions plus the
-    /// pixel offset of its origin in the frame buffer.
+    /// The active rasterization window: the scissor, or the whole frame
+    /// buffer.
     #[inline]
-    fn window(&self) -> (usize, usize, usize, usize) {
-        match self.scissor {
-            Some(r) => (r.w, r.h, r.x, r.y),
-            None => (self.fb.width(), self.fb.height(), 0, 0),
-        }
+    fn window(&self) -> PixelRect {
+        self.scissor.unwrap_or(PixelRect {
+            x: 0,
+            y: 0,
+            w: self.fb.width(),
+            h: self.fb.height(),
+        })
     }
 
     // -- clears and accumulation ops ----------------------------------------
@@ -261,47 +264,15 @@ impl GlContext {
     /// device layer coalesces several recorded geometry runs into one
     /// logical hardware submission (the atlas's per-pass batching).
     pub fn draw_segments_merged(&mut self, segments: &[Segment]) {
-        let (w, h, ox, oy) = self.window();
-        let GlContext {
-            ref mut fb,
-            ref mut stats,
-            ref viewport,
-            color,
-            line_width,
-            write_mode,
-            ..
-        } = *self;
-        if write_mode == WriteMode::Overwrite {
-            // Hot path (Algorithm 3.1 renders everything in this mode):
-            // fragments go straight into the color buffer, no collection.
-            let mut written = 0usize;
-            raster_segments(
-                segments,
-                viewport,
-                line_width,
-                (w, h),
-                stats,
-                &mut |x, y| {
-                    fb.write_pixel_uncounted(ox + x, oy + y, color);
-                    written += 1;
-                },
-            );
-            stats.pixels_written += written;
-            return;
-        }
-        // Fragments are collected for the whole batch and written once:
-        // blending must not double-add where a boundary's own edges share
-        // vertex pixels within one draw call.
-        let mut frags: Vec<(usize, usize)> = Vec::new();
-        raster_segments(
-            segments,
-            viewport,
-            line_width,
-            (w, h),
-            stats,
-            &mut |x, y| frags.push((ox + x, oy + y)),
-        );
-        self.write_fragments(&frags);
+        let (width, viewport, PixelRect { w, h, .. }) =
+            (self.line_width, self.viewport, self.window());
+        self.draw(segments, |seg| {
+            let (a, b) = (viewport.to_window(seg.a), viewport.to_window(seg.b));
+            if aa_line_outside_window(a, b, width, w, h) {
+                return None;
+            }
+            SegmentCover::new(a, b, width, w, h)
+        });
     }
 
     /// Draws smooth points (`GL_POINT_SMOOTH`, data coordinates) with the
@@ -318,80 +289,103 @@ impl GlContext {
     /// [`GlContext::draw_points`] without the draw-call charge (see
     /// [`GlContext::draw_segments_merged`]).
     pub fn draw_points_merged(&mut self, points: &[Point]) {
-        let (w, h, ox, oy) = self.window();
-        let GlContext {
-            ref mut fb,
-            ref mut stats,
-            ref viewport,
-            color,
-            point_size,
-            write_mode,
-            ..
-        } = *self;
-        if write_mode == WriteMode::Overwrite {
-            let mut written = 0usize;
-            raster_points(points, viewport, point_size, (w, h), stats, &mut |x, y| {
-                fb.write_pixel_uncounted(ox + x, oy + y, color);
-                written += 1;
+        let (size, viewport, PixelRect { w, h, .. }) =
+            (self.point_size, self.viewport, self.window());
+        self.draw(points, |&p| {
+            let p = viewport.to_window(p);
+            if wide_point_outside_window(p, size, w, h) {
+                return None;
+            }
+            WidePointCover::new(p, size, w, h)
+        });
+    }
+
+    /// Rasterizes one run of primitives into the active window (scissor-
+    /// local, so an atlas cell clips against its own cell); `setup` projects
+    /// and clips a primitive and sets up what is left of it.
+    ///
+    /// The clip stage of §2.1 ("the parts of geometries that are outside
+    /// the viewing area are clipped") is `setup`'s first step: Algorithm
+    /// 3.1 submits whole boundaries, and much of what a list holds misses
+    /// the window — all but a few percent of whole boundaries, still a
+    /// quarter to a half of the boundary runs `hwa-core` submits since it
+    /// culls by run box — so a submitted primitive costs its projection
+    /// and one rectangle compare; only the survivors pay the rest of the
+    /// setup. Clipping is uncharged and invisible — `primitives` counts
+    /// submissions, and the compare skips only what the setup would itself
+    /// discard ([`aa_line_outside_window`], [`wide_point_outside_window`]).
+    ///
+    /// Setups and pixel walks alternate a block of primitives at a time
+    /// ([`in_blocks`]).
+    fn draw<P, C: Cover>(&mut self, primitives: &[P], setup: impl Fn(&P) -> Option<C>) {
+        let window = self.window();
+        self.stats.primitives += primitives.len();
+        if self.write_mode == WriteMode::Overwrite {
+            // Hot path (Algorithm 3.1 and the distance test render
+            // everything in this mode): each cover paints its candidate
+            // rows in the color plane, no fragment leaves the loop.
+            in_blocks(primitives, setup, |cover| {
+                let (tested, written) = cover.paint(&mut self.fb, window, self.color);
+                self.stats.fragments_tested += tested;
+                self.stats.pixels_written += written;
             });
-            stats.pixels_written += written;
             return;
         }
+        // Fragments are collected for the whole batch and written once:
+        // blending must not double-add where a boundary's own edges share
+        // vertex pixels within one draw call.
         let mut frags: Vec<(usize, usize)> = Vec::new();
-        raster_points(points, viewport, point_size, (w, h), stats, &mut |x, y| {
-            frags.push((ox + x, oy + y))
+        in_blocks(primitives, setup, |cover| {
+            self.stats.fragments_tested +=
+                cover.emit(&mut |x, y| frags.push((window.x + x, window.y + y)));
         });
-        self.write_fragments(&frags);
+        if matches!(
+            self.write_mode,
+            WriteMode::Blend | WriteMode::StencilIncrIfEq(_)
+        ) {
+            // One blend, one stencil test per covered pixel per batch: a
+            // boundary's own edges share vertex pixels, and double-adding
+            // them would fake an overlap.
+            frags.sort_unstable();
+            frags.dedup();
+        }
+        for (x, y) in frags {
+            self.write_fragment(x, y);
+        }
     }
 
     /// Fills a polygon (data coordinates, must be convex for "hardware"
-    /// fidelity — the ablation triangulates concave input first).
+    /// fidelity — the ablation triangulates concave input first). Each
+    /// fragment is written as the scanline produces it: a fill emits a
+    /// pixel at most once ([`crate::polygon_raster`]), so no write mode
+    /// needs the fragments of the draw call collected first.
     pub fn draw_filled_polygon(&mut self, vertices: &[Point]) {
         self.stats.draw_calls += 1;
         self.stats.primitives += 1;
-        let win: Vec<Point> = vertices
-            .iter()
-            .map(|&p| self.viewport.to_window(p))
-            .collect();
-        let (w, h, ox, oy) = self.window();
-        let mut frags: Vec<(usize, usize)> = Vec::new();
-        rasterize_polygon(&win, w, h, &mut self.stats, &mut |x, y| {
-            frags.push((ox + x, oy + y))
-        });
-        self.write_fragments(&frags);
+        let (window, viewport) = (self.window(), self.viewport);
+        let mut fragments = HwStats::default();
+        rasterize_polygon(
+            vertices.iter().map(|&p| viewport.to_window(p)),
+            window.w,
+            window.h,
+            &mut fragments,
+            &mut |x, y| self.write_fragment(window.x + x, window.y + y),
+        );
+        self.stats.add(&fragments);
     }
 
-    fn write_fragments(&mut self, frags: &[(usize, usize)]) {
+    /// Writes one fragment at frame-buffer pixel `(x, y)` in the current
+    /// write mode.
+    #[inline]
+    fn write_fragment(&mut self, x: usize, y: usize) {
+        let GlContext {
+            fb, stats, color, ..
+        } = self;
         match self.write_mode {
-            WriteMode::Overwrite => {
-                for &(x, y) in frags {
-                    self.fb.write_pixel(x, y, self.color, &mut self.stats);
-                }
-            }
-            WriteMode::Blend => {
-                // One blend per covered pixel per batch: a boundary's own
-                // edges share vertex pixels, and double-adding them would
-                // fake an overlap.
-                let mut sorted: Vec<(usize, usize)> = frags.to_vec();
-                sorted.sort_unstable();
-                sorted.dedup();
-                for &(x, y) in &sorted {
-                    self.fb.blend_pixel(x, y, self.color, &mut self.stats);
-                }
-            }
-            WriteMode::StencilReplace(v) => {
-                for &(x, y) in frags {
-                    self.fb.stencil_replace(x, y, v, &mut self.stats);
-                }
-            }
-            WriteMode::StencilIncrIfEq(r) => {
-                let mut sorted: Vec<(usize, usize)> = frags.to_vec();
-                sorted.sort_unstable();
-                sorted.dedup();
-                for &(x, y) in &sorted {
-                    self.fb.stencil_incr_if_eq(x, y, r, &mut self.stats);
-                }
-            }
+            WriteMode::Overwrite => fb.write_pixel(x, y, *color, stats),
+            WriteMode::Blend => fb.blend_pixel(x, y, *color, stats),
+            WriteMode::StencilReplace(v) => fb.stencil_replace(x, y, v, stats),
+            WriteMode::StencilIncrIfEq(r) => fb.stencil_incr_if_eq(x, y, r, stats),
         }
     }
 
@@ -443,57 +437,25 @@ impl GlContext {
     }
 }
 
-/// Clip, then rasterize, one run of segments into the `w × h` window
-/// (scissor-local, so an atlas cell clips against its own cell).
-///
-/// The clip stage of §2.1 ("the parts of geometries that are outside the
-/// viewing area are clipped"): Algorithm 3.1 submits whole boundaries, and
-/// much of what a list holds misses the window — all but a few percent of
-/// whole boundaries, still a quarter to a half of the boundary runs
-/// `hwa-core` submits since it culls by run box — so a submitted segment
-/// costs its projection and one rectangle compare here; only the
-/// survivors pay the line setup. Clipping is uncharged and invisible — `primitives` counts
-/// submissions, and the compare skips only what the setup would itself
-/// discard ([`aa_line_outside_window`]).
-fn raster_segments(
-    segments: &[Segment],
-    viewport: &Viewport,
-    line_width: f64,
-    (w, h): (usize, usize),
-    stats: &mut HwStats,
-    sink: &mut impl FnMut(usize, usize),
-) {
-    stats.primitives += segments.len();
-    for seg in segments {
-        let a = viewport.to_window(seg.a);
-        let b = viewport.to_window(seg.b);
-        if aa_line_outside_window(a, b, line_width, w, h) {
-            continue;
+/// Runs `setup` over `primitives` and `apply` over the covers it returns,
+/// alternating a block of primitives at a time: the setups of a block — a
+/// root and two divides each for a line, no data-dependent loop — overlap
+/// in the pipeline instead of each waiting behind the mispredicted exits
+/// of the previous primitive's few-pixel rows. The survivors wait in a
+/// stack array that is reused from block to block: nothing here is sized
+/// by the draw call.
+fn in_blocks<P, C>(primitives: &[P], setup: impl Fn(&P) -> Option<C>, mut apply: impl FnMut(&C)) {
+    const BLOCK: usize = 16;
+    let mut covers: [Option<C>; BLOCK] = std::array::from_fn(|_| None);
+    for block in primitives.chunks(BLOCK) {
+        let mut live = 0;
+        for primitive in block {
+            if let Some(cover) = setup(primitive) {
+                covers[live] = Some(cover);
+                live += 1;
+            }
         }
-        rasterize_aa_line(a, b, line_width, w, h, stats, sink);
-        if a == b {
-            // Degenerate after projection: keep coverage with a point.
-            rasterize_wide_point(a, line_width, w, h, stats, sink);
-        }
-    }
-}
-
-/// [`raster_segments`] for one run of smooth points, clipped by
-/// [`wide_point_outside_window`].
-fn raster_points(
-    points: &[Point],
-    viewport: &Viewport,
-    point_size: f64,
-    (w, h): (usize, usize),
-    stats: &mut HwStats,
-    sink: &mut impl FnMut(usize, usize),
-) {
-    stats.primitives += points.len();
-    for &p in points {
-        let wp = viewport.to_window(p);
-        if !wide_point_outside_window(wp, point_size, w, h) {
-            rasterize_wide_point(wp, point_size, w, h, stats, sink);
-        }
+        covers[..live].iter().flatten().for_each(&mut apply);
     }
 }
 
@@ -662,6 +624,163 @@ mod tests {
         // A 4-pixel disc around window (4,4) must cover several pixels.
         let covered = lit(&gl).len();
         assert!(covered >= 4, "got {covered}");
+    }
+
+    /// A segment with end points but no direction — the squared length of
+    /// `b − a` underflows, so there is no unit vector to build a rectangle
+    /// on — is still a segment: it colors the pixels its cap covers, like
+    /// `a == b`, painted and emitted alike.
+    #[test]
+    fn a_segment_without_a_direction_draws_its_cap() {
+        let collapsed = [seg(1e-200, 1e-200, 3e-200, 1e-200), seg(2.5, 2.5, 2.5, 2.5)];
+        for s in collapsed {
+            assert!((s.b - s.a).normalized().is_none(), "{s:?}");
+            let cap = {
+                let mut gl = ctx(8);
+                gl.set_point_size(crate::aa_line::DIAGONAL_WIDTH);
+                gl.draw_points(&[s.a]);
+                lit(&gl)
+            };
+            assert!(!cap.is_empty());
+
+            let mut gl = ctx(8);
+            gl.draw_segments(&[s]);
+            assert_eq!(lit(&gl), cap, "painted {s:?}");
+            assert_eq!(gl.max_value(), 0.5);
+
+            let mut gl = ctx(8);
+            gl.enable_blending(true);
+            gl.draw_segments(&[s]);
+            assert_eq!(lit(&gl), cap, "emitted {s:?}");
+            assert_eq!(gl.max_value(), 0.5);
+        }
+
+        // A whole triangle far below a pixel: every edge is such a segment.
+        let speck = [
+            seg(0.0, 0.0, 1e-170, 0.0),
+            seg(1e-170, 0.0, 0.0, 1e-170),
+            seg(0.0, 1e-170, 0.0, 0.0),
+        ];
+        let mut gl = ctx(8);
+        gl.draw_segments(&speck);
+        assert_eq!(gl.max_value(), 0.5);
+        gl.set_write_mode(WriteMode::StencilReplace(1));
+        gl.draw_segments(&speck);
+        assert_eq!(gl.stencil_max(), 1);
+    }
+
+    /// A fill emits a pixel at most once, so writing each fragment as the
+    /// scanline produces it is writing the draw call's collected, sorted
+    /// and deduplicated fragments (the oracle here, and what `draw` still
+    /// does for lines and points): same planes, same counters, in every
+    /// write mode — on concave, self-touching and self-crossing rings,
+    /// over a marked stencil and in a scissored cell.
+    #[test]
+    fn a_fill_writes_what_its_collected_fragments_would() {
+        fn collected_fill(gl: &mut GlContext, ring: &[Point]) {
+            gl.stats.draw_calls += 1;
+            gl.stats.primitives += 1;
+            let (window, viewport) = (gl.window(), gl.viewport);
+            let mut frags = Vec::new();
+            rasterize_polygon(
+                ring.iter().map(|&p| viewport.to_window(p)),
+                window.w,
+                window.h,
+                &mut gl.stats,
+                &mut |x, y| frags.push((window.x + x, window.y + y)),
+            );
+            let emitted = frags.len();
+            frags.sort_unstable();
+            frags.dedup();
+            assert_eq!(frags.len(), emitted, "a pixel emitted twice: {ring:?}");
+            for (x, y) in frags {
+                gl.write_fragment(x, y);
+            }
+        }
+
+        let ring = |coords: &[(f64, f64)]| -> Vec<Point> {
+            coords.iter().map(|&(x, y)| Point::new(x, y)).collect()
+        };
+        let rings = [
+            // Concave: a C whose pocket stays empty.
+            ring(&[
+                (0.3, 0.2),
+                (7.6, 0.2),
+                (7.6, 2.1),
+                (2.2, 2.1),
+                (2.2, 5.4),
+                (7.6, 5.4),
+                (7.6, 7.7),
+                (0.3, 7.7),
+            ]),
+            // Self-touching: two squares that share the vertex (4, 4).
+            ring(&[
+                (0.5, 0.5),
+                (4.0, 0.5),
+                (4.0, 4.0),
+                (7.5, 4.0),
+                (7.5, 7.5),
+                (4.0, 7.5),
+                (4.0, 4.0),
+                (0.5, 4.0),
+            ]),
+            // Bow-tie: the two diagonals cross at the window center.
+            ring(&[(0.0, 0.0), (8.0, 8.0), (8.0, 0.0), (0.0, 8.0)]),
+            // Doubled: the boundary runs over itself, every crossing twice.
+            ring(&[
+                (1.0, 1.0),
+                (7.0, 1.0),
+                (4.0, 7.0),
+                (1.0, 1.0),
+                (7.0, 1.0),
+                (4.0, 7.0),
+            ]),
+            // Larger than the window on every side.
+            ring(&[(-5.0, -3.0), (20.0, 2.0), (3.0, 30.0)]),
+        ];
+        let modes = [
+            WriteMode::Overwrite,
+            WriteMode::Blend,
+            WriteMode::StencilReplace(3),
+            WriteMode::StencilIncrIfEq(0),
+            WriteMode::StencilIncrIfEq(1),
+        ];
+        let cell = PixelRect {
+            x: 8,
+            y: 16,
+            w: 8,
+            h: 8,
+        };
+        let mark = ring(&[(0.0, 0.0), (8.0, 0.0), (8.0, 5.5), (0.0, 5.5)]);
+        let mut written = 0;
+        for scissor in [None, Some(cell)] {
+            for r in &rings {
+                for mode in modes {
+                    let fresh = || {
+                        let side = if scissor.is_some() { 24 } else { 8 };
+                        let mut gl = ctx(side);
+                        gl.set_scissor(scissor);
+                        gl.set_projection(Viewport::new(Rect::new(0.0, 0.0, 8.0, 8.0), 8, 8));
+                        // Something for `StencilIncrIfEq(1)` to count on.
+                        gl.set_write_mode(WriteMode::StencilReplace(1));
+                        gl.draw_filled_polygon(&mark);
+                        gl.set_write_mode(mode);
+                        gl
+                    };
+                    let (mut direct, mut oracle) = (fresh(), fresh());
+                    direct.draw_filled_polygon(r);
+                    collected_fill(&mut oracle, r);
+                    assert_eq!(direct.stats(), oracle.stats(), "{mode:?} {r:?}");
+                    assert_eq!(
+                        direct.frame_buffer(),
+                        oracle.frame_buffer(),
+                        "{mode:?} {r:?}"
+                    );
+                    written += direct.stats().pixels_written;
+                }
+            }
+        }
+        assert!(written > 1_000, "{written}");
     }
 
     #[test]

@@ -12,6 +12,7 @@
 
 use crate::scan;
 use crate::stats::HwStats;
+use std::ops::Range;
 
 /// Pure black — the clear color.
 pub const BLACK: f32 = 0.0;
@@ -81,12 +82,14 @@ impl FrameBuffer {
         stats.pixels_written += 1;
     }
 
-    /// Overwrite without touching counters — the hot rasterization path
-    /// counts written pixels in bulk instead of per fragment.
+    /// The color pixels `xs` of scanline `y`, for the overwrite-mode draws
+    /// to paint a primitive's candidate row in place: one bounds check a
+    /// row, and the caller counts what it wrote.
     #[inline]
-    pub(crate) fn write_pixel_uncounted(&mut self, x: usize, y: usize, c: f32) {
-        let i = self.idx(x, y);
-        self.color[i] = c;
+    pub(crate) fn color_span_mut(&mut self, y: usize, xs: Range<usize>) -> &mut [f32] {
+        debug_assert!(xs.end <= self.width && y < self.height);
+        let row = y * self.width;
+        &mut self.color[row + xs.start..row + xs.end]
     }
 
     /// Additive-blend a color fragment (`glBlendFunc(GL_ONE, GL_ONE)`),

@@ -29,6 +29,7 @@ pub mod aa_line;
 pub mod atlas;
 pub mod context;
 pub mod cost_model;
+pub(crate) mod cover;
 pub mod device;
 pub mod framebuffer;
 pub mod point_raster;

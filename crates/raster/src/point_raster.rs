@@ -1,15 +1,17 @@
 //! Smooth (anti-aliased) point rasterization — the vertex caps of the
 //! §3.1 distance test.
 
+use crate::cover::{candidate_range, clamp_to_pixel, coordinate, Cover, Footprint};
 use crate::stats::HwStats;
 use spatial_geom::Point;
+use std::ops::Range;
 
 /// The clip test for the diameter-`size` smooth point at `p` (window
 /// coordinates): true only when [`WidePointCover::new`] would return `None`
-/// — `p.x + r < 0` floors to an `x_hi` left of column 0 and `p.x − r ≥
-/// width` to an `x_lo` at or past `width`, same in y — so skipping a point
-/// on it changes no pixel and no counter. A NaN coordinate compares false:
-/// the setup clamps it into the window and charges its candidates.
+/// — `p.x + r < 0` ends the disc left of column 0 and `p.x − r ≥ width`
+/// starts it at or past `width`, same in y — so skipping a point on it
+/// changes no pixel and no counter. A NaN coordinate compares false: the
+/// setup clamps it into the window and charges its candidates.
 #[inline]
 pub fn wide_point_outside_window(p: Point, size: f64, width: usize, height: usize) -> bool {
     let r = size / 2.0;
@@ -33,23 +35,17 @@ pub fn rasterize_wide_point(
     stats: &mut HwStats,
     sink: &mut impl FnMut(usize, usize),
 ) {
-    let Some(cov) = WidePointCover::new(p, size, width, height) else {
-        return;
-    };
-    for j in cov.rows() {
-        stats.fragments_tested += cov.cover_row(j, &mut |x| sink(x, j as usize));
+    if let Some(cover) = WidePointCover::new(p, size, width, height) {
+        stats.fragments_tested += cover.emit(sink);
     }
 }
 
-/// The hoisted per-point setup of the smooth-point rasterizer (disc radius
-/// and candidate ranges), from which [`rasterize_wide_point`] drives the
-/// per-scanline disc test.
-#[derive(Debug, Clone, Copy)]
+/// The hoisted per-point setup of the smooth-point rasterizer: disc radius
+/// and candidate ranges.
+#[derive(Debug, Clone)]
 pub struct WidePointCover {
-    x_lo: i64,
-    x_hi: i64,
-    y_lo: i64,
-    y_hi: i64,
+    columns: Range<usize>,
+    rows: Range<usize>,
     px: f64,
     py: f64,
     r2: f64,
@@ -59,55 +55,48 @@ impl WidePointCover {
     /// Coverage setup for the diameter-`size` disc at `p` over the window
     /// columns `0..width` and scanlines `0..height`. `None` when the disc
     /// cannot touch the window.
+    #[inline]
     pub fn new(p: Point, size: f64, width: usize, height: usize) -> Option<Self> {
         debug_assert!(size > 0.0);
         let r = size / 2.0;
-        let x_lo = ((p.x - r).floor() as i64).max(0);
-        let x_hi = ((p.x + r).floor() as i64).min(width as i64 - 1);
-        let y_lo = ((p.y - r).floor() as i64).max(0);
-        let y_hi = ((p.y + r).floor() as i64).min(height as i64 - 1);
-        if x_lo > x_hi || y_lo > y_hi {
-            return None;
-        }
+        let columns = candidate_range(p.x - r, p.x + r, width)?;
+        let rows = candidate_range(p.y - r, p.y + r, height)?;
         Some(WidePointCover {
-            x_lo,
-            x_hi,
-            y_lo,
-            y_hi,
+            columns,
+            rows,
             px: p.x,
             py: p.y,
             r2: r * r,
         })
     }
+}
 
-    /// The candidate scanlines (inclusive, window coordinates).
+impl Footprint for WidePointCover {
+    /// The squared distance from the disc center to the scanline's band.
+    type Row = f64;
+
     #[inline]
-    pub fn rows(&self) -> std::ops::RangeInclusive<i64> {
-        self.y_lo..=self.y_hi
+    fn rows(&self) -> Range<usize> {
+        self.rows.clone()
     }
 
-    /// Runs the disc test over scanline `j`'s candidate pixels, calling
-    /// `emit(x)` for every covered column in ascending order; returns the
-    /// number of fragments tested (the candidate count).
     #[inline]
-    pub fn cover_row(&self, j: i64, emit: &mut impl FnMut(usize)) -> usize {
-        debug_assert!(self.rows().contains(&j));
-        // Closest point of the pixel square to the disc center; the y term
-        // is constant along a scanline.
-        let cy = self.py.clamp(j as f64, j as f64 + 1.0);
-        let dy = cy - self.py;
-        let dy2 = dy * dy;
-        let mut i = self.x_lo;
-        while i <= self.x_hi {
-            let x = i as f64;
-            let cx = self.px.clamp(x, x + 1.0);
-            let dx = cx - self.px;
-            if dx * dx + dy2 <= self.r2 {
-                emit(i as usize);
-            }
-            i += 1;
-        }
-        (self.x_hi - self.x_lo + 1) as usize
+    fn columns(&self) -> Range<usize> {
+        self.columns.clone()
+    }
+
+    #[inline]
+    fn row(&self, j: usize) -> f64 {
+        let dy = clamp_to_pixel(self.py, coordinate(j)) - self.py;
+        dy * dy
+    }
+
+    /// The closest point of the pixel square to the disc center lies
+    /// within the radius.
+    #[inline]
+    fn covers(&self, dy2: f64, i: usize) -> bool {
+        let dx = clamp_to_pixel(self.px, coordinate(i)) - self.px;
+        dx * dx + dy2 <= self.r2
     }
 }
 

@@ -5,50 +5,66 @@
 //! polygons is colored exactly once. The half-open crossing rule delivers
 //! both. Hardware only fills convex polygons, so `hwa-core`'s
 //! filled-polygon ablation triangulates first and feeds triangles here.
+//!
+//! One fill emits a pixel at most once: a scanline's sorted crossings pair
+//! up into half-open column intervals `[x0, x1)` with `x1 ≤` the next
+//! pair's `x0`, the first and one-past-last pixel of an interval are the
+//! same monotone function of its two ends, and every scanline is visited
+//! once. So the caller may write each fragment as it arrives, in any write
+//! mode: there is nothing for a per-draw-call deduplication to remove.
 
+use crate::cover::candidate_range;
 use crate::stats::HwStats;
 use spatial_geom::Point;
 
 /// Scanline-fills a convex or concave simple polygon given by `vertices`
-/// (window coordinates, either winding). Pixels are emitted when their
-/// center `(i + ½, j + ½)` is inside under the half-open crossing rule
-/// (edges owned downward: a center exactly on a shared edge belongs to
-/// exactly one of the two polygons).
+/// (window coordinates, either winding, the closing edge implied). Pixels
+/// are emitted when their center `(i + ½, j + ½)` is inside under the
+/// half-open crossing rule (edges owned downward: a center exactly on a
+/// shared edge belongs to exactly one of the two polygons). Fewer than
+/// three vertices emit nothing.
 #[inline]
 pub fn rasterize_polygon(
-    vertices: &[Point],
+    vertices: impl IntoIterator<Item = Point>,
     width: usize,
     height: usize,
     stats: &mut HwStats,
     sink: &mut impl FnMut(usize, usize),
 ) {
-    if vertices.len() < 3 {
+    // One walk over the vertices — the caller projects them on the way in —
+    // finds the scanlines the polygon spans and keeps the edges that can
+    // cross a scanline center of the window: an edge with both end points
+    // above the last center, or neither above the first, satisfies the
+    // crossing rule below on no scanline (same strict `>`, so NaN drops
+    // out the same way). Crossings are sorted per scanline, so edge order
+    // is free.
+    let (y_first, y_last) = (0.5, height as f64 - 0.5);
+    let mut live: Vec<(Point, Point)> = Vec::new();
+    let mut edge = |a: Point, b: Point| {
+        if !(a.y > y_last && b.y > y_last) && (a.y > y_first || b.y > y_first) {
+            live.push((a, b));
+        }
+    };
+    let mut vertices = vertices.into_iter();
+    let Some(first) = vertices.next() else {
         return;
+    };
+    let (mut last, mut count) = (first, 1);
+    let (mut ymin, mut ymax) = (first.y, first.y);
+    for v in vertices {
+        edge(last, v);
+        (last, count) = (v, count + 1);
+        ymin = ymin.min(v.y);
+        ymax = ymax.max(v.y);
     }
-    let mut ymin = f64::INFINITY;
-    let mut ymax = f64::NEG_INFINITY;
-    for p in vertices {
-        ymin = ymin.min(p.y);
-        ymax = ymax.max(p.y);
-    }
-    let j_lo = (ymin.floor() as i64).max(0);
-    let j_hi = (ymax.ceil() as i64).min(height as i64 - 1);
-    if j_lo > j_hi {
+    edge(last, first);
+    // A center above `ymax` has no end point above it: no crossing.
+    let Some(rows) = candidate_range(ymin, ymax, height).filter(|_| count >= 3) else {
         return;
-    }
-    // Clip the edge list once: an edge with both endpoints above the last
-    // scanline center, or neither above the first, satisfies the crossing
-    // rule below on no scanline (same strict `>`, so NaN drops out the same
-    // way). Crossings are sorted per scanline, so their order is free.
-    let (y_first, y_last) = (j_lo as f64 + 0.5, j_hi as f64 + 0.5);
-    let n = vertices.len();
-    let live: Vec<(Point, Point)> = (0..n)
-        .map(|k| (vertices[k], vertices[(k + 1) % n]))
-        .filter(|(a, b)| !(a.y > y_last && b.y > y_last) && (a.y > y_first || b.y > y_first))
-        .collect();
+    };
     let mut xs: Vec<f64> = Vec::with_capacity(8);
 
-    for j in j_lo..=j_hi {
+    for j in rows {
         let yc = j as f64 + 0.5;
         xs.clear();
         for &(a, b) in &live {
@@ -73,7 +89,7 @@ pub fn rasterize_polygon(
             if i_lo <= i_hi {
                 stats.fragments_tested += (i_hi - i_lo + 1) as usize;
                 for i in i_lo..=i_hi {
-                    sink(i as usize, j as usize);
+                    sink(i as usize, j);
                 }
             }
         }
@@ -88,7 +104,7 @@ mod tests {
         let pts: Vec<Point> = coords.iter().map(|&(x, y)| Point::new(x, y)).collect();
         let mut out = Vec::new();
         let mut st = HwStats::default();
-        rasterize_polygon(&pts, win, win, &mut st, &mut |x, y| out.push((x, y)));
+        rasterize_polygon(pts, win, win, &mut st, &mut |x, y| out.push((x, y)));
         out.sort_unstable();
         out
     }
@@ -175,7 +191,7 @@ mod tests {
         let pts = [Point::new(0.0, 0.0), Point::new(1.0, 1.0)];
         let mut st = HwStats::default();
         let mut hits = 0;
-        rasterize_polygon(&pts, 4, 4, &mut st, &mut |_, _| hits += 1);
+        rasterize_polygon(pts, 4, 4, &mut st, &mut |_, _| hits += 1);
         assert_eq!(hits, 0);
     }
 }

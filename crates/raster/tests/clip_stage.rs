@@ -107,10 +107,8 @@ impl Unclipped {
             let a = self.win.viewport.to_window(seg.a);
             let b = self.win.viewport.to_window(seg.b);
             let mut sink = |x: usize, y: usize| frags.push((ox + x, oy + y));
+            // (A segment without a direction rasterizes as its cap.)
             rasterize_aa_line(a, b, width, w, h, &mut self.stats, &mut sink);
-            if a == b {
-                rasterize_wide_point(a, width, w, h, &mut self.stats, &mut sink);
-            }
         }
         self.write(frags);
     }
@@ -395,7 +393,9 @@ fn edge_filtered_fill_matches_per_row_edge_test() {
             // The kernel itself: same fragments in the same order.
             let (mut got, mut want) = (Vec::new(), Vec::new());
             let (mut got_stats, mut want_stats) = (HwStats::default(), HwStats::default());
-            rasterize_polygon(&poly, n, n, &mut got_stats, &mut |x, y| got.push((x, y)));
+            rasterize_polygon(poly.iter().copied(), n, n, &mut got_stats, &mut |x, y| {
+                got.push((x, y))
+            });
             unclipped_fill(&poly, n, n, &mut want_stats, &mut |x, y| want.push((x, y)));
             assert_eq!(got, want, "{poly:?}");
             assert_eq!(got_stats, want_stats, "{poly:?}");
