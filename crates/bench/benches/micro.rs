@@ -1,6 +1,7 @@
 //! Criterion microbenchmarks for the kernels underneath the figures:
-//! point-in-polygon, the restricted search space, the two sweeps, minDist
-//! and its frontier clip, the 0/1-object bounds, the AA-line rasterizer, its
+//! point-in-polygon, the restricted search space, the two sweeps, minDist,
+//! its pairwise kernel and its frontier clip, the 0/1-object bounds and the
+//! 1-object filter's question, the AA-line rasterizer, its
 //! setup and its clip stage, the vertex caps' clip stage, the polygon fill
 //! (whole and through a fill ring), the R-tree, and one full Algorithm 3.1
 //! call. Kept short
@@ -13,8 +14,9 @@ use hwa_core::{HwConfig, TestStats};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spatial_datagen::shapes::harmonic_star;
-use spatial_filters::{one_object_upper_bound, zero_object_upper_bound};
+use spatial_filters::{one_object_upper_bound, one_object_within, zero_object_upper_bound};
 use spatial_geom::chains::frontier_clipped;
+use spatial_geom::distance::{edges_min_dist, edges_within_pairwise};
 use spatial_geom::intersect::{
     polygons_intersect_with, restricted_edges, IntersectStats, SweepAlgo,
 };
@@ -103,6 +105,28 @@ fn bench_mindist(c: &mut Criterion) {
             b.iter(|| within_distance(black_box(&p), black_box(&q), 30.0))
         });
     }
+    // The pairwise kernel alone on the chain sizes of a WATER ⋈ PRISM
+    // call: the middle 117 edges of one star's frontier chain against the
+    // middle 39 of the other's, at their exact distance (a hit, found
+    // late) and one ulp below it (a miss: every block box is tested).
+    let p = star(1024, 4, 0.0, 0.0);
+    let q = star(1024, 5, 150.0, 0.0);
+    let middle = |chain: Vec<Segment>, len: usize| -> Vec<Segment> {
+        let start = (chain.len() - len) / 2;
+        chain[start..start + len].to_vec()
+    };
+    let ep = middle(frontier_clipped(&p, &q.mbr(), f64::INFINITY), 117);
+    let eq = middle(frontier_clipped(&q, &p.mbr(), f64::INFINITY), 39);
+    let exact = edges_min_dist(&ep, &eq, f64::INFINITY);
+    for (name, d) in [
+        ("pairwise_hit", exact),
+        ("pairwise_miss", exact.next_down()),
+    ] {
+        assert_eq!(edges_within_pairwise(&ep, &eq, d), name == "pairwise_hit");
+        g.bench_function(name, |b| {
+            b.iter(|| edges_within_pairwise(black_box(&ep), black_box(&eq), d))
+        });
+    }
     g.finish();
 }
 
@@ -143,11 +167,16 @@ fn bench_object_filters(c: &mut Criterion) {
         b.iter(|| zero_object_upper_bound(black_box(&r1), black_box(&r2)))
     });
     let ub0 = zero_object_upper_bound(&r1, &r2);
+    let sample = || (0..2048).step_by(32).map(|i| p.edge(i));
     g.bench_function("one", |b| {
-        b.iter(|| {
-            let sample = (0..2048).step_by(32).map(|i| p.edge(i));
-            one_object_upper_bound(black_box(sample), black_box(&r2), ub0)
-        })
+        b.iter(|| one_object_upper_bound(black_box(sample()), black_box(&r2), ub0))
+    });
+    // The question the filter stage asks of the same sample, at the bound
+    // itself: confirmed at the first look whose side term reaches it.
+    let ub1 = one_object_upper_bound(sample(), &r2, ub0);
+    assert!(ub1 < ub0 && one_object_within(sample(), &r2, ub1));
+    g.bench_function("one_within", |b| {
+        b.iter(|| one_object_within(black_box(sample()), black_box(&r2), ub1))
     });
     g.finish();
 }

@@ -7,11 +7,14 @@
 //! object filters · point-in-polygon · frontier clip · pairwise kernel for
 //! the within-distance joins at the Figure 14/16 distances — each boundary
 //! scan with the vertices its polygons have, the run boxes it tests and the
-//! edges it then visits — and what the hardware test submits for the same
-//! candidates: segments before and after the run cull, survivors of the
-//! rasterizer's clip compare, candidate fragments per surviving segment,
-//! and for the overlap count the vertices before and after the fill ring
-//! and the scanline crossings a fill is left with.
+//! edges it then visits, the pairwise kernel with the block boxes, pairs
+//! and segment pairs it tests, and the 1-object filter with the calls its
+//! side prune settles without a scan and the calls it confirms early — and
+//! what the hardware test submits for the same candidates: segments before
+//! and after the run cull, survivors of the rasterizer's clip compare,
+//! candidate fragments per surviving segment, and for the overlap count the
+//! vertices before and after the fill ring and the scanline crossings a
+//! fill is left with.
 
 use hwa_core::engine::PreparedDataset;
 use hwa_core::hw_intersect::HwTester;
@@ -19,14 +22,18 @@ use hwa_core::hw_overlap::fill_rings;
 use hwa_core::pipeline::{CandidateFilter, Decision, ObjectFilterStage};
 use hwa_core::{HwConfig, TestStats};
 use spatial_bench::{header, ms, BenchOpts, Workloads, DISTANCE_FACTORS};
-use spatial_geom::chains::{frontier_clipped, frontier_edges};
-use spatial_geom::distance::edges_within_pairwise;
+use spatial_filters::object_filters::CONFIRM_EVERY;
+use spatial_filters::{one_object_upper_bound, zero_object_upper_bound};
+use spatial_geom::chains::{frontier_clipped, frontier_runs};
+use spatial_geom::distance::{edges_within_pairwise, PAIR_BLOCK};
 use spatial_geom::intersect::{
     polygons_intersect_with, restricted_edges, IntersectStats, SweepAlgo,
 };
 use spatial_geom::{point_in_polygon, Point, Polygon, Rect, Segment};
 use spatial_raster::aa_line::{aa_line_outside_window, DIAGONAL_WIDTH};
 use spatial_raster::Viewport;
+use std::cell::Cell;
+use std::ops::Range;
 use std::time::Instant;
 
 fn main() {
@@ -59,21 +66,36 @@ struct Walk {
     edges: usize,
 }
 
+/// `accept`, counting its calls in `tested`.
+fn counting<'a>(
+    tested: &'a Cell<usize>,
+    accept: impl Fn(&Rect) -> bool + 'a,
+) -> impl Fn(&Rect) -> bool + 'a {
+    move |run| {
+        tested.set(tested.get() + 1);
+        accept(run)
+    }
+}
+
 impl Walk {
+    /// Adds a walk of `poly` over the edge ranges `runs` yields, asked
+    /// through a box test that counts its calls in `tested`.
+    fn add(
+        &mut self,
+        poly: &Polygon,
+        tested: &Cell<usize>,
+        runs: impl Iterator<Item = Range<usize>>,
+    ) {
+        self.edges += runs.map(|run| run.len()).sum::<usize>();
+        self.runs += tested.get();
+        self.vertices += poly.vertex_count();
+    }
+
     /// Adds a scan of `poly` that visits the runs whose box `accept`s —
     /// the scanning function's own box test, restated by the caller.
-    fn scan(&mut self, poly: &Polygon, mut accept: impl FnMut(&Rect) -> bool) {
-        let mut tested = 0;
-        let visited: usize = poly
-            .runs_where(|run| {
-                tested += 1;
-                accept(run)
-            })
-            .map(|run| run.len())
-            .sum();
-        self.vertices += poly.vertex_count();
-        self.runs += tested;
-        self.edges += visited;
+    fn scan(&mut self, poly: &Polygon, accept: impl Fn(&Rect) -> bool) {
+        let tested = Cell::new(0);
+        self.add(poly, &tested, poly.runs_where(counting(&tested, accept)));
     }
 
     /// `locate_point(p, poly)`: nothing past the MBR test for a point
@@ -138,28 +160,141 @@ impl Phase {
     }
 }
 
+/// What the 1-object stage of the object filters did, restated from the
+/// stage's own sample and the bound's oracle: the calls that reached it,
+/// those its side prune refined without measuring an edge, those it
+/// confirmed at a look before the last, and the sampled edges it measured.
+#[derive(Default)]
+struct OneObject {
+    calls: usize,
+    unscanned: usize,
+    early: usize,
+    measured: usize,
+    sampled: usize,
+}
+
+impl OneObject {
+    /// Adds the candidate `(pa, pb)` at `d`; returns whether the object
+    /// filters confirm it.
+    fn count(&mut self, pa: &Polygon, pb: &Polygon, d: f64) -> bool {
+        if zero_object_upper_bound(&pa.mbr(), &pb.mbr()) <= d {
+            return true;
+        }
+        let (big, r2) = if pa.vertex_count() >= pb.vertex_count() {
+            (pa, pb.mbr())
+        } else {
+            (pb, pa.mbr())
+        };
+        let sample: Vec<Segment> = ObjectFilterStage::sampled(big).collect();
+        self.calls += 1;
+        self.sampled += sample.len();
+        let c = r2.corners();
+        if (0..4).all(|i| c[i].dist(c[(i + 1) % 4]) / 2.0 > d) {
+            self.unscanned += 1;
+            return false;
+        }
+        // A look after `k` edges confirms iff the bound over those `k`
+        // does: a side the prune skips has no term `≤ d`.
+        let looks = (CONFIRM_EVERY..sample.len()).step_by(CONFIRM_EVERY);
+        let confirmed = looks.chain([sample.len()]).find(|&k| {
+            one_object_upper_bound(sample[..k].iter().copied(), &r2, f64::INFINITY) <= d
+        });
+        self.measured += confirmed.unwrap_or(sample.len());
+        self.early += usize::from(confirmed.is_some_and(|k| k < sample.len()));
+        confirmed.is_some()
+    }
+
+    fn row(&self) {
+        let per = |x: usize| x as f64 / self.calls.max(1) as f64;
+        println!(
+            "    1-object stage: {} calls, {} refined by the side prune without a scan, \
+             {} confirmed early, {:.1} of {:.1} sampled edges measured /call",
+            self.calls,
+            self.unscanned,
+            self.early,
+            per(self.measured),
+            per(self.sampled),
+        );
+    }
+}
+
+/// What the pairwise kernel did, restated with its block size: block box
+/// compares, per-pair MBR compares, exact segment tests, and the pair
+/// compares the flat kernel (no block boxes) would have made.
+#[derive(Default)]
+struct Pairs {
+    blocks: usize,
+    pairs: usize,
+    segments: usize,
+    flat: usize,
+}
+
+impl Pairs {
+    /// Adds `edges_within_pairwise(ep, eq, d)`'s work; returns its verdict.
+    fn count(&mut self, ep: &[Segment], eq: &[Segment], d: f64) -> bool {
+        let mbrs: Vec<Rect> = eq.iter().map(Segment::mbr).collect();
+        for sp in ep {
+            let mp = sp.mbr();
+            for (k, chunk) in mbrs.chunks(PAIR_BLOCK).enumerate() {
+                self.blocks += 1;
+                let block = chunk.iter().fold(Rect::EMPTY, |b, m| b.union(m));
+                if mp.min_dist(&block) > d {
+                    self.flat += chunk.len();
+                    continue;
+                }
+                for (j, mq) in chunk.iter().enumerate() {
+                    self.pairs += 1;
+                    self.flat += 1;
+                    if mp.min_dist(mq) <= d {
+                        self.segments += 1;
+                        if sp.dist_segment(&eq[k * PAIR_BLOCK + j]) <= d {
+                            return true;
+                        }
+                    }
+                }
+            }
+        }
+        false
+    }
+
+    fn row(&self, calls: usize) {
+        let per = |x: usize| x as f64 / calls.max(1) as f64;
+        println!(
+            "    per call: {:.1} block tests, {:.1} pair tests ({:.1} without the block boxes), \
+             {:.1} segment tests",
+            per(self.blocks),
+            per(self.pairs),
+            per(self.flat),
+            per(self.segments),
+        );
+    }
+}
+
 /// The within-distance join as `join-sw` runs it (0/1-object filters, then
 /// the paper's modified minDist), one phase at a time, summed over the
 /// Figure 14/16 distances.
 fn distance_decomposition(a: &PreparedDataset, b: &PreparedDataset, base_d: f64) {
     let [mut filters, mut pip, mut overlap, mut chain, mut pairwise] = [Phase::default(); 5];
+    let (mut one_object, mut pairs) = (OneObject::default(), Pairs::default());
     let mut results = 0usize;
     for d in DISTANCE_FACTORS.map(|f| f * base_d) {
         let mut stage = ObjectFilterStage::new(a, b, d);
         for (&i, &j) in spatial_index::join_within_distance(&a.tree, &b.tree, d) {
-            if filters.time(|| stage.examine(&(i, j))) == Decision::Confirm {
+            let (p, q) = (a.polygon(i), b.polygon(j));
+            let confirmed = filters.time(|| stage.examine(&(i, j))) == Decision::Confirm;
+            assert_eq!(one_object.count(p, q, d), confirmed, "the restated filter");
+            if confirmed {
                 continue;
             }
-            let (p, q) = (a.polygon(i), b.polygon(j));
             pip_pair(p, q, &mut pip.walk);
             if pip.time(|| {
                 point_in_polygon(p.vertices()[0], q) || point_in_polygon(q.vertices()[0], p)
             }) {
                 continue;
             }
-            // The clip walks the runs of the whole boundary within `d`
-            // when the MBRs overlap on both axes, and one frontier chain,
-            // edge by edge, when a gap separates them.
+            // The clip walks the runs within `d` of the whole boundary when
+            // the MBRs overlap on both axes, of one frontier chain when a
+            // gap separates them — counted through the product's own walk.
             let mut clip = |poly: &Polygon, other: &Polygon| -> Vec<Segment> {
                 let other = other.mbr();
                 let phase = if poly.mbr().intersects(&other) {
@@ -167,17 +302,17 @@ fn distance_decomposition(a: &PreparedDataset, b: &PreparedDataset, base_d: f64)
                 } else {
                     &mut chain
                 };
-                let frontier = frontier_edges(poly, &other).len();
-                if frontier == poly.vertex_count() {
-                    phase.walk.scan(poly, |run| run.min_dist(&other) <= d);
-                } else {
-                    phase.walk.vertices += poly.vertex_count();
-                    phase.walk.edges += frontier;
-                }
+                let tested = Cell::new(0);
+                let within = counting(&tested, |run| run.min_dist(&other) <= d);
+                phase
+                    .walk
+                    .add(poly, &tested, frontier_runs(poly, &other, &within));
                 phase.time(|| frontier_clipped(poly, &other, d))
             };
             let (ep, eq) = (clip(p, q), clip(q, p));
-            results += usize::from(pairwise.time(|| edges_within_pairwise(&ep, &eq, d)));
+            let hit = pairwise.time(|| edges_within_pairwise(&ep, &eq, d));
+            assert_eq!(pairs.count(&ep, &eq, d), hit, "the restated kernel");
+            results += usize::from(hit);
         }
     }
     let total_ms = filters.ms + pip.ms + overlap.ms + chain.ms + pairwise.ms;
@@ -192,10 +327,12 @@ fn distance_decomposition(a: &PreparedDataset, b: &PreparedDataset, base_d: f64)
         pip.calls - pairwise.calls,
     );
     filters.row("0/1-object filters", total_ms);
+    one_object.row();
     pip.row("point-in-polygon pair", total_ms);
     overlap.row("frontier clip, MBRs overlap: boundary", total_ms);
     chain.row("frontier clip, MBRs apart: one chain", total_ms);
     pairwise.row("pairwise kernel", total_ms);
+    pairs.row(pairwise.calls);
 }
 
 fn intersection_composition(a: &PreparedDataset, b: &PreparedDataset) {

@@ -295,6 +295,43 @@ mod tests {
         assert_eq!(st.width_limit_fallbacks, 1, "{st:?}");
     }
 
+    /// Two squares of side `s`, `2 s` apart, within `2.5 s` at every
+    /// magnitude: past `s ≈ 6.7e153` the squared gap used to overflow, and
+    /// the stage-1 lanes and the hardware prologue's MBR gate dropped the
+    /// pair before any refinement. The index join, the engine's software
+    /// and hardware joins and the one-shot hardware test now keep it; the
+    /// hardware may fall back to software, never reject it.
+    #[test]
+    fn within_distance_survives_overflowing_squares() {
+        use crate::engine::{EngineConfig, PreparedDataset, SpatialEngine};
+        for s in [1.0, 1e150, 1e153, 1e154, 1e155, 1e200, 1e300] {
+            let (a, b) = (square(0.0, 0.0, s), square(3.0 * s, 0.0, s));
+            let (da, db) = (
+                PreparedDataset::new("a", vec![a.clone()]),
+                PreparedDataset::new("b", vec![b.clone()]),
+            );
+            for (d, within) in [(2.5 * s, true), (1.5 * s, false)] {
+                let candidates = spatial_index::join_within_distance(&da.tree, &db.tree, d);
+                assert_eq!(candidates.len(), usize::from(within), "s = {s}, d = {d}");
+                let mut st = TestStats::default();
+                let mut t = HwTester::new(HwConfig::at_resolution(8));
+                assert_eq!(t.within_distance(&a, &b, d, &mut st), within, "s = {s}");
+                assert_eq!(st.rejected_by_hw, 0, "s = {s}: {st:?}");
+                assert_eq!(
+                    hw_within_distance(&b, &a, d, HwConfig::at_resolution(8)),
+                    within
+                );
+                for config in [
+                    EngineConfig::software(),
+                    EngineConfig::hardware(HwConfig::at_resolution(8)),
+                ] {
+                    let (rows, _) = SpatialEngine::new(config).within_distance_join(&da, &db, d);
+                    assert_eq!(rows.len(), usize::from(within), "s = {s}, d = {d}");
+                }
+            }
+        }
+    }
+
     /// A reused tester's distance tests agree with a fresh tester's,
     /// counter for counter: no device history leaks into a test.
     #[test]

@@ -9,7 +9,7 @@
 //! instead of inlining filter loops.
 
 use crate::engine::PreparedDataset;
-use spatial_filters::{one_object_upper_bound, zero_object_upper_bound, InteriorFilter};
+use spatial_filters::{one_object_within, zero_object_upper_bound, InteriorFilter};
 use spatial_geom::{Polygon, Segment};
 
 /// What a filter concluded about one candidate.
@@ -89,11 +89,12 @@ impl<'a> ObjectFilterStage<'a> {
         ObjectFilterStage { a, b, d }
     }
 
-    /// Every `step`-th edge of `poly`, at most [`MAX_FILTER_EDGES`] of
+    /// Every `step`-th edge of `poly`, at most `MAX_FILTER_EDGES` (64) of
     /// them, read in place: the sample is a stride over the vertex array,
     /// and repeating it per candidate measured no slower than keeping the
     /// last one in a buffer (EXPERIMENTS.md "Honest software baseline").
-    fn sampled(poly: &Polygon) -> impl Iterator<Item = Segment> + '_ {
+    /// Public so `--bin diag` replays the stage's own sample.
+    pub fn sampled(poly: &Polygon) -> impl Iterator<Item = Segment> + '_ {
         let n = poly.vertex_count();
         let step = n.div_ceil(MAX_FILTER_EDGES).max(1);
         (0..n).step_by(step).map(|i| poly.edge(i))
@@ -107,13 +108,16 @@ impl CandidateFilter<(usize, usize)> for ObjectFilterStage<'_> {
         if ub0 <= self.d {
             return Decision::Confirm;
         }
-        // 1-object filter on the larger polygon of the pair.
+        // 1-object filter on the larger polygon of the pair. The 0-object
+        // bound failed, so it confirms exactly where the 1-object bound
+        // alone is `≤ d` — which `one_object_within` decides without
+        // measuring what cannot change the answer.
         let (big, other_mbr) = if pa.vertex_count() >= pb.vertex_count() {
             (pa, pb.mbr())
         } else {
             (pb, pa.mbr())
         };
-        if one_object_upper_bound(Self::sampled(big), &other_mbr, ub0) <= self.d {
+        if one_object_within(Self::sampled(big), &other_mbr, self.d) {
             Decision::Confirm
         } else {
             Decision::Refine

@@ -19,6 +19,18 @@
 //!   minimizing over the four sides (and capping by the 0-object bound)
 //!   gives a tighter bound. This is a conservative variant of Chan's
 //!   filter — identical contract, simpler geometry.
+//!
+//! A filter only asks whether a bound is `≤ D`, and for the 1-object bound
+//! [`one_object_within`] answers that with less than the bound costs: it
+//! never measures a side whose half-length exceeds `D` (such a side's term
+//! cannot be `≤ D`) and stops at the first look that finds a side term
+//! `≤ D` (the terms only fall as edges are added). On `join-sw` the object
+//! filters were half of LANDC ⋈dist LANDO's software time, a 1-object call
+//! measuring all ≈ 60 sampled edges at four corners however early its
+//! answer was settled; `one_object_within` measures ≈ 38 of them, and 5 %
+//! of its calls none (EXPERIMENTS.md "Distance bounds").
+//! [`one_object_upper_bound`] is the bound itself, kept as the oracle
+//! `one_object_within` is tested against.
 
 use spatial_geom::{Rect, Segment};
 
@@ -78,6 +90,66 @@ pub fn one_object_upper_bound(
     best
 }
 
+/// Edges [`one_object_within`] measures between two looks at its side terms.
+pub const CONFIRM_EVERY: usize = 8;
+
+/// Whether the 1-object bound confirms `d`: exactly
+/// `one_object_upper_bound(a_edges, r2, ub0) <= d` for every `ub0 > d` —
+/// the question the filter stage asks once the 0-object bound has failed
+/// — answered with no more of the boundary than the answer needs.
+///
+/// * The per-corner minima are kept squared and rooted once per look
+///   (bit-identical: `sqrt` is correctly rounded, hence monotone, so
+///   `√min(a, b) = min(√a, √b)` as `f64` values).
+/// * A side whose half-length exceeds `d` is never asked about: its term
+///   `(d1 + d2 + len) / 2` is at least `len / 2`, because `d1, d2 ≥ 0` and
+///   rounded addition and halving are monotone. Only the corners of the
+///   sides left are measured, and with no side left the answer is `false`
+///   before the first edge.
+/// * The side terms only fall as edges are added, so a look that finds one
+///   `≤ d` — after every [`CONFIRM_EVERY`] edges, and after the last —
+///   is the final answer.
+///
+/// Past ≈ 1.34e154 a squared corner distance overflows and reads `∞`
+/// here where the rooted form is finite: that can only withhold a
+/// confirm, never make one.
+pub fn one_object_within(a_edges: impl IntoIterator<Item = Segment>, r2: &Rect, d: f64) -> bool {
+    let corners = r2.corners();
+    // Side `i` joins corners `i` and `i + 1`.
+    let len: [f64; 4] = std::array::from_fn(|i| corners[i].dist(corners[(i + 1) % 4]));
+    let pruned: [bool; 4] = std::array::from_fn(|i| len[i] / 2.0 > d);
+    if pruned == [true; 4] {
+        return false;
+    }
+    // Corner `c` ends sides `c - 1` and `c`.
+    let measured: [bool; 4] = std::array::from_fn(|c| !pruned[c] || !pruned[(c + 3) % 4]);
+    let confirms = |dist2: &[f64; 4]| {
+        (0..4).any(|i| {
+            let i1 = (i + 1) % 4;
+            !pruned[i] && (dist2[i].sqrt() + dist2[i1].sqrt() + len[i]) / 2.0 <= d
+        })
+    };
+    let mut dist2 = [f64::INFINITY; 4];
+    let mut edges = a_edges.into_iter();
+    loop {
+        let mut seen = 0;
+        for e in edges.by_ref().take(CONFIRM_EVERY) {
+            for c in 0..4 {
+                if measured[c] {
+                    dist2[c] = dist2[c].min(e.dist2_point(corners[c]));
+                }
+            }
+            seen += 1;
+        }
+        if confirms(&dist2) {
+            return true;
+        }
+        if seen < CONFIRM_EVERY {
+            return false;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -94,18 +166,34 @@ mod tests {
         use super::*;
         use spatial_geom::distance::point_boundary_min_dist;
 
-        fn seg_max_dist(a: (Point, Point), b: (Point, Point)) -> f64 {
-            a.0.dist(b.0)
-                .max(a.0.dist(b.1))
-                .max(a.1.dist(b.0))
-                .max(a.1.dist(b.1))
+        /// `distance` over the four endpoint pairs of two sides.
+        fn seg_max_dist(
+            a: (Point, Point),
+            b: (Point, Point),
+            distance: fn(Point, Point) -> f64,
+        ) -> f64 {
+            distance(a.0, b.0)
+                .max(distance(a.0, b.1))
+                .max(distance(a.1, b.0))
+                .max(distance(a.1, b.1))
         }
 
+        /// The 0-object bound with a `√(dx² + dy²)` per endpoint pair —
+        /// `∞` where the square overflows, as the bound may stay.
         pub fn zero_object_upper_bound(r1: &Rect, r2: &Rect) -> f64 {
+            zero_object_with(r1, r2, |p, q| p.dist2(q).sqrt())
+        }
+
+        /// ...and with [`Point::dist`], finite past the overflow line.
+        pub fn zero_object_finite(r1: &Rect, r2: &Rect) -> f64 {
+            zero_object_with(r1, r2, Point::dist)
+        }
+
+        fn zero_object_with(r1: &Rect, r2: &Rect, distance: fn(Point, Point) -> f64) -> f64 {
             let mut best = f64::INFINITY;
             for s1 in r1.sides() {
                 for s2 in r2.sides() {
-                    best = best.min(seg_max_dist(s1, s2));
+                    best = best.min(seg_max_dist(s1, s2, distance));
                 }
             }
             best
@@ -128,12 +216,10 @@ mod tests {
         one_object_upper_bound(a.edges(), r2, zero_object_upper_bound(&a.mbr(), r2))
     }
 
-    /// Squared distances and one root, one scan for four corners: the same
-    /// `f64` bits as the reference on coordinates where sums of squares
-    /// round (thirds, 1e-7 offsets) or overflow to infinity (±1e154), on
-    /// degenerate MBRs, and at every relative placement.
-    #[test]
-    fn bounds_are_bit_identical_to_the_reference() {
+    /// The 90-rect battery: every x-range over coordinates whose squares
+    /// round (thirds, 1e-7 offsets) or overflow (±1e154 apart), each with
+    /// two y-ranges, one of them flat.
+    fn rect_battery() -> Vec<Rect> {
         let coords = [
             -1e154,
             -7.0,
@@ -148,26 +234,42 @@ mod tests {
         let mut rects = Vec::new();
         for (i, &x0) in coords.iter().enumerate() {
             for &x1 in &coords[i..] {
-                // Pair each x-range with two y-ranges, one of them flat.
                 rects.push(Rect::new(x0, -0.3, x1, 0.7));
                 rects.push(Rect::new(x0, x0 / 3.0, x1, x0 / 3.0));
             }
         }
-        for r1 in &rects {
-            for r2 in &rects {
-                assert_eq!(
-                    zero_object_upper_bound(r1, r2).to_bits(),
-                    reference::zero_object_upper_bound(r1, r2).to_bits(),
-                    "{r1:?} vs {r2:?}"
-                );
-            }
-        }
-        let shapes = [
+        rects
+    }
+
+    fn battery_shapes() -> [Polygon; 3] {
+        [
             square(0.0, 0.0, 2.0),
             Polygon::from_coords(&[(0.1, 0.0), (10.0, 1.0 / 3.0), (0.1, 0.1), (0.0, 10.0)]),
             Polygon::from_coords(&[(-3.0, 1e-7), (2.0 / 3.0, -5.0), (4.0, 0.1), (0.3, 7.0)]),
-        ];
-        for a in &shapes {
+        ]
+    }
+
+    /// Squared distances and one root, one scan for four corners: the same
+    /// `f64` bits as the reference on coordinates where sums of squares
+    /// round or overflow to infinity, on degenerate MBRs, and at every
+    /// relative placement. Where a square overflows the 0-object bound
+    /// reads `∞`, at or above the finite textbook value: conservative.
+    #[test]
+    fn bounds_are_bit_identical_to_the_reference() {
+        let rects = rect_battery();
+        assert_eq!(rects.len(), 90);
+        for r1 in &rects {
+            for r2 in &rects {
+                let ub0 = zero_object_upper_bound(r1, r2);
+                assert_eq!(
+                    ub0.to_bits(),
+                    reference::zero_object_upper_bound(r1, r2).to_bits(),
+                    "{r1:?} vs {r2:?}"
+                );
+                assert!(ub0 >= reference::zero_object_finite(r1, r2));
+            }
+        }
+        for a in &battery_shapes() {
             let edges: Vec<Segment> = a.edges().collect();
             for r2 in rects.iter().filter(|r| r.xmin > -1e100 && r.xmax < 1e100) {
                 assert_eq!(
@@ -182,6 +284,137 @@ mod tests {
                     one_object_upper_bound(sample.iter().copied(), r2, ub0).to_bits(),
                     reference::one_object_upper_bound(a, &sample, r2).to_bits(),
                 );
+            }
+        }
+    }
+
+    /// The distances at which `one_object_within(sample, r2, d)` can flip:
+    /// each side term of the whole sample and of every prefix a look sees,
+    /// exactly and one ulp either side; each half side length; 0, ∞, NaN.
+    fn deciding_distances(sample: &[Segment], r2: &Rect) -> Vec<f64> {
+        let c = r2.corners();
+        let mut ds = vec![0.0, f64::INFINITY, f64::NAN];
+        let looks = (CONFIRM_EVERY..sample.len()).step_by(CONFIRM_EVERY);
+        for k in looks.chain([sample.len()]) {
+            let dist = c.map(|q| {
+                sample[..k]
+                    .iter()
+                    .map(|e| e.dist_point(q))
+                    .fold(f64::INFINITY, f64::min)
+            });
+            for i in 0..4 {
+                let len = c[i].dist(c[(i + 1) % 4]);
+                let term = (dist[i] + dist[(i + 1) % 4] + len) / 2.0;
+                ds.extend([term, term.next_up(), term.next_down(), len / 2.0]);
+            }
+        }
+        ds
+    }
+
+    /// What the 1-object checks saw: answers each way, calls the side
+    /// prune settled before the first edge, calls a look confirmed before
+    /// the last edge.
+    #[derive(Default, Debug)]
+    struct Seen {
+        within: usize,
+        not_within: usize,
+        unscanned: usize,
+        early: usize,
+    }
+
+    impl Seen {
+        /// `one_object_within(sample, r2, d)` against the oracle at `d` for
+        /// `ub0` one ulp above `d`, at `∞` and at the pair's own 0-object
+        /// bound `ub0_pair` when it exceeds `d`.
+        fn check(&mut self, sample: &[Segment], r2: &Rect, d: f64, ub0_pair: f64) {
+            let got = one_object_within(sample.iter().copied(), r2, d);
+            let mut ub0s = vec![f64::INFINITY, d.next_up()];
+            if ub0_pair > d {
+                ub0s.push(ub0_pair);
+            }
+            // No `ub0` exceeds `d = ∞` or NaN; there any `ub0` will do.
+            let unbounded = d.is_nan() || d == f64::INFINITY;
+            for ub0 in ub0s.into_iter().filter(|&ub0| ub0 > d || unbounded) {
+                let bound = one_object_upper_bound(sample.iter().copied(), r2, ub0);
+                assert_eq!(got, bound <= d, "d = {d}, ub0 = {ub0}, {r2:?}, {sample:?}");
+            }
+            let c = r2.corners();
+            if (0..4).all(|i| c[i].dist(c[(i + 1) % 4]) / 2.0 > d) {
+                self.unscanned += 1;
+            }
+            let prefix = sample.len().saturating_sub(1);
+            if got
+                && one_object_upper_bound(sample[..prefix].iter().copied(), r2, f64::INFINITY) <= d
+            {
+                self.early += 1;
+            }
+            *if got {
+                &mut self.within
+            } else {
+                &mut self.not_within
+            } += 1;
+        }
+    }
+
+    /// A ring of `n` vertices around `(1, 2)` whose radius cycles through
+    /// three values: enough edges for several looks of [`one_object_within`].
+    fn cog(n: usize) -> Polygon {
+        let ring: Vec<(f64, f64)> = (0..n)
+            .map(|i| {
+                let (r, a) = (
+                    1.0 + (i % 3) as f64 / 3.0,
+                    i as f64 * std::f64::consts::TAU / n as f64,
+                );
+                (1.0 + r * a.cos(), 2.0 + r * a.sin())
+            })
+            .collect();
+        Polygon::from_coords(&ring)
+    }
+
+    /// `one_object_within(s, r2, d) == (one_object_upper_bound(s, r2, ub0)
+    /// <= d)` for every `ub0 > d`, on the 90-rect battery against the
+    /// battery shapes and a 37-vertex cog (whole and strided, as the engine
+    /// samples), at every distance where the answer can flip.
+    #[test]
+    fn one_object_within_answers_the_bound_at_every_deciding_distance() {
+        let mut seen = Seen::default();
+        let shapes: Vec<Polygon> = battery_shapes().into_iter().chain([cog(37)]).collect();
+        for a in &shapes {
+            let edges: Vec<Segment> = a.edges().collect();
+            for r2 in &rect_battery() {
+                let ub0_pair = zero_object_upper_bound(&a.mbr(), r2);
+                for step in [1, 2] {
+                    let sample: Vec<Segment> = edges.iter().copied().step_by(step).collect();
+                    for d in deciding_distances(&sample, r2) {
+                        seen.check(&sample, r2, d, ub0_pair);
+                    }
+                }
+            }
+        }
+        assert!(
+            seen.within > 1000
+                && seen.not_within > 1000
+                && seen.unscanned > 100
+                && seen.early > 100,
+            "{seen:?}"
+        );
+    }
+
+    proptest::proptest! {
+        /// ...and on random MBRs against random rings sampled at a random
+        /// stride.
+        #[test]
+        fn one_object_within_answers_the_bound_on_random_rings(
+            (x2, y2, w2, h2) in (-100.0f64..100.0, -100.0f64..100.0, 0.0f64..50.0, 0.0f64..50.0),
+            ring in proptest::collection::vec((-100.0f64..100.0, -100.0f64..100.0), 3..40),
+            step in 1usize..5,
+        ) {
+            let r2 = Rect::new(x2, y2, x2 + w2, y2 + h2);
+            let a = Polygon::from_coords(&ring);
+            let sample: Vec<Segment> = a.edges().step_by(step).collect();
+            let ub0_pair = zero_object_upper_bound(&a.mbr(), &r2);
+            for d in deciding_distances(&sample, &r2) {
+                Seen::default().check(&sample, &r2, d, ub0_pair);
             }
         }
     }

@@ -30,16 +30,20 @@
 //! the whole software distance test on `join-sw`, more than the clip saves
 //! (EXPERIMENTS.md "Honest software baseline").
 //!
-//! Where no chain exists — MBRs that overlap on both axes, the large-polygon
-//! tail of a join — the clip is over the whole boundary, and it walks only
-//! the runs of 32 edges whose cached box ([`Polygon::runs_where`]) is
-//! within `d` of the other MBR: 10–34 % of the calls used to be 55–77 % of
-//! the clip's time, 1 800–3 800 vertices each (EXPERIMENTS.md "Boundary
-//! runs").
+//! The walk itself is over run boxes, in both arms ([`frontier_runs`]):
+//! it visits only the runs of 32 edges whose cached box
+//! ([`Polygon::runs_where_in`]) is within `d` of the other MBR — of the
+//! chain's edge range where there is a chain, of the whole boundary where
+//! the MBRs overlap on both axes. The whole-boundary arm, 10–34 % of the
+//! calls, used to be 55–77 % of the clip's time (EXPERIMENTS.md "Boundary
+//! runs"); the chain arm then walked all ≈ 220 edges of its chain for the
+//! few dozen near the other MBR, 0.9 µs a call (EXPERIMENTS.md "Distance
+//! bounds").
 
 use crate::polygon::Polygon;
 use crate::rect::Rect;
 use crate::segment::Segment;
+use std::ops::Range;
 
 /// Relative placement of `other` w.r.t. `this` along the separating axis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,11 +91,13 @@ pub fn frontier_edges(poly: &Polygon, other_mbr: &Rect) -> Vec<Segment> {
 /// second `minDist` optimization): only edges whose MBR is within `d` of
 /// `other_mbr` can participate in a within-distance-`d` pair.
 ///
-/// One walk over the chosen chain, clipping as edges are produced. The
+/// One walk over the runs of the chosen chain ([`frontier_runs`]) whose
+/// cached box is within `d`, clipping edge by edge inside them. The
 /// chain's end points are the polygon's cached extreme vertices
-/// ([`Polygon`] finds them once, at construction), so a pair costs its
-/// chain, not three scans of the whole boundary to find it — and where
-/// there is no chain, the boundary runs within `d`, not the boundary.
+/// ([`Polygon`] finds them once, at construction), so a pair costs the
+/// part of its chain near the other MBR, not three scans of the whole
+/// boundary to find it — and where there is no chain, the boundary runs
+/// within `d`, not the boundary.
 ///
 /// The filter uses the same [`Rect::min_dist`] kernel as the pipeline's
 /// MBR gates and the pairwise edge prefilter — NOT an
@@ -101,17 +107,45 @@ pub fn frontier_edges(poly: &Polygon, other_mbr: &Rect) -> Vec<Segment> {
 /// kernel, every layer of the distance test rounds the same way.
 pub fn frontier_clipped(poly: &Polygon, other_mbr: &Rect, d: f64) -> Vec<Segment> {
     let within = |mbr: &Rect| mbr.min_dist(other_mbr) <= d;
-    // Of the whole boundary, only the runs whose cached box is `within`:
-    // the box contains each of its edges' MBRs and `min_dist` is monotone
-    // under containment — subtractions, `max`, squares of non-negatives, a
-    // sum and a root, each monotone in f64 — so a run the box test skips
-    // holds no edge the per-edge test keeps.
-    let whole_boundary = || poly.edges_near(within);
+    let mut out = Vec::new();
+    for run in frontier_runs(poly, other_mbr, &within) {
+        out.extend(poly.edges_in(run).filter(|e| within(&e.mbr())));
+    }
+    out
+}
 
+/// The edge ranges [`frontier_clipped`] walks, in its output order: the
+/// stretches of runs whose cached box `accept`s ([`Polygon::runs_where_in`])
+/// within the frontier chain facing `other_mbr` — its two pieces
+/// `from..n` then `0..to` when it wraps past vertex 0 — or within the
+/// whole boundary where there is no chain.
+///
+/// With `accept` the per-edge clip applied to the box, a run it skips holds
+/// no edge the clip keeps: the box contains each of its edges' MBRs and
+/// `Rect::min_dist` is monotone under containment — subtractions, `max`,
+/// squares of non-negatives, a sum and a root, each monotone in f64
+/// (DESIGN.md invariant 4). Public so `--bin diag` counts the box tests
+/// and the edges of the product's own walk.
+pub fn frontier_runs<'a>(
+    poly: &'a Polygon,
+    other_mbr: &Rect,
+    accept: &'a impl Fn(&Rect) -> bool,
+) -> impl Iterator<Item = Range<usize>> + 'a {
+    let [first, second] = chain_pieces(poly, other_mbr);
+    poly.runs_where_in(first, accept)
+        .chain(poly.runs_where_in(second, accept))
+}
+
+/// The frontier chain's edge indices as at most two ascending pieces (the
+/// second empty unless the chain wraps past vertex 0), or the whole
+/// boundary when there is no chain.
+fn chain_pieces(poly: &Polygon, other_mbr: &Rect) -> [Range<usize>; 2] {
+    let n = poly.vertex_count();
+    let whole_boundary = [0..n, 0..0];
     // Split vertices (perpendicular extremes) and the facing extreme.
     let [max_x, min_x, max_y, min_y] = poly.extremes();
     let (split_a, split_b, facing) = match classify(&poly.mbr(), other_mbr) {
-        Separation::None => return whole_boundary(),
+        Separation::None => return whole_boundary,
         Separation::Right => (max_y, min_y, max_x),
         Separation::Left => (max_y, min_y, min_x),
         Separation::Above => (max_x, min_x, max_y),
@@ -119,7 +153,7 @@ pub fn frontier_clipped(poly: &Polygon, other_mbr: &Rect, d: f64) -> Vec<Segment
     };
     if split_a == split_b || facing == split_a || facing == split_b {
         // Degenerate split: be conservative.
-        return whole_boundary();
+        return whole_boundary;
     }
     // The chain containing the facing extreme: `split_a → split_b` when it
     // lies strictly between them in cyclic vertex order, else the other one.
@@ -133,19 +167,11 @@ pub fn frontier_clipped(poly: &Polygon, other_mbr: &Rect, d: f64) -> Vec<Segment
     } else {
         (split_b, split_a)
     };
-
-    let vs = poly.vertices();
-    let mut out = Vec::new();
-    let mut i = from;
-    while i != to {
-        let next = if i + 1 == vs.len() { 0 } else { i + 1 };
-        let e = Segment::new(vs[i], vs[next]);
-        if within(&e.mbr()) {
-            out.push(e);
-        }
-        i = next;
+    if from < to {
+        [from..to, 0..0]
+    } else {
+        [from..n, 0..to]
     }
-    out
 }
 
 #[cfg(test)]

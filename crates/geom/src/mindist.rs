@@ -208,6 +208,28 @@ mod tests {
         assert!((min_dist(&t1, &t2) - min_dist_brute(&t1, &t2)).abs() < 1e-12);
     }
 
+    /// Two squares of side `s`, `2 s` apart: at every magnitude the
+    /// distance is `2 s` and the pair is within `2.5 s`, not `1.5 s`. Past
+    /// `s ≈ 6.7e153` the squared gap overflows, and `Rect::min_dist`,
+    /// `min_dist_brute` and the MBR gate used to read `∞`.
+    #[test]
+    fn distances_survive_overflowing_squares() {
+        for s in [1.0, 1e150, 1e153, 1e154, 1e155, 1e200, 1e300] {
+            let (a, b) = (square(0.0, 0.0, s), square(3.0 * s, 0.0, s));
+            // `3 s - s` as the coordinates round it: `2 s` to an ulp.
+            let gap = b.mbr().xmin - a.mbr().xmax;
+            assert_eq!(a.mbr().min_dist(&b.mbr()), gap, "s = {s}");
+            assert_eq!(min_dist_brute(&a, &b), gap, "s = {s}");
+            assert_eq!(min_dist(&a, &b), gap, "s = {s}");
+            for (p, q) in [(&a, &b), (&b, &a)] {
+                assert!(within_distance(p, q, 2.5 * s), "s = {s}");
+                assert!(within_distance(p, q, gap), "s = {s}");
+                assert!(!within_distance(p, q, 1.5 * s), "s = {s}");
+                assert!(crate::within_distance_sweep(p, q, 2.5 * s), "s = {s}");
+            }
+        }
+    }
+
     #[test]
     fn stats_report_reduction() {
         // Two big squares far apart in x: frontier + clip should keep fewer

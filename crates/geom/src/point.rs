@@ -7,6 +7,44 @@
 use std::fmt;
 use std::ops::{Add, Div, Mul, Neg, Sub};
 
+/// `√(dx² + dy²)`: the one root behind [`Point::dist`], [`crate::Rect::min_dist`]
+/// and the R-tree's within-distance lanes.
+///
+/// Bit for bit `(dx * dx + dy * dy).sqrt()` wherever that sum is finite.
+/// Where it overflows — a component past ≈ 1.34e154 — the same expression
+/// is evaluated on `dx`, `dy` scaled by 2⁻⁶⁰⁰ and the root scaled back by
+/// 2⁶⁰⁰: power-of-two scalings are exact, so the result is the rounded
+/// distance instead of `∞`. It stays monotone in `|dx|` and `|dy|` — each
+/// branch is a composition of monotone operations, and an overflowing sum
+/// roots to at least [`OVERFLOW_ROOT`], the largest finite branch result —
+/// so the run-box and block-box prunes built on it keep their argument.
+#[inline]
+pub fn hypot(dx: f64, dy: f64) -> f64 {
+    let sum = dx * dx + dy * dy;
+    if sum < f64::INFINITY {
+        sum.sqrt()
+    } else {
+        hypot_rescaled(dx, dy)
+    }
+}
+
+/// `√f64::MAX` rounded: the least [`hypot`] returns past its overflow line
+/// (the rescaled sum is at least `f64::MAX · 2⁻¹²⁰⁰` and the root is
+/// correctly rounded). So for `d < OVERFLOW_ROOT`, `hypot(dx, dy) <= d`
+/// iff `(dx * dx + dy * dy).sqrt() <= d`.
+pub const OVERFLOW_ROOT: f64 = 1.340_780_792_994_259_6e154;
+
+/// [`hypot`] past the overflow line (NaN comes here too, and stays NaN).
+#[cold]
+#[inline(never)]
+fn hypot_rescaled(dx: f64, dy: f64) -> f64 {
+    // 2⁻⁶⁰⁰ and 2⁶⁰⁰, spelled by their biased exponents.
+    const DOWN: f64 = f64::from_bits((1023 - 600) << 52);
+    const UP: f64 = f64::from_bits((1023 + 600) << 52);
+    let (x, y) = (dx * DOWN, dy * DOWN);
+    (x * x + y * y).sqrt() * UP
+}
+
 /// A point (or free vector) in the 2D data space.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Point {
@@ -49,10 +87,11 @@ impl Point {
         dx * dx + dy * dy
     }
 
-    /// Euclidean distance to `other`.
+    /// Euclidean distance to `other`: the root of [`Point::dist2`], finite
+    /// past its overflow line ([`hypot`]).
     #[inline]
     pub fn dist(self, other: Point) -> f64 {
-        self.dist2(other).sqrt()
+        hypot(self.x - other.x, self.y - other.y)
     }
 
     /// Euclidean norm, treating the point as a vector.
@@ -189,6 +228,57 @@ mod tests {
         assert_eq!(a.dist2(b), 25.0);
         assert_eq!(a.dist(b), 5.0);
         assert_eq!(b.norm(), 5.0);
+    }
+
+    /// Below the overflow line `hypot` is the plain expression bit for bit;
+    /// past it, the exact distance of an axis-aligned gap instead of `∞`,
+    /// still monotone across the line.
+    #[test]
+    fn hypot_is_the_plain_root_until_the_square_overflows() {
+        let parts: [f64; 7] = [0.0, 1e-300, 1.0 / 3.0, 3.0, 7e153, 1.3e154, 1.34e154];
+        let (mut finite, mut overflowing) = (0, 0);
+        for &dx in &parts {
+            for &dy in &parts {
+                let plain = (dx * dx + dy * dy).sqrt();
+                if plain.is_finite() {
+                    finite += 1;
+                    assert_eq!(hypot(dx, dy).to_bits(), plain.to_bits(), "{dx}, {dy}");
+                    assert_eq!(hypot(-dx, dy).to_bits(), plain.to_bits());
+                } else {
+                    overflowing += 1;
+                    let h = hypot(dx, dy);
+                    assert!(h.is_finite() && h >= OVERFLOW_ROOT, "{dx}, {dy}: {h}");
+                }
+            }
+        }
+        assert!(finite > 0 && overflowing > 0);
+        for s in [1.35e154, 1e155, 1e200, 1e300, f64::MAX / 2.0] {
+            assert_eq!((s * s).sqrt(), f64::INFINITY, "the parent's reading");
+            assert_eq!(hypot(s, 0.0), s);
+            assert_eq!(Point::new(0.0, -s).dist(Point::ORIGIN), s);
+            let diagonal = hypot(s, s);
+            assert!(diagonal > s && (diagonal / s - std::f64::consts::SQRT_2).abs() < 1e-15);
+        }
+        assert_eq!(hypot(f64::MAX, f64::MAX), f64::INFINITY);
+        assert!(hypot(f64::NAN, 1.0).is_nan() && hypot(1e300, f64::NAN).is_nan());
+        // Monotone across the line: the first overflowing sums root to at
+        // least what the last finite one does, `OVERFLOW_ROOT`.
+        assert_eq!(OVERFLOW_ROOT, f64::MAX.sqrt());
+        assert_eq!(hypot(OVERFLOW_ROOT, 0.0), OVERFLOW_ROOT);
+        assert_eq!(hypot(f64::MAX, 0.0), f64::MAX);
+        let edge = OVERFLOW_ROOT;
+        let mut last = 0.0;
+        for x in [
+            edge * 0.999_999,
+            edge,
+            edge * 1.000_000_1,
+            edge * 1.001,
+            2.0 * edge,
+        ] {
+            let h = hypot(x, x / 4.0);
+            assert!(h >= last, "{x}: {h} < {last}");
+            last = h;
+        }
     }
 
     #[test]

@@ -221,14 +221,32 @@ impl Polygon {
         &'a self,
         accept: impl FnMut(&Rect) -> bool + 'a,
     ) -> impl Iterator<Item = Range<usize>> + 'a {
-        let n = self.vertices.len();
+        self.runs_where_in(0..self.vertices.len(), accept)
+    }
+
+    /// [`Polygon::runs_where`] over the edges with indices `edges` only
+    /// (`edges.end <= vertex_count()`): `accept` is asked about just the
+    /// run boxes that bound an edge of `edges`, and the stretches come back
+    /// clipped to it — `edges` itself, unasked, for a polygon without
+    /// boxes, and nothing for an empty range.
+    pub fn runs_where_in<'a>(
+        &'a self,
+        edges: Range<usize>,
+        accept: impl FnMut(&Rect) -> bool + 'a,
+    ) -> impl Iterator<Item = Range<usize>> + 'a {
         let boxes = self.runs.as_deref().map_or(&[][..], Vec::as_slice);
-        let mut unboxed = boxes.is_empty();
-        let mut verdicts = boxes.iter().map(accept);
-        let mut asked = 0;
+        let mut unboxed = boxes.is_empty() && !edges.is_empty();
+        let first_box = edges.start / RUN_EDGES;
+        let asked_about = if unboxed || edges.is_empty() {
+            &[][..]
+        } else {
+            &boxes[first_box..edges.end.div_ceil(RUN_EDGES)]
+        };
+        let mut verdicts = asked_about.iter().map(accept);
+        let mut asked = first_box;
         std::iter::from_fn(move || {
             if std::mem::take(&mut unboxed) {
-                return Some(0..n);
+                return Some(edges.clone());
             }
             // `position` consumes the rejected runs and the first accepted
             // one; `take_while` the accepted ones after it and the run
@@ -236,7 +254,7 @@ impl Polygon {
             let first = asked + verdicts.position(|accepted| accepted)?;
             let end = first + 1 + verdicts.by_ref().take_while(|&accepted| accepted).count();
             asked = end + 1;
-            Some(first * RUN_EDGES..(end * RUN_EDGES).min(n))
+            Some((first * RUN_EDGES).max(edges.start)..(end * RUN_EDGES).min(edges.end))
         })
     }
 

@@ -1,7 +1,7 @@
 //! Axis-aligned rectangles — the minimum bounding rectangles (MBRs) that
 //! drive the filtering step (§1) and the window projections (§3.2).
 
-use crate::point::Point;
+use crate::point::{hypot, Point};
 
 /// A closed axis-aligned rectangle `[xmin, xmax] × [ymin, ymax]`.
 ///
@@ -171,7 +171,8 @@ impl Rect {
     /// Minimum Euclidean distance between two rectangles (0 when they
     /// intersect). This is the lower bound used by the MBR filter for
     /// within-distance joins: "the distance between two MBRs is a lower
-    /// bound of the distance between two objects" (§4.1.1).
+    /// bound of the distance between two objects" (§4.1.1). Finite for
+    /// every finite gap ([`hypot`]).
     #[inline]
     pub fn min_dist(&self, other: &Rect) -> f64 {
         let dx = (other.xmin - self.xmax)
@@ -180,7 +181,7 @@ impl Rect {
         let dy = (other.ymin - self.ymax)
             .max(self.ymin - other.ymax)
             .max(0.0);
-        (dx * dx + dy * dy).sqrt()
+        hypot(dx, dy)
     }
 
     /// Maximum Euclidean distance between any point of `self` and any point

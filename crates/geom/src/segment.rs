@@ -80,25 +80,38 @@ impl Segment {
         p.dist(self.closest_point(p))
     }
 
+    /// Squared minimum distance from `p` to the segment: what
+    /// [`Segment::dist_point`] roots (`∞` where the square overflows).
+    #[inline]
+    pub fn dist2_point(&self, p: Point) -> f64 {
+        p.dist2(self.closest_point(p))
+    }
+
     /// Minimum distance between two closed segments (0 when they intersect).
     ///
     /// This is the inner kernel of Chan's `minDist` (§4.1.1): the distance
     /// between two disjoint segments is realized at an endpoint of one of
-    /// them, so four point–segment distances suffice.
+    /// them, so four point–segment distances suffice. They are compared
+    /// squared and the least is rooted once: `sqrt` is correctly rounded,
+    /// hence monotone, so `√min(a, b) = min(√a, √b)` as `f64` values and
+    /// the result is the bits four roots gave. Only when every square
+    /// overflows does it root each distance ([`Point::dist`] rescales).
     pub fn dist_segment(&self, other: &Segment) -> f64 {
         if self.intersects(other) {
             return 0.0;
+        }
+        let least = self
+            .dist2_point(other.a)
+            .min(self.dist2_point(other.b))
+            .min(other.dist2_point(self.a))
+            .min(other.dist2_point(self.b));
+        if least < f64::INFINITY {
+            return least.sqrt();
         }
         self.dist_point(other.a)
             .min(self.dist_point(other.b))
             .min(other.dist_point(self.a))
             .min(other.dist_point(self.b))
-    }
-
-    /// Squared minimum distance between two closed segments.
-    pub fn dist2_segment(&self, other: &Segment) -> f64 {
-        let d = self.dist_segment(other);
-        d * d
     }
 }
 
@@ -188,6 +201,47 @@ mod tests {
             s(0.0, 0.0, 10.0, 0.0).dist_segment(&s(5.0, 1.0, 5.0, 4.0)),
             1.0
         );
+    }
+
+    /// One root over the least squared end-point distance is the bits four
+    /// roots gave, on coordinates whose squares round (thirds, 1e-7
+    /// offsets), on degenerate segments and on touching ones; past the
+    /// overflow line it is the rescaled root, not `∞`.
+    #[test]
+    fn dist_segment_roots_once_and_keeps_the_bits() {
+        let four_roots = |p: &Segment, q: &Segment| {
+            if p.intersects(q) {
+                return 0.0;
+            }
+            p.dist_point(q.a)
+                .min(p.dist_point(q.b))
+                .min(q.dist_point(p.a))
+                .min(q.dist_point(p.b))
+        };
+        let coords = [-7.0, -1.0 / 3.0, 0.0, 1e-7, 0.1, 2.0 / 3.0, 5.0];
+        let mut segs = Vec::new();
+        for &x in &coords {
+            for &y in &coords {
+                segs.push(s(x, y, y + 0.3, x / 3.0));
+                segs.push(s(x, y, x, y));
+            }
+        }
+        for p in &segs {
+            for q in &segs {
+                assert_eq!(
+                    p.dist_segment(q).to_bits(),
+                    four_roots(p, q).to_bits(),
+                    "{p:?} {q:?}"
+                );
+                assert_eq!(p.dist2_point(q.a).sqrt(), p.dist_point(q.a));
+            }
+        }
+        for big in [1e154, 1e155, 1e300] {
+            let p = s(0.0, 0.0, 0.0, big);
+            let q = s(2.0 * big, 0.0, 2.0 * big, big);
+            assert_eq!(p.dist2_point(q.a), f64::INFINITY);
+            assert_eq!(p.dist_segment(&q), 2.0 * big);
+        }
     }
 
     #[test]

@@ -85,6 +85,13 @@ mod reference {
     }
 
     pub fn frontier_edges(poly: &Polygon, other_mbr: &Rect) -> (Vec<Segment>, Arm) {
+        let (indices, arm) = frontier_indices(poly, other_mbr);
+        (indices.into_iter().map(|i| poly.edge(i)).collect(), arm)
+    }
+
+    /// The frontier's edge indices in walk order (a chain that wraps past
+    /// vertex 0 descends once) and the arm that chose them.
+    pub fn frontier_indices(poly: &Polygon, other_mbr: &Rect) -> (Vec<usize>, Arm) {
         let n = poly.vertex_count();
         let arm = classify(&poly.mbr(), other_mbr);
         let (split_a, split_b, facing) = match arm {
@@ -106,17 +113,17 @@ mod reference {
                     extreme_index(poly, |p| -p.y)
                 },
             ),
-            _ => return (poly.edges().collect(), arm),
+            _ => return ((0..n).collect(), arm),
         };
         if split_a == split_b || facing == split_a || facing == split_b {
-            return (poly.edges().collect(), Arm::DegenerateSplit);
+            return ((0..n).collect(), Arm::DegenerateSplit);
         }
         let indices = if strictly_inside_chain(n, split_a, split_b, facing) {
             chain_edge_indices(n, split_a, split_b)
         } else {
             chain_edge_indices(n, split_b, split_a)
         };
-        (indices.into_iter().map(|i| poly.edge(i)).collect(), arm)
+        (indices, arm)
     }
 
     pub fn frontier_clipped(poly: &Polygon, other_mbr: &Rect, d: f64) -> Vec<Segment> {
@@ -487,6 +494,114 @@ fn restricted_search_and_boundary_clip_over_runs_match_the_linear_references() {
     assert!(kept > 0 && dropped > 0, "{kept} kept, {dropped} dropped");
 }
 
+/// A 3 × 2 box `gap` beyond `m` on `side` (0 right, 1 left, 2 above,
+/// 3 below), its other axis placed at fraction `t` of `m`'s extent: the
+/// frontier clip takes that side's chain arm.
+fn beside(m: &Rect, side: usize, t: f64, gap: f64) -> Rect {
+    let (x, y) = (m.xmin + t * m.width(), m.ymin + t * m.height());
+    match side {
+        0 => Rect::new(m.xmax + gap, y, m.xmax + gap + 3.0, y + 2.0),
+        1 => Rect::new(m.xmin - gap - 3.0, y, m.xmin - gap, y + 2.0),
+        2 => Rect::new(x, m.ymax + gap, x + 3.0, m.ymax + gap + 2.0),
+        _ => Rect::new(x, m.ymin - gap - 2.0, x + 3.0, m.ymin - gap),
+    }
+}
+
+/// Whether a chain's walk-order edge indices wrap past vertex 0.
+fn wraps(indices: &[usize]) -> bool {
+    indices.windows(2).any(|w| w[1] < w[0])
+}
+
+/// `frontier_clipped` against the linear reference at `d ∈ {0, the exact
+/// gap to every run box, ∞}`; returns the reference's arm and whether its
+/// chain wraps past vertex 0.
+fn assert_clip_matches(poly: &Polygon, other: &Rect) -> (reference::Arm, bool) {
+    let gaps = run_boxes(poly).into_iter().map(|b| b.min_dist(other));
+    for d in gaps.chain([0.0, f64::INFINITY]) {
+        assert_eq!(
+            frontier_clipped(poly, other, d),
+            reference::frontier_clipped(poly, other, d),
+            "{} vertices vs {other:?} at d = {d}",
+            poly.vertex_count()
+        );
+    }
+    let (indices, arm) = reference::frontier_indices(poly, other);
+    (arm, wraps(&indices))
+}
+
+/// The chain arm over run boxes returns the linear reference's edge
+/// sequence for the other MBR right of, left of, above and below the
+/// polygon's own, at three places along the other axis — chains that wrap
+/// past vertex 0 (walked as `from..n` then `0..to`) included.
+#[test]
+fn chain_clip_over_runs_matches_the_linear_reference() {
+    let (mut arms, mut wrapped) = (std::collections::BTreeMap::new(), 0usize);
+    for poly in run_boundary_battery() {
+        for side in 0..4 {
+            for t in [0.0, 0.5, 0.9] {
+                let (arm, wrap) = assert_clip_matches(&poly, &beside(&poly.mbr(), side, t, 1.5));
+                *arms.entry(arm).or_insert(0usize) += 1;
+                wrapped += usize::from(wrap);
+            }
+        }
+    }
+    use reference::Arm;
+    for arm in [Arm::Right, Arm::Left, Arm::Above, Arm::Below] {
+        assert!(arms.contains_key(&arm), "{arm:?} never taken: {arms:?}");
+    }
+    assert!(wrapped > 0, "no chain wrapped past vertex 0: {arms:?}");
+}
+
+/// `Polygon::runs_where_in` is `runs_where` clipped to the range, asking
+/// only the boxes that bound an edge of it.
+#[test]
+fn runs_where_in_clips_the_stretches_and_asks_only_the_range() {
+    for poly in run_boundary_battery() {
+        let n = poly.vertex_count();
+        let boxes = run_boxes(&poly);
+        for range in [
+            0..n,
+            0..0,
+            n..n,
+            1..n,
+            31..33,
+            32..n.min(64),
+            5..n - 1,
+            n - 1..n,
+        ] {
+            // Accept every other run box, by index.
+            let accept = |b: &Rect| {
+                boxes
+                    .iter()
+                    .position(|r| r == b)
+                    .is_some_and(|k| k % 2 == 0)
+            };
+            let mut asked = Vec::new();
+            let got: Vec<_> = poly
+                .runs_where_in(range.clone(), |b| {
+                    asked.push(*b);
+                    accept(b)
+                })
+                .collect();
+            let expected: Vec<_> = poly
+                .runs_where(accept)
+                .map(|run| run.start.max(range.start)..run.end.min(range.end))
+                .filter(|run| !run.is_empty())
+                .collect();
+            assert_eq!(got, expected, "{n} vertices, {range:?}");
+            let bounding = boxes
+                .iter()
+                .enumerate()
+                .filter(|&(k, _)| range.clone().any(|edge| edge / 32 == k))
+                .map(|(_, b)| *b);
+            assert!(
+                asked.iter().copied().eq(bounding),
+                "{n} vertices, {range:?}"
+            );
+        }
+    }
+}
+
 /// A star-shaped (hence simple) polygon around `(cx, cy)`: one vertex per
 /// angular step at a radius drawn from `radii`. Star-shaped polygons can be
 /// deeply concave, which is what exercises the pocket cases.
@@ -819,6 +934,18 @@ proptest! {
             frontier_clipped(&p, &other, d),
             reference::frontier_clipped(&p, &other, d)
         );
+    }
+
+    /// ...and the chain arm on the same stars, the other MBR on a random
+    /// side at a random gap and place, at every exact run-box gap.
+    #[test]
+    fn chain_clip_over_runs_matches_linear_reference_on_big_stars(
+        p in arb_big_star(),
+        side in 0usize..4,
+        t in 0.0f64..1.0,
+        gap in 0.01f64..30.0,
+    ) {
+        assert_clip_matches(&p, &beside(&p.mbr(), side, t, gap));
     }
 
     /// `polygons_intersect` must agree with the *distance* oracle's notion

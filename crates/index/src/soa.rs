@@ -41,6 +41,7 @@
 //! ```
 
 use crate::rtree::MAX_ENTRIES;
+use spatial_geom::point::{hypot, OVERFLOW_ROOT};
 use spatial_geom::Rect;
 
 /// Lanes the vectorized kernels advance per step (f64 × 8 = two 256-bit
@@ -224,6 +225,28 @@ impl MbrPredicate for WithinDist {
         i: usize,
         probe: &Rect,
     ) -> [bool; LANES] {
+        // Below `OVERFLOW_ROOT` a `hypot` past its overflow line exceeds `d`
+        // as the plain root's `∞` does, so the plain root decides alike —
+        // in a loop the compiler packs, which `hypot`'s cold call is not.
+        if self.0 < OVERFLOW_ROOT {
+            self.lanes(soa, i, probe, |dx, dy| (dx * dx + dy * dy).sqrt())
+        } else {
+            self.lanes(soa, i, probe, hypot)
+        }
+    }
+}
+
+impl WithinDist {
+    /// `Rect::min_dist(child, probe) <= d` per lane, with `root` for
+    /// [`hypot`].
+    #[inline(always)]
+    fn lanes<const LANES: usize>(
+        &self,
+        soa: &ChildMbrs,
+        i: usize,
+        probe: &Rect,
+        root: impl Fn(f64, f64) -> f64,
+    ) -> [bool; LANES] {
         let mut keep = [false; LANES];
         for (k, keep) in keep.iter_mut().enumerate() {
             let j = i + k;
@@ -236,7 +259,7 @@ impl MbrPredicate for WithinDist {
             let dy = (probe.ymin - soa.max_y[j])
                 .max(soa.min_y[j] - probe.ymax)
                 .max(0.0);
-            *keep = (dx * dx + dy * dy).sqrt() <= self.0;
+            *keep = root(dx, dy) <= self.0;
         }
         keep
     }
@@ -350,6 +373,33 @@ mod tests {
             assert_eq!(bit == 1, r.intersects(&probe), "slot {i}");
             let bit = (soa.mask_lanes::<_, 1>(&WithinDist(2.0), &probe) >> i) & 1;
             assert_eq!(bit == 1, r.min_dist(&probe) <= 2.0, "slot {i}");
+        }
+    }
+
+    /// Gaps whose squares overflow: the lanes keep a child at `2.5 s` from
+    /// a probe `2 s` away at every magnitude, and agree with the scalar
+    /// `Rect::min_dist` at every lane width — on both sides of
+    /// `OVERFLOW_ROOT`, where they switch from the plain root to `hypot`.
+    #[test]
+    fn within_dist_lanes_survive_overflowing_gaps() {
+        for s in [1.0, 1e150, 1e153, 1e154, 1e155, 1e200, 1e300] {
+            let rects = [rect(0.0, 0.0, s, s), rect(0.0, 3.0 * s, s, s)];
+            let soa = ChildMbrs::from_rects(rects.iter());
+            let probe = rect(3.0 * s, 0.0, s, s);
+            // `3 s - s` as the coordinates round it: `2 s` to an ulp.
+            assert_eq!(rects[0].min_dist(&probe), probe.xmin - s);
+            let around = [OVERFLOW_ROOT.next_down(), OVERFLOW_ROOT];
+            for d in [2.5 * s, 1.5 * s].into_iter().chain(around) {
+                let expected = rects.iter().enumerate().fold(0u32, |m, (i, r)| {
+                    m | (((r.min_dist(&probe) <= d) as u32) << i)
+                });
+                assert_eq!(expected & 1, u32::from(d > 2.0 * s), "s = {s}, d = {d}");
+                assert_eq!(soa.mask_lanes::<_, 1>(&WithinDist(d), &probe), expected);
+                assert_eq!(
+                    soa.mask_lanes::<_, SIMD_LANES>(&WithinDist(d), &probe),
+                    expected
+                );
+            }
         }
     }
 
