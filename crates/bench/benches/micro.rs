@@ -1,5 +1,6 @@
 //! Criterion microbenchmarks for the kernels underneath the figures:
-//! point-in-polygon, the restricted search space, the two sweeps, minDist,
+//! point-in-polygon, the restricted search space, the intersection test's
+//! step 3 on a hostile comb pair, minDist,
 //! its pairwise kernel and its frontier clip, the 0/1-object bounds and the
 //! 1-object filter's question, the AA-line rasterizer, its
 //! setup and its clip stage, the vertex caps' clip stage, the polygon fill
@@ -17,10 +18,10 @@ use spatial_datagen::shapes::harmonic_star;
 use spatial_filters::{one_object_upper_bound, one_object_within, zero_object_upper_bound};
 use spatial_geom::chains::frontier_clipped;
 use spatial_geom::distance::{edges_min_dist, edges_within_pairwise};
-use spatial_geom::intersect::{
-    polygons_intersect_with, restricted_edges, IntersectStats, SweepAlgo,
+use spatial_geom::intersect::restricted_edges;
+use spatial_geom::{
+    point_in_polygon, polygons_intersect, within_distance, Point, Polygon, Rect, Segment,
 };
-use spatial_geom::{point_in_polygon, within_distance, Point, Polygon, Rect, Segment};
 use spatial_index::RTree;
 use spatial_raster::aa_line::{
     aa_line_outside_window, rasterize_aa_line, SegmentCover, DIAGONAL_WIDTH,
@@ -72,21 +73,47 @@ fn bench_restricted(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_sweeps(c: &mut Criterion) {
+/// Two `4 · teeth`-vertex simple combs, teeth 0.4 wide: `P`'s stand on a
+/// spine below, `Q`'s hang from one above, and the two sets interleave
+/// 0.2 apart — or, `meshed`, each `Q` tooth straddles a `P` tooth's top.
+/// No first vertex lies in the other polygon, so step 3 decides the pair.
+fn comb_pair(teeth: usize, meshed: bool) -> (Polygon, Polygon) {
+    let last = (teeth - 1) as f64;
+    let mut p = Vec::with_capacity(4 * teeth);
+    let mut q = Vec::with_capacity(4 * teeth);
+    let shift = if meshed { 0.2 } else { 0.6 };
+    for k in 0..teeth {
+        let x = k as f64;
+        let (p_foot, q_root) = match k {
+            0 => (-1.0, 12.0),
+            _ => (0.0, 11.0),
+        };
+        p.extend([(x, p_foot), (x, 10.0), (x + 0.4, 10.0), (x + 0.4, 0.0)]);
+        q.extend([
+            (x + shift, q_root),
+            (x + shift, 1.0),
+            (x + shift + 0.2, 1.0),
+        ]);
+        q.push((x + shift + 0.2, if k == teeth - 1 { 12.0 } else { 11.0 }));
+    }
+    p[4 * teeth - 1] = (last + 0.4, -1.0);
+    (Polygon::from_coords(&p), Polygon::from_coords(&q))
+}
+
+/// The software intersection test where only step 3 can decide: the comb
+/// pair apart (no crossing: the block search spends its budget, then the
+/// tree sweep runs) and meshed (a crossing in the first block pair).
+fn bench_intersect(c: &mut Criterion) {
     let mut g = c.benchmark_group("polygon_intersect");
     g.sample_size(20);
     g.warm_up_time(Duration::from_millis(500));
     g.measurement_time(Duration::from_secs(2));
-    for n in [64usize, 512, 2048] {
-        // Overlapping pair: the expensive path.
-        let p = star(n, 2, 0.0, 0.0);
-        let q = star(n, 3, 40.0, 0.0);
-        for (name, algo) in [("tree", SweepAlgo::Tree), ("forward", SweepAlgo::Forward)] {
-            g.bench_with_input(BenchmarkId::new(name, n), &n, |b, _| {
-                b.iter(|| {
-                    let mut st = IntersectStats::default();
-                    polygons_intersect_with(black_box(&p), black_box(&q), algo, &mut st)
-                })
+    for vertices in [512usize, 32_768] {
+        for (name, meshed) in [("comb_apart", false), ("comb_meshed", true)] {
+            let (p, q) = comb_pair(vertices / 4, meshed);
+            assert_eq!(polygons_intersect(&p, &q), meshed);
+            g.bench_with_input(BenchmarkId::new(name, vertices), &vertices, |b, _| {
+                b.iter(|| polygons_intersect(black_box(&p), black_box(&q)))
             });
         }
     }
@@ -353,10 +380,7 @@ fn bench_hw_test(c: &mut Criterion) {
         });
     }
     g.bench_function("sw", |b| {
-        b.iter(|| {
-            let mut st = IntersectStats::default();
-            polygons_intersect_with(black_box(&p), black_box(&q), SweepAlgo::Tree, &mut st)
-        })
+        b.iter(|| polygons_intersect(black_box(&p), black_box(&q)))
     });
     g.finish();
 }
@@ -381,7 +405,7 @@ criterion_group!(
     benches,
     bench_pip,
     bench_restricted,
-    bench_sweeps,
+    bench_intersect,
     bench_mindist,
     bench_frontier,
     bench_object_filters,

@@ -5,16 +5,19 @@
 //! 2. **Boundary rendering vs filled polygons** — the §3 argument: filled
 //!    polygons need software triangulation and are not exact;
 //! 3. **Restricted search space** (§4.1.1) — the paper credits it with
-//!    30–40% on the software sweep; measured here directly;
+//!    30–40% on the software sweep; measured here directly, the same step 3
+//!    over the restricted edges and over whole boundaries;
 //! 4. **minDist optimizations** — frontier clipping + early exit vs the
 //!    plain pruned scan (paper: 2–6×).
 
 use hwa_core::ablation::{filled_intersects_approx, FilledResult};
 use hwa_core::{HwConfig, TestStats};
 use spatial_bench::{hardware_engine, header, ms, BenchOpts, Workloads};
-use spatial_geom::intersect::{polygons_intersect_with, IntersectStats, SweepAlgo};
-use spatial_geom::sweep::tree_sweep_intersects;
-use spatial_geom::{min_dist_brute, within_distance, within_distance_sweep, Segment};
+use spatial_geom::intersect::edges_meet;
+use spatial_geom::sweep::SweepStats;
+use spatial_geom::{
+    min_dist_brute, polygons_intersect, within_distance, within_distance_sweep, Segment,
+};
 use spatial_raster::OverlapStrategy;
 use std::time::Instant;
 
@@ -67,12 +70,7 @@ fn filled_vs_boundary(w: &Workloads) {
     let mut failed = 0usize;
     let mut st = TestStats::default();
     for &(i, j) in &sample {
-        let truth = polygons_intersect_with(
-            a.polygon(i),
-            b.polygon(j),
-            SweepAlgo::Tree,
-            &mut IntersectStats::default(),
-        );
+        let truth = polygons_intersect(a.polygon(i), b.polygon(j));
         match filled_intersects_approx(
             a.polygon(i),
             b.polygon(j),
@@ -117,7 +115,7 @@ fn filled_vs_boundary(w: &Workloads) {
 }
 
 fn restricted_search_space(w: &Workloads) {
-    println!("\n[3] restricted search space on the software sweep (LANDC ⋈ LANDO candidates):");
+    println!("\n[3] restricted search space on the software step 3 (LANDC ⋈ LANDO candidates):");
     let a = &w.landc;
     let b = &w.lando;
     let candidates: Vec<(usize, usize)> = spatial_index::join_intersecting(&a.tree, &b.tree)
@@ -128,12 +126,11 @@ fn restricted_search_space(w: &Workloads) {
     // With restriction (the engine's normal path).
     let t0 = Instant::now();
     for &(i, j) in &candidates {
-        let mut st = IntersectStats::default();
-        let _ = polygons_intersect_with(a.polygon(i), b.polygon(j), SweepAlgo::Tree, &mut st);
+        let _ = polygons_intersect(a.polygon(i), b.polygon(j));
     }
     let with_ms = ms(t0.elapsed());
 
-    // Without restriction: sweep the full boundaries.
+    // Without restriction: the same step 3 over the whole boundaries.
     let t1 = Instant::now();
     for &(i, j) in &candidates {
         let p = a.polygon(i);
@@ -145,7 +142,7 @@ fn restricted_search_space(w: &Workloads) {
         }
         let ep: Vec<Segment> = p.edges().collect();
         let eq: Vec<Segment> = q.edges().collect();
-        let _ = tree_sweep_intersects(&ep, &eq);
+        let _ = edges_meet(&ep, &eq, &mut SweepStats::default());
     }
     let without_ms = ms(t1.elapsed());
     println!(

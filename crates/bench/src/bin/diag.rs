@@ -3,7 +3,9 @@
 //! workloads exercise the same regime the paper's datasets do — a healthy
 //! share of near-miss negatives that finer windows can reject — and the
 //! phase-by-phase cost of the *software* refinement every headline ratio
-//! divides by: the plane sweep's phases for the intersection joins, and
+//! divides by: the intersection test's phases for the intersection joins,
+//! with what its step-3 block search did and every step-3 verdict checked
+//! against the forward sweep (a mismatch makes the run exit 1), and
 //! object filters · point-in-polygon · frontier clip · pairwise kernel for
 //! the within-distance joins at the Figure 14/16 distances — each boundary
 //! scan with the vertices its polygons have, the run boxes it tests and the
@@ -26,9 +28,8 @@ use spatial_filters::object_filters::CONFIRM_EVERY;
 use spatial_filters::{one_object_upper_bound, zero_object_upper_bound};
 use spatial_geom::chains::{frontier_clipped, frontier_runs};
 use spatial_geom::distance::{edges_within_pairwise, PAIR_BLOCK};
-use spatial_geom::intersect::{
-    polygons_intersect_with, restricted_edges, IntersectStats, SweepAlgo,
-};
+use spatial_geom::intersect::{polygons_intersect_with, restricted_edges, IntersectStats};
+use spatial_geom::sweep::{forward_sweep_intersects, SweepStats};
 use spatial_geom::{point_in_polygon, Point, Polygon, Rect, Segment};
 use spatial_raster::aa_line::{aa_line_outside_window, DIAGONAL_WIDTH};
 use spatial_raster::Viewport;
@@ -45,13 +46,18 @@ fn main() {
     );
     let w = Workloads::generate(opts);
 
+    let mut mismatches = 0;
     for (a, b, base_d) in [
         (&w.landc, &w.lando, w.base_d_landc_lando),
         (&w.water, &w.prism, w.base_d_water_prism),
     ] {
-        intersection_composition(a, b);
+        mismatches += intersection_composition(a, b);
         distance_decomposition(a, b, base_d);
         hardware_submission(a, b, base_d);
+    }
+    if mismatches > 0 {
+        println!("\nFAIL: {mismatches} step-3 verdicts differ from the forward sweep");
+        std::process::exit(1);
     }
 }
 
@@ -335,11 +341,59 @@ fn distance_decomposition(a: &PreparedDataset, b: &PreparedDataset, base_d: f64)
     pairs.row(pairwise.calls);
 }
 
-fn intersection_composition(a: &PreparedDataset, b: &PreparedDataset) {
+/// What step 3's block search did over the calls that reached it, from
+/// the counters it returns, and how many of its verdicts differ from the
+/// forward sweep's over the same restricted edges.
+#[derive(Default)]
+struct Search {
+    calls: usize,
+    exits: usize,
+    negatives: usize,
+    fallbacks: usize,
+    work: SweepStats,
+    mismatches: usize,
+}
+
+impl Search {
+    fn add(&mut self, st: &SweepStats, hit: bool, oracle: bool) {
+        self.calls += 1;
+        match (st.events > 0, hit) {
+            (true, _) => self.fallbacks += 1,
+            (false, true) => self.exits += 1,
+            (false, false) => self.negatives += 1,
+        }
+        self.work.box_tests += st.box_tests;
+        self.work.edge_tests += st.edge_tests;
+        self.work.pair_tests += st.pair_tests;
+        self.mismatches += usize::from(hit != oracle);
+    }
+
+    fn row(&self) {
+        let per = |x: usize| x as f64 / self.calls.max(1) as f64;
+        println!(
+            "  block search: {} calls, {} first-crossing exits, {} exhaustive negatives, \
+             {} fallbacks; {:.1} box compares {:.1} edge compares {:.1} segment tests /call; \
+             {} verdicts differ from the forward sweep",
+            self.calls,
+            self.exits,
+            self.negatives,
+            self.fallbacks,
+            per(self.work.box_tests),
+            per(self.work.edge_tests),
+            per(self.work.pair_tests),
+            self.mismatches,
+        );
+    }
+}
+
+/// The intersection join's software test, phase by phase, and its step 3
+/// checked against the forward sweep; returns the number of mismatches.
+fn intersection_composition(a: &PreparedDataset, b: &PreparedDataset) -> usize {
     let candidates: Vec<(usize, usize)> = spatial_index::join_intersecting(&a.tree, &b.tree)
         .into_iter()
         .map(|(x, y)| (*x, *y))
         .collect();
+    let mut search = Search::default();
     let mut pip_pos = 0usize;
     let mut rss_empty = 0usize;
     let mut sweep_pos = 0usize;
@@ -382,9 +436,11 @@ fn intersection_composition(a: &PreparedDataset, b: &PreparedDataset) {
             _ => 5,
         };
         edge_hist[bucket] += 1;
+        let mut st = IntersectStats::default();
         let t = Instant::now();
-        let hit = polygons_intersect_with(p, q, SweepAlgo::Tree, &mut IntersectStats::default());
+        let hit = polygons_intersect_with(p, q, &mut st);
         let dt = t.elapsed().as_secs_f64() * 1e6;
+        search.add(&st.sweep, hit, forward_sweep_intersects(&ep, &eq));
         if hit {
             sweep_pos += 1;
             sweep_time_pos += dt;
@@ -397,16 +453,16 @@ fn intersection_composition(a: &PreparedDataset, b: &PreparedDataset) {
     println!("  pip positives:   {pip_pos}");
     println!("  rss-empty rejects: {rss_empty}");
     println!(
-        "  sweep positives: {sweep_pos} (avg {:.1} us)",
+        "  step-3 positives: {sweep_pos} (avg {:.1} us)",
         sweep_time_pos / sweep_pos.max(1) as f64
     );
     println!(
-        "  sweep negatives: {sweep_neg} (avg {:.1} us)  <- what hardware can save",
+        "  step-3 negatives: {sweep_neg} (avg {:.1} us)  <- what hardware can save",
         sweep_time_neg / sweep_neg.max(1) as f64
     );
     println!("  restricted-edge histogram (<=20/50/100/300/1000/more): {edge_hist:?}");
     println!(
-        "  phase totals: pip {:.1} ms | rss {:.1} ms | sweep+ {:.1} ms | sweep- {:.1} ms",
+        "  phase totals: pip {:.1} ms | rss {:.1} ms | step3+ {:.1} ms | step3- {:.1} ms",
         pip_time,
         rss_time,
         sweep_time_pos / 1e3,
@@ -418,6 +474,8 @@ fn intersection_composition(a: &PreparedDataset, b: &PreparedDataset) {
         pip_walk.per_call(candidates.len())
     );
     println!("  restricted search space: {}", rss_walk.per_call(searched));
+    search.row();
+    search.mismatches
 }
 
 /// What the hardware tests submit for the pair's candidates at the

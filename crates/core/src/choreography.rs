@@ -35,9 +35,9 @@ use crate::hw_intersect::HwTester;
 use crate::hw_overlap::overlap_region;
 use crate::pipeline::{Predicate, RefineOp};
 use crate::stats::TestStats;
-use spatial_geom::intersect::restricted_edges;
+use spatial_geom::intersect::boundaries_meet;
 use spatial_geom::pip::point_in_polygon;
-use spatial_geom::sweep::{tree_sweep_intersects_stats, SweepStats};
+use spatial_geom::sweep::SweepStats;
 use spatial_geom::{Point, Polygon, Rect, Segment};
 use spatial_raster::aa_line::{aa_line_outside_window, DIAGONAL_WIDTH};
 use spatial_raster::atlas::record_batch;
@@ -457,28 +457,14 @@ pub(crate) fn route<'a>(
 /// The software step 3: exact on its own for a pair that passed the MBR
 /// gate and that point-in-polygon did not decide.
 fn confirm(pred: Predicate, p: &Polygon, q: &Polygon) -> bool {
+    let meet = || boundaries_meet(p, q, &mut SweepStats::default());
     match pred {
-        Predicate::Intersects => boundaries_meet(p, q),
+        Predicate::Intersects => meet(),
         // For connected polygons, strict containment is "one vertex
         // inside + boundaries disjoint"; the prologue saw the vertex.
-        Predicate::ContainedIn => !boundaries_meet(p, q),
+        Predicate::ContainedIn => !meet(),
         Predicate::WithinDistance(d) => software_distance_test(p, q, d),
     }
-}
-
-/// Whether the two boundaries intersect (closed): restricted search
-/// space over the shared MBR — boundaries can only meet inside it —
-/// plus the tree sweep.
-fn boundaries_meet(p: &Polygon, q: &Polygon) -> bool {
-    let Some(region) = p.mbr().intersection(&q.mbr()) else {
-        return false;
-    };
-    let ep = restricted_edges(p, &region);
-    let eq = restricted_edges(q, &region);
-    if ep.is_empty() || eq.is_empty() {
-        return false;
-    }
-    tree_sweep_intersects_stats(&ep, &eq, &mut SweepStats::default())
 }
 
 /// The epilogue of one hardware-routed pair. `overlap` is the scan's

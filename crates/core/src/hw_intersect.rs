@@ -451,6 +451,49 @@ mod tests {
         assert!(st.hw.primitives > 0);
     }
 
+    /// Regression: `Polygon::new` accepts a bowtie, and step 3 used to
+    /// answer from the tree sweep alone, whose simple-boundary precondition
+    /// then failed silently — a false negative after the raster passed the
+    /// pair on, and on the threshold route alike. The pair below, then
+    /// random 3–14-vertex rings on a 15 × 15 grid, mostly self-crossing.
+    #[test]
+    fn self_crossing_boundaries_answer_like_brute_force_on_every_route() {
+        let mut pairs = vec![(
+            Polygon::from_coords(&[(0.0, 10.0), (7.0, 6.0), (2.0, 2.0), (7.0, 1.0)]),
+            Polygon::from_coords(&[(14.0, 10.0), (8.0, 9.0), (6.0, 2.0)]),
+        )];
+        let mut rng = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            // xorshift64*: deterministic, no dependency.
+            rng ^= rng >> 12;
+            rng ^= rng << 25;
+            rng ^= rng >> 27;
+            rng.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 33
+        };
+        let mut ring = || {
+            let n = 3 + next() as usize % 12;
+            let vertices = (0..n).map(|_| ((next() % 15) as f64, (next() % 15) as f64).into());
+            Polygon::new(vertices.collect()).ok()
+        };
+        while pairs.len() < 2_000 {
+            if let (Some(p), Some(q)) = (ring(), ring()) {
+                pairs.push((p, q));
+            }
+        }
+        for threshold in [0, 500, usize::MAX] {
+            let mut t = HwTester::new(HwConfig::at_resolution(8).with_threshold(threshold));
+            let mut st = TestStats::default();
+            for (p, q) in &pairs {
+                assert_eq!(
+                    t.intersects(p, q, &mut st),
+                    polygons_intersect_brute(p, q),
+                    "threshold {threshold}: {p:?} {q:?}"
+                );
+            }
+            assert_eq!(st.hw_tests > 0, threshold == 0, "{st:?}");
+        }
+    }
+
     #[test]
     fn disjoint_mbrs_cost_nothing() {
         let mut t = HwTester::new(HwConfig::recommended());

@@ -3,8 +3,9 @@
 //!
 //! * [`hw_intersect`] — **Algorithm 3.1**: software point-in-polygon, then
 //!   a hardware segment-intersection *filter* (anti-aliased boundary
-//!   rendering + accumulation + Minmax), then the software plane sweep only
-//!   for pairs the hardware could not reject;
+//!   rendering + accumulation + Minmax), then the software step 3
+//!   (`spatial_geom::intersect::boundaries_meet`) only for pairs the
+//!   hardware could not reject;
 //! * [`hw_distance`] — the §3.1 distance extension: boundaries widened by
 //!   `D` via Equation (1), wide points covering the vertex caps, with the
 //!   software fallback when the required width exceeds the hardware line

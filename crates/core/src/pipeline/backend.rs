@@ -10,7 +10,7 @@
 use super::Predicate;
 use crate::hw_intersect::HwTester;
 use crate::stats::TestStats;
-use spatial_geom::intersect::{polygons_intersect_with, IntersectStats, SweepAlgo};
+use spatial_geom::intersect::{polygons_intersect_with, IntersectStats};
 use spatial_geom::mindist::within_distance_with;
 use spatial_geom::{MinDistStats, Polygon};
 
@@ -74,9 +74,9 @@ pub trait RefinementBackend: Send + std::fmt::Debug {
     fn fork(&self) -> Box<dyn RefinementBackend>;
 }
 
-/// Pure software refinement: the paper's baseline curves. Plane sweep with
-/// the restricted search space for intersection, the modified `minDist`
-/// for distance, the sweep-based containment test.
+/// Pure software refinement: the paper's baseline curves. A boundary
+/// crossing search over the restricted search space for intersection and
+/// containment, the modified `minDist` for distance.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SoftwareBackend;
 
@@ -86,7 +86,7 @@ impl RefinementBackend for SoftwareBackend {
         match pred {
             Predicate::Intersects => {
                 let mut st = IntersectStats::default();
-                let r = polygons_intersect_with(p, q, SweepAlgo::Tree, &mut st);
+                let r = polygons_intersect_with(p, q, &mut st);
                 stats.decided_by_pip += st.decided_by_pip;
                 r
             }

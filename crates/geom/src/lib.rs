@@ -10,9 +10,10 @@
 //! * robust orientation / incidence predicates ([`predicates`]);
 //! * the ray-crossing point-in-polygon test (§3.1 step 1 of the paper,
 //!   [`pip`]);
-//! * plane-sweep red/blue segment-intersection *detection* with the
-//!   restricted-search-space optimization of Brinkhoff et al. (§4.1.1,
-//!   [`sweep`] and [`intersect`]);
+//! * red/blue segment-intersection *detection* over the
+//!   restricted search space of Brinkhoff et al. (§4.1.1): a block-box
+//!   search that stops at the first crossing, with the paper's plane sweep
+//!   as its bounded fallback ([`intersect`] and [`sweep`]);
 //! * the `minDist` within-distance machinery after Chan, with the paper's
 //!   two additional optimizations — early exit at distance ≤ D and frontier
 //!   chains clipped to MBRs extended by D ([`chains`], [`mindist`]);

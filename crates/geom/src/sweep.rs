@@ -20,10 +20,12 @@
 //! [`tree_sweep_intersects`] assumes each input edge set is internally
 //! non-crossing (the edges of a *simple* polygon boundary): proper red-red
 //! or blue-blue crossings can corrupt the status order before a red/blue
-//! intersection is reached. This is exactly the paper's setting — the
-//! datasets are (overwhelmingly) simple polygons, and the non-simple ones
-//! are excluded by the loaders. [`forward_sweep_intersects`] has no such
-//! precondition.
+//! intersection is reached. This is the paper's setting — the datasets are
+//! (overwhelmingly) simple polygons — but `Polygon::new` accepts a bowtie.
+//! The product's step 3 is therefore the block search of
+//! [`crate::intersect::edges_meet`], which has no precondition; it reaches
+//! the tree sweep only past its work budget. [`forward_sweep_intersects`]
+//! has no such precondition.
 
 use crate::polygon::Polygon;
 use crate::predicates::on_segment;
@@ -37,14 +39,22 @@ enum Color {
     Blue,
 }
 
-/// Counters describing how much work a sweep performed; the benches report
-/// these alongside wall-clock time.
+/// Counters describing how much work a red/blue detection performed; the
+/// benches report these alongside wall-clock time.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SweepStats {
     /// Exact segment-pair intersection tests executed.
     pub pair_tests: usize,
     /// Events processed (tree sweep) or segments scanned (forward sweep).
+    /// Nonzero after [`crate::intersect::edges_meet`] only when it ran
+    /// out of budget and handed its edges to the tree sweep.
     pub events: usize,
+    /// Block-box pairs the block search compared.
+    pub box_tests: usize,
+    /// Edge-MBR compares the block search made inside the block pairs it
+    /// entered: each edge against the other block's box, and each edge
+    /// that meets that box against the MBRs in the block.
+    pub edge_tests: usize,
 }
 
 // ---------------------------------------------------------------------------

@@ -3,10 +3,9 @@
 
 use proptest::prelude::*;
 use spatial_geom::chains::{frontier_clipped, frontier_edges};
-use spatial_geom::intersect::{
-    polygons_intersect_with, restricted_edges, IntersectStats, SweepAlgo,
-};
+use spatial_geom::intersect::{boundaries_meet, restricted_edges};
 use spatial_geom::pip::{locate_point, PointLocation};
+use spatial_geom::sweep::{forward_sweep_intersects, tree_sweep_intersects, SweepStats};
 use spatial_geom::{
     min_dist, min_dist_brute, point_in_polygon, polygons_intersect, polygons_intersect_brute,
     within_distance, Point, Polygon, Rect,
@@ -602,6 +601,119 @@ fn runs_where_in_clips_the_stretches_and_asks_only_the_range() {
     }
 }
 
+/// What one `boundaries_meet(p, q)` call answered, and whether its search
+/// ran out of budget and handed the edges to the tree sweep.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Met {
+    meet: bool,
+    fell_back: bool,
+}
+
+/// `boundaries_meet(p, q)` against the all-pairs answer over the same
+/// restricted edges (the forward sweep) and over the whole boundaries, and
+/// `polygons_intersect` against `polygons_intersect_brute`. Where the
+/// search ran out of budget on a boundary that is not simple, the tree
+/// sweep's precondition does not hold: there the answer must be the tree
+/// sweep's over the same edges.
+fn check_boundaries_meet(p: &Polygon, q: &Polygon) -> Met {
+    let (ep, eq) = match p.mbr().intersection(&q.mbr()) {
+        Some(region) => (restricted_edges(p, &region), restricted_edges(q, &region)),
+        None => (Vec::new(), Vec::new()),
+    };
+    let all_pairs = p.edges().any(|e| q.edges().any(|f| e.intersects(&f)));
+    assert_eq!(forward_sweep_intersects(&ep, &eq), all_pairs, "{p:?} {q:?}");
+    let mut st = SweepStats::default();
+    let meet = boundaries_meet(p, q, &mut st);
+    let fell_back = st.events > 0;
+    if !fell_back || (p.is_simple() && q.is_simple()) {
+        assert_eq!(meet, all_pairs, "{p:?} {q:?}");
+        assert_eq!(polygons_intersect(p, q), polygons_intersect_brute(p, q));
+    } else {
+        assert_eq!(meet, tree_sweep_intersects(&ep, &eq), "{p:?} {q:?}");
+    }
+    Met { meet, fell_back }
+}
+
+/// The run battery — sawtooths and self-crossing combs of 63–97 vertices,
+/// relabelled — each against a partner from the battery placed on it, half
+/// a unit off, beside it and on top of it: proper crossings, touching end
+/// points, collinear overlaps and misses, searched and fallen back.
+#[test]
+fn boundaries_meet_matches_the_oracles_on_the_run_battery() {
+    let battery = run_boundary_battery();
+    let mut seen = std::collections::BTreeMap::new();
+    for (i, p) in battery.iter().enumerate() {
+        let partner = &battery[(7 * i + 3) % battery.len()];
+        for (dx, dy) in [
+            (0.0, 0.0),
+            (0.5, 0.25),
+            (0.0, 8.0),
+            (2.0 * p.mbr().xmax, 0.5),
+        ] {
+            let q = partner.translated(dx, dy);
+            *seen.entry(check_boundaries_meet(p, &q)).or_insert(0usize) += 1;
+            check_boundaries_meet(&q, p);
+        }
+    }
+    // A crossing found only past the budget is the unit tests' `teeth`.
+    let keys = |meet, fell_back| seen.contains_key(&Met { meet, fell_back });
+    assert!(
+        keys(true, false) && keys(false, false) && keys(false, true),
+        "{seen:?}"
+    );
+}
+
+/// Two `4 · teeth`-vertex simple combs, teeth 0.4 wide: `P`'s stand on a
+/// spine below, `Q`'s hang from one above, and the two sets interleave
+/// 0.2 apart — or, `meshed`, each `Q` tooth straddles a `P` tooth's top.
+fn comb_pair(teeth: usize, meshed: bool) -> (Polygon, Polygon) {
+    let last = (teeth - 1) as f64;
+    let mut p = Vec::with_capacity(4 * teeth);
+    let mut q = Vec::with_capacity(4 * teeth);
+    let shift = if meshed { 0.2 } else { 0.6 };
+    for k in 0..teeth {
+        let x = k as f64;
+        let (p_foot, q_root) = match k {
+            0 => (-1.0, 12.0),
+            _ => (0.0, 11.0),
+        };
+        p.extend([(x, p_foot), (x, 10.0), (x + 0.4, 10.0), (x + 0.4, 0.0)]);
+        q.extend([
+            (x + shift, q_root),
+            (x + shift, 1.0),
+            (x + shift + 0.2, 1.0),
+        ]);
+        q.push((x + shift + 0.2, if k == teeth - 1 { 12.0 } else { 11.0 }));
+    }
+    p[4 * teeth - 1] = (last + 0.4, -1.0);
+    (Polygon::from_coords(&p), Polygon::from_coords(&q))
+}
+
+/// The hostile pair of the search: interleaved combs whose MBRs overlap
+/// almost wholly. Apart, a small pair is searched to the end and a large
+/// one falls back once the budget is spent; meshed, the first crossing is
+/// found long before that.
+#[test]
+fn combs_are_searched_within_budget_or_handed_to_the_tree_sweep() {
+    for teeth in [2, 16, 128] {
+        let (p, q) = comb_pair(teeth, false);
+        assert!(p.is_simple() && q.is_simple(), "{teeth} teeth");
+        let met = check_boundaries_meet(&p, &q);
+        assert!(!met.meet);
+        assert_eq!(met.fell_back, teeth > 16, "{teeth} teeth");
+        assert!(!polygons_intersect(&p, &q));
+
+        let (p, q) = comb_pair(teeth, true);
+        assert_eq!(
+            check_boundaries_meet(&p, &q),
+            Met {
+                meet: true,
+                fell_back: false
+            }
+        );
+    }
+}
+
 /// A star-shaped (hence simple) polygon around `(cx, cy)`: one vertex per
 /// angular step at a radius drawn from `radii`. Star-shaped polygons can be
 /// deeply concave, which is what exercises the pocket cases.
@@ -669,17 +781,36 @@ prop_compose! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// The tree sweep, the forward sweep and the brute-force oracle must
-    /// return identical intersection verdicts.
+    /// Step 3, the tree sweep and the forward sweep over the restricted
+    /// edges, and the brute-force oracle return identical verdicts on
+    /// simple polygons (DESIGN.md invariant 3).
     #[test]
     fn intersection_implementations_agree(p in arb_star(), q in arb_star()) {
-        let oracle = polygons_intersect_brute(&p, &q);
-        let mut s1 = IntersectStats::default();
-        let mut s2 = IntersectStats::default();
-        let tree = polygons_intersect_with(&p, &q, SweepAlgo::Tree, &mut s1);
-        let fwd = polygons_intersect_with(&p, &q, SweepAlgo::Forward, &mut s2);
-        prop_assert_eq!(tree, oracle, "tree sweep vs brute force");
-        prop_assert_eq!(fwd, oracle, "forward sweep vs brute force");
+        check_boundaries_meet(&p, &q);
+        if let Some(region) = p.mbr().intersection(&q.mbr()) {
+            let (ep, eq) = (restricted_edges(&p, &region), restricted_edges(&q, &region));
+            prop_assert_eq!(tree_sweep_intersects(&ep, &eq), forward_sweep_intersects(&ep, &eq));
+        }
+    }
+
+    /// ...and on stars large enough to carry run boxes: random placements,
+    /// and a star nested in a copy of itself grown about its center by a
+    /// hair — boundaries everywhere close, meeting nowhere.
+    #[test]
+    fn boundaries_meet_matches_the_oracles_on_big_stars(
+        p in arb_big_star(),
+        q in arb_big_star(),
+        (cx, cy) in (-50.0f64..50.0, -50.0f64..50.0),
+        radii in prop::collection::vec(0.5f64..20.0, 64..200),
+        grow in 1.001f64..1.02,
+    ) {
+        check_boundaries_meet(&p, &q);
+        let inner = star_polygon(cx, cy, &radii);
+        let outer = inner.scaled_about(Point::new(cx, cy), grow).expect("a finite factor");
+        for (a, b) in [(&inner, &outer), (&outer, &inner)] {
+            prop_assert!(!check_boundaries_meet(a, b).meet);
+            prop_assert!(polygons_intersect(a, b));
+        }
     }
 
     /// Intersection is symmetric.

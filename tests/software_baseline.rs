@@ -6,18 +6,22 @@
 //! never go stale), the paper's within-distance kernel, its sweep variant
 //! and the brute-force distance agree, the 0/1-object filters change no row
 //! of a software distance join while every candidate is accounted for as a
-//! filter hit or a refinement, and a hardware join that submits only each
-//! window's live boundary runs returns the software join's rows.
+//! filter hit or a refinement, a hardware join that submits only each
+//! window's live boundary runs returns the software join's rows, and the
+//! intersection and containment tests answer like the exhaustive forward
+//! sweep over whole boundaries.
 
 use hwspatial::core::engine::{EngineConfig, PreparedDataset, SpatialEngine};
 use hwspatial::core::HwConfig;
 use hwspatial::datagen;
 use hwspatial::geom::chains::frontier_clipped;
 use hwspatial::geom::intersect::restricted_edges;
+use hwspatial::geom::sweep::forward_sweep_intersects;
 use hwspatial::geom::{
-    min_dist_brute, point_in_polygon, within_distance, within_distance_sweep, Polygon,
+    min_dist_brute, point_in_polygon, polygon_contained_in, polygons_intersect, within_distance,
+    within_distance_sweep, Polygon, Segment,
 };
-use hwspatial::index::{join_within_distance_with, FilterConfig, FilterStats};
+use hwspatial::index::{join_intersecting, join_within_distance_with, FilterConfig, FilterStats};
 
 const SCALE: f64 = 0.002;
 const SEED: u64 = 7;
@@ -137,6 +141,35 @@ fn a_hardware_join_over_live_runs_returns_the_software_rows() {
         // whole boundaries of the corpus's large polygons are thousands.
         assert!(cost.tests.hw.primitives < 500 * cost.tests.hw_tests);
     }
+}
+
+/// Step 3 of the intersection and containment tests — the block search
+/// over the restricted edges — answers like the exhaustive forward sweep
+/// over the whole boundaries, on every intersection candidate both ways
+/// round.
+#[test]
+fn intersection_and_containment_agree_with_the_oracle() {
+    let (a, b, _) = corpus();
+    let (mut crossings, mut apart, mut contained) = (0usize, 0usize, 0usize);
+    for (&i, &j) in join_intersecting(&a.tree, &b.tree) {
+        let (p, q) = (a.polygon(i), b.polygon(j));
+        for (p, q) in [(p, q), (q, p)] {
+            let edges = |poly: &Polygon| poly.edges().collect::<Vec<Segment>>();
+            let cross = forward_sweep_intersects(&edges(p), &edges(q));
+            let inside = point_in_polygon(p.vertices()[0], q);
+            let pip = inside || point_in_polygon(q.vertices()[0], p);
+            assert_eq!(polygons_intersect(p, q), cross || pip);
+            let within = q.mbr().contains_rect(&p.mbr()) && inside && !cross;
+            assert_eq!(polygon_contained_in(p, q), within);
+            crossings += usize::from(cross && !pip);
+            apart += usize::from(!cross && !pip);
+            contained += usize::from(within);
+        }
+    }
+    assert!(
+        crossings > 0 && apart > 0 && contained > 0,
+        "{crossings} decided by a crossing, {apart} apart, {contained} contained"
+    );
 }
 
 #[test]
