@@ -15,7 +15,7 @@ use hwa_core::{HwConfig, TestStats};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spatial_datagen::shapes::harmonic_star;
-use spatial_filters::{one_object_upper_bound, one_object_within, zero_object_upper_bound};
+use spatial_filters::{one_object_upper_bound, one_object_within, zero_object_upper_bound, Sample};
 use spatial_geom::chains::frontier_clipped;
 use spatial_geom::distance::{edges_min_dist, edges_within_pairwise};
 use spatial_geom::intersect::restricted_edges;
@@ -182,7 +182,9 @@ fn bench_frontier(c: &mut Criterion) {
 }
 
 /// The 0-object bound of an MBR pair, and the 1-object bound from a
-/// 64-edge boundary sample (the engine's cap) under it.
+/// 64-edge boundary sample (the engine's cap) under it; then the question
+/// the filter stage asks of the same sample, through its cached block
+/// boxes, once for each answer.
 fn bench_object_filters(c: &mut Criterion) {
     let mut g = c.benchmark_group("object_filters");
     g.sample_size(30);
@@ -194,16 +196,27 @@ fn bench_object_filters(c: &mut Criterion) {
         b.iter(|| zero_object_upper_bound(black_box(&r1), black_box(&r2)))
     });
     let ub0 = zero_object_upper_bound(&r1, &r2);
-    let sample = || (0..2048).step_by(32).map(|i| p.edge(i));
+    let sample = Sample::strided(&p, 32);
+    assert_eq!(sample.edge_count(), 64);
     g.bench_function("one", |b| {
-        b.iter(|| one_object_upper_bound(black_box(sample()), black_box(&r2), ub0))
+        b.iter(|| one_object_upper_bound(black_box(sample.edges()), black_box(&r2), ub0))
     });
-    // The question the filter stage asks of the same sample, at the bound
-    // itself: confirmed at the first look whose side term reaches it.
-    let ub1 = one_object_upper_bound(sample(), &r2, ub0);
-    assert!(ub1 < ub0 && one_object_within(sample(), &r2, ub1));
+    let blocks: Vec<Rect> = sample.block_boxes().collect();
+    // Confirmed at the bound itself, once the side term reaches it...
+    let ub1 = one_object_upper_bound(sample.edges(), &r2, ub0);
+    assert!(ub1 < ub0 && one_object_within(sample, &blocks, &r2, ub1));
     g.bench_function("one_within", |b| {
-        b.iter(|| one_object_within(black_box(sample()), black_box(&r2), ub1))
+        b.iter(|| one_object_within(black_box(sample), black_box(&blocks), black_box(&r2), ub1))
+    });
+    // ...and refused, against a far MBR at 90 % of its bound: every side
+    // is short enough to be asked about, none can reach `d`.
+    let far = star(64, 5, 400.0, 0.0).mbr();
+    let d = 0.9 * one_object_upper_bound(sample.edges(), &far, f64::INFINITY);
+    let c = far.corners();
+    assert!((0..4).all(|i| c[i].dist(c[(i + 1) % 4]) / 2.0 <= d));
+    assert!(!one_object_within(sample, &blocks, &far, d));
+    g.bench_function("one_reject", |b| {
+        b.iter(|| one_object_within(black_box(sample), black_box(&blocks), black_box(&far), d))
     });
     g.finish();
 }

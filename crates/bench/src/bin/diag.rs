@@ -11,8 +11,10 @@
 //! scan with the vertices its polygons have, the run boxes it tests and the
 //! edges it then visits, the pairwise kernel with the block boxes, pairs
 //! and segment pairs it tests, and the 1-object filter with the calls its
-//! side prune settles without a scan and the calls it confirms early — and
-//! what the hardware test submits for the same candidates: segments before
+//! side prune settles without a box, the calls its block lower bounds
+//! reject early, the calls it confirms early and the blocks and edges it
+//! measures, every verdict checked against the bound (a mismatch makes the
+//! run exit 1) — and what the hardware test submits for the same candidates: segments before
 //! and after the run cull, survivors of the rasterizer's clip compare,
 //! candidate fragments per surviving segment, and for the overlap count the
 //! vertices before and after the fill ring and the scanline crossings a
@@ -24,8 +26,9 @@ use hwa_core::hw_overlap::fill_rings;
 use hwa_core::pipeline::{CandidateFilter, Decision, ObjectFilterStage};
 use hwa_core::{HwConfig, TestStats};
 use spatial_bench::{header, ms, BenchOpts, Workloads, DISTANCE_FACTORS};
-use spatial_filters::object_filters::CONFIRM_EVERY;
-use spatial_filters::{one_object_upper_bound, zero_object_upper_bound};
+use spatial_filters::{
+    one_object_upper_bound, one_object_within_with, zero_object_upper_bound, OneObjectStats,
+};
 use spatial_geom::chains::{frontier_clipped, frontier_runs};
 use spatial_geom::distance::{edges_within_pairwise, PAIR_BLOCK};
 use spatial_geom::intersect::{polygons_intersect_with, restricted_edges, IntersectStats};
@@ -46,17 +49,22 @@ fn main() {
     );
     let w = Workloads::generate(opts);
 
-    let mut mismatches = 0;
+    let (mut mismatches, mut filter_mismatches) = (0, 0);
     for (a, b, base_d) in [
         (&w.landc, &w.lando, w.base_d_landc_lando),
         (&w.water, &w.prism, w.base_d_water_prism),
     ] {
         mismatches += intersection_composition(a, b);
-        distance_decomposition(a, b, base_d);
+        filter_mismatches += distance_decomposition(a, b, base_d);
         hardware_submission(a, b, base_d);
     }
     if mismatches > 0 {
         println!("\nFAIL: {mismatches} step-3 verdicts differ from the forward sweep");
+    }
+    if filter_mismatches > 0 {
+        println!("\nFAIL: {filter_mismatches} 1-object verdicts differ from the bound");
+    }
+    if mismatches + filter_mismatches > 0 {
         std::process::exit(1);
     }
 }
@@ -166,60 +174,55 @@ impl Phase {
     }
 }
 
-/// What the 1-object stage of the object filters did, restated from the
-/// stage's own sample and the bound's oracle: the calls that reached it,
-/// those its side prune refined without measuring an edge, those it
-/// confirmed at a look before the last, and the sampled edges it measured.
+/// What the 1-object stage of the object filters did, from the counters
+/// of the product's own `one_object_within_with` over the stage's own
+/// sample, and how many of the stage's verdicts differ from the bound's
+/// oracle, `one_object_upper_bound(..) <= d`.
 #[derive(Default)]
 struct OneObject {
-    calls: usize,
-    unscanned: usize,
-    early: usize,
-    measured: usize,
+    work: OneObjectStats,
     sampled: usize,
+    mismatches: usize,
 }
 
 impl OneObject {
-    /// Adds the candidate `(pa, pb)` at `d`; returns whether the object
-    /// filters confirm it.
-    fn count(&mut self, pa: &Polygon, pb: &Polygon, d: f64) -> bool {
-        if zero_object_upper_bound(&pa.mbr(), &pb.mbr()) <= d {
-            return true;
+    /// Adds the candidate `(pa, pb)` at `d`, which the stage `confirmed`
+    /// or not.
+    fn count(&mut self, pa: &Polygon, pb: &Polygon, d: f64, confirmed: bool) {
+        let ub0 = zero_object_upper_bound(&pa.mbr(), &pb.mbr());
+        if ub0 <= d {
+            self.mismatches += usize::from(!confirmed);
+            return;
         }
         let (big, r2) = if pa.vertex_count() >= pb.vertex_count() {
             (pa, pb.mbr())
         } else {
             (pb, pa.mbr())
         };
-        let sample: Vec<Segment> = ObjectFilterStage::sampled(big).collect();
-        self.calls += 1;
-        self.sampled += sample.len();
-        let c = r2.corners();
-        if (0..4).all(|i| c[i].dist(c[(i + 1) % 4]) / 2.0 > d) {
-            self.unscanned += 1;
-            return false;
-        }
-        // A look after `k` edges confirms iff the bound over those `k`
-        // does: a side the prune skips has no term `≤ d`.
-        let looks = (CONFIRM_EVERY..sample.len()).step_by(CONFIRM_EVERY);
-        let confirmed = looks.chain([sample.len()]).find(|&k| {
-            one_object_upper_bound(sample[..k].iter().copied(), &r2, f64::INFINITY) <= d
-        });
-        self.measured += confirmed.unwrap_or(sample.len());
-        self.early += usize::from(confirmed.is_some_and(|k| k < sample.len()));
-        confirmed.is_some()
+        let sample = ObjectFilterStage::sampled(big);
+        let blocks: Vec<Rect> = sample.block_boxes().collect();
+        self.sampled += sample.edge_count();
+        let within = one_object_within_with(sample, &blocks, &r2, d, &mut self.work);
+        let oracle = one_object_upper_bound(sample.edges(), &r2, ub0) <= d;
+        self.mismatches += usize::from(within != oracle || confirmed != oracle);
     }
 
     fn row(&self) {
-        let per = |x: usize| x as f64 / self.calls.max(1) as f64;
+        let w = &self.work;
+        let per = |x: usize| x as f64 / w.calls.max(1) as f64;
         println!(
-            "    1-object stage: {} calls, {} refined by the side prune without a scan, \
-             {} confirmed early, {:.1} of {:.1} sampled edges measured /call",
-            self.calls,
-            self.unscanned,
-            self.early,
-            per(self.measured),
+            "    1-object stage: {} calls, {} refined by the side prune without a box, \
+             {} rejected by the bound before the last block, {} confirmed early; \
+             {:.2} blocks visited, {:.1} of {:.1} sampled edges measured /call; \
+             {} verdicts differ from the bound",
+            w.calls,
+            w.pruned,
+            w.rejected,
+            w.confirmed_early,
+            per(w.blocks),
+            per(w.edges),
             per(self.sampled),
+            self.mismatches,
         );
     }
 }
@@ -279,7 +282,8 @@ impl Pairs {
 /// The within-distance join as `join-sw` runs it (0/1-object filters, then
 /// the paper's modified minDist), one phase at a time, summed over the
 /// Figure 14/16 distances.
-fn distance_decomposition(a: &PreparedDataset, b: &PreparedDataset, base_d: f64) {
+/// Returns the number of 1-object verdicts that differ from the bound.
+fn distance_decomposition(a: &PreparedDataset, b: &PreparedDataset, base_d: f64) -> usize {
     let [mut filters, mut pip, mut overlap, mut chain, mut pairwise] = [Phase::default(); 5];
     let (mut one_object, mut pairs) = (OneObject::default(), Pairs::default());
     let mut results = 0usize;
@@ -288,7 +292,7 @@ fn distance_decomposition(a: &PreparedDataset, b: &PreparedDataset, base_d: f64)
         for (&i, &j) in spatial_index::join_within_distance(&a.tree, &b.tree, d) {
             let (p, q) = (a.polygon(i), b.polygon(j));
             let confirmed = filters.time(|| stage.examine(&(i, j))) == Decision::Confirm;
-            assert_eq!(one_object.count(p, q, d), confirmed, "the restated filter");
+            one_object.count(p, q, d, confirmed);
             if confirmed {
                 continue;
             }
@@ -339,6 +343,7 @@ fn distance_decomposition(a: &PreparedDataset, b: &PreparedDataset, base_d: f64)
     chain.row("frontier clip, MBRs apart: one chain", total_ms);
     pairwise.row("pairwise kernel", total_ms);
     pairs.row(pairwise.calls);
+    one_object.mismatches
 }
 
 /// What step 3's block search did over the calls that reached it, from

@@ -30,15 +30,15 @@
 //! `HwTester::submit`, the one place that owns a device.
 
 use crate::config::HwConfig;
-use crate::hw_distance::software_distance_test;
 use crate::hw_intersect::HwTester;
 use crate::hw_overlap::overlap_region;
 use crate::pipeline::{Predicate, RefineOp};
 use crate::stats::TestStats;
 use spatial_geom::intersect::boundaries_meet;
+use spatial_geom::mindist::clipped_chains_within;
 use spatial_geom::pip::point_in_polygon;
 use spatial_geom::sweep::SweepStats;
-use spatial_geom::{Point, Polygon, Rect, Segment};
+use spatial_geom::{MinDistStats, Point, Polygon, Rect, Segment};
 use spatial_raster::aa_line::{aa_line_outside_window, DIAGONAL_WIDTH};
 use spatial_raster::atlas::record_batch;
 use spatial_raster::{AtlasCell, CommandList, OverlapStrategy, Viewport, MAX_AA_LINE_WIDTH};
@@ -463,7 +463,11 @@ fn confirm(pred: Predicate, p: &Polygon, q: &Polygon) -> bool {
         // For connected polygons, strict containment is "one vertex
         // inside + boundaries disjoint"; the prologue saw the vertex.
         Predicate::ContainedIn => !meet(),
-        Predicate::WithinDistance(d) => software_distance_test(p, q, d),
+        // The MBR and point-in-polygon prologue has already run (`route`):
+        // repeating it would bill the hardware path twice for the same work.
+        Predicate::WithinDistance(d) => {
+            clipped_chains_within(p, q, d, &mut MinDistStats::default())
+        }
     }
 }
 

@@ -20,8 +20,6 @@
 use crate::hw_intersect::HwTester;
 use crate::pipeline::Predicate;
 use crate::stats::TestStats;
-use spatial_geom::chains::frontier_clipped;
-use spatial_geom::distance::edges_within_pairwise;
 use spatial_geom::{Point, Polygon, Rect, Segment};
 use spatial_raster::framebuffer::HALF_GRAY;
 use spatial_raster::{CommandList, OverlapStrategy, Recorder, Viewport, WriteMode};
@@ -122,16 +120,6 @@ impl HwTester {
     }
 }
 
-/// The software back half of the distance test: frontier chains clipped to
-/// extended MBRs, compared pairwise with early exit (§4.1.1). The MBR and
-/// point-in-polygon prologue has already run (`choreography::route`) —
-/// repeating it here would bill the hardware path twice for the same work.
-pub(crate) fn software_distance_test(p: &Polygon, q: &Polygon, d: f64) -> bool {
-    let ep = frontier_clipped(p, &q.mbr(), d);
-    let eq = frontier_clipped(q, &p.mbr(), d);
-    edges_within_pairwise(&ep, &eq, d)
-}
-
 /// One-shot convenience wrapper around [`HwTester::within_distance`].
 pub fn hw_within_distance(p: &Polygon, q: &Polygon, d: f64, cfg: crate::HwConfig) -> bool {
     HwTester::new(cfg).within_distance(p, q, d, &mut TestStats::default())
@@ -141,7 +129,8 @@ pub fn hw_within_distance(p: &Polygon, q: &Polygon, d: f64, cfg: crate::HwConfig
 mod tests {
     use super::*;
     use crate::HwConfig;
-    use spatial_geom::min_dist_brute;
+    use spatial_geom::mindist::clipped_chains_within;
+    use spatial_geom::{min_dist_brute, MinDistStats};
 
     fn square(x: f64, y: f64, s: f64) -> Polygon {
         Polygon::from_coords(&[(x, y), (x + s, y), (x + s, y + s), (x, y + s)])
@@ -276,7 +265,10 @@ mod tests {
         let mut t = HwTester::new(HwConfig::at_resolution(8));
         let mut st = TestStats::default();
         let got = t.within_distance(&p, &q, d, &mut st);
-        assert_eq!(got, software_distance_test(&p, &q, d));
+        assert_eq!(
+            got,
+            clipped_chains_within(&p, &q, d, &mut MinDistStats::default())
+        );
         assert!(got, "the rounded pairwise distance is exactly d");
         assert_eq!(st.width_limit_fallbacks, 1, "charged as a fallback: {st:?}");
         assert_eq!(st.software_tests, 1);

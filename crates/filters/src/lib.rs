@@ -24,4 +24,7 @@ pub mod interior;
 pub mod object_filters;
 
 pub use interior::InteriorFilter;
-pub use object_filters::{one_object_upper_bound, one_object_within, zero_object_upper_bound};
+pub use object_filters::{
+    one_object_upper_bound, one_object_within, one_object_within_with, zero_object_upper_bound,
+    OneObjectStats, Sample,
+};

@@ -21,18 +21,24 @@
 //!   filter — identical contract, simpler geometry.
 //!
 //! A filter only asks whether a bound is `≤ D`, and for the 1-object bound
-//! [`one_object_within`] answers that with less than the bound costs: it
-//! never measures a side whose half-length exceeds `D` (such a side's term
-//! cannot be `≤ D`) and stops at the first look that finds a side term
-//! `≤ D` (the terms only fall as edges are added). On `join-sw` the object
-//! filters were half of LANDC ⋈dist LANDO's software time, a 1-object call
-//! measuring all ≈ 60 sampled edges at four corners however early its
-//! answer was settled; `one_object_within` measures ≈ 38 of them, and 5 %
-//! of its calls none (EXPERIMENTS.md "Distance bounds").
+//! [`one_object_within`] answers that by branch and bound over the block
+//! boxes of the sample ([`Sample::block_boxes`], one per 8 sampled edges,
+//! widened so they bound rounded distances too). A side whose half-length
+//! exceeds `D` is never asked about. The blocks are visited nearest-first;
+//! before each, every corner's distance is bounded from below by what is
+//! measured and the boxes left, and the call answers `false` as soon as no
+//! side can reach `D`; after each, one side term `≤ D` answers `true`.
+//! The boxes depend on the polygon alone, so the filter stage builds them
+//! once per polygon and join. On LANDC ⋈dist LANDO (`--bin diag`, scale
+//! 0.05) the earlier form — stride looks that could confirm early but never
+//! reject — measured 39 of the ≈ 60 sampled edges a call; this one
+//! measures 5.6 over 0.71 blocks, rejecting 19 859 of 44 914 calls before
+//! its last block, and the stage costs 0.34 µs a candidate instead of 0.60
+//! (EXPERIMENTS.md "1-object branch and bound").
 //! [`one_object_upper_bound`] is the bound itself, kept as the oracle
 //! `one_object_within` is tested against.
 
-use spatial_geom::{Rect, Segment};
+use spatial_geom::{Point, Polygon, Rect, Segment};
 
 /// The 0-object upper bound on `dist(A, B)` from the MBRs alone.
 ///
@@ -90,64 +96,210 @@ pub fn one_object_upper_bound(
     best
 }
 
-/// Edges [`one_object_within`] measures between two looks at its side terms.
-pub const CONFIRM_EVERY: usize = 8;
+/// Consecutive sampled edges under one block box: edges `8b .. 8b + 8` of
+/// a [`Sample`] are block `b`.
+pub const SAMPLE_BLOCK: usize = 8;
+
+/// The most edges a [`Sample`] holds, so a polygon has at most eight block
+/// boxes.
+pub const MAX_SAMPLE_EDGES: usize = 8 * SAMPLE_BLOCK;
+
+/// Every `step`-th edge of a polygon — edges `0, step, 2·step, …` — read
+/// in place: what the 1-object filter knows of the object's boundary.
+#[derive(Debug, Clone, Copy)]
+pub struct Sample<'a> {
+    poly: &'a Polygon,
+    step: usize,
+}
+
+impl<'a> Sample<'a> {
+    /// Every `step`-th edge of `poly`; panics unless `step ≥ 1` and that is
+    /// at most [`MAX_SAMPLE_EDGES`] edges.
+    pub fn strided(poly: &'a Polygon, step: usize) -> Self {
+        assert!(step >= 1 && poly.vertex_count().div_ceil(step) <= MAX_SAMPLE_EDGES);
+        Sample { poly, step }
+    }
+
+    pub fn edge_count(&self) -> usize {
+        self.poly.vertex_count().div_ceil(self.step)
+    }
+
+    /// The `k`-th sampled edge.
+    fn edge(&self, k: usize) -> Segment {
+        self.poly.edge(k * self.step)
+    }
+
+    /// The sampled edges in order.
+    pub fn edges(self) -> impl Iterator<Item = Segment> + 'a {
+        (0..self.edge_count()).map(move |k| self.edge(k))
+    }
+
+    /// One box per [`SAMPLE_BLOCK`] sampled edges, widened by
+    /// `8·ε·(its largest |coordinate|)` so that it holds every *rounded*
+    /// [`Segment::closest_point`] on its edges, not just the real ones.
+    ///
+    /// That point is `a + (b − a)·t` in three roundings, each off by at
+    /// most a relative `ε/2`, with `|a|, |b − a| ≤ 2M` for the box's largest
+    /// coordinate `M`: it lands within `≈ 2.5·ε·M` of the segment, and the
+    /// widening (an exact power-of-two multiple of `M`, then one more
+    /// rounding) leaves three times that. A corner's squared distance to
+    /// the box is then at most its [`Segment::dist2_point`] to each edge
+    /// as `f64` values: each coordinate gap to the box is a subtraction
+    /// from the same corner with a box side no farther than the point, and
+    /// subtraction, squares of non-negatives and their sum round
+    /// monotonically.
+    pub fn block_boxes(self) -> impl Iterator<Item = Rect> + 'a {
+        let n = self.edge_count();
+        (0..n).step_by(SAMPLE_BLOCK).map(move |k| {
+            let b = (k..(k + SAMPLE_BLOCK).min(n))
+                .map(|k| self.edge(k).mbr())
+                .fold(Rect::EMPTY, |b, m| b.union(&m));
+            let m = b
+                .xmin
+                .abs()
+                .max(b.xmax.abs())
+                .max(b.ymin.abs())
+                .max(b.ymax.abs());
+            b.expanded(8.0 * f64::EPSILON * m)
+        })
+    }
+}
+
+/// The squared distance from `q` to the box `b` (0 inside).
+fn box_dist2(b: &Rect, q: Point) -> f64 {
+    let dx = (b.xmin - q.x).max(q.x - b.xmax).max(0.0);
+    let dy = (b.ymin - q.y).max(q.y - b.ymax).max(0.0);
+    dx * dx + dy * dy
+}
+
+/// What [`one_object_within_with`] did, summed over its calls.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct OneObjectStats {
+    pub calls: usize,
+    /// Calls the side prune answered `false` before any box.
+    pub pruned: usize,
+    /// Calls the lower bound answered `false` with a block left unvisited.
+    pub rejected: usize,
+    /// Calls confirmed with a block left unvisited.
+    pub confirmed_early: usize,
+    /// Blocks measured.
+    pub blocks: usize,
+    /// Sampled edges measured.
+    pub edges: usize,
+}
 
 /// Whether the 1-object bound confirms `d`: exactly
-/// `one_object_upper_bound(a_edges, r2, ub0) <= d` for every `ub0 > d` —
-/// the question the filter stage asks once the 0-object bound has failed
-/// — answered with no more of the boundary than the answer needs.
+/// `one_object_upper_bound(sample.edges(), r2, ub0) <= d` for every
+/// `ub0 > d` — the question the filter stage asks once the 0-object bound
+/// has failed — answered by branch and bound over the sample's block
+/// boxes, `blocks` (its [`Sample::block_boxes`]).
+pub fn one_object_within(sample: Sample<'_>, blocks: &[Rect], r2: &Rect, d: f64) -> bool {
+    one_object_within_with(sample, blocks, r2, d, &mut OneObjectStats::default())
+}
+
+/// [`one_object_within`], counting its work in `stats`.
 ///
-/// * The per-corner minima are kept squared and rooted once per look
-///   (bit-identical: `sqrt` is correctly rounded, hence monotone, so
-///   `√min(a, b) = min(√a, √b)` as `f64` values).
 /// * A side whose half-length exceeds `d` is never asked about: its term
 ///   `(d1 + d2 + len) / 2` is at least `len / 2`, because `d1, d2 ≥ 0` and
-///   rounded addition and halving are monotone. Only the corners of the
-///   sides left are measured, and with no side left the answer is `false`
-///   before the first edge.
-/// * The side terms only fall as edges are added, so a look that finds one
-///   `≤ d` — after every [`CONFIRM_EVERY`] edges, and after the last —
-///   is the final answer.
+///   rounded addition and halving are monotone. With no side left the
+///   answer is `false` before the first box.
+/// * Each live corner's squared distance to each box is a lower bound on
+///   its squared distance to every edge of the block (see
+///   [`Sample::block_boxes`]). Blocks are visited nearest-first, by their
+///   least such bound. Before each one, a corner's final squared distance
+///   is at least the least of what is measured and the bounds of the
+///   blocks left; a side whose term over those is `> d` can never confirm
+///   (`sqrt`, `+` and `/2` are monotone), so it dies, and a corner stops
+///   being measured once both of its sides are dead. With every side dead
+///   the answer is `false`.
+/// * The side terms only fall as blocks are measured, so a live term
+///   `≤ d` after a block is the final answer.
 ///
-/// Past ≈ 1.34e154 a squared corner distance overflows and reads `∞`
-/// here where the rooted form is finite: that can only withhold a
-/// confirm, never make one.
-pub fn one_object_within(a_edges: impl IntoIterator<Item = Segment>, r2: &Rect, d: f64) -> bool {
+/// The per-corner minima do not depend on the visit order, and a side only
+/// dies when its final term is `> d`, so the verdict is the bound's.
+/// The corner minima are kept squared and rooted once per look
+/// (`√min(a, b) = min(√a, √b)`: `sqrt` is correctly rounded). Past
+/// ≈ 1.34e154 a squared corner distance overflows and reads `∞` here where
+/// the rooted form is finite: that can only withhold a confirm, never make
+/// one.
+pub fn one_object_within_with(
+    sample: Sample<'_>,
+    blocks: &[Rect],
+    r2: &Rect,
+    d: f64,
+    stats: &mut OneObjectStats,
+) -> bool {
+    const MAX_BLOCKS: usize = MAX_SAMPLE_EDGES / SAMPLE_BLOCK;
+    let nb = blocks.len();
+    debug_assert_eq!(nb, sample.edge_count().div_ceil(SAMPLE_BLOCK));
+    stats.calls += 1;
     let corners = r2.corners();
-    // Side `i` joins corners `i` and `i + 1`.
+    // Side `i` joins corners `i` and `i + 1`; corner `c` ends sides `c - 1`
+    // and `c`.
     let len: [f64; 4] = std::array::from_fn(|i| corners[i].dist(corners[(i + 1) % 4]));
-    let pruned: [bool; 4] = std::array::from_fn(|i| len[i] / 2.0 > d);
-    if pruned == [true; 4] {
+    let mut live: [bool; 4] = std::array::from_fn(|i| len[i] / 2.0 <= d);
+    if live == [false; 4] {
+        stats.pruned += 1;
         return false;
     }
-    // Corner `c` ends sides `c - 1` and `c`.
-    let measured: [bool; 4] = std::array::from_fn(|c| !pruned[c] || !pruned[(c + 3) % 4]);
-    let confirms = |dist2: &[f64; 4]| {
-        (0..4).any(|i| {
-            let i1 = (i + 1) % 4;
-            !pruned[i] && (dist2[i].sqrt() + dist2[i1].sqrt() + len[i]) / 2.0 <= d
-        })
-    };
+    let ends_live =
+        |live: &[bool; 4]| -> [bool; 4] { std::array::from_fn(|c| live[c] || live[(c + 3) % 4]) };
+    let term = |i: usize, root: &[f64; 4]| (root[i] + root[(i + 1) % 4] + len[i]) / 2.0;
+    let mut measured = ends_live(&live);
+
+    // Each block's bound at each measured corner, and the visit order.
+    let mut lb = [[f64::INFINITY; 4]; MAX_BLOCKS];
+    let mut key = [f64::INFINITY; MAX_BLOCKS];
+    for (b, block) in blocks.iter().enumerate() {
+        for c in (0..4).filter(|&c| measured[c]) {
+            lb[b][c] = box_dist2(block, corners[c]);
+            key[b] = key[b].min(lb[b][c]);
+        }
+    }
+    let mut order = [0u8; MAX_BLOCKS];
+    for k in 0..nb {
+        let mut at = k;
+        while at > 0 && key[order[at - 1] as usize] > key[k] {
+            order[at] = order[at - 1];
+            at -= 1;
+        }
+        order[at] = k as u8;
+    }
+    // `rest[k][c]`: the least bound at corner `c` over the blocks visited
+    // from the `k`-th on.
+    let mut rest = [[f64::INFINITY; 4]; MAX_BLOCKS + 1];
+    for k in (0..nb).rev() {
+        let b = order[k] as usize;
+        rest[k] = std::array::from_fn(|c| rest[k + 1][c].min(lb[b][c]));
+    }
+
     let mut dist2 = [f64::INFINITY; 4];
-    let mut edges = a_edges.into_iter();
-    loop {
-        let mut seen = 0;
-        for e in edges.by_ref().take(CONFIRM_EVERY) {
+    for (k, &b) in order[..nb].iter().enumerate() {
+        let low = std::array::from_fn(|c| dist2[c].min(rest[k][c]).sqrt());
+        live = std::array::from_fn(|i| live[i] && term(i, &low) <= d);
+        if live == [false; 4] {
+            stats.rejected += 1;
+            return false;
+        }
+        measured = ends_live(&live);
+        let b = b as usize;
+        let edges = b * SAMPLE_BLOCK..((b + 1) * SAMPLE_BLOCK).min(sample.edge_count());
+        stats.blocks += 1;
+        stats.edges += edges.len();
+        for e in edges.map(|k| sample.edge(k)) {
             for c in 0..4 {
                 if measured[c] {
                     dist2[c] = dist2[c].min(e.dist2_point(corners[c]));
                 }
             }
-            seen += 1;
         }
-        if confirms(&dist2) {
+        let root = dist2.map(f64::sqrt);
+        if (0..4).any(|i| live[i] && term(i, &root) <= d) {
+            stats.confirmed_early += usize::from(k + 1 < nb);
             return true;
         }
-        if seen < CONFIRM_EVERY {
-            return false;
-        }
     }
+    false
 }
 
 #[cfg(test)]
@@ -288,46 +440,84 @@ mod tests {
         }
     }
 
-    /// The distances at which `one_object_within(sample, r2, d)` can flip:
-    /// each side term of the whole sample and of every prefix a look sees,
-    /// exactly and one ulp either side; each half side length; 0, ∞, NaN.
-    fn deciding_distances(sample: &[Segment], r2: &Rect) -> Vec<f64> {
+    /// The side terms `(r[i] + r[i + 1] + len[i]) / 2` of the corner
+    /// distances `r`, exactly and one ulp either side.
+    fn push_terms(ds: &mut Vec<f64>, r2: &Rect, r: [f64; 4]) {
+        let c = r2.corners();
+        for i in 0..4 {
+            let term = (r[i] + r[(i + 1) % 4] + c[i].dist(c[(i + 1) % 4])) / 2.0;
+            ds.extend([term, term.next_up(), term.next_down()]);
+        }
+    }
+
+    /// The distances at which `one_object_within(sample, blocks, r2, d)`
+    /// can flip: each half side length; the side terms of each block's
+    /// lower bounds; before each block of the visit order, the terms of
+    /// the lower bounds its kill test uses, and after it the terms it
+    /// measured; the oracle's own terms; 0, ∞, NaN.
+    fn deciding_distances(sample: Sample<'_>, r2: &Rect) -> Vec<f64> {
         let c = r2.corners();
         let mut ds = vec![0.0, f64::INFINITY, f64::NAN];
-        let looks = (CONFIRM_EVERY..sample.len()).step_by(CONFIRM_EVERY);
-        for k in looks.chain([sample.len()]) {
-            let dist = c.map(|q| {
-                sample[..k]
-                    .iter()
-                    .map(|e| e.dist_point(q))
-                    .fold(f64::INFINITY, f64::min)
-            });
-            for i in 0..4 {
-                let len = c[i].dist(c[(i + 1) % 4]);
-                let term = (dist[i] + dist[(i + 1) % 4] + len) / 2.0;
-                ds.extend([term, term.next_up(), term.next_down(), len / 2.0]);
-            }
+        ds.extend((0..4).map(|i| c[i].dist(c[(i + 1) % 4]) / 2.0));
+        let edges: Vec<Segment> = sample.edges().collect();
+        let blocks: Vec<Rect> = sample.block_boxes().collect();
+        let lb = |b: usize| c.map(|q| box_dist2(&blocks[b], q));
+        for b in 0..blocks.len() {
+            push_terms(&mut ds, r2, lb(b).map(f64::sqrt));
         }
+        // Every corner is measured from the start: a side left by the
+        // prune keeps both of its corners, and each corner ends one of
+        // the two sides of equal length.
+        let key = |b: usize| lb(b).into_iter().fold(f64::INFINITY, f64::min);
+        let mut order: Vec<usize> = (0..blocks.len()).collect();
+        order.sort_by(|&x, &y| key(x).total_cmp(&key(y)));
+        let mut dist2 = [f64::INFINITY; 4];
+        for (k, &b) in order.iter().enumerate() {
+            let rest = order[k..]
+                .iter()
+                .map(|&u| lb(u))
+                .fold([f64::INFINITY; 4], |m, l| {
+                    std::array::from_fn(|i| m[i].min(l[i]))
+                });
+            push_terms(
+                &mut ds,
+                r2,
+                std::array::from_fn(|i| dist2[i].min(rest[i]).sqrt()),
+            );
+            for e in &edges[b * SAMPLE_BLOCK..((b + 1) * SAMPLE_BLOCK).min(edges.len())] {
+                dist2 = std::array::from_fn(|i| dist2[i].min(e.dist2_point(c[i])));
+            }
+            push_terms(&mut ds, r2, dist2.map(f64::sqrt));
+        }
+        let dist = c.map(|q| {
+            edges
+                .iter()
+                .map(|e| e.dist_point(q))
+                .fold(f64::INFINITY, f64::min)
+        });
+        push_terms(&mut ds, r2, dist);
         ds
     }
 
     /// What the 1-object checks saw: answers each way, calls the side
-    /// prune settled before the first edge, calls a look confirmed before
-    /// the last edge.
+    /// prune settled before any box, calls the lower bound rejected and
+    /// calls confirmed with a block left unvisited.
     #[derive(Default, Debug)]
     struct Seen {
         within: usize,
         not_within: usize,
         unscanned: usize,
+        rejected: usize,
         early: usize,
     }
 
     impl Seen {
-        /// `one_object_within(sample, r2, d)` against the oracle at `d` for
-        /// `ub0` one ulp above `d`, at `∞` and at the pair's own 0-object
-        /// bound `ub0_pair` when it exceeds `d`.
-        fn check(&mut self, sample: &[Segment], r2: &Rect, d: f64, ub0_pair: f64) {
-            let got = one_object_within(sample.iter().copied(), r2, d);
+        /// `one_object_within(sample, blocks, r2, d)` against the oracle at
+        /// `d` for `ub0` one ulp above `d`, at `∞` and at the pair's own
+        /// 0-object bound `ub0_pair` when it exceeds `d`.
+        fn check(&mut self, sample: Sample<'_>, blocks: &[Rect], r2: &Rect, d: f64, ub0_pair: f64) {
+            let mut stats = OneObjectStats::default();
+            let got = one_object_within_with(sample, blocks, r2, d, &mut stats);
             let mut ub0s = vec![f64::INFINITY, d.next_up()];
             if ub0_pair > d {
                 ub0s.push(ub0_pair);
@@ -335,69 +525,178 @@ mod tests {
             // No `ub0` exceeds `d = ∞` or NaN; there any `ub0` will do.
             let unbounded = d.is_nan() || d == f64::INFINITY;
             for ub0 in ub0s.into_iter().filter(|&ub0| ub0 > d || unbounded) {
-                let bound = one_object_upper_bound(sample.iter().copied(), r2, ub0);
+                let bound = one_object_upper_bound(sample.edges(), r2, ub0);
                 assert_eq!(got, bound <= d, "d = {d}, ub0 = {ub0}, {r2:?}, {sample:?}");
             }
             let c = r2.corners();
             if (0..4).all(|i| c[i].dist(c[(i + 1) % 4]) / 2.0 > d) {
                 self.unscanned += 1;
             }
-            let prefix = sample.len().saturating_sub(1);
-            if got
-                && one_object_upper_bound(sample[..prefix].iter().copied(), r2, f64::INFINITY) <= d
-            {
-                self.early += 1;
-            }
+            self.rejected += stats.rejected;
+            self.early += stats.confirmed_early;
             *if got {
                 &mut self.within
             } else {
                 &mut self.not_within
             } += 1;
         }
+
+        /// Checks `sample` against every rect of `rects` at each of its
+        /// deciding distances.
+        fn check_all(&mut self, sample: Sample<'_>, rects: &[Rect]) {
+            let blocks: Vec<Rect> = sample.block_boxes().collect();
+            for r2 in rects {
+                let ub0_pair = zero_object_upper_bound(&sample.poly.mbr(), r2);
+                for d in deciding_distances(sample, r2) {
+                    self.check(sample, &blocks, r2, d, ub0_pair);
+                }
+            }
+        }
     }
 
-    /// A ring of `n` vertices around `(1, 2)` whose radius cycles through
-    /// three values: enough edges for several looks of [`one_object_within`].
-    fn cog(n: usize) -> Polygon {
+    /// A ring of `n` vertices around `(1 + at, 2 + at)` whose radius cycles
+    /// through three values: enough edges for several blocks.
+    fn cog(n: usize, at: f64) -> Polygon {
         let ring: Vec<(f64, f64)> = (0..n)
             .map(|i| {
                 let (r, a) = (
                     1.0 + (i % 3) as f64 / 3.0,
                     i as f64 * std::f64::consts::TAU / n as f64,
                 );
-                (1.0 + r * a.cos(), 2.0 + r * a.sin())
+                (1.0 + at + r * a.cos(), 2.0 + at + r * a.sin())
             })
             .collect();
         Polygon::from_coords(&ring)
     }
 
-    /// `one_object_within(s, r2, d) == (one_object_upper_bound(s, r2, ub0)
-    /// <= d)` for every `ub0 > d`, on the 90-rect battery against the
-    /// battery shapes and a 37-vertex cog (whole and strided, as the engine
-    /// samples), at every distance where the answer can flip.
+    /// Sample sizes on both sides of every block boundary, up to the cap.
+    const SIZES: [usize; 8] = [3, 7, 8, 9, 16, 17, 63, 64];
+
+    /// `one_object_within(s, ..) == (one_object_upper_bound(s, r2, ub0) <=
+    /// d)` for every `ub0 > d`, on the 90-rect battery against the battery
+    /// shapes and cogs of every size in [`SIZES`] and of 37 vertices (whole
+    /// and strided, as the engine samples), at every distance where the
+    /// answer can flip.
     #[test]
     fn one_object_within_answers_the_bound_at_every_deciding_distance() {
         let mut seen = Seen::default();
-        let shapes: Vec<Polygon> = battery_shapes().into_iter().chain([cog(37)]).collect();
+        let cogs = SIZES.iter().chain(&[37]).map(|&n| cog(n, 0.0));
+        let shapes: Vec<Polygon> = battery_shapes().into_iter().chain(cogs).collect();
+        let rects = rect_battery();
         for a in &shapes {
-            let edges: Vec<Segment> = a.edges().collect();
-            for r2 in &rect_battery() {
-                let ub0_pair = zero_object_upper_bound(&a.mbr(), r2);
-                for step in [1, 2] {
-                    let sample: Vec<Segment> = edges.iter().copied().step_by(step).collect();
-                    for d in deciding_distances(&sample, r2) {
-                        seen.check(&sample, r2, d, ub0_pair);
+            for step in [1, 2] {
+                seen.check_all(Sample::strided(a, step), &rects);
+            }
+        }
+        assert!(
+            seen.within > 10_000
+                && seen.not_within > 10_000
+                && seen.unscanned > 1000
+                && seen.rejected > 1000
+                && seen.early > 1000,
+            "{seen:?}"
+        );
+    }
+
+    /// ...and 1e6 and 1e12 away from the origin, where a rounded closest
+    /// point can land outside its edge's MBR: the battery rects moved with
+    /// the cogs, the distance at each tie.
+    #[test]
+    fn one_object_within_answers_the_bound_far_from_the_origin() {
+        let mut seen = Seen::default();
+        for at in [1e6, 1e12] {
+            let rects: Vec<Rect> = rect_battery()
+                .iter()
+                .filter(|r| r.xmin > -1e100 && r.xmax < 1e100)
+                .map(|r| Rect::new(r.xmin + at, r.ymin + at, r.xmax + at, r.ymax + at))
+                .collect();
+            for n in SIZES {
+                seen.check_all(Sample::strided(&cog(n, at), 1), &rects);
+            }
+        }
+        assert!(
+            seen.within > 1000 && seen.not_within > 1000 && seen.rejected > 100,
+            "{seen:?}"
+        );
+    }
+
+    /// ...and where a rounded closest point leaves its edge's MBR: on the
+    /// edge `(1, 0)–(1e-20, 1)`, `b − a` rounds to `(−1, 1)`, so the point
+    /// nearest `(−1e-20, 1)` comes out as `(0, 1)`, 1e-20 away, while the
+    /// MBR is 2e-20 away. The degenerate MBRs there confirm at `d = 1e-20`
+    /// only if the block box holds the rounded point.
+    #[test]
+    fn one_object_within_answers_the_bound_where_closest_points_round() {
+        let a = Polygon::from_coords(&[(1.0, 0.0), (1e-20, 1.0), (1e-20, 2.0)]);
+        let rects = [
+            Rect::new(-1e-20, 1.0, -1e-20, 1.0),
+            Rect::new(-1e-20, 1.0, -1e-20, 1.0 + 1e-20),
+            Rect::new(-3e-20, 1.0, -1e-20, 1.0),
+        ];
+        let mut seen = Seen::default();
+        seen.check_all(Sample::strided(&a, 1), &rects);
+        assert!(seen.within > 0 && seen.not_within > 0, "{seen:?}");
+        let blocks: Vec<Rect> = Sample::strided(&a, 1).block_boxes().collect();
+        assert!(one_object_within(
+            Sample::strided(&a, 1),
+            &blocks,
+            &rects[0],
+            1e-20
+        ));
+    }
+
+    /// The rounding claim of [`Sample::block_boxes`] on its own: a corner's
+    /// squared distance to a block box is at most its `dist2_point` to
+    /// every edge of the block, as `f64` values, at every scale — on cogs
+    /// moved far from the origin and on a triangle whose `b − a` rounds
+    /// (`1e-20 − 1 = −1`), so its rounded closest points leave the MBR.
+    #[test]
+    fn block_boxes_bound_every_rounded_edge_distance() {
+        let mut rng = 0x2545_f491_4f6c_dd1du64;
+        let mut unit = || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            (rng >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let mut shapes = vec![Polygon::from_coords(&[
+            (1.0, 0.0),
+            (1e-20, 1.0),
+            (1e-20, 2.0),
+        ])];
+        for at in [0.0f64, 1e6, 1e12, -1e15, 1e150] {
+            let scale = if at == 0.0 { 1.0 } else { at.abs() * 1e-9 };
+            for n in SIZES {
+                let moved: Vec<(f64, f64)> = cog(n, 0.0)
+                    .vertices()
+                    .iter()
+                    .map(|v| (at + v.x * scale, at + v.y * scale))
+                    .collect();
+                shapes.push(Polygon::from_coords(&moved));
+            }
+        }
+        let mut outside = 0;
+        for a in &shapes {
+            let (m, c) = (a.mbr(), a.mbr().center());
+            let r = m.width().max(m.height());
+            let sample = Sample::strided(a, 1);
+            let edges: Vec<Segment> = sample.edges().collect();
+            for (block, edges) in sample.block_boxes().zip(edges.chunks(SAMPLE_BLOCK)) {
+                let mbr = edges.iter().fold(Rect::EMPTY, |m, e| m.union(&e.mbr()));
+                for _ in 0..200 {
+                    let q = Point::new(
+                        c.x + (unit() * 4.0 - 2.0) * r,
+                        c.y + (unit() * 4.0 - 2.0) * r,
+                    );
+                    for e in edges {
+                        assert!(box_dist2(&block, q) <= e.dist2_point(q), "{e:?} {q:?}");
+                        outside += usize::from(!mbr.contains_point(e.closest_point(q)));
                     }
                 }
             }
         }
-        assert!(
-            seen.within > 1000
-                && seen.not_within > 1000
-                && seen.unscanned > 100
-                && seen.early > 100,
-            "{seen:?}"
-        );
+        // The widening is needed: rounded closest points do leave the MBR.
+        assert!(outside > 0);
     }
 
     proptest::proptest! {
@@ -411,11 +710,7 @@ mod tests {
         ) {
             let r2 = Rect::new(x2, y2, x2 + w2, y2 + h2);
             let a = Polygon::from_coords(&ring);
-            let sample: Vec<Segment> = a.edges().step_by(step).collect();
-            let ub0_pair = zero_object_upper_bound(&a.mbr(), &r2);
-            for d in deciding_distances(&sample, &r2) {
-                Seen::default().check(&sample, &r2, d, ub0_pair);
-            }
+            Seen::default().check_all(Sample::strided(&a, step), &[r2]);
         }
     }
 

@@ -106,12 +106,23 @@ pub fn frontier_edges(poly: &Polygon, other_mbr: &Rect) -> Vec<Segment> {
 /// drop it, flipping a closed-predicate boundary answer. With one shared
 /// kernel, every layer of the distance test rounds the same way.
 pub fn frontier_clipped(poly: &Polygon, other_mbr: &Rect, d: f64) -> Vec<Segment> {
-    let within = |mbr: &Rect| mbr.min_dist(other_mbr) <= d;
     let mut out = Vec::new();
+    frontier_clipped_in(poly, other_mbr, d, &mut out);
+    out
+}
+
+/// [`frontier_clipped`] into `out`, whose contents it replaces.
+pub(crate) fn frontier_clipped_in(
+    poly: &Polygon,
+    other_mbr: &Rect,
+    d: f64,
+    out: &mut Vec<Segment>,
+) {
+    let within = |mbr: &Rect| mbr.min_dist(other_mbr) <= d;
+    out.clear();
     for run in frontier_runs(poly, other_mbr, &within) {
         out.extend(poly.edges_in(run).filter(|e| within(&e.mbr())));
     }
-    out
 }
 
 /// The edge ranges [`frontier_clipped`] walks, in its output order: the

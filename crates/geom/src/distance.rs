@@ -64,11 +64,22 @@ pub fn edges_min_dist(ep: &[Segment], eq: &[Segment], upper: f64) -> f64 {
 /// turn into 49 / 180 box compares and 5 / 13 pair compares
 /// (EXPERIMENTS.md "Distance bounds").
 pub fn edges_within_pairwise(ep: &[Segment], eq: &[Segment], d: f64) -> bool {
+    edges_within_pairwise_in(ep, eq, d, &mut Vec::new())
+}
+
+/// [`edges_within_pairwise`] with its boxes in `boxes`, whose contents it
+/// replaces.
+pub(crate) fn edges_within_pairwise_in(
+    ep: &[Segment],
+    eq: &[Segment],
+    d: f64,
+    boxes: &mut Vec<Rect>,
+) -> bool {
     if ep.is_empty() || eq.is_empty() {
         return false;
     }
     // One buffer: the `eq` edge MBRs, then one box per block of them.
-    let mut boxes: Vec<Rect> = Vec::with_capacity(eq.len() + eq.len().div_ceil(PAIR_BLOCK));
+    boxes.clear();
     boxes.extend(eq.iter().map(Segment::mbr));
     for k in (0..eq.len()).step_by(PAIR_BLOCK) {
         let block = boxes[k..(k + PAIR_BLOCK).min(eq.len())]

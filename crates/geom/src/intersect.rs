@@ -7,6 +7,7 @@ use crate::polygon::Polygon;
 use crate::rect::Rect;
 use crate::segment::Segment;
 use crate::sweep::{tree_sweep_intersects_stats, SweepStats};
+use crate::with_scratch;
 
 /// Consecutive restricted edges [`edges_meet`] unions into one block box:
 /// one box compare stands in for up to `SEARCH_BLOCK²` edge pairs.
@@ -38,7 +39,9 @@ pub struct IntersectStats {
 /// edge's MBR lies inside its run's box, so no edge the filter keeps is in
 /// a run it skips.
 pub fn restricted_edges(poly: &Polygon, region: &Rect) -> Vec<Segment> {
-    poly.edges_near(|mbr| mbr.intersects(region))
+    let mut kept = Vec::new();
+    poly.edges_near(|mbr| mbr.intersects(region), &mut kept);
+    kept
 }
 
 /// §3.1 step 3: whether the boundaries of `p` and `q` meet (closed: a touch
@@ -52,11 +55,11 @@ pub fn boundaries_meet(p: &Polygon, q: &Polygon, stats: &mut SweepStats) -> bool
     let Some(region) = p.mbr().intersection(&q.mbr()) else {
         return false;
     };
-    edges_meet(
-        &restricted_edges(p, &region),
-        &restricted_edges(q, &region),
-        stats,
-    )
+    with_scratch(|s| {
+        p.edges_near(|mbr| mbr.intersects(&region), &mut s.ep);
+        q.edges_near(|mbr| mbr.intersects(&region), &mut s.eq);
+        edges_meet_in(&s.ep, &s.eq, &mut s.boxes, stats)
+    })
 }
 
 /// Whether an edge of `ep` meets an edge of `eq` (closed semantics, the
@@ -79,10 +82,21 @@ pub fn boundaries_meet(p: &Polygon, q: &Polygon, stats: &mut SweepStats) -> bool
 /// do not cross their own set, such as a simple boundary's.
 /// `stats.events > 0` shows that this fallback ran.
 pub fn edges_meet(ep: &[Segment], eq: &[Segment], stats: &mut SweepStats) -> bool {
+    edges_meet_in(ep, eq, &mut Vec::new(), stats)
+}
+
+/// [`edges_meet`] with the block boxes in `boxes`, whose contents it
+/// replaces.
+fn edges_meet_in(
+    ep: &[Segment],
+    eq: &[Segment],
+    boxes: &mut Vec<Rect>,
+    stats: &mut SweepStats,
+) -> bool {
     let block_box = |block: &[Segment]| block.iter().fold(Rect::EMPTY, |b, e| b.union(&e.mbr()));
     // One buffer: the block boxes of `ep`, then those of `eq`.
     let p_blocks = ep.len().div_ceil(SEARCH_BLOCK);
-    let mut boxes: Vec<Rect> = Vec::with_capacity(p_blocks + eq.len().div_ceil(SEARCH_BLOCK));
+    boxes.clear();
     boxes.extend(ep.chunks(SEARCH_BLOCK).map(block_box));
     boxes.extend(eq.chunks(SEARCH_BLOCK).map(block_box));
     let (p_boxes, q_boxes) = boxes.split_at(p_blocks);

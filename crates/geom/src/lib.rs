@@ -52,3 +52,42 @@ pub use point::Point;
 pub use polygon::Polygon;
 pub use rect::Rect;
 pub use segment::Segment;
+
+use std::cell::RefCell;
+
+/// The buffers a software refinement test fills per pair — the two edge
+/// sets it narrows the boundaries to and the boxes it unions them into —
+/// kept per thread and reused from pair to pair, so a join allocates them
+/// once, not once per candidate. Every user replaces what it reads.
+#[derive(Default)]
+pub(crate) struct Scratch {
+    pub ep: Vec<Segment>,
+    pub eq: Vec<Segment>,
+    pub boxes: Vec<Rect>,
+}
+
+/// The most elements a [`Scratch`] buffer keeps between pairs: a buffer
+/// that grew past it is freed after use, as a per-pair `Vec` was, so a
+/// thread holds at most ≈ 100 KB and a huge pair's edges do not stay
+/// resident for the rest of the run.
+const SCRATCH_KEEP: usize = 1024;
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::default();
+}
+
+/// Runs `f` on this thread's [`Scratch`]; `f` must not call back in.
+pub(crate) fn with_scratch<T>(f: impl FnOnce(&mut Scratch) -> T) -> T {
+    SCRATCH.with_borrow_mut(|s| {
+        let out = f(s);
+        fn release<T>(v: &mut Vec<T>) {
+            if v.capacity() > SCRATCH_KEEP {
+                *v = Vec::new();
+            }
+        }
+        release(&mut s.ep);
+        release(&mut s.eq);
+        release(&mut s.boxes);
+        out
+    })
+}

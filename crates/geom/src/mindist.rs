@@ -7,10 +7,11 @@
 //! (2) restrict the frontier chains to the parts intersecting the other
 //! MBR extended by D.
 
-use crate::chains::frontier_clipped;
-use crate::distance::{edges_min_dist, edges_within_pairwise, edges_within_sweep};
+use crate::chains::frontier_clipped_in;
+use crate::distance::{edges_min_dist, edges_within_pairwise_in, edges_within_sweep};
 use crate::pip::point_in_polygon;
 use crate::polygon::Polygon;
+use crate::{with_scratch, Scratch};
 
 /// Work counters for one within-distance test.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -70,52 +71,62 @@ pub fn within_distance(p: &Polygon, q: &Polygon, d: f64) -> bool {
 
 /// [`within_distance`] with work counters.
 pub fn within_distance_with(p: &Polygon, q: &Polygon, d: f64, stats: &mut MinDistStats) -> bool {
-    let (ep, eq) = match within_distance_prologue(p, q, d, stats) {
-        Ok(decided) => return decided,
-        Err(chains) => chains,
-    };
-    edges_within_pairwise(&ep, &eq, d)
+    if let Some(decided) = decided_early(p, q, d, stats) {
+        return decided;
+    }
+    clipped_chains_within(p, q, d, stats)
+}
+
+/// The back half of [`within_distance`], for a pair its MBR gate and
+/// containment probes left undecided: the frontier chains clipped to
+/// within `d` of the other MBR, compared pair by pair
+/// ([`crate::distance::edges_within_pairwise`]).
+pub fn clipped_chains_within(p: &Polygon, q: &Polygon, d: f64, stats: &mut MinDistStats) -> bool {
+    with_scratch(|s| {
+        clip_chains(p, q, d, s, stats);
+        edges_within_pairwise_in(&s.ep, &s.eq, d, &mut s.boxes)
+    })
 }
 
 /// A modern variant of [`within_distance`] that replaces the pairwise
 /// chain comparison with a forward sweep (near-linear). Identical results;
 /// benchmarked against the paper's kernel in the ablation suite.
 pub fn within_distance_sweep(p: &Polygon, q: &Polygon, d: f64) -> bool {
-    let (ep, eq) = match within_distance_prologue(p, q, d, &mut MinDistStats::default()) {
-        Ok(decided) => return decided,
-        Err(chains) => chains,
-    };
-    edges_within_sweep(&ep, &eq, d)
+    let stats = &mut MinDistStats::default();
+    if let Some(decided) = decided_early(p, q, d, stats) {
+        return decided;
+    }
+    with_scratch(|s| {
+        clip_chains(p, q, d, s, stats);
+        edges_within_sweep(&s.ep, &s.eq, d)
+    })
 }
 
-/// Shared front half: MBR lower bound, containment probes, frontier-chain
-/// extraction and extended-MBR clipping. `Ok(answer)` when decided early,
-/// `Err((ep, eq))` with the clipped chains otherwise.
-#[allow(clippy::type_complexity)]
-fn within_distance_prologue(
-    p: &Polygon,
-    q: &Polygon,
-    d: f64,
-    stats: &mut MinDistStats,
-) -> Result<bool, (Vec<crate::Segment>, Vec<crate::Segment>)> {
+/// Shared front half: the MBR lower bound and the containment probes.
+/// `Some(answer)` when they decide the pair.
+fn decided_early(p: &Polygon, q: &Polygon, d: f64, stats: &mut MinDistStats) -> Option<bool> {
     debug_assert!(d >= 0.0);
     // MBR lower bound (the 0-level filter; cheap stand-alone correctness).
     if p.mbr().min_dist(&q.mbr()) > d {
         stats.decided_early += 1;
-        return Ok(false);
+        return Some(false);
     }
     // Containment ⇒ distance 0. Boundary crossings are caught later by a
     // zero edge-pair distance, so two point-in-polygon probes suffice.
     if point_in_polygon(p.vertices()[0], q) || point_in_polygon(q.vertices()[0], p) {
         stats.decided_early += 1;
-        return Ok(true);
+        return Some(true);
     }
-    // Frontier chains clipped to extended MBRs (§4.1.1, optimization 2).
-    let ep = frontier_clipped(p, &q.mbr(), d);
-    let eq = frontier_clipped(q, &p.mbr(), d);
-    stats.edges_p += ep.len();
-    stats.edges_q += eq.len();
-    Err((ep, eq))
+    None
+}
+
+/// Frontier chains clipped to extended MBRs (§4.1.1, optimization 2),
+/// into `s.ep` and `s.eq`.
+fn clip_chains(p: &Polygon, q: &Polygon, d: f64, s: &mut Scratch, stats: &mut MinDistStats) {
+    frontier_clipped_in(p, &q.mbr(), d, &mut s.ep);
+    frontier_clipped_in(q, &p.mbr(), d, &mut s.eq);
+    stats.edges_p += s.ep.len();
+    stats.edges_q += s.eq.len();
 }
 
 #[cfg(test)]

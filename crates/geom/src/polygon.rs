@@ -288,13 +288,13 @@ impl Polygon {
     /// The edges whose MBR is `near`, in boundary order, from a walk over
     /// only the runs whose box is: `near` must hold for every rectangle
     /// that contains one it holds for — then a run it fails on has no edge
-    /// it holds on, and the result is that of testing every edge.
-    pub(crate) fn edges_near(&self, near: impl Fn(&Rect) -> bool) -> Vec<Segment> {
-        let mut kept = Vec::new();
+    /// it holds on, and the result is that of testing every edge. They
+    /// replace what `kept` held.
+    pub(crate) fn edges_near(&self, near: impl Fn(&Rect) -> bool, kept: &mut Vec<Segment>) {
+        kept.clear();
         for run in self.runs_where(&near) {
             kept.extend(self.edges_in(run).filter(|e| near(&e.mbr())));
         }
-        kept
     }
 
     /// Signed area via the shoelace formula: positive for counter-clockwise
