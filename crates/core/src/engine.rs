@@ -50,9 +50,11 @@ pub struct PartitionConfig {
     /// Cells per grid side: stages 2 and 3 operate over `grid²` spatial
     /// partitions. `1` (the default) is the unpartitioned path.
     pub grid: usize,
-    /// Independent device shards behind one [`spatial_raster::ShardedDevice`]
-    /// front; partition `p` submits to shard `p % shards`. `1` (the
-    /// default) keeps the single configured device.
+    /// Independent devices, each built from the configured
+    /// [`EngineConfig::device`]; partition `p` submits to shard
+    /// `p % shards`, and a shard whose breaker opens fails over to the
+    /// next healthy one. `1` (the default) is the single device. The only
+    /// place a shard count is set.
     pub shards: usize,
 }
 
@@ -111,13 +113,12 @@ pub struct EngineConfig {
     /// `node_tests` counter are bit-identical either way; only wall-clock
     /// time and the diagnostic `simd_node_tests` move.
     pub filter_simd: bool,
-    /// Which raster device executes the recorded command lists.
-    /// [`DeviceKind::Reference`] (the default) is the one executor;
+    /// Which raster device each shard executes the recorded command lists
+    /// on. [`DeviceKind::Reference`] (the default) is the one executor;
     /// [`DeviceKind::Fault`] wraps it in a seeded deterministic fault
-    /// injector and [`DeviceKind::Sharded`] fans it out behind a routing
-    /// front. Neither wrapper ever changes results (supervised retry +
-    /// exact software fallback; pure routing) — only the recovery
-    /// counters and the modeled recovery time move.
+    /// injector, which never changes results (supervised retry, failover
+    /// and exact software fallback) — only the recovery counters and the
+    /// modeled recovery time move.
     pub device: DeviceKind,
     /// Retry/quarantine policy for supervised device submission (see
     /// [`RecoveryPolicy`]). Only consulted by hardware-using geometry
@@ -165,9 +166,6 @@ pub enum ConfigError {
     ZeroPartitions,
     /// `partition.shards` is 0: no shard could ever execute a submission.
     ZeroShards,
-    /// `device` holds a [`DeviceKind::Sharded`] with 0 inner backends (at
-    /// any nesting depth): routing would have nowhere to land.
-    ZeroDeviceShards,
     /// `ServiceConfig::admission_capacity` is 0: every query would be
     /// rejected at the door.
     ZeroAdmissionCapacity,
@@ -211,11 +209,6 @@ impl fmt::Display for ConfigError {
                     "invalid EngineConfig: partition.shards = 0 (must be ≥ 1)"
                 )
             }
-            ConfigError::ZeroDeviceShards => write!(
-                f,
-                "invalid EngineConfig: device: Sharded {{ shards: 0 }} (a sharded device needs \
-                 ≥ 1 inner backend)"
-            ),
             ConfigError::ZeroAdmissionCapacity => write!(
                 f,
                 "invalid ServiceConfig: admission_capacity = 0 (no query could ever be admitted)"
@@ -247,16 +240,6 @@ impl fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
-fn validate_device(device: &DeviceKind) -> Result<(), ConfigError> {
-    match device {
-        DeviceKind::Reference => Ok(()),
-        DeviceKind::Sharded { shards: 0, .. } => Err(ConfigError::ZeroDeviceShards),
-        DeviceKind::Fault { inner, .. } | DeviceKind::Sharded { inner, .. } => {
-            validate_device(inner)
-        }
-    }
-}
-
 impl EngineConfig {
     pub fn software() -> Self {
         Self::default()
@@ -272,10 +255,9 @@ impl EngineConfig {
 
     /// Structural validation, run by [`SpatialEngine::new`] /
     /// [`SpatialEngine::try_new`] before any backend is built: zero batch
-    /// sizes, zero thread counts, zero partition grids or shard counts,
-    /// and zero-shard sharded devices (at any nesting depth inside
-    /// [`DeviceKind::Fault`] / [`DeviceKind::Sharded`] wrappers) are
-    /// configuration bugs, not values to clamp quietly.
+    /// sizes, zero thread counts, zero partition grids or shard counts and
+    /// a zero probation cool-down are configuration bugs, not values to
+    /// clamp quietly.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.hw_batch == 0 {
             return Err(ConfigError::ZeroBatch);
@@ -295,7 +277,7 @@ impl EngineConfig {
         if self.recovery.probation_ns == Some(0) {
             return Err(ConfigError::ZeroProbationNs);
         }
-        validate_device(&self.device)
+        Ok(())
     }
 }
 
@@ -341,17 +323,10 @@ pub(crate) fn build_backend(config: &EngineConfig) -> Box<dyn RefinementBackend>
     if config.geometry_test == GeometryTest::Software {
         return Box::new(SoftwareBackend);
     }
-    // With K > 1 shards the configured device (fault wrapper included)
-    // becomes the template every shard instantiates; partition p's
-    // submissions route to shard p % K.
-    let device = if config.partition.shards > 1 {
-        config.device.clone().sharded(config.partition.shards)
-    } else {
-        config.device.clone()
-    };
     Box::new(HwTester::with_device_and_policy(
         config.hw,
-        device,
+        config.device,
+        config.partition.shards,
         config.recovery,
     ))
 }
@@ -786,34 +761,6 @@ mod tests {
             zero_filter_threads.validate(),
             Err(ConfigError::ZeroFilterThreads)
         );
-        // A hand-built zero-shard device is caught, under its own error:
-        // `partition.shards` is 1 here, so `ZeroShards` would misname it.
-        let zero_shard_device = EngineConfig {
-            device: DeviceKind::Reference.sharded(0),
-            ..EngineConfig::software()
-        };
-        assert_eq!(
-            zero_shard_device.validate(),
-            Err(ConfigError::ZeroDeviceShards)
-        );
-        // The check recurses through a fault wrapper...
-        let wrapped = EngineConfig {
-            device: DeviceKind::Reference
-                .sharded(0)
-                .with_faults(spatial_raster::FaultPlan::new(
-                    1,
-                    spatial_raster::FaultKind::Timeout,
-                    spatial_raster::FaultTrigger::OnExecute(0),
-                )),
-            ..EngineConfig::software()
-        };
-        assert_eq!(wrapped.validate(), Err(ConfigError::ZeroDeviceShards));
-        // ...and through a Sharded wrapper to the inner device.
-        let nested = EngineConfig {
-            device: DeviceKind::Reference.sharded(0).sharded(2),
-            ..EngineConfig::software()
-        };
-        assert_eq!(nested.validate(), Err(ConfigError::ZeroDeviceShards));
         let zero_grid = EngineConfig {
             partition: PartitionConfig::grid(0),
             ..EngineConfig::software()
@@ -856,10 +803,6 @@ mod tests {
             (ConfigError::ZeroFilterThreads, "filter_threads = 0"),
             (ConfigError::ZeroPartitions, "partition.grid = 0"),
             (ConfigError::ZeroShards, "partition.shards = 0"),
-            (
-                ConfigError::ZeroDeviceShards,
-                "device: Sharded { shards: 0 }",
-            ),
             (ConfigError::ZeroAdmissionCapacity, "admission_capacity = 0"),
             (ConfigError::BadPlannerResolutions, "planner.resolutions"),
             (ConfigError::ZeroPlannerSample, "planner.sample = 0"),

@@ -41,61 +41,66 @@ use spatial_raster::{
 use std::time::Instant;
 
 /// A reusable hardware tester: records each test as a command list and
-/// owns the executing [`RasterDevice`], so repeated tests (thousands per
-/// join) reuse one device window allocation.
+/// owns the executing [`RasterDevice`]s — one per device shard — so
+/// repeated tests (thousands per join) reuse each device's window
+/// allocation.
 ///
 /// Every submission runs under a `Supervisor`: validated, retried per
-/// [`RecoveryPolicy`] with modeled backoff, and quarantined behind a
-/// circuit breaker after repeated faults. When the supervisor gives up,
-/// the tester answers the affected pair with the exact software test and
-/// charges `fallback_tests` — results never change, only where they were
-/// computed.
+/// [`RecoveryPolicy`] with modeled backoff, failed over to a healthy shard
+/// and quarantined behind per-shard circuit breakers after repeated
+/// faults. When the supervisor gives up, the tester answers the affected
+/// pair with the exact software test and charges `fallback_tests` —
+/// results never change, only where they were computed.
 #[derive(Debug)]
 pub struct HwTester {
     cfg: HwConfig,
     device_kind: DeviceKind,
-    device: Box<dyn RasterDevice>,
+    /// The shard pool: device `i` is built from `device_kind.for_shard(i)`.
+    devices: Vec<Box<dyn RasterDevice>>,
     model: HwCostModel,
     supervisor: Supervisor,
-    /// The device shard subsequent submissions route to (see
-    /// [`RasterDevice::route`]); 0 until the partitioned executor selects
-    /// one. Preserved across `fork` so parallel refinement workers keep
-    /// serving the partition that spawned them.
+    /// The shard subsequent submissions aim at, `< devices.len()`; 0 until
+    /// the partitioned executor selects one. Preserved across `fork` so
+    /// parallel refinement workers keep serving the partition that
+    /// spawned them.
     route: usize,
 }
 
 impl HwTester {
     pub fn new(cfg: HwConfig) -> Self {
-        Self::with_device_and_policy(cfg, DeviceKind::default(), RecoveryPolicy::default())
+        Self::with_device_and_policy(cfg, DeviceKind::default(), 1, RecoveryPolicy::default())
     }
 
-    /// A tester executing on the selected device under an explicit
-    /// retry/quarantine policy. Every device returns bit-identical
-    /// results and counters (the device contract); the wrappers only move
-    /// recovery counters and modeled recovery time.
+    /// A tester executing on `shards` independent devices of the selected
+    /// kind (at least one) under an explicit retry/quarantine policy.
+    /// Every device returns bit-identical results and counters (the device
+    /// contract); faults and failover only move recovery counters and
+    /// modeled recovery time.
     pub fn with_device_and_policy(
         cfg: HwConfig,
         device_kind: DeviceKind,
+        shards: usize,
         policy: RecoveryPolicy,
     ) -> Self {
+        let devices: Vec<_> = (0..shards.max(1))
+            .map(|i| device_kind.for_shard(i).build())
+            .collect();
         HwTester {
             cfg,
-            device: device_kind.build(),
             device_kind,
+            supervisor: Supervisor::new(policy, devices.len()),
+            devices,
             model: HwCostModel::default(),
-            supervisor: Supervisor::new(policy),
             route: 0,
         }
     }
 
-    /// Routes subsequent submissions to device shard `shard` (modulo the
-    /// device's shard count — a no-op on unsharded devices). The
-    /// partitioned executor selects partition `p`'s shard before refining
-    /// partition `p`; the choice is a pure function of the partition
-    /// index, so sharded execution stays deterministic.
+    /// Aims subsequent submissions at device shard `shard` modulo the
+    /// shard count. The partitioned executor selects partition `p` before
+    /// refining it; the choice is a pure function of the partition index,
+    /// so sharded execution stays deterministic.
     pub fn select_shard(&mut self, shard: usize) {
-        self.route = shard;
-        self.device.route(shard);
+        self.route = shard % self.devices.len();
     }
 
     /// Overrides the simulated-hardware cost model (sensitivity benches).
@@ -115,7 +120,7 @@ impl HwTester {
 
     /// Replaces the retry/quarantine policy (and resets breaker state).
     pub fn set_recovery_policy(&mut self, policy: RecoveryPolicy) {
-        self.supervisor = Supervisor::new(policy);
+        self.supervisor = Supervisor::new(policy, self.devices.len());
     }
 
     /// Whether every device shard's circuit breaker has opened, routing
@@ -131,20 +136,21 @@ impl HwTester {
     }
 
     /// An independent tester for a parallel refinement worker: same
-    /// configuration, device selection, cost model and shard route, its
-    /// own device. It adopts this tester's supervision state — per-shard
+    /// configuration, device selection, shard count, cost model and aimed
+    /// shard, its own device pool. It adopts this tester's supervision state — per-shard
     /// breaker verdicts and the modeled probation clock — so a worker
     /// never re-pays the full retry/backoff ladder for a shard its parent
     /// already proved dead.
     pub fn fork(&self) -> HwTester {
         let mut t = HwTester::with_device_and_policy(
             self.cfg,
-            self.device_kind.clone(),
+            self.device_kind,
+            self.devices.len(),
             self.supervisor.policy(),
         );
         t.model = self.model;
         t.supervisor = self.supervisor.clone();
-        t.select_shard(self.route);
+        t.route = self.route;
         t
     }
 
@@ -174,7 +180,7 @@ impl HwTester {
         let (commands, slot) = list(tape);
         let verdict = self
             .supervisor
-            .submit_routed(self.device.as_mut(), self.route, &commands, stats)
+            .submit(&mut self.devices, self.route, &commands, stats)
             .and_then(|exec| {
                 let modeled = self.model.time(&exec.stats);
                 self.supervisor.advance(modeled.as_nanos() as u64);
@@ -305,9 +311,10 @@ mod tests {
     use spatial_geom::polygons_intersect_brute;
 
     impl HwTester {
-        /// Swaps the executing device, so a test can observe submissions.
+        /// Swaps the executing device of a one-shard tester, so a test can
+        /// observe submissions.
         pub(crate) fn set_device(&mut self, device: Box<dyn RasterDevice>) {
-            self.device = device;
+            self.devices = vec![device];
         }
     }
 

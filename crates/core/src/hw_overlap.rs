@@ -282,20 +282,22 @@ mod tests {
         let p = l_shape();
         let q = square(1.0, 1.0, 5.0);
         let mut reference = None;
-        for kind in [DeviceKind::Reference, DeviceKind::Reference.sharded(3)] {
+        for (shards, aim) in [(1, 0), (3, 2)] {
             let mut t = HwTester::with_device_and_policy(
                 HwConfig::recommended(),
-                kind.clone(),
+                DeviceKind::Reference,
+                shards,
                 Default::default(),
             );
+            t.select_shard(aim);
             let mut st = TestStats::default();
             let area = t.overlap_area(&p, &q, 32, &mut st);
             let hw = st.hw;
             match &reference {
                 None => reference = Some((area, hw)),
                 Some((ra, rhw)) => {
-                    assert_eq!(area.to_bits(), ra.to_bits(), "{kind:?}");
-                    assert_eq!(hw, *rhw, "{kind:?} charged differently");
+                    assert_eq!(area.to_bits(), ra.to_bits(), "shard {aim} of {shards}");
+                    assert_eq!(hw, *rhw, "shard {aim} of {shards} charged differently");
                 }
             }
         }
@@ -336,6 +338,7 @@ mod tests {
             let mut t = HwTester::with_device_and_policy(
                 HwConfig::recommended(),
                 DeviceKind::Reference.with_faults(plan),
+                1,
                 Default::default(),
             );
             let mut st = TestStats::default();

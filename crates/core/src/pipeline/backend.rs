@@ -60,11 +60,11 @@ pub trait RefinementBackend: Send + std::fmt::Debug {
         crate::hw_overlap::sw_overlap_area(p, q, resolution)
     }
 
-    /// Routes subsequent tests to device shard `shard` (modulo the
-    /// device's shard count). The partitioned executor calls this once per
-    /// partition before refining it; backends without a device — and
-    /// devices without shards — have nothing to route, so the default is
-    /// a no-op. Implementations must carry the selected shard across
+    /// Aims subsequent tests at device shard `shard` (the backend reduces
+    /// it modulo its shard count). The partitioned executor calls this once
+    /// per partition, with the partition index, before refining it;
+    /// backends without a device have nothing to aim, so the default is a
+    /// no-op. Implementations must carry the selected shard across
     /// [`RefinementBackend::fork`], so parallel refinement workers keep
     /// serving the partition that spawned them.
     fn select_shard(&mut self, _shard: usize) {}
@@ -337,7 +337,8 @@ mod tests {
         };
         let mut parent = HwTester::with_device_and_policy(
             HwConfig::at_resolution(8),
-            DeviceKind::Reference.with_faults(plan).sharded(2),
+            DeviceKind::Reference.with_faults(plan),
+            2,
             policy,
         );
         let mut st = TestStats::default();

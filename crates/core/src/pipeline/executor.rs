@@ -29,11 +29,11 @@
 //!
 //! With `partitions > 1` (DESIGN.md §11) the candidate stream is binned
 //! by a pure owner function before stages 2 and 3, each partition is
-//! processed independently — its submissions routed to device shard
-//! `p % shards` — and per-partition counters fold in ascending partition
-//! order. Binning is a permutation of the stream; filter decisions and
-//! per-pair test outcomes are pure per candidate; the final result sort
-//! erases the permutation. Results and every deterministic counter are
+//! processed independently — the backend aims its submissions at device
+//! shard `p` modulo its shard count — and per-partition counters fold in
+//! ascending partition order. Binning is a permutation of the stream;
+//! filter decisions and per-pair test outcomes are pure per candidate;
+//! the final result sort erases the permutation. Results and every deterministic counter are
 //! therefore bit-identical to the unpartitioned run (invariant 12); at
 //! `batch > 1` only the submission-grouping diagnostics can move,
 //! because batches form within partitions instead of across them.
@@ -161,11 +161,10 @@ pub struct StagedExecutor {
     /// closure (the PBSM reference-point rule in the engine) and each
     /// partition is filtered and refined independently, in ascending
     /// partition order, so results and merged counters are deterministic
-    /// (DESIGN.md invariant 12).
+    /// (DESIGN.md invariant 12). Before refining partition `p` the
+    /// executor calls `select_shard(p)` on the backend, which reduces it
+    /// by its own shard count.
     pub partitions: usize,
-    /// Device shards: partition `p`'s submissions route to shard
-    /// `p % shards` before refinement. ≤ 1 leaves routing untouched.
-    pub shards: usize,
 }
 
 impl StagedExecutor {
@@ -263,7 +262,7 @@ impl StagedExecutor {
                 if rest.is_empty() {
                     continue;
                 }
-                backend.select_shard(p % self.shards.max(1));
+                backend.select_shard(p);
             }
             self.refine(backend, op, rest, &resolve, &mut results, &mut cost.tests);
         }
@@ -352,7 +351,8 @@ mod tests {
     use crate::config::HwConfig;
     use crate::hw_intersect::HwTester;
     use crate::pipeline::backend::SoftwareBackend;
-    use crate::pipeline::Predicate;
+    use crate::pipeline::{Predicate, RecoveryPolicy};
+    use spatial_raster::DeviceKind;
 
     const INTERSECTS: RefineOp = RefineOp::Test(Predicate::Intersects);
 
@@ -398,7 +398,6 @@ mod tests {
             batch: 1,
             threads: 1,
             partitions: 1,
-            shards: 1,
         };
         let mut backend = SoftwareBackend;
         let (results, cost) = kept(exec.run(
@@ -452,7 +451,6 @@ mod tests {
                 batch,
                 threads,
                 partitions: 1,
-                shards: 1,
             };
             let mut backend = HwTester::new(HwConfig::at_resolution(8));
             kept(exec.run(
@@ -502,9 +500,13 @@ mod tests {
                 batch,
                 threads,
                 partitions,
-                shards,
             };
-            let mut backend = HwTester::new(HwConfig::at_resolution(8));
+            let mut backend = HwTester::with_device_and_policy(
+                HwConfig::at_resolution(8),
+                DeviceKind::Reference,
+                shards,
+                RecoveryPolicy::default(),
+            );
             exec.run::<_, f64, _>(
                 &mut backend,
                 RefineOp::Measure { resolution: 32 },
@@ -552,10 +554,14 @@ mod tests {
             batch: 1,
             threads: 1,
             partitions: 4,
-            shards: 2,
         };
         let measure = RefineOp::Measure { resolution: 32 };
-        let mut backend = HwTester::new(HwConfig::at_resolution(8));
+        let mut backend = HwTester::with_device_and_policy(
+            HwConfig::at_resolution(8),
+            DeviceKind::Reference,
+            2,
+            RecoveryPolicy::default(),
+        );
         let (tested, tc) = kept(exec.run(
             &mut backend,
             INTERSECTS,
@@ -606,7 +612,6 @@ mod tests {
                 batch,
                 threads: 1,
                 partitions: 1,
-                shards: 1,
             };
             let mut backend = HwTester::new(HwConfig::at_resolution(8));
             kept(exec.run(

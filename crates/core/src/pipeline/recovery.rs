@@ -9,12 +9,13 @@
 //! they know the exact software test that answers the pair the device
 //! could not.
 //!
-//! The supervisor keeps one breaker *per device shard*
-//! ([`RasterDevice::shards`]; a single entry for unsharded executors).
-//! When a shard's breaker opens, submissions aimed at it are rerouted to
-//! the next healthy shard by the stable rehash
-//! ([`spatial_raster::failover_route`]) instead of falling straight to
-//! software; only when *every* breaker is open are submissions refused.
+//! The supervisor keeps one breaker *per device shard* — per entry of the
+//! tester's device pool, one device per `PartitionConfig::shards` — and
+//! picks the device each submission executes on: the shard it is aimed
+//! at while that shard's breaker is closed, otherwise the next healthy
+//! shard by the stable rehash (`failover_route`) instead of falling
+//! straight to software; only when *every* breaker is open are
+//! submissions refused.
 //! With [`RecoveryPolicy::probation_ns`] set, an open breaker ripens after
 //! a charged cool-down on the supervisor's modeled clock, and the next
 //! submission aimed at (or failed over to) that shard is let through as a
@@ -41,7 +42,7 @@
 //!   any schedule (`chaos_props`).
 
 use crate::stats::TestStats;
-use spatial_raster::{failover_route, CommandList, DeviceError, Execution, RasterDevice};
+use spatial_raster::{CommandList, DeviceError, Execution, RasterDevice};
 
 /// Retry/quarantine/probation policy for supervised submission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -112,10 +113,26 @@ impl Default for ShardHealth {
     }
 }
 
-/// Wraps a device with the retry/failover/quarantine state machine. One
-/// supervisor lives inside each `HwTester`; forks *inherit* the parent's
-/// per-shard verdicts (`HwTester::fork`), so a worker never
-/// re-pays the retry ladder for a shard its parent already proved dead.
+/// The stable rehash the failover tier routes by: starting at `desired`,
+/// walk the `n` shard indices in order (wrapping) and return the first
+/// `usable` one, or `None` when no shard is usable. A pure function of its
+/// arguments — the same desired shard and health mask always pick the
+/// same physical shard, so failover never depends on submission history
+/// or thread timing, and a fully usable pool is the identity
+/// (`desired % n`).
+pub(crate) fn failover_route(
+    desired: usize,
+    n: usize,
+    usable: impl Fn(usize) -> bool,
+) -> Option<usize> {
+    (0..n).map(|step| (desired + step) % n).find(|&s| usable(s))
+}
+
+/// The retry/failover/quarantine state machine over a pool of device
+/// shards. One supervisor lives inside each `HwTester`, beside the pool it
+/// indexes; forks *inherit* the parent's per-shard verdicts
+/// (`HwTester::fork`), so a worker never re-pays the retry ladder for a
+/// shard its parent already proved dead.
 #[derive(Debug, Clone)]
 pub(crate) struct Supervisor {
     policy: RecoveryPolicy,
@@ -123,17 +140,17 @@ pub(crate) struct Supervisor {
     /// charged retry backoffs and by the modeled GPU time of successful
     /// executions (`HwTester::submit`). Never wall clock.
     now_ns: u64,
-    /// One entry per device shard, grown on first contact with a device
-    /// that reports more shards.
+    /// One entry per device shard of the pool.
     shards: Vec<ShardHealth>,
 }
 
 impl Supervisor {
-    pub(crate) fn new(policy: RecoveryPolicy) -> Self {
+    /// A supervisor for a pool of `shards` devices, every breaker closed.
+    pub(crate) fn new(policy: RecoveryPolicy, shards: usize) -> Self {
         Supervisor {
             policy,
             now_ns: 0,
-            shards: vec![ShardHealth::default()],
+            shards: vec![ShardHealth::default(); shards],
         }
     }
 
@@ -164,48 +181,30 @@ impl Supervisor {
         self.now_ns = self.now_ns.saturating_add(ns);
     }
 
-    /// Submits `list` to the device's shard 0 — the unsharded entry point
-    /// (kept for single-backend callers and tests).
-    #[cfg(test)]
-    pub(crate) fn submit(
-        &mut self,
-        device: &mut dyn RasterDevice,
-        list: &CommandList,
-        stats: &mut TestStats,
-    ) -> Result<Execution, DeviceError> {
-        self.submit_routed(device, 0, list, stats)
-    }
-
-    /// Submits `list` aimed at shard `route % shards`, validating the
-    /// execution against what was recorded, retrying per policy, failing
-    /// over to the next healthy shard when the aimed shard's breaker is
-    /// open, probing ripe breakers, and keeping the fault counters in
-    /// `stats`.
+    /// Submits `list` aimed at `devices[desired]` (one device per shard,
+    /// `desired < devices.len()`), validating the execution against what
+    /// was recorded, retrying per policy, failing over to the next healthy
+    /// shard when the aimed shard's breaker is open, probing ripe
+    /// breakers, and keeping the fault counters in `stats`.
     ///
     /// On `Err` the caller must answer its pairs in exact software and
     /// charge `fallback_tests`; it must *not* charge any hardware counters
     /// for the failed submission.
-    pub(crate) fn submit_routed(
+    pub(crate) fn submit(
         &mut self,
-        device: &mut dyn RasterDevice,
-        route: usize,
+        devices: &mut [Box<dyn RasterDevice>],
+        desired: usize,
         list: &CommandList,
         stats: &mut TestStats,
     ) -> Result<Execution, DeviceError> {
-        let n = device.shards().max(1);
-        if self.shards.len() < n {
-            self.shards.resize(n, ShardHealth::default());
-        }
-        let desired = route % n;
+        debug_assert_eq!(devices.len(), self.shards.len(), "one breaker per shard");
         let Some((target, probing)) = self.resolve(desired, stats) else {
             // Every breaker is open and none is ripe: refuse without
-            // touching the device, replaying the aimed shard's error.
+            // touching a device, replaying the aimed shard's error.
             stats.quarantined += 1;
             return Err(self.open_error(desired));
         };
-        if n > 1 {
-            device.route(target);
-        }
+        let device = &mut devices[target];
         let mut backoff = self.policy.backoff_ns;
         let mut last = DeviceError::ContextLost;
         for attempt in 0..=self.policy.max_retries {
@@ -264,17 +263,14 @@ impl Supervisor {
     /// (or open-and-ripe, which makes the submission a probe). `None`
     /// when every breaker is open and unripe.
     fn resolve(&self, desired: usize, stats: &mut TestStats) -> Option<(usize, bool)> {
-        let usable: Vec<bool> = self
-            .shards
-            .iter()
-            .map(|h| match h.breaker {
+        let target = failover_route(desired, self.shards.len(), |s| {
+            match self.shards[s].breaker {
                 Breaker::Closed => true,
                 Breaker::Open { ripe_at, .. } => {
                     self.policy.probation_ns.is_some() && self.now_ns >= ripe_at
                 }
-            })
-            .collect();
-        let target = failover_route(desired, &usable)?;
+            }
+        })?;
         if target != desired {
             stats.shard_failovers += 1;
         }
@@ -302,6 +298,7 @@ impl Supervisor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use spatial_geom::{Point, Rect, Segment};
     use spatial_raster::{
         DeviceKind, FaultDevice, FaultKind, FaultPlan, FaultTrigger, Recorder, Viewport,
@@ -318,6 +315,11 @@ mod tests {
         r.finish()
     }
 
+    /// A pool of `n` shards of `kind`, built the way `HwTester` builds one.
+    fn pool(kind: DeviceKind, n: usize) -> Vec<Box<dyn RasterDevice>> {
+        (0..n).map(|i| kind.for_shard(i).build()).collect()
+    }
+
     fn faulty(trigger: FaultTrigger, kind: FaultKind) -> Box<dyn RasterDevice> {
         Box::new(FaultDevice::new(
             DeviceKind::Reference.build(),
@@ -327,10 +329,10 @@ mod tests {
 
     #[test]
     fn clean_submissions_charge_nothing() {
-        let mut sup = Supervisor::new(RecoveryPolicy::default());
-        let mut dev = DeviceKind::Reference.build();
+        let mut sup = Supervisor::new(RecoveryPolicy::default(), 1);
+        let mut dev = [DeviceKind::Reference.build()];
         let mut stats = TestStats::default();
-        let exec = sup.submit(dev.as_mut(), &list(), &mut stats).unwrap();
+        let exec = sup.submit(&mut dev, 0, &list(), &mut stats).unwrap();
         assert_eq!(exec.readbacks.len(), 1);
         assert_eq!(stats.device_faults, 0);
         assert_eq!(stats.retries, 0);
@@ -339,10 +341,10 @@ mod tests {
 
     #[test]
     fn one_fault_is_retried_and_charged() {
-        let mut sup = Supervisor::new(RecoveryPolicy::default());
-        let mut dev = faulty(FaultTrigger::OnExecute(0), FaultKind::Timeout);
+        let mut sup = Supervisor::new(RecoveryPolicy::default(), 1);
+        let mut dev = [faulty(FaultTrigger::OnExecute(0), FaultKind::Timeout)];
         let mut stats = TestStats::default();
-        let exec = sup.submit(dev.as_mut(), &list(), &mut stats);
+        let exec = sup.submit(&mut dev, 0, &list(), &mut stats);
         assert!(exec.is_ok(), "second attempt is clean");
         assert_eq!(stats.device_faults, 1);
         assert_eq!(stats.retries, 1);
@@ -352,10 +354,13 @@ mod tests {
 
     #[test]
     fn corrupted_readbacks_fail_validation_and_retry() {
-        let mut sup = Supervisor::new(RecoveryPolicy::default());
-        let mut dev = faulty(FaultTrigger::OnExecute(0), FaultKind::ReadbackBitFlip);
+        let mut sup = Supervisor::new(RecoveryPolicy::default(), 1);
+        let mut dev = [faulty(
+            FaultTrigger::OnExecute(0),
+            FaultKind::ReadbackBitFlip,
+        )];
         let mut stats = TestStats::default();
-        let exec = sup.submit(dev.as_mut(), &list(), &mut stats);
+        let exec = sup.submit(&mut dev, 0, &list(), &mut stats);
         assert!(exec.is_ok());
         assert_eq!(stats.device_faults, 1);
         assert_eq!(stats.retries, 1);
@@ -363,16 +368,19 @@ mod tests {
 
     #[test]
     fn exhausted_retries_report_the_last_error_with_exponential_backoff() {
-        let mut sup = Supervisor::new(RecoveryPolicy {
-            max_retries: 2,
-            backoff_ns: 100,
-            quarantine_after: 0,
-            probation_ns: None,
-        });
-        let mut dev = faulty(FaultTrigger::EveryK(1), FaultKind::OutOfMemory);
+        let mut sup = Supervisor::new(
+            RecoveryPolicy {
+                max_retries: 2,
+                backoff_ns: 100,
+                quarantine_after: 0,
+                probation_ns: None,
+            },
+            1,
+        );
+        let mut dev = [faulty(FaultTrigger::EveryK(1), FaultKind::OutOfMemory)];
         let mut stats = TestStats::default();
         assert_eq!(
-            sup.submit(dev.as_mut(), &list(), &mut stats),
+            sup.submit(&mut dev, 0, &list(), &mut stats),
             Err(DeviceError::OutOfMemory)
         );
         assert_eq!(stats.device_faults, 3, "initial attempt + 2 retries");
@@ -383,23 +391,26 @@ mod tests {
 
     #[test]
     fn breaker_opens_after_consecutive_faulted_submissions() {
-        let mut sup = Supervisor::new(RecoveryPolicy {
-            max_retries: 0,
-            backoff_ns: 1,
-            quarantine_after: 2,
-            probation_ns: None,
-        });
-        let mut dev = faulty(FaultTrigger::EveryK(1), FaultKind::ContextLost);
+        let mut sup = Supervisor::new(
+            RecoveryPolicy {
+                max_retries: 0,
+                backoff_ns: 1,
+                quarantine_after: 2,
+                probation_ns: None,
+            },
+            1,
+        );
+        let mut dev = [faulty(FaultTrigger::EveryK(1), FaultKind::ContextLost)];
         let mut stats = TestStats::default();
         let l = list();
-        assert!(sup.submit(dev.as_mut(), &l, &mut stats).is_err());
+        assert!(sup.submit(&mut dev, 0, &l, &mut stats).is_err());
         assert!(!sup.is_quarantined());
-        assert!(sup.submit(dev.as_mut(), &l, &mut stats).is_err());
+        assert!(sup.submit(&mut dev, 0, &l, &mut stats).is_err());
         assert!(sup.is_quarantined());
         // Refused without touching the device: fault count stays put.
         assert_eq!(stats.device_faults, 2);
         assert_eq!(
-            sup.submit(dev.as_mut(), &l, &mut stats),
+            sup.submit(&mut dev, 0, &l, &mut stats),
             Err(DeviceError::ContextLost)
         );
         assert_eq!(stats.device_faults, 2);
@@ -408,24 +419,27 @@ mod tests {
 
     #[test]
     fn open_breaker_fails_over_to_the_next_healthy_shard() {
-        let mut sup = Supervisor::new(RecoveryPolicy {
-            max_retries: 0,
-            backoff_ns: 1,
-            quarantine_after: 1,
-            probation_ns: None,
-        });
+        let mut sup = Supervisor::new(
+            RecoveryPolicy {
+                max_retries: 0,
+                backoff_ns: 1,
+                quarantine_after: 1,
+                probation_ns: None,
+            },
+            2,
+        );
         // Only shard 0 is sick, permanently.
         let plan = FaultPlan::new(3, FaultKind::Timeout, FaultTrigger::EveryK(1)).on_shard(0);
-        let mut dev = DeviceKind::Reference.with_faults(plan).sharded(2).build();
+        let mut dev = pool(DeviceKind::Reference.with_faults(plan), 2);
         let mut stats = TestStats::default();
         let l = list();
         // First submission pays the fault and opens shard 0's breaker.
-        assert!(sup.submit_routed(dev.as_mut(), 0, &l, &mut stats).is_err());
+        assert!(sup.submit(&mut dev, 0, &l, &mut stats).is_err());
         assert_eq!(stats.shard_quarantined, 1);
         assert!(!sup.is_quarantined(), "shard 1 still serves");
         // Later submissions aimed at shard 0 fail over to shard 1.
         for _ in 0..3 {
-            assert!(sup.submit_routed(dev.as_mut(), 0, &l, &mut stats).is_ok());
+            assert!(sup.submit(&mut dev, 0, &l, &mut stats).is_ok());
         }
         assert_eq!(stats.shard_failovers, 3);
         assert_eq!(stats.quarantined, 0, "failover, not refusal");
@@ -433,52 +447,58 @@ mod tests {
 
     #[test]
     fn ripe_breaker_is_probed_and_a_clean_probe_reinstates() {
-        let mut sup = Supervisor::new(RecoveryPolicy {
-            max_retries: 0,
-            backoff_ns: 1,
-            quarantine_after: 1,
-            probation_ns: Some(1_000),
-        });
+        let mut sup = Supervisor::new(
+            RecoveryPolicy {
+                max_retries: 0,
+                backoff_ns: 1,
+                quarantine_after: 1,
+                probation_ns: Some(1_000),
+            },
+            2,
+        );
         // Shard 0 faults exactly once (its first execute), then recovers.
         let plan =
             FaultPlan::new(3, FaultKind::ContextLost, FaultTrigger::OnExecute(0)).on_shard(0);
-        let mut dev = DeviceKind::Reference.with_faults(plan).sharded(2).build();
+        let mut dev = pool(DeviceKind::Reference.with_faults(plan), 2);
         let mut stats = TestStats::default();
         let l = list();
-        assert!(sup.submit_routed(dev.as_mut(), 0, &l, &mut stats).is_err());
+        assert!(sup.submit(&mut dev, 0, &l, &mut stats).is_err());
         assert_eq!(stats.shard_quarantined, 1);
         assert_eq!(stats.recovery_ns, 1_000, "cool-down charged at opening");
         // Cool-down not yet elapsed on the modeled clock: fail over.
-        assert!(sup.submit_routed(dev.as_mut(), 0, &l, &mut stats).is_ok());
+        assert!(sup.submit(&mut dev, 0, &l, &mut stats).is_ok());
         assert_eq!(stats.shard_failovers, 1);
         assert_eq!(stats.probes, 0);
         // Modeled work elapses the cool-down; the next aim is a probe.
         sup.advance(2_000);
-        assert!(sup.submit_routed(dev.as_mut(), 0, &l, &mut stats).is_ok());
+        assert!(sup.submit(&mut dev, 0, &l, &mut stats).is_ok());
         assert_eq!(stats.probes, 1);
         assert_eq!(stats.probe_reinstates, 1);
         // Reinstated: no further failover or probing.
-        assert!(sup.submit_routed(dev.as_mut(), 0, &l, &mut stats).is_ok());
+        assert!(sup.submit(&mut dev, 0, &l, &mut stats).is_ok());
         assert_eq!(stats.shard_failovers, 1);
         assert_eq!(stats.probes, 1);
     }
 
     #[test]
     fn failed_probe_reopens_for_another_charged_cooldown() {
-        let mut sup = Supervisor::new(RecoveryPolicy {
-            max_retries: 0,
-            backoff_ns: 1,
-            quarantine_after: 1,
-            probation_ns: Some(500),
-        });
+        let mut sup = Supervisor::new(
+            RecoveryPolicy {
+                max_retries: 0,
+                backoff_ns: 1,
+                quarantine_after: 1,
+                probation_ns: Some(500),
+            },
+            2,
+        );
         let plan = FaultPlan::new(3, FaultKind::Timeout, FaultTrigger::EveryK(1)).on_shard(0);
-        let mut dev = DeviceKind::Reference.with_faults(plan).sharded(2).build();
+        let mut dev = pool(DeviceKind::Reference.with_faults(plan), 2);
         let mut stats = TestStats::default();
         let l = list();
-        assert!(sup.submit_routed(dev.as_mut(), 0, &l, &mut stats).is_err());
+        assert!(sup.submit(&mut dev, 0, &l, &mut stats).is_err());
         sup.advance(1_000);
         // Ripe: the probe runs, faults again, and re-opens the breaker.
-        assert!(sup.submit_routed(dev.as_mut(), 0, &l, &mut stats).is_err());
+        assert!(sup.submit(&mut dev, 0, &l, &mut stats).is_err());
         assert_eq!(stats.probes, 1);
         assert_eq!(stats.probe_reinstates, 0);
         assert_eq!(
@@ -487,32 +507,35 @@ mod tests {
         );
         assert_eq!(stats.recovery_ns, 2 * 500, "each cool-down period charged");
         // Unripe again: back to failover.
-        assert!(sup.submit_routed(dev.as_mut(), 0, &l, &mut stats).is_ok());
+        assert!(sup.submit(&mut dev, 0, &l, &mut stats).is_ok());
         assert_eq!(stats.shard_failovers, 1);
     }
 
     #[test]
     fn all_shards_open_refuses_without_touching_the_device() {
-        let mut sup = Supervisor::new(RecoveryPolicy {
-            max_retries: 0,
-            backoff_ns: 1,
-            quarantine_after: 1,
-            probation_ns: None,
-        });
+        let mut sup = Supervisor::new(
+            RecoveryPolicy {
+                max_retries: 0,
+                backoff_ns: 1,
+                quarantine_after: 1,
+                probation_ns: None,
+            },
+            2,
+        );
         let plan = FaultPlan::new(3, FaultKind::OutOfMemory, FaultTrigger::EveryK(1));
-        let mut dev = DeviceKind::Reference.with_faults(plan).sharded(2).build();
+        let mut dev = pool(DeviceKind::Reference.with_faults(plan), 2);
         let mut stats = TestStats::default();
         let l = list();
-        assert!(sup.submit_routed(dev.as_mut(), 0, &l, &mut stats).is_err());
+        assert!(sup.submit(&mut dev, 0, &l, &mut stats).is_err());
         // Failover reaches shard 1, which is just as sick.
-        assert!(sup.submit_routed(dev.as_mut(), 0, &l, &mut stats).is_err());
+        assert!(sup.submit(&mut dev, 0, &l, &mut stats).is_err());
         assert_eq!(stats.shard_failovers, 1);
         assert_eq!(stats.shard_quarantined, 2);
         assert!(sup.is_quarantined());
         assert_eq!(sup.open_shards(), 2);
         let faults_before = stats.device_faults;
         assert_eq!(
-            sup.submit_routed(dev.as_mut(), 0, &l, &mut stats),
+            sup.submit(&mut dev, 0, &l, &mut stats),
             Err(DeviceError::OutOfMemory)
         );
         assert_eq!(stats.device_faults, faults_before, "device untouched");
@@ -521,20 +544,73 @@ mod tests {
 
     #[test]
     fn success_resets_the_consecutive_count() {
-        let mut sup = Supervisor::new(RecoveryPolicy {
-            max_retries: 0,
-            backoff_ns: 1,
-            quarantine_after: 2,
-            probation_ns: None,
-        });
+        let mut sup = Supervisor::new(
+            RecoveryPolicy {
+                max_retries: 0,
+                backoff_ns: 1,
+                quarantine_after: 2,
+                probation_ns: None,
+            },
+            1,
+        );
         // Faults on every second execute — never two submissions in a row.
-        let mut dev = faulty(FaultTrigger::EveryK(2), FaultKind::Timeout);
+        let mut dev = [faulty(FaultTrigger::EveryK(2), FaultKind::Timeout)];
         let mut stats = TestStats::default();
         let l = list();
         for _ in 0..6 {
-            let _ = sup.submit(dev.as_mut(), &l, &mut stats);
+            let _ = sup.submit(&mut dev, 0, &l, &mut stats);
         }
         assert!(!sup.is_quarantined());
         assert_eq!(stats.quarantined, 0);
+    }
+
+    #[test]
+    fn failover_route_is_a_stable_rehash() {
+        let route =
+            |desired: usize, mask: &[bool]| failover_route(desired, mask.len(), |s| mask[s]);
+        assert_eq!(route(2, &[true, true, true, true]), Some(2));
+        assert_eq!(route(2, &[true, true, false, true]), Some(3));
+        assert_eq!(route(3, &[true, false, false, false]), Some(0));
+        assert_eq!(route(1, &[false, false]), None);
+        assert_eq!(route(0, &[]), None);
+        // Indices past the pool size wrap.
+        assert_eq!(route(6, &[true, false, true]), Some(0));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// `failover_route` is a stable rehash: the identity when the
+        /// desired shard is healthy, otherwise the nearest healthy
+        /// successor in cyclic scan order, and `None` exactly when no
+        /// shard is healthy. Pure function of (desired, mask) — calling it
+        /// twice can never disagree.
+        #[test]
+        fn failover_route_is_identity_or_nearest_healthy_successor(
+            desired in 0usize..64,
+            // 0/1 per shard (the vendored proptest has no `any::<bool>()`).
+            health_bits in prop::collection::vec(0usize..2, 1..8),
+        ) {
+            let healthy: Vec<bool> = health_bits.into_iter().map(|b| b == 1).collect();
+            let n = healthy.len();
+            let d = desired % n;
+            let got = failover_route(d, n, |s| healthy[s]);
+            prop_assert_eq!(got, failover_route(d, n, |s| healthy[s]), "must be pure");
+            match got {
+                None => prop_assert!(healthy.iter().all(|&h| !h)),
+                Some(s) => {
+                    prop_assert!(healthy[s], "routed to an unhealthy shard");
+                    if healthy[d] {
+                        prop_assert_eq!(s, d, "healthy desired shard must be kept");
+                    }
+                    // No healthy shard sits strictly between desired and
+                    // the pick in scan order — the rehash is minimal.
+                    let steps = (s + n - d) % n;
+                    for k in 0..steps {
+                        prop_assert!(!healthy[(d + k) % n]);
+                    }
+                }
+            }
+        }
     }
 }

@@ -202,7 +202,6 @@ impl<'a> QuerySpec<'a> {
             batch: config.hw_batch,
             threads: config.refine_threads,
             partitions: n * n,
-            shards: config.partition.shards.max(1),
         };
         executor.run(
             backend,

@@ -549,10 +549,6 @@ mod tests {
     }
 
     impl RasterDevice for Spy {
-        fn name(&self) -> &'static str {
-            "spy"
-        }
-
         fn execute(&mut self, list: &CommandList) -> Result<Execution, DeviceError> {
             self.seen.lock().unwrap().push(list.serialize());
             self.inner.execute(list)

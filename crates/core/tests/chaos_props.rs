@@ -11,7 +11,7 @@
 //! shard quarantines the whole device and the ladder bottoms out in
 //! pure software with the clean run's rows.
 
-use hwa_core::engine::{EngineConfig, PreparedDataset, SpatialEngine};
+use hwa_core::engine::{EngineConfig, PartitionConfig, PreparedDataset, SpatialEngine};
 use hwa_core::{
     CostBreakdown, DeviceKind, FaultKind, FaultPlan, FaultTrigger, HwConfig, RecoveryPolicy,
 };
@@ -118,10 +118,18 @@ fn replayable_counters(t: &hwa_core::TestStats) -> String {
     )
 }
 
-fn chaos_config(device: DeviceKind, policy: RecoveryPolicy, batch: bool) -> EngineConfig {
+/// One partition aimed at shard 0 of a `shards`-device pool: every
+/// submission reaches a shard other than 0 only by failover.
+fn chaos_config(
+    device: DeviceKind,
+    shards: usize,
+    policy: RecoveryPolicy,
+    batch: bool,
+) -> EngineConfig {
     let hw = HwConfig::at_resolution(8).with_threshold(0);
     EngineConfig {
         device,
+        partition: PartitionConfig::grid(1).with_shards(shards),
         hw_batch: if batch { 16 } else { 1 },
         use_object_filters: true,
         recovery: policy,
@@ -150,15 +158,11 @@ proptest! {
         let q = &queries.polygons[0];
         let d = 0.02;
         let clean = run_all(
-            chaos_config(DeviceKind::Reference.sharded(shards), policy, batch),
+            chaos_config(DeviceKind::Reference, shards, policy, batch),
             &a, &b, q, d,
         );
         let chaotic = run_all(
-            chaos_config(
-                DeviceKind::Reference.with_faults(plan).sharded(shards),
-                policy,
-                batch,
-            ),
+            chaos_config(DeviceKind::Reference.with_faults(plan), shards, policy, batch),
             &a, &b, q, d,
         );
         // Breaker state persists across the four pipeline calls (one
@@ -231,9 +235,9 @@ proptest! {
         let b = prepare(spatial_datagen::lando(0.0015, 32));
         let queries = spatial_datagen::states50(32);
         let q = &queries.polygons[0];
-        let device = DeviceKind::Reference.with_faults(plan).sharded(shards);
-        let first = run_all(chaos_config(device.clone(), policy, false), &a, &b, q, 0.02);
-        let second = run_all(chaos_config(device, policy, false), &a, &b, q, 0.02);
+        let device = DeviceKind::Reference.with_faults(plan);
+        let first = run_all(chaos_config(device, shards, policy, false), &a, &b, q, 0.02);
+        let second = run_all(chaos_config(device, shards, policy, false), &a, &b, q, 0.02);
         for (name, (x, y)) in ["isect_sel", "contain_sel", "isect_join", "within_join"]
             .iter()
             .zip(first.iter().zip(&second))
@@ -269,15 +273,11 @@ proptest! {
         };
         let plan = FaultPlan::new(seed, FaultKind::Timeout, FaultTrigger::EveryK(1));
         let clean = run_all(
-            chaos_config(DeviceKind::Reference.sharded(shards), policy, false),
+            chaos_config(DeviceKind::Reference, shards, policy, false),
             &a, &b, &spatial_datagen::states50(33).polygons[0], 0.02,
         );
         let dead = run_all(
-            chaos_config(
-                DeviceKind::Reference.with_faults(plan).sharded(shards),
-                policy,
-                false,
-            ),
+            chaos_config(DeviceKind::Reference.with_faults(plan), shards, policy, false),
             &a, &b, &spatial_datagen::states50(33).polygons[0], 0.02,
         );
         let (mut clean_hw, mut openings, mut refusals) = (0usize, 0usize, 0usize);

@@ -174,9 +174,9 @@ proptest! {
             prop_assert_eq!(ut.software_tests, pt.software_tests, "{}", name);
             prop_assert_eq!(ut.hw_tests, pt.hw_tests, "{}", name);
         }
-        // The sharded device front alone (one partition, so batches group
-        // as on the bare device; worker threads fork the front): even the
-        // grouping and the raw hardware work match.
+        // The device pool alone (one partition, so batches group as on the
+        // bare device; worker threads fork the pool): even the grouping
+        // and the raw hardware work match.
         let fronted = run_all(
             EngineConfig {
                 partition: PartitionConfig::grid(1).with_shards(shards),

@@ -229,7 +229,7 @@ proptest! {
             .filter(|&(i, j)| i < j)
             .collect();
         let run = |threads: usize| {
-            let exec = StagedExecutor { batch, threads, partitions: 1, shards: 1 };
+            let exec = StagedExecutor { batch, threads, partitions: 1 };
             let mut backend = HwTester::new(HwConfig::at_resolution(8));
             exec.run::<_, (), _>(
                 &mut backend,

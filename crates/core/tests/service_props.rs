@@ -119,8 +119,8 @@ prop_compose! {
 
 /// Asserts invariant 13 across the three planner modes for one device.
 fn assert_plan_invariant(device: DeviceKind, seed: u64, d: f64) -> Result<(), TestCaseError> {
-    let adaptive = serve_all(PlannerMode::Adaptive, device.clone(), seed, d);
-    let forced_sw = serve_all(PlannerMode::ForceSoftware, device.clone(), seed, d);
+    let adaptive = serve_all(PlannerMode::Adaptive, device, seed, d);
+    let forced_sw = serve_all(PlannerMode::ForceSoftware, device, seed, d);
     let forced_hw = serve_all(PlannerMode::ForceHardware, device, seed, d);
     for (name, ((ad, sw), hw)) in PIPELINES
         .iter()

@@ -70,7 +70,7 @@ pub struct FaultPlan {
     pub kind: FaultKind,
     /// When faults fire.
     pub trigger: FaultTrigger,
-    /// Restricts the schedule to one shard of a sharded ensemble: when
+    /// Restricts the schedule to one shard of a device pool: when
     /// [`super::DeviceKind::for_shard`] builds shard `i`, a plan targeting
     /// `Some(s)` with `s != i` is stripped entirely, so only shard `s`
     /// faults. `None` (the default) schedules faults on every shard.
@@ -89,7 +89,7 @@ impl FaultPlan {
         }
     }
 
-    /// The same plan restricted to shard `shard` of a sharded ensemble —
+    /// The same plan restricted to shard `shard` of a device pool —
     /// the chaos-test shape "exactly one shard is sick".
     pub fn on_shard(self, shard: usize) -> Self {
         FaultPlan {
@@ -101,8 +101,8 @@ impl FaultPlan {
     /// The same schedule with the per-fault choices (which float a
     /// bit-flip corrupts) decorrelated for shard `shard`. The trigger is
     /// untouched — *when* faults fire stays identical across shards —
-    /// and shard 0 keeps the original seed, so a one-shard ensemble
-    /// replays the flat plan bit for bit.
+    /// and shard 0 keeps the original seed, so a one-shard pool replays
+    /// the flat plan bit for bit.
     pub fn salted(self, shard: usize) -> Self {
         FaultPlan {
             seed: self.seed ^ (shard as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
@@ -200,10 +200,6 @@ impl FaultDevice {
 }
 
 impl RasterDevice for FaultDevice {
-    fn name(&self) -> &'static str {
-        "fault"
-    }
-
     fn execute(&mut self, list: &CommandList) -> Result<Execution, DeviceError> {
         let index = self.executes;
         let before = self.commands;
@@ -233,16 +229,6 @@ impl RasterDevice for FaultDevice {
                 }
             }
         }
-    }
-
-    fn route(&mut self, shard: usize) {
-        // Routing is not a submission: it never advances the fault
-        // schedule, it only forwards to whatever the injector wraps.
-        self.inner.route(shard);
-    }
-
-    fn shards(&self) -> usize {
-        self.inner.shards()
     }
 
     fn snapshot(&self) -> Option<FrameBuffer> {
@@ -334,12 +320,47 @@ mod tests {
     }
 
     #[test]
-    fn fault_device_kind_builds_nested() {
+    fn fault_device_kind_builds_an_injector() {
         let plan = FaultPlan::new(3, FaultKind::Timeout, FaultTrigger::EveryK(1));
         let kind = DeviceKind::Reference.with_faults(plan);
+        assert_eq!(kind, DeviceKind::Fault(plan));
         let mut dev = kind.build();
-        assert_eq!(dev.name(), "fault");
         let (list, _) = minmax_list();
         assert_eq!(dev.execute(&list), Err(DeviceError::Timeout));
+    }
+
+    #[test]
+    fn every_shard_matches_the_reference() {
+        let (list, _) = minmax_list();
+        let reference = DeviceKind::Reference.build().execute(&list).unwrap();
+        for shard in 0..3 {
+            let mut dev = DeviceKind::Reference.for_shard(shard).build();
+            assert_eq!(dev.execute(&list).unwrap(), reference, "shard {shard}");
+        }
+    }
+
+    #[test]
+    fn shards_have_independent_fault_schedules() {
+        let plan = FaultPlan::new(11, FaultKind::ContextLost, FaultTrigger::OnExecute(0));
+        let kind = DeviceKind::Reference.with_faults(plan);
+        let (list, _) = minmax_list();
+        // Each shard's injector counts its own submissions: the first
+        // execute on *each* shard faults, the second succeeds.
+        let mut pool: Vec<_> = (0..2).map(|i| kind.for_shard(i).build()).collect();
+        for (shard, dev) in pool.iter_mut().enumerate() {
+            assert_eq!(dev.execute(&list), Err(DeviceError::ContextLost));
+            assert!(dev.execute(&list).is_ok(), "shard {shard} retry");
+        }
+    }
+
+    #[test]
+    fn targeted_plans_fault_only_their_shard() {
+        let plan = FaultPlan::new(5, FaultKind::Timeout, FaultTrigger::EveryK(1)).on_shard(1);
+        let kind = DeviceKind::Reference.with_faults(plan);
+        let (list, _) = minmax_list();
+        for shard in 0..3 {
+            let r = kind.for_shard(shard).build().execute(&list);
+            assert_eq!(r.is_err(), shard == 1, "shard {shard}");
+        }
     }
 }

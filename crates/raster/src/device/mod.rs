@@ -29,16 +29,16 @@
 //! hand. It is the only code that interprets a [`Command`] stream into
 //! pixels.
 //!
-//! Two wrappers compose around it and must be *transparent* — same rows,
-//! same counters, same readbacks as the bare executor:
+//! One wrapper composes around it and must be *transparent* — same rows,
+//! same counters, same readbacks as the bare executor: [`FaultDevice`]
+//! injects seeded, deterministic failures ([`FaultPlan`]) so the recovery
+//! ladder in `core` (retry → failover → software fallback → quarantine)
+//! can be property-tested without real hardware.
 //!
-//! * [`FaultDevice`] injects seeded, deterministic failures
-//!   ([`FaultPlan`]) into any inner device so the recovery ladder in `core`
-//!   (retry → software fallback → quarantine) can be property-tested
-//!   without real hardware;
-//! * [`ShardedDevice`] fans one device kind out into independent instances
-//!   behind a routing front, the multi-device dispatch of the partitioned
-//!   query path.
+//! A [`DeviceKind`] describes *one* device. Shards are not a device
+//! property: `core`'s hardware tester owns a pool of independent devices,
+//! shard `i` built from [`DeviceKind::for_shard`], and its supervisor
+//! picks which one executes each submission.
 //!
 //! Execution is fallible end to end — [`RasterDevice::execute`] returns
 //! `Result<Execution, DeviceError>` and callers must treat any `Err` as
@@ -59,13 +59,11 @@
 pub mod command;
 pub mod fault;
 mod reference;
-pub mod shard;
 
 pub use crate::context::PixelRect;
 pub use command::{Command, CommandList, RecordError, Recorder};
 pub use fault::{FaultDevice, FaultKind, FaultPlan, FaultTrigger};
 pub use reference::ReferenceDevice;
-pub use shard::{failover_route, ShardedDevice};
 
 use crate::framebuffer::FrameBuffer;
 use crate::stats::HwStats;
@@ -240,8 +238,8 @@ impl Execution {
 /// * [`RasterDevice::execute`] starts from a cleared window — device
 ///   history must never leak into results (purity: executing the same
 ///   list twice yields equal [`Execution`]s);
-/// * wrappers ([`FaultDevice`], [`ShardedDevice`]) are **transparent**:
-///   every readback, every [`HwStats`] counter and the
+/// * the wrapper ([`FaultDevice`]) is **transparent** off its fault
+///   schedule: every readback, every [`HwStats`] counter and the
 ///   [`RasterDevice::snapshot`] framebuffer equal the wrapped device's;
 /// * counters follow the two-level charging discipline: command-level
 ///   work (`draw_calls`, `primitives`, `minmax_queries`, `batches`) is
@@ -249,9 +247,6 @@ impl Execution {
 ///   `pixels_written`, `pixels_scanned`) once per fragment or scanned
 ///   pixel, exactly as [`ReferenceDevice`] charges it.
 pub trait RasterDevice: Send + std::fmt::Debug {
-    /// A short human-readable backend name for reports.
-    fn name(&self) -> &'static str;
-
     /// Executes `list` from a cleared window and returns the work charged
     /// plus all readbacks. Counters are a pure function of the list:
     /// executing the same list twice yields equal [`Execution`]s.
@@ -264,111 +259,59 @@ pub trait RasterDevice: Send + std::fmt::Debug {
     /// injector) plug into.
     fn execute(&mut self, list: &CommandList) -> Result<Execution, DeviceError>;
 
-    /// Selects which shard subsequent [`RasterDevice::execute`] calls land
-    /// on. Single-backend executors have nothing to route — the default is
-    /// a no-op — while [`ShardedDevice`] switches its active inner backend
-    /// (modulo its shard count) and [`FaultDevice`] forwards to whatever it
-    /// wraps. Which shard is *healthy* is the caller's knowledge, not the
-    /// device's: the supervisor in `core` resolves a partition's shard
-    /// through [`shard::failover_route`] over its own breakers and routes
-    /// to the result, a pure function of (partition, breaker state), so
-    /// sharded execution stays deterministic.
-    fn route(&mut self, _shard: usize) {}
-
-    /// How many independently routable shards this device fans out to.
-    /// `1` for single-backend executors (the default); [`ShardedDevice`]
-    /// reports its inner-backend count and [`FaultDevice`] forwards. The
-    /// supervisor in `core` sizes its per-shard health table from this.
-    fn shards(&self) -> usize {
-        1
-    }
-
     /// The final framebuffer of the most recent [`RasterDevice::execute`],
     /// if any — for equivalence tests and debugging dumps, not for the
     /// query hot path (readback is what Minmax exists to avoid).
     fn snapshot(&self) -> Option<FrameBuffer>;
 }
 
-/// A buildable device selection — the configuration-level knob `core`'s
-/// engine exposes (`EngineConfig.device`).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+/// A buildable selection for *one* device — the configuration-level knob
+/// `core`'s engine exposes (`EngineConfig.device`). How many devices a
+/// query fans out to is the engine's `PartitionConfig::shards`, never a
+/// property of the kind: the hardware tester builds its per-shard pool
+/// from [`DeviceKind::for_shard`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DeviceKind {
     /// The executor: [`ReferenceDevice`] replay.
     #[default]
     Reference,
-    /// [`FaultDevice`]: the selected `inner` device wrapped in a seeded,
+    /// [`FaultDevice`]: the reference executor behind a seeded,
     /// deterministic fault injector. Carried through `EngineConfig.device`
     /// and backend `fork`, so parallel refinement workers each get an
     /// identically scheduled injector.
-    Fault {
-        /// The device kind that executes the lists when the plan does not
-        /// fault them.
-        inner: Box<DeviceKind>,
-        /// The deterministic fault schedule.
-        plan: FaultPlan,
-    },
-    /// [`ShardedDevice`]: `shards` independent instances of the `inner`
-    /// kind behind one routing front — the multi-device fan-out the
-    /// partitioned query path dispatches to (one shard per partition,
-    /// `partition % shards`). Each shard is a full inner device, fault
-    /// injector included when `inner` is `Fault`-wrapped.
-    Sharded {
-        /// The device kind each shard instantiates.
-        inner: Box<DeviceKind>,
-        /// How many independent inner backends to build.
-        shards: usize,
-    },
+    Fault(FaultPlan),
 }
 
 impl DeviceKind {
     /// Instantiates the selected executor.
-    pub fn build(&self) -> Box<dyn RasterDevice> {
+    pub fn build(self) -> Box<dyn RasterDevice> {
+        let reference = Box::new(ReferenceDevice::new());
         match self {
-            DeviceKind::Reference => Box::new(ReferenceDevice::new()),
-            DeviceKind::Fault { inner, plan } => Box::new(FaultDevice::new(inner.build(), *plan)),
-            DeviceKind::Sharded { inner, shards } => Box::new(ShardedDevice::new(inner, *shards)),
+            DeviceKind::Reference => reference,
+            DeviceKind::Fault(plan) => Box::new(FaultDevice::new(reference, plan)),
         }
     }
 
-    /// Wraps `self` in a fault injector driven by `plan` (convenience for
-    /// building [`DeviceKind::Fault`] configurations).
+    /// The reference executor under the fault schedule `plan` — a
+    /// [`DeviceKind::Fault`]. A kind describes one injector, so a plan
+    /// `self` already carried is replaced.
     pub fn with_faults(self, plan: FaultPlan) -> DeviceKind {
-        DeviceKind::Fault {
-            inner: Box::new(self),
-            plan,
-        }
+        DeviceKind::Fault(plan)
     }
 
-    /// Fans `self` out across `shards` independent instances behind one
-    /// routing front (convenience for building [`DeviceKind::Sharded`]
-    /// configurations).
-    pub fn sharded(self, shards: usize) -> DeviceKind {
-        DeviceKind::Sharded {
-            inner: Box::new(self),
-            shards,
-        }
-    }
-
-    /// The kind shard `shard` of a [`ShardedDevice`] instantiates:
-    /// fault plans targeted at a *different* shard ([`FaultPlan::on_shard`])
-    /// are stripped, and untargeted plans keep their trigger schedule but
-    /// get a shard-salted seed ([`FaultPlan::salted`]) so each shard's
-    /// injector draws independent per-fault choices. Shard 0 keeps the
-    /// plan verbatim, so a one-shard ensemble faults exactly like the flat
-    /// device it wraps.
-    pub fn for_shard(&self, shard: usize) -> DeviceKind {
+    /// The kind shard `shard` of a device pool instantiates: a fault plan
+    /// targeted at a *different* shard ([`FaultPlan::on_shard`]) is
+    /// stripped, and any other plan keeps its trigger schedule but gets a
+    /// shard-salted seed ([`FaultPlan::salted`]) so each shard's injector
+    /// draws independent per-fault choices. Shard 0 keeps an untargeted
+    /// plan verbatim, so a one-shard pool faults exactly like the flat
+    /// device.
+    pub fn for_shard(self, shard: usize) -> DeviceKind {
         match self {
-            DeviceKind::Fault { inner, plan } => {
-                let inner = inner.for_shard(shard);
-                match plan.shard {
-                    Some(target) if target != shard => inner,
-                    _ => DeviceKind::Fault {
-                        inner: Box::new(inner),
-                        plan: plan.salted(shard),
-                    },
-                }
+            DeviceKind::Fault(plan) if plan.shard.is_none_or(|target| target == shard) => {
+                DeviceKind::Fault(plan.salted(shard))
             }
-            other => other.clone(),
+            _ => DeviceKind::Reference,
         }
     }
 }

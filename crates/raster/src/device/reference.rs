@@ -29,10 +29,6 @@ impl ReferenceDevice {
 }
 
 impl RasterDevice for ReferenceDevice {
-    fn name(&self) -> &'static str {
-        "reference"
-    }
-
     fn execute(&mut self, list: &CommandList) -> Result<Execution, DeviceError> {
         let (w, h) = (list.width(), list.height());
         // Placeholder projection until the stream's own SetViewport runs

@@ -45,9 +45,8 @@ pub use context::{
 };
 pub use cost_model::HwCostModel;
 pub use device::{
-    failover_route, Command, CommandList, DeviceError, DeviceKind, Execution, FaultDevice,
-    FaultKind, FaultPlan, FaultTrigger, RasterDevice, Readback, RecordError, Recorder,
-    ReferenceDevice, ShardedDevice,
+    Command, CommandList, DeviceError, DeviceKind, Execution, FaultDevice, FaultKind, FaultPlan,
+    FaultTrigger, RasterDevice, Readback, RecordError, Recorder, ReferenceDevice,
 };
 pub use framebuffer::FrameBuffer;
 pub use stats::HwStats;

@@ -1,8 +1,8 @@
 //! The device contract, property-tested: for randomized recorded scenes,
-//! [`ReferenceDevice`] execution is pure and self-validating, and the two
-//! wrappers around it — [`FaultDevice`] and `ShardedDevice` — are
-//! transparent: bit-identical framebuffers, readback results and `HwStats`
-//! counters to the bare executor, on every route.
+//! [`ReferenceDevice`] execution is pure and self-validating, the
+//! [`FaultDevice`] wrapper is transparent off its schedule, and every shard
+//! of a fault-free device pool is bit-identical to the bare executor —
+//! framebuffers, readback results and `HwStats` counters alike.
 //!
 //! The scenes deliberately exercise every command the recorder can emit:
 //! all three overlap-strategy choreographies (accumulation, blending,
@@ -228,68 +228,28 @@ proptest! {
         }
     }
 
-    /// A sharded ensemble is bit-identical to the reference on every
-    /// shard, whatever routing sequence selects them, and merging a fixed
-    /// partition order of executions equals executing the concatenation's
-    /// parts one by one — sharding is pure fan-out, never a semantic knob.
+    /// Every shard of a fault-free pool (shard `i` built from
+    /// `DeviceKind::for_shard(i)`, as the hardware tester builds it)
+    /// executes bit-identically to the reference, whatever routing
+    /// sequence selects them — sharding is pure fan-out, never a semantic
+    /// knob.
     #[test]
-    fn sharded_device_matches_reference_on_every_route(
+    fn every_pool_shard_matches_reference_on_every_route(
         scene in arb_scene(),
         shards in 1usize..5,
         routes in prop::collection::vec(0usize..8, 1..6),
     ) {
-        use spatial_raster::{DeviceKind, ShardedDevice};
+        use spatial_raster::DeviceKind;
         let list = record(&scene);
         let (ref_exec, ref_fb) = reference_run(&list);
-        let mut dev = ShardedDevice::new(&DeviceKind::Reference, shards);
-        let mut per_route = Vec::new();
+        let mut pool: Vec<_> =
+            (0..shards).map(|i| DeviceKind::Reference.for_shard(i).build()).collect();
         for &r in &routes {
-            dev.route(r);
-            prop_assert_eq!(dev.active(), r % shards);
+            let dev = &mut pool[r % shards];
             let exec = dev.execute(&list).expect("the simulated executor is infallible");
             prop_assert_eq!(&exec.stats, &ref_exec.stats, "stats diverged on route {}", r);
             prop_assert_eq!(&exec.readbacks, &ref_exec.readbacks);
             prop_assert!(dev.snapshot().expect("ran") == ref_fb);
-            per_route.push(exec);
-        }
-        // Fixed-order merge: counters sum, readbacks concatenate.
-        let n = per_route.len();
-        let merged = ShardedDevice::merge(per_route);
-        prop_assert_eq!(merged.readbacks.len(), n * ref_exec.readbacks.len());
-        prop_assert_eq!(merged.stats.draw_calls, n * ref_exec.stats.draw_calls);
-    }
-
-    /// `failover_route` is a stable rehash: the identity when the
-    /// desired shard is healthy, otherwise the nearest healthy
-    /// successor in cyclic scan order, and `None` exactly when no shard
-    /// is healthy. Pure function of (desired, mask) — calling it twice
-    /// can never disagree.
-    #[test]
-    fn failover_route_is_identity_or_nearest_healthy_successor(
-        desired in 0usize..64,
-        // 0/1 per shard (the vendored proptest has no `any::<bool>()`).
-        health_bits in prop::collection::vec(0usize..2, 1..8),
-    ) {
-        use spatial_raster::failover_route;
-        let healthy: Vec<bool> = health_bits.into_iter().map(|b| b == 1).collect();
-        let n = healthy.len();
-        let d = desired % n;
-        let got = failover_route(d, &healthy);
-        prop_assert_eq!(got, failover_route(d, &healthy), "must be pure");
-        match got {
-            None => prop_assert!(healthy.iter().all(|&h| !h)),
-            Some(s) => {
-                prop_assert!(healthy[s], "routed to an unhealthy shard");
-                if healthy[d] {
-                    prop_assert_eq!(s, d, "healthy desired shard must be kept");
-                }
-                // No healthy shard sits strictly between desired and the
-                // pick in scan order — the rehash is minimal.
-                let steps = (s + n - d) % n;
-                for k in 0..steps {
-                    prop_assert!(!healthy[(d + k) % n]);
-                }
-            }
         }
     }
 }

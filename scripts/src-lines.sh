@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Non-test source lines: for every product source file, the lines before
-# its first `#[cfg(test)]`, summed per crate — the figure the simplicity
-# PRs in CHANGES.md report. Integration tests, benches and examples are
-# not product source and are not counted.
+# its first top-level (unindented) `#[cfg(test)]` — the test module —
+# summed per crate; the figure the simplicity PRs in CHANGES.md report.
+# An indented `#[cfg(test)]` on an item inside an `impl` does not end the
+# count. Integration tests, benches and examples are not product source
+# and are not counted.
 #
 #   scripts/src-lines.sh              every file, per-crate totals, then
 #                                     `== product` and `== vendored`
@@ -10,7 +12,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-count() { awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$1"; }
+count() { awk '/^#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$1"; }
 
 if [ "$#" -gt 0 ]; then
     total=0

@@ -1,9 +1,10 @@
-//! The wrappers around the one raster executor are transparent: a seeded
-//! fault injector, a sharded partition grid and a permanently dead shard
-//! each return exactly the clean, unsharded rows (areas bit-for-bit), and
-//! every hardware test the clean run made is accounted for — executed on
-//! some shard or re-run by the exact software fallback (DESIGN.md
-//! invariants 9, 12 and 14). The stage-1 filter's knobs are transparent the
+//! The fault injector around the one raster executor and the per-shard
+//! device pool are transparent: a seeded fault plan, a sharded partition
+//! grid, a permanently dead shard under that grid and a dead shard 0 that
+//! every unpartitioned submission is aimed at each return exactly the
+//! clean, unsharded rows (areas bit-for-bit), and every hardware test the
+//! clean run made is accounted for — executed on some shard or re-run by
+//! the exact software fallback (DESIGN.md invariants 9, 12 and 14). The stage-1 filter's knobs are transparent the
 //! same way: scalar or SIMD, one thread or four, the filter emits the same
 //! candidates from the same node tests (invariant 11).
 
@@ -67,6 +68,10 @@ fn fault_and_shard_wrappers_never_change_rows_and_balance_the_ledger() {
     let sharded = PartitionConfig::grid(2).with_shards(2);
     let transient = FaultPlan::new(11, FaultKind::ContextLost, FaultTrigger::EveryK(3));
     let dead_shard = FaultPlan::new(91, FaultKind::Timeout, FaultTrigger::EveryK(1)).on_shard(1);
+    // One partition: every submission is aimed at shard 0, so the pool's
+    // second device serves only what fails over to it.
+    let unpartitioned = PartitionConfig::grid(1).with_shards(2);
+    let dead_first = FaultPlan::new(92, FaultKind::Timeout, FaultTrigger::EveryK(1)).on_shard(0);
 
     let wrapped = |device, partition| {
         let config = EngineConfig {
@@ -87,10 +92,14 @@ fn fault_and_shard_wrappers_never_change_rows_and_balance_the_ledger() {
             "dead shard 1",
             wrapped(DeviceKind::Reference.with_faults(dead_shard), sharded),
         ),
+        (
+            "grid 1 × shards 2, dead shard 0",
+            wrapped(DeviceKind::Reference.with_faults(dead_first), unpartitioned),
+        ),
     ];
 
-    let mut faults = [0usize; 3];
-    let mut failovers = 0;
+    let mut faults = [0usize; 4];
+    let mut failovers = [0usize; 4];
     for (v, (variant, runs)) in variants.iter().enumerate() {
         for (kind, ((rows, cost), (clean_rows, clean_cost))) in
             ["intersection", "within-distance", "overlap-area"]
@@ -108,7 +117,7 @@ fn fault_and_shard_wrappers_never_change_rows_and_balance_the_ledger() {
                 "{kind} ledger leaks under {variant}"
             );
             faults[v] += cost.tests.device_faults;
-            failovers += cost.tests.shard_failovers;
+            failovers[v] += cost.tests.shard_failovers;
         }
     }
     // Invariant 11, against the shipped knobs (SIMD kernels, one thread) —
@@ -160,7 +169,12 @@ fn fault_and_shard_wrappers_never_change_rows_and_balance_the_ledger() {
     assert_eq!(faults[1], 0, "clean shards must not fault");
     assert!(faults[2] > 0, "the dead shard never faulted");
     assert!(
-        failovers > 0,
+        failovers[2] > 0,
         "work aimed at the dead shard never failed over"
+    );
+    assert!(faults[3] > 0, "the dead shard 0 never faulted");
+    assert!(
+        failovers[3] > 0,
+        "unpartitioned work never failed over from the dead shard 0"
     );
 }
