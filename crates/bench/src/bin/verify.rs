@@ -11,7 +11,6 @@
 use hwa_core::engine::GeometryTest;
 use hwa_core::HwConfig;
 use spatial_bench::{engine_with, header, software_engine, BenchOpts, Workloads};
-use spatial_raster::OverlapStrategy;
 
 fn main() {
     let opts = BenchOpts::from_args();
@@ -53,26 +52,15 @@ fn main() {
         println!("selections over {} checked", ds.name);
     }
 
-    // Intersection joins under every overlap strategy at the recommended
-    // operating point.
+    // Intersection joins at the recommended operating point.
     for (a, b) in [(&w.landc, &w.lando), (&w.water, &w.prism)] {
         let (expected, _) = software_engine().intersection_join(a, b);
-        for strategy in [
-            OverlapStrategy::Accumulation,
-            OverlapStrategy::Blending,
-            OverlapStrategy::Stencil,
-        ] {
-            let hw = HwConfig {
-                strategy,
-                ..HwConfig::recommended()
-            };
-            let (got, _) =
-                engine_with(GeometryTest::Hardware, hw, None, false).intersection_join(a, b);
-            check(
-                got == expected,
-                format!("intersection_join {} ⋈ {} {strategy:?}", a.name, b.name),
-            );
-        }
+        let (got, _) = engine_with(GeometryTest::Hardware, HwConfig::recommended(), None, false)
+            .intersection_join(a, b);
+        check(
+            got == expected,
+            format!("intersection_join {} ⋈ {}", a.name, b.name),
+        );
         println!(
             "intersection join {} ⋈ {} checked ({} results)",
             a.name,

@@ -47,8 +47,8 @@ use std::ops::Range;
 /// Which `record_*` function draws a window's tape.
 #[derive(Debug, Clone, Copy)]
 enum Recording {
-    Segment(OverlapStrategy),
-    Distance(OverlapStrategy),
+    Segment,
+    Distance,
     Overlap,
 }
 
@@ -193,7 +193,6 @@ pub(crate) fn window<'a>(
     p: &'a Polygon,
     q: &'a Polygon,
     resolution: usize,
-    strategy: OverlapStrategy,
 ) -> Option<Window<'a>> {
     let RefineOp::Test(Predicate::WithinDistance(d)) = op else {
         // §3.2: the segment tests project the MBR intersection — for
@@ -202,10 +201,7 @@ pub(crate) fn window<'a>(
         // interior.
         let (region, recording) = match op {
             RefineOp::Measure { .. } => (overlap_region(p, q)?, Recording::Overlap),
-            RefineOp::Test(_) => (
-                p.mbr().intersection(&q.mbr())?,
-                Recording::Segment(strategy),
-            ),
+            RefineOp::Test(_) => (p.mbr().intersection(&q.mbr())?, Recording::Segment),
         };
         let viewport = Viewport::new(region, resolution, resolution);
         return Some(Window {
@@ -258,7 +254,7 @@ pub(crate) fn window<'a>(
         width,
         first: small,
         second: large,
-        recording: Recording::Distance(strategy),
+        recording: Recording::Distance,
         live: LiveRuns::pair(small, large, &viewport, width),
     })
 }
@@ -268,17 +264,16 @@ impl Window<'_> {
     fn record(&self) -> (CommandList, usize) {
         let resolution = self.viewport.width();
         match self.recording {
-            Recording::Segment(strategy) => HwTester::record_segment_test(
+            Recording::Segment => HwTester::record_segment_test(
                 self.region,
                 resolution,
-                strategy,
+                OverlapStrategy::Accumulation,
                 self.segments(false),
                 self.segments(true),
             ),
-            Recording::Distance(strategy) => HwTester::record_expanded_boundaries(
+            Recording::Distance => HwTester::record_expanded_boundaries(
                 self.region,
                 resolution,
-                strategy,
                 self.width,
                 (self.segments(false), self.points(false)),
                 (self.segments(true), self.points(true)),
@@ -318,8 +313,8 @@ impl Window<'_> {
     pub(crate) fn points(&self, second: bool) -> impl ExactSizeIterator<Item = Point> + '_ {
         let (poly, live) = self.side(second);
         let caps = match self.recording {
-            Recording::Segment(_) => 0,
-            Recording::Distance(_) | Recording::Overlap => live.edges,
+            Recording::Segment => 0,
+            Recording::Distance | Recording::Overlap => live.edges,
         };
         let runs = live.runs.iter();
         counted(
@@ -360,9 +355,8 @@ pub(crate) enum Tape<'a> {
     /// The per-pair choreography of one window.
     Pair(&'a Window<'a>),
     /// One atlas round: every window a cell, all at one line width (one
-    /// draw call renders at one width) and one cell resolution. Always
-    /// the accumulation choreography; the Blending / Stencil ablations
-    /// live on the per-pair path. Must be non-empty.
+    /// draw call renders at one width) and one cell resolution, in the
+    /// accumulation choreography of the per-pair tape. Must be non-empty.
     Atlas(&'a [&'a Window<'a>]),
 }
 
@@ -442,7 +436,7 @@ pub(crate) fn route<'a>(
     // ahead even at a 1×1 window. `window` keeps that, minus the runs of
     // 32 edges whose cached box the clip compare rejects wholesale
     // (`LiveRuns`): n/32 box compares, not a scan.
-    match window(RefineOp::Test(pred), p, q, cfg.resolution, cfg.strategy) {
+    match window(RefineOp::Test(pred), p, q, cfg.resolution) {
         Some(w) => Routed::Hw(w),
         // No projection window: a capability limit, answered exactly in
         // software and charged to the fallback ledger.
@@ -516,9 +510,8 @@ mod tests {
         let p = Polygon::from_coords(&[(0.0, 0.0), (2.0, 0.0), (2.0, 2.0), (0.0, 2.0)]);
         let q = Polygon::from_coords(&[(5.0, 0.0), (7.0, 0.0), (7.0, 2.0), (5.0, 2.0)]);
         let within = |d| RefineOp::Test(Predicate::WithinDistance(d));
-        let strategy = OverlapStrategy::Accumulation;
-        assert!(window(within(4.0), &p, &q, 8, strategy).is_some());
-        assert!(window(within(f64::INFINITY), &p, &q, 8, strategy).is_none());
+        assert!(window(within(4.0), &p, &q, 8).is_some());
+        assert!(window(within(f64::INFINITY), &p, &q, 8).is_none());
         let mut stats = TestStats::default();
         let cfg = HwConfig::at_resolution(8);
         let routed = route(
@@ -545,15 +538,20 @@ mod tests {
     fn whole_boundaries(w: &Window) -> CommandList {
         let resolution = w.viewport.width();
         match w.recording {
-            Recording::Segment(strategy) => HwTester::record_segment_test(
+            Recording::Segment => HwTester::record_segment_test(
                 w.region,
                 resolution,
-                strategy,
+                OverlapStrategy::Accumulation,
                 w.first.edges(),
                 w.second.edges(),
             ),
-            Recording::Distance(strategy) => HwTester::record_distance_test(
-                w.region, resolution, strategy, w.width, w.first, w.second,
+            Recording::Distance => HwTester::record_distance_test(
+                w.region,
+                resolution,
+                OverlapStrategy::Accumulation,
+                w.width,
+                w.first,
+                w.second,
             ),
             Recording::Overlap => unreachable!("the overlap count submits fills"),
         }
@@ -564,7 +562,7 @@ mod tests {
     /// test, every vertex of both polygons.
     fn whole_job(w: &Window) -> AtlasJob {
         let caps = |poly: &Polygon| match w.recording {
-            Recording::Distance(_) => poly.vertices().to_vec(),
+            Recording::Distance => poly.vertices().to_vec(),
             _ => Vec::new(),
         };
         AtlasJob {
@@ -612,8 +610,8 @@ mod tests {
 
     /// Submitting only a window's live runs is invisible to the device:
     /// for segment, containment and within-distance windows at every
-    /// resolution, every Equation (1) width up to the 10 px limit and all
-    /// three overlap strategies, the list `window` records and the
+    /// resolution and every Equation (1) width up to the 10 px limit, the
+    /// list `window` records and the
     /// whole-boundary list of the public recorders execute to the same
     /// frame, the same readbacks and the same counters but `primitives` —
     /// per pair, and as an atlas of mixed cells, where `draw_calls` may
@@ -631,41 +629,32 @@ mod tests {
                 base_d * 2f64.powf(0.5 * k as f64),
             ))
         }));
-        let strategies = [
-            OverlapStrategy::Accumulation,
-            OverlapStrategy::Blending,
-            OverlapStrategy::Stencil,
-        ];
         let (mut submitted, mut whole, mut fewer_draws) = (0usize, 0usize, 0usize);
         let mut widths = std::collections::BTreeSet::new();
         for resolution in [1usize, 4, 8, 16, 32] {
             for &op in &ops {
                 let windows: Vec<Window> = pairs
                     .iter()
-                    .filter_map(|(p, q)| window(op, p, q, resolution, strategies[0]))
+                    .filter_map(|(p, q)| window(op, p, q, resolution))
                     .collect();
                 for w in &windows {
                     widths.insert(w.width as u64);
-                    for strategy in strategies {
-                        let (p, q) = (w.first, w.second);
-                        let w = window(op, p, q, resolution, strategy).expect("as above");
-                        let (frame, readbacks, stats) = execute(&list(Tape::Pair(&w)).0);
-                        let (full_frame, full_readbacks, full) = execute(&whole_boundaries(&w));
-                        assert!(frame == full_frame, "{op:?} at {resolution}, {strategy:?}");
-                        assert_eq!(readbacks, full_readbacks, "{op:?} at {resolution}");
-                        assert!(stats.primitives <= full.primitives);
-                        let primitives = full.primitives;
-                        assert_eq!(
-                            HwStats {
-                                primitives,
-                                ..stats
-                            },
-                            full,
-                            "{op:?} at {resolution}"
-                        );
-                        submitted += stats.primitives;
-                        whole += full.primitives;
-                    }
+                    let (frame, readbacks, stats) = execute(&list(Tape::Pair(w)).0);
+                    let (full_frame, full_readbacks, full) = execute(&whole_boundaries(w));
+                    assert!(frame == full_frame, "{op:?} at {resolution}");
+                    assert_eq!(readbacks, full_readbacks, "{op:?} at {resolution}");
+                    assert!(stats.primitives <= full.primitives);
+                    let primitives = full.primitives;
+                    assert_eq!(
+                        HwStats {
+                            primitives,
+                            ..stats
+                        },
+                        full,
+                        "{op:?} at {resolution}"
+                    );
+                    submitted += stats.primitives;
+                    whole += full.primitives;
                 }
 
                 // The same windows as atlas rounds, one per line width.
@@ -723,7 +712,7 @@ mod tests {
             let op = RefineOp::Measure { resolution };
             for (p, q) in &pairs {
                 for (p, q) in [(p, q), (q, p)] {
-                    let Some(w) = window(op, p, q, resolution, OverlapStrategy::default()) else {
+                    let Some(w) = window(op, p, q, resolution) else {
                         continue;
                     };
                     covered += assert_ring_fills_like_whole(&w);
@@ -810,7 +799,7 @@ mod tests {
             assert_eq!(frame.runs().len(), 4);
             for resolution in [1usize, 4, 8, 16, 32] {
                 let op = RefineOp::Measure { resolution };
-                let w = window(op, &frame, &square, resolution, OverlapStrategy::default())
+                let w = window(op, &frame, &square, resolution)
                     .expect("the square lies inside the frame");
                 assert_eq!(w.region, square.mbr());
                 let covered = assert_ring_fills_like_whole(&w);

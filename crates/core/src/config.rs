@@ -1,7 +1,5 @@
 //! Tuning knobs of the hardware-assisted tests.
 
-use spatial_raster::OverlapStrategy;
-
 /// Configuration for [`crate::hw_intersects`] and
 /// [`crate::hw_within_distance`].
 #[derive(Debug, Clone, Copy)]
@@ -13,8 +11,6 @@ pub struct HwConfig {
     /// test — simple geometry is cheaper to sweep in software than to
     /// rasterize-and-scan. 0 disables the shortcut.
     pub sw_threshold: usize,
-    /// Overlap-detection implementation (paper: accumulation buffer).
-    pub strategy: OverlapStrategy,
 }
 
 impl HwConfig {
@@ -24,7 +20,6 @@ impl HwConfig {
         HwConfig {
             resolution: 8,
             sw_threshold: 500,
-            strategy: OverlapStrategy::Accumulation,
         }
     }
 
@@ -34,7 +29,6 @@ impl HwConfig {
         HwConfig {
             resolution,
             sw_threshold: 0,
-            strategy: OverlapStrategy::Accumulation,
         }
     }
 
@@ -60,7 +54,6 @@ mod tests {
         let c = HwConfig::recommended();
         assert_eq!(c.resolution, 8);
         assert_eq!(c.sw_threshold, 500);
-        assert_eq!(c.strategy, OverlapStrategy::Accumulation);
     }
 
     #[test]

@@ -22,9 +22,8 @@
 //! contents, which is what makes the parallel refinement's merged
 //! statistics independent of the thread count.
 //!
-//! Batches always use the accumulation-buffer choreography (the paper's
-//! strategy); the per-pair path remains the place where the
-//! blending/stencil ablations run.
+//! Batches use the accumulation-buffer choreography of the per-pair
+//! path (the paper's).
 
 use crate::choreography::{route, settle, Routed, Tape, Window};
 use crate::hw_intersect::HwTester;

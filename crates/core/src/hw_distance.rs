@@ -17,12 +17,11 @@
 //! Projection (§3.2): the expanded MBR of the *smaller* object, uniformly
 //! scaled (Equation (1) presumes an aspect-preserving projection).
 
-use crate::hw_intersect::HwTester;
+use crate::hw_intersect::{record_accumulation, HwTester};
 use crate::pipeline::Predicate;
 use crate::stats::TestStats;
 use spatial_geom::{Point, Polygon, Rect, Segment};
-use spatial_raster::framebuffer::HALF_GRAY;
-use spatial_raster::{CommandList, OverlapStrategy, Recorder, Viewport, WriteMode};
+use spatial_raster::{CommandList, OverlapStrategy, Recorder, Viewport};
 
 impl HwTester {
     /// Records the §3.1 expanded-boundary choreography for one pair: both
@@ -31,11 +30,12 @@ impl HwTester {
     /// uniform-scale projection Equation (1) presumes. Returns the command
     /// list and the verdict readback slot. `width` must already satisfy
     /// the `MAX_AA_LINE_WIDTH` limit — the caller routes wider tests to
-    /// software before recording anything.
+    /// software before recording anything. Accumulation is the only
+    /// [`OverlapStrategy`], so `_strategy` changes nothing.
     pub fn record_distance_test(
         region: Rect,
         resolution: usize,
-        strategy: OverlapStrategy,
+        _strategy: OverlapStrategy,
         width: f64,
         first: &Polygon,
         second: &Polygon,
@@ -43,7 +43,6 @@ impl HwTester {
         Self::record_expanded_boundaries(
             region,
             resolution,
-            strategy,
             width,
             (first.edges(), first.vertices().iter().copied()),
             (second.edges(), second.vertices().iter().copied()),
@@ -56,7 +55,6 @@ impl HwTester {
     pub(crate) fn record_expanded_boundaries<S, P>(
         region: Rect,
         resolution: usize,
-        strategy: OverlapStrategy,
         width: f64,
         first: (S, P),
         second: (S, P),
@@ -65,47 +63,21 @@ impl HwTester {
         S: IntoIterator<Item = Segment>,
         P: IntoIterator<Item = Point>,
     {
-        let mut rec = Recorder::new(resolution, resolution);
-        rec.set_viewport(Viewport::uniform(region, resolution, resolution))
-            .expect("window dimensions match the viewport resolution");
-        rec.set_color(HALF_GRAY)
-            .expect("half gray is a valid intensity");
-        rec.set_line_width(width)
-            .expect("caller pre-validates the Equation (1) width");
-        rec.set_point_size(width)
-            .expect("caller pre-validates the Equation (1) width");
-        let draw_expanded = |rec: &mut Recorder, (edges, caps): (S, P)| {
-            rec.draw_segments(edges).expect("viewport recorded above");
-            rec.draw_points(caps).expect("viewport recorded above");
-        };
-        let slot = match strategy {
-            OverlapStrategy::Accumulation | OverlapStrategy::Blending => {
-                // An expanded boundary needs two primitive batches (wide
-                // lines + wide points) per object, and additive blending
-                // would double-count where the two batches overlap — so the
-                // Blending strategy also uses the accumulation choreography
-                // here, exactly as the paper's implementation does.
-                rec.set_write_mode(WriteMode::Overwrite);
-                rec.clear_color();
-                rec.clear_accum();
-                draw_expanded(&mut rec, first);
-                rec.accum_load();
-                rec.clear_color();
-                draw_expanded(&mut rec, second);
-                rec.accum_add();
-                rec.accum_return();
-                rec.minmax()
-            }
-            OverlapStrategy::Stencil => {
-                rec.clear_stencil();
-                rec.set_write_mode(WriteMode::StencilReplace(1));
-                draw_expanded(&mut rec, first);
-                rec.set_write_mode(WriteMode::StencilIncrIfEq(1));
-                draw_expanded(&mut rec, second);
-                rec.stencil_max()
+        // An expanded boundary is two primitive batches, wide lines and
+        // their vertex caps, drawn into the same cleared color buffer.
+        let draw_expanded = |(edges, caps): (S, P)| {
+            move |rec: &mut Recorder| {
+                rec.draw_segments(edges)?;
+                rec.draw_points(caps)
             }
         };
-        (rec.finish(), slot)
+        record_accumulation(
+            Viewport::uniform(region, resolution, resolution),
+            width,
+            width,
+            draw_expanded(first),
+            draw_expanded(second),
+        )
     }
 
     /// Hardware-assisted within-distance test: true iff `dist(P, Q) ≤ d`.

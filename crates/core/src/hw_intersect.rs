@@ -36,7 +36,7 @@ use spatial_raster::aa_line::DIAGONAL_WIDTH;
 use spatial_raster::framebuffer::HALF_GRAY;
 use spatial_raster::{
     CommandList, DeviceError, DeviceKind, Execution, HwCostModel, OverlapStrategy, RasterDevice,
-    Recorder, Viewport, WriteMode,
+    RecordError, Recorder, Viewport, WriteMode,
 };
 use std::time::Instant;
 
@@ -194,58 +194,25 @@ impl HwTester {
     }
 
     /// Records the hardware segment-intersection choreography for one pair
-    /// over `region` at `resolution`×`resolution`, in the given overlap
-    /// strategy. Returns the command list and the readback slot holding
-    /// the overlap verdict (a Minmax slot for accumulation/blending, a
-    /// stencil-max slot for the stencil strategy). Pure function of its
-    /// arguments — golden-stream tests snapshot its serialization.
+    /// over `region` at `resolution`×`resolution`. Returns the command
+    /// list and the Minmax readback slot holding the overlap verdict. Pure
+    /// function of its arguments — golden-stream tests snapshot its
+    /// serialization. Accumulation is the only [`OverlapStrategy`], so
+    /// `_strategy` changes nothing.
     pub fn record_segment_test(
         region: Rect,
         resolution: usize,
-        strategy: OverlapStrategy,
+        _strategy: OverlapStrategy,
         first: impl IntoIterator<Item = Segment>,
         second: impl IntoIterator<Item = Segment>,
     ) -> (CommandList, usize) {
-        let mut rec = Recorder::new(resolution, resolution);
-        rec.set_viewport(Viewport::new(region, resolution, resolution))
-            .expect("window dimensions match the viewport resolution");
-        rec.set_color(HALF_GRAY)
-            .expect("half gray is a valid intensity");
-        rec.set_line_width(DIAGONAL_WIDTH)
-            .expect("DIAGONAL_WIDTH is within the hardware limit");
-        rec.set_point_size(1.0)
-            .expect("unit point size is within the hardware limit");
-        let slot = match strategy {
-            OverlapStrategy::Accumulation => {
-                rec.set_write_mode(WriteMode::Overwrite);
-                rec.clear_color();
-                rec.clear_accum();
-                rec.draw_segments(first).expect("viewport recorded above");
-                rec.accum_load();
-                rec.clear_color();
-                rec.draw_segments(second).expect("viewport recorded above");
-                rec.accum_add();
-                rec.accum_return();
-                rec.minmax()
-            }
-            OverlapStrategy::Blending => {
-                rec.set_write_mode(WriteMode::Overwrite);
-                rec.clear_color();
-                rec.draw_segments(first).expect("viewport recorded above");
-                rec.set_write_mode(WriteMode::Blend);
-                rec.draw_segments(second).expect("viewport recorded above");
-                rec.minmax()
-            }
-            OverlapStrategy::Stencil => {
-                rec.clear_stencil();
-                rec.set_write_mode(WriteMode::StencilReplace(1));
-                rec.draw_segments(first).expect("viewport recorded above");
-                rec.set_write_mode(WriteMode::StencilIncrIfEq(1));
-                rec.draw_segments(second).expect("viewport recorded above");
-                rec.stencil_max()
-            }
-        };
-        (rec.finish(), slot)
+        record_accumulation(
+            Viewport::new(region, resolution, resolution),
+            DIAGONAL_WIDTH,
+            1.0,
+            |rec| rec.draw_segments(first),
+            |rec| rec.draw_segments(second),
+        )
     }
 
     /// Decides `pred` on one pair, exactly: the software prologue
@@ -263,13 +230,8 @@ impl HwTester {
         match route(pred, p, q, &self.cfg, stats) {
             Routed::Done(verdict) => verdict,
             Routed::Hw(window) => {
-                let stencil = self.cfg.strategy == OverlapStrategy::Stencil;
                 let overlap = self.submit(Tape::Pair(&window), stats, |exec, slot| {
-                    Ok(if stencil {
-                        exec.stencil_value(slot)? >= 2
-                    } else {
-                        exec.max_red(slot)? >= 1.0
-                    })
+                    Ok(exec.max_red(slot)? >= 1.0)
                 });
                 settle(pred, p, q, overlap, stats)
             }
@@ -298,6 +260,42 @@ impl HwTester {
     ) -> bool {
         self.test(Predicate::ContainedIn, inner, outer, stats)
     }
+}
+
+/// Algorithm 3.1 steps 2.2–2.8 over `viewport`, the one overlap
+/// choreography of the boundary tests: `first` and `second` each draw one
+/// boundary at half gray, the first is loaded into the accumulation
+/// buffer, the second added to it, and the sum is returned to the color
+/// buffer for one Minmax. Returns the list and the Minmax slot: full white
+/// there means the boundaries share a pixel. The line width and point
+/// size must be within the hardware limit.
+pub(crate) fn record_accumulation(
+    viewport: Viewport,
+    line_width: f64,
+    point_size: f64,
+    first: impl FnOnce(&mut Recorder) -> Result<(), RecordError>,
+    second: impl FnOnce(&mut Recorder) -> Result<(), RecordError>,
+) -> (CommandList, usize) {
+    let mut rec = Recorder::new(viewport.width(), viewport.height());
+    rec.set_viewport(viewport)
+        .expect("the window is the viewport's");
+    rec.set_color(HALF_GRAY)
+        .expect("half gray is a valid intensity");
+    rec.set_line_width(line_width)
+        .expect("the caller keeps the line width within the hardware limit");
+    rec.set_point_size(point_size)
+        .expect("the caller keeps the point size within the hardware limit");
+    rec.set_write_mode(WriteMode::Overwrite);
+    rec.clear_color();
+    rec.clear_accum();
+    first(&mut rec).expect("viewport recorded, overwrite mode set");
+    rec.accum_load();
+    rec.clear_color();
+    second(&mut rec).expect("viewport recorded, overwrite mode set");
+    rec.accum_add();
+    rec.accum_return();
+    let slot = rec.minmax();
+    (rec.finish(), slot)
 }
 
 /// One-shot convenience wrapper around [`HwTester::intersects`].
@@ -413,35 +411,6 @@ mod tests {
         assert!(t.intersects(&horiz, &vert, &mut st));
         assert_eq!(st.hw_tests, 0);
         assert_eq!(st.skipped_by_threshold, 1, "{st:?}");
-    }
-
-    #[test]
-    fn all_strategies_agree() {
-        let cases = [
-            (square(0.0, 0.0, 2.0), square(1.0, 1.0, 2.0)),
-            (c_shape(), square(6.0, 6.0, 3.0)),
-            (square(0.0, 0.0, 1.0), square(1.0, 0.0, 1.0)),
-        ];
-        for strategy in [
-            OverlapStrategy::Accumulation,
-            OverlapStrategy::Blending,
-            OverlapStrategy::Stencil,
-        ] {
-            let cfg = HwConfig {
-                resolution: 16,
-                sw_threshold: 0,
-                strategy,
-            };
-            let mut t = HwTester::new(cfg);
-            for (p, q) in &cases {
-                let mut st = TestStats::default();
-                assert_eq!(
-                    t.intersects(p, q, &mut st),
-                    polygons_intersect_brute(p, q),
-                    "{strategy:?}"
-                );
-            }
-        }
     }
 
     #[test]

@@ -46,7 +46,7 @@ use crate::hw_intersect::HwTester;
 use crate::pipeline::RefineOp;
 use crate::stats::TestStats;
 use spatial_geom::{Point, Polygon, Rect};
-use spatial_raster::{CommandList, DeviceKind, OverlapStrategy, Recorder, Viewport, WriteMode};
+use spatial_raster::{CommandList, DeviceKind, Recorder, Viewport, WriteMode};
 
 /// The world-space area of one pixel of `region` projected onto a
 /// `resolution × resolution` window — the quantization unit of the
@@ -104,11 +104,9 @@ pub fn fill_rings(p: &Polygon, q: &Polygon, resolution: usize) -> Option<[Vec<Po
     Some([false, true].map(|second| w.points(second).collect()))
 }
 
-/// The overlap count's projection window (the tape has one shape per
-/// resolution: no overlap strategy enters it).
+/// The overlap count's projection window.
 fn overlap_window<'a>(p: &'a Polygon, q: &'a Polygon, resolution: usize) -> Option<Window<'a>> {
-    let op = RefineOp::Measure { resolution };
-    window(op, p, q, resolution, OverlapStrategy::default())
+    window(RefineOp::Measure { resolution }, p, q, resolution)
 }
 
 impl HwTester {

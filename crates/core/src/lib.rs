@@ -14,8 +14,7 @@
 //!   the device runs for a pair: software prologue, §3.2 projection
 //!   window, command list, epilogue. The per-pair tester, the atlas
 //!   batcher ([`hw_batch`]) and the service planner all call it;
-//! * [`config`] — window resolution, `sw_threshold` (§4.3), overlap
-//!   strategy;
+//! * [`config`] — window resolution and `sw_threshold` (§4.3);
 //! * [`engine`] — the three-stage query pipelines of Fig. 8 (MBR filter →
 //!   intermediate filter → geometry comparison) for intersection and
 //!   containment selections, intersection, within-distance and

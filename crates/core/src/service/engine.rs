@@ -166,7 +166,7 @@ impl QueryEngine {
 
     pub fn try_new(config: ServiceConfig, snapshot: ServiceSnapshot) -> Result<Self, ConfigError> {
         config.validate()?;
-        let planner = Planner::new(config.planner.clone(), config.base.hw.strategy);
+        let planner = Planner::new(config.planner.clone());
         let admission = AdmissionQueue::new(config.admission_capacity);
         let brownout = config.brownout.map(|cfg| Mutex::new(Brownout::new(cfg)));
         Ok(QueryEngine {

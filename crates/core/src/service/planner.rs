@@ -32,7 +32,7 @@
 use crate::choreography::{list, window, Tape};
 use crate::pipeline::{Predicate, RefineOp};
 use spatial_geom::Polygon;
-use spatial_raster::{CommandList, HwCostModel, OverlapStrategy};
+use spatial_raster::{CommandList, HwCostModel};
 use std::collections::HashMap;
 
 /// The backend a query will refine on, as selected by the planner (or
@@ -142,7 +142,6 @@ struct MemoKey {
 #[derive(Debug)]
 pub(crate) struct Planner {
     cfg: PlannerConfig,
-    strategy: OverlapStrategy,
     model: HwCostModel,
     memo: HashMap<MemoKey, PlanChoice>,
 }
@@ -152,10 +151,9 @@ fn ns(d: std::time::Duration) -> f64 {
 }
 
 impl Planner {
-    pub(crate) fn new(cfg: PlannerConfig, strategy: OverlapStrategy) -> Self {
+    pub(crate) fn new(cfg: PlannerConfig) -> Self {
         Planner {
             cfg,
-            strategy,
             model: HwCostModel::default(),
             memo: HashMap::new(),
         }
@@ -339,7 +337,7 @@ impl Planner {
         p: &Polygon,
         q: &Polygon,
     ) -> Option<CommandList> {
-        let w = window(op, p, q, resolution, self.strategy)?;
+        let w = window(op, p, q, resolution)?;
         Some(list(Tape::Pair(&w)).0)
     }
 }
@@ -353,7 +351,9 @@ mod tests {
     use crate::pipeline::QuerySpec;
     use crate::stats::TestStats;
     use spatial_index::FilterConfig;
-    use spatial_raster::{DeviceError, DeviceKind, Execution, FrameBuffer, RasterDevice};
+    use spatial_raster::{
+        DeviceError, DeviceKind, Execution, FrameBuffer, OverlapStrategy, RasterDevice,
+    };
     use std::sync::{Arc, Mutex};
 
     const INTERSECTS: RefineOp = RefineOp::Test(Predicate::Intersects);
@@ -392,7 +392,7 @@ mod tests {
 
     #[test]
     fn empty_candidate_set_plans_software() {
-        let mut pl = Planner::new(PlannerConfig::default(), OverlapStrategy::Accumulation);
+        let mut pl = Planner::new(PlannerConfig::default());
         let planned = pl.plan(0, INTERSECTS, 0, &[]);
         assert_eq!(planned.choice, PlanChoice::Software);
         assert!(!planned.memo_hit);
@@ -407,7 +407,7 @@ mod tests {
     /// the service can tell them apart from short-circuits.
     #[test]
     fn pricing_passes_report_priced() {
-        let mut pl = Planner::new(PlannerConfig::default(), OverlapStrategy::Accumulation);
+        let mut pl = Planner::new(PlannerConfig::default());
         let a = rect_poly(0.0, 0.0, 10.0, 10.0);
         let b = rect_poly(5.0, 5.0, 10.0, 10.0);
         assert!(pl.plan(0, INTERSECTS, 4, &[(&a, &b)]).priced);
@@ -419,7 +419,7 @@ mod tests {
     /// ladder — and batch per pair.
     #[test]
     fn overlap_plans_keep_the_contractual_resolution() {
-        let mut pl = Planner::new(PlannerConfig::default(), OverlapStrategy::Accumulation);
+        let mut pl = Planner::new(PlannerConfig::default());
         let a = ring(5.0, 5.0, 4.0, 600);
         let b = ring(6.0, 5.0, 4.0, 600);
         let planned = pl.plan_limited(4, measure(48), 10_000, &[(&a, &b)], usize::MAX);
@@ -447,7 +447,7 @@ mod tests {
     /// render: software answers the zeros for free.
     #[test]
     fn disjoint_overlap_sample_plans_software() {
-        let mut pl = Planner::new(PlannerConfig::default(), OverlapStrategy::Accumulation);
+        let mut pl = Planner::new(PlannerConfig::default());
         let a = rect_poly(0.0, 0.0, 1.0, 1.0);
         let b = rect_poly(5.0, 5.0, 1.0, 1.0);
         let planned = pl.plan_limited(4, measure(16), 1_000_000, &[(&a, &b)], usize::MAX);
@@ -456,7 +456,7 @@ mod tests {
 
     #[test]
     fn small_simple_pairs_stay_in_software() {
-        let mut pl = Planner::new(PlannerConfig::default(), OverlapStrategy::Accumulation);
+        let mut pl = Planner::new(PlannerConfig::default());
         let a = rect_poly(0.0, 0.0, 10.0, 10.0);
         let b = rect_poly(5.0, 5.0, 10.0, 10.0);
         // A handful of 4-vertex pairs: the fixed draw/readback overhead
@@ -467,7 +467,7 @@ mod tests {
 
     #[test]
     fn complex_pairs_at_scale_cross_over_to_hardware() {
-        let mut pl = Planner::new(PlannerConfig::default(), OverlapStrategy::Accumulation);
+        let mut pl = Planner::new(PlannerConfig::default());
         let a = ring(5.0, 5.0, 4.0, 600);
         let b = ring(6.0, 5.0, 4.0, 600);
         // 1200 vertices/pair × 10 ns ≫ the modeled raster cost at a
@@ -482,7 +482,7 @@ mod tests {
 
     #[test]
     fn repeat_shapes_hit_the_memo() {
-        let mut pl = Planner::new(PlannerConfig::default(), OverlapStrategy::Accumulation);
+        let mut pl = Planner::new(PlannerConfig::default());
         let a = rect_poly(0.0, 0.0, 10.0, 10.0);
         let b = rect_poly(5.0, 5.0, 10.0, 10.0);
         let first = pl.plan(0, INTERSECTS, 4, &[(&a, &b)]);
@@ -494,7 +494,7 @@ mod tests {
 
     #[test]
     fn resolution_cap_prices_only_the_coarsest_windows() {
-        let mut pl = Planner::new(PlannerConfig::default(), OverlapStrategy::Accumulation);
+        let mut pl = Planner::new(PlannerConfig::default());
         let a = ring(5.0, 5.0, 4.0, 600);
         let b = ring(6.0, 5.0, 4.0, 600);
         let capped = pl.plan_limited(2, INTERSECTS, 10_000, &[(&a, &b)], 1);
@@ -528,7 +528,7 @@ mod tests {
             resolutions: vec![128, 256],
             ..PlannerConfig::default()
         };
-        let mut pl = Planner::new(cfg, OverlapStrategy::Accumulation);
+        let mut pl = Planner::new(cfg);
         let a = rect_poly(0.0, 0.0, 1.0, 1.0);
         let b = rect_poly(1.5, 0.0, 1.0, 1.0);
         let planned = pl.plan(
@@ -565,13 +565,10 @@ mod tests {
 
     type Seen = Arc<Mutex<Vec<String>>>;
 
-    /// Runs `check` for all five query kinds × three overlap strategies,
-    /// each with a tester whose device records what it is handed in
-    /// `seen`. Boolean kinds run at resolution 8, the aggregation at its
-    /// own.
-    fn for_each_kind_and_strategy(
-        mut check: impl FnMut(OverlapStrategy, &QuerySpec, usize, &mut HwTester, &Seen),
-    ) {
+    /// Runs `check` for all five query kinds, each with a tester whose
+    /// device records what it is handed in `seen`. Boolean kinds run at
+    /// resolution 8, the aggregation at its own.
+    fn for_each_kind(mut check: impl FnMut(&QuerySpec, usize, &mut HwTester, &Seen)) {
         let a = prepare(spatial_datagen::landc(0.002, 7));
         let b = prepare(spatial_datagen::lando(0.002, 7));
         // A window with undecided candidates under both selections.
@@ -588,28 +585,18 @@ mod tests {
             QuerySpec::within_distance_join(&a, &b, d),
             QuerySpec::overlap_area_join(&a, &b, 16),
         ];
-        for strategy in [
-            OverlapStrategy::Accumulation,
-            OverlapStrategy::Blending,
-            OverlapStrategy::Stencil,
-        ] {
-            for spec in &specs {
-                let resolution = match spec.op() {
-                    RefineOp::Measure { resolution } => resolution,
-                    RefineOp::Test(_) => 8,
-                };
-                let cfg = HwConfig {
-                    strategy,
-                    ..HwConfig::at_resolution(resolution)
-                };
-                let mut tester = HwTester::new(cfg);
-                let seen = Seen::default();
-                tester.set_device(Box::new(Spy {
-                    inner: DeviceKind::Reference.build(),
-                    seen: Arc::clone(&seen),
-                }));
-                check(strategy, spec, resolution, &mut tester, &seen);
-            }
+        for spec in &specs {
+            let resolution = match spec.op() {
+                RefineOp::Measure { resolution } => resolution,
+                RefineOp::Test(_) => 8,
+            };
+            let mut tester = HwTester::new(HwConfig::at_resolution(resolution));
+            let seen = Seen::default();
+            tester.set_device(Box::new(Spy {
+                inner: DeviceKind::Reference.build(),
+                seen: Arc::clone(&seen),
+            }));
+            check(spec, resolution, &mut tester, &seen);
         }
     }
 
@@ -627,14 +614,14 @@ mod tests {
     }
 
     /// The list the planner prices for a sampled pair is the list the
-    /// tester executes for that pair at the same resolution and strategy,
-    /// for all five query kinds. (The planner prices every pair that has
+    /// tester executes for that pair at the same resolution, for all five
+    /// query kinds. (The planner prices every pair that has
     /// a window; the tester's prologue decides some of them without the
     /// device, and those are skipped here.)
     #[test]
     fn the_planner_prices_the_list_the_tester_executes() {
-        for_each_kind_and_strategy(|strategy, spec, resolution, tester, seen| {
-            let planner = Planner::new(PlannerConfig::default(), strategy);
+        for_each_kind(|spec, resolution, tester, seen| {
+            let planner = Planner::new(PlannerConfig::default());
             let mut compared = 0;
             let stage1 = spec.stage1(&FilterConfig::default());
             for &cand in &stage1.candidates {
@@ -646,11 +633,11 @@ mod tests {
                 test_pair(tester, spec.op(), p, q);
                 if let Some(executed) = seen.lock().unwrap().pop() {
                     let priced = priced.expect("a pair that reached the device has a window");
-                    assert_eq!(priced.serialize(), executed, "{strategy:?} {:?}", spec.op());
+                    assert_eq!(priced.serialize(), executed, "{:?}", spec.op());
                     compared += 1;
                 }
             }
-            assert!(compared >= 2, "{strategy:?} {:?}", spec.op());
+            assert!(compared >= 2, "{:?}", spec.op());
         });
     }
 
@@ -667,8 +654,8 @@ mod tests {
         use spatial_raster::atlas::record_batch;
         use spatial_raster::AtlasJob;
 
-        for_each_kind_and_strategy(|strategy, spec, resolution, tester, seen| {
-            let what = format!("{strategy:?} {:?}", spec.op());
+        for_each_kind(|spec, resolution, tester, seen| {
+            let what = format!("{:?}", spec.op());
             let stage1 = spec.stage1(&FilterConfig::default());
             let pairs: Vec<(&Polygon, &Polygon)> = stage1
                 .candidates
@@ -683,14 +670,13 @@ mod tests {
                 let Some(submitted) = seen.lock().unwrap().pop() else {
                     continue;
                 };
-                let w = window(spec.op(), p, q, resolution, strategy)
+                let w = window(spec.op(), p, q, resolution)
                     .expect("a pair that reached the device has a window");
                 let direct = match spec.op() {
                     RefineOp::Test(Predicate::WithinDistance(_)) => {
                         HwTester::record_expanded_boundaries(
                             w.region,
                             resolution,
-                            strategy,
                             w.width,
                             (w.segments(false), w.points(false)),
                             (w.segments(true), w.points(true)),
@@ -699,7 +685,7 @@ mod tests {
                     RefineOp::Test(_) => HwTester::record_segment_test(
                         w.region,
                         resolution,
-                        strategy,
+                        OverlapStrategy::Accumulation,
                         w.segments(false),
                         w.segments(true),
                     ),

@@ -42,7 +42,7 @@ fn assert_golden(name: &str, got: &str) {
 }
 
 /// The fixed scene: two overlapping unit-ish squares in a 16×16 window.
-/// Their boundaries cross, so every strategy's verdict is "overlap".
+/// Their boundaries cross, so every verdict is "overlap".
 fn fixed_pair() -> (Polygon, Polygon, Rect) {
     let p = Polygon::from_coords(&[(2.0, 2.0), (10.0, 2.0), (10.0, 10.0), (2.0, 10.0)]);
     let q = Polygon::from_coords(&[(6.0, 6.0), (14.0, 6.0), (14.0, 14.0), (6.0, 14.0)]);
@@ -62,23 +62,23 @@ fn assert_execution(list: &CommandList, want: &Execution) {
     assert_eq!(model.replay_cost(list), model.time(&exec.stats));
 }
 
-fn check_strategy(strategy: OverlapStrategy, name: &str, want: Execution) {
-    let (p, q, region) = fixed_pair();
-    let (list, slot) = HwTester::record_segment_test(region, 16, strategy, p.edges(), q.edges());
-    assert_golden(name, &list.serialize());
-    assert_eq!(slot, 0, "the verdict is the stream's only readback");
-    assert_execution(&list, &want);
-}
-
-// The boundaries cross, so accumulation/blending reach exactly full white
-// (0.5 + 0.5) and the stencil counts exactly two boundary layers.
-
+/// The per-pair Algorithm 3.1 stream. The boundaries cross, so the
+/// accumulation reaches exactly full white (0.5 + 0.5).
 #[test]
 fn accumulation_stream_is_stable() {
-    check_strategy(
+    let (p, q, region) = fixed_pair();
+    let (list, slot) = HwTester::record_segment_test(
+        region,
+        16,
         OverlapStrategy::Accumulation,
-        "segment_accumulation.txt",
-        Execution {
+        p.edges(),
+        q.edges(),
+    );
+    assert_golden("segment_accumulation.txt", &list.serialize());
+    assert_eq!(slot, 0, "the verdict is the stream's only readback");
+    assert_execution(
+        &list,
+        &Execution {
             stats: HwStats {
                 pixels_written: 64,
                 fragments_tested: 64,
@@ -93,42 +93,29 @@ fn accumulation_stream_is_stable() {
     );
 }
 
+/// The per-pair §3.1 distance stream: both boundaries expanded by 2.5 px
+/// wide lines and equally wide vertex caps over the fixed pair's window.
+/// The boundaries cross, so the verdict is full white.
 #[test]
-fn blending_stream_is_stable() {
-    check_strategy(
-        OverlapStrategy::Blending,
-        "segment_blending.txt",
-        Execution {
+fn distance_stream_is_stable() {
+    let (p, q, region) = fixed_pair();
+    let (list, slot) =
+        HwTester::record_distance_test(region, 16, OverlapStrategy::Accumulation, 2.5, &p, &q);
+    assert_golden("distance_accumulation.txt", &list.serialize());
+    assert_eq!(slot, 0, "the verdict is the stream's only readback");
+    assert_execution(
+        &list,
+        &Execution {
             stats: HwStats {
-                pixels_written: 63,
-                fragments_tested: 64,
-                pixels_scanned: 512,
-                primitives: 8,
-                draw_calls: 2,
+                pixels_written: 134,
+                fragments_tested: 136,
+                pixels_scanned: 1792,
+                primitives: 16,
+                draw_calls: 4,
                 minmax_queries: 1,
                 batches: 0,
             },
             readbacks: vec![Readback::Minmax(0.0, 1.0)],
-        },
-    );
-}
-
-#[test]
-fn stencil_stream_is_stable() {
-    check_strategy(
-        OverlapStrategy::Stencil,
-        "segment_stencil.txt",
-        Execution {
-            stats: HwStats {
-                pixels_written: 63,
-                fragments_tested: 64,
-                pixels_scanned: 512,
-                primitives: 8,
-                draw_calls: 2,
-                minmax_queries: 1,
-                batches: 0,
-            },
-            readbacks: vec![Readback::StencilMax(2)],
         },
     );
 }

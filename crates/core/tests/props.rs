@@ -1,13 +1,12 @@
 //! The headline invariants of the paper, property-tested: the
 //! hardware-assisted tests are *exact* — equal to the software oracles —
-//! at every window resolution, every overlap strategy, every threshold
-//! and every query distance (DESIGN.md §5, invariants 1–2).
+//! at every window resolution, every threshold and every query
+//! distance (DESIGN.md §5, invariants 1–2).
 
 use hwa_core::hw_intersect::HwTester;
 use hwa_core::{FilterStats, HwConfig, Predicate, RefineOp, Stage1, StagedExecutor, TestStats};
 use proptest::prelude::*;
 use spatial_geom::{min_dist_brute, polygons_intersect_brute, Point, Polygon};
-use spatial_raster::OverlapStrategy;
 
 fn star_polygon(cx: f64, cy: f64, radii: &[f64]) -> Polygon {
     let n = radii.len();
@@ -59,22 +58,6 @@ proptest! {
         let mut t = HwTester::new(HwConfig::at_resolution(8).with_threshold(threshold));
         let mut st = TestStats::default();
         prop_assert_eq!(t.intersects(&p, &q, &mut st), oracle);
-    }
-
-    /// All overlap strategies implement the same exact test.
-    #[test]
-    fn strategies_are_equivalent(p in arb_star(), q in arb_star()) {
-        let oracle = polygons_intersect_brute(&p, &q);
-        for strategy in [
-            OverlapStrategy::Accumulation,
-            OverlapStrategy::Blending,
-            OverlapStrategy::Stencil,
-        ] {
-            let cfg = HwConfig { strategy, ..HwConfig::at_resolution(8) };
-            let mut t = HwTester::new(cfg);
-            let mut st = TestStats::default();
-            prop_assert_eq!(t.intersects(&p, &q, &mut st), oracle, "{:?}", strategy);
-        }
     }
 
     /// The distance test == oracle, across resolutions and distances,

@@ -108,68 +108,6 @@ pub(crate) fn edges_within_pairwise_in(
     false
 }
 
-/// Forward-sweep within-distance detection between two edge sets: returns
-/// `true` as soon as any pair comes within `d` (closed: exactly `d` counts).
-///
-/// A modern improvement over the paper's pairwise kernel (near-linear for
-/// GIS edge sets): edges are processed in x order and compared only when
-/// their x-ranges come within `d`. Kept as an ablation — the figure
-/// benches use [`edges_within_pairwise`] to stay faithful to the paper's
-/// software baseline.
-pub fn edges_within_sweep(ep: &[Segment], eq: &[Segment], d: f64) -> bool {
-    if ep.is_empty() || eq.is_empty() {
-        return false;
-    }
-    #[derive(Clone, Copy)]
-    struct Entry {
-        xmax: f64,
-        ymin: f64,
-        ymax: f64,
-        idx: u32,
-    }
-    let mut order: Vec<(f64, bool, u32)> = Vec::with_capacity(ep.len() + eq.len());
-    for (i, s) in ep.iter().enumerate() {
-        order.push((s.a.x.min(s.b.x), false, i as u32));
-    }
-    for (i, s) in eq.iter().enumerate() {
-        order.push((s.a.x.min(s.b.x), true, i as u32));
-    }
-    order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
-
-    let mut active_p: Vec<Entry> = Vec::new();
-    let mut active_q: Vec<Entry> = Vec::new();
-
-    for &(x, is_q, idx) in &order {
-        let (seg, others, own, other_set) = if is_q {
-            (&eq[idx as usize], ep, &mut active_q, &mut active_p)
-        } else {
-            (&ep[idx as usize], eq, &mut active_p, &mut active_q)
-        };
-        let (ymin, ymax) = if seg.a.y <= seg.b.y {
-            (seg.a.y, seg.b.y)
-        } else {
-            (seg.b.y, seg.a.y)
-        };
-        // Expire opposite-set edges that ended more than d before the front.
-        other_set.retain(|e| e.xmax >= x - d);
-        for e in other_set.iter() {
-            if e.ymin - d <= ymax
-                && ymin <= e.ymax + d
-                && seg.dist_segment(&others[e.idx as usize]) <= d
-            {
-                return true;
-            }
-        }
-        own.push(Entry {
-            xmax: seg.a.x.max(seg.b.x),
-            ymin,
-            ymax,
-            idx,
-        });
-    }
-    false
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -317,54 +255,5 @@ mod tests {
             assert!(!edges_within_pairwise(&ep, &eq, 2.0f64.next_down()));
             assert!(flat_pairwise(&ep, &eq, 2.0));
         }
-    }
-
-    #[test]
-    fn within_sweep_basic() {
-        let a = vec![seg(0.0, 0.0, 10.0, 0.0)];
-        let b = vec![seg(0.0, 3.0, 10.0, 3.0)];
-        assert!(edges_within_sweep(&a, &b, 3.0)); // closed: exactly d counts
-        assert!(edges_within_sweep(&a, &b, 4.0));
-        assert!(!edges_within_sweep(&a, &b, 2.9));
-    }
-
-    #[test]
-    fn within_sweep_x_separated() {
-        let a = vec![seg(0.0, 0.0, 1.0, 0.0)];
-        let b = vec![seg(4.0, 0.0, 5.0, 0.0)];
-        assert!(edges_within_sweep(&a, &b, 3.0));
-        assert!(!edges_within_sweep(&a, &b, 2.5));
-    }
-
-    #[test]
-    fn within_sweep_agrees_with_min_dist_on_grid() {
-        // A small deterministic battery of segment placements.
-        let mut segs = Vec::new();
-        for i in 0..4 {
-            for j in 0..4 {
-                segs.push(seg(
-                    i as f64,
-                    j as f64,
-                    i as f64 + 0.8,
-                    j as f64 + (i as f64) * 0.3,
-                ));
-            }
-        }
-        let (a, b) = segs.split_at(8);
-        let true_min = edges_min_dist(a, b, f64::INFINITY);
-        for &d in &[0.1, 0.5, 1.0, 2.0, 5.0] {
-            assert_eq!(
-                edges_within_sweep(a, b, d),
-                true_min <= d,
-                "d = {d}, true_min = {true_min}"
-            );
-        }
-    }
-
-    #[test]
-    fn within_sweep_empty() {
-        let a = vec![seg(0.0, 0.0, 1.0, 0.0)];
-        assert!(!edges_within_sweep(&a, &[], 10.0));
-        assert!(!edges_within_sweep(&[], &a, 10.0));
     }
 }

@@ -46,7 +46,7 @@ pub use clip::{convex_clip, convex_overlap_area, overlap_area_exact};
 pub use intersect::{
     polygon_contained_in, polygons_intersect, polygons_intersect_brute, IntersectStats,
 };
-pub use mindist::{min_dist, min_dist_brute, within_distance, within_distance_sweep, MinDistStats};
+pub use mindist::{min_dist, min_dist_brute, within_distance, MinDistStats};
 pub use pip::point_in_polygon;
 pub use point::Point;
 pub use polygon::Polygon;

@@ -8,7 +8,7 @@
 //! MBR extended by D.
 
 use crate::chains::frontier_clipped_in;
-use crate::distance::{edges_min_dist, edges_within_pairwise_in, edges_within_sweep};
+use crate::distance::{edges_min_dist, edges_within_pairwise_in};
 use crate::pip::point_in_polygon;
 use crate::polygon::Polygon;
 use crate::{with_scratch, Scratch};
@@ -85,20 +85,6 @@ pub fn clipped_chains_within(p: &Polygon, q: &Polygon, d: f64, stats: &mut MinDi
     with_scratch(|s| {
         clip_chains(p, q, d, s, stats);
         edges_within_pairwise_in(&s.ep, &s.eq, d, &mut s.boxes)
-    })
-}
-
-/// A modern variant of [`within_distance`] that replaces the pairwise
-/// chain comparison with a forward sweep (near-linear). Identical results;
-/// benchmarked against the paper's kernel in the ablation suite.
-pub fn within_distance_sweep(p: &Polygon, q: &Polygon, d: f64) -> bool {
-    let stats = &mut MinDistStats::default();
-    if let Some(decided) = decided_early(p, q, d, stats) {
-        return decided;
-    }
-    with_scratch(|s| {
-        clip_chains(p, q, d, s, stats);
-        edges_within_sweep(&s.ep, &s.eq, d)
     })
 }
 
@@ -236,7 +222,6 @@ mod tests {
                 assert!(within_distance(p, q, 2.5 * s), "s = {s}");
                 assert!(within_distance(p, q, gap), "s = {s}");
                 assert!(!within_distance(p, q, 1.5 * s), "s = {s}");
-                assert!(crate::within_distance_sweep(p, q, 2.5 * s), "s = {s}");
             }
         }
     }

@@ -851,19 +851,6 @@ proptest! {
         prop_assert_eq!(within_distance(&p, &q, 0.0), polygons_intersect_brute(&p, &q));
     }
 
-    /// The sweep kernel and the paper's pairwise kernel agree everywhere.
-    #[test]
-    fn within_sweep_matches_pairwise(
-        p in arb_star(),
-        q in arb_star(),
-        d in 0.0f64..80.0,
-    ) {
-        prop_assert_eq!(
-            spatial_geom::within_distance_sweep(&p, &q, d),
-            within_distance(&p, &q, d)
-        );
-    }
-
     /// The centroid of a star polygon is inside it only if... not always
     /// (concave shapes), but the generating center always is: every star
     /// vertex is visible from it.

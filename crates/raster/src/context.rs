@@ -19,32 +19,31 @@ pub const MAX_AA_LINE_WIDTH: f64 = 10.0;
 /// Maximum (smooth) point size, in pixels — same platform limit.
 pub const MAX_POINT_SIZE: f64 = 10.0;
 
-/// How overlapping fragments are detected — the implementation variants
-/// Hoff et al. suggest (§3). The paper's Algorithm 3.1 uses the
-/// accumulation buffer; the others exist for the ablation bench.
+/// How overlapping fragments are detected. The one choreography is the
+/// paper's Algorithm 3.1: both boundaries at half intensity, added in the
+/// accumulation buffer, full white searched for. The enum stays only
+/// because the public recorders `record_segment_test` and
+/// `record_distance_test` in `hwa-core` still name it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum OverlapStrategy {
     /// Render both at half intensity, add via the accumulation buffer,
     /// search for full white (the paper's choice).
     #[default]
     Accumulation,
-    /// Additive color blending directly in the color buffer.
-    Blending,
-    /// Count overdraw per pixel in the stencil buffer.
-    Stencil,
 }
 
 /// Where fragments land and how they combine — the write half of the
-/// OpenGL state Algorithm 3.1 and the Hoff variants manipulate.
+/// OpenGL state the choreographies manipulate.
+///
+/// Lines and points are only ever painted into the color plane: the
+/// [`crate::Recorder`] refuses a line or point draw in any other mode
+/// ([`crate::RecordError::DrawRequiresOverwrite`]). The two stencil modes
+/// exist for the polygon fills of the §14 overlap count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum WriteMode {
     /// Color buffer, overwrite (blending disabled — the paper's setting).
     #[default]
     Overwrite,
-    /// Color buffer, additive blending. Fragments of one *draw call* are
-    /// deduplicated first, mirroring GL's rule that a primitive batch
-    /// writes each covered pixel once per pass.
-    Blend,
     /// Stencil plane, `GL_REPLACE` with this reference value.
     StencilReplace(u8),
     /// Stencil plane, increment where the current value equals the
@@ -147,16 +146,8 @@ impl GlContext {
         self.point_size
     }
 
-    /// Convenience for the common on/off blending toggle.
-    pub fn enable_blending(&mut self, on: bool) {
-        self.write_mode = if on {
-            WriteMode::Blend
-        } else {
-            WriteMode::Overwrite
-        };
-    }
-
-    /// Full write-mode control (stencil strategies need it).
+    /// Selects how fill fragments combine with their plane (lines and
+    /// points always paint the color plane; see [`WriteMode`]).
     pub fn set_write_mode(&mut self, mode: WriteMode) {
         self.write_mode = mode;
     }
@@ -315,50 +306,25 @@ impl GlContext {
     /// submissions, and the compare skips only what the setup would itself
     /// discard ([`aa_line_outside_window`], [`wide_point_outside_window`]).
     ///
-    /// Setups and pixel walks alternate a block of primitives at a time
-    /// ([`in_blocks`]).
+    /// Each cover paints its candidate rows in the color plane, whatever
+    /// the write mode ([`WriteMode`]); setups and pixel walks alternate a
+    /// block of primitives at a time ([`in_blocks`]).
     fn draw<P, C: Cover>(&mut self, primitives: &[P], setup: impl Fn(&P) -> Option<C>) {
         let window = self.window();
         self.stats.primitives += primitives.len();
-        if self.write_mode == WriteMode::Overwrite {
-            // Hot path (Algorithm 3.1 and the distance test render
-            // everything in this mode): each cover paints its candidate
-            // rows in the color plane, no fragment leaves the loop.
-            in_blocks(primitives, setup, |cover| {
-                let (tested, written) = cover.paint(&mut self.fb, window, self.color);
-                self.stats.fragments_tested += tested;
-                self.stats.pixels_written += written;
-            });
-            return;
-        }
-        // Fragments are collected for the whole batch and written once:
-        // blending must not double-add where a boundary's own edges share
-        // vertex pixels within one draw call.
-        let mut frags: Vec<(usize, usize)> = Vec::new();
         in_blocks(primitives, setup, |cover| {
-            self.stats.fragments_tested +=
-                cover.emit(&mut |x, y| frags.push((window.x + x, window.y + y)));
+            let (tested, written) = cover.paint(&mut self.fb, window, self.color);
+            self.stats.fragments_tested += tested;
+            self.stats.pixels_written += written;
         });
-        if matches!(
-            self.write_mode,
-            WriteMode::Blend | WriteMode::StencilIncrIfEq(_)
-        ) {
-            // One blend, one stencil test per covered pixel per batch: a
-            // boundary's own edges share vertex pixels, and double-adding
-            // them would fake an overlap.
-            frags.sort_unstable();
-            frags.dedup();
-        }
-        for (x, y) in frags {
-            self.write_fragment(x, y);
-        }
     }
 
     /// Fills a polygon (data coordinates, must be convex for "hardware"
-    /// fidelity — the ablation triangulates concave input first). Each
-    /// fragment is written as the scanline produces it: a fill emits a
-    /// pixel at most once ([`crate::polygon_raster`]), so no write mode
-    /// needs the fragments of the draw call collected first.
+    /// fidelity — the ablation triangulates concave input first) in the
+    /// current write mode. Each fragment is written as the scanline
+    /// produces it: a fill emits a pixel at most once
+    /// ([`crate::polygon_raster`]), so no write mode needs the fragments
+    /// of the draw call collected first.
     pub fn draw_filled_polygon(&mut self, vertices: &[Point]) {
         self.stats.draw_calls += 1;
         self.stats.primitives += 1;
@@ -374,8 +340,8 @@ impl GlContext {
         self.stats.add(&fragments);
     }
 
-    /// Writes one fragment at frame-buffer pixel `(x, y)` in the current
-    /// write mode.
+    /// Writes one fill fragment at frame-buffer pixel `(x, y)` in the
+    /// current write mode.
     #[inline]
     fn write_fragment(&mut self, x: usize, y: usize) {
         let GlContext {
@@ -383,7 +349,6 @@ impl GlContext {
         } = self;
         match self.write_mode {
             WriteMode::Overwrite => fb.write_pixel(x, y, *color, stats),
-            WriteMode::Blend => fb.blend_pixel(x, y, *color, stats),
             WriteMode::StencilReplace(v) => fb.stencil_replace(x, y, v, stats),
             WriteMode::StencilIncrIfEq(r) => fb.stencil_incr_if_eq(x, y, r, stats),
         }
@@ -400,12 +365,6 @@ impl GlContext {
     /// Convenience: the maximum of the Minmax query.
     pub fn max_value(&mut self) -> f32 {
         self.minmax().1
-    }
-
-    /// Maximum stencil count.
-    pub fn stencil_max(&mut self) -> u8 {
-        self.stats.minmax_queries += 1;
-        self.fb.stencil_max(&mut self.stats)
     }
 
     /// Number of pixels whose stencil value is at least `min` — one
@@ -484,7 +443,6 @@ mod tests {
     #[test]
     fn algorithm_31_choreography_detects_overlap() {
         let mut gl = ctx(8);
-        gl.enable_blending(false);
         assert!(gl.set_color(crate::framebuffer::HALF_GRAY));
         // Refused, half gray stays: drawn in NaN the crossing below would
         // read 0.0, "no overlap" (`f32::max` drops NaN in the Minmax scan).
@@ -513,50 +471,6 @@ mod tests {
         gl.accum_add();
         gl.accum_return();
         assert_eq!(gl.max_value(), 0.5, "disjoint segments stay half gray");
-    }
-
-    #[test]
-    fn blending_strategy_detects_overlap_in_one_pass() {
-        let mut gl = ctx(8);
-        gl.enable_blending(true);
-        gl.set_color(crate::framebuffer::HALF_GRAY);
-        gl.draw_segments(&[seg(0.0, 0.0, 8.0, 8.0)]);
-        gl.draw_segments(&[seg(0.0, 8.0, 8.0, 0.0)]);
-        assert_eq!(gl.max_value(), 1.0);
-    }
-
-    #[test]
-    fn blending_single_primitive_does_not_self_overlap() {
-        let mut gl = ctx(8);
-        gl.enable_blending(true);
-        gl.set_color(crate::framebuffer::HALF_GRAY);
-        gl.draw_segments(&[seg(0.0, 0.0, 8.0, 8.0)]);
-        assert_eq!(gl.max_value(), 0.5);
-    }
-
-    #[test]
-    fn stencil_strategy_counts_overdraw() {
-        let mut gl = ctx(8);
-        gl.set_write_mode(WriteMode::StencilReplace(1));
-        gl.draw_segments(&[seg(0.0, 0.0, 8.0, 8.0)]);
-        gl.set_write_mode(WriteMode::StencilIncrIfEq(1));
-        gl.draw_segments(&[seg(0.0, 8.0, 8.0, 0.0)]);
-        assert_eq!(gl.stencil_max(), 2);
-        gl.clear_stencil_buffer();
-        assert_eq!(gl.stencil_max(), 0);
-    }
-
-    #[test]
-    fn stencil_incr_if_eq_ignores_self_overlap() {
-        // The second object's own edges share vertex pixels; EQUAL+INCR
-        // must count each marked pixel at most once per draw call.
-        let mut gl = ctx(8);
-        gl.set_write_mode(WriteMode::StencilReplace(1));
-        gl.draw_segments(&[seg(0.0, 4.0, 8.0, 4.0)]);
-        gl.set_write_mode(WriteMode::StencilIncrIfEq(1));
-        // A chain of two touching segments far from the first object.
-        gl.draw_segments(&[seg(0.0, 7.5, 4.0, 7.5), seg(4.0, 7.5, 8.0, 7.5)]);
-        assert!(gl.stencil_max() < 2, "self-touching chain faked an overlap");
     }
 
     #[test]
@@ -629,7 +543,7 @@ mod tests {
     /// A segment with end points but no direction — the squared length of
     /// `b − a` underflows, so there is no unit vector to build a rectangle
     /// on — is still a segment: it colors the pixels its cap covers, like
-    /// `a == b`, painted and emitted alike.
+    /// `a == b`.
     #[test]
     fn a_segment_without_a_direction_draws_its_cap() {
         let collapsed = [seg(1e-200, 1e-200, 3e-200, 1e-200), seg(2.5, 2.5, 2.5, 2.5)];
@@ -647,12 +561,6 @@ mod tests {
             gl.draw_segments(&[s]);
             assert_eq!(lit(&gl), cap, "painted {s:?}");
             assert_eq!(gl.max_value(), 0.5);
-
-            let mut gl = ctx(8);
-            gl.enable_blending(true);
-            gl.draw_segments(&[s]);
-            assert_eq!(lit(&gl), cap, "emitted {s:?}");
-            assert_eq!(gl.max_value(), 0.5);
         }
 
         // A whole triangle far below a pixel: every edge is such a segment.
@@ -664,16 +572,12 @@ mod tests {
         let mut gl = ctx(8);
         gl.draw_segments(&speck);
         assert_eq!(gl.max_value(), 0.5);
-        gl.set_write_mode(WriteMode::StencilReplace(1));
-        gl.draw_segments(&speck);
-        assert_eq!(gl.stencil_max(), 1);
     }
 
     /// A fill emits a pixel at most once, so writing each fragment as the
     /// scanline produces it is writing the draw call's collected, sorted
-    /// and deduplicated fragments (the oracle here, and what `draw` still
-    /// does for lines and points): same planes, same counters, in every
-    /// write mode — on concave, self-touching and self-crossing rings,
+    /// and deduplicated fragments (the oracle here): same planes, same
+    /// counters, in every write mode — on concave, self-touching and self-crossing rings,
     /// over a marked stencil and in a scissored cell.
     #[test]
     fn a_fill_writes_what_its_collected_fragments_would() {
@@ -740,7 +644,6 @@ mod tests {
         ];
         let modes = [
             WriteMode::Overwrite,
-            WriteMode::Blend,
             WriteMode::StencilReplace(3),
             WriteMode::StencilIncrIfEq(0),
             WriteMode::StencilIncrIfEq(1),

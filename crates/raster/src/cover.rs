@@ -5,11 +5,12 @@
 //! candidate pixels of the window their extent can touch and the predicate
 //! that decides each of them. Walking the candidates is the same for both
 //! and comes in two forms ([`Cover`]): *paint* writes the covered pixels of
-//! a candidate row straight into the color plane's row slice — the
-//! overwrite mode every draw of Algorithm 3.1 and of the §3.1 distance test
-//! runs in — and *emit* hands each covered pixel to a sink, for the Blend /
-//! Stencil write modes that must see a draw call's fragments together. Both
-//! read the one predicate, so they cover the same pixels by construction.
+//! a candidate row straight into the color plane's row slice — how every
+//! line and point draw runs — and *emit* hands each covered pixel to a
+//! sink, for the public per-primitive rasterizers
+//! (`aa_line::rasterize_aa_line`, `point_raster::rasterize_wide_point`)
+//! that the tests check the paint path against. Both read the one
+//! predicate, so they cover the same pixels by construction.
 
 use crate::context::PixelRect;
 use crate::framebuffer::FrameBuffer;

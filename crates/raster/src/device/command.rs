@@ -34,8 +34,9 @@ pub enum Command {
     /// Sets the smooth-point diameter in pixels, validated against
     /// [`MAX_POINT_SIZE`] and pre-clamped to ≥ 1 at record time.
     SetPointSize(f64),
-    /// Selects how fragments combine with the target plane (overwrite,
-    /// additive blend, stencil replace, stencil increment-if-equal).
+    /// Selects how fill fragments combine with the target plane
+    /// (overwrite, stencil replace, stencil increment-if-equal). Line and
+    /// point draws are recorded in overwrite mode only.
     SetWriteMode(WriteMode),
     /// Sets the data→window projection. The recorder verified that its
     /// window dimensions match the active rasterization window (the
@@ -91,8 +92,6 @@ pub enum Command {
     },
     /// Minmax query over the color buffer → one readback slot.
     Minmax,
-    /// Maximum stencil value → one readback slot.
-    StencilMax,
     /// Number of pixels with stencil value ≥ `min` → one readback slot.
     /// The fragment-counting query of the area-of-overlap aggregation:
     /// scaled by the viewport's per-pixel world area, the count *is* the
@@ -118,10 +117,7 @@ impl Command {
     pub fn is_readback(&self) -> bool {
         matches!(
             self,
-            Command::Minmax
-                | Command::StencilMax
-                | Command::StencilCount { .. }
-                | Command::CellMax { .. }
+            Command::Minmax | Command::StencilCount { .. } | Command::CellMax { .. }
         )
     }
 }
@@ -269,10 +265,6 @@ impl CommandList {
                     let _ = writeln!(out, "minmax slot={slot}");
                     slot += 1;
                 }
-                Command::StencilMax => {
-                    let _ = writeln!(out, "stencil_max slot={slot}");
-                    slot += 1;
-                }
                 Command::StencilCount { min } => {
                     let _ = writeln!(out, "stencil_count min={min} slot={slot}");
                     slot += 1;
@@ -312,10 +304,10 @@ pub enum RecordError {
     ScissorOutOfBounds(PixelRect),
     /// Cell-reduction rectangle is empty or exceeds the frame buffer.
     CellOutOfBounds(PixelRect),
-    /// Merged (`extend_*`) draws are only defined in overwrite mode: the
-    /// per-draw-call fragment deduplication of the other modes has no
-    /// meaning across a merged run.
-    MergedDrawRequiresOverwrite,
+    /// A line or point draw (`draw_*` or `extend_*`) was recorded outside
+    /// [`WriteMode::Overwrite`]: lines and points are only ever painted
+    /// into the color plane, and the stencil modes serve polygon fills.
+    DrawRequiresOverwrite,
     /// A draw was recorded before any viewport was set.
     DrawWithoutViewport,
 }
@@ -351,8 +343,8 @@ impl fmt::Display for RecordError {
             RecordError::CellOutOfBounds(r) => {
                 write!(f, "cell {} {} {}x{} outside the window", r.x, r.y, r.w, r.h)
             }
-            RecordError::MergedDrawRequiresOverwrite => {
-                write!(f, "merged draws require WriteMode::Overwrite")
+            RecordError::DrawRequiresOverwrite => {
+                write!(f, "line and point draws require WriteMode::Overwrite")
             }
             RecordError::DrawWithoutViewport => {
                 write!(f, "draw recorded before any viewport was set")
@@ -438,7 +430,7 @@ impl Recorder {
     }
 
     /// Records the fragment write mode. Tracked by the recorder as well:
-    /// merged (`extend_*`) draws are rejected outside overwrite mode.
+    /// line and point draws are rejected outside overwrite mode.
     pub fn set_write_mode(&mut self, mode: WriteMode) {
         self.write_mode = mode;
         self.list.commands.push(Command::SetWriteMode(mode));
@@ -518,17 +510,24 @@ impl Recorder {
         self.push_segments(segments, true)
     }
 
-    /// Extends the previous segment submission without a new draw call —
-    /// only meaningful in overwrite mode (see
-    /// [`RecordError::MergedDrawRequiresOverwrite`]).
+    /// Extends the previous segment submission without a new draw call.
     pub fn extend_draw_segments(
         &mut self,
         segments: impl IntoIterator<Item = Segment>,
     ) -> Result<(), RecordError> {
-        if self.write_mode != WriteMode::Overwrite {
-            return Err(RecordError::MergedDrawRequiresOverwrite);
-        }
         self.push_segments(segments, false)
+    }
+
+    /// What every line or point draw must satisfy: a viewport to project
+    /// through and overwrite mode ([`RecordError::DrawRequiresOverwrite`]).
+    fn check_line_or_point_draw(&self) -> Result<(), RecordError> {
+        if !self.viewport_set {
+            return Err(RecordError::DrawWithoutViewport);
+        }
+        if self.write_mode != WriteMode::Overwrite {
+            return Err(RecordError::DrawRequiresOverwrite);
+        }
+        Ok(())
     }
 
     fn push_segments(
@@ -536,9 +535,7 @@ impl Recorder {
         segments: impl IntoIterator<Item = Segment>,
         new_call: bool,
     ) -> Result<(), RecordError> {
-        if !self.viewport_set {
-            return Err(RecordError::DrawWithoutViewport);
-        }
+        self.check_line_or_point_draw()?;
         let start = self.list.segments.len();
         self.list.segments.extend(segments);
         let len = self.list.segments.len() - start;
@@ -563,9 +560,6 @@ impl Recorder {
         &mut self,
         points: impl IntoIterator<Item = Point>,
     ) -> Result<(), RecordError> {
-        if self.write_mode != WriteMode::Overwrite {
-            return Err(RecordError::MergedDrawRequiresOverwrite);
-        }
         self.push_points(points, false)
     }
 
@@ -574,9 +568,7 @@ impl Recorder {
         points: impl IntoIterator<Item = Point>,
         new_call: bool,
     ) -> Result<(), RecordError> {
-        if !self.viewport_set {
-            return Err(RecordError::DrawWithoutViewport);
-        }
+        self.check_line_or_point_draw()?;
         let start = self.list.points.len();
         self.list.points.extend(points);
         let len = self.list.points.len() - start;
@@ -607,13 +599,6 @@ impl Recorder {
     /// occupies in the [`crate::device::Execution`].
     pub fn minmax(&mut self) -> usize {
         self.list.commands.push(Command::Minmax);
-        self.list.readbacks += 1;
-        self.list.readbacks - 1
-    }
-
-    /// Records a stencil-maximum query; returns its readback slot.
-    pub fn stencil_max(&mut self) -> usize {
-        self.list.commands.push(Command::StencilMax);
         self.list.readbacks += 1;
         self.list.readbacks - 1
     }
@@ -778,25 +763,41 @@ mod tests {
         assert!(r.draw_segments([seg(0.0, 0.0, 1.0, 1.0)]).is_ok());
     }
 
+    /// Every line or point draw, new or merged, is refused under either
+    /// stencil mode and records nothing; fills still record there, and
+    /// every draw records again once overwrite mode is back.
     #[test]
-    fn merged_draws_are_overwrite_only() {
+    fn line_and_point_draws_are_overwrite_only() {
         let mut r = Recorder::new(8, 8);
         r.set_viewport(Viewport::new(Rect::new(0.0, 0.0, 8.0, 8.0), 8, 8))
             .unwrap();
-        r.set_write_mode(WriteMode::Blend);
-        assert_eq!(
-            r.extend_draw_segments([seg(0.0, 0.0, 1.0, 1.0)]),
-            Err(RecordError::MergedDrawRequiresOverwrite)
-        );
+        type Draw = fn(&mut Recorder) -> Result<(), RecordError>;
+        let draws: [Draw; 4] = [
+            |r| r.draw_segments([seg(0.0, 0.0, 1.0, 1.0)]),
+            |r| r.extend_draw_segments([seg(0.0, 0.0, 1.0, 1.0)]),
+            |r| r.draw_points([Point::new(1.0, 1.0)]),
+            |r| r.extend_draw_points([Point::new(1.0, 1.0)]),
+        ];
+        for mode in [WriteMode::StencilReplace(1), WriteMode::StencilIncrIfEq(1)] {
+            r.set_write_mode(mode);
+            for draw in draws {
+                let before = r.list.commands.len();
+                assert_eq!(draw(&mut r), Err(RecordError::DrawRequiresOverwrite));
+                assert_eq!(r.list.commands.len(), before, "{mode:?}");
+            }
+            assert!(r.fill_polygon([Point::new(0.0, 0.0); 3]).is_ok());
+        }
         r.set_write_mode(WriteMode::Overwrite);
-        assert!(r.extend_draw_segments([seg(0.0, 0.0, 1.0, 1.0)]).is_ok());
+        for draw in draws {
+            assert!(draw(&mut r).is_ok());
+        }
     }
 
     #[test]
     fn readback_slots_count_up_in_record_order() {
         let mut r = Recorder::new(8, 8);
         assert_eq!(r.minmax(), 0);
-        assert_eq!(r.stencil_max(), 1);
+        assert_eq!(r.stencil_count(2), 1);
         assert_eq!(
             r.cell_max([PixelRect {
                 x: 0,

@@ -22,10 +22,10 @@
 //!   turns any valid value (a number in `[0, 1]`) negative or
 //!   non-finite, so every injected flip is detectable.
 //!
-//! Faults scheduled onto a list with no float readbacks (e.g. the
-//! stencil strategy's streams) surface as an immediate
+//! Faults scheduled onto a list with no float readbacks (the overlap
+//! count's stencil-count streams) surface as an immediate
 //! [`DeviceError::ReadbackCorrupt`] instead of silently not firing, so a
-//! plan's fault count never depends on the overlap strategy.
+//! plan's fault count never depends on the readback kind.
 
 use super::command::CommandList;
 use super::{DeviceError, Execution, RasterDevice, Readback};
@@ -131,7 +131,7 @@ fn flip_float(readbacks: &mut [Readback], mut target: u64) -> bool {
             Readback::CellMax(v) => v.len() as u64,
             // Integer readbacks carry no floats: scheduled flips on a
             // stencil-only stream surface as ReadbackCorrupt instead.
-            Readback::StencilMax(_) | Readback::StencilCount(_) => 0,
+            Readback::StencilCount(_) => 0,
         })
         .sum();
     if floats == 0 {
@@ -155,7 +155,7 @@ fn flip_float(readbacks: &mut [Readback], mut target: u64) -> bool {
                 }
                 target -= vals.len() as u64;
             }
-            Readback::StencilMax(_) | Readback::StencilCount(_) => {}
+            Readback::StencilCount(_) => {}
         }
     }
     unreachable!("target reduced modulo the total float count")
@@ -306,7 +306,7 @@ mod tests {
         let exec = DeviceKind::Reference.build().execute(&list).unwrap();
         assert!(exec.max_red(slot).is_ok());
         assert_eq!(
-            exec.stencil_value(slot),
+            exec.stencil_count(slot),
             Err(DeviceError::ReadbackCorrupt { slot })
         );
         assert_eq!(

@@ -51,7 +51,7 @@
 //! must produce readbacks that pass [`Execution::validate`]. Purity and
 //! wrapper transparency are property-tested in
 //! `crates/raster/tests/device_props.rs`; the counters and readbacks of
-//! four fixed streams are pinned by value in `crates/core/tests/golden.rs`.
+//! three fixed streams are pinned by value in `crates/core/tests/golden.rs`.
 //! See DESIGN.md §7.
 
 #![warn(missing_docs)]
@@ -114,8 +114,6 @@ impl std::error::Error for DeviceError {}
 pub enum Readback {
     /// (min, max) of the color buffer.
     Minmax(f32, f32),
-    /// Maximum stencil value.
-    StencilMax(u8),
     /// Number of pixels whose stencil value reached the recorded
     /// threshold — the fragment count the area-of-overlap aggregation
     /// scales to world-space area.
@@ -147,16 +145,6 @@ impl Execution {
         }
     }
 
-    /// The stencil-maximum readback in `slot`, or
-    /// [`DeviceError::ReadbackCorrupt`] when the slot is missing or holds
-    /// a different readback kind.
-    pub fn stencil_value(&self, slot: usize) -> Result<u8, DeviceError> {
-        match self.readbacks.get(slot) {
-            Some(Readback::StencilMax(v)) => Ok(*v),
-            _ => Err(DeviceError::ReadbackCorrupt { slot }),
-        }
-    }
-
     /// The stencil-count readback in `slot`, or
     /// [`DeviceError::ReadbackCorrupt`] when the slot is missing or holds
     /// a different readback kind.
@@ -184,9 +172,10 @@ impl Execution {
     ///   readback's value count matches its recorded cell count);
     /// * every slot holds the readback kind its query recorded;
     /// * every color value lies in `[0, 1]`, the range a valid execution
-    ///   can produce — clears write black, blending and accumulation clamp
+    ///   can produce — clears write black, the accumulation return clamps
     ///   at 1.0, and overwrite writes recorded colors, which the
-    ///   [`Recorder`] refuses outside that range.
+    ///   [`Recorder`] refuses outside that range;
+    /// * no stencil count exceeds the window's pixel count.
     ///
     /// This is how the supervisor catches corrupted readbacks (bit-flips
     /// on the readback path) that a `Result`-returning `execute` alone
@@ -205,9 +194,6 @@ impl Execution {
                     Readback::Minmax(mn, mx) => in_range(*mn) && in_range(*mx) && mn <= mx,
                     _ => false,
                 },
-                Command::StencilMax => {
-                    matches!(&self.readbacks[slot], Readback::StencilMax(_))
-                }
                 Command::StencilCount { .. } => match &self.readbacks[slot] {
                     // No valid execution can count more covered pixels
                     // than the window holds.

@@ -96,9 +96,6 @@ impl RasterDevice for ReferenceDevice {
                     let (mn, mx) = gl.minmax();
                     readbacks.push(Readback::Minmax(mn, mx));
                 }
-                Command::StencilMax => {
-                    readbacks.push(Readback::StencilMax(gl.stencil_max()));
-                }
                 Command::StencilCount { min } => {
                     readbacks.push(Readback::StencilCount(gl.stencil_count_ge(min)));
                 }

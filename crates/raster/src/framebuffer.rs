@@ -92,15 +92,6 @@ impl FrameBuffer {
         &mut self.color[row + xs.start..row + xs.end]
     }
 
-    /// Additive-blend a color fragment (`glBlendFunc(GL_ONE, GL_ONE)`),
-    /// one of Hoff et al.'s overlap-detection variants.
-    #[inline]
-    pub fn blend_pixel(&mut self, x: usize, y: usize, c: f32, stats: &mut HwStats) {
-        let i = self.idx(x, y);
-        self.color[i] = (self.color[i] + c).min(1.0);
-        stats.pixels_written += 1;
-    }
-
     /// `glStencilOp(GL_REPLACE)`: writes `val` into the stencil plane.
     #[inline]
     pub fn stencil_replace(&mut self, x: usize, y: usize, val: u8, stats: &mut HwStats) {
@@ -110,10 +101,9 @@ impl FrameBuffer {
     }
 
     /// `glStencilFunc(GL_EQUAL, reference)` + `GL_INCR`: increments only
-    /// where the current value equals `reference`. This is what makes the
-    /// stencil overlap strategy immune to a boundary's self-overlap at
-    /// shared vertices: the second object's fragments only count on pixels
-    /// the *first* object marked, and only once.
+    /// where the current value equals `reference`. This is what lets the
+    /// §14 overlap count read `P ∩ Q`: the second fill's fragments only
+    /// count on pixels the *first* fill marked, and only once.
     #[inline]
     pub fn stencil_incr_if_eq(&mut self, x: usize, y: usize, reference: u8, stats: &mut HwStats) {
         let i = self.idx(x, y);
@@ -174,12 +164,6 @@ impl FrameBuffer {
     pub fn minmax(&self, stats: &mut HwStats) -> (f32, f32) {
         stats.pixels_scanned += self.len();
         scan::minmax(&self.color)
-    }
-
-    /// Maximum stencil value (for the stencil overlap strategy).
-    pub fn stencil_max(&self, stats: &mut HwStats) -> u8 {
-        stats.pixels_scanned += self.len();
-        scan::stencil_max(&self.stencil)
     }
 
     /// Number of pixels whose stencil value is at least `min` — the
@@ -272,15 +256,6 @@ mod tests {
         fb.accum_return(&mut st);
         let (_, mx) = fb.minmax(&mut st);
         assert_eq!(mx, HALF_GRAY);
-    }
-
-    #[test]
-    fn blending_saturates() {
-        let mut fb = FrameBuffer::new(1, 1);
-        let mut st = HwStats::default();
-        fb.blend_pixel(0, 0, 0.7, &mut st);
-        fb.blend_pixel(0, 0, 0.7, &mut st);
-        assert_eq!(fb.read_pixel(0, 0), WHITE);
     }
 
     #[test]

@@ -12,9 +12,10 @@
 //! * **polygon rasterization** — pixel-center rule with shared edges
 //!   rendered exactly once ([`polygon_raster`]);
 //! * **frame buffers** — one-intensity color and accumulation planes and
-//!   a stencil plane (9 bytes per pixel) with the operations Hoff et al.
-//!   enumerate for overlap detection, plus the Minmax query the paper uses
-//!   to avoid pixel readback (§3.2) ([`framebuffer`]).
+//!   a stencil plane (9 bytes per pixel) with the accumulation operations
+//!   of Algorithm 3.1, the stencil writes and count of the overlap-area
+//!   query, and the Minmax query the paper uses to avoid pixel readback
+//!   (§3.2) ([`framebuffer`]).
 //!
 //! [`context::GlContext`] is a stateful OpenGL-style façade over all of the
 //! above, so the hardware-assisted algorithms in `hwa-core` read like the

@@ -1,6 +1,6 @@
 //! Whole-buffer scan kernels.
 //!
-//! Whole-buffer operations — Minmax reductions, stencil maxima and counts,
+//! Whole-buffer operations — Minmax reductions, stencil counts,
 //! accumulation adds — are the device layer's other hot loop besides
 //! rasterization. Two kernel shapes live here:
 //!
@@ -21,16 +21,6 @@ pub(crate) fn minmax(colors: &[f32]) -> (f32, f32) {
         mx = mx.max(c);
     }
     (mn, mx)
-}
-
-/// Maximum stencil value.
-#[inline]
-pub(crate) fn stencil_max(vals: &[u8]) -> u8 {
-    let mut m = 0;
-    for &v in vals {
-        m = m.max(v);
-    }
-    m
 }
 
 /// Number of stencil values ≥ `min` — the fragment-counting readback
@@ -86,15 +76,6 @@ mod tests {
             assert_eq!(mn, vals.clone().fold(f32::INFINITY, f32::min), "n={n}");
             assert_eq!(mx, vals.fold(f32::NEG_INFINITY, f32::max), "n={n}");
         }
-    }
-
-    #[test]
-    fn stencil_max_matches_iterator_max() {
-        let vals: Vec<u8> = (0..97u32)
-            .map(|i| (i.wrapping_mul(131) % 251) as u8)
-            .collect();
-        assert_eq!(stencil_max(&vals), vals.iter().copied().max().unwrap());
-        assert_eq!(stencil_max(&[]), 0);
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! runs the full setup on everything, the way the context did before it
 //! had a clip stage. Clipping must be invisible: same pixels, same planes,
 //! same counters — over in-window, edge-grazing, far, huge, infinite and
-//! NaN coordinates, every width, whole-window and scissor-cell windows and
-//! all four write modes.
+//! NaN coordinates, every width, whole-window and scissor-cell windows and,
+//! for fills, all three write modes (lines and points only ever paint in
+//! overwrite mode).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -18,9 +19,9 @@ use spatial_raster::{
     FrameBuffer, GlContext, HwStats, PixelRect, Viewport, WriteMode, MAX_AA_LINE_WIDTH,
 };
 
-const MODES: [WriteMode; 4] = [
+/// The write modes a fill runs in.
+const MODES: [WriteMode; 3] = [
     WriteMode::Overwrite,
-    WriteMode::Blend,
     WriteMode::StencilReplace(3),
     // The stencil plane starts at 0, so reference 0 makes every first
     // touch count.
@@ -80,7 +81,9 @@ impl Window {
 }
 
 /// The unclipped pipeline: full per-primitive setup for every submitted
-/// primitive, fragments collected per draw and written by mode.
+/// primitive, fragments collected per draw and written by mode — a fill
+/// emits a pixel at most once, and a line or point overwrites every
+/// fragment it emits.
 struct Unclipped {
     win: Window,
     fb: FrameBuffer,
@@ -142,15 +145,10 @@ impl Unclipped {
         self.write(frags);
     }
 
-    fn write(&mut self, mut frags: Vec<(usize, usize)>) {
-        if matches!(self.mode, WriteMode::Blend | WriteMode::StencilIncrIfEq(_)) {
-            frags.sort_unstable();
-            frags.dedup();
-        }
+    fn write(&mut self, frags: Vec<(usize, usize)>) {
         for (x, y) in frags {
             match self.mode {
                 WriteMode::Overwrite => self.fb.write_pixel(x, y, HALF_GRAY, &mut self.stats),
-                WriteMode::Blend => self.fb.blend_pixel(x, y, HALF_GRAY, &mut self.stats),
                 WriteMode::StencilReplace(v) => self.fb.stencil_replace(x, y, v, &mut self.stats),
                 WriteMode::StencilIncrIfEq(r) => {
                     self.fb.stencil_incr_if_eq(x, y, r, &mut self.stats)
@@ -317,16 +315,14 @@ fn clipped_aa_lines_match_unclipped_setup() {
             );
             assert!(live > 0 && live < segs.len(), "{live} of {}", segs.len());
 
-            // The whole list as one run, in every write mode.
-            for mode in MODES {
-                let mut gl = win.context(mode);
-                gl.set_line_width(width);
-                let mut oracle = Unclipped::new(win, mode);
-                gl.draw_segments(&segs);
-                oracle.draw_segments(&segs, width);
-                assert_eq!(gl.stats(), oracle.stats, "{mode:?} width {width}");
-                assert_eq!(gl.frame_buffer(), &oracle.fb, "{mode:?} width {width}");
-            }
+            // The whole list as one run.
+            let mut gl = win.context(WriteMode::Overwrite);
+            gl.set_line_width(width);
+            let mut oracle = Unclipped::new(win, WriteMode::Overwrite);
+            gl.draw_segments(&segs);
+            oracle.draw_segments(&segs, width);
+            assert_eq!(gl.stats(), oracle.stats, "width {width}");
+            assert_eq!(gl.frame_buffer(), &oracle.fb, "width {width}");
         }
     }
 }
@@ -355,15 +351,13 @@ fn clipped_wide_points_match_unclipped_setup() {
             );
             assert!(live > 0 && live < points.len());
 
-            for mode in MODES {
-                let mut gl = win.context(mode);
-                gl.set_point_size(size);
-                let mut oracle = Unclipped::new(win, mode);
-                gl.draw_points(&points);
-                oracle.draw_points(&points, size);
-                assert_eq!(gl.stats(), oracle.stats, "{mode:?} size {size}");
-                assert_eq!(gl.frame_buffer(), &oracle.fb, "{mode:?} size {size}");
-            }
+            let mut gl = win.context(WriteMode::Overwrite);
+            gl.set_point_size(size);
+            let mut oracle = Unclipped::new(win, WriteMode::Overwrite);
+            gl.draw_points(&points);
+            oracle.draw_points(&points, size);
+            assert_eq!(gl.stats(), oracle.stats, "size {size}");
+            assert_eq!(gl.frame_buffer(), &oracle.fb, "size {size}");
         }
     }
 }

@@ -5,17 +5,18 @@
 //! framebuffers, readback results and `HwStats` counters alike.
 //!
 //! The scenes deliberately exercise every command the recorder can emit:
-//! all three overlap-strategy choreographies (accumulation, blending,
-//! stencil), wide anti-aliased lines and smooth points, filled polygons,
-//! scissored sub-window passes with their own viewports, and all three
-//! readback kinds (Minmax, stencil-max, per-cell reduction).
+//! the Algorithm 3.1 accumulation choreography, the §14 overlap count
+//! (stencil fills and the stencil-count readback), wide anti-aliased lines
+//! and smooth points, filled polygons, scissored sub-window passes with
+//! their own viewports, and all three readback kinds (Minmax, stencil
+//! count, per-cell reduction).
 
 use proptest::prelude::*;
 use spatial_geom::{Point, Rect, Segment};
 use spatial_raster::framebuffer::HALF_GRAY;
 use spatial_raster::{
-    CommandList, DeviceError, FaultDevice, FaultKind, FaultPlan, FaultTrigger, OverlapStrategy,
-    PixelRect, RasterDevice, Recorder, ReferenceDevice, Viewport,
+    CommandList, DeviceError, FaultDevice, FaultKind, FaultPlan, FaultTrigger, PixelRect,
+    RasterDevice, Recorder, ReferenceDevice, Viewport,
 };
 use spatial_raster::{FrameBuffer, WriteMode};
 
@@ -24,13 +25,16 @@ struct Scene {
     width: usize,
     height: usize,
     region: Rect,
-    strategy: OverlapStrategy,
+    /// Whether the accumulation pass is followed by an overlap count of
+    /// `polygon` and `second_polygon`.
+    overlap_count: bool,
     line_width: f64,
     point_size: f64,
     first_segments: Vec<Segment>,
     second_segments: Vec<Segment>,
     points: Vec<Point>,
     polygon: Vec<Point>,
+    second_polygon: Vec<Point>,
     /// A scissored overwrite pass inside this sub-rectangle, if any.
     scissor: Option<(PixelRect, Vec<Segment>)>,
 }
@@ -57,21 +61,17 @@ prop_compose! {
         ry in -8.0f64..8.0,
         rw in 0.5f64..30.0,
         rh in 0.5f64..30.0,
-        strategy_pick in 0usize..3,
+        with_count in 0usize..2,
         line_width in 1.0f64..8.0,
         point_size in 1.0f64..8.0,
         first_segments in prop::collection::vec(arb_segment(), 0..10),
         second_segments in prop::collection::vec(arb_segment(), 0..10),
         points in prop::collection::vec(arb_point(), 0..6),
         polygon in prop::collection::vec(arb_point(), 3..7),
+        second_polygon in prop::collection::vec(arb_point(), 3..7),
         with_scissor in 0usize..2,
         scissor_segments in prop::collection::vec(arb_segment(), 1..5),
     ) -> Scene {
-        let strategy = match strategy_pick {
-            0 => OverlapStrategy::Accumulation,
-            1 => OverlapStrategy::Blending,
-            _ => OverlapStrategy::Stencil,
-        };
         // A scissor rectangle in the lower-left quadrant — always
         // non-empty and in bounds for any window ≥ 3×3.
         let scissor = (with_scissor == 1).then(|| {
@@ -89,13 +89,14 @@ prop_compose! {
             width,
             height,
             region: Rect::new(rx, ry, rx + rw, ry + rh),
-            strategy,
+            overlap_count: with_count == 1,
             line_width,
             point_size,
             first_segments,
             second_segments,
             points,
             polygon,
+            second_polygon,
             scissor,
         }
     }
@@ -109,48 +110,29 @@ fn record(scene: &Scene) -> CommandList {
     rec.set_color(HALF_GRAY).unwrap();
     rec.set_line_width(scene.line_width).unwrap();
     rec.set_point_size(scene.point_size).unwrap();
-    match scene.strategy {
-        OverlapStrategy::Accumulation => {
-            rec.set_write_mode(WriteMode::Overwrite);
-            rec.clear_color();
-            rec.clear_accum();
-            rec.draw_segments(scene.first_segments.iter().copied())
-                .unwrap();
-            rec.draw_points(scene.points.iter().copied()).unwrap();
-            rec.fill_polygon(scene.polygon.iter().copied()).unwrap();
-            rec.accum_load();
-            rec.clear_color();
-            rec.draw_segments(scene.second_segments.iter().copied())
-                .unwrap();
-            rec.accum_add();
-            rec.accum_return();
-            rec.minmax();
-        }
-        OverlapStrategy::Blending => {
-            rec.set_write_mode(WriteMode::Overwrite);
-            rec.clear_color();
-            rec.draw_segments(scene.first_segments.iter().copied())
-                .unwrap();
-            rec.set_write_mode(WriteMode::Blend);
-            rec.draw_segments(scene.second_segments.iter().copied())
-                .unwrap();
-            rec.draw_points(scene.points.iter().copied()).unwrap();
-            rec.set_write_mode(WriteMode::Overwrite);
-            rec.minmax();
-        }
-        OverlapStrategy::Stencil => {
-            rec.clear_stencil();
-            rec.set_write_mode(WriteMode::StencilReplace(1));
-            rec.draw_segments(scene.first_segments.iter().copied())
-                .unwrap();
-            rec.fill_polygon(scene.polygon.iter().copied()).unwrap();
-            rec.set_write_mode(WriteMode::StencilIncrIfEq(1));
-            rec.draw_segments(scene.second_segments.iter().copied())
-                .unwrap();
-            rec.draw_points(scene.points.iter().copied()).unwrap();
-            rec.set_write_mode(WriteMode::Overwrite);
-            rec.stencil_max();
-        }
+    rec.set_write_mode(WriteMode::Overwrite);
+    rec.clear_color();
+    rec.clear_accum();
+    rec.draw_segments(scene.first_segments.iter().copied())
+        .unwrap();
+    rec.draw_points(scene.points.iter().copied()).unwrap();
+    rec.fill_polygon(scene.polygon.iter().copied()).unwrap();
+    rec.accum_load();
+    rec.clear_color();
+    rec.draw_segments(scene.second_segments.iter().copied())
+        .unwrap();
+    rec.accum_add();
+    rec.accum_return();
+    rec.minmax();
+    if scene.overlap_count {
+        rec.clear_stencil();
+        rec.set_write_mode(WriteMode::StencilReplace(1));
+        rec.fill_polygon(scene.polygon.iter().copied()).unwrap();
+        rec.set_write_mode(WriteMode::StencilIncrIfEq(1));
+        rec.fill_polygon(scene.second_polygon.iter().copied())
+            .unwrap();
+        rec.set_write_mode(WriteMode::Overwrite);
+        rec.stencil_count(2);
     }
     // A scissored tail pass: cell-local viewport, merged draw extension,
     // and the batched per-cell reduction readback.

@@ -1,11 +1,10 @@
 //! Cross-crate integration tests: every hardware-assisted pipeline must
 //! produce exactly the software pipeline's results, over freshly generated
-//! workloads with multiple seeds, resolutions, thresholds and strategies.
+//! workloads with multiple seeds, resolutions, thresholds and distances.
 
 use hwspatial::core::engine::{EngineConfig, PreparedDataset, SpatialEngine};
 use hwspatial::core::HwConfig;
 use hwspatial::datagen;
-use hwspatial::raster::OverlapStrategy;
 
 const SCALE: f64 = 0.004;
 
@@ -42,18 +41,9 @@ fn join_equivalence_across_strategies() {
     let mut sw = SpatialEngine::new(EngineConfig::software());
     let (expected, cost) = sw.intersection_join(&a, &b);
     assert!(cost.candidates >= expected.len());
-    for strategy in [
-        OverlapStrategy::Accumulation,
-        OverlapStrategy::Blending,
-        OverlapStrategy::Stencil,
-    ] {
-        let mut hw = SpatialEngine::new(EngineConfig::hardware(HwConfig {
-            strategy,
-            ..HwConfig::at_resolution(8)
-        }));
-        let (got, _) = hw.intersection_join(&a, &b);
-        assert_eq!(got, expected, "{strategy:?}");
-    }
+    let mut hw = SpatialEngine::new(EngineConfig::hardware(HwConfig::at_resolution(8)));
+    let (got, _) = hw.intersection_join(&a, &b);
+    assert_eq!(got, expected);
 }
 
 #[test]
