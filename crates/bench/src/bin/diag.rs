@@ -18,12 +18,19 @@
 //! and after the run cull, survivors of the rasterizer's clip compare,
 //! candidate fragments per surviving segment, and for the overlap count the
 //! vertices before and after the fill ring and the scanline crossings a
-//! fill is left with.
+//! fill is left with. It ends with the calibration of the planner's
+//! software price: the measured time of step 3's negatives — the calls a
+//! scan rejection saves — by bucket of the planner's own edge count
+//! (`step3_edges`), once for the intersection joins (`boundaries_meet`)
+//! and once for the within-distance joins (`clipped_chains_within`), each
+//! with the line fitted through its bucket medians beside the committed
+//! `STEP3_FIXED_NS` and `STEP3_NS_PER_EDGE`.
 
 use hwa_core::engine::PreparedDataset;
 use hwa_core::hw_intersect::HwTester;
 use hwa_core::hw_overlap::fill_rings;
-use hwa_core::pipeline::{CandidateFilter, Decision, ObjectFilterStage};
+use hwa_core::pipeline::{CandidateFilter, Decision, ObjectFilterStage, Predicate};
+use hwa_core::service::{step3_edges, STEP3_FIXED_NS, STEP3_NS_PER_EDGE};
 use hwa_core::{HwConfig, TestStats};
 use spatial_bench::{header, ms, BenchOpts, Workloads, DISTANCE_FACTORS};
 use spatial_filters::{
@@ -31,7 +38,10 @@ use spatial_filters::{
 };
 use spatial_geom::chains::{frontier_clipped, frontier_runs};
 use spatial_geom::distance::{edges_within_pairwise, PAIR_BLOCK};
-use spatial_geom::intersect::{polygons_intersect_with, restricted_edges, IntersectStats};
+use spatial_geom::intersect::{
+    boundaries_meet, polygons_intersect_with, restricted_edges, IntersectStats,
+};
+use spatial_geom::mindist::{clipped_chains_within, MinDistStats};
 use spatial_geom::sweep::{forward_sweep_intersects, SweepStats};
 use spatial_geom::{point_in_polygon, Point, Polygon, Rect, Segment};
 use spatial_raster::aa_line::{aa_line_outside_window, DIAGONAL_WIDTH};
@@ -50,14 +60,18 @@ fn main() {
     let w = Workloads::generate(opts);
 
     let (mut mismatches, mut filter_mismatches) = (0, 0);
+    let [mut intersect_calibration, mut within_calibration] =
+        [(); 2].map(|_| Calibration::default());
     for (a, b, base_d) in [
         (&w.landc, &w.lando, w.base_d_landc_lando),
         (&w.water, &w.prism, w.base_d_water_prism),
     ] {
-        mismatches += intersection_composition(a, b);
-        filter_mismatches += distance_decomposition(a, b, base_d);
+        mismatches += intersection_composition(a, b, &mut intersect_calibration);
+        filter_mismatches += distance_decomposition(a, b, base_d, &mut within_calibration);
         hardware_submission(a, b, base_d);
     }
+    intersect_calibration.table("the intersection joins (boundaries_meet)");
+    within_calibration.table("the within-distance joins (clipped_chains_within)");
     if mismatches > 0 {
         println!("\nFAIL: {mismatches} step-3 verdicts differ from the forward sweep");
     }
@@ -281,9 +295,14 @@ impl Pairs {
 
 /// The within-distance join as `join-sw` runs it (0/1-object filters, then
 /// the paper's modified minDist), one phase at a time, summed over the
-/// Figure 14/16 distances.
+/// Figure 14/16 distances, with its step 3 timed into `calibration`.
 /// Returns the number of 1-object verdicts that differ from the bound.
-fn distance_decomposition(a: &PreparedDataset, b: &PreparedDataset, base_d: f64) -> usize {
+fn distance_decomposition(
+    a: &PreparedDataset,
+    b: &PreparedDataset,
+    base_d: f64,
+    calibration: &mut Calibration,
+) -> usize {
     let [mut filters, mut pip, mut overlap, mut chain, mut pairwise] = [Phase::default(); 5];
     let (mut one_object, mut pairs) = (OneObject::default(), Pairs::default());
     let mut results = 0usize;
@@ -302,6 +321,9 @@ fn distance_decomposition(a: &PreparedDataset, b: &PreparedDataset, base_d: f64)
             }) {
                 continue;
             }
+            calibration.time(Predicate::WithinDistance(d), p, q, || {
+                clipped_chains_within(p, q, d, &mut MinDistStats::default())
+            });
             // The clip walks the runs within `d` of the whole boundary when
             // the MBRs overlap on both axes, of one frontier chain when a
             // gap separates them — counted through the product's own walk.
@@ -391,9 +413,102 @@ impl Search {
     }
 }
 
+/// Step 3's measured time per negative call against the edges the planner
+/// prices it by, [`step3_edges`]. Only negatives: a hardware plan differs
+/// from the software one by its GPU time less the step 3 of the pairs its
+/// scan rejects, and the scan rejects only pairs whose boundaries are
+/// apart (more than `d` apart for a within-distance test) — where step 3
+/// searches to the end instead of stopping at a first witness.
+#[derive(Default)]
+struct Calibration {
+    /// `(step-3 edges, ns)` of every timed negative.
+    calls: Vec<(usize, f64)>,
+}
+
+impl Calibration {
+    /// Times `step3`, the product's step 3 of `pred` on `(p, q)`, keeping
+    /// the call if it is negative.
+    fn time(&mut self, pred: Predicate, p: &Polygon, q: &Polygon, step3: impl FnOnce() -> bool) {
+        let t = Instant::now();
+        let hit = step3();
+        let ns = t.elapsed().as_secs_f64() * 1e9;
+        if !hit {
+            self.calls.push((step3_edges(pred, p, q), ns));
+        }
+    }
+
+    /// The table by edge bucket — calls, median edges, median ns and that
+    /// median over the committed price of the median edges — and the
+    /// least-squares line through the medians of the buckets with at
+    /// least ten calls (a median of two calls is one pair's time).
+    fn table(mut self, title: &str) {
+        const BUCKETS: [(usize, &str); 6] = [
+            (20, "<=20"),
+            (50, "21-50"),
+            (100, "51-100"),
+            (300, "101-300"),
+            (1000, "301-1000"),
+            (usize::MAX, "more"),
+        ];
+        let median = |xs: &mut Vec<f64>| {
+            xs.sort_by(f64::total_cmp);
+            xs[xs.len() / 2]
+        };
+        println!("\nstep-3 calibration, negatives of {title}:");
+        println!(
+            "  {:>9} {:>7} {:>13} {:>10} {:>8}",
+            "bucket", "calls", "median edges", "median ns", "÷ model"
+        );
+        self.calls.sort_by_key(|&(edges, _)| edges);
+        let mut points = Vec::new();
+        let mut rest = &self.calls[..];
+        for (upper, name) in BUCKETS {
+            let split = rest.partition_point(|&(edges, _)| edges <= upper);
+            let (bucket, after) = rest.split_at(split);
+            rest = after;
+            if bucket.is_empty() {
+                continue;
+            }
+            let edges = median(&mut bucket.iter().map(|&(e, _)| e as f64).collect());
+            let ns = median(&mut bucket.iter().map(|&(_, ns)| ns).collect());
+            let model = STEP3_FIXED_NS + STEP3_NS_PER_EDGE * edges;
+            println!(
+                "  {name:>9} {:>7} {edges:>13.0} {ns:>10.0} {:>8.2}",
+                bucket.len(),
+                ns / model
+            );
+            if bucket.len() >= 10 {
+                points.push((edges, ns));
+            }
+        }
+        if points.len() < 2 {
+            println!("  fewer than two buckets of ten calls: no line to fit");
+            return;
+        }
+        let k = points.len() as f64;
+        let (mx, my) = points
+            .iter()
+            .fold((0.0, 0.0), |(sx, sy), &(x, y)| (sx + x / k, sy + y / k));
+        let (sxy, sxx) = points.iter().fold((0.0, 0.0), |(sxy, sxx), &(x, y)| {
+            (sxy + (x - mx) * (y - my), sxx + (x - mx) * (x - mx))
+        });
+        let rate = sxy / sxx;
+        println!(
+            "  fit over the bucket medians: {:.0} ns + {rate:.1} ns/edge \
+             (committed: {STEP3_FIXED_NS:.0} ns + {STEP3_NS_PER_EDGE:.1} ns/edge)",
+            my - rate * mx,
+        );
+    }
+}
+
 /// The intersection join's software test, phase by phase, and its step 3
-/// checked against the forward sweep; returns the number of mismatches.
-fn intersection_composition(a: &PreparedDataset, b: &PreparedDataset) -> usize {
+/// checked against the forward sweep and timed into `calibration`; returns
+/// the number of mismatches.
+fn intersection_composition(
+    a: &PreparedDataset,
+    b: &PreparedDataset,
+    calibration: &mut Calibration,
+) -> usize {
     let candidates: Vec<(usize, usize)> = spatial_index::join_intersecting(&a.tree, &b.tree)
         .into_iter()
         .map(|(x, y)| (*x, *y))
@@ -421,6 +536,9 @@ fn intersection_composition(a: &PreparedDataset, b: &PreparedDataset) -> usize {
             pip_pos += 1;
             continue;
         }
+        calibration.time(Predicate::Intersects, p, q, || {
+            boundaries_meet(p, q, &mut SweepStats::default())
+        });
         rss_walk.scan(p, |run| run.intersects(&region));
         rss_walk.scan(q, |run| run.intersects(&region));
         let t_rss = Instant::now();

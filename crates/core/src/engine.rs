@@ -181,6 +181,10 @@ pub enum ConfigError {
     /// `PlannerConfig::batch` is 0: the batched hardware plan could
     /// never submit anything.
     ZeroPlannerBatch,
+    /// `PlannerConfig::memo_entries` is 0: a memo of no entries would
+    /// still hold the last plan, since a full memo is cleared before the
+    /// insert.
+    ZeroPlanMemo,
     /// `RecoveryPolicy::probation_ns` is `Some(0)`: every breaker would
     /// be ripe the instant it opened, so each submission would probe a
     /// known-bad shard (spell "no probation" as `None`).
@@ -231,6 +235,10 @@ impl fmt::Display for ConfigError {
             ConfigError::ZeroPlannerBatch => {
                 write!(f, "invalid ServiceConfig: planner.batch = 0 (must be ≥ 1)")
             }
+            ConfigError::ZeroPlanMemo => write!(
+                f,
+                "invalid ServiceConfig: planner.memo_entries = 0 (must be ≥ 1)"
+            ),
             ConfigError::ZeroProbationNs => write!(
                 f,
                 "invalid EngineConfig: recovery.probation_ns = Some(0) (a zero cool-down would \
@@ -823,6 +831,7 @@ mod tests {
             (ConfigError::BadPlannerResolutions, "planner.resolutions"),
             (ConfigError::ZeroPlannerSample, "planner.sample = 0"),
             (ConfigError::ZeroPlannerBatch, "planner.batch = 0"),
+            (ConfigError::ZeroPlanMemo, "planner.memo_entries = 0"),
             (
                 ConfigError::ZeroProbationNs,
                 "recovery.probation_ns = Some(0)",

@@ -86,6 +86,9 @@ impl ServiceConfig {
         if self.planner.batch == 0 {
             return Err(ConfigError::ZeroPlannerBatch);
         }
+        if self.planner.memo_entries == 0 {
+            return Err(ConfigError::ZeroPlanMemo);
+        }
         if let Some(b) = &self.brownout {
             if b.window == 0 {
                 return Err(ConfigError::ZeroBrownoutWindow);
@@ -713,6 +716,21 @@ mod tests {
         config.base.hw.sw_threshold = 0;
         let engine = QueryEngine::try_new(config, ServiceSnapshot::new());
         assert_eq!(engine.err(), Some(ConfigError::ZeroResolution));
+    }
+
+    /// A plan memo of no entries is refused: it used to keep one plan,
+    /// because a full memo is cleared before the insert.
+    #[test]
+    fn an_empty_plan_memo_is_refused() {
+        let config = ServiceConfig {
+            planner: PlannerConfig {
+                memo_entries: 0,
+                ..PlannerConfig::default()
+            },
+            ..ServiceConfig::default()
+        };
+        let engine = QueryEngine::try_new(config, ServiceSnapshot::new());
+        assert_eq!(engine.err(), Some(ConfigError::ZeroPlanMemo));
     }
 
     /// A stage-1 pass that finds zero candidates short-circuits to

@@ -22,14 +22,15 @@
 //!   candidate cap ([`QueryBudget`]), checked *between* pipeline stages
 //!   so stages stay deterministic.
 //! * **Planning** — the paper's Figure 13 break-even analysis run
-//!   online: the candidate set's choreography is recorded at a few
-//!   resolutions, priced by
-//!   [`HwCostModel::replay_cost`](spatial_raster::HwCostModel) — a
-//!   replay of the sample on a private reference device, off the
-//!   query's own ledger — and the cheapest of {software, per-pair hardware,
-//!   batched hardware} wins. Invariant 13: the choice never changes
-//!   results — every backend is exact, so planning is purely a latency
-//!   decision.
+//!   online, per sampled pair: software costs the pair's step 3, priced
+//!   from the edges its run boxes leave step 3 to visit; hardware costs
+//!   the modeled GPU time of the pair's list — replayed at a few
+//!   resolutions on a private reference device of the pricing pass,
+//!   off the query's own ledger — plus that step 3 whenever the
+//!   replayed scan does not reject the pair. The cheapest of
+//!   {software, per-pair hardware, batched hardware} wins. Invariant
+//!   13: the choice never changes results — every backend is exact, so
+//!   planning is purely a latency decision.
 //! * **Brownouts** — under sustained overload a deterministic
 //!   controller ([`BrownoutConfig`]) steps a degradation ladder —
 //!   coarser plans → forced software → typed shedding
@@ -75,7 +76,9 @@ mod stats;
 
 pub use brownout::{BrownoutConfig, BrownoutRung};
 pub use engine::{QueryEngine, ServiceConfig, ServiceSnapshot};
-pub use planner::{PlanChoice, PlannerConfig, PlannerMode};
+pub use planner::{
+    step3_edges, PlanChoice, PlannerConfig, PlannerMode, STEP3_FIXED_NS, STEP3_NS_PER_EDGE,
+};
 pub use request::{
     QueryBudget, QueryKind, QueryRequest, QueryResponse, QueryRows, ServiceError, Stage,
 };

@@ -9,21 +9,43 @@
 //! the crossover *per query*, because every candidate set has its own
 //! complexity profile and size.
 //!
+//! Restated per pair, the crossover is Algorithm 3.1's own arithmetic:
+//! the hardware step only *rejects*, and every pair its scan lets through
+//! still runs the software step 3. So the planner prices both plans from
+//! step 3. For each sampled pair with a window:
+//!
+//! * the software plan costs `step3(p, q)`: [`STEP3_FIXED_NS`] plus
+//!   [`STEP3_NS_PER_EDGE`] times [`step3_edges`] — the edges in runs
+//!   whose box meets the other polygon's MBR ([`Polygon::runs_where`],
+//!   both ways; within `d` of it for a within-distance join; a polygon
+//!   without run boxes counts whole);
+//! * the hardware plan at resolution `r` costs the modeled GPU time of
+//!   the pair's list replayed at `r`, plus `step3(p, q)` when the replayed
+//!   Minmax scan does not reject the pair — or just `step3(p, q)`, the
+//!   tester's software fallback, when the pair has no window at `r`.
+//!
+//! The hardware filter therefore pays only when the step-3 work its
+//! rejections save exceeds its GPU time. The batched variant is the same
+//! sum with the per-test draw and readback overhead amortized over atlas
+//! rounds. An aggregation has no step 3 (the count is the answer): its
+//! software side is the Sutherland–Hodgman clip, priced at the same
+//! per-edge rate over both boundaries.
+//!
 //! The planner exploits the retained command-stream architecture
 //! (DESIGN.md §7): recording a test's `CommandList` is pure and cheap,
-//! and [`HwCostModel::replay_cost`] prices a recorded list by replaying
-//! it on a private `ReferenceDevice` — touching none of the query's own
-//! devices, ledgers or results — and pricing the counters the replay
-//! charged. A pricing pass therefore costs the wall-clock of executing
-//! its sample once (mostly the rasterizer's clip compare: a sampled
-//! pair submits every edge and few touch the window), which is why the
-//! sample is small. So for each query the planner takes a small sample of
-//! the candidate set, records the sample's choreography at each
-//! configured resolution, prices per-pair and batched variants
-//! arithmetically from the replayed counters, compares against a
-//! calibrated software sweep estimate, and picks the cheapest plan.
-//! A small memo keyed on the query's shape (pipeline, candidate-count
-//! bucket, sampled complexity) makes repeat queries plan for free.
+//! and a pricing pass replays each sampled list on one private
+//! `ReferenceDevice` it builds for the pass and reuses across its pairs
+//! and resolutions — touching none of the query's own devices, ledgers
+//! or results — reading the scan's verdict and
+//! pricing the counters the replay charged with [`HwCostModel::time`]
+//! (what [`HwCostModel::replay_cost`] returns for the same list). A
+//! pricing pass therefore costs the wall-clock of executing its sample
+//! once (mostly the rasterizer's clip compare), which is why the sample
+//! is small. The priced pairs are every sampled pair with a window, not
+//! only those the tester's point-in-polygon and `sw_threshold` prologue
+//! would send to the device. A small memo keyed on the query's shape
+//! (pipeline, candidate-count bucket, sampled complexity) makes repeat
+//! queries plan for free.
 //!
 //! Whatever the planner picks, results are bit-identical (invariant 13):
 //! every backend is exact, so planning is purely a latency decision and
@@ -32,8 +54,42 @@
 use crate::choreography::{list, window, Tape};
 use crate::pipeline::{Predicate, RefineOp};
 use spatial_geom::Polygon;
-use spatial_raster::{CommandList, HwCostModel};
+use spatial_raster::{CommandList, HwCostModel, RasterDevice, ReferenceDevice};
 use std::collections::HashMap;
+
+/// The fixed part of one software step 3, in nanoseconds: the call, the
+/// restricted-search-space setup and the first block compares, whatever
+/// the edge count. Calibrated with [`STEP3_NS_PER_EDGE`] by the step-3
+/// table of `--bin diag` (EXPERIMENTS.md "Step 3 on both sides of the
+/// crossover").
+pub const STEP3_FIXED_NS: f64 = 160.0;
+
+/// The software step-3 rate, in nanoseconds per edge of [`step3_edges`],
+/// on top of [`STEP3_FIXED_NS`] per pair — the software side of Figure
+/// 13. `--bin diag` times both step-3 kernels against it — the
+/// intersection joins' and the within-distance joins' — and both sit on
+/// this one line within the host's run-to-run spread. An aggregation's
+/// clip is priced at the same rate per vertex.
+pub const STEP3_NS_PER_EDGE: f64 = 9.5;
+
+/// The edges a software step 3 of `pred` on `(p, q)` can visit, the count
+/// the planner prices it by: the edges in runs of each polygon whose box
+/// meets the other's MBR — comes within `d` of it for
+/// [`Predicate::WithinDistance`] — with a polygon without run boxes
+/// counted whole ([`Polygon::runs_where`]).
+pub fn step3_edges(pred: Predicate, p: &Polygon, q: &Polygon) -> usize {
+    let reach = match pred {
+        Predicate::WithinDistance(d) => d,
+        Predicate::Intersects | Predicate::ContainedIn => 0.0,
+    };
+    let edges = |poly: &Polygon, other: &Polygon| -> usize {
+        let other = other.mbr();
+        poly.runs_where(|run| run.min_dist(&other) <= reach)
+            .map(|run| run.len())
+            .sum()
+    };
+    edges(p, q) + edges(q, p)
+}
 
 /// The backend a query will refine on, as selected by the planner (or
 /// forced by [`PlannerMode`]).
@@ -76,13 +132,9 @@ pub struct PlannerConfig {
     pub batch: usize,
     /// Candidate pairs sampled per pricing pass (≥ 1).
     pub sample: usize,
-    /// Calibrated software refinement throughput, in nanoseconds per
-    /// polygon vertex — the software side of Figure 13. The default
-    /// matches the tree-sweep calibration note in
-    /// `spatial_raster::cost_model`.
-    pub sweep_ns_per_vertex: f64,
-    /// Capacity of the plan memo (cleared wholesale when full — plans
-    /// are cheap to recompute and the memo is purely an optimization).
+    /// Capacity of the plan memo (≥ 1; cleared wholesale when full —
+    /// plans are cheap to recompute and the memo is purely an
+    /// optimization).
     pub memo_entries: usize,
 }
 
@@ -93,7 +145,6 @@ impl Default for PlannerConfig {
             resolutions: vec![4, 8, 16],
             batch: 32,
             sample: 16,
-            sweep_ns_per_vertex: 10.0,
             memo_entries: 256,
         }
     }
@@ -218,7 +269,7 @@ impl Planner {
             };
         }
 
-        let choice = self.price(op, candidates, sample, sample_vertices, res_limit);
+        let choice = self.price(op, candidates, sample, res_limit);
         if self.memo.len() >= self.cfg.memo_entries {
             self.memo.clear();
         }
@@ -230,21 +281,26 @@ impl Planner {
         }
     }
 
-    /// The Figure-13 comparison: software sweep estimate vs per-pair and
-    /// batched hardware at every configured resolution. For an
-    /// aggregation the software side prices the exact Sutherland–Hodgman
-    /// clip as a vertex sweep with the same calibrated per-vertex rate.
+    /// The Figure-13 comparison: the software plan against per-pair and
+    /// batched hardware at every configured resolution, each the mean
+    /// cost of a sampled pair (module docs) times the candidate count.
     fn price(
         &self,
         op: RefineOp,
         candidates: usize,
         sample: &[(&Polygon, &Polygon)],
-        sample_vertices: u64,
         res_limit: usize,
     ) -> PlanChoice {
-        let n = candidates as f64;
-        let mean_vertices = sample_vertices as f64 / sample.len() as f64;
-        let sw_total = n * mean_vertices * self.cfg.sweep_ns_per_vertex;
+        // Sums over the sample, scaled to the candidate set.
+        let scale = candidates as f64 / sample.len() as f64;
+        let step3: Vec<f64> = sample
+            .iter()
+            .map(|&(p, q)| Self::step3_ns(op, p, q))
+            .collect();
+        let sw_total = scale * step3.iter().sum::<f64>();
+        // One replay device for the pass, dropped with it: a frame of the
+        // largest priced window lives no longer than the pricing.
+        let mut device = ReferenceDevice::new();
 
         let mut best = (sw_total, PlanChoice::Software);
         // Fixed per-test overhead a batched submission amortizes: two
@@ -265,23 +321,24 @@ impl Planner {
             }
         };
         for r in resolutions {
-            let mut total_ns = 0.0;
-            let mut priced = 0usize;
-            for &(p, q) in sample {
-                if let Some(pair_ns) = self.price_pair(op, r, p, q) {
-                    total_ns += pair_ns;
-                    priced += 1;
+            // The sample's modeled GPU time, its windowed pairs, and the
+            // step 3 the hardware plan still runs.
+            let (mut gpu, mut windowed, mut confirm) = (0.0, 0usize, 0.0);
+            for (&(p, q), &s3) in sample.iter().zip(&step3) {
+                let (pair_gpu, pair_confirm) = self.price_pair(&mut device, op, r, p, q, s3);
+                if let Some(pair_gpu) = pair_gpu {
+                    gpu += pair_gpu;
+                    windowed += 1;
                 }
+                confirm += pair_confirm;
             }
-            if priced == 0 {
+            if windowed == 0 {
                 // Hardware infeasible at this resolution (every sampled
-                // pair hit the width limit or had no projection window);
-                // disjoint overlap pairs answer their zeros for free.
+                // pair hit the width limit or had no projection window).
                 continue;
             }
-            let mean_pair = total_ns / priced as f64;
 
-            let per_pair_total = n * mean_pair;
+            let per_pair_total = scale * (gpu + confirm);
             if per_pair_total < best.0 {
                 best = (
                     per_pair_total,
@@ -298,8 +355,8 @@ impl Planner {
                 continue;
             }
             let rounds = (candidates as u64).div_ceil(self.cfg.batch as u64) as f64;
-            let batched_total =
-                n * (mean_pair - fixed).max(0.0) + rounds * (fixed + self.model.batch_ns);
+            let batched_total = scale * ((gpu - windowed as f64 * fixed).max(0.0) + confirm)
+                + rounds * (fixed + self.model.batch_ns);
             if batched_total < best.0 {
                 best = (
                     batched_total,
@@ -313,32 +370,72 @@ impl Planner {
         best.1
     }
 
-    /// Prices one sampled pair's choreography at `resolution` by
-    /// replaying its command list against the cost model. `None` means
-    /// hardware can't take this pair (no projection window, or the
-    /// Equation (1) line width exceeds the hardware limit) and it would
-    /// fall back to software — or, for an aggregation, that the pair's
-    /// shared MBR is empty or degenerate and it answers `0.0` without
-    /// touching a device.
-    fn price_pair(&self, op: RefineOp, resolution: usize, p: &Polygon, q: &Polygon) -> Option<f64> {
-        let list = self.priced_list(op, resolution, p, q)?;
-        Some(ns(self.model.replay_cost(&list)))
+    /// The software plan's cost of one pair, in modeled nanoseconds: for a
+    /// boolean test its step 3, [`STEP3_FIXED_NS`] plus
+    /// [`STEP3_NS_PER_EDGE`] times [`step3_edges`]; for an aggregation the
+    /// clip, at the same rate per vertex of both boundaries.
+    fn step3_ns(op: RefineOp, p: &Polygon, q: &Polygon) -> f64 {
+        match op {
+            RefineOp::Measure { .. } => {
+                (p.vertex_count() + q.vertex_count()) as f64 * STEP3_NS_PER_EDGE
+            }
+            RefineOp::Test(pred) => {
+                STEP3_FIXED_NS + step3_edges(pred, p, q) as f64 * STEP3_NS_PER_EDGE
+            }
+        }
     }
 
-    /// The list [`Planner::price_pair`] prices: exactly what a tester at
-    /// `resolution` executes for the pair once its software prologue
-    /// sends it to the device — same window, same tape. Every sampled
-    /// pair with a projection window is priced; the prologue's
-    /// point-in-polygon and threshold exits are the tester's own.
-    pub(crate) fn priced_list(
+    /// The hardware plan's cost of one pair at `resolution`, given its
+    /// software cost `step3`: the modeled GPU time of its replayed list
+    /// (`None` without a window) and the step 3 it still runs — `step3`
+    /// unless the replayed scan rejects the pair, and all of it, as the
+    /// tester's software fallback, without a window. An aggregation's
+    /// count is its answer: no step 3 follows a replay, and a pair without
+    /// a window has an empty or degenerate overlap that answers `0.0`
+    /// without either.
+    fn price_pair(
+        &self,
+        device: &mut ReferenceDevice,
+        op: RefineOp,
+        resolution: usize,
+        p: &Polygon,
+        q: &Polygon,
+        step3: f64,
+    ) -> (Option<f64>, f64) {
+        let Some((list, slot)) = self.priced_tape(op, resolution, p, q) else {
+            return match op {
+                RefineOp::Measure { .. } => (None, 0.0),
+                RefineOp::Test(_) => (None, step3),
+            };
+        };
+        let exec = device
+            .execute(&list)
+            .expect("the reference replay is infallible");
+        let rejected = match op {
+            RefineOp::Measure { .. } => true,
+            RefineOp::Test(_) => exec.max_red(slot).is_ok_and(|max| max < 1.0),
+        };
+        (
+            Some(ns(self.model.time(&exec.stats))),
+            if rejected { 0.0 } else { step3 },
+        )
+    }
+
+    /// The list [`Planner::price_pair`] replays and its verdict slot:
+    /// exactly what a tester at `resolution` executes for the pair once
+    /// its software prologue sends it to the device — same window, same
+    /// tape. Every sampled pair with a projection window is priced; the
+    /// prologue's point-in-polygon and threshold exits are the tester's
+    /// own.
+    fn priced_tape(
         &self,
         op: RefineOp,
         resolution: usize,
         p: &Polygon,
         q: &Polygon,
-    ) -> Option<CommandList> {
+    ) -> Option<(CommandList, usize)> {
         let w = window(op, p, q, resolution)?;
-        Some(list(Tape::Pair(&w)).0)
+        Some(list(Tape::Pair(&w)))
     }
 }
 
@@ -368,6 +465,17 @@ mod tests {
             sample: &[(&Polygon, &Polygon)],
         ) -> Planned {
             self.plan_limited(kind, op, candidates, sample, usize::MAX)
+        }
+
+        /// The list the planner replays for a pair at `resolution`.
+        fn priced_list(
+            &self,
+            op: RefineOp,
+            resolution: usize,
+            p: &Polygon,
+            q: &Polygon,
+        ) -> Option<CommandList> {
+            self.priced_tape(op, resolution, p, q).map(|(list, _)| list)
         }
     }
 
@@ -465,13 +573,19 @@ mod tests {
         assert_eq!(planned.choice, PlanChoice::Software);
     }
 
+    /// Two dense rings, one inside the other: their MBRs overlap, their
+    /// boundaries stay apart, and the outer ring never reaches the inner
+    /// one's MBR — a pair every window's scan rejects.
+    fn nested_rings() -> (Polygon, Polygon) {
+        (ring(5.0, 5.0, 4.0, 600), ring(5.0, 5.0, 2.0, 600))
+    }
+
     #[test]
     fn complex_pairs_at_scale_cross_over_to_hardware() {
         let mut pl = Planner::new(PlannerConfig::default());
-        let a = ring(5.0, 5.0, 4.0, 600);
-        let b = ring(6.0, 5.0, 4.0, 600);
-        // 1200 vertices/pair × 10 ns ≫ the modeled raster cost at a
-        // small window.
+        let (a, b) = nested_rings();
+        // The step 3 the scan's rejection saves (600 live edges) ≫ the
+        // modeled raster cost at a small window.
         let planned = pl.plan(2, INTERSECTS, 10_000, &[(&a, &b)]);
         assert!(
             planned.choice.is_hardware(),
@@ -495,8 +609,7 @@ mod tests {
     #[test]
     fn resolution_cap_prices_only_the_coarsest_windows() {
         let mut pl = Planner::new(PlannerConfig::default());
-        let a = ring(5.0, 5.0, 4.0, 600);
-        let b = ring(6.0, 5.0, 4.0, 600);
+        let (a, b) = nested_rings();
         let capped = pl.plan_limited(2, INTERSECTS, 10_000, &[(&a, &b)], 1);
         match capped.choice {
             PlanChoice::Hardware { resolution, .. } => {
@@ -516,6 +629,38 @@ mod tests {
             pl.plan_limited(2, INTERSECTS, 10_000, &[(&a, &b)], 1)
                 .memo_hit
         );
+    }
+
+    /// Two crossing rings: the scan never rejects them, so the hardware
+    /// plan pays its GPU time on top of the step 3 software pays alone —
+    /// at any resolution, batch or candidate count.
+    #[test]
+    fn a_pair_the_scan_cannot_reject_never_plans_hardware() {
+        let a = ring(5.0, 5.0, 4.0, 600);
+        let b = ring(6.0, 5.0, 4.0, 600);
+        for candidates in [1, 64, 10_000, 1_000_000] {
+            for limit in [1, usize::MAX] {
+                let mut pl = Planner::new(PlannerConfig::default());
+                let planned = pl.plan_limited(2, INTERSECTS, candidates, &[(&a, &b)], limit);
+                assert_eq!(planned.choice, PlanChoice::Software, "{candidates} {limit}");
+            }
+        }
+    }
+
+    /// A sampled pair without a window at a resolution costs the hardware
+    /// plan there its software fallback: step 3, no GPU time.
+    #[test]
+    fn a_window_less_pair_costs_the_hardware_plan_its_software_fallback() {
+        let pl = Planner::new(PlannerConfig::default());
+        let a = rect_poly(0.0, 0.0, 1.0, 1.0);
+        let b = rect_poly(1.5, 0.0, 1.0, 1.0);
+        let op = RefineOp::Test(Predicate::WithinDistance(2.0));
+        let step3 = Planner::step3_ns(op, &a, &b);
+        assert!(step3 > 0.0);
+        let device = &mut ReferenceDevice::new();
+        // Over the line-width limit at 256 (see the test below), not at 4.
+        assert_eq!(pl.price_pair(device, op, 256, &a, &b, step3), (None, step3));
+        assert!(pl.price_pair(device, op, 4, &a, &b, step3).0.is_some());
     }
 
     #[test]

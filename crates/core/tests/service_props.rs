@@ -213,20 +213,26 @@ fn adaptive_planner_uses_both_backends() {
     assert!(stats.balanced());
     assert_eq!(stats.plan_cache_hits, 1);
 
-    // A join over dense many-vertex rings: the software sweep estimate
-    // (~vertices × 10 ns per pair) dwarfs the modeled raster cost, so
-    // the planner must cross over to hardware.
-    let ring = |cx: f64, cy: f64, n: usize| {
+    // A join over dense many-vertex rings, each of the second set nested
+    // inside every ring of the first with boundaries apart: the step 3
+    // the scan's rejections save (~live edges × the step-3 rate per
+    // pair) dwarfs the modeled raster cost, so the planner must cross
+    // over to hardware.
+    let ring = |cx: f64, cy: f64, r: f64, n: usize| {
         let pts: Vec<(f64, f64)> = (0..n)
             .map(|i| {
                 let t = i as f64 / n as f64 * std::f64::consts::TAU;
-                (cx + 4.0 * t.cos(), cy + 4.0 * t.sin())
+                (cx + r * t.cos(), cy + r * t.sin())
             })
             .collect();
         spatial_geom::Polygon::from_coords(&pts)
     };
-    let dense_a: Vec<_> = (0..6).map(|i| ring(i as f64 * 0.5, 0.0, 400)).collect();
-    let dense_b: Vec<_> = (0..6).map(|i| ring(i as f64 * 0.5, 1.0, 400)).collect();
+    let dense_a: Vec<_> = (0..6)
+        .map(|i| ring(i as f64 * 0.5, 0.0, 4.0, 400))
+        .collect();
+    let dense_b: Vec<_> = (0..6)
+        .map(|i| ring(i as f64 * 0.5, 0.0, 1.0, 400))
+        .collect();
     let dense = QueryEngine::new(
         ServiceConfig {
             base: EngineConfig::hardware(HwConfig::at_resolution(8).with_threshold(0)),
