@@ -5,8 +5,9 @@
 //! at workload scale. Exits 1 on any disagreement.
 //!
 //! Everything else that may not change a row (batching, threads, filter
-//! knobs, faults, shards, partitions, the planner, brownouts) is stated
-//! by the test suites at a fixed small scale: `cargo test --workspace`.
+//! knobs, faults, failover across the device pool's shards, the planner,
+//! brownouts) is stated by the test suites at a fixed small scale:
+//! `cargo test --workspace`.
 
 use hwa_core::engine::GeometryTest;
 use hwa_core::HwConfig;

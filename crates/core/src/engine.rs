@@ -39,46 +39,6 @@ pub enum GeometryTest {
     Hardware,
 }
 
-/// PBSM-style spatial partitioning knobs (DESIGN.md §11): an n×n grid
-/// over the datasets' joint extent bins every candidate into the
-/// partition owning its reference point, and each partition's refinement
-/// submissions route to their own device shard. Both knobs are pure
-/// optimizations — results and every deterministic counter are
-/// bit-identical to the unpartitioned single-device run (invariant 12).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PartitionConfig {
-    /// Cells per grid side: stages 2 and 3 operate over `grid²` spatial
-    /// partitions. `1` (the default) is the unpartitioned path.
-    pub grid: usize,
-    /// Independent devices, each built from the configured
-    /// [`EngineConfig::device`]; partition `p` submits to shard
-    /// `p % shards`, and a shard whose breaker opens fails over to the
-    /// next healthy one. `1` (the default) is the single device. The only
-    /// place a shard count is set.
-    pub shards: usize,
-}
-
-impl Default for PartitionConfig {
-    fn default() -> Self {
-        PartitionConfig { grid: 1, shards: 1 }
-    }
-}
-
-impl PartitionConfig {
-    /// A grid of `n × n` partitions on a single device shard.
-    pub fn grid(n: usize) -> Self {
-        PartitionConfig {
-            grid: n,
-            ..Self::default()
-        }
-    }
-
-    /// Fans partitions out across `k` device shards.
-    pub fn with_shards(self, k: usize) -> Self {
-        PartitionConfig { shards: k, ..self }
-    }
-}
-
 /// Engine configuration: which refinement path, the filters in front of
 /// it, and how stage 3 is scheduled.
 #[derive(Debug, Clone)]
@@ -97,7 +57,7 @@ pub struct EngineConfig {
     pub hw_batch: usize,
     /// Worker threads for the geometry-comparison stage. `1` (the
     /// default, and the paper's setting) refines sequentially; more
-    /// threads partition the surviving candidates deterministically —
+    /// threads split the surviving candidates deterministically —
     /// results and merged counters are bit-identical to sequential.
     pub refine_threads: usize,
     /// Worker threads for the stage-1 MBR filter: tree joins are split
@@ -107,12 +67,6 @@ pub struct EngineConfig {
     /// sequential traversal. `1` (the default) traverses on the calling
     /// thread; selections are single-probe and always do.
     pub filter_threads: usize,
-    /// Evaluate the filter stage's node-level MBR kernels at SIMD width
-    /// (eight lanes a step, autovectorized) instead of one lane at a
-    /// time. Candidates, order and the deterministic
-    /// `node_tests` counter are bit-identical either way; only wall-clock
-    /// time and the diagnostic `simd_node_tests` move.
-    pub filter_simd: bool,
     /// Which raster device each shard executes the recorded command lists
     /// on. [`DeviceKind::Reference`] (the default) is the one executor;
     /// [`DeviceKind::Fault`] wraps it in a seeded deterministic fault
@@ -124,12 +78,12 @@ pub struct EngineConfig {
     /// [`RecoveryPolicy`]). Only consulted by hardware-using geometry
     /// tests.
     pub recovery: RecoveryPolicy,
-    /// PBSM spatial partitioning: grid cells for stages 2–3 and device
-    /// shards to fan their submissions across (see [`PartitionConfig`]).
-    /// Results and deterministic counters never change; at `hw_batch > 1`
-    /// only the submission-grouping diagnostics move, because batches
-    /// form within partitions.
-    pub partition: PartitionConfig,
+    /// Independent devices in the hardware tester's pool, each built from
+    /// [`EngineConfig::device`]. Every submission is aimed at shard 0; the
+    /// others serve only what fails over to them when shard 0's breaker
+    /// opens (lowest-index healthy shard first). `1` (the default) is the
+    /// single device. The only place a shard count is set.
+    pub shards: usize,
 }
 
 impl Default for EngineConfig {
@@ -142,10 +96,9 @@ impl Default for EngineConfig {
             hw_batch: 1,
             refine_threads: 1,
             filter_threads: 1,
-            filter_simd: true,
             device: DeviceKind::Reference,
             recovery: RecoveryPolicy::default(),
-            partition: PartitionConfig::default(),
+            shards: 1,
         }
     }
 }
@@ -164,10 +117,7 @@ pub enum ConfigError {
     /// `filter_threads` is 0: no worker would ever pull a filter work
     /// unit.
     ZeroFilterThreads,
-    /// `partition.grid` is 0: there would be no cell to own any
-    /// candidate.
-    ZeroPartitions,
-    /// `partition.shards` is 0: no shard could ever execute a submission.
+    /// `shards` is 0: no shard could ever execute a submission.
     ZeroShards,
     /// `ServiceConfig::admission_capacity` is 0: every query would be
     /// rejected at the door.
@@ -211,14 +161,8 @@ impl fmt::Display for ConfigError {
             ConfigError::ZeroFilterThreads => {
                 write!(f, "invalid EngineConfig: filter_threads = 0 (must be ≥ 1)")
             }
-            ConfigError::ZeroPartitions => {
-                write!(f, "invalid EngineConfig: partition.grid = 0 (must be ≥ 1)")
-            }
             ConfigError::ZeroShards => {
-                write!(
-                    f,
-                    "invalid EngineConfig: partition.shards = 0 (must be ≥ 1)"
-                )
+                write!(f, "invalid EngineConfig: shards = 0 (must be ≥ 1)")
             }
             ConfigError::ZeroAdmissionCapacity => write!(
                 f,
@@ -270,9 +214,8 @@ impl EngineConfig {
 
     /// Structural validation, run by [`SpatialEngine::new`] /
     /// [`SpatialEngine::try_new`] before any backend is built: zero batch
-    /// sizes, zero thread counts, zero partition grids or shard counts and
-    /// a zero probation cool-down are configuration bugs, not values to
-    /// clamp quietly.
+    /// sizes, zero thread counts, a zero shard count and a zero probation
+    /// cool-down are configuration bugs, not values to clamp quietly.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.hw.resolution == 0 {
             return Err(ConfigError::ZeroResolution);
@@ -286,10 +229,7 @@ impl EngineConfig {
         if self.filter_threads == 0 {
             return Err(ConfigError::ZeroFilterThreads);
         }
-        if self.partition.grid == 0 {
-            return Err(ConfigError::ZeroPartitions);
-        }
-        if self.partition.shards == 0 {
+        if self.shards == 0 {
             return Err(ConfigError::ZeroShards);
         }
         if self.recovery.probation_ns == Some(0) {
@@ -344,7 +284,7 @@ pub(crate) fn build_backend(config: &EngineConfig) -> Box<dyn RefinementBackend>
     Box::new(HwTester::with_device_and_policy(
         config.hw,
         config.device,
-        config.partition.shards,
+        config.shards,
         config.recovery,
     ))
 }
@@ -353,7 +293,6 @@ pub(crate) fn build_backend(config: &EngineConfig) -> Box<dyn RefinementBackend>
 pub(crate) fn filter_config(config: &EngineConfig) -> FilterConfig {
     FilterConfig {
         threads: config.filter_threads,
-        simd: config.filter_simd,
         ..FilterConfig::default()
     }
 }
@@ -453,8 +392,8 @@ impl SpatialEngine {
     /// The query's resolution is its own parameter (it sets the
     /// quantization of the *answer*, not of a filter); the configured
     /// `hw.resolution` keeps tuning only the boolean choreographies.
-    /// Rows and areas are bit-identical across backends, devices,
-    /// partition grids, shards, threads and seeded fault plans.
+    /// Rows and areas are bit-identical across backends, devices, shards,
+    /// threads and seeded fault plans.
     pub fn overlap_area_join(
         &mut self,
         a: &PreparedDataset,
@@ -606,20 +545,20 @@ mod tests {
     }
 
     #[test]
-    fn overlap_join_is_invariant_across_partitions_and_threads() {
+    fn overlap_join_is_invariant_across_shards_and_threads() {
         let (a, b) = tiny_pair();
         let base_cfg = EngineConfig::hardware(HwConfig::at_resolution(8));
         let mut base_engine = SpatialEngine::new(base_cfg.clone());
         let (base, base_cost) = base_engine.overlap_area_join(&a, &b, 16);
         assert!(!base.is_empty());
-        for (grid, shards, threads) in [(2, 1, 1), (3, 2, 4), (1, 1, 4)] {
+        for (shards, threads) in [(2, 1), (3, 4), (1, 4)] {
             let mut e = SpatialEngine::new(EngineConfig {
-                partition: PartitionConfig::grid(grid).with_shards(shards),
+                shards,
                 refine_threads: threads,
                 ..base_cfg.clone()
             });
             let (rows, cost) = e.overlap_area_join(&a, &b, 16);
-            assert_eq!(rows.len(), base.len(), "g{grid} s{shards} t{threads}");
+            assert_eq!(rows.len(), base.len(), "s{shards} t{threads}");
             for ((i, j, ar), (bi, bj, br)) in rows.iter().zip(&base) {
                 assert_eq!((i, j), (bi, bj));
                 assert_eq!(ar.to_bits(), br.to_bits(), "pair ({i},{j}) drifted");
@@ -784,13 +723,8 @@ mod tests {
             zero_filter_threads.validate(),
             Err(ConfigError::ZeroFilterThreads)
         );
-        let zero_grid = EngineConfig {
-            partition: PartitionConfig::grid(0),
-            ..EngineConfig::software()
-        };
-        assert_eq!(zero_grid.validate(), Err(ConfigError::ZeroPartitions));
         let zero_shards = EngineConfig {
-            partition: PartitionConfig::grid(2).with_shards(0),
+            shards: 0,
             ..EngineConfig::software()
         };
         assert_eq!(zero_shards.validate(), Err(ConfigError::ZeroShards));
@@ -825,8 +759,7 @@ mod tests {
             (ConfigError::ZeroBatch, "hw_batch = 0"),
             (ConfigError::ZeroThreads, "refine_threads = 0"),
             (ConfigError::ZeroFilterThreads, "filter_threads = 0"),
-            (ConfigError::ZeroPartitions, "partition.grid = 0"),
-            (ConfigError::ZeroShards, "partition.shards = 0"),
+            (ConfigError::ZeroShards, "shards = 0"),
             (ConfigError::ZeroAdmissionCapacity, "admission_capacity = 0"),
             (ConfigError::BadPlannerResolutions, "planner.resolutions"),
             (ConfigError::ZeroPlannerSample, "planner.sample = 0"),
@@ -847,117 +780,47 @@ mod tests {
         }
     }
 
-    /// Spatial partitioning is invisible in every observable: for each
-    /// backend, grid ∈ {2, 4} × shards ∈ {1, 2} returns bit-identical
-    /// results and deterministic counters to the unpartitioned engine on
-    /// all four pipelines (DESIGN.md invariant 12). `hw_batch` stays 1 so
-    /// even the submission-grouping diagnostics must match.
-    #[test]
-    fn partitioned_engine_matches_unpartitioned_on_all_pipelines() {
-        let (a, b) = tiny_pair();
-        let queries = spatial_datagen::states50(21);
-        let q = &queries.polygons[0];
-        let d = avg_extent(&a).min(avg_extent(&b)) * 0.5;
-        for base in [
-            EngineConfig::software(),
-            EngineConfig::hardware(HwConfig::at_resolution(8)),
-            EngineConfig::hardware(HwConfig::at_resolution(8).with_threshold(40)),
-        ] {
-            let mut plain = SpatialEngine::new(base.clone());
-            let (s1, sc1) = plain.intersection_selection(&a, q);
-            let (c1, _) = plain.containment_selection(&a, q);
-            let (j1, jc1) = plain.intersection_join(&a, &b);
-            let (w1, wc1) = plain.within_distance_join(&a, &b, d);
-            assert!(sc1.partitions_used <= 1, "unpartitioned path uses ≤ 1");
-            for grid in [2usize, 4] {
-                for shards in [1usize, 2] {
-                    let mut part = SpatialEngine::new(EngineConfig {
-                        partition: PartitionConfig::grid(grid).with_shards(shards),
-                        ..base.clone()
-                    });
-                    let label = format!("grid {grid}, shards {shards}");
-                    let (s2, sc2) = part.intersection_selection(&a, q);
-                    assert_eq!(s1, s2, "selection, {label}");
-                    assert_eq!(sc1.candidates, sc2.candidates, "{label}");
-                    assert_eq!(sc1.node_tests, sc2.node_tests, "{label}");
-                    let (c2, _) = part.containment_selection(&a, q);
-                    assert_eq!(c1, c2, "containment, {label}");
-                    let (j2, jc2) = part.intersection_join(&a, &b);
-                    assert_eq!(j1, j2, "join, {label}");
-                    assert_eq!(jc1.tests.hw_tests, jc2.tests.hw_tests, "{label}");
-                    assert_eq!(jc1.tests.hw_batches, jc2.tests.hw_batches, "{label}");
-                    assert_eq!(
-                        jc1.tests.software_tests, jc2.tests.software_tests,
-                        "{label}"
-                    );
-                    assert_eq!(
-                        jc1.tests.decided_by_pip, jc2.tests.decided_by_pip,
-                        "{label}"
-                    );
-                    assert_eq!(jc1.tests.hw, jc2.tests.hw, "{label}");
-                    assert!(jc2.partitions_used >= 1, "{label}");
-                    assert!(jc2.partitions_used <= grid * grid, "{label}");
-                    let (w2, wc2) = part.within_distance_join(&a, &b, d);
-                    assert_eq!(w1, w2, "within-distance, {label}");
-                    assert_eq!(wc1.tests.hw_tests, wc2.tests.hw_tests, "{label}");
-                    assert_eq!(
-                        wc1.tests.software_tests, wc2.tests.software_tests,
-                        "{label}"
-                    );
-                }
-            }
-        }
-    }
-
-    /// The stage-1 knobs never change observable behaviour: for every
-    /// scalar/SIMD × sequential/threaded filter configuration, all four
-    /// pipelines return identical results, identical candidate counts and
-    /// identical deterministic counters (`node_tests` included) — only the
-    /// routing diagnostics (`simd_node_tests`, `filter_work_units`) move.
+    /// The stage-1 knobs never change observable behaviour: sequential
+    /// and threaded filtering return identical results, identical
+    /// candidate counts and identical deterministic counters
+    /// (`node_tests` included) on all four pipelines — only the
+    /// scheduling diagnostic `filter_work_units` moves.
     #[test]
     fn filter_configs_do_not_change_results_or_counters() {
         let (a, b) = tiny_pair();
         let queries = spatial_datagen::states50(14);
         let q = &queries.polygons[0];
         let d = avg_extent(&a).min(avg_extent(&b)) * 0.5;
-        let base = EngineConfig {
-            filter_simd: false,
-            filter_threads: 1,
-            ..EngineConfig::hardware(HwConfig::at_resolution(8))
-        };
+        let base = EngineConfig::hardware(HwConfig::at_resolution(8));
         let mut reference = SpatialEngine::new(base.clone());
         let (s0, sc0) = reference.intersection_selection(&a, q);
         let (c0, cc0) = reference.containment_selection(&a, q);
         let (j0, jc0) = reference.intersection_join(&a, &b);
         let (w0, wc0) = reference.within_distance_join(&a, &b, d);
         assert!(jc0.node_tests > 0);
-        assert_eq!(sc0.simd_node_tests, 0, "scalar path must not route SIMD");
-        for filter_simd in [false, true] {
-            for filter_threads in [1usize, 4] {
-                let mut e = SpatialEngine::new(EngineConfig {
-                    filter_simd,
-                    filter_threads,
-                    ..base.clone()
-                });
-                let tag = format!("simd={filter_simd} threads={filter_threads}");
-                let (s, sc) = e.intersection_selection(&a, q);
-                assert_eq!(s, s0, "{tag}");
-                assert_eq!(sc.candidates, sc0.candidates, "{tag}");
-                assert_eq!(sc.node_tests, sc0.node_tests, "{tag}");
-                let (c, cc) = e.containment_selection(&a, q);
-                assert_eq!(c, c0, "{tag}");
-                assert_eq!(cc.node_tests, cc0.node_tests, "{tag}");
-                let (j, jc) = e.intersection_join(&a, &b);
-                assert_eq!(j, j0, "{tag}");
-                assert_eq!(jc.candidates, jc0.candidates, "{tag}");
-                assert_eq!(jc.node_tests, jc0.node_tests, "{tag}");
-                assert_eq!(jc.tests.hw_tests, jc0.tests.hw_tests, "{tag}");
-                let (w, wc) = e.within_distance_join(&a, &b, d);
-                assert_eq!(w, w0, "{tag}");
-                assert_eq!(wc.candidates, wc0.candidates, "{tag}");
-                assert_eq!(wc.node_tests, wc0.node_tests, "{tag}");
-                assert_eq!(wc.filter_hits, wc0.filter_hits, "{tag}");
-            }
+        for filter_threads in [1usize, 4] {
+            let mut e = SpatialEngine::new(EngineConfig {
+                filter_threads,
+                ..base.clone()
+            });
+            let tag = format!("threads={filter_threads}");
+            let (s, sc) = e.intersection_selection(&a, q);
+            assert_eq!(s, s0, "{tag}");
+            assert_eq!(sc.candidates, sc0.candidates, "{tag}");
+            assert_eq!(sc.node_tests, sc0.node_tests, "{tag}");
+            let (c, cc) = e.containment_selection(&a, q);
+            assert_eq!(c, c0, "{tag}");
+            assert_eq!(cc.node_tests, cc0.node_tests, "{tag}");
+            let (j, jc) = e.intersection_join(&a, &b);
+            assert_eq!(j, j0, "{tag}");
+            assert_eq!(jc.candidates, jc0.candidates, "{tag}");
+            assert_eq!(jc.node_tests, jc0.node_tests, "{tag}");
+            assert_eq!(jc.tests.hw_tests, jc0.tests.hw_tests, "{tag}");
+            let (w, wc) = e.within_distance_join(&a, &b, d);
+            assert_eq!(w, w0, "{tag}");
+            assert_eq!(wc.candidates, wc0.candidates, "{tag}");
+            assert_eq!(wc.node_tests, wc0.node_tests, "{tag}");
+            assert_eq!(wc.filter_hits, wc0.filter_hits, "{tag}");
         }
     }
 

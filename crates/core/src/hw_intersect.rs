@@ -45,9 +45,9 @@ use std::time::Instant;
 /// repeated tests (thousands per join) reuse each device's window
 /// allocation.
 ///
-/// Every submission runs under a `Supervisor`: validated, retried per
-/// [`RecoveryPolicy`] with modeled backoff, failed over to a healthy shard
-/// and quarantined behind per-shard circuit breakers after repeated
+/// Every submission is aimed at shard 0 and runs under a `Supervisor`:
+/// validated, retried per [`RecoveryPolicy`] with modeled backoff, failed
+/// over to the lowest-index healthy shard and quarantined behind per-shard circuit breakers after repeated
 /// faults. When the supervisor gives up, the tester answers the affected
 /// pair with the exact software test and charges `fallback_tests` —
 /// results never change, only where they were computed.
@@ -59,11 +59,6 @@ pub struct HwTester {
     devices: Vec<Box<dyn RasterDevice>>,
     model: HwCostModel,
     supervisor: Supervisor,
-    /// The shard subsequent submissions aim at, `< devices.len()`; 0 until
-    /// the partitioned executor selects one. Preserved across `fork` so
-    /// parallel refinement workers keep serving the partition that
-    /// spawned them.
-    route: usize,
 }
 
 impl HwTester {
@@ -91,16 +86,7 @@ impl HwTester {
             supervisor: Supervisor::new(policy, devices.len()),
             devices,
             model: HwCostModel::default(),
-            route: 0,
         }
-    }
-
-    /// Aims subsequent submissions at device shard `shard` modulo the
-    /// shard count. The partitioned executor selects partition `p` before
-    /// refining it; the choice is a pure function of the partition index,
-    /// so sharded execution stays deterministic.
-    pub fn select_shard(&mut self, shard: usize) {
-        self.route = shard % self.devices.len();
     }
 
     /// Overrides the simulated-hardware cost model (sensitivity benches).
@@ -136,8 +122,8 @@ impl HwTester {
     }
 
     /// An independent tester for a parallel refinement worker: same
-    /// configuration, device selection, shard count, cost model and aimed
-    /// shard, its own device pool. It adopts this tester's supervision state — per-shard
+    /// configuration, device selection, shard count and cost model, its
+    /// own device pool. It adopts this tester's supervision state — per-shard
     /// breaker verdicts and the modeled probation clock — so a worker
     /// never re-pays the full retry/backoff ladder for a shard its parent
     /// already proved dead.
@@ -150,7 +136,6 @@ impl HwTester {
         );
         t.model = self.model;
         t.supervisor = self.supervisor.clone();
-        t.route = self.route;
         t
     }
 
@@ -180,7 +165,7 @@ impl HwTester {
         let (commands, slot) = list(tape);
         let verdict = self
             .supervisor
-            .submit(&mut self.devices, self.route, &commands, stats)
+            .submit(&mut self.devices, &commands, stats)
             .and_then(|exec| {
                 let modeled = self.model.time(&exec.stats);
                 self.supervisor.advance(modeled.as_nanos() as u64);

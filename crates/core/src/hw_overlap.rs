@@ -275,30 +275,51 @@ mod tests {
         assert_eq!(t.overlap_area(&p, &q, 16, &mut st), 16.0);
     }
 
+    /// A pool whose shard 0 is dead measures on shard 1 once shard 0's
+    /// breaker opens, and that shard answers and charges exactly what a
+    /// single clean device does.
     #[test]
     fn sharded_wrapper_agrees_bit_for_bit() {
+        use crate::pipeline::RecoveryPolicy;
+        use spatial_raster::{FaultKind, FaultPlan, FaultTrigger};
         let p = l_shape();
         let q = square(1.0, 1.0, 5.0);
-        let mut reference = None;
-        for (shards, aim) in [(1, 0), (3, 2)] {
-            let mut t = HwTester::with_device_and_policy(
-                HwConfig::recommended(),
-                DeviceKind::Reference,
-                shards,
-                Default::default(),
-            );
-            t.select_shard(aim);
-            let mut st = TestStats::default();
-            let area = t.overlap_area(&p, &q, 32, &mut st);
-            let hw = st.hw;
-            match &reference {
-                None => reference = Some((area, hw)),
-                Some((ra, rhw)) => {
-                    assert_eq!(area.to_bits(), ra.to_bits(), "shard {aim} of {shards}");
-                    assert_eq!(hw, *rhw, "shard {aim} of {shards} charged differently");
-                }
-            }
-        }
+        let mut clean = HwTester::new(HwConfig::recommended());
+        let mut reference = TestStats::default();
+        let area = clean.overlap_area(&p, &q, 32, &mut reference);
+        assert!(
+            reference.hw.draw_calls > 0,
+            "the pair must reach the device"
+        );
+
+        let dead_0 = FaultPlan::new(7, FaultKind::ContextLost, FaultTrigger::EveryK(1)).on_shard(0);
+        let mut t = HwTester::with_device_and_policy(
+            HwConfig::recommended(),
+            DeviceKind::Reference.with_faults(dead_0),
+            3,
+            RecoveryPolicy {
+                quarantine_after: 1,
+                ..RecoveryPolicy::default()
+            },
+        );
+        // The first measurement exhausts its retries on shard 0, opens its
+        // breaker and falls back to the bit-identical software replay.
+        let mut first = TestStats::default();
+        assert_eq!(
+            t.overlap_area(&p, &q, 32, &mut first).to_bits(),
+            area.to_bits()
+        );
+        assert_eq!((first.fallback_tests, first.shard_quarantined), (1, 1));
+        let mut st = TestStats::default();
+        assert_eq!(
+            t.overlap_area(&p, &q, 32, &mut st).to_bits(),
+            area.to_bits()
+        );
+        assert_eq!(
+            st.shard_failovers, 1,
+            "the second measurement ran on shard 1"
+        );
+        assert_eq!(st.hw, reference.hw, "shard 1 charged differently");
     }
 
     #[test]

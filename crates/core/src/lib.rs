@@ -47,9 +47,7 @@ pub mod service;
 pub mod stats;
 
 pub use config::HwConfig;
-pub use engine::{
-    ConfigError, EngineConfig, GeometryTest, PartitionConfig, PreparedDataset, SpatialEngine,
-};
+pub use engine::{ConfigError, EngineConfig, GeometryTest, PreparedDataset, SpatialEngine};
 pub use hw_distance::hw_within_distance;
 pub use hw_intersect::hw_intersects;
 pub use hw_intersect::HwTester;
@@ -62,6 +60,6 @@ pub use service::{
     BrownoutConfig, BrownoutRung, PlanChoice, PlannerConfig, PlannerMode, QueryBudget, QueryEngine,
     QueryRequest, QueryResponse, ServiceConfig, ServiceSnapshot, ServiceStats,
 };
-pub use spatial_index::{FilterConfig, FilterStats, SpatialGrid};
+pub use spatial_index::{FilterConfig, FilterStats};
 pub use spatial_raster::{DeviceError, DeviceKind, FaultKind, FaultPlan, FaultTrigger};
 pub use stats::{CostBreakdown, TestStats};

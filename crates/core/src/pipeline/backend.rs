@@ -60,15 +60,6 @@ pub trait RefinementBackend: Send + std::fmt::Debug {
         crate::hw_overlap::sw_overlap_area(p, q, resolution)
     }
 
-    /// Aims subsequent tests at device shard `shard` (the backend reduces
-    /// it modulo its shard count). The partitioned executor calls this once
-    /// per partition, with the partition index, before refining it;
-    /// backends without a device have nothing to aim, so the default is a
-    /// no-op. Implementations must carry the selected shard across
-    /// [`RefinementBackend::fork`], so parallel refinement workers keep
-    /// serving the partition that spawned them.
-    fn select_shard(&mut self, _shard: usize) {}
-
     /// An independent backend with the same configuration, for a parallel
     /// refinement worker.
     fn fork(&self) -> Box<dyn RefinementBackend>;
@@ -131,10 +122,6 @@ impl RefinementBackend for HwTester {
         stats: &mut TestStats,
     ) -> f64 {
         self.overlap_area(p, q, resolution, stats)
-    }
-
-    fn select_shard(&mut self, shard: usize) {
-        HwTester::select_shard(self, shard);
     }
 
     fn fork(&self) -> Box<dyn RefinementBackend> {

@@ -15,29 +15,16 @@
 //!
 //! # Determinism under batching and threads
 //!
-//! Stage 3 first partitions the undecided candidates into *submission
+//! Stage 3 first splits the undecided candidates into *submission
 //! units* — chunks of `batch` candidates (or per-worker spans when
 //! `batch ≤ 1`) — and only then assigns whole units to workers
-//! round-robin. The partition is a pure function of the candidate list and
+//! round-robin. The split is a pure function of the candidate list and
 //! `batch`, never of `threads`; every backend's counters are a pure
 //! function of the unit contents; counter merging is integer addition.
 //! Hence results *and* merged statistics are bit-identical across thread
 //! counts (`sim_wall` aside, which measures the simulation's own wall
 //! clock and is excluded from all reported times).
 //!
-//! # Determinism under spatial partitioning
-//!
-//! With `partitions > 1` (DESIGN.md §11) the candidate stream is binned
-//! by a pure owner function before stages 2 and 3, each partition is
-//! processed independently — the backend aims its submissions at device
-//! shard `p` modulo its shard count — and per-partition counters fold in
-//! ascending partition order. Binning is a permutation of the stream;
-//! filter decisions and per-pair test outcomes are pure per candidate;
-//! the final result sort erases the permutation. Results and every deterministic counter are
-//! therefore bit-identical to the unpartitioned run (invariant 12); at
-//! `batch > 1` only the submission-grouping diagnostics can move,
-//! because batches form within partitions instead of across them.
-
 use super::backend::RefinementBackend;
 use super::filter::{CandidateFilter, Decision};
 use super::RefineOp;
@@ -156,15 +143,6 @@ pub struct StagedExecutor {
     pub batch: usize,
     /// Refinement worker threads; ≤ 1 runs sequentially.
     pub threads: usize,
-    /// Spatial partitions (grid cells) stages 2 and 3 operate over; ≤ 1
-    /// is the unpartitioned path. Candidates are binned by the `assign`
-    /// closure (the PBSM reference-point rule in the engine) and each
-    /// partition is filtered and refined independently, in ascending
-    /// partition order, so results and merged counters are deterministic
-    /// (DESIGN.md invariant 12). Before refining partition `p` the
-    /// executor calls `select_shard(p)` on the backend, which reduces it
-    /// by its own shard count.
-    pub partitions: usize,
 }
 
 impl StagedExecutor {
@@ -173,25 +151,12 @@ impl StagedExecutor {
     /// `op`, and the kept candidates come back sorted, each with its
     /// [`Verdict`] — `()` for a boolean test, the positive area for a
     /// measurement (DESIGN.md §14).
-    ///
-    /// When `partitions > 1` the candidate stream is first binned by
-    /// `assign` — a pure function of the candidate, so every candidate
-    /// belongs to exactly one partition and the binning is a permutation
-    /// of the stream, never a change to its contents. Stage 2 decisions
-    /// are per-candidate pure and stage-3 outputs and counters are
-    /// per-pair pure at `batch ≤ 1` (a measurement is a pure function of
-    /// its pair and the resolution on every backend, shard and fallback
-    /// path), so the partitioned run's results and deterministic counters
-    /// are bit-identical to the unpartitioned run's; only
-    /// submission-grouping diagnostics can move at `batch > 1`, because
-    /// batches then form within partitions.
     pub fn run<'p, C, O, R>(
         &self,
         backend: &mut dyn RefinementBackend,
         op: RefineOp,
         stage1: Stage1<C>,
         mut filters: Vec<Box<dyn CandidateFilter<C> + '_>>,
-        assign: impl Fn(&C) -> usize,
         resolve: R,
     ) -> (Vec<(C, O)>, CostBreakdown)
     where
@@ -203,69 +168,34 @@ impl StagedExecutor {
             mbr_filter: stage1.elapsed,
             candidates: stage1.candidates.len(),
             node_tests: stage1.stats.node_tests,
-            simd_node_tests: stage1.stats.simd_node_tests,
             filter_work_units: stage1.stats.work_units,
             ..CostBreakdown::default()
         };
 
         let t1 = Instant::now();
-        // Bin the stream into partitions (one bin = the unpartitioned
-        // path, with the stream passed through untouched).
-        let parts = self.partitions.max(1);
-        let bins: Vec<Vec<C>> = if parts > 1 {
-            let mut bins: Vec<Vec<C>> = Vec::new();
-            bins.resize_with(parts, Vec::new);
-            for c in stage1.candidates {
-                bins[assign(&c) % parts].push(c);
-            }
-            bins
-        } else {
-            vec![stage1.candidates]
-        };
-        cost.partitions_used = bins.iter().filter(|b| !b.is_empty()).count();
-
-        // Stage 2 per partition, ascending partition order. Filter
-        // decisions are per-candidate pure, so reordering examinations by
-        // partition changes no outcome.
         let mut results: Vec<(C, O)> = Vec::new();
-        let mut rests: Vec<Vec<C>> = Vec::with_capacity(bins.len());
-        for bin in &bins {
-            let mut rest: Vec<C> = Vec::new();
-            'candidates: for &c in bin {
-                for f in filters.iter_mut() {
-                    match f.examine(&c) {
-                        Decision::Confirm => {
-                            if let Some(settled) = O::CONFIRMED {
-                                results.push((c, settled));
-                                continue 'candidates;
-                            }
-                            break;
+        let mut rest: Vec<C> = Vec::new();
+        'candidates: for c in stage1.candidates {
+            for f in filters.iter_mut() {
+                match f.examine(&c) {
+                    Decision::Confirm => {
+                        if let Some(settled) = O::CONFIRMED {
+                            results.push((c, settled));
+                            continue 'candidates;
                         }
-                        Decision::Reject => continue 'candidates,
-                        Decision::Refine => {}
+                        break;
                     }
+                    Decision::Reject => continue 'candidates,
+                    Decision::Refine => {}
                 }
-                rest.push(c);
             }
-            rests.push(rest);
+            rest.push(c);
         }
         cost.intermediate_filter = t1.elapsed();
         cost.filter_hits = results.len();
 
-        // Stage 3 per partition, ascending partition order: route the
-        // partition's shard, refine, and fold counters in that fixed
-        // order — the same merge discipline the tiled device uses for its
-        // bands, so merged stats never depend on shard timing.
         let t2 = Instant::now();
-        for (p, rest) in rests.iter().enumerate() {
-            if parts > 1 {
-                if rest.is_empty() {
-                    continue;
-                }
-                backend.select_shard(p);
-            }
-            self.refine(backend, op, rest, &resolve, &mut results, &mut cost.tests);
-        }
+        self.refine(backend, op, &rest, &resolve, &mut results, &mut cost.tests);
         cost.geometry_comparison = adjusted(t2.elapsed(), &cost.tests);
         results.sort_unstable_by_key(|r| r.0);
         cost.results = results.len();
@@ -397,7 +327,6 @@ mod tests {
         let exec = StagedExecutor {
             batch: 1,
             threads: 1,
-            partitions: 1,
         };
         let mut backend = SoftwareBackend;
         let (results, cost) = kept(exec.run(
@@ -405,7 +334,6 @@ mod tests {
             INTERSECTS,
             stage1((0..10).collect()),
             vec![Box::new(ParityFilter)],
-            |_| 0,
             |i| (&query, &polys[i]),
         ));
         // Confirmed: even non-multiples-of-5 {2,4,6,8}. Refined {1,3,7,9}:
@@ -447,18 +375,13 @@ mod tests {
         let cands: Vec<(usize, usize)> = (0..6).flat_map(|i| (0..6).map(move |j| (i, j))).collect();
 
         let run = |batch: usize, threads: usize| {
-            let exec = StagedExecutor {
-                batch,
-                threads,
-                partitions: 1,
-            };
+            let exec = StagedExecutor { batch, threads };
             let mut backend = HwTester::new(HwConfig::at_resolution(8));
             kept(exec.run(
                 &mut backend,
                 INTERSECTS,
                 stage1(cands.clone()),
                 Vec::new(),
-                |_| 0,
                 |(i, j)| (&left[i], &right[j]),
             ))
         };
@@ -489,18 +412,14 @@ mod tests {
     }
 
     /// The aggregation path's invariant: rows, areas (bit-for-bit) and
-    /// deterministic counters are identical across batch, thread,
-    /// partition and shard settings.
+    /// deterministic counters are identical across batch, thread and
+    /// shard settings.
     #[test]
     fn measured_areas_are_invariant_across_execution_shapes() {
         let (left, right) = bars();
         let cands: Vec<(usize, usize)> = (0..6).flat_map(|i| (0..6).map(move |j| (i, j))).collect();
-        let run = |batch: usize, threads: usize, partitions: usize, shards: usize| {
-            let exec = StagedExecutor {
-                batch,
-                threads,
-                partitions,
-            };
+        let run = |batch: usize, threads: usize, shards: usize| {
+            let exec = StagedExecutor { batch, threads };
             let mut backend = HwTester::with_device_and_policy(
                 HwConfig::at_resolution(8),
                 DeviceKind::Reference,
@@ -512,19 +431,16 @@ mod tests {
                 RefineOp::Measure { resolution: 32 },
                 stage1(cands.clone()),
                 Vec::new(),
-                |&(i, _)| i,
                 |(i, j)| (&left[i], &right[j]),
             )
         };
-        let (base, base_cost) = run(1, 1, 1, 1);
+        let (base, base_cost) = run(1, 1, 1);
         assert!(!base.is_empty(), "bars must overlap");
         assert!(base.iter().all(|&(_, a)| a > 0.0));
         assert!(base_cost.tests.overlap_tests > 0);
-        for (batch, threads, partitions, shards) in
-            [(1, 4, 1, 1), (4, 2, 1, 1), (1, 1, 4, 2), (4, 3, 5, 3)]
-        {
-            let (rows, cost) = run(batch, threads, partitions, shards);
-            assert_eq!(rows.len(), base.len(), "b{batch} t{threads} p{partitions}");
+        for (batch, threads, shards) in [(1, 4, 1), (4, 2, 1), (1, 1, 2), (4, 3, 3)] {
+            let (rows, cost) = run(batch, threads, shards);
+            assert_eq!(rows.len(), base.len(), "b{batch} t{threads} s{shards}");
             for ((c, a), (bc, ba)) in rows.iter().zip(&base) {
                 assert_eq!(c, bc);
                 assert_eq!(a.to_bits(), ba.to_bits(), "area drifted at {c:?}");
@@ -536,12 +452,12 @@ mod tests {
         }
     }
 
-    /// One binning code path: a measurement and a boolean test over the
-    /// same candidates and partition grid report identical stage-1 and
-    /// partition accounting — and a filter's `Confirm`, which settles a
-    /// boolean, leaves an area to be measured all the same.
+    /// One stage-2 code path: a measurement and a boolean test over the
+    /// same candidates report identical stage-1 accounting — and a
+    /// filter's `Confirm`, which settles a boolean, leaves an area to be
+    /// measured all the same.
     #[test]
-    fn measure_and_test_share_binning_and_filter_chain() {
+    fn measure_and_test_share_stage1_and_filter_chain() {
         struct ConfirmAll;
         impl CandidateFilter<(usize, usize)> for ConfirmAll {
             fn examine(&mut self, _: &(usize, usize)) -> Decision {
@@ -553,7 +469,6 @@ mod tests {
         let exec = StagedExecutor {
             batch: 1,
             threads: 1,
-            partitions: 4,
         };
         let measure = RefineOp::Measure { resolution: 32 };
         let mut backend = HwTester::with_device_and_policy(
@@ -567,7 +482,6 @@ mod tests {
             INTERSECTS,
             stage1(cands.clone()),
             Vec::new(),
-            |&(i, _)| i,
             |(i, j)| (&left[i], &right[j]),
         ));
         let (measured, mc) = exec.run::<_, f64, _>(
@@ -575,15 +489,9 @@ mod tests {
             measure,
             stage1(cands.clone()),
             Vec::new(),
-            |&(i, _)| i,
             |(i, j)| (&left[i], &right[j]),
         );
         assert_eq!(tc.candidates, mc.candidates);
-        assert_eq!(tc.partitions_used, mc.partitions_used);
-        assert_eq!(
-            mc.partitions_used, 4,
-            "left indices 0..6 fill all four bins"
-        );
         assert!(!measured.is_empty());
         assert!(
             measured.iter().all(|(c, _)| tested.contains(c)),
@@ -595,7 +503,6 @@ mod tests {
             measure,
             stage1(cands.clone()),
             vec![Box::new(ConfirmAll)],
-            |&(i, _)| i,
             |(i, j)| (&left[i], &right[j]),
         );
         assert_eq!(confirmed, measured, "a confirmed pair is still measured");
@@ -608,18 +515,13 @@ mod tests {
         let (left, right) = bars();
         let cands: Vec<(usize, usize)> = (0..6).flat_map(|i| (0..6).map(move |j| (i, j))).collect();
         let run = |batch: usize| {
-            let exec = StagedExecutor {
-                batch,
-                threads: 1,
-                partitions: 1,
-            };
+            let exec = StagedExecutor { batch, threads: 1 };
             let mut backend = HwTester::new(HwConfig::at_resolution(8));
             kept(exec.run(
                 &mut backend,
                 INTERSECTS,
                 stage1(cands.clone()),
                 Vec::new(),
-                |_| 0,
                 |(i, j)| (&left[i], &right[j]),
             ))
         };

@@ -30,12 +30,12 @@ pub enum Decision {
 /// `examine` takes `&mut self` so a filter may keep state between
 /// candidates; implementations must stay deterministic in candidate
 /// order, which the executor keeps identical across configurations —
-/// filtering always runs sequentially, before candidates are partitioned
-/// for parallel refinement. Stage 1 upholds its side of
+/// filtering always runs sequentially, before candidates are split into
+/// units for parallel refinement. Stage 1 upholds its side of
 /// the contract even when the MBR filter itself is threaded: the join
 /// scheduler merges work-unit outputs in unit order, so the candidate
 /// sequence reaching this chain is bit-identical to a sequential
-/// traversal for every `filter_threads` / `filter_simd` setting.
+/// traversal for every `filter_threads` setting.
 pub trait CandidateFilter<C> {
     fn examine(&mut self, candidate: &C) -> Decision;
 }

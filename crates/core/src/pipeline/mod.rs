@@ -17,12 +17,12 @@
 //! [`CostBreakdown`](crate::stats::CostBreakdown) accounting, batched
 //! hardware submission (`hw_batch` pairs per rendering round) and parallel
 //! candidate refinement (`refine_threads` workers over deterministic,
-//! batch-aligned partitions — results and merged counters are bit-identical
+//! batch-aligned units — results and merged counters are bit-identical
 //! to the sequential run). [`QuerySpec`] describes each of the five query
 //! kinds as data — the one place that knows how a kind enumerates
-//! candidates, which filters apply, how a candidate resolves to a polygon
-//! pair and which partition owns it — and `SpatialEngine` and the query
-//! service both execute that description.
+//! candidates, which filters apply and how a candidate resolves to a
+//! polygon pair — and `SpatialEngine` and the query service both execute
+//! that description.
 
 pub mod backend;
 pub mod executor;

@@ -10,17 +10,17 @@
 //! could not.
 //!
 //! The supervisor keeps one breaker *per device shard* — per entry of the
-//! tester's device pool, one device per `PartitionConfig::shards` — and
-//! picks the device each submission executes on: the shard it is aimed
-//! at while that shard's breaker is closed, otherwise the next healthy
-//! shard by the stable rehash (`failover_route`) instead of falling
-//! straight to software; only when *every* breaker is open are
+//! tester's device pool, one device per `EngineConfig::shards` — and
+//! picks the device each submission executes on: every submission is
+//! aimed at shard 0, and runs there while its breaker is closed,
+//! otherwise on the lowest-index healthy shard (`failover_route`) instead
+//! of falling straight to software; only when *every* breaker is open are
 //! submissions refused.
 //! With [`RecoveryPolicy::probation_ns`] set, an open breaker ripens after
 //! a charged cool-down on the supervisor's modeled clock, and the next
-//! submission aimed at (or failed over to) that shard is let through as a
-//! half-open *probe*: success closes the breaker, failure re-opens it for
-//! another cool-down.
+//! submission that reaches that shard is let through as a half-open
+//! *probe*: success closes the breaker, failure re-opens it for another
+//! cool-down.
 //!
 //! Three properties the whole fault-tolerance story rests on:
 //!
@@ -113,19 +113,13 @@ impl Default for ShardHealth {
     }
 }
 
-/// The stable rehash the failover tier routes by: starting at `desired`,
-/// walk the `n` shard indices in order (wrapping) and return the first
-/// `usable` one, or `None` when no shard is usable. A pure function of its
-/// arguments — the same desired shard and health mask always pick the
-/// same physical shard, so failover never depends on submission history
-/// or thread timing, and a fully usable pool is the identity
-/// (`desired % n`).
-pub(crate) fn failover_route(
-    desired: usize,
-    n: usize,
-    usable: impl Fn(usize) -> bool,
-) -> Option<usize> {
-    (0..n).map(|step| (desired + step) % n).find(|&s| usable(s))
+/// The shard the failover tier routes to: the lowest-index `usable` one
+/// of the `n` shards, or `None` when no shard is usable. A pure function
+/// of the health mask, so failover never depends on submission history or
+/// thread timing, and a usable shard 0 — where every submission is
+/// aimed — is kept.
+pub(crate) fn failover_route(n: usize, usable: impl Fn(usize) -> bool) -> Option<usize> {
+    (0..n).find(|&s| usable(s))
 }
 
 /// The retry/failover/quarantine state machine over a pool of device
@@ -181,11 +175,11 @@ impl Supervisor {
         self.now_ns = self.now_ns.saturating_add(ns);
     }
 
-    /// Submits `list` aimed at `devices[desired]` (one device per shard,
-    /// `desired < devices.len()`), validating the execution against what
-    /// was recorded, retrying per policy, failing over to the next healthy
-    /// shard when the aimed shard's breaker is open, probing ripe
-    /// breakers, and keeping the fault counters in `stats`.
+    /// Submits `list` aimed at `devices[0]` (one device per shard),
+    /// validating the execution against what was recorded, retrying per
+    /// policy, failing over to the lowest-index healthy shard when shard
+    /// 0's breaker is open, probing ripe breakers, and keeping the fault
+    /// counters in `stats`.
     ///
     /// On `Err` the caller must answer its pairs in exact software and
     /// charge `fallback_tests`; it must *not* charge any hardware counters
@@ -193,16 +187,15 @@ impl Supervisor {
     pub(crate) fn submit(
         &mut self,
         devices: &mut [Box<dyn RasterDevice>],
-        desired: usize,
         list: &CommandList,
         stats: &mut TestStats,
     ) -> Result<Execution, DeviceError> {
         debug_assert_eq!(devices.len(), self.shards.len(), "one breaker per shard");
-        let Some((target, probing)) = self.resolve(desired, stats) else {
+        let Some((target, probing)) = self.resolve(stats) else {
             // Every breaker is open and none is ripe: refuse without
             // touching a device, replaying the aimed shard's error.
             stats.quarantined += 1;
-            return Err(self.open_error(desired));
+            return Err(self.open_error());
         };
         let device = &mut devices[target];
         let mut backoff = self.policy.backoff_ns;
@@ -258,20 +251,18 @@ impl Supervisor {
         Err(last)
     }
 
-    /// Picks the physical shard a submission aimed at `desired` executes
-    /// on: the first shard in stable-rehash order whose breaker is closed
-    /// (or open-and-ripe, which makes the submission a probe). `None`
-    /// when every breaker is open and unripe.
-    fn resolve(&self, desired: usize, stats: &mut TestStats) -> Option<(usize, bool)> {
-        let target = failover_route(desired, self.shards.len(), |s| {
-            match self.shards[s].breaker {
-                Breaker::Closed => true,
-                Breaker::Open { ripe_at, .. } => {
-                    self.policy.probation_ns.is_some() && self.now_ns >= ripe_at
-                }
+    /// Picks the physical shard a submission executes on: the
+    /// lowest-index shard whose breaker is closed (or open-and-ripe, which
+    /// makes the submission a probe). `None` when every breaker is open
+    /// and unripe.
+    fn resolve(&self, stats: &mut TestStats) -> Option<(usize, bool)> {
+        let target = failover_route(self.shards.len(), |s| match self.shards[s].breaker {
+            Breaker::Closed => true,
+            Breaker::Open { ripe_at, .. } => {
+                self.policy.probation_ns.is_some() && self.now_ns >= ripe_at
             }
         })?;
-        if target != desired {
+        if target != 0 {
             stats.shard_failovers += 1;
         }
         let probing = matches!(self.shards[target].breaker, Breaker::Open { .. });
@@ -281,16 +272,15 @@ impl Supervisor {
         Some((target, probing))
     }
 
-    /// The error stored when shard `desired`'s breaker opened (any open
-    /// breaker's error when `desired`'s is somehow closed — only reachable
-    /// when every shard is open).
-    fn open_error(&self, desired: usize) -> DeviceError {
-        let open = |h: &ShardHealth| match h.breaker {
-            Breaker::Open { err, .. } => Some(err),
-            Breaker::Closed => None,
-        };
-        open(&self.shards[desired])
-            .or_else(|| self.shards.iter().find_map(open))
+    /// The error stored when the lowest-index open breaker opened — shard
+    /// 0's, the aimed shard, whenever every shard is open.
+    fn open_error(&self) -> DeviceError {
+        self.shards
+            .iter()
+            .find_map(|h| match h.breaker {
+                Breaker::Open { err, .. } => Some(err),
+                Breaker::Closed => None,
+            })
             .unwrap_or(DeviceError::ContextLost)
     }
 }
@@ -332,7 +322,7 @@ mod tests {
         let mut sup = Supervisor::new(RecoveryPolicy::default(), 1);
         let mut dev = [DeviceKind::Reference.build()];
         let mut stats = TestStats::default();
-        let exec = sup.submit(&mut dev, 0, &list(), &mut stats).unwrap();
+        let exec = sup.submit(&mut dev, &list(), &mut stats).unwrap();
         assert_eq!(exec.readbacks.len(), 1);
         assert_eq!(stats.device_faults, 0);
         assert_eq!(stats.retries, 0);
@@ -344,7 +334,7 @@ mod tests {
         let mut sup = Supervisor::new(RecoveryPolicy::default(), 1);
         let mut dev = [faulty(FaultTrigger::OnExecute(0), FaultKind::Timeout)];
         let mut stats = TestStats::default();
-        let exec = sup.submit(&mut dev, 0, &list(), &mut stats);
+        let exec = sup.submit(&mut dev, &list(), &mut stats);
         assert!(exec.is_ok(), "second attempt is clean");
         assert_eq!(stats.device_faults, 1);
         assert_eq!(stats.retries, 1);
@@ -360,7 +350,7 @@ mod tests {
             FaultKind::ReadbackBitFlip,
         )];
         let mut stats = TestStats::default();
-        let exec = sup.submit(&mut dev, 0, &list(), &mut stats);
+        let exec = sup.submit(&mut dev, &list(), &mut stats);
         assert!(exec.is_ok());
         assert_eq!(stats.device_faults, 1);
         assert_eq!(stats.retries, 1);
@@ -380,7 +370,7 @@ mod tests {
         let mut dev = [faulty(FaultTrigger::EveryK(1), FaultKind::OutOfMemory)];
         let mut stats = TestStats::default();
         assert_eq!(
-            sup.submit(&mut dev, 0, &list(), &mut stats),
+            sup.submit(&mut dev, &list(), &mut stats),
             Err(DeviceError::OutOfMemory)
         );
         assert_eq!(stats.device_faults, 3, "initial attempt + 2 retries");
@@ -403,14 +393,14 @@ mod tests {
         let mut dev = [faulty(FaultTrigger::EveryK(1), FaultKind::ContextLost)];
         let mut stats = TestStats::default();
         let l = list();
-        assert!(sup.submit(&mut dev, 0, &l, &mut stats).is_err());
+        assert!(sup.submit(&mut dev, &l, &mut stats).is_err());
         assert!(!sup.is_quarantined());
-        assert!(sup.submit(&mut dev, 0, &l, &mut stats).is_err());
+        assert!(sup.submit(&mut dev, &l, &mut stats).is_err());
         assert!(sup.is_quarantined());
         // Refused without touching the device: fault count stays put.
         assert_eq!(stats.device_faults, 2);
         assert_eq!(
-            sup.submit(&mut dev, 0, &l, &mut stats),
+            sup.submit(&mut dev, &l, &mut stats),
             Err(DeviceError::ContextLost)
         );
         assert_eq!(stats.device_faults, 2);
@@ -434,12 +424,12 @@ mod tests {
         let mut stats = TestStats::default();
         let l = list();
         // First submission pays the fault and opens shard 0's breaker.
-        assert!(sup.submit(&mut dev, 0, &l, &mut stats).is_err());
+        assert!(sup.submit(&mut dev, &l, &mut stats).is_err());
         assert_eq!(stats.shard_quarantined, 1);
         assert!(!sup.is_quarantined(), "shard 1 still serves");
         // Later submissions aimed at shard 0 fail over to shard 1.
         for _ in 0..3 {
-            assert!(sup.submit(&mut dev, 0, &l, &mut stats).is_ok());
+            assert!(sup.submit(&mut dev, &l, &mut stats).is_ok());
         }
         assert_eq!(stats.shard_failovers, 3);
         assert_eq!(stats.quarantined, 0, "failover, not refusal");
@@ -462,20 +452,20 @@ mod tests {
         let mut dev = pool(DeviceKind::Reference.with_faults(plan), 2);
         let mut stats = TestStats::default();
         let l = list();
-        assert!(sup.submit(&mut dev, 0, &l, &mut stats).is_err());
+        assert!(sup.submit(&mut dev, &l, &mut stats).is_err());
         assert_eq!(stats.shard_quarantined, 1);
         assert_eq!(stats.recovery_ns, 1_000, "cool-down charged at opening");
         // Cool-down not yet elapsed on the modeled clock: fail over.
-        assert!(sup.submit(&mut dev, 0, &l, &mut stats).is_ok());
+        assert!(sup.submit(&mut dev, &l, &mut stats).is_ok());
         assert_eq!(stats.shard_failovers, 1);
         assert_eq!(stats.probes, 0);
         // Modeled work elapses the cool-down; the next aim is a probe.
         sup.advance(2_000);
-        assert!(sup.submit(&mut dev, 0, &l, &mut stats).is_ok());
+        assert!(sup.submit(&mut dev, &l, &mut stats).is_ok());
         assert_eq!(stats.probes, 1);
         assert_eq!(stats.probe_reinstates, 1);
         // Reinstated: no further failover or probing.
-        assert!(sup.submit(&mut dev, 0, &l, &mut stats).is_ok());
+        assert!(sup.submit(&mut dev, &l, &mut stats).is_ok());
         assert_eq!(stats.shard_failovers, 1);
         assert_eq!(stats.probes, 1);
     }
@@ -495,10 +485,10 @@ mod tests {
         let mut dev = pool(DeviceKind::Reference.with_faults(plan), 2);
         let mut stats = TestStats::default();
         let l = list();
-        assert!(sup.submit(&mut dev, 0, &l, &mut stats).is_err());
+        assert!(sup.submit(&mut dev, &l, &mut stats).is_err());
         sup.advance(1_000);
         // Ripe: the probe runs, faults again, and re-opens the breaker.
-        assert!(sup.submit(&mut dev, 0, &l, &mut stats).is_err());
+        assert!(sup.submit(&mut dev, &l, &mut stats).is_err());
         assert_eq!(stats.probes, 1);
         assert_eq!(stats.probe_reinstates, 0);
         assert_eq!(
@@ -507,7 +497,7 @@ mod tests {
         );
         assert_eq!(stats.recovery_ns, 2 * 500, "each cool-down period charged");
         // Unripe again: back to failover.
-        assert!(sup.submit(&mut dev, 0, &l, &mut stats).is_ok());
+        assert!(sup.submit(&mut dev, &l, &mut stats).is_ok());
         assert_eq!(stats.shard_failovers, 1);
     }
 
@@ -526,16 +516,16 @@ mod tests {
         let mut dev = pool(DeviceKind::Reference.with_faults(plan), 2);
         let mut stats = TestStats::default();
         let l = list();
-        assert!(sup.submit(&mut dev, 0, &l, &mut stats).is_err());
+        assert!(sup.submit(&mut dev, &l, &mut stats).is_err());
         // Failover reaches shard 1, which is just as sick.
-        assert!(sup.submit(&mut dev, 0, &l, &mut stats).is_err());
+        assert!(sup.submit(&mut dev, &l, &mut stats).is_err());
         assert_eq!(stats.shard_failovers, 1);
         assert_eq!(stats.shard_quarantined, 2);
         assert!(sup.is_quarantined());
         assert_eq!(sup.open_shards(), 2);
         let faults_before = stats.device_faults;
         assert_eq!(
-            sup.submit(&mut dev, 0, &l, &mut stats),
+            sup.submit(&mut dev, &l, &mut stats),
             Err(DeviceError::OutOfMemory)
         );
         assert_eq!(stats.device_faults, faults_before, "device untouched");
@@ -558,57 +548,49 @@ mod tests {
         let mut stats = TestStats::default();
         let l = list();
         for _ in 0..6 {
-            let _ = sup.submit(&mut dev, 0, &l, &mut stats);
+            let _ = sup.submit(&mut dev, &l, &mut stats);
         }
         assert!(!sup.is_quarantined());
         assert_eq!(stats.quarantined, 0);
     }
 
     #[test]
-    fn failover_route_is_a_stable_rehash() {
-        let route =
-            |desired: usize, mask: &[bool]| failover_route(desired, mask.len(), |s| mask[s]);
-        assert_eq!(route(2, &[true, true, true, true]), Some(2));
-        assert_eq!(route(2, &[true, true, false, true]), Some(3));
-        assert_eq!(route(3, &[true, false, false, false]), Some(0));
-        assert_eq!(route(1, &[false, false]), None);
-        assert_eq!(route(0, &[]), None);
-        // Indices past the pool size wrap.
-        assert_eq!(route(6, &[true, false, true]), Some(0));
+    fn failover_route_picks_the_lowest_usable_shard() {
+        let route = |mask: &[bool]| failover_route(mask.len(), |s| mask[s]);
+        assert_eq!(route(&[true, true, true, true]), Some(0));
+        assert_eq!(route(&[true, false, false, true]), Some(0));
+        assert_eq!(route(&[false, true, false, true]), Some(1));
+        assert_eq!(route(&[false, false, false, true]), Some(3));
+        assert_eq!(route(&[false, false]), None);
+        assert_eq!(route(&[]), None);
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
-        /// `failover_route` is a stable rehash: the identity when the
-        /// desired shard is healthy, otherwise the nearest healthy
-        /// successor in cyclic scan order, and `None` exactly when no
-        /// shard is healthy. Pure function of (desired, mask) — calling it
-        /// twice can never disagree.
+        /// `failover_route` keeps shard 0 — where every submission is
+        /// aimed — while it is healthy, otherwise picks the lowest-index
+        /// healthy shard, and is `None` exactly when no shard is healthy.
+        /// Pure function of the mask — calling it twice can never
+        /// disagree.
         #[test]
-        fn failover_route_is_identity_or_nearest_healthy_successor(
-            desired in 0usize..64,
+        fn failover_route_is_shard_0_or_the_lowest_healthy_shard(
             // 0/1 per shard (the vendored proptest has no `any::<bool>()`).
-            health_bits in prop::collection::vec(0usize..2, 1..8),
+            health_bits in prop::collection::vec(0usize..2, 0..8),
         ) {
             let healthy: Vec<bool> = health_bits.into_iter().map(|b| b == 1).collect();
             let n = healthy.len();
-            let d = desired % n;
-            let got = failover_route(d, n, |s| healthy[s]);
-            prop_assert_eq!(got, failover_route(d, n, |s| healthy[s]), "must be pure");
+            let got = failover_route(n, |s| healthy[s]);
+            prop_assert_eq!(got, failover_route(n, |s| healthy[s]), "must be pure");
             match got {
                 None => prop_assert!(healthy.iter().all(|&h| !h)),
                 Some(s) => {
                     prop_assert!(healthy[s], "routed to an unhealthy shard");
-                    if healthy[d] {
-                        prop_assert_eq!(s, d, "healthy desired shard must be kept");
+                    if healthy[0] {
+                        prop_assert_eq!(s, 0, "a healthy shard 0 must be kept");
                     }
-                    // No healthy shard sits strictly between desired and
-                    // the pick in scan order — the rehash is minimal.
-                    let steps = (s + n - d) % n;
-                    for k in 0..steps {
-                        prop_assert!(!healthy[(d + k) % n]);
-                    }
+                    // No healthy shard sits below the pick.
+                    prop_assert!(healthy[..s].iter().all(|&h| !h));
                 }
             }
         }

@@ -5,8 +5,8 @@
 //! (one window polygon or a whole dataset), a right dataset and a
 //! [`RefineOp`] — and its methods are the only place that knows how a
 //! query kind enumerates stage-1 candidates, which intermediate filters
-//! apply, how a candidate resolves to a polygon pair and which PBSM
-//! partition owns it. `SpatialEngine` and the query service both build a
+//! apply and how a candidate resolves to a polygon pair.
+//! `SpatialEngine` and the query service both build a
 //! spec and run it; neither re-spells a kind.
 
 use super::executor::{Stage1, StagedExecutor, Verdict};
@@ -14,10 +14,8 @@ use super::filter::{CandidateFilter, InteriorFilterStage, ObjectFilterStage};
 use super::{Predicate, RefineOp, RefinementBackend};
 use crate::engine::{EngineConfig, PreparedDataset};
 use crate::stats::CostBreakdown;
-use spatial_geom::{Polygon, Rect};
-use spatial_index::{
-    join_intersecting_with, join_within_distance_with, FilterConfig, FilterStats, SpatialGrid,
-};
+use spatial_geom::Polygon;
+use spatial_index::{join_intersecting_with, join_within_distance_with, FilterConfig, FilterStats};
 use std::time::Instant;
 
 /// A stage-1 candidate: `(left index, right index)`. A selection has a
@@ -107,9 +105,7 @@ impl<'a> QuerySpec<'a> {
                 // Containment: only objects whose MBR lies inside the
                 // query MBR can qualify.
                 let inside_only = self.op == RefineOp::Test(Predicate::ContainedIn);
-                let hits = right
-                    .tree
-                    .search_intersects_stats(&qmbr, cfg.simd, &mut stats);
+                let hits = right.tree.search_intersects_stats(&qmbr, true, &mut stats);
                 hits.into_iter()
                     .filter(|&&j| !inside_only || qmbr.contains_rect(&right.polygon(j).mbr()))
                     .map(|&j| (0, j))
@@ -163,30 +159,8 @@ impl<'a> QuerySpec<'a> {
         }
     }
 
-    /// The PBSM grid's universe: the joint extent of both sides.
-    fn universe(&self) -> Rect {
-        let left = match self.left {
-            Left::One(query) => query.mbr(),
-            Left::Many(a) => a.tree.mbr(),
-        };
-        left.union(&self.right.tree.mbr())
-    }
-
-    /// The partition owning a candidate under the reference-point rule
-    /// (shifted by the distance for within-distance joins).
-    fn assign(&self, grid: &SpatialGrid, &(i, j): &Cand) -> usize {
-        let (left, right) = (self.left.polygon(i).mbr(), self.right.polygon(j).mbr());
-        match self.op {
-            RefineOp::Test(Predicate::WithinDistance(d)) => {
-                grid.assign_pair_within(&left, &right, d)
-            }
-            _ => grid.assign_pair(&left, &right),
-        }
-    }
-
     /// Stages 2 and 3 over `stage1` (this spec's own [`stage1`]
-    /// output) under `config`'s filter, batching, threading and
-    /// partitioning knobs. `O` is the operation's [`Verdict`]: `()` for
+    /// output) under `config`'s filter, batching and threading knobs. `O` is the operation's [`Verdict`]: `()` for
     /// the four boolean kinds, `f64` for the overlap-area join.
     ///
     /// [`stage1`]: QuerySpec::stage1
@@ -196,21 +170,13 @@ impl<'a> QuerySpec<'a> {
         backend: &mut dyn RefinementBackend,
         stage1: Stage1<Cand>,
     ) -> (Vec<(Cand, O)>, CostBreakdown) {
-        let n = config.partition.grid.max(1);
-        let grid = SpatialGrid::new(n, self.universe());
         let executor = StagedExecutor {
             batch: config.hw_batch,
             threads: config.refine_threads,
-            partitions: n * n,
         };
-        executor.run(
-            backend,
-            self.op,
-            stage1,
-            self.filters(config),
-            |c| self.assign(&grid, c),
-            |c| self.resolve(c),
-        )
+        executor.run(backend, self.op, stage1, self.filters(config), |c| {
+            self.resolve(c)
+        })
     }
 }
 

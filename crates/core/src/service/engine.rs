@@ -23,6 +23,7 @@ use crate::service::request::{
 use crate::service::stats::ServiceStats;
 use spatial_geom::Polygon;
 use spatial_index::{Snapshot, SnapshotHandle};
+use spatial_raster::MAX_WINDOW_SIDE;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
@@ -33,7 +34,7 @@ use std::time::Instant;
 /// `base.geometry_test` is a placeholder — the planner overwrites it per
 /// query with its [`PlanChoice`] (software, or hardware at the chosen
 /// resolution/batch). Every other `base` field (device, recovery,
-/// filters, partitioning, threads) applies to served queries unchanged.
+/// filters, shards, threads) applies to served queries unchanged.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Template for the per-query engine; see the struct docs for how
@@ -475,6 +476,13 @@ fn query_spec<'a>(
                     reason: "overlap resolution = 0 (the area grid needs ≥ 1 cell per side)",
                 });
             }
+            // The planner replays sampled pairs at exactly this
+            // resolution, in a frame of `resolution²` pixels.
+            if *resolution > MAX_WINDOW_SIDE {
+                return Err(ServiceError::InvalidQuery {
+                    reason: "overlap resolution > MAX_WINDOW_SIDE (4096 pixels a side)",
+                });
+            }
             QuerySpec::overlap_area_join(dataset(left)?, dataset(right)?, *resolution)
         }
     })
@@ -624,6 +632,26 @@ mod tests {
         let stats = engine.stats();
         assert!(stats.balanced(), "{stats:?}");
         assert_eq!(stats.completed, 1);
+    }
+
+    /// An overlap resolution past the window limit is refused before it
+    /// is priced: the planner would otherwise replay sampled pairs in a
+    /// `resolution²` frame (38.6 GB at 65 536) shared by every client.
+    #[test]
+    fn an_overlap_resolution_past_the_window_limit_is_a_typed_error() {
+        let engine = tiny_engine(ServiceConfig::default());
+        let bad = QueryRequest::overlap_area_join("boxes", "boxes", MAX_WINDOW_SIDE + 1);
+        let err = engine.execute(&bad).unwrap_err();
+        assert!(
+            matches!(err, ServiceError::InvalidQuery { .. }),
+            "unexpected error: {err:?}"
+        );
+        assert!(err.to_string().contains("MAX_WINDOW_SIDE"), "{err}");
+        assert_eq!(engine.in_flight(), 0);
+        let stats = engine.stats();
+        assert!(stats.balanced(), "{stats:?}");
+        assert_eq!((stats.admitted, stats.invalid_queries), (1, 1));
+        assert_eq!(stats.plan_cache_misses, 0, "the refused query was priced");
     }
 
     /// The default budget applies field-by-field when a request carries

@@ -27,7 +27,9 @@ pub enum QueryKind {
     /// `resolution × resolution` grid over each pair's shared MBR
     /// (DESIGN.md §14). The resolution is part of the query contract:
     /// planner routing, brownouts and fault fallback never change the
-    /// reported areas, only where the counting runs.
+    /// reported areas, only where the counting runs. It is at least 1 and
+    /// at most `spatial_raster::MAX_WINDOW_SIDE`; `execute` refuses any
+    /// other value as [`ServiceError::InvalidQuery`].
     OverlapArea {
         left: String,
         right: String,
@@ -136,8 +138,9 @@ impl QueryRequest {
 
     /// An area-of-overlap aggregation join at the given grid resolution
     /// (it defines the quantization of every reported area, see
-    /// [`QueryKind::OverlapArea`]; a zero resolution is refused at
-    /// `execute` with [`ServiceError::InvalidQuery`]).
+    /// [`QueryKind::OverlapArea`]; a zero resolution, or one past
+    /// `spatial_raster::MAX_WINDOW_SIDE`, is refused at `execute` with
+    /// [`ServiceError::InvalidQuery`]).
     pub fn overlap_area_join(
         left: impl Into<String>,
         right: impl Into<String>,

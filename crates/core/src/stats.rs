@@ -122,20 +122,12 @@ pub struct CostBreakdown {
     /// Child-slot MBR tests evaluated by the filter stage's node kernels.
     /// Deterministic: kernels evaluate all real lanes of a node (no
     /// short-circuiting), so the count is a pure function of the trees and
-    /// the query — independent of `filter_simd` / `filter_threads`.
+    /// the query — independent of `filter_threads`.
     pub node_tests: usize,
-    /// The subset of `node_tests` routed through the vectorized kernel
-    /// instantiation. Diagnostic (varies with `filter_simd`).
-    pub simd_node_tests: usize,
     /// Page-pair work units the join scheduler dispensed (0 for
     /// selections). Diagnostic: varies with `filter_threads` and the unit
     /// size, never changes the candidate sequence.
     pub filter_work_units: usize,
-    /// Spatial partitions that held at least one candidate (0 when the
-    /// query produced none, 1 on the unpartitioned path). Diagnostic:
-    /// varies with `PartitionConfig.grid`, never changes results or the
-    /// deterministic counters (DESIGN.md invariant 12).
-    pub partitions_used: usize,
     /// Refinement-stage counters.
     pub tests: TestStats,
 }
@@ -154,9 +146,7 @@ impl CostBreakdown {
         self.filter_hits += o.filter_hits;
         self.results += o.results;
         self.node_tests += o.node_tests;
-        self.simd_node_tests += o.simd_node_tests;
         self.filter_work_units += o.filter_work_units;
-        self.partitions_used += o.partitions_used;
         self.tests.add(&o.tests);
     }
 }
@@ -175,9 +165,7 @@ mod tests {
             filter_hits: 2,
             results: 5,
             node_tests: 40,
-            simd_node_tests: 30,
             filter_work_units: 3,
-            partitions_used: 4,
             tests: TestStats::default(),
         };
         assert_eq!(a.total(), Duration::from_millis(6));
@@ -185,9 +173,7 @@ mod tests {
         a.add(&b);
         assert_eq!(a.candidates, 20);
         assert_eq!(a.node_tests, 80);
-        assert_eq!(a.simd_node_tests, 60);
         assert_eq!(a.filter_work_units, 6);
-        assert_eq!(a.partitions_used, 8);
         assert_eq!(a.total(), Duration::from_millis(12));
     }
 

@@ -1,8 +1,8 @@
 //! The aggregation contract, property-tested (DESIGN.md §14): the
 //! area-of-overlap pipeline's quantized answer sits inside the per-pixel
 //! quantization envelope of the exact clipped-polygon oracle at every
-//! resolution, and is bit-identical across partition grids, shard
-//! counts, refine-thread counts and seeded fault plans.
+//! resolution, and is bit-identical across shard counts, refine-thread
+//! counts and seeded fault plans.
 //!
 //! The envelope is the geometric one from §14: the fill rule emits a
 //! cell iff its center lies inside `P ∩ Q`, so hardware and oracle can
@@ -11,7 +11,7 @@
 //! clipped boundary has at most `2·(Vp + Vq)` segments, giving the
 //! always-sound (if generous) bound asserted here.
 
-use hwa_core::engine::{EngineConfig, PartitionConfig, PreparedDataset, SpatialEngine};
+use hwa_core::engine::{EngineConfig, PreparedDataset, SpatialEngine};
 use hwa_core::hw_intersect::HwTester;
 use hwa_core::hw_overlap::{overlap_cell_area, sw_overlap_area};
 use hwa_core::{
@@ -114,8 +114,8 @@ proptest! {
     }
 
     /// Sharding is transparent bit-for-bit for aggregations, including
-    /// the charged hardware work counters, on whichever shard of the pool
-    /// the measurement is aimed at.
+    /// the charged hardware work counters: with shard 0 dead, a
+    /// measurement runs on shard 1 once shard 0's breaker has opened.
     #[test]
     fn overlap_area_is_bit_identical_under_sharding(
         p in arb_star(),
@@ -128,17 +128,32 @@ proptest! {
             let mut st = TestStats::default();
             (t.overlap_area(&p, &q, res, &mut st), st.hw)
         };
+        // A one-device pool keeps its one device alive.
+        let dead_0 = FaultPlan::new(5, FaultKind::Timeout, FaultTrigger::EveryK(1)).on_shard(0);
+        let device = if shards > 1 {
+            DeviceKind::Reference.with_faults(dead_0)
+        } else {
+            DeviceKind::Reference
+        };
         let mut t = HwTester::with_device_and_policy(
             HwConfig::recommended(),
-            DeviceKind::Reference,
+            device,
             shards,
-            RecoveryPolicy::default(),
+            RecoveryPolicy { quarantine_after: 1, ..RecoveryPolicy::default() },
         );
-        t.select_shard(res);
+        // An overlapping pair that always reaches the device: on a dead
+        // shard 0 it opens the breaker (and falls back to software).
+        let (u, v) = (star_polygon(0.0, 0.0, &[4.0; 6]), star_polygon(1.0, 1.0, &[4.0; 6]));
+        let mut warm = TestStats::default();
+        t.overlap_area(&u, &v, res, &mut warm);
+        prop_assert_eq!(warm.shard_quarantined, usize::from(shards > 1));
         let mut st = TestStats::default();
         let area = t.overlap_area(&p, &q, res, &mut st);
         prop_assert_eq!(area.to_bits(), reference.0.to_bits(), "{} shards", shards);
         prop_assert_eq!(&st.hw, &reference.1, "{} shards charged differently", shards);
+        if shards > 1 && reference.1.draw_calls > 0 {
+            prop_assert_eq!(st.shard_failovers, 1, "the measurement ran on shard 1");
+        }
     }
 
     /// Seeded fault plans never change a reported area: the fallback
@@ -177,19 +192,16 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// The full aggregation pipeline (invariant 12 extended): partition
-    /// grid, shard count, refine threads and a seeded fault plan may move
-    /// work anywhere, but every `(i, j, area)` row is
-    /// bit-identical to the flat single-threaded clean run.
+    /// The full aggregation pipeline: shard count, refine threads and a
+    /// seeded fault plan may move work anywhere, but every `(i, j, area)`
+    /// row is bit-identical to the single-threaded clean run.
     #[test]
-    fn overlap_join_rows_survive_partitions_shards_threads_and_faults(
-        grid_pick in 0usize..3,
+    fn overlap_join_rows_survive_shards_threads_and_faults(
         shards_pick in 0usize..3,
         threads in 1usize..5,
         res_pick in 0usize..3,
         plan in arb_plan(),
     ) {
-        let grid = [1usize, 2, 4][grid_pick];
         let shards = [1usize, 2, 4][shards_pick];
         let res = [4usize, 8, 32][res_pick];
         let a = prepare(spatial_datagen::landc(0.002, 17));
@@ -219,7 +231,7 @@ proptest! {
 
         let shaped_cfg = EngineConfig {
             device: DeviceKind::Reference.with_faults(plan),
-            partition: PartitionConfig::grid(grid).with_shards(shards),
+            shards,
             refine_threads: threads,
             ..base_cfg
         };
@@ -229,8 +241,8 @@ proptest! {
             prop_assert_eq!((i, j), (bi, bj));
             prop_assert_eq!(
                 ar.to_bits(), br.to_bits(),
-                "pair ({}, {}) drifted under g{} s{} t{}",
-                i, j, grid, shards, threads
+                "pair ({}, {}) drifted under s{} t{}",
+                i, j, shards, threads
             );
         }
         prop_assert_eq!(cost.tests.overlap_tests, base_cost.tests.overlap_tests);

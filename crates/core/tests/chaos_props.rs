@@ -9,9 +9,11 @@
 //!
 //! The worst case is pinned exactly: a schedule that kills *every*
 //! shard quarantines the whole device and the ladder bottoms out in
-//! pure software with the clean run's rows.
+//! pure software with the clean run's rows. And without chaos the pool is
+//! invisible: a clean `k`-shard pool runs every submission on shard 0
+//! and charges exactly what the single device does.
 
-use hwa_core::engine::{EngineConfig, PartitionConfig, PreparedDataset, SpatialEngine};
+use hwa_core::engine::{EngineConfig, PreparedDataset, SpatialEngine};
 use hwa_core::{
     CostBreakdown, DeviceKind, FaultKind, FaultPlan, FaultTrigger, HwConfig, RecoveryPolicy,
 };
@@ -118,8 +120,8 @@ fn replayable_counters(t: &hwa_core::TestStats) -> String {
     )
 }
 
-/// One partition aimed at shard 0 of a `shards`-device pool: every
-/// submission reaches a shard other than 0 only by failover.
+/// A `shards`-device pool: every submission is aimed at shard 0 and
+/// reaches another shard only by failover.
 fn chaos_config(
     device: DeviceKind,
     shards: usize,
@@ -129,7 +131,7 @@ fn chaos_config(
     let hw = HwConfig::at_resolution(8).with_threshold(0);
     EngineConfig {
         device,
-        partition: PartitionConfig::grid(1).with_shards(shards),
+        shards,
         hw_batch: if batch { 16 } else { 1 },
         use_object_filters: true,
         recovery: policy,
@@ -307,6 +309,44 @@ proptest! {
             if probation.is_none() {
                 prop_assert!(refusals > 0, "refusals must be charged");
             }
+        }
+    }
+
+    /// A clean pool is the single device: at either batch size and with
+    /// forked refinement workers, `shards` devices return the same rows
+    /// and every deterministic counter — submission grouping and raw
+    /// hardware work included — because no submission leaves shard 0.
+    #[test]
+    fn a_clean_shard_pool_is_bit_identical_to_one_device(
+        shards in 1usize..5,
+        batch_pick in 0usize..2,
+        threads in 1usize..4,
+    ) {
+        let a = prepare(spatial_datagen::landc(0.0015, 32));
+        let b = prepare(spatial_datagen::lando(0.0015, 32));
+        let queries = spatial_datagen::states50(32);
+        let q = &queries.polygons[1];
+        let config = |shards| EngineConfig {
+            refine_threads: threads,
+            ..chaos_config(DeviceKind::Reference, shards, RecoveryPolicy::default(), batch_pick == 1)
+        };
+        let single = run_all(config(1), &a, &b, q, 0.02);
+        let pooled = run_all(config(shards), &a, &b, q, 0.02);
+        for (name, (u, p)) in ["isect_sel", "contain_sel", "isect_join", "within_join"]
+            .iter()
+            .zip(single.iter().zip(&pooled))
+        {
+            prop_assert_eq!(&u.0, &p.0, "{}: results changed behind {} shards", name, shards);
+            prop_assert_eq!(
+                (u.1.candidates, u.1.filter_hits, u.1.results, u.1.node_tests),
+                (p.1.candidates, p.1.filter_hits, p.1.results, p.1.node_tests),
+                "{}", name
+            );
+            prop_assert_eq!(
+                replayable_counters(&u.1.tests),
+                replayable_counters(&p.1.tests),
+                "{}: counters moved behind {} shards", name, shards
+            );
         }
     }
 }

@@ -212,7 +212,7 @@ proptest! {
             .filter(|&(i, j)| i < j)
             .collect();
         let run = |threads: usize| {
-            let exec = StagedExecutor { batch, threads, partitions: 1 };
+            let exec = StagedExecutor { batch, threads };
             let mut backend = HwTester::new(HwConfig::at_resolution(8));
             exec.run::<_, (), _>(
                 &mut backend,
@@ -223,7 +223,6 @@ proptest! {
                     elapsed: std::time::Duration::ZERO,
                 },
                 Vec::new(),
-                |_| 0,
                 |(i, j)| (&polys[i], &polys[j]),
             )
         };

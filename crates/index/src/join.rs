@@ -12,8 +12,8 @@
 //! sequential traversal's output for its slice of the frontier, the merged
 //! candidate sequence is bit-identical to the single-threaded traversal —
 //! which the downstream `CandidateFilter` contract (stable candidate
-//! order) depends on. MBR tests themselves run the lane-generic kernels
-//! over each node's SoA mirror; see [`crate::soa`].
+//! order) depends on. MBR tests themselves run the node kernels over each
+//! node's SoA mirror; see [`crate::soa`].
 
 use crate::rtree::{Node, NodeKind, RTree};
 use crate::soa::{FilterConfig, FilterStats, Intersects, MbrPredicate, WithinDist};
@@ -106,7 +106,7 @@ fn join_predicate<'a, A: Sync, B: Sync, P: MbrPredicate>(
         let mut next = Vec::with_capacity(frontier.len() * 2);
         for pair in frontier {
             if expandable(&pair) {
-                expand_pair(pair, &pred, cfg.simd, stats, &mut next);
+                expand_pair(pair, &pred, stats, &mut next);
             } else {
                 next.push(pair);
             }
@@ -127,14 +127,13 @@ fn join_predicate<'a, A: Sync, B: Sync, P: MbrPredicate>(
     if cfg.threads <= 1 || units.len() <= 1 {
         for unit in &units {
             for &(l, r) in *unit {
-                process_pair(l, r, &pred, cfg.simd, stats, &mut out);
+                process_pair(l, r, &pred, stats, &mut out);
             }
         }
         return out;
     }
 
     let next_unit = AtomicUsize::new(0);
-    let simd = cfg.simd;
     let mut done: Vec<UnitResult<'a, A, B>> = std::thread::scope(|s| {
         let workers: Vec<_> = (0..cfg.threads)
             .map(|_| {
@@ -146,7 +145,7 @@ fn join_predicate<'a, A: Sync, B: Sync, P: MbrPredicate>(
                         let mut pairs = Vec::new();
                         let mut unit_stats = FilterStats::default();
                         for &(l, r) in *unit {
-                            process_pair(l, r, &pred, simd, &mut unit_stats, &mut pairs);
+                            process_pair(l, r, &pred, &mut unit_stats, &mut pairs);
                         }
                         local.push((u, pairs, unit_stats));
                     }
@@ -181,7 +180,6 @@ fn expandable<A, B>(pair: &Pair<'_, A, B>) -> bool {
 fn expand_pair<'a, A, B, P: MbrPredicate>(
     (left, right): Pair<'a, A, B>,
     pred: &P,
-    simd: bool,
     stats: &mut FilterStats,
     next: &mut Vec<Pair<'a, A, B>>,
 ) {
@@ -189,21 +187,21 @@ fn expand_pair<'a, A, B, P: MbrPredicate>(
         (NodeKind::Leaf(_), NodeKind::Leaf(_)) => next.push((left, right)),
         (NodeKind::Leaf(_), NodeKind::Internal(rcs)) => {
             for (rr, rc) in rcs {
-                if left.soa.mask(pred, rr, simd, stats) != 0 {
+                if left.soa.mask(pred, rr, stats) != 0 {
                     next.push((left, rc));
                 }
             }
         }
         (NodeKind::Internal(lcs), NodeKind::Leaf(_)) => {
             for (lr, lc) in lcs {
-                if right.soa.mask(pred, lr, simd, stats) != 0 {
+                if right.soa.mask(pred, lr, stats) != 0 {
                     next.push((lc, right));
                 }
             }
         }
         (NodeKind::Internal(lcs), NodeKind::Internal(rcs)) => {
             for (lr, lc) in lcs {
-                let mask = right.soa.mask(pred, lr, simd, stats);
+                let mask = right.soa.mask(pred, lr, stats);
                 for (i, (_, rc)) in rcs.iter().enumerate() {
                     if (mask >> i) & 1 == 1 {
                         next.push((lc, rc));
@@ -221,14 +219,13 @@ fn process_pair<'a, A, B, P: MbrPredicate>(
     left: &'a Node<A>,
     right: &'a Node<B>,
     pred: &P,
-    simd: bool,
     stats: &mut FilterStats,
     out: &mut Vec<(&'a A, &'a B)>,
 ) {
     match (&left.kind, &right.kind) {
         (NodeKind::Leaf(ls), NodeKind::Leaf(rs)) => {
             for (lr, lv) in ls {
-                let mask = right.soa.mask(pred, lr, simd, stats);
+                let mask = right.soa.mask(pred, lr, stats);
                 for (i, (_, rv)) in rs.iter().enumerate() {
                     if (mask >> i) & 1 == 1 {
                         out.push((lv, rv));
@@ -240,24 +237,24 @@ fn process_pair<'a, A, B, P: MbrPredicate>(
             // Prune each right child against the leaf's entries (full mask,
             // never short-circuited, so counters stay config-invariant).
             for (rr, rc) in rcs {
-                if left.soa.mask(pred, rr, simd, stats) != 0 {
-                    process_pair(left, rc, pred, simd, stats, out);
+                if left.soa.mask(pred, rr, stats) != 0 {
+                    process_pair(left, rc, pred, stats, out);
                 }
             }
         }
         (NodeKind::Internal(lcs), NodeKind::Leaf(_)) => {
             for (lr, lc) in lcs {
-                if right.soa.mask(pred, lr, simd, stats) != 0 {
-                    process_pair(lc, right, pred, simd, stats, out);
+                if right.soa.mask(pred, lr, stats) != 0 {
+                    process_pair(lc, right, pred, stats, out);
                 }
             }
         }
         (NodeKind::Internal(lcs), NodeKind::Internal(rcs)) => {
             for (lr, lc) in lcs {
-                let mask = right.soa.mask(pred, lr, simd, stats);
+                let mask = right.soa.mask(pred, lr, stats);
                 for (i, (_, rc)) in rcs.iter().enumerate() {
                     if (mask >> i) & 1 == 1 {
-                        process_pair(lc, rc, pred, simd, stats, out);
+                        process_pair(lc, rc, pred, stats, out);
                     }
                 }
             }
@@ -409,41 +406,41 @@ mod tests {
     }
 
     /// The scheduler invariant: the emitted candidate *sequence* — not
-    /// merely the set — is identical across thread counts, unit sizes and
-    /// kernel widths, and `node_tests` is identical too.
+    /// merely the set — is identical across thread counts and unit sizes,
+    /// `node_tests` is identical too, and the set is the brute-force one.
     #[test]
     fn candidate_order_invariant_across_filter_configs() {
         let (a, b) = grids();
-        let ta = RTree::bulk_load(a);
-        let tb = RTree::bulk_load(b);
+        let ta = RTree::bulk_load(a.clone());
+        let tb = RTree::bulk_load(b.clone());
         let mut ref_stats = FilterStats::default();
         let reference = unsorted(join_intersecting_with(
             &ta,
             &tb,
-            &FilterConfig::scalar(),
+            &FilterConfig::default(),
             &mut ref_stats,
         ));
+        let mut set = reference.clone();
+        set.sort_unstable();
+        assert_eq!(set, brute(&a, &b, |x, y| x.intersects(y)));
         assert!(ref_stats.node_tests > 0);
         assert!(ref_stats.work_units >= 1);
         for threads in [1usize, 2, 8] {
             for unit_pairs in [1usize, 3, 64] {
-                for simd in [false, true] {
-                    let cfg = FilterConfig {
-                        threads,
-                        simd,
-                        unit_pairs,
-                    };
-                    let mut stats = FilterStats::default();
-                    let got = unsorted(join_intersecting_with(&ta, &tb, &cfg, &mut stats));
-                    assert_eq!(
-                        got, reference,
-                        "order diverged at threads={threads} unit={unit_pairs} simd={simd}"
-                    );
-                    assert_eq!(
-                        stats.node_tests, ref_stats.node_tests,
-                        "node_tests diverged at threads={threads} unit={unit_pairs} simd={simd}"
-                    );
-                }
+                let cfg = FilterConfig {
+                    threads,
+                    unit_pairs,
+                };
+                let mut stats = FilterStats::default();
+                let got = unsorted(join_intersecting_with(&ta, &tb, &cfg, &mut stats));
+                assert_eq!(
+                    got, reference,
+                    "order diverged at threads={threads} unit={unit_pairs}"
+                );
+                assert_eq!(
+                    stats.node_tests, ref_stats.node_tests,
+                    "node_tests diverged at threads={threads} unit={unit_pairs}"
+                );
             }
         }
     }
@@ -455,7 +452,6 @@ mod tests {
         let tb = RTree::bulk_load(b);
         let cfg = FilterConfig {
             threads: 4,
-            simd: true,
             unit_pairs: 2,
         };
         let mut stats = FilterStats::default();

@@ -13,16 +13,15 @@
 //! payloads (dataset indices in the engine).
 //!
 //! Since the filter-stage rework, every node carries a struct-of-arrays
-//! mirror of its children's MBRs and traversals run lane-generic kernels
-//! over whole nodes ([`soa`]); the tree join schedules fixed-size page-pair
-//! work units across `FilterConfig::threads` workers with an ordered merge
-//! that keeps the candidate sequence bit-identical to the sequential
-//! traversal.
+//! mirror of its children's MBRs and traversals run one kernel per
+//! predicate over whole nodes ([`soa`]); the tree join schedules
+//! fixed-size page-pair work units across `FilterConfig::threads` workers
+//! with an ordered merge that keeps the candidate sequence bit-identical
+//! to the sequential traversal.
 
 #![forbid(unsafe_code)]
 
 pub mod join;
-pub mod partition;
 pub mod rtree;
 pub mod snapshot;
 pub mod soa;
@@ -30,7 +29,6 @@ pub mod soa;
 pub use join::{
     join_intersecting, join_intersecting_with, join_within_distance, join_within_distance_with,
 };
-pub use partition::SpatialGrid;
 pub use rtree::RTree;
 pub use snapshot::{Snapshot, SnapshotHandle};
 pub use soa::{

@@ -4,7 +4,7 @@
 //! ([`crate::soa::ChildMbrs`], lane-width padded), maintained at
 //! `bulk_load` and `insert` time, so the traversal hot loops — window
 //! searches, within-distance searches and the synchronized tree join —
-//! run lane-generic overlap kernels over whole nodes instead of
+//! run one overlap kernel over whole nodes instead of
 //! pointer-chasing per-child branches.
 
 use crate::soa::{ChildMbrs, FilterStats, Intersects, MbrPredicate, WithinDist};
@@ -176,47 +176,49 @@ impl<T: Clone> RTree<T> {
     }
 
     /// All payloads whose MBR intersects `window` — the selection-side MBR
-    /// filter. Vectorized traversal; see
-    /// [`RTree::search_intersects_stats`] for the knob-and-counter form.
+    /// filter. See [`RTree::search_intersects_stats`] for the counter form.
     pub fn search_intersects<'a>(&'a self, window: &Rect) -> Vec<&'a T> {
-        self.search_intersects_stats(window, true, &mut FilterStats::default())
+        self.search(&Intersects, window, &mut FilterStats::default())
     }
 
-    /// [`RTree::search_intersects`] with an explicit kernel width choice
-    /// (`simd`) and filter-stage work counters. The result sequence and
-    /// `node_tests` are bit-identical for both `simd` settings.
+    /// [`RTree::search_intersects`] with filter-stage work counters. The
+    /// node kernels have one width, so `_simd` changes nothing; it stays
+    /// only because the benchmark harness passes it.
     pub fn search_intersects_stats<'a>(
         &'a self,
         window: &Rect,
-        simd: bool,
+        _simd: bool,
         stats: &mut FilterStats,
     ) -> Vec<&'a T> {
-        let mut out = Vec::new();
-        if let Some(root) = &self.root {
-            search_rec(root, &Intersects, window, simd, stats, &mut out);
-        }
-        out
+        self.search(&Intersects, window, stats)
     }
 
     /// All payloads whose MBR lies within distance `d` of `query` — the
     /// within-distance MBR filter (the MBR distance lower-bounds the
     /// object distance).
     pub fn search_within<'a>(&'a self, query: &Rect, d: f64) -> Vec<&'a T> {
-        self.search_within_stats(query, d, true, &mut FilterStats::default())
+        self.search_within_stats(query, d, &mut FilterStats::default())
     }
 
-    /// [`RTree::search_within`] with an explicit kernel width choice and
-    /// filter-stage work counters.
+    /// [`RTree::search_within`] with filter-stage work counters.
     pub fn search_within_stats<'a>(
         &'a self,
         query: &Rect,
         d: f64,
-        simd: bool,
+        stats: &mut FilterStats,
+    ) -> Vec<&'a T> {
+        self.search(&WithinDist(d), query, stats)
+    }
+
+    fn search<'a, P: MbrPredicate>(
+        &'a self,
+        pred: &P,
+        probe: &Rect,
         stats: &mut FilterStats,
     ) -> Vec<&'a T> {
         let mut out = Vec::new();
         if let Some(root) = &self.root {
-            search_rec(root, &WithinDist(d), query, simd, stats, &mut out);
+            search_rec(root, pred, probe, stats, &mut out);
         }
         out
     }
@@ -371,18 +373,17 @@ fn quadratic_split<E>(entries: Vec<(Rect, E)>) -> SplitHalves<E> {
     (group1, group2)
 }
 
-/// Generic vectorized search: one kernel call tests the probe against all
+/// Generic node-at-a-time search: one kernel call tests the probe against all
 /// of a node's children, then the traversal walks the hit bits in slot
 /// order — the same visit order as the old per-child recursion.
 fn search_rec<'a, T, P: MbrPredicate>(
     node: &'a Node<T>,
     pred: &P,
     probe: &Rect,
-    simd: bool,
     stats: &mut FilterStats,
     out: &mut Vec<&'a T>,
 ) {
-    let mask = node.soa.mask(pred, probe, simd, stats);
+    let mask = node.soa.mask(pred, probe, stats);
     match &node.kind {
         NodeKind::Leaf(entries) => {
             for (i, (_, v)) in entries.iter().enumerate() {
@@ -394,7 +395,7 @@ fn search_rec<'a, T, P: MbrPredicate>(
         NodeKind::Internal(children) => {
             for (i, (_, c)) in children.iter().enumerate() {
                 if (mask >> i) & 1 == 1 {
-                    search_rec(c, pred, probe, simd, stats, out);
+                    search_rec(c, pred, probe, stats, out);
                 }
             }
         }
@@ -582,43 +583,59 @@ mod tests {
         }
     }
 
-    #[test]
-    fn scalar_and_simd_searches_agree_with_identical_counters() {
-        let items = grid_items(700);
-        let t = RTree::bulk_load(items.clone());
-        let window = rect(12.0, 9.0, 25.0);
-        let mut scalar = FilterStats::default();
-        let mut simd = FilterStats::default();
-        let a: Vec<usize> = t
-            .search_intersects_stats(&window, false, &mut scalar)
-            .into_iter()
-            .copied()
-            .collect();
-        let b: Vec<usize> = t
-            .search_intersects_stats(&window, true, &mut simd)
-            .into_iter()
-            .copied()
-            .collect();
-        assert_eq!(a, b, "result sequence must match, not just the set");
-        assert_eq!(scalar.node_tests, simd.node_tests);
-        assert_eq!(scalar.simd_node_tests, 0);
-        assert_eq!(simd.simd_node_tests, simd.node_tests);
-        assert!(scalar.node_tests > 0);
+    /// The per-entry walk the node kernels replace: visit children in
+    /// slot order where `pred.test` holds, charging every real slot.
+    fn oracle_walk<P: MbrPredicate>(
+        node: &Node<usize>,
+        pred: &P,
+        probe: &Rect,
+        tests: &mut usize,
+        out: &mut Vec<usize>,
+    ) {
+        *tests += node.len();
+        match &node.kind {
+            NodeKind::Leaf(es) => {
+                out.extend(es.iter().filter(|(r, _)| pred.test(r, probe)).map(|e| e.1));
+            }
+            NodeKind::Internal(cs) => {
+                for (_, c) in cs.iter().filter(|(r, _)| pred.test(r, probe)) {
+                    oracle_walk(c, pred, probe, tests, out);
+                }
+            }
+        }
+    }
 
-        let mut scalar_w = FilterStats::default();
-        let mut simd_w = FilterStats::default();
-        let aw: Vec<usize> = t
-            .search_within_stats(&window, 7.5, false, &mut scalar_w)
+    #[test]
+    fn searches_equal_the_per_entry_walk_with_identical_counters() {
+        let items = grid_items(700);
+        let t = RTree::bulk_load(items);
+        let root = t.root.as_deref().unwrap();
+        let window = rect(12.0, 9.0, 25.0);
+        let (mut tests, mut expected) = (0, Vec::new());
+        oracle_walk(root, &Intersects, &window, &mut tests, &mut expected);
+        let mut stats = FilterStats::default();
+        let got: Vec<usize> = t
+            .search_intersects_stats(&window, true, &mut stats)
             .into_iter()
             .copied()
             .collect();
-        let bw: Vec<usize> = t
-            .search_within_stats(&window, 7.5, true, &mut simd_w)
+        assert_eq!(
+            got, expected,
+            "result sequence must match, not just the set"
+        );
+        assert_eq!(stats.node_tests, tests);
+        assert!(!got.is_empty());
+
+        let (mut tests, mut expected) = (0, Vec::new());
+        oracle_walk(root, &WithinDist(7.5), &window, &mut tests, &mut expected);
+        let mut stats = FilterStats::default();
+        let got: Vec<usize> = t
+            .search_within_stats(&window, 7.5, &mut stats)
             .into_iter()
             .copied()
             .collect();
-        assert_eq!(aw, bw);
-        assert_eq!(scalar_w.node_tests, simd_w.node_tests);
+        assert_eq!(got, expected);
+        assert_eq!(stats.node_tests, tests);
     }
 
     #[test]

@@ -131,8 +131,8 @@ proptest! {
 
     /// The filter knobs never change observable behaviour: for both join
     /// predicates, the candidate *sequence* and the deterministic
-    /// `node_tests` counter are identical across scalar/SIMD kernels,
-    /// thread counts and work-unit sizes — and the candidate set equals
+    /// `node_tests` counter are identical across thread counts and
+    /// work-unit sizes — and the candidate set equals
     /// the brute-force nested-loop oracle.
     #[test]
     fn join_configs_bit_identical_and_match_oracle(
@@ -164,10 +164,10 @@ proptest! {
         let mut ref_int_stats = FilterStats::default();
         let mut ref_dist_stats = FilterStats::default();
         let ref_int = deref(join_intersecting_with(
-            &ta, &tb, &FilterConfig::scalar(), &mut ref_int_stats,
+            &ta, &tb, &FilterConfig::default(), &mut ref_int_stats,
         ));
         let ref_dist = deref(join_within_distance_with(
-            &ta, &tb, d, &FilterConfig::scalar(), &mut ref_dist_stats,
+            &ta, &tb, d, &FilterConfig::default(), &mut ref_dist_stats,
         ));
         let mut sorted_int = ref_int.clone();
         sorted_int.sort_unstable();
@@ -178,30 +178,28 @@ proptest! {
 
         for threads in [1usize, 2, 8] {
             for unit_pairs in [1usize, 7, 64] {
-                for simd in [false, true] {
-                    let cfg = FilterConfig { threads, simd, unit_pairs };
-                    let mut s_int = FilterStats::default();
-                    let got_int = deref(join_intersecting_with(&ta, &tb, &cfg, &mut s_int));
-                    prop_assert_eq!(
-                        &got_int, &ref_int,
-                        "intersection order diverged: {:?}", cfg
-                    );
-                    prop_assert_eq!(
-                        s_int.node_tests, ref_int_stats.node_tests,
-                        "intersection node_tests diverged: {:?}", cfg
-                    );
-                    let mut s_dist = FilterStats::default();
-                    let got_dist =
-                        deref(join_within_distance_with(&ta, &tb, d, &cfg, &mut s_dist));
-                    prop_assert_eq!(
-                        &got_dist, &ref_dist,
-                        "within-distance order diverged: {:?}", cfg
-                    );
-                    prop_assert_eq!(
-                        s_dist.node_tests, ref_dist_stats.node_tests,
-                        "within-distance node_tests diverged: {:?}", cfg
-                    );
-                }
+                let cfg = FilterConfig { threads, unit_pairs };
+                let mut s_int = FilterStats::default();
+                let got_int = deref(join_intersecting_with(&ta, &tb, &cfg, &mut s_int));
+                prop_assert_eq!(
+                    &got_int, &ref_int,
+                    "intersection order diverged: {:?}", cfg
+                );
+                prop_assert_eq!(
+                    s_int.node_tests, ref_int_stats.node_tests,
+                    "intersection node_tests diverged: {:?}", cfg
+                );
+                let mut s_dist = FilterStats::default();
+                let got_dist =
+                    deref(join_within_distance_with(&ta, &tb, d, &cfg, &mut s_dist));
+                prop_assert_eq!(
+                    &got_dist, &ref_dist,
+                    "within-distance order diverged: {:?}", cfg
+                );
+                prop_assert_eq!(
+                    s_dist.node_tests, ref_dist_stats.node_tests,
+                    "within-distance node_tests diverged: {:?}", cfg
+                );
             }
         }
     }

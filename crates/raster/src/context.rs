@@ -19,6 +19,11 @@ pub const MAX_AA_LINE_WIDTH: f64 = 10.0;
 /// Maximum (smooth) point size, in pixels — same platform limit.
 pub const MAX_POINT_SIZE: f64 = 10.0;
 
+/// Largest window side, in pixels: the simulated card's
+/// `GL_MAX_VIEWPORT_DIMS`. A `4096 × 4096` frame holds ≈ 150 MB at 9 B a
+/// pixel (f32 colour, f32 accumulation, u8 stencil).
+pub const MAX_WINDOW_SIDE: usize = 4096;
+
 /// How overlapping fragments are detected. The one choreography is the
 /// paper's Algorithm 3.1: both boundaries at half intensity, added in the
 /// accumulation buffer, full white searched for. The enum stays only

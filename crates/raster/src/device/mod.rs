@@ -253,7 +253,7 @@ pub trait RasterDevice: Send + std::fmt::Debug {
 
 /// A buildable selection for *one* device — the configuration-level knob
 /// `core`'s engine exposes (`EngineConfig.device`). How many devices a
-/// query fans out to is the engine's `PartitionConfig::shards`, never a
+/// query fans out to is the engine's `EngineConfig::shards`, never a
 /// property of the kind: the hardware tester builds its per-shard pool
 /// from [`DeviceKind::for_shard`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

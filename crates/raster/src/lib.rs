@@ -43,6 +43,7 @@ pub mod viewport;
 pub use atlas::{AtlasCell, AtlasJob};
 pub use context::{
     GlContext, OverlapStrategy, PixelRect, WriteMode, MAX_AA_LINE_WIDTH, MAX_POINT_SIZE,
+    MAX_WINDOW_SIDE,
 };
 pub use cost_model::HwCostModel;
 pub use device::{
