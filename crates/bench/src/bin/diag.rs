@@ -14,7 +14,10 @@
 //! side prune settles without a box, the calls its block lower bounds
 //! reject early, the calls it confirms early and the blocks and edges it
 //! measures, every verdict checked against the bound (a mismatch makes the
-//! run exit 1) — and what the hardware test submits for the same candidates: segments before
+//! run exit 1) — and what the hardware test submits for the same candidates: the pairs the
+//! run boxes decide with no submission (each checked against step 3; a
+//! mismatch makes the run exit 1) and the projection region's area over
+//! the MBR region's, segments before
 //! and after the run cull, survivors of the rasterizer's clip compare,
 //! candidate fragments per surviving segment, and for the overlap count the
 //! vertices before and after the fill ring and the scanline crossings a
@@ -59,7 +62,7 @@ fn main() {
     );
     let w = Workloads::generate(opts);
 
-    let (mut mismatches, mut filter_mismatches) = (0, 0);
+    let (mut mismatches, mut filter_mismatches, mut runs_mismatches) = (0, 0, 0);
     let [mut intersect_calibration, mut within_calibration] =
         [(); 2].map(|_| Calibration::default());
     for (a, b, base_d) in [
@@ -68,7 +71,7 @@ fn main() {
     ] {
         mismatches += intersection_composition(a, b, &mut intersect_calibration);
         filter_mismatches += distance_decomposition(a, b, base_d, &mut within_calibration);
-        hardware_submission(a, b, base_d);
+        runs_mismatches += hardware_submission(a, b, base_d);
     }
     intersect_calibration.table("the intersection joins (boundaries_meet)");
     within_calibration.table("the within-distance joins (clipped_chains_within)");
@@ -78,7 +81,10 @@ fn main() {
     if filter_mismatches > 0 {
         println!("\nFAIL: {filter_mismatches} 1-object verdicts differ from the bound");
     }
-    if mismatches + filter_mismatches > 0 {
+    if runs_mismatches > 0 {
+        println!("\nFAIL: {runs_mismatches} pairs the run boxes decided disagree with step 3");
+    }
+    if mismatches + filter_mismatches + runs_mismatches > 0 {
         std::process::exit(1);
     }
 }
@@ -603,15 +609,22 @@ fn intersection_composition(
 
 /// What the hardware tests submit for the pair's candidates at the
 /// recommended 8×8 window with `sw_threshold = 0` (every pair the probes
-/// leave undecided is submitted): primitives before the run cull (two whole
-/// boundaries a pair, and every vertex again as a cap for the distance
-/// test) and after it (`HwStats::primitives`), and for the segment test the
-/// survivors of the rasterizer's clip compare and the candidate fragments
-/// each of them costs; and for the overlap count of the intersection
-/// candidates at the same window the vertices of both polygons before and
-/// after the fill ring, and per fill the scanline-center crossings of the
-/// ring's edges — the work the fill itself is about.
-fn hardware_submission(a: &PreparedDataset, b: &PreparedDataset, base_d: f64) {
+/// leave undecided is submitted): for the intersection and within-distance
+/// joins the pairs the run boxes decide without a submission, the hardware
+/// tests, the width fallbacks and the mean area of the projection region R
+/// over the MBR region R₀ it was shrunk from; primitives before the run
+/// cull (two whole boundaries a pair, and every vertex again as a cap for
+/// the distance test) and after it (`HwStats::primitives`), and for the
+/// segment test the survivors of the rasterizer's clip compare and the
+/// candidate fragments each of them costs; and for the overlap count of
+/// the intersection candidates at the same window the vertices of both
+/// polygons before and after the fill ring, and per fill the
+/// scanline-center crossings of the ring's edges — the work the fill
+/// itself is about. Returns the gate's failures: a pair the run boxes
+/// decided that the software step 3 answers otherwise, or one where the
+/// region restated here ([`projection`]) disagrees with the product's on
+/// whether the boxes decide.
+fn hardware_submission(a: &PreparedDataset, b: &PreparedDataset, base_d: f64) -> usize {
     const RESOLUTION: usize = 8;
     let mut tester = HwTester::new(HwConfig::at_resolution(RESOLUTION).with_threshold(0));
     println!(
@@ -620,17 +633,20 @@ fn hardware_submission(a: &PreparedDataset, b: &PreparedDataset, base_d: f64) {
     );
 
     let (mut stats, mut whole, mut survivors) = (TestStats::default(), 0usize, 0usize);
+    let (mut runs, mut failures) = (Shrink::default(), 0usize);
     for (&i, &j) in spatial_index::join_intersecting(&a.tree, &b.tree) {
         let (p, q) = (a.polygon(i), b.polygon(j));
-        let tested = stats.hw_tests;
-        tester.intersects(p, q, &mut stats);
-        if stats.hw_tests == tested {
+        let before = stats;
+        let verdict = tester.intersects(p, q, &mut stats);
+        let step3 = || boundaries_meet(p, q, &mut SweepStats::default());
+        failures += runs.add(&before, &stats, verdict, step3, projection(p, q, 0.0));
+        if stats.hw_tests == before.hw_tests {
             continue;
         }
         whole += p.vertex_count() + q.vertex_count();
         // The segment test's window (§3.2) and the clip compare over it.
-        let region = p.mbr().intersection(&q.mbr()).expect("a candidate");
-        let viewport = Viewport::new(region, RESOLUTION, RESOLUTION);
+        let (_, region) = projection(p, q, 0.0);
+        let viewport = Viewport::new(region.expect("a submitted pair"), RESOLUTION, RESOLUTION);
         survivors += p
             .edges()
             .chain(q.edges())
@@ -649,6 +665,7 @@ fn hardware_submission(a: &PreparedDataset, b: &PreparedDataset, base_d: f64) {
         100.0 * stats.hw.primitives as f64 / whole.max(1) as f64,
         stats.hw.fragments_tested as f64 / survivors.max(1) as f64,
     );
+    runs.row(&stats);
 
     let (mut fills, mut whole, mut ring, mut crossings) = (0usize, 0usize, 0usize, 0usize);
     for (&i, &j) in spatial_index::join_intersecting(&a.tree, &b.tree) {
@@ -678,12 +695,21 @@ fn hardware_submission(a: &PreparedDataset, b: &PreparedDataset, base_d: f64) {
         crossings as f64 / fills.max(1) as f64,
     );
 
-    let (mut stats, mut whole) = (TestStats::default(), 0usize);
+    let (mut stats, mut whole, mut runs) = (TestStats::default(), 0usize, Shrink::default());
     for (&i, &j) in spatial_index::join_within_distance(&a.tree, &b.tree, base_d) {
         let (p, q) = (a.polygon(i), b.polygon(j));
-        let tested = stats.hw_tests;
-        tester.within_distance(p, q, base_d, &mut stats);
-        if stats.hw_tests > tested {
+        let before = stats;
+        let verdict = tester.within_distance(p, q, base_d, &mut stats);
+        let step3 = || clipped_chains_within(p, q, base_d, &mut MinDistStats::default());
+        // §3.2: the distance test renders the smaller object first.
+        let (small, large) = if p.mbr().area() <= q.mbr().area() {
+            (p, q)
+        } else {
+            (q, p)
+        };
+        let region = projection(small, large, base_d / 2.0);
+        failures += runs.add(&before, &stats, verdict, step3, region);
+        if stats.hw_tests > before.hw_tests {
             whole += 2 * (p.vertex_count() + q.vertex_count());
         }
     }
@@ -695,4 +721,95 @@ fn hardware_submission(a: &PreparedDataset, b: &PreparedDataset, base_d: f64) {
         100.0 * stats.hw.primitives as f64 / whole.max(1) as f64,
         stats.hw.fragments_tested as f64 / stats.hw.primitives.max(1) as f64,
     );
+    runs.row(&stats);
+    failures
+}
+
+/// The projection region of a boolean hardware test whose window renders
+/// `first` first, restated from the public run boxes — `hwa-core`'s
+/// `choreography::projection`: R₀ (the MBR intersection; for a distance
+/// test both MBRs expanded by `half` = d/2) and R, R₀ shrunk to the hull of
+/// the run boxes of `first` that meet it, then of `second`'s boxes that
+/// meet what is left, each box expanded by `half` and rounded outward;
+/// `None` when that empties it. The product projects R ∩ R₀.
+fn projection(first: &Polygon, second: &Polygon, half: f64) -> (Rect, Option<Rect>) {
+    let grown = |r: &Rect| match half {
+        0.0 => *r,
+        _ => Rect::new(
+            (r.xmin - half).next_down(),
+            (r.ymin - half).next_down(),
+            (r.xmax + half).next_up(),
+            (r.ymax + half).next_up(),
+        ),
+    };
+    let r0 = first
+        .mbr()
+        .expanded(half)
+        .intersection(&second.mbr().expanded(half))
+        .unwrap_or(Rect::EMPTY);
+    let mut region = grown(&first.mbr()).intersection(&grown(&second.mbr()));
+    for poly in [first, second] {
+        if poly.runs().len() > 0 {
+            region = region.and_then(|region| {
+                let hull = poly
+                    .runs()
+                    .map(|(_, run)| grown(run))
+                    .filter(|run| run.intersects(&region))
+                    .fold(Rect::EMPTY, |hull, run| hull.union(&run));
+                region.intersection(&hull)
+            });
+        }
+    }
+    (
+        r0,
+        region.map(|region| region.intersection(&r0).unwrap_or(Rect::EMPTY)),
+    )
+}
+
+/// What the run boxes did for one join's hardware tests: the pairs they
+/// decided, and the area of R over R₀ summed over the submitted pairs
+/// whose R₀ has one.
+#[derive(Default)]
+struct Shrink {
+    decided: usize,
+    ratio_sum: f64,
+    ratios: usize,
+}
+
+impl Shrink {
+    /// Counts one pair the tester answered `verdict`, from its ledger
+    /// `before` and `after` the test, with the software step 3 and the
+    /// restated `(R₀, R)`; returns 1 if the pair fails the gate.
+    fn add(
+        &mut self,
+        before: &TestStats,
+        after: &TestStats,
+        verdict: bool,
+        step3: impl FnOnce() -> bool,
+        (r0, region): (Rect, Option<Rect>),
+    ) -> usize {
+        let decided = after.decided_by_runs > before.decided_by_runs;
+        let submitted = after.hw_tests > before.hw_tests;
+        self.decided += usize::from(decided);
+        if submitted && r0.area() > 0.0 {
+            self.ratio_sum += region.map_or(0.0, |r| r.area()) / r0.area();
+            self.ratios += 1;
+        }
+        // A runs-decided pair is apart: step 3 must find no meeting, and
+        // the restated region must be empty exactly then.
+        let wrong = decided && (verdict || step3());
+        let drift = (decided || submitted) && decided != region.is_none();
+        usize::from(wrong || drift)
+    }
+
+    fn row(&self, stats: &TestStats) {
+        println!(
+            "    run boxes: {} pairs decided by runs, {} hardware tests, {} width fallbacks, \
+             mean R/R₀ area {:.3} over the tests",
+            self.decided,
+            stats.hw_tests,
+            stats.width_limit_fallbacks,
+            self.ratio_sum / self.ratios.max(1) as f64,
+        );
+    }
 }

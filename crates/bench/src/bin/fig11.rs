@@ -33,8 +33,8 @@ fn main() {
         let sw_ms = ms(sw_cost.geometry_comparison) / nq;
         println!("software: {sw_ms:>10.3} ms/query ({sw_results} results)");
         println!(
-            "{:>6} {:>12} {:>9} {:>12} {:>12} {:>12}",
-            "res", "hw ms/query", "vs sw", "hw rejects", "sw tests", "pix scanned"
+            "{:>6} {:>12} {:>9} {:>12} {:>9} {:>12} {:>12}",
+            "res", "hw ms/query", "vs sw", "hw rejects", "by runs", "sw tests", "pix scanned"
         );
         for res in RESOLUTIONS {
             let mut hw = hardware_engine(res, 0);
@@ -42,12 +42,13 @@ fn main() {
             assert_eq!(results, sw_results, "hardware must not change results");
             let hw_ms = ms(cost.geometry_comparison) / nq;
             println!(
-                "{:>4}x{:<2} {:>12.3} {:>8.0}% {:>12} {:>12} {:>12}",
+                "{:>4}x{:<2} {:>12.3} {:>8.0}% {:>12} {:>9} {:>12} {:>12}",
                 res,
                 res,
                 hw_ms,
                 100.0 * hw_ms / sw_ms,
                 cost.tests.rejected_by_hw,
+                cost.tests.decided_by_runs,
                 cost.tests.software_tests,
                 cost.tests.hw.pixels_scanned,
             );

@@ -27,8 +27,8 @@ fn run_join(a: &PreparedDataset, b: &PreparedDataset, opts: BenchOpts) {
         sw_results.len()
     );
     println!(
-        "{:>6} {:>12} {:>9} {:>12} {:>12} {:>14}",
-        "res", "hw ms", "vs sw", "hw rejects", "sw tests", "pix scanned"
+        "{:>6} {:>12} {:>9} {:>12} {:>9} {:>12} {:>14}",
+        "res", "hw ms", "vs sw", "hw rejects", "by runs", "sw tests", "pix scanned"
     );
     for res in RESOLUTIONS {
         let mut hw = hardware_engine(res, 0);
@@ -36,12 +36,13 @@ fn run_join(a: &PreparedDataset, b: &PreparedDataset, opts: BenchOpts) {
         assert_eq!(hw_results, sw_results, "hardware must not change results");
         let hw_ms = ms(cost.geometry_comparison);
         println!(
-            "{:>4}x{:<2} {:>12.1} {:>8.0}% {:>12} {:>12} {:>14}",
+            "{:>4}x{:<2} {:>12.1} {:>8.0}% {:>12} {:>9} {:>12} {:>14}",
             res,
             res,
             hw_ms,
             100.0 * hw_ms / sw_ms,
             cost.tests.rejected_by_hw,
+            cost.tests.decided_by_runs,
             cost.tests.software_tests,
             cost.tests.hw.pixels_scanned,
         );

@@ -33,20 +33,21 @@ fn main() {
     for res in [8usize, 16] {
         println!("--- window {res}x{res} | geometry-comparison cost (ms total) ---");
         println!(
-            "{:>9} {:>12} {:>12} {:>12} {:>12}",
-            "threshold", "hw ms", "hw tests", "skipped", "hw rejects"
+            "{:>9} {:>12} {:>12} {:>12} {:>12} {:>9}",
+            "threshold", "hw ms", "hw tests", "skipped", "hw rejects", "by runs"
         );
         for t in THRESHOLDS {
             let mut hw = hardware_engine(res, t);
             let (results, cost) = hw.intersection_join(a, b);
             assert_eq!(results, sw_results);
             println!(
-                "{:>9} {:>12.1} {:>12} {:>12} {:>12}",
+                "{:>9} {:>12.1} {:>12} {:>12} {:>12} {:>9}",
                 t,
                 ms(cost.geometry_comparison),
                 cost.tests.hw_tests,
                 cost.tests.skipped_by_threshold,
                 cost.tests.rejected_by_hw,
+                cost.tests.decided_by_runs,
             );
         }
         println!();

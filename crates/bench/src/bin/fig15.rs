@@ -28,11 +28,12 @@ fn run(a: &PreparedDataset, b: &PreparedDataset, base_d: f64) {
         sw_results.len()
     );
     println!(
-        "{:>6} {:>12} {:>9} {:>11} {:>10} {:>10} {:>10} {:>9} {:>9}",
+        "{:>6} {:>12} {:>9} {:>11} {:>8} {:>10} {:>10} {:>10} {:>9} {:>9}",
         "res",
         "hw ms",
         "vs sw",
         "hw rejects",
+        "by runs",
         "sw tests",
         "wid.fall",
         "hw tests",
@@ -50,12 +51,13 @@ fn run(a: &PreparedDataset, b: &PreparedDataset, base_d: f64) {
         assert_eq!(results, sw_results, "hardware must not change results");
         let hw_ms = ms(cost.geometry_comparison);
         println!(
-            "{:>4}x{:<2} {:>12.1} {:>8.0}% {:>11} {:>10} {:>10} {:>10} {:>9.1} {:>9.1}",
+            "{:>4}x{:<2} {:>12.1} {:>8.0}% {:>11} {:>8} {:>10} {:>10} {:>10} {:>9.1} {:>9.1}",
             res,
             res,
             hw_ms,
             100.0 * hw_ms / sw_ms,
             cost.tests.rejected_by_hw,
+            cost.tests.decided_by_runs,
             cost.tests.software_tests,
             cost.tests.width_limit_fallbacks,
             cost.tests.hw_tests,

@@ -17,8 +17,8 @@ fn run(a: &PreparedDataset, b: &PreparedDataset, base_d: f64) {
         a.name, b.name
     );
     println!(
-        "{:>7} {:>11} {:>11} {:>8} {:>11} {:>10} {:>8}",
-        "D/BaseD", "sw ms", "hw ms", "vs sw", "hw rejects", "wid.fall", "results"
+        "{:>7} {:>11} {:>11} {:>8} {:>11} {:>8} {:>10} {:>8}",
+        "D/BaseD", "sw ms", "hw ms", "vs sw", "hw rejects", "by runs", "wid.fall", "results"
     );
     for f in DISTANCE_FACTORS {
         let d = f * base_d;
@@ -37,12 +37,13 @@ fn run(a: &PreparedDataset, b: &PreparedDataset, base_d: f64) {
             ms(hw_cost.geometry_comparison),
         );
         println!(
-            "{:>7.1} {:>11.1} {:>11.1} {:>7.0}% {:>11} {:>10} {:>8}",
+            "{:>7.1} {:>11.1} {:>11.1} {:>7.0}% {:>11} {:>8} {:>10} {:>8}",
             f,
             s,
             h,
             100.0 * h / s,
             hw_cost.tests.rejected_by_hw,
+            hw_cost.tests.decided_by_runs,
             hw_cost.tests.width_limit_fallbacks,
             hw_results.len(),
         );

@@ -10,14 +10,17 @@
 //! call it instead of re-deriving it:
 //!
 //! * [`route`] — the software prologue of a predicate (MBR gate,
-//!   point-in-polygon, `sw_threshold`, no-window fallback): the pair is
-//!   either [`Routed::Done`] or needs the hardware over a [`Window`];
+//!   point-in-polygon, `sw_threshold`, run boxes apart, no-window
+//!   fallback): the pair is either [`Routed::Done`] or needs the hardware
+//!   over a [`Window`];
 //! * [`window`] — the §3.2 projection: region, anisotropic vs uniform
 //!   scaling, the Equation (1) line width, which polygon renders first,
-//!   which recording the resulting tape is, and — an extension of
-//!   Algorithm 3.1 — which runs of each boundary can reach the window at
-//!   all ([`LiveRuns`]: the live edges of a boundary test, the fill ring
-//!   of an overlap count);
+//!   which recording the resulting tape is, and — extensions of
+//!   Algorithm 3.1 — the part of the MBR region the run boxes of both
+//!   boundaries can meet in ([`projection`]: an empty one decides the
+//!   pair without the device) and which runs of each boundary can reach
+//!   the window at all ([`LiveRuns`]: the live edges of a boundary test,
+//!   the fill ring of an overlap count);
 //! * [`list`] — the command list for a [`Tape`] (one window, or an atlas
 //!   of windows sharing a line width), recorded per submission from the
 //!   window's live runs and executed verbatim. The only product caller
@@ -184,27 +187,41 @@ impl LiveRuns {
     }
 }
 
-/// The hardware projection for `op` on `(p, q)` at `resolution`, or
-/// `None` when the device cannot take the pair: no shared region, a
-/// degenerate one (overlap count), or an Equation (1) width that is over
-/// the hardware limit or not a width at all.
+/// Why a pair has no projection window.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum NoWindow {
+    /// The projection region of a boolean test is empty: the run boxes
+    /// prove the boundaries apart — for a distance test, farther than `d`
+    /// apart ([`projection`]). The prologue answers the pair without the
+    /// device.
+    Apart,
+    /// The device cannot take the pair: no shared region, a degenerate one
+    /// (overlap count), or an Equation (1) width that is over the hardware
+    /// limit or not a width at all.
+    Unfit,
+}
+
+/// The hardware projection for `op` on `(p, q)` at `resolution`, or why
+/// there is none.
 pub(crate) fn window<'a>(
     op: RefineOp,
     p: &'a Polygon,
     q: &'a Polygon,
     resolution: usize,
-) -> Option<Window<'a>> {
+) -> Result<Window<'a>, NoWindow> {
     let RefineOp::Test(Predicate::WithinDistance(d)) = op else {
-        // §3.2: the segment tests project the MBR intersection — for
-        // containment that *is* the inner MBR once the MBR gate passed.
-        // The overlap count projects it too, but needs it to have
-        // interior.
+        // The segment tests project `projection`'s region. The overlap
+        // count's grid is part of its answer: it projects the MBR
+        // intersection, and needs it to have interior.
         let (region, recording) = match op {
-            RefineOp::Measure { .. } => (overlap_region(p, q)?, Recording::Overlap),
-            RefineOp::Test(_) => (p.mbr().intersection(&q.mbr())?, Recording::Segment),
+            RefineOp::Measure { .. } => (
+                overlap_region(p, q).ok_or(NoWindow::Unfit)?,
+                Recording::Overlap,
+            ),
+            RefineOp::Test(pred) => (projection(pred, p, q)?, Recording::Segment),
         };
         let viewport = Viewport::new(region, resolution, resolution);
-        return Some(Window {
+        return Ok(Window {
             region,
             viewport,
             width: DIAGONAL_WIDTH,
@@ -218,37 +235,22 @@ pub(crate) fn window<'a>(
         });
     };
 
-    // §3.2: project the expanded MBR of the smaller object — intersected
-    // with the other's expansion, since overlap can only appear where
-    // both expanded boundaries are — onto a uniform-scale window.
+    // §3.2: the distance test renders the smaller object first, onto a
+    // uniform-scale window.
     let (small, large) = if p.mbr().area() <= q.mbr().area() {
         (p, q)
     } else {
         (q, p)
     };
-    let half = d / 2.0;
-    // MBR distance ≤ d *mathematically* guarantees the half-expansions
-    // meet, but not in f64: when the gap equals d exactly, `min_dist`'s
-    // rounding can pass the gate while `xmin + d/2` rounds below
-    // `xmax - d/2`, leaving an empty intersection.
-    let region = small
-        .mbr()
-        .expanded(half)
-        .intersection(&large.mbr().expanded(half))?;
-    // An unbounded region (d = ∞) projects at scale 0, where Equation (1)
-    // evaluates `(∞·0).ceil().max(1.0)` to a "valid" one-pixel width and
-    // the filter would reject true positives.
-    if !(region.width().is_finite() && region.height().is_finite()) {
-        return None;
-    }
+    let region = projection(Predicate::WithinDistance(d), small, large)?;
     let viewport = Viewport::uniform(region, resolution, resolution);
     // Equation (1): the pixel width that covers data-space distance d.
     // Over the hardware limit the test reverts to software (§3.1).
     let width = viewport.line_width_for_distance(d.max(f64::MIN_POSITIVE));
     if width.is_nan() || width > MAX_AA_LINE_WIDTH {
-        return None;
+        return Err(NoWindow::Unfit);
     }
-    Some(Window {
+    Ok(Window {
         region,
         viewport,
         width,
@@ -257,6 +259,77 @@ pub(crate) fn window<'a>(
         recording: Recording::Distance,
         live: LiveRuns::pair(small, large, &viewport, width),
     })
+}
+
+/// The projection region R of a boolean test of `pred` whose window
+/// renders `first` first.
+///
+/// §3.2 projects R₀, the MBR intersection — for containment that *is* the
+/// inner MBR once the MBR gate passed — or for a distance test the
+/// intersection of both MBRs expanded by `d/2`, since overlap can only
+/// appear where both expanded boundaries are. R is R₀ shrunk to the
+/// bounding box of the run boxes of `first` that meet it (each expanded by
+/// `d/2` for distance), then to the boxes of `second` that meet what is
+/// left; a polygon without run boxes leaves the region as it is.
+///
+/// Every point the two boundaries share, and for distance the midpoint of
+/// any two boundary points at most `d` apart, lies in a box of each
+/// polygon (expanded) that meets R₀, and so in R (DESIGN.md §3): an empty
+/// R proves the boundaries apart ([`NoWindow::Apart`]), and a window over
+/// R sees everything a window over R₀ would have to. The expansions of
+/// the shrink round outward ([`grown`]), so that an empty R is a proof,
+/// not a rounding; the region projected is R ∩ R₀, which is R₀ itself
+/// for polygons without boxes.
+fn projection(pred: Predicate, first: &Polygon, second: &Polygon) -> Result<Rect, NoWindow> {
+    let half = match pred {
+        Predicate::WithinDistance(d) => d / 2.0,
+        Predicate::Intersects | Predicate::ContainedIn => 0.0,
+    };
+    // MBR distance ≤ d *mathematically* guarantees the half-expansions
+    // meet, but not in f64: when the gap equals d exactly, `min_dist`'s
+    // rounding can pass the gate while `xmin + d/2` rounds below
+    // `xmax - d/2`, leaving an empty intersection.
+    let r0 = first
+        .mbr()
+        .expanded(half)
+        .intersection(&second.mbr().expanded(half))
+        .ok_or(NoWindow::Unfit)?;
+    // An unbounded region (d = ∞) projects at scale 0, where Equation (1)
+    // evaluates `(∞·0).ceil().max(1.0)` to a "valid" one-pixel width and
+    // the filter would reject true positives.
+    if !(r0.width().is_finite() && r0.height().is_finite()) {
+        return Err(NoWindow::Unfit);
+    }
+    let mut region = grown(&first.mbr(), half)
+        .intersection(&grown(&second.mbr(), half))
+        .ok_or(NoWindow::Unfit)?;
+    for poly in [first, second] {
+        if poly.runs().len() == 0 {
+            continue;
+        }
+        let hull = poly
+            .runs()
+            .map(|(_, run)| grown(run, half))
+            .filter(|run| run.intersects(&region))
+            .fold(Rect::EMPTY, |hull, run| hull.union(&run));
+        region = region.intersection(&hull).ok_or(NoWindow::Apart)?;
+    }
+    region.intersection(&r0).ok_or(NoWindow::Unfit)
+}
+
+/// `r` expanded by `half` on every side, rounded outward: it holds every
+/// point within `half` of `r` along each axis, where [`Rect::expanded`]
+/// may round a side inward.
+fn grown(r: &Rect, half: f64) -> Rect {
+    if half == 0.0 {
+        return *r;
+    }
+    Rect::new(
+        (r.xmin - half).next_down(),
+        (r.ymin - half).next_down(),
+        (r.xmax + half).next_up(),
+        (r.ymax + half).next_up(),
+    )
 }
 
 impl Window<'_> {
@@ -393,7 +466,7 @@ pub(crate) fn route<'a>(
     stats: &mut TestStats,
 ) -> Routed<'a> {
     // The MBR gate: the cheapest bound on each predicate.
-    let apart = match pred {
+    let gated = match pred {
         Predicate::Intersects => !p.mbr().intersects(&q.mbr()),
         Predicate::ContainedIn => !q.mbr().contains_rect(&p.mbr()),
         Predicate::WithinDistance(d) => {
@@ -401,7 +474,7 @@ pub(crate) fn route<'a>(
             p.mbr().min_dist(&q.mbr()) > d
         }
     };
-    if apart {
+    if gated {
         return Routed::Done(false);
     }
 
@@ -435,17 +508,30 @@ pub(crate) fn route<'a>(
     // search space costs — which is how Figure 11 finds the hardware
     // ahead even at a 1×1 window. `window` keeps that, minus the runs of
     // 32 edges whose cached box the clip compare rejects wholesale
-    // (`LiveRuns`): n/32 box compares, not a scan.
+    // (`LiveRuns`): n/32 box compares, not a scan. The same boxes bound
+    // the region the boundaries can meet in (`projection`); where it is
+    // empty the pair is answered as a rejection would, with no submission.
     match window(RefineOp::Test(pred), p, q, cfg.resolution) {
-        Some(w) => Routed::Hw(w),
+        Ok(w) => Routed::Hw(w),
+        Err(NoWindow::Apart) => {
+            stats.decided_by_runs += 1;
+            Routed::Done(apart(pred))
+        }
         // No projection window: a capability limit, answered exactly in
         // software and charged to the fallback ledger.
-        None => {
+        Err(NoWindow::Unfit) => {
             stats.width_limit_fallbacks += 1;
             stats.software_tests += 1;
             Routed::Done(confirm(pred, p, q))
         }
     }
+}
+
+/// The answer for a pair the prologue left undecided whose boundaries are
+/// proven apart: intersection and distance `false`, containment `true` —
+/// the prologue saw a vertex of the inner polygon inside the outer one.
+fn apart(pred: Predicate) -> bool {
+    pred == Predicate::ContainedIn
 }
 
 /// The software step 3: exact on its own for a pair that passed the MBR
@@ -469,8 +555,7 @@ fn confirm(pred: Predicate, p: &Polygon, q: &Polygon) -> bool {
 /// verdict — did the two rendered boundaries share a pixel — or `None`
 /// when the supervised submission gave up. The filter only ever
 /// pre-rejects: no shared pixel proves the boundaries apart, which
-/// answers intersection and distance `false` and — with the vertex the
-/// prologue saw inside — containment `true`. Anything else is decided
+/// answers the pair ([`apart`]). Anything else is decided
 /// by [`confirm`], so a faulted submission moves the pair from the
 /// hardware ledger to the fallback ledger and never changes its answer;
 /// `hw_tests + fallback_tests` stays equal to the clean run's `hw_tests`.
@@ -485,7 +570,7 @@ pub(crate) fn settle(
         Some(false) => {
             stats.hw_tests += 1;
             stats.rejected_by_hw += 1;
-            pred == Predicate::ContainedIn
+            apart(pred)
         }
         Some(true) => {
             stats.hw_tests += 1;
@@ -510,8 +595,11 @@ mod tests {
         let p = Polygon::from_coords(&[(0.0, 0.0), (2.0, 0.0), (2.0, 2.0), (0.0, 2.0)]);
         let q = Polygon::from_coords(&[(5.0, 0.0), (7.0, 0.0), (7.0, 2.0), (5.0, 2.0)]);
         let within = |d| RefineOp::Test(Predicate::WithinDistance(d));
-        assert!(window(within(4.0), &p, &q, 8).is_some());
-        assert!(window(within(f64::INFINITY), &p, &q, 8).is_none());
+        assert!(window(within(4.0), &p, &q, 8).is_ok());
+        assert!(matches!(
+            window(within(f64::INFINITY), &p, &q, 8),
+            Err(NoWindow::Unfit)
+        ));
         let mut stats = TestStats::default();
         let cfg = HwConfig::at_resolution(8);
         let routed = route(
@@ -574,19 +662,6 @@ mod tests {
         }
     }
 
-    /// Draw calls an atlas pass structure opens: one per side per
-    /// primitive kind with anything in it ("an empty pass opens no draw
-    /// call", `record_batch`).
-    fn opened_passes(lens: impl Fn(bool) -> (usize, usize)) -> usize {
-        [false, true]
-            .into_iter()
-            .map(|second| {
-                let (segments, points) = lens(second);
-                usize::from(segments > 0) + usize::from(points > 0)
-            })
-            .sum()
-    }
-
     /// Large-boundary pairs of a small LANDC ⋈ LANDO draw — what carries
     /// run boxes — plus one STATES50 window over both datasets.
     fn corpus() -> (Vec<(Polygon, Polygon)>, f64) {
@@ -614,8 +689,9 @@ mod tests {
     /// list `window` records and the
     /// whole-boundary list of the public recorders execute to the same
     /// frame, the same readbacks and the same counters but `primitives` —
-    /// per pair, and as an atlas of mixed cells, where `draw_calls` may
-    /// also fall by exactly the passes the cull emptied.
+    /// per pair, and as an atlas of mixed cells. No window submits an
+    /// empty side: a polygon none of whose run boxes meets the projection
+    /// region empties it, and the prologue answers the pair instead.
     #[test]
     fn live_runs_execute_like_whole_boundaries() {
         let (pairs, base_d) = corpus();
@@ -629,15 +705,20 @@ mod tests {
                 base_d * 2f64.powf(0.5 * k as f64),
             ))
         }));
-        let (mut submitted, mut whole, mut fewer_draws) = (0usize, 0usize, 0usize);
+        let (mut submitted, mut whole) = (0usize, 0usize);
         let mut widths = std::collections::BTreeSet::new();
         for resolution in [1usize, 4, 8, 16, 32] {
             for &op in &ops {
                 let windows: Vec<Window> = pairs
                     .iter()
-                    .filter_map(|(p, q)| window(op, p, q, resolution))
+                    .filter_map(|(p, q)| window(op, p, q, resolution).ok())
                     .collect();
                 for w in &windows {
+                    // A side without a live run would have emptied R.
+                    assert!(
+                        w.segments(false).len() > 0 && w.segments(true).len() > 0,
+                        "{op:?} at {resolution}: an empty side"
+                    );
                     widths.insert(w.width as u64);
                     let (frame, readbacks, stats) = execute(&list(Tape::Pair(w)).0);
                     let (full_frame, full_readbacks, full) = execute(&whole_boundaries(w));
@@ -668,21 +749,9 @@ mod tests {
                         execute(&record_batch(&jobs, width, width).0);
                     assert!(frame == full_frame, "{op:?} atlas at {resolution}");
                     assert_eq!(readbacks, full_readbacks, "{op:?} atlas at {resolution}");
-                    let total = |len: fn(&Window, bool) -> usize, second: bool| -> usize {
-                        round.iter().map(|w| len(w, second)).sum()
-                    };
-                    let draw_calls = opened_passes(|second| {
-                        (
-                            total(|w, s| w.segments(s).len(), second),
-                            total(|w, s| w.points(s).len(), second),
-                        )
-                    });
-                    assert_eq!(stats.draw_calls, draw_calls, "{op:?} atlas at {resolution}");
-                    assert!(draw_calls <= full.draw_calls && stats.primitives <= full.primitives);
-                    fewer_draws += full.draw_calls - draw_calls;
+                    assert!(stats.primitives <= full.primitives);
                     let expected = HwStats {
                         primitives: stats.primitives,
-                        draw_calls,
                         ..full
                     };
                     assert_eq!(stats, expected, "{op:?} atlas at {resolution}");
@@ -694,8 +763,6 @@ mod tests {
             "{widths:?}"
         );
         assert!(2 * submitted < whole, "{submitted} of {whole} primitives");
-        // Some round lost a whole pass to the cull, most did not.
-        assert!(fewer_draws > 0, "no atlas pass was emptied");
     }
 
     /// Submitting each polygon's fill ring is invisible to the device: for
@@ -712,7 +779,7 @@ mod tests {
             let op = RefineOp::Measure { resolution };
             for (p, q) in &pairs {
                 for (p, q) in [(p, q), (q, p)] {
-                    let Some(w) = window(op, p, q, resolution) else {
+                    let Ok(w) = window(op, p, q, resolution) else {
                         continue;
                     };
                     covered += assert_ring_fills_like_whole(&w);
@@ -812,6 +879,289 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// A closed ring of `radii.len()` vertices around `(cx, cy)`.
+    fn ring(cx: f64, cy: f64, radii: &[f64]) -> Polygon {
+        let n = radii.len() as f64;
+        let coords: Vec<(f64, f64)> = radii
+            .iter()
+            .enumerate()
+            .map(|(i, r)| {
+                let t = i as f64 / n * std::f64::consts::TAU;
+                (cx + r * t.cos(), cy + r * t.sin())
+            })
+            .collect();
+        Polygon::from_coords(&coords)
+    }
+
+    /// The square `[x, x + side] × [y, y + side]`, each side cut into
+    /// `per_side` edges: from 16 a side it carries run boxes.
+    fn square(x: f64, y: f64, side: f64, per_side: usize) -> Polygon {
+        let t = |k: usize| side * k as f64 / per_side as f64;
+        let coords: Vec<(f64, f64)> = (0..per_side)
+            .map(|k| (x + t(k), y))
+            .chain((0..per_side).map(|k| (x + side, y + t(k))))
+            .chain((0..per_side).map(|k| (x + side - t(k), y + side)))
+            .chain((0..per_side).map(|k| (x, y + side - t(k))))
+            .collect();
+        Polygon::from_coords(&coords)
+    }
+
+    /// A C-shaped polygon, each of its eight sides cut into 80 edges, and a
+    /// 600-vertex ring in its pocket 2.5 from its boundary: their MBRs
+    /// overlap, neither holds the other's first vertex, and no run box of
+    /// either comes within 0.75 of the other's MBR.
+    fn pocket() -> (Polygon, Polygon) {
+        let corners = [
+            (0.0, 0.0),
+            (16.0, 0.0),
+            (16.0, 4.0),
+            (4.0, 4.0),
+            (4.0, 12.0),
+            (16.0, 12.0),
+            (16.0, 16.0),
+            (0.0, 16.0),
+        ];
+        let coords: Vec<(f64, f64)> = (0..8)
+            .flat_map(|k| {
+                let ((x0, y0), (x1, y1)) = (corners[k], corners[(k + 1) % 8]);
+                (0..80).map(move |i| {
+                    let t = i as f64 / 80.0;
+                    (x0 + t * (x1 - x0), y0 + t * (y1 - y0))
+                })
+            })
+            .collect();
+        (Polygon::from_coords(&coords), ring(12.0, 8.0, &[1.5; 600]))
+    }
+
+    /// Two 600-vertex rings, one nested in the other 2.0 inside it.
+    fn nested() -> (Polygon, Polygon) {
+        (ring(5.0, 5.0, &[4.0; 600]), ring(5.0, 5.0, &[2.0; 600]))
+    }
+
+    /// A closest pair of points of the closed segments `e` and `f`: their
+    /// crossing when they cross properly, otherwise an end point of one
+    /// and its closest point on the other.
+    fn closest_points(e: &Segment, f: &Segment) -> (Point, Point) {
+        if e.intersects_properly(f) {
+            if let Some(x) =
+                spatial_geom::predicates::segment_intersection_point(e.a, e.b, f.a, f.b)
+            {
+                return (x, x);
+            }
+        }
+        [
+            (e.a, f.closest_point(e.a)),
+            (e.b, f.closest_point(e.b)),
+            (e.closest_point(f.a), f.a),
+            (e.closest_point(f.b), f.b),
+        ]
+        .into_iter()
+        .min_by(|(a, b), (c, d)| a.dist(*b).total_cmp(&c.dist(*d)))
+        .expect("four candidates")
+    }
+
+    /// Where the boundaries of `p` and `q` meet, as this test constructs
+    /// it: for every pair of edges that intersect (`reach` 0) or come
+    /// within `reach` of each other, the midpoint of a closest pair of
+    /// their points — the shared point itself where they meet.
+    fn meeting_points(p: &Polygon, q: &Polygon, reach: f64) -> Vec<Point> {
+        let mut points = Vec::new();
+        for e in p.edges() {
+            for f in q.edges().filter(|f| e.mbr().min_dist(&f.mbr()) <= reach) {
+                let (a, b) = closest_points(&e, &f);
+                let meets = if reach == 0.0 {
+                    e.intersects(&f)
+                } else {
+                    a.dist(b) <= reach
+                };
+                if meets {
+                    points.push(a.lerp(b, 0.5));
+                }
+            }
+        }
+        points
+    }
+
+    /// The software oracle of `pred` on `(p, q)`.
+    fn oracle(pred: Predicate, p: &Polygon, q: &Polygon) -> bool {
+        match pred {
+            Predicate::Intersects => spatial_geom::polygons_intersect_brute(p, q),
+            Predicate::ContainedIn => spatial_geom::intersect::polygon_contained_in(p, q),
+            Predicate::WithinDistance(d) => spatial_geom::within_distance(p, q, d),
+        }
+    }
+
+    /// `pred` on `(p, q)` at every resolution: the tester's verdict is the
+    /// oracle's, every meeting point lies in the projection region (to a
+    /// rounding of its coordinates), and an empty region leaves none.
+    /// Returns how often the run boxes decided the pair.
+    fn assert_region_holds_meetings(pred: Predicate, p: &Polygon, q: &Polygon) -> usize {
+        let reach = match pred {
+            Predicate::WithinDistance(d) => d,
+            Predicate::Intersects | Predicate::ContainedIn => 0.0,
+        };
+        let points = meeting_points(p, q, reach);
+        let slack = |x: f64| 1e-9 * (1.0 + x.abs() + reach);
+        let mut decided = 0;
+        for resolution in [1, 4, 8, 16] {
+            let what = format!("{pred:?} at {resolution}: {:?} {:?}", p.mbr(), q.mbr());
+            let mut stats = TestStats::default();
+            let got =
+                HwTester::new(HwConfig::at_resolution(resolution)).test(pred, p, q, &mut stats);
+            assert_eq!(got, oracle(pred, p, q), "{what}");
+            decided += stats.decided_by_runs;
+            match window(RefineOp::Test(pred), p, q, resolution) {
+                Ok(w) => {
+                    let r = w.region;
+                    for m in &points {
+                        assert!(
+                            r.xmin - slack(m.x) <= m.x
+                                && m.x <= r.xmax + slack(m.x)
+                                && r.ymin - slack(m.y) <= m.y
+                                && m.y <= r.ymax + slack(m.y),
+                            "{what}: {m:?} outside {r:?}"
+                        );
+                    }
+                }
+                Err(NoWindow::Apart) => {
+                    // Apart proves the boundaries apart: a meeting point
+                    // this test found can only be a rounding at `reach`.
+                    let gap = p
+                        .edges()
+                        .flat_map(|e| q.edges().map(move |f| e.dist_segment(&f)))
+                        .fold(f64::INFINITY, f64::min);
+                    assert!(
+                        points.is_empty() || (reach > 0.0 && gap > reach - slack(reach)),
+                        "{what}: decided apart at a gap of {gap}"
+                    );
+                }
+                Err(NoWindow::Unfit) => {}
+            }
+        }
+        decided
+    }
+
+    /// Every predicate on `(p, q)` — containment both ways — and within
+    /// each distance of `ds`; returns how often the run boxes decided.
+    fn assert_every_predicate(p: &Polygon, q: &Polygon, ds: &[f64]) -> usize {
+        let mut decided = assert_region_holds_meetings(Predicate::Intersects, p, q);
+        decided += assert_region_holds_meetings(Predicate::ContainedIn, p, q);
+        decided += assert_region_holds_meetings(Predicate::ContainedIn, q, p);
+        for &d in ds {
+            decided += assert_region_holds_meetings(Predicate::WithinDistance(d), p, q);
+        }
+        decided
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(40))]
+
+        /// The projection region R holds every point two random boundaries
+        /// share and every midpoint of two boundary points within `d`, and
+        /// the hardware over R answers like the oracle — on rings from 64
+        /// to 300 vertices, which carry run boxes, against rings that do or
+        /// do not, overlapping, nested and apart.
+        #[test]
+        fn the_projection_region_holds_every_meeting_point(
+            (px, py) in (-10.0f64..10.0, -10.0f64..10.0),
+            p_radii in proptest::collection::vec(9.0f64..10.0, 64..300),
+            (qx, qy) in (-22.0f64..22.0, -22.0f64..22.0),
+            q_scale in 0.05f64..1.2,
+            q_radii in proptest::collection::vec(9.0f64..10.0, 3..300),
+            d in 0.0f64..6.0,
+        ) {
+            let q_radii: Vec<f64> = q_radii.iter().map(|r| r * q_scale).collect();
+            let (p, q) = (ring(px, py, &p_radii), ring(px + qx * q_scale.min(1.0), py + qy, &q_radii));
+            assert_every_predicate(&p, &q, &[0.0, d, d / 16.0]);
+        }
+    }
+
+    /// The same on the corpus's large-boundary pairs at the Figure 14/16
+    /// distances, on rings nested far enough that the run boxes decide
+    /// every predicate, and on the exact-touch family of `hw_distance`:
+    /// subdivided squares whose gap rounds to exactly `d`, and squares
+    /// that share part of a side or a corner.
+    #[test]
+    fn the_projection_region_holds_every_meeting_point_on_the_corpus_and_exact_touches() {
+        let (pairs, base_d) = corpus();
+        let ds: Vec<f64> = [0.25, 0.5, 1.0, 2.0, 4.0].map(|f| f * base_d).to_vec();
+        let mut decided = 0;
+        for (p, q) in pairs
+            .iter()
+            .filter(|(p, q)| p.vertex_count() * q.vertex_count() <= 200_000)
+        {
+            decided += assert_every_predicate(p, q, &ds);
+        }
+        assert!(decided > 0, "the run boxes decided no corpus pair");
+
+        // The run boxes decide intersection and both distances of the
+        // pocket pair (containment fails point-in-polygon or the MBR gate)
+        // and the nested rings' containment (point-in-polygon decides the
+        // rest), at every resolution.
+        let (c, ring) = pocket();
+        assert_eq!(assert_every_predicate(&c, &ring, &[0.0, 1.5]), 3 * 4);
+        let (outer, inner) = nested();
+        assert_eq!(assert_every_predicate(&outer, &inner, &[0.0, 1.5]), 4);
+
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            (state.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 11) as f64 / (1u64 << 53) as f64
+        };
+        for _ in 0..12 {
+            let x1b = 1.0 + 8.0 * next();
+            let x2a = x1b + 0.5 + 4.0 * next();
+            let d = x2a - x1b;
+            let (p, q) = (
+                square(x1b - 2.0, 0.0, 2.0, 25),
+                square(x2a, 3.0 * next(), 2.0, 25),
+            );
+            let below = f64::from_bits(d.to_bits() - 1);
+            assert_every_predicate(&p, &q, &[d, below, d.next_up()]);
+        }
+        let p = square(0.0, 0.0, 8.0, 20);
+        for q in [
+            square(8.0, 3.0, 8.0, 20),
+            square(8.0, 8.0, 8.0, 20),
+            square(3.0, 8.0, 2.0, 1),
+        ] {
+            assert_every_predicate(&p, &q, &[0.0, 0.5]);
+        }
+    }
+
+    /// A pair whose run boxes cannot meet is answered without a submission
+    /// — per pair and batched — and counted once a test in
+    /// `decided_by_runs`:
+    /// intersection and distance `false`, containment `true`.
+    #[test]
+    fn an_apart_pair_is_answered_without_a_submission() {
+        let ((c, ring), (outer, inner)) = (pocket(), nested());
+        let cases = [
+            (Predicate::Intersects, &c, &ring, false),
+            (Predicate::ContainedIn, &inner, &outer, true),
+            (Predicate::WithinDistance(1.5), &c, &ring, false),
+        ];
+        for (pred, p, q, expected) in cases {
+            let mut tester = HwTester::new(HwConfig::at_resolution(8));
+            let seen = tester.spy();
+            let mut stats = TestStats::default();
+            assert_eq!(tester.test(pred, p, q, &mut stats), expected, "{pred:?}");
+            assert_eq!(
+                tester.test_batch(pred, &[(p, q)], &mut stats),
+                vec![expected]
+            );
+            assert!(seen.lock().unwrap().is_empty(), "{pred:?}");
+            assert_eq!(stats.decided_by_runs, 2, "{pred:?}: {stats:?}");
+            assert_eq!(
+                (stats.hw_tests, stats.software_tests, stats.hw_batches),
+                (0, 0, 0),
+                "{pred:?}: {stats:?}"
+            );
         }
     }
 }

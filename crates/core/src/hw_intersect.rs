@@ -292,12 +292,38 @@ pub fn hw_intersects(p: &Polygon, q: &Polygon, cfg: HwConfig) -> bool {
 mod tests {
     use super::*;
     use spatial_geom::polygons_intersect_brute;
+    use spatial_raster::{DeviceError, DeviceKind, Execution};
+    use std::sync::{Arc, Mutex};
 
     impl HwTester {
-        /// Swaps the executing device of a one-shard tester, so a test can
-        /// observe submissions.
-        pub(crate) fn set_device(&mut self, device: Box<dyn RasterDevice>) {
-            self.devices = vec![device];
+        /// Swaps the executing device of a one-shard tester for a reference
+        /// device that also keeps the serialization of every list it is
+        /// handed, and returns that record, so a test can observe
+        /// submissions.
+        pub(crate) fn spy(&mut self) -> Arc<Mutex<Vec<String>>> {
+            let seen = Arc::default();
+            self.devices = vec![Box::new(Spy {
+                inner: DeviceKind::Reference.build(),
+                seen: Arc::clone(&seen),
+            })];
+            seen
+        }
+    }
+
+    #[derive(Debug)]
+    struct Spy {
+        inner: Box<dyn RasterDevice>,
+        seen: Arc<Mutex<Vec<String>>>,
+    }
+
+    impl RasterDevice for Spy {
+        fn execute(&mut self, list: &CommandList) -> Result<Execution, DeviceError> {
+            self.seen.lock().unwrap().push(list.serialize());
+            self.inner.execute(list)
+        }
+
+        fn snapshot(&self) -> Option<spatial_raster::FrameBuffer> {
+            self.inner.snapshot()
         }
     }
 

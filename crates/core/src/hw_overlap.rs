@@ -106,7 +106,7 @@ pub fn fill_rings(p: &Polygon, q: &Polygon, resolution: usize) -> Option<[Vec<Po
 
 /// The overlap count's projection window.
 fn overlap_window<'a>(p: &'a Polygon, q: &'a Polygon, resolution: usize) -> Option<Window<'a>> {
-    window(RefineOp::Measure { resolution }, p, q, resolution)
+    window(RefineOp::Measure { resolution }, p, q, resolution).ok()
 }
 
 impl HwTester {

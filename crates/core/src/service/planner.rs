@@ -21,8 +21,10 @@
 //!   without run boxes counts whole);
 //! * the hardware plan at resolution `r` costs the modeled GPU time of
 //!   the pair's list replayed at `r`, plus `step3(p, q)` when the replayed
-//!   Minmax scan does not reject the pair — or just `step3(p, q)`, the
-//!   tester's software fallback, when the pair has no window at `r`.
+//!   Minmax scan does not reject the pair — nothing when the run boxes
+//!   prove the pair apart, which the tester's prologue answers without a
+//!   submission, and just `step3(p, q)`, the tester's software fallback,
+//!   when the pair has no window at `r`.
 //!
 //! The hardware filter therefore pays only when the step-3 work its
 //! rejections save exceeds its GPU time. The batched variant is the same
@@ -51,7 +53,7 @@
 //! every backend is exact, so planning is purely a latency decision and
 //! a wrong estimate can never corrupt an answer.
 
-use crate::choreography::{list, window, Tape};
+use crate::choreography::{list, window, NoWindow, Tape};
 use crate::pipeline::{Predicate, RefineOp};
 use spatial_geom::Polygon;
 use spatial_raster::{CommandList, HwCostModel, RasterDevice, ReferenceDevice};
@@ -190,6 +192,17 @@ struct MemoKey {
     res_limit: u8,
 }
 
+/// What the hardware plan pays for one sampled pair at one resolution.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum PairPrice {
+    /// Its list replayed: the modeled GPU time and the step 3 after it.
+    Replayed { gpu: f64, step3: f64 },
+    /// Its run boxes decide it before any submission: nothing.
+    Apart,
+    /// No window at this resolution: the software fallback.
+    Unfit { step3: f64 },
+}
+
 #[derive(Debug)]
 pub(crate) struct Planner {
     cfg: PlannerConfig,
@@ -321,18 +334,26 @@ impl Planner {
             }
         };
         for r in resolutions {
-            // The sample's modeled GPU time, its windowed pairs, and the
-            // step 3 the hardware plan still runs.
-            let (mut gpu, mut windowed, mut confirm) = (0.0, 0usize, 0.0);
+            // The sample's modeled GPU time, its replayed pairs, the pairs
+            // the hardware plan can take at all, and the step 3 it still
+            // runs.
+            let (mut gpu, mut replayed, mut feasible, mut confirm) = (0.0, 0usize, 0usize, 0.0);
             for (&(p, q), &s3) in sample.iter().zip(&step3) {
-                let (pair_gpu, pair_confirm) = self.price_pair(&mut device, op, r, p, q, s3);
-                if let Some(pair_gpu) = pair_gpu {
-                    gpu += pair_gpu;
-                    windowed += 1;
+                match self.price_pair(&mut device, op, r, p, q, s3) {
+                    PairPrice::Replayed {
+                        gpu: pair_gpu,
+                        step3,
+                    } => {
+                        gpu += pair_gpu;
+                        replayed += 1;
+                        feasible += 1;
+                        confirm += step3;
+                    }
+                    PairPrice::Apart => feasible += 1,
+                    PairPrice::Unfit { step3 } => confirm += step3,
                 }
-                confirm += pair_confirm;
             }
-            if windowed == 0 {
+            if feasible == 0 {
                 // Hardware infeasible at this resolution (every sampled
                 // pair hit the width limit or had no projection window).
                 continue;
@@ -355,7 +376,7 @@ impl Planner {
                 continue;
             }
             let rounds = (candidates as u64).div_ceil(self.cfg.batch as u64) as f64;
-            let batched_total = scale * ((gpu - windowed as f64 * fixed).max(0.0) + confirm)
+            let batched_total = scale * ((gpu - replayed as f64 * fixed).max(0.0) + confirm)
                 + rounds * (fixed + self.model.batch_ns);
             if batched_total < best.0 {
                 best = (
@@ -386,13 +407,14 @@ impl Planner {
     }
 
     /// The hardware plan's cost of one pair at `resolution`, given its
-    /// software cost `step3`: the modeled GPU time of its replayed list
-    /// (`None` without a window) and the step 3 it still runs — `step3`
-    /// unless the replayed scan rejects the pair, and all of it, as the
-    /// tester's software fallback, without a window. An aggregation's
-    /// count is its answer: no step 3 follows a replay, and a pair without
-    /// a window has an empty or degenerate overlap that answers `0.0`
-    /// without either.
+    /// software cost `step3`: the modeled GPU time of its replayed list and
+    /// the step 3 that follows unless the replayed scan rejects the pair;
+    /// nothing for a pair whose run boxes prove it apart, which the
+    /// tester's prologue answers without a submission or a step 3; and
+    /// without a window, the tester's software fallback — all of `step3`.
+    /// An aggregation's count is its answer: no step 3 follows a replay,
+    /// and a pair without a window has an empty or degenerate overlap that
+    /// answers `0.0` without either.
     fn price_pair(
         &self,
         device: &mut ReferenceDevice,
@@ -401,12 +423,18 @@ impl Planner {
         p: &Polygon,
         q: &Polygon,
         step3: f64,
-    ) -> (Option<f64>, f64) {
-        let Some((list, slot)) = self.priced_tape(op, resolution, p, q) else {
-            return match op {
-                RefineOp::Measure { .. } => (None, 0.0),
-                RefineOp::Test(_) => (None, step3),
-            };
+    ) -> PairPrice {
+        let (list, slot) = match self.priced_tape(op, resolution, p, q) {
+            Ok(tape) => tape,
+            Err(NoWindow::Apart) => return PairPrice::Apart,
+            Err(NoWindow::Unfit) => {
+                return PairPrice::Unfit {
+                    step3: match op {
+                        RefineOp::Measure { .. } => 0.0,
+                        RefineOp::Test(_) => step3,
+                    },
+                }
+            }
         };
         let exec = device
             .execute(&list)
@@ -415,27 +443,27 @@ impl Planner {
             RefineOp::Measure { .. } => true,
             RefineOp::Test(_) => exec.max_red(slot).is_ok_and(|max| max < 1.0),
         };
-        (
-            Some(ns(self.model.time(&exec.stats))),
-            if rejected { 0.0 } else { step3 },
-        )
+        PairPrice::Replayed {
+            gpu: ns(self.model.time(&exec.stats)),
+            step3: if rejected { 0.0 } else { step3 },
+        }
     }
 
     /// The list [`Planner::price_pair`] replays and its verdict slot:
     /// exactly what a tester at `resolution` executes for the pair once
     /// its software prologue sends it to the device — same window, same
-    /// tape. Every sampled pair with a projection window is priced; the
-    /// prologue's point-in-polygon and threshold exits are the tester's
-    /// own.
+    /// tape — or why the tester submits nothing. Every sampled pair with a
+    /// projection window is priced; the prologue's point-in-polygon and
+    /// threshold exits are the tester's own.
     fn priced_tape(
         &self,
         op: RefineOp,
         resolution: usize,
         p: &Polygon,
         q: &Polygon,
-    ) -> Option<(CommandList, usize)> {
+    ) -> Result<(CommandList, usize), NoWindow> {
         let w = window(op, p, q, resolution)?;
-        Some(list(Tape::Pair(&w)))
+        Ok(list(Tape::Pair(&w)))
     }
 }
 
@@ -448,9 +476,7 @@ mod tests {
     use crate::pipeline::QuerySpec;
     use crate::stats::TestStats;
     use spatial_index::FilterConfig;
-    use spatial_raster::{
-        DeviceError, DeviceKind, Execution, FrameBuffer, OverlapStrategy, RasterDevice,
-    };
+    use spatial_raster::OverlapStrategy;
     use std::sync::{Arc, Mutex};
 
     const INTERSECTS: RefineOp = RefineOp::Test(Predicate::Intersects);
@@ -475,7 +501,9 @@ mod tests {
             p: &Polygon,
             q: &Polygon,
         ) -> Option<CommandList> {
-            self.priced_tape(op, resolution, p, q).map(|(list, _)| list)
+            self.priced_tape(op, resolution, p, q)
+                .ok()
+                .map(|(list, _)| list)
         }
     }
 
@@ -573,17 +601,33 @@ mod tests {
         assert_eq!(planned.choice, PlanChoice::Software);
     }
 
-    /// Two dense rings, one inside the other: their MBRs overlap, their
-    /// boundaries stay apart, and the outer ring never reaches the inner
-    /// one's MBR — a pair every window's scan rejects.
+    /// Two rings, one inside the other, their boundaries 2.0 apart: each
+    /// 32-edge run box of the 96-vertex outer ring spans a third of it and
+    /// reaches into the inner ring's MBR, so the run boxes cannot decide
+    /// the pair, and every window's scan rejects it.
     fn nested_rings() -> (Polygon, Polygon) {
-        (ring(5.0, 5.0, 4.0, 600), ring(5.0, 5.0, 2.0, 600))
+        (ring(5.0, 5.0, 4.0, 96), ring(5.0, 5.0, 2.0, 600))
+    }
+
+    /// Both facts `nested_rings` is for: at every configured resolution
+    /// the pair reaches the device — its run boxes meet inside the MBR
+    /// intersection — and the replayed scan rejects it.
+    fn assert_replayed_and_rejected(pl: &Planner, a: &Polygon, b: &Polygon) {
+        let device = &mut ReferenceDevice::new();
+        for &r in &pl.cfg.resolutions {
+            let price = pl.price_pair(device, INTERSECTS, r, a, b, 1.0);
+            assert!(
+                matches!(price, PairPrice::Replayed { step3: 0.0, .. }),
+                "at {r}: {price:?}"
+            );
+        }
     }
 
     #[test]
     fn complex_pairs_at_scale_cross_over_to_hardware() {
         let mut pl = Planner::new(PlannerConfig::default());
         let (a, b) = nested_rings();
+        assert_replayed_and_rejected(&pl, &a, &b);
         // The step 3 the scan's rejection saves (600 live edges) ≫ the
         // modeled raster cost at a small window.
         let planned = pl.plan(2, INTERSECTS, 10_000, &[(&a, &b)]);
@@ -610,6 +654,7 @@ mod tests {
     fn resolution_cap_prices_only_the_coarsest_windows() {
         let mut pl = Planner::new(PlannerConfig::default());
         let (a, b) = nested_rings();
+        assert_replayed_and_rejected(&pl, &a, &b);
         let capped = pl.plan_limited(2, INTERSECTS, 10_000, &[(&a, &b)], 1);
         match capped.choice {
             PlanChoice::Hardware { resolution, .. } => {
@@ -629,6 +674,36 @@ mod tests {
             pl.plan_limited(2, INTERSECTS, 10_000, &[(&a, &b)], 1)
                 .memo_hit
         );
+    }
+
+    /// A pair whose run boxes prove it apart costs the hardware plan
+    /// nothing: the tester's prologue answers it with no submission and no
+    /// step 3. (The 600-vertex outer ring's boxes never reach the inner
+    /// ring's MBR.) A sample of such pairs plans hardware however many
+    /// candidates stand behind it, and never batched — a batch would only
+    /// add its rounds' fixed cost.
+    #[test]
+    fn an_apart_pair_costs_the_hardware_plan_nothing() {
+        let (a, b) = (ring(5.0, 5.0, 4.0, 600), ring(5.0, 5.0, 2.0, 600));
+        let pl = Planner::new(PlannerConfig::default());
+        let step3 = Planner::step3_ns(INTERSECTS, &a, &b);
+        assert!(step3 > 0.0);
+        let device = &mut ReferenceDevice::new();
+        for &r in &pl.cfg.resolutions {
+            assert_eq!(
+                pl.price_pair(device, INTERSECTS, r, &a, &b, step3),
+                PairPrice::Apart
+            );
+        }
+        for candidates in [1, 64, 10_000] {
+            let mut pl = Planner::new(PlannerConfig::default());
+            let planned = pl.plan(2, INTERSECTS, candidates, &[(&a, &b)]);
+            let expected = PlanChoice::Hardware {
+                resolution: 4,
+                batch: 1,
+            };
+            assert_eq!(planned.choice, expected, "{candidates}");
+        }
     }
 
     /// Two crossing rings: the scan never rejects them, so the hardware
@@ -659,8 +734,14 @@ mod tests {
         assert!(step3 > 0.0);
         let device = &mut ReferenceDevice::new();
         // Over the line-width limit at 256 (see the test below), not at 4.
-        assert_eq!(pl.price_pair(device, op, 256, &a, &b, step3), (None, step3));
-        assert!(pl.price_pair(device, op, 4, &a, &b, step3).0.is_some());
+        assert_eq!(
+            pl.price_pair(device, op, 256, &a, &b, step3),
+            PairPrice::Unfit { step3 }
+        );
+        assert!(matches!(
+            pl.price_pair(device, op, 4, &a, &b, step3),
+            PairPrice::Replayed { .. }
+        ));
     }
 
     #[test]
@@ -683,25 +764,6 @@ mod tests {
             &[(&a, &b)],
         );
         assert_eq!(planned.choice, PlanChoice::Software);
-    }
-
-    /// A reference device that also keeps the serialization of every
-    /// list it was handed.
-    #[derive(Debug)]
-    struct Spy {
-        inner: Box<dyn RasterDevice>,
-        seen: Arc<Mutex<Vec<String>>>,
-    }
-
-    impl RasterDevice for Spy {
-        fn execute(&mut self, list: &CommandList) -> Result<Execution, DeviceError> {
-            self.seen.lock().unwrap().push(list.serialize());
-            self.inner.execute(list)
-        }
-
-        fn snapshot(&self) -> Option<FrameBuffer> {
-            self.inner.snapshot()
-        }
     }
 
     fn prepare(ds: spatial_datagen::Dataset) -> PreparedDataset {
@@ -736,11 +798,7 @@ mod tests {
                 RefineOp::Test(_) => 8,
             };
             let mut tester = HwTester::new(HwConfig::at_resolution(resolution));
-            let seen = Seen::default();
-            tester.set_device(Box::new(Spy {
-                inner: DeviceKind::Reference.build(),
-                seen: Arc::clone(&seen),
-            }));
+            let seen = tester.spy();
             check(spec, resolution, &mut tester, &seen);
         }
     }

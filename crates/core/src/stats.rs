@@ -8,6 +8,11 @@ use std::time::Duration;
 pub struct TestStats {
     /// Pairs decided by the software point-in-polygon step.
     pub decided_by_pip: usize,
+    /// Pairs the hardware prologue answered without a submission because
+    /// the run boxes of the two boundaries cannot meet (for a distance
+    /// test: come within `d`) anywhere in the projection region — the
+    /// region is empty (`choreography::window`).
+    pub decided_by_runs: usize,
     /// Pairs rejected by the hardware filter (the savings).
     pub rejected_by_hw: usize,
     /// Pairs that fell through to the software segment/distance test.
@@ -80,6 +85,7 @@ pub struct TestStats {
 impl TestStats {
     pub fn add(&mut self, o: &TestStats) {
         self.decided_by_pip += o.decided_by_pip;
+        self.decided_by_runs += o.decided_by_runs;
         self.rejected_by_hw += o.rejected_by_hw;
         self.software_tests += o.software_tests;
         self.skipped_by_threshold += o.skipped_by_threshold;
@@ -182,6 +188,7 @@ mod tests {
         let mut t = TestStats::default();
         let other = TestStats {
             decided_by_pip: 1,
+            decided_by_runs: 2,
             rejected_by_hw: 2,
             software_tests: 3,
             skipped_by_threshold: 4,
@@ -208,6 +215,7 @@ mod tests {
         t.add(&other);
         t.add(&other);
         assert_eq!(t.rejected_by_hw, 4);
+        assert_eq!(t.decided_by_runs, 4);
         assert_eq!(t.hw_tests, 12);
         assert_eq!(t.overlap_tests, 10);
         assert_eq!(t.fallback_tests, 4);

@@ -192,6 +192,7 @@ proptest! {
             );
             // Pre-hardware routing cannot see the chaos.
             prop_assert_eq!(ct.decided_by_pip, ft.decided_by_pip, "{}", name);
+            prop_assert_eq!(ct.decided_by_runs, ft.decided_by_runs, "{}", name);
             prop_assert_eq!(ct.skipped_by_threshold, ft.skipped_by_threshold, "{}", name);
             prop_assert_eq!(c.1.candidates, f.1.candidates, "{}", name);
             prop_assert_eq!(c.1.results, f.1.results, "{}", name);

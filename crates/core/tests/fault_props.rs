@@ -110,6 +110,7 @@ proptest! {
             );
             // Routing (pre-hardware) counters cannot see the faults.
             prop_assert_eq!(ct.decided_by_pip, ft.decided_by_pip, "{}", name);
+            prop_assert_eq!(ct.decided_by_runs, ft.decided_by_runs, "{}", name);
             prop_assert_eq!(ct.skipped_by_threshold, ft.skipped_by_threshold, "{}", name);
             prop_assert_eq!(ct.width_limit_fallbacks, ft.width_limit_fallbacks, "{}", name);
             prop_assert_eq!(c.1.candidates, f.1.candidates, "{}", name);

@@ -12,12 +12,13 @@
 //! (hw_tests vs software_tests) legitimately differ — that is the whole
 //! point of planning — and are not compared.
 
+use hwa_core::hw_intersect::HwTester;
 use hwa_core::service::{
     PlannerConfig, PlannerMode, QueryEngine, QueryRequest, ServiceConfig, ServiceSnapshot,
 };
 use hwa_core::{
     CostBreakdown, DeviceKind, EngineConfig, FaultKind, FaultPlan, FaultTrigger, HwConfig,
-    PreparedDataset,
+    PreparedDataset, TestStats,
 };
 use proptest::prelude::*;
 
@@ -213,7 +214,7 @@ fn adaptive_planner_uses_both_backends() {
     assert!(stats.balanced());
     assert_eq!(stats.plan_cache_hits, 1);
 
-    // A join over dense many-vertex rings, each of the second set nested
+    // A join over many-vertex rings, each of the second set nested
     // inside every ring of the first with boundaries apart: the step 3
     // the scan's rejections save (~live edges × the step-3 rate per
     // pair) dwarfs the modeled raster cost, so the planner must cross
@@ -227,12 +228,31 @@ fn adaptive_planner_uses_both_backends() {
             .collect();
         spatial_geom::Polygon::from_coords(&pts)
     };
-    let dense_a: Vec<_> = (0..6)
-        .map(|i| ring(i as f64 * 0.5, 0.0, 4.0, 400))
-        .collect();
+    let dense_a: Vec<_> = (0..6).map(|i| ring(i as f64 * 0.5, 0.0, 4.0, 96)).collect();
     let dense_b: Vec<_> = (0..6)
         .map(|i| ring(i as f64 * 0.5, 0.0, 1.0, 400))
         .collect();
+    // Both facts the pairs are for: a 32-edge run box of each outer ring
+    // spans a third of it and reaches into the inner ring's MBR — the MBR
+    // intersection — so the run boxes cannot decide a pair; and at every
+    // priced resolution the scan over the region the boxes leave rejects
+    // it (seen through the containment test, whose prologue reaches the
+    // device where intersection's point-in-polygon answers first).
+    for (a, b) in dense_a
+        .iter()
+        .flat_map(|a| dense_b.iter().map(move |b| (a, b)))
+    {
+        assert!(a.runs().any(|(_, run)| run.intersects(&b.mbr())));
+        for &r in &PlannerConfig::default().resolutions {
+            let mut stats = TestStats::default();
+            assert!(HwTester::new(HwConfig::at_resolution(r)).contained_in(b, a, &mut stats));
+            assert_eq!(
+                (stats.decided_by_runs, stats.rejected_by_hw),
+                (0, 1),
+                "at {r}"
+            );
+        }
+    }
     let dense = QueryEngine::new(
         ServiceConfig {
             base: EngineConfig::hardware(HwConfig::at_resolution(8).with_threshold(0)),

@@ -2,8 +2,10 @@
 //!
 //! §3.2 of the paper: "Another factor that has a large impact on
 //! performance is the projection of the data space to the rendering
-//! window" — for intersection tests the MBR-intersection region is
-//! projected, for distance tests the expanded MBR of the smaller object.
+//! window" — the paper projects the MBR intersection for intersection
+//! tests and the expanded MBR of the smaller object for distance tests;
+//! `hwa-core` projects the part of that region the run boxes of both
+//! boundaries can meet in, and the MBR intersection for the overlap count.
 //! Those *policies* live in `hwa-core`; this module provides the mechanism:
 //! an affine map from a data-space rectangle onto the pixel grid.
 
@@ -28,21 +30,24 @@ impl Viewport {
     ///
     /// Degenerate regions (zero width/height, e.g. the MBR of an
     /// axis-aligned sliver) are inflated to a tiny positive extent so the
-    /// transform stays finite.
+    /// transform stays finite: `MIN_EXTENT` where the coordinate can hold
+    /// it, one ulp where it cannot — from 2¹⁴ up, half an ulp exceeds
+    /// `MIN_EXTENT` and `min + MIN_EXTENT` rounds back to `min`.
     pub fn new(region: Rect, width: usize, height: usize) -> Self {
         assert!(
             width > 0 && height > 0,
             "window must have at least one pixel"
         );
         assert!(!region.is_empty(), "cannot project an empty region");
-        let mut region = region;
         const MIN_EXTENT: f64 = 1e-12;
-        if region.width() < MIN_EXTENT {
-            region.xmax = region.xmin + MIN_EXTENT;
-        }
-        if region.height() < MIN_EXTENT {
-            region.ymax = region.ymin + MIN_EXTENT;
-        }
+        let inflated = |min: f64, max: f64| match max - min {
+            extent if extent >= MIN_EXTENT => max,
+            _ if min + MIN_EXTENT > min => min + MIN_EXTENT,
+            _ => min.next_up(),
+        };
+        let mut region = region;
+        region.xmax = inflated(region.xmin, region.xmax);
+        region.ymax = inflated(region.ymin, region.ymax);
         Viewport {
             region,
             width,
@@ -149,6 +154,20 @@ mod tests {
         let w = vp.to_window(Point::new(5.0, 7.0));
         assert!(w.x.is_finite() && w.y.is_finite());
         assert_eq!(w.y, 2.0);
+    }
+
+    /// Past 2¹⁴ a zero extent cannot take `1e-12`: it widens by one ulp,
+    /// and the scale stays finite. Below, the inflation is unchanged.
+    #[test]
+    fn degenerate_region_far_from_the_origin_is_inflated() {
+        for x in [16_393.0, 2e4, 1e5, -1e5, 1e7] {
+            let vp = Viewport::new(Rect::new(x, 5.0, x, 9.0), 8, 8);
+            assert_eq!(vp.region().xmax, f64::next_up(x), "{x}");
+            assert!(vp.scale_x().is_finite(), "{x}");
+            assert_eq!(vp.to_window(Point::new(x, 7.0)), Point::new(0.0, 4.0));
+        }
+        let vp = Viewport::new(Rect::new(5.0, 5.0, 5.0, 9.0), 4, 4);
+        assert_eq!(vp.region().xmax, 5.0 + 1e-12);
     }
 
     #[test]

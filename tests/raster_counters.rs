@@ -117,14 +117,37 @@ fn hardware_joins_charge_exactly_the_pinned_ledger() {
         // rows, pixels, fragments, scans, draws, readbacks — is the one
         // pinned at 28944a5; the overlap count submits fills and did not
         // move.
+        //
+        // Re-pinned a second time, deliberately, when the boolean tests
+        // began to project the hull of the run boxes that can meet instead
+        // of the MBR intersection (`choreography::projection`): 7 of the
+        // 17 intersection pairs and 3 of the 14 distance pairs are now
+        // answered by the run boxes with no submission, one more distance
+        // pair falls back to software on the Equation (1) width limit (a
+        // smaller region needs a wider line), and the rest render a window
+        // no larger than before. Rows and row hashes did
+        // not move; every boolean counter did, and the overlap count, whose
+        // grid is part of its answer, did not:
+        //
+        //   intersection, per pair   pixels written 4 474 → 3 629,
+        //     fragments 6 380 → 5 351, scanned 7 616 → 4 480, primitives
+        //     3 103 → 2 800, draws 34 → 20, readbacks 17 → 10,
+        //     gpu_modeled_ns 25 549 → 15 384;
+        //   intersection, atlas      the same pixels, fragments and
+        //     primitives, scanned 13 356 → 8 176, draws, readbacks and
+        //     batches held at 4, 2 and 2, gpu_modeled_ns 10 101 → 7 865;
+        //   within-distance          pixels written 53 632 → 44 530,
+        //     fragments 69 421 → 57 950, scanned 6 272 → 4 480, primitives
+        //     16 498 → 13 032, draws 56 → 40, readbacks 14 → 10,
+        //     gpu_modeled_ns 37 246 → 27 689.
         [
             (
                 "intersection, per pair",
                 expect(
                     21,
                     15094090820308535126,
-                    [4474, 6380, 7616, 3103, 34, 17, 0],
-                    25549
+                    [3629, 5351, 4480, 2800, 20, 10, 0],
+                    15384
                 )
             ),
             (
@@ -132,8 +155,8 @@ fn hardware_joins_charge_exactly_the_pinned_ledger() {
                 expect(
                     21,
                     15094090820308535126,
-                    [4474, 6380, 13356, 3103, 4, 2, 2],
-                    10101
+                    [3629, 5351, 8176, 2800, 4, 2, 2],
+                    7865
                 )
             ),
             (
@@ -141,8 +164,8 @@ fn hardware_joins_charge_exactly_the_pinned_ledger() {
                 expect(
                     59,
                     8698787990472492212,
-                    [53632, 69421, 6272, 16498, 56, 14, 0],
-                    37246
+                    [44530, 57950, 4480, 13032, 40, 10, 0],
+                    27689
                 )
             ),
             (
