@@ -4,9 +4,8 @@
 //! identical rows — "the hardware path is a pure optimization", checked
 //! at workload scale. Exits 1 on any disagreement.
 //!
-//! Everything else that may not change a row (batching, threads, filter
-//! knobs, faults, failover across the device pool's shards, the planner,
-//! brownouts) is stated by the test suites at a fixed small scale:
+//! Everything else that may not change a row (batching, faults, failover
+//! across the device pool's shards, the planner, brownouts) is stated by the test suites at a fixed small scale:
 //! `cargo test --workspace`.
 
 use hwa_core::engine::GeometryTest;

@@ -8,9 +8,8 @@
 //! [`QuerySpec`] — which owns the stage-1 candidate enumeration, the
 //! intermediate filter chain and the predicate — execute it, shape the
 //! rows. The refinement backend (software sweep, or hardware
-//! Algorithm 3.1 with its software threshold), batched hardware
-//! submission and parallel refinement all live behind
-//! [`crate::pipeline`]; the benches drive each figure of §4 by sweeping
+//! Algorithm 3.1 with its software threshold) and batched hardware
+//! submission live behind [`crate::pipeline`]; the benches drive each figure of §4 by sweeping
 //! one [`EngineConfig`] knob.
 
 use crate::config::HwConfig;
@@ -21,8 +20,8 @@ use crate::pipeline::{
 };
 use crate::stats::CostBreakdown;
 use spatial_geom::Polygon;
-use spatial_index::{FilterConfig, RTree};
-use spatial_raster::DeviceKind;
+use spatial_index::RTree;
+use spatial_raster::{DeviceKind, MAX_WINDOW_SIDE};
 use std::fmt;
 
 /// How the geometry-comparison stage decides candidate pairs.
@@ -55,18 +54,6 @@ pub struct EngineConfig {
     /// many pairs as cells of one atlas batch, amortizing the per-pair
     /// draw-call and Minmax fixed costs without changing any result.
     pub hw_batch: usize,
-    /// Worker threads for the geometry-comparison stage. `1` (the
-    /// default, and the paper's setting) refines sequentially; more
-    /// threads split the surviving candidates deterministically —
-    /// results and merged counters are bit-identical to sequential.
-    pub refine_threads: usize,
-    /// Worker threads for the stage-1 MBR filter: tree joins are split
-    /// into fixed-size page-pair work units pulled by this many workers
-    /// and merged back in unit order, so the candidate *sequence* — which
-    /// the intermediate filter chain depends on — is bit-identical to the
-    /// sequential traversal. `1` (the default) traverses on the calling
-    /// thread; selections are single-probe and always do.
-    pub filter_threads: usize,
     /// Which raster device each shard executes the recorded command lists
     /// on. [`DeviceKind::Reference`] (the default) is the one executor;
     /// [`DeviceKind::Fault`] wraps it in a seeded deterministic fault
@@ -94,8 +81,6 @@ impl Default for EngineConfig {
             interior_filter_level: None,
             use_object_filters: false,
             hw_batch: 1,
-            refine_threads: 1,
-            filter_threads: 1,
             device: DeviceKind::Reference,
             recovery: RecoveryPolicy::default(),
             shards: 1,
@@ -110,20 +95,21 @@ pub enum ConfigError {
     /// `hw.resolution` is 0: a hardware test would have no pixel to draw
     /// into.
     ZeroResolution,
+    /// `hw.resolution` exceeds `spatial_raster::MAX_WINDOW_SIDE`: the
+    /// first hardware test would allocate a frame of 9 bytes per pixel
+    /// of its square.
+    ResolutionTooLarge,
     /// `hw_batch` is 0: the executor could never submit anything.
     ZeroBatch,
-    /// `refine_threads` is 0: no worker would ever refine a candidate.
-    ZeroThreads,
-    /// `filter_threads` is 0: no worker would ever pull a filter work
-    /// unit.
-    ZeroFilterThreads,
     /// `shards` is 0: no shard could ever execute a submission.
     ZeroShards,
     /// `ServiceConfig::admission_capacity` is 0: every query would be
     /// rejected at the door.
     ZeroAdmissionCapacity,
-    /// `PlannerConfig::resolutions` is empty or contains a zero: the
-    /// planner would have no (usable) hardware plan to price.
+    /// `PlannerConfig::resolutions` is empty, contains a zero or an entry
+    /// over `spatial_raster::MAX_WINDOW_SIDE`: the planner would have no
+    /// usable hardware plan to price, or would price one whose frame
+    /// cannot be allocated.
     BadPlannerResolutions,
     /// `PlannerConfig::sample` is 0: the planner could never price a
     /// candidate pair.
@@ -154,13 +140,12 @@ impl fmt::Display for ConfigError {
                 f,
                 "invalid EngineConfig: hw.resolution = 0 (a window needs ≥ 1 pixel)"
             ),
+            ConfigError::ResolutionTooLarge => write!(
+                f,
+                "invalid EngineConfig: hw.resolution > {MAX_WINDOW_SIDE} (MAX_WINDOW_SIDE, the \
+                 largest window side a device allocates)"
+            ),
             ConfigError::ZeroBatch => write!(f, "invalid EngineConfig: hw_batch = 0 (must be ≥ 1)"),
-            ConfigError::ZeroThreads => {
-                write!(f, "invalid EngineConfig: refine_threads = 0 (must be ≥ 1)")
-            }
-            ConfigError::ZeroFilterThreads => {
-                write!(f, "invalid EngineConfig: filter_threads = 0 (must be ≥ 1)")
-            }
             ConfigError::ZeroShards => {
                 write!(f, "invalid EngineConfig: shards = 0 (must be ≥ 1)")
             }
@@ -170,8 +155,9 @@ impl fmt::Display for ConfigError {
             ),
             ConfigError::BadPlannerResolutions => write!(
                 f,
-                "invalid ServiceConfig: planner.resolutions is empty or contains 0 (the planner \
-                 needs ≥ 1 non-zero window resolution to price)"
+                "invalid ServiceConfig: planner.resolutions is empty or contains 0 or an entry > \
+                 {MAX_WINDOW_SIDE} (the planner needs ≥ 1 window resolution in \
+                 1..=MAX_WINDOW_SIDE to price)"
             ),
             ConfigError::ZeroPlannerSample => {
                 write!(f, "invalid ServiceConfig: planner.sample = 0 (must be ≥ 1)")
@@ -213,21 +199,19 @@ impl EngineConfig {
     }
 
     /// Structural validation, run by [`SpatialEngine::new`] /
-    /// [`SpatialEngine::try_new`] before any backend is built: zero batch
-    /// sizes, zero thread counts, a zero shard count and a zero probation
-    /// cool-down are configuration bugs, not values to clamp quietly.
+    /// [`SpatialEngine::try_new`] before any backend is built: a window
+    /// resolution outside `1..=MAX_WINDOW_SIDE`, a zero batch size, a zero
+    /// shard count and a zero probation cool-down are configuration bugs,
+    /// not values to clamp quietly.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.hw.resolution == 0 {
             return Err(ConfigError::ZeroResolution);
         }
+        if self.hw.resolution > MAX_WINDOW_SIDE {
+            return Err(ConfigError::ResolutionTooLarge);
+        }
         if self.hw_batch == 0 {
             return Err(ConfigError::ZeroBatch);
-        }
-        if self.refine_threads == 0 {
-            return Err(ConfigError::ZeroThreads);
-        }
-        if self.filter_threads == 0 {
-            return Err(ConfigError::ZeroFilterThreads);
         }
         if self.shards == 0 {
             return Err(ConfigError::ZeroShards);
@@ -289,14 +273,6 @@ pub(crate) fn build_backend(config: &EngineConfig) -> Box<dyn RefinementBackend>
     ))
 }
 
-/// The stage-1 knobs in the index crate's terms.
-pub(crate) fn filter_config(config: &EngineConfig) -> FilterConfig {
-    FilterConfig {
-        threads: config.filter_threads,
-        ..FilterConfig::default()
-    }
-}
-
 /// The query engine.
 #[derive(Debug)]
 pub struct SpatialEngine {
@@ -335,7 +311,7 @@ impl SpatialEngine {
 
     /// Runs `spec` end to end: stage 1 once, then stages 2–3 on it.
     fn execute<O: Verdict>(&mut self, spec: QuerySpec<'_>) -> (Vec<(Cand, O)>, CostBreakdown) {
-        let stage1 = spec.stage1(&filter_config(&self.config));
+        let stage1 = spec.stage1();
         spec.execute(&self.config, self.backend.as_mut(), stage1)
     }
 
@@ -392,8 +368,8 @@ impl SpatialEngine {
     /// The query's resolution is its own parameter (it sets the
     /// quantization of the *answer*, not of a filter); the configured
     /// `hw.resolution` keeps tuning only the boolean choreographies.
-    /// Rows and areas are bit-identical across backends, devices, shards,
-    /// threads and seeded fault plans.
+    /// Rows and areas are bit-identical across backends, devices, shards
+    /// and seeded fault plans.
     pub fn overlap_area_join(
         &mut self,
         a: &PreparedDataset,
@@ -545,20 +521,19 @@ mod tests {
     }
 
     #[test]
-    fn overlap_join_is_invariant_across_shards_and_threads() {
+    fn overlap_join_is_invariant_across_shards() {
         let (a, b) = tiny_pair();
         let base_cfg = EngineConfig::hardware(HwConfig::at_resolution(8));
         let mut base_engine = SpatialEngine::new(base_cfg.clone());
         let (base, base_cost) = base_engine.overlap_area_join(&a, &b, 16);
         assert!(!base.is_empty());
-        for (shards, threads) in [(2, 1), (3, 4), (1, 4)] {
+        for shards in [2, 3] {
             let mut e = SpatialEngine::new(EngineConfig {
                 shards,
-                refine_threads: threads,
                 ..base_cfg.clone()
             });
             let (rows, cost) = e.overlap_area_join(&a, &b, 16);
-            assert_eq!(rows.len(), base.len(), "s{shards} t{threads}");
+            assert_eq!(rows.len(), base.len(), "s{shards}");
             for ((i, j, ar), (bi, bj, br)) in rows.iter().zip(&base) {
                 assert_eq!((i, j), (bi, bj));
                 assert_eq!(ar.to_bits(), br.to_bits(), "pair ({i},{j}) drifted");
@@ -659,10 +634,10 @@ mod tests {
         assert!(cost.tests.hw_tests + cost.tests.software_tests + cost.tests.decided_by_pip > 0);
     }
 
-    /// Every pipeline, every backend, batched + threaded: identical
-    /// results to the paper-faithful per-pair sequential engine.
+    /// Every pipeline, every backend, batched: identical results to the
+    /// paper-faithful per-pair engine.
     #[test]
-    fn batched_parallel_engine_matches_default_on_all_pipelines() {
+    fn batched_engine_matches_default_on_all_pipelines() {
         let (a, b) = tiny_pair();
         let queries = spatial_datagen::states50(13);
         let q = &queries.polygons[0];
@@ -675,7 +650,6 @@ mod tests {
             let mut plain = SpatialEngine::new(base.clone());
             let mut tuned = SpatialEngine::new(EngineConfig {
                 hw_batch: 32,
-                refine_threads: 4,
                 ..base
             });
             let (s1, _) = plain.intersection_selection(&a, q);
@@ -710,19 +684,6 @@ mod tests {
             SpatialEngine::try_new(zero_batch).err(),
             Some(ConfigError::ZeroBatch)
         );
-        let zero_threads = EngineConfig {
-            refine_threads: 0,
-            ..EngineConfig::software()
-        };
-        assert_eq!(zero_threads.validate(), Err(ConfigError::ZeroThreads));
-        let zero_filter_threads = EngineConfig {
-            filter_threads: 0,
-            ..EngineConfig::software()
-        };
-        assert_eq!(
-            zero_filter_threads.validate(),
-            Err(ConfigError::ZeroFilterThreads)
-        );
         let zero_shards = EngineConfig {
             shards: 0,
             ..EngineConfig::software()
@@ -756,9 +717,8 @@ mod tests {
     fn config_error_messages_name_the_offending_field() {
         let cases = [
             (ConfigError::ZeroResolution, "hw.resolution = 0"),
+            (ConfigError::ResolutionTooLarge, "hw.resolution > 4096"),
             (ConfigError::ZeroBatch, "hw_batch = 0"),
-            (ConfigError::ZeroThreads, "refine_threads = 0"),
-            (ConfigError::ZeroFilterThreads, "filter_threads = 0"),
             (ConfigError::ZeroShards, "shards = 0"),
             (ConfigError::ZeroAdmissionCapacity, "admission_capacity = 0"),
             (ConfigError::BadPlannerResolutions, "planner.resolutions"),
@@ -777,50 +737,6 @@ mod tests {
                 msg.contains(needle) && msg.starts_with("invalid "),
                 "{err:?} renders {msg:?}, expected it to mention {needle:?}"
             );
-        }
-    }
-
-    /// The stage-1 knobs never change observable behaviour: sequential
-    /// and threaded filtering return identical results, identical
-    /// candidate counts and identical deterministic counters
-    /// (`node_tests` included) on all four pipelines — only the
-    /// scheduling diagnostic `filter_work_units` moves.
-    #[test]
-    fn filter_configs_do_not_change_results_or_counters() {
-        let (a, b) = tiny_pair();
-        let queries = spatial_datagen::states50(14);
-        let q = &queries.polygons[0];
-        let d = avg_extent(&a).min(avg_extent(&b)) * 0.5;
-        let base = EngineConfig::hardware(HwConfig::at_resolution(8));
-        let mut reference = SpatialEngine::new(base.clone());
-        let (s0, sc0) = reference.intersection_selection(&a, q);
-        let (c0, cc0) = reference.containment_selection(&a, q);
-        let (j0, jc0) = reference.intersection_join(&a, &b);
-        let (w0, wc0) = reference.within_distance_join(&a, &b, d);
-        assert!(jc0.node_tests > 0);
-        for filter_threads in [1usize, 4] {
-            let mut e = SpatialEngine::new(EngineConfig {
-                filter_threads,
-                ..base.clone()
-            });
-            let tag = format!("threads={filter_threads}");
-            let (s, sc) = e.intersection_selection(&a, q);
-            assert_eq!(s, s0, "{tag}");
-            assert_eq!(sc.candidates, sc0.candidates, "{tag}");
-            assert_eq!(sc.node_tests, sc0.node_tests, "{tag}");
-            let (c, cc) = e.containment_selection(&a, q);
-            assert_eq!(c, c0, "{tag}");
-            assert_eq!(cc.node_tests, cc0.node_tests, "{tag}");
-            let (j, jc) = e.intersection_join(&a, &b);
-            assert_eq!(j, j0, "{tag}");
-            assert_eq!(jc.candidates, jc0.candidates, "{tag}");
-            assert_eq!(jc.node_tests, jc0.node_tests, "{tag}");
-            assert_eq!(jc.tests.hw_tests, jc0.tests.hw_tests, "{tag}");
-            let (w, wc) = e.within_distance_join(&a, &b, d);
-            assert_eq!(w, w0, "{tag}");
-            assert_eq!(wc.candidates, wc0.candidates, "{tag}");
-            assert_eq!(wc.node_tests, wc0.node_tests, "{tag}");
-            assert_eq!(wc.filter_hits, wc0.filter_hits, "{tag}");
         }
     }
 

@@ -19,8 +19,7 @@
 //! clears, accumulates and scans its gutters too, which is why a one-cell
 //! atlas is *not* the per-pair test and both recordings exist) and
 //! `batches`/`hw_batches` — and are a pure function of the batch
-//! contents, which is what makes the parallel refinement's merged
-//! statistics independent of the thread count.
+//! contents.
 //!
 //! Batches use the accumulation-buffer choreography of the per-pair
 //! path (the paper's).

@@ -54,7 +54,6 @@ use std::time::Instant;
 #[derive(Debug)]
 pub struct HwTester {
     cfg: HwConfig,
-    device_kind: DeviceKind,
     /// The shard pool: device `i` is built from `device_kind.for_shard(i)`.
     devices: Vec<Box<dyn RasterDevice>>,
     model: HwCostModel,
@@ -82,61 +81,14 @@ impl HwTester {
             .collect();
         HwTester {
             cfg,
-            device_kind,
             supervisor: Supervisor::new(policy, devices.len()),
             devices,
             model: HwCostModel::default(),
         }
     }
 
-    /// Overrides the simulated-hardware cost model (sensitivity benches).
-    pub fn set_cost_model(&mut self, model: HwCostModel) {
-        self.model = model;
-    }
-
     pub fn config(&self) -> HwConfig {
         self.cfg
-    }
-
-    /// Replaces the configuration (the `sw_threshold` sweep of Figure 13
-    /// retunes a live tester).
-    pub fn set_config(&mut self, cfg: HwConfig) {
-        self.cfg = cfg;
-    }
-
-    /// Replaces the retry/quarantine policy (and resets breaker state).
-    pub fn set_recovery_policy(&mut self, policy: RecoveryPolicy) {
-        self.supervisor = Supervisor::new(policy, self.devices.len());
-    }
-
-    /// Whether every device shard's circuit breaker has opened, routing
-    /// this tester entirely to software (until a probation probe
-    /// reinstates a shard, when probation is configured).
-    pub fn is_quarantined(&self) -> bool {
-        self.supervisor.is_quarantined()
-    }
-
-    /// How many device shards currently sit behind an open breaker.
-    pub fn open_shards(&self) -> usize {
-        self.supervisor.open_shards()
-    }
-
-    /// An independent tester for a parallel refinement worker: same
-    /// configuration, device selection, shard count and cost model, its
-    /// own device pool. It adopts this tester's supervision state — per-shard
-    /// breaker verdicts and the modeled probation clock — so a worker
-    /// never re-pays the full retry/backoff ladder for a shard its parent
-    /// already proved dead.
-    pub fn fork(&self) -> HwTester {
-        let mut t = HwTester::with_device_and_policy(
-            self.cfg,
-            self.device_kind,
-            self.devices.len(),
-            self.supervisor.policy(),
-        );
-        t.model = self.model;
-        t.supervisor = self.supervisor.clone();
-        t
     }
 
     /// Renders `tape` under supervision and reads its verdict with

@@ -3,9 +3,7 @@
 //!
 //! Both backends answer the same [`Predicate`] exactly — the paper's
 //! exactness invariant — and differ only in *how*: which pairs touch the
-//! simulated hardware and what that costs. `fork` hands each parallel
-//! refinement worker an independent instance (its own rendering context),
-//! so workers never contend and per-worker counters merge deterministically.
+//! simulated hardware and what that costs.
 
 use super::Predicate;
 use crate::hw_intersect::HwTester;
@@ -18,8 +16,8 @@ use spatial_geom::{MinDistStats, Polygon};
 ///
 /// Implementations must be deterministic: the booleans and every counter
 /// they record may depend only on the arguments, never on call order or
-/// shared mutable state — that is what makes `threads = N` refinement
-/// bit-identical to sequential.
+/// shared mutable state — that is what makes batched refinement
+/// bit-identical to per-pair refinement.
 pub trait RefinementBackend: Send + std::fmt::Debug {
     /// Decides one candidate pair.
     fn test(&mut self, pred: Predicate, p: &Polygon, q: &Polygon, stats: &mut TestStats) -> bool;
@@ -59,10 +57,6 @@ pub trait RefinementBackend: Send + std::fmt::Debug {
         }
         crate::hw_overlap::sw_overlap_area(p, q, resolution)
     }
-
-    /// An independent backend with the same configuration, for a parallel
-    /// refinement worker.
-    fn fork(&self) -> Box<dyn RefinementBackend>;
 }
 
 /// Pure software refinement: the paper's baseline curves. A boundary
@@ -87,10 +81,6 @@ impl RefinementBackend for SoftwareBackend {
                 within_distance_with(p, q, d, &mut st)
             }
         }
-    }
-
-    fn fork(&self) -> Box<dyn RefinementBackend> {
-        Box::new(SoftwareBackend)
     }
 }
 
@@ -122,10 +112,6 @@ impl RefinementBackend for HwTester {
         stats: &mut TestStats,
     ) -> f64 {
         self.overlap_area(p, q, resolution, stats)
-    }
-
-    fn fork(&self) -> Box<dyn RefinementBackend> {
-        Box::new(HwTester::fork(self))
     }
 }
 
@@ -248,23 +234,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn forked_backend_behaves_identically() {
-        let polys: Vec<Polygon> = (0..4).map(|i| square(i as f64, 0.0, 1.4)).collect();
-        let pairs: Vec<(&Polygon, &Polygon)> =
-            (1..polys.len()).map(|i| (&polys[0], &polys[i])).collect();
-        let mut orig: Box<dyn RefinementBackend> =
-            Box::new(HwTester::new(HwConfig::at_resolution(8)));
-        let mut forked = orig.fork();
-        let mut s1 = TestStats::default();
-        let mut s2 = TestStats::default();
-        let r1 = orig.test_batch(Predicate::Intersects, &pairs, &mut s1);
-        let r2 = forked.test_batch(Predicate::Intersects, &pairs, &mut s2);
-        assert_eq!(r1, r2);
-        assert_eq!(s1.hw.draw_calls, s2.hw.draw_calls);
-        assert_eq!(s1.hw.fragments_tested, s2.hw.fragments_tested);
-    }
-
     /// A tester's history never changes what it answers or what hardware
     /// work it charges: the same batch through a reused tester and
     /// through fresh testers is identical.
@@ -300,56 +269,6 @@ mod tests {
             assert_eq!(s1.hw, s2.hw, "charged hardware work must be identical");
             assert_eq!(s1.gpu_modeled, s2.gpu_modeled);
         }
-    }
-
-    /// Regression: forks used to start with a fresh (un-quarantined)
-    /// supervisor, so every parallel refinement worker re-paid the full
-    /// retry/backoff ladder for a shard the parent had already proved
-    /// dead. A fork must adopt the parent's per-shard verdicts and fail
-    /// over immediately.
-    #[test]
-    fn fork_inherits_the_parents_shard_verdicts() {
-        use crate::pipeline::RecoveryPolicy;
-        use spatial_raster::{DeviceKind, FaultKind, FaultPlan, FaultTrigger};
-        // Diagonal slabs: overlapping MBRs, no contained vertices — the
-        // pair survives the software prologue and reaches the hardware.
-        let p = Polygon::from_coords(&[(0.0, 0.0), (2.0, 0.0), (10.0, 8.0), (8.0, 8.0)]);
-        let q = Polygon::from_coords(&[(2.5, 0.0), (4.5, 0.0), (12.5, 8.0), (10.5, 8.0)]);
-        let plan = FaultPlan::new(9, FaultKind::Timeout, FaultTrigger::EveryK(1)).on_shard(0);
-        let policy = RecoveryPolicy {
-            max_retries: 0,
-            backoff_ns: 10,
-            quarantine_after: 1,
-            probation_ns: None,
-        };
-        let mut parent = HwTester::with_device_and_policy(
-            HwConfig::at_resolution(8),
-            DeviceKind::Reference.with_faults(plan),
-            2,
-            policy,
-        );
-        let mut st = TestStats::default();
-        let verdict = parent.test(Predicate::Intersects, &p, &q, &mut st);
-        assert!(st.fallback_tests > 0, "shard 0's submission faults: {st:?}");
-        assert_eq!(st.shard_quarantined, 1);
-        // The fork adopts the open breaker: immediate failover to shard 1,
-        // no ladder re-paid, same answer and hardware work as a clean run.
-        let mut forked = RefinementBackend::fork(&parent);
-        let mut fst = TestStats::default();
-        assert_eq!(
-            forked.test(Predicate::Intersects, &p, &q, &mut fst),
-            verdict
-        );
-        assert_eq!(fst.device_faults, 0, "fork re-paid the ladder: {fst:?}");
-        assert_eq!(fst.fallback_tests, 0);
-        assert_eq!(fst.shard_failovers, 1);
-        let mut clean = HwTester::new(HwConfig::at_resolution(8));
-        let mut cst = TestStats::default();
-        assert_eq!(clean.test(Predicate::Intersects, &p, &q, &mut cst), verdict);
-        assert_eq!(
-            fst.hw_tests, cst.hw_tests,
-            "invariant 14: failover moved the work"
-        );
     }
 
     #[test]

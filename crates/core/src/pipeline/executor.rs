@@ -6,24 +6,20 @@
 //! ```text
 //! stage 1   MBR filtering          R-tree search / tree join
 //! stage 2   intermediate filtering chain of CandidateFilters, sequential
-//! stage 3   geometry comparison    RefinementBackend, batched and/or parallel
+//! stage 3   geometry comparison    RefinementBackend, per pair or batched
 //! ```
 //!
 //! The executor owns the timers and the [`CostBreakdown`]; stage 3's
 //! reported time swaps the rasterizer-simulation seconds for modeled GPU
 //! seconds, exactly as the per-pipeline loops used to.
 //!
-//! # Determinism under batching and threads
+//! # Determinism under batching
 //!
-//! Stage 3 first splits the undecided candidates into *submission
-//! units* — chunks of `batch` candidates (or per-worker spans when
-//! `batch ≤ 1`) — and only then assigns whole units to workers
-//! round-robin. The split is a pure function of the candidate list and
-//! `batch`, never of `threads`; every backend's counters are a pure
-//! function of the unit contents; counter merging is integer addition.
-//! Hence results *and* merged statistics are bit-identical across thread
-//! counts (`sim_wall` aside, which measures the simulation's own wall
-//! clock and is excluded from all reported times).
+//! Stage 3 refines the undecided candidates in order, `batch` at a time.
+//! Every backend's answers are a pure function of the pairs it is given,
+//! so results are identical for every `batch`; only the submission
+//! counters move (`sim_wall` aside, which measures the simulation's own
+//! wall clock and is excluded from all reported times).
 //!
 use super::backend::RefinementBackend;
 use super::filter::{CandidateFilter, Decision};
@@ -54,8 +50,8 @@ pub(crate) fn adjusted(measured: Duration, tests: &TestStats) -> Duration {
 pub struct Stage1<C> {
     pub candidates: Vec<C>,
     pub stats: FilterStats,
-    /// Wall-clock of the enumeration alone — tree traversal and join
-    /// scheduling; lands in `cost.mbr_filter`.
+    /// Wall-clock of the enumeration alone — the tree traversal; lands in
+    /// `cost.mbr_filter`.
     pub elapsed: Duration,
 }
 
@@ -63,7 +59,7 @@ pub struct Stage1<C> {
 /// [`RefineOp::Test`], the positive area under [`RefineOp::Measure`].
 /// Pairing an output type with the other operation is a bug in the
 /// caller and panics.
-pub trait Verdict: Copy + Send {
+pub trait Verdict: Copy {
     /// What an intermediate filter's `Confirm` settles without
     /// refinement: a boolean verdict entirely, an area not at all (the
     /// pair is a result, but it still has to be measured).
@@ -115,7 +111,7 @@ impl Verdict for f64 {
     const CONFIRMED: Option<f64> = None;
 
     /// Aggregations are per-pair submissions (no atlas batching), so
-    /// `batch` only shapes the thread units.
+    /// `batch` changes nothing.
     fn refine(
         op: RefineOp,
         _batch: usize,
@@ -141,8 +137,6 @@ pub struct StagedExecutor {
     /// Candidate pairs per hardware submission round; ≤ 1 keeps the
     /// paper-faithful per-pair choreography.
     pub batch: usize,
-    /// Refinement worker threads; ≤ 1 runs sequentially.
-    pub threads: usize,
 }
 
 impl StagedExecutor {
@@ -160,15 +154,14 @@ impl StagedExecutor {
         resolve: R,
     ) -> (Vec<(C, O)>, CostBreakdown)
     where
-        C: Copy + Ord + Send + Sync,
+        C: Copy + Ord,
         O: Verdict,
-        R: Fn(C) -> (&'p Polygon, &'p Polygon) + Sync,
+        R: Fn(C) -> (&'p Polygon, &'p Polygon),
     {
         let mut cost = CostBreakdown {
             mbr_filter: stage1.elapsed,
             candidates: stage1.candidates.len(),
             node_tests: stage1.stats.node_tests,
-            filter_work_units: stage1.stats.work_units,
             ..CostBreakdown::default()
         };
 
@@ -195,83 +188,17 @@ impl StagedExecutor {
         cost.filter_hits = results.len();
 
         let t2 = Instant::now();
-        self.refine(backend, op, &rest, &resolve, &mut results, &mut cost.tests);
+        let pairs: Vec<(&Polygon, &Polygon)> = rest.iter().map(|&c| resolve(c)).collect();
+        let verdicts = O::refine(op, self.batch, backend, &pairs, &mut cost.tests);
+        results.extend(
+            rest.iter()
+                .zip(verdicts)
+                .filter_map(|(&c, v)| Some((c, v?))),
+        );
         cost.geometry_comparison = adjusted(t2.elapsed(), &cost.tests);
         results.sort_unstable_by_key(|r| r.0);
         cost.results = results.len();
         (results, cost)
-    }
-
-    /// Stage 3: refine `rest` with the backend, honoring `batch` and
-    /// `threads`.
-    fn refine<'p, C, O, R>(
-        &self,
-        backend: &mut dyn RefinementBackend,
-        op: RefineOp,
-        rest: &[C],
-        resolve: &R,
-        out: &mut Vec<(C, O)>,
-        tests: &mut TestStats,
-    ) where
-        C: Copy + Ord + Send + Sync,
-        O: Verdict,
-        R: Fn(C) -> (&'p Polygon, &'p Polygon) + Sync,
-    {
-        let refine_span = |backend: &mut dyn RefinementBackend,
-                           span: &[C],
-                           out: &mut Vec<(C, O)>,
-                           tests: &mut TestStats| {
-            let pairs: Vec<(&Polygon, &Polygon)> = span.iter().map(|&c| resolve(c)).collect();
-            let verdicts = O::refine(op, self.batch, backend, &pairs, tests);
-            out.extend(
-                span.iter()
-                    .zip(verdicts)
-                    .filter_map(|(&c, v)| Some((c, v?))),
-            );
-        };
-        let threads = self.threads.max(1);
-        if threads <= 1 || rest.len() < 2 {
-            refine_span(backend, rest, out, tests);
-            return;
-        }
-
-        // Units are batch-aligned so a unit's counters cannot depend on
-        // which worker runs it; with batch ≤ 1 any split works, so use
-        // near-equal spans. Units go to workers round-robin.
-        let unit = if self.batch > 1 {
-            self.batch
-        } else {
-            rest.len().div_ceil(threads).max(1)
-        };
-        let units: Vec<&[C]> = rest.chunks(unit).collect();
-        let workers = threads.min(units.len());
-        let per_worker: Vec<(Vec<(C, O)>, TestStats)> = std::thread::scope(|scope| {
-            let (units, refine_span) = (&units, &refine_span);
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let mut wb = backend.fork();
-                    scope.spawn(move || {
-                        let mut res = Vec::new();
-                        let mut st = TestStats::default();
-                        for u in (w..units.len()).step_by(workers) {
-                            refine_span(wb.as_mut(), units[u], &mut res, &mut st);
-                        }
-                        (res, st)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("refinement worker panicked"))
-                .collect()
-        });
-        // Merge in worker order: counter addition commutes exactly, so the
-        // totals equal the sequential run's; the fixed order keeps even
-        // the intermediate states reproducible.
-        for (res, st) in per_worker {
-            out.extend(res);
-            tests.add(&st);
-        }
     }
 }
 
@@ -324,10 +251,7 @@ mod tests {
     fn filter_chain_routes_all_three_decisions() {
         let polys: Vec<Polygon> = (0..10).map(|i| square(i as f64 * 3.0, 0.0, 1.0)).collect();
         let query = square(0.0, 0.0, 1.0); // intersects only polygon 0 (rejected by filter)
-        let exec = StagedExecutor {
-            batch: 1,
-            threads: 1,
-        };
+        let exec = StagedExecutor { batch: 1 };
         let mut backend = SoftwareBackend;
         let (results, cost) = kept(exec.run(
             &mut backend,
@@ -367,15 +291,15 @@ mod tests {
         (horiz, vert)
     }
 
-    /// The full cross-product: batch × threads must all give the same
-    /// results and the same deterministic counters.
+    /// Every batch size gives the same results and the same routing
+    /// counters as per-pair submission.
     #[test]
-    fn batch_and_threads_preserve_results_and_counters() {
+    fn batching_preserves_results_and_counters() {
         let (left, right) = bars();
         let cands: Vec<(usize, usize)> = (0..6).flat_map(|i| (0..6).map(move |j| (i, j))).collect();
 
-        let run = |batch: usize, threads: usize| {
-            let exec = StagedExecutor { batch, threads };
+        let run = |batch: usize| {
+            let exec = StagedExecutor { batch };
             let mut backend = HwTester::new(HwConfig::at_resolution(8));
             kept(exec.run(
                 &mut backend,
@@ -386,40 +310,32 @@ mod tests {
             ))
         };
 
-        let (base_results, base_cost) = run(1, 1);
+        let (base_results, base_cost) = run(1);
         assert!(!base_results.is_empty());
         assert!(
             base_cost.tests.hw_tests > 0,
             "workload must exercise the hardware"
         );
-        for (batch, threads) in [(1, 2), (1, 4), (4, 1), (4, 2), (4, 3), (64, 4)] {
-            let (r, c) = run(batch, threads);
-            assert_eq!(r, base_results, "batch={batch} threads={threads}");
+        for batch in [4, 64] {
+            let (r, c) = run(batch);
+            assert_eq!(r, base_results, "batch={batch}");
             let (t, bt) = (&c.tests, &base_cost.tests);
             assert_eq!(t.decided_by_pip, bt.decided_by_pip);
             assert_eq!(t.rejected_by_hw, bt.rejected_by_hw);
             assert_eq!(t.software_tests, bt.software_tests);
             assert_eq!(t.hw_tests, bt.hw_tests);
-            // Same-batch configs have identical submission counters too.
-            let (rr, cc) = run(batch, 1);
-            assert_eq!(rr, base_results);
-            assert_eq!(
-                cc.tests.hw_batches, t.hw_batches,
-                "batch={batch} threads={threads}"
-            );
-            assert_eq!(cc.tests.hw, t.hw, "batch={batch} threads={threads}");
         }
     }
 
     /// The aggregation path's invariant: rows, areas (bit-for-bit) and
-    /// deterministic counters are identical across batch, thread and
-    /// shard settings.
+    /// deterministic counters are identical across batch and shard
+    /// settings.
     #[test]
     fn measured_areas_are_invariant_across_execution_shapes() {
         let (left, right) = bars();
         let cands: Vec<(usize, usize)> = (0..6).flat_map(|i| (0..6).map(move |j| (i, j))).collect();
-        let run = |batch: usize, threads: usize, shards: usize| {
-            let exec = StagedExecutor { batch, threads };
+        let run = |batch: usize, shards: usize| {
+            let exec = StagedExecutor { batch };
             let mut backend = HwTester::with_device_and_policy(
                 HwConfig::at_resolution(8),
                 DeviceKind::Reference,
@@ -434,13 +350,13 @@ mod tests {
                 |(i, j)| (&left[i], &right[j]),
             )
         };
-        let (base, base_cost) = run(1, 1, 1);
+        let (base, base_cost) = run(1, 1);
         assert!(!base.is_empty(), "bars must overlap");
         assert!(base.iter().all(|&(_, a)| a > 0.0));
         assert!(base_cost.tests.overlap_tests > 0);
-        for (batch, threads, shards) in [(1, 4, 1), (4, 2, 1), (1, 1, 2), (4, 3, 3)] {
-            let (rows, cost) = run(batch, threads, shards);
-            assert_eq!(rows.len(), base.len(), "b{batch} t{threads} s{shards}");
+        for (batch, shards) in [(4, 1), (1, 2), (4, 3)] {
+            let (rows, cost) = run(batch, shards);
+            assert_eq!(rows.len(), base.len(), "b{batch} s{shards}");
             for ((c, a), (bc, ba)) in rows.iter().zip(&base) {
                 assert_eq!(c, bc);
                 assert_eq!(a.to_bits(), ba.to_bits(), "area drifted at {c:?}");
@@ -466,10 +382,7 @@ mod tests {
         }
         let (left, right) = bars();
         let cands: Vec<(usize, usize)> = (0..6).flat_map(|i| (0..6).map(move |j| (i, j))).collect();
-        let exec = StagedExecutor {
-            batch: 1,
-            threads: 1,
-        };
+        let exec = StagedExecutor { batch: 1 };
         let measure = RefineOp::Measure { resolution: 32 };
         let mut backend = HwTester::with_device_and_policy(
             HwConfig::at_resolution(8),
@@ -515,7 +428,7 @@ mod tests {
         let (left, right) = bars();
         let cands: Vec<(usize, usize)> = (0..6).flat_map(|i| (0..6).map(move |j| (i, j))).collect();
         let run = |batch: usize| {
-            let exec = StagedExecutor { batch, threads: 1 };
+            let exec = StagedExecutor { batch };
             let mut backend = HwTester::new(HwConfig::at_resolution(8));
             kept(exec.run(
                 &mut backend,

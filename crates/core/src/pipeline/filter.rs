@@ -30,12 +30,8 @@ pub enum Decision {
 /// `examine` takes `&mut self` so a filter may keep state between
 /// candidates; implementations must stay deterministic in candidate
 /// order, which the executor keeps identical across configurations —
-/// filtering always runs sequentially, before candidates are split into
-/// units for parallel refinement. Stage 1 upholds its side of
-/// the contract even when the MBR filter itself is threaded: the join
-/// scheduler merges work-unit outputs in unit order, so the candidate
-/// sequence reaching this chain is bit-identical to a sequential
-/// traversal for every `filter_threads` setting.
+/// filtering runs sequentially over the stage-1 sequence, which is the
+/// synchronized tree descent's visit order.
 pub trait CandidateFilter<C> {
     fn examine(&mut self, candidate: &C) -> Decision;
 }

@@ -14,11 +14,9 @@
 //!   `sw_threshold` mix of §4.3).
 //!
 //! [`StagedExecutor`] owns the loop once: stage timing, the
-//! [`CostBreakdown`](crate::stats::CostBreakdown) accounting, batched
-//! hardware submission (`hw_batch` pairs per rendering round) and parallel
-//! candidate refinement (`refine_threads` workers over deterministic,
-//! batch-aligned units — results and merged counters are bit-identical
-//! to the sequential run). [`QuerySpec`] describes each of the five query
+//! [`CostBreakdown`](crate::stats::CostBreakdown) accounting and batched
+//! hardware submission (`hw_batch` pairs per rendering round — results
+//! are bit-identical to per-pair submission). [`QuerySpec`] describes each of the five query
 //! kinds as data — the one place that knows how a kind enumerates
 //! candidates, which filters apply and how a candidate resolves to a
 //! polygon pair — and `SpatialEngine` and the query service both execute

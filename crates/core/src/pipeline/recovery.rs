@@ -115,8 +115,8 @@ impl Default for ShardHealth {
 
 /// The shard the failover tier routes to: the lowest-index `usable` one
 /// of the `n` shards, or `None` when no shard is usable. A pure function
-/// of the health mask, so failover never depends on submission history or
-/// thread timing, and a usable shard 0 — where every submission is
+/// of the health mask, so failover never depends on submission history,
+/// and a usable shard 0 — where every submission is
 /// aimed — is kept.
 pub(crate) fn failover_route(n: usize, usable: impl Fn(usize) -> bool) -> Option<usize> {
     (0..n).find(|&s| usable(s))
@@ -124,10 +124,8 @@ pub(crate) fn failover_route(n: usize, usable: impl Fn(usize) -> bool) -> Option
 
 /// The retry/failover/quarantine state machine over a pool of device
 /// shards. One supervisor lives inside each `HwTester`, beside the pool it
-/// indexes; forks *inherit* the parent's per-shard verdicts
-/// (`HwTester::fork`), so a worker never re-pays the retry ladder for a
-/// shard its parent already proved dead.
-#[derive(Debug, Clone)]
+/// indexes.
+#[derive(Debug)]
 pub(crate) struct Supervisor {
     policy: RecoveryPolicy,
     /// The modeled clock probation ripens on, in nanoseconds: advanced by
@@ -146,27 +144,6 @@ impl Supervisor {
             now_ns: 0,
             shards: vec![ShardHealth::default(); shards],
         }
-    }
-
-    pub(crate) fn policy(&self) -> RecoveryPolicy {
-        self.policy
-    }
-
-    /// Whether every shard's circuit breaker has opened — the state in
-    /// which submissions are refused outright and the caller serves
-    /// everything from exact software.
-    pub(crate) fn is_quarantined(&self) -> bool {
-        self.shards
-            .iter()
-            .all(|h| matches!(h.breaker, Breaker::Open { .. }))
-    }
-
-    /// How many shards currently sit behind an open breaker.
-    pub(crate) fn open_shards(&self) -> usize {
-        self.shards
-            .iter()
-            .filter(|h| matches!(h.breaker, Breaker::Open { .. }))
-            .count()
     }
 
     /// Advances the modeled clock (charged backoff advances it internally;
@@ -293,6 +270,25 @@ mod tests {
     use spatial_raster::{
         DeviceKind, FaultDevice, FaultKind, FaultPlan, FaultTrigger, Recorder, Viewport,
     };
+
+    impl Supervisor {
+        /// Whether every shard's circuit breaker has opened — the state in
+        /// which submissions are refused outright and the caller serves
+        /// everything from exact software.
+        fn is_quarantined(&self) -> bool {
+            self.shards
+                .iter()
+                .all(|h| matches!(h.breaker, Breaker::Open { .. }))
+        }
+
+        /// How many shards currently sit behind an open breaker.
+        fn open_shards(&self) -> usize {
+            self.shards
+                .iter()
+                .filter(|h| matches!(h.breaker, Breaker::Open { .. }))
+                .count()
+        }
+    }
 
     fn list() -> CommandList {
         let mut r = Recorder::new(8, 8);

@@ -95,7 +95,7 @@ impl<'a> QuerySpec<'a> {
 
     /// Stage 1: the MBR filter, run and timed once. `elapsed` covers the
     /// traversal alone.
-    pub fn stage1(&self, cfg: &FilterConfig) -> Stage1<Cand> {
+    pub fn stage1(&self) -> Stage1<Cand> {
         let right = self.right;
         let mut stats = FilterStats::default();
         let t0 = Instant::now();
@@ -112,11 +112,12 @@ impl<'a> QuerySpec<'a> {
                     .collect()
             }
             Left::Many(a) => {
+                let (l, r, cfg) = (&a.tree, &right.tree, &FilterConfig::default());
                 let pairs = match self.op {
                     RefineOp::Test(Predicate::WithinDistance(d)) => {
-                        join_within_distance_with(&a.tree, &right.tree, d, cfg, &mut stats)
+                        join_within_distance_with(l, r, d, cfg, &mut stats)
                     }
-                    _ => join_intersecting_with(&a.tree, &right.tree, cfg, &mut stats),
+                    _ => join_intersecting_with(l, r, cfg, &mut stats),
                 };
                 pairs.into_iter().map(|(i, j)| (*i, *j)).collect()
             }
@@ -160,8 +161,9 @@ impl<'a> QuerySpec<'a> {
     }
 
     /// Stages 2 and 3 over `stage1` (this spec's own [`stage1`]
-    /// output) under `config`'s filter, batching and threading knobs. `O` is the operation's [`Verdict`]: `()` for
-    /// the four boolean kinds, `f64` for the overlap-area join.
+    /// output) under `config`'s filter and batching knobs. `O` is the
+    /// operation's [`Verdict`]: `()` for the four boolean kinds, `f64` for
+    /// the overlap-area join.
     ///
     /// [`stage1`]: QuerySpec::stage1
     pub fn execute<O: Verdict>(
@@ -172,7 +174,6 @@ impl<'a> QuerySpec<'a> {
     ) -> (Vec<(Cand, O)>, CostBreakdown) {
         let executor = StagedExecutor {
             batch: config.hw_batch,
-            threads: config.refine_threads,
         };
         executor.run(backend, self.op, stage1, self.filters(config), |c| {
             self.resolve(c)

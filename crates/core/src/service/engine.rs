@@ -9,9 +9,7 @@
 //! stream. The [`ServiceStats`] ledger accounts every submission exactly
 //! once.
 
-use crate::engine::{
-    build_backend, filter_config, ConfigError, EngineConfig, GeometryTest, PreparedDataset,
-};
+use crate::engine::{build_backend, ConfigError, EngineConfig, GeometryTest, PreparedDataset};
 use crate::pipeline::spec::{area_rows, join_rows, selection_rows};
 use crate::pipeline::QuerySpec;
 use crate::service::admission::AdmissionQueue;
@@ -34,7 +32,7 @@ use std::time::Instant;
 /// `base.geometry_test` is a placeholder — the planner overwrites it per
 /// query with its [`PlanChoice`] (software, or hardware at the chosen
 /// resolution/batch). Every other `base` field (device, recovery,
-/// filters, shards, threads) applies to served queries unchanged.
+/// filters, shards) applies to served queries unchanged.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Template for the per-query engine; see the struct docs for how
@@ -78,7 +76,8 @@ impl ServiceConfig {
         if self.admission_capacity == 0 {
             return Err(ConfigError::ZeroAdmissionCapacity);
         }
-        if self.planner.resolutions.is_empty() || self.planner.resolutions.contains(&0) {
+        let res = &self.planner.resolutions;
+        if res.is_empty() || res.iter().any(|r| !(1..=MAX_WINDOW_SIDE).contains(r)) {
             return Err(ConfigError::BadPlannerResolutions);
         }
         if self.planner.sample == 0 {
@@ -311,7 +310,7 @@ impl QueryEngine {
         check_deadline(&budget, start, Stage::Filter)?;
         let filter_t = Instant::now();
         let spec = query_spec(&request.kind, &snap)?;
-        let stage1 = spec.stage1(&filter_config(&self.config.base));
+        let stage1 = spec.stage1();
         self.lock_stats()
             .latencies
             .filter
@@ -688,6 +687,13 @@ mod tests {
             ServiceConfig {
                 planner: PlannerConfig {
                     resolutions: vec![8, 0],
+                    ..PlannerConfig::default()
+                },
+                ..ServiceConfig::default()
+            },
+            ServiceConfig {
+                planner: PlannerConfig {
+                    resolutions: vec![8, MAX_WINDOW_SIDE + 1],
                     ..PlannerConfig::default()
                 },
                 ..ServiceConfig::default()

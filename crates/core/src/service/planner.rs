@@ -475,7 +475,6 @@ mod tests {
     use crate::hw_intersect::HwTester;
     use crate::pipeline::QuerySpec;
     use crate::stats::TestStats;
-    use spatial_index::FilterConfig;
     use spatial_raster::OverlapStrategy;
     use std::sync::{Arc, Mutex};
 
@@ -826,7 +825,7 @@ mod tests {
         for_each_kind(|spec, resolution, tester, seen| {
             let planner = Planner::new(PlannerConfig::default());
             let mut compared = 0;
-            let stage1 = spec.stage1(&FilterConfig::default());
+            let stage1 = spec.stage1();
             for &cand in &stage1.candidates {
                 if compared == 4 {
                     break;
@@ -859,7 +858,7 @@ mod tests {
 
         for_each_kind(|spec, resolution, tester, seen| {
             let what = format!("{:?}", spec.op());
-            let stage1 = spec.stage1(&FilterConfig::default());
+            let stage1 = spec.stage1();
             let pairs: Vec<(&Polygon, &Polygon)> = stage1
                 .candidates
                 .iter()

@@ -128,12 +128,8 @@ pub struct CostBreakdown {
     /// Child-slot MBR tests evaluated by the filter stage's node kernels.
     /// Deterministic: kernels evaluate all real lanes of a node (no
     /// short-circuiting), so the count is a pure function of the trees and
-    /// the query — independent of `filter_threads`.
+    /// the query.
     pub node_tests: usize,
-    /// Page-pair work units the join scheduler dispensed (0 for
-    /// selections). Diagnostic: varies with `filter_threads` and the unit
-    /// size, never changes the candidate sequence.
-    pub filter_work_units: usize,
     /// Refinement-stage counters.
     pub tests: TestStats,
 }
@@ -152,7 +148,6 @@ impl CostBreakdown {
         self.filter_hits += o.filter_hits;
         self.results += o.results;
         self.node_tests += o.node_tests;
-        self.filter_work_units += o.filter_work_units;
         self.tests.add(&o.tests);
     }
 }
@@ -171,7 +166,6 @@ mod tests {
             filter_hits: 2,
             results: 5,
             node_tests: 40,
-            filter_work_units: 3,
             tests: TestStats::default(),
         };
         assert_eq!(a.total(), Duration::from_millis(6));
@@ -179,7 +173,6 @@ mod tests {
         a.add(&b);
         assert_eq!(a.candidates, 20);
         assert_eq!(a.node_tests, 80);
-        assert_eq!(a.filter_work_units, 6);
         assert_eq!(a.total(), Duration::from_millis(12));
     }
 

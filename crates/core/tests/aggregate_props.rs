@@ -192,13 +192,12 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// The full aggregation pipeline: shard count, refine threads and a
-    /// seeded fault plan may move work anywhere, but every `(i, j, area)`
-    /// row is bit-identical to the single-threaded clean run.
+    /// The full aggregation pipeline: shard count and a seeded fault plan
+    /// may move work anywhere, but every `(i, j, area)` row is
+    /// bit-identical to the clean single-shard run.
     #[test]
-    fn overlap_join_rows_survive_shards_threads_and_faults(
+    fn overlap_join_rows_survive_shards_and_faults(
         shards_pick in 0usize..3,
-        threads in 1usize..5,
         res_pick in 0usize..3,
         plan in arb_plan(),
     ) {
@@ -232,7 +231,6 @@ proptest! {
         let shaped_cfg = EngineConfig {
             device: DeviceKind::Reference.with_faults(plan),
             shards,
-            refine_threads: threads,
             ..base_cfg
         };
         let (rows, cost) = SpatialEngine::new(shaped_cfg).overlap_area_join(&a, &b, res);
@@ -241,8 +239,8 @@ proptest! {
             prop_assert_eq!((i, j), (bi, bj));
             prop_assert_eq!(
                 ar.to_bits(), br.to_bits(),
-                "pair ({}, {}) drifted under s{} t{}",
-                i, j, shards, threads
+                "pair ({}, {}) drifted under s{}",
+                i, j, shards
             );
         }
         prop_assert_eq!(cost.tests.overlap_tests, base_cost.tests.overlap_tests);

@@ -313,23 +313,21 @@ proptest! {
         }
     }
 
-    /// A clean pool is the single device: at either batch size and with
-    /// forked refinement workers, `shards` devices return the same rows
+    /// A clean pool is the single device: at either batch size, `shards`
+    /// devices return the same rows
     /// and every deterministic counter — submission grouping and raw
     /// hardware work included — because no submission leaves shard 0.
     #[test]
     fn a_clean_shard_pool_is_bit_identical_to_one_device(
         shards in 1usize..5,
         batch_pick in 0usize..2,
-        threads in 1usize..4,
     ) {
         let a = prepare(spatial_datagen::landc(0.0015, 32));
         let b = prepare(spatial_datagen::lando(0.0015, 32));
         let queries = spatial_datagen::states50(32);
         let q = &queries.polygons[1];
-        let config = |shards| EngineConfig {
-            refine_threads: threads,
-            ..chaos_config(DeviceKind::Reference, shards, RecoveryPolicy::default(), batch_pick == 1)
+        let config = |shards| {
+            chaos_config(DeviceKind::Reference, shards, RecoveryPolicy::default(), batch_pick == 1)
         };
         let single = run_all(config(1), &a, &b, q, 0.02);
         let pooled = run_all(config(shards), &a, &b, q, 0.02);

@@ -70,7 +70,6 @@ proptest! {
     fn any_fault_plan_preserves_results_and_accounts_every_test(
         plan in arb_plan(),
         batch in 1usize..3,
-        threads in 1usize..3,
     ) {
         let a = prepare(spatial_datagen::landc(0.0015, 21));
         let b = prepare(spatial_datagen::lando(0.0015, 21));
@@ -83,7 +82,6 @@ proptest! {
         let hw = HwConfig::at_resolution(8).with_threshold(0);
         let base = EngineConfig {
             hw_batch: if batch > 1 { 16 } else { 1 },
-            refine_threads: if threads > 1 { 3 } else { 1 },
             use_object_filters: true,
             ..EngineConfig::hardware(hw)
         };

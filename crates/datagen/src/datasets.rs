@@ -81,11 +81,6 @@ impl Dataset {
             .map(|(i, p)| (p.mbr(), i))
             .collect()
     }
-
-    /// Total vertex count (proxy for dataset size on disk).
-    pub fn total_vertices(&self) -> usize {
-        self.polygons.iter().map(|p| p.vertex_count()).sum()
-    }
 }
 
 /// Equation (2) of the paper: the base query distance for within-distance

@@ -14,10 +14,8 @@
 //!
 //! Since the filter-stage rework, every node carries a struct-of-arrays
 //! mirror of its children's MBRs and traversals run one kernel per
-//! predicate over whole nodes ([`soa`]); the tree join schedules
-//! fixed-size page-pair work units across `FilterConfig::threads` workers
-//! with an ordered merge that keeps the candidate sequence bit-identical
-//! to the sequential traversal.
+//! predicate over whole nodes ([`soa`]); the tree join descends both trees
+//! in lock-step on the calling thread.
 
 #![forbid(unsafe_code)]
 
@@ -32,6 +30,5 @@ pub use join::{
 pub use rtree::RTree;
 pub use snapshot::{Snapshot, SnapshotHandle};
 pub use soa::{
-    ChildMbrs, FilterConfig, FilterStats, Intersects, MbrPredicate, WithinDist, DEFAULT_UNIT_PAIRS,
-    SIMD_LANES,
+    ChildMbrs, FilterConfig, FilterStats, Intersects, MbrPredicate, WithinDist, SIMD_LANES,
 };

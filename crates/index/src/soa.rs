@@ -110,8 +110,7 @@ impl ChildMbrs {
     /// Tests `probe` against every child slot and returns the hit bitmask
     /// (bit `i` = slot `i` passes `pred`). Charges `len` node tests to
     /// `stats` — all real lanes are evaluated, never short-circuited, so
-    /// the count is a pure function of the tree and the probe, independent
-    /// of thread count or unit size.
+    /// the count is a pure function of the tree and the probe.
     #[inline]
     pub fn mask<P: MbrPredicate>(&self, pred: &P, probe: &Rect, stats: &mut FilterStats) -> u32 {
         stats.node_tests += self.len;
@@ -223,55 +222,20 @@ impl WithinDist {
     }
 }
 
-/// Filter-stage tuning knobs, shared by tree searches and the join
-/// scheduler. All combinations produce bit-identical candidate sequences;
-/// the knobs only move wall-clock time (and the diagnostic `work_units`
-/// counter that makes the scheduling visible).
-#[derive(Debug, Clone, Copy)]
-pub struct FilterConfig {
-    /// Worker threads pulling page-pair work units during tree joins
-    /// (`1` = sequential; searches are single-probe and always run on the
-    /// calling thread).
-    pub threads: usize,
-    /// Page pairs per work unit. Smaller units balance better, larger
-    /// units amortize queue traffic; the candidate sequence is identical
-    /// for every value.
-    pub unit_pairs: usize,
-}
-
-/// Default page pairs per join work unit.
-pub const DEFAULT_UNIT_PAIRS: usize = 64;
-
-impl Default for FilterConfig {
-    fn default() -> Self {
-        FilterConfig {
-            threads: 1,
-            unit_pairs: DEFAULT_UNIT_PAIRS,
-        }
-    }
-}
+/// The filter stage has no knobs. The type stays, field-less, only because
+/// the benchmark harness passes it to the `join_*_with` functions (like
+/// `_simd` on [`crate::RTree::search_intersects_stats`]).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct FilterConfig {}
 
 /// Work counters of the MBR filter stage.
 ///
-/// `node_tests` is deterministic across every [`FilterConfig`]: kernels
-/// evaluate all real lanes of a node (no short-circuiting), so the count
-/// is a pure function of the trees and the probe/predicate. `work_units`
-/// is a scheduling diagnostic — it describes *how* the same work was
-/// executed.
+/// Kernels evaluate all real lanes of a node (no short-circuiting), so
+/// `node_tests` is a pure function of the trees and the probe/predicate.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FilterStats {
     /// Child-slot MBR tests evaluated (padding lanes excluded).
     pub node_tests: usize,
-    /// Page-pair work units the join scheduler dispensed (0 for
-    /// single-probe searches).
-    pub work_units: usize,
-}
-
-impl FilterStats {
-    pub fn add(&mut self, o: &FilterStats) {
-        self.node_tests += o.node_tests;
-        self.work_units += o.work_units;
-    }
 }
 
 #[cfg(test)]

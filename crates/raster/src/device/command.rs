@@ -111,17 +111,6 @@ pub enum Command {
     },
 }
 
-impl Command {
-    /// Whether executing this command produces a readback slot.
-    #[inline]
-    pub fn is_readback(&self) -> bool {
-        matches!(
-            self,
-            Command::Minmax | Command::StencilCount { .. } | Command::CellMax { .. }
-        )
-    }
-}
-
 /// An immutable recorded command stream targeting a `width × height`
 /// window. Construct one through [`Recorder`].
 #[derive(Debug, Clone, PartialEq)]

@@ -263,8 +263,8 @@ pub enum DeviceKind {
     Reference,
     /// [`FaultDevice`]: the reference executor behind a seeded,
     /// deterministic fault injector. Carried through `EngineConfig.device`
-    /// and backend `fork`, so parallel refinement workers each get an
-    /// identically scheduled injector.
+    /// into every shard of the hardware tester's pool
+    /// ([`DeviceKind::for_shard`]).
     Fault(FaultPlan),
 }
 

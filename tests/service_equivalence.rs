@@ -1,17 +1,21 @@
 //! The serving layer answers exactly what the batch engine answers, from
 //! one stage-1 pass: for every query kind and planner mode, a served
 //! query's rows and filter-stage accounting equal the direct
-//! `SpatialEngine` call's (DESIGN.md invariant 13), and refused queries
-//! leave a balanced ledger.
+//! `SpatialEngine` call's (DESIGN.md invariant 13), refused queries
+//! leave a balanced ledger, and a window resolution no device can
+//! allocate is refused when the engine is built.
 
 use hwspatial::core::engine::{EngineConfig, PreparedDataset, SpatialEngine};
 use hwspatial::core::service::{
     QueryBudget, QueryEngine, QueryKind, QueryRequest, QueryRows, ServiceConfig, ServiceError,
     ServiceSnapshot,
 };
-use hwspatial::core::{CostBreakdown, GeometryTest, HwConfig, PlannerConfig, PlannerMode};
+use hwspatial::core::{
+    ConfigError, CostBreakdown, GeometryTest, HwConfig, PlannerConfig, PlannerMode,
+};
 use hwspatial::datagen;
 use hwspatial::geom::Polygon;
+use hwspatial::raster::MAX_WINDOW_SIDE;
 
 const SCALE: f64 = 0.002;
 const SEED: u64 = 7;
@@ -176,4 +180,35 @@ fn refused_queries_return_typed_errors_with_a_balanced_ledger() {
         .execute(&QueryRequest::intersection_join("LANDC", "LANDO"))
         .is_ok());
     assert!(engine.stats().balanced());
+}
+
+/// A configured window resolution is bounded by `MAX_WINDOW_SIDE`: one
+/// pixel over, the batch engine's `hw.resolution` and a planner
+/// resolution are typed construction errors instead of a multi-gigabyte
+/// frame on the first hardware test; at the limit both engines build.
+/// Nothing here runs a query.
+#[test]
+fn window_resolutions_over_the_device_limit_are_refused_at_construction() {
+    let engine =
+        |side| SpatialEngine::try_new(EngineConfig::hardware(HwConfig::at_resolution(side)));
+    let service = |side| {
+        let config = ServiceConfig {
+            planner: PlannerConfig {
+                resolutions: vec![4, side],
+                ..PlannerConfig::default()
+            },
+            ..ServiceConfig::default()
+        };
+        QueryEngine::try_new(config, ServiceSnapshot::new())
+    };
+    assert_eq!(
+        engine(MAX_WINDOW_SIDE + 1).err(),
+        Some(ConfigError::ResolutionTooLarge)
+    );
+    assert_eq!(
+        service(MAX_WINDOW_SIDE + 1).err(),
+        Some(ConfigError::BadPlannerResolutions)
+    );
+    assert!(engine(MAX_WINDOW_SIDE).is_ok());
+    assert!(service(MAX_WINDOW_SIDE).is_ok());
 }

@@ -9,10 +9,10 @@
 //! filter hit or a refinement, a hardware join that submits only each
 //! window's live boundary runs returns the software join's rows, and the
 //! intersection and containment tests answer like the exhaustive forward
-//! sweep over whole boundaries.
+//! sweep over whole boundaries. Stage 1 emits a pinned candidate sequence.
 
 use hwspatial::core::engine::{EngineConfig, PreparedDataset, SpatialEngine};
-use hwspatial::core::HwConfig;
+use hwspatial::core::{HwConfig, QuerySpec};
 use hwspatial::datagen;
 use hwspatial::geom::chains::frontier_clipped;
 use hwspatial::geom::intersect::restricted_edges;
@@ -226,4 +226,41 @@ fn object_filters_change_no_row_and_account_for_every_candidate() {
             cost.candidates
         );
     }
+}
+
+/// What stage 1 of a query is pinned to: the candidate count, an FNV-1a
+/// fold of the candidate sequence in emission order and the MBR tests it
+/// charged.
+fn stage1_pin(spec: QuerySpec<'_>) -> (usize, u64, usize) {
+    let stage1 = spec.stage1();
+    let hash = stage1
+        .candidates
+        .iter()
+        .flat_map(|&(i, j)| [i as u64, j as u64])
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, v| {
+            (h ^ v).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+    (stage1.candidates.len(), hash, stage1.stats.node_tests)
+}
+
+/// Rows are sorted after stage 3, so only this sees candidate *order*:
+/// the planner's pricing sample and the object-filter cache follow the
+/// stage-1 sequence, which is the synchronized descent's visit order.
+#[test]
+fn stage1_emits_the_pinned_candidate_sequence() {
+    let (a, b, base_d) = corpus();
+    let window = &datagen::states50(SEED).polygons[0];
+    let got = [
+        stage1_pin(QuerySpec::intersection_join(&a, &b)),
+        stage1_pin(QuerySpec::within_distance_join(&a, &b, base_d)),
+        stage1_pin(QuerySpec::intersection_selection(&b, window)),
+    ];
+    assert_eq!(
+        got,
+        [
+            (34, 14_101_616_692_928_981_595, 1332),
+            (67, 10_477_293_287_080_647_393, 1332),
+            (6, 7_270_046_635_401_972_344, 22),
+        ]
+    );
 }
