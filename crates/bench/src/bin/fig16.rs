@@ -1,6 +1,6 @@
 //! Figure 16: within-distance join performance as a function of the query
-//! distance D, hardware at 8×8 with `sw_threshold = 500` vs software,
-//! joins (a) LANDC ⋈ LANDO and (b) WATER ⋈ PRISM.
+//! distance D, hardware at 8×8 with `sw_threshold = 500` step-3 edges vs
+//! software, joins (a) LANDC ⋈ LANDO and (b) WATER ⋈ PRISM.
 //!
 //! Expected shape: the hardware margin narrows as D grows — wider lines
 //! cost more to render, and once Eq. 1 exceeds the 10-pixel line-width
@@ -13,7 +13,7 @@ use spatial_bench::{engine_with, header, ms, BenchOpts, Workloads, DISTANCE_FACT
 
 fn run(a: &PreparedDataset, b: &PreparedDataset, base_d: f64) {
     println!(
-        "\n--- join {} ⋈dist {} | window 8x8, sw_threshold 500 | geometry cost (ms total) ---",
+        "\n--- join {} ⋈dist {} | window 8x8, sw_threshold 500 step-3 edges | geometry cost (ms total) ---",
         a.name, b.name
     );
     println!(
@@ -54,7 +54,7 @@ fn main() {
     let opts = BenchOpts::from_args();
     header(
         "Figure 16",
-        "within-distance join vs query distance (hardware 8x8, threshold 500)",
+        "within-distance join vs query distance (hardware 8x8, threshold 500 step-3 edges)",
         opts,
     );
     let w = Workloads::generate(opts);

@@ -84,7 +84,7 @@ fn main() {
     for (a, b) in [(&w.landc, &w.lando), (&w.water, &w.prism)] {
         let (s, res, t) = best_intersection_speedup(a, b);
         println!(
-            "  {} ⋈ {}: {:.2}x  (window {}x{}, threshold {})",
+            "  {} ⋈ {}: {:.2}x  (window {}x{}, threshold {} step-3 edges)",
             a.name, b.name, s, res, res, t
         );
         rows.push(Row {
@@ -104,7 +104,7 @@ fn main() {
     ] {
         let (s, res, t) = best_distance_speedup(a, b, d);
         println!(
-            "  {} ⋈dist {}: {:.2}x  (window {}x{}, threshold {})",
+            "  {} ⋈dist {}: {:.2}x  (window {}x{}, threshold {} step-3 edges)",
             a.name, b.name, s, res, res, t
         );
         rows.push(Row {

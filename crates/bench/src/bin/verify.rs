@@ -52,15 +52,25 @@ fn main() {
         println!("selections over {} checked", ds.name);
     }
 
-    // Intersection joins at the recommended operating point.
+    // The joins at the recommended operating point, whose threshold keeps
+    // most pairs in software, and at threshold 0, which sends every pair
+    // the prologue leaves undecided to the device.
+    let join_configs = [
+        ("recommended", HwConfig::recommended()),
+        ("threshold 0", HwConfig::at_resolution(8)),
+    ];
+
+    // Intersection joins.
     for (a, b) in [(&w.landc, &w.lando), (&w.water, &w.prism)] {
         let (expected, _) = software_engine().intersection_join(a, b);
-        let (got, _) = engine_with(GeometryTest::Hardware, HwConfig::recommended(), None, false)
-            .intersection_join(a, b);
-        check(
-            got == expected,
-            format!("intersection_join {} ⋈ {}", a.name, b.name),
-        );
+        for (name, cfg) in join_configs {
+            let (got, _) =
+                engine_with(GeometryTest::Hardware, cfg, None, false).intersection_join(a, b);
+            check(
+                got == expected,
+                format!("intersection_join {} ⋈ {} {name}", a.name, b.name),
+            );
+        }
         println!(
             "intersection join {} ⋈ {} checked ({} results)",
             a.name,
@@ -75,18 +85,18 @@ fn main() {
         (&w.water, &w.prism, w.base_d_water_prism),
     ] {
         let mut sw = engine_with(GeometryTest::Software, HwConfig::recommended(), None, true);
-        let mut hw = engine_with(
-            GeometryTest::Hardware,
-            HwConfig::at_resolution(8).with_threshold(500),
-            None,
-            true,
-        );
-        for f in [0.1, 1.0, 4.0] {
-            check(
-                sw.within_distance_join(a, b, f * base).0
-                    == hw.within_distance_join(a, b, f * base).0,
-                format!("within_distance_join {} ⋈ {} D={f}×BaseD", a.name, b.name),
-            );
+        for (name, cfg) in join_configs {
+            let mut hw = engine_with(GeometryTest::Hardware, cfg, None, true);
+            for f in [0.1, 1.0, 4.0] {
+                check(
+                    sw.within_distance_join(a, b, f * base).0
+                        == hw.within_distance_join(a, b, f * base).0,
+                    format!(
+                        "within_distance_join {} ⋈ {} D={f}×BaseD {name}",
+                        a.name, b.name
+                    ),
+                );
+            }
         }
         println!("within-distance join {} ⋈ {} checked", a.name, b.name);
     }

@@ -10,9 +10,10 @@
 //! call it instead of re-deriving it:
 //!
 //! * [`route`] — the software prologue of a predicate (MBR gate,
-//!   point-in-polygon, `sw_threshold`, run boxes apart, no-window
-//!   fallback): the pair is either [`Routed::Done`] or needs the hardware
-//!   over a [`Window`];
+//!   point-in-polygon, run boxes apart, `sw_threshold` over the
+//!   [`step3_edges`] a rejection could save, no-window fallback): the
+//!   pair is either [`Routed::Done`] or needs the hardware over a
+//!   [`Window`];
 //! * [`window`] — the §3.2 projection: region, anisotropic vs uniform
 //!   scaling, the Equation (1) line width, which polygon renders first,
 //!   which recording the resulting tape is, and — extensions of
@@ -47,11 +48,12 @@ use spatial_raster::atlas::record_batch;
 use spatial_raster::{AtlasCell, CommandList, OverlapStrategy, Viewport, MAX_AA_LINE_WIDTH};
 use std::ops::Range;
 
-/// Which `record_*` function draws a window's tape.
+/// Which `record_*` function draws a window's tape; a distance test's
+/// carries its `d`.
 #[derive(Debug, Clone, Copy)]
 enum Recording {
     Segment,
-    Distance,
+    Distance(f64),
     Overlap,
 }
 
@@ -106,11 +108,6 @@ struct LiveRuns {
 }
 
 impl LiveRuns {
-    /// The live runs of the boundary rendered first and of the second.
-    fn pair(first: &Polygon, second: &Polygon, viewport: &Viewport, width: f64) -> [LiveRuns; 2] {
-        [first, second].map(|poly| LiveRuns::of(poly, viewport, width))
-    }
-
     fn of(poly: &Polygon, viewport: &Viewport, width: f64) -> LiveRuns {
         let (w, h) = (viewport.width(), viewport.height());
         let runs: Vec<Range<usize>> = poly
@@ -209,56 +206,90 @@ pub(crate) fn window<'a>(
     q: &'a Polygon,
     resolution: usize,
 ) -> Result<Window<'a>, NoWindow> {
-    let RefineOp::Test(Predicate::WithinDistance(d)) = op else {
-        // The segment tests project `projection`'s region. The overlap
-        // count's grid is part of its answer: it projects the MBR
-        // intersection, and needs it to have interior.
-        let (region, recording) = match op {
-            RefineOp::Measure { .. } => (
-                overlap_region(p, q).ok_or(NoWindow::Unfit)?,
-                Recording::Overlap,
-            ),
-            RefineOp::Test(pred) => (projection(pred, p, q)?, Recording::Segment),
-        };
-        let viewport = Viewport::new(region, resolution, resolution);
-        return Ok(Window {
-            region,
-            viewport,
-            width: DIAGONAL_WIDTH,
-            first: p,
-            second: q,
-            recording,
-            live: match recording {
-                Recording::Overlap => [p, q].map(|poly| LiveRuns::ring(poly, &viewport)),
-                _ => LiveRuns::pair(p, q, &viewport, DIAGONAL_WIDTH),
-            },
-        });
-    };
+    framing(op, p, q)?.window(resolution)
+}
 
-    // §3.2: the distance test renders the smaller object first, onto a
-    // uniform-scale window.
-    let (small, large) = if p.mbr().area() <= q.mbr().area() {
-        (p, q)
-    } else {
-        (q, p)
+/// What a window is before its resolution: the data-space region it
+/// projects, the polygons in render order and the recording — everything
+/// [`route`] needs to know before it decides between the device and
+/// software, and nothing it does not.
+#[derive(Debug)]
+struct Framing<'a> {
+    region: Rect,
+    first: &'a Polygon,
+    second: &'a Polygon,
+    recording: Recording,
+}
+
+/// The framing of `op` on `(p, q)`, or why the pair has no window.
+fn framing<'a>(op: RefineOp, p: &'a Polygon, q: &'a Polygon) -> Result<Framing<'a>, NoWindow> {
+    let (region, first, second, recording) = match op {
+        // The overlap count's grid is part of its answer: it projects the
+        // MBR intersection, and needs it to have interior.
+        RefineOp::Measure { .. } => (
+            overlap_region(p, q).ok_or(NoWindow::Unfit)?,
+            p,
+            q,
+            Recording::Overlap,
+        ),
+        // §3.2: the distance test renders the smaller object first.
+        RefineOp::Test(pred @ Predicate::WithinDistance(d)) => {
+            let (small, large) = if p.mbr().area() <= q.mbr().area() {
+                (p, q)
+            } else {
+                (q, p)
+            };
+            let region = projection(pred, small, large)?;
+            (region, small, large, Recording::Distance(d))
+        }
+        // The segment tests project `projection`'s region.
+        RefineOp::Test(pred) => (projection(pred, p, q)?, p, q, Recording::Segment),
     };
-    let region = projection(Predicate::WithinDistance(d), small, large)?;
-    let viewport = Viewport::uniform(region, resolution, resolution);
-    // Equation (1): the pixel width that covers data-space distance d.
-    // Over the hardware limit the test reverts to software (§3.1).
-    let width = viewport.line_width_for_distance(d.max(f64::MIN_POSITIVE));
-    if width.is_nan() || width > MAX_AA_LINE_WIDTH {
-        return Err(NoWindow::Unfit);
-    }
-    Ok(Window {
+    Ok(Framing {
         region,
-        viewport,
-        width,
-        first: small,
-        second: large,
-        recording: Recording::Distance,
-        live: LiveRuns::pair(small, large, &viewport, width),
+        first,
+        second,
+        recording,
     })
+}
+
+impl<'a> Framing<'a> {
+    /// The window over this framing at `resolution`: anisotropic for the
+    /// segment test and the overlap count, uniform for the distance test
+    /// (Equation (1) presumes it), with each side's live runs or fill ring.
+    fn window(self, resolution: usize) -> Result<Window<'a>, NoWindow> {
+        let (viewport, width) = match self.recording {
+            Recording::Distance(d) => {
+                let viewport = Viewport::uniform(self.region, resolution, resolution);
+                // Equation (1): the pixel width that covers data-space
+                // distance d. Over the hardware limit the test reverts to
+                // software (§3.1).
+                let width = viewport.line_width_for_distance(d.max(f64::MIN_POSITIVE));
+                if width.is_nan() || width > MAX_AA_LINE_WIDTH {
+                    return Err(NoWindow::Unfit);
+                }
+                (viewport, width)
+            }
+            Recording::Segment | Recording::Overlap => (
+                Viewport::new(self.region, resolution, resolution),
+                DIAGONAL_WIDTH,
+            ),
+        };
+        let sides = [self.first, self.second];
+        let live = match self.recording {
+            Recording::Overlap => sides.map(|poly| LiveRuns::ring(poly, &viewport)),
+            _ => sides.map(|poly| LiveRuns::of(poly, &viewport, width)),
+        };
+        Ok(Window {
+            region: self.region,
+            viewport,
+            width,
+            first: self.first,
+            second: self.second,
+            recording: self.recording,
+            live,
+        })
+    }
 }
 
 /// The projection region R of a boolean test of `pred` whose window
@@ -332,6 +363,27 @@ fn grown(r: &Rect, half: f64) -> Rect {
     )
 }
 
+/// The edges a software step 3 of `pred` on `(p, q)` can visit: the edges
+/// in runs of each polygon whose box meets the other's MBR — comes within
+/// `d` of it for [`Predicate::WithinDistance`] — with a polygon without
+/// run boxes counted whole ([`Polygon::runs_where`]). It is the work a
+/// hardware rejection saves: the tester's prologue sends a pair with at
+/// most `sw_threshold` of them to software, and the planner prices step 3
+/// by them.
+pub fn step3_edges(pred: Predicate, p: &Polygon, q: &Polygon) -> usize {
+    let reach = match pred {
+        Predicate::WithinDistance(d) => d,
+        Predicate::Intersects | Predicate::ContainedIn => 0.0,
+    };
+    let edges = |poly: &Polygon, other: &Polygon| -> usize {
+        let other = other.mbr();
+        poly.runs_where(|run| run.min_dist(&other) <= reach)
+            .map(|run| run.len())
+            .sum()
+    };
+    edges(p, q) + edges(q, p)
+}
+
 impl Window<'_> {
     /// This window's tape and its verdict slot.
     fn record(&self) -> (CommandList, usize) {
@@ -344,7 +396,7 @@ impl Window<'_> {
                 self.segments(false),
                 self.segments(true),
             ),
-            Recording::Distance => HwTester::record_expanded_boundaries(
+            Recording::Distance(_) => HwTester::record_expanded_boundaries(
                 self.region,
                 resolution,
                 self.width,
@@ -387,7 +439,7 @@ impl Window<'_> {
         let (poly, live) = self.side(second);
         let caps = match self.recording {
             Recording::Segment => 0,
-            Recording::Distance | Recording::Overlap => live.edges,
+            Recording::Distance(_) | Recording::Overlap => live.edges,
         };
         let runs = live.runs.iter();
         counted(
@@ -470,8 +522,10 @@ pub(crate) fn route<'a>(
         Predicate::Intersects => !p.mbr().intersects(&q.mbr()),
         Predicate::ContainedIn => !q.mbr().contains_rect(&p.mbr()),
         Predicate::WithinDistance(d) => {
-            debug_assert!(d >= 0.0);
-            p.mbr().min_dist(&q.mbr()) > d
+            // False for a NaN `d`, and a negative one is below every
+            // distance: no pair is within either.
+            let near = p.mbr().min_dist(&q.mbr()) <= d;
+            !near
         }
     };
     if gated {
@@ -492,9 +546,20 @@ pub(crate) fn route<'a>(
         return Routed::Done(verdict);
     }
 
-    // §4.3: simple pairs skip the hardware filter and run the whole
-    // software test.
-    if p.vertex_count() + q.vertex_count() <= cfg.sw_threshold {
+    // The run boxes bound the region the boundaries can meet in
+    // (`projection`); where it is empty the pair is answered as a
+    // hardware rejection would, with no submission.
+    let framing = framing(RefineOp::Test(pred), p, q);
+    if let Err(NoWindow::Apart) = framing {
+        stats.decided_by_runs += 1;
+        return Routed::Done(apart(pred));
+    }
+
+    // §4.3: a pair whose software step 3 is cheap skips the hardware
+    // filter and runs it. The paper counts the n + m vertices its plane
+    // sweep visits; step 3 here visits only the edges in runs that reach
+    // the other MBR, which is all a hardware rejection could save.
+    if cfg.sw_threshold > 0 && step3_edges(pred, p, q) <= cfg.sw_threshold {
         stats.skipped_by_threshold += 1;
         stats.software_tests += 1;
         return Routed::Done(confirm(pred, p, q));
@@ -506,20 +571,14 @@ pub(crate) fn route<'a>(
     // rate, so the hardware also rejects pairs whose boundaries never
     // reach the window without the O(n+m) software scan the restricted
     // search space costs — which is how Figure 11 finds the hardware
-    // ahead even at a 1×1 window. `window` keeps that, minus the runs of
-    // 32 edges whose cached box the clip compare rejects wholesale
-    // (`LiveRuns`): n/32 box compares, not a scan. The same boxes bound
-    // the region the boundaries can meet in (`projection`); where it is
-    // empty the pair is answered as a rejection would, with no submission.
-    match window(RefineOp::Test(pred), p, q, cfg.resolution) {
+    // ahead even at a 1×1 window. The window keeps that, minus the runs
+    // of 32 edges whose cached box the clip compare rejects wholesale
+    // (`LiveRuns`): n/32 box compares, not a scan.
+    match framing.and_then(|framing| framing.window(cfg.resolution)) {
         Ok(w) => Routed::Hw(w),
-        Err(NoWindow::Apart) => {
-            stats.decided_by_runs += 1;
-            Routed::Done(apart(pred))
-        }
         // No projection window: a capability limit, answered exactly in
         // software and charged to the fallback ledger.
-        Err(NoWindow::Unfit) => {
+        Err(_) => {
             stats.width_limit_fallbacks += 1;
             stats.software_tests += 1;
             Routed::Done(confirm(pred, p, q))
@@ -633,7 +692,7 @@ mod tests {
                 w.first.edges(),
                 w.second.edges(),
             ),
-            Recording::Distance => HwTester::record_distance_test(
+            Recording::Distance(_) => HwTester::record_distance_test(
                 w.region,
                 resolution,
                 OverlapStrategy::Accumulation,
@@ -650,7 +709,7 @@ mod tests {
     /// test, every vertex of both polygons.
     fn whole_job(w: &Window) -> AtlasJob {
         let caps = |poly: &Polygon| match w.recording {
-            Recording::Distance => poly.vertices().to_vec(),
+            Recording::Distance(_) => poly.vertices().to_vec(),
             _ => Vec::new(),
         };
         AtlasJob {
@@ -914,6 +973,12 @@ mod tests {
     /// overlap, neither holds the other's first vertex, and no run box of
     /// either comes within 0.75 of the other's MBR.
     fn pocket() -> (Polygon, Polygon) {
+        pocket_of(80, 600)
+    }
+
+    /// [`pocket`] with `per_side` edges a side (from 40 a run spans less
+    /// than a side, and no box reaches the ring) and a ring of `ring_n`.
+    fn pocket_of(per_side: usize, ring_n: usize) -> (Polygon, Polygon) {
         let corners = [
             (0.0, 0.0),
             (16.0, 0.0),
@@ -927,13 +992,16 @@ mod tests {
         let coords: Vec<(f64, f64)> = (0..8)
             .flat_map(|k| {
                 let ((x0, y0), (x1, y1)) = (corners[k], corners[(k + 1) % 8]);
-                (0..80).map(move |i| {
-                    let t = i as f64 / 80.0;
+                (0..per_side).map(move |i| {
+                    let t = i as f64 / per_side as f64;
                     (x0 + t * (x1 - x0), y0 + t * (y1 - y0))
                 })
             })
             .collect();
-        (Polygon::from_coords(&coords), ring(12.0, 8.0, &[1.5; 600]))
+        (
+            Polygon::from_coords(&coords),
+            ring(12.0, 8.0, &vec![1.5; ring_n]),
+        )
     }
 
     /// Two 600-vertex rings, one nested in the other 2.0 inside it.
@@ -1162,6 +1230,155 @@ mod tests {
                 (0, 0, 0),
                 "{pred:?}: {stats:?}"
             );
+        }
+    }
+
+    /// Two 600-vertex rings of radius 10 whose boundaries cross near
+    /// `(0, 10)`: neither holds the other's first vertex, and only the runs
+    /// near the lens reach the other's MBR.
+    fn lens() -> (Polygon, Polygon) {
+        (ring(0.0, 0.0, &[10.0; 600]), ring(0.0, 20.0, &[10.5; 600]))
+    }
+
+    /// What `route` decides for `pred` on `(p, q)` under `cfg`, and what it
+    /// counted.
+    fn routed(pred: Predicate, p: &Polygon, q: &Polygon, cfg: HwConfig) -> (bool, TestStats) {
+        let mut stats = TestStats::default();
+        let to_device = matches!(route(pred, p, q, &cfg, &mut stats), Routed::Hw(_));
+        (to_device, stats)
+    }
+
+    /// The threshold counts the edges of step 3, not the vertices of the
+    /// pair: 1 200 vertices whose runs meet the other MBR in under 500
+    /// edges run in software at the recommended configuration — and reach
+    /// the device with one edge less of threshold.
+    #[test]
+    fn a_pair_with_few_step3_edges_is_skipped_however_many_vertices_it_has() {
+        let (p, q) = lens();
+        let edges = step3_edges(Predicate::Intersects, &p, &q);
+        assert!(p.vertex_count() + q.vertex_count() > 500);
+        assert!((64..=500).contains(&edges), "{edges} step-3 edges");
+        let cfg = HwConfig::recommended();
+        let (to_device, stats) = routed(Predicate::Intersects, &p, &q, cfg);
+        assert!(!to_device);
+        assert_eq!(
+            (
+                stats.skipped_by_threshold,
+                stats.software_tests,
+                stats.hw_tests
+            ),
+            (1, 1, 0),
+            "{stats:?}"
+        );
+        let mut tester = HwTester::new(cfg);
+        assert!(tester.test(Predicate::Intersects, &p, &q, &mut TestStats::default()));
+        let (to_device, stats) =
+            routed(Predicate::Intersects, &p, &q, cfg.with_threshold(edges - 1));
+        assert!(to_device, "{stats:?}");
+        assert_eq!(stats.skipped_by_threshold, 0);
+    }
+
+    /// The run boxes answer before the threshold: a pair of 420 vertices
+    /// whose boxes cannot meet is decided by runs, not sent to step 3.
+    #[test]
+    fn a_small_pair_the_run_boxes_prove_apart_is_decided_by_runs() {
+        let (c, ring) = pocket_of(40, 100);
+        assert!(c.vertex_count() + ring.vertex_count() <= 500);
+        let (to_device, stats) = routed(Predicate::Intersects, &c, &ring, HwConfig::recommended());
+        assert!(!to_device);
+        assert_eq!(
+            (
+                stats.decided_by_runs,
+                stats.skipped_by_threshold,
+                stats.software_tests
+            ),
+            (1, 0, 0),
+            "{stats:?}"
+        );
+    }
+
+    /// Threshold 0 sends every pair that reaches the threshold step — the
+    /// pairs an unbounded threshold skips — to the device when it has a
+    /// window, and to the fallback ledger when it has none; every other
+    /// pair is decided and counted alike under both thresholds.
+    #[test]
+    fn threshold_zero_sends_every_undecided_pair_with_a_window_to_the_device() {
+        let (mut pairs, base_d) = corpus();
+        pairs.extend([lens(), pocket_of(40, 100), pocket()]);
+        let mut to_device = 0;
+        for (p, q) in &pairs {
+            for pred in [
+                Predicate::Intersects,
+                Predicate::ContainedIn,
+                Predicate::WithinDistance(base_d),
+            ] {
+                let every = HwConfig::at_resolution(8);
+                let (hw, stats) = routed(pred, p, q, every);
+                let (_, all_sw) = routed(pred, p, q, every.with_threshold(usize::MAX));
+                assert_eq!(stats.skipped_by_threshold, 0);
+                if all_sw.skipped_by_threshold == 0 {
+                    assert!(!hw, "{pred:?}");
+                    assert_eq!(format!("{stats:?}"), format!("{all_sw:?}"), "{pred:?}");
+                    continue;
+                }
+                match window(RefineOp::Test(pred), p, q, 8) {
+                    Ok(_) => {
+                        assert!(hw, "{pred:?}: {stats:?}");
+                        to_device += 1;
+                    }
+                    Err(NoWindow::Unfit) => {
+                        assert!(!hw && stats.width_limit_fallbacks == 1, "{pred:?}");
+                    }
+                    Err(NoWindow::Apart) => panic!("{pred:?}: an apart pair reached the threshold"),
+                }
+            }
+        }
+        assert!(to_device >= 10, "{to_device} pairs reached the device");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(16))]
+
+        /// The threshold only routes: a batch of up to 32 random ring pairs
+        /// — overlapping, nested and apart, from 3 to 300 vertices — gets
+        /// the same rows for every predicate at thresholds 0, 134, 500 and
+        /// unbounded, per pair and as one atlas batch.
+        #[test]
+        fn rows_are_identical_across_thresholds(
+            shapes in proptest::collection::vec(
+                (
+                    (-12.0f64..12.0, -12.0f64..12.0),
+                    proptest::collection::vec(9.0f64..10.0, 3..300),
+                    0.05f64..1.2,
+                    proptest::collection::vec(9.0f64..10.0, 3..300),
+                ),
+                1..33,
+            ),
+            d in 0.0f64..4.0,
+        ) {
+            let pairs: Vec<(Polygon, Polygon)> = shapes
+                .iter()
+                .map(|((x, y), p_radii, scale, q_radii)| {
+                    let q_radii: Vec<f64> = q_radii.iter().map(|r| r * scale).collect();
+                    (ring(0.0, 0.0, p_radii), ring(x * scale.min(1.0), *y, &q_radii))
+                })
+                .collect();
+            for pred in [Predicate::Intersects, Predicate::ContainedIn, Predicate::WithinDistance(d)] {
+                let refs: Vec<(&Polygon, &Polygon)> = pairs
+                    .iter()
+                    .map(|(p, q)| if pred == Predicate::ContainedIn { (q, p) } else { (p, q) })
+                    .collect();
+                let expected: Vec<bool> = refs.iter().map(|(p, q)| oracle(pred, p, q)).collect();
+                for threshold in [0, 134, 500, usize::MAX] {
+                    let mut tester = HwTester::new(HwConfig::at_resolution(8).with_threshold(threshold));
+                    let mut stats = TestStats::default();
+                    let per_pair: Vec<bool> =
+                        refs.iter().map(|(p, q)| tester.test(pred, p, q, &mut stats)).collect();
+                    proptest::prop_assert_eq!(&per_pair, &expected, "{:?} at {}", pred, threshold);
+                    let batched = tester.test_batch(pred, &refs, &mut stats);
+                    proptest::prop_assert_eq!(&batched, &expected, "{:?} batched at {}", pred, threshold);
+                }
+            }
         }
     }
 }

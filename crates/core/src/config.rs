@@ -7,9 +7,13 @@ pub struct HwConfig {
     /// Rendering window resolution (`resolution × resolution` pixels). The
     /// paper sweeps 1–32 (Figures 11, 12, 15) and recommends 8 or 16.
     pub resolution: usize,
-    /// §4.3: pairs with `n + m <=` this many vertices skip the hardware
-    /// test — simple geometry is cheaper to sweep in software than to
-    /// rasterize-and-scan. 0 disables the shortcut.
+    /// §4.3: a pair whose software step 3 can visit at most this many
+    /// edges ([`crate::service::step3_edges`]: those in runs whose box
+    /// reaches the other polygon's MBR) skips the hardware test — a
+    /// rejection could save no more than that step 3, which is cheaper
+    /// than a rasterize-and-scan. The paper counts the `n + m` vertices
+    /// its plane sweep visits; step 3 here visits only these edges. 0
+    /// disables the shortcut.
     pub sw_threshold: usize,
 }
 

@@ -32,9 +32,9 @@ pub enum GeometryTest {
     #[default]
     Software,
     /// Hardware-assisted (Algorithm 3.1 / §3.1 distance test), honoring
-    /// the `sw_threshold` of the engine's [`HwConfig`] (§4.3): pairs with
-    /// combined vertex count ≤ the threshold take the software test, the
-    /// rest take the hardware filter.
+    /// the `sw_threshold` of the engine's [`HwConfig`] (§4.3): pairs whose
+    /// software step 3 visits ≤ the threshold edges take the software
+    /// test, the rest take the hardware filter.
     Hardware,
 }
 

@@ -88,8 +88,8 @@ impl RefinementBackend for SoftwareBackend {
 /// honoring the `sw_threshold` of the tester's `HwConfig` (§4.3 treats the
 /// threshold as part of the algorithm): `0` is pure hardware routing,
 /// `usize::MAX` degenerates to all-software testing (with the hardware
-/// path's prologue), anything between splits pairs by combined vertex
-/// count. The tester owns the rendering context.
+/// path's prologue), anything between splits pairs by the edges of their
+/// software step 3. The tester owns the rendering context.
 impl RefinementBackend for HwTester {
     fn test(&mut self, pred: Predicate, p: &Polygon, q: &Polygon, stats: &mut TestStats) -> bool {
         HwTester::test(self, pred, p, q, stats)

@@ -45,7 +45,10 @@
 //! once (mostly the rasterizer's clip compare), which is why the sample
 //! is small. The priced pairs are every sampled pair with a window, not
 //! only those the tester's point-in-polygon and `sw_threshold` prologue
-//! would send to the device. A small memo keyed on the query's shape
+//! would send to the device: a pair whose [`step3_edges`] are within the
+//! threshold is priced as a device test but runs in software, so the
+//! hardware plans' prices, and the share of plans that pick hardware,
+//! overstate what the device does. A small memo keyed on the query's shape
 //! (pipeline, candidate-count bucket, sampled complexity) makes repeat
 //! queries plan for free.
 //!
@@ -53,7 +56,7 @@
 //! every backend is exact, so planning is purely a latency decision and
 //! a wrong estimate can never corrupt an answer.
 
-use crate::choreography::{list, window, NoWindow, Tape};
+use crate::choreography::{list, step3_edges, window, NoWindow, Tape};
 use crate::pipeline::{Predicate, RefineOp};
 use spatial_geom::Polygon;
 use spatial_raster::{CommandList, HwCostModel, RasterDevice, ReferenceDevice};
@@ -73,25 +76,6 @@ pub const STEP3_FIXED_NS: f64 = 160.0;
 /// this one line within the host's run-to-run spread. An aggregation's
 /// clip is priced at the same rate per vertex.
 pub const STEP3_NS_PER_EDGE: f64 = 9.5;
-
-/// The edges a software step 3 of `pred` on `(p, q)` can visit, the count
-/// the planner prices it by: the edges in runs of each polygon whose box
-/// meets the other's MBR — comes within `d` of it for
-/// [`Predicate::WithinDistance`] — with a polygon without run boxes
-/// counted whole ([`Polygon::runs_where`]).
-pub fn step3_edges(pred: Predicate, p: &Polygon, q: &Polygon) -> usize {
-    let reach = match pred {
-        Predicate::WithinDistance(d) => d,
-        Predicate::Intersects | Predicate::ContainedIn => 0.0,
-    };
-    let edges = |poly: &Polygon, other: &Polygon| -> usize {
-        let other = other.mbr();
-        poly.runs_where(|run| run.min_dist(&other) <= reach)
-            .map(|run| run.len())
-            .sum()
-    };
-    edges(p, q) + edges(q, p)
-}
 
 /// The backend a query will refine on, as selected by the planner (or
 /// forced by [`PlannerMode`]).

@@ -11,13 +11,14 @@ pub struct TestStats {
     /// Pairs the hardware prologue answered without a submission because
     /// the run boxes of the two boundaries cannot meet (for a distance
     /// test: come within `d`) anywhere in the projection region — the
-    /// region is empty (`choreography::window`).
+    /// region is empty (`choreography::projection`).
     pub decided_by_runs: usize,
     /// Pairs rejected by the hardware filter (the savings).
     pub rejected_by_hw: usize,
     /// Pairs that fell through to the software segment/distance test.
     pub software_tests: usize,
-    /// Pairs that skipped hardware because of `sw_threshold`.
+    /// Pairs that skipped hardware because their software step 3 visits
+    /// at most `sw_threshold` edges.
     pub skipped_by_threshold: usize,
     /// Distance tests that reverted to software because the required line
     /// width exceeded the hardware limit (§4.4).

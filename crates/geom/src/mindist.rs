@@ -63,8 +63,9 @@ pub fn min_dist_brute(p: &Polygon, q: &Polygon) -> f64 {
 
 /// True when the two polygons are within distance `d` of each other
 /// (closed: exactly `d` counts; intersecting polygons are within any
-/// `d ≥ 0`). The paper's "modified minDist" algorithm: frontier chains,
-/// clipped to MBRs extended by `d`, compared pairwise with early exit.
+/// `d ≥ 0`; none is within a negative or NaN `d`). The paper's "modified
+/// minDist" algorithm: frontier chains, clipped to MBRs extended by `d`,
+/// compared pairwise with early exit.
 pub fn within_distance(p: &Polygon, q: &Polygon, d: f64) -> bool {
     within_distance_with(p, q, d, &mut MinDistStats::default())
 }
@@ -91,9 +92,11 @@ pub fn clipped_chains_within(p: &Polygon, q: &Polygon, d: f64, stats: &mut MinDi
 /// Shared front half: the MBR lower bound and the containment probes.
 /// `Some(answer)` when they decide the pair.
 fn decided_early(p: &Polygon, q: &Polygon, d: f64, stats: &mut MinDistStats) -> Option<bool> {
-    debug_assert!(d >= 0.0);
     // MBR lower bound (the 0-level filter; cheap stand-alone correctness).
-    if p.mbr().min_dist(&q.mbr()) > d {
+    // False for a NaN `d`, and a negative one is below every distance: no
+    // pair is within either.
+    let near = p.mbr().min_dist(&q.mbr()) <= d;
+    if !near {
         stats.decided_early += 1;
         return Some(false);
     }

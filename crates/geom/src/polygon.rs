@@ -173,7 +173,7 @@ impl Polygon {
     }
 
     /// Number of vertices — the paper's measure of geometry complexity
-    /// (Table 2) and the input to the `sw_threshold` heuristic (§4.3).
+    /// (Table 2) and the input to its `sw_threshold` heuristic (§4.3).
     #[inline]
     pub fn vertex_count(&self) -> usize {
         self.vertices.len()

@@ -4,16 +4,19 @@
 //! tester per pair does (device purity, a slice of DESIGN.md invariant 8),
 //! and the within-distance join returns the software rows at every
 //! distance a caller can spell — zero, denormal-small, overflow-large and
-//! infinite — while the service refuses what is not a distance at all.
+//! infinite — while the service refuses what is not a distance at all,
+//! and the hardware and software tests answer that no pair is within it.
 
 use hwspatial::core::engine::{EngineConfig, PreparedDataset, SpatialEngine};
 use hwspatial::core::service::{
     PlannerConfig, PlannerMode, QueryEngine, QueryRequest, QueryRows, ServiceConfig, ServiceError,
     ServiceSnapshot,
 };
-use hwspatial::core::{CostBreakdown, HwConfig, HwTester, Predicate, TestStats};
+use hwspatial::core::{
+    hw_within_distance, CostBreakdown, HwConfig, HwTester, Predicate, TestStats,
+};
 use hwspatial::datagen;
-use hwspatial::geom::Polygon;
+use hwspatial::geom::{within_distance, Polygon};
 use hwspatial::index::{join_within_distance_with, FilterConfig, FilterStats};
 
 const SCALE: f64 = 0.002;
@@ -185,4 +188,34 @@ fn the_service_serves_infinity_and_refuses_what_is_not_a_distance() {
     let stats = engine.stats();
     assert_eq!((stats.completed, stats.invalid_queries), (1, 2));
     assert!(stats.balanced(), "{stats:?}");
+}
+
+fn square(x: f64, y: f64, side: f64) -> Polygon {
+    Polygon::from_coords(&[(x, y), (x + side, y), (x + side, y + side), (x, y + side)])
+}
+
+/// No pair is within a NaN or a negative distance — not even one square
+/// inside another, which point-in-polygon would otherwise answer — and
+/// `-0.0` is zero: squares that share a side are within it.
+#[test]
+fn no_pair_is_within_a_distance_that_is_not_one() {
+    let (outer, inner) = (square(0.0, 0.0, 4.0), square(1.0, 1.0, 1.0));
+    let (left, right) = (square(0.0, 0.0, 1.0), square(1.0, 0.0, 1.0));
+    let cases = [
+        (&outer, &inner, f64::NAN, false),
+        (&outer, &inner, -1.0, false),
+        (&outer, &inner, -f64::MIN_POSITIVE, false),
+        (&left, &right, f64::NAN, false),
+        (&left, &right, -0.0, true),
+    ];
+    for (p, q, d, expected) in cases {
+        assert_eq!(within_distance(p, q, d), expected, "software, d = {d:e}");
+        for cfg in [HwConfig::recommended(), hw_config()] {
+            assert_eq!(
+                hw_within_distance(p, q, d, cfg),
+                expected,
+                "hardware {cfg:?}, d = {d:e}"
+            );
+        }
+    }
 }
