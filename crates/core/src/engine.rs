@@ -129,6 +129,14 @@ pub enum ConfigError {
     /// empty window on every submission and the ladder could never
     /// settle.
     ZeroBrownoutWindow,
+    /// `BrownoutConfig::abort_pct` is 0 or above 100. At 0 every window
+    /// breaches — one without a deadline abort reads `0 >= 0` — so a
+    /// healthy service climbs the ladder to shedding; above 100 no window
+    /// can ever breach.
+    BadBrownoutAbortPct(u8),
+    /// `BrownoutConfig::reject_pct` is 0 or above 100, the same fault for
+    /// admission rejections.
+    BadBrownoutRejectPct(u8),
 }
 
 impl fmt::Display for ConfigError {
@@ -178,6 +186,16 @@ impl fmt::Display for ConfigError {
                 f,
                 "invalid ServiceConfig: brownout.window = 0 (the controller needs ≥ 1 submission \
                  per evaluation window)"
+            ),
+            ConfigError::BadBrownoutAbortPct(pct) => write!(
+                f,
+                "invalid ServiceConfig: brownout.abort_pct = {pct} (a breach threshold is a \
+                 percentage of the window in 1..=100)"
+            ),
+            ConfigError::BadBrownoutRejectPct(pct) => write!(
+                f,
+                "invalid ServiceConfig: brownout.reject_pct = {pct} (a breach threshold is a \
+                 percentage of the window in 1..=100)"
             ),
         }
     }
@@ -730,6 +748,14 @@ mod tests {
                 "recovery.probation_ns = Some(0)",
             ),
             (ConfigError::ZeroBrownoutWindow, "brownout.window = 0"),
+            (
+                ConfigError::BadBrownoutAbortPct(0),
+                "brownout.abort_pct = 0",
+            ),
+            (
+                ConfigError::BadBrownoutRejectPct(101),
+                "brownout.reject_pct = 101",
+            ),
         ];
         for (err, needle) in cases {
             let msg = err.to_string();

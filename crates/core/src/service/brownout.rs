@@ -32,10 +32,13 @@
 //! [`ServiceError::Overloaded`]: crate::service::ServiceError::Overloaded
 
 /// Brownout knobs, validated by `ServiceConfig::validate`
-/// (`window == 0` is a [`ConfigError::ZeroBrownoutWindow`]
-/// construction error).
+/// (`window == 0` is a [`ConfigError::ZeroBrownoutWindow`], a percentage
+/// outside `1..=100` a [`ConfigError::BadBrownoutAbortPct`] or
+/// [`ConfigError::BadBrownoutRejectPct`] construction error).
 ///
 /// [`ConfigError::ZeroBrownoutWindow`]: crate::engine::ConfigError::ZeroBrownoutWindow
+/// [`ConfigError::BadBrownoutAbortPct`]: crate::engine::ConfigError::BadBrownoutAbortPct
+/// [`ConfigError::BadBrownoutRejectPct`]: crate::engine::ConfigError::BadBrownoutRejectPct
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BrownoutConfig {
     /// Submissions per evaluation window. The ladder moves at most one

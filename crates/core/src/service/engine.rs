@@ -93,6 +93,12 @@ impl ServiceConfig {
             if b.window == 0 {
                 return Err(ConfigError::ZeroBrownoutWindow);
             }
+            if !(1..=100).contains(&b.abort_pct) {
+                return Err(ConfigError::BadBrownoutAbortPct(b.abort_pct));
+            }
+            if !(1..=100).contains(&b.reject_pct) {
+                return Err(ConfigError::BadBrownoutRejectPct(b.reject_pct));
+            }
         }
         Ok(())
     }
@@ -750,6 +756,41 @@ mod tests {
         config.base.hw.sw_threshold = 0;
         let engine = QueryEngine::try_new(config, ServiceSnapshot::new());
         assert_eq!(engine.err(), Some(ConfigError::ZeroResolution));
+    }
+
+    /// A brownout percentage of 0 read every window as a breach — one
+    /// with no abort and no rejection is `0 >= 0` — so a healthy service
+    /// was shed from its third window on; one above 100 can never be
+    /// reached. Both are refused at construction, and the bounds 1 and 100
+    /// serve a healthy stream without leaving `Normal`.
+    #[test]
+    fn brownout_percentages_outside_one_to_a_hundred_are_refused() {
+        let brownout = |abort_pct, reject_pct| ServiceConfig {
+            brownout: Some(BrownoutConfig {
+                window: 4,
+                abort_pct,
+                reject_pct,
+            }),
+            ..ServiceConfig::default()
+        };
+        for (config, expected) in [
+            (brownout(0, 50), ConfigError::BadBrownoutAbortPct(0)),
+            (brownout(101, 50), ConfigError::BadBrownoutAbortPct(101)),
+            (brownout(25, 0), ConfigError::BadBrownoutRejectPct(0)),
+            (brownout(25, 255), ConfigError::BadBrownoutRejectPct(255)),
+        ] {
+            let engine = QueryEngine::try_new(config, ServiceSnapshot::new());
+            assert_eq!(engine.err(), Some(expected));
+        }
+        for pct in [1, 100] {
+            let engine = tiny_engine(brownout(pct, pct));
+            for _ in 0..20 {
+                engine
+                    .execute(&selection())
+                    .expect("a healthy service sheds nothing");
+            }
+            assert_eq!(engine.brownout_rung(), BrownoutRung::Normal);
+        }
     }
 
     /// A plan memo of no entries is refused: it used to keep one plan,

@@ -76,12 +76,6 @@ impl Rect {
         self.width() * self.height()
     }
 
-    /// Half the perimeter; the R-tree quadratic split uses it as a measure.
-    #[inline]
-    pub fn margin(&self) -> f64 {
-        self.width() + self.height()
-    }
-
     #[inline]
     pub fn center(&self) -> Point {
         Point::new((self.xmin + self.xmax) / 2.0, (self.ymin + self.ymax) / 2.0)
@@ -253,7 +247,6 @@ mod tests {
         assert_eq!(a.width(), 4.0);
         assert_eq!(a.height(), 3.0);
         assert_eq!(a.area(), 12.0);
-        assert_eq!(a.margin(), 7.0);
         assert_eq!(a.center(), Point::new(2.0, 1.5));
     }
 

@@ -3,19 +3,19 @@
 //!
 //! The paper deliberately leaves indexing untouched ("does not require ...
 //! changes to existing storage and index structures"), so this crate
-//! provides a textbook Guttman R-tree: quadratic-split insertion,
-//! Sort-Tile-Recursive bulk loading, window queries for selections, and a
-//! synchronized-traversal spatial join producing the candidate pairs for
-//! intersection and within-distance joins.
+//! provides a textbook R-tree: Sort-Tile-Recursive bulk loading (every
+//! dataset is indexed once; a reload builds a new tree), window queries for
+//! selections, and a synchronized-traversal spatial join producing the
+//! candidate pairs for intersection and within-distance joins.
 //!
 //! The MBR filter's cost is reported separately by the engine (it is the
 //! flat-near-zero curve of Figure 10); candidates are identified by opaque
 //! payloads (dataset indices in the engine).
 //!
-//! Since the filter-stage rework, every node carries a struct-of-arrays
-//! mirror of its children's MBRs and traversals run one kernel per
-//! predicate over whole nodes ([`soa`]); the tree join descends both trees
-//! in lock-step on the calling thread.
+//! Every node holds its children's MBRs in struct-of-arrays lanes, their
+//! only copy, and traversals run one kernel per predicate over whole nodes
+//! ([`soa`]); the tree join descends both trees in lock-step on the calling
+//! thread.
 
 #![forbid(unsafe_code)]
 

@@ -1,14 +1,12 @@
 //! Lane-friendly node layout and vectorizable MBR kernels — the SIMD
 //! side of the filter stage.
 //!
-//! The R-tree's pointer structure is good for maintenance but hostile to
-//! vectorization: each overlap test loads an interleaved `(Rect, child)`
-//! entry. Following the SIMD-ified R-tree literature, every node therefore
-//! carries a struct-of-arrays mirror of its children's MBRs
-//! ([`ChildMbrs`]: `min_x[] / min_y[] / max_x[] / max_y[]`, padded to the
-//! lane width with [`Rect::EMPTY`] sentinels), rebuilt whenever the node's
-//! entry list changes. Queries and joins test a probe rectangle against a
-//! whole node with one kernel call instead of a per-child branch.
+//! Following the SIMD-ified R-tree literature, every node keeps its
+//! children's MBRs in struct-of-arrays form ([`ChildMbrs`]: `min_x[] /
+//! min_y[] / max_x[] / max_y[]`, padded to the lane width with
+//! [`Rect::EMPTY`] sentinels) and nowhere else: the node's payload or child
+//! list holds no rectangles. Queries and joins test a probe rectangle
+//! against a whole node with one kernel call instead of a per-child branch.
 //!
 //! Each predicate has one kernel body, [`SIMD_LANES`] slots per step,
 //! whose per-slot math is identical expression-for-expression to the
@@ -23,7 +21,7 @@
 //! use spatial_geom::Rect;
 //! use spatial_index::{ChildMbrs, FilterStats, Intersects};
 //!
-//! // A node holding two children, mirrored into SoA form.
+//! // A node holding two children, laid out in SoA form.
 //! let children = [Rect::new(0.0, 0.0, 1.0, 1.0), Rect::new(5.0, 5.0, 6.0, 6.0)];
 //! let node = ChildMbrs::from_rects(&children);
 //!
@@ -39,6 +37,7 @@
 use crate::rtree::MAX_ENTRIES;
 use spatial_geom::point::{hypot, OVERFLOW_ROOT};
 use spatial_geom::Rect;
+use std::borrow::Borrow;
 
 /// Slots the node kernels advance per step (f64 × 8 = two 256-bit
 /// registers).
@@ -76,11 +75,12 @@ impl Default for ChildMbrs {
 }
 
 impl ChildMbrs {
-    /// Builds the SoA mirror of `rects` (at most [`MAX_ENTRIES`] of them).
-    pub fn from_rects<'r>(rects: impl IntoIterator<Item = &'r Rect>) -> Self {
+    /// Lays `rects` (at most [`MAX_ENTRIES`] of them) out in lanes, slot
+    /// `i` holding the `i`-th.
+    pub fn from_rects(rects: impl IntoIterator<Item = impl Borrow<Rect>>) -> Self {
         let mut soa = ChildMbrs::default();
         for r in rects {
-            let i = soa.len;
+            let (r, i) = (r.borrow(), soa.len);
             assert!(i < SOA_WIDTH, "node exceeds SoA capacity");
             soa.min_x[i] = r.xmin;
             soa.min_y[i] = r.ymin;
@@ -101,10 +101,19 @@ impl ChildMbrs {
     }
 
     /// Reassembles slot `i` as a [`Rect`] (padding slots come back as
-    /// [`Rect::EMPTY`]) — the invariant checker uses this to assert the
-    /// mirror matches the node structure bit for bit.
+    /// [`Rect::EMPTY`]).
     pub fn rect(&self, i: usize) -> Rect {
         Rect::new(self.min_x[i], self.min_y[i], self.max_x[i], self.max_y[i])
+    }
+
+    /// The real slots' rectangles in slot order — the join's probe
+    /// rectangles and the tree's node MBRs are read this way.
+    #[inline]
+    pub(crate) fn rects(&self) -> impl Iterator<Item = Rect> + '_ {
+        let n = self.len;
+        (self.min_x[..n].iter().zip(&self.min_y[..n]))
+            .zip(self.max_x[..n].iter().zip(&self.max_y[..n]))
+            .map(|((&xmin, &ymin), (&xmax, &ymax))| Rect::new(xmin, ymin, xmax, ymax))
     }
 
     /// Tests `probe` against every child slot and returns the hit bitmask

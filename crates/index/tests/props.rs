@@ -1,5 +1,5 @@
-//! Property tests: the R-tree's answers equal linear scans for every query
-//! type, under both construction methods, on arbitrary rectangle soups.
+//! Property tests: the bulk-loaded R-tree's answers equal linear scans for
+//! every query type on arbitrary rectangle soups.
 
 use proptest::prelude::*;
 use spatial_geom::Rect;
@@ -36,38 +36,18 @@ fn sorted(v: Vec<&usize>) -> Vec<usize> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Window queries equal a linear scan, for bulk-loaded and inserted
-    /// trees alike.
+    /// Window queries equal a linear scan.
     #[test]
     fn search_matches_scan(items in arb_items(120), window in arb_rect()) {
         let bulk = RTree::bulk_load(items.clone());
-        let mut incr = RTree::new();
-        for (r, v) in items.clone() {
-            incr.insert(r, v);
-        }
         bulk.check_invariants();
-        incr.check_invariants();
         let mut expected: Vec<usize> = items
             .iter()
             .filter(|(r, _)| r.intersects(&window))
             .map(|&(_, v)| v)
             .collect();
         expected.sort_unstable();
-        prop_assert_eq!(sorted(bulk.search_intersects(&window)), expected.clone());
-        prop_assert_eq!(sorted(incr.search_intersects(&window)), expected);
-    }
-
-    /// Within-distance queries equal a linear scan.
-    #[test]
-    fn within_matches_scan(items in arb_items(100), q in arb_rect(), d in 0.0f64..80.0) {
-        let tree = RTree::bulk_load(items.clone());
-        let mut expected: Vec<usize> = items
-            .iter()
-            .filter(|(r, _)| r.min_dist(&q) <= d)
-            .map(|&(_, v)| v)
-            .collect();
-        expected.sort_unstable();
-        prop_assert_eq!(sorted(tree.search_within(&q, d)), expected);
+        prop_assert_eq!(sorted(bulk.search_intersects(&window)), expected);
     }
 
     /// Joins equal the quadratic scan.
@@ -108,25 +88,14 @@ proptest! {
         prop_assert_eq!(got_d, expected_d);
     }
 
-    /// Structural invariants — including every node's SoA mirror matching
-    /// its entry list bit for bit — hold after bulk loading and after
-    /// every step of an incremental insert sequence (the insert/split
-    /// path rebuilds the mirrors on the way back up).
+    /// Structural invariants — one lane box per child, parents covering
+    /// children, padding slots empty, a balanced tree — hold after bulk
+    /// loading.
     #[test]
     fn invariants_and_soa_mirror_hold_under_construction(items in arb_items(150)) {
         let bulk = RTree::bulk_load(items.clone());
         bulk.check_invariants();
-        let mut incr = RTree::new();
-        for (i, (r, v)) in items.into_iter().enumerate() {
-            incr.insert(r, v);
-            // Checking at every prefix would be quadratic; sample the
-            // prefixes (always including the final tree).
-            if i % 17 == 0 {
-                incr.check_invariants();
-            }
-        }
-        incr.check_invariants();
-        prop_assert_eq!(bulk.len(), incr.len());
+        prop_assert_eq!(bulk.len(), items.len());
     }
 
     /// For both join predicates the candidate set equals the brute-force

@@ -249,11 +249,15 @@ fn stage1_pin(spec: QuerySpec<'_>) -> (usize, u64, usize) {
 #[test]
 fn stage1_emits_the_pinned_candidate_sequence() {
     let (a, b, base_d) = corpus();
-    let window = &datagen::states50(SEED).polygons[0];
+    let states = datagen::states50(SEED).polygons;
+    // `states[0]` descends one leaf of `b`'s tree; `states[19]` four.
+    let (window, wide) = (&states[0], &states[19]);
     let got = [
         stage1_pin(QuerySpec::intersection_join(&a, &b)),
         stage1_pin(QuerySpec::within_distance_join(&a, &b, base_d)),
         stage1_pin(QuerySpec::intersection_selection(&b, window)),
+        stage1_pin(QuerySpec::containment_selection(&b, wide)),
+        stage1_pin(QuerySpec::intersection_selection(&b, wide)),
     ];
     assert_eq!(
         got,
@@ -261,6 +265,8 @@ fn stage1_emits_the_pinned_candidate_sequence() {
             (34, 14_101_616_692_928_981_595, 1332),
             (67, 10_477_293_287_080_647_393, 1332),
             (6, 7_270_046_635_401_972_344, 22),
+            (6, 11_480_206_910_829_613_896, 52),
+            (7, 7_524_328_202_177_271_920, 52),
         ]
     );
 }
