@@ -30,7 +30,7 @@
 //! `STEP3_FIXED_NS` and `STEP3_NS_PER_EDGE`.
 
 use hwa_core::engine::PreparedDataset;
-use hwa_core::hw_intersect::HwTester;
+use hwa_core::hw_intersect::{submitted_edges, HwTester};
 use hwa_core::hw_overlap::fill_rings;
 use hwa_core::pipeline::{CandidateFilter, Decision, ObjectFilterStage, Predicate};
 use hwa_core::service::{step3_edges, STEP3_FIXED_NS, STEP3_NS_PER_EDGE};
@@ -48,7 +48,7 @@ use spatial_geom::mindist::{clipped_chains_within, MinDistStats};
 use spatial_geom::sweep::{forward_sweep_intersects, SweepStats};
 use spatial_geom::{point_in_polygon, Point, Polygon, Rect, Segment};
 use spatial_raster::aa_line::{aa_line_outside_window, DIAGONAL_WIDTH};
-use spatial_raster::Viewport;
+use spatial_raster::{Viewport, MAX_AA_LINE_WIDTH};
 use std::cell::Cell;
 use std::ops::Range;
 use std::time::Instant;
@@ -82,7 +82,10 @@ fn main() {
         println!("\nFAIL: {filter_mismatches} 1-object verdicts differ from the bound");
     }
     if runs_mismatches > 0 {
-        println!("\nFAIL: {runs_mismatches} pairs the run boxes decided disagree with step 3");
+        println!(
+            "\nFAIL: {runs_mismatches} hardware-test pairs disagree with step 3 or with the \
+             restated window"
+        );
     }
     if mismatches + filter_mismatches + runs_mismatches > 0 {
         std::process::exit(1);
@@ -607,6 +610,9 @@ fn intersection_composition(
     search.mismatches
 }
 
+/// The window side of the hardware submission table: the recommended 8×8.
+const RESOLUTION: usize = 8;
+
 /// What the hardware tests submit for the pair's candidates at the
 /// recommended 8×8 window with `sw_threshold = 0` (every pair the probes
 /// leave undecided is submitted): for the intersection and within-distance
@@ -614,18 +620,19 @@ fn intersection_composition(
 /// tests, the width fallbacks and the mean area of the projection region R
 /// over the MBR region R₀ it was shrunk from; primitives before the run
 /// cull (two whole boundaries a pair, and every vertex again as a cap for
-/// the distance test) and after it (`HwStats::primitives`), and for the
-/// segment test the survivors of the rasterizer's clip compare and the
-/// candidate fragments each of them costs; and for the overlap count of
-/// the intersection candidates at the same window the vertices of both
-/// polygons before and after the fill ring, and per fill the
-/// scanline-center crossings of the ring's edges — the work the fill
+/// the distance test), after the clip step (restated here) and after the
+/// pairing step (`HwStats::primitives`), and for the segment test the
+/// survivors of the rasterizer's clip compare and the candidate fragments
+/// each of them costs; the CPU time per routed pair of the hardware
+/// prologue beside the software step 3 it stands before; and for the
+/// overlap count of the intersection candidates at the same window the
+/// vertices of both polygons before and after the fill ring, and per fill
+/// the scanline-center crossings of the ring's edges — the work the fill
 /// itself is about. Returns the gate's failures: a pair the run boxes
 /// decided that the software step 3 answers otherwise, or one where the
-/// region restated here ([`projection`]) disagrees with the product's on
-/// whether the boxes decide.
+/// window restated here ([`restate`]) disagrees with the product's on
+/// whether the boxes decide, or on the primitives it submits.
 fn hardware_submission(a: &PreparedDataset, b: &PreparedDataset, base_d: f64) -> usize {
-    const RESOLUTION: usize = 8;
     let mut tester = HwTester::new(HwConfig::at_resolution(RESOLUTION).with_threshold(0));
     println!(
         "\n{} ⋈ {} hardware submission at {RESOLUTION}×{RESOLUTION}, sw_threshold 0:",
@@ -633,20 +640,22 @@ fn hardware_submission(a: &PreparedDataset, b: &PreparedDataset, base_d: f64) ->
     );
 
     let (mut stats, mut whole, mut survivors) = (TestStats::default(), 0usize, 0usize);
-    let (mut runs, mut failures) = (Shrink::default(), 0usize);
+    let (mut runs, mut failures) = (RunBoxes::default(), 0usize);
     for (&i, &j) in spatial_index::join_intersecting(&a.tree, &b.tree) {
         let (p, q) = (a.polygon(i), b.polygon(j));
         let before = stats;
         let verdict = tester.intersects(p, q, &mut stats);
         let step3 = || boundaries_meet(p, q, &mut SweepStats::default());
-        failures += runs.add(&before, &stats, verdict, step3, projection(p, q, 0.0));
-        if stats.hw_tests == before.hw_tests {
+        let restated = restate(p, q, None);
+        failures += runs.add(&before, &stats, verdict, step3, &restated);
+        runs.time(&before, &stats, Predicate::Intersects, p, q, step3);
+        let (true, Restated::Window { region, .. }) = (stats.hw_tests > before.hw_tests, restated)
+        else {
             continue;
-        }
+        };
         whole += p.vertex_count() + q.vertex_count();
         // The segment test's window (§3.2) and the clip compare over it.
-        let (_, region) = projection(p, q, 0.0);
-        let viewport = Viewport::new(region.expect("a submitted pair"), RESOLUTION, RESOLUTION);
+        let viewport = Viewport::new(region, RESOLUTION, RESOLUTION);
         survivors += p
             .edges()
             .chain(q.edges())
@@ -658,9 +667,11 @@ fn hardware_submission(a: &PreparedDataset, b: &PreparedDataset, base_d: f64) ->
     }
     println!(
         "  intersection:         {:>6} tests  {whole:>9} segments before the run cull  \
-         {:>8} after ({:.1} %)  {survivors:>7} survive the clip compare  \
+         {:>8} after the clip step  {:>8} after pairing ({:.1} %)  \
+         {survivors:>7} survive the clip compare  \
          {:.1} candidate fragments per survivor",
         stats.hw_tests,
+        runs.clipped,
         stats.hw.primitives,
         100.0 * stats.hw.primitives as f64 / whole.max(1) as f64,
         stats.hw.fragments_tested as f64 / survivors.max(1) as f64,
@@ -695,7 +706,7 @@ fn hardware_submission(a: &PreparedDataset, b: &PreparedDataset, base_d: f64) ->
         crossings as f64 / fills.max(1) as f64,
     );
 
-    let (mut stats, mut whole, mut runs) = (TestStats::default(), 0usize, Shrink::default());
+    let (mut stats, mut whole, mut runs) = (TestStats::default(), 0usize, RunBoxes::default());
     for (&i, &j) in spatial_index::join_within_distance(&a.tree, &b.tree, base_d) {
         let (p, q) = (a.polygon(i), b.polygon(j));
         let before = stats;
@@ -707,16 +718,26 @@ fn hardware_submission(a: &PreparedDataset, b: &PreparedDataset, base_d: f64) ->
         } else {
             (q, p)
         };
-        let region = projection(small, large, base_d / 2.0);
-        failures += runs.add(&before, &stats, verdict, step3, region);
+        let restated = restate(small, large, Some(base_d));
+        failures += runs.add(&before, &stats, verdict, step3, &restated);
+        runs.time(
+            &before,
+            &stats,
+            Predicate::WithinDistance(base_d),
+            p,
+            q,
+            step3,
+        );
         if stats.hw_tests > before.hw_tests {
             whole += 2 * (p.vertex_count() + q.vertex_count());
         }
     }
     println!(
         "  within 1.0 × BaseD:   {:>6} tests  {whole:>9} segments and caps before  \
-         {:>8} after ({:.1} %)  {:.1} candidate fragments per submitted primitive",
+         {:>8} after the clip step  {:>8} after pairing ({:.1} %)  \
+         {:.1} candidate fragments per submitted primitive",
         stats.hw_tests,
+        runs.clipped,
         stats.hw.primitives,
         100.0 * stats.hw.primitives as f64 / whole.max(1) as f64,
         stats.hw.fragments_tested as f64 / stats.hw.primitives.max(1) as f64,
@@ -725,14 +746,39 @@ fn hardware_submission(a: &PreparedDataset, b: &PreparedDataset, base_d: f64) ->
     failures
 }
 
-/// The projection region of a boolean hardware test whose window renders
-/// `first` first, restated from the public run boxes — `hwa-core`'s
-/// `choreography::projection`: R₀ (the MBR intersection; for a distance
-/// test both MBRs expanded by `half` = d/2) and R, R₀ shrunk to the hull of
-/// the run boxes of `first` that meet it, then of `second`'s boxes that
-/// meet what is left, each box expanded by `half` and rounded outward;
-/// `None` when that empties it. The product projects R ∩ R₀.
-fn projection(first: &Polygon, second: &Polygon, half: f64) -> (Rect, Option<Rect>) {
+/// A boolean hardware test's window at [`RESOLUTION`], restated from the
+/// public run boxes.
+enum Restated {
+    /// R is empty, or a side keeps no paired run: the run boxes decide.
+    Apart,
+    /// No window: an empty R ∩ R₀ or an Equation (1) width over the limit.
+    Unfit,
+    /// A window over `region` = R ∩ R₀, submitting `clipped` primitives
+    /// after the clip step and `paired` after the pairing step.
+    Window {
+        r0: Rect,
+        region: Rect,
+        clipped: usize,
+        paired: usize,
+    },
+}
+
+/// The window of a boolean hardware test that renders `first` first — the
+/// segment test for `d = None` — restated from the public run boxes:
+/// `hwa-core`'s `choreography::projection` and `Framing::window`. R₀ is
+/// the MBR intersection (for a distance test both MBRs expanded by
+/// `half` = d/2), R the MBR intersection shrunk to the hull of the run
+/// boxes of `first` that meet it, then of `second`'s boxes that meet what
+/// is left, each box expanded by `half` and rounded outward; the window
+/// projects R ∩ R₀, anisotropically at the diagonal width for the segment
+/// test, uniformly at the Equation (1) width for distance. A run is
+/// submitted if the clip compare keeps its box at that width and its box,
+/// grown by `half`, meets R and the grown box of a run of the other
+/// boundary that the clip compare keeps and that meets R (a polygon
+/// without run boxes is one box, its MBR, and escapes the clip); the
+/// distance test adds a cap per edge.
+fn restate(first: &Polygon, second: &Polygon, d: Option<f64>) -> Restated {
+    let half = d.map_or(0.0, |d| d / 2.0);
     let grown = |r: &Rect| match half {
         0.0 => *r,
         _ => Rect::new(
@@ -742,67 +788,181 @@ fn projection(first: &Polygon, second: &Polygon, half: f64) -> (Rect, Option<Rec
             (r.ymax + half).next_up(),
         ),
     };
-    let r0 = first
+    let Some(r0) = first
         .mbr()
         .expanded(half)
         .intersection(&second.mbr().expanded(half))
-        .unwrap_or(Rect::EMPTY);
-    let mut region = grown(&first.mbr()).intersection(&grown(&second.mbr()));
+    else {
+        return Restated::Unfit;
+    };
+    let Some(mut reach) = grown(&first.mbr()).intersection(&grown(&second.mbr())) else {
+        return Restated::Unfit;
+    };
     for poly in [first, second] {
         if poly.runs().len() > 0 {
-            region = region.and_then(|region| {
-                let hull = poly
-                    .runs()
-                    .map(|(_, run)| grown(run))
-                    .filter(|run| run.intersects(&region))
-                    .fold(Rect::EMPTY, |hull, run| hull.union(&run));
-                region.intersection(&hull)
-            });
+            let hull = poly
+                .runs()
+                .map(|(_, run)| grown(run))
+                .filter(|run| run.intersects(&reach))
+                .fold(Rect::EMPTY, |hull, run| hull.union(&run));
+            let Some(shrunk) = reach.intersection(&hull) else {
+                return Restated::Apart;
+            };
+            reach = shrunk;
         }
     }
-    (
+    let Some(region) = reach.intersection(&r0) else {
+        return Restated::Unfit;
+    };
+    let (viewport, width) = match d {
+        None => (
+            Viewport::new(region, RESOLUTION, RESOLUTION),
+            DIAGONAL_WIDTH,
+        ),
+        Some(d) => {
+            let viewport = Viewport::uniform(region, RESOLUTION, RESOLUTION);
+            let width = viewport.line_width_for_distance(d.max(f64::MIN_POSITIVE));
+            if width.is_nan() || width > MAX_AA_LINE_WIDTH {
+                return Restated::Unfit;
+            }
+            (viewport, width)
+        }
+    };
+    // The runs the clip compare keeps, their boxes grown: a polygon
+    // without run boxes is one run, its MBR, and escapes the compare.
+    let clipped = |poly: &Polygon| -> Vec<(usize, Rect)> {
+        if poly.runs().len() == 0 {
+            return vec![(poly.vertex_count(), grown(&poly.mbr()))];
+        }
+        poly.runs()
+            .filter(|(_, run)| {
+                let lo = viewport.to_window(Point::new(run.xmin, run.ymin));
+                let hi = viewport.to_window(Point::new(run.xmax, run.ymax));
+                !aa_line_outside_window(lo, hi, width, RESOLUTION, RESOLUTION)
+            })
+            .map(|(edges, run)| (edges.len(), grown(run)))
+            .collect()
+    };
+    let (first, second) = (clipped(first), clipped(second));
+    // The edges of `runs` after the clip step, and after pairing with the
+    // runs of `other`: both boxes meet R and each other.
+    let edges = |runs: &[(usize, Rect)], other: &[(usize, Rect)]| -> (usize, usize) {
+        let reaches = |run: &&(usize, Rect)| run.1.intersects(&reach);
+        let paired = runs
+            .iter()
+            .filter(reaches)
+            .filter(|(_, run)| other.iter().filter(reaches).any(|(_, b)| b.intersects(run)));
+        (
+            runs.iter().map(|(edges, _)| edges).sum(),
+            paired.map(|(edges, _)| edges).sum(),
+        )
+    };
+    let (first_clipped, first_kept) = edges(&first, &second);
+    let (second_clipped, second_kept) = edges(&second, &first);
+    if first_kept == 0 || second_kept == 0 {
+        return Restated::Apart;
+    }
+    let per_edge = if d.is_some() { 2 } else { 1 };
+    Restated::Window {
         r0,
-        region.map(|region| region.intersection(&r0).unwrap_or(Rect::EMPTY)),
-    )
+        region,
+        clipped: per_edge * (first_clipped + second_clipped),
+        paired: per_edge * (first_kept + second_kept),
+    }
 }
 
 /// What the run boxes did for one join's hardware tests: the pairs they
-/// decided, and the area of R over R₀ summed over the submitted pairs
-/// whose R₀ has one.
+/// decided, the area of R over R₀ summed over the submitted pairs whose R₀
+/// has one, the primitives the submitted pairs had after the clip step,
+/// and the CPU time of the hardware prologue and of the software step 3
+/// over the routed pairs (those the MBR gate and point-in-polygon left).
 #[derive(Default)]
-struct Shrink {
+struct RunBoxes {
     decided: usize,
     ratio_sum: f64,
     ratios: usize,
+    clipped: usize,
+    routed: usize,
+    prologue_ns: f64,
+    edges_ns: f64,
+    step3_ns: f64,
 }
 
-impl Shrink {
+impl RunBoxes {
     /// Counts one pair the tester answered `verdict`, from its ledger
     /// `before` and `after` the test, with the software step 3 and the
-    /// restated `(R₀, R)`; returns 1 if the pair fails the gate.
+    /// restated window; returns 1 if the pair fails the gate.
     fn add(
         &mut self,
         before: &TestStats,
         after: &TestStats,
         verdict: bool,
-        step3: impl FnOnce() -> bool,
-        (r0, region): (Rect, Option<Rect>),
+        step3: impl Fn() -> bool,
+        restated: &Restated,
     ) -> usize {
         let decided = after.decided_by_runs > before.decided_by_runs;
         let submitted = after.hw_tests > before.hw_tests;
         self.decided += usize::from(decided);
-        if submitted && r0.area() > 0.0 {
-            self.ratio_sum += region.map_or(0.0, |r| r.area()) / r0.area();
-            self.ratios += 1;
+        let mut drift = false;
+        if let (
+            true,
+            Restated::Window {
+                r0,
+                region,
+                clipped,
+                paired,
+            },
+        ) = (submitted, restated)
+        {
+            if r0.area() > 0.0 {
+                self.ratio_sum += region.area() / r0.area();
+                self.ratios += 1;
+            }
+            self.clipped += clipped;
+            drift = after.hw.primitives - before.hw.primitives != *paired;
         }
         // A runs-decided pair is apart: step 3 must find no meeting, and
-        // the restated region must be empty exactly then.
+        // the restated window must be apart exactly then.
         let wrong = decided && (verdict || step3());
-        let drift = (decided || submitted) && decided != region.is_none();
+        drift |= (decided || submitted) && decided != matches!(restated, Restated::Apart);
         usize::from(wrong || drift)
     }
 
+    /// Times, for a pair the tester routed past its MBR gate and
+    /// point-in-polygon step, the product's hardware prologue
+    /// ([`submitted_edges`]: projection, clip and pairing), the
+    /// [`step3_edges`] count it adds at a threshold above 0, and `step3`.
+    fn time(
+        &mut self,
+        before: &TestStats,
+        after: &TestStats,
+        pred: Predicate,
+        p: &Polygon,
+        q: &Polygon,
+        step3: impl Fn() -> bool,
+    ) {
+        if after.decided_by_pip > before.decided_by_pip {
+            return;
+        }
+        let ns = |f: &mut dyn FnMut()| {
+            let t = Instant::now();
+            f();
+            t.elapsed().as_secs_f64() * 1e9
+        };
+        self.routed += 1;
+        self.prologue_ns += ns(&mut || {
+            std::hint::black_box(submitted_edges(pred, p, q, RESOLUTION));
+        });
+        self.edges_ns += ns(&mut || {
+            std::hint::black_box(step3_edges(pred, p, q));
+        });
+        self.step3_ns += ns(&mut || {
+            std::hint::black_box(step3());
+        });
+    }
+
     fn row(&self, stats: &TestStats) {
+        let per = |ns: f64| ns / self.routed.max(1) as f64;
         println!(
             "    run boxes: {} pairs decided by runs, {} hardware tests, {} width fallbacks, \
              mean R/R₀ area {:.3} over the tests",
@@ -810,6 +970,14 @@ impl Shrink {
             stats.hw_tests,
             stats.width_limit_fallbacks,
             self.ratio_sum / self.ratios.max(1) as f64,
+        );
+        println!(
+            "    prologue per routed pair ({} pairs): {:.0} ns projection + clip + pairing, \
+             + {:.0} ns step3_edges at a threshold > 0; software step 3 {:.0} ns",
+            self.routed,
+            per(self.prologue_ns),
+            per(self.edges_ns),
+            per(self.step3_ns),
         );
     }
 }

@@ -19,9 +19,11 @@
 //!   which recording the resulting tape is, and — extensions of
 //!   Algorithm 3.1 — the part of the MBR region the run boxes of both
 //!   boundaries can meet in ([`projection`]: an empty one decides the
-//!   pair without the device) and which runs of each boundary can reach
-//!   the window at all ([`LiveRuns`]: the live edges of a boundary test,
-//!   the fill ring of an overlap count);
+//!   pair without the device) and which runs of each boundary a test
+//!   submits ([`LiveRuns`]: for a boundary test the runs that reach the
+//!   window and whose box meets the box of a run of the other boundary —
+//!   none on a side decides the pair too; for an overlap count the fill
+//!   ring);
 //! * [`list`] — the command list for a [`Tape`] (one window, or an atlas
 //!   of windows sharing a line width), recorded per submission from the
 //!   window's live runs and executed verbatim. The only product caller
@@ -45,7 +47,9 @@ use spatial_geom::sweep::SweepStats;
 use spatial_geom::{MinDistStats, Point, Polygon, Rect, Segment};
 use spatial_raster::aa_line::{aa_line_outside_window, DIAGONAL_WIDTH};
 use spatial_raster::atlas::record_batch;
-use spatial_raster::{AtlasCell, CommandList, OverlapStrategy, Viewport, MAX_AA_LINE_WIDTH};
+use spatial_raster::{
+    AtlasCell, CommandList, OverlapStrategy, Viewport, MAX_AA_LINE_WIDTH, MAX_WINDOW_SIDE,
+};
 use std::ops::Range;
 
 /// Which `record_*` function draws a window's tape; a distance test's
@@ -83,7 +87,8 @@ pub(crate) struct Window<'a> {
 
 /// The part of one boundary a window submits: the runs of consecutive
 /// edges ([`Polygon::runs_where`]) whose box the rasterizer's clip compare
-/// could not reject, as edge-index ranges in boundary order — never a copy
+/// could not reject and — for a boolean test — that pair with a run of the
+/// other boundary, as edge-index ranges in boundary order — never a copy
 /// of the edges — and how many edges they hold. For an overlap count, the
 /// fill ring ([`LiveRuns::ring`]) in the same shape.
 ///
@@ -97,10 +102,21 @@ pub(crate) struct Window<'a> {
 /// end point of the run, and what [`aa_line_outside_window`] rejects for
 /// the corners at the window's line width it rejects for each edge of the
 /// run — and, at half that width, for the distance test's cap on each of
-/// their vertices. Every skipped primitive is one the clip stage would
-/// have discarded before any setup: pixels, fragments, readbacks and rows
-/// are unchanged, only `primitives` (and the modeled time that prices it)
-/// falls.
+/// their vertices. Every primitive the clip step skips is one the clip
+/// stage would have discarded before any setup: pixels, fragments,
+/// readbacks and rows are unchanged, only `primitives` (and the modeled
+/// time that prices it) falls.
+///
+/// The pairing step ([`Framing::window`]) goes further and changes what
+/// is drawn, never a verdict a meeting needs: of the runs the clip step
+/// keeps, a boolean test submits those whose box, grown by `d/2` (0 for
+/// the segment tests), meets R and the grown box of such a run of the
+/// other boundary ([`Near`]). Algorithm 3.1 and its distance variant only
+/// reject; a meeting is found at the pixel of its meeting point, drawn by
+/// the primitives that carry the meeting, and the runs of those pair
+/// (DESIGN.md §5, invariant 5). Overlap pixels only disappear: the
+/// hardware may reject a pair the whole boundaries would not have let it
+/// reject, never one whose boundaries meet.
 #[derive(Debug, Default)]
 struct LiveRuns {
     runs: Vec<Range<usize>>,
@@ -108,17 +124,45 @@ struct LiveRuns {
 }
 
 impl LiveRuns {
-    fn of(poly: &Polygon, viewport: &Viewport, width: f64) -> LiveRuns {
+    /// The runs of `poly` the clip compare of `viewport` at line width
+    /// `width` keeps, in boundary order, each with its box grown by `half`
+    /// ([`grown`]) — a polygon without run boxes is one run, its MBR, which
+    /// the compare takes whole.
+    fn clipped<'p>(
+        poly: &'p Polygon,
+        viewport: &'p Viewport,
+        width: f64,
+        half: f64,
+    ) -> impl Iterator<Item = (Range<usize>, Rect)> + 'p {
+        let unboxed = (poly.runs().len() == 0).then(|| (0..poly.vertex_count(), poly.mbr()));
         let (w, h) = (viewport.width(), viewport.height());
-        let runs: Vec<Range<usize>> = poly
-            .runs_where(|run| {
-                let lo = viewport.to_window(Point::new(run.xmin, run.ymin));
-                let hi = viewport.to_window(Point::new(run.xmax, run.ymax));
-                !aa_line_outside_window(lo, hi, width, w, h)
-            })
-            .collect();
-        let edges = runs.iter().map(Range::len).sum();
-        LiveRuns { runs, edges }
+        let boxed = poly.runs().filter(move |(_, run)| {
+            let lo = viewport.to_window(Point::new(run.xmin, run.ymin));
+            let hi = viewport.to_window(Point::new(run.xmax, run.ymax));
+            !aa_line_outside_window(lo, hi, width, w, h)
+        });
+        let runs = unboxed
+            .into_iter()
+            .chain(boxed.map(|(edges, run)| (edges, *run)));
+        runs.map(move |(edges, run)| (edges, grown(&run, half)))
+    }
+
+    /// `runs`, in boundary order, as one live set.
+    fn of(runs: impl IntoIterator<Item = Range<usize>>) -> LiveRuns {
+        let mut live = LiveRuns::default();
+        for run in runs {
+            live.push(run);
+        }
+        live
+    }
+
+    /// Appends `run`, joined to the last range where they touch.
+    fn push(&mut self, run: Range<usize>) {
+        self.edges += run.len();
+        match self.runs.last_mut() {
+            Some(last) if last.end == run.start => last.end = run.end,
+            _ => self.runs.push(run),
+        }
     }
 
     /// The *fill ring* of `poly` for the overlap count's window: the
@@ -151,13 +195,6 @@ impl LiveRuns {
         const EXACT: f64 = (1u64 << 40) as f64;
         let (w, h) = (viewport.width() as f64, viewport.height() as f64);
         let mut ring = LiveRuns::default();
-        let mut keep = |vertices: Range<usize>| {
-            ring.edges += vertices.len();
-            match ring.runs.last_mut() {
-                Some(last) if last.end == vertices.start => last.end = vertices.end,
-                _ => ring.runs.push(vertices),
-            }
-        };
         let dead = |bounds: &Rect| {
             let lo = viewport.to_window(Point::new(bounds.xmin, bounds.ymin));
             let hi = viewport.to_window(Point::new(bounds.xmax, bounds.ymax));
@@ -169,10 +206,10 @@ impl LiveRuns {
         // From three runs up, so that a ring keeps three vertices and is a
         // polygon; below that (and unboxed) the whole boundary.
         if poly.runs().len() < 3 {
-            keep(0..poly.vertex_count());
+            ring.push(0..poly.vertex_count());
         } else {
             for (run, bounds) in poly.runs() {
-                keep(if dead(bounds) {
+                ring.push(if dead(bounds) {
                     run.start..run.start + 1
                 } else {
                     run
@@ -187,14 +224,16 @@ impl LiveRuns {
 /// Why a pair has no projection window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum NoWindow {
-    /// The projection region of a boolean test is empty: the run boxes
-    /// prove the boundaries apart — for a distance test, farther than `d`
-    /// apart ([`projection`]). The prologue answers the pair without the
-    /// device.
+    /// The run boxes prove the boundaries of a boolean test apart — for a
+    /// distance test, farther than `d` apart: the projection region is
+    /// empty ([`projection`]), or no run of one boundary pairs with a run
+    /// of the other ([`Framing::window`]). The prologue answers the pair
+    /// without the device.
     Apart,
     /// The device cannot take the pair: no shared region, a degenerate one
-    /// (overlap count), or an Equation (1) width that is over the hardware
-    /// limit or not a width at all.
+    /// (overlap count), an Equation (1) width that is over the hardware
+    /// limit or not a width at all, or a boolean test at a resolution
+    /// outside `1..=MAX_WINDOW_SIDE`.
     Unfit,
 }
 
@@ -216,6 +255,10 @@ pub(crate) fn window<'a>(
 #[derive(Debug)]
 struct Framing<'a> {
     region: Rect,
+    /// Where the boundaries of a boolean test can meet: [`projection`]'s R,
+    /// rounded outward, before it is cut to R₀ — it holds every meeting
+    /// point exactly. The overlap count's is its `region`.
+    reach: Rect,
     first: &'a Polygon,
     second: &'a Polygon,
     recording: Recording,
@@ -223,15 +266,13 @@ struct Framing<'a> {
 
 /// The framing of `op` on `(p, q)`, or why the pair has no window.
 fn framing<'a>(op: RefineOp, p: &'a Polygon, q: &'a Polygon) -> Result<Framing<'a>, NoWindow> {
-    let (region, first, second, recording) = match op {
+    let ((reach, region), first, second, recording) = match op {
         // The overlap count's grid is part of its answer: it projects the
         // MBR intersection, and needs it to have interior.
-        RefineOp::Measure { .. } => (
-            overlap_region(p, q).ok_or(NoWindow::Unfit)?,
-            p,
-            q,
-            Recording::Overlap,
-        ),
+        RefineOp::Measure { .. } => {
+            let region = overlap_region(p, q).ok_or(NoWindow::Unfit)?;
+            ((region, region), p, q, Recording::Overlap)
+        }
         // §3.2: the distance test renders the smaller object first.
         RefineOp::Test(pred @ Predicate::WithinDistance(d)) => {
             let (small, large) = if p.mbr().area() <= q.mbr().area() {
@@ -239,14 +280,15 @@ fn framing<'a>(op: RefineOp, p: &'a Polygon, q: &'a Polygon) -> Result<Framing<'
             } else {
                 (q, p)
             };
-            let region = projection(pred, small, large)?;
-            (region, small, large, Recording::Distance(d))
+            let regions = projection(pred, small, large)?;
+            (regions, small, large, Recording::Distance(d))
         }
         // The segment tests project `projection`'s region.
         RefineOp::Test(pred) => (projection(pred, p, q)?, p, q, Recording::Segment),
     };
     Ok(Framing {
         region,
+        reach,
         first,
         second,
         recording,
@@ -257,8 +299,51 @@ impl<'a> Framing<'a> {
     /// The window over this framing at `resolution`: anisotropic for the
     /// segment test and the overlap count, uniform for the distance test
     /// (Equation (1) presumes it), with each side's live runs or fill ring.
-    fn window(self, resolution: usize) -> Result<Window<'a>, NoWindow> {
-        let (viewport, width) = match self.recording {
+    ///
+    /// A boolean test submits the runs of each boundary that survive the
+    /// clip compare and *pair*: whose box, grown by `d/2` (0 for the
+    /// segment tests), meets R and the grown box of such a run of the other
+    /// boundary. Every point the boundaries share, and for distance the
+    /// midpoint of any two boundary points within `d`, lies in R and in the
+    /// grown box of each run that carries one of the two points — a vertex
+    /// cap in the boxes of both runs the vertex joins — and those runs
+    /// reach the window, so the primitives that draw it are all submitted.
+    /// Where a side keeps no run, no pair of runs can meet: the pair is
+    /// [`NoWindow::Apart`]. R, the viewport and the line width do not
+    /// depend on the pairing.
+    fn window(&self, resolution: usize) -> Result<Window<'a>, NoWindow> {
+        let (viewport, width) = self.viewport(resolution)?;
+        let sides = [self.first, self.second];
+        let half = match self.recording {
+            Recording::Overlap => {
+                let rings = sides.map(|poly| LiveRuns::ring(poly, &viewport));
+                return Ok(self.over(viewport, width, rings));
+            }
+            Recording::Segment => 0.0,
+            Recording::Distance(d) => d / 2.0,
+        };
+        let [first, second] = sides.map(|poly| Near::of(poly, &viewport, width, half, &self.reach));
+        let live = [(&first, &second), (&second, &first)].map(|(near, other)| {
+            let paired = near.runs.iter().filter(|(_, run)| other.meet(run));
+            LiveRuns::of(paired.map(|(edges, _)| edges.clone()))
+        });
+        if live.iter().any(|side| side.edges == 0) {
+            return Err(NoWindow::Apart);
+        }
+        Ok(self.over(viewport, width, live))
+    }
+
+    /// The viewport and line width of this framing's window at
+    /// `resolution`. A boolean test outside `1..=MAX_WINDOW_SIDE` has none:
+    /// the device has no such frame.
+    fn viewport(&self, resolution: usize) -> Result<(Viewport, f64), NoWindow> {
+        // The overlap count's resolution is part of its answer, bounded
+        // where the request is validated.
+        let boolean = !matches!(self.recording, Recording::Overlap);
+        if boolean && !(1..=MAX_WINDOW_SIDE).contains(&resolution) {
+            return Err(NoWindow::Unfit);
+        }
+        match self.recording {
             Recording::Distance(d) => {
                 let viewport = Viewport::uniform(self.region, resolution, resolution);
                 // Equation (1): the pixel width that covers data-space
@@ -268,19 +353,18 @@ impl<'a> Framing<'a> {
                 if width.is_nan() || width > MAX_AA_LINE_WIDTH {
                     return Err(NoWindow::Unfit);
                 }
-                (viewport, width)
+                Ok((viewport, width))
             }
-            Recording::Segment | Recording::Overlap => (
+            Recording::Segment | Recording::Overlap => Ok((
                 Viewport::new(self.region, resolution, resolution),
                 DIAGONAL_WIDTH,
-            ),
-        };
-        let sides = [self.first, self.second];
-        let live = match self.recording {
-            Recording::Overlap => sides.map(|poly| LiveRuns::ring(poly, &viewport)),
-            _ => sides.map(|poly| LiveRuns::of(poly, &viewport, width)),
-        };
-        Ok(Window {
+            )),
+        }
+    }
+
+    /// The window of this framing over `viewport` that submits `live`.
+    fn over(&self, viewport: Viewport, width: f64, live: [LiveRuns; 2]) -> Window<'a> {
+        Window {
             region: self.region,
             viewport,
             width,
@@ -288,12 +372,58 @@ impl<'a> Framing<'a> {
             second: self.second,
             recording: self.recording,
             live,
-        })
+        }
+    }
+}
+
+/// The runs of one boundary of a boolean test that can carry a meeting
+/// point: those the clip step keeps ([`LiveRuns::clipped`]) whose grown
+/// box meets the reach R, in boundary order with their grown boxes, and
+/// for more than [`Near::BLOCK`] of them the hull of each block of that
+/// many, so that a box far from a block pays one compare for it.
+struct Near {
+    runs: Vec<(Range<usize>, Rect)>,
+    blocks: Vec<Rect>,
+}
+
+impl Near {
+    /// Runs per block: consecutive runs are neighbours, so a block's hull
+    /// stays small.
+    const BLOCK: usize = 8;
+
+    fn of(poly: &Polygon, viewport: &Viewport, width: f64, half: f64, reach: &Rect) -> Near {
+        let runs: Vec<_> = LiveRuns::clipped(poly, viewport, width, half)
+            .filter(|(_, run)| run.intersects(reach))
+            .collect();
+        let blocks = if runs.len() > Self::BLOCK {
+            let hull = |block: &[(Range<usize>, Rect)]| {
+                block
+                    .iter()
+                    .fold(Rect::EMPTY, |hull, (_, run)| hull.union(run))
+            };
+            runs.chunks(Self::BLOCK).map(hull).collect()
+        } else {
+            Vec::new()
+        };
+        Near { runs, blocks }
+    }
+
+    /// Whether the grown box `run` meets the grown box of one of these
+    /// runs.
+    fn meet(&self, run: &Rect) -> bool {
+        let meets =
+            |block: &[(Range<usize>, Rect)]| block.iter().any(|(_, near)| near.intersects(run));
+        if self.blocks.is_empty() {
+            return meets(&self.runs);
+        }
+        let mut blocks = self.blocks.iter().zip(self.runs.chunks(Self::BLOCK));
+        blocks.any(|(hull, block)| hull.intersects(run) && meets(block))
     }
 }
 
 /// The projection region R of a boolean test of `pred` whose window
-/// renders `first` first.
+/// renders `first` first, as `(R, R ∩ R₀)`: the second is what the window
+/// projects.
 ///
 /// §3.2 projects R₀, the MBR intersection — for containment that *is* the
 /// inner MBR once the MBR gate passed — or for a distance test the
@@ -311,7 +441,11 @@ impl<'a> Framing<'a> {
 /// the shrink round outward ([`grown`]), so that an empty R is a proof,
 /// not a rounding; the region projected is R ∩ R₀, which is R₀ itself
 /// for polygons without boxes.
-fn projection(pred: Predicate, first: &Polygon, second: &Polygon) -> Result<Rect, NoWindow> {
+fn projection(
+    pred: Predicate,
+    first: &Polygon,
+    second: &Polygon,
+) -> Result<(Rect, Rect), NoWindow> {
     let half = match pred {
         Predicate::WithinDistance(d) => d / 2.0,
         Predicate::Intersects | Predicate::ContainedIn => 0.0,
@@ -345,7 +479,7 @@ fn projection(pred: Predicate, first: &Polygon, second: &Polygon) -> Result<Rect
             .fold(Rect::EMPTY, |hull, run| hull.union(&run));
         region = region.intersection(&hull).ok_or(NoWindow::Apart)?;
     }
-    region.intersection(&r0).ok_or(NoWindow::Unfit)
+    Ok((region, region.intersection(&r0).ok_or(NoWindow::Unfit)?))
 }
 
 /// `r` expanded by `half` on every side, rounded outward: it holds every
@@ -547,13 +681,18 @@ pub(crate) fn route<'a>(
     }
 
     // The run boxes bound the region the boundaries can meet in
-    // (`projection`); where it is empty the pair is answered as a
-    // hardware rejection would, with no submission.
-    let framing = framing(RefineOp::Test(pred), p, q);
-    if let Err(NoWindow::Apart) = framing {
+    // (`projection`); where it is empty — or, once the threshold has
+    // passed the pair on, where no run of one boundary pairs with a run of
+    // the other (`Framing::window`) — the pair is answered as a hardware
+    // rejection would, with no submission.
+    let by_runs = |stats: &mut TestStats| {
         stats.decided_by_runs += 1;
-        return Routed::Done(apart(pred));
-    }
+        Routed::Done(apart(pred))
+    };
+    let framing = match framing(RefineOp::Test(pred), p, q) {
+        Err(NoWindow::Apart) => return by_runs(stats),
+        framing => framing,
+    };
 
     // §4.3: a pair whose software step 3 is cheap skips the hardware
     // filter and runs it. The paper counts the n + m vertices its plane
@@ -572,13 +711,15 @@ pub(crate) fn route<'a>(
     // reach the window without the O(n+m) software scan the restricted
     // search space costs — which is how Figure 11 finds the hardware
     // ahead even at a 1×1 window. The window keeps that, minus the runs
-    // of 32 edges whose cached box the clip compare rejects wholesale
-    // (`LiveRuns`): n/32 box compares, not a scan.
+    // of 32 edges whose cached box the clip compare rejects wholesale or
+    // that pair with no run of the other boundary (`LiveRuns`): n/32 box
+    // compares and a blocked pairing of the few runs near R, not a scan.
     match framing.and_then(|framing| framing.window(cfg.resolution)) {
         Ok(w) => Routed::Hw(w),
+        Err(NoWindow::Apart) => by_runs(stats),
         // No projection window: a capability limit, answered exactly in
         // software and charged to the fallback ledger.
-        Err(_) => {
+        Err(NoWindow::Unfit) => {
             stats.width_limit_fallbacks += 1;
             stats.software_tests += 1;
             Routed::Done(confirm(pred, p, q))
@@ -742,15 +883,35 @@ mod tests {
         (pairs.into_iter().step_by(step).collect(), base_d)
     }
 
-    /// Submitting only a window's live runs is invisible to the device:
-    /// for segment, containment and within-distance windows at every
-    /// resolution and every Equation (1) width up to the 10 px limit, the
-    /// list `window` records and the
-    /// whole-boundary list of the public recorders execute to the same
-    /// frame, the same readbacks and the same counters but `primitives` —
-    /// per pair, and as an atlas of mixed cells. No window submits an
-    /// empty side: a polygon none of whose run boxes meets the projection
-    /// region empties it, and the prologue answers the pair instead.
+    /// `op`'s window on `(p, q)` at `resolution` after the clip step alone:
+    /// each side submits every run the clip compare keeps, paired or not.
+    fn clipped<'a>(
+        op: RefineOp,
+        p: &'a Polygon,
+        q: &'a Polygon,
+        resolution: usize,
+    ) -> Option<Window<'a>> {
+        let framing = framing(op, p, q).ok()?;
+        let (viewport, width) = framing.viewport(resolution).ok()?;
+        let sides = [framing.first, framing.second];
+        let live = sides.map(|poly| {
+            let runs = LiveRuns::clipped(poly, &viewport, width, 0.0);
+            LiveRuns::of(runs.map(|(edges, _)| edges))
+        });
+        Some(framing.over(viewport, width, live))
+    }
+
+    /// The clip step is invisible to the device: for segment, containment
+    /// and within-distance windows at every resolution and every Equation
+    /// (1) width up to the 10 px limit, the list of a window's clipped runs
+    /// and the whole-boundary list of the public recorders execute to the
+    /// same frame, the same readbacks and the same counters but
+    /// `primitives` — per pair, and as an atlas of mixed cells. No clipped
+    /// window has an empty side: a polygon none of whose run boxes meets
+    /// the projection region empties it, and the prologue answers the pair
+    /// instead. (The pairing step does change frames;
+    /// `pairing_only_removes_overlap_pixels_and_never_a_meeting` holds
+    /// what it may change.)
     #[test]
     fn live_runs_execute_like_whole_boundaries() {
         let (pairs, base_d) = corpus();
@@ -770,7 +931,7 @@ mod tests {
             for &op in &ops {
                 let windows: Vec<Window> = pairs
                     .iter()
-                    .filter_map(|(p, q)| window(op, p, q, resolution).ok())
+                    .filter_map(|(p, q)| clipped(op, p, q, resolution))
                     .collect();
                 for w in &windows {
                     // A side without a live run would have emptied R.
@@ -1334,6 +1495,174 @@ mod tests {
             }
         }
         assert!(to_device >= 10, "{to_device} pairs reached the device");
+    }
+
+    /// The pixels `w`'s own list leaves white — drawn by both boundaries.
+    fn overlap_pixels(w: &Window) -> Vec<bool> {
+        let (frame, _, _) = execute(&list(Tape::Pair(w)).0);
+        let (width, height) = (frame.width(), frame.height());
+        (0..height)
+            .flat_map(|y| (0..width).map(move |x| (x, y)))
+            .map(|(x, y)| frame.read_pixel(x, y) >= 1.0)
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        /// The pairing step changes what a boolean test draws but never
+        /// the verdict a meeting needs: on random rings at resolutions 1 to
+        /// 32 and Equation (1) widths up to the 10 px limit, every pixel
+        /// the paired list leaves white the clip-only list leaves white
+        /// too, and no pair whose boundaries meet — or come within `d` —
+        /// is decided apart or loses its last white pixel.
+        #[test]
+        fn pairing_only_removes_overlap_pixels_and_never_a_meeting(
+            (px, py) in (-10.0f64..10.0, -10.0f64..10.0),
+            p_radii in proptest::collection::vec(9.0f64..10.0, 64..300),
+            (qx, qy) in (-22.0f64..22.0, -22.0f64..22.0),
+            q_scale in 0.05f64..1.2,
+            q_radii in proptest::collection::vec(9.0f64..10.0, 3..300),
+            resolution in 1usize..=32,
+            d in 0.0f64..6.0,
+        ) {
+            let q_radii: Vec<f64> = q_radii.iter().map(|r| r * q_scale).collect();
+            let (p, q) = (ring(px, py, &p_radii), ring(px + qx * q_scale.min(1.0), py + qy, &q_radii));
+            let gap = p
+                .edges()
+                .flat_map(|e| q.edges().map(move |f| (e.intersects(&f), e.dist_segment(&f))))
+                .fold((false, f64::INFINITY), |(cross, gap), (x, g)| (cross || x, gap.min(g)));
+            for pred in [
+                Predicate::Intersects,
+                Predicate::WithinDistance(d),
+                Predicate::WithinDistance(d / 8.0),
+            ] {
+                let op = RefineOp::Test(pred);
+                let meets = match pred {
+                    Predicate::WithinDistance(d) => gap.1 <= d,
+                    _ => gap.0,
+                };
+                let Some(clip) = clipped(op, &p, &q, resolution) else {
+                    continue;
+                };
+                proptest::prop_assert!(clip.width <= MAX_AA_LINE_WIDTH);
+                let what = format!("{pred:?} at {resolution}, width {}", clip.width);
+                let paired = match window(op, &p, &q, resolution) {
+                    Ok(w) => {
+                        proptest::prop_assert_eq!(w.viewport, clip.viewport);
+                        proptest::prop_assert_eq!(w.width, clip.width);
+                        overlap_pixels(&w)
+                    }
+                    Err(NoWindow::Apart) => Vec::new(),
+                    Err(NoWindow::Unfit) => panic!("{what}: unfit after the clip step"),
+                };
+                let whole = overlap_pixels(&clip);
+                for (k, &white) in paired.iter().enumerate() {
+                    proptest::prop_assert!(!white || whole[k], "{}: pixel {}", what, k);
+                }
+                proptest::prop_assert!(!meets || paired.contains(&true), "{} rejected a meeting", what);
+            }
+        }
+    }
+
+    /// Two 642-vertex bands 0.5 wide along `y = x`, one shifted 4 to the
+    /// right of the other: their MBRs overlap, neither holds the other's
+    /// first vertex, and the projection region R is not empty — but each
+    /// run box spans about 1.4 of a band, so none comes within 0.5 of a
+    /// box of the other band.
+    fn bands() -> (Polygon, Polygon) {
+        let band = |dx: f64| {
+            let along = |k: usize| 10.0 * k as f64 / 320.0;
+            let (nx, ny) = (0.5 / 2f64.sqrt(), -0.5 / 2f64.sqrt());
+            let coords: Vec<(f64, f64)> = (0..=320)
+                .map(|k| (dx + along(k), along(k)))
+                .chain((0..=320).rev().map(|k| (dx + along(k) + nx, along(k) + ny)))
+                .collect();
+            Polygon::from_coords(&coords)
+        };
+        (band(0.0), band(4.0))
+    }
+
+    /// A pair whose run boxes leave R non-empty but pair up nowhere is
+    /// answered like an empty R: with no submission, per pair and batched,
+    /// counted once a test in `decided_by_runs` — at every resolution.
+    #[test]
+    fn a_pair_whose_runs_pair_up_nowhere_is_answered_without_a_submission() {
+        let (a, b) = bands();
+        for pred in [Predicate::Intersects, Predicate::WithinDistance(0.5)] {
+            assert!(!oracle(pred, &a, &b), "{pred:?}");
+            let op = RefineOp::Test(pred);
+            assert!(framing(op, &a, &b).is_ok(), "{pred:?}: R is not empty");
+            for resolution in [1, 8, 32] {
+                assert!(clipped(op, &a, &b, resolution).is_some(), "{pred:?}");
+                let w = window(op, &a, &b, resolution);
+                assert!(matches!(w, Err(NoWindow::Apart)), "{pred:?}: {w:?}");
+                let mut tester = HwTester::new(HwConfig::at_resolution(resolution));
+                let seen = tester.spy();
+                let mut stats = TestStats::default();
+                assert!(!tester.test(pred, &a, &b, &mut stats), "{pred:?}");
+                assert_eq!(
+                    tester.test_batch(pred, &[(&a, &b)], &mut stats),
+                    vec![false]
+                );
+                assert!(seen.lock().unwrap().is_empty(), "{pred:?}");
+                assert_eq!(
+                    (stats.decided_by_runs, stats.hw_tests, stats.software_tests),
+                    (2, 0, 0),
+                    "{pred:?}: {stats:?}"
+                );
+            }
+        }
+    }
+
+    /// A boolean test at a resolution the device has no frame for — 0, or
+    /// over `MAX_WINDOW_SIDE` — has no window: the tester answers it in
+    /// software on the fallback ledger instead of panicking. Only windows
+    /// are built at the oversized resolution, never a frame.
+    #[test]
+    fn boolean_tests_outside_the_window_sides_the_device_has_are_unfit() {
+        let (p, q) = lens();
+        let (c, pocket_ring) = pocket();
+        for pred in [
+            Predicate::Intersects,
+            Predicate::ContainedIn,
+            Predicate::WithinDistance(1e-3),
+        ] {
+            let op = RefineOp::Test(pred);
+            assert!(window(op, &p, &q, MAX_WINDOW_SIDE).is_ok(), "{pred:?}");
+            for resolution in [0, MAX_WINDOW_SIDE + 1] {
+                let w = window(op, &p, &q, resolution);
+                assert!(matches!(w, Err(NoWindow::Unfit)), "{pred:?}: {w:?}");
+            }
+            // The lens fails containment's MBR gate, and the pocket pair
+            // its point-in-polygon step: the tester decides both before
+            // any window.
+            if pred == Predicate::ContainedIn {
+                continue;
+            }
+            // An empty R answers before the resolution.
+            let w = window(op, &c, &pocket_ring, 0);
+            assert!(matches!(w, Err(NoWindow::Apart)), "{pred:?}: {w:?}");
+            let mut stats = TestStats::default();
+            let mut tester = HwTester::new(HwConfig::at_resolution(0));
+            assert_eq!(tester.test(pred, &p, &q, &mut stats), oracle(pred, &p, &q));
+            assert_eq!(
+                (stats.width_limit_fallbacks, stats.hw_tests),
+                (1, 0),
+                "{pred:?}: {stats:?}"
+            );
+        }
+        assert!(crate::hw_intersect::hw_intersects(
+            &p,
+            &q,
+            HwConfig::at_resolution(0)
+        ));
+        assert!(crate::hw_distance::hw_within_distance(
+            &p,
+            &q,
+            1e-3,
+            HwConfig::at_resolution(0)
+        ));
     }
 
     proptest::proptest! {

@@ -26,10 +26,10 @@
 //! never false rejections, because the anti-aliased rasterizer colors
 //! every pixel a segment passes through. Step 3 removes the false hits.
 
-use crate::choreography::{list, route, settle, Routed, Tape};
+use crate::choreography::{list, route, settle, window, Routed, Tape};
 use crate::config::HwConfig;
 use crate::pipeline::recovery::{RecoveryPolicy, Supervisor};
-use crate::pipeline::Predicate;
+use crate::pipeline::{Predicate, RefineOp};
 use crate::stats::TestStats;
 use spatial_geom::{Polygon, Rect, Segment};
 use spatial_raster::aa_line::DIAGONAL_WIDTH;
@@ -238,6 +238,22 @@ pub(crate) fn record_accumulation(
 /// One-shot convenience wrapper around [`HwTester::intersects`].
 pub fn hw_intersects(p: &Polygon, q: &Polygon, cfg: HwConfig) -> bool {
     HwTester::new(cfg).intersects(p, q, &mut TestStats::default())
+}
+
+/// The edges each boundary of the hardware test of `pred` on `(p, q)` at
+/// `resolution` submits — first and second in render order — once the
+/// prologue's MBR gate and point-in-polygon step have passed the pair on,
+/// or `None` where the run boxes decide the pair or it has no window. For
+/// diagnostics: it runs the prologue's projection, clip and pairing steps
+/// and renders nothing.
+pub fn submitted_edges(
+    pred: Predicate,
+    p: &Polygon,
+    q: &Polygon,
+    resolution: usize,
+) -> Option<[usize; 2]> {
+    let w = window(RefineOp::Test(pred), p, q, resolution).ok()?;
+    Some([false, true].map(|second| w.segments(second).len()))
 }
 
 #[cfg(test)]

@@ -11,7 +11,9 @@ pub struct TestStats {
     /// Pairs the hardware prologue answered without a submission because
     /// the run boxes of the two boundaries cannot meet (for a distance
     /// test: come within `d`) anywhere in the projection region — the
-    /// region is empty (`choreography::projection`).
+    /// region is empty (`choreography::projection`), or no run of one
+    /// boundary pairs with a run of the other in it
+    /// (`choreography::Framing::window`).
     pub decided_by_runs: usize,
     /// Pairs rejected by the hardware filter (the savings).
     pub rejected_by_hw: usize,
