@@ -41,9 +41,13 @@
 //! or results — reading the scan's verdict and
 //! pricing the counters the replay charged with [`HwCostModel::time`]
 //! (what [`HwCostModel::replay_cost`] returns for the same list). A
-//! pricing pass therefore costs the wall-clock of executing its sample
-//! once (mostly the rasterizer's clip compare), which is why the sample
-//! is small. The priced pairs are every sampled pair with a window, not
+//! pricing pass therefore costs at most the wall-clock of executing its
+//! sample once per priced resolution (mostly the rasterizer's clip
+//! compare), which is why the sample is small. It is usually less: the
+//! pass stops replaying a resolution as soon as the pairs priced so far
+//! prove that neither of its plans can beat the best one found yet, and
+//! still chooses what replaying every pair would (`Planner::price`).
+//! The priced pairs are every sampled pair with a window, not
 //! only those the tester's point-in-polygon and `sw_threshold` prologue
 //! would send to the device: a pair whose [`step3_edges`] are within the
 //! threshold is priced as a device test but runs in software, so the
@@ -266,7 +270,15 @@ impl Planner {
             };
         }
 
-        let choice = self.price(op, candidates, sample, res_limit);
+        // One replay device for the pass, dropped with it: a frame of the
+        // largest priced window lives no longer than the pricing.
+        let choice = self.price(
+            &mut ReferenceDevice::new(),
+            op,
+            candidates,
+            sample,
+            res_limit,
+        );
         if self.memo.len() >= self.cfg.memo_entries {
             self.memo.clear();
         }
@@ -279,10 +291,19 @@ impl Planner {
     }
 
     /// The Figure-13 comparison: the software plan against per-pair and
-    /// batched hardware at every configured resolution, each the mean
-    /// cost of a sampled pair (module docs) times the candidate count.
+    /// batched hardware at every priced resolution, each the mean cost of
+    /// a sampled pair (module docs) times the candidate count, replayed on
+    /// `device`.
+    ///
+    /// Branch and bound: before each sampled pair at resolution `r`, the
+    /// per-pair and batched totals of the pairs priced so far bound `r`'s
+    /// two plans from below. Once neither is under the best plan so far,
+    /// `r` cannot win — a plan is kept only on a strict `<` — and the rest
+    /// of its sample is not replayed. The chosen plan is the one replaying
+    /// every pair at every resolution would choose.
     fn price(
         &self,
+        device: &mut impl RasterDevice,
         op: RefineOp,
         candidates: usize,
         sample: &[(&Polygon, &Polygon)],
@@ -294,40 +315,48 @@ impl Planner {
             .iter()
             .map(|&(p, q)| Self::step3_ns(op, p, q))
             .collect();
-        let sw_total = scale * step3.iter().sum::<f64>();
-        // One replay device for the pass, dropped with it: a frame of the
-        // largest priced window lives no longer than the pricing.
-        let mut device = ReferenceDevice::new();
-
-        let mut best = (sw_total, PlanChoice::Software);
+        let mut best = (scale * step3.iter().sum::<f64>(), PlanChoice::Software);
         // Fixed per-test overhead a batched submission amortizes: two
         // boundary draw calls and one verdict readback per pair.
         let fixed = 2.0 * self.model.draw_call_ns + self.model.minmax_ns;
-        let resolutions = match op {
-            // The grid resolution is the query's contract: there is no
-            // resolution *choice* to make.
-            RefineOp::Measure { resolution } => vec![resolution],
-            // Under a brownout cap only the coarsest (cheapest) windows
-            // are candidates; sort so "coarsest first" holds for any
-            // config.
+        // What the batched plan's atlas rounds cost. Aggregations submit
+        // per pair (DESIGN.md §14): they have no batched plan.
+        let rounds = match op {
+            RefineOp::Measure { .. } => f64::INFINITY,
             RefineOp::Test(_) => {
-                let mut resolutions = self.cfg.resolutions.clone();
-                resolutions.sort_unstable();
-                resolutions.truncate(res_limit.max(1));
-                resolutions
+                (candidates as u64).div_ceil(self.cfg.batch as u64) as f64
+                    * (fixed + self.model.batch_ns)
             }
         };
-        for r in resolutions {
+        // The two hardware plans' totals over the pairs summed so far. Over
+        // a prefix of the sample each is at most its total over all of it:
+        // every term is non-negative, and f64 addition and multiplication
+        // by `scale > 0` are monotone. In the batched total, every modeled
+        // GPU time is a whole number of nanoseconds, as is `fixed`, so
+        // `gpu - replayed * fixed` is exact, and each replayed pair adds
+        // its GPU time less `fixed` to it, which is never negative.
+        let per_pair = |gpu: f64, confirm: f64| scale * (gpu + confirm);
+        let batched = |gpu: f64, replayed: usize, confirm: f64| {
+            scale * ((gpu - replayed as f64 * fixed).max(0.0) + confirm) + rounds
+        };
+        for r in self.resolutions(op, res_limit) {
             // The sample's modeled GPU time, its replayed pairs, the pairs
             // the hardware plan can take at all, and the step 3 it still
             // runs.
             let (mut gpu, mut replayed, mut feasible, mut confirm) = (0.0, 0usize, 0usize, 0.0);
             for (&(p, q), &s3) in sample.iter().zip(&step3) {
-                match self.price_pair(&mut device, op, r, p, q, s3) {
+                if per_pair(gpu, confirm) >= best.0 && batched(gpu, replayed, confirm) >= best.0 {
+                    // Neither plan at `r` can beat `best` any more.
+                    break;
+                }
+                match self.price_pair(device, op, r, p, q, s3) {
                     PairPrice::Replayed {
                         gpu: pair_gpu,
                         step3,
                     } => {
+                        // Every priced list draws two boundaries or two
+                        // fills and scans once: it charges at least `fixed`.
+                        debug_assert!(pair_gpu >= fixed, "{pair_gpu} < {fixed}");
                         gpu += pair_gpu;
                         replayed += 1;
                         feasible += 1;
@@ -342,37 +371,40 @@ impl Planner {
                 // pair hit the width limit or had no projection window).
                 continue;
             }
-
-            let per_pair_total = scale * (gpu + confirm);
-            if per_pair_total < best.0 {
-                best = (
-                    per_pair_total,
-                    PlanChoice::Hardware {
-                        resolution: r,
-                        batch: 1,
-                    },
-                );
-            }
-
-            if matches!(op, RefineOp::Measure { .. }) {
-                // Aggregations submit per pair (DESIGN.md §14): there is
-                // no atlas-batched variant to price.
-                continue;
-            }
-            let rounds = (candidates as u64).div_ceil(self.cfg.batch as u64) as f64;
-            let batched_total = scale * ((gpu - replayed as f64 * fixed).max(0.0) + confirm)
-                + rounds * (fixed + self.model.batch_ns);
-            if batched_total < best.0 {
-                best = (
-                    batched_total,
-                    PlanChoice::Hardware {
-                        resolution: r,
-                        batch: self.cfg.batch,
-                    },
-                );
+            for (total, batch) in [
+                (per_pair(gpu, confirm), 1),
+                (batched(gpu, replayed, confirm), self.cfg.batch),
+            ] {
+                if total < best.0 {
+                    best = (
+                        total,
+                        PlanChoice::Hardware {
+                            resolution: r,
+                            batch,
+                        },
+                    );
+                }
             }
         }
         best.1
+    }
+
+    /// The resolutions a pass prices hardware at.
+    fn resolutions(&self, op: RefineOp, res_limit: usize) -> Vec<usize> {
+        match op {
+            // The grid resolution is the query's contract: there is no
+            // resolution *choice* to make.
+            RefineOp::Measure { resolution } => vec![resolution],
+            // Under a brownout cap only the coarsest (cheapest) windows
+            // are candidates; sort so "coarsest first" holds for any
+            // config.
+            RefineOp::Test(_) => {
+                let mut resolutions = self.cfg.resolutions.clone();
+                resolutions.sort_unstable();
+                resolutions.truncate(res_limit.max(1));
+                resolutions
+            }
+        }
     }
 
     /// The software plan's cost of one pair, in modeled nanoseconds: for a
@@ -401,7 +433,7 @@ impl Planner {
     /// answers `0.0` without either.
     fn price_pair(
         &self,
-        device: &mut ReferenceDevice,
+        device: &mut impl RasterDevice,
         op: RefineOp,
         resolution: usize,
         p: &Polygon,
@@ -488,6 +520,111 @@ mod tests {
                 .ok()
                 .map(|(list, _)| list)
         }
+
+        /// The pricing pass without its bound, in its own arithmetic:
+        /// every sampled pair replayed at every resolution. `price` must
+        /// choose what this chooses.
+        fn price_exhaustively(
+            &self,
+            device: &mut impl RasterDevice,
+            op: RefineOp,
+            candidates: usize,
+            sample: &[(&Polygon, &Polygon)],
+            res_limit: usize,
+        ) -> PlanChoice {
+            let scale = candidates as f64 / sample.len() as f64;
+            let step3: Vec<f64> = sample
+                .iter()
+                .map(|&(p, q)| Self::step3_ns(op, p, q))
+                .collect();
+            let mut best = (scale * step3.iter().sum::<f64>(), PlanChoice::Software);
+            let fixed = 2.0 * self.model.draw_call_ns + self.model.minmax_ns;
+            for r in self.resolutions(op, res_limit) {
+                let (mut gpu, mut replayed, mut feasible, mut confirm) = (0.0, 0usize, 0usize, 0.0);
+                for (&(p, q), &s3) in sample.iter().zip(&step3) {
+                    match self.price_pair(device, op, r, p, q, s3) {
+                        PairPrice::Replayed {
+                            gpu: pair_gpu,
+                            step3,
+                        } => {
+                            gpu += pair_gpu;
+                            replayed += 1;
+                            feasible += 1;
+                            confirm += step3;
+                        }
+                        PairPrice::Apart => feasible += 1,
+                        PairPrice::Unfit { step3 } => confirm += step3,
+                    }
+                }
+                if feasible == 0 {
+                    continue;
+                }
+                let per_pair_total = scale * (gpu + confirm);
+                if per_pair_total < best.0 {
+                    best = (
+                        per_pair_total,
+                        PlanChoice::Hardware {
+                            resolution: r,
+                            batch: 1,
+                        },
+                    );
+                }
+                if matches!(op, RefineOp::Measure { .. }) {
+                    continue;
+                }
+                let rounds = (candidates as u64).div_ceil(self.cfg.batch as u64) as f64;
+                let batched_total = scale * ((gpu - replayed as f64 * fixed).max(0.0) + confirm)
+                    + rounds * (fixed + self.model.batch_ns);
+                if batched_total < best.0 {
+                    best = (
+                        batched_total,
+                        PlanChoice::Hardware {
+                            resolution: r,
+                            batch: self.cfg.batch,
+                        },
+                    );
+                }
+            }
+            best.1
+        }
+    }
+
+    /// A reference device that counts the lists it executes.
+    #[derive(Debug, Default)]
+    struct Counting {
+        inner: ReferenceDevice,
+        lists: usize,
+    }
+
+    impl RasterDevice for Counting {
+        fn execute(
+            &mut self,
+            list: &CommandList,
+        ) -> Result<spatial_raster::Execution, spatial_raster::DeviceError> {
+            self.lists += 1;
+            self.inner.execute(list)
+        }
+
+        fn snapshot(&self) -> Option<spatial_raster::FrameBuffer> {
+            self.inner.snapshot()
+        }
+    }
+
+    /// Prices `sample` both ways and returns the plan with the lists each
+    /// way replayed: (plan, pruned, exhaustive).
+    fn price_both_ways(
+        pl: &Planner,
+        op: RefineOp,
+        candidates: usize,
+        sample: &[(&Polygon, &Polygon)],
+        res_limit: usize,
+    ) -> (PlanChoice, usize, usize) {
+        let (mut pruned, mut full) = (Counting::default(), Counting::default());
+        let choice = pl.price(&mut pruned, op, candidates, sample, res_limit);
+        let oracle = pl.price_exhaustively(&mut full, op, candidates, sample, res_limit);
+        assert_eq!(choice, oracle, "{op:?} {candidates} {res_limit}");
+        assert!(pruned.lists <= full.lists);
+        (choice, pruned.lists, full.lists)
     }
 
     fn measure(resolution: usize) -> RefineOp {
@@ -922,5 +1059,143 @@ mod tests {
             assert!(!direct.is_empty(), "{what}");
             assert_eq!(*seen.lock().unwrap(), direct, "{what} batched");
         });
+    }
+
+    /// Four-vertex pairs whose MBRs overlap: the replayed lists cost more
+    /// than the step 3 they could save, so software wins, and each
+    /// resolution stops replaying once its partial sums pass the software
+    /// total — after a few of the sixteen pairs, not all of them.
+    #[test]
+    fn a_pass_stops_replaying_a_resolution_that_cannot_win() {
+        let pl = Planner::new(PlannerConfig::default());
+        let pairs: Vec<(Polygon, Polygon)> = (0..16)
+            .map(|i| {
+                let x = i as f64 * 20.0;
+                (
+                    rect_poly(x, 0.0, 10.0, 10.0),
+                    rect_poly(x + 5.0, 5.0, 10.0, 10.0),
+                )
+            })
+            .collect();
+        let sample: Vec<(&Polygon, &Polygon)> = pairs.iter().map(|(p, q)| (p, q)).collect();
+        for candidates in [16, 10_000] {
+            let (choice, pruned, full) =
+                price_both_ways(&pl, INTERSECTS, candidates, &sample, usize::MAX);
+            assert_eq!(choice, PlanChoice::Software);
+            assert_eq!(full, sample.len() * pl.cfg.resolutions.len());
+            assert!(pruned < full / 2, "{candidates}: {pruned} of {full}");
+        }
+    }
+
+    /// A sample of `n` pairs of `spatial_datagen` stars, each pair one of
+    /// four relations: the second star nested inside the first with their
+    /// boundaries apart (what the scan rejects, so hardware can win), their
+    /// boundaries crossing, side by side with overlapping MBRs, or far
+    /// apart. Up to 400 vertices a star.
+    fn star_sample(seed: u64, n: usize) -> Vec<(Polygon, Polygon)> {
+        use rand::{Rng, SeedableRng};
+        use spatial_datagen::shapes::harmonic_star;
+        use spatial_geom::Point;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        (0..n)
+            .map(|_| {
+                let star = |x: f64, radius: f64, rng: &mut rand::rngs::StdRng| {
+                    let vertices = rng.gen_range(8..400);
+                    let (roughness, detail) = (rng.gen_range(0.0..0.1), rng.gen_range(0.0..0.05));
+                    let rotation = rng.gen_range(0.0..std::f64::consts::TAU);
+                    let center = Point::new(x, 0.0);
+                    harmonic_star(
+                        center, radius, vertices, roughness, detail, 1.0, rotation, rng,
+                    )
+                };
+                let p = star(0.0, 5.0, &mut rng);
+                let q = match rng.gen_range(0..4) {
+                    0 => star(0.0, 2.0, &mut rng),
+                    1 => star(rng.gen_range(1.0..4.0), 4.0, &mut rng),
+                    2 => star(rng.gen_range(8.0..12.0), 4.0, &mut rng),
+                    _ => star(40.0, 4.0, &mut rng),
+                };
+                (p, q)
+            })
+            .collect()
+    }
+
+    /// Prices one star sample both ways under every query kind, resolution
+    /// cap and batch size, and returns what each pass chose with its
+    /// replay counts.
+    fn price_star_sample(
+        seed: u64,
+        n: usize,
+        candidates: usize,
+        d: f64,
+        grid: usize,
+    ) -> Vec<(PlanChoice, usize, usize)> {
+        let pairs = star_sample(seed, n);
+        let sample: Vec<(&Polygon, &Polygon)> = pairs.iter().map(|(p, q)| (p, q)).collect();
+        let mut priced = Vec::new();
+        for batch in [1, 32] {
+            let pl = Planner::new(PlannerConfig {
+                batch,
+                ..PlannerConfig::default()
+            });
+            for op in [
+                INTERSECTS,
+                RefineOp::Test(Predicate::ContainedIn),
+                RefineOp::Test(Predicate::WithinDistance(d)),
+                measure(grid),
+            ] {
+                for res_limit in [1, usize::MAX] {
+                    priced.push(price_both_ways(&pl, op, candidates, &sample, res_limit));
+                }
+            }
+        }
+        priced
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// The pruned pass chooses the exhaustive pass's plan, on samples of
+        /// nested, crossing, neighbouring and distant stars, for every query
+        /// kind, at resolution caps 1 and none, batch 1 and 32, from one
+        /// candidate to two million.
+        #[test]
+        fn pruned_pricing_chooses_the_exhaustive_plan(
+            seed in 0u64..u64::MAX,
+            n in 1usize..13,
+            candidates_log10 in 0.0f64..6.3,
+            d in 0.0f64..1.5,
+            grid in 4usize..48,
+        ) {
+            let candidates = 10f64.powf(candidates_log10) as usize;
+            price_star_sample(seed, n, candidates, d, grid);
+        }
+    }
+
+    /// What the property above covers, on fixed seeds: star samples plan
+    /// software and hardware, per pair and batched, at more than one
+    /// resolution, and some passes stop replaying early — so the bound is
+    /// checked both where it fires and after `best` moved to hardware.
+    #[test]
+    fn star_samples_cover_both_plans_and_the_prune() {
+        let mut priced = Vec::new();
+        for seed in 0..12 {
+            priced.extend(price_star_sample(seed, 8, 1 << (seed % 6 * 4), 0.5, 24));
+        }
+        let hardware = |batch: usize| {
+            priced
+                .iter()
+                .any(|(c, ..)| matches!(c, PlanChoice::Hardware { batch: b, .. } if *b == batch))
+        };
+        assert!(priced.iter().any(|(c, ..)| *c == PlanChoice::Software));
+        assert!(hardware(1) && hardware(32));
+        assert!(priced.iter().any(|(c, ..)| matches!(
+            c,
+            PlanChoice::Hardware { resolution, .. } if *resolution > 4 && *resolution != 24
+        )));
+        assert!(priced.iter().any(|&(_, pruned, full)| pruned < full));
+        assert!(priced
+            .iter()
+            .any(|&(c, pruned, full)| c.is_hardware() && pruned < full));
     }
 }
