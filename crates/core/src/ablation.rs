@@ -166,7 +166,8 @@ mod tests {
             "the sliver should slip between pixel centers (that is the point)"
         );
         // The paper's algorithm gets it right at the same resolution.
-        assert!(crate::hw_intersects(&a, &b, HwConfig::at_resolution(4)));
+        let mut tester = crate::HwTester::new(HwConfig::at_resolution(4));
+        assert!(tester.intersects(&a, &b, &mut TestStats::default()));
     }
 
     #[test]

@@ -1652,10 +1652,10 @@ mod tests {
                 "{pred:?}: {stats:?}"
             );
         }
-        assert!(crate::hw_intersect::hw_intersects(
+        assert!(HwTester::new(HwConfig::at_resolution(0)).intersects(
             &p,
             &q,
-            HwConfig::at_resolution(0)
+            &mut TestStats::default()
         ));
         assert!(crate::hw_distance::hw_within_distance(
             &p,

@@ -1,6 +1,6 @@
 //! Tuning knobs of the hardware-assisted tests.
 
-/// Configuration for [`crate::hw_intersects`] and
+/// Configuration for [`HwTester`](crate::HwTester) and
 /// [`crate::hw_within_distance`].
 #[derive(Debug, Clone, Copy)]
 pub struct HwConfig {

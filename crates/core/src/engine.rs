@@ -221,7 +221,7 @@ impl EngineConfig {
     /// resolution outside `1..=MAX_WINDOW_SIDE`, a zero batch size, a zero
     /// shard count and a zero probation cool-down are configuration bugs,
     /// not values to clamp quietly.
-    pub fn validate(&self) -> Result<(), ConfigError> {
+    pub(crate) fn validate(&self) -> Result<(), ConfigError> {
         if self.hw.resolution == 0 {
             return Err(ConfigError::ZeroResolution);
         }
@@ -300,7 +300,7 @@ pub struct SpatialEngine {
 
 impl SpatialEngine {
     /// Builds an engine, panicking on a structurally invalid configuration
-    /// (see [`EngineConfig::validate`]); use [`SpatialEngine::try_new`] to
+    /// (see `EngineConfig::validate`); use [`SpatialEngine::try_new`] to
     /// handle the error instead.
     pub fn new(config: EngineConfig) -> Self {
         Self::try_new(config).expect("invalid engine configuration")

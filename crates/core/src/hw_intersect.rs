@@ -179,24 +179,6 @@ impl HwTester {
     pub fn intersects(&mut self, p: &Polygon, q: &Polygon, stats: &mut TestStats) -> bool {
         self.test(Predicate::Intersects, p, q, stats)
     }
-
-    /// Hardware-assisted *strict* containment test: true iff `inner` lies
-    /// entirely in the open interior of `outer` (no boundary contact).
-    /// For connected polygons that is equivalent to "one vertex inside +
-    /// boundaries disjoint", so the hardware segment filter applies
-    /// directly: no pixel overlap proves the boundaries disjoint, and the
-    /// vertex probe settles the rest.
-    ///
-    /// This is the "Containment" predicate the interior filter targets in
-    /// Table 1; the engine's containment selections use it.
-    pub fn contained_in(
-        &mut self,
-        inner: &Polygon,
-        outer: &Polygon,
-        stats: &mut TestStats,
-    ) -> bool {
-        self.test(Predicate::ContainedIn, inner, outer, stats)
-    }
 }
 
 /// Algorithm 3.1 steps 2.2–2.8 over `viewport`, the one overlap
@@ -233,11 +215,6 @@ pub(crate) fn record_accumulation(
     rec.accum_return();
     let slot = rec.minmax();
     (rec.finish(), slot)
-}
-
-/// One-shot convenience wrapper around [`HwTester::intersects`].
-pub fn hw_intersects(p: &Polygon, q: &Polygon, cfg: HwConfig) -> bool {
-    HwTester::new(cfg).intersects(p, q, &mut TestStats::default())
 }
 
 /// The edges each boundary of the hardware test of `pred` on `(p, q)` at

@@ -6,15 +6,15 @@
 //!   rendering + accumulation + Minmax), then the software step 3
 //!   (`spatial_geom::intersect::boundaries_meet`) only for pairs the
 //!   hardware could not reject;
-//! * [`hw_distance`] — the §3.1 distance extension: boundaries widened by
+//! * `hw_distance` — the §3.1 distance extension: boundaries widened by
 //!   `D` via Equation (1), wide points covering the vertex caps, with the
 //!   software fallback when the required width exceeds the hardware line
 //!   width limit;
 //! * `choreography` (crate-private) — the one place that decides what
 //!   the device runs for a pair: software prologue, §3.2 projection
 //!   window, command list, epilogue. The per-pair tester, the atlas
-//!   batcher ([`hw_batch`]) and the service planner all call it;
-//! * [`config`] — window resolution and `sw_threshold` (§4.3);
+//!   batcher (`hw_batch`) and the service planner all call it;
+//! * `config` — window resolution and `sw_threshold` (§4.3);
 //! * [`engine`] — the three-stage query pipelines of Fig. 8 (MBR filter →
 //!   intermediate filter → geometry comparison) for intersection and
 //!   containment selections, intersection, within-distance and
@@ -36,25 +36,24 @@
 
 pub mod ablation;
 pub(crate) mod choreography;
-pub mod config;
+pub(crate) mod config;
 pub mod engine;
-pub mod hw_batch;
-pub mod hw_distance;
+pub(crate) mod hw_batch;
+pub(crate) mod hw_distance;
 pub mod hw_intersect;
 pub mod hw_overlap;
 pub mod pipeline;
 pub mod service;
-pub mod stats;
+pub(crate) mod stats;
 
 pub use config::HwConfig;
 pub use engine::{ConfigError, EngineConfig, GeometryTest, PreparedDataset, SpatialEngine};
 pub use hw_distance::hw_within_distance;
-pub use hw_intersect::hw_intersects;
 pub use hw_intersect::HwTester;
 pub use hw_overlap::overlap_cell_area;
 pub use pipeline::{
     CandidateFilter, Decision, Predicate, QuerySpec, RecoveryPolicy, RefineOp, RefinementBackend,
-    SoftwareBackend, Stage1, StagedExecutor,
+    Stage1, StagedExecutor,
 };
 pub use service::{
     BrownoutConfig, BrownoutRung, PlanChoice, PlannerConfig, PlannerMode, QueryBudget, QueryEngine,

@@ -63,7 +63,7 @@ pub trait RefinementBackend: Send + std::fmt::Debug {
 /// crossing search over the restricted search space for intersection and
 /// containment, the modified `minDist` for distance.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct SoftwareBackend;
+pub(crate) struct SoftwareBackend;
 
 impl RefinementBackend for SoftwareBackend {
     fn test(&mut self, pred: Predicate, p: &Polygon, q: &Polygon, stats: &mut TestStats) -> bool {

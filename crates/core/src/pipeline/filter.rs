@@ -41,13 +41,13 @@ pub trait CandidateFilter<C> {
 /// intersection *and* containment predicates alike (Table 1's double
 /// duty). Never rejects: an MBR outside every interior tile proves
 /// nothing.
-pub struct InteriorFilterStage<'a> {
+pub(crate) struct InteriorFilterStage<'a> {
     filter: InteriorFilter,
     ds: &'a PreparedDataset,
 }
 
 impl<'a> InteriorFilterStage<'a> {
-    pub fn new(query: &Polygon, level: u32, ds: &'a PreparedDataset) -> Self {
+    pub(crate) fn new(query: &Polygon, level: u32, ds: &'a PreparedDataset) -> Self {
         InteriorFilterStage {
             filter: InteriorFilter::build(query, level),
             ds,

@@ -22,17 +22,19 @@
 //! polygon pair — and `SpatialEngine` and the query service both execute
 //! that description.
 
-pub mod backend;
-pub mod executor;
-pub mod filter;
-pub mod recovery;
-pub mod spec;
+pub(crate) mod backend;
+pub(crate) mod executor;
+pub(crate) mod filter;
+pub(crate) mod recovery;
+pub(crate) mod spec;
 
-pub use backend::{RefinementBackend, SoftwareBackend};
+pub use backend::RefinementBackend;
+pub(crate) use backend::SoftwareBackend;
 pub use executor::{Stage1, StagedExecutor, Verdict};
-pub use filter::{CandidateFilter, Decision, InteriorFilterStage, ObjectFilterStage};
+pub use filter::{CandidateFilter, Decision, ObjectFilterStage};
 pub use recovery::RecoveryPolicy;
-pub use spec::{Cand, QuerySpec};
+pub(crate) use spec::Cand;
+pub use spec::QuerySpec;
 
 /// The spatial predicate a pipeline refines. Carried by value into the
 /// backend so one backend serves every pipeline.
@@ -40,7 +42,9 @@ pub use spec::{Cand, QuerySpec};
 pub enum Predicate {
     /// Closed polygon intersection (Algorithm 3.1).
     Intersects,
-    /// Strict containment: first polygon entirely inside the second.
+    /// Strict containment: first polygon entirely inside the open interior
+    /// of the second. For connected polygons that is one vertex inside plus
+    /// disjoint boundaries, so Algorithm 3.1's boundary filter applies.
     ContainedIn,
     /// `dist(P, Q) ≤ d` (§3.1 distance test).
     WithinDistance(f64),

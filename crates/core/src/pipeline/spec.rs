@@ -20,7 +20,7 @@ use std::time::Instant;
 
 /// A stage-1 candidate: `(left index, right index)`. A selection has a
 /// single left object — its window — so its candidates are `(0, j)`.
-pub type Cand = (usize, usize);
+pub(crate) type Cand = (usize, usize);
 
 #[derive(Debug, Clone, Copy)]
 enum Left<'a> {
@@ -77,7 +77,7 @@ impl<'a> QuerySpec<'a> {
     /// All overlapping pairs with their area of overlap at `resolution`
     /// (≥ 1). Same candidates as the intersection join — only
     /// MBR-overlapping pairs can have nonzero area.
-    pub fn overlap_area_join(
+    pub(crate) fn overlap_area_join(
         a: &'a PreparedDataset,
         b: &'a PreparedDataset,
         resolution: usize,
@@ -89,7 +89,7 @@ impl<'a> QuerySpec<'a> {
         QuerySpec { left, right, op }
     }
 
-    pub fn op(&self) -> RefineOp {
+    pub(crate) fn op(&self) -> RefineOp {
         self.op
     }
 
@@ -151,7 +151,7 @@ impl<'a> QuerySpec<'a> {
     /// The polygon pair stage 3 refines for a candidate, in the
     /// predicate's argument order: containment asks whether the *object*
     /// lies inside the window.
-    pub fn resolve(&self, (i, j): Cand) -> (&'a Polygon, &'a Polygon) {
+    pub(crate) fn resolve(&self, (i, j): Cand) -> (&'a Polygon, &'a Polygon) {
         let (left, right) = (self.left.polygon(i), self.right.polygon(j));
         if self.op == RefineOp::Test(Predicate::ContainedIn) {
             (right, left)
@@ -166,7 +166,7 @@ impl<'a> QuerySpec<'a> {
     /// the overlap-area join.
     ///
     /// [`stage1`]: QuerySpec::stage1
-    pub fn execute<O: Verdict>(
+    pub(crate) fn execute<O: Verdict>(
         &self,
         config: &EngineConfig,
         backend: &mut dyn RefinementBackend,
@@ -182,17 +182,17 @@ impl<'a> QuerySpec<'a> {
 }
 
 /// Selection rows: the right-side indices of the kept candidates.
-pub fn selection_rows(kept: Vec<(Cand, ())>) -> Vec<usize> {
+pub(crate) fn selection_rows(kept: Vec<(Cand, ())>) -> Vec<usize> {
     kept.into_iter().map(|((_, j), ())| j).collect()
 }
 
 /// Join rows: the kept index pairs.
-pub fn join_rows(kept: Vec<(Cand, ())>) -> Vec<Cand> {
+pub(crate) fn join_rows(kept: Vec<(Cand, ())>) -> Vec<Cand> {
     kept.into_iter().map(|(c, ())| c).collect()
 }
 
 /// Aggregation rows: the kept index pairs with their areas.
-pub fn area_rows(kept: Vec<(Cand, f64)>) -> Vec<(usize, usize, f64)> {
+pub(crate) fn area_rows(kept: Vec<(Cand, f64)>) -> Vec<(usize, usize, f64)> {
     kept.into_iter()
         .map(|((i, j), area)| (i, j, area))
         .collect()

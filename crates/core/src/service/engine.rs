@@ -20,7 +20,7 @@ use crate::service::request::{
 };
 use crate::service::stats::ServiceStats;
 use spatial_geom::Polygon;
-use spatial_index::{Snapshot, SnapshotHandle};
+use spatial_index::SnapshotHandle;
 use spatial_raster::MAX_WINDOW_SIDE;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -71,7 +71,7 @@ impl ServiceConfig {
     /// [`QueryEngine::try_new`] — same philosophy as
     /// [`EngineConfig::validate`]: impossible knob values are
     /// construction errors, not values to clamp quietly.
-    pub fn validate(&self) -> Result<(), ConfigError> {
+    pub(crate) fn validate(&self) -> Result<(), ConfigError> {
         self.base.validate()?;
         if self.admission_capacity == 0 {
             return Err(ConfigError::ZeroAdmissionCapacity);
@@ -124,7 +124,7 @@ impl ServiceSnapshot {
     }
 
     /// Adds or replaces a dataset under its own name.
-    pub fn insert(&mut self, dataset: PreparedDataset) {
+    pub(crate) fn insert(&mut self, dataset: PreparedDataset) {
         self.datasets
             .insert(dataset.name.clone(), Arc::new(dataset));
     }
@@ -134,20 +134,12 @@ impl ServiceSnapshot {
         self.datasets.insert(dataset.name.clone(), dataset);
     }
 
-    pub fn get(&self, name: &str) -> Option<&Arc<PreparedDataset>> {
+    pub(crate) fn get(&self, name: &str) -> Option<&Arc<PreparedDataset>> {
         self.datasets.get(name)
     }
 
     pub fn names(&self) -> impl Iterator<Item = &str> {
         self.datasets.keys().map(String::as_str)
-    }
-
-    pub fn len(&self) -> usize {
-        self.datasets.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.datasets.is_empty()
     }
 }
 
@@ -198,17 +190,6 @@ impl QueryEngine {
         let epoch = self.snapshot.swap(snapshot);
         self.lock_stats().reloads += 1;
         epoch
-    }
-
-    /// The current snapshot epoch (0 until the first reload).
-    pub fn epoch(&self) -> u64 {
-        self.snapshot.epoch()
-    }
-
-    /// Pins and returns the current snapshot (what a query admitted
-    /// right now would execute against).
-    pub fn snapshot(&self) -> Snapshot<ServiceSnapshot> {
-        self.snapshot.load()
     }
 
     /// A consistent copy of the serving ledger.

@@ -96,7 +96,7 @@ pub struct QueryRequest {
 }
 
 impl QueryRequest {
-    pub fn new(kind: QueryKind) -> Self {
+    pub(crate) fn new(kind: QueryKind) -> Self {
         QueryRequest {
             kind,
             budget: QueryBudget::default(),

@@ -1,5 +1,5 @@
 //! The `ServiceStats` ledger: admission, outcome and planner counters
-//! plus per-stage latency histograms.
+//! plus per-stage latency totals.
 //!
 //! The ledger extends the balanced-accounting discipline of the fault
 //! model (DESIGN.md §8) to the serving layer: every submitted query is
@@ -19,24 +19,17 @@
 
 use std::time::Duration;
 
-/// Power-of-two latency histogram over nanoseconds: bucket `i` counts
-/// observations in `[2^i, 2^(i+1))` ns (bucket 0 also takes 0 ns).
-/// 40 buckets cover up to ~18 minutes — far past any query budget.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The latencies one stage of the served queries recorded: how many and
+/// their total, hence their mean.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LatencyHistogram {
-    buckets: [u64; Self::BUCKETS],
     count: u64,
     total_ns: u128,
 }
 
 impl LatencyHistogram {
-    const BUCKETS: usize = 40;
-
     /// Records one observation.
-    pub fn record(&mut self, d: Duration) {
-        let ns = d.as_nanos().max(1) as u64;
-        let bucket = (63 - ns.leading_zeros() as usize).min(Self::BUCKETS - 1);
-        self.buckets[bucket] += 1;
+    pub(crate) fn record(&mut self, d: Duration) {
         self.count += 1;
         self.total_ns += d.as_nanos();
     }
@@ -54,53 +47,9 @@ impl LatencyHistogram {
             Duration::from_nanos((self.total_ns / self.count as u128) as u64)
         }
     }
-
-    /// The raw buckets; bucket `i` covers `[2^i, 2^(i+1))` ns.
-    pub fn buckets(&self) -> &[u64] {
-        &self.buckets
-    }
-
-    /// Upper-bound latency such that at least `q` of the observations
-    /// fall at or below it — bucket-granular, so it over-reports by at
-    /// most 2×.
-    ///
-    /// Edge semantics (pinned by tests): an empty histogram reports
-    /// `Duration::ZERO` for every `q`; on a non-empty histogram the
-    /// result is always a recorded bucket's upper bound, never zero.
-    /// `q` is clamped into `[0, 1]` — `q <= 0` reports the smallest
-    /// recorded bucket, `q >= 1` the largest — and a NaN rank reports
-    /// the conservative upper bound (`q = 1`), not the minimum a
-    /// NaN-to-zero cast would silently pick.
-    pub fn quantile(&self, q: f64) -> Duration {
-        if self.count == 0 {
-            return Duration::ZERO;
-        }
-        let q = if q.is_nan() { 1.0 } else { q.clamp(0.0, 1.0) };
-        let target = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
-        let mut seen = 0;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= target {
-                return Duration::from_nanos(1u64 << (i + 1).min(63));
-            }
-        }
-        // count == Σ buckets by construction, so the loop always
-        // returns; keep a conservative bound rather than panicking.
-        Duration::from_nanos(u64::MAX)
-    }
 }
 
-impl Default for LatencyHistogram {
-    fn default() -> Self {
-        LatencyHistogram {
-            buckets: [0; Self::BUCKETS],
-            count: 0,
-            total_ns: 0,
-        }
-    }
-}
-
-/// One histogram per pipeline stage of a served query.
+/// One latency total per pipeline stage of a served query.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StageLatencies {
     /// Spec construction plus the MBR filter stage (candidate
@@ -181,18 +130,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn histogram_buckets_by_power_of_two() {
+    fn histogram_counts_and_averages() {
         let mut h = LatencyHistogram::default();
         h.record(Duration::from_nanos(1));
         h.record(Duration::from_nanos(3));
         h.record(Duration::from_nanos(1024));
         assert_eq!(h.count(), 3);
-        assert_eq!(h.buckets()[0], 1);
-        assert_eq!(h.buckets()[1], 1);
-        assert_eq!(h.buckets()[10], 1);
         assert_eq!(h.mean(), Duration::from_nanos((1 + 3 + 1024) / 3));
-        // p100 of the data sits in bucket 10 → bound 2^11.
-        assert_eq!(h.quantile(1.0), Duration::from_nanos(2048));
     }
 
     #[test]
@@ -200,43 +144,6 @@ mod tests {
         let h = LatencyHistogram::default();
         assert_eq!(h.count(), 0);
         assert_eq!(h.mean(), Duration::ZERO);
-        assert_eq!(h.quantile(0.99), Duration::ZERO);
-        // Every rank, including degenerate ones, reports zero on empty.
-        assert_eq!(h.quantile(-1.0), Duration::ZERO);
-        assert_eq!(h.quantile(2.0), Duration::ZERO);
-        assert_eq!(h.quantile(f64::NAN), Duration::ZERO);
-    }
-
-    /// One sample: every rank reports that sample's bucket bound, never
-    /// zero.
-    #[test]
-    fn one_sample_quantiles_report_its_bucket() {
-        let mut h = LatencyHistogram::default();
-        h.record(Duration::from_nanos(100)); // bucket 6 → bound 2^7
-        let bound = Duration::from_nanos(128);
-        for q in [0.0, 0.5, 0.99, 1.0] {
-            assert_eq!(h.quantile(q), bound, "q = {q}");
-        }
-        assert_ne!(h.quantile(1.0), Duration::ZERO);
-    }
-
-    /// Out-of-range and NaN ranks clamp to defined endpoints: `q <= 0`
-    /// is the smallest recorded bucket, `q >= 1` the largest, and NaN
-    /// takes the conservative upper bound.
-    #[test]
-    fn degenerate_ranks_clamp_to_the_recorded_extremes() {
-        let mut h = LatencyHistogram::default();
-        h.record(Duration::from_nanos(1)); // bucket 0 → bound 2
-        h.record(Duration::from_nanos(1024)); // bucket 10 → bound 2048
-        assert_eq!(h.quantile(-3.0), h.quantile(0.0));
-        assert_eq!(h.quantile(0.0), Duration::from_nanos(2));
-        assert_eq!(h.quantile(7.0), h.quantile(1.0));
-        assert_eq!(h.quantile(1.0), Duration::from_nanos(2048));
-        assert_eq!(
-            h.quantile(f64::NAN),
-            Duration::from_nanos(2048),
-            "NaN must report the conservative bound, not the minimum"
-        );
     }
 
     #[test]

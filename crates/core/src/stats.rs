@@ -86,7 +86,7 @@ pub struct TestStats {
 }
 
 impl TestStats {
-    pub fn add(&mut self, o: &TestStats) {
+    pub(crate) fn add(&mut self, o: &TestStats) {
         self.decided_by_pip += o.decided_by_pip;
         self.decided_by_runs += o.decided_by_runs;
         self.rejected_by_hw += o.rejected_by_hw;

@@ -110,7 +110,7 @@ proptest! {
             && p.edges().all(|ep| q.edges().all(|eq| !ep.intersects(&eq)));
         let mut t = HwTester::new(HwConfig::at_resolution(res));
         let mut st = TestStats::default();
-        prop_assert_eq!(t.contained_in(&p, &q, &mut st), oracle, "res {}", res);
+        prop_assert_eq!(t.test(Predicate::ContainedIn, &p, &q, &mut st), oracle, "res {}", res);
     }
 
     /// Hardware rejections really are rejections the software sweep would

@@ -18,7 +18,7 @@ use hwa_core::service::{
 };
 use hwa_core::{
     CostBreakdown, DeviceKind, EngineConfig, FaultKind, FaultPlan, FaultTrigger, HwConfig,
-    PreparedDataset, TestStats,
+    Predicate, PreparedDataset, TestStats,
 };
 use proptest::prelude::*;
 
@@ -245,7 +245,8 @@ fn adaptive_planner_uses_both_backends() {
         assert!(a.runs().any(|(_, run)| run.intersects(&b.mbr())));
         for &r in &PlannerConfig::default().resolutions {
             let mut stats = TestStats::default();
-            assert!(HwTester::new(HwConfig::at_resolution(r)).contained_in(b, a, &mut stats));
+            let mut tester = HwTester::new(HwConfig::at_resolution(r));
+            assert!(tester.test(Predicate::ContainedIn, b, a, &mut stats));
             assert_eq!(
                 (stats.decided_by_runs, stats.rejected_by_hw),
                 (0, 1),

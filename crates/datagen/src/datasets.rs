@@ -21,7 +21,7 @@ use crate::shapes::{band, harmonic_star};
 use crate::vertex_dist::VertexDist;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use spatial_geom::{Point, Polygon, Rect};
+use spatial_geom::{Point, Polygon};
 
 /// Side length of the square data space. Chosen ≈ 100,000 so that, like
 /// the paper's 4–6-digit GIS coordinates (§3), the data resolution vastly
@@ -71,15 +71,6 @@ impl Dataset {
             avg_mbr_width: sum_w / n as f64,
             avg_mbr_height: sum_h / n as f64,
         }
-    }
-
-    /// The `(MBR, index)` pairs the R-tree is bulk-loaded with.
-    pub fn mbr_entries(&self) -> Vec<(Rect, usize)> {
-        self.polygons
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (p.mbr(), i))
-            .collect()
     }
 }
 
@@ -284,6 +275,7 @@ pub fn states50(seed: u64) -> Dataset {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spatial_geom::Rect;
 
     const TEST_SCALE: f64 = 0.01;
 
@@ -377,16 +369,6 @@ mod tests {
         let bigger = landc(0.02, 5);
         assert!(bigger.polygons.len() > 2 * small.polygons.len());
         assert_eq!(small.stats().max_vertices, bigger.stats().max_vertices);
-    }
-
-    #[test]
-    fn mbr_entries_align_with_polygons() {
-        let ds = prism(TEST_SCALE, 6);
-        let entries = ds.mbr_entries();
-        assert_eq!(entries.len(), ds.polygons.len());
-        for (r, i) in &entries {
-            assert_eq!(*r, ds.polygons[*i].mbr());
-        }
     }
 
     #[test]

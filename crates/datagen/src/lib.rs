@@ -20,11 +20,10 @@
 
 #![forbid(unsafe_code)]
 
-pub mod datasets;
+pub(crate) mod datasets;
 pub mod shapes;
-pub mod vertex_dist;
+pub(crate) mod vertex_dist;
 
 pub use datasets::{
     base_distance, landc, lando, prism, states50, water, Dataset, DatasetStats, DATA_EXTENT,
 };
-pub use vertex_dist::VertexDist;

@@ -102,7 +102,7 @@ pub fn harmonic_star(
 /// drives the join workload — the wide envelope makes many neighbours'
 /// MBRs overlap a band, while the locally-straight line leaves most of
 /// them clean non-intersections that a fine-enough window can reject.
-pub fn band(
+pub(crate) fn band(
     x0: f64,
     x1: f64,
     y_bottom: f64,

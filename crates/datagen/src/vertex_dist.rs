@@ -24,7 +24,7 @@ const Z_MAX: f64 = 3.8;
 
 /// A sampler for per-polygon vertex counts.
 #[derive(Debug, Clone, Copy)]
-pub struct VertexDist {
+pub(crate) struct VertexDist {
     pub min: usize,
     pub avg: usize,
     pub max: usize,
@@ -34,7 +34,7 @@ pub struct VertexDist {
 
 impl VertexDist {
     /// Creates a calibrated distribution; requires `min <= avg <= max`.
-    pub fn new(min: usize, avg: usize, max: usize) -> Self {
+    pub(crate) fn new(min: usize, avg: usize, max: usize) -> Self {
         assert!(min >= 3, "polygons need 3 vertices");
         assert!(min <= avg && avg <= max, "min <= avg <= max violated");
         if avg == min || max == avg {
@@ -78,7 +78,7 @@ impl VertexDist {
     }
 
     /// One draw: `min + clamp(lognormal(μ, σ), ..max)`.
-    pub fn sample(&self, rng: &mut impl Rng) -> usize {
+    pub(crate) fn sample(&self, rng: &mut impl Rng) -> usize {
         if self.sigma == 0.0 {
             return self.avg;
         }
@@ -91,7 +91,7 @@ impl VertexDist {
     /// Samples `n` counts with the extremes pinned: the first draw is
     /// `max`, the second `min` (when `n` permits), so a generated dataset's
     /// Table 2 row matches the paper's min/max columns exactly.
-    pub fn sample_n(&self, n: usize, rng: &mut impl Rng) -> Vec<usize> {
+    pub(crate) fn sample_n(&self, n: usize, rng: &mut impl Rng) -> Vec<usize> {
         let mut out = Vec::with_capacity(n);
         for i in 0..n {
             let v = match i {

@@ -24,11 +24,10 @@ use spatial_geom::{Polygon, Rect};
 #[derive(Debug, Clone)]
 pub struct InteriorFilter {
     mbr: Rect,
-    level: u32,
     tiles_per_side: usize,
     /// Row-major interior bitmap.
     interior: Vec<bool>,
-    /// Interior tiles found (for reporting / tests).
+    /// Interior tiles found; with none, `covers` answers at once.
     interior_count: usize,
 }
 
@@ -82,21 +81,10 @@ impl InteriorFilter {
         }
         InteriorFilter {
             mbr,
-            level,
             tiles_per_side: n,
             interior,
             interior_count,
         }
-    }
-
-    /// The tiling level this filter was built at.
-    pub fn level(&self) -> u32 {
-        self.level
-    }
-
-    /// Number of tiles marked interior.
-    pub fn interior_tile_count(&self) -> usize {
-        self.interior_count
     }
 
     /// True when `candidate_mbr` is completely covered by interior tiles —
@@ -145,7 +133,7 @@ mod tests {
     fn level_zero_has_no_interior_tiles() {
         // The single tile equals the MBR, and the boundary edges overlap it.
         let f = InteriorFilter::build(&big_square(), 0);
-        assert_eq!(f.interior_tile_count(), 0);
+        assert_eq!(f.interior_count, 0);
         assert!(!f.covers(&Rect::new(4.0, 4.0, 5.0, 5.0)));
     }
 
@@ -154,7 +142,7 @@ mod tests {
         let mut prev = 0.0;
         for level in 1..=5 {
             let f = InteriorFilter::build(&big_square(), level);
-            let frac = f.interior_tile_count() as f64 / ((1usize << (2 * level)) as f64);
+            let frac = f.interior_count as f64 / ((1usize << (2 * level)) as f64);
             assert!(
                 frac >= prev,
                 "interior fraction should not shrink: {frac} < {prev} at level {level}"
@@ -242,7 +230,7 @@ mod tests {
         // confirmations, no panics.
         let sliver = Polygon::from_coords(&[(0.0, 0.0), (10.0, 0.001), (20.0, 0.0)]);
         let f = InteriorFilter::build(&sliver, 3);
-        assert_eq!(f.interior_tile_count(), 0);
+        assert_eq!(f.interior_count, 0);
         assert!(!f.covers(&Rect::new(5.0, 0.0, 6.0, 0.0005)));
     }
 }

@@ -1,7 +1,7 @@
 //! The runtime intermediate filters the paper implements for its baseline
 //! pipelines (§4.1.1) — the middle stage of Fig. 8:
 //!
-//! * [`interior`] — the **interior filter** for intersection selections: a
+//! * `interior` — the **interior filter** for intersection selections: a
 //!   `2^l × 2^l` tiling of the query polygon whose fully-interior tiles
 //!   identify *positive* candidates without geometry comparison (Fig. 9(a),
 //!   swept over `l` in Figure 10);
@@ -20,7 +20,7 @@
 
 #![forbid(unsafe_code)]
 
-pub mod interior;
+pub(crate) mod interior;
 pub mod object_filters;
 
 pub use interior::InteriorFilter;

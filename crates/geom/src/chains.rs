@@ -79,17 +79,12 @@ fn classify(this: &Rect, other: &Rect) -> Separation {
     best.1
 }
 
-/// The frontier-chain edges of `poly` facing `other_mbr`.
-///
-/// Falls back to the full boundary when the MBRs overlap in both axes or
-/// the facing extreme vertex coincides with a chain split point.
-pub fn frontier_edges(poly: &Polygon, other_mbr: &Rect) -> Vec<Segment> {
-    frontier_clipped(poly, other_mbr, f64::INFINITY)
-}
-
 /// Frontier chain clipped to within `d` of the other MBR (the paper's
 /// second `minDist` optimization): only edges whose MBR is within `d` of
-/// `other_mbr` can participate in a within-distance-`d` pair.
+/// `other_mbr` can participate in a within-distance-`d` pair. At
+/// `d = ∞` it is the whole frontier chain of `poly` facing `other_mbr`,
+/// or the full boundary when the MBRs overlap in both axes or the facing
+/// extreme vertex coincides with a chain split point.
 ///
 /// One walk over the runs of the chosen chain ([`frontier_runs`]) whose
 /// cached box is within `d`, clipping edge by edge inside them. The
@@ -198,14 +193,14 @@ mod tests {
     fn overlapping_mbrs_keep_all_edges() {
         let p = square(0.0, 0.0, 4.0);
         let q = Rect::new(2.0, 2.0, 6.0, 6.0);
-        assert_eq!(frontier_edges(&p, &q).len(), 4);
+        assert_eq!(frontier_clipped(&p, &q, f64::INFINITY).len(), 4);
     }
 
     #[test]
     fn right_facing_chain_of_square() {
         let p = square(0.0, 0.0, 4.0);
         let q = Rect::new(10.0, 0.0, 12.0, 4.0);
-        let chain = frontier_edges(&p, &q);
+        let chain = frontier_clipped(&p, &q, f64::INFINITY);
         assert!(chain.len() < 4, "chain must be a strict subset");
         // Every chain edge must touch the right half of the square.
         for e in &chain {
@@ -227,7 +222,7 @@ mod tests {
             (0.0, 10.0),
         ]);
         let q = Rect::new(20.0, 0.0, 22.0, 10.0);
-        let chain = frontier_edges(&l, &q);
+        let chain = frontier_clipped(&l, &q, f64::INFINITY);
         let full: Vec<Segment> = l.edges().collect();
         let d_chain = crate::distance::edges_min_dist(
             &chain,
@@ -246,7 +241,7 @@ mod tests {
     fn vertical_separation_uses_horizontal_split() {
         let p = square(0.0, 0.0, 4.0);
         let q_above = Rect::new(0.0, 10.0, 4.0, 12.0);
-        let chain = frontier_edges(&p, &q_above);
+        let chain = frontier_clipped(&p, &q_above, f64::INFINITY);
         assert!(chain.len() < 4);
         // The top side (y = 4) must survive.
         assert!(chain.iter().any(|e| e.a.y == 4.0 && e.b.y == 4.0));
@@ -264,7 +259,7 @@ mod tests {
         }
         // With a huge d everything in the frontier survives.
         let wide = frontier_clipped(&p, &q, 100.0);
-        assert_eq!(wide.len(), frontier_edges(&p, &q).len());
+        assert_eq!(wide.len(), frontier_clipped(&p, &q, f64::INFINITY).len());
     }
 
     #[test]
@@ -272,7 +267,7 @@ mod tests {
         // Q up-right of P: x-gap larger, so the x logic is used.
         let p = square(0.0, 0.0, 4.0);
         let q = Rect::new(20.0, 10.0, 22.0, 12.0);
-        let chain = frontier_edges(&p, &q);
+        let chain = frontier_clipped(&p, &q, f64::INFINITY);
         // Closest point of P to (20,10) is corner (4,4); edge (4,0)-(4,4)
         // or (4,4)-(0,4) must be present.
         assert!(chain

@@ -27,7 +27,7 @@ use crate::triangulate::triangulate;
 /// directed clip edge, keeping the half-plane to its left. Correct for
 /// convex clip regions of any vertex count; the subject must be convex too
 /// for the output to be the true intersection.
-pub fn convex_clip(subject: &[Point], clip: &[Point]) -> Vec<Point> {
+pub(crate) fn convex_clip(subject: &[Point], clip: &[Point]) -> Vec<Point> {
     let mut out: Vec<Point> = subject.to_vec();
     let mut input: Vec<Point> = Vec::with_capacity(subject.len() + clip.len());
     let m = clip.len();
@@ -89,7 +89,7 @@ fn ring_area(vs: &[Point]) -> f64 {
 }
 
 /// The intersection area of two convex CCW rings.
-pub fn convex_overlap_area(subject: &[Point], clip: &[Point]) -> f64 {
+pub(crate) fn convex_overlap_area(subject: &[Point], clip: &[Point]) -> f64 {
     ring_area(&convex_clip(subject, clip))
 }
 

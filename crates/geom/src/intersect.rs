@@ -11,12 +11,12 @@ use crate::with_scratch;
 
 /// Consecutive restricted edges [`edges_meet`] unions into one block box:
 /// one box compare stands in for up to `SEARCH_BLOCK²` edge pairs.
-pub const SEARCH_BLOCK: usize = 8;
+pub(crate) const SEARCH_BLOCK: usize = 8;
 
 /// The work [`edges_meet`] may spend per restricted edge before it hands
 /// its edges to the tree sweep. A block-pair box compare costs one unit,
 /// and entering a block pair costs `|a|·|b|` more.
-pub const SEARCH_BUDGET_PER_EDGE: usize = 8;
+pub(crate) const SEARCH_BUDGET_PER_EDGE: usize = 8;
 
 /// Work counters for one intersection test; aggregated by the engine to
 /// report the paper's per-stage cost breakdowns.
@@ -66,7 +66,7 @@ pub fn boundaries_meet(p: &Polygon, q: &Polygon, stats: &mut SweepStats) -> bool
 /// plane sweep's own [`Segment::intersects`]); returns at the first
 /// crossing found.
 ///
-/// Each [`SEARCH_BLOCK`] consecutive edges of either set are unioned into
+/// Each `SEARCH_BLOCK` consecutive edges of either set are unioned into
 /// a block box. The search visits `ep` blocks × `eq` blocks and skips
 /// every pair whose boxes miss. Inside a pair it skips each `e` whose MBR
 /// misses the other block's box, and tests each `f` whose MBR meets `e`'s.
@@ -76,9 +76,9 @@ pub fn boundaries_meet(p: &Polygon, q: &Polygon, stats: &mut SweepStats) -> bool
 ///
 /// The work is bounded: a block-pair box compare costs one unit and an
 /// entered pair `|a|·|b|` more. Once the total would pass
-/// [`SEARCH_BUDGET_PER_EDGE`]` · (|ep| + |eq|)`, the pair that would pass
+/// `SEARCH_BUDGET_PER_EDGE · (|ep| + |eq|)`, the pair that would pass
 /// it is not visited, and both sets go to
-/// [`tree_sweep_intersects_stats`]. That sweep is exact only on edges that
+/// `tree_sweep_intersects_stats`. That sweep is exact only on edges that
 /// do not cross their own set, such as a simple boundary's.
 /// `stats.events > 0` shows that this fallback ran.
 pub fn edges_meet(ep: &[Segment], eq: &[Segment], stats: &mut SweepStats) -> bool {

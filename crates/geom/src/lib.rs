@@ -17,9 +17,9 @@
 //! * the `minDist` within-distance machinery after Chan, with the paper's
 //!   two additional optimizations — early exit at distance ≤ D and frontier
 //!   chains clipped to MBRs extended by D ([`chains`], [`mindist`]);
-//! * supporting algorithms used by other crates: convex hull ([`hull`]),
-//!   ear-clipping triangulation ([`triangulate`], needed only by the
-//!   filled-polygon ablation in `hwa-core`), and WKT I/O ([`wkt`]).
+//! * supporting algorithms used by other crates: ear-clipping
+//!   triangulation ([`triangulate`], needed only by the filled-polygon
+//!   ablation in `hwa-core`) and WKT I/O ([`wkt`]).
 //!
 //! Everything here is exact (up to `f64`), deterministic and free of
 //! graphics-hardware concerns; the simulated GPU lives in `spatial-raster`.
@@ -27,29 +27,28 @@
 #![forbid(unsafe_code)]
 
 pub mod chains;
-pub mod clip;
+pub(crate) mod clip;
 pub mod distance;
-pub mod hull;
 pub mod intersect;
 pub mod mindist;
 pub mod pip;
 pub mod point;
-pub mod polygon;
+pub(crate) mod polygon;
 pub mod predicates;
-pub mod rect;
-pub mod segment;
+pub(crate) mod rect;
+pub(crate) mod segment;
 pub mod sweep;
 pub mod triangulate;
 pub mod wkt;
 
-pub use clip::{convex_clip, convex_overlap_area, overlap_area_exact};
+pub use clip::overlap_area_exact;
 pub use intersect::{
     polygon_contained_in, polygons_intersect, polygons_intersect_brute, IntersectStats,
 };
 pub use mindist::{min_dist, min_dist_brute, within_distance, MinDistStats};
 pub use pip::point_in_polygon;
 pub use point::Point;
-pub use polygon::Polygon;
+pub use polygon::{Polygon, PolygonError};
 pub use rect::Rect;
 pub use segment::Segment;
 

@@ -72,7 +72,7 @@ impl Point {
     ///
     /// Positive when `other` is counter-clockwise from `self`.
     #[inline]
-    pub fn cross(self, other: Point) -> f64 {
+    pub(crate) fn cross(self, other: Point) -> f64 {
         self.x * other.y - self.y * other.x
     }
 
@@ -130,7 +130,7 @@ impl Point {
     /// Lexicographic comparison (x first, then y), a total order used by the
     /// plane-sweep event queue.
     #[inline]
-    pub fn lex_cmp(&self, other: &Point) -> std::cmp::Ordering {
+    pub(crate) fn lex_cmp(&self, other: &Point) -> std::cmp::Ordering {
         self.x
             .total_cmp(&other.x)
             .then_with(|| self.y.total_cmp(&other.y))
@@ -138,7 +138,7 @@ impl Point {
 
     /// True when both coordinates are finite (no NaN / infinity).
     #[inline]
-    pub fn is_finite(self) -> bool {
+    pub(crate) fn is_finite(self) -> bool {
         self.x.is_finite() && self.y.is_finite()
     }
 }

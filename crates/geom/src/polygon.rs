@@ -299,7 +299,7 @@ impl Polygon {
 
     /// Signed area via the shoelace formula: positive for counter-clockwise
     /// winding.
-    pub fn signed_area(&self) -> f64 {
+    pub(crate) fn signed_area(&self) -> f64 {
         let mut acc = 0.0;
         for e in self.edges() {
             acc += e.a.cross(e.b);
@@ -315,7 +315,7 @@ impl Polygon {
 
     /// True when the vertices wind counter-clockwise.
     #[inline]
-    pub fn is_ccw(&self) -> bool {
+    pub(crate) fn is_ccw(&self) -> bool {
         self.signed_area() > 0.0
     }
 
@@ -331,31 +331,6 @@ impl Polygon {
             (_, self.extremes, self.runs) = bounds(&self.vertices);
         }
         self
-    }
-
-    /// Total boundary length.
-    pub fn perimeter(&self) -> f64 {
-        self.edges().map(|e| e.len()).sum()
-    }
-
-    /// Area centroid (assumes non-zero area).
-    pub fn centroid(&self) -> Point {
-        let n = self.vertices.len();
-        let mut cx = 0.0;
-        let mut cy = 0.0;
-        let mut a2 = 0.0;
-        for Segment { a: p, b: q } in self.edges() {
-            let w = p.cross(q);
-            cx += (p.x + q.x) * w;
-            cy += (p.y + q.y) * w;
-            a2 += w;
-        }
-        if a2 == 0.0 {
-            // Degenerate (zero-area) polygon: fall back to the vertex mean.
-            let sum = self.vertices.iter().fold(Point::ORIGIN, |s, &v| s + v);
-            return sum / n as f64;
-        }
-        Point::new(cx / (3.0 * a2), cy / (3.0 * a2))
     }
 
     /// True when no two non-adjacent edges intersect and no adjacent edges
@@ -378,21 +353,6 @@ impl Polygon {
     /// list.
     pub fn scaled_about(&self, c: Point, s: f64) -> Result<Polygon, PolygonError> {
         Polygon::new(self.vertices.iter().map(|&v| c + (v - c) * s).collect())
-    }
-
-    /// Returns the boundary point at normalized arc length `t ∈ [0, 1)`;
-    /// useful for sampling-based tests.
-    pub fn boundary_point(&self, t: f64) -> Point {
-        let total = self.perimeter();
-        let mut remaining = (t.rem_euclid(1.0)) * total;
-        for e in self.edges() {
-            let l = e.len();
-            if remaining <= l {
-                return e.a.lerp(e.b, if l == 0.0 { 0.0 } else { remaining / l });
-            }
-            remaining -= l;
-        }
-        self.vertices[0]
     }
 }
 
@@ -465,21 +425,6 @@ mod tests {
         assert_eq!(edges.len(), 4);
         assert_eq!(edges[3].b, edges[0].a, "last edge returns to first vertex");
         assert_eq!(sq.edge(3), edges[3]);
-    }
-
-    #[test]
-    fn perimeter_and_centroid() {
-        let sq = unit_square();
-        assert_eq!(sq.perimeter(), 4.0);
-        let c = sq.centroid();
-        assert!((c.x - 0.5).abs() < 1e-12 && (c.y - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn centroid_is_winding_invariant() {
-        let ccw = Polygon::from_coords(&[(0.0, 0.0), (4.0, 0.0), (4.0, 2.0), (0.0, 2.0)]);
-        let cw = Polygon::from_coords(&[(0.0, 0.0), (0.0, 2.0), (4.0, 2.0), (4.0, 0.0)]);
-        assert!(ccw.centroid().dist(cw.centroid()) < 1e-12);
     }
 
     #[test]
@@ -570,15 +515,5 @@ mod tests {
         assert!(flipped.is_ccw() && !cw.is_ccw());
         assert_eq!(cw.vertices()[1], Point::new(0.0, 1.0));
         assert_eq!(flipped, Polygon::new(flipped.vertices().to_vec()).unwrap());
-    }
-
-    #[test]
-    fn boundary_point_walks_edges() {
-        let sq = unit_square();
-        assert_eq!(sq.boundary_point(0.0), Point::new(0.0, 0.0));
-        assert_eq!(sq.boundary_point(0.25), Point::new(1.0, 0.0));
-        assert_eq!(sq.boundary_point(0.5), Point::new(1.0, 1.0));
-        let p = sq.boundary_point(0.125);
-        assert!((p.x - 0.5).abs() < 1e-12 && p.y == 0.0);
     }
 }

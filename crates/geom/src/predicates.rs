@@ -11,41 +11,17 @@
 
 use crate::point::Point;
 
-/// Orientation of the ordered triple `(a, b, c)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Orientation {
-    /// `c` lies strictly to the left of the directed line `a → b`.
-    CounterClockwise,
-    /// `c` lies strictly to the right of the directed line `a → b`.
-    Clockwise,
-    /// The three points are collinear.
-    Collinear,
-}
-
 /// The signed doubled area of triangle `(a, b, c)`: positive for a
 /// counter-clockwise turn, negative for clockwise, zero for collinear.
 #[inline]
-pub fn orient2d(a: Point, b: Point, c: Point) -> f64 {
+pub(crate) fn orient2d(a: Point, b: Point, c: Point) -> f64 {
     (b - a).cross(c - a)
-}
-
-/// Classifies the turn made at `b` when walking `a → b → c`.
-#[inline]
-pub fn orientation(a: Point, b: Point, c: Point) -> Orientation {
-    let v = orient2d(a, b, c);
-    if v > 0.0 {
-        Orientation::CounterClockwise
-    } else if v < 0.0 {
-        Orientation::Clockwise
-    } else {
-        Orientation::Collinear
-    }
 }
 
 /// True when `p` lies on the closed segment `a b`, assuming the three points
 /// are already known to be collinear.
 #[inline]
-pub fn on_segment_collinear(a: Point, b: Point, p: Point) -> bool {
+pub(crate) fn on_segment_collinear(a: Point, b: Point, p: Point) -> bool {
     p.x >= a.x.min(b.x) && p.x <= a.x.max(b.x) && p.y >= a.y.min(b.y) && p.y <= a.y.max(b.y)
 }
 
@@ -79,10 +55,7 @@ pub fn segments_intersect(p1: Point, p2: Point, q1: Point, q2: Point) -> bool {
 
 /// *Proper* intersection test: the segments cross at a single point interior
 /// to both. Shared endpoints and touches do **not** count.
-///
-/// Used by the Shamos–Hoey simplicity check, where adjacent polygon edges
-/// legitimately share endpoints.
-pub fn segments_intersect_properly(p1: Point, p2: Point, q1: Point, q2: Point) -> bool {
+pub(crate) fn segments_intersect_properly(p1: Point, p2: Point, q1: Point, q2: Point) -> bool {
     let d1 = orient2d(q1, q2, p1);
     let d2 = orient2d(q1, q2, p2);
     let d3 = orient2d(p1, p2, q1);
@@ -121,18 +94,9 @@ mod tests {
 
     #[test]
     fn orientation_signs() {
-        assert_eq!(
-            orientation(p(0.0, 0.0), p(1.0, 0.0), p(1.0, 1.0)),
-            Orientation::CounterClockwise
-        );
-        assert_eq!(
-            orientation(p(0.0, 0.0), p(1.0, 0.0), p(1.0, -1.0)),
-            Orientation::Clockwise
-        );
-        assert_eq!(
-            orientation(p(0.0, 0.0), p(1.0, 0.0), p(2.0, 0.0)),
-            Orientation::Collinear
-        );
+        assert!(orient2d(p(0.0, 0.0), p(1.0, 0.0), p(1.0, 1.0)) > 0.0);
+        assert!(orient2d(p(0.0, 0.0), p(1.0, 0.0), p(1.0, -1.0)) < 0.0);
+        assert_eq!(orient2d(p(0.0, 0.0), p(1.0, 0.0), p(2.0, 0.0)), 0.0);
     }
 
     #[test]

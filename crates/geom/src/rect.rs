@@ -41,18 +41,13 @@ impl Rect {
 
     /// The MBR of two points (in any order).
     #[inline]
-    pub fn of_corners(a: Point, b: Point) -> Self {
+    pub(crate) fn of_corners(a: Point, b: Point) -> Self {
         Rect {
             xmin: a.x.min(b.x),
             ymin: a.y.min(b.y),
             xmax: a.x.max(b.x),
             ymax: a.y.max(b.y),
         }
-    }
-
-    /// The MBR of a non-empty point set; [`Rect::EMPTY`] for an empty one.
-    pub fn of_points(points: &[Point]) -> Self {
-        points.iter().fold(Rect::EMPTY, |r, &p| r.expand_to(p))
     }
 
     /// True when `xmin > xmax || ymin > ymax` (no points inside).
@@ -139,7 +134,7 @@ impl Rect {
 
     /// The smallest rectangle containing `self` and `p`.
     #[inline]
-    pub fn expand_to(&self, p: Point) -> Rect {
+    pub(crate) fn expand_to(&self, p: Point) -> Rect {
         Rect {
             xmin: self.xmin.min(p.x),
             ymin: self.ymin.min(p.y),
@@ -176,19 +171,6 @@ impl Rect {
             .max(self.ymin - other.ymax)
             .max(0.0);
         hypot(dx, dy)
-    }
-
-    /// Maximum Euclidean distance between any point of `self` and any point
-    /// of `other` (the diameter bound used by the 0-object filter analysis).
-    #[inline]
-    pub fn max_dist(&self, other: &Rect) -> f64 {
-        let dx = (self.xmax - other.xmin)
-            .abs()
-            .max((other.xmax - self.xmin).abs());
-        let dy = (self.ymax - other.ymin)
-            .abs()
-            .max((other.ymax - self.ymin).abs());
-        (dx * dx + dy * dy).sqrt()
     }
 
     /// The four corners in counter-clockwise order starting at
@@ -228,17 +210,6 @@ mod tests {
         assert_eq!(Rect::EMPTY.union(&a), a);
         assert!(!Rect::EMPTY.intersects(&a));
         assert!(Rect::EMPTY.intersection(&a).is_none());
-    }
-
-    #[test]
-    fn of_points_matches_manual() {
-        let pts = [
-            Point::new(1.0, 5.0),
-            Point::new(-2.0, 3.0),
-            Point::new(4.0, -1.0),
-        ];
-        assert_eq!(Rect::of_points(&pts), r(-2.0, -1.0, 4.0, 5.0));
-        assert!(Rect::of_points(&[]).is_empty());
     }
 
     #[test]
@@ -295,15 +266,6 @@ mod tests {
         // Axis-aligned gap only in x.
         let d = r(3.0, 0.0, 4.0, 1.0);
         assert_eq!(a.min_dist(&d), 2.0);
-    }
-
-    #[test]
-    fn max_dist_bounds_min_dist() {
-        let a = r(0.0, 0.0, 1.0, 1.0);
-        let b = r(2.0, 0.0, 3.0, 1.0);
-        // Farthest corners: (0,0)-(3,1) or (0,1)-(3,0): sqrt(9+1)
-        assert!((a.max_dist(&b) - 10.0f64.sqrt()).abs() < 1e-12);
-        assert!(a.max_dist(&b) >= a.min_dist(&b));
     }
 
     #[test]

@@ -27,18 +27,6 @@ impl Segment {
         Rect::of_corners(self.a, self.b)
     }
 
-    /// Squared length.
-    #[inline]
-    pub fn len2(&self) -> f64 {
-        self.a.dist2(self.b)
-    }
-
-    /// Length.
-    #[inline]
-    pub fn len(&self) -> f64 {
-        self.a.dist(self.b)
-    }
-
     /// True for a zero-length (degenerate) segment.
     #[inline]
     pub fn is_degenerate(&self) -> bool {
@@ -136,10 +124,8 @@ mod tests {
     }
 
     #[test]
-    fn lengths() {
+    fn degenerate_segments() {
         let seg = s(0.0, 0.0, 3.0, 4.0);
-        assert_eq!(seg.len(), 5.0);
-        assert_eq!(seg.len2(), 25.0);
         assert!(!seg.is_degenerate());
         assert!(s(1.0, 1.0, 1.0, 1.0).is_degenerate());
     }

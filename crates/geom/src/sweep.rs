@@ -12,7 +12,7 @@
 //! *every* pair of edges whose x-ranges overlap (with a y-interval
 //! prefilter), so it is exhaustive by construction and serves as the
 //! reference the tree sweep is validated against. The same machinery powers
-//! [`polygon_is_simple`], the checker for the paper's footnote-1 definition
+//! `polygon_is_simple`, the checker for the paper's footnote-1 definition
 //! of simple polygons.
 //!
 //! # Preconditions
@@ -73,7 +73,7 @@ pub fn forward_sweep_intersects(red: &[Segment], blue: &[Segment]) -> bool {
 }
 
 /// [`forward_sweep_intersects`] with work counters.
-pub fn forward_sweep_intersects_stats(
+pub(crate) fn forward_sweep_intersects_stats(
     red: &[Segment],
     blue: &[Segment],
     stats: &mut SweepStats,
@@ -189,7 +189,7 @@ pub fn tree_sweep_intersects(red: &[Segment], blue: &[Segment]) -> bool {
 }
 
 /// [`tree_sweep_intersects`] with work counters.
-pub fn tree_sweep_intersects_stats(
+pub(crate) fn tree_sweep_intersects_stats(
     red: &[Segment],
     blue: &[Segment],
     stats: &mut SweepStats,
@@ -275,7 +275,7 @@ pub fn tree_sweep_intersects_stats(
 /// True when the polygon is *simple*: no two non-adjacent edges touch, and
 /// adjacent edges share exactly their common vertex (no spikes / collinear
 /// backtracking). Runs an exhaustive forward sweep over the boundary edges.
-pub fn polygon_is_simple(poly: &Polygon) -> bool {
+pub(crate) fn polygon_is_simple(poly: &Polygon) -> bool {
     let edges: Vec<Segment> = poly.edges().collect();
     let n = edges.len();
     // Sort indices by xmin and sweep.

@@ -13,7 +13,7 @@ use crate::polygon::Polygon;
 use crate::predicates::orient2d;
 
 /// A triangle as three vertex indices into the source polygon.
-pub type Triangle = [usize; 3];
+pub(crate) type Triangle = [usize; 3];
 
 /// Triangulates a simple polygon by ear clipping in O(n²) worst case.
 ///
@@ -93,17 +93,18 @@ fn point_in_triangle(p: Point, a: Point, b: Point, c: Point) -> bool {
     orient2d(a, b, p) >= 0.0 && orient2d(b, c, p) >= 0.0 && orient2d(c, a, p) >= 0.0
 }
 
-/// Sum of triangle areas — used to validate a triangulation.
-pub fn triangulation_area(poly: &Polygon, tris: &[Triangle]) -> f64 {
-    let vs = poly.vertices();
-    tris.iter()
-        .map(|t| orient2d(vs[t[0]], vs[t[1]], vs[t[2]]).abs() / 2.0)
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Sum of the triangles' areas: a triangulation covers the polygon
+    /// exactly when it equals the polygon's area.
+    fn triangulation_area(poly: &Polygon, tris: &[Triangle]) -> f64 {
+        let vs = poly.vertices();
+        tris.iter()
+            .map(|t| orient2d(vs[t[0]], vs[t[1]], vs[t[2]]).abs() / 2.0)
+            .sum()
+    }
 
     #[test]
     fn triangle_is_itself() {

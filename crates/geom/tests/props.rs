@@ -2,7 +2,7 @@
 //! must agree with its brute-force oracle on randomized concave polygons.
 
 use proptest::prelude::*;
-use spatial_geom::chains::{frontier_clipped, frontier_edges};
+use spatial_geom::chains::frontier_clipped;
 use spatial_geom::intersect::{boundaries_meet, restricted_edges};
 use spatial_geom::pip::{locate_point, PointLocation};
 use spatial_geom::sweep::{forward_sweep_intersects, tree_sweep_intersects, SweepStats};
@@ -254,7 +254,11 @@ fn frontier_walk_matches_three_pass_reference_on_grid_shapes() {
                 ] {
                     let (edges, arm) = reference::frontier_edges(&p, &other);
                     *arms.entry(arm).or_insert(0usize) += 1;
-                    assert_eq!(frontier_edges(&p, &other), edges, "{p:?} vs {other:?}");
+                    assert_eq!(
+                        frontier_clipped(&p, &other, f64::INFINITY),
+                        edges,
+                        "{p:?} vs {other:?}"
+                    );
                     for d in clip_distances(&p, &other) {
                         assert_eq!(
                             frontier_clipped(&p, &other, d),
@@ -864,15 +868,9 @@ proptest! {
         prop_assert!(point_in_polygon(Point::new(cx, cy), &p));
     }
 
-    /// Boundary sample points must be classified OnBoundary or very close
-    /// to it; points far outside the MBR are Outside.
+    /// Points far outside the MBR are Outside.
     #[test]
-    fn pip_boundary_and_outside(p in arb_star(), t in 0.0f64..1.0) {
-        let b = p.boundary_point(t);
-        // Floating-point walking can land epsilon off the edge, so accept
-        // any classification for the sampled point but require that a point
-        // far outside is Outside.
-        let _ = locate_point(b, &p);
+    fn pip_boundary_and_outside(p in arb_star()) {
         let far = Point::new(p.mbr().xmax + 1000.0, p.mbr().ymax + 1000.0);
         prop_assert_eq!(locate_point(far, &p), PointLocation::Outside);
     }
@@ -897,21 +895,15 @@ proptest! {
         let tris = spatial_geom::triangulate::triangulate(&p)
             .expect("star polygons must triangulate");
         prop_assert_eq!(tris.len(), p.vertex_count() - 2);
-        let ta = spatial_geom::triangulate::triangulation_area(&p, &tris);
+        let vs = p.vertices();
+        let ta: f64 = tris
+            .iter()
+            .map(|t| {
+                let (u, v) = (vs[t[1]] - vs[t[0]], vs[t[2]] - vs[t[0]]);
+                (u.x * v.y - u.y * v.x).abs() / 2.0
+            })
+            .sum();
         prop_assert!((ta - p.area()).abs() <= 1e-9 * (1.0 + p.area()));
-    }
-
-    /// Convex hull contains all input points.
-    #[test]
-    fn hull_contains_inputs(pts in prop::collection::vec((-100.0f64..100.0, -100.0f64..100.0), 3..64)) {
-        let points: Vec<Point> = pts.iter().map(|&(x, y)| Point::new(x, y)).collect();
-        let hull = spatial_geom::hull::convex_hull(&points);
-        if hull.len() >= 3 {
-            let hp = Polygon::new(hull).unwrap();
-            for &pt in &points {
-                prop_assert!(point_in_polygon(pt, &hp));
-            }
-        }
     }
 
     /// WKT round-trips exactly (f64 Display is lossless for these values).
@@ -972,7 +964,10 @@ proptest! {
     ) {
         prop_assume!(ring.is_some());
         let p = ring.unwrap();
-        prop_assert_eq!(frontier_edges(&p, &other), reference::frontier_edges(&p, &other).0);
+        prop_assert_eq!(
+            frontier_clipped(&p, &other, f64::INFINITY),
+            reference::frontier_edges(&p, &other).0
+        );
         for d in clip_distances(&p, &other) {
             prop_assert_eq!(
                 frontier_clipped(&p, &other, d),

@@ -14,21 +14,19 @@
 //!
 //! Every node holds its children's MBRs in struct-of-arrays lanes, their
 //! only copy, and traversals run one kernel per predicate over whole nodes
-//! ([`soa`]); the tree join descends both trees in lock-step on the calling
+//! (`soa`); the tree join descends both trees in lock-step on the calling
 //! thread.
 
 #![forbid(unsafe_code)]
 
-pub mod join;
-pub mod rtree;
-pub mod snapshot;
-pub mod soa;
+pub(crate) mod join;
+pub(crate) mod rtree;
+pub(crate) mod snapshot;
+pub(crate) mod soa;
 
 pub use join::{
     join_intersecting, join_intersecting_with, join_within_distance, join_within_distance_with,
 };
 pub use rtree::RTree;
 pub use snapshot::{Snapshot, SnapshotHandle};
-pub use soa::{
-    ChildMbrs, FilterConfig, FilterStats, Intersects, MbrPredicate, WithinDist, SIMD_LANES,
-};
+pub use soa::{FilterConfig, FilterStats, Intersects};

@@ -54,13 +54,6 @@ impl<T> Snapshot<T> {
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
-
-    /// The pinned value. Also available through `Deref` (named `value`
-    /// rather than `get` so it never shadows an inner type's own `get`).
-    #[inline]
-    pub fn value(&self) -> &T {
-        &self.value
-    }
 }
 
 impl<T> Clone for Snapshot<T> {
@@ -146,11 +139,6 @@ impl<T> SnapshotHandle<T> {
         cur.value = Arc::new(value);
         cur.epoch
     }
-
-    /// The current epoch (0 until the first swap).
-    pub fn epoch(&self) -> u64 {
-        self.read().epoch
-    }
 }
 
 #[cfg(test)]
@@ -171,7 +159,7 @@ mod tests {
         let fresh = h.load();
         assert_eq!(*fresh, "gamma");
         assert_eq!(fresh.epoch(), 2);
-        assert_eq!(h.epoch(), 2);
+        assert_eq!(h.load().epoch(), 2);
     }
 
     #[test]
@@ -216,6 +204,6 @@ mod tests {
         for r in readers {
             r.join().unwrap();
         }
-        assert_eq!(h.epoch(), 200);
+        assert_eq!(h.load().epoch(), 200);
     }
 }

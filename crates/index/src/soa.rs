@@ -10,29 +10,10 @@
 //!
 //! Each predicate has one kernel body, [`SIMD_LANES`] slots per step,
 //! whose per-slot math is identical expression-for-expression to the
-//! scalar [`Rect`] predicate it mirrors ([`MbrPredicate::test`]); the
+//! scalar [`Rect`] predicate it mirrors (`MbrPredicate::test`); the
 //! fixed-width loop autovectorizes. Rust float semantics are strict IEEE
 //! at every vector width, so bit `i` of a node's mask is exactly the
 //! scalar predicate on child `i`.
-//!
-//! # Example
-//!
-//! ```
-//! use spatial_geom::Rect;
-//! use spatial_index::{ChildMbrs, FilterStats, Intersects};
-//!
-//! // A node holding two children, laid out in SoA form.
-//! let children = [Rect::new(0.0, 0.0, 1.0, 1.0), Rect::new(5.0, 5.0, 6.0, 6.0)];
-//! let node = ChildMbrs::from_rects(&children);
-//!
-//! // One kernel call tests the probe against every child slot at once.
-//! let probe = Rect::new(0.5, 0.5, 2.0, 2.0);
-//! let mut stats = FilterStats::default();
-//! let mask = node.mask(&Intersects, &probe, &mut stats);
-//!
-//! assert_eq!(mask, 0b01); // only the first child overlaps the probe
-//! assert_eq!(stats.node_tests, 2); // one charge per real slot
-//! ```
 
 use crate::rtree::MAX_ENTRIES;
 use spatial_geom::point::{hypot, OVERFLOW_ROOT};
@@ -41,11 +22,11 @@ use std::borrow::Borrow;
 
 /// Slots the node kernels advance per step (f64 × 8 = two 256-bit
 /// registers).
-pub const SIMD_LANES: usize = 8;
+pub(crate) const SIMD_LANES: usize = 8;
 
 /// Padded width of a node's SoA arrays: `MAX_ENTRIES` rounded up to a
 /// whole number of lanes, so kernels never need a scalar tail loop.
-pub const SOA_WIDTH: usize = MAX_ENTRIES.next_multiple_of(SIMD_LANES);
+pub(crate) const SOA_WIDTH: usize = MAX_ENTRIES.next_multiple_of(SIMD_LANES);
 
 /// A node's children's MBRs in struct-of-arrays form, lane-width padded.
 ///
@@ -54,7 +35,7 @@ pub const SOA_WIDTH: usize = MAX_ENTRIES.next_multiple_of(SIMD_LANES);
 /// from every finite rectangle — padding lanes therefore evaluate the real
 /// kernels and always come out empty, no masking required.
 #[derive(Debug, Clone)]
-pub struct ChildMbrs {
+pub(crate) struct ChildMbrs {
     len: usize,
     min_x: [f64; SOA_WIDTH],
     min_y: [f64; SOA_WIDTH],
@@ -77,7 +58,7 @@ impl Default for ChildMbrs {
 impl ChildMbrs {
     /// Lays `rects` (at most [`MAX_ENTRIES`] of them) out in lanes, slot
     /// `i` holding the `i`-th.
-    pub fn from_rects(rects: impl IntoIterator<Item = impl Borrow<Rect>>) -> Self {
+    pub(crate) fn from_rects(rects: impl IntoIterator<Item = impl Borrow<Rect>>) -> Self {
         let mut soa = ChildMbrs::default();
         for r in rects {
             let (r, i) = (r.borrow(), soa.len);
@@ -92,17 +73,13 @@ impl ChildMbrs {
     }
 
     /// Number of real (non-padding) child slots.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// Reassembles slot `i` as a [`Rect`] (padding slots come back as
     /// [`Rect::EMPTY`]).
-    pub fn rect(&self, i: usize) -> Rect {
+    pub(crate) fn rect(&self, i: usize) -> Rect {
         Rect::new(self.min_x[i], self.min_y[i], self.max_x[i], self.max_y[i])
     }
 
@@ -121,7 +98,12 @@ impl ChildMbrs {
     /// `stats` — all real lanes are evaluated, never short-circuited, so
     /// the count is a pure function of the tree and the probe.
     #[inline]
-    pub fn mask<P: MbrPredicate>(&self, pred: &P, probe: &Rect, stats: &mut FilterStats) -> u32 {
+    pub(crate) fn mask<P: MbrPredicate>(
+        &self,
+        pred: &P,
+        probe: &Rect,
+        stats: &mut FilterStats,
+    ) -> u32 {
         stats.node_tests += self.len;
         let mut mask = 0u32;
         let mut i = 0;
@@ -141,11 +123,12 @@ impl ChildMbrs {
 /// parents, or tree pruning would lose candidates (both implementations
 /// are monotone).
 ///
-/// `test` is the scalar pair form; `keep_chunk` is the node form.
-/// Implementations must keep the two expression-identical, so bit `i` of
-/// [`ChildMbrs::mask`] is `test(&soa.rect(i), probe)`.
-pub trait MbrPredicate: Copy + Send + Sync {
-    /// Scalar pair test (the form the engine's refinement oracle uses).
+/// `test` is the scalar pair form, the tests' oracle; `keep_chunk` is the
+/// node form. Implementations must keep the two expression-identical, so
+/// bit `i` of [`ChildMbrs::mask`] is `test(&soa.rect(i), probe)`.
+pub(crate) trait MbrPredicate: Copy + Send + Sync {
+    /// Scalar pair test.
+    #[cfg(test)]
     fn test(&self, a: &Rect, b: &Rect) -> bool;
 
     /// Tests `probe` against child slots `i..i + SIMD_LANES` of `soa`.
@@ -158,7 +141,7 @@ pub trait MbrPredicate: Copy + Send + Sync {
 pub struct Intersects;
 
 impl MbrPredicate for Intersects {
-    #[inline(always)]
+    #[cfg(test)]
     fn test(&self, a: &Rect, b: &Rect) -> bool {
         a.intersects(b)
     }
@@ -181,10 +164,10 @@ impl MbrPredicate for Intersects {
 /// MBR distance at most `d` — the candidate predicate of within-distance
 /// queries and joins (the MBR distance lower-bounds the object distance).
 #[derive(Debug, Clone, Copy)]
-pub struct WithinDist(pub f64);
+pub(crate) struct WithinDist(pub f64);
 
 impl MbrPredicate for WithinDist {
-    #[inline(always)]
+    #[cfg(test)]
     fn test(&self, a: &Rect, b: &Rect) -> bool {
         a.min_dist(b) <= self.0
     }
@@ -251,6 +234,18 @@ pub struct FilterStats {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// One kernel call tests the probe against every child slot at once
+    /// and charges one node test per real slot.
+    #[test]
+    fn one_call_tests_every_slot() {
+        let children = [Rect::new(0.0, 0.0, 1.0, 1.0), Rect::new(5.0, 5.0, 6.0, 6.0)];
+        let node = ChildMbrs::from_rects(children);
+        let mut stats = FilterStats::default();
+        let mask = node.mask(&Intersects, &Rect::new(0.5, 0.5, 2.0, 2.0), &mut stats);
+        assert_eq!(mask, 0b01, "only the first child overlaps the probe");
+        assert_eq!(stats.node_tests, 2);
+    }
 
     fn rect(x: f64, y: f64, w: f64, h: f64) -> Rect {
         Rect::new(x, y, x + w, y + h)

@@ -42,15 +42,6 @@ use std::ops::Range;
 /// The paper's default width for intersection tests: the pixel diagonal.
 pub const DIAGONAL_WIDTH: f64 = std::f64::consts::SQRT_2;
 
-/// The four corners of the width-`w` bounding rectangle of segment `a→b`.
-/// Returns `None` for a segment without a direction — it has no rectangle
-/// and renders as a wide point instead ([`SegmentCover`]).
-pub fn bounding_rectangle(a: Point, b: Point, w: f64) -> Option<[Point; 4]> {
-    let dir = (b - a).normalized()?;
-    let n = dir.perp() * (w / 2.0);
-    Some([a + n, b + n, b - n, a - n])
-}
-
 /// The clip test for the width-`w` line `a→b` (window coordinates) against
 /// the window columns `0..width` and scanlines `0..height`: true only when
 /// [`SegmentCover::new`] would return `None`, so skipping a segment on it
@@ -254,6 +245,15 @@ impl Footprint for AaLineCover {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The four corners of the width-`w` bounding rectangle of segment
+    /// `a→b`. Returns `None` for a segment without a direction — it has no
+    /// rectangle and renders as a wide point instead ([`SegmentCover`]).
+    fn bounding_rectangle(a: Point, b: Point, w: f64) -> Option<[Point; 4]> {
+        let dir = (b - a).normalized()?;
+        let n = dir.perp() * (w / 2.0);
+        Some([a + n, b + n, b - n, a - n])
+    }
 
     fn collect(a: Point, b: Point, w: f64, win: usize) -> Vec<(usize, usize)> {
         let mut out = Vec::new();

@@ -17,7 +17,7 @@ use spatial_geom::{Point, Segment};
 pub const MAX_AA_LINE_WIDTH: f64 = 10.0;
 
 /// Maximum (smooth) point size, in pixels — same platform limit.
-pub const MAX_POINT_SIZE: f64 = 10.0;
+pub(crate) const MAX_POINT_SIZE: f64 = 10.0;
 
 /// Largest window side, in pixels: the simulated card's
 /// `GL_MAX_VIEWPORT_DIMS`. A `4096 × 4096` frame holds ≈ 150 MB at 9 B a
@@ -100,7 +100,7 @@ impl GlContext {
     /// small resolutions. Buffers are **not** cleared: every overlap
     /// choreography starts with its own explicit clears (Algorithm 3.1
     /// step 2.2), exactly like the GL program would.
-    pub fn retarget(&mut self, viewport: Viewport) {
+    pub(crate) fn retarget(&mut self, viewport: Viewport) {
         if viewport.width() != self.fb.width() || viewport.height() != self.fb.height() {
             self.fb = FrameBuffer::new(viewport.width(), viewport.height());
         }
@@ -145,7 +145,7 @@ impl GlContext {
         self.line_width
     }
 
-    /// Sets the point size in pixels; clamped to [`MAX_POINT_SIZE`].
+    /// Sets the point size in pixels; clamped to `MAX_POINT_SIZE`.
     pub fn set_point_size(&mut self, s: f64) -> f64 {
         self.point_size = s.clamp(1.0, MAX_POINT_SIZE);
         self.point_size
@@ -174,11 +174,6 @@ impl GlContext {
         self.scissor = r;
     }
 
-    #[inline]
-    pub fn scissor(&self) -> Option<PixelRect> {
-        self.scissor
-    }
-
     /// Replaces the data→window projection without touching the frame
     /// buffer: device replay renders into a window whose size (the atlas
     /// side) can differ from the recorded viewport's (one cell).
@@ -188,7 +183,7 @@ impl GlContext {
 
     /// Marks the start of a batched submission round (the atlas's shared
     /// fixed cost).
-    pub fn begin_batch(&mut self) {
+    pub(crate) fn begin_batch(&mut self) {
         self.stats.batches += 1;
     }
 
@@ -227,7 +222,7 @@ impl GlContext {
         self.fb.clear_accum(&mut self.stats);
     }
 
-    pub fn clear_stencil_buffer(&mut self) {
+    pub(crate) fn clear_stencil_buffer(&mut self) {
         self.fb.clear_stencil(&mut self.stats);
     }
 
@@ -259,7 +254,7 @@ impl GlContext {
     /// [`GlContext::draw_segments`] without the draw-call charge: the
     /// device layer coalesces several recorded geometry runs into one
     /// logical hardware submission (the atlas's per-pass batching).
-    pub fn draw_segments_merged(&mut self, segments: &[Segment]) {
+    pub(crate) fn draw_segments_merged(&mut self, segments: &[Segment]) {
         let (width, viewport, PixelRect { w, h, .. }) =
             (self.line_width, self.viewport, self.window());
         self.draw(segments, |seg| {
@@ -284,7 +279,7 @@ impl GlContext {
 
     /// [`GlContext::draw_points`] without the draw-call charge (see
     /// [`GlContext::draw_segments_merged`]).
-    pub fn draw_points_merged(&mut self, points: &[Point]) {
+    pub(crate) fn draw_points_merged(&mut self, points: &[Point]) {
         let (size, viewport, PixelRect { w, h, .. }) =
             (self.point_size, self.viewport, self.window());
         self.draw(points, |&p| {
@@ -362,7 +357,7 @@ impl GlContext {
     // -- queries -------------------------------------------------------------
 
     /// The hardware Minmax query over the color buffer.
-    pub fn minmax(&mut self) -> (f32, f32) {
+    pub(crate) fn minmax(&mut self) -> (f32, f32) {
         self.stats.minmax_queries += 1;
         self.fb.minmax(&mut self.stats)
     }
@@ -375,7 +370,7 @@ impl GlContext {
     /// Number of pixels whose stencil value is at least `min` — one
     /// whole-buffer scan, the counting readback the area-of-overlap
     /// choreography reads back instead of transferring pixels.
-    pub fn stencil_count_ge(&mut self, min: u8) -> u64 {
+    pub(crate) fn stencil_count_ge(&mut self, min: u8) -> u64 {
         self.stats.minmax_queries += 1;
         self.fb.stencil_count_ge(min, &mut self.stats)
     }
@@ -383,7 +378,7 @@ impl GlContext {
     /// One whole-buffer scan reducing each of `cells` to the maximum
     /// value inside it — the batched stand-in for per-cell Minmax queries
     /// (a histogram/reduction pass over the full buffer).
-    pub fn cell_max_scan(&mut self, cells: &[PixelRect]) -> Vec<f32> {
+    pub(crate) fn cell_max_scan(&mut self, cells: &[PixelRect]) -> Vec<f32> {
         self.stats.minmax_queries += 1;
         self.stats.pixels_scanned += self.fb.len();
         cells

@@ -53,19 +53,13 @@ pub struct HwCostModel {
     pub batch_ns: f64,
 }
 
-/// The CPU-generation rescaling applied to the 2003 constants.
-pub const CPU_SPEEDUP_FACTOR: f64 = 40.0;
+/// The CPU-generation rescaling the default model applies to the 2003
+/// constants.
+const CPU_SPEEDUP_FACTOR: f64 = 40.0;
 
 impl Default for HwCostModel {
     fn default() -> Self {
-        HwCostModel {
-            draw_call_ns: 10_000.0 / CPU_SPEEDUP_FACTOR,
-            minmax_ns: 30_000.0 / CPU_SPEEDUP_FACTOR,
-            scanned_pixel_ns: 16.0 / CPU_SPEEDUP_FACTOR,
-            fragment_ns: 4.0 / CPU_SPEEDUP_FACTOR,
-            primitive_ns: 8.0 / CPU_SPEEDUP_FACTOR,
-            batch_ns: 20_000.0 / CPU_SPEEDUP_FACTOR,
-        }
+        HwCostModel::with_speedup(CPU_SPEEDUP_FACTOR)
     }
 }
 

@@ -32,7 +32,7 @@ pub enum Command {
     /// executors apply the stored value directly.
     SetLineWidth(f64),
     /// Sets the smooth-point diameter in pixels, validated against
-    /// [`MAX_POINT_SIZE`] and pre-clamped to ≥ 1 at record time.
+    /// `MAX_POINT_SIZE` and pre-clamped to ≥ 1 at record time.
     SetPointSize(f64),
     /// Selects how fill fragments combine with the target plane
     /// (overwrite, stencil replace, stencil increment-if-equal). Line and
@@ -128,25 +128,25 @@ pub struct CommandList {
 impl CommandList {
     /// Target window width in pixels.
     #[inline]
-    pub fn width(&self) -> usize {
+    pub(crate) fn width(&self) -> usize {
         self.width
     }
 
     /// Target window height in pixels.
     #[inline]
-    pub fn height(&self) -> usize {
+    pub(crate) fn height(&self) -> usize {
         self.height
     }
 
     /// The recorded commands, in submission order.
     #[inline]
-    pub fn commands(&self) -> &[Command] {
+    pub(crate) fn commands(&self) -> &[Command] {
         &self.commands
     }
 
     /// Number of readback slots the stream produces when executed.
     #[inline]
-    pub fn readback_count(&self) -> usize {
+    pub(crate) fn readback_count(&self) -> usize {
         self.readbacks
     }
 
@@ -279,7 +279,7 @@ pub enum RecordError {
     ColorOutOfRange(f32),
     /// Requested line width is non-finite or above [`MAX_AA_LINE_WIDTH`].
     WidthTooLarge(f64),
-    /// Requested point size is non-finite or above [`MAX_POINT_SIZE`].
+    /// Requested point size is non-finite or above `MAX_POINT_SIZE`.
     PointSizeTooLarge(f64),
     /// Viewport window dimensions disagree with the rasterization window
     /// (the scissor if one is set, the frame buffer otherwise).
@@ -407,7 +407,7 @@ impl Recorder {
         Ok(eff)
     }
 
-    /// Validates `s` against [`MAX_POINT_SIZE`] and records the effective
+    /// Validates `s` against `MAX_POINT_SIZE` and records the effective
     /// (≥ 1 pixel) size.
     pub fn set_point_size(&mut self, s: f64) -> Result<f64, RecordError> {
         if !s.is_finite() || s > MAX_POINT_SIZE {
@@ -487,7 +487,7 @@ impl Recorder {
     }
 
     /// Marks the start of a batched submission round.
-    pub fn begin_batch(&mut self) {
+    pub(crate) fn begin_batch(&mut self) {
         self.list.commands.push(Command::BeginBatch);
     }
 
@@ -545,7 +545,7 @@ impl Recorder {
     }
 
     /// Extends the previous point submission without a new draw call.
-    pub fn extend_draw_points(
+    pub(crate) fn extend_draw_points(
         &mut self,
         points: impl IntoIterator<Item = Point>,
     ) -> Result<(), RecordError> {

@@ -103,7 +103,7 @@ impl FaultPlan {
     /// untouched — *when* faults fire stays identical across shards —
     /// and shard 0 keeps the original seed, so a one-shard pool replays
     /// the flat plan bit for bit.
-    pub fn salted(self, shard: usize) -> Self {
+    pub(crate) fn salted(self, shard: usize) -> Self {
         FaultPlan {
             seed: self.seed ^ (shard as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
             ..self
@@ -186,16 +186,6 @@ impl FaultDevice {
             executes: 0,
             commands: 0,
         }
-    }
-
-    /// The schedule driving this injector.
-    pub fn plan(&self) -> FaultPlan {
-        self.plan
-    }
-
-    /// How many executes have been attempted (faulted ones included).
-    pub fn executes(&self) -> u64 {
-        self.executes
     }
 }
 

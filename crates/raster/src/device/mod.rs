@@ -56,11 +56,10 @@
 
 #![warn(missing_docs)]
 
-pub mod command;
-pub mod fault;
+pub(crate) mod command;
+pub(crate) mod fault;
 mod reference;
 
-pub use crate::context::PixelRect;
 pub use command::{Command, CommandList, RecordError, Recorder};
 pub use fault::{FaultDevice, FaultKind, FaultPlan, FaultTrigger};
 pub use reference::ReferenceDevice;
@@ -288,7 +287,7 @@ impl DeviceKind {
     /// The kind shard `shard` of a device pool instantiates: a fault plan
     /// targeted at a *different* shard ([`FaultPlan::on_shard`]) is
     /// stripped, and any other plan keeps its trigger schedule but gets a
-    /// shard-salted seed ([`FaultPlan::salted`]) so each shard's injector
+    /// shard-salted seed (`FaultPlan::salted`) so each shard's injector
     /// draws independent per-fault choices. Shard 0 keeps an untargeted
     /// plan verbatim, so a one-shard pool faults exactly like the flat
     /// device.

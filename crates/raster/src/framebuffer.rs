@@ -15,11 +15,9 @@ use crate::stats::HwStats;
 use std::ops::Range;
 
 /// Pure black — the clear color.
-pub const BLACK: f32 = 0.0;
+pub(crate) const BLACK: f32 = 0.0;
 /// The half-intensity gray Algorithm 3.1 renders with.
 pub const HALF_GRAY: f32 = 0.5;
-/// Full white — the overlap signature Algorithm 3.1 searches for.
-pub const WHITE: f32 = 1.0;
 
 /// A rectangular array of pixels with all three buffer planes.
 #[derive(Debug, Clone, PartialEq)]
@@ -59,13 +57,8 @@ impl FrameBuffer {
 
     /// Total pixel count.
     #[inline]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.color.len()
-    }
-
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        false // a frame buffer always has ≥ 1 pixel
     }
 
     #[inline]
@@ -121,39 +114,39 @@ impl FrameBuffer {
     }
 
     /// Clears the color buffer to `c`.
-    pub fn clear_color(&mut self, c: f32, stats: &mut HwStats) {
+    pub(crate) fn clear_color(&mut self, c: f32, stats: &mut HwStats) {
         self.color.fill(c);
         stats.pixels_scanned += self.len();
     }
 
     /// Clears the accumulation buffer to black.
-    pub fn clear_accum(&mut self, stats: &mut HwStats) {
+    pub(crate) fn clear_accum(&mut self, stats: &mut HwStats) {
         self.accum.fill(BLACK);
         stats.pixels_scanned += self.len();
     }
 
     /// Clears the stencil buffer to zero.
-    pub fn clear_stencil(&mut self, stats: &mut HwStats) {
+    pub(crate) fn clear_stencil(&mut self, stats: &mut HwStats) {
         self.stencil.fill(0);
         stats.pixels_scanned += self.len();
     }
 
     /// `glAccum(GL_LOAD, 1.0)`: accum ← color.
-    pub fn accum_load(&mut self, stats: &mut HwStats) {
+    pub(crate) fn accum_load(&mut self, stats: &mut HwStats) {
         self.accum.copy_from_slice(&self.color);
         stats.pixels_scanned += self.len();
     }
 
     /// `glAccum(GL_ACCUM, 1.0)`: accum ← accum + color.
     #[inline(always)]
-    pub fn accum_add(&mut self, stats: &mut HwStats) {
+    pub(crate) fn accum_add(&mut self, stats: &mut HwStats) {
         scan::add_assign(&mut self.accum, &self.color);
         stats.pixels_scanned += self.len();
     }
 
     /// `glAccum(GL_RETURN, 1.0)`: color ← accum (clamped to [0, 1]).
     #[inline(always)]
-    pub fn accum_return(&mut self, stats: &mut HwStats) {
+    pub(crate) fn accum_return(&mut self, stats: &mut HwStats) {
         scan::copy_clamped(&mut self.color, &self.accum);
         stats.pixels_scanned += self.len();
     }
@@ -161,14 +154,14 @@ impl FrameBuffer {
     /// The hardware Minmax query (§3.2): minimum and maximum of the color
     /// buffer, computed "on the card" — i.e. without transferring
     /// pixels back — at the cost of one scan over the window.
-    pub fn minmax(&self, stats: &mut HwStats) -> (f32, f32) {
+    pub(crate) fn minmax(&self, stats: &mut HwStats) -> (f32, f32) {
         stats.pixels_scanned += self.len();
         scan::minmax(&self.color)
     }
 
     /// Number of pixels whose stencil value is at least `min` — the
     /// fragment-counting readback of the area-of-overlap aggregation.
-    pub fn stencil_count_ge(&self, min: u8, stats: &mut HwStats) -> u64 {
+    pub(crate) fn stencil_count_ge(&self, min: u8, stats: &mut HwStats) -> u64 {
         stats.pixels_scanned += self.len();
         scan::stencil_count_ge(&self.stencil, min)
     }
@@ -187,6 +180,9 @@ impl FrameBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Full white — the overlap signature Algorithm 3.1 searches for.
+    const WHITE: f32 = 1.0;
 
     #[test]
     #[should_panic(expected = "at least one pixel")]

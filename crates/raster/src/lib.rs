@@ -28,22 +28,21 @@
 
 pub mod aa_line;
 pub mod atlas;
-pub mod context;
-pub mod cost_model;
+pub(crate) mod context;
+pub(crate) mod cost_model;
 pub(crate) mod cover;
-pub mod device;
+pub(crate) mod device;
 pub mod framebuffer;
 pub mod point_raster;
 pub mod polygon_raster;
 pub mod ppm;
 pub(crate) mod scan;
-pub mod stats;
-pub mod viewport;
+pub(crate) mod stats;
+pub(crate) mod viewport;
 
 pub use atlas::{AtlasCell, AtlasJob};
 pub use context::{
-    GlContext, OverlapStrategy, PixelRect, WriteMode, MAX_AA_LINE_WIDTH, MAX_POINT_SIZE,
-    MAX_WINDOW_SIDE,
+    GlContext, OverlapStrategy, PixelRect, WriteMode, MAX_AA_LINE_WIDTH, MAX_WINDOW_SIDE,
 };
 pub use cost_model::HwCostModel;
 pub use device::{

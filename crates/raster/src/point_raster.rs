@@ -13,7 +13,7 @@ use std::ops::Range;
 /// changes no pixel and no counter. A NaN coordinate compares false: the
 /// setup clamps it into the window and charges its candidates.
 #[inline]
-pub fn wide_point_outside_window(p: Point, size: f64, width: usize, height: usize) -> bool {
+pub(crate) fn wide_point_outside_window(p: Point, size: f64, width: usize, height: usize) -> bool {
     let r = size / 2.0;
     p.x + r < 0.0 || p.x - r >= width as f64 || p.y + r < 0.0 || p.y - r >= height as f64
 }
@@ -56,7 +56,7 @@ impl WidePointCover {
     /// columns `0..width` and scanlines `0..height`. `None` when the disc
     /// cannot touch the window.
     #[inline]
-    pub fn new(p: Point, size: f64, width: usize, height: usize) -> Option<Self> {
+    pub(crate) fn new(p: Point, size: f64, width: usize, height: usize) -> Option<Self> {
         debug_assert!(size > 0.0);
         let r = size / 2.0;
         let columns = candidate_range(p.x - r, p.x + r, width)?;

@@ -9,7 +9,7 @@ use std::path::Path;
 /// all three channels). The image is flipped vertically so row 0 of the
 /// file is the *top* of the window (window coordinates grow upward, image
 /// files grow downward).
-pub fn write_ppm<W: Write>(fb: &FrameBuffer, mut out: W) -> io::Result<()> {
+pub(crate) fn write_ppm<W: Write>(fb: &FrameBuffer, mut out: W) -> io::Result<()> {
     write!(out, "P6\n{} {}\n255\n", fb.width(), fb.height())?;
     let mut row = Vec::with_capacity(fb.width() * 3);
     for y in (0..fb.height()).rev() {
@@ -32,7 +32,6 @@ pub fn save_ppm(fb: &FrameBuffer, path: impl AsRef<Path>) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::framebuffer::WHITE;
     use crate::stats::HwStats;
 
     #[test]
@@ -50,7 +49,7 @@ mod tests {
         let mut fb = FrameBuffer::new(2, 2);
         let mut st = HwStats::default();
         // Window (0, 1) is the top-left pixel on screen.
-        fb.write_pixel(0, 1, WHITE, &mut st);
+        fb.write_pixel(0, 1, 1.0, &mut st); // white
         let mut buf = Vec::new();
         write_ppm(&fb, &mut buf).unwrap();
         let data = &buf[b"P6\n2 2\n255\n".len()..];

@@ -69,7 +69,7 @@ impl Viewport {
 
     /// The projected data-space region.
     #[inline]
-    pub fn region(&self) -> Rect {
+    pub(crate) fn region(&self) -> Rect {
         self.region
     }
 
@@ -84,13 +84,13 @@ impl Viewport {
 
     /// Data-space length along x → window-space length.
     #[inline]
-    pub fn scale_x(&self) -> f64 {
+    pub(crate) fn scale_x(&self) -> f64 {
         self.sx
     }
 
     /// Data-space length along y → window-space length.
     #[inline]
-    pub fn scale_y(&self) -> f64 {
+    pub(crate) fn scale_y(&self) -> f64 {
         self.sy
     }
 
@@ -107,12 +107,6 @@ impl Viewport {
         vp.sx = s;
         vp.sy = s;
         vp
-    }
-
-    /// True when both axes share one scale factor (see [`Viewport::uniform`]).
-    #[inline]
-    pub fn is_uniform(&self) -> bool {
-        self.sx == self.sy
     }
 
     /// Equation (1) of the paper: the pixel line width needed so that a
@@ -193,7 +187,7 @@ mod tests {
     fn anisotropic_viewport_widens_conservatively() {
         // x: 10 px per 100 units (0.1 px/unit); y: 100 px per 100 units.
         let vp = Viewport::new(Rect::new(0.0, 0.0, 100.0, 100.0), 10, 100);
-        assert!(!vp.is_uniform());
+        assert_ne!(vp.scale_x(), vp.scale_y());
         // d = 30 units → 3 px on x but 30 px on y; the conservative width
         // must satisfy the finer axis.
         assert_eq!(vp.line_width_for_distance(30.0), 30.0);
@@ -203,7 +197,7 @@ mod tests {
     fn uniform_viewport_matches_equation_one() {
         // 200×100 region on a 10×10 window: uniform scale = 10/200 = 0.05.
         let vp = Viewport::uniform(Rect::new(0.0, 0.0, 200.0, 100.0), 10, 10);
-        assert!(vp.is_uniform());
+        assert_eq!(vp.scale_x(), vp.scale_y());
         assert_eq!(vp.scale_x(), 0.05);
         // Equation (1): ceil(d * n / max(w, h)) = ceil(30 * 10 / 200) = 2.
         assert_eq!(vp.line_width_for_distance(30.0), 2.0);
