@@ -617,21 +617,22 @@ const RESOLUTION: usize = 8;
 /// recommended 8×8 window with `sw_threshold = 0` (every pair the probes
 /// leave undecided is submitted): for the intersection and within-distance
 /// joins the pairs the run boxes decide without a submission, the hardware
-/// tests, the width fallbacks and the mean area of the projection region R
-/// over the MBR region R₀ it was shrunk from; primitives before the run
-/// cull (two whole boundaries a pair, and every vertex again as a cap for
-/// the distance test), after the clip step (restated here) and after the
-/// pairing step (`HwStats::primitives`), and for the segment test the
-/// survivors of the rasterizer's clip compare and the candidate fragments
-/// each of them costs; the CPU time per routed pair of the hardware
-/// prologue beside the software step 3 it stands before; and for the
-/// overlap count of the intersection candidates at the same window the
-/// vertices of both polygons before and after the fill ring, and per fill
-/// the scanline-center crossings of the ring's edges — the work the fill
-/// itself is about. Returns the gate's failures: a pair the run boxes
+/// tests, the width fallbacks (and how many of them have runs that pair
+/// nowhere) and the mean area of the projection region R over the MBR
+/// region R₀ it was shrunk from; primitives before the run cull (two whole
+/// boundaries a pair, and every vertex again as a cap for the distance
+/// test) and after the pairing step (`HwStats::primitives`), and for the
+/// segment test the survivors of the rasterizer's clip compare and the
+/// candidate fragments each of them costs; the CPU time per routed pair of
+/// the hardware prologue beside the software step 3 it stands before; and
+/// for the overlap count of the intersection candidates at the same window
+/// the vertices of both polygons before and after the fill ring, and per
+/// fill the scanline-center crossings of the ring's edges — the work the
+/// fill itself is about. Returns the gate's failures: a pair the run boxes
 /// decided that the software step 3 answers otherwise, or one where the
 /// window restated here ([`restate`]) disagrees with the product's on
-/// whether the boxes decide, or on the primitives it submits.
+/// whether the boxes decide, whether the pair has a window, or on the
+/// primitives it submits.
 fn hardware_submission(a: &PreparedDataset, b: &PreparedDataset, base_d: f64) -> usize {
     let mut tester = HwTester::new(HwConfig::at_resolution(RESOLUTION).with_threshold(0));
     println!(
@@ -667,11 +668,10 @@ fn hardware_submission(a: &PreparedDataset, b: &PreparedDataset, base_d: f64) ->
     }
     println!(
         "  intersection:         {:>6} tests  {whole:>9} segments before the run cull  \
-         {:>8} after the clip step  {:>8} after pairing ({:.1} %)  \
+         {:>8} after pairing ({:.1} %)  \
          {survivors:>7} survive the clip compare  \
          {:.1} candidate fragments per survivor",
         stats.hw_tests,
-        runs.clipped,
         stats.hw.primitives,
         100.0 * stats.hw.primitives as f64 / whole.max(1) as f64,
         stats.hw.fragments_tested as f64 / survivors.max(1) as f64,
@@ -734,10 +734,9 @@ fn hardware_submission(a: &PreparedDataset, b: &PreparedDataset, base_d: f64) ->
     }
     println!(
         "  within 1.0 × BaseD:   {:>6} tests  {whole:>9} segments and caps before  \
-         {:>8} after the clip step  {:>8} after pairing ({:.1} %)  \
+         {:>8} after pairing ({:.1} %)  \
          {:.1} candidate fragments per submitted primitive",
         stats.hw_tests,
-        runs.clipped,
         stats.hw.primitives,
         100.0 * stats.hw.primitives as f64 / whole.max(1) as f64,
         stats.hw.fragments_tested as f64 / stats.hw.primitives.max(1) as f64,
@@ -752,31 +751,28 @@ enum Restated {
     /// R is empty, or a side keeps no paired run: the run boxes decide.
     Apart,
     /// No window: an empty R ∩ R₀ or an Equation (1) width over the limit.
-    Unfit,
-    /// A window over `region` = R ∩ R₀, submitting `clipped` primitives
-    /// after the clip step and `paired` after the pairing step.
+    /// `apart` if a side keeps no paired run, so that a pairing run before
+    /// this exit would have decided the pair.
+    Unfit { apart: bool },
+    /// A window over `region` = R ∩ R₀, submitting `paired` primitives.
     Window {
         r0: Rect,
         region: Rect,
-        clipped: usize,
         paired: usize,
     },
 }
 
 /// The window of a boolean hardware test that renders `first` first — the
 /// segment test for `d = None` — restated from the public run boxes:
-/// `hwa-core`'s `choreography::projection` and `Framing::window`. R₀ is
-/// the MBR intersection (for a distance test both MBRs expanded by
-/// `half` = d/2), R the MBR intersection shrunk to the hull of the run
-/// boxes of `first` that meet it, then of `second`'s boxes that meet what
-/// is left, each box expanded by `half` and rounded outward; the window
-/// projects R ∩ R₀, anisotropically at the diagonal width for the segment
-/// test, uniformly at the Equation (1) width for distance. A run is
-/// submitted if the clip compare keeps its box at that width and its box,
-/// grown by `half`, meets R and the grown box of a run of the other
-/// boundary that the clip compare keeps and that meets R (a polygon
-/// without run boxes is one box, its MBR, and escapes the clip); the
-/// distance test adds a cap per edge.
+/// `hwa-core`'s `choreography::projection` and `Framing::window`. Each run
+/// box is expanded by `half` = d/2 and rounded outward; a polygon without
+/// run boxes is one box, its MBR. R₀ is the MBR intersection (for a
+/// distance test both MBRs expanded by `half`), R the MBR intersection
+/// shrunk to the hull of the boxes of `first` that meet it, then of
+/// `second`'s boxes that meet what is left; the window projects R ∩ R₀,
+/// uniformly at the Equation (1) width for distance. A run is submitted if
+/// its box meets R and the box of a run of the other boundary that meets
+/// R; the distance test adds a cap per edge.
 fn restate(first: &Polygon, second: &Polygon, d: Option<f64>) -> Restated {
     let half = d.map_or(0.0, |d| d / 2.0);
     let grown = |r: &Rect| match half {
@@ -793,95 +789,75 @@ fn restate(first: &Polygon, second: &Polygon, d: Option<f64>) -> Restated {
         .expanded(half)
         .intersection(&second.mbr().expanded(half))
     else {
-        return Restated::Unfit;
+        return Restated::Unfit { apart: false };
     };
     let Some(mut reach) = grown(&first.mbr()).intersection(&grown(&second.mbr())) else {
-        return Restated::Unfit;
+        return Restated::Unfit { apart: false };
     };
-    for poly in [first, second] {
-        if poly.runs().len() > 0 {
-            let hull = poly
-                .runs()
-                .map(|(_, run)| grown(run))
-                .filter(|run| run.intersects(&reach))
-                .fold(Rect::EMPTY, |hull, run| hull.union(&run));
-            let Some(shrunk) = reach.intersection(&hull) else {
-                return Restated::Apart;
-            };
-            reach = shrunk;
-        }
-    }
-    let Some(region) = reach.intersection(&r0) else {
-        return Restated::Unfit;
-    };
-    let (viewport, width) = match d {
-        None => (
-            Viewport::new(region, RESOLUTION, RESOLUTION),
-            DIAGONAL_WIDTH,
-        ),
-        Some(d) => {
-            let viewport = Viewport::uniform(region, RESOLUTION, RESOLUTION);
-            let width = viewport.line_width_for_distance(d.max(f64::MIN_POSITIVE));
-            if width.is_nan() || width > MAX_AA_LINE_WIDTH {
-                return Restated::Unfit;
-            }
-            (viewport, width)
-        }
-    };
-    // The runs the clip compare keeps, their boxes grown: a polygon
-    // without run boxes is one run, its MBR, and escapes the compare.
-    let clipped = |poly: &Polygon| -> Vec<(usize, Rect)> {
+    // Each run's edge count and grown box.
+    let runs = |poly: &Polygon| -> Vec<(usize, Rect)> {
         if poly.runs().len() == 0 {
             return vec![(poly.vertex_count(), grown(&poly.mbr()))];
         }
         poly.runs()
-            .filter(|(_, run)| {
-                let lo = viewport.to_window(Point::new(run.xmin, run.ymin));
-                let hi = viewport.to_window(Point::new(run.xmax, run.ymax));
-                !aa_line_outside_window(lo, hi, width, RESOLUTION, RESOLUTION)
-            })
             .map(|(edges, run)| (edges.len(), grown(run)))
             .collect()
     };
-    let (first, second) = (clipped(first), clipped(second));
-    // The edges of `runs` after the clip step, and after pairing with the
-    // runs of `other`: both boxes meet R and each other.
-    let edges = |runs: &[(usize, Rect)], other: &[(usize, Rect)]| -> (usize, usize) {
-        let reaches = |run: &&(usize, Rect)| run.1.intersects(&reach);
-        let paired = runs
+    let (first, second) = (runs(first), runs(second));
+    for runs in [&first, &second] {
+        let hull = runs
             .iter()
+            .filter(|(_, run)| run.intersects(&reach))
+            .fold(Rect::EMPTY, |hull, (_, run)| hull.union(run));
+        let Some(shrunk) = reach.intersection(&hull) else {
+            return Restated::Apart;
+        };
+        reach = shrunk;
+    }
+    // The edges of `runs` that pair with the runs of `other`: both boxes
+    // meet R and each other.
+    let paired = |runs: &[(usize, Rect)], other: &[(usize, Rect)]| -> usize {
+        let reaches = |run: &&(usize, Rect)| run.1.intersects(&reach);
+        runs.iter()
             .filter(reaches)
-            .filter(|(_, run)| other.iter().filter(reaches).any(|(_, b)| b.intersects(run)));
-        (
-            runs.iter().map(|(edges, _)| edges).sum(),
-            paired.map(|(edges, _)| edges).sum(),
-        )
+            .filter(|(_, run)| other.iter().filter(reaches).any(|(_, b)| b.intersects(run)))
+            .map(|(edges, _)| edges)
+            .sum()
     };
-    let (first_clipped, first_kept) = edges(&first, &second);
-    let (second_clipped, second_kept) = edges(&second, &first);
-    if first_kept == 0 || second_kept == 0 {
+    let kept = [paired(&first, &second), paired(&second, &first)];
+    let apart = kept.contains(&0);
+    let Some(region) = reach.intersection(&r0) else {
+        return Restated::Unfit { apart };
+    };
+    if let Some(d) = d {
+        let viewport = Viewport::uniform(region, RESOLUTION, RESOLUTION);
+        let width = viewport.line_width_for_distance(d.max(f64::MIN_POSITIVE));
+        if width.is_nan() || width > MAX_AA_LINE_WIDTH {
+            return Restated::Unfit { apart };
+        }
+    }
+    if apart {
         return Restated::Apart;
     }
     let per_edge = if d.is_some() { 2 } else { 1 };
     Restated::Window {
         r0,
         region,
-        clipped: per_edge * (first_clipped + second_clipped),
-        paired: per_edge * (first_kept + second_kept),
+        paired: per_edge * (kept[0] + kept[1]),
     }
 }
 
 /// What the run boxes did for one join's hardware tests: the pairs they
-/// decided, the area of R over R₀ summed over the submitted pairs whose R₀
-/// has one, the primitives the submitted pairs had after the clip step,
-/// and the CPU time of the hardware prologue and of the software step 3
-/// over the routed pairs (those the MBR gate and point-in-polygon left).
+/// decided, the width fallbacks whose runs pair nowhere, the area of R over
+/// R₀ summed over the submitted pairs whose R₀ has one, and the CPU time of
+/// the hardware prologue and of the software step 3 over the routed pairs
+/// (those the MBR gate and point-in-polygon left).
 #[derive(Default)]
 struct RunBoxes {
     decided: usize,
+    unpaired_fallbacks: usize,
     ratio_sum: f64,
     ratios: usize,
-    clipped: usize,
     routed: usize,
     prologue_ns: f64,
     edges_ns: f64,
@@ -904,22 +880,19 @@ impl RunBoxes {
         let submitted = after.hw_tests > before.hw_tests;
         self.decided += usize::from(decided);
         let mut drift = false;
-        if let (
-            true,
-            Restated::Window {
-                r0,
-                region,
-                clipped,
-                paired,
-            },
-        ) = (submitted, restated)
-        {
+        if let (true, Restated::Window { r0, region, paired }) = (submitted, restated) {
             if r0.area() > 0.0 {
                 self.ratio_sum += region.area() / r0.area();
                 self.ratios += 1;
             }
-            self.clipped += clipped;
             drift = after.hw.primitives - before.hw.primitives != *paired;
+        }
+        // A width fallback has no restated window either.
+        if after.width_limit_fallbacks > before.width_limit_fallbacks {
+            match restated {
+                Restated::Unfit { apart } => self.unpaired_fallbacks += usize::from(*apart),
+                _ => drift = true,
+            }
         }
         // A runs-decided pair is apart: step 3 must find no meeting, and
         // the restated window must be apart exactly then.
@@ -930,7 +903,7 @@ impl RunBoxes {
 
     /// Times, for a pair the tester routed past its MBR gate and
     /// point-in-polygon step, the product's hardware prologue
-    /// ([`submitted_edges`]: projection, clip and pairing), the
+    /// ([`submitted_edges`]: projection and pairing), the
     /// [`step3_edges`] count it adds at a threshold above 0, and `step3`.
     fn time(
         &mut self,
@@ -964,15 +937,16 @@ impl RunBoxes {
     fn row(&self, stats: &TestStats) {
         let per = |ns: f64| ns / self.routed.max(1) as f64;
         println!(
-            "    run boxes: {} pairs decided by runs, {} hardware tests, {} width fallbacks, \
-             mean R/R₀ area {:.3} over the tests",
+            "    run boxes: {} pairs decided by runs, {} hardware tests, {} width fallbacks \
+             ({} of them pair nowhere), mean R/R₀ area {:.3} over the tests",
             self.decided,
             stats.hw_tests,
             stats.width_limit_fallbacks,
+            self.unpaired_fallbacks,
             self.ratio_sum / self.ratios.max(1) as f64,
         );
         println!(
-            "    prologue per routed pair ({} pairs): {:.0} ns projection + clip + pairing, \
+            "    prologue per routed pair ({} pairs): {:.0} ns projection + pairing, \
              + {:.0} ns step3_edges at a threshold > 0; software step 3 {:.0} ns",
             self.routed,
             per(self.prologue_ns),

@@ -20,10 +20,11 @@
 //!   Algorithm 3.1 — the part of the MBR region the run boxes of both
 //!   boundaries can meet in ([`projection`]: an empty one decides the
 //!   pair without the device) and which runs of each boundary a test
-//!   submits ([`LiveRuns`]: for a boundary test the runs that reach the
-//!   window and whose box meets the box of a run of the other boundary —
-//!   none on a side decides the pair too; for an overlap count the fill
-//!   ring);
+//!   submits ([`LiveRuns`]: for a boundary test the runs that reach that
+//!   part and whose box meets the box of such a run of the other
+//!   boundary — none on a side decides the pair too; for an overlap count
+//!   the fill ring). Both boundary-test steps take their runs from one
+//!   reach test, [`reaching`];
 //! * [`list`] — the command list for a [`Tape`] (one window, or an atlas
 //!   of windows sharing a line width), recorded per submission from the
 //!   window's live runs and executed verbatim. The only product caller
@@ -45,7 +46,7 @@ use spatial_geom::mindist::clipped_chains_within;
 use spatial_geom::pip::point_in_polygon;
 use spatial_geom::sweep::SweepStats;
 use spatial_geom::{MinDistStats, Point, Polygon, Rect, Segment};
-use spatial_raster::aa_line::{aa_line_outside_window, DIAGONAL_WIDTH};
+use spatial_raster::aa_line::DIAGONAL_WIDTH;
 use spatial_raster::atlas::record_batch;
 use spatial_raster::{
     AtlasCell, CommandList, OverlapStrategy, Viewport, MAX_AA_LINE_WIDTH, MAX_WINDOW_SIDE,
@@ -85,38 +86,33 @@ pub(crate) struct Window<'a> {
     live: [LiveRuns; 2],
 }
 
-/// The part of one boundary a window submits: the runs of consecutive
-/// edges ([`Polygon::runs_where`]) whose box the rasterizer's clip compare
-/// could not reject and — for a boolean test — that pair with a run of the
-/// other boundary, as edge-index ranges in boundary order — never a copy
-/// of the edges — and how many edges they hold. For an overlap count, the
-/// fill ring ([`LiveRuns::ring`]) in the same shape.
+/// The part of one boundary a window submits: for a boolean test the runs
+/// of consecutive edges ([`Polygon::runs_where`]) that pair with a run of
+/// the other boundary, as edge-index ranges in boundary order — never a
+/// copy of the edges — and how many edges they hold. For an overlap count,
+/// the fill ring ([`LiveRuns::ring`]) in the same shape.
 ///
 /// Algorithm 3.1 renders whole boundaries and lets the pipeline clip; on
 /// real polygons 81–99 % of those segments never reach the window, and the
 /// simulated card still copies, projects and compares every one of them on
-/// every execute and every pricing replay. Dropping a run here costs one
-/// box compare per 32 edges on the CPU clock (the prologue's, outside
-/// `sim_wall`) and is invisible to the device: [`Viewport::to_window`] is
-/// monotone per axis, so the projected box corners bound every projected
-/// end point of the run, and what [`aa_line_outside_window`] rejects for
-/// the corners at the window's line width it rejects for each edge of the
-/// run — and, at half that width, for the distance test's cap on each of
-/// their vertices. Every primitive the clip step skips is one the clip
-/// stage would have discarded before any setup: pixels, fragments,
-/// readbacks and rows are unchanged, only `primitives` (and the modeled
-/// time that prices it) falls.
+/// every execute and every pricing replay. The pairing step
+/// ([`Framing::window`]) submits, of each side, the runs whose box, grown
+/// by `d/2` (0 for the segment tests), meets R and the grown box of such a
+/// run of the other boundary ([`reaching`], [`Near`]): one box compare per
+/// 32 edges on the CPU clock (the prologue's, outside `sim_wall`) and a
+/// blocked pairing of the few runs near R. Algorithm 3.1 and its distance
+/// variant only reject; a meeting is found at the pixel of its meeting
+/// point, drawn by the primitives that carry the meeting, and the runs of
+/// those pair (DESIGN.md §5, invariant 5). Overlap pixels only disappear:
+/// the hardware may reject a pair the whole boundaries would not have let
+/// it reject, never one whose boundaries meet.
 ///
-/// The pairing step ([`Framing::window`]) goes further and changes what
-/// is drawn, never a verdict a meeting needs: of the runs the clip step
-/// keeps, a boolean test submits those whose box, grown by `d/2` (0 for
-/// the segment tests), meets R and the grown box of such a run of the
-/// other boundary ([`Near`]). Algorithm 3.1 and its distance variant only
-/// reject; a meeting is found at the pixel of its meeting point, drawn by
-/// the primitives that carry the meeting, and the runs of those pair
-/// (DESIGN.md §5, invariant 5). Overlap pixels only disappear: the
-/// hardware may reject a pair the whole boundaries would not have let it
-/// reject, never one whose boundaries meet.
+/// A run that pairs lies within `d/2` of the window, and Equation (1)
+/// makes the line at least `d` wide in data space (the segment tests draw
+/// at [`DIAGONAL_WIDTH`]), so the rasterizer's clip compare keeps its box
+/// but for a window a few ulps wide — where the clip stage drops the
+/// extra run before setup, moving `primitives` and nothing else
+/// (DESIGN.md §5, invariant 5).
 #[derive(Debug, Default)]
 struct LiveRuns {
     runs: Vec<Range<usize>>,
@@ -124,29 +120,6 @@ struct LiveRuns {
 }
 
 impl LiveRuns {
-    /// The runs of `poly` the clip compare of `viewport` at line width
-    /// `width` keeps, in boundary order, each with its box grown by `half`
-    /// ([`grown`]) — a polygon without run boxes is one run, its MBR, which
-    /// the compare takes whole.
-    fn clipped<'p>(
-        poly: &'p Polygon,
-        viewport: &'p Viewport,
-        width: f64,
-        half: f64,
-    ) -> impl Iterator<Item = (Range<usize>, Rect)> + 'p {
-        let unboxed = (poly.runs().len() == 0).then(|| (0..poly.vertex_count(), poly.mbr()));
-        let (w, h) = (viewport.width(), viewport.height());
-        let boxed = poly.runs().filter(move |(_, run)| {
-            let lo = viewport.to_window(Point::new(run.xmin, run.ymin));
-            let hi = viewport.to_window(Point::new(run.xmax, run.ymax));
-            !aa_line_outside_window(lo, hi, width, w, h)
-        });
-        let runs = unboxed
-            .into_iter()
-            .chain(boxed.map(|(edges, run)| (edges, *run)));
-        runs.map(move |(edges, run)| (edges, grown(&run, half)))
-    }
-
     /// `runs`, in boundary order, as one live set.
     fn of(runs: impl IntoIterator<Item = Range<usize>>) -> LiveRuns {
         let mut live = LiveRuns::default();
@@ -300,17 +273,18 @@ impl<'a> Framing<'a> {
     /// segment test and the overlap count, uniform for the distance test
     /// (Equation (1) presumes it), with each side's live runs or fill ring.
     ///
-    /// A boolean test submits the runs of each boundary that survive the
-    /// clip compare and *pair*: whose box, grown by `d/2` (0 for the
-    /// segment tests), meets R and the grown box of such a run of the other
-    /// boundary. Every point the boundaries share, and for distance the
-    /// midpoint of any two boundary points within `d`, lies in R and in the
-    /// grown box of each run that carries one of the two points — a vertex
-    /// cap in the boxes of both runs the vertex joins — and those runs
-    /// reach the window, so the primitives that draw it are all submitted.
+    /// A boolean test submits the runs of each boundary that *pair*: whose
+    /// box, grown by `d/2` (0 for the segment tests), meets R and the grown
+    /// box of such a run of the other boundary. Every point the boundaries
+    /// share, and for distance the midpoint of any two boundary points
+    /// within `d`, lies in R and in the grown box of each run that carries
+    /// one of the two points — a vertex cap in the boxes of both runs the
+    /// vertex joins — so the primitives that draw it are all submitted.
     /// Where a side keeps no run, no pair of runs can meet: the pair is
-    /// [`NoWindow::Apart`]. R, the viewport and the line width do not
-    /// depend on the pairing.
+    /// [`NoWindow::Apart`]. The pairing does not depend on the resolution,
+    /// nor R, the viewport and the line width on the pairing; it runs
+    /// after the viewport's [`NoWindow::Unfit`] exit, so a pair the device
+    /// cannot take is a width fallback whether its runs pair or not.
     fn window(&self, resolution: usize) -> Result<Window<'a>, NoWindow> {
         let (viewport, width) = self.viewport(resolution)?;
         let sides = [self.first, self.second];
@@ -322,7 +296,7 @@ impl<'a> Framing<'a> {
             Recording::Segment => 0.0,
             Recording::Distance(d) => d / 2.0,
         };
-        let [first, second] = sides.map(|poly| Near::of(poly, &viewport, width, half, &self.reach));
+        let [first, second] = sides.map(|poly| Near::of(poly, half, &self.reach));
         let live = [(&first, &second), (&second, &first)].map(|(near, other)| {
             let paired = near.runs.iter().filter(|(_, run)| other.meet(run));
             LiveRuns::of(paired.map(|(edges, _)| edges.clone()))
@@ -377,10 +351,10 @@ impl<'a> Framing<'a> {
 }
 
 /// The runs of one boundary of a boolean test that can carry a meeting
-/// point: those the clip step keeps ([`LiveRuns::clipped`]) whose grown
-/// box meets the reach R, in boundary order with their grown boxes, and
-/// for more than [`Near::BLOCK`] of them the hull of each block of that
-/// many, so that a box far from a block pays one compare for it.
+/// point: those that reach R ([`reaching`]), in boundary order with their
+/// grown boxes, and for more than [`Near::BLOCK`] of them the hull of each
+/// block of that many, so that a box far from a block pays one compare
+/// for it.
 struct Near {
     runs: Vec<(Range<usize>, Rect)>,
     blocks: Vec<Rect>,
@@ -391,10 +365,8 @@ impl Near {
     /// stays small.
     const BLOCK: usize = 8;
 
-    fn of(poly: &Polygon, viewport: &Viewport, width: f64, half: f64, reach: &Rect) -> Near {
-        let runs: Vec<_> = LiveRuns::clipped(poly, viewport, width, half)
-            .filter(|(_, run)| run.intersects(reach))
-            .collect();
+    fn of(poly: &Polygon, half: f64, reach: &Rect) -> Near {
+        let runs: Vec<_> = reaching(poly, half, reach).collect();
         let blocks = if runs.len() > Self::BLOCK {
             let hull = |block: &[(Range<usize>, Rect)]| {
                 block
@@ -431,7 +403,8 @@ impl Near {
 /// appear where both expanded boundaries are. R is R₀ shrunk to the
 /// bounding box of the run boxes of `first` that meet it (each expanded by
 /// `d/2` for distance), then to the boxes of `second` that meet what is
-/// left; a polygon without run boxes leaves the region as it is.
+/// left ([`reaching`]); a polygon without run boxes is one box, its MBR,
+/// which already holds the region and leaves it as it is.
 ///
 /// Every point the two boundaries share, and for distance the midpoint of
 /// any two boundary points at most `d` apart, lies in a box of each
@@ -469,17 +442,29 @@ fn projection(
         .intersection(&grown(&second.mbr(), half))
         .ok_or(NoWindow::Unfit)?;
     for poly in [first, second] {
-        if poly.runs().len() == 0 {
-            continue;
-        }
-        let hull = poly
-            .runs()
-            .map(|(_, run)| grown(run, half))
-            .filter(|run| run.intersects(&region))
-            .fold(Rect::EMPTY, |hull, run| hull.union(&run));
+        let hull =
+            reaching(poly, half, &region).fold(Rect::EMPTY, |hull, (_, run)| hull.union(&run));
         region = region.intersection(&hull).ok_or(NoWindow::Apart)?;
     }
     Ok((region, region.intersection(&r0).ok_or(NoWindow::Unfit)?))
+}
+
+/// The runs of `poly` that can reach `region`: in boundary order, each run
+/// whose box grown by `half` ([`grown`]) meets `region`, with that grown
+/// box. A polygon without run boxes is one run, all its edges, and its
+/// box is its MBR.
+fn reaching<'p>(
+    poly: &'p Polygon,
+    half: f64,
+    region: &'p Rect,
+) -> impl Iterator<Item = (Range<usize>, Rect)> + 'p {
+    let unboxed = (poly.runs().len() == 0).then(|| (0..poly.vertex_count(), poly.mbr()));
+    let boxed = poly.runs().map(|(edges, run)| (edges, *run));
+    let grown_runs = unboxed
+        .into_iter()
+        .chain(boxed)
+        .map(move |(edges, run)| (edges, grown(&run, half)));
+    grown_runs.filter(move |(_, run)| run.intersects(region))
 }
 
 /// `r` expanded by `half` on every side, rounded outward: it holds every
@@ -711,9 +696,9 @@ pub(crate) fn route<'a>(
     // reach the window without the O(n+m) software scan the restricted
     // search space costs — which is how Figure 11 finds the hardware
     // ahead even at a 1×1 window. The window keeps that, minus the runs
-    // of 32 edges whose cached box the clip compare rejects wholesale or
-    // that pair with no run of the other boundary (`LiveRuns`): n/32 box
-    // compares and a blocked pairing of the few runs near R, not a scan.
+    // of 32 edges whose cached box pairs with no run of the other boundary
+    // near R (`LiveRuns`): n/32 box compares and a blocked pairing of the
+    // few runs near R, not a scan.
     match framing.and_then(|framing| framing.window(cfg.resolution)) {
         Ok(w) => Routed::Hw(w),
         Err(NoWindow::Apart) => by_runs(stats),
@@ -787,7 +772,8 @@ pub(crate) fn settle(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spatial_raster::{AtlasJob, DeviceKind, FrameBuffer, HwStats, Readback};
+    use spatial_raster::aa_line::aa_line_outside_window;
+    use spatial_raster::{DeviceKind, FrameBuffer, HwStats, Readback};
 
     /// The d = ∞ defect: an unbounded region has no projection window.
     #[test]
@@ -846,22 +832,6 @@ mod tests {
         .0
     }
 
-    /// `w` as an atlas cell that owns every edge and, for the distance
-    /// test, every vertex of both polygons.
-    fn whole_job(w: &Window) -> AtlasJob {
-        let caps = |poly: &Polygon| match w.recording {
-            Recording::Distance(_) => poly.vertices().to_vec(),
-            _ => Vec::new(),
-        };
-        AtlasJob {
-            viewport: w.viewport,
-            first_segments: w.first.edges().collect(),
-            first_points: caps(w.first),
-            second_segments: w.second.edges().collect(),
-            second_points: caps(w.second),
-        }
-    }
-
     /// Large-boundary pairs of a small LANDC ⋈ LANDO draw — what carries
     /// run boxes — plus one STATES50 window over both datasets.
     fn corpus() -> (Vec<(Polygon, Polygon)>, f64) {
@@ -883,37 +853,81 @@ mod tests {
         (pairs.into_iter().step_by(step).collect(), base_d)
     }
 
-    /// `op`'s window on `(p, q)` at `resolution` after the clip step alone:
-    /// each side submits every run the clip compare keeps, paired or not.
-    fn clipped<'a>(
-        op: RefineOp,
-        p: &'a Polygon,
-        q: &'a Polygon,
-        resolution: usize,
-    ) -> Option<Window<'a>> {
-        let framing = framing(op, p, q).ok()?;
-        let (viewport, width) = framing.viewport(resolution).ok()?;
-        let sides = [framing.first, framing.second];
-        let live = sides.map(|poly| {
-            let runs = LiveRuns::clipped(poly, &viewport, width, 0.0);
-            LiveRuns::of(runs.map(|(edges, _)| edges))
-        });
-        Some(framing.over(viewport, width, live))
+    /// The pairs of `tests/large_coordinates.rs` at base `b`: squares of 4
+    /// and 400 vertices against rectangles that touch their right side and
+    /// their top from outside, and the 400-vertex square against squares
+    /// inside it, touching its right side, its top, or clear of it.
+    fn far_from_the_origin(b: f64) -> Vec<(Predicate, Polygon, Polygon)> {
+        let at =
+            |coords: [(f64, f64); 4]| Polygon::from_coords(&coords.map(|(x, y)| (b + x, b + y)));
+        let outside = [
+            at([(20.0, 3.0), (20.0, 7.0), (10.0, 7.0), (10.0, 3.0)]),
+            at([(3.0, 20.0), (3.0, 10.0), (7.0, 10.0), (7.0, 20.0)]),
+        ];
+        let inside = [
+            at([(6.0, 3.0), (10.0, 3.0), (10.0, 7.0), (6.0, 7.0)]),
+            at([(3.0, 6.0), (7.0, 6.0), (7.0, 10.0), (3.0, 10.0)]),
+            at([(3.0, 3.0), (7.0, 3.0), (7.0, 7.0), (3.0, 7.0)]),
+        ];
+        let mut cases = Vec::new();
+        for q in outside {
+            for per_side in [1, 100] {
+                cases.push((
+                    Predicate::Intersects,
+                    square(b, b, 10.0, per_side),
+                    q.clone(),
+                ));
+            }
+        }
+        let outer = square(b, b, 10.0, 100);
+        for inner in inside {
+            cases.push((Predicate::ContainedIn, inner.clone(), outer.clone()));
+            cases.push((Predicate::Intersects, inner, outer.clone()));
+        }
+        cases
     }
 
-    /// The clip step is invisible to the device: for segment, containment
-    /// and within-distance windows at every resolution and every Equation
-    /// (1) width up to the 10 px limit, the list of a window's clipped runs
-    /// and the whole-boundary list of the public recorders execute to the
-    /// same frame, the same readbacks and the same counters but
-    /// `primitives` — per pair, and as an atlas of mixed cells. No clipped
-    /// window has an empty side: a polygon none of whose run boxes meets
-    /// the projection region empties it, and the prologue answers the pair
-    /// instead. (The pairing step does change frames;
-    /// `pairing_only_removes_overlap_pixels_and_never_a_meeting` holds
-    /// what it may change.)
+    /// Asserts that the rasterizer's clip compare at `w`'s viewport and
+    /// line width keeps the box of every run `w` submits; returns the
+    /// primitives `w` submits.
+    fn assert_submitted_runs_survive_the_clip_compare(w: &Window) -> usize {
+        let (width, height) = (w.viewport.width(), w.viewport.height());
+        for second in [false, true] {
+            let (poly, live) = w.side(second);
+            // Every run box lies in the polygon's MBR: all the runs, boxes
+            // as they are (an unboxed polygon's one run with its MBR).
+            for (edges, run) in reaching(poly, 0.0, &poly.mbr()) {
+                let submitted = live
+                    .runs
+                    .iter()
+                    .any(|live| live.start <= edges.start && edges.end <= live.end);
+                let lo = w.viewport.to_window(Point::new(run.xmin, run.ymin));
+                let hi = w.viewport.to_window(Point::new(run.xmax, run.ymax));
+                assert!(
+                    !submitted || !aa_line_outside_window(lo, hi, w.width, width, height),
+                    "{:?} at {width}, width {}: run {edges:?} in {run:?} outside {:?}",
+                    w.recording,
+                    w.width,
+                    w.region
+                );
+            }
+        }
+        [false, true]
+            .map(|second| w.segments(second).len() + w.points(second).len())
+            .iter()
+            .sum()
+    }
+
+    /// The pairing implies the rasterizer's clip compare, so the prologue
+    /// runs no compare of its own: for segment, containment and
+    /// within-distance windows at every resolution and every Equation (1)
+    /// width up to the 10 px limit, every run a window submits has a box
+    /// `aa_line_outside_window` keeps at the window's viewport and width —
+    /// on the corpus, where the windows submit under half the primitives
+    /// of whole boundaries, and on touching pairs far from the origin,
+    /// whose windows are degenerate.
     #[test]
-    fn live_runs_execute_like_whole_boundaries() {
+    fn every_submitted_run_survives_the_clip_compare() {
         let (pairs, base_d) = corpus();
         assert!(pairs.len() >= 12, "only {} pairs", pairs.len());
         let mut ops = vec![
@@ -929,52 +943,17 @@ mod tests {
         let mut widths = std::collections::BTreeSet::new();
         for resolution in [1usize, 4, 8, 16, 32] {
             for &op in &ops {
-                let windows: Vec<Window> = pairs
-                    .iter()
-                    .filter_map(|(p, q)| clipped(op, p, q, resolution))
-                    .collect();
-                for w in &windows {
-                    // A side without a live run would have emptied R.
-                    assert!(
-                        w.segments(false).len() > 0 && w.segments(true).len() > 0,
-                        "{op:?} at {resolution}: an empty side"
-                    );
-                    widths.insert(w.width as u64);
-                    let (frame, readbacks, stats) = execute(&list(Tape::Pair(w)).0);
-                    let (full_frame, full_readbacks, full) = execute(&whole_boundaries(w));
-                    assert!(frame == full_frame, "{op:?} at {resolution}");
-                    assert_eq!(readbacks, full_readbacks, "{op:?} at {resolution}");
-                    assert!(stats.primitives <= full.primitives);
-                    let primitives = full.primitives;
-                    assert_eq!(
-                        HwStats {
-                            primitives,
-                            ..stats
-                        },
-                        full,
-                        "{op:?} at {resolution}"
-                    );
-                    submitted += stats.primitives;
-                    whole += full.primitives;
-                }
-
-                // The same windows as atlas rounds, one per line width.
-                let mut cells: Vec<&Window> = windows.iter().collect();
-                cells.sort_by(|a, b| a.width.total_cmp(&b.width));
-                for round in cells.chunk_by(|a, b| a.width == b.width) {
-                    let width = round[0].width;
-                    let (frame, readbacks, stats) = execute(&list(Tape::Atlas(round)).0);
-                    let jobs: Vec<AtlasJob> = round.iter().map(|w| whole_job(w)).collect();
-                    let (full_frame, full_readbacks, full) =
-                        execute(&record_batch(&jobs, width, width).0);
-                    assert!(frame == full_frame, "{op:?} atlas at {resolution}");
-                    assert_eq!(readbacks, full_readbacks, "{op:?} atlas at {resolution}");
-                    assert!(stats.primitives <= full.primitives);
-                    let expected = HwStats {
-                        primitives: stats.primitives,
-                        ..full
+                for (p, q) in &pairs {
+                    let Ok(w) = window(op, p, q, resolution) else {
+                        continue;
                     };
-                    assert_eq!(stats, expected, "{op:?} atlas at {resolution}");
+                    widths.insert(w.width as u64);
+                    submitted += assert_submitted_runs_survive_the_clip_compare(&w);
+                    let per_vertex = match w.recording {
+                        Recording::Distance(_) => 2,
+                        _ => 1,
+                    };
+                    whole += per_vertex * (p.vertex_count() + q.vertex_count());
                 }
             }
         }
@@ -983,6 +962,19 @@ mod tests {
             "{widths:?}"
         );
         assert!(2 * submitted < whole, "{submitted} of {whole} primitives");
+
+        let mut far = 0;
+        for b in [16_383.0, 2e4, 1e5, 5e5, 1e7] {
+            for (pred, p, q) in far_from_the_origin(b) {
+                for resolution in [1usize, 4, 8, 16, 32] {
+                    if let Ok(w) = window(RefineOp::Test(pred), &p, &q, resolution) {
+                        assert_submitted_runs_survive_the_clip_compare(&w);
+                        far += 1;
+                    }
+                }
+            }
+        }
+        assert!(far >= 100, "{far} windows far from the origin");
     }
 
     /// Submitting each polygon's fill ring is invisible to the device: for
@@ -1497,9 +1489,9 @@ mod tests {
         assert!(to_device >= 10, "{to_device} pairs reached the device");
     }
 
-    /// The pixels `w`'s own list leaves white — drawn by both boundaries.
-    fn overlap_pixels(w: &Window) -> Vec<bool> {
-        let (frame, _, _) = execute(&list(Tape::Pair(w)).0);
+    /// The pixels `list` leaves white — drawn by both boundaries.
+    fn overlap_pixels(list: &CommandList) -> Vec<bool> {
+        let (frame, _, _) = execute(list);
         let (width, height) = (frame.width(), frame.height());
         (0..height)
             .flat_map(|y| (0..width).map(move |x| (x, y)))
@@ -1513,9 +1505,10 @@ mod tests {
         /// The pairing step changes what a boolean test draws but never
         /// the verdict a meeting needs: on random rings at resolutions 1 to
         /// 32 and Equation (1) widths up to the 10 px limit, every pixel
-        /// the paired list leaves white the clip-only list leaves white
-        /// too, and no pair whose boundaries meet — or come within `d` —
-        /// is decided apart or loses its last white pixel.
+        /// the paired list leaves white the whole-boundary list of the same
+        /// window leaves white too, and no pair whose boundaries meet — or
+        /// come within `d` — is decided apart or loses its last white
+        /// pixel.
         #[test]
         fn pairing_only_removes_overlap_pixels_and_never_a_meeting(
             (px, py) in (-10.0f64..10.0, -10.0f64..10.0),
@@ -1542,24 +1535,20 @@ mod tests {
                     Predicate::WithinDistance(d) => gap.1 <= d,
                     _ => gap.0,
                 };
-                let Some(clip) = clipped(op, &p, &q, resolution) else {
-                    continue;
-                };
-                proptest::prop_assert!(clip.width <= MAX_AA_LINE_WIDTH);
-                let what = format!("{pred:?} at {resolution}, width {}", clip.width);
+                let what = format!("{pred:?} at {resolution}");
                 let paired = match window(op, &p, &q, resolution) {
                     Ok(w) => {
-                        proptest::prop_assert_eq!(w.viewport, clip.viewport);
-                        proptest::prop_assert_eq!(w.width, clip.width);
-                        overlap_pixels(&w)
+                        proptest::prop_assert!(w.width <= MAX_AA_LINE_WIDTH);
+                        let paired = overlap_pixels(&list(Tape::Pair(&w)).0);
+                        let whole = overlap_pixels(&whole_boundaries(&w));
+                        for (k, &white) in paired.iter().enumerate() {
+                            proptest::prop_assert!(!white || whole[k], "{}: pixel {}", what, k);
+                        }
+                        paired
                     }
                     Err(NoWindow::Apart) => Vec::new(),
-                    Err(NoWindow::Unfit) => panic!("{what}: unfit after the clip step"),
+                    Err(NoWindow::Unfit) => continue,
                 };
-                let whole = overlap_pixels(&clip);
-                for (k, &white) in paired.iter().enumerate() {
-                    proptest::prop_assert!(!white || whole[k], "{}: pixel {}", what, k);
-                }
                 proptest::prop_assert!(!meets || paired.contains(&true), "{} rejected a meeting", what);
             }
         }
@@ -1594,7 +1583,8 @@ mod tests {
             let op = RefineOp::Test(pred);
             assert!(framing(op, &a, &b).is_ok(), "{pred:?}: R is not empty");
             for resolution in [1, 8, 32] {
-                assert!(clipped(op, &a, &b, resolution).is_some(), "{pred:?}");
+                let framed = framing(op, &a, &b).and_then(|f| f.viewport(resolution));
+                assert!(framed.is_ok(), "{pred:?}: a viewport at {resolution}");
                 let w = window(op, &a, &b, resolution);
                 assert!(matches!(w, Err(NoWindow::Apart)), "{pred:?}: {w:?}");
                 let mut tester = HwTester::new(HwConfig::at_resolution(resolution));

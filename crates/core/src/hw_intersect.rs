@@ -221,8 +221,8 @@ pub(crate) fn record_accumulation(
 /// `resolution` submits — first and second in render order — once the
 /// prologue's MBR gate and point-in-polygon step have passed the pair on,
 /// or `None` where the run boxes decide the pair or it has no window. For
-/// diagnostics: it runs the prologue's projection, clip and pairing steps
-/// and renders nothing.
+/// diagnostics: it runs the prologue's projection and pairing steps and
+/// renders nothing.
 pub fn submitted_edges(
     pred: Predicate,
     p: &Polygon,

@@ -42,8 +42,9 @@
 //! pricing the counters the replay charged with [`HwCostModel::time`]
 //! (what [`HwCostModel::replay_cost`] returns for the same list). A
 //! pricing pass therefore costs at most the wall-clock of executing its
-//! sample once per priced resolution (mostly the rasterizer's clip
-//! compare), which is why the sample is small. It is usually less: the
+//! sample once per priced resolution (mostly line and point setup and
+//! coverage; EXPERIMENTS.md "Branch-and-bound pricing"), which is why the
+//! sample is small. It is usually less: the
 //! pass stops replaying a resolution as soon as the pairs priced so far
 //! prove that neither of its plans can beat the best one found yet, and
 //! still chooses what replaying every pair would (`Planner::price`).

@@ -12,8 +12,11 @@ pub struct TestStats {
     /// the run boxes of the two boundaries cannot meet (for a distance
     /// test: come within `d`) anywhere in the projection region — the
     /// region is empty (`choreography::projection`), or no run of one
-    /// boundary pairs with a run of the other in it
-    /// (`choreography::Framing::window`).
+    /// boundary that reaches it (`choreography::reaching`) pairs with such
+    /// a run of the other (`choreography::Framing::window`). The second
+    /// is found only for a pair that passed `sw_threshold` and has a
+    /// window: a width fallback is counted as one even where its runs
+    /// pair nowhere.
     pub decided_by_runs: usize,
     /// Pairs rejected by the hardware filter (the savings).
     pub rejected_by_hw: usize,

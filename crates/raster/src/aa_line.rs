@@ -19,8 +19,9 @@
 //! clip what falls outside the viewing area, so many segments a list holds
 //! never reach this setup — all but a few percent of whole boundaries,
 //! still a quarter to a half of what is left once `hwa-core`'s projection
-//! window has dropped the runs of 32 edges whose *box* the same compare
-//! rejects (`choreography::LiveRuns`). The inner loop of every
+//! window has dropped the runs of 32 edges that cannot meet the other
+//! boundary there (`choreography::LiveRuns`), a cull that keeps no run
+//! whose *box* the same compare rejects. The inner loop of every
 //! hardware-assisted query is the clip compare [`aa_line_outside_window`],
 //! which `GlContext` runs before [`SegmentCover::new`]. For the segments that
 //! survive, setup and per-pixel test cost their arithmetic: one root and
