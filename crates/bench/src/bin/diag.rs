@@ -3,9 +3,12 @@
 //! workloads exercise the same regime the paper's datasets do — a healthy
 //! share of near-miss negatives that finer windows can reject — and the
 //! phase-by-phase cost of the *software* refinement every headline ratio
-//! divides by: the intersection test's phases for the intersection joins,
-//! with what its step-3 block search did and every step-3 verdict checked
-//! against the forward sweep (a mismatch makes the run exit 1), and
+//! divides by: the intersection test's phases for the intersection joins —
+//! the pairs whose run-box region R is empty, those whose search space
+//! over R is, and the restricted edges per call over R and over the MBR
+//! region R₀ — with what its step-3 block search did and every step-3
+//! verdict checked against the forward sweep over R₀'s restricted edges
+//! (a mismatch makes the run exit 1), and
 //! object filters · point-in-polygon · frontier clip · pairwise kernel for
 //! the within-distance joins at the Figure 14/16 distances — each boundary
 //! scan with the vertices its polygons have, the run boxes it tests and the
@@ -15,8 +18,9 @@
 //! reject early, the calls it confirms early and the blocks and edges it
 //! measures, every verdict checked against the bound (a mismatch makes the
 //! run exit 1) — and what the hardware test submits for the same candidates: the pairs the
-//! run boxes decide with no submission (each checked against step 3; a
-//! mismatch makes the run exit 1) and the projection region's area over
+//! run boxes decide with no submission (each checked against a step 3
+//! that reads no run box; a mismatch makes the run exit 1) and the
+//! projection region's area over
 //! the MBR region's, segments before
 //! and after the run cull, survivors of the rasterizer's clip compare,
 //! candidate fragments per surviving segment, and for the overlap count the
@@ -45,6 +49,7 @@ use spatial_geom::intersect::{
     boundaries_meet, polygons_intersect_with, restricted_edges, IntersectStats,
 };
 use spatial_geom::mindist::{clipped_chains_within, MinDistStats};
+use spatial_geom::reach::run_region;
 use spatial_geom::sweep::{forward_sweep_intersects, SweepStats};
 use spatial_geom::{point_in_polygon, Point, Polygon, Rect, Segment};
 use spatial_raster::aa_line::{aa_line_outside_window, DIAGONAL_WIDTH};
@@ -378,8 +383,9 @@ fn distance_decomposition(
 }
 
 /// What step 3's block search did over the calls that reached it, from
-/// the counters it returns, and how many of its verdicts differ from the
-/// forward sweep's over the same restricted edges.
+/// the counters it returns, and how many step-3 verdicts — of those calls
+/// and of the pairs step 3 answered without a search — differ from the
+/// forward sweep's over the restricted edges of R₀, the MBR intersection.
 #[derive(Default)]
 struct Search {
     calls: usize,
@@ -387,6 +393,8 @@ struct Search {
     negatives: usize,
     fallbacks: usize,
     work: SweepStats,
+    /// Verdicts checked against the forward sweep, searched or not.
+    checked: usize,
     mismatches: usize,
 }
 
@@ -401,6 +409,12 @@ impl Search {
         self.work.box_tests += st.box_tests;
         self.work.edge_tests += st.edge_tests;
         self.work.pair_tests += st.pair_tests;
+        self.check(hit, oracle);
+    }
+
+    /// Checks one step-3 verdict against the forward sweep's.
+    fn check(&mut self, hit: bool, oracle: bool) {
+        self.checked += 1;
         self.mismatches += usize::from(hit != oracle);
     }
 
@@ -409,7 +423,7 @@ impl Search {
         println!(
             "  block search: {} calls, {} first-crossing exits, {} exhaustive negatives, \
              {} fallbacks; {:.1} box compares {:.1} edge compares {:.1} segment tests /call; \
-             {} verdicts differ from the forward sweep",
+             {} of {} step-3 verdicts differ from the forward sweep over R₀",
             self.calls,
             self.exits,
             self.negatives,
@@ -418,6 +432,7 @@ impl Search {
             per(self.work.edge_tests),
             per(self.work.pair_tests),
             self.mismatches,
+            self.checked,
         );
     }
 }
@@ -511,8 +526,12 @@ impl Calibration {
 }
 
 /// The intersection join's software test, phase by phase, and its step 3
-/// checked against the forward sweep and timed into `calibration`; returns
-/// the number of mismatches.
+/// checked against the forward sweep over R₀'s restricted edges and timed
+/// into `calibration`; returns the number of mismatches. Step 3 searches
+/// the run-box region R: a pair whose R is empty it answers with no
+/// search, one whose R leaves a side without an edge with an empty search.
+/// Both are checked, neither timed: the planner prices the first at
+/// nothing, and the calibration is of the searches.
 fn intersection_composition(
     a: &PreparedDataset,
     b: &PreparedDataset,
@@ -524,7 +543,8 @@ fn intersection_composition(
         .collect();
     let mut search = Search::default();
     let mut pip_pos = 0usize;
-    let mut rss_empty = 0usize;
+    let (mut runs_decided, mut empty_space) = (0usize, 0usize);
+    let (mut r_edges, mut r0_edges) = (0usize, 0usize);
     let mut sweep_pos = 0usize;
     let mut sweep_neg = 0usize;
     let mut edge_hist = [0usize; 6]; // restricted edge-count buckets
@@ -536,7 +556,7 @@ fn intersection_composition(
     for &(i, j) in &candidates {
         let p = a.polygon(i);
         let q = b.polygon(j);
-        let region = p.mbr().intersection(&q.mbr()).unwrap();
+        let r0 = p.mbr().intersection(&q.mbr()).unwrap();
         pip_pair(p, q, &mut pip_walk);
         let t_pip = Instant::now();
         let pip_hit = point_in_polygon(p.vertices()[0], q) || point_in_polygon(q.vertices()[0], p);
@@ -545,17 +565,35 @@ fn intersection_composition(
             pip_pos += 1;
             continue;
         }
+        // The oracle reads no run box: the edges whose MBR meets R₀.
+        let (ep0, eq0) = (restricted_edges(p, &r0), restricted_edges(q, &r0));
+        r0_edges += ep0.len() + eq0.len();
+        let oracle = forward_sweep_intersects(&ep0, &eq0);
+        let t_rss = Instant::now();
+        let r = run_region(p, q, 0.0);
+        let (ep, eq) = r.map_or((Vec::new(), Vec::new()), |r| {
+            (restricted_edges(p, &r), restricted_edges(q, &r))
+        });
+        rss_time += t_rss.elapsed().as_secs_f64() * 1e3;
+        r_edges += ep.len() + eq.len();
+        let mut st = IntersectStats::default();
+        let t = Instant::now();
+        let hit = polygons_intersect_with(p, q, &mut st);
+        let dt = t.elapsed().as_secs_f64() * 1e6;
+        let Some(r) = r else {
+            runs_decided += 1;
+            // The product's step 3 must have answered the pair by runs.
+            search.check(hit || st.decided_by_runs != 1, oracle);
+            continue;
+        };
         calibration.time(Predicate::Intersects, p, q, || {
             boundaries_meet(p, q, &mut SweepStats::default())
         });
-        rss_walk.scan(p, |run| run.intersects(&region));
-        rss_walk.scan(q, |run| run.intersects(&region));
-        let t_rss = Instant::now();
-        let ep = restricted_edges(p, &region);
-        let eq = restricted_edges(q, &region);
-        rss_time += t_rss.elapsed().as_secs_f64() * 1e3;
+        rss_walk.scan(p, |run| run.intersects(&r));
+        rss_walk.scan(q, |run| run.intersects(&r));
         if ep.is_empty() || eq.is_empty() {
-            rss_empty += 1;
+            empty_space += 1;
+            search.check(hit, oracle);
             continue;
         }
         let total_edges = ep.len() + eq.len();
@@ -568,11 +606,7 @@ fn intersection_composition(
             _ => 5,
         };
         edge_hist[bucket] += 1;
-        let mut st = IntersectStats::default();
-        let t = Instant::now();
-        let hit = polygons_intersect_with(p, q, &mut st);
-        let dt = t.elapsed().as_secs_f64() * 1e6;
-        search.add(&st.sweep, hit, forward_sweep_intersects(&ep, &eq));
+        search.add(&st.sweep, hit, oracle);
         if hit {
             sweep_pos += 1;
             sweep_time_pos += dt;
@@ -581,9 +615,16 @@ fn intersection_composition(
             sweep_time_neg += dt;
         }
     }
+    let searched = candidates.len() - pip_pos;
     println!("\n{} ⋈ {}: {} candidates", a.name, b.name, candidates.len());
     println!("  pip positives:   {pip_pos}");
-    println!("  rss-empty rejects: {rss_empty}");
+    println!("  decided by runs (R empty):       {runs_decided}");
+    println!("  empty search space over R:       {empty_space}");
+    println!(
+        "  restricted edges per call: {:.1} over R, {:.1} over R₀ ({searched} calls)",
+        r_edges as f64 / searched.max(1) as f64,
+        r0_edges as f64 / searched.max(1) as f64,
+    );
     println!(
         "  step-3 positives: {sweep_pos} (avg {:.1} us)",
         sweep_time_pos / sweep_pos.max(1) as f64
@@ -600,12 +641,15 @@ fn intersection_composition(
         sweep_time_pos / 1e3,
         sweep_time_neg / 1e3
     );
-    let searched = candidates.len() - pip_pos;
     println!(
         "  point-in-polygon pair:   {}",
         pip_walk.per_call(candidates.len())
     );
-    println!("  restricted search space: {}", rss_walk.per_call(searched));
+    println!(
+        "  restricted search space over R ({} calls): {}",
+        searched - runs_decided,
+        rss_walk.per_call(searched - runs_decided)
+    );
     search.row();
     search.mismatches
 }
@@ -647,8 +691,13 @@ fn hardware_submission(a: &PreparedDataset, b: &PreparedDataset, base_d: f64) ->
         let before = stats;
         let verdict = tester.intersects(p, q, &mut stats);
         let step3 = || boundaries_meet(p, q, &mut SweepStats::default());
+        // The gate's step 3 reads no run box: the forward sweep over R₀'s
+        // restricted edges (`boundaries_meet` answers an empty R itself).
+        let r0 = p.mbr().intersection(&q.mbr()).expect("a candidate");
+        let r0_sweep =
+            || forward_sweep_intersects(&restricted_edges(p, &r0), &restricted_edges(q, &r0));
         let restated = restate(p, q, None);
-        failures += runs.add(&before, &stats, verdict, step3, &restated);
+        failures += runs.add(&before, &stats, verdict, r0_sweep, &restated);
         runs.time(&before, &stats, Predicate::Intersects, p, q, step3);
         let (true, Restated::Window { region, .. }) = (stats.hw_tests > before.hw_tests, restated)
         else {
@@ -866,8 +915,9 @@ struct RunBoxes {
 
 impl RunBoxes {
     /// Counts one pair the tester answered `verdict`, from its ledger
-    /// `before` and `after` the test, with the software step 3 and the
-    /// restated window; returns 1 if the pair fails the gate.
+    /// `before` and `after` the test, with an exact `step3` that reads no
+    /// run box and the restated window; returns 1 if the pair fails the
+    /// gate.
     fn add(
         &mut self,
         before: &TestStats,

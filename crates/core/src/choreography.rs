@@ -18,20 +18,21 @@
 //!   scaling, the Equation (1) line width, which polygon renders first,
 //!   which recording the resulting tape is, and — extensions of
 //!   Algorithm 3.1 — the part of the MBR region the run boxes of both
-//!   boundaries can meet in ([`projection`]: an empty one decides the
-//!   pair without the device) and which runs of each boundary a test
-//!   submits ([`LiveRuns`]: for a boundary test the runs that reach that
-//!   part and whose box meets the box of such a run of the other
-//!   boundary — none on a side decides the pair too; for an overlap count
-//!   the fill ring). Both boundary-test steps take their runs from one
-//!   reach test, [`reaching`];
+//!   boundaries can meet in ([`projection`] of the run-box region R,
+//!   [`run_region`]: an empty one decides the pair without the device) and
+//!   which runs of each boundary a test submits ([`LiveRuns`]: for a
+//!   boundary test the runs that reach that part and whose box meets the
+//!   box of such a run of the other boundary — none on a side decides the
+//!   pair too; for an overlap count the fill ring). Both boundary-test
+//!   steps take their runs from one reach test, [`reaching`], and the
+//!   software step 3 searches the same R (`spatial_geom::reach`);
 //! * [`list`] — the command list for a [`Tape`] (one window, or an atlas
 //!   of windows sharing a line width), recorded per submission from the
 //!   window's live runs and executed verbatim. The only product caller
 //!   of the `record_*` functions;
 //! * [`settle`] — the reject / confirm / fault-fallback epilogue over the
 //!   scan's verdict, with [`confirm`] as the per-predicate software
-//!   step 3.
+//!   step 3, which searches the R the prologue already has.
 //!
 //! Supervised execution and the hardware-ledger charge are
 //! `HwTester::submit`, the one place that owns a device.
@@ -41,9 +42,10 @@ use crate::hw_intersect::HwTester;
 use crate::hw_overlap::overlap_region;
 use crate::pipeline::{Predicate, RefineOp};
 use crate::stats::TestStats;
-use spatial_geom::intersect::boundaries_meet;
+use spatial_geom::intersect::{boundaries_meet, boundaries_meet_over};
 use spatial_geom::mindist::clipped_chains_within;
 use spatial_geom::pip::point_in_polygon;
+use spatial_geom::reach::{reaching, run_region};
 use spatial_geom::sweep::SweepStats;
 use spatial_geom::{MinDistStats, Point, Polygon, Rect, Segment};
 use spatial_raster::aa_line::DIAGONAL_WIDTH;
@@ -224,9 +226,10 @@ pub(crate) fn window<'a>(
 /// What a window is before its resolution: the data-space region it
 /// projects, the polygons in render order and the recording — everything
 /// [`route`] needs to know before it decides between the device and
-/// software, and nothing it does not.
+/// software, and nothing it does not. A pricing pass derives it once per
+/// sampled pair and takes a window from it at each resolution it prices.
 #[derive(Debug)]
-struct Framing<'a> {
+pub(crate) struct Framing<'a> {
     region: Rect,
     /// Where the boundaries of a boolean test can meet: [`projection`]'s R,
     /// rounded outward, before it is cut to R₀ — it holds every meeting
@@ -238,7 +241,11 @@ struct Framing<'a> {
 }
 
 /// The framing of `op` on `(p, q)`, or why the pair has no window.
-fn framing<'a>(op: RefineOp, p: &'a Polygon, q: &'a Polygon) -> Result<Framing<'a>, NoWindow> {
+pub(crate) fn framing<'a>(
+    op: RefineOp,
+    p: &'a Polygon,
+    q: &'a Polygon,
+) -> Result<Framing<'a>, NoWindow> {
     let ((reach, region), first, second, recording) = match op {
         // The overlap count's grid is part of its answer: it projects the
         // MBR intersection, and needs it to have interior.
@@ -285,7 +292,7 @@ impl<'a> Framing<'a> {
     /// nor R, the viewport and the line width on the pairing; it runs
     /// after the viewport's [`NoWindow::Unfit`] exit, so a pair the device
     /// cannot take is a width fallback whether its runs pair or not.
-    fn window(&self, resolution: usize) -> Result<Window<'a>, NoWindow> {
+    pub(crate) fn window(&self, resolution: usize) -> Result<Window<'a>, NoWindow> {
         let (viewport, width) = self.viewport(resolution)?;
         let sides = [self.first, self.second];
         let half = match self.recording {
@@ -400,20 +407,20 @@ impl Near {
 /// §3.2 projects R₀, the MBR intersection — for containment that *is* the
 /// inner MBR once the MBR gate passed — or for a distance test the
 /// intersection of both MBRs expanded by `d/2`, since overlap can only
-/// appear where both expanded boundaries are. R is R₀ shrunk to the
-/// bounding box of the run boxes of `first` that meet it (each expanded by
-/// `d/2` for distance), then to the boxes of `second` that meet what is
-/// left ([`reaching`]); a polygon without run boxes is one box, its MBR,
-/// which already holds the region and leaves it as it is.
+/// appear where both expanded boundaries are. R is the run-box region of
+/// `spatial_geom::reach` ([`run_region`] with each box expanded by `d/2`
+/// for distance): R₀ shrunk to the bounding box of the run boxes of
+/// `first` that meet it, then to the boxes of `second` that meet what is
+/// left; a polygon without run boxes is one box, its MBR, which already
+/// holds the region and leaves it as it is.
 ///
 /// Every point the two boundaries share, and for distance the midpoint of
-/// any two boundary points at most `d` apart, lies in a box of each
-/// polygon (expanded) that meets R₀, and so in R (DESIGN.md §3): an empty
-/// R proves the boundaries apart ([`NoWindow::Apart`]), and a window over
-/// R sees everything a window over R₀ would have to. The expansions of
-/// the shrink round outward ([`grown`]), so that an empty R is a proof,
-/// not a rounding; the region projected is R ∩ R₀, which is R₀ itself
-/// for polygons without boxes.
+/// any two boundary points at most `d` apart, lies in R (DESIGN.md §5,
+/// invariant 5): an empty R proves the boundaries apart
+/// ([`NoWindow::Apart`]), and a window over R sees everything a window
+/// over R₀ would have to. The expansions of the shrink round outward, so
+/// that an empty R is a proof, not a rounding; the region projected is
+/// R ∩ R₀, which is R₀ itself for polygons without boxes.
 fn projection(
     pred: Predicate,
     first: &Polygon,
@@ -438,48 +445,9 @@ fn projection(
     if !(r0.width().is_finite() && r0.height().is_finite()) {
         return Err(NoWindow::Unfit);
     }
-    let mut region = grown(&first.mbr(), half)
-        .intersection(&grown(&second.mbr(), half))
-        .ok_or(NoWindow::Unfit)?;
-    for poly in [first, second] {
-        let hull =
-            reaching(poly, half, &region).fold(Rect::EMPTY, |hull, (_, run)| hull.union(&run));
-        region = region.intersection(&hull).ok_or(NoWindow::Apart)?;
-    }
+    // The grown MBRs hold R₀, so they meet: an empty R is the fold's.
+    let region = run_region(first, second, half).ok_or(NoWindow::Apart)?;
     Ok((region, region.intersection(&r0).ok_or(NoWindow::Unfit)?))
-}
-
-/// The runs of `poly` that can reach `region`: in boundary order, each run
-/// whose box grown by `half` ([`grown`]) meets `region`, with that grown
-/// box. A polygon without run boxes is one run, all its edges, and its
-/// box is its MBR.
-fn reaching<'p>(
-    poly: &'p Polygon,
-    half: f64,
-    region: &'p Rect,
-) -> impl Iterator<Item = (Range<usize>, Rect)> + 'p {
-    let unboxed = (poly.runs().len() == 0).then(|| (0..poly.vertex_count(), poly.mbr()));
-    let boxed = poly.runs().map(|(edges, run)| (edges, *run));
-    let grown_runs = unboxed
-        .into_iter()
-        .chain(boxed)
-        .map(move |(edges, run)| (edges, grown(&run, half)));
-    grown_runs.filter(move |(_, run)| run.intersects(region))
-}
-
-/// `r` expanded by `half` on every side, rounded outward: it holds every
-/// point within `half` of `r` along each axis, where [`Rect::expanded`]
-/// may round a side inward.
-fn grown(r: &Rect, half: f64) -> Rect {
-    if half == 0.0 {
-        return *r;
-    }
-    Rect::new(
-        (r.xmin - half).next_down(),
-        (r.ymin - half).next_down(),
-        (r.xmax + half).next_up(),
-        (r.ymax + half).next_up(),
-    )
 }
 
 /// The edges a software step 3 of `pred` on `(p, q)` can visit: the edges
@@ -678,6 +646,8 @@ pub(crate) fn route<'a>(
         Err(NoWindow::Apart) => return by_runs(stats),
         framing => framing,
     };
+    // The region, for a software step 3 below: R need not be folded again.
+    let region = framing.as_ref().ok().map(|framing| framing.region);
 
     // §4.3: a pair whose software step 3 is cheap skips the hardware
     // filter and runs it. The paper counts the n + m vertices its plane
@@ -686,7 +656,7 @@ pub(crate) fn route<'a>(
     if cfg.sw_threshold > 0 && step3_edges(pred, p, q) <= cfg.sw_threshold {
         stats.skipped_by_threshold += 1;
         stats.software_tests += 1;
-        return Routed::Done(confirm(pred, p, q));
+        return Routed::Done(confirm(pred, p, q, region.as_ref()));
     }
 
     // Step 2 runs in hardware. Algorithm 3.1 submits ALL edges and lets
@@ -707,7 +677,7 @@ pub(crate) fn route<'a>(
         Err(NoWindow::Unfit) => {
             stats.width_limit_fallbacks += 1;
             stats.software_tests += 1;
-            Routed::Done(confirm(pred, p, q))
+            Routed::Done(confirm(pred, p, q, region.as_ref()))
         }
     }
 }
@@ -720,9 +690,18 @@ fn apart(pred: Predicate) -> bool {
 }
 
 /// The software step 3: exact on its own for a pair that passed the MBR
-/// gate and that point-in-polygon did not decide.
-fn confirm(pred: Predicate, p: &Polygon, q: &Polygon) -> bool {
-    let meet = || boundaries_meet(p, q, &mut SweepStats::default());
+/// gate and that point-in-polygon did not decide. `region` is the pair's
+/// projected region where the prologue has one ([`Framing`]). For the
+/// boundary tests that is R itself — at `d = 0` R lies in R₀, and `R ∩ R₀`
+/// is R exactly — so step 3 searches it instead of folding R again.
+fn confirm(pred: Predicate, p: &Polygon, q: &Polygon, region: Option<&Rect>) -> bool {
+    let meet = || {
+        let stats = &mut SweepStats::default();
+        match region {
+            Some(region) => boundaries_meet_over(p, q, region, stats),
+            None => boundaries_meet(p, q, stats),
+        }
+    };
     match pred {
         Predicate::Intersects => meet(),
         // For connected polygons, strict containment is "one vertex
@@ -736,9 +715,9 @@ fn confirm(pred: Predicate, p: &Polygon, q: &Polygon) -> bool {
     }
 }
 
-/// The epilogue of one hardware-routed pair. `overlap` is the scan's
-/// verdict — did the two rendered boundaries share a pixel — or `None`
-/// when the supervised submission gave up. The filter only ever
+/// The epilogue of one hardware-routed pair over its window `w`. `overlap`
+/// is the scan's verdict — did the two rendered boundaries share a pixel —
+/// or `None` when the supervised submission gave up. The filter only ever
 /// pre-rejects: no shared pixel proves the boundaries apart, which
 /// answers the pair ([`apart`]). Anything else is decided
 /// by [`confirm`], so a faulted submission moves the pair from the
@@ -748,6 +727,7 @@ pub(crate) fn settle(
     pred: Predicate,
     p: &Polygon,
     q: &Polygon,
+    w: &Window,
     overlap: Option<bool>,
     stats: &mut TestStats,
 ) -> bool {
@@ -760,17 +740,17 @@ pub(crate) fn settle(
         Some(true) => {
             stats.hw_tests += 1;
             stats.software_tests += 1;
-            confirm(pred, p, q)
+            confirm(pred, p, q, Some(&w.region))
         }
         None => {
             stats.fallback_tests += 1;
-            confirm(pred, p, q)
+            confirm(pred, p, q, Some(&w.region))
         }
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use spatial_raster::aa_line::aa_line_outside_window;
     use spatial_raster::{DeviceKind, FrameBuffer, HwStats, Readback};
@@ -834,7 +814,7 @@ mod tests {
 
     /// Large-boundary pairs of a small LANDC ⋈ LANDO draw — what carries
     /// run boxes — plus one STATES50 window over both datasets.
-    fn corpus() -> (Vec<(Polygon, Polygon)>, f64) {
+    pub(crate) fn corpus() -> (Vec<(Polygon, Polygon)>, f64) {
         let landc = spatial_datagen::landc(0.002, 7);
         let lando = spatial_datagen::lando(0.002, 7);
         let base_d = spatial_datagen::base_distance(&landc, &lando);
@@ -1125,7 +1105,7 @@ mod tests {
     /// 600-vertex ring in its pocket 2.5 from its boundary: their MBRs
     /// overlap, neither holds the other's first vertex, and no run box of
     /// either comes within 0.75 of the other's MBR.
-    fn pocket() -> (Polygon, Polygon) {
+    pub(crate) fn pocket() -> (Polygon, Polygon) {
         pocket_of(80, 600)
     }
 
@@ -1158,7 +1138,7 @@ mod tests {
     }
 
     /// Two 600-vertex rings, one nested in the other 2.0 inside it.
-    fn nested() -> (Polygon, Polygon) {
+    pub(crate) fn nested() -> (Polygon, Polygon) {
         (ring(5.0, 5.0, &[4.0; 600]), ring(5.0, 5.0, &[2.0; 600]))
     }
 

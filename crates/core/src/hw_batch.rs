@@ -74,10 +74,10 @@ impl HwTester {
             stats.hw_batches += usize::from(flags.is_some());
             // A faulted round settles every one of its pairs as a
             // fallback, never as a hardware test.
-            for (cell, k) in ks.into_iter().enumerate() {
+            for (cell, (k, w)) in ks.into_iter().zip(group).enumerate() {
                 let (p, q) = pairs[k];
                 let overlap = flags.as_ref().map(|flags| flags[cell]);
-                results[k] = settle(pred, p, q, overlap, stats);
+                results[k] = settle(pred, p, q, w, overlap, stats);
             }
         }
         results

@@ -170,7 +170,7 @@ impl HwTester {
                 let overlap = self.submit(Tape::Pair(&window), stats, |exec, slot| {
                     Ok(exec.max_red(slot)? >= 1.0)
                 });
-                settle(pred, p, q, overlap, stats)
+                settle(pred, p, q, &window, overlap, stats)
             }
         }
     }

@@ -8,7 +8,7 @@
 use super::Predicate;
 use crate::hw_intersect::HwTester;
 use crate::stats::TestStats;
-use spatial_geom::intersect::{polygons_intersect_with, IntersectStats};
+use spatial_geom::intersect::{polygon_contained_in_with, polygons_intersect_with, IntersectStats};
 use spatial_geom::mindist::within_distance_with;
 use spatial_geom::{MinDistStats, Polygon};
 
@@ -60,8 +60,10 @@ pub trait RefinementBackend: Send + std::fmt::Debug {
 }
 
 /// Pure software refinement: the paper's baseline curves. A boundary
-/// crossing search over the restricted search space for intersection and
-/// containment, the modified `minDist` for distance.
+/// crossing search over the restricted search space of the run-box region
+/// R for intersection and containment — a pair whose R is empty is
+/// answered with no search and counted in `decided_by_runs`, as the
+/// hardware prologue answers it — the modified `minDist` for distance.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct SoftwareBackend;
 
@@ -73,9 +75,17 @@ impl RefinementBackend for SoftwareBackend {
                 let mut st = IntersectStats::default();
                 let r = polygons_intersect_with(p, q, &mut st);
                 stats.decided_by_pip += st.decided_by_pip;
+                stats.decided_by_runs += st.decided_by_runs;
                 r
             }
-            Predicate::ContainedIn => spatial_geom::polygon_contained_in(p, q),
+            // The software ledger has never counted containment's
+            // point-in-polygon exits; it keeps its `decided_by_pip`.
+            Predicate::ContainedIn => {
+                let mut st = IntersectStats::default();
+                let r = polygon_contained_in_with(p, q, &mut st);
+                stats.decided_by_runs += st.decided_by_runs;
+                r
+            }
             Predicate::WithinDistance(d) => {
                 let mut st = MinDistStats::default();
                 within_distance_with(p, q, d, &mut st)
@@ -269,6 +279,36 @@ mod tests {
             assert_eq!(s1.hw, s2.hw, "charged hardware work must be identical");
             assert_eq!(s1.gpu_modeled, s2.gpu_modeled);
         }
+    }
+
+    /// The software backend and a hardware tester that routes every pair
+    /// the run boxes leave undecided to software answer intersection and
+    /// containment alike pair for pair, verdicts and `decided_by_runs`
+    /// both: the software step 3 folds the R the prologue projects, and
+    /// answers an empty one with no search. On the choreography corpus
+    /// (containment both ways) and on two pairs whose R is empty.
+    #[test]
+    fn software_and_an_all_software_tester_decide_the_same_pairs_by_runs() {
+        use crate::choreography::tests::{corpus, nested, pocket};
+        let (mut pairs, _) = corpus();
+        pairs.extend([pocket(), nested()]);
+        let mut tester = HwTester::new(HwConfig::at_resolution(8).with_threshold(usize::MAX));
+        let mut decided = [0usize; 2];
+        for (p, q) in &pairs {
+            for (k, pred, p, q) in [
+                (0, Predicate::Intersects, p, q),
+                (1, Predicate::ContainedIn, p, q),
+                (1, Predicate::ContainedIn, q, p),
+            ] {
+                let (mut sw, mut hw) = (TestStats::default(), TestStats::default());
+                let verdict = SoftwareBackend.test(pred, p, q, &mut sw);
+                assert_eq!(verdict, tester.test(pred, p, q, &mut hw), "{pred:?}");
+                assert_eq!(sw.decided_by_runs, hw.decided_by_runs, "{pred:?}");
+                assert_eq!(hw.hw_tests, 0);
+                decided[k] += sw.decided_by_runs;
+            }
+        }
+        assert!(decided.iter().all(|&n| n > 0), "{decided:?}");
     }
 
     #[test]

@@ -18,7 +18,9 @@
 //!   [`STEP3_NS_PER_EDGE`] times [`step3_edges`] — the edges in runs
 //!   whose box meets the other polygon's MBR ([`Polygon::runs_where`],
 //!   both ways; within `d` of it for a within-distance join; a polygon
-//!   without run boxes counts whole);
+//!   without run boxes counts whole) — and nothing for an intersection or
+//!   containment pair whose run-box region R is empty, which step 3
+//!   answers with no search (`spatial_geom::intersect::boundaries_meet`);
 //! * the hardware plan at resolution `r` costs the modeled GPU time of
 //!   the pair's list replayed at `r`, plus `step3(p, q)` when the replayed
 //!   Minmax scan does not reject the pair — nothing when the run boxes
@@ -48,12 +50,22 @@
 //! pass stops replaying a resolution as soon as the pairs priced so far
 //! prove that neither of its plans can beat the best one found yet, and
 //! still chooses what replaying every pair would (`Planner::price`).
-//! The priced pairs are every sampled pair with a window, not
-//! only those the tester's point-in-polygon and `sw_threshold` prologue
-//! would send to the device: a pair whose [`step3_edges`] are within the
-//! threshold is priced as a device test but runs in software, so the
+//! Each sampled pair's framing (`choreography::framing`: R and the
+//! polygons in render order) is derived once per pass and reused at every
+//! priced resolution. A pair whose framing proves its boundaries apart —
+//! an empty R — is free on both plans for intersection and containment:
+//! the tester's prologue answers it with no submission and the software
+//! step 3 with no search. (A within-distance pair keeps its software
+//! price: its software step 3 does not read R.) The other priced pairs are
+//! every sampled pair with a window, not only those the tester's
+//! point-in-polygon and `sw_threshold` prologue would send to the device:
+//! a pair point-in-polygon decides, or whose [`step3_edges`] are within
+//! the threshold, is priced as a device test but runs in software, so the
 //! hardware plans' prices, and the share of plans that pick hardware,
-//! overstate what the device does. A small memo keyed on the query's shape
+//! overstate what the device does. Pricing those as the tester routes
+//! them would skip their replays, and waits on ROADMAP item 1: on
+//! `select-small` it moves the harness past its 2²⁰-op capacity class,
+//! and `peak_rss_mb` with it. A small memo keyed on the query's shape
 //! (pipeline, candidate-count bucket, sampled complexity) makes repeat
 //! queries plan for free.
 //!
@@ -61,7 +73,7 @@
 //! every backend is exact, so planning is purely a latency decision and
 //! a wrong estimate can never corrupt an answer.
 
-use crate::choreography::{list, step3_edges, window, NoWindow, Tape};
+use crate::choreography::{framing, list, step3_edges, Framing, NoWindow, Tape};
 use crate::pipeline::{Predicate, RefineOp};
 use spatial_geom::Polygon;
 use spatial_raster::{CommandList, HwCostModel, RasterDevice, ReferenceDevice};
@@ -179,6 +191,13 @@ struct MemoKey {
     /// resolutions, so its plans must not be served to — or from — an
     /// uncapped pricing pass).
     res_limit: u8,
+}
+
+/// One sampled pair as a pricing pass sees it: its framing, derived once
+/// for every priced resolution, and what the software plan pays for it.
+struct Sampled<'a> {
+    framing: Result<Framing<'a>, NoWindow>,
+    step3: f64,
 }
 
 /// What the hardware plan pays for one sampled pair at one resolution.
@@ -312,11 +331,9 @@ impl Planner {
     ) -> PlanChoice {
         // Sums over the sample, scaled to the candidate set.
         let scale = candidates as f64 / sample.len() as f64;
-        let step3: Vec<f64> = sample
-            .iter()
-            .map(|&(p, q)| Self::step3_ns(op, p, q))
-            .collect();
-        let mut best = (scale * step3.iter().sum::<f64>(), PlanChoice::Software);
+        let sampled = Self::sampled(op, sample);
+        let software: f64 = sampled.iter().map(|pair| pair.step3).sum();
+        let mut best = (scale * software, PlanChoice::Software);
         // Fixed per-test overhead a batched submission amortizes: two
         // boundary draw calls and one verdict readback per pair.
         let fixed = 2.0 * self.model.draw_call_ns + self.model.minmax_ns;
@@ -345,12 +362,12 @@ impl Planner {
             // the hardware plan can take at all, and the step 3 it still
             // runs.
             let (mut gpu, mut replayed, mut feasible, mut confirm) = (0.0, 0usize, 0usize, 0.0);
-            for (&(p, q), &s3) in sample.iter().zip(&step3) {
+            for pair in &sampled {
                 if per_pair(gpu, confirm) >= best.0 && batched(gpu, replayed, confirm) >= best.0 {
                     // Neither plan at `r` can beat `best` any more.
                     break;
                 }
-                match self.price_pair(device, op, r, p, q, s3) {
+                match self.price_pair(device, op, r, pair) {
                     PairPrice::Replayed {
                         gpu: pair_gpu,
                         step3,
@@ -408,14 +425,38 @@ impl Planner {
         }
     }
 
-    /// The software plan's cost of one pair, in modeled nanoseconds: for a
-    /// boolean test its step 3, [`STEP3_FIXED_NS`] plus
-    /// [`STEP3_NS_PER_EDGE`] times [`step3_edges`]; for an aggregation the
-    /// clip, at the same rate per vertex of both boundaries.
-    fn step3_ns(op: RefineOp, p: &Polygon, q: &Polygon) -> f64 {
+    /// Each pair of `sample` with its framing and its software price.
+    fn sampled<'a>(op: RefineOp, sample: &[(&'a Polygon, &'a Polygon)]) -> Vec<Sampled<'a>> {
+        sample
+            .iter()
+            .map(|&(p, q)| {
+                let framing = framing(op, p, q);
+                let step3 = Self::step3_ns(op, p, q, &framing);
+                Sampled { framing, step3 }
+            })
+            .collect()
+    }
+
+    /// The software plan's cost of one pair with `framing`, in modeled
+    /// nanoseconds: for a boolean test its step 3, [`STEP3_FIXED_NS`] plus
+    /// [`STEP3_NS_PER_EDGE`] times [`step3_edges`] — nothing for an
+    /// intersection or containment pair whose R is empty, which step 3
+    /// answers without a search; for an aggregation the clip, at the same
+    /// rate per vertex of both boundaries.
+    fn step3_ns(
+        op: RefineOp,
+        p: &Polygon,
+        q: &Polygon,
+        framing: &Result<Framing, NoWindow>,
+    ) -> f64 {
         match op {
             RefineOp::Measure { .. } => {
                 (p.vertex_count() + q.vertex_count()) as f64 * STEP3_NS_PER_EDGE
+            }
+            RefineOp::Test(Predicate::Intersects | Predicate::ContainedIn)
+                if matches!(framing, Err(NoWindow::Apart)) =>
+            {
+                0.0
             }
             RefineOp::Test(pred) => {
                 STEP3_FIXED_NS + step3_edges(pred, p, q) as f64 * STEP3_NS_PER_EDGE
@@ -423,32 +464,30 @@ impl Planner {
         }
     }
 
-    /// The hardware plan's cost of one pair at `resolution`, given its
-    /// software cost `step3`: the modeled GPU time of its replayed list and
-    /// the step 3 that follows unless the replayed scan rejects the pair;
-    /// nothing for a pair whose run boxes prove it apart, which the
-    /// tester's prologue answers without a submission or a step 3; and
-    /// without a window, the tester's software fallback — all of `step3`.
-    /// An aggregation's count is its answer: no step 3 follows a replay,
-    /// and a pair without a window has an empty or degenerate overlap that
+    /// The hardware plan's cost of one sampled pair at `resolution`: the
+    /// modeled GPU time of its replayed list and the step 3 that follows
+    /// unless the replayed scan rejects the pair; nothing for a pair whose
+    /// run boxes prove it apart, which the tester's prologue answers
+    /// without a submission or a step 3; and without a window, the
+    /// tester's software fallback — all of the pair's software price. An
+    /// aggregation's count is its answer: no step 3 follows a replay, and a
+    /// pair without a window has an empty or degenerate overlap that
     /// answers `0.0` without either.
     fn price_pair(
         &self,
         device: &mut impl RasterDevice,
         op: RefineOp,
         resolution: usize,
-        p: &Polygon,
-        q: &Polygon,
-        step3: f64,
+        pair: &Sampled,
     ) -> PairPrice {
-        let (list, slot) = match self.priced_tape(op, resolution, p, q) {
+        let (list, slot) = match Self::priced_tape(&pair.framing, resolution) {
             Ok(tape) => tape,
             Err(NoWindow::Apart) => return PairPrice::Apart,
             Err(NoWindow::Unfit) => {
                 return PairPrice::Unfit {
                     step3: match op {
                         RefineOp::Measure { .. } => 0.0,
-                        RefineOp::Test(_) => step3,
+                        RefineOp::Test(_) => pair.step3,
                     },
                 }
             }
@@ -462,24 +501,21 @@ impl Planner {
         };
         PairPrice::Replayed {
             gpu: ns(self.model.time(&exec.stats)),
-            step3: if rejected { 0.0 } else { step3 },
+            step3: if rejected { 0.0 } else { pair.step3 },
         }
     }
 
-    /// The list [`Planner::price_pair`] replays and its verdict slot:
-    /// exactly what a tester at `resolution` executes for the pair once
-    /// its software prologue sends it to the device — same window, same
-    /// tape — or why the tester submits nothing. Every sampled pair with a
-    /// projection window is priced; the prologue's point-in-polygon and
-    /// threshold exits are the tester's own.
+    /// The list [`Planner::price_pair`] replays for a pair with `framing`
+    /// and its verdict slot: exactly what a tester at `resolution` executes
+    /// for the pair once its software prologue sends it to the device —
+    /// same window, same tape — or why the tester submits nothing. Every
+    /// sampled pair with a projection window is priced; the prologue's
+    /// point-in-polygon and threshold exits are the tester's own.
     fn priced_tape(
-        &self,
-        op: RefineOp,
+        framing: &Result<Framing, NoWindow>,
         resolution: usize,
-        p: &Polygon,
-        q: &Polygon,
     ) -> Result<(CommandList, usize), NoWindow> {
-        let w = window(op, p, q, resolution)?;
+        let w = framing.as_ref().map_err(|&no| no)?.window(resolution)?;
         Ok(list(Tape::Pair(&w)))
     }
 }
@@ -517,7 +553,7 @@ mod tests {
             p: &Polygon,
             q: &Polygon,
         ) -> Option<CommandList> {
-            self.priced_tape(op, resolution, p, q)
+            Self::priced_tape(&framing(op, p, q), resolution)
                 .ok()
                 .map(|(list, _)| list)
         }
@@ -534,16 +570,14 @@ mod tests {
             res_limit: usize,
         ) -> PlanChoice {
             let scale = candidates as f64 / sample.len() as f64;
-            let step3: Vec<f64> = sample
-                .iter()
-                .map(|&(p, q)| Self::step3_ns(op, p, q))
-                .collect();
-            let mut best = (scale * step3.iter().sum::<f64>(), PlanChoice::Software);
+            let sampled = Self::sampled(op, sample);
+            let software: f64 = sampled.iter().map(|pair| pair.step3).sum();
+            let mut best = (scale * software, PlanChoice::Software);
             let fixed = 2.0 * self.model.draw_call_ns + self.model.minmax_ns;
             for r in self.resolutions(op, res_limit) {
                 let (mut gpu, mut replayed, mut feasible, mut confirm) = (0.0, 0usize, 0usize, 0.0);
-                for (&(p, q), &s3) in sample.iter().zip(&step3) {
-                    match self.price_pair(device, op, r, p, q, s3) {
+                for pair in &sampled {
+                    match self.price_pair(device, op, r, pair) {
                         PairPrice::Replayed {
                             gpu: pair_gpu,
                             step3,
@@ -630,6 +664,11 @@ mod tests {
 
     fn measure(resolution: usize) -> RefineOp {
         RefineOp::Measure { resolution }
+    }
+
+    /// `(a, b)` as a pricing pass samples it under `op`.
+    fn sampled<'a>(op: RefineOp, a: &'a Polygon, b: &'a Polygon) -> Sampled<'a> {
+        Planner::sampled(op, &[(a, b)]).remove(0)
     }
 
     fn rect_poly(x: f64, y: f64, w: f64, h: f64) -> Polygon {
@@ -735,8 +774,10 @@ mod tests {
     /// intersection — and the replayed scan rejects it.
     fn assert_replayed_and_rejected(pl: &Planner, a: &Polygon, b: &Polygon) {
         let device = &mut ReferenceDevice::new();
+        let pair = sampled(INTERSECTS, a, b);
+        assert!(pair.step3 > 0.0);
         for &r in &pl.cfg.resolutions {
-            let price = pl.price_pair(device, INTERSECTS, r, a, b, 1.0);
+            let price = pl.price_pair(device, INTERSECTS, r, &pair);
             assert!(
                 matches!(price, PairPrice::Replayed { step3: 0.0, .. }),
                 "at {r}: {price:?}"
@@ -797,34 +838,47 @@ mod tests {
         );
     }
 
-    /// A pair whose run boxes prove it apart costs the hardware plan
-    /// nothing: the tester's prologue answers it with no submission and no
-    /// step 3. (The 600-vertex outer ring's boxes never reach the inner
-    /// ring's MBR.) A sample of such pairs plans hardware however many
-    /// candidates stand behind it, and never batched — a batch would only
-    /// add its rounds' fixed cost.
+    /// A pair whose run boxes prove it apart costs both plans nothing: the
+    /// tester's prologue answers it with no submission and no step 3, and
+    /// the software step 3 with no search. (The 600-vertex outer ring's
+    /// boxes never reach the inner ring's MBR.) A sample of such pairs
+    /// plans software however many candidates stand behind it — hardware
+    /// would have to be strictly cheaper — for intersection and
+    /// containment alike. A within-distance test keeps its software price:
+    /// its step 3 does not read R, so the same pair plans hardware.
     #[test]
-    fn an_apart_pair_costs_the_hardware_plan_nothing() {
+    fn an_apart_pair_costs_both_plans_nothing() {
         let (a, b) = (ring(5.0, 5.0, 4.0, 600), ring(5.0, 5.0, 2.0, 600));
         let pl = Planner::new(PlannerConfig::default());
-        let step3 = Planner::step3_ns(INTERSECTS, &a, &b);
-        assert!(step3 > 0.0);
         let device = &mut ReferenceDevice::new();
-        for &r in &pl.cfg.resolutions {
-            assert_eq!(
-                pl.price_pair(device, INTERSECTS, r, &a, &b, step3),
-                PairPrice::Apart
-            );
+        let contained = RefineOp::Test(Predicate::ContainedIn);
+        for (op, p, q) in [(INTERSECTS, &a, &b), (contained, &b, &a)] {
+            let pair = sampled(op, p, q);
+            assert!(matches!(pair.framing, Err(NoWindow::Apart)), "{op:?}");
+            assert_eq!(pair.step3, 0.0, "{op:?}");
+            for &r in &pl.cfg.resolutions {
+                assert_eq!(pl.price_pair(device, op, r, &pair), PairPrice::Apart);
+            }
+            for candidates in [1, 64, 10_000] {
+                let mut pl = Planner::new(PlannerConfig::default());
+                let planned = pl.plan(2, op, candidates, &[(p, q)]);
+                assert_eq!(planned.choice, PlanChoice::Software, "{op:?} {candidates}");
+                let (choice, ..) = price_both_ways(&pl, op, candidates, &[(p, q)], usize::MAX);
+                assert_eq!(choice, PlanChoice::Software, "{op:?} {candidates}");
+            }
         }
-        for candidates in [1, 64, 10_000] {
-            let mut pl = Planner::new(PlannerConfig::default());
-            let planned = pl.plan(2, INTERSECTS, candidates, &[(&a, &b)]);
-            let expected = PlanChoice::Hardware {
+        let within = RefineOp::Test(Predicate::WithinDistance(0.1));
+        let pair = sampled(within, &a, &b);
+        assert!(matches!(pair.framing, Err(NoWindow::Apart)));
+        assert!(pair.step3 > 0.0);
+        let planned = Planner::new(PlannerConfig::default()).plan(3, within, 64, &[(&a, &b)]);
+        assert_eq!(
+            planned.choice,
+            PlanChoice::Hardware {
                 resolution: 4,
-                batch: 1,
-            };
-            assert_eq!(planned.choice, expected, "{candidates}");
-        }
+                batch: 1
+            }
+        );
     }
 
     /// Two crossing rings: the scan never rejects them, so the hardware
@@ -851,16 +905,16 @@ mod tests {
         let a = rect_poly(0.0, 0.0, 1.0, 1.0);
         let b = rect_poly(1.5, 0.0, 1.0, 1.0);
         let op = RefineOp::Test(Predicate::WithinDistance(2.0));
-        let step3 = Planner::step3_ns(op, &a, &b);
-        assert!(step3 > 0.0);
+        let pair = sampled(op, &a, &b);
+        assert!(pair.step3 > 0.0);
         let device = &mut ReferenceDevice::new();
         // Over the line-width limit at 256 (see the test below), not at 4.
         assert_eq!(
-            pl.price_pair(device, op, 256, &a, &b, step3),
-            PairPrice::Unfit { step3 }
+            pl.price_pair(device, op, 256, &pair),
+            PairPrice::Unfit { step3: pair.step3 }
         );
         assert!(matches!(
-            pl.price_pair(device, op, 4, &a, &b, step3),
+            pl.price_pair(device, op, 4, &pair),
             PairPrice::Replayed { .. }
         ));
     }
@@ -974,7 +1028,7 @@ mod tests {
     /// holds that the two forms execute alike.)
     #[test]
     fn testers_submit_the_recorders_list_verbatim() {
-        use crate::choreography::{route, Routed};
+        use crate::choreography::{route, window, Routed};
         use spatial_raster::atlas::record_batch;
         use spatial_raster::AtlasJob;
 
@@ -1092,7 +1146,10 @@ mod tests {
     /// four relations: the second star nested inside the first with their
     /// boundaries apart (what the scan rejects, so hardware can win), their
     /// boundaries crossing, side by side with overlapping MBRs, or far
-    /// apart. Up to 400 vertices a star.
+    /// apart. Up to 400 vertices a star; a nested pair's outer star has
+    /// under 96, so that each of its run boxes spans a third of it or more
+    /// and reaches the inner star's MBR: the run boxes do not prove the
+    /// pair apart, which would make it free on both plans.
     fn star_sample(seed: u64, n: usize) -> Vec<(Polygon, Polygon)> {
         use rand::{Rng, SeedableRng};
         use spatial_datagen::shapes::harmonic_star;
@@ -1100,8 +1157,8 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         (0..n)
             .map(|_| {
-                let star = |x: f64, radius: f64, rng: &mut rand::rngs::StdRng| {
-                    let vertices = rng.gen_range(8..400);
+                let star = |x: f64, radius: f64, most: usize, rng: &mut rand::rngs::StdRng| {
+                    let vertices = rng.gen_range(8..most);
                     let (roughness, detail) = (rng.gen_range(0.0..0.1), rng.gen_range(0.0..0.05));
                     let rotation = rng.gen_range(0.0..std::f64::consts::TAU);
                     let center = Point::new(x, 0.0);
@@ -1109,12 +1166,14 @@ mod tests {
                         center, radius, vertices, roughness, detail, 1.0, rotation, rng,
                     )
                 };
-                let p = star(0.0, 5.0, &mut rng);
-                let q = match rng.gen_range(0..4) {
-                    0 => star(0.0, 2.0, &mut rng),
-                    1 => star(rng.gen_range(1.0..4.0), 4.0, &mut rng),
-                    2 => star(rng.gen_range(8.0..12.0), 4.0, &mut rng),
-                    _ => star(40.0, 4.0, &mut rng),
+                let relation = rng.gen_range(0..4);
+                let most = if relation == 0 { 96 } else { 400 };
+                let p = star(0.0, 5.0, most, &mut rng);
+                let q = match relation {
+                    0 => star(0.0, 2.0, 400, &mut rng),
+                    1 => star(rng.gen_range(1.0..4.0), 4.0, 400, &mut rng),
+                    2 => star(rng.gen_range(8.0..12.0), 4.0, 400, &mut rng),
+                    _ => star(40.0, 4.0, 400, &mut rng),
                 };
                 (p, q)
             })

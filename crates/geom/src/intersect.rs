@@ -1,9 +1,11 @@
 //! The software polygon-intersection test (§3.1): point-in-polygon plus a
 //! search for a crossing between the two boundaries, over the *restricted
-//! search space* of Brinkhoff et al. (§4.1.1, Fig. 9(b)).
+//! search space* of Brinkhoff et al. (§4.1.1, Fig. 9(b)) — narrowed from
+//! the MBR intersection R₀ to the run-box region R ([`crate::reach`]).
 
 use crate::pip::point_in_polygon;
 use crate::polygon::Polygon;
+use crate::reach::run_region;
 use crate::rect::Rect;
 use crate::segment::Segment;
 use crate::sweep::{tree_sweep_intersects_stats, SweepStats};
@@ -28,12 +30,16 @@ pub struct IntersectStats {
     pub sweep: SweepStats,
     /// Tests decided by the point-in-polygon step alone.
     pub decided_by_pip: usize,
+    /// Step-3 calls answered `false` because the run-box region R is
+    /// empty ([`run_region`]), before any edge was collected.
+    pub decided_by_runs: usize,
 }
 
 /// Collects the edges of `poly` whose MBR intersects `region` — the
 /// restricted search space. Any boundary-boundary intersection point lies in
 /// both polygons' MBRs, hence in their intersection, hence on edges this
-/// filter keeps; the reduction is therefore lossless.
+/// filter keeps; the reduction is therefore lossless. The same holds for
+/// any region that contains every such point, such as the run-box region R.
 ///
 /// Only the runs whose cached box intersects `region` are walked: an
 /// edge's MBR lies inside its run's box, so no edge the filter keeps is in
@@ -45,21 +51,44 @@ pub fn restricted_edges(poly: &Polygon, region: &Rect) -> Vec<Segment> {
 }
 
 /// §3.1 step 3: whether the boundaries of `p` and `q` meet (closed: a touch
-/// counts). Boundaries can only meet inside the MBRs' intersection, so
-/// [`edges_meet`] searches the restricted search space of that region.
+/// counts). Boundaries can only meet inside the run-box region R of
+/// `(p, q)` ([`run_region`] at `half = 0`): an empty R answers `false`
+/// with no edge collected, any other is searched by
+/// [`boundaries_meet_over`].
 ///
 /// Unlike a plane sweep alone, this has no precondition on the input: a
 /// self-crossing boundary gets the exact answer, unless the search runs
 /// out of budget and the tree sweep decides (see [`edges_meet`]).
 pub fn boundaries_meet(p: &Polygon, q: &Polygon, stats: &mut SweepStats) -> bool {
-    let Some(region) = p.mbr().intersection(&q.mbr()) else {
-        return false;
-    };
+    run_region(p, q, 0.0).is_some_and(|region| boundaries_meet_over(p, q, &region, stats))
+}
+
+/// Step 3 over `region`, for a caller that has R already: [`edges_meet`]
+/// on the restricted search space of `region`. The answer is
+/// [`boundaries_meet`]'s for every `region` that holds each point the two
+/// boundaries share, as R and R₀ do.
+pub fn boundaries_meet_over(
+    p: &Polygon,
+    q: &Polygon,
+    region: &Rect,
+    stats: &mut SweepStats,
+) -> bool {
     with_scratch(|s| {
-        p.edges_near(|mbr| mbr.intersects(&region), &mut s.ep);
-        q.edges_near(|mbr| mbr.intersects(&region), &mut s.eq);
+        p.edges_near(|mbr| mbr.intersects(region), &mut s.ep);
+        q.edges_near(|mbr| mbr.intersects(region), &mut s.eq);
         edges_meet_in(&s.ep, &s.eq, &mut s.boxes, stats)
     })
+}
+
+/// [`boundaries_meet`], counting an empty R in `stats.decided_by_runs`.
+fn step3(p: &Polygon, q: &Polygon, stats: &mut IntersectStats) -> bool {
+    match run_region(p, q, 0.0) {
+        Some(region) => boundaries_meet_over(p, q, &region, &mut stats.sweep),
+        None => {
+            stats.decided_by_runs += 1;
+            false
+        }
+    }
 }
 
 /// Whether an edge of `ep` meets an edge of `eq` (closed semantics, the
@@ -147,8 +176,8 @@ fn blocks_meet(a: &[Segment], b: &[Segment], b_box: &Rect, stats: &mut SweepStat
 /// 1. MBR rejection (the caller's filter normally did this already, but the
 ///    test stays correct stand-alone);
 /// 2. point-in-polygon both ways — catches full containment;
-/// 3. a boundary crossing over the restricted search space
-///    ([`boundaries_meet`]).
+/// 3. a boundary crossing over the restricted search space of the run-box
+///    region R ([`boundaries_meet`]).
 pub fn polygons_intersect(p: &Polygon, q: &Polygon) -> bool {
     polygons_intersect_with(p, q, &mut IntersectStats::default())
 }
@@ -172,7 +201,7 @@ pub fn polygons_intersect_with(p: &Polygon, q: &Polygon, stats: &mut IntersectSt
     }
 
     // Step 2: a boundary crossing over the restricted search space.
-    boundaries_meet(p, q, &mut stats.sweep)
+    step3(p, q, stats)
 }
 
 /// Software strict-containment test: `inner` lies entirely inside `outer`.
@@ -181,12 +210,27 @@ pub fn polygons_intersect_with(p: &Polygon, q: &Polygon, stats: &mut IntersectSt
 /// full containment (the boundary of a simple polygon cannot leave another
 /// simple polygon without crossing its boundary). Steps: MBR containment,
 /// point-in-polygon on the first vertex, then [`boundaries_meet`] — whose
-/// search region is `inner`'s MBR, since any boundary crossing involves an
-/// edge of `inner`.
+/// search region lies in `inner`'s MBR, since any boundary crossing
+/// involves an edge of `inner`.
 pub fn polygon_contained_in(inner: &Polygon, outer: &Polygon) -> bool {
-    outer.mbr().contains_rect(&inner.mbr())
-        && point_in_polygon(inner.vertices()[0], outer)
-        && !boundaries_meet(inner, outer, &mut SweepStats::default())
+    polygon_contained_in_with(inner, outer, &mut IntersectStats::default())
+}
+
+/// [`polygon_contained_in`] with counters.
+pub fn polygon_contained_in_with(
+    inner: &Polygon,
+    outer: &Polygon,
+    stats: &mut IntersectStats,
+) -> bool {
+    if !outer.mbr().contains_rect(&inner.mbr()) {
+        return false;
+    }
+    stats.pip_tests += 1;
+    if !point_in_polygon(inner.vertices()[0], outer) {
+        stats.decided_by_pip += 1;
+        return false;
+    }
+    !step3(inner, outer, stats)
 }
 
 /// Brute-force oracle: point-in-polygon both ways plus all-pairs edge

@@ -11,9 +11,10 @@
 //! * the ray-crossing point-in-polygon test (§3.1 step 1 of the paper,
 //!   [`pip`]);
 //! * red/blue segment-intersection *detection* over the
-//!   restricted search space of Brinkhoff et al. (§4.1.1): a block-box
-//!   search that stops at the first crossing, with the paper's plane sweep
-//!   as its bounded fallback ([`intersect`] and [`sweep`]);
+//!   restricted search space of Brinkhoff et al. (§4.1.1), narrowed to the
+//!   run-box region R ([`reach`]): a block-box search that stops at the
+//!   first crossing, with the paper's plane sweep as its bounded fallback
+//!   ([`intersect`] and [`sweep`]);
 //! * the `minDist` within-distance machinery after Chan, with the paper's
 //!   two additional optimizations — early exit at distance ≤ D and frontier
 //!   chains clipped to MBRs extended by D ([`chains`], [`mindist`]);
@@ -35,6 +36,7 @@ pub mod pip;
 pub mod point;
 pub(crate) mod polygon;
 pub mod predicates;
+pub mod reach;
 pub(crate) mod rect;
 pub(crate) mod segment;
 pub mod sweep;

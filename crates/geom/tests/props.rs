@@ -5,10 +5,11 @@ use proptest::prelude::*;
 use spatial_geom::chains::frontier_clipped;
 use spatial_geom::intersect::{boundaries_meet, restricted_edges};
 use spatial_geom::pip::{locate_point, PointLocation};
+use spatial_geom::reach::run_region;
 use spatial_geom::sweep::{forward_sweep_intersects, tree_sweep_intersects, SweepStats};
 use spatial_geom::{
-    min_dist, min_dist_brute, point_in_polygon, polygons_intersect, polygons_intersect_brute,
-    within_distance, Point, Polygon, Rect,
+    min_dist, min_dist_brute, point_in_polygon, polygon_contained_in, polygons_intersect,
+    polygons_intersect_brute, within_distance, Point, Polygon, Rect, Segment,
 };
 
 /// Reference implementations for the differential tests: the frontier
@@ -613,19 +614,28 @@ struct Met {
     fell_back: bool,
 }
 
-/// `boundaries_meet(p, q)` against the all-pairs answer over the same
-/// restricted edges (the forward sweep) and over the whole boundaries, and
-/// `polygons_intersect` against `polygons_intersect_brute`. Where the
-/// search ran out of budget on a boundary that is not simple, the tree
-/// sweep's precondition does not hold: there the answer must be the tree
-/// sweep's over the same edges.
-fn check_boundaries_meet(p: &Polygon, q: &Polygon) -> Met {
-    let (ep, eq) = match p.mbr().intersection(&q.mbr()) {
+/// The restricted edges of `p` and `q` over `region`, none for `None`.
+fn restricted_pair(p: &Polygon, q: &Polygon, region: Option<Rect>) -> (Vec<Segment>, Vec<Segment>) {
+    match region {
         Some(region) => (restricted_edges(p, &region), restricted_edges(q, &region)),
         None => (Vec::new(), Vec::new()),
-    };
+    }
+}
+
+/// `boundaries_meet(p, q)` — a search over the restricted edges of the
+/// run-box region R — against the all-pairs answer over the restricted
+/// edges of the MBR intersection R₀ (the forward sweep) and over the whole
+/// boundaries, and `polygons_intersect` against `polygons_intersect_brute`.
+/// An empty R must leave nothing to find. Where the search ran out of
+/// budget on a boundary that is not simple, the tree sweep's precondition
+/// does not hold: there the answer must be the tree sweep's over the edges
+/// it searched, R's.
+fn check_boundaries_meet(p: &Polygon, q: &Polygon) -> Met {
+    let (ep, eq) = restricted_pair(p, q, p.mbr().intersection(&q.mbr()));
     let all_pairs = p.edges().any(|e| q.edges().any(|f| e.intersects(&f)));
     assert_eq!(forward_sweep_intersects(&ep, &eq), all_pairs, "{p:?} {q:?}");
+    let r = run_region(p, q, 0.0);
+    assert!(r.is_some() || !all_pairs, "{p:?} {q:?}: an empty R");
     let mut st = SweepStats::default();
     let meet = boundaries_meet(p, q, &mut st);
     let fell_back = st.events > 0;
@@ -633,6 +643,7 @@ fn check_boundaries_meet(p: &Polygon, q: &Polygon) -> Met {
         assert_eq!(meet, all_pairs, "{p:?} {q:?}");
         assert_eq!(polygons_intersect(p, q), polygons_intersect_brute(p, q));
     } else {
+        let (ep, eq) = restricted_pair(p, q, r);
         assert_eq!(meet, tree_sweep_intersects(&ep, &eq), "{p:?} {q:?}");
     }
     Met { meet, fell_back }
@@ -718,6 +729,94 @@ fn combs_are_searched_within_budget_or_handed_to_the_tree_sweep() {
     }
 }
 
+/// The rectangle `[x, x + w] × [y, y + h]`, each side cut into
+/// `per_side` edges: from 16 a side it carries run boxes, each a stretch
+/// of one or two of its sides — boxes of zero width or height.
+fn cut_rect(x: f64, y: f64, w: f64, h: f64, per_side: usize) -> Polygon {
+    let t = |k: usize, side: f64| side * k as f64 / per_side as f64;
+    let coords: Vec<(f64, f64)> = (0..per_side)
+        .map(|k| (x + t(k, w), y))
+        .chain((0..per_side).map(|k| (x + w, y + t(k, h))))
+        .chain((0..per_side).map(|k| (x + w - t(k, w), y + h)))
+        .chain((0..per_side).map(|k| (x, y + h - t(k, h))))
+        .collect();
+    Polygon::from_coords(&coords)
+}
+
+/// How R came out for one pair: empty, a point, a segment, or with area.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum RShape {
+    Empty,
+    Point,
+    Segment,
+    Area,
+}
+
+fn r_shape(p: &Polygon, q: &Polygon) -> RShape {
+    match run_region(p, q, 0.0) {
+        None => RShape::Empty,
+        Some(r) => match (r.width() == 0.0, r.height() == 0.0) {
+            (true, true) => RShape::Point,
+            (false, false) => RShape::Area,
+            _ => RShape::Segment,
+        },
+    }
+}
+
+/// [`check_boundaries_meet`] both ways, and containment both ways against
+/// its definition (a vertex inside, no boundary meeting); returns the
+/// shape of R and whether the boundaries meet.
+fn check_over_r(p: &Polygon, q: &Polygon) -> (RShape, bool) {
+    let met = check_boundaries_meet(p, q);
+    assert_eq!(check_boundaries_meet(q, p).meet, met.meet);
+    for (inner, outer) in [(p, q), (q, p)] {
+        let contained = outer.mbr().contains_rect(&inner.mbr())
+            && point_in_polygon(inner.vertices()[0], outer)
+            && !inner
+                .edges()
+                .any(|e| outer.edges().any(|f| e.intersects(&f)));
+        assert_eq!(
+            polygon_contained_in(inner, outer),
+            contained,
+            "{inner:?} {outer:?}"
+        );
+    }
+    (r_shape(p, q), met.meet)
+}
+
+/// Boxed rectangles on the integer grid placed around a 4 × 4 one cut 16
+/// to a side: their run boxes touch at a corner, along part of a side or
+/// a whole side, cross, nest, or miss by a unit or by one unit in the last
+/// place. Step 3 over R answers every pair like the forward sweep over
+/// R₀'s restricted edges and like the brute-force oracle, and R comes out
+/// empty, a point, a segment and a box.
+#[test]
+fn boundaries_meet_over_r_matches_the_oracles_where_run_boxes_touch() {
+    let p = cut_rect(0.0, 0.0, 4.0, 4.0, 16);
+    let mut seen = std::collections::BTreeMap::new();
+    for (x, y) in (-5..=5).flat_map(|x| (-5..=5).map(move |y| (x as f64, y as f64))) {
+        for (w, h) in [(1.0, 1.0), (2.0, 3.0), (4.0, 4.0), (6.0, 2.0)] {
+            for per_side in [1, 16, 20] {
+                let q = cut_rect(x, y, w, h, per_side);
+                *seen.entry(check_over_r(&p, &q)).or_insert(0usize) += 1;
+            }
+        }
+    }
+    // One unit in the last place off a side or a corner.
+    for q in [
+        cut_rect(4f64.next_up(), 1.0, 2.0, 2.0, 16),
+        cut_rect(4f64.next_up(), 4f64.next_up(), 2.0, 2.0, 16),
+        cut_rect(-2.0, 4f64.next_up(), 8.0, 2.0, 16),
+    ] {
+        assert_eq!(check_over_r(&p, &q), (RShape::Empty, false));
+    }
+    for shape in [RShape::Point, RShape::Segment, RShape::Area] {
+        assert!(seen.contains_key(&(shape, true)), "{shape:?}: {seen:?}");
+    }
+    assert!(seen.contains_key(&(RShape::Empty, false)), "{seen:?}");
+    assert!(seen.contains_key(&(RShape::Area, false)), "{seen:?}");
+}
+
 /// A star-shaped (hence simple) polygon around `(cx, cy)`: one vertex per
 /// angular step at a radius drawn from `radii`. Star-shaped polygons can be
 /// deeply concave, which is what exercises the pocket cases.
@@ -773,6 +872,19 @@ prop_compose! {
 }
 
 prop_compose! {
+    /// A [`cut_rect`] with integer corners near the origin: from 16 edges a
+    /// side it carries run boxes.
+    fn arb_cut_rect()(
+        (x, y) in (-6i32..=6, -6i32..=6),
+        (w, h) in (1i32..=8, 1i32..=8),
+        pick in 0usize..5,
+    ) -> Polygon {
+        let per_side = [1, 15, 16, 24, 40][pick];
+        cut_rect(x as f64, y as f64, w as f64, h as f64, per_side)
+    }
+}
+
+prop_compose! {
     fn arb_star()(
         cx in -50.0f64..50.0,
         cy in -50.0f64..50.0,
@@ -815,6 +927,20 @@ proptest! {
             prop_assert!(!check_boundaries_meet(a, b).meet);
             prop_assert!(polygons_intersect(a, b));
         }
+    }
+
+    /// Step 3 over R answers like the forward sweep over R₀'s restricted
+    /// edges and like the brute-force oracle on random boxed pairs: grid
+    /// rectangles cut into runs, whose boxes touch at a corner, along a
+    /// side or not at all, against each other and against big stars.
+    #[test]
+    fn boundaries_meet_over_r_matches_the_oracles_on_boxed_pairs(
+        p in arb_cut_rect(),
+        q in arb_cut_rect(),
+        star in arb_big_star(),
+    ) {
+        check_over_r(&p, &q);
+        check_over_r(&star, &q);
     }
 
     /// Intersection is symmetric.

@@ -6,12 +6,17 @@
 //! that touch. `DATA_EXTENT` is 1e5, so such coordinates are in range.
 //!
 //! Every case is checked against the software oracle, per pair and as one
-//! atlas of 32, for intersection and for strict containment.
+//! atlas of 32, for intersection and for strict containment. The oracle's
+//! step 3 searches the run-box region R, which for these pairs is a
+//! segment or a box a few ulps from degenerate; so the oracle is checked
+//! in turn against an all-pairs definition that reads no run box.
 
 use hwspatial::core::hw_intersect::HwTester;
 use hwspatial::core::pipeline::Predicate;
 use hwspatial::core::{HwConfig, TestStats};
-use hwspatial::geom::{polygon_contained_in, polygons_intersect, Polygon};
+use hwspatial::geom::{
+    point_in_polygon, polygon_contained_in, polygons_intersect, polygons_intersect_brute, Polygon,
+};
 
 /// The square `[b, b + 10]²`, each side cut into `per_side` edges.
 fn square(b: f64, per_side: usize) -> Polygon {
@@ -68,6 +73,22 @@ fn oracle(pred: Predicate, p: &Polygon, q: &Polygon) -> bool {
     }
 }
 
+/// `pred` on `(p, q)` from its definition over whole boundaries: the
+/// brute-force intersection oracle, and for containment the MBR gate, the
+/// first vertex inside and no edge of one boundary meeting an edge of the
+/// other.
+fn brute(pred: Predicate, p: &Polygon, q: &Polygon) -> bool {
+    match pred {
+        Predicate::Intersects => polygons_intersect_brute(p, q),
+        Predicate::ContainedIn => {
+            q.mbr().contains_rect(&p.mbr())
+                && point_in_polygon(p.vertices()[0], q)
+                && !p.edges().any(|e| q.edges().any(|f| e.intersects(&f)))
+        }
+        Predicate::WithinDistance(_) => unreachable!("no distance case here"),
+    }
+}
+
 /// Every `(pred, p, q)` case at base `b`: the four-vertex square against
 /// the pairs touching it from outside, and a 400-vertex square — one that
 /// carries run boxes — against the squares inside it.
@@ -89,6 +110,13 @@ fn touching_pairs_far_from_the_origin_are_not_rejected() {
     let mut checked = 0;
     for (b, resolutions) in CASES {
         let cases = cases(b);
+        for (pred, p, q) in &cases {
+            assert_eq!(
+                oracle(*pred, p, q),
+                brute(*pred, p, q),
+                "{pred:?} at b = {b}"
+            );
+        }
         for &resolution in resolutions {
             let mut tester = HwTester::new(HwConfig::at_resolution(resolution));
             for (pred, p, q) in &cases {
