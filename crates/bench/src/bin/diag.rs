@@ -27,17 +27,18 @@
 //! vertices before and after the fill ring and the scanline crossings a
 //! fill is left with. It ends with the calibration of the planner's
 //! software price: the measured time of step 3's negatives — the calls a
-//! scan rejection saves — by bucket of the planner's own edge count
-//! (`step3_edges`), once for the intersection joins (`boundaries_meet`)
-//! and once for the within-distance joins (`clipped_chains_within`), each
-//! with the line fitted through its bucket medians beside the committed
-//! `STEP3_FIXED_NS` and `STEP3_NS_PER_EDGE`.
+//! scan rejection saves — by bucket of the step-3 edge count the prologue
+//! routes by and the planner prices by (`submitted_edges`), once for the
+//! intersection joins (`boundaries_meet`) and once for the within-distance
+//! joins (`clipped_chains_within`), each with the line fitted through its
+//! bucket medians beside the committed `STEP3_FIXED_NS` and
+//! `STEP3_NS_PER_EDGE`.
 
 use hwa_core::engine::PreparedDataset;
 use hwa_core::hw_intersect::{submitted_edges, HwTester};
 use hwa_core::hw_overlap::fill_rings;
 use hwa_core::pipeline::{CandidateFilter, Decision, ObjectFilterStage, Predicate};
-use hwa_core::service::{step3_edges, STEP3_FIXED_NS, STEP3_NS_PER_EDGE};
+use hwa_core::service::{STEP3_FIXED_NS, STEP3_NS_PER_EDGE};
 use hwa_core::{HwConfig, TestStats};
 use spatial_bench::{header, ms, BenchOpts, Workloads, DISTANCE_FACTORS};
 use spatial_filters::{
@@ -49,7 +50,7 @@ use spatial_geom::intersect::{
     boundaries_meet, polygons_intersect_with, restricted_edges, IntersectStats,
 };
 use spatial_geom::mindist::{clipped_chains_within, MinDistStats};
-use spatial_geom::reach::run_region;
+use spatial_geom::reach::walk;
 use spatial_geom::sweep::{forward_sweep_intersects, SweepStats};
 use spatial_geom::{point_in_polygon, Point, Polygon, Rect, Segment};
 use spatial_raster::aa_line::{aa_line_outside_window, DIAGONAL_WIDTH};
@@ -437,8 +438,9 @@ impl Search {
     }
 }
 
-/// Step 3's measured time per negative call against the edges the planner
-/// prices it by, [`step3_edges`]. Only negatives: a hardware plan differs
+/// Step 3's measured time per negative call against the edges the prologue
+/// routes by and the planner prices by, the first value of
+/// [`submitted_edges`]. Only negatives: a hardware plan differs
 /// from the software one by its GPU time less the step 3 of the pairs its
 /// scan rejects, and the scan rejects only pairs whose boundaries are
 /// apart (more than `d` apart for a within-distance test) — where step 3
@@ -457,14 +459,16 @@ impl Calibration {
         let hit = step3();
         let ns = t.elapsed().as_secs_f64() * 1e9;
         if !hit {
-            self.calls.push((step3_edges(pred, p, q), ns));
+            self.calls
+                .push((submitted_edges(pred, p, q, RESOLUTION).0, ns));
         }
     }
 
     /// The table by edge bucket — calls, median edges, median ns and that
     /// median over the committed price of the median edges — and the
     /// least-squares line through the medians of the buckets with at
-    /// least ten calls (a median of two calls is one pair's time).
+    /// least ten calls (a median of two calls is one pair's time), beside
+    /// the committed price.
     fn table(mut self, title: &str) {
         const BUCKETS: [(usize, &str); 6] = [
             (20, "<=20"),
@@ -570,7 +574,7 @@ fn intersection_composition(
         r0_edges += ep0.len() + eq0.len();
         let oracle = forward_sweep_intersects(&ep0, &eq0);
         let t_rss = Instant::now();
-        let r = run_region(p, q, 0.0);
+        let r = walk(p, q, 0.0).region;
         let (ep, eq) = r.map_or((Vec::new(), Vec::new()), |r| {
             (restricted_edges(p, &r), restricted_edges(q, &r))
         });
@@ -661,13 +665,12 @@ const RESOLUTION: usize = 8;
 /// recommended 8×8 window with `sw_threshold = 0` (every pair the probes
 /// leave undecided is submitted): for the intersection and within-distance
 /// joins the pairs the run boxes decide without a submission, the hardware
-/// tests, the width fallbacks (and how many of them have runs that pair
-/// nowhere) and the mean area of the projection region R over the MBR
-/// region R₀ it was shrunk from; primitives before the run cull (two whole
-/// boundaries a pair, and every vertex again as a cap for the distance
-/// test) and after the pairing step (`HwStats::primitives`), and for the
-/// segment test the survivors of the rasterizer's clip compare and the
-/// candidate fragments each of them costs; the CPU time per routed pair of
+/// tests, the width fallbacks and the mean area of the projection region R
+/// over the MBR region R₀ it was shrunk from; primitives before the run
+/// cull (two whole boundaries a pair, and every vertex again as a cap for
+/// the distance test) and after the pairing step (`HwStats::primitives`),
+/// and for the segment test the survivors of the rasterizer's clip compare
+/// and the candidate fragments each of them costs; the CPU time per routed pair of
 /// the hardware prologue beside the software step 3 it stands before; and
 /// for the overlap count of the intersection candidates at the same window
 /// the vertices of both polygons before and after the fill ring, and per
@@ -799,10 +802,9 @@ fn hardware_submission(a: &PreparedDataset, b: &PreparedDataset, base_d: f64) ->
 enum Restated {
     /// R is empty, or a side keeps no paired run: the run boxes decide.
     Apart,
-    /// No window: an empty R ∩ R₀ or an Equation (1) width over the limit.
-    /// `apart` if a side keeps no paired run, so that a pairing run before
-    /// this exit would have decided the pair.
-    Unfit { apart: bool },
+    /// No window: an empty R ∩ R₀, or — for runs that pair — an Equation
+    /// (1) width over the limit.
+    Unfit,
     /// A window over `region` = R ∩ R₀, submitting `paired` primitives.
     Window {
         r0: Rect,
@@ -813,7 +815,8 @@ enum Restated {
 
 /// The window of a boolean hardware test that renders `first` first — the
 /// segment test for `d = None` — restated from the public run boxes:
-/// `hwa-core`'s `choreography::projection` and `Framing::window`. Each run
+/// `hwa-core`'s `choreography::projection` and `Framing::fit` (the pairing
+/// of `spatial_geom::reach::Reach::paired`). Each run
 /// box is expanded by `half` = d/2 and rounded outward; a polygon without
 /// run boxes is one box, its MBR. R₀ is the MBR intersection (for a
 /// distance test both MBRs expanded by `half`), R the MBR intersection
@@ -821,7 +824,8 @@ enum Restated {
 /// `second`'s boxes that meet what is left; the window projects R ∩ R₀,
 /// uniformly at the Equation (1) width for distance. A run is submitted if
 /// its box meets R and the box of a run of the other boundary that meets
-/// R; the distance test adds a cap per edge.
+/// R; the distance test adds a cap per edge. A side left with no such run
+/// decides the pair before the width is looked at.
 fn restate(first: &Polygon, second: &Polygon, d: Option<f64>) -> Restated {
     let half = d.map_or(0.0, |d| d / 2.0);
     let grown = |r: &Rect| match half {
@@ -838,10 +842,10 @@ fn restate(first: &Polygon, second: &Polygon, d: Option<f64>) -> Restated {
         .expanded(half)
         .intersection(&second.mbr().expanded(half))
     else {
-        return Restated::Unfit { apart: false };
+        return Restated::Unfit;
     };
     let Some(mut reach) = grown(&first.mbr()).intersection(&grown(&second.mbr())) else {
-        return Restated::Unfit { apart: false };
+        return Restated::Unfit;
     };
     // Each run's edge count and grown box.
     let runs = |poly: &Polygon| -> Vec<(usize, Rect)> {
@@ -874,19 +878,18 @@ fn restate(first: &Polygon, second: &Polygon, d: Option<f64>) -> Restated {
             .sum()
     };
     let kept = [paired(&first, &second), paired(&second, &first)];
-    let apart = kept.contains(&0);
     let Some(region) = reach.intersection(&r0) else {
-        return Restated::Unfit { apart };
+        return Restated::Unfit;
     };
+    if kept.contains(&0) {
+        return Restated::Apart;
+    }
     if let Some(d) = d {
         let viewport = Viewport::uniform(region, RESOLUTION, RESOLUTION);
         let width = viewport.line_width_for_distance(d.max(f64::MIN_POSITIVE));
         if width.is_nan() || width > MAX_AA_LINE_WIDTH {
-            return Restated::Unfit { apart };
+            return Restated::Unfit;
         }
-    }
-    if apart {
-        return Restated::Apart;
     }
     let per_edge = if d.is_some() { 2 } else { 1 };
     Restated::Window {
@@ -897,19 +900,17 @@ fn restate(first: &Polygon, second: &Polygon, d: Option<f64>) -> Restated {
 }
 
 /// What the run boxes did for one join's hardware tests: the pairs they
-/// decided, the width fallbacks whose runs pair nowhere, the area of R over
+/// decided, the area of R over
 /// R₀ summed over the submitted pairs whose R₀ has one, and the CPU time of
 /// the hardware prologue and of the software step 3 over the routed pairs
 /// (those the MBR gate and point-in-polygon left).
 #[derive(Default)]
 struct RunBoxes {
     decided: usize,
-    unpaired_fallbacks: usize,
     ratio_sum: f64,
     ratios: usize,
     routed: usize,
     prologue_ns: f64,
-    edges_ns: f64,
     step3_ns: f64,
 }
 
@@ -938,12 +939,8 @@ impl RunBoxes {
             drift = after.hw.primitives - before.hw.primitives != *paired;
         }
         // A width fallback has no restated window either.
-        if after.width_limit_fallbacks > before.width_limit_fallbacks {
-            match restated {
-                Restated::Unfit { apart } => self.unpaired_fallbacks += usize::from(*apart),
-                _ => drift = true,
-            }
-        }
+        let fallback = after.width_limit_fallbacks > before.width_limit_fallbacks;
+        drift |= fallback && !matches!(restated, Restated::Unfit);
         // A runs-decided pair is apart: step 3 must find no meeting, and
         // the restated window must be apart exactly then.
         let wrong = decided && (verdict || step3());
@@ -953,8 +950,9 @@ impl RunBoxes {
 
     /// Times, for a pair the tester routed past its MBR gate and
     /// point-in-polygon step, the product's hardware prologue
-    /// ([`submitted_edges`]: projection and pairing), the
-    /// [`step3_edges`] count it adds at a threshold above 0, and `step3`.
+    /// ([`submitted_edges`]: the run-box walk, which also yields the
+    /// step-3 count a threshold above 0 routes by, and the pairing), and
+    /// `step3`.
     fn time(
         &mut self,
         before: &TestStats,
@@ -976,9 +974,6 @@ impl RunBoxes {
         self.prologue_ns += ns(&mut || {
             std::hint::black_box(submitted_edges(pred, p, q, RESOLUTION));
         });
-        self.edges_ns += ns(&mut || {
-            std::hint::black_box(step3_edges(pred, p, q));
-        });
         self.step3_ns += ns(&mut || {
             std::hint::black_box(step3());
         });
@@ -987,20 +982,18 @@ impl RunBoxes {
     fn row(&self, stats: &TestStats) {
         let per = |ns: f64| ns / self.routed.max(1) as f64;
         println!(
-            "    run boxes: {} pairs decided by runs, {} hardware tests, {} width fallbacks \
-             ({} of them pair nowhere), mean R/R₀ area {:.3} over the tests",
+            "    run boxes: {} pairs decided by runs, {} hardware tests, {} width fallbacks, \
+             mean R/R₀ area {:.3} over the tests",
             self.decided,
             stats.hw_tests,
             stats.width_limit_fallbacks,
-            self.unpaired_fallbacks,
             self.ratio_sum / self.ratios.max(1) as f64,
         );
         println!(
-            "    prologue per routed pair ({} pairs): {:.0} ns projection + pairing, \
-             + {:.0} ns step3_edges at a threshold > 0; software step 3 {:.0} ns",
+            "    prologue per routed pair ({} pairs): {:.0} ns walk + pairing; \
+             software step 3 {:.0} ns",
             self.routed,
             per(self.prologue_ns),
-            per(self.edges_ns),
             per(self.step3_ns),
         );
     }

@@ -9,9 +9,10 @@
 //! ~12% of optimal — the knob is forgiving.
 //!
 //! The paper's threshold counts the `n + m` vertices its plane sweep
-//! visits; this one counts the edges the software step 3 visits
-//! (`hwa_core::service::step3_edges`), the work a hardware rejection can
-//! save.
+//! visits; this one counts the edges the software step 3 searches — those
+//! in the runs that reach the run-box region R, from the prologue's one
+//! run-box walk (`hwa_core::hw_intersect::submitted_edges`) — the work a
+//! hardware rejection can save.
 
 use spatial_bench::{hardware_engine, header, ms, software_engine, BenchOpts, Workloads};
 

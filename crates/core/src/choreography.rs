@@ -9,30 +9,28 @@
 //! *decision*; the per-pair tester, the atlas batcher and the planner all
 //! call it instead of re-deriving it:
 //!
+//! * [`framing`] — a pair's window before its resolution: for a boolean
+//!   test the one walk over both boundaries' run boxes
+//!   (`spatial_geom::reach::walk`), which every later step reads, and the
+//!   region it projects ([`projection`] of the run-box region R: an empty
+//!   R decides the pair without the device);
 //! * [`route`] — the software prologue of a predicate (MBR gate,
-//!   point-in-polygon, run boxes apart, `sw_threshold` over the
-//!   [`step3_edges`] a rejection could save, no-window fallback): the
-//!   pair is either [`Routed::Done`] or needs the hardware over a
-//!   [`Window`];
-//! * [`window`] — the §3.2 projection: region, anisotropic vs uniform
-//!   scaling, the Equation (1) line width, which polygon renders first,
-//!   which recording the resulting tape is, and — extensions of
-//!   Algorithm 3.1 — the part of the MBR region the run boxes of both
-//!   boundaries can meet in ([`projection`] of the run-box region R,
-//!   [`run_region`]: an empty one decides the pair without the device) and
-//!   which runs of each boundary a test submits ([`LiveRuns`]: for a
-//!   boundary test the runs that reach that part and whose box meets the
-//!   box of such a run of the other boundary — none on a side decides the
-//!   pair too; for an overlap count the fill ring). Both boundary-test
-//!   steps take their runs from one reach test, [`reaching`], and the
-//!   software step 3 searches the same R (`spatial_geom::reach`);
+//!   point-in-polygon, run boxes apart, `sw_threshold` over
+//!   [`Framing::routed_edges`], no-window fallback): the pair is either
+//!   [`Routed::Done`] or needs the hardware over a [`Window`];
+//! * [`window`] — the §3.2 projection at a resolution: scaling, the
+//!   Equation (1) line width, the recording, and — extensions of Algorithm
+//!   3.1 — which runs of each boundary a test submits ([`LiveRuns`]: for a
+//!   boundary test the walk's runs that pair with a run of the other
+//!   boundary — none on a side decides the pair too; for an overlap count
+//!   the fill ring);
 //! * [`list`] — the command list for a [`Tape`] (one window, or an atlas
 //!   of windows sharing a line width), recorded per submission from the
 //!   window's live runs and executed verbatim. The only product caller
 //!   of the `record_*` functions;
 //! * [`settle`] — the reject / confirm / fault-fallback epilogue over the
 //!   scan's verdict, with [`confirm`] as the per-predicate software
-//!   step 3, which searches the R the prologue already has.
+//!   step 3, which searches the edges of the runs the walk kept.
 //!
 //! Supervised execution and the hardware-ledger charge are
 //! `HwTester::submit`, the one place that owns a device.
@@ -42,10 +40,10 @@ use crate::hw_intersect::HwTester;
 use crate::hw_overlap::overlap_region;
 use crate::pipeline::{Predicate, RefineOp};
 use crate::stats::TestStats;
-use spatial_geom::intersect::{boundaries_meet, boundaries_meet_over};
+use spatial_geom::intersect::boundaries_meet_over;
 use spatial_geom::mindist::clipped_chains_within;
 use spatial_geom::pip::point_in_polygon;
-use spatial_geom::reach::{reaching, run_region};
+use spatial_geom::reach::{walk, Reach};
 use spatial_geom::sweep::SweepStats;
 use spatial_geom::{MinDistStats, Point, Polygon, Rect, Segment};
 use spatial_raster::aa_line::DIAGONAL_WIDTH;
@@ -53,6 +51,8 @@ use spatial_raster::atlas::record_batch;
 use spatial_raster::{
     AtlasCell, CommandList, OverlapStrategy, Viewport, MAX_AA_LINE_WIDTH, MAX_WINDOW_SIDE,
 };
+use std::borrow::Cow;
+use std::cell::OnceCell;
 use std::ops::Range;
 
 /// Which `record_*` function draws a window's tape; a distance test's
@@ -64,10 +64,12 @@ enum Recording {
     Overlap,
 }
 
-/// The projection window of one pair's hardware test, and everything
-/// that follows from it.
+/// The projection window of one pair's hardware test: its [`Framing`] —
+/// borrowed by a pricing pass, owned by a pair routed to the device — at
+/// one resolution.
 #[derive(Debug)]
 pub(crate) struct Window<'a> {
+    framing: Cow<'a, Framing<'a>>,
     /// The projected data-space region, as the `record_*` functions take
     /// it (before `Viewport`'s degenerate-extent inflation).
     pub region: Rect,
@@ -79,30 +81,26 @@ pub(crate) struct Window<'a> {
     /// the Equation (1) width — also the vertex-cap point size — for the
     /// distance test. The overlap count fills interiors and ignores it.
     pub width: f64,
-    /// Rendered first / second. The distance test renders the smaller
-    /// object first (§3.2); the others keep the predicate's order.
-    pub first: &'a Polygon,
-    pub second: &'a Polygon,
-    recording: Recording,
-    /// What of `first` and `second` is submitted.
-    live: [LiveRuns; 2],
+    /// The overlap count's fill rings over `viewport`; a boolean test
+    /// submits its framing's paired runs instead ([`Framing::paired`]).
+    rings: [LiveRuns; 2],
 }
 
 /// The part of one boundary a window submits: for a boolean test the runs
-/// of consecutive edges ([`Polygon::runs_where`]) that pair with a run of
-/// the other boundary, as edge-index ranges in boundary order — never a
-/// copy of the edges — and how many edges they hold. For an overlap count,
-/// the fill ring ([`LiveRuns::ring`]) in the same shape.
+/// of 32 consecutive edges that pair with a run of the other boundary, as
+/// edge-index ranges in boundary order — never a copy of the edges — and
+/// how many edges they hold. For an overlap count, the fill ring
+/// ([`LiveRuns::ring`]) in the same shape.
 ///
 /// Algorithm 3.1 renders whole boundaries and lets the pipeline clip; on
 /// real polygons 81–99 % of those segments never reach the window, and the
 /// simulated card still copies, projects and compares every one of them on
 /// every execute and every pricing replay. The pairing step
-/// ([`Framing::window`]) submits, of each side, the runs whose box, grown
+/// ([`Framing::paired`]) submits, of each side, the runs whose box, grown
 /// by `d/2` (0 for the segment tests), meets R and the grown box of such a
-/// run of the other boundary ([`reaching`], [`Near`]): one box compare per
-/// 32 edges on the CPU clock (the prologue's, outside `sim_wall`) and a
-/// blocked pairing of the few runs near R. Algorithm 3.1 and its distance
+/// run of the other boundary (`spatial_geom::reach::Reach::paired`): a
+/// blocked pairing of the few runs near R that the walk already holds, on
+/// the CPU clock (the prologue's, outside `sim_wall`). Algorithm 3.1 and its distance
 /// variant only reject; a meeting is found at the pixel of its meeting
 /// point, drawn by the primitives that carry the meeting, and the runs of
 /// those pair (DESIGN.md §5, invariant 5). Overlap pixels only disappear:
@@ -115,7 +113,7 @@ pub(crate) struct Window<'a> {
 /// but for a window a few ulps wide — where the clip stage drops the
 /// extra run before setup, moving `primitives` and nothing else
 /// (DESIGN.md §5, invariant 5).
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct LiveRuns {
     runs: Vec<Range<usize>>,
     edges: usize,
@@ -202,7 +200,7 @@ pub(crate) enum NoWindow {
     /// The run boxes prove the boundaries of a boolean test apart — for a
     /// distance test, farther than `d` apart: the projection region is
     /// empty ([`projection`]), or no run of one boundary pairs with a run
-    /// of the other ([`Framing::window`]). The prologue answers the pair
+    /// of the other ([`Framing::paired`]). The prologue answers the pair
     /// without the device.
     Apart,
     /// The device cannot take the pair: no shared region, a degenerate one
@@ -220,38 +218,40 @@ pub(crate) fn window<'a>(
     q: &'a Polygon,
     resolution: usize,
 ) -> Result<Window<'a>, NoWindow> {
-    framing(op, p, q)?.window(resolution)
+    let framing = framing(op, p, q);
+    let fit = framing.fit(resolution)?;
+    Ok(Window::new(Cow::Owned(framing), fit))
 }
 
-/// What a window is before its resolution: the data-space region it
-/// projects, the polygons in render order and the recording — everything
-/// [`route`] needs to know before it decides between the device and
-/// software, and nothing it does not. A pricing pass derives it once per
-/// sampled pair and takes a window from it at each resolution it prices.
-#[derive(Debug)]
+/// What a window is before its resolution: the region it projects, the
+/// one walk over the run boxes, the polygons in render order and the
+/// recording — what [`route`] needs before it decides between the device
+/// and software. A pricing pass takes a window from it at each resolution
+/// it prices.
+#[derive(Debug, Clone)]
 pub(crate) struct Framing<'a> {
-    region: Rect,
-    /// Where the boundaries of a boolean test can meet: [`projection`]'s R,
-    /// rounded outward, before it is cut to R₀ — it holds every meeting
-    /// point exactly. The overlap count's is its `region`.
-    reach: Rect,
+    /// What a window projects ([`projection`]; for the overlap count the
+    /// MBR intersection), or why no resolution gives the pair a window.
+    region: Result<Rect, NoWindow>,
+    /// The walk over the run boxes of a boolean test, rendered first as
+    /// side 0; empty for the overlap count, which reads no run box.
+    reach: Reach,
     first: &'a Polygon,
     second: &'a Polygon,
     recording: Recording,
+    /// The runs each side of a boolean test submits, paired the first time
+    /// a window asks for them ([`Framing::paired`]).
+    paired: OnceCell<[LiveRuns; 2]>,
 }
 
-/// The framing of `op` on `(p, q)`, or why the pair has no window.
-pub(crate) fn framing<'a>(
-    op: RefineOp,
-    p: &'a Polygon,
-    q: &'a Polygon,
-) -> Result<Framing<'a>, NoWindow> {
-    let ((reach, region), first, second, recording) = match op {
+/// The framing of `op` on `(p, q)`.
+pub(crate) fn framing<'a>(op: RefineOp, p: &'a Polygon, q: &'a Polygon) -> Framing<'a> {
+    let ((region, reach), first, second, recording) = match op {
         // The overlap count's grid is part of its answer: it projects the
         // MBR intersection, and needs it to have interior.
         RefineOp::Measure { .. } => {
-            let region = overlap_region(p, q).ok_or(NoWindow::Unfit)?;
-            ((region, region), p, q, Recording::Overlap)
+            let region = overlap_region(p, q).ok_or(NoWindow::Unfit);
+            ((region, Reach::default()), p, q, Recording::Overlap)
         }
         // §3.2: the distance test renders the smaller object first.
         RefineOp::Test(pred @ Predicate::WithinDistance(d)) => {
@@ -260,73 +260,82 @@ pub(crate) fn framing<'a>(
             } else {
                 (q, p)
             };
-            let regions = projection(pred, small, large)?;
+            let regions = projection(pred, small, large);
             (regions, small, large, Recording::Distance(d))
         }
         // The segment tests project `projection`'s region.
-        RefineOp::Test(pred) => (projection(pred, p, q)?, p, q, Recording::Segment),
+        RefineOp::Test(pred) => (projection(pred, p, q), p, q, Recording::Segment),
     };
-    Ok(Framing {
+    Framing {
         region,
         reach,
         first,
         second,
         recording,
-    })
+        paired: OnceCell::new(),
+    }
 }
 
 impl<'a> Framing<'a> {
-    /// The window over this framing at `resolution`: anisotropic for the
-    /// segment test and the overlap count, uniform for the distance test
-    /// (Equation (1) presumes it), with each side's live runs or fill ring.
-    ///
-    /// A boolean test submits the runs of each boundary that *pair*: whose
-    /// box, grown by `d/2` (0 for the segment tests), meets R and the grown
-    /// box of such a run of the other boundary. Every point the boundaries
-    /// share, and for distance the midpoint of any two boundary points
-    /// within `d`, lies in R and in the grown box of each run that carries
-    /// one of the two points — a vertex cap in the boxes of both runs the
-    /// vertex joins — so the primitives that draw it are all submitted.
-    /// Where a side keeps no run, no pair of runs can meet: the pair is
-    /// [`NoWindow::Apart`]. The pairing does not depend on the resolution,
-    /// nor R, the viewport and the line width on the pairing; it runs
-    /// after the viewport's [`NoWindow::Unfit`] exit, so a pair the device
-    /// cannot take is a width fallback whether its runs pair or not.
-    pub(crate) fn window(&self, resolution: usize) -> Result<Window<'a>, NoWindow> {
-        let (viewport, width) = self.viewport(resolution)?;
-        let sides = [self.first, self.second];
-        let half = match self.recording {
-            Recording::Overlap => {
-                let rings = sides.map(|poly| LiveRuns::ring(poly, &viewport));
-                return Ok(self.over(viewport, width, rings));
-            }
-            Recording::Segment => 0.0,
-            Recording::Distance(d) => d / 2.0,
-        };
-        let [first, second] = sides.map(|poly| Near::of(poly, half, &self.reach));
-        let live = [(&first, &second), (&second, &first)].map(|(near, other)| {
-            let paired = near.runs.iter().filter(|(_, run)| other.meet(run));
-            LiveRuns::of(paired.map(|(edges, _)| edges.clone()))
-        });
-        if live.iter().any(|side| side.edges == 0) {
-            return Err(NoWindow::Apart);
-        }
-        Ok(self.over(viewport, width, live))
+    /// The window over this framing at `resolution`.
+    pub(crate) fn window(&self, resolution: usize) -> Result<Window<'_>, NoWindow> {
+        Ok(Window::new(Cow::Borrowed(self), self.fit(resolution)?))
     }
 
-    /// The viewport and line width of this framing's window at
-    /// `resolution`. A boolean test outside `1..=MAX_WINDOW_SIDE` has none:
-    /// the device has no such frame.
-    fn viewport(&self, resolution: usize) -> Result<(Viewport, f64), NoWindow> {
-        // The overlap count's resolution is part of its answer, bounded
-        // where the request is validated.
+    /// Whether the run boxes prove the boundaries of this boolean test
+    /// apart before any pairing: R is empty.
+    pub(crate) fn apart(&self) -> bool {
+        self.region == Err(NoWindow::Apart)
+    }
+
+    /// The edges a software step 3 of this boolean test can visit — the
+    /// work a hardware rejection saves, which the prologue routes
+    /// `sw_threshold` by and the planner prices — from the walk's lists:
+    /// for intersection and containment the runs that reach R, which their
+    /// step 3 searches; for a distance test the runs within `d` of the
+    /// other MBR, which its step 3 clips to, not to R.
+    pub(crate) fn routed_edges(&self) -> usize {
+        match self.recording {
+            Recording::Distance(_) => self.reach.clip_edges,
+            Recording::Segment | Recording::Overlap => self.reach.edges(),
+        }
+    }
+
+    /// The runs each side of a boolean test submits: those of the walk
+    /// whose box, grown by `d/2` (0 for the segment tests), meets R and
+    /// the grown box of such a run of the other boundary. Every point the
+    /// boundaries share, and for distance the midpoint of any two boundary
+    /// points within `d`, lies in R and in the grown box of each run that
+    /// carries one of the two points — a vertex cap in the boxes of both
+    /// runs the vertex joins — so the primitives that draw it are all
+    /// submitted. Where a side keeps no run, no pair of runs can meet. The
+    /// pairing depends on no resolution: it runs once per framing, the
+    /// first time a window asks.
+    fn paired(&self) -> &[LiveRuns; 2] {
+        self.paired
+            .get_or_init(|| [0, 1].map(|side| LiveRuns::of(self.reach.paired(side))))
+    }
+
+    /// The region, viewport and line width of this framing's window at
+    /// `resolution`, or why it has none: no region, a boolean test whose
+    /// runs pair nowhere ([`NoWindow::Apart`], before any resolution is
+    /// looked at), or a viewport the device cannot take.
+    fn fit(&self, resolution: usize) -> Result<(Rect, Viewport, f64), NoWindow> {
+        let region = self.region?;
         let boolean = !matches!(self.recording, Recording::Overlap);
+        if boolean && self.paired().iter().any(|side| side.edges == 0) {
+            return Err(NoWindow::Apart);
+        }
+        // The overlap count's resolution is part of its answer, bounded
+        // where the request is validated; a boolean test outside
+        // `1..=MAX_WINDOW_SIDE` has no window: the device has no such
+        // frame.
         if boolean && !(1..=MAX_WINDOW_SIDE).contains(&resolution) {
             return Err(NoWindow::Unfit);
         }
         match self.recording {
             Recording::Distance(d) => {
-                let viewport = Viewport::uniform(self.region, resolution, resolution);
+                let viewport = Viewport::uniform(region, resolution, resolution);
                 // Equation (1): the pixel width that covers data-space
                 // distance d. Over the hardware limit the test reverts to
                 // software (§3.1).
@@ -334,102 +343,42 @@ impl<'a> Framing<'a> {
                 if width.is_nan() || width > MAX_AA_LINE_WIDTH {
                     return Err(NoWindow::Unfit);
                 }
-                Ok((viewport, width))
+                Ok((region, viewport, width))
             }
             Recording::Segment | Recording::Overlap => Ok((
-                Viewport::new(self.region, resolution, resolution),
+                region,
+                Viewport::new(region, resolution, resolution),
                 DIAGONAL_WIDTH,
             )),
         }
     }
-
-    /// The window of this framing over `viewport` that submits `live`.
-    fn over(&self, viewport: Viewport, width: f64, live: [LiveRuns; 2]) -> Window<'a> {
-        Window {
-            region: self.region,
-            viewport,
-            width,
-            first: self.first,
-            second: self.second,
-            recording: self.recording,
-            live,
-        }
-    }
 }
 
-/// The runs of one boundary of a boolean test that can carry a meeting
-/// point: those that reach R ([`reaching`]), in boundary order with their
-/// grown boxes, and for more than [`Near::BLOCK`] of them the hull of each
-/// block of that many, so that a box far from a block pays one compare
-/// for it.
-struct Near {
-    runs: Vec<(Range<usize>, Rect)>,
-    blocks: Vec<Rect>,
-}
-
-impl Near {
-    /// Runs per block: consecutive runs are neighbours, so a block's hull
-    /// stays small.
-    const BLOCK: usize = 8;
-
-    fn of(poly: &Polygon, half: f64, reach: &Rect) -> Near {
-        let runs: Vec<_> = reaching(poly, half, reach).collect();
-        let blocks = if runs.len() > Self::BLOCK {
-            let hull = |block: &[(Range<usize>, Rect)]| {
-                block
-                    .iter()
-                    .fold(Rect::EMPTY, |hull, (_, run)| hull.union(run))
-            };
-            runs.chunks(Self::BLOCK).map(hull).collect()
-        } else {
-            Vec::new()
-        };
-        Near { runs, blocks }
-    }
-
-    /// Whether the grown box `run` meets the grown box of one of these
-    /// runs.
-    fn meet(&self, run: &Rect) -> bool {
-        let meets =
-            |block: &[(Range<usize>, Rect)]| block.iter().any(|(_, near)| near.intersects(run));
-        if self.blocks.is_empty() {
-            return meets(&self.runs);
-        }
-        let mut blocks = self.blocks.iter().zip(self.runs.chunks(Self::BLOCK));
-        blocks.any(|(hull, block)| hull.intersects(run) && meets(block))
-    }
-}
-
-/// The projection region R of a boolean test of `pred` whose window
-/// renders `first` first, as `(R, R ∩ R₀)`: the second is what the window
-/// projects.
+/// The run-box walk of a boolean test of `pred` whose window renders
+/// `first` first, and the region the window projects: R ∩ R₀, or why
+/// there is none.
 ///
 /// §3.2 projects R₀, the MBR intersection — for containment that *is* the
 /// inner MBR once the MBR gate passed — or for a distance test the
 /// intersection of both MBRs expanded by `d/2`, since overlap can only
 /// appear where both expanded boundaries are. R is the run-box region of
-/// `spatial_geom::reach` ([`run_region`] with each box expanded by `d/2`
-/// for distance): R₀ shrunk to the bounding box of the run boxes of
-/// `first` that meet it, then to the boxes of `second` that meet what is
-/// left; a polygon without run boxes is one box, its MBR, which already
-/// holds the region and leaves it as it is.
-///
-/// Every point the two boundaries share, and for distance the midpoint of
-/// any two boundary points at most `d` apart, lies in R (DESIGN.md §5,
-/// invariant 5): an empty R proves the boundaries apart
+/// the walk (`spatial_geom::reach::walk`, each box expanded by `d/2` for
+/// distance), which holds every point the two boundaries share and for
+/// distance the midpoint of any two boundary points at most `d` apart
+/// (DESIGN.md §5, invariant 5): an empty R proves the boundaries apart
 /// ([`NoWindow::Apart`]), and a window over R sees everything a window
-/// over R₀ would have to. The expansions of the shrink round outward, so
-/// that an empty R is a proof, not a rounding; the region projected is
-/// R ∩ R₀, which is R₀ itself for polygons without boxes.
+/// over R₀ would have to. The region projected is R ∩ R₀, which is R₀
+/// itself for polygons without boxes.
 fn projection(
     pred: Predicate,
     first: &Polygon,
     second: &Polygon,
-) -> Result<(Rect, Rect), NoWindow> {
+) -> (Result<Rect, NoWindow>, Reach) {
     let half = match pred {
         Predicate::WithinDistance(d) => d / 2.0,
         Predicate::Intersects | Predicate::ContainedIn => 0.0,
     };
+    let reach = walk(first, second, half);
     // MBR distance ≤ d *mathematically* guarantees the half-expansions
     // meet, but not in f64: when the gap equals d exactly, `min_dist`'s
     // rounding can pass the gate while `xmin + d/2` rounds below
@@ -437,45 +386,50 @@ fn projection(
     let r0 = first
         .mbr()
         .expanded(half)
-        .intersection(&second.mbr().expanded(half))
-        .ok_or(NoWindow::Unfit)?;
-    // An unbounded region (d = ∞) projects at scale 0, where Equation (1)
-    // evaluates `(∞·0).ceil().max(1.0)` to a "valid" one-pixel width and
-    // the filter would reject true positives.
-    if !(r0.width().is_finite() && r0.height().is_finite()) {
-        return Err(NoWindow::Unfit);
-    }
-    // The grown MBRs hold R₀, so they meet: an empty R is the fold's.
-    let region = run_region(first, second, half).ok_or(NoWindow::Apart)?;
-    Ok((region, region.intersection(&r0).ok_or(NoWindow::Unfit)?))
+        .intersection(&second.mbr().expanded(half));
+    let region = match (r0, reach.region) {
+        // An unbounded region (d = ∞) projects at scale 0, where Equation
+        // (1) evaluates `(∞·0).ceil().max(1.0)` to a "valid" one-pixel
+        // width and the filter would reject true positives.
+        (Some(r0), _) if !(r0.width().is_finite() && r0.height().is_finite()) => {
+            Err(NoWindow::Unfit)
+        }
+        (None, _) => Err(NoWindow::Unfit),
+        // The grown MBRs hold R₀, so they meet: an empty R is the fold's.
+        (Some(_), None) => Err(NoWindow::Apart),
+        (Some(r0), Some(r)) => r.intersection(&r0).ok_or(NoWindow::Unfit),
+    };
+    (region, reach)
 }
 
-/// The edges a software step 3 of `pred` on `(p, q)` can visit: the edges
-/// in runs of each polygon whose box meets the other's MBR — comes within
-/// `d` of it for [`Predicate::WithinDistance`] — with a polygon without
-/// run boxes counted whole ([`Polygon::runs_where`]). It is the work a
-/// hardware rejection saves: the tester's prologue sends a pair with at
-/// most `sw_threshold` of them to software, and the planner prices step 3
-/// by them.
-pub fn step3_edges(pred: Predicate, p: &Polygon, q: &Polygon) -> usize {
-    let reach = match pred {
-        Predicate::WithinDistance(d) => d,
-        Predicate::Intersects | Predicate::ContainedIn => 0.0,
-    };
-    let edges = |poly: &Polygon, other: &Polygon| -> usize {
-        let other = other.mbr();
-        poly.runs_where(|run| run.min_dist(&other) <= reach)
-            .map(|run| run.len())
-            .sum()
-    };
-    edges(p, q) + edges(q, p)
+impl<'a> Window<'a> {
+    /// The window over `framing` with the region, viewport and line width
+    /// [`Framing::fit`] gave it.
+    fn new(
+        framing: Cow<'a, Framing<'a>>,
+        (region, viewport, width): (Rect, Viewport, f64),
+    ) -> Self {
+        let rings = match framing.recording {
+            Recording::Overlap => {
+                [framing.first, framing.second].map(|poly| LiveRuns::ring(poly, &viewport))
+            }
+            Recording::Segment | Recording::Distance(_) => Default::default(),
+        };
+        Window {
+            framing,
+            region,
+            viewport,
+            width,
+            rings,
+        }
+    }
 }
 
 impl Window<'_> {
     /// This window's tape and its verdict slot.
     fn record(&self) -> (CommandList, usize) {
         let resolution = self.viewport.width();
-        match self.recording {
+        match self.framing.recording {
             Recording::Segment => HwTester::record_segment_test(
                 self.region,
                 resolution,
@@ -501,10 +455,15 @@ impl Window<'_> {
 
     /// The polygon rendered first or second and its live runs.
     fn side(&self, second: bool) -> (&Polygon, &LiveRuns) {
+        let framing = &*self.framing;
+        let live = match framing.recording {
+            Recording::Overlap => &self.rings,
+            Recording::Segment | Recording::Distance(_) => framing.paired(),
+        };
         if second {
-            (self.second, &self.live[1])
+            (framing.second, &live[1])
         } else {
-            (self.first, &self.live[0])
+            (framing.first, &live[0])
         }
     }
 
@@ -524,7 +483,7 @@ impl Window<'_> {
     /// submits none.
     pub(crate) fn points(&self, second: bool) -> impl ExactSizeIterator<Item = Point> + '_ {
         let (poly, live) = self.side(second);
-        let caps = match self.recording {
+        let caps = match self.framing.recording {
             Recording::Segment => 0,
             Recording::Distance(_) | Recording::Overlap => live.edges,
         };
@@ -563,20 +522,20 @@ impl AtlasCell for &Window<'_> {
 
 /// What one submission renders.
 #[derive(Debug)]
-pub(crate) enum Tape<'a> {
+pub(crate) enum Tape<'t, 'a> {
     /// The per-pair choreography of one window.
-    Pair(&'a Window<'a>),
+    Pair(&'t Window<'a>),
     /// One atlas round: every window a cell, all at one line width (one
     /// draw call renders at one width) and one cell resolution, in the
     /// accumulation choreography of the per-pair tape. Must be non-empty.
-    Atlas(&'a [&'a Window<'a>]),
+    Atlas(&'t [&'t Window<'a>]),
 }
 
 /// The command list for `tape` and its verdict readback slot, recorded
 /// from scratch: a tape is a dozen pushes plus one copy of the edge
 /// lists, which no cache beats (DESIGN.md §9). The device executes the
 /// list as returned.
-pub(crate) fn list(tape: Tape<'_>) -> (CommandList, usize) {
+pub(crate) fn list(tape: Tape<'_, '_>) -> (CommandList, usize) {
     match tape {
         Tape::Pair(w) => w.record(),
         Tape::Atlas(windows) => {
@@ -591,8 +550,9 @@ pub(crate) fn list(tape: Tape<'_>) -> (CommandList, usize) {
 pub(crate) enum Routed<'a> {
     /// Decided without hardware.
     Done(bool),
-    /// Needs the hardware filter over this window.
-    Hw(Window<'a>),
+    /// Needs the hardware filter over this window, which owns its
+    /// framing.
+    Hw(Box<Window<'a>>),
 }
 
 /// The software prologue of Algorithm 3.1 and its variants, for `pred`
@@ -636,27 +596,25 @@ pub(crate) fn route<'a>(
     // The run boxes bound the region the boundaries can meet in
     // (`projection`); where it is empty — or, once the threshold has
     // passed the pair on, where no run of one boundary pairs with a run of
-    // the other (`Framing::window`) — the pair is answered as a hardware
+    // the other (`Framing::paired`) — the pair is answered as a hardware
     // rejection would, with no submission.
     let by_runs = |stats: &mut TestStats| {
         stats.decided_by_runs += 1;
         Routed::Done(apart(pred))
     };
-    let framing = match framing(RefineOp::Test(pred), p, q) {
-        Err(NoWindow::Apart) => return by_runs(stats),
-        framing => framing,
-    };
-    // The region, for a software step 3 below: R need not be folded again.
-    let region = framing.as_ref().ok().map(|framing| framing.region);
+    let framing = framing(RefineOp::Test(pred), p, q);
+    if framing.apart() {
+        return by_runs(stats);
+    }
 
     // §4.3: a pair whose software step 3 is cheap skips the hardware
     // filter and runs it. The paper counts the n + m vertices its plane
-    // sweep visits; step 3 here visits only the edges in runs that reach
-    // the other MBR, which is all a hardware rejection could save.
-    if cfg.sw_threshold > 0 && step3_edges(pred, p, q) <= cfg.sw_threshold {
+    // sweep visits; step 3 here visits only the edges the walk kept,
+    // which is all a hardware rejection could save.
+    if cfg.sw_threshold > 0 && framing.routed_edges() <= cfg.sw_threshold {
         stats.skipped_by_threshold += 1;
         stats.software_tests += 1;
-        return Routed::Done(confirm(pred, p, q, region.as_ref()));
+        return Routed::Done(confirm(pred, p, q, &framing.reach));
     }
 
     // Step 2 runs in hardware. Algorithm 3.1 submits ALL edges and lets
@@ -666,18 +624,18 @@ pub(crate) fn route<'a>(
     // reach the window without the O(n+m) software scan the restricted
     // search space costs — which is how Figure 11 finds the hardware
     // ahead even at a 1×1 window. The window keeps that, minus the runs
-    // of 32 edges whose cached box pairs with no run of the other boundary
-    // near R (`LiveRuns`): n/32 box compares and a blocked pairing of the
-    // few runs near R, not a scan.
-    match framing.and_then(|framing| framing.window(cfg.resolution)) {
-        Ok(w) => Routed::Hw(w),
+    // of 32 edges whose box pairs with no run of the other boundary near
+    // R (`LiveRuns`): a blocked pairing of the runs the walk kept, not a
+    // scan, before the resolution is looked at.
+    match framing.fit(cfg.resolution) {
+        Ok(fit) => Routed::Hw(Box::new(Window::new(Cow::Owned(framing), fit))),
         Err(NoWindow::Apart) => by_runs(stats),
         // No projection window: a capability limit, answered exactly in
         // software and charged to the fallback ledger.
         Err(NoWindow::Unfit) => {
             stats.width_limit_fallbacks += 1;
             stats.software_tests += 1;
-            Routed::Done(confirm(pred, p, q, region.as_ref()))
+            Routed::Done(confirm(pred, p, q, &framing.reach))
         }
     }
 }
@@ -690,18 +648,11 @@ fn apart(pred: Predicate) -> bool {
 }
 
 /// The software step 3: exact on its own for a pair that passed the MBR
-/// gate and that point-in-polygon did not decide. `region` is the pair's
-/// projected region where the prologue has one ([`Framing`]). For the
-/// boundary tests that is R itself — at `d = 0` R lies in R₀, and `R ∩ R₀`
-/// is R exactly — so step 3 searches it instead of folding R again.
-fn confirm(pred: Predicate, p: &Polygon, q: &Polygon, region: Option<&Rect>) -> bool {
-    let meet = || {
-        let stats = &mut SweepStats::default();
-        match region {
-            Some(region) => boundaries_meet_over(p, q, region, stats),
-            None => boundaries_meet(p, q, stats),
-        }
-    };
+/// gate and that point-in-polygon did not decide. `reach` is the walk of
+/// the pair's framing: for the boundary tests step 3 searches the edges of
+/// the runs it kept instead of walking the boxes again.
+fn confirm(pred: Predicate, p: &Polygon, q: &Polygon, reach: &Reach) -> bool {
+    let meet = || boundaries_meet_over(p, q, reach, &mut SweepStats::default());
     match pred {
         Predicate::Intersects => meet(),
         // For connected polygons, strict containment is "one vertex
@@ -740,11 +691,11 @@ pub(crate) fn settle(
         Some(true) => {
             stats.hw_tests += 1;
             stats.software_tests += 1;
-            confirm(pred, p, q, Some(&w.region))
+            confirm(pred, p, q, &w.framing.reach)
         }
         None => {
             stats.fallback_tests += 1;
-            confirm(pred, p, q, Some(&w.region))
+            confirm(pred, p, q, &w.framing.reach)
         }
     }
 }
@@ -791,21 +742,22 @@ pub(crate) mod tests {
     /// public recorders `tests/golden.rs` pins.
     fn whole_boundaries(w: &Window) -> CommandList {
         let resolution = w.viewport.width();
-        match w.recording {
+        let (first, second) = (w.framing.first, w.framing.second);
+        match w.framing.recording {
             Recording::Segment => HwTester::record_segment_test(
                 w.region,
                 resolution,
                 OverlapStrategy::Accumulation,
-                w.first.edges(),
-                w.second.edges(),
+                first.edges(),
+                second.edges(),
             ),
             Recording::Distance(_) => HwTester::record_distance_test(
                 w.region,
                 resolution,
                 OverlapStrategy::Accumulation,
                 w.width,
-                w.first,
-                w.second,
+                first,
+                second,
             ),
             Recording::Overlap => unreachable!("the overlap count submits fills"),
         }
@@ -876,7 +828,9 @@ pub(crate) mod tests {
             let (poly, live) = w.side(second);
             // Every run box lies in the polygon's MBR: all the runs, boxes
             // as they are (an unboxed polygon's one run with its MBR).
-            for (edges, run) in reaching(poly, 0.0, &poly.mbr()) {
+            let unboxed = (poly.runs().len() == 0).then(|| (0..poly.vertex_count(), poly.mbr()));
+            let boxed = poly.runs().map(|(edges, run)| (edges, *run));
+            for (edges, run) in unboxed.into_iter().chain(boxed) {
                 let submitted = live
                     .runs
                     .iter()
@@ -886,7 +840,7 @@ pub(crate) mod tests {
                 assert!(
                     !submitted || !aa_line_outside_window(lo, hi, w.width, width, height),
                     "{:?} at {width}, width {}: run {edges:?} in {run:?} outside {:?}",
-                    w.recording,
+                    w.framing.recording,
                     w.width,
                     w.region
                 );
@@ -929,7 +883,7 @@ pub(crate) mod tests {
                     };
                     widths.insert(w.width as u64);
                     submitted += assert_submitted_runs_survive_the_clip_compare(&w);
-                    let per_vertex = match w.recording {
+                    let per_vertex = match w.framing.recording {
                         Recording::Distance(_) => 2,
                         _ => 1,
                     };
@@ -992,8 +946,8 @@ pub(crate) mod tests {
         let (whole, whole_slot) = HwTester::record_overlap_area(
             w.region,
             resolution,
-            w.first.vertices().iter().copied(),
-            w.second.vertices().iter().copied(),
+            w.framing.first.vertices().iter().copied(),
+            w.framing.second.vertices().iter().copied(),
         );
         assert_eq!(slot, whole_slot);
         let (frame, readbacks, stats) = execute(&ring);
@@ -1381,14 +1335,24 @@ pub(crate) mod tests {
         (to_device, stats)
     }
 
-    /// The threshold counts the edges of step 3, not the vertices of the
-    /// pair: 1 200 vertices whose runs meet the other MBR in under 500
-    /// edges run in software at the recommended configuration — and reach
-    /// the device with one edge less of threshold.
+    /// The threshold counts the edges step 3 searches, not the vertices of
+    /// the pair: 1 200 vertices whose runs reach the run-box region R in
+    /// under 500 edges run in software at the recommended configuration,
+    /// and reach the device with one edge less of threshold. The count is
+    /// the walk's: the edges of the runs whose box meets R, never more than
+    /// those of the runs whose box meets the MBR region R₀.
     #[test]
     fn a_pair_with_few_step3_edges_is_skipped_however_many_vertices_it_has() {
         let (p, q) = lens();
-        let edges = step3_edges(Predicate::Intersects, &p, &q);
+        let framing = framing(RefineOp::Test(Predicate::Intersects), &p, &q);
+        let edges = framing.routed_edges();
+        let r = framing.reach.region.expect("the lens boundaries meet");
+        let reaching_r = |poly: &Polygon| -> usize {
+            let runs = poly.runs().filter(|(_, run)| run.intersects(&r));
+            runs.map(|(edges, _)| edges.len()).sum()
+        };
+        assert_eq!(edges, reaching_r(&p) + reaching_r(&q));
+        assert!(edges <= framing.reach.clip_edges, "{edges} step-3 edges");
         assert!(p.vertex_count() + q.vertex_count() > 500);
         assert!((64..=500).contains(&edges), "{edges} step-3 edges");
         let cfg = HwConfig::recommended();
@@ -1554,17 +1518,17 @@ pub(crate) mod tests {
 
     /// A pair whose run boxes leave R non-empty but pair up nowhere is
     /// answered like an empty R: with no submission, per pair and batched,
-    /// counted once a test in `decided_by_runs` — at every resolution.
+    /// counted once a test in `decided_by_runs` — at every resolution,
+    /// those the device has no frame for too: the pairing answers before
+    /// the resolution is looked at, so no such pair is a width fallback.
     #[test]
     fn a_pair_whose_runs_pair_up_nowhere_is_answered_without_a_submission() {
         let (a, b) = bands();
         for pred in [Predicate::Intersects, Predicate::WithinDistance(0.5)] {
             assert!(!oracle(pred, &a, &b), "{pred:?}");
             let op = RefineOp::Test(pred);
-            assert!(framing(op, &a, &b).is_ok(), "{pred:?}: R is not empty");
-            for resolution in [1, 8, 32] {
-                let framed = framing(op, &a, &b).and_then(|f| f.viewport(resolution));
-                assert!(framed.is_ok(), "{pred:?}: a viewport at {resolution}");
+            assert!(!framing(op, &a, &b).apart(), "{pred:?}: R is not empty");
+            for resolution in [0, 1, 8, 32, MAX_WINDOW_SIDE + 1] {
                 let w = window(op, &a, &b, resolution);
                 assert!(matches!(w, Err(NoWindow::Apart)), "{pred:?}: {w:?}");
                 let mut tester = HwTester::new(HwConfig::at_resolution(resolution));
@@ -1577,9 +1541,14 @@ pub(crate) mod tests {
                 );
                 assert!(seen.lock().unwrap().is_empty(), "{pred:?}");
                 assert_eq!(
-                    (stats.decided_by_runs, stats.hw_tests, stats.software_tests),
-                    (2, 0, 0),
-                    "{pred:?}: {stats:?}"
+                    (
+                        stats.decided_by_runs,
+                        stats.hw_tests,
+                        stats.software_tests,
+                        stats.width_limit_fallbacks
+                    ),
+                    (2, 0, 0, 0),
+                    "{pred:?} at {resolution}: {stats:?}"
                 );
             }
         }

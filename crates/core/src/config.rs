@@ -8,12 +8,12 @@ pub struct HwConfig {
     /// paper sweeps 1–32 (Figures 11, 12, 15) and recommends 8 or 16.
     pub resolution: usize,
     /// §4.3: a pair whose software step 3 can visit at most this many
-    /// edges ([`crate::service::step3_edges`]: those in runs whose box
-    /// reaches the other polygon's MBR) skips the hardware test — a
-    /// rejection could save no more than that step 3, which is cheaper
-    /// than a rasterize-and-scan. The paper counts the `n + m` vertices
-    /// its plane sweep visits; step 3 here visits only these edges. 0
-    /// disables the shortcut.
+    /// edges skips the hardware test — a rejection could save no more than
+    /// that step 3. The paper counts the `n + m` vertices its plane sweep
+    /// visits; this counts the edges in the runs the prologue's run-box
+    /// walk kept: those that reach the run-box region R for intersection
+    /// and containment, those within `d` of the other MBR for distance
+    /// ([`crate::hw_intersect::submitted_edges`]). 0 disables it.
     pub sw_threshold: usize,
 }
 

@@ -33,8 +33,8 @@ pub enum GeometryTest {
     Software,
     /// Hardware-assisted (Algorithm 3.1 / §3.1 distance test), honoring
     /// the `sw_threshold` of the engine's [`HwConfig`] (§4.3): pairs whose
-    /// software step 3 visits ≤ the threshold edges take the software
-    /// test, the rest take the hardware filter.
+    /// software step 3 visits ≤ the threshold edges of the prologue's
+    /// run-box walk take the software test, the rest the hardware filter.
     Hardware,
 }
 

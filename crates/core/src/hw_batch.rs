@@ -46,7 +46,7 @@ impl HwTester {
         for (k, &(p, q)) in pairs.iter().enumerate() {
             match route(pred, p, q, &cfg, stats) {
                 Routed::Done(verdict) => results[k] = verdict,
-                Routed::Hw(window) => hw.push((k, window)),
+                Routed::Hw(window) => hw.push((k, *window)),
             }
         }
 

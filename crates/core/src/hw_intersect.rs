@@ -26,7 +26,7 @@
 //! never false rejections, because the anti-aliased rasterizer colors
 //! every pixel a segment passes through. Step 3 removes the false hits.
 
-use crate::choreography::{list, route, settle, window, Routed, Tape};
+use crate::choreography::{framing, list, route, settle, Routed, Tape};
 use crate::config::HwConfig;
 use crate::pipeline::recovery::{RecoveryPolicy, Supervisor};
 use crate::pipeline::{Predicate, RefineOp};
@@ -109,7 +109,7 @@ impl HwTester {
     /// counters.
     pub(crate) fn submit<T>(
         &mut self,
-        tape: Tape<'_>,
+        tape: Tape<'_, '_>,
         stats: &mut TestStats,
         read: impl FnOnce(&Execution, usize) -> Result<T, DeviceError>,
     ) -> Option<T> {
@@ -217,20 +217,21 @@ pub(crate) fn record_accumulation(
     (rec.finish(), slot)
 }
 
-/// The edges each boundary of the hardware test of `pred` on `(p, q)` at
-/// `resolution` submits — first and second in render order — once the
-/// prologue's MBR gate and point-in-polygon step have passed the pair on,
-/// or `None` where the run boxes decide the pair or it has no window. For
-/// diagnostics: it runs the prologue's projection and pairing steps and
-/// renders nothing.
+/// What the hardware prologue of `pred` on `(p, q)` at `resolution` counts
+/// past its MBR gate and point-in-polygon step: the step-3 edges it routes
+/// `sw_threshold` by, and the edges each boundary submits in render order,
+/// `None` where the run boxes decide the pair or it has no window. For
+/// diagnostics: it walks and pairs, and renders nothing.
 pub fn submitted_edges(
     pred: Predicate,
     p: &Polygon,
     q: &Polygon,
     resolution: usize,
-) -> Option<[usize; 2]> {
-    let w = window(RefineOp::Test(pred), p, q, resolution).ok()?;
-    Some([false, true].map(|second| w.segments(second).len()))
+) -> (usize, Option<[usize; 2]>) {
+    let framing = framing(RefineOp::Test(pred), p, q);
+    let w = framing.window(resolution).ok();
+    let submitted = w.map(|w| [false, true].map(|second| w.segments(second).len()));
+    (framing.routed_edges(), submitted)
 }
 
 #[cfg(test)]

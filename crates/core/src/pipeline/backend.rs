@@ -78,17 +78,18 @@ impl RefinementBackend for SoftwareBackend {
                 stats.decided_by_runs += st.decided_by_runs;
                 r
             }
-            // The software ledger has never counted containment's
-            // point-in-polygon exits; it keeps its `decided_by_pip`.
             Predicate::ContainedIn => {
                 let mut st = IntersectStats::default();
                 let r = polygon_contained_in_with(p, q, &mut st);
+                stats.decided_by_pip += st.decided_by_pip;
                 stats.decided_by_runs += st.decided_by_runs;
                 r
             }
             Predicate::WithinDistance(d) => {
                 let mut st = MinDistStats::default();
-                within_distance_with(p, q, d, &mut st)
+                let r = within_distance_with(p, q, d, &mut st);
+                stats.decided_by_pip += st.decided_by_pip;
+                r
             }
         }
     }

@@ -74,7 +74,6 @@ mod planner;
 mod request;
 mod stats;
 
-pub use crate::choreography::step3_edges;
 pub use brownout::{BrownoutConfig, BrownoutRung};
 pub use engine::{QueryEngine, ServiceConfig, ServiceSnapshot};
 pub use planner::{PlanChoice, PlannerConfig, PlannerMode, STEP3_FIXED_NS, STEP3_NS_PER_EDGE};

@@ -15,12 +15,12 @@
 //! step 3. For each sampled pair with a window:
 //!
 //! * the software plan costs `step3(p, q)`: [`STEP3_FIXED_NS`] plus
-//!   [`STEP3_NS_PER_EDGE`] times [`step3_edges`] — the edges in runs
-//!   whose box meets the other polygon's MBR ([`Polygon::runs_where`],
-//!   both ways; within `d` of it for a within-distance join; a polygon
-//!   without run boxes counts whole) — and nothing for an intersection or
-//!   containment pair whose run-box region R is empty, which step 3
-//!   answers with no search (`spatial_geom::intersect::boundaries_meet`);
+//!   [`STEP3_NS_PER_EDGE`] times the edges the tester's prologue routes
+//!   its threshold by (`choreography::Framing::routed_edges`: over the
+//!   run-box region R for intersection and containment, within `d` of
+//!   the other MBR for distance) — and nothing for an intersection or
+//!   containment pair whose R is empty, which step 3 answers with no
+//!   search (`spatial_geom::intersect::boundaries_meet`);
 //! * the hardware plan at resolution `r` costs the modeled GPU time of
 //!   the pair's list replayed at `r`, plus `step3(p, q)` when the replayed
 //!   Minmax scan does not reject the pair — nothing when the run boxes
@@ -50,17 +50,19 @@
 //! pass stops replaying a resolution as soon as the pairs priced so far
 //! prove that neither of its plans can beat the best one found yet, and
 //! still chooses what replaying every pair would (`Planner::price`).
-//! Each sampled pair's framing (`choreography::framing`: R and the
-//! polygons in render order) is derived once per pass and reused at every
-//! priced resolution. A pair whose framing proves its boundaries apart —
+//! Each sampled pair's framing (`choreography::framing`: its run-box
+//! walk, R and the polygons in render order) and its pairing are derived
+//! once per pass and reused at every priced resolution; a pair whose runs
+//! pair nowhere is free at each. A pair whose
+//! framing proves its boundaries apart —
 //! an empty R — is free on both plans for intersection and containment:
 //! the tester's prologue answers it with no submission and the software
 //! step 3 with no search. (A within-distance pair keeps its software
 //! price: its software step 3 does not read R.) The other priced pairs are
 //! every sampled pair with a window, not only those the tester's
 //! point-in-polygon and `sw_threshold` prologue would send to the device:
-//! a pair point-in-polygon decides, or whose [`step3_edges`] are within
-//! the threshold, is priced as a device test but runs in software, so the
+//! a pair point-in-polygon decides, or whose routed edges are within the
+//! threshold, is priced as a device test but runs in software, so the
 //! hardware plans' prices, and the share of plans that pick hardware,
 //! overstate what the device does. Pricing those as the tester routes
 //! them would skip their replays, and waits on ROADMAP item 1: on
@@ -73,7 +75,7 @@
 //! every backend is exact, so planning is purely a latency decision and
 //! a wrong estimate can never corrupt an answer.
 
-use crate::choreography::{framing, list, step3_edges, Framing, NoWindow, Tape};
+use crate::choreography::{framing, list, Framing, NoWindow, Tape};
 use crate::pipeline::{Predicate, RefineOp};
 use spatial_geom::Polygon;
 use spatial_raster::{CommandList, HwCostModel, RasterDevice, ReferenceDevice};
@@ -86,8 +88,9 @@ use std::collections::HashMap;
 /// crossover").
 pub const STEP3_FIXED_NS: f64 = 160.0;
 
-/// The software step-3 rate, in nanoseconds per edge of [`step3_edges`],
-/// on top of [`STEP3_FIXED_NS`] per pair — the software side of Figure
+/// The software step-3 rate, in nanoseconds per edge the prologue routes
+/// by (`choreography::Framing::routed_edges`), on top of
+/// [`STEP3_FIXED_NS`] per pair — the software side of Figure
 /// 13. `--bin diag` times both step-3 kernels against it — the
 /// intersection joins' and the within-distance joins' — and both sit on
 /// this one line within the host's run-to-run spread. An aggregation's
@@ -196,7 +199,7 @@ struct MemoKey {
 /// One sampled pair as a pricing pass sees it: its framing, derived once
 /// for every priced resolution, and what the software plan pays for it.
 struct Sampled<'a> {
-    framing: Result<Framing<'a>, NoWindow>,
+    framing: Framing<'a>,
     step3: f64,
 }
 
@@ -439,28 +442,20 @@ impl Planner {
 
     /// The software plan's cost of one pair with `framing`, in modeled
     /// nanoseconds: for a boolean test its step 3, [`STEP3_FIXED_NS`] plus
-    /// [`STEP3_NS_PER_EDGE`] times [`step3_edges`] — nothing for an
-    /// intersection or containment pair whose R is empty, which step 3
-    /// answers without a search; for an aggregation the clip, at the same
-    /// rate per vertex of both boundaries.
-    fn step3_ns(
-        op: RefineOp,
-        p: &Polygon,
-        q: &Polygon,
-        framing: &Result<Framing, NoWindow>,
-    ) -> f64 {
+    /// [`STEP3_NS_PER_EDGE`] times the framing's step-3 edges
+    /// (`Framing::routed_edges`) — nothing for an intersection or
+    /// containment pair whose R is empty, which step 3 answers without a
+    /// search; for an aggregation the clip, at the same rate per vertex of
+    /// both boundaries.
+    fn step3_ns(op: RefineOp, p: &Polygon, q: &Polygon, framing: &Framing) -> f64 {
         match op {
             RefineOp::Measure { .. } => {
                 (p.vertex_count() + q.vertex_count()) as f64 * STEP3_NS_PER_EDGE
             }
-            RefineOp::Test(Predicate::Intersects | Predicate::ContainedIn)
-                if matches!(framing, Err(NoWindow::Apart)) =>
-            {
+            RefineOp::Test(Predicate::Intersects | Predicate::ContainedIn) if framing.apart() => {
                 0.0
             }
-            RefineOp::Test(pred) => {
-                STEP3_FIXED_NS + step3_edges(pred, p, q) as f64 * STEP3_NS_PER_EDGE
-            }
+            RefineOp::Test(_) => STEP3_FIXED_NS + framing.routed_edges() as f64 * STEP3_NS_PER_EDGE,
         }
     }
 
@@ -511,12 +506,8 @@ impl Planner {
     /// same window, same tape — or why the tester submits nothing. Every
     /// sampled pair with a projection window is priced; the prologue's
     /// point-in-polygon and threshold exits are the tester's own.
-    fn priced_tape(
-        framing: &Result<Framing, NoWindow>,
-        resolution: usize,
-    ) -> Result<(CommandList, usize), NoWindow> {
-        let w = framing.as_ref().map_err(|&no| no)?.window(resolution)?;
-        Ok(list(Tape::Pair(&w)))
+    fn priced_tape(framing: &Framing, resolution: usize) -> Result<(CommandList, usize), NoWindow> {
+        Ok(list(Tape::Pair(&framing.window(resolution)?)))
     }
 }
 
@@ -854,7 +845,7 @@ mod tests {
         let contained = RefineOp::Test(Predicate::ContainedIn);
         for (op, p, q) in [(INTERSECTS, &a, &b), (contained, &b, &a)] {
             let pair = sampled(op, p, q);
-            assert!(matches!(pair.framing, Err(NoWindow::Apart)), "{op:?}");
+            assert!(pair.framing.apart(), "{op:?}");
             assert_eq!(pair.step3, 0.0, "{op:?}");
             for &r in &pl.cfg.resolutions {
                 assert_eq!(pl.price_pair(device, op, r, &pair), PairPrice::Apart);
@@ -869,7 +860,7 @@ mod tests {
         }
         let within = RefineOp::Test(Predicate::WithinDistance(0.1));
         let pair = sampled(within, &a, &b);
-        assert!(matches!(pair.framing, Err(NoWindow::Apart)));
+        assert!(pair.framing.apart());
         assert!(pair.step3 > 0.0);
         let planned = Planner::new(PlannerConfig::default()).plan(3, within, 64, &[(&a, &b)]);
         assert_eq!(

@@ -11,13 +11,13 @@ pub struct TestStats {
     /// Pairs the hardware prologue answered without a submission because
     /// the run boxes of the two boundaries cannot meet (for a distance
     /// test: come within `d`) anywhere in the projection region — the
-    /// run-box region R is empty (`spatial_geom::reach::run_region`), or
-    /// no run of one boundary that reaches it pairs with such a run of the
-    /// other (`choreography::Framing::window`). The second is found only
-    /// for a pair that passed `sw_threshold` and has a window: a width
-    /// fallback is counted as one even where its runs pair nowhere. The
-    /// software backend counts the first for intersection and containment:
-    /// its step 3 answers an empty R with no search.
+    /// run-box region R is empty (`spatial_geom::reach::walk`), or no run
+    /// of one boundary that reaches it pairs with such a run of the other
+    /// (`spatial_geom::reach::Reach::paired`). The second is found only for
+    /// a pair that passed `sw_threshold`, before its resolution and line
+    /// width are looked at: no width fallback has runs that pair nowhere.
+    /// The software backend counts the first for intersection and
+    /// containment: its step 3 answers an empty R with no search.
     pub decided_by_runs: usize,
     /// Pairs rejected by the hardware filter (the savings).
     pub rejected_by_hw: usize,

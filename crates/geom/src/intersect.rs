@@ -5,7 +5,7 @@
 
 use crate::pip::point_in_polygon;
 use crate::polygon::Polygon;
-use crate::reach::run_region;
+use crate::reach::{walk_into, Reach};
 use crate::rect::Rect;
 use crate::segment::Segment;
 use crate::sweep::{tree_sweep_intersects_stats, SweepStats};
@@ -31,64 +31,81 @@ pub struct IntersectStats {
     /// Tests decided by the point-in-polygon step alone.
     pub decided_by_pip: usize,
     /// Step-3 calls answered `false` because the run-box region R is
-    /// empty ([`run_region`]), before any edge was collected.
+    /// empty ([`crate::reach::walk`]), before any edge was collected.
     pub decided_by_runs: usize,
 }
 
 /// Collects the edges of `poly` whose MBR intersects `region` — the
-/// restricted search space. Any boundary-boundary intersection point lies in
-/// both polygons' MBRs, hence in their intersection, hence on edges this
-/// filter keeps; the reduction is therefore lossless. The same holds for
-/// any region that contains every such point, such as the run-box region R.
-///
-/// Only the runs whose cached box intersects `region` are walked: an
-/// edge's MBR lies inside its run's box, so no edge the filter keeps is in
-/// a run it skips.
+/// restricted search space, lossless for any region that holds every
+/// point the boundaries share (R₀, R). Only the runs whose cached box
+/// intersects `region` are walked: an edge's MBR lies inside its run's box.
 pub fn restricted_edges(poly: &Polygon, region: &Rect) -> Vec<Segment> {
-    let mut kept = Vec::new();
-    poly.edges_near(|mbr| mbr.intersects(region), &mut kept);
-    kept
+    let near = |mbr: &Rect| mbr.intersects(region);
+    let edges = poly.runs_where(near).flat_map(|run| poly.edges_in(run));
+    edges.filter(|e| near(&e.mbr())).collect()
 }
 
 /// §3.1 step 3: whether the boundaries of `p` and `q` meet (closed: a touch
 /// counts). Boundaries can only meet inside the run-box region R of
-/// `(p, q)` ([`run_region`] at `half = 0`): an empty R answers `false`
-/// with no edge collected, any other is searched by
-/// [`boundaries_meet_over`].
+/// `(p, q)` ([`crate::reach::walk`] at `half = 0`): an empty R answers
+/// `false` with no edge collected, any other is searched as
+/// [`boundaries_meet_over`] does.
 ///
 /// Unlike a plane sweep alone, this has no precondition on the input: a
 /// self-crossing boundary gets the exact answer, unless the search runs
 /// out of budget and the tree sweep decides (see [`edges_meet`]).
 pub fn boundaries_meet(p: &Polygon, q: &Polygon, stats: &mut SweepStats) -> bool {
-    run_region(p, q, 0.0).is_some_and(|region| boundaries_meet_over(p, q, &region, stats))
+    walk_and_meet(p, q, stats).unwrap_or(false)
 }
 
-/// Step 3 over `region`, for a caller that has R already: [`edges_meet`]
-/// on the restricted search space of `region`. The answer is
-/// [`boundaries_meet`]'s for every `region` that holds each point the two
-/// boundaries share, as R and R₀ do.
+/// Step 3 over the walk of `(p, q)` at `half = 0`: [`edges_meet`] on the
+/// edges whose MBR meets R, taken from the runs that reach it
+/// ([`Reach::near`]); `false` with no edge collected where R is empty.
 pub fn boundaries_meet_over(
     p: &Polygon,
     q: &Polygon,
-    region: &Rect,
+    reach: &Reach,
     stats: &mut SweepStats,
 ) -> bool {
+    with_scratch(|s| meet_in(p, q, reach, [&mut s.ep, &mut s.eq], &mut s.boxes, stats))
+}
+
+/// [`boundaries_meet`] over this thread's scratch walk; `None` for empty R.
+fn walk_and_meet(p: &Polygon, q: &Polygon, stats: &mut SweepStats) -> Option<bool> {
     with_scratch(|s| {
-        p.edges_near(|mbr| mbr.intersects(region), &mut s.ep);
-        q.edges_near(|mbr| mbr.intersects(region), &mut s.eq);
-        edges_meet_in(&s.ep, &s.eq, &mut s.boxes, stats)
+        walk_into(p, q, 0.0, &mut s.reach);
+        s.reach.region?;
+        let kept = [&mut s.ep, &mut s.eq];
+        Some(meet_in(p, q, &s.reach, kept, &mut s.boxes, stats))
     })
+}
+
+/// [`boundaries_meet_over`], collecting the two edge sets into `ep`, `eq`.
+fn meet_in(
+    p: &Polygon,
+    q: &Polygon,
+    reach: &Reach,
+    [ep, eq]: [&mut Vec<Segment>; 2],
+    boxes: &mut Vec<Rect>,
+    stats: &mut SweepStats,
+) -> bool {
+    let Some(region) = reach.region else {
+        return false;
+    };
+    for (side, poly, kept) in [(0, p, &mut *ep), (1, q, &mut *eq)] {
+        let runs = reach.near[side].iter();
+        let edges = runs.flat_map(|(edges, _)| poly.edges_in(edges.clone()));
+        kept.clear();
+        kept.extend(edges.filter(|e| e.mbr().intersects(&region)));
+    }
+    edges_meet_in(ep, eq, boxes, stats)
 }
 
 /// [`boundaries_meet`], counting an empty R in `stats.decided_by_runs`.
 fn step3(p: &Polygon, q: &Polygon, stats: &mut IntersectStats) -> bool {
-    match run_region(p, q, 0.0) {
-        Some(region) => boundaries_meet_over(p, q, &region, &mut stats.sweep),
-        None => {
-            stats.decided_by_runs += 1;
-            false
-        }
-    }
+    let met = walk_and_meet(p, q, &mut stats.sweep);
+    stats.decided_by_runs += usize::from(met.is_none());
+    met.unwrap_or(false)
 }
 
 /// Whether an edge of `ep` meets an edge of `eq` (closed semantics, the

@@ -56,8 +56,9 @@ pub use segment::Segment;
 
 use std::cell::RefCell;
 
-/// The buffers a software refinement test fills per pair — the two edge
-/// sets it narrows the boundaries to and the boxes it unions them into —
+/// The buffers a software refinement test fills per pair — its run-box
+/// walk, the two edge sets it narrows the boundaries to and the boxes it
+/// unions them into —
 /// kept per thread and reused from pair to pair, so a join allocates them
 /// once, not once per candidate. Every user replaces what it reads.
 #[derive(Default)]
@@ -65,6 +66,7 @@ pub(crate) struct Scratch {
     pub ep: Vec<Segment>,
     pub eq: Vec<Segment>,
     pub boxes: Vec<Rect>,
+    pub reach: reach::Reach,
 }
 
 /// The most elements a [`Scratch`] buffer keeps between pairs: a buffer
@@ -89,6 +91,7 @@ pub(crate) fn with_scratch<T>(f: impl FnOnce(&mut Scratch) -> T) -> T {
         release(&mut s.ep);
         release(&mut s.eq);
         release(&mut s.boxes);
+        s.reach.near.iter_mut().for_each(release);
         out
     })
 }

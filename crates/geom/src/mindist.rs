@@ -20,8 +20,10 @@ pub struct MinDistStats {
     pub edges_p: usize,
     /// Edges of Q surviving the reduction.
     pub edges_q: usize,
-    /// Tests decided by MBR distance or containment alone.
+    /// Tests decided by the MBR distance alone.
     pub decided_early: usize,
+    /// Tests decided by the point-in-polygon probes (containment: distance 0).
+    pub decided_by_pip: usize,
 }
 
 /// Exact minimum distance between two simple polygons (0 when they
@@ -103,7 +105,7 @@ fn decided_early(p: &Polygon, q: &Polygon, d: f64, stats: &mut MinDistStats) -> 
     // Containment ⇒ distance 0. Boundary crossings are caught later by a
     // zero edge-pair distance, so two point-in-polygon probes suffice.
     if point_in_polygon(p.vertices()[0], q) || point_in_polygon(q.vertices()[0], p) {
-        stats.decided_early += 1;
+        stats.decided_by_pip += 1;
         return Some(true);
     }
     None

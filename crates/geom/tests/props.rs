@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use spatial_geom::chains::frontier_clipped;
 use spatial_geom::intersect::{boundaries_meet, restricted_edges};
 use spatial_geom::pip::{locate_point, PointLocation};
-use spatial_geom::reach::run_region;
+use spatial_geom::reach::{walk, Run};
 use spatial_geom::sweep::{forward_sweep_intersects, tree_sweep_intersects, SweepStats};
 use spatial_geom::{
     min_dist, min_dist_brute, point_in_polygon, polygon_contained_in, polygons_intersect,
@@ -634,7 +634,7 @@ fn check_boundaries_meet(p: &Polygon, q: &Polygon) -> Met {
     let (ep, eq) = restricted_pair(p, q, p.mbr().intersection(&q.mbr()));
     let all_pairs = p.edges().any(|e| q.edges().any(|f| e.intersects(&f)));
     assert_eq!(forward_sweep_intersects(&ep, &eq), all_pairs, "{p:?} {q:?}");
-    let r = run_region(p, q, 0.0);
+    let r = walk(p, q, 0.0).region;
     assert!(r.is_some() || !all_pairs, "{p:?} {q:?}: an empty R");
     let mut st = SweepStats::default();
     let meet = boundaries_meet(p, q, &mut st);
@@ -753,7 +753,7 @@ enum RShape {
 }
 
 fn r_shape(p: &Polygon, q: &Polygon) -> RShape {
-    match run_region(p, q, 0.0) {
+    match walk(p, q, 0.0).region {
         None => RShape::Empty,
         Some(r) => match (r.width() == 0.0, r.height() == 0.0) {
             (true, true) => RShape::Point,
@@ -815,6 +815,140 @@ fn boundaries_meet_over_r_matches_the_oracles_where_run_boxes_touch() {
     }
     assert!(seen.contains_key(&(RShape::Empty, false)), "{seen:?}");
     assert!(seen.contains_key(&(RShape::Area, false)), "{seen:?}");
+}
+
+/// `r` grown by `half` on every side, rounded outward, as the walk grows
+/// each box.
+fn grown(r: &Rect, half: f64) -> Rect {
+    if half == 0.0 {
+        return *r;
+    }
+    Rect::new(
+        (r.xmin - half).next_down(),
+        (r.ymin - half).next_down(),
+        (r.xmax + half).next_up(),
+        (r.ymax + half).next_up(),
+    )
+}
+
+/// Every run of `poly` with its box grown by `half`, in boundary order: one
+/// run of all its edges, boxed by its MBR, for a polygon without boxes.
+fn all_runs(poly: &Polygon, half: f64) -> Vec<Run> {
+    if poly.runs().len() == 0 {
+        return vec![(0..poly.vertex_count(), grown(&poly.mbr(), half))];
+    }
+    poly.runs()
+        .map(|(edges, run)| (edges, grown(run, half)))
+        .collect()
+}
+
+/// The oracle for R: the two-pass fold over every run box that computed it
+/// before the walk kept its lists — R₀ cut to the hull of the grown boxes
+/// of `first` that meet it, then to those of `second` that meet what is
+/// left.
+fn two_pass_region(first: &Polygon, second: &Polygon, half: f64) -> Option<Rect> {
+    let mut region = grown(&first.mbr(), half).intersection(&grown(&second.mbr(), half))?;
+    for poly in [first, second] {
+        let hull = all_runs(poly, half)
+            .into_iter()
+            .filter(|(_, run)| run.intersects(&region))
+            .fold(Rect::EMPTY, |hull, (_, run)| hull.union(&run));
+        region = region.intersection(&hull)?;
+    }
+    Some(region)
+}
+
+/// The one walk over `(first, second)` at `half` against brute force over
+/// every run: R is the two-pass fold's; each side keeps exactly the runs
+/// whose grown box meets R; the clip count is that of the runs whose box
+/// lies within `2·half` of the other MBR; a run pairs exactly when its box
+/// meets a kept box of the other side; and at `half = 0` the kept runs are
+/// the stretches of `runs_where` over R. Returns R's shape.
+fn check_walk(first: &Polygon, second: &Polygon, half: f64) -> RShape {
+    let what = format!("{first:?} {second:?} at {half}");
+    let reach = walk(first, second, half);
+    let region = two_pass_region(first, second, half);
+    assert_eq!(reach.region, region, "{what}");
+    let mut clip_edges = 0;
+    for (side, poly) in [first, second].into_iter().enumerate() {
+        let other = [second, first][side].mbr();
+        clip_edges += all_runs(poly, 0.0)
+            .iter()
+            .filter(|(_, run)| run.min_dist(&other) <= 2.0 * half)
+            .map(|(edges, _)| edges.len())
+            .sum::<usize>();
+        let runs = all_runs(poly, half);
+        let meeting = |area: Option<Rect>| {
+            let runs = runs
+                .iter()
+                .filter(move |(_, run)| area.is_some_and(|a| run.intersects(&a)));
+            runs.cloned().collect::<Vec<_>>()
+        };
+        assert_eq!(
+            reach.near[side],
+            &meeting(region)[..],
+            "{what}: side {side}"
+        );
+        let other = &reach.near[1 - side];
+        let paired: Vec<_> = reach.near[side]
+            .iter()
+            .filter(|(_, run)| other.iter().any(|(_, o)| o.intersects(run)))
+            .map(|(edges, _)| edges.clone())
+            .collect();
+        assert_eq!(
+            reach.paired(side).collect::<Vec<_>>(),
+            paired,
+            "{what}: side {side}"
+        );
+        if let (0.0, Some(r)) = (half, region) {
+            let mut stretches: Vec<std::ops::Range<usize>> = Vec::new();
+            for (edges, _) in &reach.near[side] {
+                match stretches.last_mut() {
+                    Some(last) if last.end == edges.start => last.end = edges.end,
+                    _ => stretches.push(edges.clone()),
+                }
+            }
+            let runs_where: Vec<_> = poly.runs_where(|run| run.intersects(&r)).collect();
+            assert_eq!(stretches, runs_where, "{what}: side {side}");
+        }
+    }
+    assert_eq!(reach.clip_edges, clip_edges, "{what}");
+    let kept = reach.near.iter().flatten();
+    assert_eq!(
+        reach.edges(),
+        kept.map(|(edges, _)| edges.len()).sum::<usize>()
+    );
+    match region {
+        None => RShape::Empty,
+        Some(r) => match (r.width() == 0.0, r.height() == 0.0) {
+            (true, true) => RShape::Point,
+            (false, false) => RShape::Area,
+            _ => RShape::Segment,
+        },
+    }
+}
+
+/// The walk on the boxed rectangles of
+/// [`boundaries_meet_over_r_matches_the_oracles_where_run_boxes_touch`] —
+/// run boxes touching at a corner, along a side, crossing and missing,
+/// with and without boxes — at `half = 0`, where R comes out empty, a
+/// point, a segment and a box, and at whole and fractional halves.
+#[test]
+fn the_walk_matches_brute_force_where_run_boxes_touch() {
+    let p = cut_rect(0.0, 0.0, 4.0, 4.0, 16);
+    let mut seen = std::collections::BTreeSet::new();
+    for (x, y) in (-5..=5).flat_map(|x| (-5..=5).map(move |y| (x as f64, y as f64))) {
+        for per_side in [1, 16, 20] {
+            let q = cut_rect(x, y, 2.0, 3.0, per_side);
+            for half in [0.0, 0.25, 0.5, 1.0] {
+                seen.insert((half == 0.0, check_walk(&p, &q, half)));
+                check_walk(&q, &p, half);
+            }
+        }
+    }
+    for shape in [RShape::Empty, RShape::Point, RShape::Segment, RShape::Area] {
+        assert!(seen.contains(&(true, shape)), "{shape:?}: {seen:?}");
+    }
 }
 
 /// A star-shaped (hence simple) polygon around `(cx, cy)`: one vertex per
@@ -941,6 +1075,35 @@ proptest! {
     ) {
         check_over_r(&p, &q);
         check_over_r(&star, &q);
+    }
+
+    /// The one walk over the run boxes against brute force
+    /// ([`check_walk`]) on random pairs with and without boxes — grid
+    /// rectangles whose boxes touch at a point or along a side, big stars,
+    /// and a star nested in a copy of itself grown by a hair, whose every
+    /// run reaches R and pairs in blocks — at `half = 0` and at `d/2` for
+    /// whole and fractional `d`.
+    #[test]
+    fn the_walk_matches_brute_force_on_random_pairs(
+        p in arb_cut_rect(),
+        q in arb_cut_rect(),
+        star in arb_big_star(),
+        other in arb_big_star(),
+        radii in prop::collection::vec(0.5f64..20.0, 64..400),
+        grow in 1.001f64..1.05,
+        (pick, fraction) in (0usize..8, 0.0f64..4.0),
+    ) {
+        let d = if pick < 4 { pick as f64 } else { fraction };
+        let inner = star_polygon(0.0, 0.0, &radii);
+        let outer = inner.scaled_about(Point::new(0.0, 0.0), grow).expect("a finite factor");
+        for half in [0.0, d / 2.0] {
+            check_walk(&p, &q, half);
+            check_walk(&star, &q, half);
+            check_walk(&q, &star, half);
+            check_walk(&star, &other, half);
+            check_walk(&inner, &outer, half);
+            check_walk(&outer, &inner, half);
+        }
     }
 
     /// Intersection is symmetric.

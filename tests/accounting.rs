@@ -12,27 +12,94 @@ fn prepare(ds: datagen::Dataset) -> PreparedDataset {
     PreparedDataset::new(ds.name, ds.polygons)
 }
 
-/// Every MBR candidate is routed to exactly one fate in the hardware join:
-/// PiP-decided, threshold-skipped software, hardware-tested, or rejected
-/// early by empty restricted edges (not separately counted — bounded here).
+/// Every MBR candidate of a hardware join — intersection and within
+/// distance — is routed to exactly one fate: decided by point-in-polygon,
+/// decided by the run boxes, skipped to software by the threshold, a width
+/// fallback, or a device test; and every device test the device does not
+/// reject runs the software step 3 once.
 #[test]
 fn candidate_routing_conserves() {
     let a = prepare(datagen::landc(SCALE, 21));
     let b = prepare(datagen::lando(SCALE, 21));
+    let base_d = datagen::base_distance(&datagen::landc(SCALE, 21), &datagen::lando(SCALE, 21));
     let mut hw = SpatialEngine::new(EngineConfig::hardware(
         HwConfig::at_resolution(8).with_threshold(200),
     ));
-    let (_, cost) = hw.intersection_join(&a, &b);
-    let t = &cost.tests;
-    // hw-tested pairs either get rejected or go to a software sweep.
+    let (_, ij) = hw.intersection_join(&a, &b);
+    let (_, dj) = hw.within_distance_join(&a, &b, base_d);
+    for (name, cost) in [("intersection", ij), ("within distance", dj)] {
+        let t = &cost.tests;
+        assert_eq!(
+            t.decided_by_pip
+                + t.decided_by_runs
+                + t.skipped_by_threshold
+                + t.width_limit_fallbacks
+                + t.hw_tests,
+            cost.candidates,
+            "{name}: {t:?}"
+        );
+        assert_eq!(
+            t.hw_tests + t.skipped_by_threshold + t.width_limit_fallbacks,
+            t.rejected_by_hw + t.software_tests,
+            "{name}: {t:?}"
+        );
+        assert!(
+            t.hw_tests > 0 && t.skipped_by_threshold > 0,
+            "{name}: {t:?}"
+        );
+        assert!(cost.results <= cost.candidates);
+    }
+}
+
+/// The software engine and a hardware engine that sends every pair its
+/// prologue leaves undecided to software (`sw_threshold = usize::MAX`)
+/// return the same rows and count the same point-in-polygon exits, on all
+/// four boolean query kinds: intersection and containment selections,
+/// intersection and within-distance joins.
+#[test]
+fn software_and_all_software_hardware_count_the_same_pip_exits() {
+    const SMALL: f64 = 0.002;
+    let water = prepare(datagen::water(SMALL, 3));
+    let (landc, lando) = (datagen::landc(SMALL, 3), datagen::lando(SMALL, 3));
+    let base_d = datagen::base_distance(&landc, &lando);
+    let (landc, lando) = (prepare(landc), prepare(lando));
+    let queries = datagen::states50(3);
+    let mut sw = SpatialEngine::new(EngineConfig::software());
+    let mut hw = SpatialEngine::new(EngineConfig::hardware(
+        HwConfig::at_resolution(8).with_threshold(usize::MAX),
+    ));
+    let mut pips = [0usize; 4];
+    for q in queries.polygons.iter().take(10) {
+        let (rows, s) = sw.intersection_selection(&water, q);
+        let (hw_rows, h) = hw.intersection_selection(&water, q);
+        assert_eq!(
+            (rows, s.tests.decided_by_pip),
+            (hw_rows, h.tests.decided_by_pip)
+        );
+        pips[0] += s.tests.decided_by_pip;
+        let (rows, s) = sw.containment_selection(&water, q);
+        let (hw_rows, h) = hw.containment_selection(&water, q);
+        assert_eq!(
+            (rows, s.tests.decided_by_pip),
+            (hw_rows, h.tests.decided_by_pip)
+        );
+        pips[1] += s.tests.decided_by_pip;
+    }
+    let (rows, s) = sw.intersection_join(&landc, &lando);
+    let (hw_rows, h) = hw.intersection_join(&landc, &lando);
     assert_eq!(
-        t.hw_tests,
-        t.rejected_by_hw + (t.software_tests - t.skipped_by_threshold),
-        "{t:?}"
+        (rows, s.tests.decided_by_pip),
+        (hw_rows, h.tests.decided_by_pip)
     );
-    // Nothing exceeds the candidate count.
-    assert!(t.decided_by_pip + t.hw_tests + t.skipped_by_threshold <= cost.candidates);
-    assert!(cost.results <= cost.candidates);
+    pips[2] += s.tests.decided_by_pip;
+    let (rows, s) = sw.within_distance_join(&landc, &lando, base_d);
+    let (hw_rows, h) = hw.within_distance_join(&landc, &lando, base_d);
+    assert_eq!(
+        (rows, s.tests.decided_by_pip),
+        (hw_rows, h.tests.decided_by_pip)
+    );
+    pips[3] += s.tests.decided_by_pip;
+    assert!(pips.iter().all(|&n| n > 0), "{pips:?}");
 }
 
 /// Hardware work counters grow monotonically with window resolution for
