@@ -46,13 +46,11 @@ use spatial_filters::{
 };
 use spatial_geom::chains::{frontier_clipped, frontier_runs};
 use spatial_geom::distance::{edges_within_pairwise, PAIR_BLOCK};
-use spatial_geom::intersect::{
-    boundaries_meet, polygons_intersect_with, restricted_edges, IntersectStats,
-};
-use spatial_geom::mindist::{clipped_chains_within, MinDistStats};
+use spatial_geom::intersect::{boundaries_meet, restricted_edges};
+use spatial_geom::mindist::clipped_chains_within;
 use spatial_geom::reach::walk;
 use spatial_geom::sweep::{forward_sweep_intersects, SweepStats};
-use spatial_geom::{point_in_polygon, Point, Polygon, Rect, Segment};
+use spatial_geom::{point_in_polygon, Point, Polygon, Rect, RefineStats, Segment};
 use spatial_raster::aa_line::{aa_line_outside_window, DIAGONAL_WIDTH};
 use spatial_raster::{Viewport, MAX_AA_LINE_WIDTH};
 use std::cell::Cell;
@@ -337,7 +335,7 @@ fn distance_decomposition(
                 continue;
             }
             calibration.time(Predicate::WithinDistance(d), p, q, || {
-                clipped_chains_within(p, q, d, &mut MinDistStats::default())
+                clipped_chains_within(p, q, d)
             });
             // The clip walks the runs within `d` of the whole boundary when
             // the MBRs overlap on both axes, of one frontier chain when a
@@ -580,9 +578,9 @@ fn intersection_composition(
         });
         rss_time += t_rss.elapsed().as_secs_f64() * 1e3;
         r_edges += ep.len() + eq.len();
-        let mut st = IntersectStats::default();
+        let mut st = RefineStats::default();
         let t = Instant::now();
-        let hit = polygons_intersect_with(p, q, &mut st);
+        let hit = Predicate::Intersects.test(p, q, &mut st);
         let dt = t.elapsed().as_secs_f64() * 1e6;
         let Some(r) = r else {
             runs_decided += 1;
@@ -763,7 +761,7 @@ fn hardware_submission(a: &PreparedDataset, b: &PreparedDataset, base_d: f64) ->
         let (p, q) = (a.polygon(i), b.polygon(j));
         let before = stats;
         let verdict = tester.within_distance(p, q, base_d, &mut stats);
-        let step3 = || clipped_chains_within(p, q, base_d, &mut MinDistStats::default());
+        let step3 = || clipped_chains_within(p, q, base_d);
         // §3.2: the distance test renders the smaller object first.
         let (small, large) = if p.mbr().area() <= q.mbr().area() {
             (p, q)

@@ -14,9 +14,11 @@
 //!   (`spatial_geom::reach::walk`), which every later step reads, and the
 //!   region it projects ([`projection`] of the run-box region R: an empty
 //!   R decides the pair without the device);
-//! * [`route`] — the software prologue of a predicate (MBR gate,
-//!   point-in-polygon, run boxes apart, `sw_threshold` over
-//!   [`Framing::routed_edges`], no-window fallback): the pair is either
+//! * [`route`] — the software prologue of a predicate: the software
+//!   test's own opening (`Predicate::opening`: MBR gate, point-in-polygon),
+//!   then run boxes apart (answered by `Predicate::verdict`),
+//!   `sw_threshold` over [`Framing::routed_edges`] and the no-window
+//!   fallback (both `Predicate::step3`): the pair is either
 //!   [`Routed::Done`] or needs the hardware over a [`Window`];
 //! * [`window`] — the §3.2 projection at a resolution: scaling, the
 //!   Equation (1) line width, the recording, and — extensions of Algorithm
@@ -29,8 +31,9 @@
 //!   window's live runs and executed verbatim. The only product caller
 //!   of the `record_*` functions;
 //! * [`settle`] — the reject / confirm / fault-fallback epilogue over the
-//!   scan's verdict, with [`confirm`] as the per-predicate software
-//!   step 3, which searches the edges of the runs the walk kept.
+//!   scan's verdict: a rejection is `Predicate::verdict` on boundaries
+//!   apart, anything else `spatial_geom`'s step 3 (`Predicate::step3`),
+//!   which searches the edges of the runs the walk kept.
 //!
 //! Supervised execution and the hardware-ledger charge are
 //! `HwTester::submit`, the one place that owns a device.
@@ -40,12 +43,8 @@ use crate::hw_intersect::HwTester;
 use crate::hw_overlap::overlap_region;
 use crate::pipeline::{Predicate, RefineOp};
 use crate::stats::TestStats;
-use spatial_geom::intersect::boundaries_meet_over;
-use spatial_geom::mindist::clipped_chains_within;
-use spatial_geom::pip::point_in_polygon;
 use spatial_geom::reach::{walk, Reach};
-use spatial_geom::sweep::SweepStats;
-use spatial_geom::{MinDistStats, Point, Polygon, Rect, Segment};
+use spatial_geom::{Point, Polygon, Rect, RefineStats, Segment};
 use spatial_raster::aa_line::DIAGONAL_WIDTH;
 use spatial_raster::atlas::record_batch;
 use spatial_raster::{
@@ -564,32 +563,9 @@ pub(crate) fn route<'a>(
     cfg: &HwConfig,
     stats: &mut TestStats,
 ) -> Routed<'a> {
-    // The MBR gate: the cheapest bound on each predicate.
-    let gated = match pred {
-        Predicate::Intersects => !p.mbr().intersects(&q.mbr()),
-        Predicate::ContainedIn => !q.mbr().contains_rect(&p.mbr()),
-        Predicate::WithinDistance(d) => {
-            // False for a NaN `d`, and a negative one is below every
-            // distance: no pair is within either.
-            let near = p.mbr().min_dist(&q.mbr()) <= d;
-            !near
-        }
-    };
-    if gated {
-        return Routed::Done(false);
-    }
-
-    // Step 1: software point-in-polygon. Containment either way settles
-    // intersection and distance (distance 0); a vertex of `inner` outside
-    // `outer` settles strict containment (closed semantics: this also
-    // catches boundary-on-boundary conservatively).
-    let first_inside = point_in_polygon(p.vertices()[0], q);
-    let decided = match pred {
-        Predicate::ContainedIn => (!first_inside).then_some(false),
-        _ => (first_inside || point_in_polygon(q.vertices()[0], p)).then_some(true),
-    };
-    if let Some(verdict) = decided {
-        stats.decided_by_pip += 1;
+    // The MBR gate and step 1, point-in-polygon: the software test's own
+    // opening.
+    if let Some(verdict) = pred.opening(p, q, &mut stats.decided_by_pip) {
         return Routed::Done(verdict);
     }
 
@@ -600,7 +576,7 @@ pub(crate) fn route<'a>(
     // rejection would, with no submission.
     let by_runs = |stats: &mut TestStats| {
         stats.decided_by_runs += 1;
-        Routed::Done(apart(pred))
+        Routed::Done(pred.verdict(false))
     };
     let framing = framing(RefineOp::Test(pred), p, q);
     if framing.apart() {
@@ -614,7 +590,7 @@ pub(crate) fn route<'a>(
     if cfg.sw_threshold > 0 && framing.routed_edges() <= cfg.sw_threshold {
         stats.skipped_by_threshold += 1;
         stats.software_tests += 1;
-        return Routed::Done(confirm(pred, p, q, &framing.reach));
+        return Routed::Done(pred.step3(p, q, Some(&framing.reach), &mut RefineStats::default()));
     }
 
     // Step 2 runs in hardware. Algorithm 3.1 submits ALL edges and lets
@@ -635,33 +611,7 @@ pub(crate) fn route<'a>(
         Err(NoWindow::Unfit) => {
             stats.width_limit_fallbacks += 1;
             stats.software_tests += 1;
-            Routed::Done(confirm(pred, p, q, &framing.reach))
-        }
-    }
-}
-
-/// The answer for a pair the prologue left undecided whose boundaries are
-/// proven apart: intersection and distance `false`, containment `true` —
-/// the prologue saw a vertex of the inner polygon inside the outer one.
-fn apart(pred: Predicate) -> bool {
-    pred == Predicate::ContainedIn
-}
-
-/// The software step 3: exact on its own for a pair that passed the MBR
-/// gate and that point-in-polygon did not decide. `reach` is the walk of
-/// the pair's framing: for the boundary tests step 3 searches the edges of
-/// the runs it kept instead of walking the boxes again.
-fn confirm(pred: Predicate, p: &Polygon, q: &Polygon, reach: &Reach) -> bool {
-    let meet = || boundaries_meet_over(p, q, reach, &mut SweepStats::default());
-    match pred {
-        Predicate::Intersects => meet(),
-        // For connected polygons, strict containment is "one vertex
-        // inside + boundaries disjoint"; the prologue saw the vertex.
-        Predicate::ContainedIn => !meet(),
-        // The MBR and point-in-polygon prologue has already run (`route`):
-        // repeating it would bill the hardware path twice for the same work.
-        Predicate::WithinDistance(d) => {
-            clipped_chains_within(p, q, d, &mut MinDistStats::default())
+            Routed::Done(pred.step3(p, q, Some(&framing.reach), &mut RefineStats::default()))
         }
     }
 }
@@ -670,8 +620,9 @@ fn confirm(pred: Predicate, p: &Polygon, q: &Polygon, reach: &Reach) -> bool {
 /// is the scan's verdict — did the two rendered boundaries share a pixel —
 /// or `None` when the supervised submission gave up. The filter only ever
 /// pre-rejects: no shared pixel proves the boundaries apart, which
-/// answers the pair ([`apart`]). Anything else is decided
-/// by [`confirm`], so a faulted submission moves the pair from the
+/// answers the pair (`Predicate::verdict`). Anything else is decided by
+/// the software step 3 (`Predicate::step3`) over the walk the window
+/// holds, so a faulted submission moves the pair from the
 /// hardware ledger to the fallback ledger and never changes its answer;
 /// `hw_tests + fallback_tests` stays equal to the clean run's `hw_tests`.
 pub(crate) fn settle(
@@ -686,18 +637,15 @@ pub(crate) fn settle(
         Some(false) => {
             stats.hw_tests += 1;
             stats.rejected_by_hw += 1;
-            apart(pred)
+            return pred.verdict(false);
         }
         Some(true) => {
             stats.hw_tests += 1;
             stats.software_tests += 1;
-            confirm(pred, p, q, &w.framing.reach)
         }
-        None => {
-            stats.fallback_tests += 1;
-            confirm(pred, p, q, &w.framing.reach)
-        }
+        None => stats.fallback_tests += 1,
     }
+    pred.step3(p, q, Some(&w.framing.reach), &mut RefineStats::default())
 }
 
 #[cfg(test)]

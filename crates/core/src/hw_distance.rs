@@ -101,8 +101,8 @@ pub fn hw_within_distance(p: &Polygon, q: &Polygon, d: f64, cfg: crate::HwConfig
 mod tests {
     use super::*;
     use crate::HwConfig;
+    use spatial_geom::min_dist_brute;
     use spatial_geom::mindist::clipped_chains_within;
-    use spatial_geom::{min_dist_brute, MinDistStats};
 
     fn square(x: f64, y: f64, s: f64) -> Polygon {
         Polygon::from_coords(&[(x, y), (x + s, y), (x + s, y + s), (x, y + s)])
@@ -237,10 +237,7 @@ mod tests {
         let mut t = HwTester::new(HwConfig::at_resolution(8));
         let mut st = TestStats::default();
         let got = t.within_distance(&p, &q, d, &mut st);
-        assert_eq!(
-            got,
-            clipped_chains_within(&p, &q, d, &mut MinDistStats::default())
-        );
+        assert_eq!(got, clipped_chains_within(&p, &q, d));
         assert!(got, "the rounded pairwise distance is exactly d");
         assert_eq!(st.width_limit_fallbacks, 1, "charged as a fallback: {st:?}");
         assert_eq!(st.software_tests, 1);

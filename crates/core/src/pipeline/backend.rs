@@ -8,9 +8,7 @@
 use super::Predicate;
 use crate::hw_intersect::HwTester;
 use crate::stats::TestStats;
-use spatial_geom::intersect::{polygon_contained_in_with, polygons_intersect_with, IntersectStats};
-use spatial_geom::mindist::within_distance_with;
-use spatial_geom::{MinDistStats, Polygon};
+use spatial_geom::{Polygon, RefineStats};
 
 /// A refinement strategy: decides single pairs and (optionally) batches.
 ///
@@ -59,39 +57,21 @@ pub trait RefinementBackend: Send + std::fmt::Debug {
     }
 }
 
-/// Pure software refinement: the paper's baseline curves. A boundary
-/// crossing search over the restricted search space of the run-box region
-/// R for intersection and containment — a pair whose R is empty is
-/// answered with no search and counted in `decided_by_runs`, as the
-/// hardware prologue answers it — the modified `minDist` for distance.
+/// Pure software refinement: the paper's baseline curves — the predicate's
+/// own software test ([`Predicate::test`]), whose step 3 answers a pair
+/// with an empty run-box region R with no search and counts it in
+/// `decided_by_runs`, as the hardware prologue does.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct SoftwareBackend;
 
 impl RefinementBackend for SoftwareBackend {
     fn test(&mut self, pred: Predicate, p: &Polygon, q: &Polygon, stats: &mut TestStats) -> bool {
+        let mut st = RefineStats::default();
+        let verdict = pred.test(p, q, &mut st);
         stats.software_tests += 1;
-        match pred {
-            Predicate::Intersects => {
-                let mut st = IntersectStats::default();
-                let r = polygons_intersect_with(p, q, &mut st);
-                stats.decided_by_pip += st.decided_by_pip;
-                stats.decided_by_runs += st.decided_by_runs;
-                r
-            }
-            Predicate::ContainedIn => {
-                let mut st = IntersectStats::default();
-                let r = polygon_contained_in_with(p, q, &mut st);
-                stats.decided_by_pip += st.decided_by_pip;
-                stats.decided_by_runs += st.decided_by_runs;
-                r
-            }
-            Predicate::WithinDistance(d) => {
-                let mut st = MinDistStats::default();
-                let r = within_distance_with(p, q, d, &mut st);
-                stats.decided_by_pip += st.decided_by_pip;
-                r
-            }
-        }
+        stats.decided_by_pip += st.decided_by_pip;
+        stats.decided_by_runs += st.decided_by_runs;
+        verdict
     }
 }
 

@@ -5,7 +5,8 @@
 //! the paper evaluates; only three things vary:
 //!
 //! * the *predicate* being refined ([`Predicate`]: intersects, strict
-//!   containment, within-distance);
+//!   containment, within-distance — `spatial_geom`'s, whose software test
+//!   both backends share);
 //! * the *intermediate filters* in front of refinement ([`CandidateFilter`]:
 //!   the interior/tiling filter for selections, the 0/1-object filters for
 //!   distance joins);
@@ -33,22 +34,12 @@ pub(crate) use backend::SoftwareBackend;
 pub use executor::{Stage1, StagedExecutor, Verdict};
 pub use filter::{CandidateFilter, Decision, ObjectFilterStage};
 pub use recovery::RecoveryPolicy;
+/// The spatial predicate a pipeline refines, carried by value into the
+/// backend so one backend serves every pipeline. Its software test lives
+/// in `spatial_geom`, where both refinement paths call it.
+pub use spatial_geom::Predicate;
 pub(crate) use spec::Cand;
 pub use spec::QuerySpec;
-
-/// The spatial predicate a pipeline refines. Carried by value into the
-/// backend so one backend serves every pipeline.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Predicate {
-    /// Closed polygon intersection (Algorithm 3.1).
-    Intersects,
-    /// Strict containment: first polygon entirely inside the open interior
-    /// of the second. For connected polygons that is one vertex inside plus
-    /// disjoint boundaries, so Algorithm 3.1's boundary filter applies.
-    ContainedIn,
-    /// `dist(P, Q) ≤ d` (§3.1 distance test).
-    WithinDistance(f64),
-}
 
 /// What stage 3 computes for each candidate the filters left undecided:
 /// a boolean [`Predicate`] (the candidate is kept when it holds) or the

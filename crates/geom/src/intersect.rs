@@ -7,6 +7,7 @@ use crate::pip::point_in_polygon;
 use crate::polygon::Polygon;
 use crate::reach::{walk_into, Reach};
 use crate::rect::Rect;
+use crate::refine::{Predicate, RefineStats};
 use crate::segment::Segment;
 use crate::sweep::{tree_sweep_intersects_stats, SweepStats};
 use crate::with_scratch;
@@ -19,21 +20,6 @@ pub(crate) const SEARCH_BLOCK: usize = 8;
 /// its edges to the tree sweep. A block-pair box compare costs one unit,
 /// and entering a block pair costs `|a|·|b|` more.
 pub(crate) const SEARCH_BUDGET_PER_EDGE: usize = 8;
-
-/// Work counters for one intersection test; aggregated by the engine to
-/// report the paper's per-stage cost breakdowns.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct IntersectStats {
-    /// Point-in-polygon tests run.
-    pub pip_tests: usize,
-    /// Step-3 work counters ([`boundaries_meet`]).
-    pub sweep: SweepStats,
-    /// Tests decided by the point-in-polygon step alone.
-    pub decided_by_pip: usize,
-    /// Step-3 calls answered `false` because the run-box region R is
-    /// empty ([`crate::reach::walk`]), before any edge was collected.
-    pub decided_by_runs: usize,
-}
 
 /// Collects the edges of `poly` whose MBR intersects `region` — the
 /// restricted search space, lossless for any region that holds every
@@ -48,64 +34,43 @@ pub fn restricted_edges(poly: &Polygon, region: &Rect) -> Vec<Segment> {
 /// §3.1 step 3: whether the boundaries of `p` and `q` meet (closed: a touch
 /// counts). Boundaries can only meet inside the run-box region R of
 /// `(p, q)` ([`crate::reach::walk`] at `half = 0`): an empty R answers
-/// `false` with no edge collected, any other is searched as
-/// [`boundaries_meet_over`] does.
+/// `false` with no edge collected, any other is searched by [`edges_meet`]
+/// over the edges whose MBR meets R.
 ///
 /// Unlike a plane sweep alone, this has no precondition on the input: a
 /// self-crossing boundary gets the exact answer, unless the search runs
 /// out of budget and the tree sweep decides (see [`edges_meet`]).
 pub fn boundaries_meet(p: &Polygon, q: &Polygon, stats: &mut SweepStats) -> bool {
-    walk_and_meet(p, q, stats).unwrap_or(false)
+    meet_over(p, q, None, stats).unwrap_or(false)
 }
 
-/// Step 3 over the walk of `(p, q)` at `half = 0`: [`edges_meet`] on the
+/// [`boundaries_meet`] over `reach`, the walk of `(p, q)` at `half = 0`,
+/// or without one over this thread's scratch walk: [`edges_meet`] on the
 /// edges whose MBR meets R, taken from the runs that reach it
-/// ([`Reach::near`]); `false` with no edge collected where R is empty.
-pub fn boundaries_meet_over(
+/// ([`Reach::near`]); `None` with no edge collected where R is empty.
+pub(crate) fn meet_over(
     p: &Polygon,
     q: &Polygon,
-    reach: &Reach,
+    reach: Option<&Reach>,
     stats: &mut SweepStats,
-) -> bool {
-    with_scratch(|s| meet_in(p, q, reach, [&mut s.ep, &mut s.eq], &mut s.boxes, stats))
-}
-
-/// [`boundaries_meet`] over this thread's scratch walk; `None` for empty R.
-fn walk_and_meet(p: &Polygon, q: &Polygon, stats: &mut SweepStats) -> Option<bool> {
+) -> Option<bool> {
     with_scratch(|s| {
-        walk_into(p, q, 0.0, &mut s.reach);
-        s.reach.region?;
-        let kept = [&mut s.ep, &mut s.eq];
-        Some(meet_in(p, q, &s.reach, kept, &mut s.boxes, stats))
+        let reach = match reach {
+            Some(reach) => reach,
+            None => {
+                walk_into(p, q, 0.0, &mut s.reach);
+                &s.reach
+            }
+        };
+        let region = reach.region?;
+        for (side, poly, kept) in [(0, p, &mut s.ep), (1, q, &mut s.eq)] {
+            let runs = reach.near[side].iter();
+            let edges = runs.flat_map(|(edges, _)| poly.edges_in(edges.clone()));
+            kept.clear();
+            kept.extend(edges.filter(|e| e.mbr().intersects(&region)));
+        }
+        Some(edges_meet_in(&s.ep, &s.eq, &mut s.boxes, stats))
     })
-}
-
-/// [`boundaries_meet_over`], collecting the two edge sets into `ep`, `eq`.
-fn meet_in(
-    p: &Polygon,
-    q: &Polygon,
-    reach: &Reach,
-    [ep, eq]: [&mut Vec<Segment>; 2],
-    boxes: &mut Vec<Rect>,
-    stats: &mut SweepStats,
-) -> bool {
-    let Some(region) = reach.region else {
-        return false;
-    };
-    for (side, poly, kept) in [(0, p, &mut *ep), (1, q, &mut *eq)] {
-        let runs = reach.near[side].iter();
-        let edges = runs.flat_map(|(edges, _)| poly.edges_in(edges.clone()));
-        kept.clear();
-        kept.extend(edges.filter(|e| e.mbr().intersects(&region)));
-    }
-    edges_meet_in(ep, eq, boxes, stats)
-}
-
-/// [`boundaries_meet`], counting an empty R in `stats.decided_by_runs`.
-fn step3(p: &Polygon, q: &Polygon, stats: &mut IntersectStats) -> bool {
-    let met = walk_and_meet(p, q, &mut stats.sweep);
-    stats.decided_by_runs += usize::from(met.is_none());
-    met.unwrap_or(false)
 }
 
 /// Whether an edge of `ep` meets an edge of `eq` (closed semantics, the
@@ -187,67 +152,20 @@ fn blocks_meet(a: &[Segment], b: &[Segment], b_box: &Rect, stats: &mut SweepStat
 }
 
 /// The complete software intersection test between two polygons, with
-/// closed semantics (shared boundaries count as intersecting).
-///
-/// Steps, exactly as in §3.1:
-/// 1. MBR rejection (the caller's filter normally did this already, but the
-///    test stays correct stand-alone);
-/// 2. point-in-polygon both ways — catches full containment;
-/// 3. a boundary crossing over the restricted search space of the run-box
-///    region R ([`boundaries_meet`]).
+/// closed semantics (shared boundaries count as intersecting):
+/// [`Predicate::Intersects`]'s test.
 pub fn polygons_intersect(p: &Polygon, q: &Polygon) -> bool {
-    polygons_intersect_with(p, q, &mut IntersectStats::default())
+    Predicate::Intersects.test(p, q, &mut RefineStats::default())
 }
 
-/// [`polygons_intersect`] with counters.
-pub fn polygons_intersect_with(p: &Polygon, q: &Polygon, stats: &mut IntersectStats) -> bool {
-    if !p.mbr().intersects(&q.mbr()) {
-        return false;
-    }
-
-    // Step 1: point-in-polygon. Any vertex serves; use the first.
-    stats.pip_tests += 1;
-    if point_in_polygon(p.vertices()[0], q) {
-        stats.decided_by_pip += 1;
-        return true;
-    }
-    stats.pip_tests += 1;
-    if point_in_polygon(q.vertices()[0], p) {
-        stats.decided_by_pip += 1;
-        return true;
-    }
-
-    // Step 2: a boundary crossing over the restricted search space.
-    step3(p, q, stats)
-}
-
-/// Software strict-containment test: `inner` lies entirely inside `outer`.
+/// Software strict-containment test: `inner` lies entirely inside `outer`
+/// ([`Predicate::ContainedIn`]'s test).
 ///
 /// One vertex of `inner` inside `outer` plus disjoint boundaries implies
 /// full containment (the boundary of a simple polygon cannot leave another
-/// simple polygon without crossing its boundary). Steps: MBR containment,
-/// point-in-polygon on the first vertex, then [`boundaries_meet`] — whose
-/// search region lies in `inner`'s MBR, since any boundary crossing
-/// involves an edge of `inner`.
+/// simple polygon without crossing its boundary).
 pub fn polygon_contained_in(inner: &Polygon, outer: &Polygon) -> bool {
-    polygon_contained_in_with(inner, outer, &mut IntersectStats::default())
-}
-
-/// [`polygon_contained_in`] with counters.
-pub fn polygon_contained_in_with(
-    inner: &Polygon,
-    outer: &Polygon,
-    stats: &mut IntersectStats,
-) -> bool {
-    if !outer.mbr().contains_rect(&inner.mbr()) {
-        return false;
-    }
-    stats.pip_tests += 1;
-    if !point_in_polygon(inner.vertices()[0], outer) {
-        stats.decided_by_pip += 1;
-        return false;
-    }
-    !step3(inner, outer, stats)
+    Predicate::ContainedIn.test(inner, outer, &mut RefineStats::default())
 }
 
 /// Brute-force oracle: point-in-polygon both ways plus all-pairs edge
@@ -325,8 +243,8 @@ mod tests {
     fn containment_is_caught_by_pip() {
         let outer = square(0.0, 0.0, 10.0);
         let inner = square(4.0, 4.0, 1.0);
-        let mut st = IntersectStats::default();
-        assert!(polygons_intersect_with(&outer, &inner, &mut st));
+        let mut st = RefineStats::default();
+        assert!(Predicate::Intersects.test(&outer, &inner, &mut st));
         assert_eq!(st.decided_by_pip, 1, "containment must not reach step 3");
         assert_eq!(st.sweep, SweepStats::default());
         assert!(polygons_intersect(&inner, &outer), "order must not matter");
@@ -407,20 +325,24 @@ mod tests {
         assert!(!polygon_contained_in(&flush, &outer));
     }
 
+    /// The MBR gate answers without a counter, point-in-polygon counts in
+    /// `decided_by_pip`, and step 3 in its search counters.
     #[test]
     fn stats_accumulate() {
         let a = square(0.0, 0.0, 2.0);
-        let b = square(5.0, 5.0, 2.0); // disjoint MBRs: early return
-        let mut st = IntersectStats::default();
-        polygons_intersect_with(&a, &b, &mut st);
-        assert_eq!(st.pip_tests, 0);
+        let b = square(5.0, 5.0, 2.0); // disjoint MBRs: the gate answers
+        let mut st = RefineStats::default();
+        assert!(!Predicate::Intersects.test(&a, &b, &mut st));
+        assert_eq!(st, RefineStats::default());
         let c = square(1.5, 1.5, 2.0);
-        polygons_intersect_with(&a, &c, &mut st);
-        assert!(st.pip_tests >= 1);
+        assert!(Predicate::Intersects.test(&a, &c, &mut st));
+        assert_eq!(st.decided_by_pip, 1);
+        assert_eq!(st.sweep, SweepStats::default());
         // A plus sign: neither first vertex is inside, step 3 decides.
         let horiz = Polygon::from_coords(&[(0.0, 2.0), (6.0, 2.0), (6.0, 4.0), (0.0, 4.0)]);
         let vert = Polygon::from_coords(&[(2.0, 0.0), (4.0, 0.0), (4.0, 6.0), (2.0, 6.0)]);
-        assert!(polygons_intersect_with(&horiz, &vert, &mut st));
+        assert!(Predicate::Intersects.test(&horiz, &vert, &mut st));
+        assert_eq!((st.decided_by_pip, st.decided_by_runs), (1, 0));
         assert_eq!(st.sweep.box_tests, 1);
         assert!(st.sweep.pair_tests >= 1 && st.sweep.events == 0);
     }
@@ -455,10 +377,10 @@ mod tests {
             let (Some(p), Some(q)) = (grid_ring(&mut rng), grid_ring(&mut rng)) else {
                 continue;
             };
-            let mut st = IntersectStats::default();
+            let mut st = RefineStats::default();
             let expected = polygons_intersect_brute(&p, &q);
             assert_eq!(
-                polygons_intersect_with(&p, &q, &mut st),
+                Predicate::Intersects.test(&p, &q, &mut st),
                 expected,
                 "{p:?} {q:?}"
             );

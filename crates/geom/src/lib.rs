@@ -18,6 +18,10 @@
 //! * the `minDist` within-distance machinery after Chan, with the paper's
 //!   two additional optimizations — early exit at distance ≤ D and frontier
 //!   chains clipped to MBRs extended by D ([`chains`], [`mindist`]);
+//! * the one software refinement test per [`Predicate`] ([`refine`]): the
+//!   MBR gate, point-in-polygon, the verdict on boundaries proven apart
+//!   and step 3, written once — the hardware-assisted path in `hwa-core`
+//!   calls the same pieces around its filter;
 //! * supporting algorithms used by other crates: ear-clipping
 //!   triangulation ([`triangulate`], needed only by the filled-polygon
 //!   ablation in `hwa-core`) and WKT I/O ([`wkt`]).
@@ -38,20 +42,20 @@ pub(crate) mod polygon;
 pub mod predicates;
 pub mod reach;
 pub(crate) mod rect;
+pub mod refine;
 pub(crate) mod segment;
 pub mod sweep;
 pub mod triangulate;
 pub mod wkt;
 
 pub use clip::overlap_area_exact;
-pub use intersect::{
-    polygon_contained_in, polygons_intersect, polygons_intersect_brute, IntersectStats,
-};
-pub use mindist::{min_dist, min_dist_brute, within_distance, MinDistStats};
+pub use intersect::{polygon_contained_in, polygons_intersect, polygons_intersect_brute};
+pub use mindist::{min_dist, min_dist_brute, within_distance};
 pub use pip::point_in_polygon;
 pub use point::Point;
 pub use polygon::{Polygon, PolygonError};
 pub use rect::Rect;
+pub use refine::{Predicate, RefineStats};
 pub use segment::Segment;
 
 use std::cell::RefCell;

@@ -9,22 +9,9 @@
 
 use crate::chains::frontier_clipped_in;
 use crate::distance::{edges_min_dist, edges_within_pairwise_in};
-use crate::pip::point_in_polygon;
 use crate::polygon::Polygon;
-use crate::{with_scratch, Scratch};
-
-/// Work counters for one within-distance test.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MinDistStats {
-    /// Edges of P surviving the frontier + extended-MBR reduction.
-    pub edges_p: usize,
-    /// Edges of Q surviving the reduction.
-    pub edges_q: usize,
-    /// Tests decided by the MBR distance alone.
-    pub decided_early: usize,
-    /// Tests decided by the point-in-polygon probes (containment: distance 0).
-    pub decided_by_pip: usize,
-}
+use crate::refine::{Predicate, RefineStats};
+use crate::with_scratch;
 
 /// Exact minimum distance between two simple polygons (0 when they
 /// intersect; interiors count, so a polygon inside another has distance 0).
@@ -67,57 +54,23 @@ pub fn min_dist_brute(p: &Polygon, q: &Polygon) -> f64 {
 /// (closed: exactly `d` counts; intersecting polygons are within any
 /// `d ≥ 0`; none is within a negative or NaN `d`). The paper's "modified
 /// minDist" algorithm: frontier chains, clipped to MBRs extended by `d`,
-/// compared pairwise with early exit.
+/// compared pairwise with early exit — [`Predicate::WithinDistance`]'s
+/// test.
 pub fn within_distance(p: &Polygon, q: &Polygon, d: f64) -> bool {
-    within_distance_with(p, q, d, &mut MinDistStats::default())
+    Predicate::WithinDistance(d).test(p, q, &mut RefineStats::default())
 }
 
-/// [`within_distance`] with work counters.
-pub fn within_distance_with(p: &Polygon, q: &Polygon, d: f64, stats: &mut MinDistStats) -> bool {
-    if let Some(decided) = decided_early(p, q, d, stats) {
-        return decided;
-    }
-    clipped_chains_within(p, q, d, stats)
-}
-
-/// The back half of [`within_distance`], for a pair its MBR gate and
+/// The step 3 of [`within_distance`], for a pair its MBR gate and
 /// containment probes left undecided: the frontier chains clipped to
-/// within `d` of the other MBR, compared pair by pair
-/// ([`crate::distance::edges_within_pairwise`]).
-pub fn clipped_chains_within(p: &Polygon, q: &Polygon, d: f64, stats: &mut MinDistStats) -> bool {
+/// within `d` of the other MBR (§4.1.1, optimization 2), compared pair by
+/// pair ([`crate::distance::edges_within_pairwise`]). A boundary crossing
+/// is a pair at distance 0.
+pub fn clipped_chains_within(p: &Polygon, q: &Polygon, d: f64) -> bool {
     with_scratch(|s| {
-        clip_chains(p, q, d, s, stats);
+        frontier_clipped_in(p, &q.mbr(), d, &mut s.ep);
+        frontier_clipped_in(q, &p.mbr(), d, &mut s.eq);
         edges_within_pairwise_in(&s.ep, &s.eq, d, &mut s.boxes)
     })
-}
-
-/// Shared front half: the MBR lower bound and the containment probes.
-/// `Some(answer)` when they decide the pair.
-fn decided_early(p: &Polygon, q: &Polygon, d: f64, stats: &mut MinDistStats) -> Option<bool> {
-    // MBR lower bound (the 0-level filter; cheap stand-alone correctness).
-    // False for a NaN `d`, and a negative one is below every distance: no
-    // pair is within either.
-    let near = p.mbr().min_dist(&q.mbr()) <= d;
-    if !near {
-        stats.decided_early += 1;
-        return Some(false);
-    }
-    // Containment ⇒ distance 0. Boundary crossings are caught later by a
-    // zero edge-pair distance, so two point-in-polygon probes suffice.
-    if point_in_polygon(p.vertices()[0], q) || point_in_polygon(q.vertices()[0], p) {
-        stats.decided_by_pip += 1;
-        return Some(true);
-    }
-    None
-}
-
-/// Frontier chains clipped to extended MBRs (§4.1.1, optimization 2),
-/// into `s.ep` and `s.eq`.
-fn clip_chains(p: &Polygon, q: &Polygon, d: f64, s: &mut Scratch, stats: &mut MinDistStats) {
-    frontier_clipped_in(p, &q.mbr(), d, &mut s.ep);
-    frontier_clipped_in(q, &p.mbr(), d, &mut s.eq);
-    stats.edges_p += s.ep.len();
-    stats.edges_q += s.eq.len();
 }
 
 #[cfg(test)]
@@ -171,14 +124,19 @@ mod tests {
         assert!(!within_distance(&a, &b, 2.999));
     }
 
+    /// A pair the MBR gate rejects is answered before point-in-polygon or
+    /// step 3 count anything.
     #[test]
     fn within_distance_mbr_early_exit() {
         let a = square(0.0, 0.0, 1.0);
         let b = square(100.0, 100.0, 1.0);
-        let mut st = MinDistStats::default();
-        assert!(!within_distance_with(&a, &b, 5.0, &mut st));
-        assert_eq!(st.decided_early, 1);
-        assert_eq!(st.edges_p, 0, "no edge work after early exit");
+        let within = Predicate::WithinDistance(5.0);
+        let mut pip = 0;
+        assert_eq!(within.opening(&a, &b, &mut pip), Some(false));
+        assert_eq!(pip, 0, "the gate answers before point-in-polygon");
+        let mut st = RefineStats::default();
+        assert!(!within.test(&a, &b, &mut st));
+        assert_eq!(st, RefineStats::default());
     }
 
     #[test]
@@ -237,8 +195,10 @@ mod tests {
         // edges than the full boundary.
         let a = square(0.0, 0.0, 10.0);
         let b = square(13.0, 0.0, 10.0);
-        let mut st = MinDistStats::default();
-        assert!(within_distance_with(&a, &b, 3.0, &mut st));
-        assert!(st.edges_p <= 4 && st.edges_p > 0);
+        let within = Predicate::WithinDistance(3.0);
+        assert_eq!(within.opening(&a, &b, &mut 0), None, "step 3 decides");
+        assert!(within.test(&a, &b, &mut RefineStats::default()));
+        let kept = crate::chains::frontier_clipped(&a, &b.mbr(), 3.0).len();
+        assert!(kept <= 4 && kept > 0, "{kept} edges");
     }
 }

@@ -9,7 +9,8 @@ use spatial_geom::reach::{walk, Run};
 use spatial_geom::sweep::{forward_sweep_intersects, tree_sweep_intersects, SweepStats};
 use spatial_geom::{
     min_dist, min_dist_brute, point_in_polygon, polygon_contained_in, polygons_intersect,
-    polygons_intersect_brute, within_distance, Point, Polygon, Rect, Segment,
+    polygons_intersect_brute, within_distance, Point, Polygon, Predicate, Rect, RefineStats,
+    Segment,
 };
 
 /// Reference implementations for the differential tests: the frontier
@@ -951,6 +952,38 @@ fn the_walk_matches_brute_force_where_run_boxes_touch() {
     }
 }
 
+/// Each predicate by its all-pairs definition: intersection is a vertex of
+/// either polygon inside the other or any two edges meeting, strict
+/// containment a vertex of the inner polygon inside the outer one and no
+/// two edges meeting, distance the brute-force minimum distance against
+/// `d` (never within a NaN or negative `d`).
+fn definition(pred: Predicate, p: &Polygon, q: &Polygon) -> bool {
+    match pred {
+        Predicate::Intersects => polygons_intersect_brute(p, q),
+        Predicate::ContainedIn => {
+            point_in_polygon(p.vertices()[0], q)
+                && !p.edges().any(|e| q.edges().any(|f| e.intersects(&f)))
+        }
+        Predicate::WithinDistance(d) => min_dist_brute(p, q) <= d,
+    }
+}
+
+/// `pred`'s software test on `(p, q)` against its [`definition`], and the
+/// same test split where the hardware path splits it — the opening, then
+/// step 3 over a walk the caller holds — answering and counting alike.
+fn check_predicate(pred: Predicate, p: &Polygon, q: &Polygon) -> bool {
+    let mut whole = RefineStats::default();
+    let verdict = pred.test(p, q, &mut whole);
+    assert_eq!(verdict, definition(pred, p, q), "{pred:?} {p:?} {q:?}");
+    let mut split = RefineStats::default();
+    let held = match pred.opening(p, q, &mut split.decided_by_pip) {
+        Some(verdict) => verdict,
+        None => pred.step3(p, q, Some(&walk(p, q, 0.0)), &mut split),
+    };
+    assert_eq!((held, split), (verdict, whole), "{pred:?} {p:?} {q:?}");
+    verdict
+}
+
 /// A star-shaped (hence simple) polygon around `(cx, cy)`: one vertex per
 /// angular step at a radius drawn from `radii`. Star-shaped polygons can be
 /// deeply concave, which is what exercises the pocket cases.
@@ -1033,14 +1066,36 @@ proptest! {
 
     /// Step 3, the tree sweep and the forward sweep over the restricted
     /// edges, and the brute-force oracle return identical verdicts on
-    /// simple polygons (DESIGN.md invariant 3).
+    /// simple polygons (DESIGN.md invariant 3); so does the software test
+    /// of the predicate drawn — intersection, or containment either way —
+    /// against its all-pairs definition, on the pair and on a star nested
+    /// in a copy of itself grown about its center.
     #[test]
-    fn intersection_implementations_agree(p in arb_star(), q in arb_star()) {
+    fn intersection_implementations_agree(
+        p in arb_star(),
+        q in arb_star(),
+        (cx, cy) in (-50.0f64..50.0, -50.0f64..50.0),
+        radii in prop::collection::vec(0.5f64..20.0, 3..24),
+        grow in 1.001f64..2.0,
+        pick in 0usize..3,
+    ) {
         check_boundaries_meet(&p, &q);
         if let Some(region) = p.mbr().intersection(&q.mbr()) {
             let (ep, eq) = (restricted_edges(&p, &region), restricted_edges(&q, &region));
             prop_assert_eq!(tree_sweep_intersects(&ep, &eq), forward_sweep_intersects(&ep, &eq));
         }
+        let inner = star_polygon(cx, cy, &radii);
+        let outer = inner.scaled_about(Point::new(cx, cy), grow).expect("a finite factor");
+        let (pred, swap) = [
+            (Predicate::Intersects, false),
+            (Predicate::ContainedIn, false),
+            (Predicate::ContainedIn, true),
+        ][pick];
+        let order = |a, b| if swap { (b, a) } else { (a, b) };
+        let (a, b) = order(&p, &q);
+        check_predicate(pred, a, b);
+        let (a, b) = order(&inner, &outer);
+        prop_assert_eq!(check_predicate(pred, a, b), !swap || pred == Predicate::Intersects);
     }
 
     /// ...and on stars large enough to carry run boxes: random placements,
@@ -1123,25 +1178,38 @@ proptest! {
     }
 
     /// `within_distance` (frontier chains + clipping + sweep) must agree
-    /// with a direct comparison against the oracle distance.
+    /// with a direct comparison against the oracle distance, at a drawn
+    /// `d` and at NaN, −1, 0 and +∞, both ways round.
     #[test]
     fn within_distance_matches_oracle(
         p in arb_star(),
         q in arb_star(),
         d in 0.0f64..80.0,
+        pick in 0usize..5,
     ) {
+        let d = [d, f64::NAN, -1.0, 0.0, f64::INFINITY][pick];
         let oracle = min_dist_brute(&p, &q);
         prop_assert_eq!(
             within_distance(&p, &q, d),
             oracle <= d,
             "within_distance({}) vs oracle distance {}", d, oracle
         );
+        for (a, b) in [(&p, &q), (&q, &p)] {
+            check_predicate(Predicate::WithinDistance(d), a, b);
+        }
     }
 
-    /// Within-distance at d = 0 coincides with intersection.
+    /// Within-distance at d = 0 coincides with intersection, the
+    /// predicates' software tests both ways round as the wrappers.
     #[test]
     fn within_zero_is_intersection(p in arb_star(), q in arb_star()) {
-        prop_assert_eq!(within_distance(&p, &q, 0.0), polygons_intersect_brute(&p, &q));
+        let intersect = polygons_intersect_brute(&p, &q);
+        prop_assert_eq!(within_distance(&p, &q, 0.0), intersect);
+        for (a, b) in [(&p, &q), (&q, &p)] {
+            for pred in [Predicate::WithinDistance(0.0), Predicate::Intersects] {
+                prop_assert_eq!(pred.test(a, b, &mut RefineStats::default()), intersect);
+            }
+        }
     }
 
     /// The centroid of a star polygon is inside it only if... not always
