@@ -27,13 +27,36 @@ use spatial_raster::aa_line::{
     aa_line_outside_window, rasterize_aa_line, SegmentCover, DIAGONAL_WIDTH,
 };
 use spatial_raster::polygon_raster::rasterize_polygon;
-use spatial_raster::{GlContext, HwStats, Viewport, WriteMode};
+use spatial_raster::{
+    HwStats, RasterDevice, RecordError, Recorder, ReferenceDevice, Viewport, WriteMode,
+};
 use std::hint::black_box;
 use std::time::Duration;
 
 fn star(n: usize, seed: u64, cx: f64, cy: f64) -> Polygon {
     let mut rng = StdRng::seed_from_u64(seed);
     harmonic_star(Point::new(cx, cy), 50.0, n, 0.5, 0.3, 1.0, 0.0, &mut rng)
+}
+
+/// One draw recorded behind `viewport`, for a row that times its
+/// execution: the list is recorded once and executed per iteration.
+fn recorded(
+    viewport: Viewport,
+    draw: impl FnOnce(&mut Recorder) -> Result<(), RecordError>,
+) -> spatial_raster::CommandList {
+    let mut rec = Recorder::new(viewport.width(), viewport.height()).expect("a small window");
+    rec.set_viewport(viewport)
+        .expect("the window is the viewport's");
+    draw(&mut rec).expect("viewport recorded above");
+    rec.finish()
+}
+
+/// Executes `list` on `device`; the pixels it wrote.
+fn written(device: &mut ReferenceDevice, list: &spatial_raster::CommandList) -> usize {
+    let exec = device.execute(black_box(list));
+    exec.expect("the reference device never faults")
+        .stats
+        .pixels_written
 }
 
 fn bench_pip(c: &mut Criterion) {
@@ -267,11 +290,9 @@ fn bench_aa_line(c: &mut Criterion) {
         .count();
     assert!((10..=41).contains(&live), "{live} of 2048 segments live");
     g.bench_function("clipped_run", |b| {
-        let mut gl = GlContext::new(vp);
-        b.iter(|| {
-            gl.draw_segments(black_box(&run));
-            gl.stats().pixels_written
-        })
+        let list = recorded(vp, |rec| rec.draw_segments(run.iter().copied()));
+        let mut device = ReferenceDevice::new();
+        b.iter(|| written(&mut device, &list))
     });
     // The per-segment setup alone — direction, candidate ranges, hoisted
     // projections — for the segments of that run that survive the clip.
@@ -297,12 +318,12 @@ fn bench_aa_line(c: &mut Criterion) {
     g.warm_up_time(Duration::from_millis(500));
     g.measurement_time(Duration::from_secs(2));
     g.bench_function("clipped_run", |b| {
-        let mut gl = GlContext::new(vp);
-        gl.set_point_size(4.0);
-        b.iter(|| {
-            gl.draw_points(black_box(boundary.vertices()));
-            gl.stats().pixels_written
-        })
+        let list = recorded(vp, |rec| {
+            rec.set_point_size(4.0)?;
+            rec.draw_points(boundary.vertices().iter().copied())
+        });
+        let mut device = ReferenceDevice::new();
+        b.iter(|| written(&mut device, &list))
     });
     g.finish();
 }
@@ -329,7 +350,8 @@ fn bench_polygon_fill(c: &mut Criterion) {
     });
     // What an overlap count submits: the fill ring of a 2048-vertex
     // boundary for the 8×8 window over the MBR it shares with a neighbour,
-    // drawn through the context (projection and stencil writes included).
+    // executed from a recorded list (projection and stencil writes
+    // included).
     let neighbour = star(2048, 7, 70.0, 60.0);
     let region = poly
         .mbr()
@@ -342,12 +364,12 @@ fn bench_polygon_fill(c: &mut Criterion) {
         ring.len()
     );
     g.bench_function("2k_vertices_r8_ring", |b| {
-        let mut gl = GlContext::new(Viewport::new(region, 8, 8));
-        gl.set_write_mode(WriteMode::StencilReplace(1));
-        b.iter(|| {
-            gl.draw_filled_polygon(black_box(&ring));
-            gl.stats().pixels_written
-        })
+        let list = recorded(Viewport::new(region, 8, 8), |rec| {
+            rec.set_write_mode(WriteMode::StencilReplace(1));
+            rec.fill_polygon(ring.iter().copied())
+        });
+        let mut device = ReferenceDevice::new();
+        b.iter(|| written(&mut device, &list))
     });
     g.finish();
 }

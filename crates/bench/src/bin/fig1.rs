@@ -7,21 +7,28 @@
 
 use spatial_bench::{header, BenchOpts};
 use spatial_datagen::Dataset;
-use spatial_geom::{Rect, Segment};
+use spatial_geom::Rect;
 use spatial_raster::framebuffer::HALF_GRAY;
 use spatial_raster::ppm::save_ppm;
-use spatial_raster::{GlContext, Viewport};
+use spatial_raster::{RasterDevice, Recorder, ReferenceDevice, Viewport};
 
 fn render(ds: &Dataset, take: usize, path: &str) -> std::io::Result<()> {
     let polys: Vec<_> = ds.polygons.iter().take(take).collect();
     let bbox = polys.iter().fold(Rect::EMPTY, |r, p| r.union(&p.mbr()));
-    let mut gl = GlContext::new(Viewport::uniform(bbox, 1024, 1024));
-    gl.set_color(HALF_GRAY);
+    let mut rec = Recorder::new(1024, 1024).expect("a 1024² window");
+    rec.set_viewport(Viewport::uniform(bbox, 1024, 1024))
+        .expect("the window is the viewport's");
+    rec.set_color(HALF_GRAY)
+        .expect("half gray is a valid intensity");
     for p in &polys {
-        let edges: Vec<Segment> = p.edges().collect();
-        gl.draw_segments(&edges);
+        rec.draw_segments(p.edges())
+            .expect("viewport recorded above");
     }
-    save_ppm(gl.frame_buffer(), path)
+    let mut device = ReferenceDevice::new();
+    device
+        .execute(&rec.finish())
+        .expect("the reference device never faults");
+    save_ppm(&device.snapshot().expect("executed above"), path)
 }
 
 fn main() -> std::io::Result<()> {

@@ -15,11 +15,12 @@
 //!    therefore `_approx` and must not back a correctness-critical path.
 
 use crate::config::HwConfig;
+use crate::hw_intersect::record_accumulation;
 use crate::stats::TestStats;
 use spatial_geom::triangulate::triangulate;
-use spatial_geom::{Point, Polygon};
-use spatial_raster::framebuffer::HALF_GRAY;
-use spatial_raster::{GlContext, Viewport, WriteMode};
+use spatial_geom::Polygon;
+use spatial_raster::aa_line::DIAGONAL_WIDTH;
+use spatial_raster::{RasterDevice, ReferenceDevice, Viewport};
 
 /// Outcome of the filled-polygon test.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,30 +60,28 @@ pub fn filled_intersects_approx(
         None => return FilledResult::TriangulationFailed,
     };
 
-    let vp = Viewport::new(region, cfg.resolution, cfg.resolution);
-    let mut gl = GlContext::new(vp);
+    // Algorithm 3.1's accumulation with each boundary's draw replaced by
+    // its triangle fills (the line width and point size draw nothing).
+    let (vp, vq) = (p.vertices(), q.vertices());
+    let (list, slot) = record_accumulation(
+        Viewport::new(region, cfg.resolution, cfg.resolution),
+        DIAGONAL_WIDTH,
+        1.0,
+        |rec| {
+            tp.iter()
+                .try_for_each(|t| rec.fill_polygon(t.map(|i| vp[i])))
+        },
+        |rec| {
+            tq.iter()
+                .try_for_each(|t| rec.fill_polygon(t.map(|i| vq[i])))
+        },
+    );
+    let exec = ReferenceDevice::new()
+        .execute(&list)
+        .expect("the reference device never faults");
     stats.hw_tests += 1;
-    gl.set_color(HALF_GRAY);
-    gl.set_write_mode(WriteMode::Overwrite);
-    gl.clear_color_buffer();
-    gl.clear_accum_buffer();
-
-    let draw_triangles = |gl: &mut GlContext, poly: &Polygon, tris: &[[usize; 3]]| {
-        let vs = poly.vertices();
-        for t in tris {
-            let tri: Vec<Point> = t.iter().map(|&i| vs[i]).collect();
-            gl.draw_filled_polygon(&tri);
-        }
-    };
-
-    draw_triangles(&mut gl, p, &tp);
-    gl.accum_load();
-    gl.clear_color_buffer();
-    draw_triangles(&mut gl, q, &tq);
-    gl.accum_add();
-    gl.accum_return();
-    let overlap = gl.max_value() >= 1.0;
-    stats.hw.add(&gl.stats());
+    stats.hw.add(&exec.stats);
+    let overlap = exec.max_red(slot).expect("the list records its Minmax") >= 1.0;
 
     if overlap {
         FilledResult::OverlapFound
@@ -94,6 +93,7 @@ pub fn filled_intersects_approx(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spatial_raster::HwStats;
 
     fn square(x: f64, y: f64, s: f64) -> Polygon {
         Polygon::from_coords(&[(x, y), (x + s, y), (x + s, y + s), (x, y + s)])
@@ -168,6 +168,81 @@ mod tests {
         // The paper's algorithm gets it right at the same resolution.
         let mut tester = crate::HwTester::new(HwConfig::at_resolution(4));
         assert!(tester.intersects(&a, &b, &mut TestStats::default()));
+    }
+
+    /// The verdict and every counter of each pair above, by value: the
+    /// triangle fills of both polygons (one draw call and one primitive
+    /// each), four whole-window passes and one Minmax scan.
+    #[test]
+    fn every_pair_charges_the_pinned_counters() {
+        let c = Polygon::from_coords(&[
+            (0.0, 0.0),
+            (8.0, 0.0),
+            (8.0, 2.0),
+            (2.0, 2.0),
+            (2.0, 6.0),
+            (8.0, 6.0),
+            (8.0, 8.0),
+            (0.0, 8.0),
+        ]);
+        let a = Polygon::from_coords(&[(0.0, -0.01), (100.0, 99.99), (100.0, 100.01), (0.0, 0.01)]);
+        let b = Polygon::from_coords(&[(0.0, 99.99), (100.0, -0.01), (100.0, 0.01), (0.0, 100.01)]);
+        let bowtie = Polygon::from_coords(&[(0.0, 0.0), (2.0, 2.0), (2.0, 0.0), (0.0, 2.0)]);
+        let hw = |calls, written, scanned| HwStats {
+            pixels_written: written,
+            fragments_tested: written,
+            pixels_scanned: scanned,
+            primitives: calls,
+            draw_calls: calls,
+            minmax_queries: 1,
+            batches: 0,
+        };
+        use FilledResult::*;
+        let cases = [
+            (
+                square(0.0, 0.0, 4.0),
+                square(2.0, 2.0, 4.0),
+                16,
+                OverlapFound,
+                hw(4, 512, 1792),
+            ),
+            (
+                square(0.0, 0.0, 1.0),
+                square(5.0, 5.0, 1.0),
+                16,
+                NoOverlap,
+                HwStats::default(),
+            ),
+            (
+                c.clone(),
+                square(4.0, 3.0, 2.0),
+                32,
+                NoOverlap,
+                hw(8, 1024, 7168),
+            ),
+            (
+                c,
+                square(0.5, 3.0, 1.0),
+                32,
+                OverlapFound,
+                hw(8, 2048, 7168),
+            ),
+            (a, b, 4, NoOverlap, hw(4, 8, 112)),
+            (
+                bowtie,
+                square(0.0, 0.0, 1.0),
+                8,
+                TriangulationFailed,
+                HwStats::default(),
+            ),
+        ];
+        for (p, q, resolution, verdict, counters) in cases {
+            let mut st = TestStats::default();
+            let got =
+                filled_intersects_approx(&p, &q, HwConfig::at_resolution(resolution), &mut st);
+            assert_eq!((got, st.hw), (verdict, counters), "{p:?} {q:?}");
+            assert_eq!(st.hw_tests, usize::from(counters.draw_calls > 0));
+        }
     }
 
     #[test]

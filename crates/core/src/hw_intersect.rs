@@ -26,7 +26,7 @@
 //! never false rejections, because the anti-aliased rasterizer colors
 //! every pixel a segment passes through. Step 3 removes the false hits.
 
-use crate::choreography::{framing, list, route, settle, Routed, Tape};
+use crate::choreography::{framing, list, route, settle, Routed, Tape, Window};
 use crate::config::HwConfig;
 use crate::pipeline::recovery::{RecoveryPolicy, Supervisor};
 use crate::pipeline::{Predicate, RefineOp};
@@ -166,13 +166,24 @@ impl HwTester {
     ) -> bool {
         match route(pred, p, q, &self.cfg, stats) {
             Routed::Done(verdict) => verdict,
-            Routed::Hw(window) => {
-                let overlap = self.submit(Tape::Pair(&window), stats, |exec, slot| {
-                    Ok(exec.max_red(slot)? >= 1.0)
-                });
-                settle(pred, p, q, &window, overlap, stats)
-            }
+            Routed::Hw(window) => self.decide(pred, p, q, &window, stats),
         }
+    }
+
+    /// The hardware filter over `window` alone, then the software step 3
+    /// for what it could not reject.
+    pub(crate) fn decide(
+        &mut self,
+        pred: Predicate,
+        p: &Polygon,
+        q: &Polygon,
+        window: &Window,
+        stats: &mut TestStats,
+    ) -> bool {
+        let overlap = self.submit(Tape::Pair(window), stats, |exec, slot| {
+            Ok(exec.max_red(slot)? >= 1.0)
+        });
+        settle(pred, p, q, window, overlap, stats)
     }
 
     /// Algorithm 3.1. Exact closed intersection test.
@@ -195,7 +206,8 @@ pub(crate) fn record_accumulation(
     first: impl FnOnce(&mut Recorder) -> Result<(), RecordError>,
     second: impl FnOnce(&mut Recorder) -> Result<(), RecordError>,
 ) -> (CommandList, usize) {
-    let mut rec = Recorder::new(viewport.width(), viewport.height());
+    let mut rec = Recorder::new(viewport.width(), viewport.height())
+        .expect("the caller keeps the window within the card's sides");
     rec.set_viewport(viewport)
         .expect("the window is the viewport's");
     rec.set_color(HALF_GRAY)
@@ -248,11 +260,16 @@ mod tests {
         /// submissions.
         pub(crate) fn spy(&mut self) -> Arc<Mutex<Vec<String>>> {
             let seen = Arc::default();
-            self.devices = vec![Box::new(Spy {
+            self.install(Box::new(Spy {
                 inner: DeviceKind::Reference.build(),
                 seen: Arc::clone(&seen),
-            })];
+            }));
             seen
+        }
+
+        /// Makes `device` the executing device of a one-shard tester.
+        pub(crate) fn install(&mut self, device: Box<dyn RasterDevice>) {
+            self.devices = vec![device];
         }
     }
 

@@ -121,7 +121,8 @@ impl HwTester {
         first: impl IntoIterator<Item = Point>,
         second: impl IntoIterator<Item = Point>,
     ) -> (CommandList, usize) {
-        let mut rec = Recorder::new(resolution, resolution);
+        let mut rec = Recorder::new(resolution, resolution)
+            .expect("the resolution is within the card's window sides");
         rec.set_viewport(Viewport::new(region, resolution, resolution))
             .expect("window dimensions match the viewport resolution");
         rec.clear_stencil();

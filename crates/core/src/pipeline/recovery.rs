@@ -291,7 +291,7 @@ mod tests {
     }
 
     fn list() -> CommandList {
-        let mut r = Recorder::new(8, 8);
+        let mut r = Recorder::new(8, 8).unwrap();
         r.set_viewport(Viewport::new(Rect::new(0.0, 0.0, 8.0, 8.0), 8, 8))
             .unwrap();
         r.clear_color();

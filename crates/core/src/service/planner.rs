@@ -78,7 +78,9 @@
 use crate::choreography::{framing, list, Framing, NoWindow, Tape};
 use crate::pipeline::{Predicate, RefineOp};
 use spatial_geom::Polygon;
-use spatial_raster::{CommandList, HwCostModel, RasterDevice, ReferenceDevice};
+use spatial_raster::{
+    atlas, CommandList, HwCostModel, RasterDevice, ReferenceDevice, MAX_AA_LINE_WIDTH,
+};
 use std::collections::HashMap;
 
 /// The fixed part of one software step 3, in nanoseconds: the call, the
@@ -340,13 +342,19 @@ impl Planner {
         // Fixed per-test overhead a batched submission amortizes: two
         // boundary draw calls and one verdict readback per pair.
         let fixed = 2.0 * self.model.draw_call_ns + self.model.minmax_ns;
-        // What the batched plan's atlas rounds cost. Aggregations submit
-        // per pair (DESIGN.md §14): they have no batched plan.
-        let rounds = match op {
-            RefineOp::Measure { .. } => f64::INFINITY,
-            RefineOp::Test(_) => {
-                (candidates as u64).div_ceil(self.cfg.batch as u64) as f64
-                    * (fixed + self.model.batch_ns)
+        // What the batched plan's atlas rounds cost at resolution `r`: a
+        // round holds the configured batch, or as many cells as the atlas
+        // fits at the widest line any test draws, if that is fewer.
+        // Aggregations submit per pair (DESIGN.md §14): they have no
+        // batched plan, and neither does a cell no atlas fits.
+        let rounds_at = |r: usize| {
+            let cells = self.cfg.batch.min(atlas::capacity(r, MAX_AA_LINE_WIDTH));
+            match op {
+                RefineOp::Test(_) if cells > 0 => {
+                    (candidates as u64).div_ceil(cells as u64) as f64
+                        * (fixed + self.model.batch_ns)
+                }
+                _ => f64::INFINITY,
             }
         };
         // The two hardware plans' totals over the pairs summed so far. Over
@@ -357,16 +365,19 @@ impl Planner {
         // `gpu - replayed * fixed` is exact, and each replayed pair adds
         // its GPU time less `fixed` to it, which is never negative.
         let per_pair = |gpu: f64, confirm: f64| scale * (gpu + confirm);
-        let batched = |gpu: f64, replayed: usize, confirm: f64| {
+        let batched = |gpu: f64, replayed: usize, confirm: f64, rounds: f64| {
             scale * ((gpu - replayed as f64 * fixed).max(0.0) + confirm) + rounds
         };
         for r in self.resolutions(op, res_limit) {
+            let rounds = rounds_at(r);
             // The sample's modeled GPU time, its replayed pairs, the pairs
             // the hardware plan can take at all, and the step 3 it still
             // runs.
             let (mut gpu, mut replayed, mut feasible, mut confirm) = (0.0, 0usize, 0usize, 0.0);
             for pair in &sampled {
-                if per_pair(gpu, confirm) >= best.0 && batched(gpu, replayed, confirm) >= best.0 {
+                if per_pair(gpu, confirm) >= best.0
+                    && batched(gpu, replayed, confirm, rounds) >= best.0
+                {
                     // Neither plan at `r` can beat `best` any more.
                     break;
                 }
@@ -394,7 +405,7 @@ impl Planner {
             }
             for (total, batch) in [
                 (per_pair(gpu, confirm), 1),
-                (batched(gpu, replayed, confirm), self.cfg.batch),
+                (batched(gpu, replayed, confirm, rounds), self.cfg.batch),
             ] {
                 if total < best.0 {
                     best = (
@@ -595,10 +606,11 @@ mod tests {
                         },
                     );
                 }
-                if matches!(op, RefineOp::Measure { .. }) {
+                let cells = self.cfg.batch.min(atlas::capacity(r, MAX_AA_LINE_WIDTH));
+                if matches!(op, RefineOp::Measure { .. }) || cells == 0 {
                     continue;
                 }
-                let rounds = (candidates as u64).div_ceil(self.cfg.batch as u64) as f64;
+                let rounds = (candidates as u64).div_ceil(cells as u64) as f64;
                 let batched_total = scale * ((gpu - replayed as f64 * fixed).max(0.0) + confirm)
                     + rounds * (fixed + self.model.batch_ns);
                 if batched_total < best.0 {

@@ -79,7 +79,7 @@ proptest! {
         );
     }
 
-    /// A reused tester (retargeted context) must not leak state between
+    /// A reused tester (its device reuses one frame buffer) must not leak state between
     /// pairs: run three tests back-to-back and compare each to its oracle.
     #[test]
     fn tester_reuse_is_stateless(

@@ -23,7 +23,7 @@
 //! boundary there (`choreography::LiveRuns`), a cull that keeps no run
 //! whose *box* the same compare rejects. The inner loop of every
 //! hardware-assisted query is the clip compare [`aa_line_outside_window`],
-//! which `GlContext` runs before [`SegmentCover::new`]. For the segments that
+//! which the replay runs before [`SegmentCover::new`]. For the segments that
 //! survive, setup and per-pixel test cost their arithmetic: one root and
 //! two divides for the direction, candidate ranges from truncating casts
 //! (`cover::candidate_range`), and — the candidate loop bounds already

@@ -29,7 +29,7 @@
 //! costs. All counters are a pure function of the batch contents, never of
 //! which thread or in which order batches run.
 
-use crate::context::PixelRect;
+use crate::context::{PixelRect, MAX_WINDOW_SIDE};
 use crate::device::{CommandList, Recorder};
 use crate::framebuffer::HALF_GRAY;
 use crate::viewport::Viewport;
@@ -103,11 +103,15 @@ struct Layout {
 }
 
 impl Layout {
+    /// Gutter ≥ the widened line's bleed radius: geometry at a cell edge
+    /// stays out of the neighbouring cell even without the scissor. (The
+    /// scissor makes this a second line of defense.)
+    fn gutter(max_width: f64) -> usize {
+        (max_width / 2.0).ceil() as usize + 1
+    }
+
     fn new(cell: usize, jobs: usize, max_width: f64) -> Layout {
-        // Gutter ≥ the widened line's bleed radius: geometry at a cell
-        // edge stays out of the neighbouring cell even without the
-        // scissor. (The scissor makes this a second line of defense.)
-        let gutter = (max_width / 2.0).ceil() as usize + 1;
+        let gutter = Layout::gutter(max_width);
         let grid = (jobs as f64).sqrt().ceil() as usize;
         // Only as many rows as the jobs fill: a square `grid × grid`
         // window would charge whole rows of clears/accumulation/scans for
@@ -141,13 +145,23 @@ impl Layout {
     }
 }
 
+/// How many `cell × cell` cells one atlas holds, at a line width and point
+/// size of at most `max_width`, without a side over [`MAX_WINDOW_SIDE`].
+/// It is 0 when one cell and its two gutters do not fit: such a window is
+/// submitted per pair.
+pub fn capacity(cell: usize, max_width: f64) -> usize {
+    let gutter = Layout::gutter(max_width);
+    let grid = MAX_WINDOW_SIDE.saturating_sub(gutter) / (cell + gutter);
+    grid * grid
+}
+
 /// Records one batched accumulation round over `jobs` as a command
 /// stream; returns the list plus the readback slot of its per-cell
 /// reduction (a cell's flag is `max ≥ 1.0`, the "full white found" signal
-/// of Algorithm 3.1). All jobs must share one square cell resolution, and
-/// `line_width`/`point_size` must respect the hardware limits — callers
-/// take the software fallback before batching, exactly like the per-pair
-/// path.
+/// of Algorithm 3.1). All jobs must share one square cell resolution, at
+/// most [`capacity`] of them, and `line_width`/`point_size` must respect
+/// the hardware limits — callers take the software fallback before
+/// batching, exactly like the per-pair path.
 pub fn record_batch<C: AtlasCell>(
     jobs: &[C],
     line_width: f64,
@@ -163,7 +177,8 @@ pub fn record_batch<C: AtlasCell>(
         );
     }
     let layout = Layout::new(cell, jobs.len(), line_width.max(point_size));
-    let mut rec = Recorder::new(layout.width(), layout.height());
+    let mut rec = Recorder::new(layout.width(), layout.height())
+        .expect("the caller keeps the batch within the atlas capacity");
     // One exact allocation per arena instead of a chain of doublings that
     // ends up to twice the size: the arenas are the largest transient
     // buffers of a served query.
@@ -263,8 +278,7 @@ fn record_pass<C: AtlasCell>(rec: &mut Recorder, jobs: &[C], layout: &Layout, se
 mod tests {
     use super::*;
     use crate::aa_line::DIAGONAL_WIDTH;
-    use crate::context::GlContext;
-    use crate::device::{DeviceKind, RasterDevice};
+    use crate::device::{DeviceKind, RasterDevice, ReferenceDevice};
     use crate::stats::HwStats;
     use spatial_geom::Rect;
 
@@ -311,28 +325,36 @@ mod tests {
         }
     }
 
-    /// The per-pair reference: the exact GlContext accumulation
-    /// choreography of Algorithm 3.1.
+    /// The per-pair reference: the accumulation choreography of
+    /// Algorithm 3.1 over the job's own window. Returns its verdict and
+    /// the work it charged.
+    fn per_pair(j: &AtlasJob, width: f64) -> (bool, HwStats) {
+        let mut rec = Recorder::new(j.viewport.width(), j.viewport.height()).unwrap();
+        rec.set_viewport(j.viewport).unwrap();
+        rec.set_color(HALF_GRAY).unwrap();
+        rec.set_line_width(width).unwrap();
+        rec.set_point_size(width).unwrap();
+        rec.clear_color();
+        rec.clear_accum();
+        for second in [false, true] {
+            if second {
+                rec.accum_load();
+                rec.clear_color();
+            }
+            rec.draw_segments(j.segments(second)).unwrap();
+            if j.points(second).len() > 0 {
+                rec.draw_points(j.points(second)).unwrap();
+            }
+        }
+        rec.accum_add();
+        rec.accum_return();
+        let slot = rec.minmax();
+        let exec = ReferenceDevice::new().execute(&rec.finish()).unwrap();
+        (exec.max_red(slot).unwrap() >= 1.0, exec.stats)
+    }
+
     fn per_pair_overlap(j: &AtlasJob, width: f64) -> bool {
-        let mut gl = GlContext::new(j.viewport);
-        gl.set_color(HALF_GRAY);
-        gl.set_line_width(width);
-        gl.set_point_size(width);
-        gl.clear_color_buffer();
-        gl.clear_accum_buffer();
-        gl.draw_segments(&j.first_segments);
-        if !j.first_points.is_empty() {
-            gl.draw_points(&j.first_points);
-        }
-        gl.accum_load();
-        gl.clear_color_buffer();
-        gl.draw_segments(&j.second_segments);
-        if !j.second_points.is_empty() {
-            gl.draw_points(&j.second_points);
-        }
-        gl.accum_add();
-        gl.accum_return();
-        gl.max_value() >= 1.0
+        per_pair(j, width).0
     }
 
     fn mixed_jobs(res: usize) -> Vec<AtlasJob> {
@@ -471,25 +493,13 @@ mod tests {
         // so they equal the per-pair totals exactly.
         let jobs = mixed_jobs(8);
         let (_, batched) = run_batch(&jobs, DIAGONAL_WIDTH, 1.0);
-        let mut per_pair = HwStats::default();
+        let mut per_pair_sum = HwStats::default();
         for j in &jobs {
-            let mut gl = GlContext::new(j.viewport);
-            gl.set_color(HALF_GRAY);
-            gl.set_line_width(DIAGONAL_WIDTH);
-            gl.clear_color_buffer();
-            gl.clear_accum_buffer();
-            gl.draw_segments(&j.first_segments);
-            gl.accum_load();
-            gl.clear_color_buffer();
-            gl.draw_segments(&j.second_segments);
-            gl.accum_add();
-            gl.accum_return();
-            gl.max_value();
-            per_pair.add(&gl.stats());
+            per_pair_sum.add(&per_pair(j, DIAGONAL_WIDTH).1);
         }
-        assert_eq!(batched.fragments_tested, per_pair.fragments_tested);
-        assert_eq!(batched.primitives, per_pair.primitives);
-        assert_eq!(batched.pixels_written, per_pair.pixels_written);
+        assert_eq!(batched.fragments_tested, per_pair_sum.fragments_tested);
+        assert_eq!(batched.primitives, per_pair_sum.primitives);
+        assert_eq!(batched.pixels_written, per_pair_sum.pixels_written);
     }
 
     #[test]
@@ -500,6 +510,27 @@ mod tests {
         let (f2, s2) = run_batch_on(&mut *device, &jobs, DIAGONAL_WIDTH, 1.0);
         assert_eq!(f1, f2, "stale pixels leaked between batches");
         assert_eq!(s1.batches + s2.batches, 2);
+    }
+
+    /// An atlas of `capacity` cells fits the card's window limit and one
+    /// more cell does not; a cell whose gutters do not fit has capacity 0.
+    #[test]
+    fn capacity_is_the_most_cells_within_the_window_limit() {
+        for cell in [1, 8, 16, 512, 1024, 2048, 4091, 4092, 4096] {
+            for width in [1.0, DIAGONAL_WIDTH, 2.5, 10.0] {
+                let cap = capacity(cell, width);
+                let fits = |jobs| {
+                    let layout = Layout::new(cell, jobs, width);
+                    layout.width().max(layout.height()) <= MAX_WINDOW_SIDE
+                };
+                assert_eq!(cap == 0, cell + 2 * Layout::gutter(width) > MAX_WINDOW_SIDE);
+                assert!(cap == 0 || fits(cap), "{cell} {width}: {cap}");
+                assert!(!fits(cap + 1), "{cell} {width}: {cap}");
+            }
+        }
+        assert_eq!(capacity(16, DIAGONAL_WIDTH), 227 * 227);
+        assert_eq!(capacity(1024, DIAGONAL_WIDTH), 9);
+        assert_eq!(capacity(4096, 1.0), 0);
     }
 
     #[test]

@@ -1,9 +1,13 @@
-//! An OpenGL-style stateful rendering context over the simulated hardware,
-//! so the hardware-assisted algorithms read like the paper's pseudo-code
-//! (Algorithm 3.1: set color, render edges, accumulate, minmax).
+//! The pipeline state of the simulated card and the replay that drives it:
+//! [`GlContext`] runs a recorded [`CommandList`] one command at a time —
+//! set color, render edges, accumulate, minmax, the steps of Algorithm 3.1
+//! — for [`crate::ReferenceDevice`], the only code that turns commands
+//! into pixels. Also the state types and hardware limits the
+//! [`crate::Recorder`] validates against.
 
 use crate::aa_line::{aa_line_outside_window, SegmentCover};
 use crate::cover::Cover;
+use crate::device::{Command, CommandList, Execution, Readback};
 use crate::framebuffer::{FrameBuffer, BLACK};
 use crate::point_raster::{wide_point_outside_window, WidePointCover};
 use crate::polygon_raster::rasterize_polygon;
@@ -66,26 +70,37 @@ pub struct PixelRect {
     pub h: usize,
 }
 
-/// A rendering window plus the pipeline state Algorithm 3.1 manipulates.
+/// The pipeline state Algorithm 3.1 manipulates, over the frame buffer of
+/// one execution. A context lives for one [`CommandList`]: it starts at
+/// the defaults with every counter at zero, so what it charges is a
+/// function of the list alone. The [`crate::Recorder`] validated every
+/// value a command sets — colors in `[0, 1]`, widths and sizes within the
+/// hardware limits, scissors and cells inside the window, a viewport
+/// before every draw — so nothing here checks them again.
 #[derive(Debug)]
-pub struct GlContext {
-    fb: FrameBuffer,
-    viewport: Viewport,
+pub(crate) struct GlContext<'fb> {
+    fb: &'fb mut FrameBuffer,
     stats: HwStats,
+    viewport: Option<Viewport>,
     color: f32,
     line_width: f64,
     point_size: f64,
     write_mode: WriteMode,
+    /// Draws project through the viewport into this `w × h` window, whose
+    /// pixels land at offset `(x, y)` in the frame buffer — the atlas's
+    /// cell-local rendering. All per-pixel math happens in the
+    /// scissor-local window, so a cell renders bit-identically to a
+    /// standalone window of the same size.
     scissor: Option<PixelRect>,
 }
 
-impl GlContext {
-    /// A context rendering through `viewport` into a matching window.
-    pub fn new(viewport: Viewport) -> Self {
+impl<'fb> GlContext<'fb> {
+    /// The default state over `fb`, which must be cleared.
+    pub(crate) fn new(fb: &'fb mut FrameBuffer) -> Self {
         GlContext {
-            fb: FrameBuffer::new(viewport.width(), viewport.height()),
-            viewport,
+            fb,
             stats: HwStats::default(),
+            viewport: None,
             color: crate::framebuffer::HALF_GRAY,
             line_width: crate::aa_line::DIAGONAL_WIDTH,
             point_size: 1.0,
@@ -94,110 +109,67 @@ impl GlContext {
         }
     }
 
-    /// Re-targets the context at a new viewport, keeping the accumulated
-    /// statistics and reusing the pixel allocation when the window size is
-    /// unchanged — a per-candidate-pair reallocation would dominate at
-    /// small resolutions. Buffers are **not** cleared: every overlap
-    /// choreography starts with its own explicit clears (Algorithm 3.1
-    /// step 2.2), exactly like the GL program would.
-    pub(crate) fn retarget(&mut self, viewport: Viewport) {
-        if viewport.width() != self.fb.width() || viewport.height() != self.fb.height() {
-            self.fb = FrameBuffer::new(viewport.width(), viewport.height());
+    /// Runs `list` command by command — nothing reordered, nothing fused —
+    /// and returns the work charged and the readbacks in recorded order.
+    pub(crate) fn execute(mut self, list: &CommandList) -> Execution {
+        let mut readbacks = Vec::with_capacity(list.readback_count());
+        for cmd in list.commands() {
+            let (fb, stats) = (&mut *self.fb, &mut self.stats);
+            match *cmd {
+                Command::SetColor(c) => self.color = c,
+                Command::SetLineWidth(width) => self.line_width = width,
+                Command::SetPointSize(size) => self.point_size = size,
+                Command::SetWriteMode(mode) => self.write_mode = mode,
+                Command::SetViewport(vp) => self.viewport = Some(vp),
+                Command::SetScissor(r) => self.scissor = r,
+                Command::ClearColor => fb.clear_color(BLACK, stats),
+                Command::ClearAccum => fb.clear_accum(stats),
+                Command::ClearStencil => fb.clear_stencil(stats),
+                Command::AccumLoad => fb.accum_load(stats),
+                Command::AccumAdd => fb.accum_add(stats),
+                Command::AccumReturn => fb.accum_return(stats),
+                Command::BeginBatch => stats.batches += 1,
+                Command::DrawSegments {
+                    start,
+                    len,
+                    new_call,
+                } => self.draw_segments(list.seg_run(start, len), new_call),
+                Command::DrawPoints {
+                    start,
+                    len,
+                    new_call,
+                } => self.draw_points(list.point_run(start, len), new_call),
+                Command::FillPolygon { start, len } => {
+                    self.draw_filled_polygon(list.poly_run(start, len))
+                }
+                Command::Minmax => {
+                    stats.minmax_queries += 1;
+                    let (mn, mx) = fb.minmax(stats);
+                    readbacks.push(Readback::Minmax(mn, mx));
+                }
+                Command::StencilCount { min } => {
+                    stats.minmax_queries += 1;
+                    readbacks.push(Readback::StencilCount(fb.stencil_count_ge(min, stats)));
+                }
+                Command::CellMax { start, len } => {
+                    readbacks.push(Readback::CellMax(
+                        self.cell_max_scan(list.cell_run(start, len)),
+                    ));
+                }
+            }
         }
-        self.viewport = viewport;
-        self.scissor = None;
-    }
-
-    #[inline]
-    pub fn viewport(&self) -> &Viewport {
-        &self.viewport
-    }
-
-    #[inline]
-    pub fn frame_buffer(&self) -> &FrameBuffer {
-        &self.fb
-    }
-
-    #[inline]
-    pub fn stats(&self) -> HwStats {
-        self.stats
-    }
-
-    // -- pipeline state ----------------------------------------------------
-
-    /// Sets the draw intensity. Anything but a number in `[0, 1]` is
-    /// refused like a `GL_INVALID_VALUE` — the current color stays and
-    /// `false` comes back — because a NaN intensity vanishes from every
-    /// Minmax (`f32::max` drops NaN) and would read as "no overlap".
-    pub fn set_color(&mut self, c: f32) -> bool {
-        let valid = (0.0..=1.0).contains(&c);
-        if valid {
-            self.color = c;
+        Execution {
+            stats: self.stats,
+            readbacks,
         }
-        valid
     }
 
-    /// Sets the line width in pixels; clamped to [`MAX_AA_LINE_WIDTH`] like
-    /// real hardware clamps `glLineWidth`. Returns the effective width so
-    /// callers can detect clamping and fall back to software.
-    pub fn set_line_width(&mut self, w: f64) -> f64 {
-        self.line_width = w.clamp(1.0, MAX_AA_LINE_WIDTH);
-        self.line_width
-    }
-
-    /// Sets the point size in pixels; clamped to `MAX_POINT_SIZE`.
-    pub fn set_point_size(&mut self, s: f64) -> f64 {
-        self.point_size = s.clamp(1.0, MAX_POINT_SIZE);
-        self.point_size
-    }
-
-    /// Selects how fill fragments combine with their plane (lines and
-    /// points always paint the color plane; see [`WriteMode`]).
-    pub fn set_write_mode(&mut self, mode: WriteMode) {
-        self.write_mode = mode;
-    }
-
-    /// Restricts rasterization to `r` (or lifts the restriction): draws
-    /// project through the viewport into an `r.w × r.h` window whose
-    /// pixels land at offset `(r.x, r.y)` in the frame buffer — the
-    /// atlas's cell-local rendering. All per-pixel math happens in the
-    /// scissor-local window, so a cell renders bit-identically to a
-    /// standalone window of the same size.
-    pub fn set_scissor(&mut self, r: Option<PixelRect>) {
-        if let Some(r) = r {
-            debug_assert!(r.w > 0 && r.h > 0, "empty scissor");
-            debug_assert!(
-                r.x + r.w <= self.fb.width() && r.y + r.h <= self.fb.height(),
-                "scissor outside the window"
-            );
-        }
-        self.scissor = r;
-    }
-
-    /// Replaces the data→window projection without touching the frame
-    /// buffer: device replay renders into a window whose size (the atlas
-    /// side) can differ from the recorded viewport's (one cell).
-    pub fn set_projection(&mut self, viewport: Viewport) {
-        self.viewport = viewport;
-    }
-
-    /// Marks the start of a batched submission round (the atlas's shared
-    /// fixed cost).
-    pub(crate) fn begin_batch(&mut self) {
-        self.stats.batches += 1;
-    }
-
-    /// Restores the context to its just-constructed state — cleared
-    /// planes, default pipeline state — without charging any counter.
-    /// Device replay uses this so execution is a pure function of the
-    /// command list: the list's own recorded clears carry the charges.
-    pub(crate) fn reset_for_replay(&mut self) {
-        self.fb.reset();
-        self.color = crate::framebuffer::HALF_GRAY;
-        self.line_width = crate::aa_line::DIAGONAL_WIDTH;
-        self.point_size = 1.0;
-        self.write_mode = WriteMode::Overwrite;
-        self.scissor = None;
+    /// The projection of the draw being run. The recorder orders a
+    /// viewport before every draw.
+    #[inline]
+    fn viewport(&self) -> Viewport {
+        self.viewport
+            .expect("the recorder sets a viewport before a draw")
     }
 
     /// The active rasterization window: the scissor, or the whole frame
@@ -212,51 +184,14 @@ impl GlContext {
         })
     }
 
-    // -- clears and accumulation ops ----------------------------------------
-
-    pub fn clear_color_buffer(&mut self) {
-        self.fb.clear_color(BLACK, &mut self.stats);
-    }
-
-    pub fn clear_accum_buffer(&mut self) {
-        self.fb.clear_accum(&mut self.stats);
-    }
-
-    pub(crate) fn clear_stencil_buffer(&mut self) {
-        self.fb.clear_stencil(&mut self.stats);
-    }
-
-    /// `glAccum(GL_LOAD)`: accumulation ← color.
-    pub fn accum_load(&mut self) {
-        self.fb.accum_load(&mut self.stats);
-    }
-
-    /// `glAccum(GL_ACCUM)`: accumulation += color.
-    pub fn accum_add(&mut self) {
-        self.fb.accum_add(&mut self.stats);
-    }
-
-    /// `glAccum(GL_RETURN)`: color ← accumulation.
-    pub fn accum_return(&mut self) {
-        self.fb.accum_return(&mut self.stats);
-    }
-
-    // -- drawing -------------------------------------------------------------
-
-    /// Draws a batch of segments (data coordinates) with the current line
-    /// state; vertices are *not* widened — call [`GlContext::draw_points`]
-    /// for end-cap coverage when the line width exceeds one pixel.
-    pub fn draw_segments(&mut self, segments: &[Segment]) {
-        self.stats.draw_calls += 1;
-        self.draw_segments_merged(segments);
-    }
-
-    /// [`GlContext::draw_segments`] without the draw-call charge: the
-    /// device layer coalesces several recorded geometry runs into one
-    /// logical hardware submission (the atlas's per-pass batching).
-    pub(crate) fn draw_segments_merged(&mut self, segments: &[Segment]) {
+    /// Draws a run of segments (data coordinates) with the current line
+    /// state; vertices are *not* widened — the distance test draws its
+    /// vertex caps as points. `new_call` charges a draw call: the atlas
+    /// extends one logical submission over several recorded runs.
+    fn draw_segments(&mut self, segments: &[Segment], new_call: bool) {
+        self.stats.draw_calls += usize::from(new_call);
         let (width, viewport, PixelRect { w, h, .. }) =
-            (self.line_width, self.viewport, self.window());
+            (self.line_width, self.viewport(), self.window());
         self.draw(segments, |seg| {
             let (a, b) = (viewport.to_window(seg.a), viewport.to_window(seg.b));
             if aa_line_outside_window(a, b, width, w, h) {
@@ -271,17 +206,11 @@ impl GlContext {
     /// size — including 1.0, where the disc can bleed into up to four
     /// pixels. The distance test's conservativeness depends on this: a
     /// vertex cap centered just outside the window must still color the
-    /// window pixels its disc reaches.
-    pub fn draw_points(&mut self, points: &[Point]) {
-        self.stats.draw_calls += 1;
-        self.draw_points_merged(points);
-    }
-
-    /// [`GlContext::draw_points`] without the draw-call charge (see
-    /// [`GlContext::draw_segments_merged`]).
-    pub(crate) fn draw_points_merged(&mut self, points: &[Point]) {
+    /// window pixels its disc reaches. `new_call` as for segments.
+    fn draw_points(&mut self, points: &[Point], new_call: bool) {
+        self.stats.draw_calls += usize::from(new_call);
         let (size, viewport, PixelRect { w, h, .. }) =
-            (self.point_size, self.viewport, self.window());
+            (self.point_size, self.viewport(), self.window());
         self.draw(points, |&p| {
             let p = viewport.to_window(p);
             if wide_point_outside_window(p, size, w, h) {
@@ -313,7 +242,7 @@ impl GlContext {
         let window = self.window();
         self.stats.primitives += primitives.len();
         in_blocks(primitives, setup, |cover| {
-            let (tested, written) = cover.paint(&mut self.fb, window, self.color);
+            let (tested, written) = cover.paint(self.fb, window, self.color);
             self.stats.fragments_tested += tested;
             self.stats.pixels_written += written;
         });
@@ -325,10 +254,10 @@ impl GlContext {
     /// produces it: a fill emits a pixel at most once
     /// ([`crate::polygon_raster`]), so no write mode needs the fragments
     /// of the draw call collected first.
-    pub fn draw_filled_polygon(&mut self, vertices: &[Point]) {
+    fn draw_filled_polygon(&mut self, vertices: &[Point]) {
         self.stats.draw_calls += 1;
         self.stats.primitives += 1;
-        let (window, viewport) = (self.window(), self.viewport);
+        let (window, viewport) = (self.window(), self.viewport());
         let mut fragments = HwStats::default();
         rasterize_polygon(
             vertices.iter().map(|&p| viewport.to_window(p)),
@@ -354,31 +283,10 @@ impl GlContext {
         }
     }
 
-    // -- queries -------------------------------------------------------------
-
-    /// The hardware Minmax query over the color buffer.
-    pub(crate) fn minmax(&mut self) -> (f32, f32) {
-        self.stats.minmax_queries += 1;
-        self.fb.minmax(&mut self.stats)
-    }
-
-    /// Convenience: the maximum of the Minmax query.
-    pub fn max_value(&mut self) -> f32 {
-        self.minmax().1
-    }
-
-    /// Number of pixels whose stencil value is at least `min` — one
-    /// whole-buffer scan, the counting readback the area-of-overlap
-    /// choreography reads back instead of transferring pixels.
-    pub(crate) fn stencil_count_ge(&mut self, min: u8) -> u64 {
-        self.stats.minmax_queries += 1;
-        self.fb.stencil_count_ge(min, &mut self.stats)
-    }
-
     /// One whole-buffer scan reducing each of `cells` to the maximum
     /// value inside it — the batched stand-in for per-cell Minmax queries
     /// (a histogram/reduction pass over the full buffer).
-    pub(crate) fn cell_max_scan(&mut self, cells: &[PixelRect]) -> Vec<f32> {
+    fn cell_max_scan(&mut self, cells: &[PixelRect]) -> Vec<f32> {
         self.stats.minmax_queries += 1;
         self.stats.pixels_scanned += self.fb.len();
         cells
@@ -421,10 +329,27 @@ fn in_blocks<P, C>(primitives: &[P], setup: impl Fn(&P) -> Option<C>, mut apply:
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::device::{RasterDevice, RecordError, Recorder, ReferenceDevice};
     use spatial_geom::Rect;
 
-    fn ctx(n: usize) -> GlContext {
-        GlContext::new(Viewport::new(Rect::new(0.0, 0.0, n as f64, n as f64), n, n))
+    /// The identity projection of an `n × n` window.
+    fn identity(n: usize) -> Viewport {
+        Viewport::new(Rect::new(0.0, 0.0, n as f64, n as f64), n, n)
+    }
+
+    /// Records `draw` behind `viewport` (color, widths and write mode at
+    /// their defaults), executes it and returns what it charged, read
+    /// back and left in the frame.
+    fn render(
+        viewport: Viewport,
+        draw: impl FnOnce(&mut Recorder) -> Result<(), RecordError>,
+    ) -> (Execution, FrameBuffer) {
+        let mut rec = Recorder::new(viewport.width(), viewport.height()).unwrap();
+        rec.set_viewport(viewport).unwrap();
+        draw(&mut rec).unwrap();
+        let mut device = ReferenceDevice::new();
+        let exec = device.execute(&rec.finish()).unwrap();
+        (exec, device.snapshot().unwrap())
     }
 
     fn seg(ax: f64, ay: f64, bx: f64, by: f64) -> Segment {
@@ -432,84 +357,41 @@ mod tests {
     }
 
     /// The `(x, y)` of every pixel with a non-black color.
-    fn lit(gl: &GlContext) -> Vec<(usize, usize)> {
-        let fb = gl.frame_buffer();
+    fn lit(fb: &FrameBuffer) -> Vec<(usize, usize)> {
         (0..fb.height())
             .flat_map(|y| (0..fb.width()).map(move |x| (x, y)))
             .filter(|&(x, y)| fb.read_pixel(x, y) > 0.0)
             .collect()
     }
 
+    /// The maximum color of Algorithm 3.1 steps 2.2–2.8 over two runs of
+    /// segments in an 8 × 8 window.
+    fn accumulated_max(first: Segment, second: Segment) -> f32 {
+        let (exec, _) = render(identity(8), |rec| {
+            rec.clear_color();
+            rec.clear_accum();
+            rec.draw_segments([first])?;
+            rec.accum_load();
+            rec.clear_color();
+            rec.draw_segments([second])?;
+            rec.accum_add();
+            rec.accum_return();
+            rec.minmax();
+            Ok(())
+        });
+        exec.max_red(0).unwrap()
+    }
+
     #[test]
     fn algorithm_31_choreography_detects_overlap() {
-        let mut gl = ctx(8);
-        assert!(gl.set_color(crate::framebuffer::HALF_GRAY));
-        // Refused, half gray stays: drawn in NaN the crossing below would
-        // read 0.0, "no overlap" (`f32::max` drops NaN in the Minmax scan).
-        assert!(!gl.set_color(f32::NAN));
-        assert!(!gl.set_color(1.5));
-        gl.clear_color_buffer();
-        gl.clear_accum_buffer();
-        gl.draw_segments(&[seg(0.0, 0.0, 8.0, 8.0)]);
-        gl.accum_load();
-        gl.clear_color_buffer();
-        gl.draw_segments(&[seg(0.0, 8.0, 8.0, 0.0)]);
-        gl.accum_add();
-        gl.accum_return();
-        assert_eq!(gl.max_value(), 1.0, "crossing segments must reach white");
+        let max = accumulated_max(seg(0.0, 0.0, 8.0, 8.0), seg(0.0, 8.0, 8.0, 0.0));
+        assert_eq!(max, 1.0, "crossing segments must reach white");
     }
 
     #[test]
     fn algorithm_31_choreography_no_overlap() {
-        let mut gl = ctx(8);
-        gl.clear_color_buffer();
-        gl.clear_accum_buffer();
-        gl.draw_segments(&[seg(0.5, 0.5, 0.5, 7.5)]);
-        gl.accum_load();
-        gl.clear_color_buffer();
-        gl.draw_segments(&[seg(7.5, 0.5, 7.5, 7.5)]);
-        gl.accum_add();
-        gl.accum_return();
-        assert_eq!(gl.max_value(), 0.5, "disjoint segments stay half gray");
-    }
-
-    #[test]
-    fn line_width_clamps_at_hardware_limit() {
-        let mut gl = ctx(4);
-        assert_eq!(gl.set_line_width(25.0), MAX_AA_LINE_WIDTH);
-        assert_eq!(gl.set_line_width(3.0), 3.0);
-        assert_eq!(gl.set_point_size(99.0), MAX_POINT_SIZE);
-    }
-
-    #[test]
-    fn retarget_keeps_buffers_for_explicit_clears() {
-        let mut gl = ctx(8);
-        gl.draw_segments(&[seg(0.0, 0.0, 8.0, 8.0)]);
-        assert!(gl.max_value() > 0.0);
-        // Retarget does NOT clear (Algorithm 3.1 clears explicitly)...
-        gl.retarget(Viewport::new(Rect::new(10.0, 10.0, 20.0, 20.0), 8, 8));
-        assert!(gl.max_value() > 0.0, "stale pixels remain until cleared");
-        // ...and the explicit clear wipes them.
-        gl.clear_color_buffer();
-        assert_eq!(gl.max_value(), 0.0);
-        // Different size reallocates (fresh buffers start clear).
-        gl.retarget(Viewport::new(Rect::new(0.0, 0.0, 1.0, 1.0), 16, 16));
-        assert_eq!(gl.frame_buffer().width(), 16);
-        assert_eq!(gl.max_value(), 0.0);
-    }
-
-    #[test]
-    fn stats_grow_monotonically() {
-        let mut gl = ctx(8);
-        let s0 = gl.stats();
-        gl.draw_segments(&[seg(0.0, 0.0, 8.0, 8.0)]);
-        let s1 = gl.stats();
-        assert!(s1.pixels_written > s0.pixels_written);
-        assert!(s1.primitives == s0.primitives + 1);
-        gl.minmax();
-        let s2 = gl.stats();
-        assert_eq!(s2.minmax_queries, s1.minmax_queries + 1);
-        assert_eq!(s2.pixels_scanned, s1.pixels_scanned + 64);
+        let max = accumulated_max(seg(0.5, 0.5, 0.5, 7.5), seg(7.5, 0.5, 7.5, 7.5));
+        assert_eq!(max, 0.5, "disjoint segments stay half gray");
     }
 
     #[test]
@@ -519,24 +401,22 @@ mod tests {
         // Truncating it to its containing pixel clips it entirely — and
         // that once caused the distance test to drop a vertex cap and
         // reject a truly-within-distance pair.
-        let vp = Viewport::new(Rect::new(0.0, 0.0, 8.0, 8.0), 8, 8);
-        let mut gl = GlContext::new(vp);
-        gl.set_point_size(1.0);
         // Window coords = data coords here; y = -0.41 is outside.
-        gl.draw_points(&[Point::new(3.5, -0.41)]);
-        assert!(
-            gl.frame_buffer().read_pixel(3, 0) > 0.0,
-            "disc must bleed into row 0"
-        );
+        let (_, fb) = render(identity(8), |rec| {
+            rec.set_point_size(1.0)?;
+            rec.draw_points([Point::new(3.5, -0.41)])
+        });
+        assert!(fb.read_pixel(3, 0) > 0.0, "disc must bleed into row 0");
     }
 
     #[test]
     fn wide_points_cover_vertices() {
-        let mut gl = ctx(8);
-        gl.set_point_size(4.0);
-        gl.draw_points(&[Point::new(4.0, 4.0)]);
+        let (_, fb) = render(identity(8), |rec| {
+            rec.set_point_size(4.0)?;
+            rec.draw_points([Point::new(4.0, 4.0)])
+        });
         // A 4-pixel disc around window (4,4) must cover several pixels.
-        let covered = lit(&gl).len();
+        let covered = lit(&fb).len();
         assert!(covered >= 4, "got {covered}");
     }
 
@@ -546,21 +426,25 @@ mod tests {
     /// `a == b`.
     #[test]
     fn a_segment_without_a_direction_draws_its_cap() {
+        let with_minmax = |draw: &dyn Fn(&mut Recorder) -> Result<(), RecordError>| {
+            let (exec, fb) = render(identity(8), |rec| {
+                draw(rec)?;
+                rec.minmax();
+                Ok(())
+            });
+            (exec.max_red(0).unwrap(), lit(&fb))
+        };
         let collapsed = [seg(1e-200, 1e-200, 3e-200, 1e-200), seg(2.5, 2.5, 2.5, 2.5)];
         for s in collapsed {
             assert!((s.b - s.a).normalized().is_none(), "{s:?}");
-            let cap = {
-                let mut gl = ctx(8);
-                gl.set_point_size(crate::aa_line::DIAGONAL_WIDTH);
-                gl.draw_points(&[s.a]);
-                lit(&gl)
-            };
+            let (_, cap) = with_minmax(&|rec| {
+                rec.set_point_size(crate::aa_line::DIAGONAL_WIDTH)?;
+                rec.draw_points([s.a])
+            });
             assert!(!cap.is_empty());
-
-            let mut gl = ctx(8);
-            gl.draw_segments(&[s]);
-            assert_eq!(lit(&gl), cap, "painted {s:?}");
-            assert_eq!(gl.max_value(), 0.5);
+            let (max, painted) = with_minmax(&|rec| rec.draw_segments([s]));
+            assert_eq!(painted, cap, "painted {s:?}");
+            assert_eq!(max, 0.5);
         }
 
         // A whole triangle far below a pixel: every edge is such a segment.
@@ -569,9 +453,8 @@ mod tests {
             seg(1e-170, 0.0, 0.0, 1e-170),
             seg(0.0, 1e-170, 0.0, 0.0),
         ];
-        let mut gl = ctx(8);
-        gl.draw_segments(&speck);
-        assert_eq!(gl.max_value(), 0.5);
+        let (max, _) = with_minmax(&|rec| rec.draw_segments(speck));
+        assert_eq!(max, 0.5);
     }
 
     /// A fill emits a pixel at most once, so writing each fragment as the
@@ -584,7 +467,7 @@ mod tests {
         fn collected_fill(gl: &mut GlContext, ring: &[Point]) {
             gl.stats.draw_calls += 1;
             gl.stats.primitives += 1;
-            let (window, viewport) = (gl.window(), gl.viewport);
+            let (window, viewport) = (gl.window(), gl.viewport());
             let mut frags = Vec::new();
             rasterize_polygon(
                 ring.iter().map(|&p| viewport.to_window(p)),
@@ -659,27 +542,25 @@ mod tests {
         for scissor in [None, Some(cell)] {
             for r in &rings {
                 for mode in modes {
-                    let fresh = || {
-                        let side = if scissor.is_some() { 24 } else { 8 };
-                        let mut gl = ctx(side);
-                        gl.set_scissor(scissor);
-                        gl.set_projection(Viewport::new(Rect::new(0.0, 0.0, 8.0, 8.0), 8, 8));
+                    let side = if scissor.is_some() { 24 } else { 8 };
+                    let (mut direct_fb, mut oracle_fb) =
+                        (FrameBuffer::new(side, side), FrameBuffer::new(side, side));
+                    let fresh = |fb| {
+                        let mut gl = GlContext::new(fb);
+                        gl.scissor = scissor;
+                        gl.viewport = Some(identity(8));
                         // Something for `StencilIncrIfEq(1)` to count on.
-                        gl.set_write_mode(WriteMode::StencilReplace(1));
+                        gl.write_mode = WriteMode::StencilReplace(1);
                         gl.draw_filled_polygon(&mark);
-                        gl.set_write_mode(mode);
+                        gl.write_mode = mode;
                         gl
                     };
-                    let (mut direct, mut oracle) = (fresh(), fresh());
+                    let (mut direct, mut oracle) = (fresh(&mut direct_fb), fresh(&mut oracle_fb));
                     direct.draw_filled_polygon(r);
                     collected_fill(&mut oracle, r);
-                    assert_eq!(direct.stats(), oracle.stats(), "{mode:?} {r:?}");
-                    assert_eq!(
-                        direct.frame_buffer(),
-                        oracle.frame_buffer(),
-                        "{mode:?} {r:?}"
-                    );
-                    written += direct.stats().pixels_written;
+                    assert_eq!(direct.stats, oracle.stats, "{mode:?} {r:?}");
+                    written += direct.stats.pixels_written;
+                    assert_eq!(direct_fb, oracle_fb, "{mode:?} {r:?}");
                 }
             }
         }
@@ -690,8 +571,9 @@ mod tests {
     fn data_space_projection_applies() {
         // Viewport over [100, 200]²: a segment at data x = 150 lands mid-window.
         let vp = Viewport::new(Rect::new(100.0, 100.0, 200.0, 200.0), 8, 8);
-        let mut gl = GlContext::new(vp);
-        gl.draw_segments(&[seg(150.0, 100.0, 150.0, 200.0)]);
-        assert!(lit(&gl).iter().any(|&(x, _)| x == 3 || x == 4));
+        let (_, fb) = render(vp, |rec| {
+            rec.draw_segments([seg(150.0, 100.0, 150.0, 200.0)])
+        });
+        assert!(lit(&fb).iter().any(|&(x, _)| x == 3 || x == 4));
     }
 }

@@ -177,7 +177,7 @@ mod tests {
         use crate::device::{DeviceKind, Recorder};
         use crate::viewport::Viewport;
         use spatial_geom::{Point, Rect, Segment};
-        let mut r = Recorder::new(8, 8);
+        let mut r = Recorder::new(8, 8).unwrap();
         r.set_viewport(Viewport::new(Rect::new(0.0, 0.0, 8.0, 8.0), 8, 8))
             .unwrap();
         r.clear_color();

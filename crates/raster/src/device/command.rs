@@ -14,7 +14,7 @@
 //! reference `start/len` runs, so a recorded atlas batch is one contiguous
 //! allocation rather than a tree of boxed draws.
 
-use crate::context::{PixelRect, WriteMode, MAX_AA_LINE_WIDTH, MAX_POINT_SIZE};
+use crate::context::{PixelRect, WriteMode, MAX_AA_LINE_WIDTH, MAX_POINT_SIZE, MAX_WINDOW_SIDE};
 use crate::viewport::Viewport;
 use spatial_geom::{Point, Segment};
 use std::fmt;
@@ -275,6 +275,14 @@ impl CommandList {
 /// A record-time validation failure — the retained analogue of a GL error.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RecordError {
+    /// The window has a side of 0 or over [`MAX_WINDOW_SIDE`]: the card
+    /// has no such frame.
+    WindowSize {
+        /// The requested window width.
+        width: usize,
+        /// The requested window height.
+        height: usize,
+    },
     /// Requested draw intensity is non-finite or outside `[0, 1]`.
     ColorOutOfRange(f32),
     /// Requested line width is non-finite or above [`MAX_AA_LINE_WIDTH`].
@@ -304,6 +312,10 @@ pub enum RecordError {
 impl fmt::Display for RecordError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            RecordError::WindowSize { width, height } => write!(
+                f,
+                "window {width}x{height} has a side of 0 or over {MAX_WINDOW_SIDE}"
+            ),
             RecordError::ColorOutOfRange(c) => write!(f, "color {c} is not in [0, 1]"),
             RecordError::WidthTooLarge(w) => {
                 write!(
@@ -345,9 +357,9 @@ impl fmt::Display for RecordError {
 impl std::error::Error for RecordError {}
 
 /// Records a validated [`CommandList`] targeting a `width × height`
-/// window. State setters mirror [`crate::GlContext`]'s; draw methods take
-/// any geometry iterator so callers can stream edges without intermediate
-/// buffers.
+/// window — the one way to drive the simulated card. Setters refuse what
+/// the card would refuse; draw methods take any geometry iterator so
+/// callers can stream edges without intermediate buffers.
 #[derive(Debug)]
 pub struct Recorder {
     list: CommandList,
@@ -357,13 +369,15 @@ pub struct Recorder {
 }
 
 impl Recorder {
-    /// A recorder for a `width × height` pixel window.
-    pub fn new(width: usize, height: usize) -> Self {
-        assert!(
-            width > 0 && height > 0,
-            "window must have at least one pixel"
-        );
-        Recorder {
+    /// A recorder for a `width × height` pixel window, or
+    /// [`RecordError::WindowSize`] when a side is 0 or over
+    /// [`MAX_WINDOW_SIDE`].
+    pub fn new(width: usize, height: usize) -> Result<Self, RecordError> {
+        let side = 1..=MAX_WINDOW_SIDE;
+        if !side.contains(&width) || !side.contains(&height) {
+            return Err(RecordError::WindowSize { width, height });
+        }
+        Ok(Recorder {
             list: CommandList {
                 width,
                 height,
@@ -377,7 +391,7 @@ impl Recorder {
             write_mode: WriteMode::Overwrite,
             viewport_set: false,
             scissor: None,
-        }
+        })
     }
 
     /// Validates `c` to be a number in `[0, 1]` and records it as the
@@ -393,11 +407,10 @@ impl Recorder {
     }
 
     /// Validates `w` against [`MAX_AA_LINE_WIDTH`] and records the
-    /// effective (≥ 1 pixel) width, which is returned — mirroring
-    /// [`crate::GlContext::set_line_width`], except that exceeding the
-    /// hardware limit is an upfront error here rather than a silent clamp:
-    /// the caller decides on the software fallback *before* the list
-    /// exists.
+    /// effective (≥ 1 pixel) width, which is returned, like `glLineWidth`
+    /// clamps up. Exceeding the hardware limit is an upfront error rather
+    /// than a silent clamp: the caller decides on the software fallback
+    /// *before* the list exists.
     pub fn set_line_width(&mut self, w: f64) -> Result<f64, RecordError> {
         if !w.is_finite() || w > MAX_AA_LINE_WIDTH {
             return Err(RecordError::WidthTooLarge(w));
@@ -646,7 +659,7 @@ mod tests {
 
     #[test]
     fn width_and_size_limits_are_record_time_errors() {
-        let mut r = Recorder::new(8, 8);
+        let mut r = Recorder::new(8, 8).unwrap();
         // A NaN intensity would vanish from every Minmax and read as "no
         // overlap"; nothing outside [0, 1] reaches the command tape.
         for bad in [f32::NAN, f32::INFINITY, -0.5, 1.5] {
@@ -679,8 +692,19 @@ mod tests {
     }
 
     #[test]
+    fn windows_the_card_has_no_frame_for_are_refused() {
+        for (width, height) in [(0, 8), (8, 0), (MAX_WINDOW_SIDE + 1, 1), (1, usize::MAX)] {
+            assert_eq!(
+                Recorder::new(width, height).err(),
+                Some(RecordError::WindowSize { width, height })
+            );
+        }
+        assert!(Recorder::new(MAX_WINDOW_SIDE, MAX_WINDOW_SIDE).is_ok());
+    }
+
+    #[test]
     fn viewport_must_match_active_window() {
-        let mut r = Recorder::new(8, 8);
+        let mut r = Recorder::new(8, 8).unwrap();
         let bad = Viewport::new(Rect::new(0.0, 0.0, 4.0, 4.0), 4, 4);
         assert_eq!(
             r.set_viewport(bad),
@@ -702,7 +726,7 @@ mod tests {
 
     #[test]
     fn scissor_and_cells_must_stay_inside() {
-        let mut r = Recorder::new(8, 8);
+        let mut r = Recorder::new(8, 8).unwrap();
         let overhang = PixelRect {
             x: 6,
             y: 0,
@@ -742,7 +766,7 @@ mod tests {
 
     #[test]
     fn draws_require_a_viewport() {
-        let mut r = Recorder::new(8, 8);
+        let mut r = Recorder::new(8, 8).unwrap();
         assert_eq!(
             r.draw_segments([seg(0.0, 0.0, 1.0, 1.0)]),
             Err(RecordError::DrawWithoutViewport)
@@ -757,7 +781,7 @@ mod tests {
     /// every draw records again once overwrite mode is back.
     #[test]
     fn line_and_point_draws_are_overwrite_only() {
-        let mut r = Recorder::new(8, 8);
+        let mut r = Recorder::new(8, 8).unwrap();
         r.set_viewport(Viewport::new(Rect::new(0.0, 0.0, 8.0, 8.0), 8, 8))
             .unwrap();
         type Draw = fn(&mut Recorder) -> Result<(), RecordError>;
@@ -784,7 +808,7 @@ mod tests {
 
     #[test]
     fn readback_slots_count_up_in_record_order() {
-        let mut r = Recorder::new(8, 8);
+        let mut r = Recorder::new(8, 8).unwrap();
         assert_eq!(r.minmax(), 0);
         assert_eq!(r.stencil_count(2), 1);
         assert_eq!(
@@ -804,7 +828,7 @@ mod tests {
     #[test]
     fn serialization_is_deterministic_and_complete() {
         let build = || {
-            let mut r = Recorder::new(8, 8);
+            let mut r = Recorder::new(8, 8).unwrap();
             r.set_color(HALF_GRAY).unwrap();
             r.set_line_width(1.5).unwrap();
             r.set_viewport(Viewport::new(Rect::new(0.0, 0.0, 8.0, 8.0), 8, 8))

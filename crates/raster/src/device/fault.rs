@@ -235,7 +235,7 @@ mod tests {
     use spatial_geom::{Rect, Segment};
 
     fn minmax_list() -> (CommandList, usize) {
-        let mut rec = Recorder::new(8, 8);
+        let mut rec = Recorder::new(8, 8).unwrap();
         rec.set_viewport(Viewport::new(Rect::new(0.0, 0.0, 8.0, 8.0), 8, 8))
             .unwrap();
         rec.set_color(HALF_GRAY).unwrap();

@@ -8,8 +8,8 @@
 //!    draws, readback queries — into flat geometry arenas and a typed
 //!    command tape.
 //! 2. **Validate.** Every recording call checks its arguments *up front*
-//!    (viewport before draws, width/size limits, in-bounds scissors and
-//!    cells) and returns [`RecordError`] on violation, so a finished
+//!    (window sides, viewport before draws, color, width and size limits,
+//!    in-bounds scissors and cells) and returns [`RecordError`] on violation, so a finished
 //!    [`CommandList`] is valid by construction and executors never
 //!    re-validate on the hot path.
 //! 3. **Execute.** Any [`RasterDevice`] runs the immutable list and
@@ -24,10 +24,11 @@
 //! Nothing sits between the recorder and the device: the list a caller
 //! records is the list an executor runs, command for command.
 //!
-//! One executor ships: [`ReferenceDevice`] replays the list onto
-//! [`crate::GlContext`] verbatim, bit-identical to driving the context by
-//! hand. It is the only code that interprets a [`Command`] stream into
-//! pixels.
+//! One executor ships: [`ReferenceDevice`] replays the list verbatim, one
+//! step of its private pipeline state per command, from a cleared window
+//! and zeroed counters. It is the only code that interprets a [`Command`]
+//! stream into pixels, and recording a list is the only way to have it
+//! draw.
 //!
 //! One wrapper composes around it and must be *transparent* — same rows,
 //! same counters, same readbacks as the bare executor: [`FaultDevice`]

@@ -237,7 +237,10 @@ mod tests {
         assert_eq!(mx, WHITE, "overlap pixel must reach full white");
         assert_eq!(fb.read_pixel(1, 1), WHITE);
         assert_eq!(fb.read_pixel(0, 0), HALF_GRAY);
-        assert_eq!(st.minmax_queries, 0, "minmax counter belongs to GlContext");
+        assert_eq!(
+            st.minmax_queries, 0,
+            "the replay charges the minmax counter"
+        );
     }
 
     #[test]

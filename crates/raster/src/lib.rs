@@ -17,12 +17,14 @@
 //!   query, and the Minmax query the paper uses to avoid pixel readback
 //!   (§3.2) ([`framebuffer`]).
 //!
-//! [`context::GlContext`] is a stateful OpenGL-style façade over all of the
-//! above, so the hardware-assisted algorithms in `hwa-core` read like the
-//! paper's pseudo-code. [`stats::HwStats`] counts pixels written, fragments
-//! tested and buffer scans — the deterministic cost model that stands in
-//! for GPU time and makes the resolution/overhead trade-off of Figures
-//! 11–13 reproducible on any host.
+//! Callers drive all of the above one way: a [`Recorder`] records the
+//! steps of a choreography — set color, render edges, accumulate, minmax —
+//! into a validated [`CommandList`], and a [`RasterDevice`] executes it
+//! ([`ReferenceDevice`] replays it command by command). [`HwStats`] counts
+//! pixels written, fragments tested and buffer scans — the deterministic
+//! cost model that stands in for GPU time and makes the
+//! resolution/overhead trade-off of Figures 11–13 reproducible on any
+//! host.
 
 #![forbid(unsafe_code)]
 
@@ -41,9 +43,7 @@ pub(crate) mod stats;
 pub(crate) mod viewport;
 
 pub use atlas::{AtlasCell, AtlasJob};
-pub use context::{
-    GlContext, OverlapStrategy, PixelRect, WriteMode, MAX_AA_LINE_WIDTH, MAX_WINDOW_SIDE,
-};
+pub use context::{OverlapStrategy, PixelRect, WriteMode, MAX_AA_LINE_WIDTH, MAX_WINDOW_SIDE};
 pub use cost_model::HwCostModel;
 pub use device::{
     Command, CommandList, DeviceError, DeviceKind, Execution, FaultDevice, FaultKind, FaultPlan,

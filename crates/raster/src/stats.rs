@@ -7,7 +7,8 @@
 //! so the resolution/overhead trade-off can be asserted in tests and
 //! reported next to wall-clock numbers in the benches.
 
-/// Counters accumulated by a [`crate::GlContext`] over its lifetime.
+/// The work one execution of a [`crate::CommandList`] charged
+/// ([`crate::Execution::stats`]), or the sum of many.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HwStats {
     /// Fragments written to the color buffer.
@@ -31,20 +32,6 @@ pub struct HwStats {
 }
 
 impl HwStats {
-    /// Difference of two snapshots (`later - earlier`), for measuring one
-    /// operation within a longer-lived context.
-    pub fn delta_since(&self, earlier: &HwStats) -> HwStats {
-        HwStats {
-            pixels_written: self.pixels_written - earlier.pixels_written,
-            fragments_tested: self.fragments_tested - earlier.fragments_tested,
-            pixels_scanned: self.pixels_scanned - earlier.pixels_scanned,
-            primitives: self.primitives - earlier.primitives,
-            draw_calls: self.draw_calls - earlier.draw_calls,
-            minmax_queries: self.minmax_queries - earlier.minmax_queries,
-            batches: self.batches - earlier.batches,
-        }
-    }
-
     /// Accumulates another snapshot into this one.
     pub fn add(&mut self, other: &HwStats) {
         self.pixels_written += other.pixels_written;
@@ -69,7 +56,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn delta_and_add_are_inverse() {
+    fn add_sums_every_counter() {
         let a = HwStats {
             pixels_written: 10,
             fragments_tested: 20,
@@ -80,7 +67,7 @@ mod tests {
             batches: 1,
         };
         let mut b = a;
-        let extra = HwStats {
+        b.add(&HwStats {
             pixels_written: 1,
             fragments_tested: 2,
             pixels_scanned: 3,
@@ -88,9 +75,17 @@ mod tests {
             draw_calls: 1,
             minmax_queries: 0,
             batches: 1,
+        });
+        let sum = HwStats {
+            pixels_written: 11,
+            fragments_tested: 22,
+            pixels_scanned: 33,
+            primitives: 5,
+            draw_calls: 3,
+            minmax_queries: 1,
+            batches: 2,
         };
-        b.add(&extra);
-        assert_eq!(b.delta_since(&a), extra);
+        assert_eq!(b, sum);
     }
 
     #[test]

@@ -1,8 +1,8 @@
-//! Differential test of the clip stage: `GlContext` (which rejects
-//! out-of-window primitives before any per-primitive setup, and filters a
-//! fill's edge list once) against a test-local *unclipped* pipeline that
-//! runs the full setup on everything, the way the context did before it
-//! had a clip stage. Clipping must be invisible: same pixels, same planes,
+//! Differential test of the clip stage: recorded draws executed on the
+//! `ReferenceDevice` (whose replay rejects out-of-window primitives before
+//! any per-primitive setup, and filters a fill's edge list once) against a
+//! test-local *unclipped* pipeline that runs the full setup on everything,
+//! the way the replay did before it had a clip stage. Clipping must be invisible: same pixels, same planes,
 //! same counters — over in-window, edge-grazing, far, huge, infinite and
 //! NaN coordinates, every width, whole-window and scissor-cell windows and,
 //! for fills, all three write modes (lines and points only ever paint in
@@ -16,7 +16,8 @@ use spatial_raster::framebuffer::HALF_GRAY;
 use spatial_raster::point_raster::rasterize_wide_point;
 use spatial_raster::polygon_raster::rasterize_polygon;
 use spatial_raster::{
-    FrameBuffer, GlContext, HwStats, PixelRect, Viewport, WriteMode, MAX_AA_LINE_WIDTH,
+    FrameBuffer, HwStats, PixelRect, RasterDevice, Recorder, ReferenceDevice, Viewport, WriteMode,
+    MAX_AA_LINE_WIDTH,
 };
 
 /// The write modes a fill runs in.
@@ -69,15 +70,23 @@ impl Window {
         }
     }
 
-    fn context(&self, mode: WriteMode) -> GlContext {
-        let placeholder = Rect::new(0.0, 0.0, 1.0, 1.0);
-        let mut gl = GlContext::new(Viewport::new(placeholder, self.fb, self.fb));
-        gl.set_projection(self.viewport);
-        gl.set_scissor(self.scissor);
-        gl.set_color(HALF_GRAY);
-        gl.set_write_mode(mode);
-        gl
+    /// A recorder drawing through this window at half gray in `mode`.
+    fn recorder(&self, mode: WriteMode) -> Recorder {
+        let mut rec = Recorder::new(self.fb, self.fb).unwrap();
+        rec.set_scissor(self.scissor).unwrap();
+        rec.set_viewport(self.viewport).unwrap();
+        rec.set_color(HALF_GRAY).unwrap();
+        rec.set_write_mode(mode);
+        rec
     }
+}
+
+/// Executes what `rec` recorded on a reference device: the counters it
+/// charged and the frame it left.
+fn execute(rec: Recorder) -> (HwStats, FrameBuffer) {
+    let mut device = ReferenceDevice::new();
+    let exec = device.execute(&rec.finish()).unwrap();
+    (exec.stats, device.snapshot().unwrap())
 }
 
 /// The unclipped pipeline: full per-primitive setup for every submitted
@@ -242,34 +251,28 @@ fn axis_pool(n: usize, w: f64) -> Vec<f64> {
     ]
 }
 
-/// Draws each primitive alone through a cleared context and the unclipped
-/// pipeline and compares counters and, whenever either side wrote,
-/// planes. One primitive emits a pixel at most once, so per-primitive
-/// agreement of the written set and count is agreement of the emitted
-/// multiset.
+/// Draws each primitive alone, recorded and executed from a cleared
+/// window and through the unclipped pipeline, and compares counters and,
+/// whenever either side wrote, planes. One primitive emits a pixel at most
+/// once, so per-primitive agreement of the written set and count is
+/// agreement of the emitted multiset.
 fn check_each<P: Copy + std::fmt::Debug>(
     win: Window,
     prims: &[P],
-    configure: impl Fn(&mut GlContext),
-    draw: impl Fn(&mut GlContext, P),
+    draw: impl Fn(&mut Recorder, P),
     draw_unclipped: impl Fn(&mut Unclipped, P),
 ) -> usize {
-    let mut gl = win.context(WriteMode::Overwrite);
-    configure(&mut gl);
-    let mut oracle = Unclipped::new(win, WriteMode::Overwrite);
     let mut live = 0;
     for &p in prims {
-        let (before, oracle_before) = (gl.stats(), oracle.stats);
-        draw(&mut gl, p);
+        let mut rec = win.recorder(WriteMode::Overwrite);
+        draw(&mut rec, p);
+        let (stats, fb) = execute(rec);
+        let mut oracle = Unclipped::new(win, WriteMode::Overwrite);
         draw_unclipped(&mut oracle, p);
-        let delta = gl.stats().delta_since(&before);
-        assert_eq!(delta, oracle.stats.delta_since(&oracle_before), "{p:?}");
-        if delta.pixels_written > 0 {
+        assert_eq!(stats, oracle.stats, "{p:?}");
+        if stats.pixels_written > 0 {
             live += 1;
-            assert_eq!(gl.frame_buffer(), &oracle.fb, "{p:?}");
-            gl = win.context(WriteMode::Overwrite);
-            configure(&mut gl);
-            oracle = Unclipped::new(win, WriteMode::Overwrite);
+            assert_eq!(fb, oracle.fb, "{p:?}");
         }
     }
     live
@@ -307,22 +310,23 @@ fn clipped_aa_lines_match_unclipped_setup() {
             let live = check_each(
                 win,
                 &segs,
-                |gl| {
-                    gl.set_line_width(width);
+                |rec, s| {
+                    rec.set_line_width(width).unwrap();
+                    rec.draw_segments([s]).unwrap();
                 },
-                |gl, s| gl.draw_segments(&[s]),
                 |o, s| o.draw_segments(&[s], width),
             );
             assert!(live > 0 && live < segs.len(), "{live} of {}", segs.len());
 
             // The whole list as one run.
-            let mut gl = win.context(WriteMode::Overwrite);
-            gl.set_line_width(width);
+            let mut rec = win.recorder(WriteMode::Overwrite);
+            rec.set_line_width(width).unwrap();
+            rec.draw_segments(segs.iter().copied()).unwrap();
+            let (stats, fb) = execute(rec);
             let mut oracle = Unclipped::new(win, WriteMode::Overwrite);
-            gl.draw_segments(&segs);
             oracle.draw_segments(&segs, width);
-            assert_eq!(gl.stats(), oracle.stats, "width {width}");
-            assert_eq!(gl.frame_buffer(), &oracle.fb, "width {width}");
+            assert_eq!(stats, oracle.stats, "width {width}");
+            assert_eq!(fb, oracle.fb, "width {width}");
         }
     }
 }
@@ -343,21 +347,22 @@ fn clipped_wide_points_match_unclipped_setup() {
             let live = check_each(
                 win,
                 &points,
-                |gl| {
-                    gl.set_point_size(size);
+                |rec, p| {
+                    rec.set_point_size(size).unwrap();
+                    rec.draw_points([p]).unwrap();
                 },
-                |gl, p| gl.draw_points(&[p]),
                 |o, p| o.draw_points(&[p], size),
             );
             assert!(live > 0 && live < points.len());
 
-            let mut gl = win.context(WriteMode::Overwrite);
-            gl.set_point_size(size);
+            let mut rec = win.recorder(WriteMode::Overwrite);
+            rec.set_point_size(size).unwrap();
+            rec.draw_points(points.iter().copied()).unwrap();
+            let (stats, fb) = execute(rec);
             let mut oracle = Unclipped::new(win, WriteMode::Overwrite);
-            gl.draw_points(&points);
             oracle.draw_points(&points, size);
-            assert_eq!(gl.stats(), oracle.stats, "size {size}");
-            assert_eq!(gl.frame_buffer(), &oracle.fb, "size {size}");
+            assert_eq!(stats, oracle.stats, "size {size}");
+            assert_eq!(fb, oracle.fb, "size {size}");
         }
     }
 }
@@ -394,14 +399,15 @@ fn edge_filtered_fill_matches_per_row_edge_test() {
             assert_eq!(got, want, "{poly:?}");
             assert_eq!(got_stats, want_stats, "{poly:?}");
 
-            // Through the context, rotating the write mode.
+            // Recorded and executed, rotating the write mode.
             let mode = MODES[case % MODES.len()];
-            let mut gl = win.context(mode);
+            let mut rec = win.recorder(mode);
+            rec.fill_polygon(poly.iter().copied()).unwrap();
+            let (stats, fb) = execute(rec);
             let mut oracle = Unclipped::new(win, mode);
-            gl.draw_filled_polygon(&poly);
             oracle.fill(&poly);
-            assert_eq!(gl.stats(), oracle.stats, "{mode:?} {poly:?}");
-            assert_eq!(gl.frame_buffer(), &oracle.fb, "{mode:?} {poly:?}");
+            assert_eq!(stats, oracle.stats, "{mode:?} {poly:?}");
+            assert_eq!(fb, oracle.fb, "{mode:?} {poly:?}");
         }
     }
 }

@@ -104,7 +104,7 @@ prop_compose! {
 
 /// Records the full-choreography command list for a scene.
 fn record(scene: &Scene) -> CommandList {
-    let mut rec = Recorder::new(scene.width, scene.height);
+    let mut rec = Recorder::new(scene.width, scene.height).unwrap();
     rec.set_viewport(Viewport::new(scene.region, scene.width, scene.height))
         .unwrap();
     rec.set_color(HALF_GRAY).unwrap();

@@ -5,8 +5,9 @@ use proptest::prelude::*;
 use spatial_geom::predicates::segments_intersect;
 use spatial_geom::{Point, Rect, Segment};
 use spatial_raster::aa_line::{rasterize_aa_line, DIAGONAL_WIDTH};
+use spatial_raster::framebuffer::HALF_GRAY;
 use spatial_raster::point_raster::rasterize_wide_point;
-use spatial_raster::{GlContext, HwStats, Viewport};
+use spatial_raster::{HwStats, RasterDevice, Recorder, ReferenceDevice, Viewport};
 
 fn aa_pixels(a: Point, b: Point, w: f64, win: usize) -> Vec<(usize, usize)> {
     let mut out = Vec::new();
@@ -85,8 +86,9 @@ proptest! {
         prop_assert!(pixels.contains(&cell), "disc point {} missed pixel {:?}", q, cell);
     }
 
-    /// End-to-end context invariant: the full Algorithm 3.1 buffer
-    /// choreography reports overlap whenever two segments truly intersect.
+    /// End-to-end device invariant: the full Algorithm 3.1 buffer
+    /// choreography, recorded and executed, reports overlap whenever two
+    /// segments truly intersect.
     #[test]
     fn context_choreography_is_conservative(
         ax in 0.0f64..100.0, ay in 0.0f64..100.0,
@@ -99,16 +101,21 @@ proptest! {
         let s2 = Segment::new(Point::new(cx, cy), Point::new(dx, dy));
         prop_assume!(!s1.is_degenerate() && !s2.is_degenerate());
         let vp = Viewport::new(Rect::new(0.0, 0.0, 100.0, 100.0), win, win);
-        let mut gl = GlContext::new(vp);
-        gl.clear_color_buffer();
-        gl.clear_accum_buffer();
-        gl.draw_segments(&[s1]);
-        gl.accum_load();
-        gl.clear_color_buffer();
-        gl.draw_segments(&[s2]);
-        gl.accum_add();
-        gl.accum_return();
-        let overlap = gl.max_value() >= 1.0;
+        let mut rec = Recorder::new(win, win).unwrap();
+        rec.set_viewport(vp).unwrap();
+        rec.set_color(HALF_GRAY).unwrap();
+        rec.set_line_width(DIAGONAL_WIDTH).unwrap();
+        rec.clear_color();
+        rec.clear_accum();
+        rec.draw_segments([s1]).unwrap();
+        rec.accum_load();
+        rec.clear_color();
+        rec.draw_segments([s2]).unwrap();
+        rec.accum_add();
+        rec.accum_return();
+        let slot = rec.minmax();
+        let exec = ReferenceDevice::new().execute(&rec.finish()).unwrap();
+        let overlap = exec.max_red(slot).unwrap() >= 1.0;
         if s1.intersects(&s2) {
             prop_assert!(overlap, "true intersection reported as disjoint");
         }

@@ -11,10 +11,24 @@
 //! cargo run --release --example raster_demo
 //! ```
 
-use hwspatial::geom::{Polygon, Rect, Segment};
+use hwspatial::core::HwTester;
+use hwspatial::geom::{Polygon, Rect};
 use hwspatial::raster::framebuffer::HALF_GRAY;
 use hwspatial::raster::ppm::save_ppm;
-use hwspatial::raster::{GlContext, Viewport};
+use hwspatial::raster::{
+    CommandList, OverlapStrategy, RasterDevice, Recorder, ReferenceDevice, Viewport,
+};
+
+/// Executes `list` and writes the frame it leaves to `path`; returns the
+/// device's execution.
+fn render(list: &CommandList, path: &str) -> std::io::Result<hwspatial::raster::Execution> {
+    let mut device = ReferenceDevice::new();
+    let exec = device
+        .execute(list)
+        .expect("the reference device never faults");
+    save_ppm(&device.snapshot().expect("executed above"), path)?;
+    Ok(exec)
+}
 
 fn polygons() -> (Polygon, Polygon) {
     // A concave C-shape and a blob poking into its pocket without touching.
@@ -41,48 +55,38 @@ fn polygons() -> (Polygon, Polygon) {
 
 fn main() -> std::io::Result<()> {
     let (p, q) = polygons();
-    let vp = Viewport::new(Rect::new(0.0, 0.0, 100.0, 100.0), 256, 256);
+    // A square region, so the distance test's uniform projection is this
+    // one too.
+    let region = Rect::new(0.0, 0.0, 100.0, 100.0);
 
-    // Frame 1: both boundaries at half intensity.
-    let mut gl = GlContext::new(vp);
-    gl.set_color(HALF_GRAY);
-    let ep: Vec<Segment> = p.edges().collect();
-    let eq: Vec<Segment> = q.edges().collect();
-    gl.draw_segments(&ep);
-    gl.draw_segments(&eq);
-    save_ppm(gl.frame_buffer(), "demo_boundaries.ppm")?;
+    // Frame 1: both boundaries at half intensity, one draw each.
+    let mut rec = Recorder::new(256, 256).expect("a 256² window");
+    rec.set_viewport(Viewport::new(region, 256, 256))
+        .expect("the window is the viewport's");
+    rec.set_color(HALF_GRAY)
+        .expect("half gray is a valid intensity");
+    rec.draw_segments(p.edges())
+        .expect("viewport recorded above");
+    rec.draw_segments(q.edges())
+        .expect("viewport recorded above");
+    render(&rec.finish(), "demo_boundaries.ppm")?;
 
     // Frame 2: the Algorithm 3.1 choreography — overlap would be white.
-    let mut gl = GlContext::new(vp);
-    gl.set_color(HALF_GRAY);
-    gl.clear_color_buffer();
-    gl.clear_accum_buffer();
-    gl.draw_segments(&ep);
-    gl.accum_load();
-    gl.clear_color_buffer();
-    gl.draw_segments(&eq);
-    gl.accum_add();
-    gl.accum_return();
-    let overlap = gl.max_value() >= 1.0;
-    save_ppm(gl.frame_buffer(), "demo_overlap.ppm")?;
+    let (list, slot) = HwTester::record_segment_test(
+        region,
+        256,
+        OverlapStrategy::Accumulation,
+        p.edges(),
+        q.edges(),
+    );
+    let exec = render(&list, "demo_overlap.ppm")?;
+    let overlap = exec.max_red(slot).expect("the list records its Minmax") >= 1.0;
     println!("boundaries overlap on screen: {overlap} (the polygons are disjoint:\n  the pocket blob never touches the C — zoomed projections would separate them)");
 
     // Frame 3: the distance test's expanded boundaries (width 9 px).
-    let mut gl = GlContext::new(vp);
-    gl.set_color(HALF_GRAY);
-    gl.set_line_width(9.0);
-    gl.set_point_size(9.0);
-    gl.clear_color_buffer();
-    gl.clear_accum_buffer();
-    gl.draw_segments(&ep);
-    gl.draw_points(p.vertices());
-    gl.accum_load();
-    gl.clear_color_buffer();
-    gl.draw_segments(&eq);
-    gl.draw_points(q.vertices());
-    gl.accum_add();
-    gl.accum_return();
-    save_ppm(gl.frame_buffer(), "demo_expanded.ppm")?;
+    let (list, _) =
+        HwTester::record_distance_test(region, 256, OverlapStrategy::Accumulation, 9.0, &p, &q);
+    render(&list, "demo_expanded.ppm")?;
 
     println!("wrote demo_boundaries.ppm, demo_overlap.ppm, demo_expanded.ppm");
     Ok(())
